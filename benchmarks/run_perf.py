@@ -11,10 +11,16 @@ Usage (from the repo root)::
 
 Runs the spatial-subsystem benchmarks (neighbor-table build, CPVF
 periods, coverage re-measurement) plus the sweep-throughput,
-scenario-generation and batched-CPVF entries, asserting fast-path/seed
+scenario-generation and batched-CPVF entries, asserting fast-path/brute
 parity (or batched/sequential convergence) while timing, and writes the
 results next to this repository's README so future PRs can track the
 perf trajectory.
+
+The seed algorithms are not re-measured: every re-measured row without
+a ``seed_ms`` of its own inherits the committed row's frozen ``seed_ms``
+unchanged, and its ``speedup`` is recomputed against the fresh
+``batched_ms`` (or ``fast_ms``).  The seed re-implementations live in
+``tests/oracles``.
 
 ``--only ENTRY [ENTRY ...]`` regenerates a subset of entries and merges
 them into the existing ``BENCH_perf.json`` — the untouched entries are
@@ -22,10 +28,9 @@ preserved verbatim, so one noisy row can be re-measured without paying
 for the whole suite.  ``--n N [N ...]`` overrides the population sizes
 of the per-population entries (``neighbor_table``, ``cpvf_period``,
 ``coverage``); without it, ``cpvf_period`` runs the classic sizes
-(100/500/1000, seed vs vectorized) plus the three-mode scale rows
-(2000/5000/10000, seed vs vectorized vs batched).  Sizes beyond 20000
-(e.g. ``--n 100000``) skip the seed algorithm (``seed_ms`` is null) and
-grow the field with sqrt(n) so density matches the n = 10^4 row.
+(100/500/1000, vectorized) plus the scale rows (2000/5000/10000,
+vectorized vs batched).  Sizes beyond 10000 (e.g. ``--n 100000``) grow
+the field with sqrt(n) so density matches the n = 10^4 row.
 """
 
 from __future__ import annotations
@@ -45,6 +50,46 @@ from repro.experiments.perfbench import PERF_ENTRIES, run_perf_suite  # noqa: E4
 OUT_PATH = REPO_ROOT / "BENCH_perf.json"
 
 
+def _row_key(row):
+    return (row["n"], row.get("layout", ""))
+
+
+def _is_row_list(value) -> bool:
+    return isinstance(value, list) and all(
+        isinstance(r, dict) and "n" in r for r in value
+    )
+
+
+def _carry_seed(old, new):
+    """Carry the committed, frozen ``seed_ms`` into re-measured rows.
+
+    A fresh row without a ``seed_ms`` of its own takes the committed
+    row's value unchanged (``None`` included) and its ``speedup`` is
+    recomputed as seed over the fresh ``batched_ms`` (or ``fast_ms``);
+    the row keeps the committed column order.  Rows with no committed
+    counterpart are left without a seed column.
+    """
+    if not (_is_row_list(old) and _is_row_list(new)):
+        return new
+    committed = {_row_key(r): r for r in old if "seed_ms" in r}
+    rows = []
+    for row in new:
+        frozen = committed.get(_row_key(row))
+        if frozen is None or "seed_ms" in row:
+            rows.append(row)
+            continue
+        seed_ms = frozen["seed_ms"]
+        base_ms = row.get("batched_ms", row.get("fast_ms"))
+        merged = dict(row, seed_ms=seed_ms)
+        merged["speedup"] = (
+            None if seed_ms is None or not base_ms else seed_ms / base_ms
+        )
+        order = [k for k in frozen if k in merged]
+        order += [k for k in merged if k not in order]
+        rows.append({k: merged[k] for k in order})
+    return rows
+
+
 def _merge_entry(old, new):
     """Merge regenerated rows into a committed entry, row by row.
 
@@ -54,17 +99,10 @@ def _merge_entry(old, new):
     rows, so re-running one noisy row cannot drop its siblings.  Entries
     that are not keyed row lists are replaced wholesale.
     """
-    def row_key(row):
-        return (row["n"], row.get("layout", ""))
-
-    if not (
-        isinstance(old, list)
-        and isinstance(new, list)
-        and all(isinstance(r, dict) and "n" in r for r in old + new)
-    ):
+    if not (_is_row_list(old) and _is_row_list(new)):
         return new
-    rows = {row_key(row): row for row in old}
-    rows.update({row_key(row): row for row in new})
+    rows = {_row_key(row): row for row in old}
+    rows.update({_row_key(row): row for row in new})
     return [rows[key] for key in sorted(rows)]
 
 
@@ -81,14 +119,12 @@ def _print_results(results: dict) -> None:
             if row.get("phases_ms"):
                 top = max(row["phases_ms"], key=row["phases_ms"].get)
                 extra += f" [top phase {top}={row['phases_ms'][top]:.1f} ms]"
-            # seed_ms / speedup are None on rows too large to run the
-            # seed algorithm at all (n > 20000).
+            # seed_ms / speedup are None on rows the seed algorithm never
+            # ran on (n > 20000, or sizes with no committed seed row).
             if row.get("seed_ms") is None:
-                seed_part = "seed=skipped"
+                seed_part = "seed=-"
             else:
-                seed_part = (
-                    f"seed={row['seed_ms']:.2f} ms"
-                )
+                seed_part = f"seed(frozen)={row['seed_ms']:.2f} ms"
             speedup_part = (
                 ""
                 if row.get("speedup") is None
@@ -187,11 +223,14 @@ def main(argv=None) -> int:
         return 0
 
     results = run_perf_suite(ns=args.n, seed=args.seed, only=args.only)
-    if args.only and OUT_PATH.exists():
-        merged = json.loads(OUT_PATH.read_text())
+    if OUT_PATH.exists():
+        committed = json.loads(OUT_PATH.read_text())
         for key, value in results.items():
-            merged[key] = _merge_entry(merged.get(key), value)
-        results = merged
+            results[key] = _carry_seed(committed.get(key), value)
+        if args.only:
+            for key, value in results.items():
+                committed[key] = _merge_entry(committed.get(key), value)
+            results = committed
     results["python"] = platform.python_version()
     results["machine"] = platform.machine()
     # Host metadata: timings are only comparable across PRs measured on

@@ -31,7 +31,6 @@ __all__ = [
     "step_is_valid",
     "max_valid_step",
     "max_valid_step_points",
-    "max_valid_step_reference",
     "STEP_FRACTIONS",
 ]
 
@@ -106,8 +105,9 @@ def max_valid_step(
     only depends on the start position and is checked once per neighbour
     (if it fails for any link no candidate can be valid), and for a
     stationary neighbour conditions 2 and 3 coincide and are evaluated
-    once.  Results are bit-identical to :func:`max_valid_step_reference`,
-    which keeps the paper's ladder verbatim.
+    once.  Results are bit-identical to the paper's ladder evaluated
+    literally through :func:`step_is_valid` (the parity reference in
+    ``tests/oracles``).
     """
     dir_x, dir_y = direction.x, direction.y
     norm = math.hypot(dir_x, dir_y)
@@ -197,29 +197,3 @@ def max_valid_step_points(
             return 0.0
     checks = [(lx, ly, True, lx, ly) for lx, ly in links]
     return _ladder_scan(px, py, unit_x, unit_y, max_step, checks, limit, fractions)
-
-
-def max_valid_step_reference(
-    position: Vec2,
-    direction: Vec2,
-    max_step: float,
-    neighbors: Sequence[NeighborMotion],
-    communication_range: float,
-    fractions: Sequence[float] = STEP_FRACTIONS,
-) -> float:
-    """The paper's candidate ladder, evaluated literally.
-
-    Kept as the parity reference for :func:`max_valid_step` (the two must
-    agree exactly) and as the seed baseline for the perf benchmarks.
-    """
-    unit = direction.normalized()
-    if unit.norm() == 0.0 or max_step <= 0.0:
-        return 0.0
-    for fraction in fractions:
-        step = fraction * max_step
-        if step <= 0.0:
-            return 0.0
-        end = position + unit * step
-        if step_is_valid(position, end, neighbors, communication_range):
-            return step
-    return 0.0

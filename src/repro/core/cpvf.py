@@ -65,8 +65,7 @@ class CPVFScheme(DeploymentScheme):
         oscillation_delta: Optional[float] = None,
         oscillation_mode: str = "one-step",
         repulsion_distance: Optional[float] = None,
-        vectorized: bool = True,
-        mode: Optional[str] = None,
+        mode: str = "vectorized",
         repair_grouping: bool = True,
     ):
         """Create the scheme.
@@ -82,13 +81,9 @@ class CPVFScheme(DeploymentScheme):
         repulsion_distance:
             Pairwise repulsion threshold for the virtual forces; defaults to
             ``2 * rs`` of the simulated sensors.
-        vectorized:
-            Back-compat switch: ``True`` selects ``mode="vectorized"``,
-            ``False`` ``mode="sequential"``.  Ignored when ``mode`` is
-            given explicitly.
         mode:
-            Execution strategy of the coverage stage
-            (see ``docs/performance.md``):
+            Execution strategy of the coverage stage (default
+            ``"vectorized"``; see ``docs/performance.md``):
 
             ``"sequential"``
                 The seed dynamics: sensors decide and move one after the
@@ -126,8 +121,6 @@ class CPVFScheme(DeploymentScheme):
             ``tests/core/test_repair_groups.py``).  ``False`` restores
             the fully serialized repair pass.
         """
-        if mode is None:
-            mode = "vectorized" if vectorized else "sequential"
         if mode not in CPVF_MODES:
             raise ValueError(
                 f"unknown CPVF mode {mode!r}; choose from {list(CPVF_MODES)}"
@@ -1289,8 +1282,8 @@ class CPVFScheme(DeploymentScheme):
     ) -> float:
         """Seed-faithful candidate scan: one full step ladder per candidate.
 
-        Kept as the reference/baseline path (``vectorized=False``); the
-        fraction-outer scan above returns the same (step, parent) choice.
+        The ``mode="sequential"`` path; the fraction-outer scan above
+        returns the same (step, parent) choice.
         """
         config = world.config
         children_motions = [

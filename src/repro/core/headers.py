@@ -15,10 +15,10 @@ scheme can account the query / response message costs on the tree.
 The coverage and same-floor-neighbour queries are the hot loop of FLOOR's
 phase-3 expansion search (every active searcher probes several candidate
 points per period, each probe scanning the records of every floor in
-range), so by default they are served from a :class:`~repro.spatial.index.
-SpatialIndex` rebuilt lazily whenever the records change.  The exhaustive
-scan remains available behind ``use_spatial_index=False`` and is pinned
-against the indexed path by randomized parity tests.
+range), so they are served from a :class:`~repro.spatial.index.
+SpatialIndex` rebuilt lazily whenever the records change.  Randomized
+parity tests pin the indexed queries against an exhaustive per-floor scan
+(``tests/oracles``).
 """
 
 from __future__ import annotations
@@ -48,9 +48,6 @@ class FloorRegistry:
 
     floors: FloorGeometry
     _records: Dict[int, Dict[int, FloorRecord]] = field(default_factory=dict)
-    #: Serve spatial queries from a lazily rebuilt :class:`SpatialIndex`;
-    #: ``False`` restores the exhaustive per-floor scan (parity-tested).
-    use_spatial_index: bool = True
     _index: Optional[SpatialIndex] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -157,21 +154,13 @@ class FloorRegistry:
         """
         excluded = set(exclude)
         floors_to_ask = self.floors.floors_possibly_covering(point, sensing_range)
-        if self.use_spatial_index:
-            index = self._ensure_index()
-            askable = set(floors_to_ask)
-            for i in index.query_radius(point, sensing_range + 1e-9):
-                floor_index, record = self._index_records[i]
-                if record.node_id in excluded or floor_index not in askable:
-                    continue
-                return True, floors_to_ask
-            return False, floors_to_ask
-        for floor_index in floors_to_ask:
-            for record in self.records_on_floor(floor_index):
-                if record.node_id in excluded:
-                    continue
-                if record.position.distance_to(point) <= sensing_range + 1e-9:
-                    return True, floors_to_ask
+        index = self._ensure_index()
+        askable = set(floors_to_ask)
+        for i in index.query_radius(point, sensing_range + 1e-9):
+            floor_index, record = self._index_records[i]
+            if record.node_id in excluded or floor_index not in askable:
+                continue
+            return True, floors_to_ask
         return False, floors_to_ask
 
     def neighbors_on_floor(
@@ -185,20 +174,13 @@ class FloorRegistry:
         me = records.get(node_id)
         if me is None:
             return []
-        if self.use_spatial_index:
-            index = self._ensure_index()
-            result: List[FloorRecord] = []
-            for i in index.query_radius(me.position, radius + 1e-9):
-                hit_floor, record = self._index_records[i]
-                if hit_floor == floor_index and record.node_id != node_id:
-                    result.append(record)
-            return result
-        return [
-            r
-            for r in records.values()
-            if r.node_id != node_id
-            and r.position.distance_to(me.position) <= radius + 1e-9
-        ]
+        index = self._ensure_index()
+        result: List[FloorRecord] = []
+        for i in index.query_radius(me.position, radius + 1e-9):
+            hit_floor, record = self._index_records[i]
+            if hit_floor == floor_index and record.node_id != node_id:
+                result.append(record)
+        return result
 
     def count(self, include_virtual: bool = True) -> int:
         """Number of registered nodes."""

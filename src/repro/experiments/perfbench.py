@@ -1,16 +1,17 @@
-"""Spatial-subsystem performance benchmarks (seed vs fast paths).
+"""Spatial-subsystem and CPVF performance benchmarks.
 
-Measures the three hot queries the spatial subsystem accelerates —
+Measures the hot queries the spatial subsystem accelerates —
 neighbor-table construction, one full CPVF period, and coverage
-re-measurement after movement — against faithful re-implementations of
-the seed algorithms (dense ``sqrt`` distance matrix, scalar ``Vec2``
-force loops, full-grid coverage scan).  Every measurement also checks
-that the fast path produces results identical to the brute-force path,
-so the numbers can never drift away from correctness.
+re-measurement after movement — plus the sweep, service, scenario,
+lifecycle and degraded-network entries.  Every measurement also checks
+that the fast path produces results identical to the library's
+brute-force path, so the numbers can never drift away from correctness.
 
-``benchmarks/test_perf_spatial.py`` runs these under pytest;
-``benchmarks/run_perf.py`` writes the repo-root ``BENCH_perf.json`` that
-tracks the perf trajectory across PRs.
+The seed algorithms these rows were once compared against are no longer
+re-measured: their ``seed_ms`` columns in ``BENCH_perf.json`` are frozen
+and carried forward by ``benchmarks/run_perf.py``, and the seed
+re-implementations live with the other reference oracles in
+``tests/oracles`` (``benchmarks/test_perf_spatial.py`` times them).
 """
 
 from __future__ import annotations
@@ -23,15 +24,15 @@ import numpy as np
 
 from ..api import SweepRunner, default_job_count
 from ..core import CPVFScheme
-from ..core import connectivity as _connectivity
-from ..core import cpvf as _cpvf_module
 from ..sim import World
 from ..spatial import IncrementalCoverage
 from .common import ExperimentScale, SMOKE_SCALE, make_config, make_world
 
 __all__ = [
-    "seed_neighbor_table",
-    "seed_coverage_fraction",
+    "best_of",
+    "perf_world",
+    "time_cpvf_periods",
+    "cpvf_period_s",
     "measure_neighbor_table",
     "measure_cpvf_period",
     "measure_cpvf_period_scale",
@@ -48,7 +49,7 @@ __all__ = [
 ]
 
 
-def _best_of(func: Callable[[], object], repeats: int, rounds: int = 3) -> float:
+def best_of(func: Callable[[], object], repeats: int, rounds: int = 3) -> float:
     """Best mean seconds per call over ``rounds`` timing rounds."""
     best = float("inf")
     for _ in range(rounds):
@@ -59,9 +60,8 @@ def _best_of(func: Callable[[], object], repeats: int, rounds: int = 3) -> float
     return best
 
 
-def _make_perf_world(
-    n: int, seed: int, clustered: bool, fast: bool
-) -> World:
+def perf_world(n: int, seed: int, clustered: bool) -> World:
+    """The benchmark world of ``n`` sensors (1000 m field up to n = 10^4)."""
     # Populations beyond the paper's 10^4 keep the 10^4 row's density
     # (field side grows with sqrt(n)); a fixed 1000 m field at n = 10^5
     # would pack ~100 sensors per communication disk and measure a
@@ -72,170 +72,96 @@ def _make_perf_world(
     config = make_config(
         scale, sensor_count=n, seed=seed, clustered_start=clustered
     )
-    world = make_world(config, scale)
-    world.use_neighbor_cache = fast
-    world.use_incremental_coverage = fast
-    world.radio.use_spatial_index = fast
-    return world
+    return make_world(config, scale)
 
 
 # ----------------------------------------------------------------------
 # Neighbor tables
 # ----------------------------------------------------------------------
-def seed_neighbor_table(radio, sensors) -> Dict[int, List[int]]:
-    """Faithful copy of the seed ``Radio.neighbor_table`` implementation.
-
-    Dense ``n x n`` matrix with ``np.sqrt`` and per-row Python loops —
-    kept verbatim here (rather than in :class:`Radio`) so the benchmark
-    baseline stays the seed algorithm even as the library improves.
-    """
-    ids = [s.sensor_id for s in sensors]
-    if not ids:
-        return {}
-    xs = np.array([s.position.x for s in sensors])
-    ys = np.array([s.position.y for s in sensors])
-    rcs = np.array([s.communication_range for s in sensors])
-    dx = xs[:, None] - xs[None, :]
-    dy = ys[:, None] - ys[None, :]
-    dist = np.sqrt(dx * dx + dy * dy)
-    table: Dict[int, List[int]] = {i: [] for i in ids}
-    for i in range(len(sensors)):
-        within = np.flatnonzero(dist[i] <= rcs[i] + 1e-9)
-        for j in within:
-            if j == i:
-                continue
-            if radio.line_of_sight:  # pragma: no cover - seed parity only
-                from ..geometry import Segment
-
-                if radio.field.segment_blocked(
-                    Segment(sensors[i].position, sensors[j].position)
-                ):
-                    continue
-            table[ids[i]].append(ids[int(j)])
-    return table
-
-
 def measure_neighbor_table(
     n: int, seed: int = 3, clustered: bool = False, repeats: int = 10
 ) -> Dict[str, float]:
-    """Seed vs indexed neighbor-table build time on one layout."""
-    world = _make_perf_world(n, seed, clustered, fast=True)
+    """Indexed neighbor-table build time on one layout."""
+    world = perf_world(n, seed, clustered)
     sensors = world.sensors
     radio = world.radio
-    reference = seed_neighbor_table(radio, sensors)
-    if reference != radio.neighbor_table_indexed(sensors):
-        raise AssertionError("indexed neighbor table diverged from seed table")
-    if reference != radio.neighbor_table_bruteforce(sensors):
-        raise AssertionError("brute neighbor table diverged from seed table")
-    # Several short best-of rounds: both paths are sub-10ms, so a single
-    # noisy round on a loaded machine would dominate the ratio otherwise.
-    seed_s = _best_of(lambda: seed_neighbor_table(radio, sensors), repeats, rounds=5)
-    fast_s = _best_of(
+    if radio.neighbor_table_indexed(sensors) != radio.neighbor_table_bruteforce(
+        sensors
+    ):
+        raise AssertionError("indexed neighbor table diverged from brute table")
+    # Several short best-of rounds: the build is sub-10ms, so a single
+    # noisy round on a loaded machine would dominate otherwise.
+    fast_s = best_of(
         lambda: radio.neighbor_table_indexed(sensors), repeats, rounds=5
     )
     return {
         "n": n,
         "layout": "clustered" if clustered else "uniform",
-        "seed_ms": seed_s * 1000.0,
         "fast_ms": fast_s * 1000.0,
-        "speedup": seed_s / fast_s if fast_s > 0 else float("inf"),
     }
 
 
 # ----------------------------------------------------------------------
 # CPVF periods
 # ----------------------------------------------------------------------
-def _timed_periods(
+def time_cpvf_periods(
+    world: World, scheme, periods: int, telemetry=None
+) -> float:
+    """Mean seconds per period of ``scheme`` on ``world``.
+
+    One warm-up period runs first.  ``telemetry`` (a
+    :class:`repro.obs.Telemetry`) is installed on the world *after* the
+    warm-up step, so its spans and counters cover exactly the ``periods``
+    timed steps.
+    """
+    scheme.initialize(world)
+    scheme.step(world)  # warm-up period
+    if telemetry is not None:
+        world.telemetry = telemetry
+    start = time.perf_counter()
+    for _ in range(periods):
+        scheme.step(world)
+    return (time.perf_counter() - start) / periods
+
+
+def cpvf_period_s(
     n: int,
-    seed: int,
-    fast: bool,
-    periods: int,
-    mode: str = None,
-    fast_infra: bool = None,
+    seed: int = 3,
+    periods: int = 4,
+    mode: str = "vectorized",
     telemetry=None,
 ) -> float:
-    """Mean seconds per CPVF period for one execution configuration.
-
-    ``fast=False`` is the seed configuration: the sequential scheme with
-    the paper's reference ladder.  ``fast_infra`` controls the world's
-    neighbour/coverage infrastructure independently — the large-``n``
-    scale rows keep it on even for the seed *algorithm*, because the
-    seed's dense n x n matrices would not fit in memory at n = 10^4.
-
-    ``telemetry`` (a :class:`repro.obs.Telemetry`) is installed on the
-    world *after* the warm-up step, so its spans and counters cover
-    exactly the ``periods`` timed steps.
-    """
-    if fast_infra is None:
-        fast_infra = fast
-    world = _make_perf_world(n, seed, clustered=True, fast=fast_infra)
-    if mode is None:
-        mode = "vectorized" if fast else "sequential"
-    scheme = CPVFScheme(mode=mode)
-    original_ladder = _cpvf_module.max_valid_step
-    if not fast:
-        # The seed ladder evaluated every fraction through Vec2 helpers.
-        _cpvf_module.max_valid_step = _connectivity.max_valid_step_reference
-    try:
-        scheme.initialize(world)
-        scheme.step(world)  # warm-up period
-        if telemetry is not None:
-            world.telemetry = telemetry
-        start = time.perf_counter()
-        for _ in range(periods):
-            scheme.step(world)
-        return (time.perf_counter() - start) / periods
-    finally:
-        _cpvf_module.max_valid_step = original_ladder
+    """Mean seconds per CPVF period in ``mode`` on the clustered layout."""
+    return time_cpvf_periods(
+        perf_world(n, seed, clustered=True),
+        CPVFScheme(mode=mode),
+        periods,
+        telemetry,
+    )
 
 
 def measure_cpvf_period(
     n: int, seed: int = 3, periods: int = 6
 ) -> Dict[str, float]:
-    """Seed vs fast cost of one full CPVF decision period."""
-    seed_s = _timed_periods(n, seed, fast=False, periods=periods)
-    fast_s = _timed_periods(n, seed, fast=True, periods=periods)
-    return {
-        "n": n,
-        "seed_ms": seed_s * 1000.0,
-        "fast_ms": fast_s * 1000.0,
-        "speedup": seed_s / fast_s if fast_s > 0 else float("inf"),
-    }
+    """Cost of one full CPVF decision period (default vectorized mode)."""
+    return {"n": n, "fast_ms": cpvf_period_s(n, seed, periods) * 1000.0}
 
 
 def measure_cpvf_period_scale(
-    n: int, seed: int = 3, periods: int = None, seed_periods: int = None
+    n: int, seed: int = 3, periods: int = None
 ) -> Dict[str, float]:
-    """Three-mode CPVF period cost at scale: seed vs vectorized vs batched.
+    """CPVF period cost at scale: vectorized vs batched.
 
-    The large-``n`` rows of ``BENCH_perf.json``.  ``seed_ms`` runs the
-    seed algorithm (sequential decisions, reference ladder) but on the
-    fast neighbour infrastructure — the seed's dense matrices would need
-    gigabytes at n = 10^4 — so it *understates* the true seed cost;
-    ``fast_ms`` is the vectorized mode (the pre-batch fast path) and
-    ``batched_ms`` the colored-batch kernel.  ``speedup`` keeps the
-    bench-wide convention (seed over the fastest path); the honest
-    batched-over-vectorized margin is ``speedup_vs_vectorized`` — about
-    2x at n >= 5000, because PR 1 already moved the dominant force
-    evaluation into numpy, and the protocol's parent-change churn is
-    sequential in every mode.
+    The large-``n`` rows of ``BENCH_perf.json``: ``fast_ms`` is the
+    vectorized mode (the pre-batch fast path) and ``batched_ms`` the
+    colored-batch kernel; ``speedup_vs_vectorized`` is the
+    batched-over-vectorized margin.  The rows' frozen ``seed_ms`` (and
+    ``speedup``, seed over batched) come from the committed file.
     """
     if periods is None:
         periods = 6 if n <= 2000 else 3
-    if seed_periods is None:
-        seed_periods = max(1, min(periods, 20000 // n))
-    # Beyond n = 2 * 10^4 even one seed-algorithm period takes minutes
-    # per period (it is a per-sensor Python loop); the n = 10^5 rows
-    # record seed_ms = None and the modes that actually run at scale.
-    seed_s = None
-    if n <= 20000:
-        seed_s = _timed_periods(
-            n, seed, fast=False, periods=seed_periods, fast_infra=True
-        )
-    fast_s = _timed_periods(n, seed, fast=True, periods=periods)
-    batched_s = _timed_periods(
-        n, seed, fast=True, periods=periods, mode="batched"
-    )
+    fast_s = cpvf_period_s(n, seed, periods)
+    batched_s = cpvf_period_s(n, seed, periods, mode="batched")
     # One more batched pass with telemetry on: the phase breakdown of a
     # period (ms per period per span) and the period-normalised kernel
     # counters.  Timed separately so the headline batched_ms stays the
@@ -243,9 +169,7 @@ def measure_cpvf_period_scale(
     from ..obs import Telemetry
 
     tel = Telemetry()
-    _timed_periods(
-        n, seed, fast=True, periods=periods, mode="batched", telemetry=tel
-    )
+    cpvf_period_s(n, seed, periods, mode="batched", telemetry=tel)
     summary = tel.summary()
     phases = {
         name: stat.seconds / periods * 1000.0
@@ -264,14 +188,8 @@ def measure_cpvf_period_scale(
     }
     return {
         "n": n,
-        "seed_ms": None if seed_s is None else seed_s * 1000.0,
         "fast_ms": fast_s * 1000.0,
         "batched_ms": batched_s * 1000.0,
-        "speedup": (
-            None
-            if seed_s is None
-            else (seed_s / batched_s if batched_s > 0 else float("inf"))
-        ),
         "speedup_vs_vectorized": (
             fast_s / batched_s if batched_s > 0 else float("inf")
         ),
@@ -289,26 +207,19 @@ def measure_telemetry_overhead(
     row, untraced (``NULL_TELEMETRY``) and traced (a live ``Telemetry``
     with the default null sink), best-of-``rounds`` each to denoise the
     shared 1-CPU bench host.  The observability contract is that the
-    traced path stays within a few percent of the untraced one; CI's
-    ``obs_smoke`` gate reads this entry.
+    traced path stays within a few percent of the untraced one; the
+    ``obs.committed_overhead`` entry of ``benchmarks/contracts.py`` reads
+    this entry.
     """
     from ..obs import Telemetry
 
     if periods is None:
         periods = 6 if n <= 2000 else 3
     untraced_s = min(
-        _timed_periods(n, seed, fast=True, periods=periods, mode="batched")
-        for _ in range(rounds)
+        cpvf_period_s(n, seed, periods, mode="batched") for _ in range(rounds)
     )
     traced_s = min(
-        _timed_periods(
-            n,
-            seed,
-            fast=True,
-            periods=periods,
-            mode="batched",
-            telemetry=Telemetry(),
-        )
+        cpvf_period_s(n, seed, periods, mode="batched", telemetry=Telemetry())
         for _ in range(rounds)
     )
     return {
@@ -371,85 +282,67 @@ def measure_cpvf_convergence(
 # ----------------------------------------------------------------------
 # Coverage
 # ----------------------------------------------------------------------
-def seed_coverage_fraction(field, positions, sensing_range, resolution) -> float:
-    """Faithful copy of the seed coverage scan.
-
-    The seed ``CoverageGrid.coverage_mask`` tested every disk against the
-    whole (still-uncovered) flattened grid; kept verbatim here so the
-    benchmark baseline stays the seed algorithm even though the library's
-    brute path now rasterises per-disk bounding boxes.
-    """
-    grid, obstacle_mask = field.grid_and_obstacle_mask(resolution)
-    px, py = grid.point_arrays()
-    covered = np.zeros(grid.num_points, dtype=bool)
-    if positions and sensing_range > 0:
-        r_sq = sensing_range * sensing_range
-        for p in positions:
-            remaining = ~covered
-            if not remaining.any():
-                break
-            dx = px[remaining] - p.x
-            dy = py[remaining] - p.y
-            hit = dx * dx + dy * dy <= r_sq
-            idx = np.flatnonzero(remaining)
-            covered[idx[hit]] = True
-    free = ~obstacle_mask
-    return grid.fraction(covered & free, domain=free)
-
-
 def measure_coverage(
     n: int,
     seed: int = 3,
     moved_fraction: float = 0.02,
     rounds: int = 5,
 ) -> Dict[str, float]:
-    """Seed vs incremental coverage after small position changes.
+    """Incremental coverage re-measurement after small position changes.
 
     Simulates the engine's trace pattern: measure, move a few sensors,
-    measure again.  The seed path rescans the grid for every sensing disk
-    each time; the incremental tracker only re-rasterises the moved
-    disks.  Both answers are checked for exact equality every round.
+    measure again; the incremental tracker only re-rasterises the moved
+    disks.  Its answer is checked for exact equality with the library's
+    brute-force scan every round.
     """
-    world = _make_perf_world(n, seed, clustered=False, fast=True)
+    world = perf_world(n, seed, clustered=False)
     rs = world.config.sensing_range
     res = world.config.coverage_resolution
-    rng = np.random.default_rng(seed)
     positions = np.array([(s.position.x, s.position.y) for s in world.sensors])
     tracker = IncrementalCoverage(world.field, rs, res)
     tracker.update(positions)
 
     from ..geometry import Vec2
 
-    moved = max(1, int(n * moved_fraction))
-    brute_s = 0.0
     fast_s = 0.0
-    for _ in range(rounds):
-        idx = rng.choice(n, size=moved, replace=False)
-        positions[idx] = rng.uniform(0, world.field.width, size=(moved, 2))
-        vecs = [Vec2(x, y) for x, y in positions]
-
+    for current in coverage_moves(
+        positions, world.field.width, seed, moved_fraction, rounds
+    ):
         start = time.perf_counter()
-        seed_value = seed_coverage_fraction(world.field, vecs, rs, res)
-        brute_s += time.perf_counter() - start
-
-        start = time.perf_counter()
-        tracker.update(positions)
+        tracker.update(current)
         fast_value = tracker.covered_fraction()
         fast_s += time.perf_counter() - start
 
-        if seed_value != fast_value:
-            raise AssertionError(
-                f"incremental coverage {fast_value!r} != seed {seed_value!r}"
-            )
+        vecs = [Vec2(x, y) for x, y in current]
         if world.field.coverage_fraction(vecs, rs, res) != fast_value:
-            raise AssertionError("library brute coverage diverged from seed")
+            raise AssertionError("incremental coverage diverged from brute scan")
     return {
         "n": n,
-        "moved_per_round": moved,
-        "seed_ms": brute_s / rounds * 1000.0,
+        "moved_per_round": max(1, int(n * moved_fraction)),
         "fast_ms": fast_s / rounds * 1000.0,
-        "speedup": brute_s / fast_s if fast_s > 0 else float("inf"),
     }
+
+
+def coverage_moves(
+    positions: np.ndarray,
+    width: float,
+    seed: int,
+    moved_fraction: float,
+    rounds: int,
+):
+    """The per-round position arrays :func:`measure_coverage` times.
+
+    Moves ``moved_fraction`` of the sensors to fresh uniform positions
+    each round (in place) and yields the array; the same arguments
+    replay the same sequence.
+    """
+    rng = np.random.default_rng(seed)
+    n = len(positions)
+    moved = max(1, int(n * moved_fraction))
+    for _ in range(rounds):
+        idx = rng.choice(n, size=moved, replace=False)
+        positions[idx] = rng.uniform(0, width, size=(moved, 2))
+        yield positions
 
 
 # ----------------------------------------------------------------------
@@ -617,7 +510,7 @@ def measure_scenario_generation(
                         f"{layout} produced an invalid field for seed {seed}"
                     )
 
-        per_call = _best_of(generate_all, repeats=1, rounds=3) / len(seeds)
+        per_call = best_of(generate_all, repeats=1, rounds=3) / len(seeds)
         rows.append(
             {
                 "layout": layout,
@@ -747,8 +640,8 @@ def measure_degraded_coverage(
 # ----------------------------------------------------------------------
 # Full suite
 # ----------------------------------------------------------------------
-#: Default population sizes of the classic (seed-vs-fast) entries and of
-#: the large-scale three-mode CPVF rows.
+#: Default population sizes of the per-population entries and of the
+#: large-scale two-mode CPVF rows.
 DEFAULT_NS = (100, 500, 1000)
 SCALE_NS = (2000, 5000, 10000)
 
@@ -803,14 +696,16 @@ def run_perf_suite(
         )
     results: Dict[str, object] = {
         "description": (
-            "Spatial-index + batched-CPVF benchmarks: seed algorithms vs "
-            "fast paths; parity/convergence is asserted before or while "
-            "timing.  cpvf_period rows with a batched_ms column compare "
-            "all three CPVF execution modes (seed sequential ladder, "
-            "vectorized, colored-batch); their seed_ms runs the seed "
-            "algorithm on the fast neighbour infrastructure (the dense "
-            "seed matrices would not fit in memory at n >= 5000) and so "
-            "understates the true seed cost."
+            "Spatial-index + batched-CPVF benchmarks: fast paths, with "
+            "parity/convergence asserted before or while timing.  The "
+            "seed_ms columns are frozen measurements of the seed "
+            "algorithms, carried forward on regeneration (speedup is "
+            "recomputed against the fresh fast_ms, or batched_ms on rows "
+            "that have it).  cpvf_period rows with a batched_ms column "
+            "compare the vectorized and colored-batch CPVF modes; their "
+            "seed_ms ran the seed algorithm on the fast neighbour "
+            "infrastructure (the dense seed matrices would not fit in "
+            "memory at n >= 5000) and so understates the true seed cost."
         ),
         "field": "1000x1000 m, rc=60, rs=40, coverage resolution 10 m",
     }

@@ -43,17 +43,15 @@ class Radio:
         When ``True``, two nodes are neighbours only if the straight segment
         between them does not cross an obstacle.  The paper's experiments use
         the plain unit-disk model (``False``).
-    use_spatial_index:
-        When ``True`` (the default) neighbour tables are computed through a
-        :class:`~repro.spatial.SpatialIndex` instead of a dense ``n x n``
-        distance matrix.  The brute-force path is kept (and used for very
-        small populations) and produces identical tables; parity is
-        enforced by ``tests/spatial``.
+
+    Neighbour tables are computed through a
+    :class:`~repro.spatial.SpatialIndex`; populations under 8 sensors take
+    the dense brute-force scan, which produces identical tables (parity is
+    enforced by ``tests/spatial``).
     """
 
     field: Field
     line_of_sight: bool = False
-    use_spatial_index: bool = True
 
     # ------------------------------------------------------------------
     # Pairwise link predicate
@@ -74,10 +72,10 @@ class Radio:
 
         The per-sensor communication ranges may differ (the paper uses a
         common ``rc`` but the library does not require it).  Dispatches to
-        the spatial-index fast path unless disabled or the population is
-        too small for it to pay off.
+        the spatial-index fast path unless the population is too small for
+        it to pay off.
         """
-        if not self.use_spatial_index or len(sensors) < 8:
+        if len(sensors) < 8:
             return self.neighbor_table_bruteforce(sensors)
         return self.neighbor_table_indexed(sensors)
 
@@ -184,7 +182,7 @@ class Radio:
         """
         sensor_list = sensors if isinstance(sensors, list) else list(sensors)
         if index is None:
-            if not self.use_spatial_index or len(sensor_list) < 8:
+            if len(sensor_list) < 8:
                 return self.neighbors_of_point_bruteforce(
                     point, sensor_list, communication_range
                 )

@@ -50,10 +50,10 @@ movement and mid-run radio-parameter mutations invalidate; the sensor
 *population* is assumed fixed for the lifetime of a ``World``, which
 holds for every scheme in this repository.  ``IncrementalCoverage``
 diffs the packed position array itself and rebuilds from scratch when
-the sensor count changes.  Brute-force implementations are kept alongside every fast
-path (``Radio.neighbor_table_bruteforce``, ``Field.coverage_fraction``)
-and are exercised against the fast paths by randomized parity tests under
-``tests/spatial/``.
+the sensor count changes.  The brute-force references
+(``Radio.neighbor_table_bruteforce``, ``Field.coverage_fraction`` and the
+uncached world in ``tests/oracles``) are exercised against the fast paths
+by randomized parity tests under ``tests/spatial/``.
 """
 
 from .index import SpatialIndex, pack_positions

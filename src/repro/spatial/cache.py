@@ -164,7 +164,7 @@ class NeighborCache:
         """The shared index for the current epoch (``None`` when unusable)."""
         world = self._world
         sensors = self._alive_sensors()
-        if not world.radio.use_spatial_index or len(sensors) < 2:
+        if len(sensors) < 2:
             return None
         if self._index is None:
             max_range = max(s.communication_range for s in sensors)
@@ -287,16 +287,15 @@ class NeighborCache:
         """The scalar acceptance limit, or ``None`` when ineligible.
 
         The incremental store (like the nesting reuse) only applies when
-        acceptance is one scalar radius over the full population: indexed
-        radio, no line-of-sight blocking, no dead sensors (positional
+        acceptance is one scalar radius over the full population: at least
+        two sensors, no line-of-sight blocking, no dead sensors (positional
         indices must equal sensor ids for the store's anchors to stay
         meaningful across epochs), homogeneous communication ranges.
         """
         world = self._world
         sensors = self._alive_sensors()
         if (
-            not world.radio.use_spatial_index
-            or world.radio.line_of_sight
+            world.radio.line_of_sight
             or len(sensors) < 2
             or len(sensors) != len(world.sensors)
         ):

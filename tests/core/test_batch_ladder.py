@@ -279,9 +279,8 @@ class TestModeSelection:
         with pytest.raises(ValueError, match="unknown CPVF mode"):
             CPVFScheme(mode="warp")
 
-    def test_vectorized_flag_maps_to_modes(self):
-        assert CPVFScheme(vectorized=False).mode == "sequential"
-        assert CPVFScheme(vectorized=True).mode == "vectorized"
+    def test_default_and_explicit_modes(self):
+        assert CPVFScheme().mode == "vectorized"
         assert CPVFScheme(mode="batched").mode == "batched"
         assert set(CPVF_MODES) == {"sequential", "vectorized", "batched"}
 

@@ -4,11 +4,12 @@ import pytest
 
 from repro.core import FloorGeometry, FloorRegistry
 from repro.geometry import Vec2
+from tests.oracles import ExhaustiveFloorRegistry
 
 
-def make_registry(rs=40.0, size=1000.0) -> FloorRegistry:
+def make_registry(rs=40.0, size=1000.0, cls=FloorRegistry) -> FloorRegistry:
     floors = FloorGeometry(sensing_range=rs, field_height=size, field_width=size)
-    return FloorRegistry(floors)
+    return cls(floors)
 
 
 class TestRegistration:
@@ -116,8 +117,7 @@ class TestSpatialIndexParity:
 
     def _random_registries(self, rng, rs=40.0, size=1000.0, n=80):
         indexed = make_registry(rs=rs, size=size)
-        brute = make_registry(rs=rs, size=size)
-        brute.use_spatial_index = False
+        brute = make_registry(rs=rs, size=size, cls=ExhaustiveFloorRegistry)
         for node_id in range(n):
             pos = Vec2(rng.uniform(0, size), rng.uniform(0, size))
             virtual = rng.random() < 0.2

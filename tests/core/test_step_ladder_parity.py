@@ -2,7 +2,7 @@
 
 ``max_valid_step`` (float core), ``max_valid_step_points``
 (stationary-links variant) and the seed-faithful
-``max_valid_step_reference`` all claim to return the same ladder
+``max_valid_step_reference`` oracle all claim to return the same ladder
 decision; the vectorized ``_try_parent_change`` scan claims to pick the
 same (step, parent) as the seed per-candidate ladder.  These tests pin
 those equivalences with randomized trials so an edit to one copy cannot
@@ -18,12 +18,12 @@ from repro.core.connectivity import (
     NeighborMotion,
     max_valid_step,
     max_valid_step_points,
-    max_valid_step_reference,
 )
 from repro.core.cpvf import CPVFScheme
 from repro.field import Field
 from repro.geometry import Vec2
 from repro.sim import SimulationConfig, World
+from tests.oracles import max_valid_step_reference
 
 
 def random_motion(rng, stationary):
@@ -106,8 +106,8 @@ class TestParentChangeParity:
                 continue
             fast_world = copy.deepcopy(world)
             seed_world = copy.deepcopy(world)
-            fast_scheme = CPVFScheme(vectorized=True)
-            seed_scheme = CPVFScheme(vectorized=False)
+            fast_scheme = CPVFScheme(mode="vectorized")
+            seed_scheme = CPVFScheme(mode="sequential")
             fast_step = fast_scheme._try_parent_change(
                 fast_world, fast_world.sensor(sensor.sensor_id), direction, table
             )

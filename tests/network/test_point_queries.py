@@ -56,18 +56,6 @@ def test_small_population_uses_brute_path_and_agrees():
     ) == radio.neighbors_of_point_bruteforce(point, sensors, 100.0)
 
 
-def test_disabling_spatial_index_forces_brute_path():
-    field = Field(FIELD_SIZE, FIELD_SIZE)
-    radio = Radio(field)
-    radio.use_spatial_index = False
-    rng = random.Random(9)
-    sensors = make_sensors(rng, 40, field)
-    point = Vec2(10.0, 10.0)
-    assert radio.neighbors_of_point(
-        point, sensors, 120.0
-    ) == radio.neighbors_of_point_bruteforce(point, sensors, 120.0)
-
-
 def test_boundary_distance_is_inclusive_on_both_paths():
     field = Field(FIELD_SIZE, FIELD_SIZE)
     radio = Radio(field)

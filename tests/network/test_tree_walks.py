@@ -19,6 +19,7 @@ from repro.core import FloorScheme
 from repro.experiments.common import SMOKE_SCALE, make_config, make_world
 from repro.network import BASE_STATION_ID, ConnectivityTree, RoutingCostModel
 from repro.network.walks import TreeWalkIndex
+from tests.oracles import scalar_walks
 
 
 def random_tree(rng: random.Random, n: int) -> ConnectivityTree:
@@ -117,7 +118,8 @@ class TestFloorBatchedWalks:
         world = make_world(config, SMOKE_SCALE)
         scheme = FloorScheme()
         scheme.initialize(world)
-        scheme._invitations.batch_walks = batch
+        if not batch:
+            scheme._invitations = scalar_walks(scheme._invitations)
         for period in range(8):
             world.period_index = period
             world.network.on_period(world)

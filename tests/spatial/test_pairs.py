@@ -12,6 +12,7 @@ import numpy as np
 from repro.experiments.common import SMOKE_SCALE, make_config, make_world
 from repro.field import uniform_initial_positions
 from repro.sim import World
+from tests.oracles import uncached
 
 
 def _world(n=60, seed=4):
@@ -87,7 +88,6 @@ class TestNeighborPairs:
     def test_bruteforce_pairs_match_indexed(self):
         world = _world()
         rows_i, cols_i = world.neighbor_pairs()
-        world.use_neighbor_cache = False
-        rows_b, cols_b = world.neighbor_pairs()
+        rows_b, cols_b = uncached(world).neighbor_pairs()
         assert np.array_equal(rows_i, rows_b)
         assert np.array_equal(cols_i, cols_b)

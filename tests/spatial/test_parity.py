@@ -190,7 +190,6 @@ class TestCoverageParity:
         rng = random.Random(4000 + trial)
         rs = world.config.sensing_range
         res = world.config.coverage_resolution
-        world.use_incremental_coverage = True
         for _ in range(6):
             brute = world.field.coverage_fraction(world.positions(), rs, res)
             assert world.coverage() == brute

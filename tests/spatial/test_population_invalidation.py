@@ -15,6 +15,7 @@ import pytest
 from repro.field import Field, Obstacle
 from repro.geometry import Vec2
 from repro.sim import SimulationConfig, World
+from tests.oracles import uncached
 
 FIELD_SIZE = 250.0
 
@@ -31,9 +32,7 @@ def build_world(positions, seed=1, rc=60.0, cache=True):
         clustered_start=False,
     )
     world = World.create(config, field, initial_positions=positions)
-    world.use_neighbor_cache = cache
-    world.use_incremental_coverage = cache
-    return world
+    return world if cache else uncached(world)
 
 
 def random_positions(rng, n):
