@@ -8,10 +8,10 @@ and without the strategy; lazy movement should not increase it.
 
 import pytest
 
-from repro.core import CPVFScheme
 from repro.core.lazy import LazyMovementController
 from repro.experiments.common import make_config, make_world
 from repro.sim import SimulationEngine
+from tests.oracles import SeedCPVF
 
 
 class _EagerController(LazyMovementController):
@@ -21,7 +21,7 @@ class _EagerController(LazyMovementController):
         return None
 
 
-class _LazyCPVF(CPVFScheme):
+class _LazyCPVF(SeedCPVF):
     """CPVF with the reference (scalar) force evaluation.
 
     The ablation isolates the lazy-movement strategy, so both variants run
@@ -29,9 +29,6 @@ class _LazyCPVF(CPVFScheme):
     start-of-period positions, which perturbs trajectories enough to
     confound this margin-sensitive comparison at smoke scale.
     """
-
-    def __init__(self):
-        super().__init__(mode="sequential")
 
 
 class _EagerCPVF(_LazyCPVF):

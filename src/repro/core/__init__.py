@@ -1,7 +1,7 @@
 """The paper's primary contribution: the CPVF and FLOOR deployment schemes."""
 
 from .batch_ladder import TreeSchedule, batched_ladder_steps, tree_level_colors
-from .connectivity import NeighborMotion, max_valid_step, step_is_valid, STEP_FRACTIONS
+from .connectivity import STEP_FRACTIONS
 from .cpvf import CPVFScheme, CPVF_MODES
 from .expansion import ExpansionKind, ExpansionPlanner, ExpansionPoint
 from .floor_scheme import FloorScheme
@@ -13,9 +13,6 @@ from .oscillation import OscillationAvoidance, OscillationMode
 from .virtual_force import VirtualForceModel
 
 __all__ = [
-    "NeighborMotion",
-    "max_valid_step",
-    "step_is_valid",
     "STEP_FRACTIONS",
     "CPVFScheme",
     "CPVF_MODES",

@@ -21,26 +21,18 @@ Section 6.3 suppresses unproductive movement.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..field import Field
-from ..geometry import EPS
-from ..geometry import Segment, Vec2
+from ..geometry import EPS, Vec2
 from ..mobility import Bug2Planner, Handedness
 from ..network import BASE_STATION_ID, MessageType
 from ..sensors import Sensor, SensorState
 from ..sim import DeploymentScheme, World
 from .batch_ladder import TreeSchedule, batched_ladder_steps
-from .connectivity import (
-    STEP_FRACTIONS,
-    NeighborMotion,
-    max_valid_step,
-    max_valid_step_points,
-)
+from .connectivity import STEP_FRACTIONS, max_valid_step_points
 from .lazy import LazyMovementController
 from .oscillation import OscillationAvoidance, OscillationMode
 from .virtual_force import VirtualForceModel
@@ -50,8 +42,8 @@ __all__ = ["CPVFScheme", "CPVF_MODES"]
 #: Shared zero direction (Vec2 is immutable, so one instance is safe).
 _ZERO_VEC = Vec2(0.0, 0.0)
 
-#: The three execution strategies of the coverage stage (see ``mode``).
-CPVF_MODES = ("sequential", "vectorized", "batched")
+#: The execution strategies of the coverage stage (see ``mode``).
+CPVF_MODES = ("vectorized", "batched")
 
 
 class CPVFScheme(DeploymentScheme):
@@ -66,7 +58,6 @@ class CPVFScheme(DeploymentScheme):
         oscillation_mode: str = "one-step",
         repulsion_distance: Optional[float] = None,
         mode: str = "vectorized",
-        repair_grouping: bool = True,
     ):
         """Create the scheme.
 
@@ -85,41 +76,24 @@ class CPVFScheme(DeploymentScheme):
             Execution strategy of the coverage stage (default
             ``"vectorized"``; see ``docs/performance.md``):
 
-            ``"sequential"``
-                The seed dynamics: sensors decide and move one after the
-                other within a period, each seeing earlier movers' new
-                positions.
             ``"vectorized"``
                 Forces for all sensors evaluated in one numpy batch from
                 start-of-period positions (the paper's simultaneous-
-                decision semantics); the step ladder still runs per
-                sensor against live link positions.  It can differ from
-                sequential by one ulp in the force vector because
-                ``np.hypot`` and ``math.hypot`` round independently.
+                decision semantics); the step ladder runs per sensor
+                against live link positions.
             ``"batched"``
                 Conflict-free batch execution: tree levels are colored by
                 BFS-depth parity, and each color class evaluates ladder,
                 obstacle clipping and oscillation test as arrays against
-                frozen link positions, committing in one pass.  Same
+                frozen link positions, committing in one pass; blocked
+                sensors then take a serialized repair pass.  Same
                 per-period message accounting; trajectories are
-                equivalent in distribution to the other modes rather
+                equivalent in distribution to ``"vectorized"`` rather
                 than numerically identical.
-        repair_grouping:
-            Batched mode only: execute the repair pass (blocked and
-            stray sensors) in conflict-free *groups* — candidates whose
-            required links share no endpoint are re-laddered and
-            committed as one numpy pass per round — instead of one
-            scalar walk per sensor.  The paper's LockTree/UnLockTree
-            handshake only serializes within a lock subtree, which the
-            grouping respects; message accounting stays structural
-            (one NEIGHBOR_STATE per preserved link, LockTree /
-            UnLockTree per parent-change attempt).  Without parent
-            changes the grouped pass is bit-identical to the serialized
-            one; with them, the group commit order can change which
-            attempts a candidate makes — the same distributional
-            relaxation ``mode="batched"`` itself makes (pinned by
-            ``tests/core/test_repair_groups.py``).  ``False`` restores
-            the fully serialized repair pass.
+
+            The seed dynamics — sensors deciding one after the other, each
+            seeing earlier movers' new positions — are kept as the test
+            oracle ``tests.oracles.SeedCPVF``.
         """
         if mode not in CPVF_MODES:
             raise ValueError(
@@ -130,8 +104,6 @@ class CPVFScheme(DeploymentScheme):
         self._oscillation_mode = OscillationMode.from_string(oscillation_mode)
         self._repulsion_distance = repulsion_distance
         self._mode = mode
-        self._repair_grouping = repair_grouping
-        self._vectorized = mode != "sequential"
         self._planner: Optional[Bug2Planner] = None
         self._forces: Optional[VirtualForceModel] = None
         self._lazy: Optional[LazyMovementController] = None
@@ -378,67 +350,39 @@ class CPVFScheme(DeploymentScheme):
     def _apply_virtual_forces(
         self, world: World, table: Dict[int, List[int]]
     ) -> None:
-        assert self._forces is not None and self._avoidance is not None
         config = world.config
         connected = [s for s in world.sensors if s.is_connected()]
-        directions: Optional[Dict[int, Vec2]] = None
-        if self._vectorized and connected:
-            directions = self._force_directions(world, connected, table)
+        if not connected:
+            return
+        directions = self._force_directions(world, connected, table)
         for sensor in connected:
-            if directions is not None:
-                direction = directions[sensor.sensor_id]
-            else:
-                neighbor_ids = table.get(sensor.sensor_id, [])
-                neighbor_positions = [
-                    world.sensor(n).position for n in neighbor_ids
-                ]
-                direction = self._forces.direction(
-                    sensor.position, neighbor_positions, world.field
-                )
+            direction = directions[sensor.sensor_id]
             if direction.x == 0.0 and direction.y == 0.0:
                 sensor.previous_position = sensor.position
                 continue
-
-            if directions is not None:
-                # Fused fast path: read the live parent/child positions as
-                # plain floats and run the candidate ladder on them.
-                links = self._tree_link_positions(world, sensor)
-                # Each required link costs one state-exchange message
-                # before the step-size decision (Section 4.2).
-                if links:
-                    world.routing.record_one_hop(
-                        MessageType.NEIGHBOR_STATE, len(links)
-                    )
-                step = max_valid_step_points(
-                    sensor.position.x,
-                    sensor.position.y,
-                    direction.x,
-                    direction.y,
-                    config.max_step,
-                    links,
-                    config.communication_range,
+            # Read the live parent/child positions as plain floats and run
+            # the candidate ladder on them.
+            links = self._tree_link_positions(world, sensor)
+            # Each required link costs one state-exchange message before
+            # the step-size decision (Section 4.2).
+            if links:
+                world.routing.record_one_hop(
+                    MessageType.NEIGHBOR_STATE, len(links)
                 )
-            else:
-                required = self._required_neighbors(world, sensor)
-                if required:
-                    world.routing.record_one_hop(
-                        MessageType.NEIGHBOR_STATE, len(required)
-                    )
-                step = max_valid_step(
-                    sensor.position,
-                    direction,
-                    config.max_step,
-                    required,
-                    config.communication_range,
-                )
-
+            step = max_valid_step_points(
+                sensor.position.x,
+                sensor.position.y,
+                direction.x,
+                direction.y,
+                config.max_step,
+                links,
+                config.communication_range,
+            )
             if step <= 0.0 and self._allow_parent_change:
                 step = self._try_parent_change(world, sensor, direction, table)
-
             if step <= 0.0:
                 sensor.previous_position = sensor.position
                 continue
-
             self._finish_move(world, sensor, direction, step)
 
     # -- Stage 2, batched: conflict-free color-class execution ----------
@@ -523,12 +467,12 @@ class CPVFScheme(DeploymentScheme):
         Both classes evaluate ladder, obstacle clipping and oscillation
         test as arrays against frozen link positions and commit in one
         pass; a sensor blocked at step zero (or outside the colored tree)
-        is deferred to a sequential repair pass against the settled
+        is deferred to a serialized repair pass against the settled
         positions, mirroring the serialized lock-based parent-change
         handshake of the paper.  Message accounting is structural — one
         NEIGHBOR_STATE transmission per preserved link of every sensor
-        with a non-zero force — and therefore identical to the scalar
-        modes on the same tree.
+        with a non-zero force — and therefore identical to the vectorized
+        mode on the same tree.
         """
         assert self._forces is not None and self._avoidance is not None
         config = world.config
@@ -691,9 +635,9 @@ class CPVFScheme(DeploymentScheme):
             ys[midx] = end_y
         batch_span.__exit__(None, None, None)
         # Oscillation history: every connected sensor's previous position
-        # becomes its start-of-period position (the scalar modes do the
-        # same, branch by branch); repair sensors keep their history until
-        # their own scalar pass below reads it.
+        # becomes its start-of-period position (the vectorized mode does
+        # the same, branch by branch); repair sensors keep their history
+        # until their own scalar pass below reads it.
         repair_set = set(repair)
         for i in np.flatnonzero(connected).tolist():
             if i not in repair_set:
@@ -703,9 +647,8 @@ class CPVFScheme(DeploymentScheme):
         # The inflated pair rows double as the repair pass's candidate
         # lists: a sensor in range of a blocked one at any point of the
         # pass was within rc + 2 * max_step at the period start, and the
-        # live-distance filter inside the parent-change scan discards the
-        # extras, so the surviving candidates (and their order) match a
-        # freshly built neighbour table.
+        # live-distance filter of _csr_parent_candidates discards the
+        # extras.
         candidate_csr = None
         if self._allow_parent_change:
             offsets = np.zeros(n + 1, dtype=np.intp)
@@ -714,194 +657,16 @@ class CPVFScheme(DeploymentScheme):
         if tel.enabled:
             tel.count("cpvf.repair_attempts", len(repair))
             tel.count("cpvf.stray_sensors", int(stray.sum()))
-        if self._repair_grouping:
-            with tel.span("cpvf.repair_groups"):
-                self._repair_grouped(
-                    world, sensors, repair, stray, ux, uy,
-                    candidate_csr, xs, ys, connected, prev_x, prev_y,
+        with tel.span("cpvf.repair"):
+            for i in repair:
+                self._repair_blocked(
+                    world, sensors[i], Vec2(float(ux[i]), float(uy[i])),
+                    bool(stray[i]), candidate_csr, xs, ys, connected,
                 )
-        else:
-            with tel.span("cpvf.repair"):
-                for i in repair:
-                    self._repair_blocked(
-                        world, sensors[i], Vec2(float(ux[i]), float(uy[i])),
-                        record_messages=bool(stray[i]),
-                        candidate_csr=candidate_csr,
-                        xs=xs, ys=ys, connected=connected,
-                    )
-                    # Keep the live coordinate arrays in sync for later
-                    # repairs.
-                    pos = sensors[i].position
-                    xs[i] = pos.x
-                    ys[i] = pos.y
-
-    def _repair_grouped(
-        self,
-        world: World,
-        sensors,
-        repair: List[int],
-        stray,
-        ux,
-        uy,
-        candidate_csr,
-        xs,
-        ys,
-        connected,
-        prev_x,
-        prev_y,
-    ) -> None:
-        """Conflict-grouped repair: batch re-ladders over link-disjoint
-        candidates instead of one scalar walk per sensor.
-
-        Greedy edge-coloring over the candidates' required links: a
-        round admits every pending sensor whose link set ({self, parent,
-        children}; the immobile base station is excluded) is disjoint
-        from the links already claimed this round, so an admitted
-        sensor's frozen link positions cannot be invalidated by another
-        admitted sensor's commit.  Admitted sensors are re-laddered with
-        :func:`batched_ladder_steps` against the settled coordinate
-        arrays and committed in one pass (obstacle clipping, oscillation
-        masks and ``previous_position`` handling mirror
-        :meth:`_finish_move` branch for branch); sensors the ladder
-        still blocks take the serialized lock-subtree parent-change
-        handshake one by one, exactly as the ungrouped pass — LockTree /
-        UnLockTree stay charged per attempt, preserving the paper's
-        message accounting.  Deferred sensors (link conflicts) retry in
-        the next round; each round admits at least the first pending
-        sensor, so the loop terminates.
-        """
-        assert self._avoidance is not None
-        config = world.config
-        field = world.field
-        base = world.base_station
-        max_step = config.max_step
-        threshold = self._avoidance.threshold()
-        tel = world.telemetry
-        pending = list(repair)
-        rounds = 0
-        while pending:
-            rounds += 1
-            used: set = set()
-            group: List[int] = []
-            deferred: List[int] = []
-            owners: List[int] = []
-            nodes_list: List[int] = []
-            for i in pending:
-                parent, children = self._link_node_ids(world, i)
-                links = {i, *children}
-                if parent is not None and parent != BASE_STATION_ID:
-                    links.add(parent)
-                if not used.isdisjoint(links):
-                    deferred.append(i)
-                    continue
-                used.update(links)
-                k = len(group)
-                group.append(i)
-                count = 0
-                if parent is not None:
-                    owners.append(k)
-                    nodes_list.append(parent)
-                    count += 1
-                for child in children:
-                    owners.append(k)
-                    nodes_list.append(child)
-                    count += 1
-                if stray[i] and count:
-                    # Stray sensors bypassed the color batches, so their
-                    # per-link state exchange is accounted here — at
-                    # admission, once, like the scalar pass.
-                    world.routing.record_one_hop(
-                        MessageType.NEIGHBOR_STATE, count
-                    )
-            idx = np.asarray(group, dtype=np.intp)
-            pair_owner = np.asarray(owners, dtype=np.intp)
-            nodes = np.asarray(nodes_list, dtype=np.intp)
-            safe_nodes = np.maximum(nodes, 0)
-            link_x = np.where(nodes == BASE_STATION_ID, base.x, xs[safe_nodes])
-            link_y = np.where(nodes == BASE_STATION_ID, base.y, ys[safe_nodes])
-            steps = batched_ladder_steps(
-                xs[idx],
-                ys[idx],
-                ux[idx],
-                uy[idx],
-                max_step,
-                config.communication_range,
-                pair_owner,
-                link_x,
-                link_y,
-            )
-            blocked = steps <= 0.0
-            movers = np.flatnonzero(~blocked)
-            if movers.size:
-                midx = idx[movers]
-                for i in midx.tolist():
-                    # Like _finish_move: a sensor that found a step no
-                    # longer needs the lock grant it was waiting for.
-                    self._pending_locks.pop(i, None)
-                mux, muy = ux[midx], uy[midx]
-                clipped = field.max_free_travel_batch(
-                    xs[midx], ys[midx], mux, muy, steps[movers]
-                )
-                dir_norm = np.hypot(mux, muy)
-                safe = np.where(dir_norm > EPS, dir_norm, 1.0)
-                end_x = np.where(
-                    dir_norm > EPS, xs[midx] + (mux / safe) * clipped, xs[midx]
-                )
-                end_y = np.where(
-                    dir_norm > EPS, ys[midx] + (muy / safe) * clipped, ys[midx]
-                )
-                keep = np.ones(midx.size, dtype=bool)
-                if threshold > 0.0:
-                    if self._avoidance.mode is OscillationMode.ONE_STEP:
-                        keep = ~(clipped < threshold)
-                    else:
-                        keep = ~(
-                            np.hypot(
-                                end_x - prev_x[midx], end_y - prev_y[midx]
-                            )
-                            < threshold
-                        )
-                # _finish_move records the pre-move position as history
-                # for cancelled and committed movers alike.
-                for i in midx.tolist():
-                    sensors[i].previous_position = sensors[i].position
-                cidx = midx[keep]
-                if cidx.size:
-                    cend_x, cend_y = end_x[keep], end_y[keep]
-                    dists = np.hypot(cend_x - xs[cidx], cend_y - ys[cidx])
-                    moves = [
-                        (sensors[i], x, y, d)
-                        for i, x, y, d in zip(
-                            cidx.tolist(),
-                            cend_x.tolist(),
-                            cend_y.tolist(),
-                            dists.tolist(),
-                        )
-                    ]
-                    world.commit_moves(moves)
-                    xs[cidx] = cend_x
-                    ys[cidx] = cend_y
-            for k in np.flatnonzero(blocked).tolist():
-                i = group[k]
-                step = 0.0
-                if self._allow_parent_change:
-                    step = self._try_parent_change_batched(
-                        world, sensors[i],
-                        Vec2(float(ux[i]), float(uy[i])),
-                        candidate_csr, xs, ys, connected,
-                    )
-                if step <= 0.0:
-                    sensors[i].previous_position = sensors[i].position
-                    continue
-                self._finish_move(
-                    world, sensors[i], Vec2(float(ux[i]), float(uy[i])), step
-                )
+                # Keep the live coordinate arrays in sync for later repairs.
                 pos = sensors[i].position
                 xs[i] = pos.x
                 ys[i] = pos.y
-            pending = deferred
-        if tel.enabled and rounds:
-            tel.count("cpvf.repair_rounds", rounds)
 
     def _repair_blocked(
         self,
@@ -909,21 +674,23 @@ class CPVFScheme(DeploymentScheme):
         sensor: Sensor,
         direction: Vec2,
         record_messages: bool,
-        candidate_csr=None,
-        xs=None,
-        ys=None,
-        connected=None,
+        candidate_csr,
+        xs,
+        ys,
+        connected,
     ) -> None:
-        """Sequential tail for sensors the batch could not move.
+        """Serialized tail for one sensor the batch could not move.
 
         Re-runs the ladder against the settled (post-commit) link
         positions, attempts a parent change when still blocked, and
-        finishes through the shared scalar tail.  ``record_messages`` is
-        ``False`` for batch-deferred sensors (their state exchange was
-        already accounted in the class batch) and ``True`` for stray
-        sensors that bypassed the batch entirely.  ``candidate_csr`` is
-        the repair pass's shared ``(cols, offsets)`` candidate structure;
-        ``xs, ys, connected`` its live coordinate/state arrays.
+        finishes through the shared scalar tail.  One sensor at a time,
+        like the paper's LockTree/UnLockTree handshake.
+        ``record_messages`` is ``False`` for batch-deferred sensors (their
+        state exchange was already accounted in the class batch) and
+        ``True`` for stray sensors that bypassed the batch entirely.
+        ``candidate_csr`` is the pass's shared ``(cols, offsets)``
+        candidate structure (``None`` without parent changes); ``xs, ys,
+        connected`` its live coordinate/state arrays.
         """
         config = world.config
         links = self._tree_link_positions(world, sensor)
@@ -941,107 +708,55 @@ class CPVFScheme(DeploymentScheme):
             config.communication_range,
         )
         if step <= 0.0 and self._allow_parent_change:
-            # candidate_csr is always built when parent changes are
-            # allowed (the only caller constructs it unconditionally).
-            step = self._try_parent_change_batched(
-                world, sensor, direction, candidate_csr,
-                xs, ys, connected,
+            candidates, subtree = self._csr_parent_candidates(
+                world, sensor, candidate_csr, xs, ys, connected
             )
+            if candidates and self._acquire_subtree_lock(
+                world, sensor.sensor_id, len(subtree)
+            ):
+                step = self._adopt_parent(world, sensor, direction, candidates)
         if step <= 0.0:
             sensor.previous_position = sensor.position
             return
         self._finish_move(world, sensor, direction, step)
 
-    def _try_parent_change_batched(
-        self,
-        world: World,
-        sensor: Sensor,
-        direction: Vec2,
-        candidate_csr,
-        xs,
-        ys,
-        connected,
-    ) -> float:
-        """Array-filtered parent change for the batched repair pass.
+    def _csr_parent_candidates(
+        self, world: World, sensor: Sensor, candidate_csr, xs, ys, connected
+    ) -> Tuple[List[Tuple[int, float, float]], set]:
+        """Live parent candidates of the batched repair pass.
 
-        Makes the same decision as :meth:`_try_parent_change` — same
-        candidate order (base station first, then ascending ids), same
-        fraction-outer scan — but enumerates candidates from the period's
-        inflated pair structure and filters them against the live
-        coordinate arrays instead of walking a neighbour table row in
-        Python.  The inflation covers the most any sensor moves within
-        the period, and the live distance filter below discards the
-        extras, so the surviving candidate set matches a freshly built
-        table.
+        Enumerated from the period's inflated pair rows and filtered once,
+        as arrays, against the live coordinate arrays.  The inflation
+        covers the most any sensor moves within the period, so the
+        survivors (and their ascending-id order) match a freshly built
+        neighbour table.  Returns ``(candidates, subtree)``: the
+        ``(id, x, y)`` candidates outside the sensor's subtree, base
+        station first, and the subtree the lock must cover.
         """
-        config = world.config
         sid = sensor.sensor_id
-        position = sensor.position
-        px, py = position.x, position.y
-        limit = config.communication_range + 1e-9
+        px, py = sensor.position.x, sensor.position.y
+        rc = world.config.communication_range
         csr_cols, csr_offsets = candidate_csr
         cand = csr_cols[csr_offsets[sid]:csr_offsets[sid + 1]]
         cand = cand[connected[cand]]
-        if cand.size:
-            live = np.hypot(xs[cand] - px, ys[cand] - py) <= limit
-            cand = cand[live]
-        subtree = None
-        if cand.size:
-            subtree = world.tree.subtree_of(sid)
-            if len(subtree) > 1:
-                cand = np.asarray(
-                    [c for c in cand.tolist() if c not in subtree],
-                    dtype=np.intp,
-                )
-        base = world.base_station
-        base_ok = (
-            math.hypot(px - base.x, py - base.y)
-            <= config.communication_range
+        cand = cand[np.hypot(xs[cand] - px, ys[cand] - py) <= rc + 1e-9]
+        subtree = world.tree.subtree_of(sid)
+        if len(subtree) > 1:
+            cand = cand[[c not in subtree for c in cand.tolist()]]
+        candidates = list(
+            zip(cand.tolist(), xs[cand].tolist(), ys[cand].tolist())
         )
-        if cand.size == 0 and not base_ok:
-            return 0.0
-
-        if subtree is None:
-            subtree = world.tree.subtree_of(sid)
-        if not self._acquire_subtree_lock(world, sid, len(subtree)):
-            return 0.0
-
-        norm = math.hypot(direction.x, direction.y)
-        if norm <= EPS or config.max_step <= 0.0:
-            return 0.0
-        unit_x, unit_y = direction.x / norm, direction.y / norm
-        _, children = self._link_node_ids(world, sid)
-        child_idx = np.asarray(children, dtype=np.intp)
-        child_x, child_y = xs[child_idx], ys[child_idx]
-        # A required link that is already out of range invalidates every
-        # candidate step, whatever the new parent.
-        if np.any(np.hypot(px - child_x, py - child_y) > limit):
-            return 0.0
-        cand_x, cand_y = xs[cand], ys[cand]
-        for fraction in STEP_FRACTIONS:
-            step = fraction * config.max_step
-            if step <= 0.0:
-                return 0.0
-            qx, qy = px + unit_x * step, py + unit_y * step
-            if np.any(np.hypot(qx - child_x, qy - child_y) > limit):
-                continue
-            if base_ok and math.hypot(qx - base.x, qy - base.y) <= limit:
-                world.reparent_in_tree(sid, BASE_STATION_ID)
-                world.telemetry.count("cpvf.parent_changes", 1)
-                return step
-            ok = np.flatnonzero(np.hypot(qx - cand_x, qy - cand_y) <= limit)
-            if ok.size:
-                world.reparent_in_tree(sid, int(cand[ok[0]]))
-                world.telemetry.count("cpvf.parent_changes", 1)
-                return step
-        return 0.0
+        base = world.base_station
+        if math.hypot(px - base.x, py - base.y) <= rc:
+            candidates.insert(0, (BASE_STATION_ID, base.x, base.y))
+        return candidates, subtree
 
     def _finish_move(
         self, world: World, sensor: Sensor, direction: Vec2, step: float
     ) -> None:
         """Clip a validated step to free space, apply oscillation
-        avoidance, and commit the move (the shared per-sensor tail of all
-        three execution modes)."""
+        avoidance, and commit the move (the shared per-sensor tail of both
+        execution modes)."""
         assert self._avoidance is not None
         # A sensor that found a way to move no longer needs the lock grant
         # it was waiting for; drop it so a later block starts a fresh
@@ -1106,20 +821,6 @@ class CPVFScheme(DeploymentScheme):
             pos = world.sensor(child).position
             links.append((pos.x, pos.y))
         return links
-
-    def _required_neighbors(
-        self, world: World, sensor: Sensor
-    ) -> List[NeighborMotion]:
-        """Connections the sensor must preserve: its parent and children."""
-        parent, children = self._link_node_ids(world, sensor.sensor_id)
-        required: List[NeighborMotion] = []
-        if parent is not None and parent != BASE_STATION_ID:
-            required.append(NeighborMotion.stationary(world.sensor(parent).position))
-        elif parent == BASE_STATION_ID:
-            required.append(NeighborMotion.stationary(world.base_station))
-        for child in children:
-            required.append(NeighborMotion.stationary(world.sensor(child).position))
-        return required
 
     def _subtree_lock_depth(self, world: World, root: int) -> int:
         """BFS depth of the subtree rooted at ``root`` (0 for a leaf).
@@ -1201,118 +902,88 @@ class CPVFScheme(DeploymentScheme):
 
         The sensor must lock its subtree first (accounted as LockTree /
         UnLockTree transmissions); candidate parents are connected
-        neighbours outside the sensor's own subtree.  Returns the step size
-        achievable under the best new parent (0 when none helps).
+        neighbours outside the sensor's own subtree, read from the
+        protocol ``table``.  That table may be stale, so the live range
+        filter runs after the lock.  Returns the step size achievable
+        under the best new parent (0 when none helps).
         """
         config = world.config
-        subtree = world.tree.subtree_of(sensor.sensor_id)
+        sid = sensor.sensor_id
+        subtree = world.tree.subtree_of(sid)
         candidates: List[int] = []
         base_dist = sensor.position.distance_to(world.base_station)
         if base_dist <= config.communication_range:
             candidates.append(BASE_STATION_ID)
-        for nb_id in table.get(sensor.sensor_id, []):
-            nb = world.sensor(nb_id)
-            if nb.is_connected() and nb_id not in subtree:
+        for nb_id in table.get(sid, []):
+            if world.sensor(nb_id).is_connected() and nb_id not in subtree:
                 candidates.append(nb_id)
         if not candidates:
             return 0.0
-
-        if not self._acquire_subtree_lock(
-            world, sensor.sensor_id, len(subtree)
-        ):
+        if not self._acquire_subtree_lock(world, sid, len(subtree)):
             return 0.0
+        px, py = sensor.position.x, sensor.position.y
+        limit = config.communication_range + 1e-9
+        live = []
+        for candidate in candidates:
+            pos = (
+                world.base_station
+                if candidate == BASE_STATION_ID
+                else world.sensor(candidate).position
+            )
+            if math.hypot(px - pos.x, py - pos.y) <= limit:
+                live.append((candidate, pos.x, pos.y))
+        return self._adopt_parent(world, sensor, direction, live)
 
-        if not self._vectorized:
-            return self._best_parent_ladder(world, sensor, direction, candidates)
+    def _adopt_parent(
+        self,
+        world: World,
+        sensor: Sensor,
+        direction: Vec2,
+        candidates: Sequence[Tuple[int, float, float]],
+    ) -> float:
+        """The parent-change scan of both modes, run under the lock.
 
-        # Equivalent to taking max_valid_step() per candidate and keeping
-        # the first candidate attaining the best step, but scanned fraction-
-        # outer so the shared child constraints are checked once per
-        # candidate step size and the scan stops at the first (largest)
-        # step some candidate admits.
-        position = sensor.position
+        ``candidates`` are the ``(id, x, y)`` of the connected nodes
+        outside the sensor's subtree that are in range now, base station
+        first.  Equivalent to running the step ladder per candidate and
+        keeping the first candidate attaining the best step (the seed
+        scan, kept in ``tests/oracles``), but scanned fraction-outer: the
+        child constraints are checked once per candidate step size and
+        the scan stops at the first (largest) step some candidate admits.
+        Reparents and returns that step, or returns 0 when none helps.
+        """
+        config = world.config
+        max_step = config.max_step
         norm = math.hypot(direction.x, direction.y)
-        if norm <= EPS or config.max_step <= 0.0:
+        if not candidates or norm <= EPS or max_step <= 0.0:
             return 0.0
         unit_x, unit_y = direction.x / norm, direction.y / norm
-        px, py = position.x, position.y
+        px, py = sensor.position.x, sensor.position.y
         limit = config.communication_range + 1e-9
+        _, children = self._link_node_ids(world, sensor.sensor_id)
         children_xy = [
             (world.sensor(c).position.x, world.sensor(c).position.y)
-            for c in world.tree.children_of(sensor.sensor_id)
+            for c in children
         ]
         # A required link that is already out of range invalidates every
         # candidate step, whatever the new parent.
         for cx, cy in children_xy:
             if math.hypot(px - cx, py - cy) > limit:
                 return 0.0
-        candidate_xy = []
-        for candidate in candidates:
-            parent_pos = (
-                world.base_station
-                if candidate == BASE_STATION_ID
-                else world.sensor(candidate).position
-            )
-            if math.hypot(px - parent_pos.x, py - parent_pos.y) <= limit:
-                candidate_xy.append((candidate, parent_pos.x, parent_pos.y))
-        if not candidate_xy:
-            return 0.0
         for fraction in STEP_FRACTIONS:
-            step = fraction * config.max_step
+            step = fraction * max_step
             if step <= 0.0:
                 return 0.0
             qx, qy = px + unit_x * step, py + unit_y * step
-            if any(
-                math.hypot(qx - cx, qy - cy) > limit for cx, cy in children_xy
-            ):
-                continue
-            for candidate, cx, cy in candidate_xy:
-                if math.hypot(qx - cx, qy - cy) <= limit:
-                    world.reparent_in_tree(sensor.sensor_id, candidate)
-                    world.telemetry.count("cpvf.parent_changes", 1)
-                    return step
-        return 0.0
-
-    def _best_parent_ladder(
-        self,
-        world: World,
-        sensor: Sensor,
-        direction: Vec2,
-        candidates: List[int],
-    ) -> float:
-        """Seed-faithful candidate scan: one full step ladder per candidate.
-
-        The ``mode="sequential"`` path; the fraction-outer scan above
-        returns the same (step, parent) choice.
-        """
-        config = world.config
-        children_motions = [
-            NeighborMotion.stationary(world.sensor(c).position)
-            for c in world.tree.children_of(sensor.sensor_id)
-        ]
-        best_step = 0.0
-        best_parent: Optional[int] = None
-        for candidate in candidates:
-            parent_pos = (
-                world.base_station
-                if candidate == BASE_STATION_ID
-                else world.sensor(candidate).position
-            )
-            required = children_motions + [NeighborMotion.stationary(parent_pos)]
-            step = max_valid_step(
-                sensor.position,
-                direction,
-                config.max_step,
-                required,
-                config.communication_range,
-            )
-            if step > best_step:
-                best_step = step
-                best_parent = candidate
-        if best_parent is not None and best_step > 0.0:
-            world.reparent_in_tree(sensor.sensor_id, best_parent)
-            world.telemetry.count("cpvf.parent_changes", 1)
-            return best_step
+            for cx, cy in children_xy:
+                if math.hypot(qx - cx, qy - cy) > limit:
+                    break
+            else:
+                for candidate, cx, cy in candidates:
+                    if math.hypot(qx - cx, qy - cy) <= limit:
+                        world.reparent_in_tree(sensor.sensor_id, candidate)
+                        world.telemetry.count("cpvf.parent_changes", 1)
+                        return step
         return 0.0
 
     # ------------------------------------------------------------------

@@ -37,7 +37,6 @@ __all__ = [
     "measure_cpvf_period",
     "measure_cpvf_period_scale",
     "measure_telemetry_overhead",
-    "measure_cpvf_convergence",
     "measure_coverage",
     "measure_sweep_throughput",
     "measure_sweep_service",
@@ -182,7 +181,6 @@ def measure_cpvf_period_scale(
             "cpvf.repair_attempts",
             "cpvf.pairs_repaired",
             "cpvf.pairs_rebuilt",
-            "cpvf.repair_rounds",
         )
         if name in summary.counters
     }
@@ -232,50 +230,6 @@ def measure_telemetry_overhead(
             if untraced_s > 0
             else 0.0
         ),
-    }
-
-
-# ----------------------------------------------------------------------
-# CPVF convergence (batched vs sequential dynamics)
-# ----------------------------------------------------------------------
-def measure_cpvf_convergence(
-    seed: int = 1, duration: float = 750.0, n: int = 240
-) -> Dict[str, float]:
-    """Coverage plateau of the batched dynamics vs the sequential seed.
-
-    Runs the paper's Figure 3(a) scenario (240 sensors, rc = 60, rs = 40,
-    obstacle-free 1000 m field, 750 s horizon) once under the sequential
-    dynamics and once under the colored-batch kernel, and reports both
-    final coverages.  The batched schedule is semantically faithful — the
-    paper's sensors all move simultaneously — so the plateaus must agree;
-    the suite asserts the difference stays within two coverage points.
-    """
-    from ..sim import SimulationEngine
-
-    coverages: Dict[str, float] = {}
-    for mode in ("sequential", "batched"):
-        scale = ExperimentScale(
-            field_size=1000.0, sensor_count=n, duration=duration
-        )
-        config = make_config(scale, sensor_count=n, seed=seed)
-        world = make_world(config, scale)
-        engine = SimulationEngine(
-            world, CPVFScheme(mode=mode), trace_every=10**9
-        )
-        coverages[mode] = engine.run().final_coverage
-    gap = abs(coverages["batched"] - coverages["sequential"])
-    if gap > 0.02:
-        raise AssertionError(
-            "batched CPVF plateau diverged from sequential dynamics: "
-            f"{coverages['batched']:.4f} vs {coverages['sequential']:.4f}"
-        )
-    return {
-        "scenario": "fig3a",
-        "n": n,
-        "duration_s": duration,
-        "sequential_coverage": coverages["sequential"],
-        "batched_coverage": coverages["batched"],
-        "abs_gap": gap,
     }
 
 
@@ -645,8 +599,9 @@ def measure_degraded_coverage(
 DEFAULT_NS = (100, 500, 1000)
 SCALE_NS = (2000, 5000, 10000)
 
-#: Entry name -> builder ``(ns, seed) -> value``; ``run_perf_suite`` and
-#: the ``run_perf.py --only`` flag both draw from this table.
+#: Entry name -> builder ``(ns, seed) -> value``.  ``benchmarks/run_perf.py``
+#: runs this table plus the entries that need the ``tests/oracles``
+#: references (``cpvf_convergence``).
 PERF_ENTRIES: Dict[str, Callable] = {
     "neighbor_table": lambda ns, seed: [
         measure_neighbor_table(n, seed=seed, clustered=clustered)
@@ -661,7 +616,6 @@ PERF_ENTRIES: Dict[str, Callable] = {
         )
         for n in ns
     ],
-    "cpvf_convergence": lambda ns, seed: [measure_cpvf_convergence(seed=seed)],
     "telemetry_overhead": lambda ns, seed: [
         measure_telemetry_overhead(seed=seed)
     ],
@@ -677,22 +631,24 @@ PERF_ENTRIES: Dict[str, Callable] = {
 
 
 def run_perf_suite(
+    entries: Dict[str, Callable],
     ns: Sequence[int] = None,
     seed: int = 3,
     only: Sequence[str] = None,
 ) -> Dict[str, object]:
-    """All (or a subset of) benchmarks over the requested population sizes.
+    """All (or a subset of) ``entries`` over the requested population sizes.
 
-    ``ns`` applies to the per-population entries (``neighbor_table``,
+    ``entries`` maps names to builders like :data:`PERF_ENTRIES`; ``ns``
+    applies to the per-population entries (``neighbor_table``,
     ``cpvf_period``, ``coverage``); ``only`` restricts the run to a
-    subset of :data:`PERF_ENTRIES` so one entry can be regenerated
-    without re-running the whole suite.
+    subset of ``entries`` so one entry can be regenerated without
+    re-running the whole suite.
     """
-    names = list(PERF_ENTRIES) if only is None else list(only)
-    unknown = [name for name in names if name not in PERF_ENTRIES]
+    names = list(entries) if only is None else list(only)
+    unknown = [name for name in names if name not in entries]
     if unknown:
         raise KeyError(
-            f"unknown perf entries {unknown}; choose from {sorted(PERF_ENTRIES)}"
+            f"unknown perf entries {unknown}; choose from {sorted(entries)}"
         )
     results: Dict[str, object] = {
         "description": (
@@ -715,5 +671,5 @@ def run_perf_suite(
             entry_ns = (
                 DEFAULT_NS + SCALE_NS if name == "cpvf_period" else DEFAULT_NS
             )
-        results[name] = PERF_ENTRIES[name](entry_ns, seed)
+        results[name] = entries[name](entry_ns, seed)
     return results

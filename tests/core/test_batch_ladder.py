@@ -3,8 +3,8 @@
 The conflict-freedom of the tree-level coloring and the decision parity
 of the array ladder are what make ``mode="batched"`` semantically
 faithful; this module pins both, plus the structural message-accounting
-identity and the plateau agreement between the batched and sequential
-dynamics.
+identity and the plateau agreement between the batched dynamics and the
+seed sequential dynamics (``tests.oracles.SeedCPVF``).
 """
 
 import copy
@@ -36,6 +36,7 @@ from repro.experiments.common import (
 from repro.mobility import Bug2Planner, Handedness
 from repro.network import BASE_STATION_ID, ConnectivityTree
 from repro.sim import SimulationEngine
+from tests.oracles import SeedCPVF
 
 
 def random_tree(rng: random.Random, n: int) -> ConnectivityTree:
@@ -191,8 +192,8 @@ class TestBatchedLadderParity:
 
 
 def _sequential_twin(world, config):
-    """A sequential scheme wired to an already-initialized world copy."""
-    scheme = CPVFScheme(mode="sequential", allow_parent_change=False)
+    """A seed scheme wired to an already-initialized world copy."""
+    scheme = SeedCPVF(allow_parent_change=False)
     scheme._planner = Bug2Planner(world.field, Handedness.RIGHT)
     scheme._forces = VirtualForceModel(
         repulsion_distance=2.0 * config.sensing_range,
@@ -239,10 +240,12 @@ class TestMessageParity:
         records identical totals in both modes (no reparent happens that
         early in the smoke scenario)."""
         results = {}
-        for mode in ("sequential", "batched"):
+        for mode, scheme in (
+            ("sequential", SeedCPVF()),
+            ("batched", CPVFScheme(mode="batched")),
+        ):
             config = make_config(SMOKE_SCALE, seed=3)
             world = make_world(config, SMOKE_SCALE)
-            scheme = CPVFScheme(mode=mode)
             scheme.initialize(world)
             before = world.stats.total()
             scheme.step(world)
@@ -261,12 +264,13 @@ class TestPlateauParity:
             coverage_resolution=12.5,
         )
         coverages = {}
-        for mode in ("sequential", "batched"):
+        for mode, scheme in (
+            ("sequential", SeedCPVF()),
+            ("batched", CPVFScheme(mode="batched")),
+        ):
             config = make_config(scale, seed=7)
             world = make_world(config, scale)
-            engine = SimulationEngine(
-                world, CPVFScheme(mode=mode), trace_every=10**9
-            )
+            engine = SimulationEngine(world, scheme, trace_every=10**9)
             coverages[mode] = engine.run().final_coverage
         gap = abs(coverages["batched"] - coverages["sequential"])
         assert gap <= 0.02, coverages
@@ -282,7 +286,9 @@ class TestModeSelection:
     def test_default_and_explicit_modes(self):
         assert CPVFScheme().mode == "vectorized"
         assert CPVFScheme(mode="batched").mode == "batched"
-        assert set(CPVF_MODES) == {"sequential", "vectorized", "batched"}
+        assert set(CPVF_MODES) == {"vectorized", "batched"}
+        with pytest.raises(ValueError, match="unknown CPVF mode"):
+            CPVFScheme(mode="sequential")
 
     def test_mode_selectable_via_runspec(self):
         from repro.api import RunSpec, execute_run
@@ -298,6 +304,16 @@ class TestModeSelection:
         assert record.scheme == "CPVF"
         assert record.coverage > 0.2
         assert record.connected
+
+    def test_cli_flag_rejects_removed_mode(self, capsys):
+        from repro.experiments.runner import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--cpvf-mode", "sequential", "--list"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert "invalid choice" in err
+        assert all(repr(mode) in err for mode in CPVF_MODES)
 
     def test_mode_selectable_via_cli_flag(self):
         from repro.experiments.runner import run_experiment_records

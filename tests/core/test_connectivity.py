@@ -3,8 +3,16 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.core import NeighborMotion, STEP_FRACTIONS, max_valid_step, step_is_valid
+from repro.core.connectivity import STEP_FRACTIONS, max_valid_step_points
 from repro.geometry import Vec2
+from tests.oracles import NeighborMotion, step_is_valid
+
+
+def ladder_step(position, direction, max_step, links, rc):
+    """The production ladder on ``Vec2`` arguments and ``(x, y)`` links."""
+    return max_valid_step_points(
+        position.x, position.y, direction.x, direction.y, max_step, links, rc
+    )
 
 
 class TestStepValidity:
@@ -33,22 +41,20 @@ class TestStepValidity:
 
 class TestMaxValidStep:
     def test_unconstrained_step_is_full(self):
-        step = max_valid_step(Vec2(0, 0), Vec2(1, 0), 2.0, [], 60.0)
+        step = ladder_step(Vec2(0, 0), Vec2(1, 0), 2.0, [], 60.0)
         assert step == pytest.approx(2.0)
 
     def test_zero_direction_gives_zero_step(self):
-        assert max_valid_step(Vec2(0, 0), Vec2(0, 0), 2.0, [], 60.0) == 0.0
+        assert ladder_step(Vec2(0, 0), Vec2(0, 0), 2.0, [], 60.0) == 0.0
 
     def test_constrained_step_is_reduced(self):
         # Neighbour exactly at the communication range in the direction of
         # motion's opposite: moving away must be limited.
-        neighbor = NeighborMotion.stationary(Vec2(-59.5, 0))
-        step = max_valid_step(Vec2(0, 0), Vec2(1, 0), 2.0, [neighbor], 60.0)
+        step = ladder_step(Vec2(0, 0), Vec2(1, 0), 2.0, [(-59.5, 0.0)], 60.0)
         assert 0.0 < step < 2.0
 
     def test_fully_blocked_step_is_zero(self):
-        neighbor = NeighborMotion.stationary(Vec2(-60.0, 0))
-        step = max_valid_step(Vec2(0, 0), Vec2(1, 0), 2.0, [neighbor], 60.0)
+        step = ladder_step(Vec2(0, 0), Vec2(1, 0), 2.0, [(-60.0, 0.0)], 60.0)
         assert step == 0.0
 
     def test_step_fractions_ladder(self):
@@ -64,14 +70,14 @@ class TestMaxValidStep:
     def test_returned_step_is_always_valid(self, nx, ny, max_step):
         neighbor = NeighborMotion.stationary(Vec2(nx, ny))
         direction = Vec2(1, 0.5)
-        step = max_valid_step(Vec2(0, 0), direction, max_step, [neighbor], 60.0)
+        step = ladder_step(Vec2(0, 0), direction, max_step, [(nx, ny)], 60.0)
         if step > 0:
             end = Vec2(0, 0) + direction.normalized() * step
             assert step_is_valid(Vec2(0, 0), end, [neighbor], 60.0)
 
     @given(st.floats(min_value=0.5, max_value=5.0))
     def test_step_never_exceeds_max(self, max_step):
-        step = max_valid_step(Vec2(0, 0), Vec2(1, 1), max_step, [], 60.0)
+        step = ladder_step(Vec2(0, 0), Vec2(1, 1), max_step, [], 60.0)
         assert step <= max_step + 1e-9
 
 

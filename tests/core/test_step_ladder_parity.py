@@ -1,37 +1,29 @@
-"""Parity tests for the CPVF step-ladder fast paths.
+"""Parity tests for the CPVF step ladder and the parent-change scan.
 
-``max_valid_step`` (float core), ``max_valid_step_points``
-(stationary-links variant) and the seed-faithful
-``max_valid_step_reference`` oracle all claim to return the same ladder
-decision; the vectorized ``_try_parent_change`` scan claims to pick the
-same (step, parent) as the seed per-candidate ladder.  These tests pin
-those equivalences with randomized trials so an edit to one copy cannot
-silently diverge from the others.
+``max_valid_step_points`` (the production ladder over stationary links)
+and the paper's literal ladder ``max_valid_step_reference`` claim to
+return the same decision.  The one fraction-outer parent-change scan
+claims to pick the same (step, new parent) as the seed per-candidate
+ladder (``SeedCPVF._best_parent_ladder``), whether its candidates come
+from the protocol table (vectorized ``_try_parent_change``) or from the
+batched repair pass's pair rows filtered against live coordinate arrays.
+These tests pin those equivalences with randomized trials so an edit to
+one copy cannot silently diverge from the other.
 """
 
 import copy
 import random
 
+import numpy as np
 import pytest
 
-from repro.core.connectivity import (
-    NeighborMotion,
-    max_valid_step,
-    max_valid_step_points,
-)
+from repro.core.connectivity import max_valid_step_points
 from repro.core.cpvf import CPVFScheme
 from repro.field import Field
 from repro.geometry import Vec2
+from repro.network import BASE_STATION_ID
 from repro.sim import SimulationConfig, World
-from tests.oracles import max_valid_step_reference
-
-
-def random_motion(rng, stationary):
-    current = Vec2(rng.uniform(-80, 80), rng.uniform(-80, 80))
-    if stationary:
-        return NeighborMotion.stationary(current)
-    planned = Vec2(rng.uniform(-80, 80), rng.uniform(-80, 80))
-    return NeighborMotion(current, planned)
+from tests.oracles import NeighborMotion, SeedCPVF, max_valid_step_reference
 
 
 class TestLadderParity:
@@ -43,80 +35,121 @@ class TestLadderParity:
             direction = Vec2(rng.uniform(-1, 1), rng.uniform(-1, 1))
             max_step = rng.choice([0.0, rng.uniform(0.1, 30.0)])
             rc = rng.uniform(5.0, 70.0)
-            neighbors = [
-                random_motion(rng, rng.random() < 0.6)
+            links = [
+                (rng.uniform(-80, 80), rng.uniform(-80, 80))
                 for _ in range(rng.randint(0, 4))
             ]
+            neighbors = [NeighborMotion.stationary(Vec2(x, y)) for x, y in links]
             expected = max_valid_step_reference(
                 position, direction, max_step, neighbors, rc
             )
-            assert max_valid_step(
-                position, direction, max_step, neighbors, rc
+            assert max_valid_step_points(
+                position.x, position.y, direction.x, direction.y,
+                max_step, links, rc,
             ) == expected
-            if all(nb.current == nb.planned_end for nb in neighbors):
-                links = [(nb.current.x, nb.current.y) for nb in neighbors]
-                assert max_valid_step_points(
-                    position.x,
-                    position.y,
-                    direction.x,
-                    direction.y,
-                    max_step,
-                    links,
-                    rc,
-                ) == expected
 
     def test_degenerate_direction_and_zero_step(self):
         pos = Vec2(1.0, 2.0)
+        links = [(3.0, 2.0)]
         nb = [NeighborMotion.stationary(Vec2(3.0, 2.0))]
-        for args in [
-            (pos, Vec2(0.0, 0.0), 10.0, nb, 5.0),
-            (pos, Vec2(1e-12, 0.0), 10.0, nb, 5.0),
-            (pos, Vec2(1.0, 0.0), 0.0, nb, 5.0),
+        for direction, max_step in [
+            (Vec2(0.0, 0.0), 10.0),
+            (Vec2(1e-12, 0.0), 10.0),
+            (Vec2(1.0, 0.0), 0.0),
         ]:
-            assert max_valid_step(*args) == max_valid_step_reference(*args) == 0.0
+            assert max_valid_step_reference(
+                pos, direction, max_step, nb, 5.0
+            ) == 0.0
+            assert max_valid_step_points(
+                pos.x, pos.y, direction.x, direction.y, max_step, links, 5.0
+            ) == 0.0
+
+
+def _random_world(trial):
+    rng = random.Random(100 + trial)
+    n = 14
+    config = SimulationConfig(
+        sensor_count=n,
+        communication_range=rng.uniform(25.0, 50.0),
+        sensing_range=30.0,
+        # Steps up to about half of rc, so partial ladder steps and
+        # blocked candidates are common.
+        max_speed=rng.uniform(2.0, 25.0),
+        duration=5.0,
+        seed=trial,
+        clustered_start=False,
+    )
+    positions = [Vec2(rng.uniform(0, 70), rng.uniform(0, 70)) for _ in range(n)]
+    world = World.create(config, Field(200.0, 200.0), positions)
+    CPVFScheme().initialize(world)
+    return world, rng
+
+
+def _batched_candidates(world):
+    """The batched repair pass's candidate structure for ``world``."""
+    sensors = world.sensors
+    n = len(sensors)
+    rows, cols = world.neighbor_pairs(2.0 * world.config.max_step)
+    offsets = np.zeros(n + 1, dtype=np.intp)
+    np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
+    xs = np.fromiter((s.position.x for s in sensors), float, n)
+    ys = np.fromiter((s.position.y for s in sensors), float, n)
+    connected = np.fromiter((s.is_connected() for s in sensors), bool, n)
+    return (cols, offsets), xs, ys, connected
 
 
 class TestParentChangeParity:
     @pytest.mark.parametrize("trial", range(12))
     def test_fraction_outer_scan_matches_seed_ladder(self, trial):
-        """Both parent-change paths pick the same (step, parent)."""
-        rng = random.Random(100 + trial)
-        n = 14
-        config = SimulationConfig(
-            sensor_count=n,
-            communication_range=rng.uniform(25.0, 50.0),
-            sensing_range=30.0,
-            duration=5.0,
-            seed=trial,
-            clustered_start=False,
-        )
-        positions = [
-            Vec2(rng.uniform(0, 80), rng.uniform(0, 80)) for _ in range(n)
-        ]
-        world = World.create(config, Field(200.0, 200.0), positions)
-        scheme = CPVFScheme()
-        scheme.initialize(world)
+        """The seed ladder, the vectorized parent change and the batched
+        repair pass's scan pick the same (step, new parent)."""
+        world, rng = _random_world(trial)
         table = world.neighbor_table()
-        moved = False
+        csr, xs, ys, connected = _batched_candidates(world)
+        rc = world.config.communication_range
+        compared = 0
         for sensor in world.sensors:
             if not sensor.is_connected():
                 continue
+            sid = sensor.sensor_id
             direction = Vec2(rng.uniform(-1, 1), rng.uniform(-1, 1)).normalized()
             if direction.norm() == 0.0:
                 continue
-            fast_world = copy.deepcopy(world)
+            subtree = world.tree.subtree_of(sid)
+            table_candidates = []
+            if sensor.position.distance_to(world.base_station) <= rc:
+                table_candidates.append(BASE_STATION_ID)
+            table_candidates += [
+                c
+                for c in table[sid]
+                if world.sensor(c).is_connected() and c not in subtree
+            ]
+
             seed_world = copy.deepcopy(world)
-            fast_scheme = CPVFScheme(mode="vectorized")
-            seed_scheme = CPVFScheme(mode="sequential")
-            fast_step = fast_scheme._try_parent_change(
-                fast_world, fast_world.sensor(sensor.sensor_id), direction, table
+            seed_step = SeedCPVF()._best_parent_ladder(
+                seed_world, seed_world.sensor(sid), direction, table_candidates
             )
-            seed_step = seed_scheme._try_parent_change(
-                seed_world, seed_world.sensor(sensor.sensor_id), direction, table
+
+            fast_world = copy.deepcopy(world)
+            fast_step = CPVFScheme()._try_parent_change(
+                fast_world, fast_world.sensor(sid), direction, table
             )
-            assert fast_step == seed_step
-            assert fast_world.tree.parent_of(sensor.sensor_id) == (
-                seed_world.tree.parent_of(sensor.sensor_id)
+
+            batched_world = copy.deepcopy(world)
+            batched = CPVFScheme(mode="batched")
+            candidates, _ = batched._csr_parent_candidates(
+                batched_world, batched_world.sensor(sid), csr, xs, ys, connected
             )
-            moved = True
-        assert moved  # the layout produced at least one comparable sensor
+            assert [c for c, _, _ in candidates] == table_candidates
+            batched_step = batched._adopt_parent(
+                batched_world, batched_world.sensor(sid), direction, candidates
+            )
+
+            assert fast_step == seed_step == batched_step
+            parents = {
+                w.tree.parent_of(sid)
+                for w in (seed_world, fast_world, batched_world)
+            }
+            assert len(parents) == 1
+            compared += 1
+        assert compared  # the layout produced at least one comparable sensor

@@ -1,27 +1,25 @@
-"""The paper's literal step ladder and the seed algorithms' perf baselines.
+"""The paper's literal step ladder, the seed CPVF dynamics, and the seed
+algorithms' perf baselines.
 
 The seed neighbour table, coverage scan and CPVF period are kept verbatim
 here (rather than in the library) so the perf floors of
 ``benchmarks/test_perf_spatial.py`` keep timing the seed algorithms even
 as the library improves.  Each timer checks its seed answer against the
-library before timing.
+library before timing.  :class:`SeedCPVF` is also the reference the
+production CPVF modes are compared against (message parity, plateau
+agreement, parent-change parity).
 """
 
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Sequence
-from unittest import mock
+from dataclasses import dataclass
+from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core import CPVFScheme
-from repro.core import cpvf as cpvf_module
-from repro.core.connectivity import (
-    STEP_FRACTIONS,
-    NeighborMotion,
-    step_is_valid,
-)
+from repro.core.connectivity import STEP_FRACTIONS
 from repro.experiments.perfbench import (
     best_of,
     coverage_moves,
@@ -29,8 +27,56 @@ from repro.experiments.perfbench import (
     time_cpvf_periods,
 )
 from repro.geometry import Segment, Vec2
+from repro.network import BASE_STATION_ID, MessageType
 
 from .world import uncached
+
+
+@dataclass(frozen=True)
+class NeighborMotion:
+    """What a sensor knows about a neighbour it must stay connected to.
+
+    ``current`` is the neighbour's position now (time ``t``) and
+    ``planned_end`` its position at the end of its own period (``t'``); for
+    a stationary neighbour the two coincide.
+    """
+
+    current: Vec2
+    planned_end: Vec2
+
+    @staticmethod
+    def stationary(position: Vec2) -> "NeighborMotion":
+        """A neighbour that is not moving this period."""
+        return NeighborMotion(position, position)
+
+
+def step_is_valid(
+    start: Vec2,
+    end: Vec2,
+    neighbors: Iterable[NeighborMotion],
+    communication_range: float,
+) -> bool:
+    """Whether moving ``start -> end`` keeps every required link alive.
+
+    Checks the two connectivity-preserving conditions of Section 4.2
+    against every neighbour the sensor needs to retain.
+    """
+    for nb in neighbors:
+        # Condition 1: at the neighbour's period end the link still holds
+        # (our position is somewhere on [start, end]; by convexity it is
+        # enough that both endpoints are within range of nb's endpoint and
+        # start point — see Appendix A).
+        if start.distance_to(nb.planned_end) > communication_range + 1e-9:
+            return False
+        # Condition 2: our end-of-period position is within range of the
+        # neighbour's end-of-period position.
+        if end.distance_to(nb.planned_end) > communication_range + 1e-9:
+            return False
+        # Also keep range with the neighbour's current position, covering
+        # the case where the neighbour cancels its own move.
+        if end.distance_to(nb.current) > communication_range + 1e-9:
+            return False
+    return True
 
 
 def max_valid_step_reference(
@@ -43,9 +89,9 @@ def max_valid_step_reference(
 ) -> float:
     """The paper's candidate ladder, evaluated literally.
 
-    The parity reference for :func:`repro.core.connectivity.max_valid_step`
-    (the two must agree exactly) and the seed ladder of the CPVF perf
-    baseline.
+    The parity reference for
+    :func:`repro.core.connectivity.max_valid_step_points` (the two must
+    agree exactly on stationary links) and the ladder of :class:`SeedCPVF`.
     """
     unit = direction.normalized()
     if unit.norm() == 0.0 or max_step <= 0.0:
@@ -58,6 +104,100 @@ def max_valid_step_reference(
         if step_is_valid(position, end, neighbors, communication_range):
             return step
     return 0.0
+
+
+class SeedCPVF(CPVFScheme):
+    """The seed CPVF dynamics: sensors decide and move one after the other.
+
+    Within a period each connected sensor evaluates its own force
+    direction from live positions (seeing earlier movers' new positions),
+    runs the literal step ladder against its parent and children, and,
+    when blocked, runs one full ladder per parent candidate.  Connectivity
+    stage, lock handshake, message accounting and the move tail are the
+    library's.
+    """
+
+    def _apply_virtual_forces(self, world, table: Dict[int, List[int]]) -> None:
+        config = world.config
+        for sensor in [s for s in world.sensors if s.is_connected()]:
+            direction = self._forces.direction(
+                sensor.position,
+                [world.sensor(n).position for n in table.get(sensor.sensor_id, [])],
+                world.field,
+            )
+            if direction.x == 0.0 and direction.y == 0.0:
+                sensor.previous_position = sensor.position
+                continue
+            required = self._required_neighbors(world, sensor)
+            if required:
+                world.routing.record_one_hop(
+                    MessageType.NEIGHBOR_STATE, len(required)
+                )
+            step = max_valid_step_reference(
+                sensor.position,
+                direction,
+                config.max_step,
+                required,
+                config.communication_range,
+            )
+            if step <= 0.0 and self._allow_parent_change:
+                step = self._try_parent_change(world, sensor, direction, table)
+            if step <= 0.0:
+                sensor.previous_position = sensor.position
+                continue
+            self._finish_move(world, sensor, direction, step)
+
+    def _required_neighbors(self, world, sensor) -> List[NeighborMotion]:
+        """Connections the sensor must preserve: its parent and children."""
+        parent, children = self._link_node_ids(world, sensor.sensor_id)
+        required: List[NeighborMotion] = []
+        if parent == BASE_STATION_ID:
+            required.append(NeighborMotion.stationary(world.base_station))
+        elif parent is not None:
+            required.append(NeighborMotion.stationary(world.sensor(parent).position))
+        for child in children:
+            required.append(NeighborMotion.stationary(world.sensor(child).position))
+        return required
+
+    def _adopt_parent(self, world, sensor, direction, candidates) -> float:
+        return self._best_parent_ladder(
+            world, sensor, direction, [c for c, _, _ in candidates]
+        )
+
+    def _best_parent_ladder(
+        self, world, sensor, direction: Vec2, candidates: List[int]
+    ) -> float:
+        """Seed candidate scan: one full step ladder per candidate, keeping
+        the first candidate that attains the best step."""
+        config = world.config
+        children_motions = [
+            NeighborMotion.stationary(world.sensor(c).position)
+            for c in world.tree.children_of(sensor.sensor_id)
+        ]
+        best_step = 0.0
+        best_parent: Optional[int] = None
+        for candidate in candidates:
+            parent_pos = (
+                world.base_station
+                if candidate == BASE_STATION_ID
+                else world.sensor(candidate).position
+            )
+            required = children_motions + [NeighborMotion.stationary(parent_pos)]
+            step = max_valid_step_reference(
+                sensor.position,
+                direction,
+                config.max_step,
+                required,
+                config.communication_range,
+            )
+            if step > best_step:
+                best_step = step
+                best_parent = candidate
+        if best_parent is not None and best_step > 0.0:
+            world.reparent_in_tree(sensor.sensor_id, best_parent)
+            world.telemetry.count("cpvf.parent_changes", 1)
+            return best_step
+        return 0.0
 
 
 def seed_neighbor_table(radio, sensors) -> Dict[int, List[int]]:
@@ -120,14 +260,12 @@ def seed_neighbor_table_ms(
 def seed_cpvf_period_ms(n: int, seed: int = 3, periods: int = 6) -> float:
     """Seed CPVF period time on the ``measure_cpvf_period`` layout.
 
-    The seed configuration: the sequential scheme with the literal step
-    ladder on an uncached world with brute-force radio and coverage.
+    The seed configuration: :class:`SeedCPVF` (sequential decisions, the
+    literal step ladder) on an uncached world with brute-force radio and
+    coverage.
     """
     world = uncached(perf_world(n, seed, clustered=True))
-    with mock.patch.object(
-        cpvf_module, "max_valid_step", max_valid_step_reference
-    ):
-        seed_s = time_cpvf_periods(world, CPVFScheme(mode="sequential"), periods)
+    seed_s = time_cpvf_periods(world, SeedCPVF(), periods)
     return seed_s * 1000.0
 
 
