@@ -38,7 +38,9 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Sequence, Tuple
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-sys.path.insert(0, str(REPO_ROOT / "src"))
+# src for the package, the root for ``benchmarks.perfbench`` and the
+# ``tests.oracles`` references it imports.
+sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
 
 BENCH_PATH = REPO_ROOT / "BENCH_perf.json"
 
@@ -106,7 +108,7 @@ def measure_batched_period(ms: Measurements) -> Dict:
     best.  The first traced window's counters say whether the
     incremental pair maintenance carried the periods.
     """
-    from repro.experiments.perfbench import cpvf_period_s
+    from benchmarks.perfbench import cpvf_period_s
     from repro.obs import Telemetry
 
     def period_ms(telemetry=None) -> float:

@@ -4,14 +4,20 @@ Measures the hot queries the spatial subsystem accelerates —
 neighbor-table construction, one full CPVF period, and coverage
 re-measurement after movement — plus the sweep, service, scenario,
 lifecycle and degraded-network entries.  Every measurement also checks
-that the fast path produces results identical to the library's
-brute-force path, so the numbers can never drift away from correctness.
+that the fast path produces results identical to a brute-force
+reference (``tests/oracles``), so the numbers can never drift away from
+correctness.
 
-The seed algorithms these rows were once compared against are no longer
-re-measured: their ``seed_ms`` columns in ``BENCH_perf.json`` are frozen
-and carried forward by ``benchmarks/run_perf.py``, and the seed
-re-implementations live with the other reference oracles in
-``tests/oracles`` (``benchmarks/test_perf_spatial.py`` times them).
+The seed algorithms these rows were once compared against are not
+re-measured by ``benchmarks/run_perf.py``: their ``seed_ms`` columns in
+``BENCH_perf.json`` are frozen and carried forward.  The seed timers at
+the end of this module time the seed re-implementations kept with the
+other reference oracles in ``tests/oracles``; the perf floors of
+``benchmarks/test_perf_spatial.py`` use them.
+
+Import it with the repository root on ``sys.path`` (``pytest.ini``,
+``benchmarks/run_perf.py`` and ``benchmarks/contracts.py`` arrange
+this): ``from benchmarks.perfbench import ...``.
 """
 
 from __future__ import annotations
@@ -22,11 +28,24 @@ from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
-from ..api import SweepRunner, default_job_count
-from ..core import CPVFScheme
-from ..sim import World
-from ..spatial import IncrementalCoverage
-from .common import ExperimentScale, SMOKE_SCALE, make_config, make_world
+from repro.api import SweepRunner, default_job_count
+from repro.core import CPVFScheme
+from repro.experiments.common import (
+    ExperimentScale,
+    SMOKE_SCALE,
+    make_config,
+    make_world,
+)
+from repro.geometry import Vec2
+from repro.sim import World
+from repro.spatial import IncrementalCoverage, NeighborCache
+from tests.oracles import (
+    BruteRadio,
+    SeedCPVF,
+    seed_coverage_fraction,
+    seed_neighbor_table,
+    uncached,
+)
 
 __all__ = [
     "best_of",
@@ -45,6 +64,9 @@ __all__ = [
     "measure_degraded_coverage",
     "run_perf_suite",
     "PERF_ENTRIES",
+    "seed_neighbor_table_ms",
+    "seed_cpvf_period_ms",
+    "seed_coverage_ms",
 ]
 
 
@@ -80,18 +102,20 @@ def perf_world(n: int, seed: int, clustered: bool) -> World:
 def measure_neighbor_table(
     n: int, seed: int = 3, clustered: bool = False, repeats: int = 10
 ) -> Dict[str, float]:
-    """Indexed neighbor-table build time on one layout."""
+    """Neighbor-table build time on one layout.
+
+    Each timed call builds the table from scratch through a fresh
+    :class:`~repro.spatial.NeighborCache` (index build, pair query,
+    per-sensor slicing and the defensive copy the world hands out).
+    """
     world = perf_world(n, seed, clustered)
-    sensors = world.sensors
-    radio = world.radio
-    if radio.neighbor_table_indexed(sensors) != radio.neighbor_table_bruteforce(
-        sensors
-    ):
+    brute = BruteRadio(world.config.communication_range)
+    if world.neighbor_table() != brute.neighbor_table(world.sensors):
         raise AssertionError("indexed neighbor table diverged from brute table")
     # Several short best-of rounds: the build is sub-10ms, so a single
     # noisy round on a loaded machine would dominate otherwise.
     fast_s = best_of(
-        lambda: radio.neighbor_table_indexed(sensors), repeats, rounds=5
+        lambda: NeighborCache(world).neighbor_table(), repeats, rounds=5
     )
     return {
         "n": n,
@@ -165,7 +189,7 @@ def measure_cpvf_period_scale(
     # period (ms per period per span) and the period-normalised kernel
     # counters.  Timed separately so the headline batched_ms stays the
     # untraced number the overhead entry is gated against.
-    from ..obs import Telemetry
+    from repro.obs import Telemetry
 
     tel = Telemetry()
     cpvf_period_s(n, seed, periods, mode="batched", telemetry=tel)
@@ -209,7 +233,7 @@ def measure_telemetry_overhead(
     ``obs.committed_overhead`` entry of ``benchmarks/contracts.py`` reads
     this entry.
     """
-    from ..obs import Telemetry
+    from repro.obs import Telemetry
 
     if periods is None:
         periods = 6 if n <= 2000 else 3
@@ -255,8 +279,6 @@ def measure_coverage(
     positions = np.array([(s.position.x, s.position.y) for s in world.sensors])
     tracker = IncrementalCoverage(world.field, rs, res)
     tracker.update(positions)
-
-    from ..geometry import Vec2
 
     fast_s = 0.0
     for current in coverage_moves(
@@ -313,7 +335,7 @@ def measure_sweep_throughput(
     single-core machine the sharded path mostly measures process overhead;
     the point of the entry is tracking the trajectory as sweeps grow.
     """
-    from .fig9 import sweep_fig9
+    from repro.experiments.fig9 import sweep_fig9
 
     sweep = sweep_fig9(
         SMOKE_SCALE,
@@ -362,9 +384,9 @@ def measure_sweep_service(clients: int = 4, seed: int = 3) -> Dict[str, float]:
     import asyncio
     import tempfile
 
-    from ..api import SweepSpec
-    from ..api.scenario import ScenarioSpec
-    from ..service import SweepService
+    from repro.api import SweepSpec
+    from repro.api.scenario import ScenarioSpec
+    from repro.service import SweepService
 
     scenario = ScenarioSpec(
         field_size=300.0,
@@ -448,8 +470,8 @@ def measure_scenario_generation(
     :class:`~repro.scenarios.validate.ScenarioValidator` — the number
     reported is the cost a sweep pays per scenario materialisation.
     """
-    from ..api import layout_registry
-    from ..scenarios import ScenarioValidator
+    from repro.api import layout_registry
+    from repro.scenarios import ScenarioValidator
 
     validator = ScenarioValidator()
     rows: List[Dict[str, object]] = []
@@ -489,10 +511,10 @@ def measure_lifecycle_recovery(seed: int = 3) -> List[Dict[str, float]]:
     each scheme must climb back to at least 90% of its pre-event coverage
     by the end of the run.
     """
-    from ..api import RunSpec, execute_run
-    from .common import BENCH_SCALE
-    from .common import make_scenario as _make_scenario
-    from .lifecycle import lifecycle_events
+    from repro.api import RunSpec, execute_run
+    from repro.experiments.common import BENCH_SCALE
+    from repro.experiments.common import make_scenario as _make_scenario
+    from repro.experiments.lifecycle import lifecycle_events
 
     events = lifecycle_events("mass-failure", BENCH_SCALE)
     scenario = _make_scenario(BENCH_SCALE, seed=seed, events=events)
@@ -540,9 +562,9 @@ def measure_degraded_coverage(
     also carries the ``net.*`` counters (drops, retries, timeouts) that
     explain the message overhead.
     """
-    from ..api import NetworkSpec, RunSpec, execute_run
-    from .common import BENCH_SCALE
-    from .common import make_scenario as _make_scenario
+    from repro.api import NetworkSpec, RunSpec, execute_run
+    from repro.experiments.common import BENCH_SCALE
+    from repro.experiments.common import make_scenario as _make_scenario
 
     scenario = _make_scenario(BENCH_SCALE, seed=seed)
     network = NetworkSpec(model="unreliable", loss=loss)
@@ -673,3 +695,52 @@ def run_perf_suite(
             )
         results[name] = entries[name](entry_ns, seed)
     return results
+
+
+# ----------------------------------------------------------------------
+# Seed baselines (the perf floors of benchmarks/test_perf_spatial.py)
+# ----------------------------------------------------------------------
+def seed_neighbor_table_ms(
+    n: int, seed: int = 3, clustered: bool = False, repeats: int = 10
+) -> float:
+    """Seed neighbour-table build time on the ``measure_neighbor_table`` layout."""
+    world = perf_world(n, seed, clustered)
+    sensors = world.sensors
+    rc = world.config.communication_range
+    if seed_neighbor_table(sensors, rc) != world.neighbor_table():
+        raise AssertionError("seed neighbor table diverged from indexed table")
+    seed_s = best_of(lambda: seed_neighbor_table(sensors, rc), repeats, rounds=5)
+    return seed_s * 1000.0
+
+
+def seed_cpvf_period_ms(n: int, seed: int = 3, periods: int = 6) -> float:
+    """Seed CPVF period time on the ``measure_cpvf_period`` layout.
+
+    The seed configuration: :class:`~tests.oracles.SeedCPVF` (sequential
+    decisions, the literal step ladder) on an uncached world with
+    brute-force neighbour queries and coverage.
+    """
+    world = uncached(perf_world(n, seed, clustered=True))
+    seed_s = time_cpvf_periods(world, SeedCPVF(), periods)
+    return seed_s * 1000.0
+
+
+def seed_coverage_ms(
+    n: int, seed: int = 3, moved_fraction: float = 0.02, rounds: int = 5
+) -> float:
+    """Seed coverage-scan time over the ``measure_coverage`` move sequence."""
+    world = perf_world(n, seed, clustered=False)
+    rs = world.config.sensing_range
+    res = world.config.coverage_resolution
+    positions = np.array([(s.position.x, s.position.y) for s in world.sensors])
+    seed_s = 0.0
+    for current in coverage_moves(
+        positions, world.field.width, seed, moved_fraction, rounds
+    ):
+        vecs = [Vec2(x, y) for x, y in current]
+        start = time.perf_counter()
+        value = seed_coverage_fraction(world.field, vecs, rs, res)
+        seed_s += time.perf_counter() - start
+        if value != world.field.coverage_fraction(vecs, rs, res):
+            raise AssertionError("seed coverage diverged from library scan")
+    return seed_s / rounds * 1000.0

@@ -9,10 +9,10 @@ Usage (from the repo root)::
     python benchmarks/run_perf.py --only cpvf_period --n 100000
     python benchmarks/run_perf.py --list               # entry names
 
-Runs the spatial-subsystem benchmarks of
-:mod:`repro.experiments.perfbench` (neighbor-table build, CPVF periods,
-coverage re-measurement, sweep throughput, scenario generation, ...),
-asserting fast-path/brute parity while timing, plus the
+Runs the spatial-subsystem benchmarks of ``benchmarks/perfbench.py``
+(neighbor-table build, CPVF periods, coverage re-measurement, sweep
+throughput, scenario generation, ...), asserting fast-path/brute parity
+while timing, plus the
 ``cpvf_convergence`` entry defined here: the batched CPVF plateau
 against the seed sequential dynamics (``tests.oracles.SeedCPVF``),
 failing when they differ by more than two coverage points.  The results
@@ -22,9 +22,10 @@ track the perf trajectory.
 The seed algorithms are not re-measured: every re-measured row without
 a ``seed_ms`` of its own inherits the committed row's frozen ``seed_ms``
 unchanged, and its ``speedup`` is recomputed against the fresh
-``batched_ms`` (or ``fast_ms``).  The seed re-implementations live in
-``tests/oracles``, which is why the repository root is put on
-``sys.path`` next to ``src``.
+``batched_ms`` (or ``fast_ms``).  The repository root is put on
+``sys.path`` next to ``src``: ``benchmarks.perfbench`` is imported from
+it, and the brute and seed references it checks against live in
+``tests/oracles``.
 
 ``--only ENTRY [ENTRY ...]`` regenerates a subset of entries and merges
 them into the existing ``BENCH_perf.json`` — the untouched entries are
@@ -55,7 +56,7 @@ from repro.experiments.common import (  # noqa: E402
     make_config,
     make_world,
 )
-from repro.experiments.perfbench import PERF_ENTRIES, run_perf_suite  # noqa: E402
+from benchmarks.perfbench import PERF_ENTRIES, run_perf_suite  # noqa: E402
 from repro.sim import SimulationEngine  # noqa: E402
 from tests.oracles import SeedCPVF  # noqa: E402
 

@@ -1,9 +1,8 @@
 """Spatial-subsystem perf benchmarks: seed vs fast paths at n in {100, 500, 1000}.
 
-Each test times a hot query's fast path (see
-:mod:`repro.experiments.perfbench`, which asserts fast-path/brute parity
-before timing) against the seed algorithm kept in ``tests.oracles``
-(which asserts seed/library parity before timing).  In the default suite
+Each test times a hot query's fast path against the seed algorithm kept
+in ``tests.oracles``; both timers live in ``benchmarks/perfbench.py``,
+which asserts fast-path/brute and seed/library parity before timing.  In the default suite
 the speed assertions are a loose sanity floor (the fast path must not
 lose to the seed) so a loaded machine cannot flake the tier-1 run; set
 ``REPRO_PERF_STRICT=1`` to enforce the real targets locally.  The
@@ -15,12 +14,10 @@ import os
 
 import pytest
 
-from repro.experiments.perfbench import (
+from benchmarks.perfbench import (
     measure_coverage,
     measure_cpvf_period,
     measure_neighbor_table,
-)
-from tests.oracles import (
     seed_coverage_ms,
     seed_cpvf_period_ms,
     seed_neighbor_table_ms,

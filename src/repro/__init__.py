@@ -39,7 +39,7 @@ from .field import (
     two_obstacle_field,
 )
 from .mobility import Bug2Planner, Bug2Path, Handedness, MotionModel
-from .network import ConnectivityTree, MessageStats, MessageType, Radio
+from .network import ConnectivityTree, MessageStats, MessageType
 from .sensors import Sensor, SensorState
 from .sim import (
     DeploymentScheme,
@@ -104,7 +104,6 @@ __all__ = [
     "ConnectivityTree",
     "MessageStats",
     "MessageType",
-    "Radio",
     "Sensor",
     "SensorState",
     "DeploymentScheme",

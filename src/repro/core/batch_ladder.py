@@ -33,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from ..geometry import EPS
-from ..network import BASE_STATION_ID
+from ..network import BASE_STATION_ID, LINK_EPS
 from .connectivity import STEP_FRACTIONS
 
 __all__ = ["tree_level_colors", "TreeSchedule", "batched_ladder_steps"]
@@ -170,7 +170,7 @@ def batched_ladder_steps(
     link, owned by member ``pair_owner[k]``.
     Returns the per-member step size: the largest candidate fraction of
     ``max_step`` whose endpoint keeps every required link within
-    ``communication_range`` (with the ladder's usual ``1e-9`` slack), or
+    ``communication_range`` (with the ladder's usual ``LINK_EPS`` slack), or
     ``0`` when a link is already out of range / no candidate is valid —
     exactly the decision :func:`~repro.core.connectivity.
     max_valid_step_points` makes per sensor on the same inputs.
@@ -187,7 +187,7 @@ def batched_ladder_steps(
     safe_norm = np.where(norm > EPS, norm, 1.0)
     unit_x = ux / safe_norm
     unit_y = uy / safe_norm
-    limit = communication_range + 1e-9
+    limit = communication_range + LINK_EPS
     owner_px = px[pair_owner]
     owner_py = py[pair_owner]
     # Condition 1: a required link already out of range invalidates every

@@ -26,6 +26,7 @@ import math
 from typing import Sequence
 
 from ..geometry import EPS
+from ..network import LINK_EPS
 
 __all__ = ["max_valid_step_points", "STEP_FRACTIONS"]
 
@@ -61,7 +62,7 @@ def max_valid_step_points(
     if norm <= EPS or max_step <= 0.0:
         return 0.0
     unit_x, unit_y = dir_x / norm, dir_y / norm
-    limit = communication_range + 1e-9
+    limit = communication_range + LINK_EPS
     for lx, ly in links:
         # Condition 1: already out of range of a required link -> no
         # candidate step (including zero) can restore it.

@@ -28,7 +28,7 @@ import numpy as np
 
 from ..geometry import EPS, Vec2
 from ..mobility import Bug2Planner, Handedness
-from ..network import BASE_STATION_ID, MessageType
+from ..network import BASE_STATION_ID, LINK_EPS, MessageType
 from ..sensors import Sensor, SensorState
 from ..sim import DeploymentScheme, World
 from .batch_ladder import TreeSchedule, batched_ladder_steps
@@ -255,7 +255,7 @@ class CPVFScheme(DeploymentScheme):
         base_dist = sensor.position.distance_to(world.base_station)
         if base_dist <= world.config.communication_range:
             best, best_dist = BASE_STATION_ID, base_dist
-        rc_limit = sensor.communication_range + 1e-9
+        rc_limit = world.config.communication_range + LINK_EPS
         for nb_id in table.get(sensor.sensor_id, []):
             nb = world.sensor(nb_id)
             if not nb.is_connected():
@@ -401,36 +401,25 @@ class CPVFScheme(DeploymentScheme):
         return schedule
 
     def _force_direction_arrays(
-        self, world: World, xs, ys, connected, rows, cols, in_range,
-        symmetric: bool,
+        self, world: World, xs, ys, connected, rows, cols, in_range
     ):
         """Unit force directions for all sensors as arrays.
 
         The pairwise term comes from the packed neighbour pairs (already
         generated for the period; ``in_range`` masks the pairs within the
-        exact communication range).  With a common communication range
-        (``symmetric``) the pair relation is symmetric, so each unique
-        pair is evaluated once and scattered to both endpoints;
-        heterogeneous ranges keep the directed evaluation — a sensor only
-        feels neighbours *it* can see.  The wall terms use the array form
+        exact communication range).  The unit-disk relation is
+        symmetric, so each unique pair is evaluated once and scattered to
+        both endpoints.  The wall terms use the array form
         of ``boundary_force_xy``; only sensors inside an obstacle's
         perception box pay the scalar per-obstacle loop.  Returns
         ``(ux, uy, moving)`` where ``moving`` marks connected sensors
         with a non-zero resultant.
         """
         assert self._forces is not None
-        if symmetric:
-            if rows.size:
-                keep = in_range & (rows < cols)
-                rows, cols = rows[keep], cols[keep]
-            fx, fy = self._forces.sensor_force_sums_symmetric(
-                xs, ys, rows, cols
-            )
-        else:
-            if rows.size:
-                keep = in_range & connected[rows]
-                rows, cols = rows[keep], cols[keep]
-            fx, fy = self._forces.sensor_force_sums(xs, ys, rows, cols)
+        if rows.size:
+            keep = in_range & (rows < cols)
+            rows, cols = rows[keep], cols[keep]
+        fx, fy = self._forces.sensor_force_sums_symmetric(xs, ys, rows, cols)
         field = world.field
         bx, by = self._forces.boundary_force_arrays(
             xs, ys, field.width, field.height
@@ -490,40 +479,20 @@ class CPVFScheme(DeploymentScheme):
         # One inflated pair set serves both the force evaluation (masked
         # to the exact range) and the repair pass's candidate rows: a
         # sensor within range at any point of the period was within
-        # rc + 2 * max_step at the period start.
-        rc_list = [s.communication_range for s in sensors]
-        rc_min, rc_max = min(rc_list), max(rc_list)
-        pair_extra = 2.0 * config.max_step
+        # rc + 2 * max_step at the period start.  The neighbour cache
+        # reports its pair maintenance (cpvf.pairs / cpvf.pairs_incremental
+        # spans and counters; see docs/performance.md).
+        rows, cols, d2 = world.neighbor_pairs(
+            2.0 * config.max_step, with_d2=True
+        )
         tel = world.telemetry
-        # Incremental pair maintenance reports under its own span so the
-        # bench breakdown separates "answered from the maintained store"
-        # (cpvf.pairs_incremental) from a from-scratch pair generation
-        # (cpvf.pairs); see docs/performance.md.
-        span_name = "cpvf.pairs"
-        if (
-            tel.enabled
-            and world.pairs_maintenance_hint(pair_extra) == "incremental"
-        ):
-            span_name = "cpvf.pairs_incremental"
-        with tel.span(span_name):
-            rows, cols, d2 = world.neighbor_pairs(pair_extra, with_d2=True)
         if tel.enabled:
             tel.count("cpvf.candidate_pairs", int(rows.size))
-            evt = world.pairs_maintenance_last()
-            if evt in ("memo", "derived", "serve", "repair"):
-                tel.count("cpvf.pairs_repaired", 1)
-            else:
-                tel.count("cpvf.pairs_rebuilt", 1)
         with tel.span("cpvf.forces"):
-            if rc_min == rc_max:
-                limit = rc_min + 1e-9
-                in_range = d2 <= limit * limit
-            else:
-                rcs = np.fromiter(rc_list, float, n) + 1e-9
-                in_range = d2 <= rcs[rows] * rcs[rows]
+            limit = config.communication_range + LINK_EPS
+            in_range = d2 <= limit * limit
             ux, uy, moving = self._force_direction_arrays(
-                world, xs, ys, connected, rows, cols, in_range,
-                symmetric=rc_min == rc_max,
+                world, xs, ys, connected, rows, cols, in_range
             )
         schedule = self._get_schedule(world)
         colors = schedule.colors
@@ -739,7 +708,7 @@ class CPVFScheme(DeploymentScheme):
         csr_cols, csr_offsets = candidate_csr
         cand = csr_cols[csr_offsets[sid]:csr_offsets[sid + 1]]
         cand = cand[connected[cand]]
-        cand = cand[np.hypot(xs[cand] - px, ys[cand] - py) <= rc + 1e-9]
+        cand = cand[np.hypot(xs[cand] - px, ys[cand] - py) <= rc + LINK_EPS]
         subtree = world.tree.subtree_of(sid)
         if len(subtree) > 1:
             cand = cand[[c not in subtree for c in cand.tolist()]]
@@ -922,7 +891,7 @@ class CPVFScheme(DeploymentScheme):
         if not self._acquire_subtree_lock(world, sid, len(subtree)):
             return 0.0
         px, py = sensor.position.x, sensor.position.y
-        limit = config.communication_range + 1e-9
+        limit = config.communication_range + LINK_EPS
         live = []
         for candidate in candidates:
             pos = (
@@ -959,7 +928,7 @@ class CPVFScheme(DeploymentScheme):
             return 0.0
         unit_x, unit_y = direction.x / norm, direction.y / norm
         px, py = sensor.position.x, sensor.position.y
-        limit = config.communication_range + 1e-9
+        limit = config.communication_range + LINK_EPS
         _, children = self._link_node_ids(world, sensor.sensor_id)
         children_xy = [
             (world.sensor(c).position.x, world.sensor(c).position.y)

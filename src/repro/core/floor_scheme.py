@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Set
 from ..field import Field
 from ..geometry import Vec2
 from ..mobility import Bug2Path, Bug2Planner, Handedness
-from ..network import BASE_STATION_ID, MessageType
+from ..network import BASE_STATION_ID, LINK_EPS, MessageType
 from ..sensors import Sensor, SensorState
 from ..sim import DeploymentScheme, World
 from .expansion import ExpansionKind, ExpansionPlanner, ExpansionPoint
@@ -655,7 +655,7 @@ class FloorScheme(DeploymentScheme):
         for child in children:
             child_sensor = world.sensor(child)
             subtree = world.tree.subtree_of(child)
-            rc_limit = child_sensor.communication_range + 1e-9
+            rc_limit = world.config.communication_range + LINK_EPS
             candidates: List[int] = []
             if (
                 child_sensor.position.distance_to(world.base_station)

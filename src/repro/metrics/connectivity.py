@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..geometry import Vec2
+from ..network import LINK_EPS
 from ..spatial import SpatialIndex
 
 __all__ = ["positions_are_connected", "connected_components", "largest_component_fraction"]
@@ -46,7 +47,7 @@ def _build_union(
     positions: Sequence[Vec2], communication_range: float
 ) -> _UnionFind:
     uf = _UnionFind(len(positions))
-    r = communication_range + 1e-9
+    r = communication_range + LINK_EPS
     if len(positions) >= _SPATIAL_MIN_POSITIONS and r > 0:
         # pairs_within yields accepted (i, j) pairs in the same (i asc,
         # j asc) order the double loop visits them, so the union-find ends

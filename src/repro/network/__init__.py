@@ -9,7 +9,7 @@ from .conditions import (
     UnreliableNetwork,
 )
 from .messages import Message, MessageType, NET_COUNTER_KEYS
-from .radio import LINK_EPS, Radio
+from .radio import LINK_EPS
 from .routing import RoutingCostModel
 from .stats import MessageStats
 from .tree import BASE_STATION_ID, ConnectivityTree
@@ -26,7 +26,6 @@ __all__ = [
     "PerfectNetwork",
     "UnreliableNetwork",
     "LINK_EPS",
-    "Radio",
     "RoutingCostModel",
     "MessageStats",
     "BASE_STATION_ID",

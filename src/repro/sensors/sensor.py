@@ -1,10 +1,11 @@
 """The mobile sensor node.
 
-A :class:`Sensor` bundles identity, radio parameters (communication range
-``rc`` and sensing range ``rs``), the kinematic state (a
-:class:`~repro.mobility.MotionModel`) and the protocol state used by the
-deployment schemes (connectivity state, tree parent, lazy-movement path
-parent, oscillation history).
+A :class:`Sensor` bundles identity, the sensing range ``rs``, the
+kinematic state (a :class:`~repro.mobility.MotionModel`) and the protocol
+state used by the deployment schemes (connectivity state, tree parent,
+lazy-movement path parent, oscillation history).  The communication
+range is not per sensor: the paper's unit disk is the world's single
+``config.communication_range`` (see :mod:`repro.network.radio`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ class Sensor:
 
     sensor_id: int
     motion: MotionModel
-    communication_range: float
     sensing_range: float
     state: SensorState = SensorState.DISCONNECTED
 
@@ -70,21 +70,6 @@ class Sensor:
     def sensing_disk(self) -> Circle:
         """The sensor's sensing disk."""
         return Circle(self.position, self.sensing_range)
-
-    def communication_disk(self) -> Circle:
-        """The sensor's communication disk."""
-        return Circle(self.position, self.communication_range)
-
-    def expansion_circle_radius(self) -> float:
-        """Radius of the FLOOR expansion circle: ``min(rc, rs)``."""
-        return min(self.communication_range, self.sensing_range)
-
-    def in_communication_range(self, other: "Sensor") -> bool:
-        """Whether ``other`` is within this sensor's communication range."""
-        return (
-            self.position.distance_to(other.position)
-            <= self.communication_range + 1e-9
-        )
 
     def covers(self, point: Vec2) -> bool:
         """Whether ``point`` is inside this sensor's sensing disk."""

@@ -1,4 +1,4 @@
-"""The simulation world: field, sensors, radio, tree and statistics.
+"""The simulation world: field, sensors, tree and statistics.
 
 The world is the shared state a deployment scheme manipulates.  It owns the
 sensor population, the connectivity tree rooted at the base station, the
@@ -26,8 +26,8 @@ from ..network import (
     MessageStats,
     MessageType,
     NetworkModel,
+    LINK_EPS,
     PERFECT_NETWORK,
-    Radio,
     RoutingCostModel,
 )
 from ..obs import NULL_TELEMETRY, Telemetry
@@ -45,7 +45,6 @@ class World:
     config: SimulationConfig
     field: Field
     sensors: List[Sensor]
-    radio: Radio
     tree: ConnectivityTree
     stats: MessageStats
     routing: RoutingCostModel
@@ -127,7 +126,6 @@ class World:
                     max_speed=config.max_speed,
                     period=config.period,
                 ),
-                communication_range=config.communication_range,
                 sensing_range=config.sensing_range,
             )
             for i, pos in enumerate(initial_positions)
@@ -137,7 +135,6 @@ class World:
             config=config,
             field=field,
             sensors=sensors,
-            radio=Radio(field),
             tree=ConnectivityTree(),
             stats=stats,
             routing=RoutingCostModel(stats),
@@ -192,20 +189,6 @@ class World:
         :meth:`repro.spatial.NeighborCache.neighbor_pairs`.
         """
         return self._cache().neighbor_pairs(extra_radius, with_d2)
-
-    def pairs_maintenance_hint(self, extra_radius: float = 0.0) -> str:
-        """``"incremental"`` or ``"rebuild"`` — how the next
-        :meth:`neighbor_pairs` call at this radius will be served (see
-        :meth:`repro.spatial.NeighborCache.pairs_maintenance_hint`)."""
-        return self._cache().pairs_maintenance_hint(extra_radius)
-
-    def pairs_maintenance_last(self) -> Optional[str]:
-        """Kind of the most recent pair answer ("memo"/"derived"/
-        "serve"/"repair"/"rebuild"/"bypass"), ``None`` before the first
-        request."""
-        if self._neighbor_cache is None:
-            return None
-        return self._neighbor_cache.pair_events["last"]
 
     def neighbor_rows(self, sensor_ids: Sequence[int]) -> Dict[int, List[int]]:
         """Neighbour lists for a subset of sensors (see the cache method)."""
@@ -336,7 +319,6 @@ class World:
                 max_speed=self.config.max_speed,
                 period=self.config.period,
             ),
-            communication_range=self.config.communication_range,
             sensing_range=self.config.sensing_range,
         )
         self.sensors.append(sensor)
@@ -380,12 +362,11 @@ class World:
         """Invalidate structures derived from the field's obstacle set.
 
         Call after mutating ``field.obstacles`` (lifecycle obstacle
-        events): coverage trackers rasterised the old obstacle mask and
-        the neighbour cache may hold line-of-sight answers.
+        events): coverage trackers rasterised the old obstacle mask.  The
+        neighbour cache does not depend on obstacles (the radio model
+        has no shadowing), so it is left alone.
         """
         self._coverage_trackers.clear()
-        if self._neighbor_cache is not None:
-            self._neighbor_cache.invalidate()
 
     def _repair_tree_after_failure(self, sensor_id: int) -> List[int]:
         """Re-attach (or drop) the subtrees orphaned by a node death."""
@@ -449,7 +430,7 @@ class World:
         for member_id in members:
             pos = self.sensor(member_id).position
             base_distance = pos.distance_to(self.base_station)
-            if self.radio.link_exists(pos, self.base_station, rc):
+            if base_distance <= rc + LINK_EPS:
                 candidate = (base_distance, member_id, BASE_STATION_ID)
                 if best is None or candidate < best:
                     best = candidate

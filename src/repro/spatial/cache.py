@@ -16,10 +16,11 @@ and several schemes do mutate neighbor lists in place.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
+from ..network import LINK_EPS
 from .index import SpatialIndex, pack_positions
 from .pairstore import PairStore
 
@@ -28,15 +29,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
 
 __all__ = ["NeighborCache"]
 
-#: Base-station candidate queries inflate the radius before the exact
-#: ``link_exists`` re-check so borderline float rounding between the
-#: squared and sqrt formulations can never drop a candidate.
+#: Point queries inflate the radius before the exact range re-check so
+#: borderline float rounding between the squared and sqrt formulations
+#: can never drop a candidate.
 _QUERY_SLACK = 1e-9
-
-#: Link tolerance mirrored from :mod:`repro.network.radio` (not imported —
-#: radio itself imports this package); the pair queries below must accept
-#: exactly the pairs the neighbour table accepts.
-_LINK_EPS = 1e-9
 
 #: The incremental pair store is generated at ``limit * (1 + fraction)``:
 #: the inflation is the drift slack — sensors may drift up to half of
@@ -50,39 +46,16 @@ _STORE_SLACK_FRACTION = 0.2
 #: bulk build is cheaper than per-mover probing.
 _STORE_REBUILD_DIVISOR = 8
 
-#: Bound on memoised per-``extra_radius`` pair sets per epoch; call sites
-#: use a handful of radii, so this only guards against an unbounded
-#: sweep of distinct float radii accumulating stale entries.
-_PAIRS_MEMO_LIMIT = 8
-
-
-def pairs_from_table(sensors, table) -> tuple:
-    """Pack a neighbour-table dict into ``(rows, cols, d2)`` arrays.
-
-    The shared fallback conversion for consumers that need the flat pair
-    view when the indexed path is unavailable (line-of-sight radio,
-    cache disabled): positional indices in table order, plus the exact
-    squared distances.
-    """
-    pos_of = {s.sensor_id: k for k, s in enumerate(sensors)}
-    rows_list: List[int] = []
-    cols_list: List[int] = []
-    for s in sensors:
-        r = pos_of[s.sensor_id]
-        for nb in table.get(s.sensor_id, ()):
-            rows_list.append(r)
-            cols_list.append(pos_of[nb])
-    rows = np.asarray(rows_list, dtype=np.intp)
-    cols = np.asarray(cols_list, dtype=np.intp)
-    xs = np.fromiter((s.position.x for s in sensors), float, len(sensors))
-    ys = np.fromiter((s.position.y for s in sensors), float, len(sensors))
-    dx = xs[rows] - xs[cols]
-    dy = ys[rows] - ys[cols]
-    return rows, cols, dx * dx + dy * dy
-
 
 class NeighborCache:
-    """Per-world cache of neighbor structures, invalidated by movement."""
+    """Per-world cache of neighbor structures, invalidated by movement.
+
+    Every answer is the paper's unit disk of the world's single
+    ``config.communication_range`` ``rc``: two nodes are linked when their
+    squared distance is at most ``(rc + LINK_EPS) ** 2`` (base-station
+    adjacency, a point query, tests the distance against
+    ``rc + LINK_EPS``).
+    """
 
     def __init__(self, world: "World"):
         self._world = world
@@ -91,16 +64,6 @@ class NeighborCache:
         # drift is exactly what it absorbs); only population churn or an
         # explicit invalidate() drops it.
         self._pair_store: Optional[PairStore] = None
-        #: Cumulative pair-maintenance events plus the kind of the most
-        #: recent ``neighbor_pairs`` answer ("memo" / "derived" /
-        #: "serve" / "repair" / "rebuild" / "bypass").
-        self.pair_events: Dict[str, object] = {
-            "serves": 0,
-            "repairs": 0,
-            "rebuilds": 0,
-            "bypasses": 0,
-            "last": None,
-        }
         self._reset()
 
     def _reset(self) -> None:
@@ -108,9 +71,6 @@ class NeighborCache:
         self._table: Optional[Dict[int, List[int]]] = None
         self._base_neighbors: Optional[List[int]] = None
         self._component: Optional[Set[int]] = None
-        self._pairs: Dict[float, tuple] = {}
-        self._pair_index: Optional[SpatialIndex] = None
-        self._pair_index_radius: Optional[float] = None
         self._alive: Optional[list] = None
 
     def _alive_sensors(self) -> list:
@@ -125,21 +85,16 @@ class NeighborCache:
     # ------------------------------------------------------------------
     def _validate(self) -> None:
         world = self._world
-        # Position versions carry the per-period invalidation; the radio
-        # parameters (per-sensor ranges, line-of-sight flag) are included so
-        # a mid-run mutation cannot serve a stale table.
-        # population_version covers churn (a failure flips aliveness
-        # without touching any position_version; an injection changes the
-        # tuple length too, but only the version captures removal).
+        # Position versions carry the per-period invalidation; the range
+        # is included so a mid-run config change cannot serve a stale
+        # table.  population_version covers churn (a failure flips
+        # aliveness without touching any position_version; an injection
+        # changes the tuple length too, but only the version captures
+        # removal).
         epoch = (
-            world.radio.line_of_sight,
             world.config.communication_range,
             world.population_version,
-            world.field.version,
-            tuple(
-                (s.motion.position_version, s.communication_range)
-                for s in world.sensors
-            ),
+            tuple(s.motion.position_version for s in world.sensors),
         )
         if epoch != self._epoch:
             self._epoch = epoch
@@ -151,7 +106,7 @@ class NeighborCache:
         Also drops the incremental pair store: ``invalidate`` is the
         churn path (``World.add_sensor``/``remove_sensor`` call it), and
         a population change invalidates the store's anchors wholesale —
-        the next pair request rebuilds from scratch over the survivors.
+        the next pair request rebuilds it over the survivors.
         """
         self._epoch = None
         self._pair_store = None
@@ -161,39 +116,17 @@ class NeighborCache:
     # Shared index
     # ------------------------------------------------------------------
     def _spatial_index(self) -> Optional[SpatialIndex]:
-        """The shared index for the current epoch (``None`` when unusable)."""
-        world = self._world
+        """The shared index over the live sensors for the current epoch
+        (``None`` below two sensors, where there is no pair to find)."""
         sensors = self._alive_sensors()
         if len(sensors) < 2:
             return None
         if self._index is None:
-            max_range = max(s.communication_range for s in sensors)
-            max_range = max(max_range, world.config.communication_range, 1e-9)
-            self._index = SpatialIndex(max_range * 1.001).build(
+            rc = self._world.config.communication_range
+            self._index = SpatialIndex(max(rc, 1e-9) * 1.001).build(
                 pack_positions(sensors)
             )
         return self._index
-
-    def _pairs_index(self, radius: float) -> Optional[SpatialIndex]:
-        """A dedicated index for whole-population pair queries.
-
-        Pair generation visits every point's neighbourhood, so (unlike
-        the point queries the shared index serves) it is worth building a
-        second index with half-radius cells: the candidate ring hugs the
-        query disk tighter and the distance filter discards far fewer
-        pairs.  The packed position store is reused from the shared
-        index.  Cell size is a bucketing choice only — the accepted pair
-        set is identical whatever the cells.
-        """
-        shared = self._spatial_index()
-        if shared is None:
-            return None
-        if self._pair_index is None or self._pair_index_radius != radius:
-            self._pair_index = SpatialIndex(max(radius, 1e-9) * 1.001 / 2.0).build(
-                shared.points
-            )
-            self._pair_index_radius = radius
-        return self._pair_index
 
     # ------------------------------------------------------------------
     # Cached queries
@@ -206,15 +139,26 @@ class NeighborCache:
 
     def _raw_table(self) -> Dict[int, List[int]]:
         if self._table is None:
-            world = self._world
             sensors = self._alive_sensors()
+            ids = [s.sensor_id for s in sensors]
             index = self._spatial_index()
-            if index is not None:
-                self._table = world.radio.neighbor_table_indexed(
-                    sensors, index
-                )
-            else:
-                self._table = world.radio.neighbor_table(sensors)
+            if index is None:
+                self._table = {sid: [] for sid in ids}
+                return self._table
+            rows, cols, _ = index.neighbor_pairs_directed(
+                self._world.config.communication_range + LINK_EPS
+            )
+            # rows is sorted, cols ascending within each row: slice the
+            # packed neighbour list per sensor instead of appending pair
+            # by pair.
+            flat = np.asarray(ids, dtype=np.intp)[cols].tolist()
+            bounds = np.cumsum(np.bincount(rows, minlength=len(ids))).tolist()
+            table: Dict[int, List[int]] = {}
+            lo = 0
+            for sensor_id, hi in zip(ids, bounds):
+                table[sensor_id] = flat[lo:hi]
+                lo = hi
+            self._table = table
         return self._table
 
     def neighbor_pairs(
@@ -223,182 +167,66 @@ class NeighborCache:
         """Directed neighbour pairs as packed index arrays.
 
         Returns ``(rows, cols)`` (or ``(rows, cols, d2)`` with
-        ``with_d2``): ``cols[k]`` is within communication range — plus
-        ``extra_radius`` — of ``rows[k]``; both are *positions* into
-        ``world.sensors`` (identical to sensor ids for worlds built by
-        :meth:`World.create`), sorted lexicographically by ``(row, col)``.
-        With ``extra_radius=0`` the accepted pair set is exactly the one
-        :meth:`neighbor_table` lists — same index, radius and tolerance —
-        packed flat for array consumers (the batched CPVF kernel) instead
-        of materialising per-sensor Python lists.  A positive
-        ``extra_radius`` inflates the acceptance per sensor to
-        ``rc_i + extra``; the batched repair pass uses it to enumerate
-        parent-change candidates that may have drifted into range since
-        the period started.  An exact-radius request is served by masking
-        an already-cached inflated set (``d2`` is the per-pair squared
-        distance, so the subsets nest exactly).
+        ``with_d2``): ``cols[k]`` is within ``rc + extra_radius`` (plus
+        the link tolerance) of ``rows[k]``; both are indices into
+        ``world.sensors`` (identical to sensor ids), sorted
+        lexicographically by ``(row, col)``, and ``d2`` is the exact
+        squared distance.  With ``extra_radius=0`` the accepted pair set
+        is exactly the one :meth:`neighbor_table` lists, packed flat for
+        array consumers (the batched CPVF kernel) instead of materialising
+        per-sensor Python lists; the kernel asks for ``2 * max_step`` more
+        to enumerate parent-change candidates that may drift into range
+        during the period.  Every request is answered from the
+        incremental :class:`~repro.spatial.PairStore`.
         """
         self._validate()
-        cached = self._pairs.get(extra_radius)
-        if cached is not None:
-            self._record_pair_event("memo")
-        else:
-            # A smaller-radius request nests exactly inside a cached
-            # inflated set (homogeneous-range index path only, where the
-            # acceptance limit is one scalar).
-            larger = [
-                e
-                for e, entry in self._pairs.items()
-                if e > extra_radius and entry[3] is not None
-            ]
-            if larger:
-                rows, cols, d2, limit = self._pairs[min(larger)]
-                new_limit = limit - min(larger) + extra_radius
-                keep = d2 <= new_limit * new_limit
-                cached = (rows[keep], cols[keep], d2[keep], new_limit)
-                self._record_pair_event("derived")
-            else:
-                cached = self._store_pairs(extra_radius)
-                if cached is None:
-                    cached = self._build_pairs(extra_radius)
-                    self._record_pair_event("bypass")
-            self._pairs[extra_radius] = cached
-            while len(self._pairs) > _PAIRS_MEMO_LIMIT:
-                # FIFO eviction (dicts preserve insertion order); an
-                # evicted radius is simply recomputed on its next use.
-                self._pairs.pop(next(iter(self._pairs)))
-        rows, cols, d2, _ = cached
+        rows, cols, d2 = self._store_pairs(extra_radius)
         if with_d2:
             return rows, cols, d2
         return rows, cols
-
-    def _record_pair_event(self, kind: str) -> None:
-        counter = {
-            "serve": "serves",
-            "repair": "repairs",
-            "rebuild": "rebuilds",
-            "bypass": "bypasses",
-        }.get(kind)
-        if counter is not None:
-            self.pair_events[counter] += 1
-        self.pair_events["last"] = kind
-
-    def _homogeneous_limit(self, extra_radius: float) -> Optional[float]:
-        """The scalar acceptance limit, or ``None`` when ineligible.
-
-        The incremental store (like the nesting reuse) only applies when
-        acceptance is one scalar radius over the full population: at least
-        two sensors, no line-of-sight blocking, no dead sensors (positional
-        indices must equal sensor ids for the store's anchors to stay
-        meaningful across epochs), homogeneous communication ranges.
-        """
-        world = self._world
-        sensors = self._alive_sensors()
-        if (
-            world.radio.line_of_sight
-            or len(sensors) < 2
-            or len(sensors) != len(world.sensors)
-        ):
-            return None
-        rc_list = [s.communication_range for s in sensors]
-        if min(rc_list) != max(rc_list):
-            return None
-        return max(rc_list) + _LINK_EPS + extra_radius
 
     @staticmethod
     def _mover_cap(n: int) -> int:
         return max(32, n // _STORE_REBUILD_DIVISOR)
 
-    def _store_pairs(self, extra_radius: float) -> Optional[tuple]:
+    def _store_pairs(self, extra_radius: float) -> tuple:
         """Serve a pair request from the incremental store.
 
-        Returns the usual ``(rows, cols, d2, limit)`` memo entry, or
-        ``None`` when the request is ineligible (the caller falls back
-        to :meth:`_build_pairs`).  Maintains the store: builds it on
-        first use or after churn, repairs it when a few sensors have
-        out-drifted their slack budget, rebuilds it on mass movement.
-        The answer is exact either way — bit-identical to a fresh
+        Maintains the store over the live sensors: builds it on first use
+        or after churn, repairs it when a few sensors have out-drifted
+        their slack budget, rebuilds it on mass movement.  The answer is
+        exact either way — bit-identical to a fresh
         ``neighbor_pairs_directed`` build (pinned by
-        ``tests/spatial/test_pair_store.py``).
+        ``tests/spatial/test_pair_store.py``).  The maintenance decision
+        is reported where it is made: a rebuild runs under the
+        ``cpvf.pairs`` span and counts ``cpvf.pairs_rebuilt``, a serve or
+        repair runs under ``cpvf.pairs_incremental`` and counts
+        ``cpvf.pairs_repaired`` (the batched CPVF kernel is the caller).
         """
-        limit = self._homogeneous_limit(extra_radius)
-        if limit is None:
-            return None
-        index = self._spatial_index()
-        x, y = index.xs, index.ys
-        store = self._pair_store
-        movers = None if store is None else store.movers(x, y, limit)
-        if movers is None or len(movers) > self._mover_cap(len(x)):
-            store = PairStore.build(
-                x, y, limit * (1.0 + _STORE_SLACK_FRACTION)
-            )
-            self._pair_store = store
-            self._record_pair_event("rebuild")
-        elif len(movers):
-            store.repair(x, y, movers)
-            self._record_pair_event("repair")
-        else:
-            self._record_pair_event("serve")
-        rows, cols, d2 = store.serve(x, y, limit)
-        return rows, cols, d2, limit
-
-    def pairs_maintenance_hint(self, extra_radius: float = 0.0) -> str:
-        """Predict how the next ``neighbor_pairs`` call will be served.
-
-        ``"incremental"`` when the answer will come from cached state
-        (memo hit, nesting derivation, store serve or store repair);
-        ``"rebuild"`` when a from-scratch pair generation is coming
-        (no store yet, churn, mass movement, or an ineligible world).
-        Side-effect free — the kernel calls it to pick the telemetry
-        span name before issuing the real request.
-        """
-        self._validate()
-        if extra_radius in self._pairs:
-            return "incremental"
-        if any(
-            e > extra_radius and entry[3] is not None
-            for e, entry in self._pairs.items()
-        ):
-            return "incremental"
-        limit = self._homogeneous_limit(extra_radius)
-        if limit is None or self._pair_store is None:
-            return "rebuild"
-        index = self._spatial_index()
-        movers = self._pair_store.movers(index.xs, index.ys, limit)
-        if movers is None or len(movers) > self._mover_cap(index.size):
-            return "rebuild"
-        return "incremental"
-
-    def _build_pairs(self, extra_radius: float) -> tuple:
-        """Generate one pair set at ``rc + extra_radius`` acceptance."""
         world = self._world
         sensors = self._alive_sensors()
         index = self._spatial_index()
-        if index is not None and not world.radio.line_of_sight:
-            rc_list = [s.communication_range for s in sensors]
-            max_range = max(rc_list) + _LINK_EPS + extra_radius
-            pair_index = self._pairs_index(max_range)
-            rows, cols, d2 = pair_index.neighbor_pairs_directed(max_range)
-            if rc_list and min(rc_list) != max(rc_list):
-                rcs = (
-                    np.fromiter(rc_list, dtype=float, count=len(rc_list))
-                    + _LINK_EPS
-                    + extra_radius
+        if index is None:
+            empty = np.empty(0, dtype=np.intp)
+            return empty, empty.copy(), np.empty(0, dtype=float)
+        limit = world.config.communication_range + LINK_EPS + extra_radius
+        x, y = index.xs, index.ys
+        store = self._pair_store
+        movers = None if store is None else store.movers(x, y, limit)
+        rebuild = movers is None or len(movers) > self._mover_cap(len(x))
+        tel = world.telemetry
+        with tel.span("cpvf.pairs" if rebuild else "cpvf.pairs_incremental"):
+            if rebuild:
+                store = PairStore.build(
+                    x, y, limit * (1.0 + _STORE_SLACK_FRACTION)
                 )
-                keep = d2 <= rcs[rows] * rcs[rows]
-                rows, cols, d2 = rows[keep], cols[keep], d2[keep]
-                # Heterogeneous acceptance: subsets do not nest through
-                # one scalar limit.
-                return (*self._remap_pairs(sensors, rows, cols), d2, None)
-            rows, cols = self._remap_pairs(sensors, rows, cols)
-            return rows, cols, d2, max_range
-        # Line-of-sight (or index disabled): derive the pairs from the
-        # authoritative table so blocking semantics carry over.  The
-        # inflation is ignored here — candidates beyond the table's reach
-        # are a perf superset, never a correctness requirement.
-        rows, cols, d2 = pairs_from_table(sensors, self._raw_table())
+                self._pair_store = store
+            elif len(movers):
+                store.repair(x, y, movers)
+            rows, cols, d2 = store.serve(x, y, limit)
+        tel.count("cpvf.pairs_rebuilt" if rebuild else "cpvf.pairs_repaired", 1)
         rows, cols = self._remap_pairs(sensors, rows, cols)
-        return rows, cols, d2, None
+        return rows, cols, d2
 
     def _remap_pairs(self, sensors, rows, cols) -> tuple:
         """Map alive-subset positions back to full-list indices (= ids).
@@ -428,29 +256,27 @@ class NeighborCache:
             return {sid: list(self._table.get(sid, ())) for sid in sensor_ids}
         world = self._world
         index = self._spatial_index()
-        if index is None or world.radio.line_of_sight:
+        if index is None:
             table = self._raw_table()
             return {sid: list(table.get(sid, ())) for sid in sensor_ids}
         # The shared index is built over the *alive* subset; candidate
         # indices are positions into that subset, not sensor ids.
         alive = self._alive_sensors()
+        rc = world.config.communication_range
+        reach = rc + LINK_EPS + _QUERY_SLACK
+        # Accept by *squared* distance, exactly like the table build —
+        # a sqrt-based predicate can disagree by one ulp at the range
+        # boundary.
+        limit_sq = (rc + LINK_EPS) ** 2
         out: Dict[int, List[int]] = {}
         for sid in sensor_ids:
             sensor = world.sensors[sid]
             if not sensor.is_alive():
                 out[sid] = []
                 continue
-            rc = sensor.communication_range
             pos = sensor.position
-            candidates = index.query_radius(
-                pos, rc + _LINK_EPS + _QUERY_SLACK
-            )
-            # Accept by *squared* distance, exactly like the indexed
-            # table build — the sqrt-based link predicate can disagree
-            # by one ulp at the range boundary.
-            limit_sq = (rc + _LINK_EPS) ** 2
             row: List[int] = []
-            for i in candidates.tolist():
+            for i in index.query_radius(pos, reach).tolist():
                 other = alive[i]
                 if other.sensor_id == sid:
                     continue
@@ -474,28 +300,32 @@ class NeighborCache:
             sensors = self._alive_sensors()
             index = self._spatial_index()
             if index is None:
-                self._base_neighbors = world.radio.neighbors_of_point(
-                    base, sensors, rc
-                )
+                candidates = range(len(sensors))
             else:
-                candidates = index.query_radius(base, rc + 2.0 * _QUERY_SLACK)
-                self._base_neighbors = [
-                    sensors[i].sensor_id
-                    for i in candidates.tolist()
-                    if world.radio.link_exists(base, sensors[i].position, rc)
-                ]
+                candidates = index.query_radius(
+                    base, rc + 2.0 * _QUERY_SLACK
+                ).tolist()
+            self._base_neighbors = [
+                sensors[i].sensor_id
+                for i in candidates
+                if base.distance_to(sensors[i].position) <= rc + LINK_EPS
+            ]
         return self._base_neighbors
 
     def connected_component(self) -> Set[int]:
-        """Copy of the cached set of ids reachable from the base station."""
+        """Copy of the cached set of ids reachable from the base station
+        (breadth-first over the neighbour table from the base station's
+        one-hop neighbours)."""
         self._validate()
         if self._component is None:
-            world = self._world
-            self._component = world.radio.connected_component_of(
-                self._alive_sensors(),
-                world.base_station,
-                world.config.communication_range,
-                table=self._raw_table(),
-                base_neighbors=self._raw_base_neighbors(),
-            )
+            table = self._raw_table()
+            frontier = list(self._raw_base_neighbors())
+            reached: Set[int] = set(frontier)
+            while frontier:
+                current = frontier.pop()
+                for nxt in table.get(current, ()):
+                    if nxt not in reached:
+                        reached.add(nxt)
+                        frontier.append(nxt)
+            self._component = reached
         return set(self._component)

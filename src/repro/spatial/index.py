@@ -25,8 +25,7 @@ def pack_positions(sensors) -> np.ndarray:
     """Pack objects carrying a ``.position`` ``Vec2`` into an ``(n, 2)`` array.
 
     The shared packing used by every consumer that builds an index over
-    sensors (radio fast path, neighbor cache), so layout/dtype can never
-    diverge between them.
+    sensors, so layout/dtype can never diverge between them.
     """
     n = len(sensors)
     return np.fromiter(

@@ -326,58 +326,6 @@ class TestModeSelection:
         )
 
 
-class TestHeterogeneousRanges:
-    def test_directed_forces_for_heterogeneous_rc(self):
-        """With per-sensor ranges the neighbour relation is directed: a
-        sensor only feels neighbours *it* can see.  The batched force
-        evaluation must match the scalar model's directed sums, not
-        mirror every pair."""
-        config = make_config(SMOKE_SCALE, sensor_count=12, seed=9)
-        world = make_world(config, SMOKE_SCALE)
-        rng = random.Random(3)
-        for s in world.sensors:
-            s.communication_range = rng.choice([25.0, 60.0, 90.0])
-        scheme = CPVFScheme(mode="batched")
-        scheme.initialize(world)
-        sensors = world.sensors
-        n = len(sensors)
-        xs = np.fromiter((s.position.x for s in sensors), float, n)
-        ys = np.fromiter((s.position.y for s in sensors), float, n)
-        connected = np.fromiter((s.is_connected() for s in sensors), bool, n)
-        rows, cols, d2 = world.neighbor_pairs(with_d2=True)
-        rcs = np.fromiter(
-            (s.communication_range for s in sensors), float, n
-        ) + 1e-9
-        in_range = d2 <= rcs[rows] * rcs[rows]
-        ux, uy, moving = scheme._force_direction_arrays(
-            world, xs, ys, connected, rows, cols, in_range, symmetric=False
-        )
-        table = world.neighbor_table()
-        forces = scheme._forces
-        for s in sensors:
-            if not connected[s.sensor_id]:
-                continue
-            expected = forces.direction(
-                s.position,
-                [world.sensor(nb).position for nb in table[s.sensor_id]],
-                world.field,
-            )
-            assert ux[s.sensor_id] == pytest.approx(expected.x, abs=1e-12)
-            assert uy[s.sensor_id] == pytest.approx(expected.y, abs=1e-12)
-
-    def test_batched_step_runs_with_heterogeneous_rc(self):
-        config = make_config(SMOKE_SCALE, sensor_count=16, seed=5)
-        world = make_world(config, SMOKE_SCALE)
-        rng = random.Random(1)
-        for s in world.sensors:
-            s.communication_range = rng.choice([40.0, 60.0, 80.0])
-        scheme = CPVFScheme(mode="batched")
-        scheme.initialize(world)
-        for _ in range(10):
-            scheme.step(world)
-        world.tree.validate()
-
-
 class TestSchemeReuse:
     def test_reusing_scheme_across_worlds_resets_tree_caches(self):
         """A fresh world restarts its tree version counter, so the

@@ -14,7 +14,6 @@ def make_sensor(sensor_id: int, x: float, y: float) -> Sensor:
     return Sensor(
         sensor_id=sensor_id,
         motion=MotionModel(position=Vec2(x, y), max_speed=2.0, period=1.0),
-        communication_range=60.0,
         sensing_range=40.0,
     )
 

@@ -1,4 +1,4 @@
-"""Parity tests: indexed point-neighbor queries vs the brute reference."""
+"""Parity tests: indexed base-station adjacency vs the brute reference."""
 
 import random
 
@@ -6,73 +6,83 @@ import pytest
 
 from repro.field import Field, two_obstacle_field
 from repro.geometry import Vec2
-from repro.mobility import MotionModel
-from repro.network import Radio
-from repro.sensors import Sensor
+from repro.sim import SimulationConfig, World
+from tests.oracles import BruteRadio, uncached
 
 FIELD_SIZE = 300.0
 
 
-def make_sensors(rng, n, field, rc=40.0):
-    sensors = []
-    while len(sensors) < n:
+def make_world(positions, field, rc, base_station):
+    config = SimulationConfig(
+        sensor_count=len(positions),
+        communication_range=rc,
+        sensing_range=25.0,
+        duration=10.0,
+        seed=1,
+        clustered_start=False,
+        base_station=base_station,
+    )
+    return World.create(config, field, initial_positions=positions)
+
+
+def free_positions(rng, n, field):
+    positions = []
+    while len(positions) < n:
         p = Vec2(rng.uniform(0, FIELD_SIZE), rng.uniform(0, FIELD_SIZE))
-        if not field.is_free(p):
-            continue
-        sensors.append(
-            Sensor(
-                sensor_id=len(sensors),
-                motion=MotionModel(position=p, max_speed=2.0, period=1.0),
-                communication_range=rc,
-                sensing_range=25.0,
-            )
-        )
-    return sensors
+        if field.is_free(p):
+            positions.append(p)
+    return positions
 
 
 @pytest.mark.parametrize("trial", range(8))
-@pytest.mark.parametrize("line_of_sight", [False, True])
-def test_indexed_point_query_matches_bruteforce(trial, line_of_sight):
+def test_indexed_point_query_matches_bruteforce(trial):
     rng = random.Random(1000 + trial)
     field = two_obstacle_field(FIELD_SIZE) if trial % 2 else Field(FIELD_SIZE, FIELD_SIZE)
-    radio = Radio(field, line_of_sight=line_of_sight)
-    sensors = make_sensors(rng, rng.randint(8, 60), field)
+    positions = free_positions(rng, rng.randint(8, 60), field)
     rc = rng.uniform(20.0, 80.0)
     for _ in range(5):
         point = Vec2(rng.uniform(0, FIELD_SIZE), rng.uniform(0, FIELD_SIZE))
-        fast = radio.neighbors_of_point(point, sensors, rc)
-        brute = radio.neighbors_of_point_bruteforce(point, sensors, rc)
-        assert fast == brute
+        world = make_world(positions, field, rc, point)
+        brute = BruteRadio(rc).neighbors_of_point(point, world.sensors)
+        assert world.sensors_near_base_station() == brute
 
 
-def test_small_population_uses_brute_path_and_agrees():
+@pytest.mark.parametrize("trial", range(8))
+def test_point_query_skips_failed_sensors(trial):
+    rng = random.Random(1500 + trial)
+    field = two_obstacle_field(FIELD_SIZE) if trial % 2 else Field(FIELD_SIZE, FIELD_SIZE)
+    positions = free_positions(rng, rng.randint(8, 60), field)
+    rc = rng.uniform(20.0, 80.0)
+    for _ in range(5):
+        point = Vec2(rng.uniform(0, FIELD_SIZE), rng.uniform(0, FIELD_SIZE))
+        world = make_world(positions, field, rc, point)
+        # Fail the sensors the base station hears first: a stale answer
+        # would still list them.
+        near = world.sensors_near_base_station()
+        for sid in near[: max(1, len(near) // 2)]:
+            world.remove_sensor(sid)
+        world.add_sensor(point)
+        fast = world.sensors_near_base_station()
+        assert fast == uncached(world).sensors_near_base_station()
+        assert len(world.sensors) - 1 in fast
+
+
+def test_small_population_agrees():
     field = Field(FIELD_SIZE, FIELD_SIZE)
-    radio = Radio(field)
-    rng = random.Random(7)
-    sensors = make_sensors(rng, 5, field)  # below the index threshold
+    positions = free_positions(random.Random(7), 5, field)
     point = Vec2(150.0, 150.0)
-    assert radio.neighbors_of_point(
-        point, sensors, 100.0
-    ) == radio.neighbors_of_point_bruteforce(point, sensors, 100.0)
+    world = make_world(positions, field, 100.0, point)
+    assert world.sensors_near_base_station() == BruteRadio(
+        100.0
+    ).neighbors_of_point(point, world.sensors)
 
 
 def test_boundary_distance_is_inclusive_on_both_paths():
     field = Field(FIELD_SIZE, FIELD_SIZE)
-    radio = Radio(field)
-    sensors = [
-        Sensor(
-            sensor_id=i,
-            motion=MotionModel(
-                position=Vec2(10.0 * (i + 1), 0.0), max_speed=2.0, period=1.0
-            ),
-            communication_range=40.0,
-            sensing_range=25.0,
-        )
-        for i in range(10)
-    ]
+    positions = [Vec2(10.0 * (i + 1), 0.0) for i in range(10)]
     point = Vec2(0.0, 0.0)
+    world = make_world(positions, field, 40.0, point)
     # Sensor 3 sits exactly at distance 40; both paths must include it.
-    fast = radio.neighbors_of_point(point, sensors, 40.0)
-    brute = radio.neighbors_of_point_bruteforce(point, sensors, 40.0)
-    assert fast == brute
+    fast = world.sensors_near_base_station()
+    assert fast == BruteRadio(40.0).neighbors_of_point(point, world.sensors)
     assert 3 in fast and 4 not in fast

@@ -1,77 +1,71 @@
-"""Tests for the unit-disk radio model."""
+"""Tests for the unit-disk radio model, as the world answers it."""
 
-import pytest
-
-from repro.field import Field, Obstacle
+from repro.field import Field
 from repro.geometry import Vec2
-from repro.mobility import MotionModel
-from repro.network import Radio
-from repro.sensors import Sensor
+from repro.network import LINK_EPS
+from repro.sim import SimulationConfig, World
 
 
-def make_sensor(sensor_id: int, x: float, y: float, rc: float = 30.0) -> Sensor:
-    return Sensor(
-        sensor_id=sensor_id,
-        motion=MotionModel(position=Vec2(x, y), max_speed=2.0, period=1.0),
+def make_world(positions, rc: float = 30.0, size: float = 400.0) -> World:
+    config = SimulationConfig(
+        sensor_count=len(positions),
         communication_range=rc,
         sensing_range=20.0,
+        duration=10.0,
+        seed=1,
+        clustered_start=False,
+    )
+    return World.create(
+        config, Field(size, size), initial_positions=[Vec2(x, y) for x, y in positions]
     )
 
 
 class TestLinks:
     def test_link_within_range(self):
-        radio = Radio(Field(100, 100))
-        assert radio.link_exists(Vec2(0, 0), Vec2(0, 29), 30.0)
+        assert make_world([(0, 0), (0, 29)]).neighbor_table() == {0: [1], 1: [0]}
 
     def test_no_link_beyond_range(self):
-        radio = Radio(Field(100, 100))
-        assert not radio.link_exists(Vec2(0, 0), Vec2(0, 31), 30.0)
+        assert make_world([(0, 0), (0, 31)]).neighbor_table() == {0: [], 1: []}
 
-    def test_line_of_sight_blocking(self):
-        field = Field(100, 100, [Obstacle.rectangle(40, 0, 60, 100)])
-        blocking = Radio(field, line_of_sight=True)
-        transparent = Radio(field, line_of_sight=False)
-        assert not blocking.link_exists(Vec2(30, 50), Vec2(70, 50), 100.0)
-        assert transparent.link_exists(Vec2(30, 50), Vec2(70, 50), 100.0)
+    def test_boundary_is_inclusive_within_link_eps(self):
+        world = make_world([(0, 0), (30.0 + 0.5 * LINK_EPS, 0)])
+        assert world.neighbor_table() == {0: [1], 1: [0]}
 
 
 class TestNeighborTables:
     def test_neighbor_table_symmetry(self):
-        radio = Radio(Field(200, 200))
-        sensors = [make_sensor(0, 0, 0), make_sensor(1, 20, 0), make_sensor(2, 100, 100)]
-        table = radio.neighbor_table(sensors)
+        table = make_world([(0, 0), (20, 0), (100, 100)]).neighbor_table()
         assert 1 in table[0] and 0 in table[1]
         assert table[2] == []
 
     def test_empty_population(self):
-        radio = Radio(Field(200, 200))
-        assert radio.neighbor_table([]) == {}
+        assert make_world([]).neighbor_table() == {}
 
-    def test_neighbors_of_point(self):
-        radio = Radio(Field(200, 200))
-        sensors = [make_sensor(0, 10, 0), make_sensor(1, 50, 0)]
-        assert radio.neighbors_of_point(Vec2(0, 0), sensors, 30.0) == [0]
+    def test_single_sensor(self):
+        world = make_world([(10, 0)])
+        assert world.neighbor_table() == {0: []}
+        assert world.sensors_near_base_station() == [0]
+        rows, cols = world.neighbor_pairs()
+        assert rows.size == cols.size == 0
+
+    def test_base_station_neighbors(self):
+        assert make_world([(10, 0), (50, 0)]).sensors_near_base_station() == [0]
 
 
 class TestConnectivity:
     def test_connected_chain(self):
-        radio = Radio(Field(200, 200))
-        sensors = [make_sensor(i, 25.0 * i, 0.0) for i in range(5)]
-        assert radio.network_is_connected(sensors, Vec2(0, 0), 30.0)
+        world = make_world([(25.0 * i, 0.0) for i in range(5)])
+        assert world.network_is_connected()
 
     def test_broken_chain(self):
-        radio = Radio(Field(400, 400))
-        sensors = [make_sensor(0, 20, 0), make_sensor(1, 45, 0), make_sensor(2, 300, 0)]
-        assert not radio.network_is_connected(sensors, Vec2(0, 0), 30.0)
-        component = radio.connected_component_of(sensors, Vec2(0, 0), 30.0)
-        assert component == {0, 1}
+        world = make_world([(20, 0), (45, 0), (300, 0)])
+        assert not world.network_is_connected()
+        assert world.connected_component_of() == {0, 1}
 
     def test_isolated_base_station(self):
-        radio = Radio(Field(400, 400))
-        sensors = [make_sensor(0, 300, 300)]
-        assert radio.connected_component_of(sensors, Vec2(0, 0), 30.0) == set()
-        assert not radio.network_is_connected(sensors, Vec2(0, 0), 30.0)
+        world = make_world([(300, 300)])
+        assert world.connected_component_of() == set()
+        assert not world.network_is_connected()
 
     def test_empty_network_is_connected(self):
-        radio = Radio(Field(100, 100))
-        assert radio.network_is_connected([], Vec2(0, 0), 30.0)
+        assert make_world([]).network_is_connected()

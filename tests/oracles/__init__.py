@@ -2,16 +2,16 @@
 
 The production code has one fast path per concern; the slower reference
 implementations it is checked against live here, as small subclasses or
-functions that tests (and ``benchmarks/test_perf_spatial.py``) import:
+functions that tests (and ``benchmarks/perfbench.py``) import:
 
-* :mod:`.world` — a radio that always takes the brute-force scans and a
-  world whose queries bypass the neighbour cache and the incremental
-  coverage tracker;
+* :mod:`.world` — dense-scan answers to every neighbour query of the
+  unit-disk model (:class:`BruteRadio`) and a world whose queries bypass
+  the neighbour cache and the incremental coverage tracker;
 * :mod:`.floor` — an exhaustive floor-registry scan and an invitation
   protocol that walks every tree route with the scalar walk;
 * :mod:`.seed` — the paper's literal step ladder, the seed CPVF dynamics
-  (:class:`SeedCPVF`) and the seed neighbour-table / coverage /
-  CPVF-period algorithms with their timers.
+  (:class:`SeedCPVF`) and the seed neighbour-table / coverage
+  algorithms (their timers live in ``benchmarks/perfbench.py``).
 """
 
 from .floor import ExhaustiveFloorRegistry, ScalarWalkInvitations, scalar_walks
@@ -20,10 +20,7 @@ from .seed import (
     SeedCPVF,
     max_valid_step_reference,
     seed_coverage_fraction,
-    seed_coverage_ms,
-    seed_cpvf_period_ms,
     seed_neighbor_table,
-    seed_neighbor_table_ms,
     step_is_valid,
 )
 from .world import BruteRadio, UncachedWorld, uncached
@@ -40,8 +37,5 @@ __all__ = [
     "step_is_valid",
     "max_valid_step_reference",
     "seed_neighbor_table",
-    "seed_neighbor_table_ms",
     "seed_coverage_fraction",
-    "seed_coverage_ms",
-    "seed_cpvf_period_ms",
 ]

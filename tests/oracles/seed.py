@@ -1,18 +1,18 @@
 """The paper's literal step ladder, the seed CPVF dynamics, and the seed
-algorithms' perf baselines.
+neighbour-table and coverage algorithms.
 
-The seed neighbour table, coverage scan and CPVF period are kept verbatim
-here (rather than in the library) so the perf floors of
+The seed neighbour table, coverage scan and CPVF dynamics are kept
+verbatim here (rather than in the library) so the perf floors of
 ``benchmarks/test_perf_spatial.py`` keep timing the seed algorithms even
-as the library improves.  Each timer checks its seed answer against the
-library before timing.  :class:`SeedCPVF` is also the reference the
-production CPVF modes are compared against (message parity, plateau
-agreement, parent-change parity).
+as the library improves (the timers live in ``benchmarks/perfbench.py``
+and check each seed answer against the library before timing).
+:class:`SeedCPVF` is also the reference the production CPVF modes are
+compared against (message parity, plateau agreement, parent-change
+parity).
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -20,16 +20,8 @@ import numpy as np
 
 from repro.core import CPVFScheme
 from repro.core.connectivity import STEP_FRACTIONS
-from repro.experiments.perfbench import (
-    best_of,
-    coverage_moves,
-    perf_world,
-    time_cpvf_periods,
-)
-from repro.geometry import Segment, Vec2
+from repro.geometry import Vec2
 from repro.network import BASE_STATION_ID, MessageType
-
-from .world import uncached
 
 
 @dataclass(frozen=True)
@@ -200,26 +192,21 @@ class SeedCPVF(CPVFScheme):
         return 0.0
 
 
-def seed_neighbor_table(radio, sensors) -> Dict[int, List[int]]:
-    """The seed ``Radio.neighbor_table``: dense ``sqrt`` matrix, row loops."""
+def seed_neighbor_table(sensors, communication_range) -> Dict[int, List[int]]:
+    """The seed neighbour table: dense ``sqrt`` matrix, row loops."""
     ids = [s.sensor_id for s in sensors]
     if not ids:
         return {}
     xs = np.array([s.position.x for s in sensors])
     ys = np.array([s.position.y for s in sensors])
-    rcs = np.array([s.communication_range for s in sensors])
     dx = xs[:, None] - xs[None, :]
     dy = ys[:, None] - ys[None, :]
     dist = np.sqrt(dx * dx + dy * dy)
     table: Dict[int, List[int]] = {i: [] for i in ids}
     for i in range(len(sensors)):
-        within = np.flatnonzero(dist[i] <= rcs[i] + 1e-9)
+        within = np.flatnonzero(dist[i] <= communication_range + 1e-9)
         for j in within:
             if j == i:
-                continue
-            if radio.line_of_sight and radio.field.segment_blocked(
-                Segment(sensors[i].position, sensors[j].position)
-            ):
                 continue
             table[ids[i]].append(ids[int(j)])
     return table
@@ -243,48 +230,3 @@ def seed_coverage_fraction(field, positions, sensing_range, resolution) -> float
             covered[idx[hit]] = True
     free = ~obstacle_mask
     return grid.fraction(covered & free, domain=free)
-
-
-def seed_neighbor_table_ms(
-    n: int, seed: int = 3, clustered: bool = False, repeats: int = 10
-) -> float:
-    """Seed neighbour-table build time on the ``measure_neighbor_table`` layout."""
-    world = perf_world(n, seed, clustered)
-    sensors, radio = world.sensors, world.radio
-    if seed_neighbor_table(radio, sensors) != radio.neighbor_table_indexed(sensors):
-        raise AssertionError("seed neighbor table diverged from indexed table")
-    seed_s = best_of(lambda: seed_neighbor_table(radio, sensors), repeats, rounds=5)
-    return seed_s * 1000.0
-
-
-def seed_cpvf_period_ms(n: int, seed: int = 3, periods: int = 6) -> float:
-    """Seed CPVF period time on the ``measure_cpvf_period`` layout.
-
-    The seed configuration: :class:`SeedCPVF` (sequential decisions, the
-    literal step ladder) on an uncached world with brute-force radio and
-    coverage.
-    """
-    world = uncached(perf_world(n, seed, clustered=True))
-    seed_s = time_cpvf_periods(world, SeedCPVF(), periods)
-    return seed_s * 1000.0
-
-
-def seed_coverage_ms(
-    n: int, seed: int = 3, moved_fraction: float = 0.02, rounds: int = 5
-) -> float:
-    """Seed coverage-scan time over the ``measure_coverage`` move sequence."""
-    world = perf_world(n, seed, clustered=False)
-    rs = world.config.sensing_range
-    res = world.config.coverage_resolution
-    positions = np.array([(s.position.x, s.position.y) for s in world.sensors])
-    seed_s = 0.0
-    for current in coverage_moves(
-        positions, world.field.width, seed, moved_fraction, rounds
-    ):
-        vecs = [Vec2(x, y) for x, y in current]
-        start = time.perf_counter()
-        value = seed_coverage_fraction(world.field, vecs, rs, res)
-        seed_s += time.perf_counter() - start
-        if value != world.field.coverage_fraction(vecs, rs, res):
-            raise AssertionError("seed coverage diverged from library scan")
-    return seed_s / rounds * 1000.0

@@ -1,52 +1,109 @@
-"""Brute-force radio and uncached world (parity references)."""
+"""Brute-force neighbour queries and an uncached world (parity references)."""
 
 from __future__ import annotations
 
-from dataclasses import fields
-from typing import Dict, List, Optional, Set
+from dataclasses import dataclass, fields
+from typing import Dict, List, Set
 
 import numpy as np
 
-from repro.network import Radio
+from repro.network import LINK_EPS
 from repro.sim import World
-from repro.spatial.cache import pairs_from_table
 
 
-class BruteRadio(Radio):
-    """A radio whose tables and point queries always take the brute scans."""
+@dataclass(frozen=True)
+class BruteRadio:
+    """Dense-scan answers to every neighbour query of the unit-disk model.
+
+    The reference the :class:`~repro.spatial.NeighborCache` fast paths are
+    checked against: two nodes are linked when their squared distance is
+    at most ``(communication_range + LINK_EPS) ** 2`` (a point query
+    compares the distance against ``communication_range + LINK_EPS``).
+    """
+
+    communication_range: float
+
+    def _within(self, sensors, extra_radius: float = 0.0):
+        """The full in-range matrix (no self-links) and squared distances."""
+        xs = np.array([s.position.x for s in sensors], dtype=float)
+        ys = np.array([s.position.y for s in sensors], dtype=float)
+        dx = xs[:, None] - xs[None, :]
+        dy = ys[:, None] - ys[None, :]
+        d2 = dx * dx + dy * dy
+        limit = self.communication_range + LINK_EPS + extra_radius
+        within = d2 <= limit * limit
+        np.fill_diagonal(within, False)
+        return within, d2
 
     def neighbor_table(self, sensors) -> Dict[int, List[int]]:
-        return self.neighbor_table_bruteforce(sensors)
+        """Neighbour lists keyed by sensor id, from the full distance matrix."""
+        ids = [s.sensor_id for s in sensors]
+        within, _ = self._within(sensors)
+        return {
+            ids[i]: [ids[j] for j in np.flatnonzero(within[i]).tolist()]
+            for i in range(len(ids))
+        }
 
-    def neighbors_of_point(
-        self, point, sensors, communication_range, index=None
-    ) -> List[int]:
-        return self.neighbors_of_point_bruteforce(
-            point, sensors, communication_range
-        )
+    def neighbor_pairs(self, sensors, extra_radius: float = 0.0):
+        """``(rows, cols, d2)`` within ``communication_range + extra_radius``.
+
+        Indices into ``sensors``, sorted by ``(row, col)``; the acceptance
+        limit is formed as ``communication_range + LINK_EPS +
+        extra_radius``, the same float expression the cache uses.
+        """
+        within, d2 = self._within(sensors, extra_radius)
+        rows, cols = np.nonzero(within)
+        rows = rows.astype(np.intp)
+        cols = cols.astype(np.intp)
+        return rows, cols, d2[rows, cols]
+
+    def neighbors_of_point(self, point, sensors) -> List[int]:
+        """Ids of the sensors in range of ``point``, in input order."""
+        limit = self.communication_range + LINK_EPS
+        return [
+            s.sensor_id for s in sensors if point.distance_to(s.position) <= limit
+        ]
+
+    def connected_component_of(self, sensors, base_station) -> Set[int]:
+        """Ids reachable from ``base_station`` over multi-hop links."""
+        table = self.neighbor_table(sensors)
+        frontier = self.neighbors_of_point(base_station, sensors)
+        reached: Set[int] = set(frontier)
+        while frontier:
+            for nxt in table.get(frontier.pop(), ()):
+                if nxt not in reached:
+                    reached.add(nxt)
+                    frontier.append(nxt)
+        return reached
+
+    def network_is_connected(self, sensors, base_station) -> bool:
+        """Whether every sensor has a multi-hop route to ``base_station``."""
+        component = self.connected_component_of(sensors, base_station)
+        return len(component) == len(sensors)
 
 
 class UncachedWorld(World):
     """A world whose queries recompute from scratch on every call.
 
-    Neighbour queries go through the radio (a :class:`BruteRadio` when
-    built by :func:`uncached`) over the live sensors, and coverage is the
-    library's brute-force ``Field.coverage_fraction`` scan — no
-    ``NeighborCache``, no ``IncrementalCoverage``.
+    Neighbour queries are :class:`BruteRadio` scans over the live sensors,
+    and coverage is the library's brute-force ``Field.coverage_fraction``
+    scan — no ``NeighborCache``, no ``IncrementalCoverage``.
     """
 
+    @property
+    def brute(self) -> BruteRadio:
+        return BruteRadio(self.config.communication_range)
+
     def neighbor_table(self) -> Dict[int, List[int]]:
-        return self.radio.neighbor_table(self.alive_sensors())
+        return self.brute.neighbor_table(self.alive_sensors())
 
     def neighbor_pairs(self, extra_radius: float = 0.0, with_d2: bool = False):
         alive = self.alive_sensors()
-        rows, cols, d2 = pairs_from_table(
-            alive, self.radio.neighbor_table(alive)
-        )
+        rows, cols, d2 = self.brute.neighbor_pairs(alive, extra_radius)
         if len(alive) != len(self.sensors):
-            # pairs_from_table emits positions into the alive subset; the
-            # batched kernel indexes whole-population arrays, so remap to
-            # full-list indices (== sensor ids).
+            # Positions into the alive subset; the batched kernel indexes
+            # whole-population arrays, so remap to full-list indices
+            # (== sensor ids).
             ids = np.fromiter(
                 (s.sensor_id for s in alive), dtype=np.intp, count=len(alive)
             )
@@ -56,28 +113,18 @@ class UncachedWorld(World):
             return rows, cols, d2
         return rows, cols
 
-    def pairs_maintenance_hint(self, extra_radius: float = 0.0) -> str:
-        return "rebuild"
-
-    def pairs_maintenance_last(self) -> Optional[str]:
-        return None
-
     def neighbor_rows(self, sensor_ids) -> Dict[int, List[int]]:
-        table = self.radio.neighbor_table(self.alive_sensors())
+        table = self.neighbor_table()
         return {sid: list(table.get(sid, ())) for sid in sensor_ids}
 
     def sensors_near_base_station(self) -> List[int]:
-        return self.radio.neighbors_of_point(
-            self.base_station,
-            self.alive_sensors(),
-            self.config.communication_range,
+        return self.brute.neighbors_of_point(
+            self.base_station, self.alive_sensors()
         )
 
     def connected_component_of(self) -> Set[int]:
-        return self.radio.connected_component_of(
-            self.alive_sensors(),
-            self.base_station,
-            self.config.communication_range,
+        return self.brute.connected_component_of(
+            self.alive_sensors(), self.base_station
         )
 
     def coverage(self) -> float:
@@ -88,21 +135,16 @@ class UncachedWorld(World):
         )
 
     def network_is_connected(self) -> bool:
-        return self.radio.network_is_connected(
-            self.alive_sensors(),
-            self.base_station,
-            self.config.communication_range,
+        return self.brute.network_is_connected(
+            self.alive_sensors(), self.base_station
         )
 
 
 def uncached(world: World) -> UncachedWorld:
-    """An :class:`UncachedWorld` over ``world``'s state with a brute radio.
+    """An :class:`UncachedWorld` over ``world``'s state.
 
     The sensors, tree, statistics and RNG are shared with ``world``;
     scalar fields (time, period and population counters) are copied.
     """
     state = {f.name: getattr(world, f.name) for f in fields(World) if f.init}
-    state["radio"] = BruteRadio(
-        world.field, line_of_sight=world.radio.line_of_sight
-    )
     return UncachedWorld(**state)

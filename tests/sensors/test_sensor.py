@@ -7,11 +7,10 @@ from repro.mobility import MotionModel
 from repro.sensors import Sensor, SensorState
 
 
-def make_sensor(rc=60.0, rs=40.0) -> Sensor:
+def make_sensor(rs=40.0) -> Sensor:
     return Sensor(
         sensor_id=7,
         motion=MotionModel(position=Vec2(10, 20), max_speed=2.0, period=1.0),
-        communication_range=rc,
         sensing_range=rs,
     )
 
@@ -33,21 +32,8 @@ class TestSensor:
         assert sensor.moving_distance == pytest.approx(5.0)
 
     def test_disks(self):
-        sensor = make_sensor(rc=50, rs=30)
+        sensor = make_sensor(rs=30)
         assert sensor.sensing_disk().radius == 30
-        assert sensor.communication_disk().radius == 50
-
-    def test_expansion_circle_radius(self):
-        assert make_sensor(rc=60, rs=40).expansion_circle_radius() == 40
-        assert make_sensor(rc=30, rs=40).expansion_circle_radius() == 30
-
-    def test_in_communication_range(self):
-        a = make_sensor(rc=60)
-        b = make_sensor(rc=60)
-        b.position = Vec2(10 + 59, 20)
-        assert a.in_communication_range(b)
-        b.position = Vec2(10 + 61, 20)
-        assert not a.in_communication_range(b)
 
     def test_covers(self):
         sensor = make_sensor(rs=40)

@@ -1,15 +1,15 @@
 """Incremental pair maintenance: the store must be invisible.
 
-``NeighborCache.neighbor_pairs`` now answers most requests from a
+``NeighborCache.neighbor_pairs`` answers every request from a
 :class:`~repro.spatial.PairStore` — an inflated-radius pair set anchored
 at frozen positions, repaired in place when sensors out-drift their
 slack budget.  The contract is *bit-identical* output: every answer,
-whatever maintenance path produced it (serve, repair, rebuild, memo,
-nesting derivation), must equal a fresh
-``SpatialIndex.neighbor_pairs_directed`` build over the live positions —
-same pairs, same lexicographic order, same float64 squared distances.
-This module pins that contract across drift, teleports, mixed-radius
-request sequences, population churn and the numpy-only fallback.
+whatever maintenance path produced it (serve, repair, rebuild), must
+equal a fresh ``SpatialIndex.neighbor_pairs_directed`` build over the
+live positions — same pairs, same lexicographic order, same float64
+squared distances.  This module pins that contract across drift,
+teleports, mixed-radius request sequences, population churn and the
+numpy-only fallback.
 """
 
 import random
@@ -17,12 +17,16 @@ import random
 import numpy as np
 import pytest
 
+from repro.core import CPVFScheme
 from repro.experiments.common import SMOKE_SCALE, make_config, make_world
 from repro.geometry import Vec2
+from repro.network import LINK_EPS
+from repro.obs import Telemetry
+from repro.sim.lifecycle import FaultInjector, sensor_failure, sensor_join
 from repro.spatial import PairStore, SpatialIndex
 from repro.spatial import pairstore as pairstore_mod
-from repro.spatial.cache import _LINK_EPS, _PAIRS_MEMO_LIMIT
 from repro.spatial.pairstore import directed_pairs_sorted
+from tests.oracles import uncached
 
 FIELD = 200.0
 
@@ -179,12 +183,28 @@ class TestPairStore:
         assert store.movers(x[:-1], y[:-1], 40.0) is None  # churned length
 
 
+def _traced(world):
+    """Install a live telemetry collector: the cache reports every pair
+    request as ``cpvf.pairs_repaired`` (serve or repair) or
+    ``cpvf.pairs_rebuilt``."""
+    tel = Telemetry()
+    world.telemetry = tel
+    return tel
+
+
+def _events(tel):
+    return (
+        tel.counter("cpvf.pairs_repaired"),
+        tel.counter("cpvf.pairs_rebuilt"),
+    )
+
+
 class TestWorldIncrementalPairs:
     """The cache-level integration: drift cycles, events, exactness."""
 
     def _expected(self, world, extra):
         xs, ys = _world_arrays(world)
-        limit = world.config.communication_range + _LINK_EPS + extra
+        limit = world.config.communication_range + LINK_EPS + extra
         return _fresh_pairs(xs, ys, limit)
 
     @pytest.mark.parametrize("seed", [1, 9])
@@ -192,8 +212,8 @@ class TestWorldIncrementalPairs:
         """Small per-period drift: serves/repairs stay exact vs rebuild."""
         world = _world(n=70, seed=seed)
         rng = random.Random(seed)
-        cache = world._cache()
-        extras = (7.5, 0.0)  # larger first: the 0.0 answer derives from it
+        tel = _traced(world)
+        extras = (7.5, 0.0)  # larger first: the 0.0 answer masks its store
         for period in range(10):
             _jiggle(rng, world, step=1.5)
             if period == 6:
@@ -205,38 +225,27 @@ class TestWorldIncrementalPairs:
             for extra in extras:
                 got = world.neighbor_pairs(extra, with_d2=True)
                 _assert_exact(got, self._expected(world, extra))
-        events = cache.pair_events
-        # The maintained store must actually carry the run: the first
-        # period builds it, later periods serve or repair.
-        assert events["rebuilds"] >= 1
-        assert events["serves"] + events["repairs"] >= 3
-        assert events["bypasses"] == 0
-
-    def test_hint_predicts_maintenance_kind(self):
-        world = _world(n=50, seed=7)
-        rng = random.Random(7)
-        for period in range(6):
-            _jiggle(rng, world, step=2.0)
-            hint = world.pairs_maintenance_hint()
-            world.neighbor_pairs()
-            last = world.pairs_maintenance_last()
-            incremental = last in ("memo", "derived", "serve", "repair")
-            assert (hint == "incremental") == incremental
-            # Same epoch, second request: always a memo hit.
-            assert world.pairs_maintenance_hint() == "incremental"
-            world.neighbor_pairs()
-            assert world.pairs_maintenance_last() == "memo"
+        repaired, rebuilt = _events(tel)
+        # Every request is reported exactly once, and the maintained
+        # store carries the run: the first request builds it, later ones
+        # serve or repair.
+        assert repaired + rebuilt == 2 * 10
+        assert rebuilt >= 1
+        assert repaired >= 3
+        phases = tel.summary().phases
+        assert "cpvf.pairs" in phases and "cpvf.pairs_incremental" in phases
 
     def test_mass_teleport_triggers_rebuild_and_stays_exact(self):
         world = _world(n=60, seed=3)
         rng = random.Random(3)
+        tel = _traced(world)
         world.neighbor_pairs()  # build the store
         for sensor in world.sensors:
             sensor.motion.move_to(
                 Vec2(rng.uniform(0, FIELD), rng.uniform(0, FIELD))
             )
         got = world.neighbor_pairs(with_d2=True)
-        assert world.pairs_maintenance_last() == "rebuild"
+        assert _events(tel) == (0, 2)
         _assert_exact(got, self._expected(world, 0.0))
 
     def test_mixed_radius_sequence_regression(self):
@@ -248,13 +257,12 @@ class TestWorldIncrementalPairs:
         masking — never a stale or truncated pair set.
         """
         world = _world(n=60, seed=11)
-        cache = world._cache()
+        tel = _traced(world)
         # The store is inflated by 20%, so an extra beyond 0.2 * rc
         # cannot be served from the 0-radius store.
         big = 0.25 * world.config.communication_range
         sequence = (0.0, big, 0.0)
         for period, extra in enumerate(sequence):
-            # New epoch each step so the memo cannot short-circuit.
             world.sensors[0].motion.move_to(
                 world.sensors[0].position + Vec2(0.01, 0.0)
             )
@@ -262,8 +270,7 @@ class TestWorldIncrementalPairs:
             _assert_exact(got, self._expected(world, extra))
         # Step 1 builds, step 2 outgrows the store (rebuild at the
         # inflated radius), step 3 serves the smaller radius from it.
-        assert cache.pair_events["rebuilds"] == 2
-        assert cache.pair_events["serves"] == 1
+        assert _events(tel) == (1, 2)
         # And the 0-radius answer still equals the neighbour table.
         rows, cols = world.neighbor_pairs()
         table = world.neighbor_table()
@@ -274,66 +281,96 @@ class TestWorldIncrementalPairs:
             )
         assert rebuilt == table
 
-    def test_memo_is_bounded(self):
-        world = _world(n=40, seed=2)
-        cache = world._cache()
-        for k in range(2 * _PAIRS_MEMO_LIMIT):
-            world.neighbor_pairs(float(k))
-        assert len(cache._pairs) <= _PAIRS_MEMO_LIMIT
-        # Bounded, yet every answer stays exact (evicted radii recompute).
-        got = world.neighbor_pairs(1.0, with_d2=True)
-        _assert_exact(got, self._expected(world, 1.0))
-
 
 class TestChurnInvalidation:
-    """Population churn: rebuild, never repair, and survivor parity."""
+    """Population churn: one rebuild, then the store serves again."""
 
     @pytest.mark.parametrize("trial", range(4))
-    def test_churned_pairs_equal_fresh_world_of_survivors(self, trial):
-        rng = random.Random(7000 + trial)
+    def test_churned_pairs_served_by_store_and_match_oracle(self, trial):
+        """After a failure and a join, the batched kernel's periodic
+        request is answered by the store (serve or repair) over the
+        survivors, not rebuilt every period, and each answer is
+        bit-identical to the brute-force oracle's."""
         world = _world(n=50, seed=trial)
-        # Warm the store across a couple of drift epochs first.
-        for _ in range(2):
-            _jiggle(rng, world, step=1.0)
-            world.neighbor_pairs()
-        cache = world._cache()
-        assert cache._pair_store is not None
-
-        victims = rng.sample(
-            [s.sensor_id for s in world.alive_sensors()], rng.randint(1, 8)
+        scheme = CPVFScheme(mode="batched")
+        scheme.initialize(world)
+        tel = _traced(world)
+        injector = FaultInjector(
+            world,
+            scheme,
+            [sensor_failure(2, count=4), sensor_join(2, count=3)],
         )
-        for sid in victims:
-            world.remove_sensor(sid)
-        # Churn drops the store wholesale — its anchors are meaningless
-        # over a different population.
-        assert cache._pair_store is None
+        extra = 2.0 * world.config.max_step
+        cache = world._cache()
+        after_churn = None
+        for period in range(10):
+            if period == 2:
+                after_churn = _events(tel)
+            injector.fire(period)
+            scheme.step(world)
+            got = world.neighbor_pairs(extra, with_d2=True)
+            _assert_exact(got, uncached(world).neighbor_pairs(extra, with_d2=True))
+            # The store answered, anchored over exactly the survivors.
+            assert cache._pair_store is not None
+            assert cache._pair_store.n == world.alive_count()
+        assert world.alive_count() < len(world.sensors)
+        repaired, rebuilt = _events(tel)
+        repaired -= after_churn[0]
+        rebuilt -= after_churn[1]
+        # Eight churned periods, two requests each (kernel + check).  The
+        # churn costs one rebuild and mass drift an occasional other one;
+        # the rest are served by the store.
+        assert repaired + rebuilt == 2 * 8
+        assert 1 <= rebuilt <= 4
 
-        rows, cols = world.neighbor_pairs()
-        # The churned cache's pair set equals the authoritative table of
-        # the surviving population (ids, not positions).
-        table = world.neighbor_table()
-        rebuilt = {sid: [] for sid in table}
-        for r, c in zip(rows.tolist(), cols.tolist()):
-            rebuilt[world.sensors[r].sensor_id].append(
-                world.sensors[c].sensor_id
-            )
-        assert rebuilt == table
-        # With dead sensors the store is ineligible: the request must
-        # have bypassed it, not repaired a stale one.
-        assert world.pairs_maintenance_last() == "bypass"
-        assert world.pairs_maintenance_hint() == "incremental"  # memo now
-
-    def test_injection_forces_rebuild_not_repair(self):
+    def test_churn_drops_the_store(self):
         rng = random.Random(42)
         world = _world(n=40, seed=6)
         world.neighbor_pairs()
         cache = world._cache()
-        repairs_before = cache.pair_events["repairs"]
+        assert cache._pair_store is not None
+        world.remove_sensor(5)
+        # Churn drops the store wholesale — its anchors are meaningless
+        # over a different population.
+        assert cache._pair_store is None
+        world.neighbor_pairs()
+        assert cache._pair_store is not None
         world.add_sensor(Vec2(rng.uniform(0, FIELD), rng.uniform(0, FIELD)))
         assert cache._pair_store is None
+        tel = _traced(world)
         got = world.neighbor_pairs(with_d2=True)
-        assert cache.pair_events["repairs"] == repairs_before
-        assert world.pairs_maintenance_last() == "rebuild"
-        xs, ys = _world_arrays(world)
-        limit = world.config.communication_range + _LINK_EPS
-        _assert_exact(got, _fresh_pairs(xs, ys, limit))
+        assert _events(tel) == (0, 1)
+        alive = world.alive_sensors()
+        xs = np.array([s.position.x for s in alive], dtype=float)
+        ys = np.array([s.position.y for s in alive], dtype=float)
+        limit = world.config.communication_range + LINK_EPS
+        rows, cols, d2 = _fresh_pairs(xs, ys, limit)
+        ids = np.array([s.sensor_id for s in alive], dtype=np.intp)
+        _assert_exact(got, (ids[rows], ids[cols], d2))
+
+    @pytest.mark.parametrize("trial", range(8))
+    def test_churned_drift_served_by_store_all_radii(self, trial):
+        """Failures and joins, then drift: after the one rebuild the
+        churn costs, every request (both radii, every period) is served
+        or repaired from the survivors' store, bit-identical to the
+        oracle's answer."""
+        rng = random.Random(100 + trial)
+        world = _world(n=50, seed=trial)
+        world.neighbor_pairs()
+        for sid in rng.sample(range(len(world.sensors)), 5):
+            world.remove_sensor(sid)
+        for _ in range(3):
+            world.add_sensor(Vec2(rng.uniform(0, FIELD), rng.uniform(0, FIELD)))
+        tel = _traced(world)
+        extras = (0.5 * world.config.max_step, 0.0)
+        for _ in range(6):
+            _jiggle(rng, world, step=0.5)
+            for extra in extras:
+                got = world.neighbor_pairs(extra, with_d2=True)
+                _assert_exact(
+                    got, uncached(world).neighbor_pairs(extra, with_d2=True)
+                )
+                assert world._cache()._pair_store.n == world.alive_count()
+        repaired, rebuilt = _events(tel)
+        assert repaired + rebuilt == 2 * 6
+        assert rebuilt == 1

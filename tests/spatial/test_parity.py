@@ -1,13 +1,15 @@
 """Property-style parity tests: fast paths vs brute-force implementations.
 
-Randomized layouts — with and without obstacles and line-of-sight
-blocking — must produce *identical* neighbor tables, base-station
-adjacency, connectivity verdicts and coverage fractions through the
-spatial-index/cache/incremental paths and through the brute-force paths
-they replace.
+Randomized layouts — with and without obstacles, with and without
+population churn — must produce *identical* neighbor tables,
+base-station adjacency, connectivity verdicts and coverage fractions
+through the spatial-index/cache/incremental paths and through the
+brute-force references (``tests.oracles.BruteRadio``,
+``tests.oracles.UncachedWorld``, ``Field.coverage_fraction``).
 """
 
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,11 +20,12 @@ from repro.metrics import connectivity as conn_metrics
 from repro.metrics.connectivity import connected_components, positions_are_connected
 from repro.sim import SimulationConfig, World
 from repro.spatial import IncrementalCoverage
+from tests.oracles import BruteRadio, uncached
 
 FIELD_SIZE = 300.0
 
 
-def random_world(trial, n=None, with_obstacles=False, line_of_sight=False):
+def random_world(trial, n=None, with_obstacles=False):
     rng = random.Random(trial)
     n = n if n is not None else rng.randint(2, 60)
     field = (
@@ -44,9 +47,26 @@ def random_world(trial, n=None, with_obstacles=False, line_of_sight=False):
         p = Vec2(rng.uniform(0, FIELD_SIZE), rng.uniform(0, FIELD_SIZE))
         if field.is_free(p):
             positions.append(p)
-    world = World.create(config, field, initial_positions=positions)
-    world.radio.line_of_sight = line_of_sight
-    return world
+    return World.create(config, field, initial_positions=positions)
+
+
+def brute(world):
+    return BruteRadio(world.config.communication_range)
+
+
+def churn(world, rng):
+    """Fail about a quarter of the sensors and inject a few new ones.
+
+    Failed sensors keep their slots in ``world.sensors``; every query
+    must then answer over the survivors and the newcomers only.
+    """
+    n = len(world.sensors)
+    for sid in rng.sample(range(n), max(1, n // 4)):
+        world.remove_sensor(sid)
+    for _ in range(rng.randint(1, 4)):
+        world.add_sensor(
+            Vec2(rng.uniform(0, FIELD_SIZE), rng.uniform(0, FIELD_SIZE))
+        )
 
 
 def scatter(world, rng, count):
@@ -62,100 +82,109 @@ def scatter(world, rng, count):
                 break
 
 
-CASES = [
-    (False, False),
-    (True, False),
-    (True, True),
-    (False, True),
-]
-
-
 class TestNeighborTableParity:
-    @pytest.mark.parametrize("with_obstacles,line_of_sight", CASES)
+    @pytest.mark.parametrize("with_obstacles", [False, True])
     @pytest.mark.parametrize("trial", range(8))
-    def test_indexed_table_matches_bruteforce(
-        self, trial, with_obstacles, line_of_sight
-    ):
-        world = random_world(
-            trial, with_obstacles=with_obstacles, line_of_sight=line_of_sight
+    def test_indexed_table_matches_bruteforce(self, trial, with_obstacles):
+        world = random_world(trial, with_obstacles=with_obstacles)
+        # The world-level (cached) path agrees — including list order.
+        assert world.neighbor_table() == brute(world).neighbor_table(
+            world.sensors
         )
-        brute = world.radio.neighbor_table_bruteforce(world.sensors)
-        assert world.radio.neighbor_table_indexed(world.sensors) == brute
-        # The world-level (cached) path agrees too — including list order.
-        assert world.neighbor_table() == brute
 
-    @pytest.mark.parametrize("trial", range(6))
-    def test_heterogeneous_ranges(self, trial):
-        world = random_world(trial)
-        rng = random.Random(1000 + trial)
-        for sensor in world.sensors:
-            sensor.communication_range = rng.uniform(10.0, 80.0)
-        brute = world.radio.neighbor_table_bruteforce(world.sensors)
-        assert world.radio.neighbor_table_indexed(world.sensors) == brute
+    @pytest.mark.parametrize("with_obstacles", [False, True])
+    @pytest.mark.parametrize("trial", range(8))
+    def test_churned_table_matches_bruteforce(self, trial, with_obstacles):
+        world = random_world(trial, with_obstacles=with_obstacles)
+        world.neighbor_table()  # warm the cache before the churn
+        churn(world, random.Random(5000 + trial))
+        table = world.neighbor_table()
+        assert table == uncached(world).neighbor_table()
+        failed = {s.sensor_id for s in world.sensors} - {
+            s.sensor_id for s in world.alive_sensors()
+        }
+        assert failed and failed.isdisjoint(table)
 
 
 class TestBaseStationAndConnectivityParity:
-    @pytest.mark.parametrize("with_obstacles,line_of_sight", CASES)
+    @pytest.mark.parametrize("with_obstacles", [False, True])
     @pytest.mark.parametrize("trial", range(8))
-    def test_cached_queries_match_radio(
-        self, trial, with_obstacles, line_of_sight
-    ):
-        world = random_world(
-            trial, with_obstacles=with_obstacles, line_of_sight=line_of_sight
+    def test_cached_queries_match_brute(self, trial, with_obstacles):
+        world = random_world(trial, with_obstacles=with_obstacles)
+        radio = brute(world)
+        base = world.base_station
+        assert world.sensors_near_base_station() == radio.neighbors_of_point(
+            base, world.sensors
         )
-        rc = world.config.communication_range
-        radio = world.radio
-        expected_near = radio.neighbors_of_point(
-            world.base_station, world.sensors, rc
+        assert world.connected_component_of() == radio.connected_component_of(
+            world.sensors, base
         )
-        expected_component = radio.connected_component_of(
-            world.sensors, world.base_station, rc
-        )
-        assert world.sensors_near_base_station() == expected_near
-        assert world.connected_component_of() == expected_component
         assert world.network_is_connected() == radio.network_is_connected(
-            world.sensors, world.base_station, rc
+            world.sensors, base
         )
+
+    @pytest.mark.parametrize("with_obstacles", [False, True])
+    @pytest.mark.parametrize("trial", range(8))
+    def test_churned_queries_match_brute(self, trial, with_obstacles):
+        world = random_world(trial, with_obstacles=with_obstacles)
+        world.connected_component_of()  # warm the cache before the churn
+        churn(world, random.Random(6000 + trial))
+        oracle = uncached(world)
+        assert (
+            world.sensors_near_base_station()
+            == oracle.sensors_near_base_station()
+        )
+        assert world.connected_component_of() == oracle.connected_component_of()
+        assert world.network_is_connected() == oracle.network_is_connected()
 
     @pytest.mark.parametrize("trial", range(8))
     def test_cache_tracks_movement(self, trial):
         world = random_world(trial, n=40)
         rng = random.Random(2000 + trial)
+        radio = brute(world)
         for _ in range(5):
             scatter(world, rng, 3)
-            brute = world.radio.neighbor_table_bruteforce(world.sensors)
-            assert world.neighbor_table() == brute
+            assert world.neighbor_table() == radio.neighbor_table(world.sensors)
             assert world.sensors_near_base_station() == (
-                world.radio.neighbors_of_point(
-                    world.base_station,
-                    world.sensors,
-                    world.config.communication_range,
-                )
+                radio.neighbors_of_point(world.base_station, world.sensors)
             )
 
-    def test_cache_invalidates_on_radio_parameter_change(self):
+    @pytest.mark.parametrize("trial", range(8))
+    def test_churned_cache_tracks_movement(self, trial):
+        world = random_world(trial, n=40)
+        rng = random.Random(2000 + trial)
+        churn(world, rng)
+        for _ in range(5):
+            for sensor in rng.sample(world.alive_sensors(), 3):
+                while True:
+                    p = Vec2(
+                        rng.uniform(0, FIELD_SIZE), rng.uniform(0, FIELD_SIZE)
+                    )
+                    if world.field.is_free(p):
+                        sensor.position = p
+                        break
+            oracle = uncached(world)
+            assert world.neighbor_table() == oracle.neighbor_table()
+            assert (
+                world.sensors_near_base_station()
+                == oracle.sensors_near_base_station()
+            )
+
+    def test_cache_invalidates_on_range_change(self):
         world = random_world(5, n=30)
         before = world.neighbor_table()
-        # Mutating a sensor's range mid-run must not serve the stale table.
-        world.sensors[0].communication_range *= 2.0
+        # Changing the configured range mid-run must not serve the stale
+        # table.
+        world.config = replace(
+            world.config, communication_range=2.0 * world.config.communication_range
+        )
         after = world.neighbor_table()
-        assert after == world.radio.neighbor_table_bruteforce(world.sensors)
+        assert after != before
+        assert after == brute(world).neighbor_table(world.sensors)
         assert world.sensors_near_base_station() == (
-            world.radio.neighbors_of_point(
-                world.base_station,
-                world.sensors,
-                world.config.communication_range,
-            )
+            brute(world).neighbors_of_point(world.base_station, world.sensors)
         )
-        # Toggling line-of-sight blocking invalidates too.
-        obstacle_world = random_world(6, n=30, with_obstacles=True)
-        clear = obstacle_world.neighbor_table()
-        obstacle_world.radio.line_of_sight = True
-        blocked = obstacle_world.neighbor_table()
-        assert blocked == obstacle_world.radio.neighbor_table_bruteforce(
-            obstacle_world.sensors
-        )
-        assert before is not after  # copies, never the same object
+        assert world.neighbor_table() is not world.neighbor_table()  # copies
 
     @pytest.mark.parametrize("trial", range(10))
     def test_metrics_components_match_bruteforce(self, trial):

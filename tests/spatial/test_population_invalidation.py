@@ -1,8 +1,8 @@
 """Cache invalidation under population churn.
 
-The neighbor cache's epoch includes the world's population version and the
-field's obstacle version, so killing, injecting or re-fielding sensors must
-drop every derived structure.  Parity is checked the strong way: after a
+The neighbor cache's epoch includes the world's population version, so
+killing or injecting sensors must drop every derived structure (and a
+field change must drop the coverage trackers).  Parity is checked the strong way: after a
 random churn sequence, every cached query must equal the same query on a
 freshly built world holding only the surviving sensors at their current
 positions.
