@@ -1,0 +1,109 @@
+#!/usr/bin/env python
+"""Byte-identity fingerprints of the end-to-end benchmark's deployments.
+
+Usage (from the repo root)::
+
+    python benchmarks/fingerprints.py --seed 1 > seed1.txt
+    python benchmarks/fingerprints.py --seed 1 --check seed1.txt
+
+Runs every deployment of the ``e2ebench`` workloads
+(``e2ebench/workloads.py``, read as is) for ``--seed``: each CPVF
+deployment twice (the default mode and ``mode="batched"``) and each
+FLOOR deployment once.  It prints one line per run,
+``<workload> <index> <label> <sha256>``, where the digest covers the
+final positions, the odometers, the per-type message (and network)
+counters and the final coverage, all exact.  A change meant to keep
+behaviour identical must leave every line unchanged: save the list at
+the parent commit and ``--check`` it after the change.  ``--check``
+prints the differing lines and exits 1 on any difference.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import pathlib
+import sys
+from typing import Dict, Iterator, List, Optional, Tuple
+
+REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(REPO_ROOT / "src"))
+
+#: ``label -> (registered scheme, scheme parameters)`` per e2ebench scheme.
+RUN_LABELS: Dict[str, Tuple[Tuple[str, str, Dict], ...]] = {
+    "CPVF": (("CPVF", "CPVF", {}), ("CPVF-batched", "CPVF", {"mode": "batched"})),
+    "FLOOR": (("FLOOR", "FLOOR", {}),),
+}
+
+
+def world_digest(world, coverage: float) -> str:
+    """sha256 of a finished world's positions, odometers, counters, coverage."""
+    payload = {
+        "positions": [(s.position.x, s.position.y) for s in world.sensors],
+        "odometers": [s.motion.odometer for s in world.sensors],
+        "counters": world.stats.to_counters(),
+        "coverage": coverage,
+    }
+    # json writes floats with repr, which round-trips exactly.
+    blob = json.dumps(payload, sort_keys=True).encode("utf-8")
+    return hashlib.sha256(blob).hexdigest()
+
+
+def run_digest(scenario, scheme: str, params: Dict, network=None) -> str:
+    """Deploy ``scheme`` on ``scenario`` the way ``execute_run`` does."""
+    from repro.api import scheme_registry
+    from repro.sim import SimulationEngine
+
+    world = scenario.build_world(scenario.build_field())
+    if network is not None:
+        world.network = network.build(scenario.seed)
+    engine = SimulationEngine(
+        world,
+        scheme_registry.get(scheme).build_scheme(scenario, dict(params)),
+        trace_every=None,
+        events=scenario.events,
+    )
+    result = engine.run()
+    return world_digest(world, result.final_coverage)
+
+
+def fingerprints(seed: int) -> Iterator[str]:
+    """One ``<workload> <index> <label> <sha256>`` line per run."""
+    sys.path.insert(0, str(REPO_ROOT / "e2ebench"))
+    from workloads import WORKLOADS
+
+    for name, workload in WORKLOADS.items():
+        for index, (scheme, scenario, network) in enumerate(
+            workload.deployments(seed)
+        ):
+            for label, registered, params in RUN_LABELS[scheme]:
+                digest = run_digest(scenario, registered, params, network)
+                yield f"{name} {index} {label} {digest}"
+
+
+def main(argv: Optional[List[str]] = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument(
+        "--check", type=pathlib.Path, default=None,
+        help="a saved fingerprint list to diff against",
+    )
+    args = parser.parse_args(argv)
+    lines = list(fingerprints(args.seed))
+    if args.check is None:
+        print("\n".join(lines))
+        return 0
+    saved = [line for line in args.check.read_text().splitlines() if line.strip()]
+    differing = [(old, new) for old, new in zip(saved, lines) if old != new]
+    for old, new in differing:
+        print(f"- {old}\n+ {new}")
+    if len(saved) != len(lines):
+        print(f"run count differs: saved {len(saved)}, now {len(lines)}")
+        return 1
+    print(f"{len(lines) - len(differing)} of {len(lines)} fingerprints identical")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

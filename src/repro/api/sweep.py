@@ -71,14 +71,13 @@ class SweepRunner:
     def __init__(
         self,
         jobs: int = 1,
-        chunksize: int = 1,
         store=None,
         reuse: bool = True,
     ):
         """``jobs=1`` runs in-process; ``jobs=N`` shards over ``N`` workers.
 
-        ``chunksize`` tunes how many runs a worker claims at a time; the
-        default of 1 keeps long runs from serialising behind each other.
+        A worker claims one run at a time, so long runs never serialise
+        behind each other.
 
         ``store`` binds the runner to a content-addressed run store (a
         :class:`~repro.service.store.RunStore` or a filesystem path);
@@ -90,7 +89,6 @@ class SweepRunner:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.jobs = int(jobs)
-        self.chunksize = max(1, int(chunksize))
         if isinstance(store, (str, Path)):
             from ..service.store import RunStore
 
@@ -115,10 +113,12 @@ class SweepRunner:
             jobs = min(self.jobs, len(runs))
             if jobs == 1:
                 return [execute_run(spec) for spec in runs]
-            # ``Pool.map`` preserves input order, which is the deterministic
-            # merge: record i always belongs to spec i.
+            # ``Pool.imap`` preserves input order, which is the
+            # deterministic merge: record i always belongs to spec i.  It
+            # also hands out one run at a time, where ``Pool.map`` would
+            # batch several runs per worker.
             with multiprocessing.Pool(processes=jobs) as pool:
-                return pool.map(execute_run, runs, chunksize=self.chunksize)
+                return list(pool.imap(execute_run, runs))
         return self._run_with_store(runs)
 
     def _run_with_store(self, runs: List[RunSpec]) -> List[RunRecord]:
@@ -155,13 +155,7 @@ class SweepRunner:
                 for index in misses
             ]
             with multiprocessing.Pool(processes=jobs) as pool:
-                computed = pool.map(
-                    _execute_and_store, tasks, chunksize=self.chunksize
-                )
+                computed = list(pool.imap(_execute_and_store, tasks))
             for index, record in zip(misses, computed):
                 records[index] = record
         return records
-
-    def run_sweep(self, sweep: SweepSpec) -> List[RunRecord]:
-        """Alias of :meth:`run` for call sites that want the explicit name."""
-        return self.run(sweep)

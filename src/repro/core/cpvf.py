@@ -32,6 +32,7 @@ from ..network import BASE_STATION_ID, LINK_EPS, MessageType
 from ..sensors import Sensor, SensorState
 from ..sim import DeploymentScheme, World
 from .batch_ladder import TreeSchedule, batched_ladder_steps
+from .connect import attach_reachable, flood_tree
 from .connectivity import STEP_FRACTIONS, max_valid_step_points
 from .lazy import LazyMovementController
 from .oscillation import OscillationAvoidance, OscillationMode
@@ -150,50 +151,12 @@ class CPVFScheme(DeploymentScheme):
         self._link_ids_version = None
         self._schedule = None
         self._pending_locks = {}
-        self._bootstrap_connectivity(world)
+        flood_tree(world)
         for sensor in world.sensors:
             if sensor.state is SensorState.DISCONNECTED:
                 sensor.state = SensorState.MOVING_TO_CONNECT
                 path = self._planner.plan(sensor.position, world.base_station)
                 sensor.motion.follow(path)
-
-    def _bootstrap_connectivity(self, world: World) -> None:
-        """Initial flood: the connected component of the base station joins
-        the tree; everyone else learns it is disconnected."""
-        # The component, table and base adjacency all come from the world's
-        # neighbor cache, so the three queries share one spatial-index build.
-        component = world.connected_component_of()
-        # Build the tree breadth-first from the base station so that parents
-        # are always closer (in hops) to the root.
-        table = world.neighbor_table()
-        near_base = set(world.sensors_near_base_station())
-        frontier: List[int] = []
-        for sid in sorted(near_base):
-            world.attach_to_tree(sid, BASE_STATION_ID)
-            frontier.append(sid)
-        attached = set(near_base)
-        net = world.network
-        retransmissions = 0
-        while frontier:
-            current = frontier.pop(0)
-            for nb in table.get(current, []):
-                if nb in attached or nb not in component:
-                    continue
-                if net.lossy:
-                    # Each flood edge retransmits with backoff up to the
-                    # delivery budget; a node the flood never reaches stays
-                    # disconnected and re-joins through the per-period
-                    # connectivity stage instead.
-                    delivered, attempts = net.exchange(
-                        world, ("flood", current, nb), 1
-                    )
-                    retransmissions += attempts - 1
-                    if not delivered:
-                        continue
-                world.attach_to_tree(nb, current)
-                attached.add(nb)
-                frontier.append(nb)
-        world.routing.record_flood(len(attached) + retransmissions)
 
     # ------------------------------------------------------------------
     # Per-period execution
@@ -213,7 +176,9 @@ class CPVFScheme(DeploymentScheme):
             ]
             if disconnected:
                 table = world.protocol_neighbor_rows(disconnected)
-                self._connect_reachable_sensors(world, table)
+                attach_reachable(
+                    world, table, world.config.communication_range, self._lazy
+                )
                 self._advance_disconnected_sensors(world, table)
             self._apply_virtual_forces_batched(world)
             return
@@ -221,55 +186,13 @@ class CPVFScheme(DeploymentScheme):
         # live pass-through by default, aged under staleness); physics —
         # the batched pair arrays, coverage, connectivity — stays live.
         table = world.protocol_neighbor_table()
-        self._connect_reachable_sensors(world, table)
+        attach_reachable(
+            world, table, world.config.communication_range, self._lazy
+        )
         self._advance_disconnected_sensors(world, table)
         self._apply_virtual_forces(world, table)
 
     # -- Stage 1: establishing connectivity ----------------------------
-    def _connect_reachable_sensors(
-        self, world: World, table: Dict[int, List[int]]
-    ) -> None:
-        """Disconnected sensors adjacent to the tree join it and stop."""
-        newly_connected = True
-        while newly_connected:
-            newly_connected = False
-            for sensor in world.sensors:
-                if sensor.is_connected() or not sensor.is_alive():
-                    continue
-                parent_id = self._closest_connected_neighbor(world, sensor, table)
-                if parent_id is None:
-                    continue
-                sensor.motion.stop()
-                assert self._lazy is not None
-                self._lazy.stop_waiting(sensor)
-                world.attach_to_tree(sensor.sensor_id, parent_id)
-                sensor.state = SensorState.CONNECTED
-                newly_connected = True
-
-    def _closest_connected_neighbor(
-        self, world: World, sensor: Sensor, table: Dict[int, List[int]]
-    ) -> Optional[int]:
-        """The nearest connected node (sensor or base station) in range."""
-        best: Optional[int] = None
-        best_dist = float("inf")
-        base_dist = sensor.position.distance_to(world.base_station)
-        if base_dist <= world.config.communication_range:
-            best, best_dist = BASE_STATION_ID, base_dist
-        rc_limit = world.config.communication_range + LINK_EPS
-        for nb_id in table.get(sensor.sensor_id, []):
-            nb = world.sensor(nb_id)
-            if not nb.is_connected():
-                continue
-            dist = sensor.position.distance_to(nb.position)
-            # Live-range revalidation: a stale table entry may have moved
-            # out of range since the last refresh (no-op when the table is
-            # live — its entries are in range by construction).
-            if dist > rc_limit:
-                continue
-            if dist < best_dist:
-                best, best_dist = nb_id, dist
-        return best
-
     def _advance_disconnected_sensors(
         self, world: World, table: Dict[int, List[int]]
     ) -> None:

@@ -33,11 +33,9 @@ affects how early invitations for the next hop can be issued.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 from typing import Dict, List, Optional, Set
 
-from ..field import Field
 from ..geometry import Vec2
 from ..mobility import Bug2Path, Bug2Planner, Handedness
 from ..network import BASE_STATION_ID, LINK_EPS, MessageType
@@ -45,6 +43,7 @@ from ..sensors import Sensor, SensorState
 from ..sim import DeploymentScheme, World
 from .expansion import ExpansionKind, ExpansionPlanner, ExpansionPoint
 from .floors import FloorGeometry
+from .connect import attach_reachable, flood_tree
 from .headers import FloorRegistry
 from .invitations import InvitationProtocol
 from .lazy import LazyMovementController
@@ -57,42 +56,29 @@ _EXCLUSIVE_COVERAGE_SAMPLES = 24
 #: Virtual-node ids are offset so they never collide with sensor ids.
 _VIRTUAL_ID_OFFSET = 1_000_000
 
+#: A connected sensor is declared movable only when the fraction of its
+#: sensing disk it covers exclusively is below this threshold.
+_MOVABLE_EXCLUSIVE_THRESHOLD = 0.4
+
+#: Phase 2 starts when all sensors are connected or after this fraction
+#: of the simulation horizon, whichever comes first (the paper's "maximum
+#: arrival time" estimate).
+_PHASE2_DEADLINE_FRACTION = 0.25
+
 
 class FloorScheme(DeploymentScheme):
     """Floor-based deployment."""
 
     name = "FLOOR"
 
-    def __init__(
-        self,
-        invitation_ttl: Optional[int] = None,
-        movable_exclusive_threshold: float = 0.4,
-        phase2_deadline_fraction: float = 0.25,
-        virtual_nodes_search: bool = True,
-    ):
+    def __init__(self, invitation_ttl: Optional[int] = None):
         """Create the scheme.
 
-        Parameters
-        ----------
-        invitation_ttl:
-            TTL of the invitation random walk; defaults to the simulation
-            configuration's value (``0.2 * N`` unless overridden).
-        movable_exclusive_threshold:
-            A connected sensor is declared movable only when the fraction of
-            its sensing disk it covers exclusively is below this threshold.
-        phase2_deadline_fraction:
-            Phase 2 starts when all sensors are connected or after this
-            fraction of the simulation horizon, whichever comes first (the
-            paper's "maximum arrival time" estimate).
-        virtual_nodes_search:
-            Whether virtual place-holding nodes participate in expansion-
-            point discovery while the invited sensor is in transit (see the
-            module docstring).
+        ``invitation_ttl`` is the TTL of the invitation random walk; it
+        defaults to the simulation configuration's value (``0.2 * N``
+        unless overridden).
         """
         self._ttl_override = invitation_ttl
-        self._movable_threshold = movable_exclusive_threshold
-        self._phase2_deadline_fraction = phase2_deadline_fraction
-        self._virtual_nodes_search = virtual_nodes_search
 
         self._floors: Optional[FloorGeometry] = None
         self._registry: Optional[FloorRegistry] = None
@@ -151,44 +137,11 @@ class FloorScheme(DeploymentScheme):
         self._deferred_starts.clear()
         self._pending_movables.clear()
 
-        self._bootstrap_connectivity(world)
+        flood_tree(world)
         for sensor in world.sensors:
             if sensor.state is SensorState.DISCONNECTED:
                 sensor.state = SensorState.MOVING_TO_CONNECT
                 sensor.motion.follow(self._plan_connect_trajectory(world, sensor))
-
-    def _bootstrap_connectivity(self, world: World) -> None:
-        """Initial flood: the base station's connected component joins the tree."""
-        # Served from the world's neighbor cache: the component, the table
-        # and the base adjacency below share one spatial-index build.
-        component = world.connected_component_of()
-        table = world.neighbor_table()
-        near_base = set(world.sensors_near_base_station())
-        frontier: List[int] = []
-        for sid in sorted(near_base):
-            world.attach_to_tree(sid, BASE_STATION_ID)
-            frontier.append(sid)
-        attached = set(near_base)
-        net = world.network
-        retransmissions = 0
-        while frontier:
-            current = frontier.pop(0)
-            for nb in table.get(current, []):
-                if nb in attached or nb not in component:
-                    continue
-                if net.lossy:
-                    # Flood edges retransmit with backoff up to the budget;
-                    # nodes the flood misses re-join through phase 1.
-                    delivered, attempts = net.exchange(
-                        world, ("flood", current, nb), 1
-                    )
-                    retransmissions += attempts - 1
-                    if not delivered:
-                        continue
-                world.attach_to_tree(nb, current)
-                attached.add(nb)
-                frontier.append(nb)
-        world.routing.record_flood(len(attached) + retransmissions)
 
     def _plan_connect_trajectory(self, world: World, sensor: Sensor) -> Bug2Path:
         """Algorithm 1: the three-leg BUG2 trajectory toward the base station."""
@@ -222,7 +175,19 @@ class FloorScheme(DeploymentScheme):
         # (live pass-through by default, aged under staleness); coverage
         # and connectivity metrics stay on live state.
         table = world.protocol_neighbor_table()
-        self._connect_reachable_sensors(world, table)
+        config = world.config
+        attach_distance = min(
+            config.communication_range, 2.0 * config.sensing_range
+        )
+        for sensor_id in attach_reachable(world, table, attach_distance, self._lazy):
+            # Arrival report up the tree and the ancestor-list response
+            # back down (Section 5.3).
+            world.routing.record_to_base_station(
+                world.tree, sensor_id, MessageType.ARRIVAL_REPORT
+            )
+            world.routing.record_from_base_station(
+                world.tree, sensor_id, MessageType.ANCESTOR_RESPONSE
+            )
         self._advance_disconnected_sensors(world, table)
 
         if self._phase == 1 and self._phase2_should_start(world):
@@ -247,64 +212,6 @@ class FloorScheme(DeploymentScheme):
                 )
 
     # -- Phase 1: achieving connectivity --------------------------------
-    def _attach_distance(self, world: World) -> float:
-        """Distance at which a connecting sensor stops next to its parent."""
-        config = world.config
-        return min(config.communication_range, 2.0 * config.sensing_range)
-
-    def _connect_reachable_sensors(
-        self, world: World, table: Dict[int, List[int]]
-    ) -> None:
-        attach_distance = self._attach_distance(world)
-        newly_connected = True
-        while newly_connected:
-            newly_connected = False
-            for sensor in world.sensors:
-                if sensor.is_connected() or not sensor.is_alive():
-                    continue
-                parent_id = self._closest_connected_node(
-                    world, sensor, table, attach_distance
-                )
-                if parent_id is None:
-                    continue
-                sensor.motion.stop()
-                assert self._lazy is not None
-                self._lazy.stop_waiting(sensor)
-                world.attach_to_tree(sensor.sensor_id, parent_id)
-                sensor.state = SensorState.CONNECTED
-                # Arrival report up the tree and the ancestor-list response
-                # back down (Section 5.3).
-                world.routing.record_to_base_station(
-                    world.tree, sensor.sensor_id, MessageType.ARRIVAL_REPORT
-                )
-                world.routing.record_from_base_station(
-                    world.tree, sensor.sensor_id, MessageType.ANCESTOR_RESPONSE
-                )
-                newly_connected = True
-
-    def _closest_connected_node(
-        self,
-        world: World,
-        sensor: Sensor,
-        table: Dict[int, List[int]],
-        attach_distance: float,
-    ) -> Optional[int]:
-        best: Optional[int] = None
-        best_dist = float("inf")
-        base_dist = sensor.position.distance_to(world.base_station)
-        if base_dist <= attach_distance:
-            best, best_dist = BASE_STATION_ID, base_dist
-        for nb_id in table.get(sensor.sensor_id, []):
-            nb = world.sensor(nb_id)
-            # Relocating sensors have (temporarily) left the tree and cannot
-            # serve as attachment points.
-            if not nb.is_connected() or nb_id not in world.tree:
-                continue
-            dist = sensor.position.distance_to(nb.position)
-            if dist <= attach_distance and dist < best_dist:
-                best, best_dist = nb_id, dist
-        return best
-
     def _advance_disconnected_sensors(
         self, world: World, table: Dict[int, List[int]]
     ) -> None:
@@ -344,9 +251,7 @@ class FloorScheme(DeploymentScheme):
         all_connected = all(
             s.is_connected() for s in world.sensors if s.is_alive()
         )
-        deadline = int(
-            self._phase2_deadline_fraction * world.config.max_periods
-        )
+        deadline = int(_PHASE2_DEADLINE_FRACTION * world.config.max_periods)
         return all_connected or world.period_index >= deadline
 
     def _identify_movable_sensors(
@@ -453,7 +358,7 @@ class FloorScheme(DeploymentScheme):
                 exclusive += 1
         if samples == 0:
             return True
-        return (exclusive / samples) < self._movable_threshold
+        return (exclusive / samples) < _MOVABLE_EXCLUSIVE_THRESHOLD
 
     # -- Phase 3: expanding coverage ------------------------------------
     def _start_due_relocations(self, world: World) -> None:
@@ -642,9 +547,10 @@ class FloorScheme(DeploymentScheme):
         self._virtual_counter += 1
         virtual_id = _VIRTUAL_ID_OFFSET + self._virtual_counter
         self._registry.register(virtual_id, ep.position, virtual=True)
-        if self._virtual_nodes_search:
-            self._virtual_positions[virtual_id] = ep.position
-            self._active_searchers.add(virtual_id)
+        # It searches for expansion points while the sensor is in transit
+        # (see the module docstring).
+        self._virtual_positions[virtual_id] = ep.position
+        self._active_searchers.add(virtual_id)
 
     def _rehome_children(self, world: World, sensor: Sensor) -> bool:
         """Give every child of a departing movable sensor a new parent."""

@@ -22,11 +22,10 @@ traffic a distributed run would generate.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from ..network import ConnectivityTree, MessageType, RoutingCostModel
-from ..network.walks import TreeWalkIndex
 from ..sensors import Sensor
 from .expansion import ExpansionPoint
 
@@ -48,7 +47,6 @@ class InvitationProtocol:
     routing: RoutingCostModel
     ttl: int
     rng: random.Random
-    _walk_cache: Optional[tuple] = field(default=None, init=False, repr=False)
 
     # ------------------------------------------------------------------
     # One round
@@ -117,7 +115,7 @@ class InvitationProtocol:
 
         # 3. Each movable sensor picks its best offer and tries to accept it.
         movable_by_id = {s.sensor_id: s for s in movable_sensors}
-        chosen: List[Tuple[int, ExpansionPoint]] = []
+        acceptances: List[Tuple[int, ExpansionPoint, int]] = []
         for movable_id, offers in received.items():
             sensor = movable_by_id[movable_id]
             best = min(
@@ -127,16 +125,9 @@ class InvitationProtocol:
                     sensor.position.distance_to(ep.position),
                 ),
             )
-            chosen.append((movable_id, best))
-        # All of the round's acceptance routes evaluated in one batch
-        # (the tree does not mutate within a round).
-        route_hops = self._route_hops(
-            tree, [(mid, ep.owner_id) for mid, ep in chosen]
-        )
-        acceptances: List[Tuple[int, ExpansionPoint, int]] = []
-        for (movable_id, best), hops in zip(chosen, route_hops):
             # AcceptInvitation travels back to the inviter over the tree;
             # every retry re-sends the whole route.
+            hops = self.routing.tree_route_hops(tree, movable_id, best.owner_id)
             attempts, delivered = 1, True
             if lossy:
                 delivered, attempts = net.exchange(
@@ -192,44 +183,3 @@ class InvitationProtocol:
                 tree, ep.owner_id, MessageType.LOCATION_UPDATE
             )
         return assignments
-
-    # ------------------------------------------------------------------
-    # Batched route evaluation
-    # ------------------------------------------------------------------
-    def _route_hops(
-        self, tree: ConnectivityTree, pairs: List[Tuple[int, int]]
-    ) -> List[int]:
-        """Tree route hops for many ``(source, destination)`` pairs.
-
-        Evaluates a round's acceptances and acknowledgements in one
-        level-synchronous batch over the flattened parent/depth arrays of
-        a :class:`TreeWalkIndex` (cached per ``tree.version``); a tree
-        whose id domain is not flattenable walks each route with the
-        scalar :meth:`RoutingCostModel.tree_route_hops`.  Both paths
-        return identical hop counts (pinned by
-        ``tests/network/test_tree_walks.py``).
-        """
-        if not pairs:
-            return []
-        index = self._walk_index(tree)
-        if index is None:
-            return [
-                self.routing.tree_route_hops(tree, src, dst)
-                for src, dst in pairs
-            ]
-        return index.route_hops(
-            [src for src, _ in pairs], [dst for _, dst in pairs]
-        ).tolist()
-
-    def _walk_index(self, tree: ConnectivityTree) -> Optional[TreeWalkIndex]:
-        cached = self._walk_cache
-        if (
-            cached is not None
-            and cached[0] is tree
-            and cached[1] == tree.version
-        ):
-            index = cached[2]
-        else:
-            index = TreeWalkIndex(tree)
-            self._walk_cache = (tree, tree.version, index)
-        return None if index.degenerate else index

@@ -44,10 +44,6 @@ class LazyMovementController:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def path_parent_of(self, sensor_id: int) -> Optional[int]:
-        """Current path parent of a sensor (``None`` when it is walking)."""
-        return self._path_parent.get(sensor_id)
-
     def is_waiting(self, sensor_id: int) -> bool:
         """Whether the sensor is currently paused behind a path parent."""
         return sensor_id in self._path_parent

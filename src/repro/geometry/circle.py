@@ -142,7 +142,9 @@ def disk_overlap_area(c1: Circle, c2: Circle) -> float:
     r1, r2 = c1.radius, c2.radius
     if d >= r1 + r2:
         return 0.0
-    if d <= abs(r1 - r2):
+    # Containment, or centres so close (a subnormal d) that the lens
+    # formula's denominators underflow to zero: the smaller disk.
+    if d <= abs(r1 - r2) or d * min(r1, r2) == 0.0:
         smaller = min(r1, r2)
         return math.pi * smaller * smaller
     alpha = math.acos(min(1.0, max(-1.0, (d * d + r1 * r1 - r2 * r2) / (2.0 * d * r1))))

@@ -19,9 +19,6 @@ from ..spatial import SpatialIndex
 
 __all__ = ["positions_are_connected", "connected_components", "largest_component_fraction"]
 
-#: Below this population the plain double loop beats building an index.
-_SPATIAL_MIN_POSITIONS = 24
-
 
 class _UnionFind:
     """Minimal union-find over integer indices."""
@@ -48,24 +45,11 @@ def _build_union(
 ) -> _UnionFind:
     uf = _UnionFind(len(positions))
     r = communication_range + LINK_EPS
-    if len(positions) >= _SPATIAL_MIN_POSITIONS and r > 0:
-        # pairs_within yields accepted (i, j) pairs in the same (i asc,
-        # j asc) order the double loop visits them, so the union-find ends
-        # up in an identical state.
-        points = np.array([(p.x, p.y) for p in positions], dtype=float)
-        index = SpatialIndex(r * 1.001).build(points)
-        ii, jj, _ = index.pairs_within(r)
-        for i, j in zip(ii.tolist(), jj.tolist()):
-            uf.union(i, j)
-        return uf
-    r_sq = r * r
-    for i in range(len(positions)):
-        pi = positions[i]
-        for j in range(i + 1, len(positions)):
-            dx = pi.x - positions[j].x
-            dy = pi.y - positions[j].y
-            if dx * dx + dy * dy <= r_sq:
-                uf.union(i, j)
+    points = np.array([(p.x, p.y) for p in positions], dtype=float)
+    index = SpatialIndex(r * 1.001).build(points)
+    ii, jj, _ = index.pairs_within(r)
+    for i, j in zip(ii.tolist(), jj.tolist()):
+        uf.union(i, j)
     return uf
 
 

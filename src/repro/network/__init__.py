@@ -13,7 +13,6 @@ from .radio import LINK_EPS
 from .routing import RoutingCostModel
 from .stats import MessageStats
 from .tree import BASE_STATION_ID, ConnectivityTree
-from .walks import TreeWalkIndex
 
 __all__ = [
     "Message",
@@ -30,5 +29,4 @@ __all__ = [
     "MessageStats",
     "BASE_STATION_ID",
     "ConnectivityTree",
-    "TreeWalkIndex",
 ]

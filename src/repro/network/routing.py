@@ -16,7 +16,7 @@ exactly as they would on the air.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 from .messages import MessageType
 from .stats import MessageStats
@@ -73,9 +73,9 @@ class RoutingCostModel:
         The tree route goes up from the source to the lowest common ancestor
         and down to the destination.  ``attempts`` charges the route that
         many times (lossy-network retransmissions).  ``hops`` lets a caller
-        that already computed the route length (the batched invitation
-        round evaluates a whole round's routes at once) skip the per-call
-        chain walk; it must equal ``tree_route_hops`` on the same tree.
+        that already walked the route (FLOOR's acknowledgement retraces its
+        acceptance's route) skip the walk; it must equal
+        ``tree_route_hops`` on the same tree.
         """
         if hops is None:
             hops = self.tree_route_hops(tree, source, destination)

@@ -91,7 +91,3 @@ class IncrementalCoverage:
         if self._free_total == 0:
             return 0.0
         return self._covered_free / self._free_total
-
-    def multiplicity_grid(self) -> np.ndarray:
-        """A copy of the per-cell multiplicity grid (``shape == grid.shape``)."""
-        return self._multiplicity.copy()

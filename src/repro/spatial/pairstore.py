@@ -31,8 +31,9 @@ The drift check uses the *measured* per-sensor displacement, not a
 directly, fault-injection joins) are handled by the same invariant.
 
 ``scipy.spatial.cKDTree`` is used for bulk generation when available
-(it is a compiled radius query; CI runs numpy-only and exercises the
-fallback); both paths produce byte-identical arrays because acceptance
+(it is a compiled radius query; the tier-1 CI job installs scipy, and
+the monkeypatched tests in ``tests/spatial/test_pair_store.py`` cover the
+numpy-only fallback); both paths produce byte-identical arrays because acceptance
 is always our own ``dx*dx + dy*dy <= limit*limit`` predicate — the tree
 query only proposes candidates, at an inflated radius that can never
 exclude a pair the exact predicate accepts.
@@ -46,7 +47,7 @@ import numpy as np
 
 try:  # pragma: no cover - exercised via the availability flag
     from scipy.spatial import cKDTree
-except Exception:  # pragma: no cover - numpy-only environments (CI)
+except Exception:  # pragma: no cover - numpy-only environments
     cKDTree = None
 
 from .index import SpatialIndex

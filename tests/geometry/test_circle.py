@@ -138,6 +138,13 @@ class TestOverlapArea:
         assert a == pytest.approx(b)
         assert 0 < a < math.pi * 25
 
+    def test_subnormal_centre_distance_is_full_overlap(self):
+        # 2 * d * r underflows to zero; the lens formula would divide by it.
+        a = disk_overlap_area(
+            Circle(Vec2(0, 0), 0.25), Circle(Vec2(0.0, 5e-324), 0.25)
+        )
+        assert a == pytest.approx(math.pi * 0.0625)
+
     @given(st.builds(Vec2, coord, coord), st.builds(Vec2, coord, coord), radius, radius)
     def test_overlap_bounded_by_smaller_disk(self, c1, c2, r1, r2):
         overlap = disk_overlap_area(Circle(c1, r1), Circle(c2, r2))

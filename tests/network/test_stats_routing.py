@@ -110,3 +110,78 @@ class TestRoutingCosts:
         # Subtree of 0 is the whole chain: 4 nodes, 3 edges, 6 transmissions.
         assert cost == 6
         assert stats.total() == 6
+
+
+def branched_tree() -> ConnectivityTree:
+    """BASE <- 0 <- 1 <- 2, plus BASE <- 0 <- 3."""
+    tree = chain_tree(3)
+    tree.attach(3, 0)
+    return tree
+
+
+#: FLOOR's virtual fixed nodes are route endpoints that never join the tree.
+VIRTUAL_ID = 1_000_001
+
+
+class TestTreeRouteHops:
+    """Edge cases of the scalar chain walk, with literal hop counts.
+
+    An id without a parent entry (a non-member, a virtual node, or a
+    detached ancestor) ends its chain at the base station.
+    """
+
+    @pytest.mark.parametrize(
+        "source,destination,hops",
+        [
+            (2, 3, 3),  # 2 -> 1 -> 0 -> 3
+            (2, 0, 2),
+            (2, BASE_STATION_ID, 3),
+            (BASE_STATION_ID, 3, 2),
+            (2, 50, 4),  # non-member: charged through the root
+            (50, 3, 3),
+            (BASE_STATION_ID, 50, 1),
+            (3, VIRTUAL_ID, 3),
+            (VIRTUAL_ID, 50, 2),
+            (2, 2, 0),
+            (50, 50, 0),
+            (VIRTUAL_ID, VIRTUAL_ID, 0),
+            (BASE_STATION_ID, BASE_STATION_ID, 0),
+        ],
+    )
+    def test_members_base_station_and_outsiders(self, source, destination, hops):
+        tree = branched_tree()
+        assert RoutingCostModel.tree_route_hops(tree, source, destination) == hops
+        assert RoutingCostModel.tree_route_hops(tree, destination, source) == hops
+
+    @pytest.mark.parametrize(
+        "source,destination,hops",
+        [
+            (2, 3, 4),  # 2 -> 1 -> BASE -> 0 -> 3
+            (2, 1, 1),
+            (2, BASE_STATION_ID, 2),
+            (1, 3, 3),
+            (3, 0, 1),  # the other branch is intact
+        ],
+    )
+    def test_detached_mid_chain_ancestor(self, source, destination, hops):
+        # A failure leaves this raw structure: 1 loses its parent entry
+        # while 2 still points at it, so 2's chain ends 1 -> BASE.
+        tree = branched_tree()
+        tree.parent.pop(1)
+        assert RoutingCostModel.tree_route_hops(tree, source, destination) == hops
+        assert RoutingCostModel.tree_route_hops(tree, destination, source) == hops
+
+    def test_cycle_raises(self):
+        tree = branched_tree()
+        tree.parent[0] = 2  # corrupt: 0 -> 2 -> 1 -> 0
+        with pytest.raises(RuntimeError, match="cycle"):
+            RoutingCostModel.tree_route_hops(tree, 3, BASE_STATION_ID)
+
+    def test_unicast_charges_precomputed_hops(self):
+        stats = MessageStats()
+        routing = RoutingCostModel(stats)
+        tree = branched_tree()
+        assert routing.record_tree_unicast(
+            tree, 2, 3, MessageType.ACKNOWLEDGE, attempts=2, hops=3
+        ) == 3
+        assert stats.total_for(MessageType.ACKNOWLEDGE) == 6

@@ -5,16 +5,16 @@ implementations it is checked against live here, as small subclasses or
 functions that tests (and ``benchmarks/perfbench.py``) import:
 
 * :mod:`.world` — dense-scan answers to every neighbour query of the
-  unit-disk model (:class:`BruteRadio`) and a world whose queries bypass
-  the neighbour cache and the incremental coverage tracker;
-* :mod:`.floor` — an exhaustive floor-registry scan and an invitation
-  protocol that walks every tree route with the scalar walk;
+  unit-disk model (:class:`BruteRadio`), the all-pairs union-find behind
+  :func:`double_loop_components`, and a world whose queries bypass the
+  neighbour cache and the incremental coverage tracker;
+* :mod:`.floor` — an exhaustive floor-registry scan;
 * :mod:`.seed` — the paper's literal step ladder, the seed CPVF dynamics
   (:class:`SeedCPVF`) and the seed neighbour-table / coverage
   algorithms (their timers live in ``benchmarks/perfbench.py``).
 """
 
-from .floor import ExhaustiveFloorRegistry, ScalarWalkInvitations, scalar_walks
+from .floor import ExhaustiveFloorRegistry
 from .seed import (
     NeighborMotion,
     SeedCPVF,
@@ -23,15 +23,14 @@ from .seed import (
     seed_neighbor_table,
     step_is_valid,
 )
-from .world import BruteRadio, UncachedWorld, uncached
+from .world import BruteRadio, UncachedWorld, double_loop_components, uncached
 
 __all__ = [
     "BruteRadio",
     "UncachedWorld",
     "uncached",
+    "double_loop_components",
     "ExhaustiveFloorRegistry",
-    "ScalarWalkInvitations",
-    "scalar_walks",
     "NeighborMotion",
     "SeedCPVF",
     "step_is_valid",

@@ -1,11 +1,10 @@
-"""FLOOR references: exhaustive registry scan, scalar invitation walks."""
+"""FLOOR reference: an exhaustive floor-registry scan."""
 
 from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
 from repro.core.headers import FloorRecord, FloorRegistry
-from repro.core.invitations import InvitationProtocol
 from repro.geometry import Vec2
 
 
@@ -42,17 +41,3 @@ class ExhaustiveFloorRegistry(FloorRegistry):
             if r.node_id != node_id
             and r.position.distance_to(me.position) <= radius + 1e-9
         ]
-
-
-class ScalarWalkInvitations(InvitationProtocol):
-    """An invitation protocol that walks every tree route one by one."""
-
-    def _route_hops(self, tree, pairs) -> List[int]:
-        return [self.routing.tree_route_hops(tree, src, dst) for src, dst in pairs]
-
-
-def scalar_walks(protocol: InvitationProtocol) -> ScalarWalkInvitations:
-    """A scalar-walk protocol sharing ``protocol``'s routing model and RNG."""
-    return ScalarWalkInvitations(
-        routing=protocol.routing, ttl=protocol.ttl, rng=protocol.rng
-    )

@@ -1,4 +1,5 @@
-"""Brute-force neighbour queries and an uncached world (parity references)."""
+"""Brute-force neighbour queries, components and an uncached world
+(parity references)."""
 
 from __future__ import annotations
 
@@ -9,6 +10,35 @@ import numpy as np
 
 from repro.network import LINK_EPS
 from repro.sim import World
+
+
+def double_loop_components(positions, communication_range: float) -> List[List[int]]:
+    """:func:`repro.metrics.connected_components` from the all-pairs loop.
+
+    Two positions are linked when their squared distance is at most
+    ``(communication_range + LINK_EPS) ** 2``.  Components come ordered by
+    their smallest index, each listing its indices in ascending order.
+    """
+    r = communication_range + LINK_EPS
+    r_sq = r * r
+    parent = list(range(len(positions)))
+
+    def find(x: int) -> int:
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for i, pi in enumerate(positions):
+        for j in range(i + 1, len(positions)):
+            dx = pi.x - positions[j].x
+            dy = pi.y - positions[j].y
+            if dx * dx + dy * dy <= r_sq:
+                ri, rj = find(i), find(j)
+                parent[max(ri, rj)] = min(ri, rj)
+    groups: Dict[int, List[int]] = {}
+    for i in range(len(positions)):
+        groups.setdefault(find(i), []).append(i)
+    return list(groups.values())
 
 
 @dataclass(frozen=True)

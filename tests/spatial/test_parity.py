@@ -16,11 +16,10 @@ import pytest
 
 from repro.field import Field, two_obstacle_field
 from repro.geometry import Vec2
-from repro.metrics import connectivity as conn_metrics
 from repro.metrics.connectivity import connected_components, positions_are_connected
 from repro.sim import SimulationConfig, World
 from repro.spatial import IncrementalCoverage
-from tests.oracles import BruteRadio, uncached
+from tests.oracles import BruteRadio, double_loop_components, uncached
 
 FIELD_SIZE = 300.0
 
@@ -194,15 +193,9 @@ class TestBaseStationAndConnectivityParity:
             Vec2(rng.uniform(0, 200), rng.uniform(0, 200)) for _ in range(n)
         ]
         rc = rng.uniform(5.0, 60.0)
-        spatial = connected_components(positions, rc)
-        # Force the double-loop path by lifting the size threshold.
-        old = conn_metrics._SPATIAL_MIN_POSITIONS
-        conn_metrics._SPATIAL_MIN_POSITIONS = 10**9
-        try:
-            brute = connected_components(positions, rc)
-        finally:
-            conn_metrics._SPATIAL_MIN_POSITIONS = old
-        assert spatial == brute
+        assert connected_components(positions, rc) == double_loop_components(
+            positions, rc
+        )
         base = Vec2(0.0, 0.0)
         assert positions_are_connected(positions, rc, base) == (
             len(connected_components(positions + [base], rc)) == 1
