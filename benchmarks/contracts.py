@@ -4,13 +4,13 @@
 Usage (from the repo root)::
 
     python benchmarks/contracts.py                       # every contract
-    python benchmarks/contracts.py --only perf.batched_period obs.roundtrip
+    python benchmarks/contracts.py --only perf.cpvf_period obs.roundtrip
 
 Each entry of :data:`CONTRACTS` names a measurement, an optional
 committed ``BENCH_perf.json`` row/column and a check, and says whether a
 missing committed value skips the entry.  The bounds are the named
 module constants below.  The driver loads the bench file once, computes
-each measurement at most once (the n = 500 batched CPVF periods feed
+each measurement at most once (the n = 500 CPVF periods feed
 both the perf budget and the telemetry overhead bound) and prints one
 line per entry.  Budgets on fresh timings
 are generous on purpose: hosted CI runners are noisy, and these gates
@@ -44,15 +44,12 @@ sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
 
 BENCH_PATH = REPO_ROOT / "BENCH_perf.json"
 
-#: Population of the fresh batched CPVF period (the canonical clustered
-#: bench layout; matches the committed ``cpvf_period`` n = 500 row).
+#: Population of the fresh CPVF period (the canonical clustered bench
+#: layout; matches the committed ``cpvf_period`` n = 500 row).
 PERIOD_N = 500
-#: ``perf.batched_period``: the first fresh untraced period may take at
+#: ``perf.cpvf_period``: the first fresh untraced period may take at
 #: most this many times the committed ``fast_ms``.
 PERIOD_BUDGET_FACTOR = 3.0
-#: ``perf.incremental_pairs``: periods the maintained pair store must
-#: answer (and at least as many as it rebuilt).
-MIN_PAIRS_REPAIRED = 2
 #: ``obs.committed_overhead``: null-sink telemetry overhead asserted when
 #: the bench file was generated; re-checked so a regenerated entry cannot
 #: silently commit a regression.
@@ -100,33 +97,25 @@ def _run_env() -> Dict[str, str]:
     return env
 
 
-def measure_batched_period(ms: Measurements) -> Dict:
-    """Two untraced n = 500 batched CPVF periods, then two traced ones.
+def measure_cpvf_period(ms: Measurements) -> Dict:
+    """Two untraced n = 500 CPVF periods, then two traced ones.
 
     Both untraced samples are kept: the perf budget checks the first
     (one window, as a single CI run sees it) and the overhead bound the
-    best.  The first traced window's counters say whether the
-    incremental pair maintenance carried the periods.
+    best.
     """
     from benchmarks.perfbench import cpvf_period_s
     from repro.obs import Telemetry
 
     def period_ms(telemetry=None) -> float:
         seconds = cpvf_period_s(
-            PERIOD_N, seed=3, periods=4, mode="batched", telemetry=telemetry
+            PERIOD_N, seed=3, periods=4, telemetry=telemetry
         )
         return seconds * 1000.0
 
     untraced_ms = [period_ms() for _ in range(2)]
-    tel = Telemetry()
-    traced_ms = min(period_ms(tel), period_ms(Telemetry()))
-    counters = tel.summary().counters
-    return {
-        "untraced_ms": untraced_ms,
-        "traced_ms": traced_ms,
-        "repaired": counters.get("cpvf.pairs_repaired", 0),
-        "rebuilt": counters.get("cpvf.pairs_rebuilt", 0),
-    }
+    traced_ms = min(period_ms(Telemetry()), period_ms(Telemetry()))
+    return {"untraced_ms": untraced_ms, "traced_ms": traced_ms}
 
 
 def _small_scenario(duration: float):
@@ -368,7 +357,7 @@ def measure_service_gc(ms: Measurements) -> Dict:
 
 
 MEASUREMENTS: Dict[str, Callable[[Measurements], object]] = {
-    "batched_period": measure_batched_period,
+    "cpvf_period": measure_cpvf_period,
     "profiled_run": measure_profiled_run,
     "report_cli": measure_report_cli,
     "degraded_smoke": measure_degraded_smoke,
@@ -397,20 +386,8 @@ def check_period_budget(m, committed) -> Verdict:
     budget = PERIOD_BUDGET_FACTOR * fast_ms
     return (
         first_ms <= budget,
-        f"n={PERIOD_N} batched period {first_ms:.2f} ms, budget {budget:.2f} ms "
+        f"n={PERIOD_N} CPVF period {first_ms:.2f} ms, budget {budget:.2f} ms "
         f"({PERIOD_BUDGET_FACTOR:g} x committed fast_ms {fast_ms:.2f} ms)",
-    )
-
-
-def check_incremental_pairs(m) -> Verdict:
-    # Drift accumulates toward the store's slack budget over the window,
-    # so one mid-window rebuild is legitimate; the incremental path must
-    # still dominate.
-    repaired, rebuilt = m["repaired"], m["rebuilt"]
-    return (
-        repaired >= MIN_PAIRS_REPAIRED and repaired >= rebuilt,
-        f"pairs repaired={repaired} rebuilt={rebuilt} "
-        f"(need >= {MIN_PAIRS_REPAIRED} and >= rebuilt)",
     )
 
 
@@ -453,7 +430,7 @@ def check_fresh_overhead(m, committed) -> Verdict:
         budget = min(budget, FRESH_OVERHEAD_FACTOR * committed[0])
     return (
         m["traced_ms"] <= budget,
-        f"traced n={PERIOD_N} batched period {m['traced_ms']:.2f} ms, "
+        f"traced n={PERIOD_N} CPVF period {m['traced_ms']:.2f} ms, "
         f"untraced {untraced_ms:.2f} ms, budget {budget:.2f} ms",
     )
 
@@ -578,15 +555,13 @@ class Contract:
 _FAST_MS = Committed("cpvf_period", "fast_ms", n=PERIOD_N)
 
 CONTRACTS: Tuple[Contract, ...] = (
-    Contract("perf.batched_period", "batched_period", check_period_budget,
+    Contract("perf.cpvf_period", "cpvf_period", check_period_budget,
              committed=_FAST_MS),
-    Contract("perf.incremental_pairs", "batched_period",
-             check_incremental_pairs),
     Contract("obs.roundtrip", "profiled_run", check_roundtrip),
     Contract("obs.report_cli", "report_cli", check_report_cli),
     Contract("obs.committed_overhead", None, check_committed_overhead,
              committed=Committed("telemetry_overhead", "overhead_pct")),
-    Contract("obs.fresh_overhead", "batched_period", check_fresh_overhead,
+    Contract("obs.fresh_overhead", "cpvf_period", check_fresh_overhead,
              committed=_FAST_MS, skip_if_missing=False),
     Contract("network.degraded_smoke", "degraded_smoke",
              check_degraded_smoke),

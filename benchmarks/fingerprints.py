@@ -7,10 +7,9 @@ Usage (from the repo root)::
     python benchmarks/fingerprints.py --seed 1 --check seed1.txt
 
 Runs every deployment of the ``e2ebench`` workloads
-(``e2ebench/workloads.py``, read as is) for ``--seed``: each CPVF
-deployment twice (the default mode and ``mode="batched"``) and each
-FLOOR deployment once.  It prints one line per run,
-``<workload> <index> <label> <sha256>``, where the digest covers the
+(``e2ebench/workloads.py``, read as is) for ``--seed``, CPVF and FLOOR
+alike.  It prints one line per run,
+``<workload> <index> <scheme> <sha256>``, where the digest covers the
 final positions, the odometers, the per-type message (and network)
 counters and the final coverage, all exact.  A change meant to keep
 behaviour identical must leave every line unchanged: save the list at
@@ -25,17 +24,10 @@ import hashlib
 import json
 import pathlib
 import sys
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
-
-#: ``label -> (registered scheme, scheme parameters)`` per e2ebench scheme.
-RUN_LABELS: Dict[str, Tuple[Tuple[str, str, Dict], ...]] = {
-    "CPVF": (("CPVF", "CPVF", {}), ("CPVF-batched", "CPVF", {"mode": "batched"})),
-    "FLOOR": (("FLOOR", "FLOOR", {}),),
-}
-
 
 def world_digest(world, coverage: float) -> str:
     """sha256 of a finished world's positions, odometers, counters, coverage."""
@@ -69,7 +61,7 @@ def run_digest(scenario, scheme: str, params: Dict, network=None) -> str:
 
 
 def fingerprints(seed: int) -> Iterator[str]:
-    """One ``<workload> <index> <label> <sha256>`` line per run."""
+    """One ``<workload> <index> <scheme> <sha256>`` line per run."""
     sys.path.insert(0, str(REPO_ROOT / "e2ebench"))
     from workloads import WORKLOADS
 
@@ -77,9 +69,8 @@ def fingerprints(seed: int) -> Iterator[str]:
         for index, (scheme, scenario, network) in enumerate(
             workload.deployments(seed)
         ):
-            for label, registered, params in RUN_LABELS[scheme]:
-                digest = run_digest(scenario, registered, params, network)
-                yield f"{name} {index} {label} {digest}"
+            digest = run_digest(scenario, scheme, {}, network)
+            yield f"{name} {index} {scheme} {digest}"
 
 
 def main(argv: Optional[List[str]] = None) -> int:

@@ -54,7 +54,6 @@ __all__ = [
     "cpvf_period_s",
     "measure_neighbor_table",
     "measure_cpvf_period",
-    "measure_cpvf_period_scale",
     "measure_telemetry_overhead",
     "measure_coverage",
     "measure_sweep_throughput",
@@ -148,100 +147,47 @@ def time_cpvf_periods(
 
 
 def cpvf_period_s(
-    n: int,
-    seed: int = 3,
-    periods: int = 4,
-    mode: str = "vectorized",
-    telemetry=None,
+    n: int, seed: int = 3, periods: int = 4, telemetry=None
 ) -> float:
-    """Mean seconds per CPVF period in ``mode`` on the clustered layout."""
+    """Mean seconds per CPVF period on the clustered layout."""
     return time_cpvf_periods(
-        perf_world(n, seed, clustered=True),
-        CPVFScheme(mode=mode),
-        periods,
-        telemetry,
+        perf_world(n, seed, clustered=True), CPVFScheme(), periods, telemetry
     )
 
 
 def measure_cpvf_period(
-    n: int, seed: int = 3, periods: int = 6
-) -> Dict[str, float]:
-    """Cost of one full CPVF decision period (default vectorized mode)."""
-    return {"n": n, "fast_ms": cpvf_period_s(n, seed, periods) * 1000.0}
-
-
-def measure_cpvf_period_scale(
     n: int, seed: int = 3, periods: int = None
 ) -> Dict[str, float]:
-    """CPVF period cost at scale: vectorized vs batched.
+    """Cost of one full CPVF decision period.
 
-    The large-``n`` rows of ``BENCH_perf.json``: ``fast_ms`` is the
-    vectorized mode (the pre-batch fast path) and ``batched_ms`` the
-    colored-batch kernel; ``speedup_vs_vectorized`` is the
-    batched-over-vectorized margin.  The rows' frozen ``seed_ms`` (and
-    ``speedup``, seed over batched) come from the committed file.
+    Six timed periods up to n = 2000, three beyond (one period at
+    n = 10^4 already takes seconds).
     """
     if periods is None:
         periods = 6 if n <= 2000 else 3
-    fast_s = cpvf_period_s(n, seed, periods)
-    batched_s = cpvf_period_s(n, seed, periods, mode="batched")
-    # One more batched pass with telemetry on: the phase breakdown of a
-    # period (ms per period per span) and the period-normalised kernel
-    # counters.  Timed separately so the headline batched_ms stays the
-    # untraced number the overhead entry is gated against.
-    from repro.obs import Telemetry
-
-    tel = Telemetry()
-    cpvf_period_s(n, seed, periods, mode="batched", telemetry=tel)
-    summary = tel.summary()
-    phases = {
-        name: stat.seconds / periods * 1000.0
-        for name, stat in sorted(summary.phases.items())
-    }
-    counters_per_period = {
-        name: summary.counters[name] / periods
-        for name in (
-            "cpvf.candidate_pairs",
-            "cpvf.repair_attempts",
-            "cpvf.pairs_repaired",
-            "cpvf.pairs_rebuilt",
-        )
-        if name in summary.counters
-    }
-    return {
-        "n": n,
-        "fast_ms": fast_s * 1000.0,
-        "batched_ms": batched_s * 1000.0,
-        "speedup_vs_vectorized": (
-            fast_s / batched_s if batched_s > 0 else float("inf")
-        ),
-        "phases_ms": phases,
-        "counters_per_period": counters_per_period,
-    }
+    return {"n": n, "fast_ms": cpvf_period_s(n, seed, periods) * 1000.0}
 
 
 def measure_telemetry_overhead(
-    n: int = 2000, seed: int = 3, periods: int = None, rounds: int = 3
+    n: int = 2000, seed: int = 3, periods: int = 6, rounds: int = 3
 ) -> Dict[str, float]:
-    """Null-sink telemetry cost on the batched CPVF hot path.
+    """Null-sink telemetry cost on the CPVF hot path.
 
-    Times the same batched configuration as the ``cpvf_period`` n = 2000
-    row, untraced (``NULL_TELEMETRY``) and traced (a live ``Telemetry``
-    with the default null sink), best-of-``rounds`` each to denoise the
-    shared 1-CPU bench host.  The observability contract is that the
-    traced path stays within a few percent of the untraced one; the
+    Times the configuration of the ``cpvf_period`` n = 2000 row,
+    untraced (``NULL_TELEMETRY``) and traced (a live ``Telemetry`` with
+    the default null sink), best-of-``rounds`` each to denoise a shared
+    bench host.  The observability contract is that the traced path
+    stays within a few percent of the untraced one; the
     ``obs.committed_overhead`` entry of ``benchmarks/contracts.py`` reads
     this entry.
     """
     from repro.obs import Telemetry
 
-    if periods is None:
-        periods = 6 if n <= 2000 else 3
     untraced_s = min(
-        cpvf_period_s(n, seed, periods, mode="batched") for _ in range(rounds)
+        cpvf_period_s(n, seed, periods) for _ in range(rounds)
     )
     traced_s = min(
-        cpvf_period_s(n, seed, periods, mode="batched", telemetry=Telemetry())
+        cpvf_period_s(n, seed, periods, telemetry=Telemetry())
         for _ in range(rounds)
     )
     return {
@@ -617,7 +563,7 @@ def measure_degraded_coverage(
 # Full suite
 # ----------------------------------------------------------------------
 #: Default population sizes of the per-population entries and of the
-#: large-scale two-mode CPVF rows.
+#: large-scale CPVF rows.
 DEFAULT_NS = (100, 500, 1000)
 SCALE_NS = (2000, 5000, 10000)
 
@@ -631,12 +577,7 @@ PERF_ENTRIES: Dict[str, Callable] = {
         for clustered in (False, True)
     ],
     "cpvf_period": lambda ns, seed: [
-        (
-            measure_cpvf_period(n, seed=seed)
-            if n <= 1000
-            else measure_cpvf_period_scale(n, seed=seed)
-        )
-        for n in ns
+        measure_cpvf_period(n, seed=seed) for n in ns
     ],
     "telemetry_overhead": lambda ns, seed: [
         measure_telemetry_overhead(seed=seed)
@@ -674,16 +615,15 @@ def run_perf_suite(
         )
     results: Dict[str, object] = {
         "description": (
-            "Spatial-index + batched-CPVF benchmarks: fast paths, with "
+            "Spatial-index + CPVF benchmarks: fast paths, with "
             "parity/convergence asserted before or while timing.  The "
             "seed_ms columns are frozen measurements of the seed "
             "algorithms, carried forward on regeneration (speedup is "
-            "recomputed against the fresh fast_ms, or batched_ms on rows "
-            "that have it).  cpvf_period rows with a batched_ms column "
-            "compare the vectorized and colored-batch CPVF modes; their "
-            "seed_ms ran the seed algorithm on the fast neighbour "
-            "infrastructure (the dense seed matrices would not fit in "
-            "memory at n >= 5000) and so understates the true seed cost."
+            "recomputed against the fresh fast_ms).  The cpvf_period "
+            "rows from n = 2000 up ran their seed_ms on the fast "
+            "neighbour infrastructure (the dense seed matrices would not "
+            "fit in memory at n >= 5000), so it understates the true "
+            "seed cost."
         ),
         "field": "1000x1000 m, rc=60, rs=40, coverage resolution 10 m",
     }

@@ -13,8 +13,8 @@ Runs the spatial-subsystem benchmarks of ``benchmarks/perfbench.py``
 (neighbor-table build, CPVF periods, coverage re-measurement, sweep
 throughput, scenario generation, ...), asserting fast-path/brute parity
 while timing, plus the
-``cpvf_convergence`` entry defined here: the batched CPVF plateau
-against the seed sequential dynamics (``tests.oracles.SeedCPVF``),
+``cpvf_convergence`` entry defined here: the CPVF plateau against the
+seed sequential dynamics (``tests.oracles.SeedCPVF``),
 failing when they differ by more than two coverage points.  The results
 are written next to this repository's README so future changes can
 track the perf trajectory.
@@ -22,7 +22,7 @@ track the perf trajectory.
 The seed algorithms are not re-measured: every re-measured row without
 a ``seed_ms`` of its own inherits the committed row's frozen ``seed_ms``
 unchanged, and its ``speedup`` is recomputed against the fresh
-``batched_ms`` (or ``fast_ms``).  The repository root is put on
+``fast_ms``.  The repository root is put on
 ``sys.path`` next to ``src``: ``benchmarks.perfbench`` is imported from
 it, and the brute and seed references it checks against live in
 ``tests/oracles``.
@@ -33,9 +33,9 @@ preserved verbatim, so one noisy row can be re-measured without paying
 for the whole suite.  ``--n N [N ...]`` overrides the population sizes
 of the per-population entries (``neighbor_table``, ``cpvf_period``,
 ``coverage``); without it, ``cpvf_period`` runs the classic sizes
-(100/500/1000, vectorized) plus the scale rows (2000/5000/10000,
-vectorized vs batched).  Sizes beyond 10000 (e.g. ``--n 100000``) grow
-the field with sqrt(n) so density matches the n = 10^4 row.
+(100/500/1000) plus the scale rows (2000/5000/10000).  Sizes beyond
+10000 (e.g. ``--n 100000``) grow the field with sqrt(n) so density
+matches the n = 10^4 row.
 """
 
 from __future__ import annotations
@@ -66,19 +66,20 @@ OUT_PATH = REPO_ROOT / "BENCH_perf.json"
 def measure_cpvf_convergence(
     seed: int = 1, duration: float = 750.0, n: int = 240
 ) -> dict:
-    """Coverage plateau of the batched dynamics vs the seed dynamics.
+    """Coverage plateau of CPVF vs the seed dynamics.
 
     Runs the paper's Figure 3(a) scenario (240 sensors, rc = 60, rs = 40,
     obstacle-free 1000 m field, 750 s horizon) once under the seed
-    sequential dynamics and once under the colored-batch kernel, and
-    reports both final coverages.  The batched schedule is semantically
-    faithful — the paper's sensors all move simultaneously — so the
-    plateaus must agree within two coverage points.
+    sequential dynamics and once under ``CPVFScheme``, and reports both
+    final coverages.  CPVF evaluates every force from start-of-period
+    positions — the paper's sensors all decide simultaneously — while
+    the seed lets each sensor see earlier movers; the plateaus must
+    agree within two coverage points.
     """
     coverages = {}
     for label, scheme in (
         ("sequential", SeedCPVF()),
-        ("batched", CPVFScheme(mode="batched")),
+        ("cpvf", CPVFScheme()),
     ):
         scale = ExperimentScale(
             field_size=1000.0, sensor_count=n, duration=duration
@@ -87,18 +88,18 @@ def measure_cpvf_convergence(
         world = make_world(config, scale)
         engine = SimulationEngine(world, scheme, trace_every=10**9)
         coverages[label] = engine.run().final_coverage
-    gap = abs(coverages["batched"] - coverages["sequential"])
+    gap = abs(coverages["cpvf"] - coverages["sequential"])
     if gap > 0.02:
         raise AssertionError(
-            "batched CPVF plateau diverged from the seed dynamics: "
-            f"{coverages['batched']:.4f} vs {coverages['sequential']:.4f}"
+            "CPVF plateau diverged from the seed dynamics: "
+            f"{coverages['cpvf']:.4f} vs {coverages['sequential']:.4f}"
         )
     return {
         "scenario": "fig3a",
         "n": n,
         "duration_s": duration,
         "sequential_coverage": coverages["sequential"],
-        "batched_coverage": coverages["batched"],
+        "cpvf_coverage": coverages["cpvf"],
         "abs_gap": gap,
     }
 
@@ -125,7 +126,7 @@ def _carry_seed(old, new):
 
     A fresh row without a ``seed_ms`` of its own takes the committed
     row's value unchanged (``None`` included) and its ``speedup`` is
-    recomputed as seed over the fresh ``batched_ms`` (or ``fast_ms``);
+    recomputed as seed over the fresh ``fast_ms``;
     the row keeps the committed column order.  Rows with no committed
     counterpart are left without a seed column.
     """
@@ -139,10 +140,10 @@ def _carry_seed(old, new):
             rows.append(row)
             continue
         seed_ms = frozen["seed_ms"]
-        base_ms = row.get("batched_ms", row.get("fast_ms"))
+        fast_ms = row.get("fast_ms")
         merged = dict(row, seed_ms=seed_ms)
         merged["speedup"] = (
-            None if seed_ms is None or not base_ms else seed_ms / base_ms
+            None if seed_ms is None or not fast_ms else seed_ms / fast_ms
         )
         order = [k for k in frozen if k in merged]
         order += [k for k in merged if k not in order]
@@ -170,15 +171,6 @@ def _print_results(results: dict) -> None:
     for section in ("neighbor_table", "cpvf_period", "coverage"):
         for row in results.get(section, ()):
             layout = f" {row['layout']}" if "layout" in row else ""
-            extra = ""
-            if "batched_ms" in row:
-                extra = (
-                    f" batched={row['batched_ms']:.2f} ms"
-                    f" ({row['speedup_vs_vectorized']:.1f}x vs vectorized)"
-                )
-            if row.get("phases_ms"):
-                top = max(row["phases_ms"], key=row["phases_ms"].get)
-                extra += f" [top phase {top}={row['phases_ms'][top]:.1f} ms]"
             # seed_ms / speedup are None on rows the seed algorithm never
             # ran on (n > 20000, or sizes with no committed seed row).
             if row.get("seed_ms") is None:
@@ -193,7 +185,7 @@ def _print_results(results: dict) -> None:
             print(
                 f"{section}{layout} n={row['n']}: "
                 f"{seed_part} fast={row['fast_ms']:.2f} ms"
-                f"{speedup_part}{extra}"
+                f"{speedup_part}"
             )
     for row in results.get("telemetry_overhead", ()):
         print(
@@ -206,7 +198,7 @@ def _print_results(results: dict) -> None:
         print(
             f"cpvf_convergence {row['scenario']} n={row['n']}: "
             f"seed={row['sequential_coverage']:.4f} "
-            f"batched={row['batched_coverage']:.4f} "
+            f"cpvf={row['cpvf_coverage']:.4f} "
             f"(gap {row['abs_gap']:.4f})"
         )
     for row in results.get("sweep_throughput", ()):

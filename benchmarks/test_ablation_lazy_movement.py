@@ -25,9 +25,9 @@ class _LazyCPVF(SeedCPVF):
     """CPVF with the reference (scalar) force evaluation.
 
     The ablation isolates the lazy-movement strategy, so both variants run
-    the seed-faithful sequential force path: the batched evaluation uses
-    start-of-period positions, which perturbs trajectories enough to
-    confound this margin-sensitive comparison at smoke scale.
+    the seed-faithful sequential force path: ``CPVFScheme`` evaluates
+    forces from start-of-period positions, which perturbs trajectories
+    enough to confound this margin-sensitive comparison at smoke scale.
     """
 
 

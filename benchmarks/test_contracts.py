@@ -13,7 +13,7 @@ import pytest
 
 from benchmarks import contracts, run_perf
 
-_PERIOD = {"untraced_ms": [10.2, 10.0], "traced_ms": 10.5, "repaired": 3, "rebuilt": 1}
+_PERIOD = {"untraced_ms": [10.2, 10.0], "traced_ms": 10.5}
 _PROFILED = {
     "fingerprint_stable": True,
     "phases": ["engine.scheme_step", "engine.trace"],
@@ -40,7 +40,7 @@ _GC = {"entries": 6, "removed_files": 2, "kept_entries": 6, "surviving": 6}
 
 #: A passing measurement for every measurement name.
 GOOD = {
-    "batched_period": _PERIOD,
+    "cpvf_period": _PERIOD,
     "profiled_run": _PROFILED,
     "report_cli": _REPORT,
     "degraded_smoke": _DEGRADED,
@@ -74,14 +74,13 @@ def _with(base, path, value):
 #: contract -> (path into GOOD, value) or ("bench", path into BENCH, value):
 #: one doctoring that must make exactly that contract fail.
 DOCTORED = {
-    "perf.batched_period": ("bench", ("cpvf_period", 1, "fast_ms"), 3.0),
-    "perf.incremental_pairs": (("batched_period", "repaired"), 0),
+    "perf.cpvf_period": ("bench", ("cpvf_period", 1, "fast_ms"), 3.0),
     "obs.roundtrip": (("profiled_run", "json_roundtrip"), False),
     "obs.report_cli": (("report_cli", "returncode"), 1),
     "obs.committed_overhead": (
         "bench", ("telemetry_overhead", 0, "overhead_pct"), 5.5,
     ),
-    "obs.fresh_overhead": (("batched_period", "traced_ms"), 31.0),
+    "obs.fresh_overhead": (("cpvf_period", "traced_ms"), 31.0),
     "network.degraded_smoke": (("degraded_smoke", "FLOOR", "dropped"), 0),
     "network.bench_degraded": (
         "bench", ("degraded_coverage", 1, "coverage_ratio"), 0.84,
@@ -144,23 +143,23 @@ def test_crashed_scheme_fails(run, name):
 
 def test_period_budget_checks_the_first_untraced_window(run):
     # One window over budget fails even when the other is well within it.
-    injected = _with(GOOD, ("batched_period", "untraced_ms"), [31.0, 10.0])
-    assert run("perf.batched_period", injected=injected) == 1
-    injected = _with(GOOD, ("batched_period", "untraced_ms"), [29.0, 31.0])
-    assert run("perf.batched_period", injected=injected) == 0
+    injected = _with(GOOD, ("cpvf_period", "untraced_ms"), [31.0, 10.0])
+    assert run("perf.cpvf_period", injected=injected) == 1
+    injected = _with(GOOD, ("cpvf_period", "untraced_ms"), [29.0, 31.0])
+    assert run("perf.cpvf_period", injected=injected) == 0
 
 
 def test_fresh_overhead_uses_the_best_untraced_window(run):
     # Budget 3 x min(untraced) = 30 ms, not 3 x 20 ms.
-    injected = _with(GOOD, ("batched_period", "untraced_ms"), [20.0, 10.0])
-    injected["batched_period"]["traced_ms"] = 31.0
+    injected = _with(GOOD, ("cpvf_period", "untraced_ms"), [20.0, 10.0])
+    injected["cpvf_period"]["traced_ms"] = 31.0
     bench = {"cpvf_period": []}
     assert run("obs.fresh_overhead", bench=bench, injected=injected) == 1
 
 
 def test_crash_inside_a_check_fails(run):
-    injected = dict(GOOD, batched_period={"untraced_ms": [1.0, 1.0]})
-    assert run("perf.incremental_pairs", injected=injected) == 1
+    injected = dict(GOOD, cpvf_period={"traced_ms": 1.0})
+    assert run("perf.cpvf_period", injected=injected) == 1
 
 
 _SKIPPING = [
@@ -185,7 +184,7 @@ def test_missing_bench_file_skips(run, name):
 def test_fresh_overhead_runs_without_committed_row(run):
     bench = {"cpvf_period": []}
     assert run("obs.fresh_overhead", bench=bench) == 0
-    injected = _with(GOOD, ("batched_period", "traced_ms"), 31.0)
+    injected = _with(GOOD, ("cpvf_period", "traced_ms"), 31.0)
     assert (
         run("obs.fresh_overhead", bench=bench, injected=injected)
         == 1
@@ -204,20 +203,19 @@ def test_carry_seed_keeps_committed_value_and_recomputes_speedup():
     old = [
         {"n": 500, "seed_ms": 63.260656500157594, "fast_ms": 11.7, "speedup": 5.4},
         {"n": 2000, "seed_ms": 943.4574908333767, "fast_ms": 145.0,
-         "batched_ms": 64.5, "speedup": 14.6},
-        {"n": 100000, "seed_ms": None, "fast_ms": 1.0, "batched_ms": 1.0,
-         "speedup": None},
+         "speedup": 6.5},
+        {"n": 100000, "seed_ms": None, "fast_ms": 1.0, "speedup": None},
     ]
     new = [
         {"n": 500, "fast_ms": 10.0},
-        {"n": 2000, "fast_ms": 100.0, "batched_ms": 50.0},
-        {"n": 100000, "fast_ms": 2.0, "batched_ms": 1.0},
+        {"n": 2000, "fast_ms": 50.0},
+        {"n": 100000, "fast_ms": 2.0},
         {"n": 7, "fast_ms": 1.0},
     ]
     rows = run_perf._carry_seed(old, new)
     assert rows[0] == {"n": 500, "seed_ms": 63.260656500157594,
                        "fast_ms": 10.0, "speedup": 6.3260656500157594}
-    assert list(rows[1]) == ["n", "seed_ms", "fast_ms", "batched_ms", "speedup"]
+    assert list(rows[1]) == ["n", "seed_ms", "fast_ms", "speedup"]
     assert rows[1]["seed_ms"] == 943.4574908333767
     assert rows[1]["speedup"] == 943.4574908333767 / 50.0
     assert rows[2]["seed_ms"] is None and rows[2]["speedup"] is None

@@ -31,24 +31,28 @@ from ..mobility import Bug2Planner, Handedness
 from ..network import BASE_STATION_ID, LINK_EPS, MessageType
 from ..sensors import Sensor, SensorState
 from ..sim import DeploymentScheme, World
-from .batch_ladder import TreeSchedule, batched_ladder_steps
 from .connect import attach_reachable, flood_tree
 from .connectivity import STEP_FRACTIONS, max_valid_step_points
 from .lazy import LazyMovementController
 from .oscillation import OscillationAvoidance, OscillationMode
 from .virtual_force import VirtualForceModel
 
-__all__ = ["CPVFScheme", "CPVF_MODES"]
+__all__ = ["CPVFScheme"]
 
 #: Shared zero direction (Vec2 is immutable, so one instance is safe).
 _ZERO_VEC = Vec2(0.0, 0.0)
 
-#: The execution strategies of the coverage stage (see ``mode``).
-CPVF_MODES = ("vectorized", "batched")
-
 
 class CPVFScheme(DeploymentScheme):
-    """Connectivity-Preserved Virtual Force deployment."""
+    """Connectivity-Preserved Virtual Force deployment.
+
+    Each period the forces of all connected sensors are evaluated in one
+    numpy batch from start-of-period positions (the paper's
+    simultaneous-decision semantics); the step ladder then runs sensor by
+    sensor against live link positions.  The seed dynamics — sensors
+    deciding one after the other, each seeing earlier movers' new
+    positions — are kept as the test oracle ``tests.oracles.SeedCPVF``.
+    """
 
     name = "CPVF"
 
@@ -58,7 +62,6 @@ class CPVFScheme(DeploymentScheme):
         oscillation_delta: Optional[float] = None,
         oscillation_mode: str = "one-step",
         repulsion_distance: Optional[float] = None,
-        mode: str = "vectorized",
     ):
         """Create the scheme.
 
@@ -73,38 +76,11 @@ class CPVFScheme(DeploymentScheme):
         repulsion_distance:
             Pairwise repulsion threshold for the virtual forces; defaults to
             ``2 * rs`` of the simulated sensors.
-        mode:
-            Execution strategy of the coverage stage (default
-            ``"vectorized"``; see ``docs/performance.md``):
-
-            ``"vectorized"``
-                Forces for all sensors evaluated in one numpy batch from
-                start-of-period positions (the paper's simultaneous-
-                decision semantics); the step ladder runs per sensor
-                against live link positions.
-            ``"batched"``
-                Conflict-free batch execution: tree levels are colored by
-                BFS-depth parity, and each color class evaluates ladder,
-                obstacle clipping and oscillation test as arrays against
-                frozen link positions, committing in one pass; blocked
-                sensors then take a serialized repair pass.  Same
-                per-period message accounting; trajectories are
-                equivalent in distribution to ``"vectorized"`` rather
-                than numerically identical.
-
-            The seed dynamics — sensors deciding one after the other, each
-            seeing earlier movers' new positions — are kept as the test
-            oracle ``tests.oracles.SeedCPVF``.
         """
-        if mode not in CPVF_MODES:
-            raise ValueError(
-                f"unknown CPVF mode {mode!r}; choose from {list(CPVF_MODES)}"
-            )
         self._allow_parent_change = allow_parent_change
         self._oscillation_delta = oscillation_delta
         self._oscillation_mode = OscillationMode.from_string(oscillation_mode)
         self._repulsion_distance = repulsion_distance
-        self._mode = mode
         self._planner: Optional[Bug2Planner] = None
         self._forces: Optional[VirtualForceModel] = None
         self._lazy: Optional[LazyMovementController] = None
@@ -113,15 +89,9 @@ class CPVFScheme(DeploymentScheme):
         #: only when ``tree.version`` changes.
         self._link_ids_version: Optional[int] = None
         self._link_ids: Dict[int, tuple] = {}
-        self._schedule: Optional[TreeSchedule] = None
         #: Lock requests in flight under network latency: sensor id ->
         #: period at which the (delayed) lock grant arrives.
         self._pending_locks: Dict[int, int] = {}
-
-    @property
-    def mode(self) -> str:
-        """The configured execution mode of the coverage stage."""
-        return self._mode
 
     # ------------------------------------------------------------------
     # Initialisation
@@ -149,7 +119,6 @@ class CPVFScheme(DeploymentScheme):
         # collide with the new world's version values.
         self._link_ids = {}
         self._link_ids_version = None
-        self._schedule = None
         self._pending_locks = {}
         flood_tree(world)
         for sensor in world.sensors:
@@ -164,27 +133,10 @@ class CPVFScheme(DeploymentScheme):
     def step(self, world: World) -> None:
         assert self._planner is not None and self._forces is not None
         assert self._lazy is not None and self._avoidance is not None
-        if self._mode == "batched":
-            # The connectivity stage only needs neighbour rows for sensors
-            # that are still walking toward the tree; the coverage stage
-            # works on packed pair arrays.  Skipping the full per-sensor
-            # table dict is a large part of the batched mode's win.
-            disconnected = [
-                s.sensor_id
-                for s in world.sensors
-                if s.is_alive() and not s.is_connected()
-            ]
-            if disconnected:
-                table = world.protocol_neighbor_rows(disconnected)
-                attach_reachable(
-                    world, table, world.config.communication_range, self._lazy
-                )
-                self._advance_disconnected_sensors(world, table)
-            self._apply_virtual_forces_batched(world)
-            return
         # Protocol decisions read the table through the network model (a
         # live pass-through by default, aged under staleness); physics —
-        # the batched pair arrays, coverage, connectivity — stays live.
+        # coverage, connectivity, the step ladder's link positions — stays
+        # live.
         table = world.protocol_neighbor_table()
         attach_reachable(
             world, table, world.config.communication_range, self._lazy
@@ -277,7 +229,9 @@ class CPVFScheme(DeploymentScheme):
         connected = [s for s in world.sensors if s.is_connected()]
         if not connected:
             return
-        directions = self._force_directions(world, connected, table)
+        tel = world.telemetry
+        with tel.span("cpvf.forces"):
+            directions = self._force_directions(world, connected, table)
         for sensor in connected:
             direction = directions[sensor.sensor_id]
             if direction.x == 0.0 and direction.y == 0.0:
@@ -302,353 +256,22 @@ class CPVFScheme(DeploymentScheme):
                 config.communication_range,
             )
             if step <= 0.0 and self._allow_parent_change:
-                step = self._try_parent_change(world, sensor, direction, table)
+                if tel.enabled:
+                    tel.count("cpvf.repair_attempts", 1)
+                with tel.span("cpvf.repair"):
+                    step = self._try_parent_change(
+                        world, sensor, direction, table
+                    )
             if step <= 0.0:
                 sensor.previous_position = sensor.position
                 continue
             self._finish_move(world, sensor, direction, step)
 
-    # -- Stage 2, batched: conflict-free color-class execution ----------
-    def _get_schedule(self, world: World) -> TreeSchedule:
-        """The coloring/link schedule for the current tree snapshot."""
-        tree = world.tree
-        n = len(world.sensors)
-        schedule = self._schedule
-        if (
-            schedule is None
-            or schedule.version != tree.version
-            or len(schedule.colors) != n
-        ):
-            schedule = TreeSchedule.build(tree, n)
-            self._schedule = schedule
-        return schedule
-
-    def _force_direction_arrays(
-        self, world: World, xs, ys, connected, rows, cols, in_range
-    ):
-        """Unit force directions for all sensors as arrays.
-
-        The pairwise term comes from the packed neighbour pairs (already
-        generated for the period; ``in_range`` masks the pairs within the
-        exact communication range).  The unit-disk relation is
-        symmetric, so each unique pair is evaluated once and scattered to
-        both endpoints.  The wall terms use the array form
-        of ``boundary_force_xy``; only sensors inside an obstacle's
-        perception box pay the scalar per-obstacle loop.  Returns
-        ``(ux, uy, moving)`` where ``moving`` marks connected sensors
-        with a non-zero resultant.
-        """
-        assert self._forces is not None
-        if rows.size:
-            keep = in_range & (rows < cols)
-            rows, cols = rows[keep], cols[keep]
-        fx, fy = self._forces.sensor_force_sums_symmetric(xs, ys, rows, cols)
-        field = world.field
-        bx, by = self._forces.boundary_force_arrays(
-            xs, ys, field.width, field.height
-        )
-        fx += bx
-        fy += by
-        if field.obstacles:
-            d = self._forces.obstacle_distance
-            near = np.zeros(len(xs), dtype=bool)
-            for ob in field.obstacles:
-                xmin, ymin, xmax, ymax = ob.bounding_box()
-                near |= (
-                    (xs >= xmin - d)
-                    & (xs <= xmax + d)
-                    & (ys >= ymin - d)
-                    & (ys <= ymax + d)
-                )
-            for i in np.flatnonzero(near & connected):
-                extra = self._forces.obstacle_only_force(
-                    world.sensors[i].position, field
-                )
-                fx[i] += extra.x
-                fy[i] += extra.y
-        norm = np.hypot(fx, fy)
-        moving = connected & (norm > EPS)
-        safe = np.where(moving, norm, 1.0)
-        ux = np.where(moving, fx / safe, 0.0)
-        uy = np.where(moving, fy / safe, 0.0)
-        return ux, uy, moving
-
-    def _apply_virtual_forces_batched(self, world: World) -> None:
-        """One coverage period, executed color class by color class.
-
-        Both classes evaluate ladder, obstacle clipping and oscillation
-        test as arrays against frozen link positions and commit in one
-        pass; a sensor blocked at step zero (or outside the colored tree)
-        is deferred to a serialized repair pass against the settled
-        positions, mirroring the serialized lock-based parent-change
-        handshake of the paper.  Message accounting is structural — one
-        NEIGHBOR_STATE transmission per preserved link of every sensor
-        with a non-zero force — and therefore identical to the vectorized
-        mode on the same tree.
-        """
-        assert self._forces is not None and self._avoidance is not None
-        config = world.config
-        field = world.field
-        sensors = world.sensors
-        n = len(sensors)
-        if n == 0:
-            return
-        starts = [s.position for s in sensors]
-        xs = np.fromiter((p.x for p in starts), float, n)
-        ys = np.fromiter((p.y for p in starts), float, n)
-        connected = np.fromiter((s.is_connected() for s in sensors), bool, n)
-        if not connected.any():
-            return
-        # One inflated pair set serves both the force evaluation (masked
-        # to the exact range) and the repair pass's candidate rows: a
-        # sensor within range at any point of the period was within
-        # rc + 2 * max_step at the period start.  The neighbour cache
-        # reports its pair maintenance (cpvf.pairs / cpvf.pairs_incremental
-        # spans and counters; see docs/performance.md).
-        rows, cols, d2 = world.neighbor_pairs(
-            2.0 * config.max_step, with_d2=True
-        )
-        tel = world.telemetry
-        if tel.enabled:
-            tel.count("cpvf.candidate_pairs", int(rows.size))
-        with tel.span("cpvf.forces"):
-            limit = config.communication_range + LINK_EPS
-            in_range = d2 <= limit * limit
-            ux, uy, moving = self._force_direction_arrays(
-                world, xs, ys, connected, rows, cols, in_range
-            )
-        schedule = self._get_schedule(world)
-        colors = schedule.colors
-        # Connected sensors outside the colored tree (detached subtrees)
-        # fall back to the full scalar treatment in the repair pass.
-        stray = moving & (colors < 0)
-        repair: List[int] = np.flatnonzero(stray).tolist()
-        max_step = config.max_step
-        threshold = self._avoidance.threshold()
-        prev_x = prev_y = None
-        if (
-            threshold > 0.0
-            and self._avoidance.mode is OscillationMode.TWO_STEP
-        ):
-            # NaN marks "no history yet": every comparison against it is
-            # False, exactly like the scalar None check.
-            prev_x = np.fromiter(
-                (
-                    s.previous_position.x
-                    if s.previous_position is not None
-                    else math.nan
-                    for s in sensors
-                ),
-                float,
-                n,
-            )
-            prev_y = np.fromiter(
-                (
-                    s.previous_position.y
-                    if s.previous_position is not None
-                    else math.nan
-                    for s in sensors
-                ),
-                float,
-                n,
-            )
-        base = world.base_station
-        batch_span = tel.span("cpvf.batch")
-        batch_span.__enter__()
-        for color in (0, 1):
-            idx = np.flatnonzero(moving & (colors == color))
-            if tel.enabled:
-                tel.count(f"cpvf.color{color}_sensors", int(idx.size))
-            if idx.size == 0:
-                continue
-            pair_owner, nodes = schedule.links_for(idx)
-            if nodes.size:
-                # Each preserved link costs one state-exchange message
-                # before the step-size decision (Section 4.2).
-                world.routing.record_one_hop(
-                    MessageType.NEIGHBOR_STATE, int(nodes.size)
-                )
-            safe_nodes = np.maximum(nodes, 0)
-            link_x = np.where(nodes == BASE_STATION_ID, base.x, xs[safe_nodes])
-            link_y = np.where(nodes == BASE_STATION_ID, base.y, ys[safe_nodes])
-            steps = batched_ladder_steps(
-                xs[idx],
-                ys[idx],
-                ux[idx],
-                uy[idx],
-                max_step,
-                config.communication_range,
-                pair_owner,
-                link_x,
-                link_y,
-            )
-            blocked = steps <= 0.0
-            repair.extend(idx[blocked].tolist())
-            movers = np.flatnonzero(~blocked)
-            if movers.size == 0:
-                continue
-            midx = idx[movers]
-            mux, muy = ux[midx], uy[midx]
-            clipped = field.max_free_travel_batch(
-                xs[midx], ys[midx], mux, muy, steps[movers]
-            )
-            dir_norm = np.hypot(mux, muy)
-            safe = np.where(dir_norm > EPS, dir_norm, 1.0)
-            end_x = np.where(
-                dir_norm > EPS, xs[midx] + (mux / safe) * clipped, xs[midx]
-            )
-            end_y = np.where(
-                dir_norm > EPS, ys[midx] + (muy / safe) * clipped, ys[midx]
-            )
-            if threshold > 0.0:
-                if self._avoidance.mode is OscillationMode.ONE_STEP:
-                    cancel = clipped < threshold
-                else:
-                    cancel = (
-                        np.hypot(
-                            end_x - prev_x[midx], end_y - prev_y[midx]
-                        )
-                        < threshold
-                    )
-                keep = ~cancel
-                midx = midx[keep]
-                end_x, end_y = end_x[keep], end_y[keep]
-            dists = np.hypot(end_x - xs[midx], end_y - ys[midx])
-            moves = [
-                (sensors[i], x, y, d)
-                for i, x, y, d in zip(
-                    midx.tolist(), end_x.tolist(), end_y.tolist(), dists.tolist()
-                )
-            ]
-            world.commit_moves(moves)
-            # Keep the coordinate arrays live for the next color class:
-            # its link positions must see this class's committed moves.
-            xs[midx] = end_x
-            ys[midx] = end_y
-        batch_span.__exit__(None, None, None)
-        # Oscillation history: every connected sensor's previous position
-        # becomes its start-of-period position (the vectorized mode does
-        # the same, branch by branch); repair sensors keep their history
-        # until their own scalar pass below reads it.
-        repair_set = set(repair)
-        for i in np.flatnonzero(connected).tolist():
-            if i not in repair_set:
-                sensors[i].previous_position = starts[i]
-        if not repair:
-            return
-        # The inflated pair rows double as the repair pass's candidate
-        # lists: a sensor in range of a blocked one at any point of the
-        # pass was within rc + 2 * max_step at the period start, and the
-        # live-distance filter of _csr_parent_candidates discards the
-        # extras.
-        candidate_csr = None
-        if self._allow_parent_change:
-            offsets = np.zeros(n + 1, dtype=np.intp)
-            np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
-            candidate_csr = (cols, offsets)
-        if tel.enabled:
-            tel.count("cpvf.repair_attempts", len(repair))
-            tel.count("cpvf.stray_sensors", int(stray.sum()))
-        with tel.span("cpvf.repair"):
-            for i in repair:
-                self._repair_blocked(
-                    world, sensors[i], Vec2(float(ux[i]), float(uy[i])),
-                    bool(stray[i]), candidate_csr, xs, ys, connected,
-                )
-                # Keep the live coordinate arrays in sync for later repairs.
-                pos = sensors[i].position
-                xs[i] = pos.x
-                ys[i] = pos.y
-
-    def _repair_blocked(
-        self,
-        world: World,
-        sensor: Sensor,
-        direction: Vec2,
-        record_messages: bool,
-        candidate_csr,
-        xs,
-        ys,
-        connected,
-    ) -> None:
-        """Serialized tail for one sensor the batch could not move.
-
-        Re-runs the ladder against the settled (post-commit) link
-        positions, attempts a parent change when still blocked, and
-        finishes through the shared scalar tail.  One sensor at a time,
-        like the paper's LockTree/UnLockTree handshake.
-        ``record_messages`` is ``False`` for batch-deferred sensors (their
-        state exchange was already accounted in the class batch) and
-        ``True`` for stray sensors that bypassed the batch entirely.
-        ``candidate_csr`` is the pass's shared ``(cols, offsets)``
-        candidate structure (``None`` without parent changes); ``xs, ys,
-        connected`` its live coordinate/state arrays.
-        """
-        config = world.config
-        links = self._tree_link_positions(world, sensor)
-        if record_messages and links:
-            world.routing.record_one_hop(
-                MessageType.NEIGHBOR_STATE, len(links)
-            )
-        step = max_valid_step_points(
-            sensor.position.x,
-            sensor.position.y,
-            direction.x,
-            direction.y,
-            config.max_step,
-            links,
-            config.communication_range,
-        )
-        if step <= 0.0 and self._allow_parent_change:
-            candidates, subtree = self._csr_parent_candidates(
-                world, sensor, candidate_csr, xs, ys, connected
-            )
-            if candidates and self._acquire_subtree_lock(
-                world, sensor.sensor_id, len(subtree)
-            ):
-                step = self._adopt_parent(world, sensor, direction, candidates)
-        if step <= 0.0:
-            sensor.previous_position = sensor.position
-            return
-        self._finish_move(world, sensor, direction, step)
-
-    def _csr_parent_candidates(
-        self, world: World, sensor: Sensor, candidate_csr, xs, ys, connected
-    ) -> Tuple[List[Tuple[int, float, float]], set]:
-        """Live parent candidates of the batched repair pass.
-
-        Enumerated from the period's inflated pair rows and filtered once,
-        as arrays, against the live coordinate arrays.  The inflation
-        covers the most any sensor moves within the period, so the
-        survivors (and their ascending-id order) match a freshly built
-        neighbour table.  Returns ``(candidates, subtree)``: the
-        ``(id, x, y)`` candidates outside the sensor's subtree, base
-        station first, and the subtree the lock must cover.
-        """
-        sid = sensor.sensor_id
-        px, py = sensor.position.x, sensor.position.y
-        rc = world.config.communication_range
-        csr_cols, csr_offsets = candidate_csr
-        cand = csr_cols[csr_offsets[sid]:csr_offsets[sid + 1]]
-        cand = cand[connected[cand]]
-        cand = cand[np.hypot(xs[cand] - px, ys[cand] - py) <= rc + LINK_EPS]
-        subtree = world.tree.subtree_of(sid)
-        if len(subtree) > 1:
-            cand = cand[[c not in subtree for c in cand.tolist()]]
-        candidates = list(
-            zip(cand.tolist(), xs[cand].tolist(), ys[cand].tolist())
-        )
-        base = world.base_station
-        if math.hypot(px - base.x, py - base.y) <= rc:
-            candidates.insert(0, (BASE_STATION_ID, base.x, base.y))
-        return candidates, subtree
-
     def _finish_move(
         self, world: World, sensor: Sensor, direction: Vec2, step: float
     ) -> None:
         """Clip a validated step to free space, apply oscillation
-        avoidance, and commit the move (the shared per-sensor tail of both
-        execution modes)."""
+        avoidance, and commit the move."""
         assert self._avoidance is not None
         # A sensor that found a way to move no longer needs the lock grant
         # it was waiting for; drop it so a later block starts a fresh
@@ -833,7 +456,7 @@ class CPVFScheme(DeploymentScheme):
         direction: Vec2,
         candidates: Sequence[Tuple[int, float, float]],
     ) -> float:
-        """The parent-change scan of both modes, run under the lock.
+        """The parent-change scan, run under the lock.
 
         ``candidates`` are the ``(id, x, y)`` of the connected nodes
         outside the sensor's subtree that are in range now, base station

@@ -68,17 +68,6 @@ class VirtualForceModel:
 
     def force_from_obstacles(self, position: Vec2, field: Field) -> Vec2:
         """Repulsive force from obstacles and the field boundary."""
-        total = self.obstacle_only_force(position, field)
-        # Field boundary repulsion: keep sensors inside the rectangle.
-        return total + self._boundary_force(position, field)
-
-    def obstacle_only_force(self, position: Vec2, field: Field) -> Vec2:
-        """The obstacle terms of :meth:`force_from_obstacles`, walls excluded.
-
-        The batched CPVF path evaluates the (cheap, everywhere-active) wall
-        terms as arrays and only visits this scalar per-obstacle loop for
-        sensors inside an obstacle's perception box.
-        """
         total = Vec2.zero()
         # Obstacle repulsion: away from the nearest boundary point of each
         # obstacle that is within perception range.
@@ -96,7 +85,8 @@ class VirtualForceModel:
             direction = (position - closest).normalized()
             magnitude = self.obstacle_gain * (self.obstacle_distance - dist) / self.obstacle_distance
             total = total + direction * magnitude
-        return total
+        # Field boundary repulsion: keep sensors inside the rectangle.
+        return total + self._boundary_force(position, field)
 
     def boundary_force_xy(
         self, px: float, py: float, width: float, height: float
@@ -104,9 +94,9 @@ class VirtualForceModel:
         """Wall-repulsion components in plain floats.
 
         The single implementation of the four wall terms, shared by the
-        scalar path below and the batched CPVF path (which accumulates
-        floats directly); keeping one copy guarantees the two force
-        evaluations agree at the field boundary.
+        scalar path below and CPVF's obstacle-free force loop (which
+        accumulates floats directly); keeping one copy guarantees the two
+        force evaluations agree at the field boundary.
         """
         force_x = 0.0
         force_y = 0.0
@@ -122,27 +112,6 @@ class VirtualForceModel:
         if height - py < d:
             force_y += -self.obstacle_gain * (d - (height - py)) / d
         return force_x, force_y
-
-    def boundary_force_arrays(self, px, py, width: float, height: float):
-        """Wall-repulsion components for a whole batch of positions.
-
-        The array form of :meth:`boundary_force_xy` — identical per-term
-        arithmetic, evaluated with numpy so the batched CPVF path gets the
-        wall terms of every sensor in four vectorised comparisons.
-        """
-        d = self.obstacle_distance
-        fx = np.zeros(px.shape, dtype=float)
-        fy = np.zeros(py.shape, dtype=float)
-        if d <= 0:
-            return fx, fy
-        gain = self.obstacle_gain
-        fx += np.where(px < d, gain * (d - px) / d, 0.0)
-        wx = width - px
-        fx += np.where(wx < d, -gain * (d - wx) / d, 0.0)
-        fy += np.where(py < d, gain * (d - py) / d, 0.0)
-        wy = height - py
-        fy += np.where(wy < d, -gain * (d - wy) / d, 0.0)
-        return fx, fy
 
     def _boundary_force(self, position: Vec2, field: Field) -> Vec2:
         """Force pushing the sensor away from the field's outer walls."""
@@ -216,47 +185,4 @@ class VirtualForceModel:
         return (
             np.bincount(rows_n, weights=fx, minlength=n),
             np.bincount(rows_n, weights=fy, minlength=n),
-        )
-
-    def sensor_force_sums_symmetric(
-        self,
-        xs: np.ndarray,
-        ys: np.ndarray,
-        i_idx: np.ndarray,
-        j_idx: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`sensor_force_sums` over *unique* pairs ``(i, j)``.
-
-        The pairwise term is exactly antisymmetric (same magnitude, the
-        direction flips with the sign of ``p_i - p_j``), so each pair is
-        evaluated once and scattered to both endpoints — the batched CPVF
-        path halves its pair arithmetic this way.  Coincident pairs are
-        the one exception: both sensors receive the fixed ``+x`` push, as
-        in :meth:`force_from_sensor`.
-        """
-        n = len(xs)
-        if i_idx.size == 0:
-            zero = np.zeros(n)
-            return zero, zero.copy()
-        dx = xs[i_idx] - xs[j_idx]
-        dy = ys[i_idx] - ys[j_idx]
-        dist = np.hypot(dx, dy)
-        near = dist < self.repulsion_distance
-        i_n, j_n = i_idx[near], j_idx[near]
-        dx_n, dy_n, dist_n = dx[near], dy[near], dist[near]
-        coincident = dist_n <= 1e-9
-        safe = np.where(coincident, 1.0, dist_n)
-        magnitude = (
-            self.sensor_gain * (self.repulsion_distance - dist_n)
-            / self.repulsion_distance
-        )
-        fx = np.where(coincident, self.sensor_gain, (dx_n / safe) * magnitude)
-        fy = np.where(coincident, 0.0, (dy_n / safe) * magnitude)
-        fx_back = np.where(coincident, self.sensor_gain, -fx)
-        fy_back = np.where(coincident, 0.0, -fy)
-        return (
-            np.bincount(i_n, weights=fx, minlength=n)
-            + np.bincount(j_n, weights=fx_back, minlength=n),
-            np.bincount(i_n, weights=fy, minlength=n)
-            + np.bincount(j_n, weights=fy_back, minlength=n),
         )

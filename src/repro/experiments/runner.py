@@ -37,8 +37,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..api import RunRecord, SweepRunner, SweepSpec, thaw_params
-from ..core import CPVF_MODES
+from ..api import RunRecord, SweepRunner, SweepSpec
 from ..obs import TelemetrySummary
 from ..obs.report import format_summary, write_record_trace
 from .common import BENCH_SCALE, FULL_SCALE, SMOKE_SCALE, ExperimentScale
@@ -139,16 +138,11 @@ def run_experiment_records(
     jobs: int = 1,
     seed: int = 1,
     trace_every: Optional[int] = None,
-    cpvf_mode: Optional[str] = None,
     store=None,
     resume: bool = False,
     profile: bool = False,
 ) -> Tuple[List[RunRecord], str]:
     """Run one experiment; return its records and formatted report.
-
-    ``cpvf_mode`` selects the CPVF execution strategy (one of
-    :data:`~repro.core.CPVF_MODES`, see ``docs/performance.md``) for every
-    CPVF run in the sweep; other schemes are untouched.
 
     ``profile`` turns on telemetry for every run: each record carries a
     :class:`~repro.obs.TelemetrySummary` (phase times + counters), which
@@ -165,24 +159,6 @@ def run_experiment_records(
         raise KeyError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
     experiment = EXPERIMENTS[name]
     sweep = experiment.build(scale, seed, trace_every)
-    if cpvf_mode is not None:
-        if cpvf_mode not in CPVF_MODES:
-            raise ValueError(
-                f"unknown CPVF mode {cpvf_mode!r}; choose from {list(CPVF_MODES)}"
-            )
-        sweep = SweepSpec(
-            name=sweep.name,
-            runs=tuple(
-                run.replace(
-                    scheme_params={
-                        **thaw_params(run.scheme_params), "mode": cpvf_mode,
-                    }
-                )
-                if run.scheme == "CPVF"
-                else run
-                for run in sweep.runs
-            ),
-        )
     if profile:
         sweep = SweepSpec(
             name=sweep.name,
@@ -309,15 +285,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         ),
     )
     parser.add_argument(
-        "--cpvf-mode",
-        choices=CPVF_MODES,
-        default=None,
-        help=(
-            "CPVF execution strategy for every CPVF run (see "
-            "docs/performance.md); default keeps the scheme's own default"
-        ),
-    )
-    parser.add_argument(
         "--profile",
         action="store_true",
         help=(
@@ -359,7 +326,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             jobs=args.jobs,
             seed=args.seed,
             trace_every=args.trace_every,
-            cpvf_mode=args.cpvf_mode,
             store=args.store,
             resume=args.resume,
             profile=args.profile,

@@ -237,86 +237,6 @@ class Field:
                 hi = mid
         return lo
 
-    def max_free_travel_batch(
-        self,
-        px: np.ndarray,
-        py: np.ndarray,
-        dir_x: np.ndarray,
-        dir_y: np.ndarray,
-        distances: np.ndarray,
-    ) -> np.ndarray:
-        """:meth:`max_free_travel` for a whole batch of rays at once.
-
-        ``px, py`` are ray starts, ``dir_x, dir_y`` direction components
-        (not necessarily unit — normalised here exactly like the scalar
-        path) and ``distances`` the per-ray travel caps.  Rays whose swept
-        bounding box cannot touch any obstacle run through a vectorised
-        replica of the scalar arithmetic (same endpoint test, same 24-step
-        bisection); rays near an obstacle fall back to the exact scalar
-        query, so results match :meth:`max_free_travel` ray for ray.
-        """
-        px = np.asarray(px, dtype=float)
-        py = np.asarray(py, dtype=float)
-        dir_x = np.asarray(dir_x, dtype=float)
-        dir_y = np.asarray(dir_y, dtype=float)
-        distances = np.asarray(distances, dtype=float)
-        out = np.zeros(px.shape, dtype=float)
-        norm = np.hypot(dir_x, dir_y)
-        safe_norm = np.where(norm > 1e-9, norm, 1.0)
-        ux = dir_x / safe_norm
-        uy = dir_y / safe_norm
-        in_start = (px >= 0.0) & (px <= self.width) & (py >= 0.0) & (py <= self.height)
-        active = (distances > 0.0) & (norm > 1e-9) & in_start
-        if not active.any():
-            return out
-        tx = px + ux * distances
-        ty = py + uy * distances
-        vectorizable = active
-        if self.obstacles:
-            # A ray can only be affected by an obstacle when its swept
-            # bounding box overlaps the obstacle's; flagged rays keep the
-            # exact scalar treatment (conservative inclusion is safe).
-            margin = 1e-6
-            bx0, bx1 = np.minimum(px, tx), np.maximum(px, tx)
-            by0, by1 = np.minimum(py, ty), np.maximum(py, ty)
-            near = np.zeros(px.shape, dtype=bool)
-            for ob in self.obstacles:
-                xmin, ymin, xmax, ymax = ob.bounding_box()
-                near |= (
-                    (bx1 >= xmin - margin)
-                    & (bx0 <= xmax + margin)
-                    & (by1 >= ymin - margin)
-                    & (by0 <= ymax + margin)
-                )
-            near &= active
-            for i in np.flatnonzero(near):
-                out[i] = self.max_free_travel(
-                    Vec2(px[i], py[i]),
-                    Vec2(dir_x[i], dir_y[i]),
-                    float(distances[i]),
-                )
-            vectorizable = active & ~near
-            if not vectorizable.any():
-                return out
-        end_in = (tx >= 0.0) & (tx <= self.width) & (ty >= 0.0) & (ty <= self.height)
-        full = vectorizable & end_in
-        out[full] = distances[full]
-        rem = np.flatnonzero(vectorizable & ~end_in)
-        if rem.size:
-            sx, sy = px[rem], py[rem]
-            rux, ruy = ux[rem], uy[rem]
-            lo = np.zeros(rem.shape, dtype=float)
-            hi = distances[rem].copy()
-            for _ in range(24):
-                mid = (lo + hi) / 2.0
-                cx = sx + rux * mid
-                cy = sy + ruy * mid
-                inb = (cx >= 0.0) & (cx <= self.width) & (cy >= 0.0) & (cy <= self.height)
-                lo = np.where(inb, mid, lo)
-                hi = np.where(inb, hi, mid)
-            out[rem] = lo
-        return out
-
     # ------------------------------------------------------------------
     # Sensing-range boundary queries (used by FLOOR's BLG expansion)
     # ------------------------------------------------------------------

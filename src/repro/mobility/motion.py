@@ -78,18 +78,6 @@ class MotionModel:
         self.odometer += dist
         return dist
 
-    def commit_move(self, x: float, y: float, distance: float) -> None:
-        """Commit a move whose straight-line distance is already known.
-
-        The batched CPVF path computes all commit distances in one numpy
-        ``hypot``; this skips the per-sensor recomputation of
-        :meth:`move_to` while charging the odometer and bumping the
-        position version exactly once, like any other position
-        assignment.
-        """
-        self.position = Vec2(float(x), float(y))
-        self.odometer += distance
-
     def step_towards(self, target: Vec2, distance: Optional[float] = None) -> float:
         """Move straight toward ``target`` by at most one step.
 

@@ -36,7 +36,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 __all__ = [
     "NETWORK_SCHEMA_VERSION",
@@ -106,12 +106,6 @@ class NetworkModel:
     def neighbor_table(self, world) -> Dict[int, List[int]]:
         """The neighbour table as the protocol layer sees it."""
         return world.neighbor_table()
-
-    def neighbor_rows(
-        self, world, sensor_ids: Sequence[int]
-    ) -> Dict[int, List[int]]:
-        """Per-sensor neighbour rows as the protocol layer sees them."""
-        return world.neighbor_rows(sensor_ids)
 
     # ------------------------------------------------------------------
     # Delivery
@@ -223,16 +217,6 @@ class UnreliableNetwork(NetworkModel):
         if self.staleness <= 1:
             return world.neighbor_table()
         return self._stale_table(world)
-
-    def neighbor_rows(
-        self, world, sensor_ids: Sequence[int]
-    ) -> Dict[int, List[int]]:
-        if self.staleness <= 1:
-            return world.neighbor_rows(sensor_ids)
-        table = self._stale_table(world)
-        return {
-            sensor_id: table.get(sensor_id, []) for sensor_id in sensor_ids
-        }
 
     # ------------------------------------------------------------------
     # Delivery (loss / retry / timeout)

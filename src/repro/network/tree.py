@@ -32,9 +32,8 @@ class ConnectivityTree:
     parent: Dict[int, int] = field(default_factory=dict)
     children: Dict[int, Set[int]] = field(default_factory=dict)
     #: Monotone counter bumped on every structural mutation.  Consumers
-    #: that derive expensive structures from the tree (the CPVF link-id
-    #: cache, the batched kernel's coloring schedule) key their caches on
-    #: it, so an unchanged tree never recomputes anything.
+    #: that derive structures from the tree (the CPVF link-id cache) key
+    #: their caches on it, so an unchanged tree never recomputes anything.
     version: int = 0
 
     # ------------------------------------------------------------------

@@ -4,7 +4,7 @@ Instrumented code holds one :class:`Telemetry` and calls::
 
     with tel.span("cpvf.forces"):
         ...                       # timed phase
-    tel.count("cpvf.candidate_pairs", rows.size)
+    tel.count("cpvf.repair_attempts", 1)
     tel.gauge("floor.relocations_in_flight", len(active))
     tel.record_period(PeriodTrace(...))
 
@@ -14,7 +14,7 @@ The overhead contract: the default is :data:`NULL_TELEMETRY`, whose
 minus one attribute lookup and a call.  Hot loops that would pay even
 that (e.g. per-pair work) guard with ``if tel.enabled:``.  The
 ``telemetry_overhead`` entry in ``BENCH_perf.json`` pins the measured
-cost on the batched CPVF kernel at <= a few percent.
+cost on the CPVF kernel at <= a few percent.
 
 Counters must be *deterministic* quantities (sizes, attempt counts,
 messages) so that a sweep's counter totals are identical however it was

@@ -504,6 +504,4 @@ class FaultInjector:
                 continue
             target = field_.nearest_free(pos)
             sensor.motion.stop()
-            sensor.motion.commit_move(
-                target.x, target.y, pos.distance_to(target)
-            )
+            sensor.motion.move_to(target)

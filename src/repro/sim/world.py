@@ -180,20 +180,6 @@ class World:
         """Current neighbour lists (ids within communication range)."""
         return self._cache().neighbor_table()
 
-    def neighbor_pairs(self, extra_radius: float = 0.0, with_d2: bool = False):
-        """Directed neighbour pairs ``(rows, cols[, d2])`` as index arrays.
-
-        The flat-array view of :meth:`neighbor_table` (same accepted pairs,
-        same ordering; ``extra_radius`` inflates the acceptance) used by
-        the batched CPVF kernel; see
-        :meth:`repro.spatial.NeighborCache.neighbor_pairs`.
-        """
-        return self._cache().neighbor_pairs(extra_radius, with_d2)
-
-    def neighbor_rows(self, sensor_ids: Sequence[int]) -> Dict[int, List[int]]:
-        """Neighbour lists for a subset of sensors (see the cache method)."""
-        return self._cache().neighbor_rows(sensor_ids)
-
     def protocol_neighbor_table(self) -> Dict[int, List[int]]:
         """Neighbour table as the *protocol* layer sees it.
 
@@ -204,12 +190,6 @@ class World:
         :meth:`neighbor_table`.
         """
         return self.network.neighbor_table(self)
-
-    def protocol_neighbor_rows(
-        self, sensor_ids: Sequence[int]
-    ) -> Dict[int, List[int]]:
-        """Per-sensor neighbour rows as the protocol layer sees them."""
-        return self.network.neighbor_rows(self, sensor_ids)
 
     def sensors_near_base_station(self) -> List[int]:
         """Sensors within one hop of the base station."""
@@ -255,25 +235,6 @@ class World:
         if not self.sensors:
             return 0.0
         return self.total_moving_distance() / len(self.sensors)
-
-    # ------------------------------------------------------------------
-    # Position commits
-    # ------------------------------------------------------------------
-    def commit_moves(
-        self, moves: Sequence[Tuple[Sensor, float, float, float]]
-    ) -> None:
-        """Apply a batch of validated ``(sensor, x, y, distance)`` moves.
-
-        The single commit point of the batched CPVF path: one color class
-        commits here in one pass, and each sensor's position is assigned
-        exactly once (a single ``position_version`` bump per sensor per
-        class), so the neighbour cache's epoch advances once per moved
-        sensor rather than once per intermediate assignment.  The
-        odometer distances arrive precomputed from the class's batch
-        arrays.
-        """
-        for sensor, x, y, dist in moves:
-            sensor.motion.commit_move(x, y, dist)
 
     # ------------------------------------------------------------------
     # Tree maintenance helpers
@@ -423,7 +384,7 @@ class World:
         tree = self.tree
         members = sorted(tree.subtree_of(root))
         member_set = set(members)
-        rows = self.neighbor_rows(members)
+        table = self.neighbor_table()
         self.stats.record_transmissions(MessageType.TREE_REPAIR, len(members))
         best: Optional[Tuple[float, int, int]] = None
         rc = self.config.communication_range
@@ -434,7 +395,7 @@ class World:
                 candidate = (base_distance, member_id, BASE_STATION_ID)
                 if best is None or candidate < best:
                     best = candidate
-            for neighbor_id in rows.get(member_id, ()):
+            for neighbor_id in table.get(member_id, ()):
                 if neighbor_id in member_set or neighbor_id not in anchored:
                     continue
                 distance = pos.distance_to(self.sensor(neighbor_id).position)

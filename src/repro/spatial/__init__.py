@@ -22,12 +22,12 @@ membership, so results are bit-identical to a brute-force squared-distance
 scan.
 
 ``NeighborCache`` — an epoch-based per-:class:`~repro.sim.world.World`
-cache of the neighbor table, base-station adjacency, the base station's
-connected component and the batched CPVF kernel's packed neighbour pairs,
-all for the paper's unit disk of the world's single communication range
-(the only neighbour path in the library).  The epoch
-is the tuple of per-sensor ``MotionModel.position_version`` counters,
-which are bumped on *every* position assignment; the cache therefore
+cache of the neighbor table, base-station adjacency and the base
+station's connected component, all for the paper's unit disk of the
+world's single communication range (the only neighbour path in the
+library).  The epoch is the tuple of per-sensor
+``MotionModel.position_version`` counters, which are bumped on *every*
+position assignment; the cache therefore
 invalidates exactly when a sensor actually moves and three queries
 issued in the same period share one spatial-index build instead of
 three dense matrix rebuilds.  Cached
@@ -45,32 +45,24 @@ per cell is the same float64 ``dx*dx + dy*dy <= r*r`` the brute-force
 covered-cell count — and hence the coverage fraction — matches the
 brute-force path exactly, not just to within tolerance.
 
-``PairStore`` — the directed pair set at an inflated radius, anchored at
-frozen positions and repaired in place when sensors out-drift their
-slack, so the batched CPVF kernel's per-period pair request costs in
-proportion to movement rather than to the pair count.  It serves every
-``NeighborCache.neighbor_pairs`` request, churned populations included.
-
 Invalidation contract: the ``NeighborCache`` epoch covers per-sensor
 position versions, the configured communication range and the world's
 population version, so movement, a mid-run range change and churn
-(failures, injections) all invalidate; churn also drops the pair store.
-``IncrementalCoverage`` diffs the packed position array itself and
-rebuilds from scratch when the sensor count changes.  The brute-force
-references (``BruteRadio`` and the uncached world in ``tests/oracles``,
-``Field.coverage_fraction``) are exercised against the fast paths by
-randomized parity tests under ``tests/spatial/``.
+(failures, injections) all invalidate.  ``IncrementalCoverage`` diffs
+the packed position array itself and rebuilds from scratch when the
+sensor count changes.  The brute-force references (``BruteRadio`` and
+the uncached world in ``tests/oracles``, ``Field.coverage_fraction``)
+are exercised against the fast paths by randomized parity tests under
+``tests/spatial/``.
 """
 
 from .index import SpatialIndex, pack_positions
 from .cache import NeighborCache
 from .coverage import IncrementalCoverage
-from .pairstore import PairStore
 
 __all__ = [
     "SpatialIndex",
     "NeighborCache",
     "IncrementalCoverage",
-    "PairStore",
     "pack_positions",
 ]

@@ -128,16 +128,6 @@ class SpatialIndex:
         """The packed ``(n, 2)`` position store the index was built over."""
         return self._points
 
-    @property
-    def xs(self) -> np.ndarray:
-        """Contiguous x coordinates in original point order."""
-        return self._x
-
-    @property
-    def ys(self) -> np.ndarray:
-        """Contiguous y coordinates in original point order."""
-        return self._y
-
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
@@ -226,7 +216,7 @@ class SpatialIndex:
         )
         return rows, self._order[base + shift]
 
-    def neighbor_pairs_directed(
+    def directed_pairs(
         self, r: float
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All directed pairs ``(i, j)``, ``i != j``, with ``d2 <= r*r``.
@@ -263,6 +253,6 @@ class SpatialIndex:
         accepting pairs, so union-find consumers reproduce brute-force
         results exactly.
         """
-        rows, cols, d2 = self.neighbor_pairs_directed(r)
+        rows, cols, d2 = self.directed_pairs(r)
         keep = rows < cols
         return rows[keep], cols[keep], d2[keep]

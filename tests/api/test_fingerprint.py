@@ -46,18 +46,20 @@ class TestFingerprintStability:
 
     def test_key_order_invariance(self):
         a = small_spec(
-            scheme_params={"mode": "batched", "gamma": 2.0},
+            scheme_params={"allow_parent_change": False, "gamma": 2.0},
             scenario_overrides={"layout_params": {"seed": 9, "density": 0.1}},
         )
         b = small_spec(
-            scheme_params={"gamma": 2.0, "mode": "batched"},
+            scheme_params={"gamma": 2.0, "allow_parent_change": False},
             scenario_overrides={"layout_params": {"density": 0.1, "seed": 9}},
         )
         assert a.fingerprint() == b.fingerprint()
 
     def test_json_round_trip_preserves_fingerprint(self):
         spec = small_spec(
-            scheme_params={"mode": "vectorized"}, trace_every=5, tags={"rep": 1}
+            scheme_params={"allow_parent_change": True},
+            trace_every=5,
+            tags={"rep": 1},
         )
         reparsed = RunSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert reparsed.fingerprint() == spec.fingerprint()
@@ -72,7 +74,7 @@ class TestFingerprintDiscrimination:
         base = small_spec()
         variants = [
             small_spec(scheme="FLOOR"),
-            small_spec(scheme_params={"mode": "batched"}),
+            small_spec(scheme_params={"allow_parent_change": False}),
             small_spec(trace_every=5),
             small_spec(keep_positions=True),
             small_spec(scenario_overrides={"seed": 3}),
@@ -113,7 +115,7 @@ class TestCrossProcessStability:
         hidden reliance on dict/set iteration order would show up here.
         """
         spec = small_spec(
-            scheme_params={"mode": "batched", "gamma": 2.0},
+            scheme_params={"allow_parent_change": False, "gamma": 2.0},
             tags={"client": "x"},
             scenario_overrides={"layout_params": {"seed": 9}},
         )

@@ -1,0 +1,218 @@
+"""CPVF's coverage kernel against the seed dynamics, and its tree caches.
+
+The kernel evaluates every force from start-of-period positions, where
+the seed dynamics (``tests.oracles.SeedCPVF``) let each sensor see the
+earlier movers of its period.  Pinned here: the structural
+message-accounting identity between the two, the plateau agreement at
+bench scale, the link-id cache following the tree, every tree link
+within rc after every period, and that the deleted ``mode`` knob is
+rejected.
+"""
+
+import copy
+
+import pytest
+
+from repro.core import CPVFScheme
+from repro.core.lazy import LazyMovementController
+from repro.core.oscillation import OscillationAvoidance
+from repro.core.virtual_force import VirtualForceModel
+from repro.experiments.common import (
+    ExperimentScale,
+    SMOKE_SCALE,
+    make_config,
+    make_world,
+)
+from repro.mobility import Bug2Planner, Handedness
+from repro.network import BASE_STATION_ID
+from repro.sim import SimulationEngine
+from tests.oracles import SeedCPVF
+
+
+def _sequential_twin(world, config):
+    """A seed scheme wired to an already-initialized world copy."""
+    scheme = SeedCPVF(allow_parent_change=False)
+    scheme._planner = Bug2Planner(world.field, Handedness.RIGHT)
+    scheme._forces = VirtualForceModel(
+        repulsion_distance=2.0 * config.sensing_range,
+        obstacle_distance=config.sensing_range,
+    )
+    scheme._lazy = LazyMovementController(world.routing)
+    scheme._avoidance = OscillationAvoidance(
+        max_step=config.max_step, delta=None
+    )
+    return scheme
+
+
+class TestMessageParity:
+    def test_message_counts_match_sequential_per_period(self):
+        """From identical world snapshots, one kernel period records the
+        same transmissions a sequential period does.
+
+        Without parent changes the accounting is purely structural (one
+        NEIGHBOR_STATE per preserved link of every sensor with non-zero
+        force), so the totals must be identical period for period.
+        """
+        config = make_config(SMOKE_SCALE, seed=3)
+        world = make_world(config, SMOKE_SCALE)
+        scheme = CPVFScheme(allow_parent_change=False)
+        scheme.initialize(world)
+        for period in range(40):
+            snap = copy.deepcopy(world)
+            twin = _sequential_twin(snap, config)
+            before = snap.stats.total()
+            twin.step(snap)
+            sequential_delta = snap.stats.total() - before
+            before = world.stats.total()
+            scheme.step(world)
+            kernel_delta = world.stats.total() - before
+            assert kernel_delta == sequential_delta, (
+                f"period {period}: kernel recorded {kernel_delta} "
+                f"transmissions, sequential {sequential_delta}"
+            )
+
+    def test_first_period_parity_with_parent_changes(self):
+        """Starting from one initialized state, the first coverage period
+        records identical totals under both dynamics (no reparent happens
+        that early in the smoke scenario)."""
+        results = {}
+        for label, scheme in (("sequential", SeedCPVF()), ("cpvf", CPVFScheme())):
+            config = make_config(SMOKE_SCALE, seed=3)
+            world = make_world(config, SMOKE_SCALE)
+            scheme.initialize(world)
+            before = world.stats.total()
+            scheme.step(world)
+            results[label] = world.stats.total() - before
+        assert results["cpvf"] == results["sequential"]
+
+
+class TestPlateauParity:
+    def test_reaches_sequential_plateau(self):
+        """Fig 3-style run: the kernel plateaus within two coverage
+        points of the sequential dynamics."""
+        scale = ExperimentScale(
+            field_size=500.0,
+            sensor_count=70,
+            duration=250.0,
+            coverage_resolution=12.5,
+        )
+        coverages = {}
+        for label, scheme in (("sequential", SeedCPVF()), ("cpvf", CPVFScheme())):
+            config = make_config(scale, seed=7)
+            world = make_world(config, scale)
+            engine = SimulationEngine(world, scheme, trace_every=10**9)
+            coverages[label] = engine.run().final_coverage
+        gap = abs(coverages["cpvf"] - coverages["sequential"])
+        assert gap <= 0.02, coverages
+        # Both reach a meaningful plateau (not a degenerate agreement).
+        assert coverages["sequential"] > 0.5
+
+
+def _assert_links_match_tree(scheme, world):
+    """Every member's cached link positions are its live tree links."""
+    for sid in world.tree.members():
+        nodes = [world.tree.parent[sid], *world.tree.children_of(sid)]
+        expected = sorted(
+            (
+                world.base_station
+                if node == BASE_STATION_ID
+                else world.sensor(node).position
+            ).as_tuple()
+            for node in nodes
+        )
+        got = sorted(scheme._tree_link_positions(world, world.sensor(sid)))
+        assert got == expected, sid
+
+
+class TestTreeCaches:
+    def test_link_cache_tracks_reparents(self):
+        config = make_config(SMOKE_SCALE, seed=5)
+        world = make_world(config, SMOKE_SCALE)
+        scheme = CPVFScheme()
+        scheme.initialize(world)
+        members = world.tree.members()
+        sid = members[0]
+        # Prime the cache.
+        before = scheme._tree_link_positions(world, world.sensor(sid))
+        assert len(before) >= 1
+        new_parent = next(
+            (
+                m
+                for m in members
+                if m != sid
+                and m != world.tree.parent_of(sid)
+                and m not in world.tree.subtree_of(sid)
+            ),
+            None,
+        )
+        if new_parent is None:
+            pytest.skip("degenerate smoke tree")
+        world.reparent_in_tree(sid, new_parent)
+        after = scheme._tree_link_positions(world, world.sensor(sid))
+        parent_pos = world.sensor(new_parent).position
+        assert (parent_pos.x, parent_pos.y) in after
+
+    def test_reusing_scheme_across_worlds_resets_tree_caches(self):
+        """A fresh world restarts its tree version counter, so the
+        link-id cache of a reused scheme instance must be dropped by
+        initialize() — stale entries from the previous world would
+        collide with the new counter values."""
+        scheme = CPVFScheme()
+        for seed in (3, 19):
+            config = make_config(SMOKE_SCALE, seed=seed)
+            world = make_world(config, SMOKE_SCALE)
+            scheme.initialize(world)
+            for _ in range(10):
+                scheme.step(world)
+            world.tree.validate()
+            _assert_links_match_tree(scheme, world)
+
+
+class TestTreeLinkInvariant:
+    @pytest.mark.parametrize("with_obstacles", [False, True])
+    @pytest.mark.parametrize("seed", [3, 5])
+    def test_tree_links_stay_within_rc_every_period(self, seed, with_obstacles):
+        """After every period each tree member is within rc of its parent
+        (the base station for its children), with parent changes on."""
+        config = make_config(SMOKE_SCALE, seed=seed)
+        world = make_world(config, SMOKE_SCALE, with_obstacles=with_obstacles)
+        scheme = CPVFScheme()
+        scheme.initialize(world)
+        rc = config.communication_range
+        for _ in range(12):
+            scheme.step(world)
+            world.tree.validate()
+            for sid in world.tree.members():
+                parent = world.tree.parent_of(sid)
+                anchor = (
+                    world.base_station
+                    if parent == BASE_STATION_ID
+                    else world.sensor(parent).position
+                )
+                assert world.sensor(sid).position.distance_to(anchor) <= rc + 1e-6
+
+
+class TestRemovedModeKnob:
+    def test_mode_is_rejected(self):
+        with pytest.raises(TypeError):
+            CPVFScheme(mode="batched")
+
+    def test_mode_is_rejected_through_runspec(self):
+        from repro.api import RunSpec, execute_run
+        from repro.experiments.common import make_scenario
+
+        spec = RunSpec(
+            scenario=make_scenario(SMOKE_SCALE, seed=3),
+            scheme="CPVF",
+            scheme_params={"mode": "batched"},
+        )
+        with pytest.raises(TypeError):
+            execute_run(spec)
+
+    def test_runner_has_no_cpvf_mode_flag(self, capsys):
+        from repro.experiments.runner import main
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--cpvf-mode", "batched", "--list"])
+        assert excinfo.value.code == 2
+        assert "--cpvf-mode" in capsys.readouterr().err

@@ -4,17 +4,15 @@
 and the paper's literal ladder ``max_valid_step_reference`` claim to
 return the same decision.  The one fraction-outer parent-change scan
 claims to pick the same (step, new parent) as the seed per-candidate
-ladder (``SeedCPVF._best_parent_ladder``), whether its candidates come
-from the protocol table (vectorized ``_try_parent_change``) or from the
-batched repair pass's pair rows filtered against live coordinate arrays.
-These tests pin those equivalences with randomized trials so an edit to
-one copy cannot silently diverge from the other.
+ladder (``SeedCPVF._best_parent_ladder``) on candidates read from the
+protocol table (``_try_parent_change``).  These tests pin those
+equivalences with randomized trials so an edit to one copy cannot
+silently diverge from the other.
 """
 
 import copy
 import random
 
-import numpy as np
 import pytest
 
 from repro.core.connectivity import max_valid_step_points
@@ -85,27 +83,13 @@ def _random_world(trial):
     return world, rng
 
 
-def _batched_candidates(world):
-    """The batched repair pass's candidate structure for ``world``."""
-    sensors = world.sensors
-    n = len(sensors)
-    rows, cols = world.neighbor_pairs(2.0 * world.config.max_step)
-    offsets = np.zeros(n + 1, dtype=np.intp)
-    np.cumsum(np.bincount(rows, minlength=n), out=offsets[1:])
-    xs = np.fromiter((s.position.x for s in sensors), float, n)
-    ys = np.fromiter((s.position.y for s in sensors), float, n)
-    connected = np.fromiter((s.is_connected() for s in sensors), bool, n)
-    return (cols, offsets), xs, ys, connected
-
-
 class TestParentChangeParity:
     @pytest.mark.parametrize("trial", range(12))
     def test_fraction_outer_scan_matches_seed_ladder(self, trial):
-        """The seed ladder, the vectorized parent change and the batched
-        repair pass's scan pick the same (step, new parent)."""
+        """The seed ladder and the parent change pick the same (step, new
+        parent)."""
         world, rng = _random_world(trial)
         table = world.neighbor_table()
-        csr, xs, ys, connected = _batched_candidates(world)
         rc = world.config.communication_range
         compared = 0
         for sensor in world.sensors:
@@ -135,21 +119,8 @@ class TestParentChangeParity:
                 fast_world, fast_world.sensor(sid), direction, table
             )
 
-            batched_world = copy.deepcopy(world)
-            batched = CPVFScheme(mode="batched")
-            candidates, _ = batched._csr_parent_candidates(
-                batched_world, batched_world.sensor(sid), csr, xs, ys, connected
-            )
-            assert [c for c, _, _ in candidates] == table_candidates
-            batched_step = batched._adopt_parent(
-                batched_world, batched_world.sensor(sid), direction, candidates
-            )
-
-            assert fast_step == seed_step == batched_step
-            parents = {
-                w.tree.parent_of(sid)
-                for w in (seed_world, fast_world, batched_world)
-            }
-            assert len(parents) == 1
+            assert fast_step == seed_step
+            parent = fast_world.tree.parent_of(sid)
+            assert parent == seed_world.tree.parent_of(sid)
             compared += 1
         assert compared  # the layout produced at least one comparable sensor

@@ -1,12 +1,7 @@
-"""Parity of the vectorised field paths against their scalar references.
-
-Two fast paths are pinned here:
-
-* polygon obstacle rasterisation (``Field._rasterize_obstacles`` now
-  classifies arbitrary polygons with the vectorised ray-cast of
-  ``Polygon.contains_points``) against the per-point predicate scan;
-* the batched ray query ``Field.max_free_travel_batch`` against the
-  scalar ``Field.max_free_travel``, ray for ray.
+"""Parity of the vectorised obstacle rasterisation against its scalar
+reference: ``Field._rasterize_obstacles`` classifies arbitrary polygons
+with the vectorised ray-cast of ``Polygon.contains_points``, pinned here
+against the per-point predicate scan.
 """
 
 import math
@@ -93,46 +88,3 @@ class TestPolygonRasterizationParity:
                 [obstacle.contains(Vec2(x, y)) for x, y in zip(px, py)]
             )
             assert np.array_equal(batch, scalar)
-
-
-class TestMaxFreeTravelBatchParity:
-    def _compare(self, field, rng, rays=300):
-        px = rng.uniform(-5, field.width + 5, rays)
-        py = rng.uniform(-5, field.height + 5, rays)
-        angles = rng.uniform(0, 2 * math.pi, rays)
-        dx, dy = np.cos(angles), np.sin(angles)
-        # Mix zero directions and zero distances into the batch.
-        dx[::17] = 0.0
-        dy[::17] = 0.0
-        dist = rng.uniform(0.0, 50.0, rays)
-        dist[::13] = 0.0
-        batch = field.max_free_travel_batch(px, py, dx, dy, dist)
-        for i in range(rays):
-            scalar = field.max_free_travel(
-                Vec2(px[i], py[i]), Vec2(dx[i], dy[i]), float(dist[i])
-            )
-            assert batch[i] == pytest.approx(scalar, abs=1e-9), (
-                f"ray {i}: batch={batch[i]!r} scalar={scalar!r}"
-            )
-
-    def test_open_field(self):
-        self._compare(Field(200.0, 150.0), np.random.default_rng(3))
-
-    def test_with_rectangle_obstacles(self):
-        field = Field(
-            200.0,
-            150.0,
-            [
-                Obstacle.rectangle(40, 40, 90, 70),
-                Obstacle.rectangle(120, 20, 150, 130),
-            ],
-        )
-        self._compare(field, np.random.default_rng(5))
-
-    def test_with_polygon_obstacle(self):
-        field = Field(
-            120.0,
-            120.0,
-            [_polygon_cases()[1][1]],
-        )
-        self._compare(field, np.random.default_rng(9))

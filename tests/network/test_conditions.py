@@ -23,9 +23,6 @@ class FakeWorld:
     def neighbor_table(self):
         return {k: list(v) for k, v in self._table.items()}
 
-    def neighbor_rows(self, sensor_ids):
-        return {sid: list(self._table.get(sid, [])) for sid in sensor_ids}
-
 
 class TestNetworkSpec:
     def test_default_spec_is_structural_and_builds_perfect(self):
@@ -85,7 +82,6 @@ class TestPerfectNetwork:
         net = PerfectNetwork()
         assert net.is_perfect and not net.lossy
         assert net.neighbor_table(world) == world.neighbor_table()
-        assert net.neighbor_rows(world, [1]) == {1: [2]}
         assert net.exchange(world, ("x",), 5) == (True, 1)
         assert net.walk_hops(world, ("w",), 7) == 7
         assert world.stats.net_counts == {}
@@ -225,9 +221,13 @@ class TestStaleness:
         world.population_version += 1
         assert net.neighbor_table(world) == {1: []}
 
-    def test_stale_rows_slice_the_cached_table(self):
+    def test_every_reuse_between_refreshes_counts_one_stale_read(self):
         world = FakeWorld(table={1: [2], 2: [1]})
-        net = UnreliableNetwork(seed=1, staleness=5)
-        net.neighbor_table(world)
-        world._table = {}
-        assert net.neighbor_rows(world, [1, 99]) == {1: [2], 99: []}
+        net = UnreliableNetwork(seed=1, staleness=3)
+        for period in range(7):
+            world.period_index = period
+            world._table = {1: [2] * (period + 1), 2: [1]}
+            served = net.neighbor_table(world)
+            # Refreshes at periods 0, 3 and 6 read the live table.
+            assert served[1] == [2] * (3 * (period // 3) + 1)
+        assert world.stats.net_counts["stale_reads"] == 4

@@ -45,8 +45,6 @@ class TestNeighborTables:
         world = make_world([(10, 0)])
         assert world.neighbor_table() == {0: []}
         assert world.sensors_near_base_station() == [0]
-        rows, cols = world.neighbor_pairs()
-        assert rows.size == cols.size == 0
 
     def test_base_station_neighbors(self):
         assert make_world([(10, 0), (50, 0)]).sensors_near_base_station() == [0]

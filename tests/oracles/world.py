@@ -53,39 +53,26 @@ class BruteRadio:
 
     communication_range: float
 
-    def _within(self, sensors, extra_radius: float = 0.0):
-        """The full in-range matrix (no self-links) and squared distances."""
+    def _within(self, sensors):
+        """The full in-range matrix (no self-links)."""
         xs = np.array([s.position.x for s in sensors], dtype=float)
         ys = np.array([s.position.y for s in sensors], dtype=float)
         dx = xs[:, None] - xs[None, :]
         dy = ys[:, None] - ys[None, :]
         d2 = dx * dx + dy * dy
-        limit = self.communication_range + LINK_EPS + extra_radius
+        limit = self.communication_range + LINK_EPS
         within = d2 <= limit * limit
         np.fill_diagonal(within, False)
-        return within, d2
+        return within
 
     def neighbor_table(self, sensors) -> Dict[int, List[int]]:
         """Neighbour lists keyed by sensor id, from the full distance matrix."""
         ids = [s.sensor_id for s in sensors]
-        within, _ = self._within(sensors)
+        within = self._within(sensors)
         return {
             ids[i]: [ids[j] for j in np.flatnonzero(within[i]).tolist()]
             for i in range(len(ids))
         }
-
-    def neighbor_pairs(self, sensors, extra_radius: float = 0.0):
-        """``(rows, cols, d2)`` within ``communication_range + extra_radius``.
-
-        Indices into ``sensors``, sorted by ``(row, col)``; the acceptance
-        limit is formed as ``communication_range + LINK_EPS +
-        extra_radius``, the same float expression the cache uses.
-        """
-        within, d2 = self._within(sensors, extra_radius)
-        rows, cols = np.nonzero(within)
-        rows = rows.astype(np.intp)
-        cols = cols.astype(np.intp)
-        return rows, cols, d2[rows, cols]
 
     def neighbors_of_point(self, point, sensors) -> List[int]:
         """Ids of the sensors in range of ``point``, in input order."""
@@ -126,26 +113,6 @@ class UncachedWorld(World):
 
     def neighbor_table(self) -> Dict[int, List[int]]:
         return self.brute.neighbor_table(self.alive_sensors())
-
-    def neighbor_pairs(self, extra_radius: float = 0.0, with_d2: bool = False):
-        alive = self.alive_sensors()
-        rows, cols, d2 = self.brute.neighbor_pairs(alive, extra_radius)
-        if len(alive) != len(self.sensors):
-            # Positions into the alive subset; the batched kernel indexes
-            # whole-population arrays, so remap to full-list indices
-            # (== sensor ids).
-            ids = np.fromiter(
-                (s.sensor_id for s in alive), dtype=np.intp, count=len(alive)
-            )
-            rows = ids[rows]
-            cols = ids[cols]
-        if with_d2:
-            return rows, cols, d2
-        return rows, cols
-
-    def neighbor_rows(self, sensor_ids) -> Dict[int, List[int]]:
-        table = self.neighbor_table()
-        return {sid: list(table.get(sid, ())) for sid in sensor_ids}
 
     def sensors_near_base_station(self) -> List[int]:
         return self.brute.neighbors_of_point(

@@ -15,7 +15,7 @@ def _world(duration=20.0, seed=1):
 def _scheme():
     from repro.core import CPVFScheme
 
-    return CPVFScheme(mode="batched")
+    return CPVFScheme()
 
 
 class TestEngineTelemetry:

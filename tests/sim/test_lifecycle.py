@@ -154,9 +154,6 @@ class TestWorldChurn:
         table = world.neighbor_table()
         assert 3 not in table
         assert all(3 not in row for row in table.values())
-        rows = world.neighbor_rows([3, 5])
-        assert rows[3] == []
-        assert 3 not in rows[5]
 
     def test_coverage_ignores_dead_sensors(self):
         world = make_world(n=6)

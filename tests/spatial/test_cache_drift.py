@@ -1,0 +1,180 @@
+"""The neighbour cache under drift, teleports, range changes and churn.
+
+``NeighborCache`` keeps one spatial index, neighbour table, base-station
+adjacency and component per epoch (position versions, range and
+population version).  The contract: an unchanged epoch serves the
+structures it already built, and every answer after any change —
+per-period drift, a few teleports, a mass teleport, a range change,
+failures and joins, a CPVF run with a fault timeline — equals the
+brute-force oracle's answer over the live sensors.
+"""
+
+import random
+from dataclasses import replace
+
+import pytest
+
+from repro.core import CPVFScheme
+from repro.experiments.common import SMOKE_SCALE, make_config, make_world
+from repro.geometry import Vec2
+from repro.sim.lifecycle import FaultInjector, sensor_failure, sensor_join
+from tests.oracles import uncached
+
+FIELD = 200.0
+
+
+def _world(n=60, seed=4):
+    config = make_config(SMOKE_SCALE, sensor_count=n, seed=seed)
+    return make_world(config, SMOKE_SCALE)
+
+
+def _jiggle(rng, world, step):
+    for sensor in world.alive_sensors():
+        p = sensor.position
+        sensor.motion.move_to(
+            Vec2(
+                min(FIELD, max(0.0, p.x + rng.uniform(-step, step))),
+                min(FIELD, max(0.0, p.y + rng.uniform(-step, step))),
+            )
+        )
+
+
+def _teleport(rng, sensor):
+    sensor.motion.move_to(Vec2(rng.uniform(0, FIELD), rng.uniform(0, FIELD)))
+
+
+def _assert_matches_oracle(world):
+    oracle = uncached(world)
+    assert world.neighbor_table() == oracle.neighbor_table()
+    assert world.sensors_near_base_station() == oracle.sensors_near_base_station()
+    assert world.connected_component_of() == oracle.connected_component_of()
+    assert world.network_is_connected() == oracle.network_is_connected()
+
+
+class TestEpochs:
+    def test_unchanged_layout_serves_the_cached_structures(self):
+        world = _world()
+        cache = world._cache()
+        world.neighbor_table()
+        world.connected_component_of()
+        built = (cache._index, cache._table, cache._component)
+        assert all(part is not None for part in built)
+        world.neighbor_table()
+        world.connected_component_of()
+        assert (cache._index, cache._table, cache._component) == built
+        assert cache._index is built[0] and cache._table is built[1]
+
+    def test_one_move_rebuilds_and_copies_stay_private(self):
+        world = _world()
+        cache = world._cache()
+        table = world.neighbor_table()
+        first = cache._table
+        # Mutating a returned copy never reaches the cache.
+        table[world.sensors[0].sensor_id].append(-99)
+        assert -99 not in world.neighbor_table()[world.sensors[0].sensor_id]
+        assert cache._table is first
+        world.sensors[1].motion.move_to(world.sensors[1].position + Vec2(0.01, 0.0))
+        world.neighbor_table()
+        assert cache._table is not first
+        _assert_matches_oracle(world)
+
+    def test_range_change_invalidates(self):
+        world = _world(n=60, seed=11)
+        rc = world.config.communication_range
+        for new_rc in (rc, 1.25 * rc, 0.5 * rc, rc):
+            world.config = replace(world.config, communication_range=new_rc)
+            _assert_matches_oracle(world)
+
+
+class TestDrift:
+    @pytest.mark.parametrize("trial", range(6))
+    def test_small_drift_matches_oracle_every_period(self, trial):
+        rng = random.Random(300 + trial)
+        world = _world(n=70, seed=trial)
+        for _ in range(5):
+            _jiggle(rng, world, step=0.5)
+            _assert_matches_oracle(world)
+
+    @pytest.mark.parametrize("trial", range(6))
+    def test_teleports_match_oracle(self, trial):
+        rng = random.Random(500 + trial)
+        world = _world(n=70, seed=trial)
+        world.neighbor_table()
+        for _ in range(3):
+            for sid in rng.sample(range(len(world.sensors)), rng.randint(1, 6)):
+                _teleport(rng, world.sensors[sid])
+            _assert_matches_oracle(world)
+
+    @pytest.mark.parametrize("seed", [1, 9])
+    def test_drift_cycle_with_teleports(self, seed):
+        world = _world(n=70, seed=seed)
+        rng = random.Random(seed)
+        for period in range(10):
+            _jiggle(rng, world, step=1.5)
+            if period == 6:
+                for sid in (0, 3, 9):
+                    _teleport(rng, world.sensors[sid])
+            _assert_matches_oracle(world)
+
+    def test_mass_teleport(self):
+        world = _world(n=60, seed=3)
+        rng = random.Random(3)
+        world.neighbor_table()
+        for sensor in world.sensors:
+            _teleport(rng, sensor)
+        _assert_matches_oracle(world)
+
+
+class TestChurn:
+    @pytest.mark.parametrize("trial", range(4))
+    def test_cpvf_run_with_churn_matches_oracle(self, trial):
+        """A failure and a join mid-run: every period's answers over the
+        survivors equal the oracle's."""
+        world = _world(n=50, seed=trial)
+        scheme = CPVFScheme()
+        scheme.initialize(world)
+        injector = FaultInjector(
+            world,
+            scheme,
+            [sensor_failure(2, count=4), sensor_join(2, count=3)],
+        )
+        for period in range(10):
+            injector.fire(period)
+            scheme.step(world)
+            _assert_matches_oracle(world)
+        assert world.alive_count() < len(world.sensors)
+
+    def test_churn_drops_the_cached_structures(self):
+        rng = random.Random(42)
+        world = _world(n=40, seed=6)
+        cache = world._cache()
+        world.neighbor_table()
+        before = cache._table
+        world.remove_sensor(5)
+        table = world.neighbor_table()
+        assert cache._table is not before
+        assert 5 not in table
+        before = cache._table
+        added = world.add_sensor(
+            Vec2(rng.uniform(0, FIELD), rng.uniform(0, FIELD))
+        )
+        table = world.neighbor_table()
+        assert cache._table is not before
+        assert added.sensor_id in table
+        _assert_matches_oracle(world)
+
+    @pytest.mark.parametrize("trial", range(8))
+    def test_churned_drift_matches_oracle(self, trial):
+        """Failures and joins, then drift: every period's answers equal
+        the oracle's over the survivors and newcomers."""
+        rng = random.Random(100 + trial)
+        world = _world(n=50, seed=trial)
+        world.neighbor_table()
+        for sid in rng.sample(range(len(world.sensors)), 5):
+            world.remove_sensor(sid)
+        for _ in range(3):
+            world.add_sensor(Vec2(rng.uniform(0, FIELD), rng.uniform(0, FIELD)))
+        for _ in range(6):
+            _jiggle(rng, world, step=0.5)
+            _assert_matches_oracle(world)
+            assert len(world.neighbor_table()) == world.alive_count()

@@ -125,10 +125,6 @@ def test_cached_and_uncached_worlds_agree_under_identical_churn(trial):
                 world.add_sensor(arg)
 
     assert cached.neighbor_table() == brute.neighbor_table()
-    cached_rows, cached_cols = cached.neighbor_pairs()
-    brute_rows, brute_cols = brute.neighbor_pairs()
-    assert list(cached_rows) == list(brute_rows)
-    assert list(cached_cols) == list(brute_cols)
     assert cached.coverage() == brute.coverage()
     assert cached.network_is_connected() == brute.network_is_connected()
 

@@ -64,7 +64,7 @@ class TestSpatialIndexParity:
         rng = np.random.default_rng(7)
         points = rng.uniform(0, 100, size=(60, 2))
         index = SpatialIndex(12.0).build(points)
-        rows, cols, _ = index.neighbor_pairs_directed(15.0)
+        rows, cols, _ = index.directed_pairs(15.0)
         pairs = list(zip(rows.tolist(), cols.tolist()))
         assert pairs == sorted(pairs)
         assert all(i != j for i, j in pairs)
