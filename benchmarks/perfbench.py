@@ -169,37 +169,52 @@ def measure_cpvf_period(
 
 
 def measure_telemetry_overhead(
-    n: int = 2000, seed: int = 3, periods: int = 6, rounds: int = 3
+    n: int = 2000, seed: int = 3, periods: int = 6, pairs: int = 7
 ) -> Dict[str, float]:
     """Null-sink telemetry cost on the CPVF hot path.
 
-    Times the configuration of the ``cpvf_period`` n = 2000 row,
-    untraced (``NULL_TELEMETRY``) and traced (a live ``Telemetry`` with
-    the default null sink), best-of-``rounds`` each to denoise a shared
-    bench host.  The observability contract is that the traced path
-    stays within a few percent of the untraced one; the
+    Runs ``pairs`` pairs of identical worlds in the configuration of the
+    ``cpvf_period`` n = 2000 row, one untraced (``NULL_TELEMETRY``) and
+    one traced (a live ``Telemetry`` with the default null sink).  The two
+    worlds of a pair step in lockstep, alternating which goes first, so
+    every timed period of the traced world has an untraced twin doing the
+    same work (telemetry never perturbs the run) within a fraction of a
+    second of it.  The entry records the median of the per-period
+    overheads, with the mean period times beside it: on a shared host,
+    windows taken seconds apart drift by more than the overhead being
+    measured.  The observability contract is that the traced path stays
+    within a few percent of the untraced one; the
     ``obs.committed_overhead`` entry of ``benchmarks/contracts.py`` reads
     this entry.
     """
     from repro.obs import Telemetry
 
-    untraced_s = min(
-        cpvf_period_s(n, seed, periods) for _ in range(rounds)
-    )
-    traced_s = min(
-        cpvf_period_s(n, seed, periods, telemetry=Telemetry())
-        for _ in range(rounds)
-    )
+    untraced: List[float] = []
+    traced: List[float] = []
+    for i in range(pairs):
+        worlds = []
+        for live in (False, True):
+            world = perf_world(n, seed, clustered=True)
+            scheme = CPVFScheme()
+            scheme.initialize(world)
+            scheme.step(world)  # warm-up period
+            if live:
+                world.telemetry = Telemetry()
+            worlds.append((live, world, scheme))
+        for k in range(periods):
+            order = worlds if (i + k) % 2 == 0 else worlds[::-1]
+            for live, world, scheme in order:
+                start = time.perf_counter()
+                scheme.step(world)
+                (traced if live else untraced).append(time.perf_counter() - start)
+    overheads = [(t - u) / u * 100.0 for u, t in zip(untraced, traced)]
     return {
         "n": n,
         "periods": periods,
-        "untraced_ms": untraced_s * 1000.0,
-        "traced_ms": traced_s * 1000.0,
-        "overhead_pct": (
-            (traced_s - untraced_s) / untraced_s * 100.0
-            if untraced_s > 0
-            else 0.0
-        ),
+        "pairs": pairs,
+        "untraced_ms": float(np.mean(untraced)) * 1000.0,
+        "traced_ms": float(np.mean(traced)) * 1000.0,
+        "overhead_pct": float(np.median(overheads)),
     }
 
 

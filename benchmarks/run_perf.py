@@ -112,7 +112,9 @@ ENTRIES = dict(
 
 
 def _row_key(row):
-    return (row["n"], row.get("layout", ""))
+    # Per-scheme entries (lifecycle_recovery, degraded_coverage) hold one
+    # row per scheme at the same n.
+    return (row["n"], row.get("layout", ""), row.get("scheme", ""))
 
 
 def _is_row_list(value) -> bool:
@@ -155,7 +157,7 @@ def _merge_entry(old, new):
     """Merge regenerated rows into a committed entry, row by row.
 
     Per-population entries are lists of row dicts keyed by
-    ``(n, layout)``; a partial regeneration (``--only ... --n ...``)
+    ``(n, layout, scheme)``; a partial regeneration (``--only ... --n ...``)
     replaces only the re-measured rows and keeps the other committed
     rows, so re-running one noisy row cannot drop its siblings.  Entries
     that are not keyed row lists are replaced wholesale.

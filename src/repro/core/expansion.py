@@ -20,9 +20,9 @@ expansion are defined, in decreasing priority:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 from enum import IntEnum
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..field import Field
 from ..geometry import Circle, Segment, Vec2, circle_circle_intersections
@@ -62,6 +62,12 @@ class ExpansionPlanner:
     registry: FloorRegistry
     sensing_range: float
     expansion_radius: float
+    #: Memo hits so far (answers reused without a recomputation).
+    reused: int = dataclass_field(default=0, init=False, compare=False)
+    #: ``owner_id -> (key, points)``: the owner's last answer and its inputs.
+    _memo: Dict[int, Tuple[tuple, List[ExpansionPoint]]] = dataclass_field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # Public entry point
@@ -71,15 +77,24 @@ class ExpansionPlanner:
     ) -> List[ExpansionPoint]:
         """All currently uncovered expansion points of one fixed sensor.
 
-        The caller is responsible for accounting the coverage-query message
-        cost; the planner only asks the registry.
+        The answer depends only on the owner, its position, the registry
+        records and the field's obstacles, so each owner's last answer is
+        reused (as a fresh list) until one of them changes.  The caller is
+        responsible for accounting the coverage-query message cost; the
+        planner only asks the registry.
         """
+        key = (position.x, position.y, self.registry.version, self.field.version)
+        memo = self._memo.get(owner_id)
+        if memo is not None and memo[0] == key:
+            self.reused += 1
+            return list(memo[1])
         points: List[ExpansionPoint] = []
         points.extend(self._flg_points(owner_id, position))
         points.extend(self._blg_points(owner_id, position))
         points.extend(self._iflg_points(owner_id, position))
         points.sort(key=lambda ep: ep.priority_key())
-        return points
+        self._memo[owner_id] = (key, points)
+        return list(points)
 
     # ------------------------------------------------------------------
     # Shared helpers

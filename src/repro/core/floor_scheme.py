@@ -440,11 +440,14 @@ class FloorScheme(DeploymentScheme):
             return None
         return sensor.position
 
-    def _run_expansion_round(self, world: World) -> None:
-        assert self._expansion is not None and self._registry is not None
-        assert self._invitations is not None
+    def _collect_expansion_points(self, world: World) -> List[ExpansionPoint]:
+        """Step 1 of a round: fixed (and virtual) searchers look for EPs.
 
-        # 1. Fixed (and virtual) searchers look for expansion points.
+        Searchers that find none (or are gone) leave the active set.
+        """
+        assert self._expansion is not None
+        expansion = self._expansion
+        reused_before = expansion.reused
         expansion_points: List[ExpansionPoint] = []
         exhausted: List[int] = []
         for searcher_id in sorted(self._active_searchers):
@@ -452,14 +455,15 @@ class FloorScheme(DeploymentScheme):
             if position is None:
                 exhausted.append(searcher_id)
                 continue
-            points = self._expansion.expansion_points(searcher_id, position)
+            points = expansion.expansion_points(searcher_id, position)
             if not points:
                 # "If a sensor finds no expansion points on its expansion
                 # circle, then it stops the checking process."
                 exhausted.append(searcher_id)
                 continue
             # Coverage-status queries to the relevant floor headers: one
-            # query and one response per floor asked, routed over the tree.
+            # query and one response per floor asked, routed over the tree
+            # (charged on every call, whether or not the answer was reused).
             floors_asked = self._floors.floors_possibly_covering(
                 points[0].position, world.config.sensing_range
             ) if self._floors is not None else []
@@ -473,7 +477,20 @@ class FloorScheme(DeploymentScheme):
             expansion_points.extend(points)
         for searcher_id in exhausted:
             self._active_searchers.discard(searcher_id)
+        if world.telemetry.enabled:
+            world.telemetry.count(
+                "floor.expansion_reused", expansion.reused - reused_before
+            )
+        return expansion_points
 
+    def _run_expansion_round(self, world: World) -> None:
+        assert self._expansion is not None and self._registry is not None
+        assert self._invitations is not None
+
+        # 1. Fixed (and virtual) searchers look for expansion points.
+        tel = world.telemetry
+        with tel.span("floor.expansion_points"):
+            expansion_points = self._collect_expansion_points(world)
         if not expansion_points:
             return
 
@@ -490,24 +507,23 @@ class FloorScheme(DeploymentScheme):
                 break
 
         # 2. One invitation round matches EPs with movable sensors.
-        movable = [
-            s
-            for s in world.sensors
-            if s.state is SensorState.MOVABLE
-            and s.sensor_id not in self._relocations
-            and s.sensor_id not in self._pending_movables
-        ]
-        connected_count = len(world.connected_sensor_ids())
-        if world.telemetry.enabled:
-            # One invitation walk starts per advertised expansion point.
-            world.telemetry.count(
-                "floor.invitations_issued", len(expansion_points)
+        with tel.span("floor.invitations"):
+            movable = [
+                s
+                for s in world.sensors
+                if s.state is SensorState.MOVABLE
+                and s.sensor_id not in self._relocations
+                and s.sensor_id not in self._pending_movables
+            ]
+            connected_count = len(world.connected_sensor_ids())
+            if tel.enabled:
+                # One invitation walk starts per advertised expansion point.
+                tel.count("floor.invitations_issued", len(expansion_points))
+            assignments = self._invitations.run_round(
+                expansion_points, movable, connected_count, world.tree,
+                world=world,
             )
-        assignments = self._invitations.run_round(
-            expansion_points, movable, connected_count, world.tree,
-            world=world,
-        )
-        world.telemetry.count("floor.relocations_started", len(assignments))
+        tel.count("floor.relocations_started", len(assignments))
 
         # 3. Accepted movable sensors start relocating — immediately on
         #    the perfect network, after ``latency`` periods otherwise.

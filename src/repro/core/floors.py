@@ -33,6 +33,13 @@ class FloorGeometry:
             raise ValueError("sensing range must be positive")
         if self.field_height <= 0 or self.field_width <= 0:
             raise ValueError("field dimensions must be positive")
+        # Frozen: the floor-line ordinates are computed once, for
+        # ``floors_possibly_covering`` (called per coverage query).
+        object.__setattr__(
+            self,
+            "_floor_line_ys",
+            tuple(self.floor_line_y(i) for i in range(self.floor_count)),
+        )
 
     @staticmethod
     def for_field(field: Field, sensing_range: float) -> "FloorGeometry":
@@ -98,7 +105,7 @@ class FloorGeometry:
 
     def floor_lines(self) -> List[float]:
         """All floor-line y coordinates."""
-        return [self.floor_line_y(i) for i in range(self.floor_count)]
+        return list(self._floor_line_ys)
 
     # ------------------------------------------------------------------
     # Inter-floor lines
@@ -132,11 +139,12 @@ class FloorGeometry:
         ``|y_f - point.y| <= rs``; the result lists the floors that satisfy
         this, which is what a querying sensor sends coverage queries to.
         """
-        result: List[int] = []
-        for idx in range(self.floor_count):
-            if abs(self.floor_line_y(idx) - point.y) <= sensing_range + 1e-9:
-                result.append(idx)
-        return result
+        reach = sensing_range + 1e-9
+        return [
+            idx
+            for idx, y in enumerate(self._floor_line_ys)
+            if abs(y - point.y) <= reach
+        ]
 
     def distance_to_floor_line(self, p: Vec2) -> float:
         """Vertical distance from ``p`` to its nearest floor line."""

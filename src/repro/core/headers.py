@@ -14,11 +14,11 @@ scheme can account the query / response message costs on the tree.
 
 The coverage and same-floor-neighbour queries are the hot loop of FLOOR's
 phase-3 expansion search (every active searcher probes several candidate
-points per period, each probe scanning the records of every floor in
-range), so they are served from a :class:`~repro.spatial.index.
-SpatialIndex` rebuilt lazily whenever the records change.  Randomized
-parity tests pin the indexed queries against an exhaustive per-floor scan
-(``tests/oracles``).
+points per period), so they scan parallel coordinate arrays of all records,
+rebuilt lazily when the records change, with one vectorised squared-distance
+test.  :attr:`FloorRegistry.version` counts record changes so that callers
+can reuse answers derived from the registry.  Randomized parity tests pin
+the scans against an exhaustive per-floor scan (``tests/oracles``).
 """
 
 from __future__ import annotations
@@ -26,8 +26,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..geometry import Vec2
-from ..spatial import SpatialIndex
 from .floors import FloorGeometry
 
 __all__ = ["FloorRegistry", "FloorRecord"]
@@ -48,14 +49,21 @@ class FloorRegistry:
 
     floors: FloorGeometry
     _records: Dict[int, Dict[int, FloorRecord]] = field(default_factory=dict)
-    _index: Optional[SpatialIndex] = field(
-        default=None, init=False, repr=False, compare=False
-    )
-    #: ``(floor_index, record)`` in index order, parallel to the index store.
-    _index_records: List[Tuple[int, FloorRecord]] = field(
+    #: Bumped each time a record is added or removed.
+    version: int = field(default=0, init=False, compare=False)
+    #: ``(floor_index, record)`` in store order: floor by floor, each
+    #: floor's records in registration order.  ``_xs``/``_ys`` are the
+    #: parallel coordinate arrays; all three describe ``_store_version``.
+    _store: List[Tuple[int, FloorRecord]] = field(
         default_factory=list, init=False, repr=False, compare=False
     )
-    _index_dirty: bool = field(default=True, init=False, repr=False, compare=False)
+    _xs: np.ndarray = field(
+        default_factory=lambda: np.empty(0), init=False, repr=False, compare=False
+    )
+    _ys: np.ndarray = field(
+        default_factory=lambda: np.empty(0), init=False, repr=False, compare=False
+    )
+    _store_version: int = field(default=-1, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # Registration
@@ -73,14 +81,14 @@ class FloorRegistry:
         self._records.setdefault(floor_index, {})[node_id] = FloorRecord(
             node_id=node_id, position=position, virtual=virtual
         )
-        self._index_dirty = True
+        self.version += 1
         return floor_index
 
     def unregister(self, node_id: int) -> None:
         """Remove a node from whatever floor it was registered on."""
         for floor_records in self._records.values():
             if floor_records.pop(node_id, None) is not None:
-                self._index_dirty = True
+                self.version += 1
 
     def promote_virtual(self, node_id: int, position: Vec2) -> None:
         """Replace a virtual place-holder by the real arrived sensor."""
@@ -118,26 +126,28 @@ class FloorRegistry:
             return None
         return min(records, key=lambda r: (r.position.x, r.node_id))
 
-    def _ensure_index(self) -> SpatialIndex:
-        """The spatial index over all records, rebuilt when records changed.
+    def _hits(self, point: Vec2, radius: float) -> List[int]:
+        """Store positions (ascending) of the records within ``radius``.
 
-        The store is laid out floor by floor in registration order, so
-        ascending index order restricted to one floor equals that floor's
-        dict iteration order — the indexed queries therefore return records
-        in exactly the order the exhaustive scan visits them.
+        One scan over all records with the squared-distance test of
+        :meth:`~repro.spatial.index.SpatialIndex.query_radius`.  The store
+        is rebuilt when the records changed; restricted to one floor, its
+        order equals that floor's dict iteration order, so the queries
+        return records in exactly the order the exhaustive scan visits
+        them.
         """
-        if self._index is not None and not self._index_dirty:
-            return self._index
-        self._index_records = [
-            (floor_index, record)
-            for floor_index, floor_records in self._records.items()
-            for record in floor_records.values()
-        ]
-        index = SpatialIndex(cell_size=max(self.floors.floor_height, 1e-9))
-        index.build([(r.position.x, r.position.y) for _, r in self._index_records])
-        self._index = index
-        self._index_dirty = False
-        return index
+        if self._store_version != self.version:
+            self._store = [
+                (floor_index, record)
+                for floor_index, floor_records in self._records.items()
+                for record in floor_records.values()
+            ]
+            self._xs = np.array([r.position.x for _, r in self._store], dtype=float)
+            self._ys = np.array([r.position.y for _, r in self._store], dtype=float)
+            self._store_version = self.version
+        dx = self._xs - float(point.x)
+        dy = self._ys - float(point.y)
+        return np.flatnonzero(dx * dx + dy * dy <= radius * radius).tolist()
 
     def is_point_covered(
         self,
@@ -152,13 +162,11 @@ class FloorRegistry:
         (used by the scheme to account query/response messages).  Nodes in
         ``exclude`` (typically the asking sensor itself) are ignored.
         """
-        excluded = set(exclude)
         floors_to_ask = self.floors.floors_possibly_covering(point, sensing_range)
-        index = self._ensure_index()
         askable = set(floors_to_ask)
-        for i in index.query_radius(point, sensing_range + 1e-9):
-            floor_index, record = self._index_records[i]
-            if record.node_id in excluded or floor_index not in askable:
+        for i in self._hits(point, sensing_range + 1e-9):
+            floor_index, record = self._store[i]
+            if record.node_id in exclude or floor_index not in askable:
                 continue
             return True, floors_to_ask
         return False, floors_to_ask
@@ -170,14 +178,10 @@ class FloorRegistry:
         floor_index = self.floor_of(node_id)
         if floor_index is None:
             return []
-        records = self._records.get(floor_index, {})
-        me = records.get(node_id)
-        if me is None:
-            return []
-        index = self._ensure_index()
+        me = self._records[floor_index][node_id]
         result: List[FloorRecord] = []
-        for i in index.query_radius(me.position, radius + 1e-9):
-            hit_floor, record = self._index_records[i]
+        for i in self._hits(me.position, radius + 1e-9):
+            hit_floor, record = self._store[i]
             if hit_floor == floor_index and record.node_id != node_id:
                 result.append(record)
         return result

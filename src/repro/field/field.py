@@ -101,7 +101,7 @@ class Field:
         """The field rectangle as a polygon."""
         return Polygon.rectangle(0.0, 0.0, self.width, self.height)
 
-    def boundary_edges(self) -> List[Segment]:
+    def boundary_edges(self) -> Tuple[Segment, ...]:
         """The four edges of the field rectangle."""
         return self.boundary_polygon().edges()
 

@@ -8,7 +8,7 @@ shapes used in the paper (rectangles, convex cells, irregular obstacles).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from .segment import Segment, on_segment, orientation
@@ -16,17 +16,48 @@ from .vec import EPS, Vec2
 
 __all__ = ["Polygon"]
 
+#: Distance within which a point counts as on the boundary (``on_boundary``).
+_BOUNDARY_EPS = 1e-7
+#: Rounding allowance of the bbox reject, relative to the coordinates'
+#: magnitude (and at least absolute): a point or segment this far outside
+#: the eps-padded bbox gets the same answer from the full test.
+_BBOX_SLACK = 1e-9
+
 
 @dataclass(frozen=True)
 class Polygon:
-    """A simple polygon given by its vertices in order (either winding)."""
+    """A simple polygon given by its vertices in order (either winding).
+
+    The edges and the bounding box are computed once at construction.  The
+    point and segment queries first reject anything outside the bbox padded
+    by the boundary eps (plus a rounding allowance): such a query gets the
+    same answer from the full test, which ``tests/oracles`` keeps as the
+    reference.
+    """
 
     vertices: Tuple[Vec2, ...]
 
     def __init__(self, vertices: Sequence[Vec2]):
         if len(vertices) < 3:
             raise ValueError("a polygon needs at least three vertices")
-        object.__setattr__(self, "vertices", tuple(vertices))
+        vertices = tuple(vertices)
+        n = len(vertices)
+        xs = [v.x for v in vertices]
+        ys = [v.y for v in vertices]
+        bbox = (min(xs), min(ys), max(xs), max(ys))
+        pad = _BOUNDARY_EPS + _BBOX_SLACK * max(1.0, *(abs(c) for c in bbox))
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(
+            self,
+            "_edges",
+            tuple(Segment(vertices[i], vertices[(i + 1) % n]) for i in range(n)),
+        )
+        object.__setattr__(self, "_bbox", bbox)
+        object.__setattr__(
+            self,
+            "_reject_box",
+            (bbox[0] - pad, bbox[1] - pad, bbox[2] + pad, bbox[3] + pad),
+        )
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -71,7 +102,7 @@ class Polygon:
 
     def perimeter(self) -> float:
         """Total boundary length."""
-        return sum(edge.length() for edge in self.edges())
+        return sum(edge.length() for edge in self._edges)
 
     def centroid(self) -> Vec2:
         """Area centroid of the polygon."""
@@ -94,16 +125,11 @@ class Polygon:
 
     def bounding_box(self) -> Tuple[float, float, float, float]:
         """``(xmin, ymin, xmax, ymax)`` of the polygon."""
-        xs = [v.x for v in self.vertices]
-        ys = [v.y for v in self.vertices]
-        return (min(xs), min(ys), max(xs), max(ys))
+        return self._bbox
 
-    def edges(self) -> List[Segment]:
+    def edges(self) -> Tuple[Segment, ...]:
         """The boundary edges in vertex order."""
-        n = len(self.vertices)
-        return [
-            Segment(self.vertices[i], self.vertices[(i + 1) % n]) for i in range(n)
-        ]
+        return self._edges
 
     def is_convex(self) -> bool:
         """``True`` when the polygon is convex (collinear runs allowed)."""
@@ -134,25 +160,26 @@ class Polygon:
     # ------------------------------------------------------------------
     def contains(self, p: Vec2, include_boundary: bool = True) -> bool:
         """Point-in-polygon test (ray casting with boundary handling)."""
+        xmin, ymin, xmax, ymax = self._reject_box
+        if p.x < xmin or p.x > xmax or p.y < ymin or p.y > ymax:
+            return False
         if self.on_boundary(p):
             return include_boundary
         inside = False
-        n = len(self.vertices)
-        for i in range(n):
-            a = self.vertices[i]
-            b = self.vertices[(i + 1) % n]
+        for edge in self._edges:
+            a, b = edge.a, edge.b
             if (a.y > p.y) != (b.y > p.y):
                 x_cross = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
                 if p.x < x_cross:
                     inside = not inside
         return inside
 
-    def on_boundary(self, p: Vec2, eps: float = 1e-7) -> bool:
+    def on_boundary(self, p: Vec2, eps: float = _BOUNDARY_EPS) -> bool:
         """Whether ``p`` lies on the polygon's boundary."""
-        return any(edge.distance_to_point(p) <= eps for edge in self.edges())
+        return any(edge.distance_to_point(p) <= eps for edge in self._edges)
 
     def contains_points(
-        self, px, py, include_boundary: bool = True, eps: float = 1e-7
+        self, px, py, include_boundary: bool = True, eps: float = _BOUNDARY_EPS
     ):
         """Vectorised :meth:`contains` over arrays of point coordinates.
 
@@ -168,10 +195,8 @@ class Polygon:
         py = np.asarray(py, dtype=float)
         inside = np.zeros(px.shape, dtype=bool)
         boundary = np.zeros(px.shape, dtype=bool)
-        n = len(self.vertices)
-        for i in range(n):
-            a = self.vertices[i]
-            b = self.vertices[(i + 1) % n]
+        for edge in self._edges:
+            a, b = edge.a, edge.b
             dx, dy = b.x - a.x, b.y - a.y
             denom = dx * dx + dy * dy
             if denom <= EPS:
@@ -197,17 +222,17 @@ class Polygon:
         """Distance from ``p`` to the polygon (zero when inside)."""
         if self.contains(p):
             return 0.0
-        return min(edge.distance_to_point(p) for edge in self.edges())
+        return min(edge.distance_to_point(p) for edge in self._edges)
 
     def boundary_distance_to_point(self, p: Vec2) -> float:
         """Distance from ``p`` to the polygon *boundary* (even when inside)."""
-        return min(edge.distance_to_point(p) for edge in self.edges())
+        return min(edge.distance_to_point(p) for edge in self._edges)
 
     def closest_boundary_point(self, p: Vec2) -> Vec2:
         """Closest point of the polygon boundary to ``p``."""
         best = None
         best_dist = math.inf
-        for edge in self.edges():
+        for edge in self._edges:
             candidate = edge.closest_point(p)
             dist = candidate.distance_to(p)
             if dist < best_dist:
@@ -223,7 +248,7 @@ class Polygon:
         """Whether the segment touches the polygon (boundary or interior)."""
         if self.contains(seg.a) or self.contains(seg.b):
             return True
-        return any(edge.intersects(seg) for edge in self.edges())
+        return any(edge.intersects(seg) for edge in self._edges)
 
     def segment_crosses_interior(self, seg: Segment, samples: int = 8) -> bool:
         """Whether the open segment passes through the polygon's interior.
@@ -232,12 +257,21 @@ class Polygon:
         points of the segment, which is robust enough for the rectangular and
         mildly irregular obstacles used in the experiments.
         """
+        xmin, ymin, xmax, ymax = self._reject_box
+        a, b = seg.a, seg.b
+        if (
+            max(a.x, b.x) < xmin
+            or min(a.x, b.x) > xmax
+            or max(a.y, b.y) < ymin
+            or min(a.y, b.y) > ymax
+        ):
+            return False
         for i in range(1, samples):
             t = i / samples
             p = seg.point_at(t)
             if self.contains(p, include_boundary=False):
                 return True
-        crossings = [edge for edge in self.edges() if edge.intersects(seg)]
+        crossings = [edge for edge in self._edges if edge.intersects(seg)]
         if len(crossings) >= 2:
             midpoint = seg.midpoint()
             if self.contains(midpoint, include_boundary=False):
@@ -247,7 +281,7 @@ class Polygon:
     def segment_intersections(self, seg: Segment) -> List[Vec2]:
         """All boundary intersection points with a segment, ordered along it."""
         points: List[Vec2] = []
-        for edge in self.edges():
+        for edge in self._edges:
             p = edge.intersection(seg)
             if p is not None and not any(p.almost_equals(q) for q in points):
                 points.append(p)

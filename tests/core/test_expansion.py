@@ -125,3 +125,93 @@ class TestIFLG:
 class TestPriorityKey:
     def test_priority_order_values(self):
         assert int(ExpansionKind.FLG) < int(ExpansionKind.BLG) < int(ExpansionKind.IFLG)
+
+
+class TestMemo:
+    """Each owner's last answer is reused until its inputs change."""
+
+    @staticmethod
+    def _fresh_answer(planner, owner_id, position):
+        fresh = ExpansionPlanner(
+            field=planner.field,
+            floors=planner.floors,
+            registry=planner.registry,
+            sensing_range=planner.sensing_range,
+            expansion_radius=planner.expansion_radius,
+        )
+        return fresh.expansion_points(owner_id, position)
+
+    def _setup(self):
+        field = Field(1000.0, 1000.0, [Obstacle.rectangle(600, 300, 700, 400)])
+        planner, registry = make_planner(field=field)
+        registry.register(0, Vec2(560, 330))
+        registry.register(1, Vec2(600, 290))
+        return planner, registry, field
+
+    def _assert_recomputed(self, planner, owner_id, position):
+        before = planner.reused
+        points = planner.expansion_points(owner_id, position)
+        assert planner.reused == before, "a changed input must force a recompute"
+        assert points == self._fresh_answer(planner, owner_id, position)
+
+    def test_reused_answer_equals_fresh_planner(self):
+        planner, _, _ = self._setup()
+        first = planner.expansion_points(0, Vec2(560, 330))
+        assert planner.reused == 0
+        again = planner.expansion_points(0, Vec2(560, 330))
+        assert planner.reused == 1
+        assert again == first == self._fresh_answer(planner, 0, Vec2(560, 330))
+        assert first, "the set-up must produce expansion points"
+
+    def test_memo_is_per_owner(self):
+        planner, _, _ = self._setup()
+        planner.expansion_points(0, Vec2(560, 330))
+        planner.expansion_points(1, Vec2(600, 290))
+        planner.expansion_points(0, Vec2(560, 330))
+        planner.expansion_points(1, Vec2(600, 290))
+        assert planner.reused == 2
+
+    def test_register_forces_recompute(self):
+        planner, registry, _ = self._setup()
+        planner.expansion_points(0, Vec2(560, 330))
+        registry.register(2, Vec2(520, 330))
+        self._assert_recomputed(planner, 0, Vec2(560, 330))
+
+    def test_unregister_forces_recompute(self):
+        planner, registry, _ = self._setup()
+        planner.expansion_points(0, Vec2(560, 330))
+        registry.unregister(1)
+        self._assert_recomputed(planner, 0, Vec2(560, 330))
+
+    def test_promote_virtual_forces_recompute(self):
+        planner, registry, _ = self._setup()
+        registry.register(5, Vec2(520, 330), virtual=True)
+        planner.expansion_points(0, Vec2(560, 330))
+        registry.promote_virtual(5, Vec2(521, 331))
+        self._assert_recomputed(planner, 0, Vec2(560, 330))
+
+    def test_obstacle_add_and_remove_force_recompute(self):
+        planner, _, field = self._setup()
+        before = planner.expansion_points(0, Vec2(560, 330))
+        index = field.add_obstacle(Obstacle.rectangle(500, 340, 530, 380))
+        self._assert_recomputed(planner, 0, Vec2(560, 330))
+        field.remove_obstacle(index)
+        self._assert_recomputed(planner, 0, Vec2(560, 330))
+        assert planner.expansion_points(0, Vec2(560, 330)) == before
+
+    def test_position_change_forces_recompute(self):
+        planner, _, _ = self._setup()
+        planner.expansion_points(0, Vec2(560, 330))
+        self._assert_recomputed(planner, 0, Vec2(560.5, 330))
+        self._assert_recomputed(planner, 0, Vec2(560.5, 330.5))
+
+    def test_mutating_a_returned_list_does_not_leak(self):
+        planner, _, _ = self._setup()
+        first = planner.expansion_points(0, Vec2(560, 330))
+        expected = list(first)
+        first.clear()
+        second = planner.expansion_points(0, Vec2(560, 330))
+        assert planner.reused == 1
+        assert second == expected
+        second.append(second[0])
+        assert planner.expansion_points(0, Vec2(560, 330)) == expected

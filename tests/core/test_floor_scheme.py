@@ -174,3 +174,34 @@ class TestObstacleExitCorrection:
             s.sensor_id for s in world.sensors if not world.field.is_free(s.position)
         ]
         assert stuck == []
+
+
+class TestFloorTelemetry:
+    def test_expansion_sub_spans_and_reuse_counter(self):
+        """The expansion round reports its two steps as sub-spans and the
+        planner's memo hits as ``floor.expansion_reused``; telemetry
+        observes, never perturbs: the untraced run ends in the same
+        state."""
+        from benchmarks.fingerprints import world_digest
+        from repro.obs import Telemetry
+
+        def run(telemetry):
+            config = make_config(SMOKE_SCALE, seed=5)
+            world = make_world(config, SMOKE_SCALE, with_obstacles=True)
+            result = SimulationEngine(
+                world, FloorScheme(), telemetry=telemetry
+            ).run()
+            return world_digest(world, result.final_coverage), result
+
+        plain_digest, _ = run(None)
+        tel = Telemetry()
+        traced_digest, result = run(tel)
+        assert traced_digest == plain_digest
+        summary = result.telemetry
+        rounds = summary.phases["floor.expansion_round"]
+        points = summary.phases["floor.expansion_points"]
+        invitations = summary.phases["floor.invitations"]
+        assert points.calls == rounds.calls
+        assert 1 <= invitations.calls <= rounds.calls
+        assert points.seconds + invitations.seconds <= rounds.seconds
+        assert summary.counters["floor.expansion_reused"] > 0

@@ -162,3 +162,98 @@ class TestSpatialIndexParity:
             slow = brute.neighbors_on_floor(node_id, radius)
             assert [r.node_id for r in fast] == [r.node_id for r in slow]
             assert fast == slow
+
+
+class TestVersion:
+    def test_register_and_unregister_bump_version(self):
+        registry = make_registry()
+        assert registry.version == 0
+        registry.register(1, Vec2(100, 40))
+        after_register = registry.version
+        assert after_register > 0
+        registry.unregister(1)
+        assert registry.version > after_register
+
+    def test_noop_unregister_keeps_version(self):
+        registry = make_registry()
+        registry.register(1, Vec2(100, 40))
+        version = registry.version
+        registry.unregister(99)
+        registry.unregister(99)
+        assert registry.version == version
+
+    def test_promote_virtual_bumps_version(self):
+        registry = make_registry()
+        registry.register(9, Vec2(100, 40), virtual=True)
+        version = registry.version
+        registry.promote_virtual(9, Vec2(100, 40))
+        assert registry.version > version
+
+    def test_queries_see_changes_after_a_cached_scan(self):
+        registry = make_registry()
+        registry.register(1, Vec2(100, 40))
+        assert registry.is_point_covered(Vec2(110, 50), 40.0)[0]
+        registry.unregister(1)
+        assert not registry.is_point_covered(Vec2(110, 50), 40.0)[0]
+        registry.register(2, Vec2(120, 40))
+        assert registry.is_point_covered(Vec2(110, 50), 40.0)[0]
+        assert [r.node_id for r in registry.neighbors_on_floor(2, 80.0)] == []
+
+
+class TestScanParityEdgeCases:
+    """Order and exclusion cases of the array scans against the oracle."""
+
+    def _pair(self):
+        return make_registry(), make_registry(cls=ExhaustiveFloorRegistry)
+
+    def test_neighbor_order_follows_registration_not_ids(self):
+        import random
+
+        rng = random.Random(3)
+        fast, brute = self._pair()
+        ids = list(range(40))
+        rng.shuffle(ids)
+        for node_id in ids:
+            # Interleave floors so the store is not in registration order.
+            pos = Vec2(rng.uniform(0, 400), rng.choice([30.0, 50.0, 120.0]))
+            fast.register(node_id, pos)
+            brute.register(node_id, pos)
+        for node_id in rng.sample(ids, 10):
+            # Re-registration moves a record to the end of its floor.
+            pos = Vec2(rng.uniform(0, 400), 40.0)
+            fast.register(node_id, pos)
+            brute.register(node_id, pos)
+        saw_unsorted = False
+        for node_id in ids:
+            got = [r.node_id for r in fast.neighbors_on_floor(node_id, 150.0)]
+            assert got == [r.node_id for r in brute.neighbors_on_floor(node_id, 150.0)]
+            saw_unsorted |= got != sorted(got)
+        assert saw_unsorted, "the case must exercise a non-id order"
+
+    @pytest.mark.parametrize("seed", [4, 9])
+    def test_excluding_every_covering_node(self, seed):
+        import random
+
+        rng = random.Random(seed)
+        fast, brute = self._pair()
+        for node_id in range(60):
+            pos = Vec2(rng.uniform(0, 300), rng.uniform(0, 300))
+            fast.register(node_id, pos)
+            brute.register(node_id, pos)
+        records = fast.all_records()
+        for _ in range(150):
+            point = Vec2(rng.uniform(0, 300), rng.uniform(0, 300))
+            rs = rng.uniform(10.0, 60.0)
+            covering = [
+                r.node_id for r in records if r.position.distance_to(point) <= rs
+            ]
+            for exclude in (
+                covering,
+                set(covering),
+                tuple(covering[:-1]),
+                covering + [999],
+                [],
+            ):
+                assert fast.is_point_covered(point, rs, exclude=exclude) == (
+                    brute.is_point_covered(point, rs, exclude=exclude)
+                )

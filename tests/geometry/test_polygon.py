@@ -1,11 +1,14 @@
 """Unit and property tests for polygons."""
 
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.geometry import Polygon, Segment, Vec2
+from tests.oracles import reference_contains, reference_segment_crosses_interior
+from tests.oracles.geometry import reference_edges
 
 
 def unit_square() -> Polygon:
@@ -148,3 +151,195 @@ class TestProperties:
         poly = Polygon.regular(Vec2(0, 0), r, sides)
         assert poly.area() <= math.pi * r * r + 1e-6
         assert poly.is_convex()
+
+
+# ----------------------------------------------------------------------
+# Parity of the bbox-rejecting predicates with the bbox-free reference
+# ----------------------------------------------------------------------
+def _rotated_rectangle(rng):
+    cx, cy = rng.uniform(-50, 150), rng.uniform(-50, 150)
+    w, h = rng.uniform(1, 60), rng.uniform(1, 60)
+    angle = rng.uniform(0, math.pi)
+    corners = [(-w / 2, -h / 2), (w / 2, -h / 2), (w / 2, h / 2), (-w / 2, h / 2)]
+    return Polygon(
+        [Vec2(cx, cy) + Vec2(x, y).rotated(angle) for x, y in corners]
+    )
+
+
+def _star(rng):
+    center = Vec2(rng.uniform(0, 100), rng.uniform(0, 100))
+    spikes = rng.randint(3, 7)
+    outer, inner = rng.uniform(10, 40), rng.uniform(2, 9)
+    return Polygon(
+        [
+            center + Vec2.from_polar(outer if k % 2 == 0 else inner, math.pi * k / spikes)
+            for k in range(2 * spikes)
+        ]
+    )
+
+
+def _l_shape(rng):
+    x, y = rng.uniform(-20, 80), rng.uniform(-20, 80)
+    a, b = rng.uniform(10, 40), rng.uniform(3, 9)
+    return Polygon(
+        [
+            Vec2(x, y), Vec2(x + a, y), Vec2(x + a, y + b), Vec2(x + b, y + b),
+            Vec2(x + b, y + a), Vec2(x, y + a),
+        ]
+    )
+
+
+def _thin(rng):
+    # A sliver: long and between 1e-7 and 1e-2 wide, axis-aligned or not.
+    start = Vec2(rng.uniform(0, 100), rng.uniform(0, 100))
+    direction = Vec2.from_polar(1.0, rng.choice([0.0, math.pi / 2, rng.uniform(0, math.pi)]))
+    length = rng.uniform(5, 80)
+    width = 10 ** rng.uniform(-7, -2)
+    normal = direction.perpendicular() * width
+    end = start + direction * length
+    return Polygon([start, end, end + normal, start + normal])
+
+
+def _rectangle(rng):
+    x, y = rng.uniform(-50, 150), rng.uniform(-50, 150)
+    return Polygon.rectangle(x, y, x + rng.uniform(0.5, 60), y + rng.uniform(0.5, 60))
+
+
+POLYGON_MAKERS = {
+    "rectangle": _rectangle,
+    "rotated": _rotated_rectangle,
+    "star": _star,
+    "l-shape": _l_shape,
+    "thin": _thin,
+}
+
+
+def _near_boundary_points(rng, polygon, count):
+    """Points on edges, on vertices and within +-2e-7 of the boundary."""
+    edges = reference_edges(polygon)
+    points = list(polygon.vertices)
+    for _ in range(count):
+        edge = rng.choice(edges)
+        on_edge = edge.point_at(rng.choice([0.0, 1.0, rng.random()]))
+        points.append(on_edge)
+        normal = edge.direction().perpendicular()
+        for offset in (1e-7, -1e-7, rng.uniform(-2e-7, 2e-7)):
+            points.append(on_edge + normal * offset)
+        points.append(on_edge + Vec2(rng.uniform(-2e-7, 2e-7), rng.uniform(-2e-7, 2e-7)))
+    xmin, ymin, xmax, ymax = polygon.bounding_box()
+    for _ in range(count):
+        # Just inside / outside the eps-padded bounding box.
+        pad = rng.choice([1e-7, -1e-7, 1.5e-7, 0.5e-7, 0.0])
+        points.append(Vec2(xmin - pad, rng.uniform(ymin, ymax)))
+        points.append(Vec2(xmax + pad, rng.uniform(ymin, ymax)))
+        points.append(Vec2(rng.uniform(xmin, xmax), ymin - pad))
+        points.append(Vec2(rng.uniform(xmin, xmax), ymax + pad))
+    return points
+
+
+def _random_points(rng, polygon, count):
+    xmin, ymin, xmax, ymax = polygon.bounding_box()
+    mx, my = (xmax - xmin) + 1.0, (ymax - ymin) + 1.0
+    return [
+        Vec2(rng.uniform(xmin - mx, xmax + mx), rng.uniform(ymin - my, ymax + my))
+        for _ in range(count)
+    ]
+
+
+def _segments(rng, polygon, count):
+    """Random segments, bbox-touching ones, edge grazers and zero-length ones."""
+    xmin, ymin, xmax, ymax = polygon.bounding_box()
+    probes = _random_points(rng, polygon, count) + _near_boundary_points(
+        rng, polygon, count // 4
+    )
+    segments = []
+    for _ in range(count):
+        segments.append(Segment(rng.choice(probes), rng.choice(probes)))
+    for _ in range(count // 2):
+        # One endpoint on (or just off) a side of the bbox, the other outside.
+        pad = rng.choice([0.0, 1e-7, -1e-7, 2e-7])
+        side = rng.randrange(4)
+        y = rng.uniform(ymin, ymax)
+        x = rng.uniform(xmin, xmax)
+        touch, away = [
+            (Vec2(xmin - pad, y), Vec2(xmin - 30, y + rng.uniform(-30, 30))),
+            (Vec2(xmax + pad, y), Vec2(xmax + 30, y + rng.uniform(-30, 30))),
+            (Vec2(x, ymin - pad), Vec2(x + rng.uniform(-30, 30), ymin - 30)),
+            (Vec2(x, ymax + pad), Vec2(x + rng.uniform(-30, 30), ymax + 30)),
+        ][side]
+        segments.append(Segment(touch, away))
+        segments.append(Segment(away, touch))
+    for edge in reference_edges(polygon):
+        # Grazers: the edge itself, extended along its line, shifted by eps.
+        d = edge.b - edge.a
+        normal = edge.direction().perpendicular()
+        for shift in (0.0, 1e-7, -1e-7, 1e-6, -1e-6):
+            offset = normal * shift
+            segments.append(Segment(edge.a + offset, edge.b + offset))
+            segments.append(
+                Segment(edge.a - d * 0.5 + offset, edge.b + d * 0.5 + offset)
+            )
+    for p in probes[: count // 2] + list(polygon.vertices):
+        segments.append(Segment(p, p))
+    return segments
+
+
+@pytest.mark.parametrize("kind", sorted(POLYGON_MAKERS))
+@pytest.mark.parametrize("seed", [1, 2, 3])
+class TestBBoxRejectParity:
+    """The bbox reject never changes an answer of the bbox-free predicates."""
+
+    def test_contains_parity(self, kind, seed):
+        rng = random.Random(f"{kind}-{seed}")
+        for _ in range(3):
+            polygon = POLYGON_MAKERS[kind](rng)
+            if rng.random() < 0.5:
+                polygon = Polygon(tuple(reversed(polygon.vertices)))
+            points = _random_points(rng, polygon, 80) + _near_boundary_points(
+                rng, polygon, 25
+            )
+            for p in points:
+                for include_boundary in (True, False):
+                    assert polygon.contains(p, include_boundary) == reference_contains(
+                        polygon, p, include_boundary
+                    ), (polygon.vertices, p, include_boundary)
+
+    def test_segment_crosses_interior_parity(self, kind, seed):
+        rng = random.Random(f"segment-{kind}-{seed}")
+        for _ in range(2):
+            polygon = POLYGON_MAKERS[kind](rng)
+            for seg in _segments(rng, polygon, 60):
+                assert polygon.segment_crosses_interior(
+                    seg
+                ) == reference_segment_crosses_interior(polygon, seg), (
+                    polygon.vertices,
+                    seg,
+                )
+
+
+class TestCachedGeometry:
+    def test_edges_are_built_once_and_match_the_vertices(self):
+        poly = Polygon([Vec2(0, 0), Vec2(10, 0), Vec2(10, 10), Vec2(5, 5), Vec2(0, 10)])
+        assert poly.edges() is poly.edges()
+        assert list(poly.edges()) == reference_edges(poly)
+
+    def test_cached_state_stays_out_of_equality_and_hash(self):
+        a = Polygon.rectangle(0, 0, 10, 10)
+        b = Polygon(list(a.vertices))
+        assert a == b and hash(a) == hash(b)
+
+    def test_pickle_round_trip_keeps_the_fast_paths(self):
+        import pickle
+
+        poly = Polygon.rectangle(0, 0, 10, 10)
+        clone = pickle.loads(pickle.dumps(poly))
+        assert clone == poly
+        assert clone.bounding_box() == poly.bounding_box()
+        assert not clone.contains(Vec2(20, 5))
+        assert clone.contains(Vec2(5, 5))
+
+    def test_point_just_past_the_padded_box_is_outside(self):
+        poly = Polygon.rectangle(0, 0, 10, 10)
+        assert poly.contains(Vec2(-1e-7, 5))  # on the boundary within eps
+        assert not poly.contains(Vec2(-1e-6, 5))
+        assert not poly.segment_crosses_interior(Segment(Vec2(-1, -1), Vec2(-1, 20)))

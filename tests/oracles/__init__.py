@@ -9,12 +9,15 @@ functions that tests (and ``benchmarks/perfbench.py``) import:
   :func:`double_loop_components`, and a world whose queries bypass the
   neighbour cache and the incremental coverage tracker;
 * :mod:`.floor` — an exhaustive floor-registry scan;
+* :mod:`.geometry` — the polygon point and segment predicates without
+  the bounding-box reject;
 * :mod:`.seed` — the paper's literal step ladder, the seed CPVF dynamics
   (:class:`SeedCPVF`) and the seed neighbour-table / coverage
   algorithms (their timers live in ``benchmarks/perfbench.py``).
 """
 
 from .floor import ExhaustiveFloorRegistry
+from .geometry import reference_contains, reference_segment_crosses_interior
 from .seed import (
     NeighborMotion,
     SeedCPVF,
@@ -31,6 +34,8 @@ __all__ = [
     "uncached",
     "double_loop_components",
     "ExhaustiveFloorRegistry",
+    "reference_contains",
+    "reference_segment_crosses_interior",
     "NeighborMotion",
     "SeedCPVF",
     "step_is_valid",
