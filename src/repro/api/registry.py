@@ -96,13 +96,6 @@ class Registry:
             raise KeyError(self._unknown_message(name))
         return self._entries[canonical]
 
-    def canonical_name(self, name: str) -> str:
-        """The canonical (registration-time) spelling of ``name``."""
-        canonical = self._index.get(str(name).casefold())
-        if canonical is None:
-            raise KeyError(self._unknown_message(name))
-        return canonical
-
     def names(self) -> List[str]:
         """All registered canonical names, sorted."""
         return sorted(self._entries)

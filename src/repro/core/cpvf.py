@@ -496,7 +496,7 @@ class CPVFScheme(DeploymentScheme):
             else:
                 for candidate, cx, cy in candidates:
                     if math.hypot(qx - cx, qy - cy) <= limit:
-                        world.reparent_in_tree(sensor.sensor_id, candidate)
+                        world.tree.reparent(sensor.sensor_id, candidate)
                         world.telemetry.count("cpvf.parent_changes", 1)
                         return step
         return 0.0

@@ -550,9 +550,6 @@ class FloorScheme(DeploymentScheme):
         if not self._rehome_children(world, sensor):
             return
         # Leave the tree while in transit; the subtree has been re-homed.
-        parent = world.tree.parent_of(movable_id)
-        if parent is not None and parent != BASE_STATION_ID:
-            world.sensor(parent).children.discard(movable_id)
         world.tree.detach(movable_id, keep_subtree=True)
         sensor.state = SensorState.RELOCATING
         path = self._planner_disperse.plan(sensor.position, ep.position)
@@ -601,7 +598,7 @@ class FloorScheme(DeploymentScheme):
                 candidates.append(candidate)
             reparented = False
             for candidate in candidates:
-                if world.reparent_in_tree(child, candidate):
+                if world.tree.reparent(child, candidate):
                     reparented = True
                     break
             if not reparented:

@@ -103,19 +103,9 @@ class FloorGeometry:
         y = self.floor_line_y(index)
         return Segment(Vec2(0.0, y), Vec2(self.field_width, y))
 
-    def floor_lines(self) -> List[float]:
-        """All floor-line y coordinates."""
-        return list(self._floor_line_ys)
-
     # ------------------------------------------------------------------
     # Inter-floor lines
     # ------------------------------------------------------------------
-    def inter_floor_lines(self) -> List[float]:
-        """All inter-floor-line y coordinates (boundaries between floors)."""
-        return [
-            2.0 * self.sensing_range * k for k in range(1, self.floor_count)
-        ]
-
     def inter_floor_line_above(self, floor_index: int) -> Optional[float]:
         """The inter-floor line above the given floor (``None`` at the top)."""
         y = 2.0 * self.sensing_range * (floor_index + 1)

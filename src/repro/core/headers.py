@@ -116,16 +116,6 @@ class FloorRegistry:
                 return floor_index
         return None
 
-    def header_of_floor(self, floor_index: int) -> Optional[FloorRecord]:
-        """The floor header: the registered node with the smallest x.
-
-        Ties are broken by node id, as in the paper.
-        """
-        records = self.records_on_floor(floor_index)
-        if not records:
-            return None
-        return min(records, key=lambda r: (r.position.x, r.node_id))
-
     def _hits(self, point: Vec2, radius: float) -> List[int]:
         """Store positions (ascending) of the records within ``radius``.
 
@@ -193,29 +183,3 @@ class FloorRegistry:
             for r in self.all_records()
             if include_virtual or not r.virtual
         )
-
-    def compact_summary(self, floor_index: int) -> List[Tuple[float, float]]:
-        """Run-length summary of x-intervals occupied on a floor.
-
-        Mirrors the paper's observation that a floor header only needs to
-        record the first and last x coordinates of each contiguous run of
-        regularly spaced nodes.  Two consecutive nodes belong to the same
-        run when their spacing does not exceed twice the sensing range.
-        """
-        records = sorted(
-            self.records_on_floor(floor_index), key=lambda r: r.position.x
-        )
-        if not records:
-            return []
-        max_gap = 2.0 * self.floors.sensing_range
-        runs: List[Tuple[float, float]] = []
-        run_start = records[0].position.x
-        previous = records[0].position.x
-        for record in records[1:]:
-            x = record.position.x
-            if x - previous > max_gap:
-                runs.append((run_start, previous))
-                run_start = x
-            previous = x
-        runs.append((run_start, previous))
-        return runs

@@ -80,12 +80,10 @@ class LazyMovementController:
     def start_waiting(self, sensor: Sensor, path_parent_id: int) -> None:
         """Record that ``sensor`` pauses behind ``path_parent_id``."""
         self._path_parent[sensor.sensor_id] = path_parent_id
-        sensor.path_parent_id = path_parent_id
 
     def stop_waiting(self, sensor: Sensor) -> None:
         """The sensor resumes its own walk."""
         self._path_parent.pop(sensor.sensor_id, None)
-        sensor.path_parent_id = None
         sensor.idle_periods = 0
 
     # ------------------------------------------------------------------

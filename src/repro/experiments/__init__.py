@@ -117,7 +117,6 @@ from .table1 import (
     run_table1,
     sweep_table1,
 )
-from .runner import EXPERIMENTS, Experiment, run_experiment, run_experiment_records
 
 __all__ = [
     # Declarative API (repro.api re-exports)
@@ -198,9 +197,4 @@ __all__ = [
     "rows_degradation",
     "run_degradation",
     "format_degradation",
-    # Runner
-    "Experiment",
-    "EXPERIMENTS",
-    "run_experiment",
-    "run_experiment_records",
 ]

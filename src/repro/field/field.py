@@ -66,6 +66,8 @@ class Field:
         if self.width <= 0 or self.height <= 0:
             raise ValueError("field dimensions must be positive")
         self._grid_cache: dict[float, Tuple[CoverageGrid, np.ndarray]] = {}
+        # Built once: ``width`` and ``height`` are fixed for the field's life.
+        self._boundary = Polygon.rectangle(0.0, 0.0, self.width, self.height)
         #: Bumped on every obstacle mutation; consumers caching rasterised
         #: masks or visibility answers key their epochs on it.
         self.version: int = 0
@@ -99,21 +101,15 @@ class Field:
 
     def boundary_polygon(self) -> Polygon:
         """The field rectangle as a polygon."""
-        return Polygon.rectangle(0.0, 0.0, self.width, self.height)
+        return self._boundary
 
     def boundary_edges(self) -> Tuple[Segment, ...]:
         """The four edges of the field rectangle."""
-        return self.boundary_polygon().edges()
+        return self._boundary.edges()
 
     def area(self) -> float:
         """Total rectangle area (including obstacle area)."""
         return self.width * self.height
-
-    def free_area(self, resolution: float = 10.0) -> float:
-        """Approximate area of the field minus obstacles."""
-        grid, obstacle_mask = self.grid_and_obstacle_mask(resolution)
-        free_fraction = 1.0 - grid.fraction(obstacle_mask)
-        return free_fraction * self.area()
 
     # ------------------------------------------------------------------
     # Point queries

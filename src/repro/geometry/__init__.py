@@ -6,7 +6,7 @@ BUG2 path planning, the deployment schemes themselves — can build on a
 single consistent set of predicates and tolerances.
 """
 
-from .vec import EPS, Vec2, almost_equal
+from .vec import EPS, Vec2
 from .segment import Segment, on_segment, orientation
 from .circle import Circle, circle_circle_intersections, disk_overlap_area
 from .polygon import Polygon
@@ -16,7 +16,6 @@ from .grid import CoverageGrid
 __all__ = [
     "EPS",
     "Vec2",
-    "almost_equal",
     "Segment",
     "on_segment",
     "orientation",

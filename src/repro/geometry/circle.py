@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from .segment import Segment
 from .vec import EPS, Vec2
@@ -32,29 +32,13 @@ class Circle:
         """Return ``True`` when ``p`` lies inside or on the circle."""
         return self.center.distance_sq_to(p) <= (self.radius + eps) ** 2
 
-    def strictly_contains(self, p: Vec2, eps: float = EPS) -> bool:
-        """Return ``True`` when ``p`` lies strictly inside the circle."""
-        return self.center.distance_sq_to(p) < (self.radius - eps) ** 2
-
     def area(self) -> float:
         """Area of the disk."""
         return math.pi * self.radius * self.radius
 
-    def circumference(self) -> float:
-        """Perimeter of the circle."""
-        return 2.0 * math.pi * self.radius
-
-    def point_at_angle(self, angle: float) -> Vec2:
-        """Point on the circle at ``angle`` radians from the +x axis."""
-        return self.center + Vec2.from_polar(self.radius, angle)
-
     # ------------------------------------------------------------------
     # Intersections
     # ------------------------------------------------------------------
-    def intersects_segment(self, seg: Segment) -> bool:
-        """Whether the segment has at least one point inside the disk."""
-        return seg.distance_to_point(self.center) <= self.radius + EPS
-
     def segment_intersections(self, seg: Segment) -> List[Vec2]:
         """Intersection points of the circle *boundary* with a segment.
 
@@ -107,10 +91,6 @@ class Circle:
         if len(crossings) == 1:
             return Segment(crossings[0], crossings[0])
         return None
-
-    def intersects_circle(self, other: "Circle") -> bool:
-        """Whether the two closed disks overlap."""
-        return self.center.distance_to(other.center) <= self.radius + other.radius + EPS
 
 
 def circle_circle_intersections(c1: Circle, c2: Circle) -> List[Vec2]:

@@ -10,11 +10,9 @@ obstacle generator to verify free-space connectivity.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
-
-from .vec import Vec2
 
 __all__ = ["CoverageGrid"]
 
@@ -67,11 +65,6 @@ class CoverageGrid:
         """Total number of sample points."""
         return len(self._px)
 
-    def points(self) -> Iterator[Vec2]:
-        """Iterate over all sample points as :class:`Vec2`."""
-        for x, y in zip(self._px, self._py):
-            yield Vec2(float(x), float(y))
-
     def point_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """The flattened x and y coordinate arrays of all sample points."""
         return self._px, self._py
@@ -79,17 +72,6 @@ class CoverageGrid:
     # ------------------------------------------------------------------
     # Masks
     # ------------------------------------------------------------------
-    def mask_from_predicate(self, predicate: Callable[[Vec2], bool]) -> np.ndarray:
-        """Boolean mask of sample points for which ``predicate`` is true.
-
-        Intended for low-frequency use (obstacle masks are computed once per
-        field and cached by the caller); per-sensor coverage uses the
-        vectorised :meth:`coverage_mask` instead.
-        """
-        return np.fromiter(
-            (predicate(p) for p in self.points()), dtype=bool, count=self.num_points
-        )
-
     def disk_block(
         self, cx: float, cy: float, radius: float
     ) -> "Tuple[slice, slice, np.ndarray] | None":

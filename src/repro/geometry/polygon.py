@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .segment import Segment, on_segment, orientation
+from .segment import Segment
 from .vec import EPS, Vec2
 
 __all__ = ["Polygon"]
@@ -22,6 +22,9 @@ _BOUNDARY_EPS = 1e-7
 #: magnitude (and at least absolute): a point or segment this far outside
 #: the eps-padded bbox gets the same answer from the full test.
 _BBOX_SLACK = 1e-9
+#: ``segment_crosses_interior`` tests the segment at ``t = i / 8`` for
+#: ``i = 1..7``.
+_CROSSING_SAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -131,24 +134,6 @@ class Polygon:
         """The boundary edges in vertex order."""
         return self._edges
 
-    def is_convex(self) -> bool:
-        """``True`` when the polygon is convex (collinear runs allowed)."""
-        n = len(self.vertices)
-        sign = 0
-        for i in range(n):
-            o = orientation(
-                self.vertices[i],
-                self.vertices[(i + 1) % n],
-                self.vertices[(i + 2) % n],
-            )
-            if o == 0:
-                continue
-            if sign == 0:
-                sign = o
-            elif o != sign:
-                return False
-        return True
-
     def counter_clockwise(self) -> "Polygon":
         """The polygon with guaranteed counter-clockwise winding."""
         if self.signed_area() >= 0:
@@ -244,18 +229,13 @@ class Polygon:
     # ------------------------------------------------------------------
     # Segment queries
     # ------------------------------------------------------------------
-    def intersects_segment(self, seg: Segment) -> bool:
-        """Whether the segment touches the polygon (boundary or interior)."""
-        if self.contains(seg.a) or self.contains(seg.b):
-            return True
-        return any(edge.intersects(seg) for edge in self._edges)
-
-    def segment_crosses_interior(self, seg: Segment, samples: int = 8) -> bool:
+    def segment_crosses_interior(self, seg: Segment) -> bool:
         """Whether the open segment passes through the polygon's interior.
 
-        Boundary grazing does not count.  Implemented by sampling interior
-        points of the segment, which is robust enough for the rectangular and
-        mildly irregular obstacles used in the experiments.
+        Boundary grazing does not count.  Implemented by testing the
+        :data:`_CROSSING_SAMPLES` - 1 evenly spaced interior points of the
+        segment (its midpoint among them), which is robust enough for the
+        rectangular and mildly irregular obstacles used in the experiments.
         """
         xmin, ymin, xmax, ymax = self._reject_box
         a, b = seg.a, seg.b
@@ -266,15 +246,9 @@ class Polygon:
             or min(a.y, b.y) > ymax
         ):
             return False
-        for i in range(1, samples):
-            t = i / samples
-            p = seg.point_at(t)
+        for i in range(1, _CROSSING_SAMPLES):
+            p = seg.point_at(i / _CROSSING_SAMPLES)
             if self.contains(p, include_boundary=False):
-                return True
-        crossings = [edge for edge in self._edges if edge.intersects(seg)]
-        if len(crossings) >= 2:
-            midpoint = seg.midpoint()
-            if self.contains(midpoint, include_boundary=False):
                 return True
         return False
 

@@ -6,7 +6,6 @@ BUG2 reference lines and Voronoi cell boundaries.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -100,10 +99,6 @@ class Segment:
         """Distance from ``p`` to the closed segment."""
         return p.distance_to(self.closest_point(p))
 
-    def contains_point(self, p: Vec2, eps: float = 1e-7) -> bool:
-        """Return ``True`` if ``p`` lies on the segment within ``eps``."""
-        return self.distance_to_point(p) <= eps
-
     # ------------------------------------------------------------------
     # Intersections
     # ------------------------------------------------------------------
@@ -159,72 +154,6 @@ class Segment:
         if -EPS <= t <= 1 + EPS and -EPS <= u <= 1 + EPS:
             return self.point_at(min(1.0, max(0.0, t)))
         return None
-
-    def intersection_parameters(self, other: "Segment") -> Optional[tuple]:
-        """``(t, u)`` parameters of the intersection, or ``None``.
-
-        ``t`` parameterises ``self`` and ``u`` parameterises ``other``.
-        Collinear overlaps return ``None``.
-        """
-        d1 = self.b - self.a
-        d2 = other.b - other.a
-        denom = d1.cross(d2)
-        if abs(denom) <= EPS:
-            return None
-        t = (other.a - self.a).cross(d2) / denom
-        u = (other.a - self.a).cross(d1) / denom
-        if -EPS <= t <= 1 + EPS and -EPS <= u <= 1 + EPS:
-            return (t, u)
-        return None
-
-    def distance_to_segment(self, other: "Segment") -> float:
-        """Minimum distance between two closed segments."""
-        if self.intersects(other):
-            return 0.0
-        return min(
-            self.distance_to_point(other.a),
-            self.distance_to_point(other.b),
-            other.distance_to_point(self.a),
-            other.distance_to_point(self.b),
-        )
-
-    # ------------------------------------------------------------------
-    # Clipping
-    # ------------------------------------------------------------------
-    def clip_to_box(
-        self, xmin: float, ymin: float, xmax: float, ymax: float
-    ) -> Optional["Segment"]:
-        """Liang–Barsky clipping of the segment to an axis-aligned box.
-
-        Returns the clipped segment, or ``None`` when the segment lies
-        entirely outside the box.
-        """
-        dx = self.b.x - self.a.x
-        dy = self.b.y - self.a.y
-        t0, t1 = 0.0, 1.0
-        checks = (
-            (-dx, self.a.x - xmin),
-            (dx, xmax - self.a.x),
-            (-dy, self.a.y - ymin),
-            (dy, ymax - self.a.y),
-        )
-        for p, q in checks:
-            if abs(p) <= EPS:
-                if q < 0:
-                    return None
-                continue
-            r = q / p
-            if p < 0:
-                if r > t1:
-                    return None
-                t0 = max(t0, r)
-            else:
-                if r < t0:
-                    return None
-                t1 = min(t1, r)
-        if t0 > t1:
-            return None
-        return Segment(self.point_at(t0), self.point_at(t1))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Segment({self.a!r} -> {self.b!r})"

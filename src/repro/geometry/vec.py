@@ -12,15 +12,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Tuple
 
-__all__ = ["Vec2", "EPS", "almost_equal"]
+__all__ = ["Vec2", "EPS"]
 
 #: Numerical tolerance used by geometric predicates throughout the package.
 EPS = 1e-9
-
-
-def almost_equal(a: float, b: float, eps: float = EPS) -> bool:
-    """Return ``True`` when two scalars differ by less than ``eps``."""
-    return abs(a - b) <= eps
 
 
 @dataclass(frozen=True)
@@ -141,13 +136,6 @@ class Vec2:
     def lerp(self, other: "Vec2", t: float) -> "Vec2":
         """Linear interpolation: ``self`` at ``t=0`` and ``other`` at ``t=1``."""
         return Vec2(self.x + (other.x - self.x) * t, self.y + (other.y - self.y) * t)
-
-    def clamped_norm(self, max_norm: float) -> "Vec2":
-        """Vector with the same direction but length at most ``max_norm``."""
-        n = self.norm()
-        if n <= max_norm or n <= EPS:
-            return self
-        return self * (max_norm / n)
 
     # ------------------------------------------------------------------
     # Conversions

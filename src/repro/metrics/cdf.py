@@ -50,11 +50,6 @@ class EmpiricalCDF:
         """Sample median (the 0.5 quantile)."""
         return self.quantile(0.5)
 
-    def as_points(self) -> List[Tuple[float, float]]:
-        """The CDF as a list of ``(value, cumulative probability)`` points."""
-        n = len(self.values)
-        return [(v, (i + 1) / n) for i, v in enumerate(self.values)]
-
     def series(self, num_points: int = 11) -> List[Tuple[float, float]]:
         """A fixed-size sampling of the CDF, convenient for printed tables."""
         if num_points < 2:

@@ -272,17 +272,3 @@ class Bug2Planner:
             if not pruned or not pruned[-1].almost_equals(leave_point):
                 pruned.append(leave_point)
         return pruned
-
-    def path_length_upper_bound(self, start: Vec2, target: Vec2) -> float:
-        """The theoretical BUG2 bound ``D + sum_i n_i * l_i / 2``.
-
-        ``D`` is the start-target distance, ``n_i`` the number of times the
-        reference line crosses obstacle ``i`` and ``l_i`` its perimeter.
-        Useful for property tests on convex obstacle courses.
-        """
-        reference = Segment(start, target)
-        bound = start.distance_to(target)
-        for ob in self._field.obstacles:
-            crossings = len(ob.polygon.segment_intersections(reference))
-            bound += crossings * ob.perimeter() / 2.0
-        return bound

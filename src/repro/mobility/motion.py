@@ -78,23 +78,6 @@ class MotionModel:
         self.odometer += dist
         return dist
 
-    def step_towards(self, target: Vec2, distance: Optional[float] = None) -> float:
-        """Move straight toward ``target`` by at most one step.
-
-        ``distance`` optionally caps the step below ``V * T`` (e.g. the
-        maximum *valid* step size under the connectivity-preserving
-        conditions).  Returns the distance actually moved.
-        """
-        limit = self.max_step if distance is None else min(distance, self.max_step)
-        gap = self.position.distance_to(target)
-        if gap <= 1e-12 or limit <= 0:
-            return 0.0
-        travel = min(limit, gap)
-        direction = self.position.towards(target)
-        self.position = self.position + direction * travel
-        self.odometer += travel
-        return travel
-
     # ------------------------------------------------------------------
     # Path following
     # ------------------------------------------------------------------

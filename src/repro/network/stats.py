@@ -66,12 +66,6 @@ class MessageStats:
         """Transmissions of one specific type."""
         return self.counts.get(message_type, 0)
 
-    def average_per_node(self, node_count: int) -> float:
-        """Average number of transmissions per sensor node."""
-        if node_count <= 0:
-            return 0.0
-        return self.total() / node_count
-
     def to_counters(
         self, prefix: str = "messages.", net_prefix: str = "net."
     ) -> Dict[str, int]:
@@ -99,53 +93,6 @@ class MessageStats:
             if count:
                 counters[f"{net_prefix}{key}"] = count
         return counters
-
-    @classmethod
-    def from_counters(
-        cls,
-        counters: Dict[str, int],
-        prefix: str = "messages.",
-        net_prefix: str = "net.",
-    ) -> "MessageStats":
-        """Rebuild stats from :meth:`to_counters` output (round-trip).
-
-        The ``<prefix>total`` aggregate is recomputed, not read; unknown
-        message-type or net-counter names raise ``ValueError``.
-        """
-        stats = cls()
-        total_key = f"{prefix}total"
-        for name, count in counters.items():
-            if name == total_key:
-                continue
-            if name.startswith(prefix):
-                type_name = name[len(prefix):]
-                try:
-                    message_type = MessageType[type_name.upper()]
-                except KeyError:
-                    raise ValueError(
-                        f"unknown message type counter {name!r}"
-                    ) from None
-                stats.record_transmissions(message_type, count)
-            elif name.startswith(net_prefix):
-                stats.record_net(name[len(net_prefix):], count)
-            else:
-                raise ValueError(f"unrecognised counter {name!r}")
-        return stats
-
-    def per_period(
-        self, periods: int, prefix: str = "messages.", net_prefix: str = "net."
-    ) -> Dict[str, float]:
-        """Per-period rates of every counter over a ``periods``-long run.
-
-        Useful for comparing overhead across runs of different lengths
-        (the degradation experiment reports rates, not raw totals).
-        """
-        if periods <= 0:
-            raise ValueError("periods must be positive")
-        return {
-            name: count / periods
-            for name, count in self.to_counters(prefix, net_prefix).items()
-        }
 
     def snapshot(self) -> "MessageStats":
         """A frozen copy of the current counters.
@@ -193,8 +140,3 @@ class MessageStats:
         merged.counts = self.counts + other.counts
         merged.net_counts = self.net_counts + other.net_counts
         return merged
-
-    def reset(self) -> None:
-        """Clear all counters."""
-        self.counts.clear()
-        self.net_counts.clear()

@@ -153,11 +153,6 @@ class Telemetry:
         """Forward one per-period structured event to the sink."""
         self.sink.on_period(trace)
 
-    def phase_seconds(self, name: str) -> float:
-        """Total time spent in the named phase so far."""
-        cell = self._spans.get(name)
-        return cell[0] if cell is not None else 0.0
-
     def counter(self, name: str) -> int:
         """Current value of the named counter (0 when never counted)."""
         return self._counters.get(name, 0)

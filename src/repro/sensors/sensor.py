@@ -2,8 +2,9 @@
 
 A :class:`Sensor` bundles identity, the sensing range ``rs``, the
 kinematic state (a :class:`~repro.mobility.MotionModel`) and the protocol
-state used by the deployment schemes (connectivity state, tree parent,
-lazy-movement path parent, oscillation history).  The communication
+state used by the deployment schemes (connectivity state, lazy-movement
+history, oscillation history).  The connectivity tree itself lives in
+``world.tree`` (:class:`~repro.network.ConnectivityTree`).  The communication
 range is not per sensor: the paper's unit disk is the world's single
 ``config.communication_range`` (see :mod:`repro.network.radio`).
 """
@@ -11,7 +12,7 @@ range is not per sensor: the paper's unit disk is the world's single
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional, Set
+from typing import Optional, Set
 
 from ..geometry import Circle, Vec2
 from ..mobility import MotionModel
@@ -29,17 +30,6 @@ class Sensor:
     sensing_range: float
     state: SensorState = SensorState.DISCONNECTED
 
-    #: Tree parent in the connectivity tree (``None`` for the root's children
-    #: the base station itself is not a Sensor).
-    parent_id: Optional[int] = None
-    #: Tree children.
-    children: Set[int] = field(default_factory=set)
-    #: IDs of all ancestors up to the base station (FLOOR phase 2 uses this
-    #: to check for loops when re-parenting children of a movable sensor).
-    ancestors: List[int] = field(default_factory=list)
-
-    #: Lazy movement: the neighbour this sensor is currently waiting on.
-    path_parent_id: Optional[int] = None
     #: Lazy movement: how many consecutive periods the sensor has not moved.
     idle_periods: int = 0
     #: Lazy movement: path parents that led to a wait-loop and must not be
@@ -76,15 +66,14 @@ class Sensor:
         return self.position.distance_to(point) <= self.sensing_range + 1e-9
 
     # ------------------------------------------------------------------
-    # Tree bookkeeping
+    # State predicates
     # ------------------------------------------------------------------
-    def set_parent(self, parent_id: Optional[int], ancestors: List[int]) -> None:
-        """Attach to a new tree parent and record the ancestor chain."""
-        self.parent_id = parent_id
-        self.ancestors = list(ancestors)
-
     def is_connected(self) -> bool:
-        """Whether the sensor currently belongs to the connectivity tree."""
+        """Whether the sensor's state is a connected one.
+
+        See :meth:`SensorState.is_connected`: a ``RELOCATING`` sensor
+        counts, although it is detached from ``world.tree`` in transit.
+        """
         return self.state.is_connected()
 
     def is_alive(self) -> bool:

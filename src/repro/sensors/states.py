@@ -39,7 +39,14 @@ class SensorState(Enum):
     FAILED = "failed"
 
     def is_connected(self) -> bool:
-        """Whether the state implies membership of the connectivity tree."""
+        """Whether the state is one of the connected ones.
+
+        ``CONNECTED``, ``FIXED``, ``MOVABLE`` and ``RELOCATING``.  Every
+        sensor in such a state has joined the connectivity tree, but a
+        ``RELOCATING`` sensor is detached from ``world.tree`` while in
+        transit (its subtree is re-homed before it leaves), so this is not
+        a tree-membership test; ask ``world.tree`` for that.
+        """
         return self in (
             SensorState.CONNECTED,
             SensorState.FIXED,

@@ -9,7 +9,7 @@ periods and a 750-second horizon, with ``rc`` and ``rs`` between 30 and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from ..geometry import Vec2
@@ -65,7 +65,3 @@ class SimulationConfig:
         if self.invitation_ttl is not None:
             return max(1, int(self.invitation_ttl))
         return max(1, int(round(0.2 * self.sensor_count)))
-
-    def with_overrides(self, **kwargs) -> "SimulationConfig":
-        """A copy of the configuration with some fields replaced."""
-        return replace(self, **kwargs)

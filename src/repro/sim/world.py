@@ -240,27 +240,11 @@ class World:
     # Tree maintenance helpers
     # ------------------------------------------------------------------
     def attach_to_tree(self, sensor_id: int, parent_id: int) -> None:
-        """Attach a sensor to the connectivity tree and update its record."""
+        """Attach a sensor to the connectivity tree and mark it connected."""
         self.tree.attach(sensor_id, parent_id)
         sensor = self.sensor(sensor_id)
-        sensor.set_parent(parent_id, self.tree.ancestors_of(sensor_id))
         if not sensor.state.is_connected():
             sensor.state = SensorState.CONNECTED
-        if parent_id != BASE_STATION_ID:
-            self.sensor(parent_id).children.add(sensor_id)
-
-    def reparent_in_tree(self, sensor_id: int, new_parent_id: int) -> bool:
-        """Re-parent a sensor; keeps sensor-side records in sync."""
-        old_parent = self.tree.parent_of(sensor_id)
-        if not self.tree.reparent(sensor_id, new_parent_id):
-            return False
-        sensor = self.sensor(sensor_id)
-        sensor.set_parent(new_parent_id, self.tree.ancestors_of(sensor_id))
-        if old_parent is not None and old_parent != BASE_STATION_ID:
-            self.sensor(old_parent).children.discard(sensor_id)
-        if new_parent_id != BASE_STATION_ID:
-            self.sensor(new_parent_id).children.add(sensor_id)
-        return True
 
     # ------------------------------------------------------------------
     # Population churn (fault injection)
@@ -304,7 +288,6 @@ class World:
             return []
         sensor.motion.stop()
         sensor.state = SensorState.FAILED
-        sensor.path_parent_id = None
         sensor.idle_periods = 0
         self.population_version += 1
         if self._neighbor_cache is not None:
@@ -314,9 +297,6 @@ class World:
         if self.telemetry.enabled:
             self.telemetry.count("tree.repairs", 1)
             self.telemetry.count("tree.repair_dropped", len(disconnected))
-        sensor.parent_id = None
-        sensor.children = set()
-        sensor.ancestors = []
         return disconnected
 
     def notify_field_changed(self) -> None:
@@ -334,10 +314,7 @@ class World:
         tree = self.tree
         if sensor_id not in tree.parent:
             return []
-        parent_id = tree.parent_of(sensor_id)
         orphan_roots = tree.remove_node(sensor_id)
-        if parent_id is not None and parent_id != BASE_STATION_ID:
-            self.sensor(parent_id).children.discard(sensor_id)
         if not orphan_roots:
             return []
         anchored = tree.subtree_of(BASE_STATION_ID)
@@ -358,11 +335,7 @@ class World:
         for root in pending:
             members = tree.discard_floating(root)
             for member_id in members:
-                member = self.sensor(member_id)
-                member.state = SensorState.DISCONNECTED
-                member.parent_id = None
-                member.children = set()
-                member.ancestors = []
+                self.sensor(member_id).state = SensorState.DISCONNECTED
             dropped.extend(members)
         return sorted(dropped)
 
@@ -414,12 +387,6 @@ class World:
             return False
         tree.reroot_floating(root, new_root)
         tree.attach(new_root, anchor_id)
-        for member_id in members:
-            member = self.sensor(member_id)
-            member.set_parent(tree.parent_of(member_id), tree.ancestors_of(member_id))
-            member.children = tree.children_of(member_id)
-        if anchor_id != BASE_STATION_ID:
-            self.sensor(anchor_id).children.add(new_root)
         anchored.update(member_set)
         self.telemetry.count("tree.repair_reattached", len(members))
         return True

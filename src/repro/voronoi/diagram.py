@@ -27,10 +27,6 @@ class VoronoiCell:
     site: Vec2
     polygon: Optional[Polygon]
 
-    def is_empty(self) -> bool:
-        """Whether clipping eliminated the cell entirely (degenerate input)."""
-        return self.polygon is None
-
     def vertices(self) -> List[Vec2]:
         """Cell vertices (empty list for an empty cell)."""
         if self.polygon is None:
@@ -43,13 +39,6 @@ class VoronoiCell:
         if not verts:
             return None
         return max(verts, key=self.site.distance_to)
-
-    def max_vertex_distance(self) -> float:
-        """Distance from the site to its farthest cell vertex."""
-        far = self.farthest_vertex()
-        if far is None:
-            return 0.0
-        return self.site.distance_to(far)
 
     def minimax_point(self, samples: int = 48) -> Optional[Vec2]:
         """The point of the cell minimising the maximum vertex distance.
@@ -167,10 +156,3 @@ class VoronoiDiagram:
             self._cells[index] = compute_cell(site, others, self._bounding)
         return self._cells[index]
 
-    def cells(self) -> List[VoronoiCell]:
-        """All cells, computed lazily."""
-        return [self.cell(i) for i in range(len(self._sites))]
-
-    def total_cell_area(self) -> float:
-        """Sum of cell areas; equals the field area up to clipping error."""
-        return sum(c.polygon.area() for c in self.cells() if c.polygon is not None)

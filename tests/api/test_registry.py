@@ -22,7 +22,6 @@ class TestRegistry:
         assert registry.get("ALPHA") is sentinel
         assert "alpha" in registry
         assert registry.names() == ["Alpha"]
-        assert registry.canonical_name("aLpHa") == "Alpha"
 
     def test_decorator_round_trip_instantiates_classes(self):
         registry = Registry("widget")

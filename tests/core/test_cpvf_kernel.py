@@ -147,7 +147,7 @@ class TestTreeCaches:
         )
         if new_parent is None:
             pytest.skip("degenerate smoke tree")
-        world.reparent_in_tree(sid, new_parent)
+        world.tree.reparent(sid, new_parent)
         after = scheme._tree_link_positions(world, world.sensor(sid))
         parent_pos = world.sensor(new_parent).position
         assert (parent_pos.x, parent_pos.y) in after

@@ -205,3 +205,27 @@ class TestFloorTelemetry:
         assert 1 <= invitations.calls <= rounds.calls
         assert points.seconds + invitations.seconds <= rounds.seconds
         assert summary.counters["floor.expansion_reused"] > 0
+
+
+class TestRelocationLeavesTheTree:
+    def test_relocating_sensor_is_detached_from_its_former_parent(self):
+        """A sensor in transit to an expansion point is no tree member: it is
+        absent from ``world.tree.parent`` and from its former parent's
+        children (FLOOR re-homes its subtree before it leaves)."""
+        config = make_config(SMOKE_SCALE, seed=7)
+        world = make_world(config, SMOKE_SCALE)
+        scheme = FloorScheme()
+        scheme.initialize(world)
+        seen = 0
+        for period in range(60):
+            world.period_index = period
+            before = dict(world.tree.parent)
+            scheme.step(world)
+            for sensor in world.sensors:
+                sid = sensor.sensor_id
+                if sensor.state is not SensorState.RELOCATING or sid not in before:
+                    continue
+                seen += 1
+                assert sid not in world.tree.parent
+                assert sid not in world.tree.children_of(before[sid])
+        assert seen > 0, "no sensor started a relocation in this draw"

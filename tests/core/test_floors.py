@@ -62,10 +62,6 @@ class TestFloorLookup:
         assert seg.a == Vec2(0, 200)
         assert seg.b == Vec2(500, 200)
 
-    def test_floor_lines_list(self):
-        floors = make_floors(rs=40, height=320)
-        assert floors.floor_lines() == [40.0, 120.0, 200.0, 280.0]
-
     @given(st.floats(min_value=0, max_value=1000))
     def test_every_point_is_within_rs_of_its_nearest_floor_line(self, y):
         floors = make_floors(rs=40)
@@ -80,10 +76,6 @@ class TestFloorLookup:
 
 
 class TestInterFloorLines:
-    def test_inter_floor_lines(self):
-        floors = make_floors(rs=40, height=320)
-        assert floors.inter_floor_lines() == [80.0, 160.0, 240.0]
-
     def test_inter_floor_line_above_and_below(self):
         floors = make_floors(rs=40, height=320)
         assert floors.inter_floor_line_below(0) is None

@@ -42,25 +42,6 @@ class TestRegistration:
         assert registry.count() == 1 or registry.floor_of(1) == 2
 
 
-class TestHeaders:
-    def test_header_is_smallest_x(self):
-        registry = make_registry()
-        registry.register(1, Vec2(300, 40))
-        registry.register(2, Vec2(100, 50))
-        registry.register(3, Vec2(200, 60))
-        header = registry.header_of_floor(0)
-        assert header.node_id == 2
-
-    def test_header_tie_broken_by_id(self):
-        registry = make_registry()
-        registry.register(5, Vec2(100, 40))
-        registry.register(2, Vec2(100, 50))
-        assert registry.header_of_floor(0).node_id == 2
-
-    def test_header_of_empty_floor(self):
-        assert make_registry().header_of_floor(3) is None
-
-
 class TestCoverageQueries:
     def test_covered_point(self):
         registry = make_registry()
@@ -99,17 +80,6 @@ class TestNeighborsAndSummary:
 
     def test_neighbors_of_unknown_node(self):
         assert make_registry().neighbors_on_floor(99, radius=80.0) == []
-
-    def test_compact_summary_merges_contiguous_runs(self):
-        registry = make_registry(rs=40.0)
-        for i, x in enumerate([0, 40, 80, 120]):
-            registry.register(i, Vec2(x, 40))
-        registry.register(10, Vec2(600, 40))
-        summary = registry.compact_summary(0)
-        assert summary == [(0.0, 120.0), (600.0, 600.0)]
-
-    def test_compact_summary_empty_floor(self):
-        assert make_registry().compact_summary(4) == []
 
 
 class TestSpatialIndexParity:

@@ -63,10 +63,8 @@ class TestWaitingAndLoops:
         sensor = make_sensor(0, 100, 0)
         controller.start_waiting(sensor, 5)
         assert controller.is_waiting(0)
-        assert sensor.path_parent_id == 5
         controller.stop_waiting(sensor)
         assert not controller.is_waiting(0)
-        assert sensor.path_parent_id is None
 
     def test_loop_detection_breaks_cycle(self):
         controller, stats = make_controller()

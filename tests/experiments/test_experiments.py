@@ -1,9 +1,15 @@
 """Smoke tests for the experiment harness (runs at SMOKE_SCALE)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro.experiments
+
 from repro.experiments import (
-    EXPERIMENTS,
     SMOKE_SCALE,
     format_fig3,
     format_fig9,
@@ -12,7 +18,6 @@ from repro.experiments import (
     format_fig12,
     format_fig13,
     format_table1,
-    run_experiment,
     run_fig3,
     run_fig8,
     run_fig9,
@@ -23,6 +28,7 @@ from repro.experiments import (
     run_table1,
 )
 from repro.experiments.common import make_config, make_world, run_scheme, scheme_factory
+from repro.experiments.runner import EXPERIMENTS, run_experiment
 
 
 class TestCommonHelpers:
@@ -154,3 +160,28 @@ class TestRunner:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(KeyError):
             run_experiment("fig99", SMOKE_SCALE)
+
+    def test_package_does_not_re_export_the_runner(self):
+        # ``python -m repro.experiments.runner`` would otherwise find the
+        # module already imported by its package and warn.
+        assert not hasattr(repro.experiments, "run_experiment")
+        assert not hasattr(repro.experiments, "EXPERIMENTS")
+
+    def test_runner_module_lists_without_runtime_warning(self):
+        src = Path(__file__).resolve().parents[2] / "src"
+        out = subprocess.run(
+            [
+                sys.executable,
+                "-W",
+                "error::RuntimeWarning",
+                "-m",
+                "repro.experiments.runner",
+                "--list",
+            ],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert out.returncode == 0, out.stderr
+        assert sorted(out.stdout.split()) == sorted(EXPERIMENTS)

@@ -28,14 +28,48 @@ class TestBasics:
     def test_boundary_edges(self, empty_field):
         assert len(empty_field.boundary_edges()) == 4
 
-    def test_free_area_subtracts_obstacles(self, field_with_block):
-        free = field_with_block.free_area(resolution=2.0)
-        assert free == pytest.approx(10000.0 - 400.0, rel=0.05)
-
     def test_with_obstacles_copy(self, empty_field):
         modified = empty_field.with_obstacles([Obstacle.rectangle(0, 0, 10, 10)])
         assert len(modified.obstacles) == 1
         assert len(empty_field.obstacles) == 0
+
+
+class TestBoundaryRectangle:
+    """The field rectangle is built once and shared by every boundary query."""
+
+    @pytest.mark.parametrize(
+        "width,height", [(100.0, 100.0), (300.0, 150.0), (1.5, 1000.0)]
+    )
+    def test_rectangle_matches_the_dimensions(self, width, height):
+        field = Field(width, height)
+        polygon = field.boundary_polygon()
+        assert set(polygon.vertices) == {
+            Vec2(0, 0),
+            Vec2(width, 0),
+            Vec2(width, height),
+            Vec2(0, height),
+        }
+        assert polygon.area() == pytest.approx(width * height)
+        assert polygon.bounding_box() == field.bounds
+
+    def test_same_polygon_and_edges_on_every_call(self, empty_field):
+        polygon = empty_field.boundary_polygon()
+        assert empty_field.boundary_polygon() is polygon
+        assert empty_field.boundary_edges() == polygon.edges()
+        assert empty_field.boundary_edges() is empty_field.boundary_edges()
+
+    def test_obstacle_changes_leave_the_boundary(self, empty_field):
+        polygon = empty_field.boundary_polygon()
+        index = empty_field.add_obstacle(Obstacle.rectangle(10, 10, 20, 20))
+        assert empty_field.boundary_polygon() is polygon
+        empty_field.remove_obstacle(index)
+        assert empty_field.boundary_polygon() is polygon
+        assert len(empty_field.boundary_edges()) == 4
+
+    def test_with_obstacles_has_an_equal_rectangle(self, empty_field):
+        modified = empty_field.with_obstacles([Obstacle.rectangle(0, 0, 10, 10)])
+        assert modified.boundary_polygon() == empty_field.boundary_polygon()
+        assert modified.boundary_edges() == empty_field.boundary_edges()
 
 
 class TestPointQueries:

@@ -13,6 +13,7 @@ import pytest
 from repro.field import Field
 from repro.field.obstacles import Obstacle
 from repro.geometry import Vec2
+from tests.oracles import predicate_mask
 
 
 def _polygon_cases():
@@ -62,7 +63,7 @@ class TestPolygonRasterizationParity:
     def test_matches_predicate_scan(self, name, obstacle):
         field = Field(120.0, 120.0, [obstacle])
         grid, mask = field.grid_and_obstacle_mask(resolution=3.0)
-        reference = grid.mask_from_predicate(obstacle.contains)
+        reference = predicate_mask(grid, obstacle.contains)
         assert np.array_equal(mask, reference)
 
     def test_mixed_rectangles_and_polygons(self):
@@ -73,8 +74,8 @@ class TestPolygonRasterizationParity:
         ]
         field = Field(120.0, 120.0, obstacles)
         grid, mask = field.grid_and_obstacle_mask(resolution=2.5)
-        reference = grid.mask_from_predicate(
-            lambda p: any(ob.contains(p) for ob in obstacles)
+        reference = predicate_mask(
+            grid, lambda p: any(ob.contains(p) for ob in obstacles)
         )
         assert np.array_equal(mask, reference)
 

@@ -21,19 +21,9 @@ class TestContainment:
     def test_does_not_contain_outside(self):
         assert not Circle(Vec2(0, 0), 5).contains(Vec2(6, 0))
 
-    def test_strictly_contains(self):
-        c = Circle(Vec2(0, 0), 5)
-        assert c.strictly_contains(Vec2(1, 1))
-        assert not c.strictly_contains(Vec2(5, 0))
-
-    def test_area_and_circumference(self):
+    def test_area(self):
         c = Circle(Vec2(0, 0), 2)
         assert c.area() == pytest.approx(4 * math.pi)
-        assert c.circumference() == pytest.approx(4 * math.pi)
-
-    def test_point_at_angle(self):
-        c = Circle(Vec2(1, 1), 2)
-        assert c.point_at_angle(0).almost_equals(Vec2(3, 1))
 
 
 class TestSegmentIntersection:
@@ -81,11 +71,6 @@ class TestSegmentIntersection:
         assert clipped.a.almost_equals(Vec2(0, 0))
         assert clipped.b.almost_equals(Vec2(5, 0))
 
-    def test_intersects_segment(self):
-        c = Circle(Vec2(0, 0), 5)
-        assert c.intersects_segment(Segment(Vec2(-10, 3), Vec2(10, 3)))
-        assert not c.intersects_segment(Segment(Vec2(-10, 8), Vec2(10, 8)))
-
 
 class TestCircleCircle:
     def test_two_intersections(self):
@@ -114,10 +99,6 @@ class TestCircleCircle:
             circle_circle_intersections(Circle(Vec2(0, 0), 5), Circle(Vec2(0, 0), 3))
             == []
         )
-
-    def test_intersects_circle(self):
-        assert Circle(Vec2(0, 0), 5).intersects_circle(Circle(Vec2(8, 0), 5))
-        assert not Circle(Vec2(0, 0), 5).intersects_circle(Circle(Vec2(20, 0), 5))
 
 
 class TestOverlapArea:
@@ -154,5 +135,5 @@ class TestOverlapArea:
     @given(coord, radius)
     def test_boundary_points_are_contained(self, angle_seed, r):
         c = Circle(Vec2(0, 0), r)
-        p = c.point_at_angle(angle_seed)
+        p = c.center + Vec2.from_polar(r, angle_seed)
         assert c.contains(p)

@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.geometry import CoverageGrid, Vec2
+from repro.geometry import CoverageGrid
+from tests.oracles import predicate_mask
 
 
 class TestConstruction:
@@ -26,9 +27,9 @@ class TestConstruction:
 
     def test_points_inside_rectangle(self):
         grid = CoverageGrid(0, 0, 100, 100, 25)
-        for p in grid.points():
-            assert 0 <= p.x <= 100
-            assert 0 <= p.y <= 100
+        px, py = grid.point_arrays()
+        assert px.min() >= 0 and px.max() <= 100
+        assert py.min() >= 0 and py.max() <= 100
 
 
 class TestCoverageMask:
@@ -59,7 +60,7 @@ class TestCoverageMask:
     def test_fraction_with_domain(self):
         grid = CoverageGrid(0, 0, 100, 100, 10)
         mask = grid.coverage_mask([(0, 0)], 1000)
-        domain = grid.mask_from_predicate(lambda p: p.x < 50)
+        domain = predicate_mask(grid, lambda p: p.x < 50)
         assert grid.fraction(mask, domain=domain) == pytest.approx(1.0)
 
     def test_fraction_with_empty_domain(self):
@@ -72,12 +73,5 @@ class TestCoverageMask:
 class TestPredicateMask:
     def test_half_plane_predicate(self):
         grid = CoverageGrid(0, 0, 100, 100, 5)
-        mask = grid.mask_from_predicate(lambda p: p.y > 50)
+        mask = predicate_mask(grid, lambda p: p.y > 50)
         assert grid.fraction(mask) == pytest.approx(0.5, abs=0.05)
-
-    def test_point_arrays_match_points(self):
-        grid = CoverageGrid(0, 0, 30, 30, 10)
-        px, py = grid.point_arrays()
-        listed = list(grid.points())
-        assert len(px) == len(listed)
-        assert listed[0] == Vec2(float(px[0]), float(py[0]))

@@ -56,21 +56,6 @@ class TestDistances:
         s = Segment(Vec2(0, 0), Vec2(10, 0))
         assert s.closest_point(Vec2(-5, 5)).almost_equals(Vec2(0, 0))
 
-    def test_contains_point(self):
-        s = Segment(Vec2(0, 0), Vec2(10, 10))
-        assert s.contains_point(Vec2(5, 5))
-        assert not s.contains_point(Vec2(5, 6))
-
-    def test_segment_to_segment_distance(self):
-        s1 = Segment(Vec2(0, 0), Vec2(10, 0))
-        s2 = Segment(Vec2(0, 5), Vec2(10, 5))
-        assert s1.distance_to_segment(s2) == pytest.approx(5.0)
-
-    def test_intersecting_segments_have_zero_distance(self):
-        s1 = Segment(Vec2(0, 0), Vec2(10, 10))
-        s2 = Segment(Vec2(0, 10), Vec2(10, 0))
-        assert s1.distance_to_segment(s2) == 0.0
-
 
 class TestIntersection:
     def test_crossing_segments(self):
@@ -96,29 +81,6 @@ class TestIntersection:
         s2 = Segment(Vec2(5, 0), Vec2(15, 0))
         assert s1.intersects(s2)
         assert s1.intersection(s2) is None
-
-    def test_intersection_parameters(self):
-        s1 = Segment(Vec2(0, 0), Vec2(10, 0))
-        s2 = Segment(Vec2(5, -5), Vec2(5, 5))
-        t, u = s1.intersection_parameters(s2)
-        assert t == pytest.approx(0.5)
-        assert u == pytest.approx(0.5)
-
-
-class TestClipping:
-    def test_fully_inside(self):
-        s = Segment(Vec2(1, 1), Vec2(2, 2))
-        assert s.clip_to_box(0, 0, 10, 10) == s
-
-    def test_fully_outside(self):
-        s = Segment(Vec2(20, 20), Vec2(30, 30))
-        assert s.clip_to_box(0, 0, 10, 10) is None
-
-    def test_crossing_boundary(self):
-        s = Segment(Vec2(-5, 5), Vec2(15, 5))
-        clipped = s.clip_to_box(0, 0, 10, 10)
-        assert clipped.a.almost_equals(Vec2(0, 5))
-        assert clipped.b.almost_equals(Vec2(10, 5))
 
 
 class TestProperties:

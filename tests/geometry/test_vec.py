@@ -83,10 +83,6 @@ class TestDirections:
         assert a.lerp(b, 1.0) == b
         assert a.lerp(b, 0.5) == Vec2(2, 4)
 
-    def test_clamped_norm(self):
-        assert Vec2(10, 0).clamped_norm(3).almost_equals(Vec2(3, 0))
-        assert Vec2(1, 0).clamped_norm(3) == Vec2(1, 0)
-
     def test_angle(self):
         assert Vec2(0, 1).angle() == pytest.approx(math.pi / 2)
 

@@ -100,13 +100,6 @@ class TestEmpiricalCDF:
     def test_mean(self):
         assert EmpiricalCDF([1, 2, 3]).mean() == pytest.approx(2.0)
 
-    def test_as_points_monotone(self):
-        points = EmpiricalCDF([3, 1, 2]).as_points()
-        values = [v for v, _ in points]
-        probs = [p for _, p in points]
-        assert values == sorted(values)
-        assert probs[-1] == pytest.approx(1.0)
-
     def test_series_has_requested_length(self):
         cdf = EmpiricalCDF([1, 5, 9])
         assert len(cdf.series(7)) == 7

@@ -23,28 +23,6 @@ class TestDirectMoves:
         assert model.odometer == pytest.approx(5.0)
         assert model.position == Vec2(3, 4)
 
-    def test_step_towards_respects_max_step(self):
-        model = make_model()
-        moved = model.step_towards(Vec2(100, 0))
-        assert moved == pytest.approx(2.0)
-        assert model.position.almost_equals(Vec2(2, 0))
-
-    def test_step_towards_stops_at_target(self):
-        model = make_model()
-        moved = model.step_towards(Vec2(1, 0))
-        assert moved == pytest.approx(1.0)
-        assert model.position.almost_equals(Vec2(1, 0))
-
-    def test_step_towards_with_cap(self):
-        model = make_model()
-        moved = model.step_towards(Vec2(100, 0), distance=0.5)
-        assert moved == pytest.approx(0.5)
-
-    def test_step_towards_zero_distance(self):
-        model = make_model()
-        assert model.step_towards(Vec2(100, 0), distance=0.0) == 0.0
-        assert model.odometer == 0.0
-
 
 class TestPathFollowing:
     def setup_method(self):

@@ -41,22 +41,6 @@ def test_perfect_counters_unchanged():
     assert list(stats.to_counters()) == ["messages.invitation", "messages.total"]
 
 
-def test_from_counters_round_trip():
-    stats = degraded_stats()
-    rebuilt = MessageStats.from_counters(stats.to_counters())
-    assert rebuilt.counts == stats.counts
-    assert rebuilt.net_counts == stats.net_counts
-
-
-def test_from_counters_rejects_unknown_names():
-    with pytest.raises(ValueError):
-        MessageStats.from_counters({"messages.carrier_pigeon": 1})
-    with pytest.raises(ValueError):
-        MessageStats.from_counters({"net.packets_eaten": 1})
-    with pytest.raises(ValueError):
-        MessageStats.from_counters({"bananas": 1})
-
-
 def test_merge_carries_net_counts():
     merged = degraded_stats().merge(degraded_stats())
     assert merged.net_counts["dropped"] == 6
@@ -80,21 +64,6 @@ def test_diff_rejects_higher_net_snapshot():
     later.record_net("dropped", 10)
     with pytest.raises(ValueError):
         stats.diff(later)
-
-
-def test_reset_clears_net_counts():
-    stats = degraded_stats()
-    stats.reset()
-    assert stats.net_counts == {}
-    assert stats.to_counters() == {"messages.total": 0}
-
-
-def test_per_period_rates():
-    rates = degraded_stats().per_period(4)
-    assert rates["messages.total"] == 13 / 4
-    assert rates["net.dropped"] == 0.75
-    with pytest.raises(ValueError):
-        degraded_stats().per_period(0)
 
 
 def test_net_counter_keys_are_the_schema():

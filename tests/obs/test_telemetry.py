@@ -39,13 +39,6 @@ class TestSpans:
                 raise RuntimeError("x")
         assert tel.summary().phases["boom"].calls == 1
 
-    def test_phase_seconds_accessor(self):
-        tel = Telemetry()
-        assert tel.phase_seconds("missing") == 0.0
-        with tel.span("p"):
-            pass
-        assert tel.phase_seconds("p") >= 0.0
-
 
 class TestCountersAndGauges:
     def test_count_accumulates_integers(self):

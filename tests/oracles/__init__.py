@@ -10,14 +10,19 @@ functions that tests (and ``benchmarks/perfbench.py``) import:
   neighbour cache and the incremental coverage tracker;
 * :mod:`.floor` — an exhaustive floor-registry scan;
 * :mod:`.geometry` — the polygon point and segment predicates without
-  the bounding-box reject;
+  the bounding-box reject, and the per-point grid mask
+  (:func:`predicate_mask`);
 * :mod:`.seed` — the paper's literal step ladder, the seed CPVF dynamics
   (:class:`SeedCPVF`) and the seed neighbour-table / coverage
   algorithms (their timers live in ``benchmarks/perfbench.py``).
 """
 
 from .floor import ExhaustiveFloorRegistry
-from .geometry import reference_contains, reference_segment_crosses_interior
+from .geometry import (
+    predicate_mask,
+    reference_contains,
+    reference_segment_crosses_interior,
+)
 from .seed import (
     NeighborMotion,
     SeedCPVF,
@@ -34,6 +39,7 @@ __all__ = [
     "uncached",
     "double_loop_components",
     "ExhaustiveFloorRegistry",
+    "predicate_mask",
     "reference_contains",
     "reference_segment_crosses_interior",
     "NeighborMotion",

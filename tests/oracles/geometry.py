@@ -1,16 +1,33 @@
-"""Polygon reference: the point and segment predicates without a bbox reject.
+"""Geometry references: polygon predicates and a per-point grid mask.
 
 ``Polygon.contains`` and ``Polygon.segment_crosses_interior`` evaluated
 the long way, every edge and every sample visited for every query; the
 production predicates, which return early outside the polygon's padded
 bounding box, must agree with them on every input.
+
+:func:`predicate_mask` classifies a coverage grid one sample point at a
+time; the field's vectorised obstacle rasterisation must match it.
 """
 
 from __future__ import annotations
 
-from typing import List
+from typing import Callable, List
 
-from repro.geometry import Polygon, Segment, Vec2
+import numpy as np
+
+from repro.geometry import CoverageGrid, Polygon, Segment, Vec2
+
+
+def predicate_mask(
+    grid: CoverageGrid, predicate: Callable[[Vec2], bool]
+) -> np.ndarray:
+    """Boolean mask of the grid's sample points for which ``predicate`` holds."""
+    px, py = grid.point_arrays()
+    return np.fromiter(
+        (predicate(Vec2(float(x), float(y))) for x, y in zip(px, py)),
+        dtype=bool,
+        count=grid.num_points,
+    )
 
 
 def reference_edges(polygon: Polygon) -> List[Segment]:

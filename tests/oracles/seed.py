@@ -186,7 +186,7 @@ class SeedCPVF(CPVFScheme):
                 best_step = step
                 best_parent = candidate
         if best_parent is not None and best_step > 0.0:
-            world.reparent_in_tree(sensor.sensor_id, best_parent)
+            world.tree.reparent(sensor.sensor_id, best_parent)
             world.telemetry.count("cpvf.parent_changes", 1)
             return best_step
         return 0.0

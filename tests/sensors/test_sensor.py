@@ -40,12 +40,6 @@ class TestSensor:
         assert sensor.covers(Vec2(10, 59))
         assert not sensor.covers(Vec2(10, 61))
 
-    def test_set_parent_records_ancestors(self):
-        sensor = make_sensor()
-        sensor.set_parent(3, [3, 1, -1])
-        assert sensor.parent_id == 3
-        assert sensor.ancestors == [3, 1, -1]
-
 
 class TestSensorState:
     def test_connected_states(self):
@@ -57,3 +51,18 @@ class TestSensorState:
     def test_disconnected_states(self):
         assert not SensorState.DISCONNECTED.is_connected()
         assert not SensorState.MOVING_TO_CONNECT.is_connected()
+
+    @pytest.mark.parametrize("state", list(SensorState), ids=lambda s: s.name)
+    def test_sensor_predicate_follows_its_state(self, state):
+        sensor = make_sensor()
+        sensor.state = state
+        assert sensor.is_connected() is state.is_connected()
+        assert sensor.is_connected() is (
+            state
+            in {
+                SensorState.CONNECTED,
+                SensorState.FIXED,
+                SensorState.MOVABLE,
+                SensorState.RELOCATING,
+            }
+        )

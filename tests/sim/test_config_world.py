@@ -31,12 +31,6 @@ class TestConfig:
         config = SimulationConfig(sensor_count=240, invitation_ttl=10)
         assert config.effective_invitation_ttl() == 10
 
-    def test_with_overrides(self):
-        config = SimulationConfig().with_overrides(sensor_count=10, seed=9)
-        assert config.sensor_count == 10
-        assert config.seed == 9
-        assert config.duration == pytest.approx(750.0)
-
 
 class TestWorld:
     def make_world(self, count=12, clustered=True):
@@ -77,18 +71,18 @@ class TestWorld:
         world = self.make_world()
         world.attach_to_tree(0, BASE_STATION_ID)
         world.attach_to_tree(1, 0)
-        assert world.sensor(1).parent_id == 0
+        assert world.tree.parent_of(1) == 0
         assert world.sensor(1).state is SensorState.CONNECTED
-        assert 1 in world.sensor(0).children
-        assert world.reparent_in_tree(1, BASE_STATION_ID)
-        assert world.sensor(1).parent_id == BASE_STATION_ID
-        assert 1 not in world.sensor(0).children
+        assert 1 in world.tree.children_of(0)
+        assert world.tree.reparent(1, BASE_STATION_ID)
+        assert world.tree.parent_of(1) == BASE_STATION_ID
+        assert 1 not in world.tree.children_of(0)
 
     def test_reparent_rejects_loop(self):
         world = self.make_world()
         world.attach_to_tree(0, BASE_STATION_ID)
         world.attach_to_tree(1, 0)
-        assert not world.reparent_in_tree(0, 1)
+        assert not world.tree.reparent(0, 1)
 
     def test_neighbor_table_and_base_station_neighbors(self):
         world = self.make_world(count=20)

@@ -172,7 +172,6 @@ class TestTreeRepairInWorld:
         world.tree.validate()
         assert 2 not in world.tree
         assert world.tree.children_of(1) == set()
-        assert 2 not in world.sensor(1).children
 
     def test_interior_death_reattaches_subtree(self):
         # Everyone is in range of everyone (rc=500), so the orphaned chain
@@ -198,7 +197,7 @@ class TestTreeRepairInWorld:
         for sid in (1, 2):
             assert sid not in world.tree
             assert world.sensor(sid).state is SensorState.DISCONNECTED
-            assert world.sensor(sid).parent_id is None
+            assert world.tree.parent_of(sid) is None
 
     def test_repair_records_messages(self):
         world = make_world(n=6, rc=500.0)

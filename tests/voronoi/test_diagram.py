@@ -37,7 +37,6 @@ class TestSingleCells:
         field = obstacle_free_field(100.0)
         cell = compute_cell(Vec2(10, 10), [], field.boundary_polygon())
         assert cell.farthest_vertex().almost_equals(Vec2(100, 100))
-        assert cell.max_vertex_distance() == pytest.approx(Vec2(10, 10).distance_to(Vec2(100, 100)))
 
     def test_minimax_point_of_square_cell(self):
         field = obstacle_free_field(100.0)
@@ -48,11 +47,9 @@ class TestSingleCells:
         from repro.voronoi.diagram import VoronoiCell
 
         empty = VoronoiCell(Vec2(0, 0), None)
-        assert empty.is_empty()
         assert empty.vertices() == []
         assert empty.farthest_vertex() is None
         assert empty.minimax_point() is None
-        assert empty.max_vertex_distance() == 0.0
 
 
 class TestDiagram:
@@ -61,7 +58,9 @@ class TestDiagram:
         rng = random.Random(1)
         sites = [Vec2(rng.uniform(0, 200), rng.uniform(0, 200)) for _ in range(20)]
         diagram = VoronoiDiagram(sites, field)
-        assert diagram.total_cell_area() == pytest.approx(field.area(), rel=1e-3)
+        cells = [diagram.cell(i) for i in range(len(sites))]
+        total = sum(c.polygon.area() for c in cells if c.polygon is not None)
+        assert total == pytest.approx(field.area(), rel=1e-3)
 
     def test_every_cell_contains_only_nearest_points(self):
         field = obstacle_free_field(100.0)
