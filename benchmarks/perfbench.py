@@ -33,8 +33,7 @@ from repro.core import CPVFScheme
 from repro.experiments.common import (
     ExperimentScale,
     SMOKE_SCALE,
-    make_config,
-    make_world,
+    make_scenario,
 )
 from repro.geometry import Vec2
 from repro.sim import World
@@ -89,10 +88,12 @@ def perf_world(n: int, seed: int, clustered: bool) -> World:
     # the historical field so committed numbers stay comparable.
     field_size = 1000.0 if n <= 10000 else 1000.0 * math.sqrt(n / 10000.0)
     scale = ExperimentScale(field_size=field_size, sensor_count=n)
-    config = make_config(
-        scale, sensor_count=n, seed=seed, clustered_start=clustered
-    )
-    return make_world(config, scale)
+    return make_scenario(
+        scale,
+        sensor_count=n,
+        seed=seed,
+        placement="clustered" if clustered else "uniform",
+    ).build_world()
 
 
 # ----------------------------------------------------------------------

@@ -53,8 +53,7 @@ sys.path[:0] = [str(REPO_ROOT / "src"), str(REPO_ROOT)]
 from repro.core import CPVFScheme  # noqa: E402
 from repro.experiments.common import (  # noqa: E402
     ExperimentScale,
-    make_config,
-    make_world,
+    make_scenario,
 )
 from benchmarks.perfbench import PERF_ENTRIES, run_perf_suite  # noqa: E402
 from repro.sim import SimulationEngine  # noqa: E402
@@ -84,8 +83,7 @@ def measure_cpvf_convergence(
         scale = ExperimentScale(
             field_size=1000.0, sensor_count=n, duration=duration
         )
-        config = make_config(scale, sensor_count=n, seed=seed)
-        world = make_world(config, scale)
+        world = make_scenario(scale, sensor_count=n, seed=seed).build_world()
         engine = SimulationEngine(world, scheme, trace_every=10**9)
         coverages[label] = engine.run().final_coverage
     gap = abs(coverages["cpvf"] - coverages["sequential"])

@@ -9,7 +9,7 @@ variant that advertises every expansion point indiscriminately.
 import pytest
 
 from repro.core import FloorScheme
-from repro.experiments.common import make_config, make_world
+from repro.experiments.common import make_scenario
 from repro.sim import SimulationEngine
 
 
@@ -56,8 +56,12 @@ class _NoPriorityFloor(FloorScheme):
 
 
 def _coverage(scheme_cls, scale, seed):
-    config = make_config(scale, communication_range=60.0, sensing_range=40.0, seed=seed)
-    world = make_world(config, scale)
+    world = make_scenario(
+        scale,
+        communication_range=60.0,
+        sensing_range=40.0,
+        seed=seed,
+    ).build_world()
     result = SimulationEngine(world, scheme_cls()).run()
     return result.final_coverage
 

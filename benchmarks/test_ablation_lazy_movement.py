@@ -9,7 +9,7 @@ and without the strategy; lazy movement should not increase it.
 import pytest
 
 from repro.core.lazy import LazyMovementController
-from repro.experiments.common import make_config, make_world
+from repro.experiments.common import make_scenario
 from repro.sim import SimulationEngine
 from tests.oracles import SeedCPVF
 
@@ -43,8 +43,12 @@ class _EagerCPVF(_LazyCPVF):
 
 def _connectivity_distance(scheme_cls, scale, seed):
     # A small rc forces a real connectivity-establishment phase.
-    config = make_config(scale, communication_range=30.0, sensing_range=40.0, seed=seed)
-    world = make_world(config, scale)
+    world = make_scenario(
+        scale,
+        communication_range=30.0,
+        sensing_range=40.0,
+        seed=seed,
+    ).build_world()
     SimulationEngine(world, scheme_cls()).run()
     return world.average_moving_distance()
 

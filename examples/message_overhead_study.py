@@ -37,7 +37,6 @@ def run_once(sensor_count: int, ttl: int, with_obstacles: bool, seed: int = 9):
         sensing_range=40.0,
         duration=DURATION,
         coverage_resolution=12.5,
-        invitation_ttl=ttl,
         seed=seed,
     )
     field = two_obstacle_field(FIELD_SIZE) if with_obstacles else obstacle_free_field(FIELD_SIZE)

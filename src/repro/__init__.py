@@ -18,14 +18,14 @@ The package is organised bottom-up:
 * :mod:`repro.metrics`, :mod:`repro.experiments`, :mod:`repro.viz` — the
   evaluation machinery reproducing every table and figure of the paper.
 
-Quick start::
+Quick start — a :class:`ScenarioSpec` describes the run (field layout,
+placement, population, ranges, seed, scheme settings) and builds the
+world; the engine drives a scheme over it::
 
-    from repro import SimulationConfig, SimulationEngine, World
-    from repro import FloorScheme, obstacle_free_field
+    from repro import FloorScheme, ScenarioSpec, SimulationEngine
 
-    config = SimulationConfig(sensor_count=60, duration=200.0)
-    world = World.create(config, obstacle_free_field(500.0))
-    result = SimulationEngine(world, FloorScheme()).run()
+    spec = ScenarioSpec(field_size=500.0, sensor_count=60, duration=200.0)
+    result = SimulationEngine(spec.build_world(), FloorScheme()).run()
     print(f"coverage: {result.final_coverage:.1%}")
 """
 

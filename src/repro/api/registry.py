@@ -220,26 +220,10 @@ def _register_builtin_layouts() -> None:
 # Built-in placement strategies
 # ----------------------------------------------------------------------
 def _register_builtin_placements() -> None:
-    from ..field import clustered_initial_positions, uniform_initial_positions
+    from ..field import clustered_placement, uniform_placement
 
-    @register_placement("clustered")
-    def clustered(config, field, rng, cluster_fraction: float = 0.5):
-        """The paper's clustered start: uniform in the lower-left square.
-
-        The cluster square scales with the field (half the side by default)
-        so reduced-scale runs keep the paper's geometry.
-        """
-        return clustered_initial_positions(
-            config.sensor_count,
-            rng,
-            cluster_size=field.width * cluster_fraction,
-            field=field,
-        )
-
-    @register_placement("uniform")
-    def uniform(config, field, rng):
-        """Uniformly random over the whole free field."""
-        return uniform_initial_positions(config.sensor_count, rng, field)
+    placement_registry.register("clustered", clustered_placement)
+    placement_registry.register("uniform", uniform_placement)
 
 
 def _register_scenario_library() -> None:

@@ -3,12 +3,13 @@
 A :class:`ScenarioSpec` is a frozen, JSON-serializable description of one
 simulation setting: the field (by registered layout name plus parameters),
 the initial-placement strategy (by registered name), the population, radio
-and kinematic parameters, and the seed.  It builds a ready-to-run
-:class:`~repro.sim.world.World` in **one pass** — the initial positions are
-drawn exactly once, from the world's own RNG stream, by the registered
-placement strategy (this replaces the historical ``make_world`` pattern of
-placing sensors in ``World.create`` and then overwriting them with a second
-draw).
+and kinematic parameters, the scheme settings (FLOOR's invitation TTL,
+CPVF's oscillation factor) and the seed.  It is the one home of each of
+these: :meth:`ScenarioSpec.build_config` keeps only what the world reads,
+and the scheme adapters read the scheme settings from the spec itself.
+It builds a ready-to-run :class:`~repro.sim.world.World` in **one pass** —
+the initial positions are drawn exactly once, from the world's own RNG
+stream, by the registered placement strategy.
 
 Example::
 
@@ -113,7 +114,7 @@ class ScenarioSpec:
     # Builders
     # ------------------------------------------------------------------
     def build_config(self) -> SimulationConfig:
-        """The scalar simulation configuration for this scenario."""
+        """The scalar simulation configuration the world reads."""
         return SimulationConfig(
             sensor_count=self.sensor_count,
             communication_range=self.communication_range,
@@ -123,10 +124,6 @@ class ScenarioSpec:
             duration=self.duration,
             coverage_resolution=self.coverage_resolution,
             seed=self.seed,
-            clustered_start=self.placement == "clustered",
-            invitation_ttl=self.invitation_ttl,
-            oscillation_delta=self.oscillation_delta,
-            oscillation_mode=self.oscillation_mode,
         )
 
     def build_field(self) -> Field:

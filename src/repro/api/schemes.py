@@ -126,13 +126,13 @@ class SchemeAdapter(abc.ABC):
 class PeriodSchemeAdapter(SchemeAdapter):
     """Adapter base for schemes driven by the period-synchronous engine."""
 
-    def build_scheme(self, settings, params: Dict) -> DeploymentScheme:
+    def build_scheme(self, scenario, params: Dict) -> DeploymentScheme:
         """Instantiate the underlying scheme.
 
-        ``settings`` is any object exposing the scheme-relevant scenario
-        attributes (``oscillation_delta``, ``invitation_ttl``, ...): both
-        :class:`~repro.api.scenario.ScenarioSpec` and
-        :class:`~repro.sim.config.SimulationConfig` qualify.
+        ``scenario`` is the :class:`~repro.api.scenario.ScenarioSpec`, the
+        one home of the scheme settings (``oscillation_delta``,
+        ``invitation_ttl``, ...); ``params`` are the run's scheme
+        parameters.
         """
         raise NotImplementedError
 
@@ -152,7 +152,6 @@ class PeriodSchemeAdapter(SchemeAdapter):
             # engine skips the per-period coverage measurements entirely
             # instead of silently tracing every 50 periods.
             trace_every=spec.trace_every,
-            keep_world=True,
             events=scenario.events,
             telemetry=Telemetry() if spec.profile else NULL_TELEMETRY,
         )
@@ -196,10 +195,10 @@ class CPVFAdapter(PeriodSchemeAdapter):
 
     name = "CPVF"
 
-    def build_scheme(self, settings, params: Dict) -> DeploymentScheme:
+    def build_scheme(self, scenario, params: Dict) -> DeploymentScheme:
         return CPVFScheme(
-            oscillation_delta=settings.oscillation_delta,
-            oscillation_mode=settings.oscillation_mode,
+            oscillation_delta=scenario.oscillation_delta,
+            oscillation_mode=scenario.oscillation_mode,
             **params,
         )
 
@@ -210,8 +209,8 @@ class FloorAdapter(PeriodSchemeAdapter):
 
     name = "FLOOR"
 
-    def build_scheme(self, settings, params: Dict) -> DeploymentScheme:
-        return FloorScheme(invitation_ttl=settings.invitation_ttl, **params)
+    def build_scheme(self, scenario, params: Dict) -> DeploymentScheme:
+        return FloorScheme(invitation_ttl=scenario.invitation_ttl, **params)
 
 
 # ----------------------------------------------------------------------
@@ -356,56 +355,22 @@ class VDSchemeAdapter(SchemeAdapter):
             field, scenario.communication_range, scenario.sensing_range
         )
         if scenario.events:
-            return self._execute_with_events(
-                spec, scenario, scheme, field, exploded, rounds, check_voronoi
+            positions, total_distance, sensors_ever, rounds_executed, outcomes = (
+                _run_vd_with_events(scenario, scheme, field, exploded, rounds)
             )
-        vd_result = scheme.run(exploded.positions, rounds=rounds)
-        per_sensor = [
-            explosion + rounds_distance
-            for explosion, rounds_distance in zip(
-                exploded.per_sensor_distance, vd_result.per_sensor_distance
-            )
-        ]
-        total_distance = sum(per_sensor)
-        extras = {}
-        if check_voronoi:
-            vd_check = diagram_is_correct(
-                vd_result.final_positions, scenario.communication_range, field
-            )
-            extras["all_voronoi_cells_correct"] = vd_check.all_correct
-        return RunRecord(
-            spec=spec,
-            scheme=self.name,
-            coverage=scheme.coverage(
-                vd_result.final_positions, scenario.coverage_resolution
-            ),
-            average_moving_distance=(
-                total_distance / len(per_sensor) if per_sensor else 0.0
-            ),
-            total_moving_distance=total_distance,
-            total_messages=0,
-            connected=positions_are_connected(
-                vd_result.final_positions, scenario.communication_range
-            ),
-            periods_executed=vd_result.rounds_executed,
-            extras=extras,
-            final_positions=(
-                tuple(p.as_tuple() for p in vd_result.final_positions)
-                if spec.keep_positions
-                else None
-            ),
-        )
-
-    def _execute_with_events(
-        self, spec, scenario, scheme, field, exploded, rounds, check_voronoi
-    ) -> RunRecord:
-        (
-            positions,
-            total_distance,
-            sensors_ever,
-            rounds_executed,
-            outcomes,
-        ) = _run_vd_with_events(scenario, scheme, field, exploded, rounds)
+        else:
+            vd_result = scheme.run(exploded.positions, rounds=rounds)
+            per_sensor = [
+                explosion + rounds_distance
+                for explosion, rounds_distance in zip(
+                    exploded.per_sensor_distance, vd_result.per_sensor_distance
+                )
+            ]
+            positions = vd_result.final_positions
+            total_distance = sum(per_sensor)
+            sensors_ever = len(per_sensor)
+            rounds_executed = vd_result.rounds_executed
+            outcomes = []
         extras = {}
         if check_voronoi:
             vd_check = diagram_is_correct(

@@ -61,7 +61,6 @@ class CPVFScheme(DeploymentScheme):
         allow_parent_change: bool = True,
         oscillation_delta: Optional[float] = None,
         oscillation_mode: str = "one-step",
-        repulsion_distance: Optional[float] = None,
     ):
         """Create the scheme.
 
@@ -73,14 +72,13 @@ class CPVFScheme(DeploymentScheme):
         oscillation_delta / oscillation_mode:
             Oscillation-avoidance factor and rule (Section 6.3); ``None``
             disables avoidance, which is the paper's default CPVF.
-        repulsion_distance:
-            Pairwise repulsion threshold for the virtual forces; defaults to
-            ``2 * rs`` of the simulated sensors.
+
+        The pairwise repulsion threshold of the virtual forces is ``2 * rs``
+        of the simulated sensors.
         """
         self._allow_parent_change = allow_parent_change
         self._oscillation_delta = oscillation_delta
         self._oscillation_mode = OscillationMode.from_string(oscillation_mode)
-        self._repulsion_distance = repulsion_distance
         self._planner: Optional[Bug2Planner] = None
         self._forces: Optional[VirtualForceModel] = None
         self._lazy: Optional[LazyMovementController] = None
@@ -99,13 +97,8 @@ class CPVFScheme(DeploymentScheme):
     def initialize(self, world: World) -> None:
         config = world.config
         self._planner = Bug2Planner(world.field, Handedness.RIGHT)
-        repulsion = (
-            self._repulsion_distance
-            if self._repulsion_distance is not None
-            else 2.0 * config.sensing_range
-        )
         self._forces = VirtualForceModel(
-            repulsion_distance=repulsion,
+            repulsion_distance=2.0 * config.sensing_range,
             obstacle_distance=config.sensing_range,
         )
         self._lazy = LazyMovementController(world.routing)

@@ -60,6 +60,9 @@ _VIRTUAL_ID_OFFSET = 1_000_000
 #: sensing disk it covers exclusively is below this threshold.
 _MOVABLE_EXCLUSIVE_THRESHOLD = 0.4
 
+#: Default invitation random-walk TTL as a fraction of the sensor count.
+_DEFAULT_TTL_FRACTION = 0.2
+
 #: Phase 2 starts when all sensors are connected or after this fraction
 #: of the simulation horizon, whichever comes first (the paper's "maximum
 #: arrival time" estimate).
@@ -75,10 +78,9 @@ class FloorScheme(DeploymentScheme):
         """Create the scheme.
 
         ``invitation_ttl`` is the TTL of the invitation random walk; it
-        defaults to the simulation configuration's value (``0.2 * N``
-        unless overridden).
+        defaults to the paper's ``0.2 * N``.
         """
-        self._ttl_override = invitation_ttl
+        self._ttl = invitation_ttl
 
         self._floors: Optional[FloorGeometry] = None
         self._registry: Optional[FloorRegistry] = None
@@ -114,9 +116,9 @@ class FloorScheme(DeploymentScheme):
         self._planner_disperse = Bug2Planner(world.field, Handedness.LEFT)
         self._lazy = LazyMovementController(world.routing)
         ttl = (
-            self._ttl_override
-            if self._ttl_override is not None
-            else config.effective_invitation_ttl()
+            self._ttl
+            if self._ttl is not None
+            else round(_DEFAULT_TTL_FRACTION * config.sensor_count)
         )
         self._invitations = InvitationProtocol(
             routing=world.routing, ttl=max(1, int(ttl)), rng=world.rng

@@ -76,10 +76,7 @@ from .common import (
     SMOKE_SCALE,
     ExperimentScale,
     format_coverage_traces,
-    make_config,
     make_scenario,
-    make_world,
-    run_scheme,
 )
 from .degradation import (
     DegradationRow,
@@ -140,10 +137,7 @@ __all__ = [
     "FULL_SCALE",
     "SMOKE_SCALE",
     "ExperimentScale",
-    "make_config",
     "make_scenario",
-    "make_world",
-    "run_scheme",
     "format_coverage_traces",
     # Figures and tables
     "Fig3Row",

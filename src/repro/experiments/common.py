@@ -20,9 +20,8 @@ reproduces the paper's exact parameters.
 The experiment modules themselves are declarative: each builds a
 :class:`~repro.api.specs.SweepSpec` (via :func:`make_scenario` and the
 scheme registry) and executes it through the process-sharded
-:class:`~repro.api.sweep.SweepRunner`.  The helpers below also keep the
-small imperative surface (``make_config`` / ``make_world`` /
-``run_scheme``) for scripts and tests that want a single run.
+:class:`~repro.api.sweep.SweepRunner`.  Scripts and tests that want one
+world build it the same way: ``make_scenario(scale, ...).build_world()``.
 """
 
 from __future__ import annotations
@@ -30,25 +29,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from ..api import (
-    PeriodSchemeAdapter,
-    RunRecord,
-    ScenarioSpec,
-    scheme_registry,
-)
-from ..field import Field
-from ..sim import SimulationConfig, SimulationEngine, SimulationResult, World
+from ..api import RunRecord, ScenarioSpec
 
 __all__ = [
     "ExperimentScale",
     "FULL_SCALE",
     "BENCH_SCALE",
     "SMOKE_SCALE",
-    "make_config",
     "make_scenario",
-    "make_world",
-    "run_scheme",
-    "scheme_factory",
     "format_coverage_traces",
 ]
 
@@ -96,26 +84,6 @@ SMOKE_SCALE = ExperimentScale(
 )
 
 
-def make_config(
-    scale: ExperimentScale,
-    communication_range: float = 60.0,
-    sensing_range: float = 40.0,
-    sensor_count: Optional[int] = None,
-    seed: int = 1,
-    **overrides,
-) -> SimulationConfig:
-    """A :class:`SimulationConfig` for one experiment run."""
-    return SimulationConfig(
-        sensor_count=sensor_count if sensor_count is not None else scale.sensor_count,
-        communication_range=communication_range,
-        sensing_range=sensing_range,
-        duration=scale.duration,
-        coverage_resolution=scale.coverage_resolution,
-        seed=seed,
-        **overrides,
-    )
-
-
 def make_scenario(
     scale: ExperimentScale,
     communication_range: float = 60.0,
@@ -127,8 +95,10 @@ def make_scenario(
 ) -> ScenarioSpec:
     """A :class:`ScenarioSpec` on the canonical setting at this scale.
 
-    ``overrides`` pass through to the spec (``layout_params``,
-    ``placement``, ``invitation_ttl``, ``oscillation_delta``, ...).
+    ``layout`` names the field (``"two-obstacle"`` for the paper's
+    obstacle setting); ``overrides`` pass through to the spec
+    (``layout_params``, ``placement``, ``invitation_ttl``,
+    ``oscillation_delta``, ...).
     """
     return ScenarioSpec(
         field_size=scale.field_size,
@@ -143,86 +113,6 @@ def make_scenario(
         seed=seed,
         **overrides,
     )
-
-
-def make_world(
-    config: SimulationConfig,
-    scale: ExperimentScale,
-    field: Optional[Field] = None,
-    with_obstacles: bool = False,
-) -> World:
-    """Build a world on the canonical field (obstacle-free or two-obstacle).
-
-    Sensors start clustered in the lower-left quadrant of the scaled field
-    (unless the configuration requests a uniform start); the placement is
-    drawn exactly once, by :meth:`World.create`, from the world's own RNG
-    stream — the cluster square already scales with the field.
-    """
-    if field is None:
-        from ..field import obstacle_free_field, two_obstacle_field
-
-        field = (
-            two_obstacle_field(scale.field_size)
-            if with_obstacles
-            else obstacle_free_field(scale.field_size)
-        )
-    return World.create(config, field)
-
-
-def scheme_factory(name: str, config: SimulationConfig) -> Callable[[], object]:
-    """A factory for a period-based scheme instance by registered name.
-
-    Only engine-driven schemes (CPVF, FLOOR, ...) can be instantiated this
-    way; round-based and analytic baselines run through
-    :func:`repro.api.execute_run` instead.  Unknown or non-period names
-    raise :class:`ValueError` listing the period-based schemes available.
-    """
-    try:
-        adapter = scheme_registry.get(name)
-    except KeyError:
-        adapter = None
-    if not isinstance(adapter, PeriodSchemeAdapter):
-        available = sorted(
-            n
-            for n in scheme_registry.names()
-            if isinstance(scheme_registry.get(n), PeriodSchemeAdapter)
-        )
-        raise ValueError(
-            f"unknown scheme name: {name!r}; period-based schemes: {available}"
-        )
-    return lambda: adapter.build_scheme(config, {})
-
-
-def run_scheme(
-    scheme_name: str,
-    scale: ExperimentScale,
-    communication_range: float = 60.0,
-    sensing_range: float = 40.0,
-    sensor_count: Optional[int] = None,
-    with_obstacles: bool = False,
-    field: Optional[Field] = None,
-    seed: int = 1,
-    **config_overrides,
-) -> SimulationResult:
-    """Run one period-based scheme on the canonical setting.
-
-    A convenience wrapper for scripts and tests that want a single
-    simulation with the full :class:`SimulationResult` (including the
-    world).  Experiments run grids of these through
-    :class:`~repro.api.sweep.SweepRunner` instead.
-    """
-    config = make_config(
-        scale,
-        communication_range=communication_range,
-        sensing_range=sensing_range,
-        sensor_count=sensor_count,
-        seed=seed,
-        **config_overrides,
-    )
-    world = make_world(config, scale, field=field, with_obstacles=with_obstacles)
-    scheme = scheme_factory(scheme_name, config)()
-    engine = SimulationEngine(world, scheme, keep_world=True)
-    return engine.run()
 
 
 def format_coverage_traces(

@@ -6,10 +6,12 @@ from .layouts import (
     CLUSTER_SIZE,
     FIELD_SIZE,
     clustered_initial_positions,
+    clustered_placement,
     corridor_field,
     obstacle_free_field,
     two_obstacle_field,
     uniform_initial_positions,
+    uniform_placement,
 )
 from .generator import RandomObstacleConfig, generate_random_obstacle_field
 
@@ -23,6 +25,8 @@ __all__ = [
     "corridor_field",
     "clustered_initial_positions",
     "uniform_initial_positions",
+    "clustered_placement",
+    "uniform_placement",
     "RandomObstacleConfig",
     "generate_random_obstacle_field",
 ]

@@ -26,6 +26,8 @@ __all__ = [
     "corridor_field",
     "clustered_initial_positions",
     "uniform_initial_positions",
+    "clustered_placement",
+    "uniform_placement",
 ]
 
 #: Side length of the square sensing field used throughout the evaluation.
@@ -74,13 +76,8 @@ def corridor_field(size: float = FIELD_SIZE) -> Field:
     return Field(size, size, [lower_wall, upper_wall])
 
 
-def clustered_initial_positions(
-    count: int,
-    rng,
-    cluster_size: float = CLUSTER_SIZE,
-    field: Field | None = None,
-) -> List[Vec2]:
-    """Initial positions uniformly random in the lower-left cluster square.
+def _free_draws(count: int, rng, width: float, height: float, field) -> List[Vec2]:
+    """``count`` positions uniformly random in ``[0, width] x [0, height]``.
 
     Positions falling inside an obstacle are re-drawn, matching the paper's
     requirement that sensors start in the free space of the field.
@@ -88,7 +85,7 @@ def clustered_initial_positions(
     positions: List[Vec2] = []
     attempts = 0
     while len(positions) < count:
-        p = Vec2(rng.uniform(0.0, cluster_size), rng.uniform(0.0, cluster_size))
+        p = Vec2(rng.uniform(0.0, width), rng.uniform(0.0, height))
         attempts += 1
         if field is not None and not field.is_free(p):
             if attempts > 100 * max(1, count):
@@ -98,18 +95,41 @@ def clustered_initial_positions(
     return positions
 
 
+def clustered_initial_positions(
+    count: int,
+    rng,
+    cluster_size: float = CLUSTER_SIZE,
+    field: Field | None = None,
+) -> List[Vec2]:
+    """Initial positions uniformly random in the lower-left cluster square."""
+    return _free_draws(count, rng, cluster_size, cluster_size, field)
+
+
 def uniform_initial_positions(
     count: int, rng, field: Field
 ) -> List[Vec2]:
     """Initial positions uniformly random over the whole free field."""
-    positions: List[Vec2] = []
-    attempts = 0
-    while len(positions) < count:
-        p = Vec2(rng.uniform(0.0, field.width), rng.uniform(0.0, field.height))
-        attempts += 1
-        if not field.is_free(p):
-            if attempts > 100 * max(1, count):
-                raise RuntimeError("could not place sensors outside obstacles")
-            continue
-        positions.append(p)
-    return positions
+    return _free_draws(count, rng, field.width, field.height, field)
+
+
+def clustered_placement(
+    config, field: Field, rng, cluster_fraction: float = 0.5
+) -> List[Vec2]:
+    """The paper's clustered start: uniform in the lower-left square.
+
+    The placement strategy registered as ``clustered`` and the default of
+    :meth:`~repro.sim.world.World.create`.  The cluster square scales with
+    the field (half the side by default) so reduced-scale runs keep the
+    paper's geometry.
+    """
+    return clustered_initial_positions(
+        config.sensor_count,
+        rng,
+        cluster_size=field.width * cluster_fraction,
+        field=field,
+    )
+
+
+def uniform_placement(config, field: Field, rng) -> List[Vec2]:
+    """Uniformly random over the whole free field (registered ``uniform``)."""
+    return uniform_initial_positions(config.sensor_count, rng, field)

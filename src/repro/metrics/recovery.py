@@ -4,8 +4,8 @@ Every lifecycle event (sensor deaths, injections, obstacle changes) opens
 a measurement window.  The tracker observes the world once per period and
 derives the three robustness metrics the lifecycle experiments report:
 
-* **time to recover** — periods until coverage returns to a configurable
-  fraction (default 95%) of its pre-event level;
+* **time to recover** — periods until coverage returns to
+  :data:`RECOVERY_TARGET` (95%) of its pre-event level;
 * **extra moving distance** — total odometer accumulated between the
   event and recovery (or the horizon, when coverage never recovers);
 * **message burst** — transmissions in the post-event window minus the
@@ -21,7 +21,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple
 
-__all__ = ["EventOutcome", "RecoveryTracker"]
+__all__ = ["BURST_WINDOW", "EventOutcome", "RECOVERY_TARGET", "RecoveryTracker"]
+
+#: Fraction of the pre-event coverage that counts as recovered.
+RECOVERY_TARGET = 0.95
+#: Length, in periods, of the message-burst windows after and before an
+#: event (the VD baselines pass their round count instead).
+BURST_WINDOW = 25
 
 
 @dataclass(frozen=True)
@@ -90,8 +96,8 @@ class RecoveryTracker:
     pre_messages: int
     #: Transmissions in the ``burst_window`` periods *before* the event.
     baseline_window_messages: int
-    recovery_target: float = 0.95
-    burst_window: int = 25
+    recovery_target: float = RECOVERY_TARGET
+    burst_window: int = BURST_WINDOW
 
     recovered_at: Optional[int] = field(default=None, init=False)
     best_coverage: float = field(default=0.0, init=False)

@@ -38,10 +38,9 @@ __all__ = ["PeriodTrace", "Telemetry", "NullTelemetry", "NULL_TELEMETRY"]
 class PeriodTrace:
     """Structured per-period event: the metrics snapshot of one period.
 
-    This is the telemetry-side twin of the engine's ``TraceRecord``; the
-    engine builds one object per traced period and feeds it to both the
-    result trace and the telemetry sink, so ``trace_every`` and telemetry
-    are a single mechanism.
+    The engine builds one object per traced period and hands the same
+    object to the telemetry sink and to ``SimulationResult.trace``, so
+    ``trace_every`` and telemetry are a single mechanism.
     """
 
     period: int

@@ -6,7 +6,7 @@ state used by the deployment schemes (connectivity state, lazy-movement
 history, oscillation history).  The connectivity tree itself lives in
 ``world.tree`` (:class:`~repro.network.ConnectivityTree`).  The communication
 range is not per sensor: the paper's unit disk is the world's single
-``config.communication_range`` (see :mod:`repro.network.radio`).
+``config.communication_range`` (see :mod:`repro.network`).
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Simulation engine: configuration, world state and the period loop."""
 
 from .config import SimulationConfig
-from .engine import DeploymentScheme, SimulationEngine, SimulationResult, TraceRecord
+from .engine import DeploymentScheme, SimulationEngine, SimulationResult
 from .lifecycle import (
     EVENT_KINDS,
     FaultInjector,
@@ -20,7 +20,6 @@ __all__ = [
     "DeploymentScheme",
     "SimulationEngine",
     "SimulationResult",
-    "TraceRecord",
     "World",
     "EVENT_KINDS",
     "FaultInjector",

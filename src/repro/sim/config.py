@@ -10,7 +10,6 @@ periods and a 750-second horizon, with ``rc`` and ``rs`` between 30 and
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ..geometry import Vec2
 
@@ -19,7 +18,12 @@ __all__ = ["SimulationConfig"]
 
 @dataclass(frozen=True)
 class SimulationConfig:
-    """All scalar parameters of one deployment simulation."""
+    """The scalar parameters the simulated world reads.
+
+    Scheme settings (FLOOR's invitation TTL, CPVF's oscillation factor)
+    and the initial placement live on
+    :class:`~repro.api.scenario.ScenarioSpec` and the scheme constructors.
+    """
 
     #: Number of mobile sensors.
     sensor_count: int = 240
@@ -39,16 +43,6 @@ class SimulationConfig:
     coverage_resolution: float = 10.0
     #: Random seed for reproducibility.
     seed: int = 1
-    #: Whether sensors start clustered in the lower-left quadrant
-    #: (``True``, the paper's main setting) or uniformly over the field.
-    clustered_start: bool = True
-    #: Invitation random-walk TTL, as used by FLOOR; ``None`` selects the
-    #: paper's default of ``0.2 * N``.
-    invitation_ttl: Optional[int] = None
-    #: Oscillation-avoidance factor delta for CPVF (``None`` disables it).
-    oscillation_delta: Optional[float] = None
-    #: Oscillation-avoidance mode: "one-step" or "two-step".
-    oscillation_mode: str = "one-step"
 
     @property
     def max_periods(self) -> int:
@@ -59,9 +53,3 @@ class SimulationConfig:
     def max_step(self) -> float:
         """Maximum step size ``V * T`` in metres."""
         return self.max_speed * self.period
-
-    def effective_invitation_ttl(self) -> int:
-        """The invitation TTL actually used (default ``0.2 * N``)."""
-        if self.invitation_ttl is not None:
-            return max(1, int(self.invitation_ttl))
-        return max(1, int(round(0.2 * self.sensor_count)))

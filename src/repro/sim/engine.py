@@ -19,7 +19,7 @@ from ..obs import NULL_TELEMETRY, PeriodTrace, Telemetry, TelemetrySummary
 from .lifecycle import FaultInjector, LifecycleEvent, WorldChange
 from .world import World
 
-__all__ = ["DeploymentScheme", "TraceRecord", "SimulationResult", "SimulationEngine"]
+__all__ = ["DeploymentScheme", "SimulationResult", "SimulationEngine"]
 
 
 class DeploymentScheme(abc.ABC):
@@ -37,7 +37,11 @@ class DeploymentScheme(abc.ABC):
         """Execute one decision period for every sensor."""
 
     def has_converged(self, world: World) -> bool:
-        """Whether the layout has stabilised (engines may stop early)."""
+        """Whether the layout has stabilised.
+
+        The engine stops at the first converged period after the last
+        scheduled lifecycle event.
+        """
         return False
 
     def on_world_changed(self, world: World, change: WorldChange) -> None:
@@ -48,17 +52,6 @@ class DeploymentScheme(abc.ABC):
         crossing a new obstacle.  The default is a no-op: a scheme that
         only reads the world each period is already churn-safe.
         """
-
-
-@dataclass(frozen=True)
-class TraceRecord:
-    """Metrics snapshot taken at the end of a period."""
-
-    time: float
-    coverage: float
-    average_moving_distance: float
-    total_messages: int
-    connected_sensors: int
 
 
 @dataclass
@@ -73,19 +66,14 @@ class SimulationResult:
     connected: bool
     periods_executed: int
     converged_at: Optional[int]
-    trace: List[TraceRecord] = field(default_factory=list)
+    #: The traced periods, the same objects the telemetry sink receives.
+    trace: List[PeriodTrace] = field(default_factory=list)
     #: Recovery metrics, one entry per fired lifecycle event.
     events: List[EventOutcome] = field(default_factory=list)
     world: Optional[World] = None
     #: Phase-time breakdown + counter totals; ``None`` unless the engine
     #: ran with an enabled Telemetry.
     telemetry: Optional[TelemetrySummary] = None
-
-    def messages_per_node(self) -> float:
-        """Average protocol transmissions per sensor."""
-        if self.world is None or not self.world.sensors:
-            return 0.0
-        return self.total_messages / len(self.world.sensors)
 
 
 class SimulationEngine:
@@ -96,11 +84,7 @@ class SimulationEngine:
         world: World,
         scheme: DeploymentScheme,
         trace_every: Optional[int] = 50,
-        stop_on_convergence: bool = True,
-        keep_world: bool = True,
         events: Sequence[LifecycleEvent] = (),
-        recovery_target: float = 0.95,
-        burst_window: int = 25,
         telemetry: Optional[Telemetry] = None,
     ):
         self._world = world
@@ -108,11 +92,7 @@ class SimulationEngine:
         # ``None`` disables periodic tracing entirely: no per-period
         # coverage measurement is paid for a trace nobody asked for.
         self._trace_every = None if trace_every is None else max(1, trace_every)
-        self._stop_on_convergence = stop_on_convergence
-        self._keep_world = keep_world
         self._events = tuple(events)
-        self._recovery_target = recovery_target
-        self._burst_window = burst_window
         self._telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
 
     @property
@@ -129,21 +109,13 @@ class SimulationEngine:
         with tel.span("engine.initialize"):
             scheme.initialize(world)
 
-        trace: List[TraceRecord] = []
+        trace: List[PeriodTrace] = []
         converged_at: Optional[int] = None
         max_periods = world.config.max_periods
         # No timeline, no injector: static runs take the exact pre-lifecycle
         # period loop (and pay none of the per-period accounting).
         injector = (
-            FaultInjector(
-                world,
-                scheme,
-                self._events,
-                recovery_target=self._recovery_target,
-                burst_window=self._burst_window,
-            )
-            if self._events
-            else None
+            FaultInjector(world, scheme, self._events) if self._events else None
         )
 
         trace_every = self._trace_every
@@ -180,22 +152,12 @@ class SimulationEngine:
                 # One mechanism: the same per-period event feeds both the
                 # result trace and the telemetry sink.
                 tel.record_period(period_trace)
-                trace.append(
-                    TraceRecord(
-                        time=period_trace.time,
-                        coverage=period_trace.coverage,
-                        average_moving_distance=period_trace.average_moving_distance,
-                        total_messages=period_trace.total_messages,
-                        connected_sensors=period_trace.connected_sensors,
-                    )
-                )
+                trace.append(period_trace)
 
             if scheme.has_converged(world):
                 if converged_at is None:
                     converged_at = period + 1
-                if self._stop_on_convergence and (
-                    injector is None or not injector.has_pending(period)
-                ):
+                if injector is None or not injector.has_pending(period):
                     break
 
         # The last trace record (when one was taken this period) already
@@ -221,7 +183,7 @@ class SimulationEngine:
             converged_at=converged_at,
             trace=trace,
             events=injector.outcomes() if injector is not None else [],
-            world=world if self._keep_world else None,
+            world=world,
             telemetry=summary,
         )
         return result

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, 
 
 from ..field.obstacles import Obstacle
 from ..geometry import Vec2
-from ..metrics.recovery import EventOutcome, RecoveryTracker
+from ..metrics.recovery import BURST_WINDOW, EventOutcome, RecoveryTracker
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .world import World
@@ -328,13 +328,9 @@ class FaultInjector:
         world: "World",
         scheme,
         events: Sequence[LifecycleEvent],
-        recovery_target: float = 0.95,
-        burst_window: int = 25,
     ):
         self._world = world
         self._scheme = scheme
-        self._recovery_target = float(recovery_target)
-        self._burst_window = max(1, int(burst_window))
         self._by_period: Dict[int, List[Tuple[int, LifecycleEvent]]] = {}
         self._events = normalize_events(events)
         for index, event in enumerate(self._events):
@@ -343,7 +339,7 @@ class FaultInjector:
             (e.at_period for e in self._events), default=-1
         )
         #: Per-period transmission totals for the trailing baseline window.
-        self._recent_messages: deque = deque(maxlen=self._burst_window)
+        self._recent_messages: deque = deque(maxlen=BURST_WINDOW)
         self._last_snapshot = world.stats.snapshot()
         self._active: List[RecoveryTracker] = []
         self._outcomes: List[EventOutcome] = []
@@ -419,8 +415,6 @@ class FaultInjector:
                 pre_distance=pre_distance,
                 pre_messages=pre_messages,
                 baseline_window_messages=baseline,
-                recovery_target=self._recovery_target,
-                burst_window=self._burst_window,
             )
         )
 

@@ -13,11 +13,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 
-from ..field import (
-    Field,
-    clustered_initial_positions,
-    uniform_initial_positions,
-)
+from ..field import Field, clustered_placement
 from ..geometry import Vec2
 from ..mobility import MotionModel
 from ..network import (
@@ -84,36 +80,19 @@ class World:
         config: SimulationConfig,
         field: Field,
         initial_positions: Optional[Sequence[Vec2]] = None,
-        placement: Optional[Callable[..., Sequence[Vec2]]] = None,
+        placement: Callable[..., Sequence[Vec2]] = clustered_placement,
     ) -> "World":
         """Build a world with sensors placed at their initial positions.
 
         The placement is drawn exactly once, from the world's own RNG
-        stream.  ``placement`` is a strategy callable
-        ``(config, field, rng) -> positions`` (the scenario layer passes
-        registered strategies here); when omitted, the positions are drawn
-        according to ``config.clustered_start`` (clustered lower-left
-        quadrant, the paper's main setting, or uniform over the field).
-        Explicit ``initial_positions`` bypass the draw entirely.
+        stream, by the strategy callable ``(config, field, rng) ->
+        positions``; the default is the registered ``clustered`` strategy
+        (the lower-left quadrant, the paper's main setting).  Explicit
+        ``initial_positions`` bypass the draw entirely.
         """
         rng = random.Random(config.seed)
         if initial_positions is None:
-            if placement is not None:
-                initial_positions = list(placement(config, field, rng))
-            elif config.clustered_start:
-                # The paper clusters the initial distribution in the lower-left
-                # quadrant (500 x 500 m of a 1000 x 1000 m field); scale the
-                # cluster with the field so reduced-scale runs keep the shape.
-                initial_positions = clustered_initial_positions(
-                    config.sensor_count,
-                    rng,
-                    cluster_size=field.width / 2.0,
-                    field=field,
-                )
-            else:
-                initial_positions = uniform_initial_positions(
-                    config.sensor_count, rng, field
-                )
+            initial_positions = list(placement(config, field, rng))
         if len(initial_positions) != config.sensor_count:
             raise ValueError(
                 "number of initial positions does not match sensor_count"

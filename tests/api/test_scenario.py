@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.api import ScenarioSpec
-from repro.experiments import SMOKE_SCALE, make_config, make_scenario, make_world
+from repro.api import RunSpec, ScenarioSpec, execute_run, placement_registry
+from repro.core import CPVFScheme
+from repro.field import clustered_placement, uniform_placement
+from repro.experiments import SMOKE_SCALE, make_scenario
+from repro.sim import SimulationEngine, World
 
 
 class TestBuildWorld:
@@ -18,16 +21,18 @@ class TestBuildWorld:
         again = spec.build_world()
         assert [s.position for s in again.sensors] == expected
 
-    def test_matches_legacy_make_world(self):
-        # The scenario path and the legacy helper agree on the placement,
-        # so experiment results are comparable across the two entry points.
+    def test_world_create_default_is_the_clustered_strategy(self):
+        # One clustered draw: the registered strategy is World.create's
+        # default, so a bare World.create matches the scenario's world.
+        assert placement_registry.get("clustered") is clustered_placement
+        assert placement_registry.get("uniform") is uniform_placement
         spec = make_scenario(SMOKE_SCALE, seed=4)
-        config = make_config(SMOKE_SCALE, seed=4)
-        world_new = spec.build_world()
-        world_old = make_world(config, SMOKE_SCALE)
-        assert [s.position for s in world_new.sensors] == [
-            s.position for s in world_old.sensors
+        world_spec = spec.build_world()
+        world_bare = World.create(spec.build_config(), spec.build_field())
+        assert [s.position for s in world_spec.sensors] == [
+            s.position for s in world_bare.sensors
         ]
+        assert world_bare.rng.getstate() == world_spec.rng.getstate()
 
     def test_clustered_placement_stays_in_cluster_square(self):
         spec = make_scenario(SMOKE_SCALE, seed=3)
@@ -57,10 +62,9 @@ class TestBuildWorld:
         assert config.communication_range == 45.0
         assert config.sensing_range == 25.0
         assert config.seed == 9
-        assert config.invitation_ttl == 6
-        assert config.oscillation_delta == 2.0
-        assert config.oscillation_mode == "two-step"
-        assert config.clustered_start is True
+        # The scheme settings have one home: the spec.
+        for name in ("invitation_ttl", "oscillation_delta", "oscillation_mode"):
+            assert not hasattr(config, name)
 
     def test_unknown_layout_and_placement_raise_with_available(self):
         with pytest.raises(KeyError, match=r"unknown field layout.*obstacle-free"):
@@ -81,3 +85,68 @@ class TestBuildWorld:
             o.bounding_box() for o in second.obstacles
         ]
         assert first.free_space_connected()
+
+
+def _outcome(record):
+    return (
+        record.coverage,
+        record.total_moving_distance,
+        record.total_messages,
+        record.periods_executed,
+        record.final_positions,
+    )
+
+
+class TestSchemeSettings:
+    """FLOOR's TTL and CPVF's oscillation factor reach the schemes."""
+
+    def floor(self, scenario):
+        return execute_run(
+            RunSpec(scenario=scenario, scheme="FLOOR", keep_positions=True)
+        )
+
+    def test_default_invitation_ttl_is_fifth_of_n(self):
+        scenario = make_scenario(SMOKE_SCALE, seed=7)
+        explicit = scenario.replace(
+            invitation_ttl=round(0.2 * scenario.sensor_count)
+        )
+        assert _outcome(self.floor(scenario)) == _outcome(self.floor(explicit))
+
+    def test_explicit_invitation_ttl(self):
+        scenario = make_scenario(SMOKE_SCALE, seed=7)
+        assert _outcome(self.floor(scenario)) != _outcome(
+            self.floor(scenario.replace(invitation_ttl=1))
+        )
+
+    def test_oscillation_settings_reach_cpvf(self):
+        scenario = make_scenario(
+            SMOKE_SCALE,
+            communication_range=25.0,
+            seed=8,
+            oscillation_delta=2.0,
+            oscillation_mode="two-step",
+        )
+        record = execute_run(
+            RunSpec(scenario=scenario, scheme="CPVF", keep_positions=True)
+        )
+        world = scenario.build_world()
+        direct = SimulationEngine(
+            world,
+            CPVFScheme(oscillation_delta=2.0, oscillation_mode="two-step"),
+            trace_every=None,
+        ).run()
+        assert _outcome(record) == (
+            direct.final_coverage,
+            direct.total_moving_distance,
+            direct.total_messages,
+            direct.periods_executed,
+            tuple((s.position.x, s.position.y) for s in world.sensors),
+        )
+        undamped = execute_run(
+            RunSpec(
+                scenario=scenario.replace(oscillation_delta=None),
+                scheme="CPVF",
+                keep_positions=True,
+            )
+        )
+        assert _outcome(undamped) != _outcome(record)

@@ -160,3 +160,44 @@ class TestSeedDerivation:
         assert len(seeds) == 100
         assert len(set(seeds)) == 100
         assert all(0 <= s < 2**31 for s in seeds)
+
+
+class TestVDRecord:
+    """VOR/Minimax records, built in one place with or without a timeline."""
+
+    def run(self, scheme, events=()):
+        from repro.api import execute_run
+        from repro.experiments import SMOKE_SCALE, make_scenario
+
+        scenario = make_scenario(SMOKE_SCALE, seed=4, events=events)
+        spec = RunSpec(
+            scenario=scenario,
+            scheme=scheme,
+            keep_positions=True,
+            scheme_params={"rounds": 4},
+        )
+        return scenario, execute_run(spec)
+
+    @pytest.mark.parametrize("scheme", ["VOR", "Minimax"])
+    def test_static_record_averages_over_the_population(self, scheme):
+        scenario, record = self.run(scheme)
+        n = scenario.sensor_count
+        assert len(record.final_positions) == n
+        assert record.average_moving_distance == pytest.approx(
+            record.total_moving_distance / n
+        )
+        assert record.events == () and record.total_messages == 0
+        assert 1 <= record.periods_executed <= 4
+
+    @pytest.mark.parametrize("scheme", ["VOR", "Minimax"])
+    def test_timeline_record_averages_over_every_sensor_ever(self, scheme):
+        from repro.sim import sensor_failure, sensor_join
+
+        events = (sensor_join(10, count=5), sensor_failure(30, count=3))
+        scenario, record = self.run(scheme, events)
+        n = scenario.sensor_count
+        assert len(record.final_positions) == n + 5 - 3
+        assert record.average_moving_distance == pytest.approx(
+            record.total_moving_distance / (n + 5)
+        )
+        assert [e.kind for e in record.events] == ["join", "failure"]

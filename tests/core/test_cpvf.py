@@ -3,17 +3,20 @@
 import pytest
 
 from repro.core import CPVFScheme
-from repro.experiments.common import SMOKE_SCALE, make_config, make_world
+from repro.experiments.common import SMOKE_SCALE, make_scenario
 from repro.network import BASE_STATION_ID
 from repro.sensors import SensorState
 from repro.sim import SimulationEngine
 
 
 def run_cpvf(rc=60.0, rs=40.0, with_obstacles=False, seed=1, **scheme_kwargs):
-    config = make_config(
-        SMOKE_SCALE, communication_range=rc, sensing_range=rs, seed=seed
-    )
-    world = make_world(config, SMOKE_SCALE, with_obstacles=with_obstacles)
+    world = make_scenario(
+        SMOKE_SCALE,
+        communication_range=rc,
+        sensing_range=rs,
+        seed=seed,
+        layout="two-obstacle" if with_obstacles else "obstacle-free",
+    ).build_world()
     scheme = CPVFScheme(**scheme_kwargs)
     engine = SimulationEngine(world, scheme, trace_every=20)
     return engine.run(), world
@@ -26,8 +29,7 @@ class TestCPVFEndToEnd:
         assert all(s.is_connected() for s in world.sensors)
 
     def test_coverage_improves_over_initial_layout(self):
-        config = make_config(SMOKE_SCALE, seed=2)
-        world = make_world(config, SMOKE_SCALE)
+        world = make_scenario(SMOKE_SCALE, seed=2).build_world()
         initial_coverage = world.coverage()
         scheme = CPVFScheme()
         result = SimulationEngine(world, scheme).run()
@@ -73,8 +75,12 @@ class TestCPVFEndToEnd:
         assert result.converged_at is None
 
     def test_disconnected_sensors_move_toward_base_station(self):
-        config = make_config(SMOKE_SCALE, communication_range=25.0, sensing_range=40.0, seed=10)
-        world = make_world(config, SMOKE_SCALE)
+        world = make_scenario(
+            SMOKE_SCALE,
+            communication_range=25.0,
+            sensing_range=40.0,
+            seed=10,
+        ).build_world()
         scheme = CPVFScheme()
         scheme.initialize(world)
         moving = [s for s in world.sensors if s.state is SensorState.MOVING_TO_CONNECT]

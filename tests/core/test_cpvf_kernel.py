@@ -20,8 +20,7 @@ from repro.core.virtual_force import VirtualForceModel
 from repro.experiments.common import (
     ExperimentScale,
     SMOKE_SCALE,
-    make_config,
-    make_world,
+    make_scenario,
 )
 from repro.mobility import Bug2Planner, Handedness
 from repro.network import BASE_STATION_ID
@@ -53,13 +52,12 @@ class TestMessageParity:
         NEIGHBOR_STATE per preserved link of every sensor with non-zero
         force), so the totals must be identical period for period.
         """
-        config = make_config(SMOKE_SCALE, seed=3)
-        world = make_world(config, SMOKE_SCALE)
+        world = make_scenario(SMOKE_SCALE, seed=3).build_world()
         scheme = CPVFScheme(allow_parent_change=False)
         scheme.initialize(world)
         for period in range(40):
             snap = copy.deepcopy(world)
-            twin = _sequential_twin(snap, config)
+            twin = _sequential_twin(snap, world.config)
             before = snap.stats.total()
             twin.step(snap)
             sequential_delta = snap.stats.total() - before
@@ -77,8 +75,7 @@ class TestMessageParity:
         that early in the smoke scenario)."""
         results = {}
         for label, scheme in (("sequential", SeedCPVF()), ("cpvf", CPVFScheme())):
-            config = make_config(SMOKE_SCALE, seed=3)
-            world = make_world(config, SMOKE_SCALE)
+            world = make_scenario(SMOKE_SCALE, seed=3).build_world()
             scheme.initialize(world)
             before = world.stats.total()
             scheme.step(world)
@@ -98,8 +95,7 @@ class TestPlateauParity:
         )
         coverages = {}
         for label, scheme in (("sequential", SeedCPVF()), ("cpvf", CPVFScheme())):
-            config = make_config(scale, seed=7)
-            world = make_world(config, scale)
+            world = make_scenario(scale, seed=7).build_world()
             engine = SimulationEngine(world, scheme, trace_every=10**9)
             coverages[label] = engine.run().final_coverage
         gap = abs(coverages["cpvf"] - coverages["sequential"])
@@ -126,8 +122,7 @@ def _assert_links_match_tree(scheme, world):
 
 class TestTreeCaches:
     def test_link_cache_tracks_reparents(self):
-        config = make_config(SMOKE_SCALE, seed=5)
-        world = make_world(config, SMOKE_SCALE)
+        world = make_scenario(SMOKE_SCALE, seed=5).build_world()
         scheme = CPVFScheme()
         scheme.initialize(world)
         members = world.tree.members()
@@ -159,8 +154,7 @@ class TestTreeCaches:
         collide with the new counter values."""
         scheme = CPVFScheme()
         for seed in (3, 19):
-            config = make_config(SMOKE_SCALE, seed=seed)
-            world = make_world(config, SMOKE_SCALE)
+            world = make_scenario(SMOKE_SCALE, seed=seed).build_world()
             scheme.initialize(world)
             for _ in range(10):
                 scheme.step(world)
@@ -174,11 +168,14 @@ class TestTreeLinkInvariant:
     def test_tree_links_stay_within_rc_every_period(self, seed, with_obstacles):
         """After every period each tree member is within rc of its parent
         (the base station for its children), with parent changes on."""
-        config = make_config(SMOKE_SCALE, seed=seed)
-        world = make_world(config, SMOKE_SCALE, with_obstacles=with_obstacles)
+        world = make_scenario(
+            SMOKE_SCALE,
+            seed=seed,
+            layout="two-obstacle" if with_obstacles else "obstacle-free",
+        ).build_world()
         scheme = CPVFScheme()
         scheme.initialize(world)
-        rc = config.communication_range
+        rc = world.config.communication_range
         for _ in range(12):
             scheme.step(world)
             world.tree.validate()

@@ -3,16 +3,19 @@
 import pytest
 
 from repro.core import FloorScheme
-from repro.experiments.common import SMOKE_SCALE, make_config, make_world
+from repro.experiments.common import SMOKE_SCALE, make_scenario
 from repro.sensors import SensorState
 from repro.sim import SimulationEngine
 
 
 def run_floor(rc=60.0, rs=40.0, with_obstacles=False, seed=1, **scheme_kwargs):
-    config = make_config(
-        SMOKE_SCALE, communication_range=rc, sensing_range=rs, seed=seed
-    )
-    world = make_world(config, SMOKE_SCALE, with_obstacles=with_obstacles)
+    world = make_scenario(
+        SMOKE_SCALE,
+        communication_range=rc,
+        sensing_range=rs,
+        seed=seed,
+        layout="two-obstacle" if with_obstacles else "obstacle-free",
+    ).build_world()
     scheme = FloorScheme(**scheme_kwargs)
     engine = SimulationEngine(world, scheme, trace_every=20)
     return engine.run(), world, scheme
@@ -20,8 +23,7 @@ def run_floor(rc=60.0, rs=40.0, with_obstacles=False, seed=1, **scheme_kwargs):
 
 class TestFloorEndToEnd:
     def test_coverage_improves_over_initial_layout(self):
-        config = make_config(SMOKE_SCALE, seed=2)
-        world = make_world(config, SMOKE_SCALE)
+        world = make_scenario(SMOKE_SCALE, seed=2).build_world()
         initial_coverage = world.coverage()
         result = SimulationEngine(world, FloorScheme()).run()
         assert result.final_coverage > initial_coverage
@@ -99,8 +101,7 @@ class TestSeedFallback:
     def test_expansion_always_has_at_least_one_fixed_seed(self):
         """Even when every sensor volunteers as movable (dense cluster), the
         scheme must keep one anchored sensor so expansion can start."""
-        config = make_config(SMOKE_SCALE, seed=7)
-        world = make_world(config, SMOKE_SCALE)
+        world = make_scenario(SMOKE_SCALE, seed=7).build_world()
         scheme = FloorScheme()
         scheme.initialize(world)
         for period in range(10):
@@ -113,8 +114,7 @@ class TestSeedFallback:
         assert fixed, "phase 2 must leave at least one fixed sensor as expansion seed"
 
     def test_expansion_makes_progress_from_dense_cluster(self):
-        config = make_config(SMOKE_SCALE, seed=7)
-        world = make_world(config, SMOKE_SCALE)
+        world = make_scenario(SMOKE_SCALE, seed=7).build_world()
         initial = world.coverage()
         result = SimulationEngine(world, FloorScheme()).run()
         assert result.periods_executed > 5
@@ -126,11 +126,13 @@ class TestFloorBeatsCPVFWhenItShould:
         """The paper's headline claim (Figs 3b vs 8b) at smoke scale."""
         from repro.core import CPVFScheme
 
-        config = make_config(SMOKE_SCALE, communication_range=25.0, sensing_range=40.0, seed=12)
-        world_floor = make_world(config, SMOKE_SCALE)
+        scenario = make_scenario(
+            SMOKE_SCALE, communication_range=25.0, sensing_range=40.0, seed=12
+        )
+        world_floor = scenario.build_world()
         floor_result = SimulationEngine(world_floor, FloorScheme()).run()
 
-        world_cpvf = make_world(config, SMOKE_SCALE)
+        world_cpvf = scenario.build_world()
         cpvf_result = SimulationEngine(world_cpvf, CPVFScheme()).run()
 
         assert floor_result.final_coverage >= cpvf_result.final_coverage
@@ -154,7 +156,7 @@ class TestObstacleExitCorrection:
             seed=17,
         )
         world = World.create(config, two_obstacle_field(400.0))
-        SimulationEngine(world, FloorScheme(), keep_world=True).run()
+        SimulationEngine(world, FloorScheme()).run()
         stuck = [
             s.sensor_id for s in world.sensors if not world.field.is_free(s.position)
         ]
@@ -169,7 +171,7 @@ class TestObstacleExitCorrection:
 
         spec = DEFAULT_SUITE.get("maze-hotspot").spec(BENCH_SCALE)
         world = spec.build_world()
-        SimulationEngine(world, FloorScheme(), keep_world=True).run()
+        SimulationEngine(world, FloorScheme()).run()
         stuck = [
             s.sensor_id for s in world.sensors if not world.field.is_free(s.position)
         ]
@@ -186,8 +188,9 @@ class TestFloorTelemetry:
         from repro.obs import Telemetry
 
         def run(telemetry):
-            config = make_config(SMOKE_SCALE, seed=5)
-            world = make_world(config, SMOKE_SCALE, with_obstacles=True)
+            world = make_scenario(
+                SMOKE_SCALE, seed=5, layout="two-obstacle"
+            ).build_world()
             result = SimulationEngine(
                 world, FloorScheme(), telemetry=telemetry
             ).run()
@@ -212,8 +215,7 @@ class TestRelocationLeavesTheTree:
         """A sensor in transit to an expansion point is no tree member: it is
         absent from ``world.tree.parent`` and from its former parent's
         children (FLOOR re-homes its subtree before it leaves)."""
-        config = make_config(SMOKE_SCALE, seed=7)
-        world = make_world(config, SMOKE_SCALE)
+        world = make_scenario(SMOKE_SCALE, seed=7).build_world()
         scheme = FloorScheme()
         scheme.initialize(world)
         seen = 0

@@ -13,7 +13,7 @@ import hashlib
 import pytest
 
 from repro.core import CPVFScheme
-from repro.experiments.common import SMOKE_SCALE, make_config, make_world
+from repro.experiments.common import SMOKE_SCALE, make_scenario
 from repro.network import MessageType
 from repro.obs import Telemetry
 
@@ -21,8 +21,7 @@ LOCK_TYPES = (MessageType.LOCK_TREE, MessageType.UNLOCK_TREE)
 
 
 def _cpvf_world(seed, **params):
-    config = make_config(SMOKE_SCALE, seed=seed)
-    world = make_world(config, SMOKE_SCALE)
+    world = make_scenario(SMOKE_SCALE, seed=seed).build_world()
     scheme = CPVFScheme(**params)
     scheme.initialize(world)
     return world, scheme
@@ -141,8 +140,7 @@ class TestRepairInvariants:
         every parent-change attempt runs under one cpvf.repair span and
         counts one cpvf.repair_attempts, of which cpvf.parent_changes
         succeed."""
-        config = make_config(SMOKE_SCALE, seed=3)
-        world = make_world(config, SMOKE_SCALE)
+        world = make_scenario(SMOKE_SCALE, seed=3).build_world()
         tel = Telemetry()
         world.telemetry = tel
         scheme = CPVFScheme()

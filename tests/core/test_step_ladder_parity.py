@@ -75,7 +75,6 @@ def _random_world(trial):
         max_speed=rng.uniform(2.0, 25.0),
         duration=5.0,
         seed=trial,
-        clustered_start=False,
     )
     positions = [Vec2(rng.uniform(0, 70), rng.uniform(0, 70)) for _ in range(n)]
     world = World.create(config, Field(200.0, 200.0), positions)

@@ -27,34 +27,31 @@ from repro.experiments import (
     run_fig13,
     run_table1,
 )
-from repro.experiments.common import make_config, make_world, run_scheme, scheme_factory
+from repro.core import CPVFScheme
+from repro.experiments.common import make_scenario
+from repro.sim import SimulationEngine
 from repro.experiments.runner import EXPERIMENTS, run_experiment
 
 
 class TestCommonHelpers:
-    def test_make_config_uses_scale(self):
-        config = make_config(SMOKE_SCALE, communication_range=50.0, sensing_range=30.0)
+    def test_make_scenario_uses_scale(self):
+        config = make_scenario(
+            SMOKE_SCALE, communication_range=50.0, sensing_range=30.0
+        ).build_config()
         assert config.sensor_count == SMOKE_SCALE.sensor_count
         assert config.duration == SMOKE_SCALE.duration
         assert config.communication_range == 50.0
 
-    def test_make_world_clusters_sensors(self):
-        config = make_config(SMOKE_SCALE)
-        world = make_world(config, SMOKE_SCALE)
+    def test_scenario_world_clusters_sensors(self):
+        world = make_scenario(SMOKE_SCALE).build_world()
         for sensor in world.sensors:
             assert sensor.position.x <= SMOKE_SCALE.field_size / 2.0 + 1e-9
             assert sensor.position.y <= SMOKE_SCALE.field_size / 2.0 + 1e-9
 
-    def test_scheme_factory_names(self):
-        config = make_config(SMOKE_SCALE)
-        assert scheme_factory("CPVF", config)().name == "CPVF"
-        assert scheme_factory("floor", config)().name == "FLOOR"
-        with pytest.raises(ValueError):
-            scheme_factory("unknown", config)
-
-    def test_run_scheme_returns_result_with_world(self):
-        result = run_scheme("CPVF", SMOKE_SCALE, seed=3)
-        assert result.world is not None
+    def test_engine_run_returns_result_with_world(self):
+        world = make_scenario(SMOKE_SCALE, seed=3).build_world()
+        result = SimulationEngine(world, CPVFScheme()).run()
+        assert result.world is world
         assert 0.0 <= result.final_coverage <= 1.0
 
     def test_scaled_count(self):

@@ -47,10 +47,10 @@ class TestPublicAPI:
     def test_both_schemes_run_on_every_canonical_field(self):
         for field_factory in (obstacle_free_field, two_obstacle_field, corridor_field):
             field = field_factory(300.0)
-            for scheme_factory in (CPVFScheme, FloorScheme):
+            for scheme_class in (CPVFScheme, FloorScheme):
                 config = small_config(seed=7)
                 world = World.create(config, field)
-                result = SimulationEngine(world, scheme_factory()).run()
+                result = SimulationEngine(world, scheme_class()).run()
                 assert 0.0 <= result.final_coverage <= 1.0
                 assert all(field.is_free(s.position) for s in world.sensors)
 

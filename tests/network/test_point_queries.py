@@ -19,7 +19,6 @@ def make_world(positions, field, rc, base_station):
         sensing_range=25.0,
         duration=10.0,
         seed=1,
-        clustered_start=False,
         base_station=base_station,
     )
     return World.create(config, field, initial_positions=positions)

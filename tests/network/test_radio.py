@@ -13,7 +13,6 @@ def make_world(positions, rc: float = 30.0, size: float = 400.0) -> World:
         sensing_range=20.0,
         duration=10.0,
         seed=1,
-        clustered_start=False,
     )
     return World.create(
         config, Field(size, size), initial_positions=[Vec2(x, y) for x, y in positions]

@@ -23,22 +23,13 @@ class TestConfig:
         assert config.max_periods == 50
         assert config.max_step == pytest.approx(6.0)
 
-    def test_default_invitation_ttl_is_fifth_of_n(self):
-        config = SimulationConfig(sensor_count=240)
-        assert config.effective_invitation_ttl() == 48
-
-    def test_explicit_invitation_ttl(self):
-        config = SimulationConfig(sensor_count=240, invitation_ttl=10)
-        assert config.effective_invitation_ttl() == 10
-
 
 class TestWorld:
-    def make_world(self, count=12, clustered=True):
+    def make_world(self, count=12):
         config = SimulationConfig(
             sensor_count=count,
             duration=50.0,
             coverage_resolution=20.0,
-            clustered_start=clustered,
             seed=5,
         )
         return World.create(config, obstacle_free_field(400.0))

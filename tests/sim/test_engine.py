@@ -51,13 +51,6 @@ class TestEngine:
         assert result.converged_at == 7
         assert result.periods_executed == 7
 
-    def test_convergence_not_stopping_when_disabled(self):
-        scheme = RecordingScheme(converge_after=7)
-        engine = SimulationEngine(make_world(duration=30.0), scheme, stop_on_convergence=False)
-        result = engine.run()
-        assert result.converged_at == 7
-        assert result.periods_executed == 30
-
     def test_trace_records_are_collected(self):
         scheme = RecordingScheme()
         result = SimulationEngine(make_world(duration=20.0), scheme, trace_every=5).run()
@@ -73,12 +66,6 @@ class TestEngine:
 
     def test_world_reference_retained(self):
         scheme = RecordingScheme()
-        result = SimulationEngine(make_world(duration=5.0), scheme, keep_world=True).run()
-        assert result.world is not None
-        assert result.messages_per_node() == pytest.approx(0.0)
-
-    def test_world_reference_dropped_when_requested(self):
-        scheme = RecordingScheme()
-        result = SimulationEngine(make_world(duration=5.0), scheme, keep_world=False).run()
-        assert result.world is None
-        assert result.messages_per_node() == 0.0
+        world = make_world(duration=5.0)
+        result = SimulationEngine(world, scheme).run()
+        assert result.world is world

@@ -1,7 +1,7 @@
 """Engine telemetry threading and the trace_every=None contract."""
 
 from repro.field import obstacle_free_field
-from repro.obs import MemorySink, Telemetry
+from repro.obs import MemorySink, Telemetry, TelemetrySink
 from repro.sim import SimulationConfig, SimulationEngine, World
 
 
@@ -41,6 +41,21 @@ class TestEngineTelemetry:
         for event, record in zip(events, result.trace):
             assert event["coverage"] == record.coverage
             assert event["total_messages"] == record.total_messages
+
+    def test_trace_holds_the_objects_the_sink_receives(self):
+        class PeriodCollector(TelemetrySink):
+            def __init__(self):
+                self.periods = []
+
+            def on_period(self, trace):
+                self.periods.append(trace)
+
+        sink = PeriodCollector()
+        result = SimulationEngine(
+            _world(), _scheme(), trace_every=5, telemetry=Telemetry(sink=sink)
+        ).run()
+        assert len(result.trace) == len(sink.periods) == 4
+        assert all(a is b for a, b in zip(result.trace, sink.periods))
 
     def test_counters_are_deterministic(self):
         def counters():

@@ -35,7 +35,6 @@ def make_world(n=12, seed=5, rc=60.0, field=None):
         duration=40.0,
         coverage_resolution=20.0,
         seed=seed,
-        clustered_start=False,
     )
     positions = []
     while len(positions) < n:

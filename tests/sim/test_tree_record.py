@@ -14,7 +14,7 @@ import pytest
 
 from repro.core import CPVFScheme, FloorScheme
 from repro.core.lazy import LazyMovementController
-from repro.experiments.common import SMOKE_SCALE, make_config, make_world
+from repro.experiments.common import SMOKE_SCALE, make_scenario
 from repro.network import BASE_STATION_ID
 from repro.sensors import SensorState
 from repro.sim import World
@@ -45,8 +45,7 @@ class TestNoSensorMirror:
         "name", ["parent_id", "children", "ancestors", "set_parent", "path_parent_id"]
     )
     def test_sensor_has_no_tree_attribute(self, name):
-        config = make_config(SMOKE_SCALE, seed=1)
-        world = make_world(config, SMOKE_SCALE)
+        world = make_scenario(SMOKE_SCALE, seed=1).build_world()
         world.attach_to_tree(0, BASE_STATION_ID)
         assert not hasattr(world.sensor(0), name)
 
@@ -61,8 +60,11 @@ class TestTreeFollowsStates:
     def test_membership_matches_states_every_period(
         self, scheme_name, seed, with_obstacles
     ):
-        config = make_config(SMOKE_SCALE, seed=seed)
-        world = make_world(config, SMOKE_SCALE, with_obstacles=with_obstacles)
+        world = make_scenario(
+            SMOKE_SCALE,
+            seed=seed,
+            layout="two-obstacle" if with_obstacles else "obstacle-free",
+        ).build_world()
         scheme = SCHEMES[scheme_name]()
         scheme.initialize(world)
         assert_tree_matches_states(world)
@@ -77,8 +79,7 @@ class TestTreeAfterFailures:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     @pytest.mark.parametrize("scheme_name", sorted(SCHEMES))
     def test_failures_leave_a_valid_tree_of_live_sensors(self, scheme_name, seed):
-        config = make_config(SMOKE_SCALE, seed=seed)
-        world = make_world(config, SMOKE_SCALE)
+        world = make_scenario(SMOKE_SCALE, seed=seed).build_world()
         scheme = SCHEMES[scheme_name]()
         scheme.initialize(world)
         for period in range(20):
@@ -86,7 +87,7 @@ class TestTreeAfterFailures:
             scheme.step(world)
         rng = random.Random(seed)
         victims = rng.sample(world.tree.members(), 4)
-        rc = config.communication_range
+        rc = world.config.communication_range
         for victim in victims:
             if not world.sensor(victim).is_alive():
                 continue
@@ -133,8 +134,7 @@ class TestTreeAfterFailures:
 
 class TestWaitingLeavesTheTree:
     def test_start_and_stop_waiting_do_not_touch_the_tree(self):
-        config = make_config(SMOKE_SCALE, seed=1)
-        world = make_world(config, SMOKE_SCALE)
+        world = make_scenario(SMOKE_SCALE, seed=1).build_world()
         world.attach_to_tree(0, BASE_STATION_ID)
         version = world.tree.version
         controller = LazyMovementController(world.routing)

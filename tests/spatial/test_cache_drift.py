@@ -15,7 +15,7 @@ from dataclasses import replace
 import pytest
 
 from repro.core import CPVFScheme
-from repro.experiments.common import SMOKE_SCALE, make_config, make_world
+from repro.experiments.common import SMOKE_SCALE, make_scenario
 from repro.geometry import Vec2
 from repro.sim.lifecycle import FaultInjector, sensor_failure, sensor_join
 from tests.oracles import uncached
@@ -24,8 +24,7 @@ FIELD = 200.0
 
 
 def _world(n=60, seed=4):
-    config = make_config(SMOKE_SCALE, sensor_count=n, seed=seed)
-    return make_world(config, SMOKE_SCALE)
+    return make_scenario(SMOKE_SCALE, sensor_count=n, seed=seed).build_world()
 
 
 def _jiggle(rng, world, step):

@@ -13,7 +13,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.experiments.common import SMOKE_SCALE, make_config, make_world
+from repro.experiments.common import SMOKE_SCALE, make_scenario
 from repro.geometry import Vec2
 from repro.network import LINK_EPS
 from repro.spatial import SpatialIndex, pack_positions
@@ -23,8 +23,7 @@ FIELD = 200.0
 
 
 def _world(n=60, seed=4):
-    config = make_config(SMOKE_SCALE, sensor_count=n, seed=seed)
-    return make_world(config, SMOKE_SCALE)
+    return make_scenario(SMOKE_SCALE, sensor_count=n, seed=seed).build_world()
 
 
 def _coords(rng, n, size=FIELD):

@@ -39,7 +39,6 @@ def random_world(trial, n=None, with_obstacles=False):
         duration=10.0,
         coverage_resolution=15.0,
         seed=trial,
-        clustered_start=False,
     )
     positions = []
     while len(positions) < n:

@@ -29,7 +29,6 @@ def build_world(positions, seed=1, rc=60.0, cache=True):
         duration=10.0,
         coverage_resolution=25.0,
         seed=seed,
-        clustered_start=False,
     )
     world = World.create(config, field, initial_positions=positions)
     return world if cache else uncached(world)
