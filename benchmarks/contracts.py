@@ -50,6 +50,9 @@ PERIOD_N = 500
 #: ``perf.cpvf_period``: the first fresh untraced period may take at
 #: most this many times the committed ``fast_ms``.
 PERIOD_BUDGET_FACTOR = 3.0
+#: ``perf.obstacle_cpvf``: a fresh paper-obstacle CPVF deployment may
+#: take at most this many times the committed ``wall_ms``.
+OBSTACLE_CPVF_BUDGET_FACTOR = 3.0
 #: ``obs.committed_overhead``: null-sink telemetry overhead asserted when
 #: the bench file was generated; re-checked so a regenerated entry cannot
 #: silently commit a regression.
@@ -116,6 +119,13 @@ def measure_cpvf_period(ms: Measurements) -> Dict:
     untraced_ms = [period_ms() for _ in range(2)]
     traced_ms = min(period_ms(Telemetry()), period_ms(Telemetry()))
     return {"untraced_ms": untraced_ms, "traced_ms": traced_ms}
+
+
+def measure_obstacle_cpvf(ms: Measurements) -> Dict:
+    """One fresh run of the committed ``obstacle_cpvf`` deployment."""
+    from benchmarks.perfbench import measure_obstacle_cpvf as measure
+
+    return measure(runs=1)
 
 
 def _small_scenario(duration: float):
@@ -358,6 +368,7 @@ def measure_service_gc(ms: Measurements) -> Dict:
 
 MEASUREMENTS: Dict[str, Callable[[Measurements], object]] = {
     "cpvf_period": measure_cpvf_period,
+    "obstacle_cpvf": measure_obstacle_cpvf,
     "profiled_run": measure_profiled_run,
     "report_cli": measure_report_cli,
     "degraded_smoke": measure_degraded_smoke,
@@ -388,6 +399,17 @@ def check_period_budget(m, committed) -> Verdict:
         first_ms <= budget,
         f"n={PERIOD_N} CPVF period {first_ms:.2f} ms, budget {budget:.2f} ms "
         f"({PERIOD_BUDGET_FACTOR:g} x committed fast_ms {fast_ms:.2f} ms)",
+    )
+
+
+def check_obstacle_cpvf(m, committed) -> Verdict:
+    wall_ms = committed[0]
+    budget = OBSTACLE_CPVF_BUDGET_FACTOR * wall_ms
+    return (
+        m["wall_ms"] <= budget,
+        f"paper-obstacle CPVF deployment {m['wall_ms']:.0f} ms, budget "
+        f"{budget:.0f} ms ({OBSTACLE_CPVF_BUDGET_FACTOR:g} x committed "
+        f"wall_ms {wall_ms:.0f} ms)",
     )
 
 
@@ -557,6 +579,8 @@ _FAST_MS = Committed("cpvf_period", "fast_ms", n=PERIOD_N)
 CONTRACTS: Tuple[Contract, ...] = (
     Contract("perf.cpvf_period", "cpvf_period", check_period_budget,
              committed=_FAST_MS),
+    Contract("perf.obstacle_cpvf", "obstacle_cpvf", check_obstacle_cpvf,
+             committed=Committed("obstacle_cpvf", "wall_ms")),
     Contract("obs.roundtrip", "profiled_run", check_roundtrip),
     Contract("obs.report_cli", "report_cli", check_report_cli),
     Contract("obs.committed_overhead", None, check_committed_overhead,

@@ -22,6 +22,7 @@ this): ``from benchmarks.perfbench import ...``.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import time
 from typing import Callable, Dict, List, Sequence
@@ -60,6 +61,7 @@ __all__ = [
     "measure_scenario_generation",
     "measure_lifecycle_recovery",
     "measure_degraded_coverage",
+    "measure_obstacle_cpvf",
     "run_perf_suite",
     "PERF_ENTRIES",
     "seed_neighbor_table_ms",
@@ -576,6 +578,58 @@ def measure_degraded_coverage(
 
 
 # ----------------------------------------------------------------------
+# CPVF on the paper's obstacle field
+# ----------------------------------------------------------------------
+#: Periods of the ``obstacle_cpvf`` deployment (100 of the figures' 250,
+#: like e2ebench's ``paper-obstacle`` workload).
+OBSTACLE_CPVF_PERIODS = 100
+#: Phases the ``obstacle_cpvf`` row breaks the wall time into.
+OBSTACLE_CPVF_PHASES = ("cpvf.forces", "cpvf.moves")
+
+
+def measure_obstacle_cpvf(seed: int = 1, runs: int = 5) -> Dict[str, object]:
+    """Wall time of one CPVF deployment on the paper's two-obstacle field.
+
+    The bench scale (500 m field, n = 70, clustered start) for
+    :data:`OBSTACLE_CPVF_PERIODS` periods, run ``runs`` times through
+    ``RunSpec(profile=True)``.  The row holds the median run's wall time
+    and its :data:`OBSTACLE_CPVF_PHASES` span totals.
+    """
+    from repro.api import RunSpec, execute_run
+    from repro.experiments.common import BENCH_SCALE
+
+    scale = dataclasses.replace(
+        BENCH_SCALE, duration=float(OBSTACLE_CPVF_PERIODS)
+    )
+    spec = RunSpec(
+        scenario=make_scenario(scale, seed=seed, layout="two-obstacle"),
+        scheme="CPVF",
+        profile=True,
+    )
+    samples = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        record = execute_run(spec)
+        samples.append((time.perf_counter() - start, record))
+    samples.sort(key=lambda sample: sample[0])
+    wall_s, record = samples[len(samples) // 2]
+    phases = record.telemetry.phases
+    return {
+        "n": scale.sensor_count,
+        "layout": "two-obstacle",
+        "scheme": "CPVF",
+        "seed": seed,
+        "periods": record.periods_executed,
+        "runs": runs,
+        "wall_ms": wall_s * 1000.0,
+        "phases_ms": {
+            name: phases[name].seconds * 1000.0 for name in OBSTACLE_CPVF_PHASES
+        },
+        "coverage": record.coverage,
+    }
+
+
+# ----------------------------------------------------------------------
 # Full suite
 # ----------------------------------------------------------------------
 #: Default population sizes of the per-population entries and of the
@@ -606,6 +660,8 @@ PERF_ENTRIES: Dict[str, Callable] = {
     "scenario_generation": lambda ns, seed: measure_scenario_generation(),
     "lifecycle_recovery": lambda ns, seed: measure_lifecycle_recovery(seed=seed),
     "degraded_coverage": lambda ns, seed: measure_degraded_coverage(seed=seed),
+    # One fixed scenario: the paper-obstacle CPVF deployment at seed 1.
+    "obstacle_cpvf": lambda ns, seed: [measure_obstacle_cpvf()],
 }
 
 

@@ -22,10 +22,11 @@ track the perf trajectory.
 The seed algorithms are not re-measured: every re-measured row without
 a ``seed_ms`` of its own inherits the committed row's frozen ``seed_ms``
 unchanged, and its ``speedup`` is recomputed against the fresh
-``fast_ms``.  The repository root is put on
-``sys.path`` next to ``src``: ``benchmarks.perfbench`` is imported from
-it, and the brute and seed references it checks against live in
-``tests/oracles``.
+``fast_ms``.  A ``before_ms`` column (the same measurement at the commit
+before a perf change, on the same host) is carried the same way.  The
+repository root is put on ``sys.path`` next to ``src``:
+``benchmarks.perfbench`` is imported from it, and the brute and seed
+references it checks against live in ``tests/oracles``.
 
 ``--only ENTRY [ENTRY ...]`` regenerates a subset of entries and merges
 them into the existing ``BENCH_perf.json`` — the untouched entries are
@@ -121,30 +122,42 @@ def _is_row_list(value) -> bool:
     )
 
 
-def _carry_seed(old, new):
-    """Carry the committed, frozen ``seed_ms`` into re-measured rows.
+#: Frozen columns: measured once (the seed algorithms, the code before a
+#: change) and carried forward unchanged when a row is re-measured.
+FROZEN_COLUMNS = ("seed_ms", "before_ms")
 
-    A fresh row without a ``seed_ms`` of its own takes the committed
-    row's value unchanged (``None`` included) and its ``speedup`` is
-    recomputed as seed over the fresh ``fast_ms``;
-    the row keeps the committed column order.  Rows with no committed
-    counterpart are left without a seed column.
+
+def _carry_seed(old, new):
+    """Carry the committed, frozen columns into re-measured rows.
+
+    A fresh row without a :data:`FROZEN_COLUMNS` column of its own takes
+    the committed row's value unchanged (``None`` included); a carried
+    ``seed_ms`` has its ``speedup`` recomputed as seed over the fresh
+    ``fast_ms``.  The row keeps the committed column order.  Rows with
+    no committed counterpart are left without frozen columns.
     """
     if not (_is_row_list(old) and _is_row_list(new)):
         return new
-    committed = {_row_key(r): r for r in old if "seed_ms" in r}
+    committed = {
+        _row_key(r): r for r in old if any(c in r for c in FROZEN_COLUMNS)
+    }
     rows = []
     for row in new:
         frozen = committed.get(_row_key(row))
-        if frozen is None or "seed_ms" in row:
+        carried = [
+            c for c in FROZEN_COLUMNS
+            if frozen is not None and c in frozen and c not in row
+        ]
+        if not carried:
             rows.append(row)
             continue
-        seed_ms = frozen["seed_ms"]
-        fast_ms = row.get("fast_ms")
-        merged = dict(row, seed_ms=seed_ms)
-        merged["speedup"] = (
-            None if seed_ms is None or not fast_ms else seed_ms / fast_ms
-        )
+        merged = dict(row, **{c: frozen[c] for c in carried})
+        if "seed_ms" in carried:
+            seed_ms = frozen["seed_ms"]
+            fast_ms = row.get("fast_ms")
+            merged["speedup"] = (
+                None if seed_ms is None or not fast_ms else seed_ms / fast_ms
+            )
         order = [k for k in frozen if k in merged]
         order += [k for k in merged if k not in order]
         rows.append({k: merged[k] for k in order})
@@ -231,6 +244,17 @@ def _print_results(results: dict) -> None:
             f"recovery={row['recovery_ratio']:.1%} "
             f"t-recover={'-' if ttr is None else ttr} "
             f"extra={row['extra_distance']:.0f} m"
+        )
+    for row in results.get("obstacle_cpvf", ()):
+        phases = " ".join(
+            f"{name}={ms:.0f} ms" for name, ms in row["phases_ms"].items()
+        )
+        before = row.get("before_ms")
+        print(
+            f"obstacle_cpvf {row['layout']} n={row['n']} "
+            f"periods={row['periods']}: wall={row['wall_ms']:.0f} ms "
+            f"({phases})"
+            + ("" if before is None else f" before={before:.0f} ms")
         )
     for row in results.get("degraded_coverage", ()):
         print(

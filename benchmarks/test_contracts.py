@@ -37,10 +37,12 @@ _DEDUP = {"computed": 3, "inflight_hits": 1, "records_equal": True}
 _KILL = {"partial": 2, "store": None, "computed": 4, "store_hits": 2,
          "records_equal": True}
 _GC = {"entries": 6, "removed_files": 2, "kept_entries": 6, "surviving": 6}
+_OBSTACLE_CPVF = {"wall_ms": 250.0}
 
 #: A passing measurement for every measurement name.
 GOOD = {
     "cpvf_period": _PERIOD,
+    "obstacle_cpvf": _OBSTACLE_CPVF,
     "profiled_run": _PROFILED,
     "report_cli": _REPORT,
     "degraded_smoke": _DEGRADED,
@@ -54,6 +56,7 @@ GOOD = {
 BENCH = {
     "cpvf_period": [{"n": 100, "fast_ms": 1.0}, {"n": 500, "fast_ms": 10.0}],
     "telemetry_overhead": [{"n": 2000, "overhead_pct": 0.2}],
+    "obstacle_cpvf": [{"n": 70, "wall_ms": 100.0}],
     "degraded_coverage": [
         {"scheme": "CPVF", "coverage_ratio": 0.93},
         {"scheme": "FLOOR", "coverage_ratio": 0.97},
@@ -75,6 +78,7 @@ def _with(base, path, value):
 #: one doctoring that must make exactly that contract fail.
 DOCTORED = {
     "perf.cpvf_period": ("bench", ("cpvf_period", 1, "fast_ms"), 3.0),
+    "perf.obstacle_cpvf": (("obstacle_cpvf", "wall_ms"), 301.0),
     "obs.roundtrip": (("profiled_run", "json_roundtrip"), False),
     "obs.report_cli": (("report_cli", "returncode"), 1),
     "obs.committed_overhead": (
@@ -220,6 +224,16 @@ def test_carry_seed_keeps_committed_value_and_recomputes_speedup():
     assert rows[1]["speedup"] == 943.4574908333767 / 50.0
     assert rows[2]["seed_ms"] is None and rows[2]["speedup"] is None
     assert rows[3] == {"n": 7, "fast_ms": 1.0}
+
+
+def test_carry_seed_carries_before_ms_unchanged():
+    old = [{"n": 70, "layout": "two-obstacle", "scheme": "CPVF",
+            "wall_ms": 150.0, "before_ms": 512.5}]
+    new = [{"n": 70, "layout": "two-obstacle", "scheme": "CPVF",
+            "wall_ms": 140.0}]
+    (row,) = run_perf._carry_seed(old, new)
+    assert row["before_ms"] == 512.5 and row["wall_ms"] == 140.0
+    assert "seed_ms" not in row and "speedup" not in row
 
 
 def test_carry_seed_leaves_measured_seed_columns_alone():

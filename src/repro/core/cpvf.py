@@ -193,13 +193,14 @@ class CPVFScheme(DeploymentScheme):
         has_obstacles = bool(field.obstacles)
         width, height = field.width, field.height
         boundary_force_xy = self._forces.boundary_force_xy
+        force_from_obstacles = self._forces.force_from_obstacles
         for sensor in connected:
             sid = sensor.sensor_id
             total_x, total_y = sum_x[sid], sum_y[sid]
             if has_obstacles:
-                obstacle = self._forces.force_from_obstacles(sensor.position, field)
-                total_x += obstacle.x
-                total_y += obstacle.y
+                obstacle_x, obstacle_y = force_from_obstacles(sensor.position, field)
+                total_x += obstacle_x
+                total_y += obstacle_y
             else:
                 # force_from_obstacles with no obstacles reduces to the
                 # four wall terms.
@@ -225,40 +226,41 @@ class CPVFScheme(DeploymentScheme):
         tel = world.telemetry
         with tel.span("cpvf.forces"):
             directions = self._force_directions(world, connected, table)
-        for sensor in connected:
-            direction = directions[sensor.sensor_id]
-            if direction.x == 0.0 and direction.y == 0.0:
-                sensor.previous_position = sensor.position
-                continue
-            # Read the live parent/child positions as plain floats and run
-            # the candidate ladder on them.
-            links = self._tree_link_positions(world, sensor)
-            # Each required link costs one state-exchange message before
-            # the step-size decision (Section 4.2).
-            if links:
-                world.routing.record_one_hop(
-                    MessageType.NEIGHBOR_STATE, len(links)
-                )
-            step = max_valid_step_points(
-                sensor.position.x,
-                sensor.position.y,
-                direction.x,
-                direction.y,
-                config.max_step,
-                links,
-                config.communication_range,
-            )
-            if step <= 0.0 and self._allow_parent_change:
-                if tel.enabled:
-                    tel.count("cpvf.repair_attempts", 1)
-                with tel.span("cpvf.repair"):
-                    step = self._try_parent_change(
-                        world, sensor, direction, table
+        with tel.span("cpvf.moves"):
+            for sensor in connected:
+                direction = directions[sensor.sensor_id]
+                if direction.x == 0.0 and direction.y == 0.0:
+                    sensor.previous_position = sensor.position
+                    continue
+                # Read the live parent/child positions as plain floats and
+                # run the candidate ladder on them.
+                links = self._tree_link_positions(world, sensor)
+                # Each required link costs one state-exchange message
+                # before the step-size decision (Section 4.2).
+                if links:
+                    world.routing.record_one_hop(
+                        MessageType.NEIGHBOR_STATE, len(links)
                     )
-            if step <= 0.0:
-                sensor.previous_position = sensor.position
-                continue
-            self._finish_move(world, sensor, direction, step)
+                step = max_valid_step_points(
+                    sensor.position.x,
+                    sensor.position.y,
+                    direction.x,
+                    direction.y,
+                    config.max_step,
+                    links,
+                    config.communication_range,
+                )
+                if step <= 0.0 and self._allow_parent_change:
+                    if tel.enabled:
+                        tel.count("cpvf.repair_attempts", 1)
+                    with tel.span("cpvf.repair"):
+                        step = self._try_parent_change(
+                            world, sensor, direction, table
+                        )
+                if step <= 0.0:
+                    sensor.previous_position = sensor.position
+                    continue
+                self._finish_move(world, sensor, direction, step)
 
     def _finish_move(
         self, world: World, sensor: Sensor, direction: Vec2, step: float

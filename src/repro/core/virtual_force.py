@@ -9,15 +9,24 @@ the connectivity-preserving conditions (Section 4.2 of the paper).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..field import Field
-from ..geometry import Vec2
+from ..geometry import EPS, Vec2
 
 __all__ = ["VirtualForceModel"]
+
+
+def _unit(x: float, y: float) -> Tuple[float, float]:
+    """``Vec2(x, y).normalized()`` as floats (zero at numerical zero length)."""
+    n = math.hypot(x, y)
+    if n <= EPS:
+        return 0.0, 0.0
+    return x / n, y / n
 
 
 @dataclass
@@ -66,37 +75,59 @@ class VirtualForceModel:
         magnitude = self.sensor_gain * (self.repulsion_distance - dist) / self.repulsion_distance
         return delta.normalized() * magnitude
 
-    def force_from_obstacles(self, position: Vec2, field: Field) -> Vec2:
-        """Repulsive force from obstacles and the field boundary."""
-        total = Vec2.zero()
+    def force_from_obstacles(
+        self, position: Vec2, field: Field
+    ) -> Tuple[float, float]:
+        """Repulsive force ``(fx, fy)`` from obstacles and the field boundary.
+
+        An obstacle is skipped when the position lies at least
+        ``obstacle_distance`` outside its padded reject box on either axis:
+        the position is then not inside it, and its boundary distance is
+        never smaller than that axis gap, so it exerts no force.
+        """
+        px, py = position.x, position.y
+        reach = self.obstacle_distance
+        gain = self.obstacle_gain
+        force_x = force_y = 0.0
         # Obstacle repulsion: away from the nearest boundary point of each
         # obstacle that is within perception range.
         for obstacle in field.obstacles:
-            dist = obstacle.boundary_distance_to(position)
-            if obstacle.contains(position):
+            polygon = obstacle.polygon
+            xmin, ymin, xmax, ymax = polygon.reject_box()
+            if (
+                xmin - px >= reach
+                or px - xmax >= reach
+                or ymin - py >= reach
+                or py - ymax >= reach
+            ):
+                continue
+            dist, cx, cy = polygon.nearest_boundary_xy(px, py)
+            if polygon.contains_xy(px, py, include_boundary=False):
                 # Inside an obstacle (should not normally happen): push hard
                 # toward the nearest boundary point to escape.
-                escape = obstacle.closest_boundary_point(position)
-                total = total + position.towards(escape) * (-self.obstacle_gain)
+                ux, uy = _unit(cx - px, cy - py)
+                force_x += ux * -gain
+                force_y += uy * -gain
                 continue
-            if dist >= self.obstacle_distance or dist <= 1e-9:
+            if dist >= reach or dist <= 1e-9:
                 continue
-            closest = obstacle.closest_boundary_point(position)
-            direction = (position - closest).normalized()
-            magnitude = self.obstacle_gain * (self.obstacle_distance - dist) / self.obstacle_distance
-            total = total + direction * magnitude
+            ux, uy = _unit(px - cx, py - cy)
+            magnitude = gain * (reach - dist) / reach
+            force_x += ux * magnitude
+            force_y += uy * magnitude
         # Field boundary repulsion: keep sensors inside the rectangle.
-        return total + self._boundary_force(position, field)
+        wall_x, wall_y = self.boundary_force_xy(px, py, field.width, field.height)
+        return force_x + wall_x, force_y + wall_y
 
     def boundary_force_xy(
         self, px: float, py: float, width: float, height: float
     ) -> Tuple[float, float]:
         """Wall-repulsion components in plain floats.
 
-        The single implementation of the four wall terms, shared by the
-        scalar path below and CPVF's obstacle-free force loop (which
-        accumulates floats directly); keeping one copy guarantees the two
-        force evaluations agree at the field boundary.
+        The single implementation of the four wall terms, shared by
+        :meth:`force_from_obstacles` and CPVF's obstacle-free force loop;
+        keeping one copy guarantees the two force evaluations agree at the
+        field boundary.
         """
         force_x = 0.0
         force_y = 0.0
@@ -113,12 +144,6 @@ class VirtualForceModel:
             force_y += -self.obstacle_gain * (d - (height - py)) / d
         return force_x, force_y
 
-    def _boundary_force(self, position: Vec2, field: Field) -> Vec2:
-        """Force pushing the sensor away from the field's outer walls."""
-        return Vec2(
-            *self.boundary_force_xy(position.x, position.y, field.width, field.height)
-        )
-
     # ------------------------------------------------------------------
     # Resultant
     # ------------------------------------------------------------------
@@ -133,7 +158,7 @@ class VirtualForceModel:
         for other in neighbor_positions:
             total = total + self.force_from_sensor(position, other)
         if field is not None:
-            total = total + self.force_from_obstacles(position, field)
+            total = total + Vec2(*self.force_from_obstacles(position, field))
         return total
 
     def direction(

@@ -127,7 +127,16 @@ class Field:
 
     def is_free(self, p: Vec2) -> bool:
         """Whether ``p`` is a valid sensor position (in bounds, not in an obstacle)."""
-        return self.in_bounds(p) and not self.in_obstacle(p)
+        return self.is_free_xy(p.x, p.y)
+
+    def is_free_xy(self, x: float, y: float) -> bool:
+        """:meth:`is_free` for the point ``(x, y)``."""
+        if not (0.0 <= x <= self.width and 0.0 <= y <= self.height):
+            return False
+        for ob in self.obstacles:
+            if ob.polygon.contains_xy(x, y, include_boundary=False):
+                return False
+        return True
 
     def clamp(self, p: Vec2) -> Vec2:
         """Project ``p`` back inside the field rectangle."""
@@ -160,12 +169,25 @@ class Field:
         A move is blocked when it leaves the field rectangle or crosses the
         interior of any obstacle.
         """
-        if not self.in_bounds(seg.a) or not self.in_bounds(seg.b):
+        a, b = seg.a, seg.b
+        return self.segment_blocked_xy(a.x, a.y, b.x, b.y)
+
+    def segment_blocked_xy(self, ax: float, ay: float, bx: float, by: float) -> bool:
+        """:meth:`segment_blocked` for the move ``(ax, ay)`` -> ``(bx, by)``."""
+        width, height = self.width, self.height
+        if not (
+            0.0 <= ax <= width
+            and 0.0 <= ay <= height
+            and 0.0 <= bx <= width
+            and 0.0 <= by <= height
+        ):
             return True
-        # Sample a few interior points against the bounds as well: both
-        # endpoints being inside a convex rectangle already guarantees the
-        # whole segment is inside, so only obstacles remain to be checked.
-        return any(ob.blocks_segment(seg) for ob in self.obstacles)
+        # Both endpoints being inside the convex rectangle already
+        # guarantees the whole segment is, so only obstacles remain.
+        for ob in self.obstacles:
+            if ob.polygon.crosses_interior_xy(ax, ay, bx, by):
+                return True
+        return False
 
     def first_obstacle_hit(
         self, seg: Segment
@@ -197,37 +219,31 @@ class Field:
         if norm <= 1e-9:
             return 0.0
         unit_x, unit_y = direction.x / norm, direction.y / norm
-        if not self.obstacles:
-            # Obstacle-free fast path in plain floats: a straight move is
-            # admissible exactly when its endpoint stays in the rectangle
-            # (the rectangle is convex and the start is checked too).
-            if not self.in_bounds(start):
-                return 0.0
-            sx, sy = start.x, start.y
-            tx, ty = sx + unit_x * distance, sy + unit_y * distance
-            if 0.0 <= tx <= self.width and 0.0 <= ty <= self.height:
-                return distance
-            lo, hi = 0.0, distance
-            for _ in range(24):
-                mid = (lo + hi) / 2.0
-                cx, cy = sx + unit_x * mid, sy + unit_y * mid
-                if 0.0 <= cx <= self.width and 0.0 <= cy <= self.height:
-                    lo = mid
-                else:
-                    hi = mid
-            return lo
-        unit = Vec2(unit_x, unit_y)
-        lo, hi = 0.0, distance
-        target = start + unit * distance
-        if self.is_free(target) and not self.segment_blocked(Segment(start, target)):
+        sx, sy = start.x, start.y
+        width, height = self.width, self.height
+        if not (0.0 <= sx <= width and 0.0 <= sy <= height):
+            # Every path from an out-of-bounds start is blocked.
+            return 0.0
+        if self.obstacles:
+            is_free_xy = self.is_free_xy
+            segment_blocked_xy = self.segment_blocked_xy
+
+            def admissible(x: float, y: float) -> bool:
+                return is_free_xy(x, y) and not segment_blocked_xy(sx, sy, x, y)
+
+        else:
+            # A straight move in the open (convex) rectangle is admissible
+            # exactly when its endpoint stays inside.
+            def admissible(x: float, y: float) -> bool:
+                return 0.0 <= x <= width and 0.0 <= y <= height
+
+        if admissible(sx + unit_x * distance, sy + unit_y * distance):
             return distance
         # Binary search for the largest admissible travel distance.
+        lo, hi = 0.0, distance
         for _ in range(24):
             mid = (lo + hi) / 2.0
-            candidate = start + unit * mid
-            if self.is_free(candidate) and not self.segment_blocked(
-                Segment(start, candidate)
-            ):
+            if admissible(sx + unit_x * mid, sy + unit_y * mid):
                 lo = mid
             else:
                 hi = mid
@@ -291,7 +307,7 @@ class Field:
         """
         px, py = grid.point_arrays()
         mask = np.zeros(grid.num_points, dtype=bool)
-        eps = 1e-7  # Polygon.on_boundary: the boundary is not interior
+        eps = 1e-7  # Polygon._BOUNDARY_EPS: the boundary is not interior
         for ob in self.obstacles:
             box = ob.axis_aligned_box()
             if box is not None:

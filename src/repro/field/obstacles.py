@@ -105,10 +105,6 @@ class Obstacle:
         """Distance from ``p`` to the obstacle (zero when inside)."""
         return self.polygon.distance_to_point(p)
 
-    def boundary_distance_to(self, p: Vec2) -> float:
-        """Distance from ``p`` to the obstacle boundary."""
-        return self.polygon.boundary_distance_to_point(p)
-
     def closest_boundary_point(self, p: Vec2) -> Vec2:
         """Closest point of the obstacle boundary to ``p``."""
         return self.polygon.closest_boundary_point(p)

@@ -16,7 +16,7 @@ from .vec import EPS, Vec2
 
 __all__ = ["Polygon"]
 
-#: Distance within which a point counts as on the boundary (``on_boundary``).
+#: Distance within which a point counts as on the boundary.
 _BOUNDARY_EPS = 1e-7
 #: Rounding allowance of the bbox reject, relative to the coordinates'
 #: magnitude (and at least absolute): a point or segment this far outside
@@ -31,11 +31,14 @@ _CROSSING_SAMPLES = 8
 class Polygon:
     """A simple polygon given by its vertices in order (either winding).
 
-    The edges and the bounding box are computed once at construction.  The
-    point and segment queries first reject anything outside the bbox padded
-    by the boundary eps (plus a rounding allowance): such a query gets the
-    same answer from the full test, which ``tests/oracles`` keeps as the
-    reference.
+    The edges, their float records and the bounding box are computed once
+    at construction.  The point and segment queries run on plain floats,
+    with the operations of ``Segment.closest_point``, ``Vec2.lerp`` and
+    ``Vec2.distance_to`` in the same order, so they answer bit for bit
+    what the ``Vec2``/``Segment`` evaluation would.  They first reject
+    anything outside the bbox padded by the boundary eps (plus a rounding
+    allowance): such a query gets the same answer from the full test.
+    ``tests/oracles`` keeps the ``Segment``-based references.
     """
 
     vertices: Tuple[Vec2, ...]
@@ -55,6 +58,13 @@ class Polygon:
             "_edges",
             tuple(Segment(vertices[i], vertices[(i + 1) % n]) for i in range(n)),
         )
+        # One flat float record per edge for the scalar point and segment
+        # queries: (ax, ay, bx, by, dx, dy, dx*dx + dy*dy).
+        edge_data = []
+        for ax, ay, bx, by in zip(xs, ys, xs[1:] + xs[:1], ys[1:] + ys[:1]):
+            dx, dy = bx - ax, by - ay
+            edge_data.append((ax, ay, bx, by, dx, dy, dx * dx + dy * dy))
+        object.__setattr__(self, "_edge_data", tuple(edge_data))
         object.__setattr__(self, "_bbox", bbox)
         object.__setattr__(
             self,
@@ -130,6 +140,13 @@ class Polygon:
         """``(xmin, ymin, xmax, ymax)`` of the polygon."""
         return self._bbox
 
+    def reject_box(self) -> Tuple[float, float, float, float]:
+        """The bounding box padded by the boundary eps and rounding slack.
+
+        No point outside it is inside the polygon or on its boundary.
+        """
+        return self._reject_box
+
     def edges(self) -> Tuple[Segment, ...]:
         """The boundary edges in vertex order."""
         return self._edges
@@ -145,23 +162,23 @@ class Polygon:
     # ------------------------------------------------------------------
     def contains(self, p: Vec2, include_boundary: bool = True) -> bool:
         """Point-in-polygon test (ray casting with boundary handling)."""
+        return self.contains_xy(p.x, p.y, include_boundary)
+
+    def contains_xy(
+        self, px: float, py: float, include_boundary: bool = True
+    ) -> bool:
+        """:meth:`contains` for the point ``(px, py)``."""
         xmin, ymin, xmax, ymax = self._reject_box
-        if p.x < xmin or p.x > xmax or p.y < ymin or p.y > ymax:
+        if px < xmin or px > xmax or py < ymin or py > ymax:
             return False
-        if self.on_boundary(p):
+        if self.nearest_boundary_xy(px, py)[0] <= _BOUNDARY_EPS:
             return include_boundary
         inside = False
-        for edge in self._edges:
-            a, b = edge.a, edge.b
-            if (a.y > p.y) != (b.y > p.y):
-                x_cross = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
-                if p.x < x_cross:
+        for ax, ay, bx, by, dx, dy, _ in self._edge_data:
+            if (ay > py) != (by > py):
+                if px < ax + (py - ay) * dx / dy:
                     inside = not inside
         return inside
-
-    def on_boundary(self, p: Vec2, eps: float = _BOUNDARY_EPS) -> bool:
-        """Whether ``p`` lies on the polygon's boundary."""
-        return any(edge.distance_to_point(p) <= eps for edge in self._edges)
 
     def contains_points(
         self, px, py, include_boundary: bool = True, eps: float = _BOUNDARY_EPS
@@ -207,24 +224,43 @@ class Polygon:
         """Distance from ``p`` to the polygon (zero when inside)."""
         if self.contains(p):
             return 0.0
-        return min(edge.distance_to_point(p) for edge in self._edges)
-
-    def boundary_distance_to_point(self, p: Vec2) -> float:
-        """Distance from ``p`` to the polygon *boundary* (even when inside)."""
-        return min(edge.distance_to_point(p) for edge in self._edges)
+        return self.nearest_boundary_xy(p.x, p.y)[0]
 
     def closest_boundary_point(self, p: Vec2) -> Vec2:
         """Closest point of the polygon boundary to ``p``."""
-        best = None
-        best_dist = math.inf
-        for edge in self._edges:
-            candidate = edge.closest_point(p)
-            dist = candidate.distance_to(p)
-            if dist < best_dist:
-                best = candidate
-                best_dist = dist
-        assert best is not None
-        return best
+        _, x, y = self.nearest_boundary_xy(p.x, p.y)
+        return Vec2(x, y)
+
+    def nearest_boundary_xy(
+        self, px: float, py: float
+    ) -> Tuple[float, float, float]:
+        """``(distance, x, y)`` of the boundary point closest to ``(px, py)``.
+
+        Per edge, the operations of ``Segment.closest_point`` (the
+        parameter clamped like ``min(1.0, max(0.0, t))``, NaN included)
+        and of ``Vec2.distance_to``; the first edge at the smallest
+        distance wins.
+        """
+        best = math.inf
+        best_x = best_y = 0.0
+        for ax, ay, bx, by, dx, dy, dd in self._edge_data:
+            if dd <= EPS:
+                # Near-degenerate edge: the closer endpoint.
+                if math.hypot(px - ax, py - ay) <= math.hypot(px - bx, py - by):
+                    cx, cy = ax, ay
+                else:
+                    cx, cy = bx, by
+            else:
+                t = ((px - ax) * dx + (py - ay) * dy) / dd
+                if not t > 0.0:
+                    t = 0.0
+                elif not t < 1.0:
+                    t = 1.0
+                cx, cy = ax + dx * t, ay + dy * t
+            dist = math.hypot(px - cx, py - cy)
+            if dist < best:
+                best, best_x, best_y = dist, cx, cy
+        return best, best_x, best_y
 
     # ------------------------------------------------------------------
     # Segment queries
@@ -237,18 +273,25 @@ class Polygon:
         segment (its midpoint among them), which is robust enough for the
         rectangular and mildly irregular obstacles used in the experiments.
         """
-        xmin, ymin, xmax, ymax = self._reject_box
         a, b = seg.a, seg.b
+        return self.crosses_interior_xy(a.x, a.y, b.x, b.y)
+
+    def crosses_interior_xy(
+        self, ax: float, ay: float, bx: float, by: float
+    ) -> bool:
+        """:meth:`segment_crosses_interior` for ``(ax, ay)``-``(bx, by)``."""
+        xmin, ymin, xmax, ymax = self._reject_box
         if (
-            max(a.x, b.x) < xmin
-            or min(a.x, b.x) > xmax
-            or max(a.y, b.y) < ymin
-            or min(a.y, b.y) > ymax
+            max(ax, bx) < xmin
+            or min(ax, bx) > xmax
+            or max(ay, by) < ymin
+            or min(ay, by) > ymax
         ):
             return False
+        dx, dy = bx - ax, by - ay
         for i in range(1, _CROSSING_SAMPLES):
-            p = seg.point_at(i / _CROSSING_SAMPLES)
-            if self.contains(p, include_boundary=False):
+            t = i / _CROSSING_SAMPLES
+            if self.contains_xy(ax + dx * t, ay + dy * t, include_boundary=False):
                 return True
         return False
 

@@ -5,7 +5,9 @@ The query bisects for the longest admissible prefix of a straight move
 starts outside the field, zero directions and zero distances: the answer
 lies in ``[0, distance]``; a positive answer ends at a free point reached
 without crossing an obstacle; a short answer is within the bisection's
-resolution of a blocked point.
+resolution of a blocked point.  The float bisection and the obstacle
+forces on the same fields give bit for bit the answers of the ``Vec2``
+references in ``tests/oracles``.
 """
 
 import math
@@ -13,9 +15,11 @@ import math
 import numpy as np
 import pytest
 
+from repro.core import VirtualForceModel
 from repro.field import Field
 from repro.field.obstacles import Obstacle
 from repro.geometry import Segment, Vec2
+from tests.oracles import reference_max_free_travel, reference_obstacle_force
 
 #: Width of the final bisection bracket, as a fraction of ``distance``.
 _RESOLUTION = 2.0 ** -24
@@ -99,3 +103,66 @@ def test_rays_stop_at_the_last_admissible_point(name, seed):
             )
             stopped += 1
     assert stopped  # some rays run into an edge or an obstacle
+
+
+def _probe_points(field, rng, count):
+    """Random points (some outside the field), obstacle vertices, points on
+    the obstacle boundaries, inside them and at the force cutoff."""
+    points = [
+        Vec2(float(x), float(y))
+        for x, y in zip(
+            rng.uniform(-5, field.width + 5, count),
+            rng.uniform(-5, field.height + 5, count),
+        )
+    ]
+    for ob in field.obstacles:
+        polygon = ob.polygon
+        points += list(polygon.vertices)
+        for edge in polygon.edges():
+            for t in rng.uniform(0.0, 1.0, 4):
+                points.append(edge.point_at(float(t)))
+        xmin, ymin, xmax, ymax = polygon.bounding_box()
+        for x, y in zip(rng.uniform(xmin, xmax, 20), rng.uniform(ymin, ymax, 20)):
+            points.append(Vec2(float(x), float(y)))
+        rxmin, rymin, rxmax, rymax = polygon.reject_box()
+        for gap in (40.0 - 1e-9, 40.0, 40.0 + 1e-9):
+            y = float(rng.uniform(rymin, rymax))
+            x = float(rng.uniform(rxmin, rxmax))
+            points += [
+                Vec2(rxmin - gap, y),
+                Vec2(rxmax + gap, y),
+                Vec2(x, rymin - gap),
+                Vec2(x, rymax + gap),
+            ]
+    return points
+
+
+@pytest.mark.parametrize("seed", [3, 5, 9])
+@pytest.mark.parametrize("name", sorted(_fields()))
+def test_float_bisection_matches_the_vec2_reference(name, seed):
+    field = _fields()[name]
+    rng = np.random.default_rng(seed)
+    starts = _probe_points(field, rng, 60)
+    angles = rng.uniform(0, 2 * math.pi, len(starts))
+    dist = rng.uniform(0.0, 50.0, len(starts))
+    dist[::13] = 0.0
+    for i, start in enumerate(starts):
+        direction = Vec2(float(math.cos(angles[i])), float(math.sin(angles[i])))
+        if i % 17 == 0:
+            direction = Vec2(0.0, 0.0)
+        distance = float(dist[i])
+        assert field.max_free_travel(
+            start, direction, distance
+        ) == reference_max_free_travel(field, start, direction, distance), (
+            f"ray {i} from {start!r}"
+        )
+
+
+@pytest.mark.parametrize("seed", [3, 5, 9])
+@pytest.mark.parametrize("name", sorted(_fields()))
+def test_obstacle_force_matches_the_uncut_reference(name, seed):
+    field = _fields()[name]
+    model = VirtualForceModel(repulsion_distance=80.0, obstacle_distance=40.0)
+    for p in _probe_points(field, np.random.default_rng(seed), 100):
+        expected = reference_obstacle_force(model, p, field)
+        assert model.force_from_obstacles(p, field) == (expected.x, expected.y), p

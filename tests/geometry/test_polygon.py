@@ -6,8 +6,17 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from repro.core import VirtualForceModel
+from repro.field import Field, Obstacle
 from repro.geometry import Polygon, Segment, Vec2
-from tests.oracles import reference_contains, reference_segment_crosses_interior
+from tests.oracles import (
+    reference_boundary_distance,
+    reference_closest_boundary_point,
+    reference_contains,
+    reference_obstacle_force,
+    reference_on_boundary,
+    reference_segment_crosses_interior,
+)
 from tests.oracles.geometry import reference_edges
 
 
@@ -76,15 +85,15 @@ class TestContainment:
         assert not unit_square().contains(Vec2(0, 5), include_boundary=False)
 
     def test_on_boundary(self):
-        assert unit_square().on_boundary(Vec2(10, 3))
-        assert not unit_square().on_boundary(Vec2(5, 5))
+        assert reference_on_boundary(unit_square(), Vec2(10, 3))
+        assert not reference_on_boundary(unit_square(), Vec2(5, 5))
 
     def test_distance_to_point(self):
         assert unit_square().distance_to_point(Vec2(5, 5)) == 0.0
         assert unit_square().distance_to_point(Vec2(13, 5)) == pytest.approx(3.0)
 
     def test_boundary_distance_inside(self):
-        assert unit_square().boundary_distance_to_point(Vec2(5, 5)) == pytest.approx(5.0)
+        assert unit_square().nearest_boundary_xy(5.0, 5.0)[0] == pytest.approx(5.0)
 
     def test_closest_boundary_point(self):
         p = unit_square().closest_boundary_point(Vec2(5, 20))
@@ -270,6 +279,36 @@ def _random_points(rng, polygon, count):
     ]
 
 
+def _cutoff_points(rng, polygon, reach, count):
+    """Points ``reach`` and ``reach +- 1e-9`` outside the padded bbox."""
+    xmin, ymin, xmax, ymax = polygon.reject_box()
+    points = []
+    for _ in range(count):
+        for gap in (reach - 1e-9, reach, reach + 1e-9):
+            x = rng.uniform(xmin - reach, xmax + reach)
+            y = rng.uniform(ymin - reach, ymax + reach)
+            points += [
+                Vec2(xmin - gap, y),
+                Vec2(xmax + gap, y),
+                Vec2(x, ymin - gap),
+                Vec2(x, ymax + gap),
+                Vec2(xmin - gap, ymin - gap),
+                Vec2(xmax + gap, ymax + gap),
+            ]
+    return points
+
+
+def _inside_points(rng, polygon, count):
+    """Random points of the bbox that lie strictly inside the polygon."""
+    xmin, ymin, xmax, ymax = polygon.bounding_box()
+    candidates = [
+        Vec2(rng.uniform(xmin, xmax), rng.uniform(ymin, ymax)) for _ in range(count)
+    ]
+    return [
+        p for p in candidates if reference_contains(polygon, p, include_boundary=False)
+    ]
+
+
 def _segments(rng, polygon, count):
     """Random segments, bbox-touching ones, edge grazers and zero-length ones."""
     xmin, ymin, xmax, ymax = polygon.bounding_box()
@@ -339,6 +378,46 @@ class TestBBoxRejectParity:
                     polygon.vertices,
                     seg,
                 )
+
+
+    def test_nearest_boundary_parity(self, kind, seed):
+        rng = random.Random(f"nearest-{kind}-{seed}")
+        for _ in range(3):
+            polygon = POLYGON_MAKERS[kind](rng)
+            points = (
+                _random_points(rng, polygon, 60)
+                + _near_boundary_points(rng, polygon, 20)
+                + _inside_points(rng, polygon, 30)
+            )
+            for p in points:
+                closest = reference_closest_boundary_point(polygon, p)
+                assert polygon.nearest_boundary_xy(p.x, p.y) == (
+                    reference_boundary_distance(polygon, p),
+                    closest.x,
+                    closest.y,
+                ), (polygon.vertices, p)
+                assert polygon.closest_boundary_point(p) == closest
+
+    def test_obstacle_force_parity(self, kind, seed):
+        # The perception cutoff and the float arithmetic change no force.
+        rng = random.Random(f"force-{kind}-{seed}")
+        for _ in range(3):
+            polygon = POLYGON_MAKERS[kind](rng)
+            field = Field(200.0, 200.0, [Obstacle(polygon)])
+            reach = rng.choice([40.0, rng.uniform(0.5, 60.0)])
+            model = VirtualForceModel(repulsion_distance=80.0, obstacle_distance=reach)
+            points = (
+                _random_points(rng, polygon, 40)
+                + _near_boundary_points(rng, polygon, 10)
+                + _cutoff_points(rng, polygon, reach, 5)
+                + _inside_points(rng, polygon, 30)
+            )
+            for p in points:
+                expected = reference_obstacle_force(model, p, field)
+                assert model.force_from_obstacles(p, field) == (
+                    expected.x,
+                    expected.y,
+                ), (polygon.vertices, reach, p)
 
 
 class TestCachedGeometry:

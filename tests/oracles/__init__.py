@@ -9,8 +9,10 @@ functions that tests (and ``benchmarks/perfbench.py``) import:
   :func:`double_loop_components`, and a world whose queries bypass the
   neighbour cache and the incremental coverage tracker;
 * :mod:`.floor` — an exhaustive floor-registry scan;
-* :mod:`.geometry` — the polygon point and segment predicates without
-  the bounding-box reject, and the per-point grid mask
+* :mod:`.geometry` — the polygon point and segment predicates, the
+  boundary distance and closest point on ``Segment`` objects without the
+  bounding-box reject, the obstacle force with no cutoff, the ``Vec2``
+  free-travel bisection and the per-point grid mask
   (:func:`predicate_mask`);
 * :mod:`.seed` — the paper's literal step ladder, the seed CPVF dynamics
   (:class:`SeedCPVF`) and the seed neighbour-table / coverage
@@ -20,7 +22,12 @@ functions that tests (and ``benchmarks/perfbench.py``) import:
 from .floor import ExhaustiveFloorRegistry
 from .geometry import (
     predicate_mask,
+    reference_boundary_distance,
+    reference_closest_boundary_point,
     reference_contains,
+    reference_max_free_travel,
+    reference_obstacle_force,
+    reference_on_boundary,
     reference_segment_crosses_interior,
 )
 from .seed import (
@@ -40,7 +47,12 @@ __all__ = [
     "double_loop_components",
     "ExhaustiveFloorRegistry",
     "predicate_mask",
+    "reference_boundary_distance",
+    "reference_closest_boundary_point",
     "reference_contains",
+    "reference_max_free_travel",
+    "reference_obstacle_force",
+    "reference_on_boundary",
     "reference_segment_crosses_interior",
     "NeighborMotion",
     "SeedCPVF",

@@ -1,9 +1,14 @@
-"""Geometry references: polygon predicates and a per-point grid mask.
+"""Geometry references: polygon and field queries on ``Vec2``/``Segment``.
 
-``Polygon.contains`` and ``Polygon.segment_crosses_interior`` evaluated
-the long way, every edge and every sample visited for every query; the
-production predicates, which return early outside the polygon's padded
-bounding box, must agree with them on every input.
+``Polygon.contains``, ``Polygon.segment_crosses_interior``, the boundary
+distance and the closest boundary point evaluated the long way, through
+``Segment`` objects, every edge and every sample visited for every
+query.  On top of them, the obstacle term of the virtual force with no
+perception cutoff (:func:`reference_obstacle_force`) and the ``Vec2``
+bisection of ``Field.max_free_travel``
+(:func:`reference_max_free_travel`).  The production queries run on
+plain floats and return early outside a polygon's padded bounding box;
+they must give the same answers bit for bit.
 
 :func:`predicate_mask` classifies a coverage grid one sample point at a
 time; the field's vectorised obstacle rasterisation must match it.
@@ -11,6 +16,7 @@ time; the field's vectorised obstacle rasterisation must match it.
 
 from __future__ import annotations
 
+import math
 from typing import Callable, List
 
 import numpy as np
@@ -73,3 +79,98 @@ def reference_segment_crosses_interior(
         if reference_contains(polygon, seg.midpoint(), include_boundary=False):
             return True
     return False
+
+
+def reference_boundary_distance(polygon: Polygon, p: Vec2) -> float:
+    """Distance from ``p`` to the boundary, one ``Segment`` per edge."""
+    return min(edge.distance_to_point(p) for edge in reference_edges(polygon))
+
+
+def reference_closest_boundary_point(polygon: Polygon, p: Vec2) -> Vec2:
+    """The first edge's closest point at the smallest distance to ``p``."""
+    best = None
+    best_dist = math.inf
+    for edge in reference_edges(polygon):
+        candidate = edge.closest_point(p)
+        dist = candidate.distance_to(p)
+        if dist < best_dist:
+            best = candidate
+            best_dist = dist
+    assert best is not None
+    return best
+
+
+def reference_obstacle_force(model, position: Vec2, field) -> Vec2:
+    """``VirtualForceModel.force_from_obstacles`` with no cutoff.
+
+    Every obstacle's boundary distance is measured, however far away it
+    is, and the terms are summed as ``Vec2``.
+    """
+    total = Vec2.zero()
+    for obstacle in field.obstacles:
+        polygon = obstacle.polygon
+        dist = reference_boundary_distance(polygon, position)
+        if reference_contains(polygon, position, include_boundary=False):
+            escape = reference_closest_boundary_point(polygon, position)
+            total = total + position.towards(escape) * (-model.obstacle_gain)
+            continue
+        if dist >= model.obstacle_distance or dist <= 1e-9:
+            continue
+        closest = reference_closest_boundary_point(polygon, position)
+        direction = (position - closest).normalized()
+        magnitude = (
+            model.obstacle_gain
+            * (model.obstacle_distance - dist)
+            / model.obstacle_distance
+        )
+        total = total + direction * magnitude
+    return total + Vec2(
+        *model.boundary_force_xy(position.x, position.y, field.width, field.height)
+    )
+
+
+def reference_is_free(field, p: Vec2) -> bool:
+    """In the field rectangle and not inside any obstacle."""
+    return field.in_bounds(p) and not any(
+        reference_contains(ob.polygon, p, include_boundary=False)
+        for ob in field.obstacles
+    )
+
+
+def reference_segment_blocked(field, seg: Segment) -> bool:
+    """Leaves the rectangle or crosses an obstacle's interior."""
+    if not field.in_bounds(seg.a) or not field.in_bounds(seg.b):
+        return True
+    return any(
+        reference_segment_crosses_interior(ob.polygon, seg)
+        for ob in field.obstacles
+    )
+
+
+def reference_max_free_travel(
+    field, start: Vec2, direction: Vec2, distance: float
+) -> float:
+    """``Field.max_free_travel`` as a ``Vec2`` bisection on the references."""
+    if distance <= 0:
+        return 0.0
+    norm = math.hypot(direction.x, direction.y)
+    if norm <= 1e-9:
+        return 0.0
+    unit = Vec2(direction.x / norm, direction.y / norm)
+    lo, hi = 0.0, distance
+    target = start + unit * distance
+    if reference_is_free(field, target) and not reference_segment_blocked(
+        field, Segment(start, target)
+    ):
+        return distance
+    # Binary search for the largest admissible travel distance.
+    for _ in range(24):
+        mid = (lo + hi) / 2.0
+        candidate = start + unit * mid
+        if reference_is_free(field, candidate) and not reference_segment_blocked(
+            field, Segment(start, candidate)
+        ):
+            lo = mid
+        else:
+            hi = mid
+    return lo
