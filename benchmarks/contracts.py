@@ -254,7 +254,7 @@ def measure_churn_smoke(ms: Measurements) -> Dict:
 
 def measure_service_dedup(ms: Measurements) -> Dict:
     """Two overlapping sweeps submitted concurrently to one service."""
-    from repro.api import SweepRunner, SweepSpec
+    from repro.api import SweepSpec, execute_run
     from repro.service import SweepService
 
     scenario = _small_scenario(duration=20.0)
@@ -265,7 +265,7 @@ def measure_service_dedup(ms: Measurements) -> Dict:
         )
         for name, ranges in (("smoke-a", [40.0, 50.0]), ("smoke-b", [50.0, 60.0]))
     ]
-    serial = [SweepRunner(jobs=1).run(s) for s in sweeps]
+    reference = [[execute_run(spec) for spec in s.runs] for s in sweeps]
 
     async def drive():
         service = SweepService()
@@ -281,13 +281,13 @@ def measure_service_dedup(ms: Measurements) -> Dict:
     return {
         "computed": metrics.computed,
         "inflight_hits": metrics.inflight_hits,
-        "records_equal": records == serial,
+        "records_equal": records == reference,
     }
 
 
 def measure_service_kill_resume(ms: Measurements) -> Dict:
     """SIGKILL a ``repro.service submit`` mid-sweep, then resume it."""
-    from repro.api import SweepRunner, SweepSpec
+    from repro.api import SweepSpec, execute_run
     from repro.service import RunStore, SweepService
 
     sweep = SweepSpec.grid(
@@ -340,7 +340,7 @@ def measure_service_kill_resume(ms: Measurements) -> Dict:
     result.update(
         computed=metrics.computed,
         store_hits=metrics.store_hits,
-        records_equal=records == SweepRunner(jobs=1).run(sweep),
+        records_equal=records == [execute_run(spec) for spec in sweep.runs],
     )
     return result
 
@@ -503,7 +503,7 @@ def check_dedup(m) -> Verdict:
          "shared rc=50 cell must ride the in-flight dedup)"),
         (m["inflight_hits"] == DEDUP_INFLIGHT_HITS,
          f"{m['inflight_hits']} in-flight hits, expected {DEDUP_INFLIGHT_HITS}"),
-        (m["records_equal"], "service records diverged from SweepRunner(jobs=1)"),
+        (m["records_equal"], "service records diverged from plain execute_run"),
     )
 
 

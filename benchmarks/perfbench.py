@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
-from repro.api import SweepRunner, default_job_count
+from repro.api import SweepRunner, default_job_count, execute_run
 from repro.core import CPVFScheme
 from repro.experiments.common import (
     ExperimentScale,
@@ -294,8 +294,9 @@ def measure_sweep_throughput(
     """Serial vs sharded execution of a smoke-scale Fig 9 sweep.
 
     Runs the same declarative sweep through ``SweepRunner(jobs=1)`` and
-    ``SweepRunner(jobs=cpu_count)`` and asserts the records are identical
-    (the executor's determinism contract) while timing both.  On a
+    ``SweepRunner(jobs=cpu_count)`` and asserts both record lists equal a
+    plain ``execute_run`` loop (the executor's determinism contract)
+    while timing both.  On a
     single-core machine the sharded path mostly measures process overhead;
     the point of the entry is tracking the trajectory as sweeps grow.
     """
@@ -308,6 +309,7 @@ def measure_sweep_throughput(
         seed=seed,
     )
     jobs = jobs if jobs is not None else default_job_count()
+    reference = [execute_run(spec) for spec in sweep.runs]
 
     start = time.perf_counter()
     serial_records = SweepRunner(jobs=1).run(sweep)
@@ -317,8 +319,8 @@ def measure_sweep_throughput(
     sharded_records = SweepRunner(jobs=jobs).run(sweep)
     sharded_s = time.perf_counter() - start
 
-    if serial_records != sharded_records:
-        raise AssertionError("sharded sweep records diverged from serial run")
+    if serial_records != reference or sharded_records != reference:
+        raise AssertionError("sweep records diverged from plain execute_run")
     return {
         "runs": len(sweep.runs),
         "jobs": jobs,
@@ -340,7 +342,7 @@ def measure_sweep_service(clients: int = 4, seed: int = 3) -> Dict[str, float]:
     resubmitted against the warm store by a second service.  The service
     determinism contract is asserted while timing — the cold pass computes
     exactly the unique cells (shared cells ride the in-flight dedup) and
-    every client's records equal ``SweepRunner(jobs=1)`` on its sweep; the
+    every client's records equal a plain ``execute_run`` loop; the
     warm pass computes nothing.  Reported throughput is cells served per
     second, cache hits included — the number a dashboard of this service
     would call "sustained runs/s".
@@ -377,7 +379,7 @@ def measure_sweep_service(clients: int = 4, seed: int = 3) -> Dict[str, float]:
     unique_cells = len(
         {spec.fingerprint() for sweep in sweeps for spec in sweep.runs}
     )
-    serial = [SweepRunner(jobs=1).run(sweep) for sweep in sweeps]
+    reference = [[execute_run(spec) for spec in sweep.runs] for sweep in sweeps]
 
     async def drive(store_root: str):
         service = SweepService(store=store_root)
@@ -405,8 +407,8 @@ def measure_sweep_service(clients: int = 4, seed: int = 3) -> Dict[str, float]:
             f"warm service recomputed {warm.computed} cells "
             f"({warm.store_hits}/{total_cells} store hits)"
         )
-    if cold_records != serial or warm_records != serial:
-        raise AssertionError("service records diverged from SweepRunner(jobs=1)")
+    if cold_records != reference or warm_records != reference:
+        raise AssertionError("service records diverged from plain execute_run")
     return {
         "clients": clients,
         "cells_requested": total_cells,

@@ -13,7 +13,8 @@ re-exported from :mod:`repro.experiments`).  The pieces compose bottom-up:
 * :mod:`repro.api.schemes` — adapters unifying the period-based protocols
   (CPVF, FLOOR), the round-based VD baselines (VOR, Minimax) and the
   analytic baselines (OPT, OPT-Hungarian) behind ``execute_run``;
-* :mod:`repro.api.sweep` — the process-sharded :class:`SweepRunner`.
+* :mod:`repro.api.sweep` — :class:`SweepRunner`, the synchronous client of
+  the sweep service (:mod:`repro.service`), serial or process-sharded.
 
 Quick start::
 

@@ -1,23 +1,27 @@
-"""The process-sharded sweep executor.
+"""The synchronous sweep client.
 
 Every run in a sweep is independent — the paper's figures are grids of
 runs differing only in scheme, ranges, population or seed — so sweeps
 parallelise trivially across processes.  :class:`SweepRunner` executes a
-:class:`~repro.api.specs.SweepSpec` either serially (``jobs=1``) or on a
-``multiprocessing`` pool, and merges results deterministically: records
-come back in spec order regardless of worker scheduling, and every per-run
-random stream is fixed by the spec itself (seeds are part of the frozen
-specs, derived at expansion time).  ``jobs=1`` and ``jobs=8`` therefore
-produce identical record lists.
+:class:`~repro.api.specs.SweepSpec` through the one sweep executor, the
+async :class:`~repro.service.service.SweepService`, and blocks until the
+records are back.  ``jobs=1`` computes in this process; ``jobs=N`` shards
+the cells over ``N`` worker processes.  Records come back in spec order
+regardless of worker scheduling, and every per-run random stream is fixed
+by the spec itself (seeds are part of the frozen specs, derived at
+expansion time), so ``jobs=1`` and ``jobs=8`` produce identical record
+lists — and both equal ``[execute_run(s) for s in sweep.runs]``.
 
 A runner may also be bound to a content-addressed
-:class:`~repro.service.store.RunStore`.  Completed cells are then written
-through to the store *as they finish* (by the worker processes themselves
-under ``jobs=N``), which makes a killed sweep resumable; with
-``reuse=True`` cells already in the store are served without recompute,
-so only the missing cells of a resumed — or merely overlapping — sweep
-are paid for.  Cache hits are rebound to the requesting spec, so the
-record list is identical to a cold ``jobs=1`` run either way.
+:class:`~repro.service.store.RunStore`.  The service writes each completed
+cell through to the store the moment it finishes, which makes a killed
+sweep resumable; with ``reuse=True`` cells already in the store are served
+without recompute, so only the missing cells of a resumed — or merely
+overlapping — sweep are paid for.  Cache hits are rebound to the
+requesting spec, so the record list is identical to a cold run either way.
+
+The service (and with it ``asyncio``) is imported on the first
+:meth:`SweepRunner.run`, never by ``import repro``.
 
 Example::
 
@@ -34,12 +38,10 @@ Example::
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Sequence, Union
 
-from .schemes import execute_run
 from .specs import RunRecord, RunSpec, SweepSpec
 
 __all__ = ["SweepRunner", "default_job_count"]
@@ -50,23 +52,8 @@ def default_job_count() -> int:
     return max(1, os.cpu_count() or 1)
 
 
-def _execute_and_store(args: Tuple[RunSpec, str, int]) -> RunRecord:
-    """Worker task: execute one spec and write it through to the store.
-
-    Module-level (pickles cleanly) and write-as-you-finish: even when the
-    parent dies before the pool's map returns, every completed cell is
-    already persisted — the resume guarantee.
-    """
-    spec, store_root, schema_version = args
-    from ..service.store import RunStore
-
-    record = execute_run(spec)
-    RunStore(store_root, schema_version=schema_version).put(record)
-    return record
-
-
 class SweepRunner:
-    """Executes sweep runs, optionally sharded across worker processes."""
+    """Runs a sweep to completion on the sweep service and returns records."""
 
     def __init__(
         self,
@@ -102,60 +89,26 @@ class SweepRunner:
         self, sweep: Union[SweepSpec, Sequence[RunSpec], Iterable[RunSpec]]
     ) -> List[RunRecord]:
         """Execute every run and return records in spec order."""
+        import asyncio
+
+        from ..service.service import SweepService
+        from ..service.workers import worker_pool
+
         runs = list(sweep.runs) if isinstance(sweep, SweepSpec) else list(sweep)
         if not runs:
             self.last_cache = {"cells": 0, "hits": 0, "computed": 0}
             return []
-        if self.store is None:
+        service = SweepService(
+            self.store, worker_pool(self.jobs, len(runs)), self.reuse
+        )
+        try:
+            records = asyncio.run(service.run(runs))
+        finally:
+            service.close()
+            metrics = service.metrics
             self.last_cache = {
-                "cells": len(runs), "hits": 0, "computed": len(runs),
+                "cells": len(runs),
+                "hits": metrics.store_hits + metrics.inflight_hits,
+                "computed": metrics.computed,
             }
-            jobs = min(self.jobs, len(runs))
-            if jobs == 1:
-                return [execute_run(spec) for spec in runs]
-            # ``Pool.imap`` preserves input order, which is the
-            # deterministic merge: record i always belongs to spec i.  It
-            # also hands out one run at a time, where ``Pool.map`` would
-            # batch several runs per worker.
-            with multiprocessing.Pool(processes=jobs) as pool:
-                return list(pool.imap(execute_run, runs))
-        return self._run_with_store(runs)
-
-    def _run_with_store(self, runs: List[RunSpec]) -> List[RunRecord]:
-        """The store-aware path: serve hits, compute misses, write through."""
-        records: List[Optional[RunRecord]] = [None] * len(runs)
-        misses: List[int] = []
-        if self.reuse:
-            for index, spec in enumerate(runs):
-                cached = self.store.get(spec)
-                if cached is not None:
-                    records[index] = cached
-                else:
-                    misses.append(index)
-        else:
-            misses = list(range(len(runs)))
-        self.last_cache = {
-            "cells": len(runs),
-            "hits": len(runs) - len(misses),
-            "computed": len(misses),
-        }
-        if not misses:
-            return records
-        jobs = min(self.jobs, len(misses))
-        if jobs == 1:
-            # Write through after every cell, not at the end: a kill at
-            # any point loses at most the cell in progress.
-            for index in misses:
-                record = execute_run(runs[index])
-                self.store.put(record)
-                records[index] = record
-        else:
-            tasks = [
-                (runs[index], str(self.store.root), self.store.schema_version)
-                for index in misses
-            ]
-            with multiprocessing.Pool(processes=jobs) as pool:
-                computed = list(pool.imap(_execute_and_store, tasks))
-            for index, record in zip(misses, computed):
-                records[index] = record
         return records

@@ -167,8 +167,8 @@ class CPVFScheme(DeploymentScheme):
 
         Pairwise sensor repulsion is evaluated in one numpy batch over the
         packed neighbour lists; the (cheap, per-sensor) obstacle and
-        boundary terms are added scalar-wise, preserving the summation
-        order of :meth:`VirtualForceModel.resultant`.
+        boundary terms are added scalar-wise: sensor terms first, then
+        obstacles and walls.
         """
         assert self._forces is not None
         sensors = world.sensors

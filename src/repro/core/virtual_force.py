@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -56,25 +56,8 @@ class VirtualForceModel:
     obstacle_gain: float = 1.0
 
     # ------------------------------------------------------------------
-    # Individual force terms
+    # Obstacle and boundary terms
     # ------------------------------------------------------------------
-    def force_from_sensor(self, position: Vec2, other: Vec2) -> Vec2:
-        """Repulsive force exerted on ``position`` by a neighbour at ``other``.
-
-        Magnitude decreases linearly from ``sensor_gain`` at distance zero to
-        zero at ``repulsion_distance``; zero beyond it.
-        """
-        delta = position - other
-        dist = delta.norm()
-        if dist >= self.repulsion_distance:
-            return Vec2.zero()
-        if dist <= 1e-9:
-            # Coincident sensors: push in an arbitrary fixed direction; the
-            # caller adds jitter when needed.
-            return Vec2(self.sensor_gain, 0.0)
-        magnitude = self.sensor_gain * (self.repulsion_distance - dist) / self.repulsion_distance
-        return delta.normalized() * magnitude
-
     def force_from_obstacles(
         self, position: Vec2, field: Field
     ) -> Tuple[float, float]:
@@ -145,32 +128,6 @@ class VirtualForceModel:
         return force_x, force_y
 
     # ------------------------------------------------------------------
-    # Resultant
-    # ------------------------------------------------------------------
-    def resultant(
-        self,
-        position: Vec2,
-        neighbor_positions: Iterable[Vec2],
-        field: Optional[Field] = None,
-    ) -> Vec2:
-        """Sum of all repulsive forces acting on a sensor at ``position``."""
-        total = Vec2.zero()
-        for other in neighbor_positions:
-            total = total + self.force_from_sensor(position, other)
-        if field is not None:
-            total = total + Vec2(*self.force_from_obstacles(position, field))
-        return total
-
-    def direction(
-        self,
-        position: Vec2,
-        neighbor_positions: Sequence[Vec2],
-        field: Optional[Field] = None,
-    ) -> Vec2:
-        """Unit direction of the resultant force (zero vector at equilibrium)."""
-        return self.resultant(position, neighbor_positions, field).normalized()
-
-    # ------------------------------------------------------------------
     # Batch evaluation (CPVF hot path)
     # ------------------------------------------------------------------
     def sensor_force_sums(
@@ -184,11 +141,11 @@ class VirtualForceModel:
 
         ``rows[k]`` feels the repulsion of ``cols[k]``; the returned arrays
         hold, per sensor index, the x and y components of the summed
-        neighbour forces (the sensor term of :meth:`resultant`).  The maths
-        mirrors :meth:`force_from_sensor` — linear falloff, fixed push for
-        coincident pairs — evaluated with numpy over the packed pair list,
-        and contributions accumulate in ``rows``-major order like the
-        scalar loop (``np.bincount`` adds sequentially).
+        neighbour forces.  Magnitude falls linearly from ``sensor_gain`` at
+        distance zero to zero at ``repulsion_distance``, and coincident
+        pairs get a fixed push along +x.  Contributions accumulate in
+        ``rows``-major order (``np.bincount`` adds sequentially), like the
+        scalar loop of the seed oracle in ``tests/oracles``.
         """
         n = len(xs)
         if rows.size == 0:

@@ -2,7 +2,8 @@
 
 This module is the command-line face of the reproduction.  Every
 experiment is a declarative :class:`~repro.api.specs.SweepSpec` executed
-through the process-sharded :class:`~repro.api.sweep.SweepRunner`::
+by the sweep service through its synchronous client,
+:class:`~repro.api.sweep.SweepRunner`::
 
     python -m repro.experiments.runner --list
     python -m repro.experiments.runner --scale bench --jobs 8

@@ -10,8 +10,7 @@ queries the paper's sensors are allowed to make:
 
 The field also provides the coverage-measurement machinery used by the
 evaluation (fraction of non-obstacle area covered by at least one sensing
-disk) and the free-space connectivity check the random-obstacle generator
-relies on.
+disk) and the cached obstacle raster the scenario validator floods.
 """
 
 from __future__ import annotations
@@ -25,33 +24,7 @@ import numpy as np
 from ..geometry import Circle, CoverageGrid, Polygon, Segment, Vec2
 from .obstacles import Obstacle
 
-__all__ = ["Field", "flood_fill_count"]
-
-
-def flood_fill_count(free: np.ndarray, start: Tuple[int, int]) -> int:
-    """Number of cells 4-connected to ``start`` in a 2-D boolean mask.
-
-    Returns 0 when the start cell itself is not free.  The single
-    flood-fill implementation shared by :meth:`Field.free_space_connected`
-    and the scenario validator, so the two acceptance paths can never
-    diverge on connectivity semantics.
-    """
-    nx, ny = free.shape
-    if not free[start]:
-        return 0
-    visited = np.zeros_like(free, dtype=bool)
-    visited[start] = True
-    stack = [start]
-    count = 0
-    while stack:
-        cx, cy = stack.pop()
-        count += 1
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            mx, my = cx + dx, cy + dy
-            if 0 <= mx < nx and 0 <= my < ny and free[mx, my] and not visited[mx, my]:
-                visited[mx, my] = True
-                stack.append((mx, my))
-    return count
+__all__ = ["Field"]
 
 
 @dataclass
@@ -342,25 +315,6 @@ class Field:
         covered = grid.coverage_mask(centers, sensing_range)
         free = ~obstacle_mask
         return grid.fraction(covered & free, domain=free)
-
-    # ------------------------------------------------------------------
-    # Free-space connectivity (precondition on valid obstacle layouts)
-    # ------------------------------------------------------------------
-    def free_space_connected(self, resolution: float = 20.0) -> bool:
-        """Whether the non-obstacle area is a single connected region.
-
-        Checked on a grid with 4-connectivity, which is adequate for the
-        rectangular obstacle layouts used by the experiments.  A field with
-        no free cells is reported as disconnected.
-        """
-        grid, obstacle_mask = self.grid_and_obstacle_mask(resolution)
-        nx, ny = grid.shape
-        free = (~obstacle_mask).reshape(nx, ny)
-        total_free = int(free.sum())
-        if total_free == 0:
-            return False
-        start = tuple(np.argwhere(free)[0])
-        return flood_fill_count(free, start) == total_free
 
     # ------------------------------------------------------------------
     # Misc

@@ -58,24 +58,20 @@ def _clears_base_station(obstacle: Obstacle, config: RandomObstacleConfig) -> bo
 def generate_random_obstacle_field(
     rng,
     config: Optional[RandomObstacleConfig] = None,
-    validator: Optional[Callable[[Field], bool]] = None,
+    *,
+    validator: Callable[[Field], bool],
 ) -> Field:
     """Generate a random-obstacle field whose free space remains connected.
 
-    ``validator`` is the acceptance predicate of the rejection loop; the
-    default keeps the historical Fig 13 condition (free space forms one
-    connected region at ``config.connectivity_resolution``).  The scenario
-    subsystem passes :meth:`repro.scenarios.ScenarioValidator.accepts` here
-    to additionally require base-station reachability and a minimum free
-    area.
+    ``validator`` is the acceptance predicate of the rejection loop:
+    :meth:`repro.scenarios.ScenarioValidator.accepts`, which requires one
+    connected free region that the base station sits in.
 
     Raises :class:`RuntimeError` if no valid layout is found within
     ``config.max_attempts`` attempts (which practically never happens with
     the default parameters).
     """
     cfg = config or RandomObstacleConfig()
-    if validator is None:
-        validator = lambda f: f.free_space_connected(cfg.connectivity_resolution)
     for _ in range(cfg.max_attempts):
         count = rng.randint(cfg.min_obstacles, cfg.max_obstacles)
         obstacles: List[Obstacle] = []

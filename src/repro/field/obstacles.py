@@ -68,10 +68,6 @@ class Obstacle:
         """The obstacle boundary edges in vertex order."""
         return self.polygon.edges()
 
-    def perimeter(self) -> float:
-        """Perimeter of the obstacle (used by the BUG2 path-length bound)."""
-        return self.polygon.perimeter()
-
     def area(self) -> float:
         """Area removed from the field by this obstacle."""
         return self.polygon.area()

@@ -84,18 +84,6 @@ class Polygon:
             [Vec2(xmin, ymin), Vec2(xmax, ymin), Vec2(xmax, ymax), Vec2(xmin, ymax)]
         )
 
-    @staticmethod
-    def regular(center: Vec2, radius: float, sides: int) -> "Polygon":
-        """Regular polygon with ``sides`` vertices inscribed in a circle."""
-        if sides < 3:
-            raise ValueError("a regular polygon needs at least three sides")
-        return Polygon(
-            [
-                center + Vec2.from_polar(radius, 2.0 * math.pi * i / sides)
-                for i in range(sides)
-            ]
-        )
-
     # ------------------------------------------------------------------
     # Basic measures
     # ------------------------------------------------------------------
@@ -304,15 +292,6 @@ class Polygon:
                 points.append(p)
         points.sort(key=seg.a.distance_to)
         return points
-
-    def scaled(self, factor: float, about: Vec2 | None = None) -> "Polygon":
-        """Polygon scaled by ``factor`` about ``about`` (default: centroid)."""
-        pivot = about if about is not None else self.centroid()
-        return Polygon([pivot + (v - pivot) * factor for v in self.vertices])
-
-    def translated(self, offset: Vec2) -> "Polygon":
-        """Polygon translated by ``offset``."""
-        return Polygon([v + offset for v in self.vertices])
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Polygon({len(self.vertices)} vertices, area={self.area():.3g})"

@@ -52,10 +52,6 @@ class Segment:
         """Euclidean length of the segment."""
         return self.a.distance_to(self.b)
 
-    def direction(self) -> Vec2:
-        """Unit vector from ``a`` to ``b`` (zero vector for degenerate segments)."""
-        return self.a.towards(self.b)
-
     def midpoint(self) -> Vec2:
         """The midpoint of the segment."""
         return self.a.lerp(self.b, 0.5)
@@ -63,10 +59,6 @@ class Segment:
     def point_at(self, t: float) -> Vec2:
         """Point at parameter ``t`` where ``t=0`` is ``a`` and ``t=1`` is ``b``."""
         return self.a.lerp(self.b, t)
-
-    def reversed(self) -> "Segment":
-        """The same segment traversed in the opposite direction."""
-        return Segment(self.b, self.a)
 
     # ------------------------------------------------------------------
     # Distances and projections

@@ -7,10 +7,11 @@ station at the origin must sit in — and therefore be reachable from — that
 free region, and enough free area must remain for deployment to be
 meaningful at all.
 
-:class:`ScenarioValidator` centralises those checks.  It is the predicate
-the Fig 13 rejection loop historically applied inline
-(:func:`repro.field.generator.generate_random_obstacle_field` now accepts
-it as its ``validator``), and every generator in
+:class:`ScenarioValidator` centralises those checks.  It is the only
+free-space connectivity check: the Fig 13 rejection loop
+(:func:`repro.field.generator.generate_random_obstacle_field`) takes
+:meth:`ScenarioValidator.accepts` as its required ``validator``, and every
+generator in
 :mod:`repro.scenarios.generators` runs under it with bounded retry
 (:func:`generate_validated`).
 
@@ -32,7 +33,6 @@ import numpy as np
 
 from ..api.scenario import ScenarioSpec
 from ..field import Field
-from ..field.field import flood_fill_count
 from ..geometry import Vec2
 
 __all__ = [
@@ -41,6 +41,29 @@ __all__ = [
     "generate_validated",
     "scenario_fingerprint",
 ]
+
+
+def flood_fill_count(free: np.ndarray, start: Tuple[int, int]) -> int:
+    """Number of cells 4-connected to ``start`` in a 2-D boolean mask.
+
+    Returns 0 when the start cell itself is not free.
+    """
+    nx, ny = free.shape
+    if not free[start]:
+        return 0
+    visited = np.zeros_like(free, dtype=bool)
+    visited[start] = True
+    stack = [start]
+    count = 0
+    while stack:
+        cx, cy = stack.pop()
+        count += 1
+        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            mx, my = cx + dx, cy + dy
+            if 0 <= mx < nx and 0 <= my < ny and free[mx, my] and not visited[mx, my]:
+                visited[mx, my] = True
+                stack.append((mx, my))
+    return count
 
 
 @dataclass(frozen=True)

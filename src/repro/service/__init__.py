@@ -7,9 +7,9 @@ API (:mod:`repro.api`).  The pieces compose bottom-up:
   :class:`RunStore`: records keyed by the canonical fingerprint of their
   spec (:func:`repro.api.specs.run_fingerprint`), filesystem backend,
   atomic writes, schema-versioned invalidation and GC;
-* :mod:`repro.service.workers` — pluggable :class:`WorkerPool` backends
-  (in-process threads, process pool) fed location-independent JSON
-  payloads, so a multi-host backend is a transport change only;
+* :mod:`repro.service.workers` — the :class:`WorkerPool` backends (one
+  in-process thread, or a process pool) and :func:`worker_pool`, which
+  picks one from the job count;
 * :mod:`repro.service.service` — the :class:`SweepService`: an asyncio
   job queue that deduplicates identical cells across overlapping
   submissions, serves warm cells from the store, streams per-cell
@@ -31,7 +31,7 @@ Quick start::
     )
 
     async def main():
-        service = SweepService(store=RunStore("runs/"), pool=ProcessWorkerPool())
+        service = SweepService(store=RunStore("runs/"), pool=ProcessWorkerPool(4))
         job = service.submit(sweep)
         async for event in job.events():
             print(event.status, event.index, event.source)
@@ -45,12 +45,7 @@ fingerprint contract and resume semantics.
 
 from .service import CellEvent, ServiceMetrics, SweepJob, SweepService
 from .store import GCReport, RunStore, StoreStats
-from .workers import (
-    InlineWorkerPool,
-    ProcessWorkerPool,
-    WorkerPool,
-    execute_payload,
-)
+from .workers import InlineWorkerPool, ProcessWorkerPool, WorkerPool, worker_pool
 
 __all__ = [
     "CellEvent",
@@ -63,5 +58,5 @@ __all__ = [
     "WorkerPool",
     "InlineWorkerPool",
     "ProcessWorkerPool",
-    "execute_payload",
+    "worker_pool",
 ]

@@ -29,7 +29,7 @@ from typing import Optional, Sequence
 from ..api.specs import SweepSpec
 from .service import SweepService
 from .store import RunStore
-from .workers import InlineWorkerPool, ProcessWorkerPool
+from .workers import worker_pool
 
 __all__ = ["main"]
 
@@ -68,11 +68,11 @@ def _store_for(args: argparse.Namespace, required: bool = True) -> Optional[RunS
 def _cmd_submit(args: argparse.Namespace) -> int:
     sweep = _load_sweep(args)
     store = _store_for(args, required=False)
-    if args.jobs > 1 or args.pool == "process":
-        pool = ProcessWorkerPool(max_workers=args.jobs)
-    else:
-        pool = InlineWorkerPool()
-    service = SweepService(store=store, pool=pool, reuse=not args.refresh)
+    service = SweepService(
+        store=store,
+        pool=worker_pool(args.jobs, len(sweep.runs)),
+        reuse=not args.refresh,
+    )
 
     async def drive():
         job = service.submit(sweep)
@@ -201,10 +201,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     submit.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes (1 = in-process; default: 1)",
-    )
-    submit.add_argument(
-        "--pool", choices=("inline", "process"), default="inline",
-        help="worker backend (process = true parallelism)",
     )
     submit.add_argument(
         "--refresh", action="store_true",

@@ -24,7 +24,9 @@ cells, failures, queue depth and per-cell timing.
 
 Determinism: records are merged in spec order and every cell's content is
 a pure function of its spec, so a sweep served through the service —
-cold or warm store, any worker count — equals ``SweepRunner(jobs=1)``.
+cold or warm store, any worker count — equals
+``[execute_run(s) for s in sweep.runs]``.  The service is the only sweep
+executor: :class:`~repro.api.sweep.SweepRunner` is its synchronous client.
 """
 
 from __future__ import annotations

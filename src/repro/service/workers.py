@@ -1,21 +1,17 @@
-"""Pluggable worker backends for the sweep service.
+"""Worker backends for the sweep service.
 
 The service dispatches cache misses to a :class:`WorkerPool`.  The
 contract is deliberately narrow — ``await execute(spec) -> record`` — and
-the process backend ships specs and records across the boundary as plain
-JSON-ready dicts, exactly the payloads a multi-host transport would carry:
-specs are JSON-round-trippable and every run's randomness is derived from
-its own seed, so a shard computes the same record no matter which host
-picks it up.  A remote backend therefore only has to move these dicts
-over a socket; nothing in the service layer would change.
+:func:`worker_pool` is the one place a backend is chosen, from the job
+count alone, for both :class:`~repro.api.sweep.SweepRunner` and
+``python -m repro.service submit``:
 
-Backends:
-
-* :class:`InlineWorkerPool` — runs cells on threads in this process.
-  CPython's GIL serializes the numeric work, so this is the
-  deterministic, zero-setup choice for tests and tiny sweeps;
-* :class:`ProcessWorkerPool` — a ``concurrent.futures``
-  ``ProcessPoolExecutor``; true parallelism on multi-core hosts.
+* :class:`InlineWorkerPool` (``jobs == 1``) — runs one cell at a time on a
+  thread of this process, which keeps the event loop live for progress
+  events and cancellation;
+* :class:`ProcessWorkerPool` (``jobs > 1``) — a ``concurrent.futures``
+  ``ProcessPoolExecutor`` fed pickled :class:`~repro.api.specs.RunSpec`
+  objects; true parallelism on multi-core hosts.
 """
 
 from __future__ import annotations
@@ -23,28 +19,17 @@ from __future__ import annotations
 import abc
 import asyncio
 from concurrent.futures import ProcessPoolExecutor
-from typing import Any, Dict, Optional
+from typing import Optional
 
 from ..api.schemes import execute_run
 from ..api.specs import RunRecord, RunSpec
-from ..api.sweep import default_job_count
 
 __all__ = [
     "WorkerPool",
     "InlineWorkerPool",
     "ProcessWorkerPool",
-    "execute_payload",
+    "worker_pool",
 ]
-
-
-def execute_payload(spec_dict: Dict[str, Any]) -> Dict[str, Any]:
-    """Execute one serialized spec and return the serialized record.
-
-    The location-independent unit of work: a plain function over plain
-    dicts, usable verbatim as a process-pool task or a remote RPC body.
-    """
-    record = execute_run(RunSpec.from_dict(spec_dict))
-    return record.to_dict()
 
 
 class WorkerPool(abc.ABC):
@@ -59,39 +44,38 @@ class WorkerPool(abc.ABC):
 
 
 class InlineWorkerPool(WorkerPool):
-    """Thread-offloaded in-process execution (keeps the event loop live)."""
+    """In-process execution, one cell at a time, off the event loop."""
 
-    def __init__(self, max_workers: int = 1):
-        self._semaphore = asyncio.Semaphore(max(1, int(max_workers)))
+    def __init__(self):
+        self._lock = asyncio.Lock()
 
     async def execute(self, spec: RunSpec) -> RunRecord:
-        async with self._semaphore:
+        async with self._lock:
             return await asyncio.to_thread(execute_run, spec)
 
 
 class ProcessWorkerPool(WorkerPool):
-    """Worker processes fed serialized specs (multi-host-shaped payloads)."""
+    """Worker processes, each claiming one pickled spec at a time."""
 
-    def __init__(self, max_workers: Optional[int] = None):
-        self.max_workers = max_workers or default_job_count()
+    def __init__(self, max_workers: int):
+        self.max_workers = max_workers
         self._executor: Optional[ProcessPoolExecutor] = None
 
-    def _ensure_executor(self) -> ProcessPoolExecutor:
+    async def execute(self, spec: RunSpec) -> RunRecord:
         if self._executor is None:
             self._executor = ProcessPoolExecutor(max_workers=self.max_workers)
-        return self._executor
-
-    async def execute(self, spec: RunSpec) -> RunRecord:
         loop = asyncio.get_running_loop()
-        record_dict = await loop.run_in_executor(
-            self._ensure_executor(), execute_payload, spec.to_dict()
-        )
-        # Re-attach the caller's exact spec object: the JSON boundary
-        # canonicalises containers (tuples come back as lists) but cannot
-        # change semantics, so the fingerprints are guaranteed to match.
-        return RunRecord.from_dict(record_dict).rebind(spec)
+        return await loop.run_in_executor(self._executor, execute_run, spec)
 
     def close(self) -> None:
         if self._executor is not None:
             self._executor.shutdown(wait=True, cancel_futures=True)
             self._executor = None
+
+
+def worker_pool(jobs: int, cells: int) -> WorkerPool:
+    """The backend for ``jobs`` workers over a sweep of ``cells`` cells."""
+    workers = min(jobs, cells)
+    if workers <= 1:
+        return InlineWorkerPool()
+    return ProcessWorkerPool(workers)

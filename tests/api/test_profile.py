@@ -81,8 +81,7 @@ class TestCounterDeterminism:
             )
             for seed in (1, 2, 3, 4)
         ]
-        serial = SweepRunner(jobs=1).run(specs)
-        sharded = SweepRunner(jobs=2).run(specs)
+        reference = [execute_run(spec) for spec in specs]
 
         def merged_counters(records):
             merged = TelemetrySummary()
@@ -90,11 +89,13 @@ class TestCounterDeterminism:
                 merged = merged.merge(record.telemetry)
             return merged.counters
 
-        assert merged_counters(serial) == merged_counters(sharded)
-        # And the records agree wholesale on everything non-wall-clock.
-        assert [_strip_counter_free(r) for r in serial] == [
-            _strip_counter_free(r) for r in sharded
-        ]
+        for jobs in (1, 2):
+            records = SweepRunner(jobs=jobs).run(specs)
+            assert merged_counters(records) == merged_counters(reference)
+            # And the records agree wholesale on everything non-wall-clock.
+            assert [_strip_counter_free(r) for r in records] == [
+                _strip_counter_free(r) for r in reference
+            ]
 
 
 def _strip_counter_free(record):

@@ -6,6 +6,7 @@ from repro.api import RunSpec, ScenarioSpec, execute_run, placement_registry
 from repro.core import CPVFScheme
 from repro.field import clustered_placement, uniform_placement
 from repro.experiments import SMOKE_SCALE, make_scenario
+from repro.scenarios import ScenarioValidator
 from repro.sim import SimulationEngine, World
 
 
@@ -84,7 +85,8 @@ class TestBuildWorld:
         assert [o.bounding_box() for o in first.obstacles] == [
             o.bounding_box() for o in second.obstacles
         ]
-        assert first.free_space_connected()
+        report = ScenarioValidator(resolution=20.0).validate_field(first)
+        assert report.free_space_connected
 
 
 def _outcome(record):

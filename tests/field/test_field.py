@@ -4,6 +4,7 @@ import pytest
 
 from repro.field import Field, Obstacle
 from repro.geometry import Circle, Segment, Vec2
+from repro.scenarios import ScenarioValidator
 
 
 @pytest.fixture
@@ -164,14 +165,19 @@ class TestCoverage:
         assert field_with_block.coverage_fraction([Vec2(50, 10)], 500.0, 2.0) == pytest.approx(1.0)
 
 
+def free_space_connected(field, resolution):
+    report = ScenarioValidator(resolution=resolution).validate_field(field)
+    return report.free_space_connected
+
+
 class TestFreeSpaceConnectivity:
     def test_empty_field_connected(self, empty_field):
-        assert empty_field.free_space_connected(resolution=10.0)
+        assert free_space_connected(empty_field, resolution=10.0)
 
     def test_small_obstacle_keeps_connectivity(self, field_with_block):
-        assert field_with_block.free_space_connected(resolution=5.0)
+        assert free_space_connected(field_with_block, resolution=5.0)
 
     def test_wall_disconnects_field(self):
         wall = Obstacle.rectangle(45, -1, 55, 101)
         field = Field(100.0, 100.0, [wall])
-        assert not field.free_space_connected(resolution=5.0)
+        assert not free_space_connected(field, resolution=5.0)

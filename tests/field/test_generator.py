@@ -4,8 +4,18 @@ import random
 
 import pytest
 
-from repro.field import RandomObstacleConfig, generate_random_obstacle_field
+from repro.field import RandomObstacleConfig
+from repro.field import generate_random_obstacle_field as _generate
 from repro.geometry import Vec2
+from repro.scenarios import ScenarioValidator
+
+
+def generate_random_obstacle_field(rng, config):
+    """The generator under the free-space check the Fig 13 layout uses."""
+    validator = ScenarioValidator(
+        min_free_fraction=0.0, resolution=config.connectivity_resolution
+    )
+    return _generate(rng, config, validator=validator.accepts)
 
 
 class TestGenerator:
@@ -21,7 +31,8 @@ class TestGenerator:
         config = RandomObstacleConfig(field_size=500.0, connectivity_resolution=25.0)
         for _ in range(5):
             field = generate_random_obstacle_field(rng, config)
-            assert field.free_space_connected(resolution=25.0)
+            report = ScenarioValidator(resolution=25.0).validate_field(field)
+            assert report.free_space_connected
 
     def test_base_station_stays_clear(self):
         rng = random.Random(3)

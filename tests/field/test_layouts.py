@@ -13,6 +13,12 @@ from repro.field import (
     two_obstacle_field,
     uniform_initial_positions,
 )
+from repro.scenarios import ScenarioValidator
+
+
+def free_space_connected(field, resolution=25.0):
+    report = ScenarioValidator(resolution=resolution).validate_field(field)
+    return report.free_space_connected
 
 
 class TestCanonicalFields:
@@ -27,7 +33,7 @@ class TestCanonicalFields:
         assert len(field.obstacles) == 2
 
     def test_two_obstacle_field_remains_connected(self):
-        assert two_obstacle_field().free_space_connected(resolution=25.0)
+        assert free_space_connected(two_obstacle_field())
 
     def test_two_obstacle_field_scales(self):
         field = two_obstacle_field(500.0)
@@ -38,7 +44,7 @@ class TestCanonicalFields:
             assert 0 <= ymin <= ymax <= 500
 
     def test_corridor_field_connected(self):
-        assert corridor_field().free_space_connected(resolution=25.0)
+        assert free_space_connected(corridor_field())
 
     def test_corridor_field_has_two_walls(self):
         assert len(corridor_field().obstacles) == 2

@@ -30,7 +30,7 @@ class TestRectangleObstacle:
         assert not self.ob.blocks_segment(Segment(Vec2(0, 10), Vec2(30, 10)))
 
     def test_perimeter_and_area(self):
-        assert self.ob.perimeter() == pytest.approx(40.0)
+        assert self.ob.polygon.perimeter() == pytest.approx(40.0)
         assert self.ob.area() == pytest.approx(100.0)
 
     def test_bounding_box(self):

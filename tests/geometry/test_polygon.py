@@ -24,6 +24,16 @@ def unit_square() -> Polygon:
     return Polygon.rectangle(0, 0, 10, 10)
 
 
+def regular_polygon(center: Vec2, radius: float, sides: int) -> Polygon:
+    """Regular polygon with ``sides`` vertices inscribed in a circle."""
+    return Polygon(
+        [
+            center + Vec2.from_polar(radius, 2.0 * math.pi * i / sides)
+            for i in range(sides)
+        ]
+    )
+
+
 class TestConstruction:
     def test_requires_three_vertices(self):
         with pytest.raises(ValueError):
@@ -32,14 +42,6 @@ class TestConstruction:
     def test_rectangle_validation(self):
         with pytest.raises(ValueError):
             Polygon.rectangle(5, 5, 5, 10)
-
-    def test_regular_polygon_vertex_count(self):
-        hexagon = Polygon.regular(Vec2(0, 0), 10, 6)
-        assert len(hexagon.vertices) == 6
-
-    def test_regular_polygon_needs_three_sides(self):
-        with pytest.raises(ValueError):
-            Polygon.regular(Vec2(0, 0), 10, 2)
 
 
 class TestMeasures:
@@ -150,20 +152,8 @@ class TestCrossingCases:
         polygon = make()
         seg = Segment(Vec2(*a), Vec2(*b))
         assert polygon.segment_crosses_interior(seg) is expected
-        assert polygon.segment_crosses_interior(seg.reversed()) is expected
+        assert polygon.segment_crosses_interior(Segment(seg.b, seg.a)) is expected
         assert reference_segment_crosses_interior(polygon, seg) is expected
-
-
-class TestTransforms:
-    def test_translation(self):
-        moved = unit_square().translated(Vec2(5, 5))
-        assert moved.centroid().almost_equals(Vec2(10, 10))
-        assert moved.area() == pytest.approx(100.0)
-
-    def test_scaling_about_centroid(self):
-        scaled = unit_square().scaled(2.0)
-        assert scaled.area() == pytest.approx(400.0)
-        assert scaled.centroid().almost_equals(Vec2(5, 5))
 
 
 class TestProperties:
@@ -182,7 +172,7 @@ class TestProperties:
 
     @given(st.integers(min_value=3, max_value=12), sizes)
     def test_regular_polygon_area_below_circle(self, sides, r):
-        poly = Polygon.regular(Vec2(0, 0), r, sides)
+        poly = regular_polygon(Vec2(0, 0), r, sides)
         assert poly.area() <= math.pi * r * r + 1e-6
 
 
@@ -255,7 +245,7 @@ def _near_boundary_points(rng, polygon, count):
         edge = rng.choice(edges)
         on_edge = edge.point_at(rng.choice([0.0, 1.0, rng.random()]))
         points.append(on_edge)
-        normal = edge.direction().perpendicular()
+        normal = edge.a.towards(edge.b).perpendicular()
         for offset in (1e-7, -1e-7, rng.uniform(-2e-7, 2e-7)):
             points.append(on_edge + normal * offset)
         points.append(on_edge + Vec2(rng.uniform(-2e-7, 2e-7), rng.uniform(-2e-7, 2e-7)))
@@ -335,7 +325,7 @@ def _segments(rng, polygon, count):
     for edge in reference_edges(polygon):
         # Grazers: the edge itself, extended along its line, shifted by eps.
         d = edge.b - edge.a
-        normal = edge.direction().perpendicular()
+        normal = edge.a.towards(edge.b).perpendicular()
         for shift in (0.0, 1e-7, -1e-7, 1e-6, -1e-6):
             offset = normal * shift
             segments.append(Segment(edge.a + offset, edge.b + offset))

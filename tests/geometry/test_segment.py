@@ -16,16 +16,9 @@ class TestBasics:
     def test_midpoint(self):
         assert Segment(Vec2(0, 0), Vec2(4, 6)).midpoint() == Vec2(2, 3)
 
-    def test_direction(self):
-        assert Segment(Vec2(0, 0), Vec2(10, 0)).direction().almost_equals(Vec2(1, 0))
-
     def test_point_at(self):
         s = Segment(Vec2(0, 0), Vec2(10, 0))
         assert s.point_at(0.3).almost_equals(Vec2(3, 0))
-
-    def test_reversed(self):
-        s = Segment(Vec2(1, 2), Vec2(3, 4))
-        assert s.reversed() == Segment(Vec2(3, 4), Vec2(1, 2))
 
 
 class TestOrientation:

@@ -1,10 +1,15 @@
-"""``import repro`` stays light: no scipy on the package import path.
+"""``import repro`` stays light: no scipy, no concurrency machinery.
 
 The library's runtime dependency is numpy; scipy is only a test-side
 reference (``tests/assignment/test_hungarian.py`` compares against
 ``scipy.optimize``).  A module-level scipy import anywhere under
 ``repro`` roughly doubles the import time and resident memory of every
 process that imports the package, so a fresh interpreter pins it.
+
+Likewise the sweep service (``asyncio``, ``concurrent.futures``) and any
+process pool are loaded only when a sweep actually runs:
+``SweepRunner.run`` imports them on first use, so a single deployment never
+pays for them.
 """
 
 import json
@@ -20,14 +25,13 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 PROGRAM = (
     "import json, sys\n"
     "import repro\n"
-    "print(json.dumps(sorted(m for m in sys.modules "
-    "if m == 'scipy' or m.startswith('scipy.'))))\n"
+    "print(json.dumps(sorted(sys.modules)))\n"
 )
 
 
-def test_import_repro_loads_no_scipy():
-    # Without scipy installed nothing could load it, and the check is moot.
-    pytest.importorskip("scipy")
+@pytest.fixture(scope="module")
+def loaded_modules():
+    """Every module a fresh interpreter holds after ``import repro``."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     out = subprocess.run(
         [sys.executable, "-c", PROGRAM],
@@ -37,4 +41,21 @@ def test_import_repro_loads_no_scipy():
         check=True,
         timeout=60,
     )
-    assert json.loads(out.stdout) == []
+    return json.loads(out.stdout)
+
+
+def _under(modules, package):
+    return [m for m in modules if m == package or m.startswith(package + ".")]
+
+
+def test_import_repro_loads_no_scipy(loaded_modules):
+    # Without scipy installed nothing could load it, and the check is moot.
+    pytest.importorskip("scipy")
+    assert _under(loaded_modules, "scipy") == []
+
+
+@pytest.mark.parametrize(
+    "package", ["asyncio", "concurrent.futures", "multiprocessing"]
+)
+def test_import_repro_loads_no_sweep_machinery(loaded_modules, package):
+    assert _under(loaded_modules, package) == []

@@ -20,7 +20,7 @@ def bug2_bound(field: Field, start: Vec2, target: Vec2) -> float:
     bound = start.distance_to(target)
     for ob in field.obstacles:
         crossings = len(ob.polygon.segment_intersections(reference))
-        bound += crossings * ob.perimeter() / 2.0
+        bound += crossings * ob.polygon.perimeter() / 2.0
     return bound
 
 

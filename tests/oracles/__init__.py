@@ -15,7 +15,7 @@ functions that tests (and ``benchmarks/perfbench.py``) import:
   free-travel bisection and the per-point grid mask
   (:func:`predicate_mask`);
 * :mod:`.seed` — the paper's literal step ladder, the seed CPVF dynamics
-  (:class:`SeedCPVF`) and the seed neighbour-table / coverage
+  (:class:`SeedCPVF`) with its scalar force terms, and the seed neighbour-table / coverage
   algorithms (their timers live in ``benchmarks/perfbench.py``).
 """
 
@@ -33,6 +33,9 @@ from .geometry import (
 from .seed import (
     NeighborMotion,
     SeedCPVF,
+    force_direction,
+    resultant_force,
+    sensor_force,
     max_valid_step_reference,
     seed_coverage_fraction,
     seed_neighbor_table,
@@ -56,6 +59,9 @@ __all__ = [
     "reference_segment_crosses_interior",
     "NeighborMotion",
     "SeedCPVF",
+    "force_direction",
+    "resultant_force",
+    "sensor_force",
     "step_is_valid",
     "max_valid_step_reference",
     "seed_neighbor_table",

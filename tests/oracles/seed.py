@@ -8,7 +8,9 @@ as the library improves (the timers live in ``benchmarks/perfbench.py``
 and check each seed answer against the library before timing).
 :class:`SeedCPVF` is also the reference the production CPVF modes are
 compared against (message parity, plateau agreement, parent-change
-parity).
+parity); its scalar force terms (:func:`sensor_force`,
+:func:`resultant_force`, :func:`force_direction`) are the reference for
+``VirtualForceModel``'s batched sensor term.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ from typing import Dict, Iterable, List, Optional, Sequence
 
 import numpy as np
 
-from repro.core import CPVFScheme
+from repro.core import CPVFScheme, VirtualForceModel
 from repro.core.connectivity import STEP_FRACTIONS
+from repro.field import Field
 from repro.geometry import Vec2
 from repro.network import BASE_STATION_ID, MessageType
 
@@ -98,6 +101,53 @@ def max_valid_step_reference(
     return 0.0
 
 
+def sensor_force(model: VirtualForceModel, position: Vec2, other: Vec2) -> Vec2:
+    """Repulsive force exerted on ``position`` by a neighbour at ``other``.
+
+    Magnitude decreases linearly from ``sensor_gain`` at distance zero to
+    zero at ``repulsion_distance``; zero beyond it.  The scalar form of
+    :meth:`VirtualForceModel.sensor_force_sums`.
+    """
+    delta = position - other
+    dist = delta.norm()
+    if dist >= model.repulsion_distance:
+        return Vec2.zero()
+    if dist <= 1e-9:
+        # Coincident sensors: push in an arbitrary fixed direction.
+        return Vec2(model.sensor_gain, 0.0)
+    magnitude = (
+        model.sensor_gain
+        * (model.repulsion_distance - dist)
+        / model.repulsion_distance
+    )
+    return delta.normalized() * magnitude
+
+
+def resultant_force(
+    model: VirtualForceModel,
+    position: Vec2,
+    neighbor_positions: Iterable[Vec2],
+    field: Optional[Field] = None,
+) -> Vec2:
+    """Sum of all repulsive forces acting on a sensor at ``position``."""
+    total = Vec2.zero()
+    for other in neighbor_positions:
+        total = total + sensor_force(model, position, other)
+    if field is not None:
+        total = total + Vec2(*model.force_from_obstacles(position, field))
+    return total
+
+
+def force_direction(
+    model: VirtualForceModel,
+    position: Vec2,
+    neighbor_positions: Sequence[Vec2],
+    field: Optional[Field] = None,
+) -> Vec2:
+    """Unit direction of the resultant force (zero vector at equilibrium)."""
+    return resultant_force(model, position, neighbor_positions, field).normalized()
+
+
 class SeedCPVF(CPVFScheme):
     """The seed CPVF dynamics: sensors decide and move one after the other.
 
@@ -112,7 +162,8 @@ class SeedCPVF(CPVFScheme):
     def _apply_virtual_forces(self, world, table: Dict[int, List[int]]) -> None:
         config = world.config
         for sensor in [s for s in world.sensors if s.is_connected()]:
-            direction = self._forces.direction(
+            direction = force_direction(
+                self._forces,
                 sensor.position,
                 [world.sensor(n).position for n in table.get(sensor.sensor_id, [])],
                 world.field,

@@ -4,8 +4,14 @@ import asyncio
 
 import pytest
 
-from repro.api import RunSpec, ScenarioSpec, SweepRunner, SweepSpec
-from repro.service import ProcessWorkerPool, RunStore, SweepService
+from repro.api import RunSpec, ScenarioSpec, SweepSpec, execute_run
+from repro.service import (
+    InlineWorkerPool,
+    ProcessWorkerPool,
+    RunStore,
+    SweepService,
+    worker_pool,
+)
 
 
 def tiny_scenario(**overrides):
@@ -34,12 +40,13 @@ def drive(coro):
 
 
 @pytest.fixture(scope="module")
-def serial_records():
-    return SweepRunner(jobs=1).run(tiny_sweep())
+def reference_records():
+    # The independent reference: a plain loop, no sweep executor.
+    return [execute_run(spec) for spec in tiny_sweep().runs]
 
 
 class TestDeterminism:
-    def test_cold_service_matches_serial_runner(self, tmp_path, serial_records):
+    def test_cold_service_matches_serial_runner(self, tmp_path, reference_records):
         async def scenario():
             service = SweepService(store=str(tmp_path / "store"))
             try:
@@ -50,11 +57,11 @@ class TestDeterminism:
                 service.close()
 
         records, metrics = drive(scenario())
-        assert records == serial_records
+        assert records == reference_records
         assert metrics.computed == len(records)
         assert metrics.store_hits == 0
 
-    def test_execute_single_spec(self, serial_records):
+    def test_execute_single_spec(self, reference_records):
         async def scenario():
             service = SweepService()
             try:
@@ -63,9 +70,9 @@ class TestDeterminism:
             finally:
                 service.close()
 
-        assert drive(scenario()) == serial_records[0]
+        assert drive(scenario()) == reference_records[0]
 
-    def test_process_pool_matches_inline(self, tmp_path, serial_records):
+    def test_process_pool_matches_inline(self, tmp_path, reference_records):
         async def scenario():
             pool = ProcessWorkerPool(max_workers=2)
             service = SweepService(store=str(tmp_path / "store"), pool=pool)
@@ -74,11 +81,22 @@ class TestDeterminism:
             finally:
                 service.close()
 
-        assert drive(scenario()) == serial_records
+        assert drive(scenario()) == reference_records
+
+
+class TestWorkerPoolChoice:
+    def test_one_job_runs_in_process(self):
+        assert isinstance(worker_pool(1, 5), InlineWorkerPool)
+
+    def test_workers_capped_at_cell_count(self):
+        assert isinstance(worker_pool(4, 1), InlineWorkerPool)
+        pool = worker_pool(4, 3)
+        assert isinstance(pool, ProcessWorkerPool)
+        assert pool.max_workers == 3
 
 
 class TestDedupAndResume:
-    def test_overlapping_jobs_compute_shared_cells_once(self, serial_records):
+    def test_overlapping_jobs_compute_shared_cells_once(self, reference_records):
         async def scenario():
             service = SweepService()  # no store: pure in-flight dedup
             try:
@@ -90,13 +108,13 @@ class TestDedupAndResume:
                 service.close()
 
         results, metrics = drive(scenario())
-        assert all(records == serial_records for records in results)
-        assert metrics.computed == len(serial_records)
-        assert metrics.inflight_hits == 2 * len(serial_records)
+        assert all(records == reference_records for records in results)
+        assert metrics.computed == len(reference_records)
+        assert metrics.inflight_hits == 2 * len(reference_records)
 
-    def test_warm_store_recomputes_nothing(self, tmp_path, serial_records):
+    def test_warm_store_recomputes_nothing(self, tmp_path, reference_records):
         store = RunStore(tmp_path / "store")
-        for record in serial_records:
+        for record in reference_records:
             store.put(record)
 
         async def scenario():
@@ -108,16 +126,16 @@ class TestDedupAndResume:
                 service.close()
 
         records, metrics = drive(scenario())
-        assert records == serial_records
+        assert records == reference_records
         assert metrics.computed == 0
-        assert metrics.store_hits == len(serial_records)
+        assert metrics.store_hits == len(reference_records)
         assert metrics.cache_hit_rate() == 1.0
 
     def test_partial_store_recomputes_only_missing_cells(
-        self, tmp_path, serial_records
+        self, tmp_path, reference_records
     ):
         store = RunStore(tmp_path / "store")
-        store.put(serial_records[0])
+        store.put(reference_records[0])
 
         async def scenario():
             service = SweepService(store=store)
@@ -129,15 +147,15 @@ class TestDedupAndResume:
                 service.close()
 
         records, metrics = drive(scenario())
-        assert records == serial_records
+        assert records == reference_records
         assert metrics.store_hits == 1
-        assert metrics.computed == len(serial_records) - 1
+        assert metrics.computed == len(reference_records) - 1
 
     def test_refresh_mode_recomputes_but_still_persists(
-        self, tmp_path, serial_records
+        self, tmp_path, reference_records
     ):
         store = RunStore(tmp_path / "store")
-        for record in serial_records:
+        for record in reference_records:
             store.put(record)
 
         async def scenario():
@@ -150,12 +168,12 @@ class TestDedupAndResume:
                 service.close()
 
         records, metrics = drive(scenario())
-        assert records == serial_records
+        assert records == reference_records
         assert metrics.store_hits == 0
-        assert metrics.computed == len(serial_records)
-        assert len(store) == len(serial_records)
+        assert metrics.computed == len(reference_records)
+        assert len(store) == len(reference_records)
 
-    def test_write_through_persists_every_cell(self, tmp_path, serial_records):
+    def test_write_through_persists_every_cell(self, tmp_path, reference_records):
         async def scenario():
             service = SweepService(store=str(tmp_path / "store"))
             try:
@@ -166,13 +184,13 @@ class TestDedupAndResume:
 
         drive(scenario())
         store = RunStore(tmp_path / "store")
-        assert len(store) == len(serial_records)
-        for record in serial_records:
+        assert len(store) == len(reference_records)
+        for record in reference_records:
             assert store.get(record.spec) == record
 
 
 class TestObservability:
-    def test_event_stream_replays_backlog(self, serial_records):
+    def test_event_stream_replays_backlog(self, reference_records):
         async def scenario():
             service = SweepService()
             try:
@@ -185,12 +203,12 @@ class TestObservability:
 
         events, status = drive(scenario())
         done = [e for e in events if e.status == "done"]
-        assert len(done) == len(serial_records)
+        assert len(done) == len(reference_records)
         assert {e.status for e in events} <= {"scheduled", "done"}
         assert all(e.source == "computed" for e in done)
         assert status["finished"] is True
-        assert status["completed"] == len(serial_records)
-        assert status["by_source"]["computed"] == len(serial_records)
+        assert status["completed"] == len(reference_records)
+        assert status["by_source"]["computed"] == len(reference_records)
 
     def test_metrics_export_shape(self):
         async def scenario():

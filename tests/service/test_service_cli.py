@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.api import ScenarioSpec, SweepRunner, SweepSpec
+from repro.api import ScenarioSpec, SweepSpec, execute_run
 from repro.service import RunStore
 from repro.service.cli import main
 
@@ -33,6 +33,16 @@ def sweep_file(tmp_path):
 
 
 class TestSubmit:
+    def test_sharded_submit_matches_plain_runs(self, tmp_path, sweep_file):
+        out_file = tmp_path / "records.json"
+        assert main(["submit", str(sweep_file), "--jobs", "2", "--quiet",
+                     "--out", str(out_file)]) == 0
+        from repro.api import RunRecord
+
+        payload = json.loads(out_file.read_text())
+        records = [RunRecord.from_dict(r) for r in payload["records"]]
+        assert records == [execute_run(spec) for spec in tiny_sweep().runs]
+
     def test_submit_computes_streams_and_persists(
         self, tmp_path, sweep_file, capsys
     ):
@@ -56,7 +66,7 @@ class TestSubmit:
         from repro.api import RunRecord
 
         records = [RunRecord.from_dict(r) for r in payload["records"]]
-        assert records == SweepRunner(jobs=1).run(tiny_sweep())
+        assert records == [execute_run(spec) for spec in tiny_sweep().runs]
 
     def test_warm_resubmit_serves_everything_from_store(
         self, tmp_path, sweep_file, capsys
@@ -95,8 +105,7 @@ class TestStatus:
 
         # Persist one cell by hand: a partial (killed) sweep.
         store = RunStore(store_dir)
-        store.put(SweepRunner(jobs=1).run(
-            SweepSpec(name="one", runs=tiny_sweep().runs[:1]))[0])
+        store.put(execute_run(tiny_sweep().runs[0]))
         assert main(["status", str(sweep_file), "--store", str(store_dir),
                      "--verbose"]) == 1
         output = capsys.readouterr().out
