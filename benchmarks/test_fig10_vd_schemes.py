@@ -8,19 +8,14 @@ VD schemes become competitive in coverage.
 
 import pytest
 
-from repro.experiments.fig10 import format_fig10, run_fig10
+from repro.api import SweepRunner
+from repro.experiments.fig10 import format_fig10, rows_fig10, sweep_fig10
 
 
 @pytest.mark.benchmark(group="fig10")
 def test_fig10_vd_schemes(benchmark, sweep_scale, run_once):
-    rows = run_once(
-        benchmark,
-        run_fig10,
-        sweep_scale,
-        ratios=[1.0, 2.0, 4.0],
-        vd_rounds=5,
-        seed=1,
-    )
+    sweep = sweep_fig10(sweep_scale, ratios=[1.0, 2.0, 4.0], vd_rounds=5, seed=1)
+    rows = rows_fig10(run_once(benchmark, SweepRunner(jobs=1).run, sweep))
     print()
     print(format_fig10(rows))
 

@@ -7,12 +7,14 @@ bound for FLOOR's own layout lower-bounds FLOOR's distance.
 
 import pytest
 
-from repro.experiments.fig11 import format_fig11, run_fig11
+from repro.api import SweepRunner
+from repro.experiments.fig11 import format_fig11, rows_fig11, sweep_fig11
 
 
 @pytest.mark.benchmark(group="fig11")
 def test_fig11_moving_distance(benchmark, sweep_scale, run_once):
-    rows = run_once(benchmark, run_fig11, sweep_scale, vd_rounds=5, seed=1)
+    sweep = sweep_fig11(sweep_scale, vd_rounds=5, seed=1)
+    rows = rows_fig11(run_once(benchmark, SweepRunner(jobs=1).run, sweep))
     print()
     print(format_fig11(rows))
     by_scheme = {r.scheme: r.average_moving_distance for r in rows}

@@ -6,19 +6,16 @@ moving distance, at some cost in coverage.
 
 import pytest
 
-from repro.experiments.fig12 import format_fig12, run_fig12
+from repro.api import SweepRunner
+from repro.experiments.fig12 import format_fig12, rows_fig12, sweep_fig12
 
 
 @pytest.mark.benchmark(group="fig12")
 def test_fig12_oscillation_avoidance(benchmark, sweep_scale, run_once):
-    rows = run_once(
-        benchmark,
-        run_fig12,
-        sweep_scale,
-        deltas=[None, 2.0, 8.0],
-        modes=["one-step", "two-step"],
-        seed=1,
+    sweep = sweep_fig12(
+        sweep_scale, deltas=[None, 2.0, 8.0], modes=["one-step", "two-step"], seed=1
     )
+    rows = rows_fig12(run_once(benchmark, SweepRunner(jobs=1).run, sweep))
     print()
     print(format_fig12(rows))
 

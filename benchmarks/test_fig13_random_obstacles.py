@@ -8,13 +8,15 @@ runs; the benchmark uses a handful of runs).
 
 import pytest
 
-from repro.experiments.fig13 import format_fig13, run_fig13
+from repro.api import SweepRunner
+from repro.experiments.fig13 import format_fig13, summary_fig13, sweep_fig13
 
 
 @pytest.mark.benchmark(group="fig13")
 def test_fig13_random_obstacles(benchmark, sweep_scale, run_once):
     repetitions = 2 if sweep_scale.repetitions <= 10 else sweep_scale.repetitions
-    summary = run_once(benchmark, run_fig13, sweep_scale, repetitions=repetitions, seed=1)
+    sweep = sweep_fig13(sweep_scale, repetitions=repetitions, seed=1)
+    summary = summary_fig13(run_once(benchmark, SweepRunner(jobs=1).run, sweep))
     print()
     print(format_fig13(summary, cdf_points=4))
 

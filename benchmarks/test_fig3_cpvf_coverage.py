@@ -7,12 +7,14 @@ population; absolute values at reduced scale differ.
 
 import pytest
 
-from repro.experiments.fig3 import format_fig3, run_fig3
+from repro.api import SweepRunner
+from repro.experiments.fig3 import format_fig3, rows_fig3, sweep_fig3
 
 
 @pytest.mark.benchmark(group="fig3")
 def test_fig3_cpvf_scenarios(benchmark, bench_scale, run_once):
-    rows = run_once(benchmark, run_fig3, bench_scale, seed=1)
+    records = run_once(benchmark, SweepRunner(jobs=1).run, sweep_fig3(bench_scale, seed=1))
+    rows = rows_fig3(records)
     print()
     print(format_fig3(rows))
     by_case = {r.scenario: r for r in rows}

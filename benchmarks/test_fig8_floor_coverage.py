@@ -7,15 +7,17 @@ obstacles, beating CPVF clearly in scenarios (b) and (c).
 
 import pytest
 
-from repro.experiments.fig3 import run_fig3
-from repro.experiments.fig8 import format_fig8, run_fig8
+from repro.api import SweepRunner
+from repro.experiments.fig3 import format_fig3, rows_fig3, sweep_fig3
+from repro.experiments.fig8 import sweep_fig8
 
 
 @pytest.mark.benchmark(group="fig8")
 def test_fig8_floor_scenarios(benchmark, bench_scale, run_once):
-    rows = run_once(benchmark, run_fig8, bench_scale, seed=1)
+    records = run_once(benchmark, SweepRunner(jobs=1).run, sweep_fig8(bench_scale, seed=1))
+    rows = rows_fig3(records)
     print()
-    print(format_fig8(rows))
+    print(format_fig3(rows, title="Figure 8 (FLOOR)"))
     by_case = {r.scenario: r for r in rows}
     assert all(0.0 < r.coverage <= 1.0 for r in rows)
     # FLOOR's small-rc scenario keeps a usable fraction of its large-rc
@@ -28,8 +30,9 @@ def test_fig8_floor_beats_cpvf_at_small_rc(benchmark, bench_scale, run_once):
     """The headline Fig 3(b) vs Fig 8(b) comparison."""
 
     def run_pair():
-        floor_rows = run_fig8(bench_scale, seed=1)
-        cpvf_rows = run_fig3(bench_scale, seed=1)
+        runner = SweepRunner(jobs=1)
+        floor_rows = rows_fig3(runner.run(sweep_fig8(bench_scale, seed=1)))
+        cpvf_rows = rows_fig3(runner.run(sweep_fig3(bench_scale, seed=1)))
         return floor_rows, cpvf_rows
 
     floor_rows, cpvf_rows = run_once(benchmark, run_pair)

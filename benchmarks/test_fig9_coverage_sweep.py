@@ -7,19 +7,19 @@ sensors.
 
 import pytest
 
-from repro.experiments.fig9 import format_fig9, run_fig9
+from repro.api import SweepRunner
+from repro.experiments.fig9 import format_fig9, rows_fig9, sweep_fig9
 
 
 @pytest.mark.benchmark(group="fig9")
 def test_fig9_coverage_sweep(benchmark, sweep_scale, run_once):
-    rows = run_once(
-        benchmark,
-        run_fig9,
+    sweep = sweep_fig9(
         sweep_scale,
         sensor_counts=[120, 240],
         range_pairs=[(20.0, 60.0), (60.0, 60.0)],
         seed=1,
     )
+    rows = rows_fig9(run_once(benchmark, SweepRunner(jobs=1).run, sweep))
     print()
     print(format_fig9(rows))
 

@@ -7,20 +7,20 @@ the obstacle-free and the two-obstacle environment.
 
 import pytest
 
-from repro.experiments.table1 import format_table1, run_table1
+from repro.api import SweepRunner
+from repro.experiments.table1 import format_table1, rows_table1, sweep_table1
 
 
 @pytest.mark.benchmark(group="table1")
 def test_table1_message_overhead(benchmark, sweep_scale, run_once):
-    rows = run_once(
-        benchmark,
-        run_table1,
+    sweep = sweep_table1(
         sweep_scale,
         sensor_counts=[120, 240],
         ttl_fractions=[0.1, 0.4],
         environments=["non-obstacle", "two-obstacle"],
         seed=1,
     )
+    rows = rows_table1(run_once(benchmark, SweepRunner(jobs=1).run, sweep))
     print()
     print(format_table1(rows))
 

@@ -34,7 +34,6 @@ from .field import (
     Field,
     Obstacle,
     corridor_field,
-    generate_random_obstacle_field,
     obstacle_free_field,
     two_obstacle_field,
 )
@@ -94,7 +93,6 @@ __all__ = [
     "Field",
     "Obstacle",
     "corridor_field",
-    "generate_random_obstacle_field",
     "obstacle_free_field",
     "two_obstacle_field",
     "Bug2Planner",

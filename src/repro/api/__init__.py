@@ -30,6 +30,7 @@ Quick start::
               f"{record.coverage:.1%}")
 """
 
+from ..determinism import derive_seed, freeze_params, spawn_seeds
 from ..network import NetworkSpec
 from ..obs import TelemetrySummary
 from .registry import (
@@ -41,7 +42,7 @@ from .registry import (
     register_scheme,
     scheme_registry,
 )
-from .scenario import ScenarioSpec, freeze_params, thaw_params
+from .scenario import ScenarioSpec, thaw_params
 from .schemes import (
     PeriodSchemeAdapter,
     SchemeAdapter,
@@ -49,7 +50,6 @@ from .schemes import (
     execute_run,
     hungarian_bound,
 )
-from .seeds import derive_seed, spawn_seeds
 from .specs import (
     SPEC_SCHEMA_VERSION,
     RunRecord,

@@ -151,13 +151,7 @@ def register_placement(name: str):
 # Built-in field layouts
 # ----------------------------------------------------------------------
 def _register_builtin_layouts() -> None:
-    from ..field import (
-        RandomObstacleConfig,
-        corridor_field,
-        generate_random_obstacle_field,
-        obstacle_free_field,
-        two_obstacle_field,
-    )
+    from ..field import corridor_field, obstacle_free_field, two_obstacle_field
 
     @register_layout("obstacle-free")
     def obstacle_free(size: float):
@@ -173,47 +167,6 @@ def _register_builtin_layouts() -> None:
     def corridor(size: float):
         """The narrow-corridor field used by tests and examples."""
         return corridor_field(size)
-
-    @register_layout("random-obstacles")
-    def random_obstacles(
-        size: float,
-        seed: int = 1,
-        min_side: float = None,
-        max_side: float = None,
-        keep_clear_radius: float = None,
-        min_obstacles: int = 1,
-        max_obstacles: int = 4,
-        connectivity_resolution: float = None,
-    ):
-        """A Fig 13 random-obstacle field, fully determined by ``seed``."""
-        import random as _random
-
-        from ..scenarios.validate import ScenarioValidator
-
-        config = RandomObstacleConfig(
-            field_size=size,
-            min_obstacles=min_obstacles,
-            max_obstacles=max_obstacles,
-            min_side=min_side if min_side is not None else 0.08 * size,
-            max_side=max_side if max_side is not None else 0.4 * size,
-            keep_clear_radius=(
-                keep_clear_radius if keep_clear_radius is not None else 0.06 * size
-            ),
-            connectivity_resolution=(
-                connectivity_resolution
-                if connectivity_resolution is not None
-                else max(10.0, size / 40.0)
-            ),
-        )
-        # The shared scenario validator subsumes the historical inline
-        # check (free-space connectivity at the configured resolution) and
-        # additionally requires base-station reachability.
-        validator = ScenarioValidator(
-            min_free_fraction=0.0, resolution=config.connectivity_resolution
-        )
-        return generate_random_obstacle_field(
-            _random.Random(seed), config, validator=validator.accepts
-        )
 
 
 # ----------------------------------------------------------------------

@@ -32,29 +32,15 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
+from ..determinism import Params, freeze_params
 from ..field import Field
 from ..geometry import Vec2
 from ..sim import LifecycleEvent, SimulationConfig, World, normalize_events
 from .registry import layout_registry, placement_registry
 
-__all__ = ["Params", "ScenarioSpec", "freeze_params", "thaw_params"]
-
-#: Frozen parameter mapping: a sorted tuple of ``(key, value)`` pairs with
-#: JSON-primitive values, hashable and order-independent.
-Params = Tuple[Tuple[str, Any], ...]
-
-
-def freeze_params(params: Union[Mapping[str, Any], Sequence, None]) -> Params:
-    """Normalise a mapping (or pair sequence) into a sorted frozen tuple."""
-    if params is None:
-        return ()
-    if isinstance(params, Mapping):
-        items = params.items()
-    else:
-        items = tuple(tuple(pair) for pair in params)
-    return tuple(sorted((str(k), v) for k, v in items))
+__all__ = ["ScenarioSpec", "thaw_params"]
 
 
 def thaw_params(params: Params) -> Dict[str, Any]:

@@ -24,11 +24,11 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
+from ..determinism import Params, derive_seed, freeze_params
 from ..metrics.recovery import EventOutcome
 from ..network import NETWORK_SCHEMA_VERSION, NetworkSpec
 from ..obs import TelemetrySummary
-from .scenario import Params, ScenarioSpec, freeze_params, thaw_params
-from .seeds import derive_seed
+from .scenario import ScenarioSpec, thaw_params
 
 __all__ = [
     "SPEC_SCHEMA_VERSION",

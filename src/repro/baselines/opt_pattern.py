@@ -109,16 +109,3 @@ class OptStripPattern:
             )
             i += 1
         return full + extras
-
-    # ------------------------------------------------------------------
-    # Evaluation helpers
-    # ------------------------------------------------------------------
-    def coverage_for_count(self, count: int, resolution: float = 10.0) -> float:
-        """Coverage fraction achieved by the first ``count`` pattern points."""
-        return self.field.coverage_fraction(
-            self.positions_for_count(count), self.sensing_range, resolution
-        )
-
-    def sensors_needed_for_full_coverage(self) -> int:
-        """Size of the full pattern."""
-        return len(self.full_pattern_positions())

@@ -135,7 +135,3 @@ class FloorGeometry:
             for idx, y in enumerate(self._floor_line_ys)
             if abs(y - point.y) <= reach
         ]
-
-    def distance_to_floor_line(self, p: Vec2) -> float:
-        """Vertical distance from ``p`` to its nearest floor line."""
-        return abs(p.y - self.nearest_floor_line(p.y))

@@ -15,6 +15,16 @@ here):
   typed, JSON-serializable :class:`RunRecord` objects that are identical
   whatever the job count.
 
+Each figure module has one surface and nothing that executes: a
+``sweep_<figure>(scale, ..., seed, trace_every)`` builder, the one
+signature that declares the figure's axes; ``rows_<figure>(records)``
+(``summary_fig13`` for Fig 13), which reads executed records back; and
+``format_<figure>(rows)``, which renders the text table.  Fig 8 is Fig 3's
+sweep under FLOOR, so its records go through ``rows_fig3`` and
+``format_fig3``.  Callers compose the three with a :class:`SweepRunner`;
+:func:`repro.experiments.runner.run_experiment_records` runs a registered
+experiment by name.
+
 Run a single scheme::
 
     from repro.experiments import SMOKE_SCALE, make_scenario
@@ -82,20 +92,18 @@ from .degradation import (
     DegradationRow,
     format_degradation,
     rows_degradation,
-    run_degradation,
     sweep_degradation,
 )
-from .fig3 import Fig3Row, format_fig3, rows_fig3, run_fig3, sweep_fig3
-from .fig8 import format_fig8, rows_fig8, run_fig8, sweep_fig8
-from .fig9 import Fig9Row, format_fig9, rows_fig9, run_fig9, sweep_fig9
-from .fig10 import Fig10Row, format_fig10, rows_fig10, run_fig10, sweep_fig10
-from .fig11 import Fig11Row, format_fig11, rows_fig11, run_fig11, sweep_fig11
-from .fig12 import Fig12Row, format_fig12, rows_fig12, run_fig12, sweep_fig12
+from .fig3 import Fig3Row, format_fig3, rows_fig3, sweep_fig3
+from .fig8 import sweep_fig8
+from .fig9 import Fig9Row, format_fig9, rows_fig9, sweep_fig9
+from .fig10 import Fig10Row, format_fig10, rows_fig10, sweep_fig10
+from .fig11 import Fig11Row, format_fig11, rows_fig11, sweep_fig11
+from .fig12 import Fig12Row, format_fig12, rows_fig12, sweep_fig12
 from .fig13 import (
     Fig13Run,
     Fig13Summary,
     format_fig13,
-    run_fig13,
     summary_fig13,
     sweep_fig13,
 )
@@ -104,14 +112,12 @@ from .lifecycle import (
     format_lifecycle,
     lifecycle_events,
     rows_lifecycle,
-    run_lifecycle,
     sweep_lifecycle,
 )
 from .table1 import (
     Table1Row,
     format_table1,
     rows_table1,
-    run_table1,
     sweep_table1,
 )
 
@@ -143,52 +149,40 @@ __all__ = [
     "Fig3Row",
     "sweep_fig3",
     "rows_fig3",
-    "run_fig3",
     "format_fig3",
     "sweep_fig8",
-    "rows_fig8",
-    "run_fig8",
-    "format_fig8",
     "Fig9Row",
     "sweep_fig9",
     "rows_fig9",
-    "run_fig9",
     "format_fig9",
     "Fig10Row",
     "sweep_fig10",
     "rows_fig10",
-    "run_fig10",
     "format_fig10",
     "Fig11Row",
     "sweep_fig11",
     "rows_fig11",
-    "run_fig11",
     "format_fig11",
     "Fig12Row",
     "sweep_fig12",
     "rows_fig12",
-    "run_fig12",
     "format_fig12",
     "Fig13Run",
     "Fig13Summary",
     "sweep_fig13",
     "summary_fig13",
-    "run_fig13",
     "format_fig13",
     "Table1Row",
     "sweep_table1",
     "rows_table1",
-    "run_table1",
     "format_table1",
     "LifecycleRow",
     "lifecycle_events",
     "sweep_lifecycle",
     "rows_lifecycle",
-    "run_lifecycle",
     "format_lifecycle",
     "DegradationRow",
     "sweep_degradation",
     "rows_degradation",
-    "run_degradation",
     "format_degradation",
 ]

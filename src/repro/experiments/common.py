@@ -117,7 +117,7 @@ def make_scenario(
 
 def format_coverage_traces(
     records: Sequence[RunRecord],
-    label: Callable[[RunRecord], str] = lambda r: r.scheme,
+    label: Callable[[RunRecord], str],
     max_points: int = 12,
 ) -> str:
     """Render the per-period coverage time series of traced records.

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..api import RunRecord, RunSpec, SweepRunner, SweepSpec, derive_seed
+from ..api import RunRecord, RunSpec, SweepSpec, derive_seed
 from ..network import NetworkSpec
 from .common import ExperimentScale, FULL_SCALE, make_scenario
 
@@ -32,7 +32,6 @@ __all__ = [
     "DEGRADATION_STALENESS",
     "sweep_degradation",
     "rows_degradation",
-    "run_degradation",
     "format_degradation",
 ]
 
@@ -179,27 +178,6 @@ def rows_degradation(records: Sequence[RunRecord]) -> List[DegradationRow]:
             )
         )
     return rows
-
-
-def run_degradation(
-    scale: ExperimentScale = FULL_SCALE,
-    schemes: Sequence[str] = DEFAULT_DEGRADATION_SCHEMES,
-    losses: Sequence[float] = DEGRADATION_LOSSES,
-    staleness_levels: Sequence[int] = DEGRADATION_STALENESS,
-    seed: int = 1,
-    jobs: int = 1,
-) -> List[DegradationRow]:
-    """Run the degradation grid (optionally sharded over ``jobs``)."""
-    records = SweepRunner(jobs=jobs).run(
-        sweep_degradation(
-            scale,
-            schemes=schemes,
-            losses=losses,
-            staleness_levels=staleness_levels,
-            seed=seed,
-        )
-    )
-    return rows_degradation(records)
 
 
 def format_degradation(rows: List[DegradationRow]) -> str:

@@ -16,9 +16,10 @@ cell-correctness check as a record extra (``check_voronoi``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import List, Optional, Sequence
 
-from ..api import RunRecord, RunSpec, SweepRunner, SweepSpec
+from ..api import RunRecord, RunSpec, SweepSpec
 from .common import ExperimentScale, FULL_SCALE, make_scenario
 
 __all__ = [
@@ -26,7 +27,6 @@ __all__ = [
     "DEFAULT_RATIOS",
     "sweep_fig10",
     "rows_fig10",
-    "run_fig10",
     "format_fig10",
 ]
 
@@ -104,36 +104,13 @@ def rows_fig10(records: Sequence[RunRecord]) -> List[Fig10Row]:
     ]
 
 
-def run_fig10(
-    scale: ExperimentScale = FULL_SCALE,
-    ratios: Sequence[float] | None = None,
-    sensing_range: float = 60.0,
-    vd_rounds: int = 10,
-    seed: int = 1,
-    include_floor: bool = True,
-    jobs: int = 1,
-) -> List[Fig10Row]:
-    """Run the Figure 10 sweep (optionally sharded over ``jobs`` processes)."""
-    records = SweepRunner(jobs=jobs).run(
-        sweep_fig10(
-            scale,
-            ratios=ratios,
-            sensing_range=sensing_range,
-            vd_rounds=vd_rounds,
-            seed=seed,
-            include_floor=include_floor,
-        )
-    )
-    return rows_fig10(records)
-
-
 def format_fig10(rows: List[Fig10Row]) -> str:
     """Render the sweep as an aligned text table."""
     lines = ["Figure 10 (coverage vs. rc/rs, rs = 60 m)", "-" * 42]
     lines.append(
         f"{'rc/rs':>6s} {'scheme':<9s} {'coverage':>9s} {'connected':>10s} {'correct VD':>11s}"
     )
-    for row in sorted(rows, key=lambda r: (r.ratio, r.scheme)):
+    for row in sorted(rows, key=attrgetter("ratio", "scheme")):
         lines.append(
             f"{row.ratio:>6.1f} {row.scheme:<9s} {100 * row.coverage:>8.1f}%"
             f" {str(row.connected):>10s} {str(row.all_voronoi_cells_correct):>11s}"

@@ -29,12 +29,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..api import RunRecord, RunSpec, SweepRunner, SweepSpec
+from ..api import RunRecord, RunSpec, SweepSpec
 from ..api.schemes import hungarian_bound
 from ..geometry import Vec2
 from .common import ExperimentScale, FULL_SCALE, make_scenario
 
-__all__ = ["Fig11Row", "sweep_fig11", "rows_fig11", "run_fig11", "format_fig11"]
+__all__ = ["Fig11Row", "sweep_fig11", "rows_fig11", "format_fig11"]
 
 
 @dataclass(frozen=True)
@@ -104,27 +104,6 @@ def rows_fig11(records: Sequence[RunRecord]) -> List[Fig11Row]:
             )
         )
     return rows
-
-
-def run_fig11(
-    scale: ExperimentScale = FULL_SCALE,
-    communication_range: float = 60.0,
-    sensing_range: float = 40.0,
-    vd_rounds: int = 10,
-    seed: int = 1,
-    jobs: int = 1,
-) -> List[Fig11Row]:
-    """Run the Figure 11 comparison (optionally sharded over ``jobs``)."""
-    records = SweepRunner(jobs=jobs).run(
-        sweep_fig11(
-            scale,
-            communication_range=communication_range,
-            sensing_range=sensing_range,
-            vd_rounds=vd_rounds,
-            seed=seed,
-        )
-    )
-    return rows_fig11(records)
 
 
 def format_fig11(rows: List[Fig11Row]) -> str:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..api import RunRecord, RunSpec, SweepRunner, SweepSpec
+from ..api import RunRecord, RunSpec, SweepSpec
 from .common import ExperimentScale, FULL_SCALE, make_scenario
 
 __all__ = [
@@ -24,7 +24,6 @@ __all__ = [
     "DEFAULT_DELTAS",
     "sweep_fig12",
     "rows_fig12",
-    "run_fig12",
     "format_fig12",
 ]
 
@@ -88,29 +87,6 @@ def rows_fig12(records: Sequence[RunRecord]) -> List[Fig12Row]:
         )
         for record in records
     ]
-
-
-def run_fig12(
-    scale: ExperimentScale = FULL_SCALE,
-    deltas: Sequence[Optional[float]] | None = None,
-    modes: Sequence[str] = ("one-step", "two-step"),
-    communication_range: float = 60.0,
-    sensing_range: float = 40.0,
-    seed: int = 1,
-    jobs: int = 1,
-) -> List[Fig12Row]:
-    """Run the oscillation-avoidance sweep (optionally sharded)."""
-    records = SweepRunner(jobs=jobs).run(
-        sweep_fig12(
-            scale,
-            deltas=deltas,
-            modes=modes,
-            communication_range=communication_range,
-            sensing_range=sensing_range,
-            seed=seed,
-        )
-    )
-    return rows_fig12(records)
 
 
 def format_fig12(rows: List[Fig12Row]) -> str:

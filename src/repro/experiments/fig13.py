@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..api import RunRecord, RunSpec, SweepRunner, SweepSpec, derive_seed
+from ..api import RunRecord, RunSpec, SweepSpec, derive_seed
 from ..metrics import EmpiricalCDF
 from .common import ExperimentScale, FULL_SCALE, make_scenario
 
@@ -28,7 +28,6 @@ __all__ = [
     "Fig13Summary",
     "sweep_fig13",
     "summary_fig13",
-    "run_fig13",
     "format_fig13",
 ]
 
@@ -130,27 +129,6 @@ def summary_fig13(records: Sequence[RunRecord]) -> Fig13Summary:
             for record in records
         ]
     )
-
-
-def run_fig13(
-    scale: ExperimentScale = FULL_SCALE,
-    repetitions: int | None = None,
-    communication_range: float = 60.0,
-    sensing_range: float = 40.0,
-    seed: int = 1,
-    jobs: int = 1,
-) -> Fig13Summary:
-    """Run the random-obstacle comparison (optionally sharded)."""
-    records = SweepRunner(jobs=jobs).run(
-        sweep_fig13(
-            scale,
-            repetitions=repetitions,
-            communication_range=communication_range,
-            sensing_range=sensing_range,
-            seed=seed,
-        )
-    )
-    return summary_fig13(records)
 
 
 def format_fig13(summary: Fig13Summary, cdf_points: int = 6) -> str:

@@ -12,10 +12,14 @@ keeps them within ``rc`` of their tree neighbours), and obstacles trap a
 large part of the population inside the initial quadrant.
 
 The experiment is a three-run sweep: :func:`sweep_fig3` declares the
-:class:`~repro.api.specs.RunSpec` grid, :func:`rows_fig3` turns the
-records into rows, and :func:`run_fig3` drives both through a
-:class:`~repro.api.sweep.SweepRunner`.  Pass ``trace_every`` to record the
-per-period coverage time series (rendered by the CLI / formatter).
+:class:`~repro.api.specs.RunSpec` grid, a
+:class:`~repro.api.sweep.SweepRunner` executes it, :func:`rows_fig3`
+turns the records into rows and :func:`format_fig3` renders them::
+
+    rows_fig3(SweepRunner(jobs=2).run(sweep_fig3(SMOKE_SCALE)))
+
+Pass ``trace_every`` to record the per-period coverage time series; the
+runner CLI (:mod:`repro.experiments.runner`) appends it to the report.
 """
 
 from __future__ import annotations
@@ -23,17 +27,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..api import RunRecord, RunSpec, SweepRunner, SweepSpec
-from .common import ExperimentScale, FULL_SCALE, format_coverage_traces, make_scenario
+from ..api import RunRecord, RunSpec, SweepSpec
+from .common import ExperimentScale, FULL_SCALE, make_scenario
 
 __all__ = [
     "Fig3Row",
     "SCENARIOS",
     "sweep_fig3",
     "rows_fig3",
-    "run_fig3",
     "format_fig3",
-    "format_fig3_records",
 ]
 
 #: The three scenarios of Figure 3: (label, rc, rs, with_obstacles, paper coverage).
@@ -112,20 +114,6 @@ def rows_fig3(records: Sequence[RunRecord]) -> List[Fig3Row]:
     ]
 
 
-def run_fig3(
-    scale: ExperimentScale = FULL_SCALE,
-    seed: int = 1,
-    scheme_name: str = "CPVF",
-    jobs: int = 1,
-    trace_every: Optional[int] = None,
-) -> List[Fig3Row]:
-    """Run the three Figure 3 scenarios (CPVF by default)."""
-    records = SweepRunner(jobs=jobs).run(
-        sweep_fig3(scale, seed=seed, scheme_name=scheme_name, trace_every=trace_every)
-    )
-    return rows_fig3(records)
-
-
 def format_fig3(rows: List[Fig3Row], title: str = "Figure 3 (CPVF)") -> str:
     """Render the rows as an aligned text table."""
     lines = [title, "-" * len(title)]
@@ -142,14 +130,3 @@ def format_fig3(rows: List[Fig3Row], title: str = "Figure 3 (CPVF)") -> str:
             f"{row.average_moving_distance:>14.1f}"
         )
     return "\n".join(lines)
-
-
-def format_fig3_records(
-    records: Sequence[RunRecord], title: str = "Figure 3 (CPVF)"
-) -> str:
-    """Full record-level report: the table plus any coverage time series."""
-    report = format_fig3(rows_fig3(records), title=title)
-    traces = format_coverage_traces(
-        records, label=lambda r: f"{r.scheme} ({r.tag('scenario')})"
-    )
-    return report + ("\n" + traces if traces else "")

@@ -12,25 +12,20 @@ removes the vertical sensing overlap) and has no difficulty expanding
 coverage past obstacles.
 
 Declaratively this is the Figure 3 sweep with the FLOOR scheme and FLOOR's
-paper values; see :mod:`repro.experiments.fig3`.
+paper values; its records read back through Figure 3's
+:func:`~repro.experiments.fig3.rows_fig3` and
+:func:`~repro.experiments.fig3.format_fig3` (titled ``"Figure 8 (FLOOR)"``).
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import Optional
 
-from ..api import RunRecord, SweepRunner, SweepSpec
+from ..api import SweepSpec
 from .common import ExperimentScale, FULL_SCALE
-from .fig3 import Fig3Row, format_fig3_records, rows_fig3, sweep_fig3
+from .fig3 import sweep_fig3
 
-__all__ = [
-    "FIG8_PAPER_COVERAGE",
-    "sweep_fig8",
-    "rows_fig8",
-    "run_fig8",
-    "format_fig8",
-    "format_fig8_records",
-]
+__all__ = ["FIG8_PAPER_COVERAGE", "sweep_fig8"]
 
 #: Paper coverage values for FLOOR, keyed by scenario label.
 FIG8_PAPER_COVERAGE = {"a": 0.788, "b": 0.462, "c": 0.725}
@@ -50,33 +45,3 @@ def sweep_fig8(
         paper_coverage=FIG8_PAPER_COVERAGE,
     )
     return SweepSpec(name="fig8", runs=base.runs)
-
-
-def rows_fig8(records: Sequence[RunRecord]) -> List[Fig3Row]:
-    """Figure 8 rows from executed sweep records."""
-    return rows_fig3(records)
-
-
-def run_fig8(
-    scale: ExperimentScale = FULL_SCALE,
-    seed: int = 1,
-    jobs: int = 1,
-    trace_every: Optional[int] = None,
-) -> List[Fig3Row]:
-    """Run the three Figure 8 scenarios with FLOOR."""
-    records = SweepRunner(jobs=jobs).run(
-        sweep_fig8(scale, seed=seed, trace_every=trace_every)
-    )
-    return rows_fig8(records)
-
-
-def format_fig8(rows: List[Fig3Row]) -> str:
-    """Render the FLOOR rows as an aligned text table."""
-    from .fig3 import format_fig3
-
-    return format_fig3(rows, title="Figure 8 (FLOOR)")
-
-
-def format_fig8_records(records: Sequence[RunRecord]) -> str:
-    """Full record-level report: the table plus any coverage time series."""
-    return format_fig3_records(records, title="Figure 8 (FLOOR)")

@@ -20,9 +20,10 @@ analytic scheme — and executes through the process-sharded
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import List, Optional, Sequence, Tuple
 
-from ..api import RunRecord, RunSpec, SweepRunner, SweepSpec
+from ..api import RunRecord, RunSpec, SweepSpec
 from .common import ExperimentScale, FULL_SCALE, make_scenario
 
 __all__ = [
@@ -31,7 +32,6 @@ __all__ = [
     "DEFAULT_SENSOR_COUNTS",
     "sweep_fig9",
     "rows_fig9",
-    "run_fig9",
     "format_fig9",
 ]
 
@@ -110,27 +110,6 @@ def rows_fig9(records: Sequence[RunRecord]) -> List[Fig9Row]:
     ]
 
 
-def run_fig9(
-    scale: ExperimentScale = FULL_SCALE,
-    sensor_counts: Sequence[int] | None = None,
-    range_pairs: Sequence[Tuple[float, float]] | None = None,
-    schemes: Sequence[str] = ("CPVF", "FLOOR"),
-    seed: int = 1,
-    jobs: int = 1,
-) -> List[Fig9Row]:
-    """Run the Figure 9 sweep (optionally sharded over ``jobs`` processes)."""
-    records = SweepRunner(jobs=jobs).run(
-        sweep_fig9(
-            scale,
-            sensor_counts=sensor_counts,
-            range_pairs=range_pairs,
-            schemes=schemes,
-            seed=seed,
-        )
-    )
-    return rows_fig9(records)
-
-
 def format_fig9(rows: List[Fig9Row]) -> str:
     """Render the sweep as an aligned text table grouped by range pair."""
     lines = ["Figure 9 (coverage vs. number of sensors)", "-" * 42]
@@ -143,7 +122,7 @@ def format_fig9(rows: List[Fig9Row]) -> str:
             for r in rows
             if r.communication_range == rc and r.sensing_range == rs
         ]
-        for row in sorted(subset, key=lambda r: (r.sensor_count, r.scheme)):
+        for row in sorted(subset, key=attrgetter("sensor_count", "scheme")):
             lines.append(
                 f"  {row.sensor_count:>5d} {row.scheme:<8s} {100 * row.coverage:>8.1f}%"
             )

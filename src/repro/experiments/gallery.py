@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..api import RunRecord, RunSpec, SweepRunner, SweepSpec
+from ..api import RunRecord, RunSpec, SweepSpec
 from ..scenarios import DEFAULT_SUITE
 from .common import ExperimentScale, FULL_SCALE
 
@@ -24,7 +24,6 @@ __all__ = [
     "DEFAULT_GALLERY_SCHEMES",
     "sweep_gallery",
     "rows_gallery",
-    "run_gallery",
     "format_gallery",
 ]
 
@@ -95,20 +94,6 @@ def rows_gallery(records: Sequence[RunRecord]) -> List[GalleryRow]:
         )
         for record in records
     ]
-
-
-def run_gallery(
-    scale: ExperimentScale = FULL_SCALE,
-    schemes: Sequence[str] = DEFAULT_GALLERY_SCHEMES,
-    scenarios: Optional[Sequence[str]] = None,
-    seed: int = 1,
-    jobs: int = 1,
-) -> List[GalleryRow]:
-    """Run the gallery sweep (optionally sharded over ``jobs`` processes)."""
-    records = SweepRunner(jobs=jobs).run(
-        sweep_gallery(scale, schemes=schemes, scenarios=scenarios, seed=seed)
-    )
-    return rows_gallery(records)
 
 
 def format_gallery(rows: List[GalleryRow]) -> str:

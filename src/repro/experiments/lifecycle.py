@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..api import RunRecord, RunSpec, SweepRunner, SweepSpec, derive_seed
+from ..api import RunRecord, RunSpec, SweepSpec, derive_seed
 from ..sim import (
     LifecycleEvent,
     obstacle_appear,
@@ -38,7 +38,6 @@ __all__ = [
     "lifecycle_events",
     "sweep_lifecycle",
     "rows_lifecycle",
-    "run_lifecycle",
     "format_lifecycle",
 ]
 
@@ -238,20 +237,6 @@ def rows_lifecycle(records: Sequence[RunRecord]) -> List[LifecycleRow]:
             )
         )
     return rows
-
-
-def run_lifecycle(
-    scale: ExperimentScale = FULL_SCALE,
-    schemes: Sequence[str] = DEFAULT_LIFECYCLE_SCHEMES,
-    scripts: Optional[Sequence[str]] = None,
-    seed: int = 1,
-    jobs: int = 1,
-) -> List[LifecycleRow]:
-    """Run the lifecycle sweep (optionally sharded over ``jobs`` processes)."""
-    records = SweepRunner(jobs=jobs).run(
-        sweep_lifecycle(scale, schemes=schemes, scripts=scripts, seed=seed)
-    )
-    return rows_lifecycle(records)
 
 
 def format_lifecycle(rows: List[LifecycleRow]) -> str:

@@ -35,16 +35,23 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..api import RunRecord, SweepRunner, SweepSpec
 from ..obs import TelemetrySummary
 from ..obs.report import format_summary, write_record_trace
-from .common import BENCH_SCALE, FULL_SCALE, SMOKE_SCALE, ExperimentScale
+from .common import (
+    BENCH_SCALE,
+    FULL_SCALE,
+    SMOKE_SCALE,
+    ExperimentScale,
+    format_coverage_traces,
+)
 from .degradation import format_degradation, rows_degradation, sweep_degradation
-from .fig3 import format_fig3_records, sweep_fig3
-from .fig8 import format_fig8_records, sweep_fig8
+from .fig3 import format_fig3, rows_fig3, sweep_fig3
+from .fig8 import sweep_fig8
 from .fig9 import format_fig9, rows_fig9, sweep_fig9
 from .fig10 import format_fig10, rows_fig10, sweep_fig10
 from .fig11 import format_fig11, rows_fig11, sweep_fig11
@@ -54,78 +61,52 @@ from .gallery import format_gallery, rows_gallery, sweep_gallery
 from .lifecycle import format_lifecycle, rows_lifecycle, sweep_lifecycle
 from .table1 import format_table1, rows_table1, sweep_table1
 
-__all__ = ["Experiment", "EXPERIMENTS", "run_experiment", "run_experiment_records", "main"]
+__all__ = ["Experiment", "EXPERIMENTS", "run_experiment_records", "main"]
+
+
+def _scenario_trace_label(record: RunRecord) -> str:
+    """Trace label of a Fig 3/8 record: scheme and scenario letter."""
+    return f"{record.scheme} ({record.tag('scenario')})"
 
 
 @dataclass(frozen=True)
 class Experiment:
-    """One registered experiment: a sweep builder plus a record presenter."""
+    """One registered experiment: its sweep, row builder and formatter."""
 
     name: str
-    #: ``(scale, seed, trace_every) -> SweepSpec``.
-    build: Callable[[ExperimentScale, int, Optional[int]], SweepSpec]
-    #: ``records -> formatted report``.
-    present: Callable[[Sequence[RunRecord]], str]
+    #: ``sweep(scale, seed=..., trace_every=...) -> SweepSpec``.
+    sweep: Callable[..., SweepSpec]
+    #: ``rows(records)``: the figure's rows (Fig 13: its summary).
+    rows: Callable[[Sequence[RunRecord]], object]
+    #: ``format(rows) -> str``: the figure's text table.
+    format: Callable[[object], str]
+    #: Labels traced records in a coverage time series appended to the
+    #: report; ``None`` keeps traces out of the report.
+    trace_label: Optional[Callable[[RunRecord], str]] = None
 
 
 #: Experiment name -> declarative sweep + presenter.
 EXPERIMENTS: Dict[str, Experiment] = {
     exp.name: exp
     for exp in (
-        Experiment(
-            "fig3",
-            lambda scale, seed, trace: sweep_fig3(scale, seed=seed, trace_every=trace),
-            format_fig3_records,
-        ),
+        Experiment("fig3", sweep_fig3, rows_fig3, format_fig3, _scenario_trace_label),
         Experiment(
             "fig8",
-            lambda scale, seed, trace: sweep_fig8(scale, seed=seed, trace_every=trace),
-            format_fig8_records,
+            sweep_fig8,
+            rows_fig3,
+            partial(format_fig3, title="Figure 8 (FLOOR)"),
+            _scenario_trace_label,
         ),
+        Experiment("fig9", sweep_fig9, rows_fig9, format_fig9),
+        Experiment("fig10", sweep_fig10, rows_fig10, format_fig10),
+        Experiment("fig11", sweep_fig11, rows_fig11, format_fig11),
+        Experiment("fig12", sweep_fig12, rows_fig12, format_fig12),
+        Experiment("fig13", sweep_fig13, summary_fig13, format_fig13),
+        Experiment("table1", sweep_table1, rows_table1, format_table1),
+        Experiment("gallery", sweep_gallery, rows_gallery, format_gallery),
+        Experiment("lifecycle", sweep_lifecycle, rows_lifecycle, format_lifecycle),
         Experiment(
-            "fig9",
-            lambda scale, seed, trace: sweep_fig9(scale, seed=seed, trace_every=trace),
-            lambda records: format_fig9(rows_fig9(records)),
-        ),
-        Experiment(
-            "fig10",
-            lambda scale, seed, trace: sweep_fig10(scale, seed=seed, trace_every=trace),
-            lambda records: format_fig10(rows_fig10(records)),
-        ),
-        Experiment(
-            "fig11",
-            lambda scale, seed, trace: sweep_fig11(scale, seed=seed, trace_every=trace),
-            lambda records: format_fig11(rows_fig11(records)),
-        ),
-        Experiment(
-            "fig12",
-            lambda scale, seed, trace: sweep_fig12(scale, seed=seed, trace_every=trace),
-            lambda records: format_fig12(rows_fig12(records)),
-        ),
-        Experiment(
-            "fig13",
-            lambda scale, seed, trace: sweep_fig13(scale, seed=seed, trace_every=trace),
-            lambda records: format_fig13(summary_fig13(records)),
-        ),
-        Experiment(
-            "table1",
-            lambda scale, seed, trace: sweep_table1(scale, seed=seed, trace_every=trace),
-            lambda records: format_table1(rows_table1(records)),
-        ),
-        Experiment(
-            "gallery",
-            lambda scale, seed, trace: sweep_gallery(scale, seed=seed, trace_every=trace),
-            lambda records: format_gallery(rows_gallery(records)),
-        ),
-        Experiment(
-            "lifecycle",
-            lambda scale, seed, trace: sweep_lifecycle(scale, seed=seed, trace_every=trace),
-            lambda records: format_lifecycle(rows_lifecycle(records)),
-        ),
-        Experiment(
-            "degradation",
-            lambda scale, seed, trace: sweep_degradation(scale, seed=seed, trace_every=trace),
-            lambda records: format_degradation(rows_degradation(records)),
+            "degradation", sweep_degradation, rows_degradation, format_degradation
         ),
     )
 }
@@ -159,7 +140,7 @@ def run_experiment_records(
     if name not in EXPERIMENTS:
         raise KeyError(f"unknown experiment {name!r}; choose from {sorted(EXPERIMENTS)}")
     experiment = EXPERIMENTS[name]
-    sweep = experiment.build(scale, seed, trace_every)
+    sweep = experiment.sweep(scale, seed=seed, trace_every=trace_every)
     if profile:
         sweep = SweepSpec(
             name=sweep.name,
@@ -174,21 +155,12 @@ def run_experiment_records(
             f"the store, {cache['computed']} computed]",
             file=sys.stderr,
         )
-    return records, experiment.present(records)
-
-
-def run_experiment(
-    name: str,
-    scale: ExperimentScale,
-    jobs: int = 1,
-    seed: int = 1,
-    trace_every: Optional[int] = None,
-) -> str:
-    """Run one experiment by name and return its formatted report."""
-    _, report = run_experiment_records(
-        name, scale, jobs=jobs, seed=seed, trace_every=trace_every
-    )
-    return report
+    report = experiment.format(experiment.rows(records))
+    if experiment.trace_label is not None:
+        traces = format_coverage_traces(records, label=experiment.trace_label)
+        if traces:
+            report += "\n" + traces
+    return records, report
 
 
 def profile_summary(records: Sequence[RunRecord]) -> TelemetrySummary:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from ..api import RunRecord, RunSpec, SweepRunner, SweepSpec
+from ..api import RunRecord, RunSpec, SweepSpec
 from .common import ExperimentScale, FULL_SCALE, make_scenario
 
 __all__ = [
@@ -26,7 +26,6 @@ __all__ = [
     "DEFAULT_SENSOR_COUNTS",
     "sweep_table1",
     "rows_table1",
-    "run_table1",
     "format_table1",
 ]
 
@@ -107,31 +106,6 @@ def rows_table1(records: Sequence[RunRecord]) -> List[Table1Row]:
         )
         for record in records
     ]
-
-
-def run_table1(
-    scale: ExperimentScale = FULL_SCALE,
-    sensor_counts: Sequence[int] | None = None,
-    ttl_fractions: Sequence[float] | None = None,
-    environments: Sequence[str] = ("non-obstacle", "two-obstacle"),
-    communication_range: float = 60.0,
-    sensing_range: float = 40.0,
-    seed: int = 1,
-    jobs: int = 1,
-) -> List[Table1Row]:
-    """Run the message-overhead sweep (optionally sharded)."""
-    records = SweepRunner(jobs=jobs).run(
-        sweep_table1(
-            scale,
-            sensor_counts=sensor_counts,
-            ttl_fractions=ttl_fractions,
-            environments=environments,
-            communication_range=communication_range,
-            sensing_range=sensing_range,
-            seed=seed,
-        )
-    )
-    return rows_table1(records)
 
 
 def format_table1(rows: List[Table1Row]) -> str:

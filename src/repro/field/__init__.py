@@ -13,7 +13,6 @@ from .layouts import (
     uniform_initial_positions,
     uniform_placement,
 )
-from .generator import RandomObstacleConfig, generate_random_obstacle_field
 
 __all__ = [
     "Obstacle",
@@ -27,6 +26,4 @@ __all__ = [
     "uniform_initial_positions",
     "clustered_placement",
     "uniform_placement",
-    "RandomObstacleConfig",
-    "generate_random_obstacle_field",
 ]

@@ -87,13 +87,6 @@ class Field:
     # ------------------------------------------------------------------
     # Point queries
     # ------------------------------------------------------------------
-    def in_bounds(self, p: Vec2, margin: float = 0.0) -> bool:
-        """Whether ``p`` lies inside the field rectangle (shrunk by ``margin``)."""
-        return (
-            margin <= p.x <= self.width - margin
-            and margin <= p.y <= self.height - margin
-        )
-
     def in_obstacle(self, p: Vec2) -> bool:
         """Whether ``p`` lies strictly inside some obstacle."""
         return any(ob.contains(p) for ob in self.obstacles)

@@ -9,7 +9,7 @@ the evaluation (Figures 3(c), 8(c), 13 and Table 1).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 from ..geometry import Polygon, Segment, Vec2
 
@@ -32,11 +32,6 @@ class Obstacle:
     ) -> "Obstacle":
         """Axis-aligned rectangular obstacle."""
         return Obstacle(Polygon.rectangle(xmin, ymin, xmax, ymax), name=name)
-
-    @staticmethod
-    def from_vertices(vertices: Sequence[Vec2], name: str = "") -> "Obstacle":
-        """Obstacle from an explicit vertex list."""
-        return Obstacle(Polygon(list(vertices)), name=name)
 
     # ------------------------------------------------------------------
     # Queries

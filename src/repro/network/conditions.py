@@ -18,7 +18,8 @@ the existing ``network/`` interfaces:
 
 Determinism contract: every random draw is made on a private
 ``random.Random`` derived via blake2b from ``(seed, period, message key)``
-— the same construction as the fault injector's per-event streams — never
+(:func:`repro.determinism.derive_rng`, which also seeds the fault
+injector's per-event streams) — never
 from a shared stream.  Two consequences:
 
 * the world RNG (``world.rng``) is never touched, so enabling the
@@ -33,10 +34,11 @@ surface as ``net.*`` telemetry counters.
 
 from __future__ import annotations
 
-import hashlib
 import random
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
+
+from ..determinism import derive_rng
 
 __all__ = [
     "NETWORK_SCHEMA_VERSION",
@@ -53,18 +55,6 @@ __all__ = [
 NETWORK_SCHEMA_VERSION = 1
 
 _MODELS = ("perfect", "unreliable")
-
-
-def _derive_rng(base_seed: int, *keys) -> random.Random:
-    """Private RNG stream for one message event (blake2b over the keys).
-
-    Mirrors ``repro.sim.lifecycle._derive_rng`` / ``repro.api.seeds
-    .derive_seed``: distinct key tuples yield independent-looking streams,
-    the same tuple always yields the same stream.
-    """
-    payload = repr((int(base_seed),) + tuple(keys)).encode("utf-8")
-    digest = hashlib.blake2b(payload, digest_size=8).digest()
-    return random.Random(int.from_bytes(digest, "big") >> 33)
 
 
 class NetworkModel:
@@ -191,7 +181,7 @@ class UnreliableNetwork(NetworkModel):
 
     # ------------------------------------------------------------------
     def _rng(self, world, key: Tuple) -> random.Random:
-        return _derive_rng(self.seed, int(world.period_index), *key)
+        return derive_rng(self.seed, int(world.period_index), *key)
 
     # ------------------------------------------------------------------
     # Neighbour state (staleness)

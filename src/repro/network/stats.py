@@ -62,10 +62,6 @@ class MessageStats:
         """Breakdown of transmissions per message type."""
         return dict(self.counts)
 
-    def total_for(self, message_type: MessageType) -> int:
-        """Transmissions of one specific type."""
-        return self.counts.get(message_type, 0)
-
     def to_counters(
         self, prefix: str = "messages.", net_prefix: str = "net."
     ) -> Dict[str, int]:

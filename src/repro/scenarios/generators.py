@@ -1,9 +1,12 @@
 """Procedural field-layout generators.
 
-Four families of obstacle layouts beyond the paper's hand-written fields,
-each registered with the scenario registry (``@register_layout``) so a
+The Fig 13 random-obstacle layout and four families of obstacle layouts
+beyond the paper's hand-written fields, each registered with the scenario
+registry (``@register_layout``) so a
 :class:`~repro.api.scenario.ScenarioSpec` can name them directly:
 
+* ``random-obstacles`` — the Fig 13 workload: 1-4 random rectangles that
+  keep clear of the base station and never partition the field;
 * ``maze`` — a perfect maze carved by a recursive backtracker on a coarse
   cell grid, with the uncarved cell boundaries emitted as rectangular
   wall obstacles;
@@ -12,9 +15,8 @@ each registered with the scenario registry (``@register_layout``) so a
 * ``spiral`` — concentric square corridors whose openings rotate around
   the sides, forcing a spiral path from the field boundary to the centre;
 * ``clutter`` — density-parameterised random rectangular clutter, the
-  generalisation of the Fig 13 generator
-  (:mod:`repro.field.generator`): rectangles are drawn until a target
-  fraction of the field area is obstructed.
+  generalisation of ``random-obstacles``: the same rectangle draw repeats
+  until a target fraction of the field area is obstructed.
 
 Every generator takes a plain seeded :class:`random.Random` (derived from
 its ``seed`` parameter — no numpy state involved) plus size/scale
@@ -24,24 +26,22 @@ space, reachable base station, minimum free area) under the bounded retry
 of :func:`~repro.scenarios.validate.generate_validated`.  The mazes,
 floorplans and spirals are valid by construction — their passages connect
 every cell/room/corridor — so the validator is a safety net there; the
-clutter generator genuinely relies on the rejection loop.
+random-obstacle and clutter generators genuinely rely on the rejection
+loop.
 """
 
 from __future__ import annotations
 
 import random
-from typing import List, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from ..api.registry import register_layout
 from ..field import Field, Obstacle
-from ..field.generator import (
-    RandomObstacleConfig,
-    _clears_base_station,
-    _random_rectangle,
-)
+from ..geometry import Vec2
 from .validate import ScenarioValidator, generate_validated
 
 __all__ = [
+    "random_obstacle_field",
     "maze_field",
     "rooms_field",
     "spiral_field",
@@ -66,6 +66,84 @@ def _append_wall(
         walls.append(_wall(xmin, ymin, xmax, ymax, size, name))
     except ValueError:
         pass
+
+
+def _random_rectangle(
+    rng: random.Random, size: float, min_side: float, max_side: float
+) -> Obstacle:
+    """Draw one random axis-aligned rectangle inside a ``size`` field."""
+    width = rng.uniform(min_side, max_side)
+    height = rng.uniform(min_side, max_side)
+    xmin = rng.uniform(0.0, size - width)
+    ymin = rng.uniform(0.0, size - height)
+    return Obstacle.rectangle(xmin, ymin, xmin + width, ymin + height)
+
+
+def _clears_base_station(obstacle: Obstacle, keep_clear_radius: float) -> bool:
+    """Whether the obstacle keeps away from the base station at the origin."""
+    return obstacle.distance_to(Vec2(0.0, 0.0)) >= keep_clear_radius
+
+
+# ----------------------------------------------------------------------
+# Fig 13 random obstacles
+# ----------------------------------------------------------------------
+#: Draws allowed per rectangle (clearance) and per layout (validation).
+_RANDOM_OBSTACLE_TRIES = 200
+
+
+def random_obstacle_field(
+    size: float,
+    seed: int = 1,
+    min_side: Optional[float] = None,
+    max_side: Optional[float] = None,
+    keep_clear_radius: Optional[float] = None,
+    min_obstacles: int = 1,
+    max_obstacles: int = 4,
+    connectivity_resolution: Optional[float] = None,
+) -> Field:
+    """A Fig 13 random-obstacle field, fully determined by ``seed``.
+
+    Section 6.4: "We randomly select between 1 and 4 rectangular obstacles
+    of random size; these obstacles may overlap with one another, however
+    we maintain the condition that the obstacles do not partition the
+    field."  Each candidate layout draws ``min_obstacles..max_obstacles``
+    rectangles with sides in ``[min_side, max_side]`` (default 8-40 % of
+    ``size``); a rectangle is redrawn until it keeps ``keep_clear_radius``
+    (default 6 % of ``size``) from the base station.  Candidates that
+    partition the free space at ``connectivity_resolution`` are rejected
+    and redrawn.  Raises :class:`RuntimeError` when a rectangle or a
+    layout runs out of draws.
+    """
+    if min_side is None:
+        min_side = 0.08 * size
+    if max_side is None:
+        max_side = 0.4 * size
+    if keep_clear_radius is None:
+        keep_clear_radius = 0.06 * size
+    if connectivity_resolution is None:
+        connectivity_resolution = max(10.0, size / 40.0)
+
+    def build(rng: random.Random) -> Field:
+        obstacles: List[Obstacle] = []
+        for _ in range(rng.randint(min_obstacles, max_obstacles)):
+            for _ in range(_RANDOM_OBSTACLE_TRIES):
+                candidate = _random_rectangle(rng, size, min_side, max_side)
+                if _clears_base_station(candidate, keep_clear_radius):
+                    obstacles.append(candidate)
+                    break
+            else:
+                raise RuntimeError(
+                    f"no obstacle clears the base station by "
+                    f"{keep_clear_radius} m within {_RANDOM_OBSTACLE_TRIES} draws"
+                )
+        return Field(size, size, obstacles)
+
+    validator = ScenarioValidator(
+        min_free_fraction=0.0, resolution=connectivity_resolution
+    )
+    return generate_validated(
+        build, seed, validator, max_attempts=_RANDOM_OBSTACLE_TRIES
+    )
 
 
 # ----------------------------------------------------------------------
@@ -285,20 +363,17 @@ def clutter_field(
 ) -> Field:
     """Random rectangular clutter filling ``density`` of the field area.
 
-    The density generalisation of the Fig 13 generator: instead of a fixed
-    1-4 obstacle count, rectangles (drawn by the same primitive, possibly
-    overlapping, always clear of the base station) accumulate until their
-    summed area reaches ``density`` of the field.  Layouts that disconnect
+    The density generalisation of :func:`random_obstacle_field`: instead
+    of a fixed 1-4 obstacle count, rectangles (drawn by the same primitive,
+    possibly overlapping, always clear of the base station) accumulate
+    until their summed area reaches ``density`` of the field.  Layouts that disconnect
     the free space are rejected and redrawn by the shared validator loop.
     """
     if not 0.0 <= density < 1.0:
         raise ValueError("density must be in [0, 1)")
-    config = RandomObstacleConfig(
-        field_size=size,
-        min_side=min_side_fraction * size,
-        max_side=max_side_fraction * size,
-        keep_clear_radius=keep_clear_fraction * size,
-    )
+    min_side = min_side_fraction * size
+    max_side = max_side_fraction * size
+    keep_clear_radius = keep_clear_fraction * size
     target_area = density * size * size
 
     def build(rng: random.Random) -> Field:
@@ -309,8 +384,8 @@ def clutter_field(
             attempts += 1
             if attempts > 50 * max_obstacles:
                 break  # clearance keeps rejecting; validate what we have
-            candidate = _random_rectangle(rng, config)
-            if not _clears_base_station(candidate, config):
+            candidate = _random_rectangle(rng, size, min_side, max_side)
+            if not _clears_base_station(candidate, keep_clear_radius):
                 continue
             obstacles.append(candidate)
             accumulated += candidate.area()
@@ -322,6 +397,7 @@ def clutter_field(
 # ----------------------------------------------------------------------
 # Registration
 # ----------------------------------------------------------------------
+register_layout("random-obstacles")(random_obstacle_field)
 register_layout("maze")(maze_field)
 register_layout("rooms")(rooms_field)
 register_layout("spiral")(spiral_field)

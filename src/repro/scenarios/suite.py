@@ -20,7 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..api.scenario import Params, ScenarioSpec, freeze_params
+from ..api.scenario import ScenarioSpec
+from ..determinism import Params, freeze_params
 
 __all__ = ["SuiteEntry", "ScenarioSuite", "DEFAULT_SUITE"]
 

@@ -8,12 +8,9 @@ free region, and enough free area must remain for deployment to be
 meaningful at all.
 
 :class:`ScenarioValidator` centralises those checks.  It is the only
-free-space connectivity check: the Fig 13 rejection loop
-(:func:`repro.field.generator.generate_random_obstacle_field`) takes
-:meth:`ScenarioValidator.accepts` as its required ``validator``, and every
-generator in
-:mod:`repro.scenarios.generators` runs under it with bounded retry
-(:func:`generate_validated`).
+free-space connectivity check: every generator in
+:mod:`repro.scenarios.generators`, the Fig 13 ``random-obstacles`` layout
+included, runs under it with bounded retry (:func:`generate_validated`).
 
 The connectivity and reachability checks share one grid flood fill: the
 field's cached obstacle mask (:meth:`repro.field.Field.
@@ -160,10 +157,6 @@ class ScenarioValidator:
             free_area_fraction=free_fraction,
             min_free_fraction=self.min_free_fraction,
         )
-
-    def accepts(self, field: Field) -> bool:
-        """Boolean form of :meth:`validate_field` (rejection-loop predicate)."""
-        return self.validate_field(field).ok
 
     # ------------------------------------------------------------------
     # Scenario-level checks

@@ -52,9 +52,7 @@ def _load_sweep(args: argparse.Namespace) -> SweepSpec:
             f"unknown experiment {args.experiment!r}; "
             f"choose from {sorted(EXPERIMENTS)}"
         )
-    return EXPERIMENTS[args.experiment].build(
-        scales[args.scale], args.seed, None
-    )
+    return EXPERIMENTS[args.experiment].sweep(scales[args.scale], seed=args.seed)
 
 
 def _store_for(args: argparse.Namespace, required: bool = True) -> Optional[RunStore]:

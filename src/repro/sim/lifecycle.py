@@ -13,20 +13,20 @@ burst.
 
 Determinism: all randomness (victim selection, injection positions) comes
 from a private stream derived from ``(scenario seed, event index, kind)``
-with the same hash construction the sweep layer uses for repetition
-seeds, so a timeline replays identically for a given spec — including
+(:func:`repro.determinism.derive_rng`, the hash the sweep layer uses for
+repetition seeds), so a timeline replays identically for a given spec — including
 under process-parallel sweeps.
 """
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
+from ..determinism import Params, derive_rng, freeze_params
 from ..field.obstacles import Obstacle
 from ..geometry import Vec2
 from ..metrics.recovery import BURST_WINDOW, EventOutcome, RecoveryTracker
@@ -53,28 +53,6 @@ __all__ = [
 #: Recognised event kinds.
 EVENT_KINDS = ("failure", "join", "obstacle", "clear-obstacle")
 
-Params = Tuple[Tuple[str, Any], ...]
-
-
-def _freeze_params(params: Union[Mapping[str, Any], Sequence, None]) -> Params:
-    """Sorted frozen ``(key, value)`` tuple (mirrors the api layer's helper,
-    which cannot be imported here — the api package imports ``sim``)."""
-    if params is None:
-        return ()
-    if isinstance(params, Mapping):
-        items = params.items()
-    else:
-        items = tuple(tuple(pair) for pair in params)
-    return tuple(sorted((str(k), v) for k, v in items))
-
-
-def _derive_rng(base_seed: int, *keys) -> random.Random:
-    """Private RNG stream for one event (blake2b over the key tuple)."""
-    payload = repr((int(base_seed),) + tuple(keys)).encode("utf-8")
-    digest = hashlib.blake2b(payload, digest_size=8).digest()
-    return random.Random(int.from_bytes(digest, "big") >> 33)
-
-
 @dataclass(frozen=True)
 class LifecycleEvent:
     """One scheduled world mutation.
@@ -95,7 +73,7 @@ class LifecycleEvent:
             raise ValueError(f"unknown lifecycle event kind: {self.kind!r}")
         if self.at_period < 0:
             raise ValueError("event period cannot be negative")
-        object.__setattr__(self, "params", _freeze_params(self.params))
+        object.__setattr__(self, "params", freeze_params(self.params))
 
     def param(self, key: str, default: Any = None) -> Any:
         """Value of one event parameter."""
@@ -116,7 +94,7 @@ class LifecycleEvent:
         return LifecycleEvent(
             at_period=int(data["at_period"]),
             kind=str(data["kind"]),
-            params=_freeze_params(data.get("params")),
+            params=freeze_params(data.get("params")),
         )
 
 
@@ -218,7 +196,7 @@ def obstacle_clear(at_period: int, index: int) -> LifecycleEvent:
 # ----------------------------------------------------------------------
 def event_rng(base_seed: int, event_index: int, kind: str) -> random.Random:
     """The deterministic RNG stream of one event."""
-    return _derive_rng(base_seed, event_index, kind)
+    return derive_rng(base_seed, event_index, kind)
 
 
 def select_failure_victims(

@@ -9,6 +9,13 @@ from repro.field import obstacle_free_field, two_obstacle_field
 from repro.metrics import positions_are_connected
 
 
+def coverage_for_count(pattern, count, resolution):
+    """Coverage fraction achieved by the first ``count`` pattern points."""
+    return pattern.field.coverage_fraction(
+        pattern.positions_for_count(count), pattern.sensing_range, resolution
+    )
+
+
 class TestGeometry:
     def test_spacings_for_large_rc(self):
         pattern = OptStripPattern(obstacle_free_field(1000.0), 120.0, 60.0)
@@ -43,7 +50,7 @@ class TestPositions:
 
     def test_positions_for_count_extends(self):
         pattern = OptStripPattern(obstacle_free_field(300.0), 60.0, 40.0)
-        needed = pattern.sensors_needed_for_full_coverage()
+        needed = len(pattern.full_pattern_positions())
         positions = pattern.positions_for_count(needed + 5)
         assert len(positions) == needed + 5
 
@@ -55,8 +62,8 @@ class TestPositions:
     def test_full_pattern_achieves_near_full_coverage(self):
         field = obstacle_free_field(500.0)
         pattern = OptStripPattern(field, 60.0, 60.0)
-        coverage = pattern.coverage_for_count(
-            pattern.sensors_needed_for_full_coverage(), resolution=10.0
+        coverage = coverage_for_count(
+            pattern, len(pattern.full_pattern_positions()), resolution=10.0
         )
         assert coverage >= 0.95
 
@@ -69,12 +76,12 @@ class TestPositions:
     def test_coverage_monotone_in_count(self):
         field = obstacle_free_field(500.0)
         pattern = OptStripPattern(field, 60.0, 40.0)
-        low = pattern.coverage_for_count(20, resolution=20.0)
-        high = pattern.coverage_for_count(60, resolution=20.0)
+        low = coverage_for_count(pattern, 20, resolution=20.0)
+        high = coverage_for_count(pattern, 60, resolution=20.0)
         assert high >= low
 
     def test_saturated_pattern_keeps_full_coverage(self):
         field = obstacle_free_field(300.0)
         pattern = OptStripPattern(field, 60.0, 60.0)
-        needed = pattern.sensors_needed_for_full_coverage()
-        assert pattern.coverage_for_count(needed * 2, resolution=15.0) >= 0.95
+        needed = len(pattern.full_pattern_positions())
+        assert coverage_for_count(pattern, needed * 2, resolution=15.0) >= 0.95

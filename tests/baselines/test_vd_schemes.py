@@ -28,7 +28,7 @@ class TestVor:
         scheme = VorScheme(field, 100.0, 60.0)
         result = scheme.run(random_layout(20, field, seed=3), rounds=5)
         for p in result.final_positions:
-            assert field.in_bounds(p)
+            assert field.is_free(p)
 
     def test_per_round_move_bounded_by_half_rc(self):
         field = obstacle_free_field(500.0)
@@ -79,7 +79,7 @@ class TestMinimax:
         scheme = MinimaxScheme(field, 100.0, 60.0)
         result = scheme.run(random_layout(20, field, seed=8), rounds=5)
         for p in result.final_positions:
-            assert field.in_bounds(p)
+            assert field.is_free(p)
 
 
 class TestLocalCellEffect:

@@ -80,7 +80,8 @@ class TestFloorEndToEnd:
         near_structure = sum(
             1
             for s in relocated
-            if floors.distance_to_floor_line(s.position) <= world.config.sensing_range
+            if abs(s.position.y - floors.nearest_floor_line(s.position.y))
+            <= world.config.sensing_range
         )
         assert near_structure == len(relocated)
 

@@ -67,13 +67,6 @@ class TestFloorLookup:
         floors = make_floors(rs=40)
         assert abs(y - floors.nearest_floor_line(y)) <= 40.0 + 1e-9
 
-    @given(st.floats(min_value=0, max_value=1000))
-    def test_distance_to_floor_line_consistency(self, y):
-        floors = make_floors(rs=40)
-        assert floors.distance_to_floor_line(Vec2(5, y)) == pytest.approx(
-            abs(y - floors.nearest_floor_line(y))
-        )
-
 
 class TestInterFloorLines:
     def test_inter_floor_line_above_and_below(self):

@@ -53,7 +53,7 @@ class TestInvitationRound:
         tree = make_tree([0])
         assignments = protocol.run_round([ep(0, 100, 40)], [], 5, tree)
         assert assignments == []
-        assert stats.total_for(MessageType.INVITATION) == 7
+        assert stats.counts[MessageType.INVITATION] == 7
 
     def test_full_reach_assigns_each_ep_once(self):
         # TTL >= connected count means every movable sensor hears every EP.
@@ -102,9 +102,9 @@ class TestInvitationRound:
             [ep(0, 100, 40)], [make_movable(1, 90, 40)], 2, tree
         )
         assert len(assignments) == 1
-        assert stats.total_for(MessageType.ACCEPT_INVITATION) > 0
-        assert stats.total_for(MessageType.ACKNOWLEDGE) > 0
-        assert stats.total_for(MessageType.LOCATION_UPDATE) > 0
+        assert stats.counts[MessageType.ACCEPT_INVITATION] > 0
+        assert stats.counts[MessageType.ACKNOWLEDGE] > 0
+        assert stats.counts[MessageType.LOCATION_UPDATE] > 0
 
     def test_zero_reach_probability_yields_no_assignments(self):
         protocol, stats = make_protocol(ttl=1, seed=3)
@@ -114,4 +114,4 @@ class TestInvitationRound:
             [ep(0, 100, 40)], [make_movable(1, 90, 40)], 1_000_000, tree
         )
         assert assignments == []
-        assert stats.total_for(MessageType.INVITATION) == 1
+        assert stats.counts[MessageType.INVITATION] == 1

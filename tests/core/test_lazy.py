@@ -75,7 +75,7 @@ class TestWaitingAndLoops:
         assert controller.check_for_loop(a)
         assert not controller.is_waiting(0)
         assert 1 in a.rejected_path_parents
-        assert stats.total_for(MessageType.PATH_PARENT_INQUIRY) > 0
+        assert stats.counts[MessageType.PATH_PARENT_INQUIRY] > 0
 
     def test_no_loop_keeps_waiting(self):
         controller, _ = make_controller()

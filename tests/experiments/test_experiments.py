@@ -11,6 +11,7 @@ import repro.experiments
 
 from repro.experiments import (
     SMOKE_SCALE,
+    SweepRunner,
     format_fig3,
     format_fig9,
     format_fig10,
@@ -18,19 +19,25 @@ from repro.experiments import (
     format_fig12,
     format_fig13,
     format_table1,
-    run_fig3,
-    run_fig8,
-    run_fig9,
-    run_fig10,
-    run_fig11,
-    run_fig12,
-    run_fig13,
-    run_table1,
+    rows_fig3,
+    rows_fig9,
+    rows_fig10,
+    rows_fig11,
+    rows_fig12,
+    rows_table1,
+    summary_fig13,
+    sweep_fig3,
+    sweep_fig9,
+    sweep_fig10,
+    sweep_fig11,
+    sweep_fig12,
+    sweep_fig13,
+    sweep_table1,
 )
 from repro.core import CPVFScheme
 from repro.experiments.common import make_scenario
 from repro.sim import SimulationEngine
-from repro.experiments.runner import EXPERIMENTS, run_experiment
+from repro.experiments.runner import EXPERIMENTS, run_experiment_records
 
 
 class TestCommonHelpers:
@@ -60,32 +67,43 @@ class TestCommonHelpers:
 
 class TestFig3AndFig8:
     def test_fig3_rows(self):
-        rows = run_fig3(SMOKE_SCALE, seed=2)
+        rows = rows_fig3(SweepRunner(jobs=1).run(sweep_fig3(SMOKE_SCALE, seed=2)))
         assert [r.scenario for r in rows] == ["a", "b", "c"]
         assert all(0.0 <= r.coverage <= 1.0 for r in rows)
         report = format_fig3(rows)
         assert "Figure 3" in report
 
     def test_fig8_rows_use_floor_paper_values(self):
-        rows = run_fig8(SMOKE_SCALE, seed=2)
+        records, report = run_experiment_records("fig8", SMOKE_SCALE, seed=2)
+        rows = rows_fig3(records)
         assert rows[0].paper_coverage == pytest.approx(0.788)
         assert all(0.0 <= r.coverage <= 1.0 for r in rows)
+        assert {r.scheme for r in records} == {"FLOOR"}
+        assert report.startswith("Figure 8 (FLOOR)")
 
 
 class TestSweeps:
     def test_fig9_structure(self):
-        rows = run_fig9(
-            SMOKE_SCALE,
-            sensor_counts=[120],
-            range_pairs=[(60.0, 40.0)],
-            seed=2,
+        rows = rows_fig9(
+            SweepRunner(jobs=1).run(
+                sweep_fig9(
+                    SMOKE_SCALE,
+                    sensor_counts=[120],
+                    range_pairs=[(60.0, 40.0)],
+                    seed=2,
+                )
+            )
         )
         schemes = {r.scheme for r in rows}
         assert schemes == {"CPVF", "FLOOR", "OPT"}
         assert "Figure 9" in format_fig9(rows)
 
     def test_fig10_structure(self):
-        rows = run_fig10(SMOKE_SCALE, ratios=[1.0, 3.0], vd_rounds=3, seed=2)
+        rows = rows_fig10(
+            SweepRunner(jobs=1).run(
+                sweep_fig10(SMOKE_SCALE, ratios=[1.0, 3.0], vd_rounds=3, seed=2)
+            )
+        )
         schemes = {r.scheme for r in rows}
         assert schemes == {"FLOOR", "VOR", "Minimax"}
         # The connectivity flag should improve (or stay) as rc/rs grows.
@@ -95,7 +113,9 @@ class TestSweeps:
         assert "Figure 10" in format_fig10(rows)
 
     def test_fig11_contains_all_six_schemes(self):
-        rows = run_fig11(SMOKE_SCALE, vd_rounds=2, seed=2)
+        rows = rows_fig11(
+            SweepRunner(jobs=1).run(sweep_fig11(SMOKE_SCALE, vd_rounds=2, seed=2))
+        )
         names = {r.scheme for r in rows}
         assert names == {
             "CPVF",
@@ -109,7 +129,13 @@ class TestSweeps:
         assert "Figure 11" in format_fig11(rows)
 
     def test_fig12_sweep(self):
-        rows = run_fig12(SMOKE_SCALE, deltas=[None, 2.0], modes=["one-step"], seed=2)
+        rows = rows_fig12(
+            SweepRunner(jobs=1).run(
+                sweep_fig12(
+                    SMOKE_SCALE, deltas=[None, 2.0], modes=["one-step"], seed=2
+                )
+            )
+        )
         assert len(rows) == 2
         damped = next(r for r in rows if r.delta == 2.0)
         plain = next(r for r in rows if r.delta is None)
@@ -117,19 +143,25 @@ class TestSweeps:
         assert "Figure 12" in format_fig12(rows)
 
     def test_fig13_summary(self):
-        summary = run_fig13(SMOKE_SCALE, repetitions=1, seed=2)
+        summary = summary_fig13(
+            SweepRunner(jobs=1).run(sweep_fig13(SMOKE_SCALE, repetitions=1, seed=2))
+        )
         assert len(summary.runs) == 2
         assert summary.mean_coverage("FLOOR") >= 0.0
         assert summary.coverage_cdf("CPVF").values
         assert "Figure 13" in format_fig13(summary, cdf_points=3)
 
     def test_table1_rows(self):
-        rows = run_table1(
-            SMOKE_SCALE,
-            sensor_counts=[120],
-            ttl_fractions=[0.1, 0.3],
-            environments=["non-obstacle"],
-            seed=2,
+        rows = rows_table1(
+            SweepRunner(jobs=1).run(
+                sweep_table1(
+                    SMOKE_SCALE,
+                    sensor_counts=[120],
+                    ttl_fractions=[0.1, 0.3],
+                    environments=["non-obstacle"],
+                    seed=2,
+                )
+            )
         )
         assert len(rows) == 2
         low = next(r for r in rows if r.ttl_fraction == 0.1)
@@ -154,14 +186,19 @@ class TestRunner:
             "degradation",
         }
 
+    def test_registry_references_each_module_directly(self):
+        for name, experiment in EXPERIMENTS.items():
+            assert experiment.sweep.__name__ == f"sweep_{name}"
+            assert experiment.sweep.__module__ == f"repro.experiments.{name}"
+
     def test_unknown_experiment_rejected(self):
         with pytest.raises(KeyError):
-            run_experiment("fig99", SMOKE_SCALE)
+            run_experiment_records("fig99", SMOKE_SCALE)
 
     def test_package_does_not_re_export_the_runner(self):
         # ``python -m repro.experiments.runner`` would otherwise find the
         # module already imported by its package and warn.
-        assert not hasattr(repro.experiments, "run_experiment")
+        assert not hasattr(repro.experiments, "run_experiment_records")
         assert not hasattr(repro.experiments, "EXPERIMENTS")
 
     def test_runner_module_lists_without_runtime_warning(self):

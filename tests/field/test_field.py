@@ -74,9 +74,11 @@ class TestBoundaryRectangle:
 
 
 class TestPointQueries:
-    def test_in_bounds(self, empty_field):
-        assert empty_field.in_bounds(Vec2(50, 50))
-        assert not empty_field.in_bounds(Vec2(150, 50))
+    def test_bounds_are_the_closed_field_rectangle(self, empty_field):
+        assert empty_field.is_free(Vec2(50, 50))
+        assert empty_field.is_free(Vec2(0, 100))
+        assert not empty_field.is_free(Vec2(150, 50))
+        assert not empty_field.is_free(Vec2(50, -1e-9))
 
     def test_is_free(self, field_with_block):
         assert field_with_block.is_free(Vec2(10, 10))

@@ -18,7 +18,7 @@ import pytest
 from repro.core import VirtualForceModel
 from repro.field import Field
 from repro.field.obstacles import Obstacle
-from repro.geometry import Segment, Vec2
+from repro.geometry import Polygon, Segment, Vec2
 from tests.oracles import reference_max_free_travel, reference_obstacle_force
 
 #: Width of the final bisection bracket, as a fraction of ``distance``.
@@ -44,8 +44,8 @@ def _fields():
             120.0,
             120.0,
             [
-                Obstacle.from_vertices(
-                    [Vec2(50, 10), Vec2(90, 50), Vec2(50, 90), Vec2(10, 50)]
+                Obstacle(
+                    Polygon([Vec2(50, 10), Vec2(90, 50), Vec2(50, 90), Vec2(10, 50)])
                 )
             ],
         ),
@@ -53,15 +53,15 @@ def _fields():
             120.0,
             120.0,
             [
-                Obstacle.from_vertices(
-                    [
+                Obstacle(
+                    Polygon([
                         Vec2(10, 10),
                         Vec2(70, 10),
                         Vec2(70, 30),
                         Vec2(30, 30),
                         Vec2(30, 70),
                         Vec2(10, 70),
-                    ]
+                    ])
                 )
             ],
         ),

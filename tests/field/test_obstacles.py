@@ -3,7 +3,7 @@
 import pytest
 
 from repro.field import Obstacle
-from repro.geometry import Segment, Vec2
+from repro.geometry import Polygon, Segment, Vec2
 
 
 class TestRectangleObstacle:
@@ -78,7 +78,7 @@ class TestOverlap:
 
 class TestPolygonalObstacle:
     def test_triangle_obstacle(self):
-        tri = Obstacle.from_vertices([Vec2(0, 0), Vec2(10, 0), Vec2(5, 10)], name="tri")
+        tri = Obstacle(Polygon([Vec2(0, 0), Vec2(10, 0), Vec2(5, 10)]), name="tri")
         assert tri.contains(Vec2(5, 3))
         assert not tri.contains(Vec2(0, 10))
         assert tri.area() == pytest.approx(50.0)

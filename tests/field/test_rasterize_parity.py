@@ -12,7 +12,7 @@ import pytest
 
 from repro.field import Field
 from repro.field.obstacles import Obstacle
-from repro.geometry import Vec2
+from repro.geometry import Polygon, Vec2
 from tests.oracles import predicate_mask
 
 
@@ -20,37 +20,37 @@ def _polygon_cases():
     return [
         (
             "triangle",
-            Obstacle.from_vertices(
-                [Vec2(20, 20), Vec2(80, 30), Vec2(40, 85)]
+            Obstacle(
+                Polygon([Vec2(20, 20), Vec2(80, 30), Vec2(40, 85)])
             ),
         ),
         (
             "rotated-square",
-            Obstacle.from_vertices(
-                [Vec2(50, 10), Vec2(90, 50), Vec2(50, 90), Vec2(10, 50)]
+            Obstacle(
+                Polygon([Vec2(50, 10), Vec2(90, 50), Vec2(50, 90), Vec2(10, 50)])
             ),
         ),
         (
             "concave-L",
-            Obstacle.from_vertices(
-                [
+            Obstacle(
+                Polygon([
                     Vec2(10, 10),
                     Vec2(70, 10),
                     Vec2(70, 30),
                     Vec2(30, 30),
                     Vec2(30, 70),
                     Vec2(10, 70),
-                ]
+                ])
             ),
         ),
         (
             "pentagon",
-            Obstacle.from_vertices(
-                [
+            Obstacle(
+                Polygon([
                     Vec2(60 + 25 * math.cos(2 * math.pi * k / 5),
                          60 + 25 * math.sin(2 * math.pi * k / 5))
                     for k in range(5)
-                ]
+                ])
             ),
         ),
     ]

@@ -25,7 +25,7 @@ class TestMessageStats:
         stats = MessageStats()
         stats.record(Message(MessageType.INVITATION, source=1, hops=5))
         assert stats.total() == 5
-        assert stats.total_for(MessageType.INVITATION) == 5
+        assert stats.counts[MessageType.INVITATION] == 5
 
     def test_record_transmissions(self):
         stats = MessageStats()
@@ -86,13 +86,13 @@ class TestRoutingCosts:
         stats = MessageStats()
         routing = RoutingCostModel(stats)
         assert routing.record_random_walk(48, MessageType.INVITATION) == 48
-        assert stats.total_for(MessageType.INVITATION) == 48
+        assert stats.counts[MessageType.INVITATION] == 48
 
     def test_one_hop_cost(self):
         stats = MessageStats()
         routing = RoutingCostModel(stats)
         routing.record_one_hop(MessageType.NEIGHBOR_STATE, 3)
-        assert stats.total_for(MessageType.NEIGHBOR_STATE) == 3
+        assert stats.counts[MessageType.NEIGHBOR_STATE] == 3
 
     def test_subtree_lock_cost(self):
         stats = MessageStats()
@@ -176,4 +176,4 @@ class TestTreeRouteHops:
         assert routing.record_tree_unicast(
             tree, 2, 3, MessageType.ACKNOWLEDGE, attempts=2, hops=3
         ) == 3
-        assert stats.total_for(MessageType.ACKNOWLEDGE) == 6
+        assert stats.counts[MessageType.ACKNOWLEDGE] == 6

@@ -22,8 +22,8 @@ def test_diff_reports_only_the_window():
     stats.record_transmissions(MessageType.CONNECTIVITY_FLOOD, 1)
     stats.record_transmissions(MessageType.TREE_REPAIR, 7)
     delta = stats.diff(snap)
-    assert delta.total_for(MessageType.CONNECTIVITY_FLOOD) == 1
-    assert delta.total_for(MessageType.TREE_REPAIR) == 7
+    assert delta.counts[MessageType.CONNECTIVITY_FLOOD] == 1
+    assert delta.counts[MessageType.TREE_REPAIR] == 7
     assert delta.total() == 8
 
 

@@ -129,9 +129,14 @@ def reference_obstacle_force(model, position: Vec2, field) -> Vec2:
     )
 
 
+def _in_rectangle(field, p: Vec2) -> bool:
+    """Whether ``p`` lies in the closed field rectangle."""
+    return 0.0 <= p.x <= field.width and 0.0 <= p.y <= field.height
+
+
 def reference_is_free(field, p: Vec2) -> bool:
     """In the field rectangle and not inside any obstacle."""
-    return field.in_bounds(p) and not any(
+    return _in_rectangle(field, p) and not any(
         reference_contains(ob.polygon, p, include_boundary=False)
         for ob in field.obstacles
     )
@@ -139,7 +144,7 @@ def reference_is_free(field, p: Vec2) -> bool:
 
 def reference_segment_blocked(field, seg: Segment) -> bool:
     """Leaves the rectangle or crosses an obstacle's interior."""
-    if not field.in_bounds(seg.a) or not field.in_bounds(seg.b):
+    if not _in_rectangle(field, seg.a) or not _in_rectangle(field, seg.b):
         return True
     return any(
         reference_segment_crosses_interior(ob.polygon, seg)
