@@ -53,6 +53,8 @@ PERIOD_BUDGET_FACTOR = 3.0
 #: ``perf.obstacle_cpvf``: a fresh paper-obstacle CPVF deployment may
 #: take at most this many times the committed ``wall_ms``.
 OBSTACLE_CPVF_BUDGET_FACTOR = 3.0
+#: ``perf.obstacle_floor``: the same budget for the FLOOR deployment.
+OBSTACLE_FLOOR_BUDGET_FACTOR = 3.0
 #: ``obs.committed_overhead``: null-sink telemetry overhead asserted when
 #: the bench file was generated; re-checked so a regenerated entry cannot
 #: silently commit a regression.
@@ -138,6 +140,15 @@ def measure_obstacle_cpvf(ms: Measurements) -> Dict:
     from benchmarks.perfbench import measure_obstacle_cpvf as measure
 
     runs = Committed("obstacle_cpvf", "runs").values(ms.bench)
+    return measure(runs=runs[0]) if runs else measure()
+
+
+def measure_obstacle_floor(ms: Measurements) -> Dict:
+    """The committed ``obstacle_floor`` statistic (median of ``runs``
+    FLOOR deployments), measured afresh like ``obstacle_cpvf``."""
+    from benchmarks.perfbench import measure_obstacle_floor as measure
+
+    runs = Committed("obstacle_floor", "runs").values(ms.bench)
     return measure(runs=runs[0]) if runs else measure()
 
 
@@ -382,6 +393,7 @@ def measure_service_gc(ms: Measurements) -> Dict:
 MEASUREMENTS: Dict[str, Callable[[Measurements], object]] = {
     "cpvf_period": measure_cpvf_period,
     "obstacle_cpvf": measure_obstacle_cpvf,
+    "obstacle_floor": measure_obstacle_floor,
     "profiled_run": measure_profiled_run,
     "report_cli": measure_report_cli,
     "degraded_smoke": measure_degraded_smoke,
@@ -415,15 +427,22 @@ def check_period_budget(m, committed) -> Verdict:
     )
 
 
-def check_obstacle_cpvf(m, committed) -> Verdict:
+def _deployment_budget(scheme: str, factor: float, m, committed) -> Verdict:
     wall_ms = committed[0]
-    budget = OBSTACLE_CPVF_BUDGET_FACTOR * wall_ms
+    budget = factor * wall_ms
     return (
         m["wall_ms"] <= budget,
-        f"paper-obstacle CPVF deployment {m['wall_ms']:.0f} ms, budget "
-        f"{budget:.0f} ms ({OBSTACLE_CPVF_BUDGET_FACTOR:g} x committed "
-        f"wall_ms {wall_ms:.0f} ms)",
+        f"paper-obstacle {scheme} deployment {m['wall_ms']:.0f} ms, budget "
+        f"{budget:.0f} ms ({factor:g} x committed wall_ms {wall_ms:.0f} ms)",
     )
+
+
+def check_obstacle_cpvf(m, committed) -> Verdict:
+    return _deployment_budget("CPVF", OBSTACLE_CPVF_BUDGET_FACTOR, m, committed)
+
+
+def check_obstacle_floor(m, committed) -> Verdict:
+    return _deployment_budget("FLOOR", OBSTACLE_FLOOR_BUDGET_FACTOR, m, committed)
 
 
 def check_roundtrip(m) -> Verdict:
@@ -594,6 +613,8 @@ CONTRACTS: Tuple[Contract, ...] = (
              committed=_FAST_MS),
     Contract("perf.obstacle_cpvf", "obstacle_cpvf", check_obstacle_cpvf,
              committed=Committed("obstacle_cpvf", "wall_ms")),
+    Contract("perf.obstacle_floor", "obstacle_floor", check_obstacle_floor,
+             committed=Committed("obstacle_floor", "wall_ms")),
     Contract("obs.roundtrip", "profiled_run", check_roundtrip),
     Contract("obs.report_cli", "report_cli", check_report_cli),
     Contract("obs.committed_overhead", None, check_committed_overhead,

@@ -62,6 +62,7 @@ __all__ = [
     "measure_lifecycle_recovery",
     "measure_degraded_coverage",
     "measure_obstacle_cpvf",
+    "measure_obstacle_floor",
     "run_perf_suite",
     "PERF_ENTRIES",
     "seed_neighbor_table_ms",
@@ -580,32 +581,52 @@ def measure_degraded_coverage(
 
 
 # ----------------------------------------------------------------------
-# CPVF on the paper's obstacle field
+# CPVF and FLOOR on the paper's obstacle field
 # ----------------------------------------------------------------------
-#: Periods of the ``obstacle_cpvf`` deployment (100 of the figures' 250,
-#: like e2ebench's ``paper-obstacle`` workload).
-OBSTACLE_CPVF_PERIODS = 100
+#: Periods of the ``obstacle_cpvf`` and ``obstacle_floor`` deployments
+#: (100 of the figures' 250, like e2ebench's ``paper-obstacle`` workload).
+OBSTACLE_PERIODS = 100
 #: Phases the ``obstacle_cpvf`` row breaks the wall time into.
 OBSTACLE_CPVF_PHASES = ("cpvf.forces", "cpvf.moves")
+#: Phases the ``obstacle_floor`` row breaks the wall time into.
+OBSTACLE_FLOOR_PHASES = (
+    "floor.expansion_points",
+    "floor.invitations",
+    "floor.relocations",
+)
+#: Counters of the ``obstacle_floor`` row: the expansion planner's
+#: answers reused and recomputed, and the registry probes it made.
+OBSTACLE_FLOOR_COUNTERS = (
+    "floor.expansion_reused",
+    "floor.expansion_recomputed",
+    "floor.coverage_queries",
+)
 
 
-def measure_obstacle_cpvf(seed: int = 1, runs: int = 5) -> Dict[str, object]:
-    """Wall time of one CPVF deployment on the paper's two-obstacle field.
+def _measure_obstacle_deployment(
+    scheme: str,
+    phases: Sequence[str],
+    seed: int,
+    runs: int,
+    counters: Sequence[str] = (),
+) -> Dict[str, object]:
+    """Median wall time of ``runs`` paper-obstacle deployments of ``scheme``.
 
     The bench scale (500 m field, n = 70, clustered start) for
-    :data:`OBSTACLE_CPVF_PERIODS` periods, run ``runs`` times through
-    ``RunSpec(profile=True)``.  The row holds the median run's wall time
-    and its :data:`OBSTACLE_CPVF_PHASES` span totals.
+    :data:`OBSTACLE_PERIODS` periods, run through
+    ``RunSpec(profile=True)``.  The row holds the median run's wall time,
+    its ``phases`` span totals and, when ``counters`` names any, those
+    telemetry counters.
     """
     from repro.api import RunSpec, execute_run
     from repro.experiments.common import BENCH_SCALE
 
     scale = dataclasses.replace(
-        BENCH_SCALE, duration=float(OBSTACLE_CPVF_PERIODS)
+        BENCH_SCALE, duration=float(OBSTACLE_PERIODS)
     )
     spec = RunSpec(
         scenario=make_scenario(scale, seed=seed, layout="two-obstacle"),
-        scheme="CPVF",
+        scheme=scheme,
         profile=True,
     )
     samples = []
@@ -615,20 +636,38 @@ def measure_obstacle_cpvf(seed: int = 1, runs: int = 5) -> Dict[str, object]:
         samples.append((time.perf_counter() - start, record))
     samples.sort(key=lambda sample: sample[0])
     wall_s, record = samples[len(samples) // 2]
-    phases = record.telemetry.phases
-    return {
+    summary = record.telemetry
+    row = {
         "n": scale.sensor_count,
         "layout": "two-obstacle",
-        "scheme": "CPVF",
+        "scheme": scheme,
         "seed": seed,
         "periods": record.periods_executed,
         "runs": runs,
         "wall_ms": wall_s * 1000.0,
         "phases_ms": {
-            name: phases[name].seconds * 1000.0 for name in OBSTACLE_CPVF_PHASES
+            name: summary.phases[name].seconds * 1000.0 for name in phases
         },
         "coverage": record.coverage,
     }
+    if counters:
+        row["counters"] = {name: summary.counters.get(name, 0) for name in counters}
+    return row
+
+
+def measure_obstacle_cpvf(seed: int = 1, runs: int = 5) -> Dict[str, object]:
+    """Wall time of one CPVF deployment on the paper's two-obstacle field,
+    with its :data:`OBSTACLE_CPVF_PHASES` span totals."""
+    return _measure_obstacle_deployment("CPVF", OBSTACLE_CPVF_PHASES, seed, runs)
+
+
+def measure_obstacle_floor(seed: int = 1, runs: int = 5) -> Dict[str, object]:
+    """Wall time of one FLOOR deployment on the paper's two-obstacle field,
+    with its :data:`OBSTACLE_FLOOR_PHASES` span totals and the
+    :data:`OBSTACLE_FLOOR_COUNTERS` of the expansion planner."""
+    return _measure_obstacle_deployment(
+        "FLOOR", OBSTACLE_FLOOR_PHASES, seed, runs, OBSTACLE_FLOOR_COUNTERS
+    )
 
 
 # ----------------------------------------------------------------------
@@ -662,8 +701,10 @@ PERF_ENTRIES: Dict[str, Callable] = {
     "scenario_generation": lambda ns, seed: measure_scenario_generation(),
     "lifecycle_recovery": lambda ns, seed: measure_lifecycle_recovery(seed=seed),
     "degraded_coverage": lambda ns, seed: measure_degraded_coverage(seed=seed),
-    # One fixed scenario: the paper-obstacle CPVF deployment at seed 1.
+    # One fixed scenario each: the paper-obstacle CPVF and FLOOR
+    # deployments at seed 1.
     "obstacle_cpvf": lambda ns, seed: [measure_obstacle_cpvf()],
+    "obstacle_floor": lambda ns, seed: [measure_obstacle_floor()],
 }
 
 

@@ -245,17 +245,22 @@ def _print_results(results: dict) -> None:
             f"t-recover={'-' if ttr is None else ttr} "
             f"extra={row['extra_distance']:.0f} m"
         )
-    for row in results.get("obstacle_cpvf", ()):
-        phases = " ".join(
-            f"{name}={ms:.0f} ms" for name, ms in row["phases_ms"].items()
-        )
-        before = row.get("before_ms")
-        print(
-            f"obstacle_cpvf {row['layout']} n={row['n']} "
-            f"periods={row['periods']}: wall={row['wall_ms']:.0f} ms "
-            f"({phases})"
-            + ("" if before is None else f" before={before:.0f} ms")
-        )
+    for entry in ("obstacle_cpvf", "obstacle_floor"):
+        for row in results.get(entry, ()):
+            phases = " ".join(
+                f"{name}={ms:.0f} ms" for name, ms in row["phases_ms"].items()
+            )
+            counters = " ".join(
+                f"{name}={value}" for name, value in row.get("counters", {}).items()
+            )
+            before = row.get("before_ms")
+            print(
+                f"{entry} {row['layout']} n={row['n']} "
+                f"periods={row['periods']}: wall={row['wall_ms']:.0f} ms "
+                f"({phases})"
+                + (f" [{counters}]" if counters else "")
+                + ("" if before is None else f" before={before:.0f} ms")
+            )
     for row in results.get("degraded_coverage", ()):
         print(
             f"degraded_coverage {row['scheme']} n={row['n']} "

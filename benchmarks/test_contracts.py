@@ -38,11 +38,13 @@ _KILL = {"partial": 2, "store": None, "computed": 4, "store_hits": 2,
          "records_equal": True}
 _GC = {"entries": 6, "removed_files": 2, "kept_entries": 6, "surviving": 6}
 _OBSTACLE_CPVF = {"wall_ms": 250.0}
+_OBSTACLE_FLOOR = {"wall_ms": 500.0}
 
 #: A passing measurement for every measurement name.
 GOOD = {
     "cpvf_period": _PERIOD,
     "obstacle_cpvf": _OBSTACLE_CPVF,
+    "obstacle_floor": _OBSTACLE_FLOOR,
     "profiled_run": _PROFILED,
     "report_cli": _REPORT,
     "degraded_smoke": _DEGRADED,
@@ -57,6 +59,7 @@ BENCH = {
     "cpvf_period": [{"n": 100, "fast_ms": 1.0}, {"n": 500, "fast_ms": 10.0}],
     "telemetry_overhead": [{"n": 2000, "overhead_pct": 0.2}],
     "obstacle_cpvf": [{"n": 70, "wall_ms": 100.0}],
+    "obstacle_floor": [{"n": 70, "wall_ms": 200.0}],
     "degraded_coverage": [
         {"scheme": "CPVF", "coverage_ratio": 0.93},
         {"scheme": "FLOOR", "coverage_ratio": 0.97},
@@ -79,6 +82,7 @@ def _with(base, path, value):
 DOCTORED = {
     "perf.cpvf_period": ("bench", ("cpvf_period", 1, "fast_ms"), 3.0),
     "perf.obstacle_cpvf": (("obstacle_cpvf", "wall_ms"), 301.0),
+    "perf.obstacle_floor": (("obstacle_floor", "wall_ms"), 601.0),
     "obs.roundtrip": (("profiled_run", "json_roundtrip"), False),
     "obs.report_cli": (("report_cli", "returncode"), 1),
     "obs.committed_overhead": (

@@ -449,7 +449,9 @@ class FloorScheme(DeploymentScheme):
         """
         assert self._expansion is not None
         expansion = self._expansion
-        reused_before = expansion.reused
+        before = (
+            expansion.reused, expansion.recomputed, expansion.coverage_queries
+        )
         expansion_points: List[ExpansionPoint] = []
         exhausted: List[int] = []
         for searcher_id in sorted(self._active_searchers):
@@ -479,9 +481,12 @@ class FloorScheme(DeploymentScheme):
             expansion_points.extend(points)
         for searcher_id in exhausted:
             self._active_searchers.discard(searcher_id)
-        if world.telemetry.enabled:
-            world.telemetry.count(
-                "floor.expansion_reused", expansion.reused - reused_before
+        tel = world.telemetry
+        if tel.enabled:
+            tel.count("floor.expansion_reused", expansion.reused - before[0])
+            tel.count("floor.expansion_recomputed", expansion.recomputed - before[1])
+            tel.count(
+                "floor.coverage_queries", expansion.coverage_queries - before[2]
             )
         return expansion_points
 

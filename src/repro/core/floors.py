@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..field import Field
-from ..geometry import Segment, Vec2
+from ..geometry import Vec2
 
 __all__ = ["FloorGeometry"]
 
@@ -33,11 +33,11 @@ class FloorGeometry:
             raise ValueError("sensing range must be positive")
         if self.field_height <= 0 or self.field_width <= 0:
             raise ValueError("field dimensions must be positive")
-        # Frozen: the floor-line ordinates are computed once, for
-        # ``floors_possibly_covering`` (called per coverage query).
+        #: The floor-line ordinates by floor index, computed once for the
+        #: coverage queries' floor filter.
         object.__setattr__(
             self,
-            "_floor_line_ys",
+            "floor_line_ys",
             tuple(self.floor_line_y(i) for i in range(self.floor_count)),
         )
 
@@ -98,11 +98,6 @@ class FloorGeometry:
             candidates.append(self.floor_line_y(idx + 1))
         return min(candidates, key=lambda line: abs(line - y))
 
-    def floor_line_segment(self, index: int) -> Segment:
-        """The ``index``-th floor line clipped to the field width."""
-        y = self.floor_line_y(index)
-        return Segment(Vec2(0.0, y), Vec2(self.field_width, y))
-
     # ------------------------------------------------------------------
     # Inter-floor lines
     # ------------------------------------------------------------------
@@ -132,6 +127,6 @@ class FloorGeometry:
         reach = sensing_range + 1e-9
         return [
             idx
-            for idx, y in enumerate(self._floor_line_ys)
+            for idx, y in enumerate(self.floor_line_ys)
             if abs(y - point.y) <= reach
         ]

@@ -14,19 +14,21 @@ scheme can account the query / response message costs on the tree.
 
 The coverage and same-floor-neighbour queries are the hot loop of FLOOR's
 phase-3 expansion search (every active searcher probes several candidate
-points per period), so they scan parallel coordinate arrays of all records,
-rebuilt lazily when the records change, with one vectorised squared-distance
-test.  :attr:`FloorRegistry.version` counts record changes so that callers
-can reuse answers derived from the registry.  Randomized parity tests pin
-the scans against an exhaustive per-floor scan (``tests/oracles``).
+points per period), so they run as a scalar loop over a cached list of
+``(x, y, node_id, floor)`` tuples of all records, rebuilt lazily when the
+records change, with the squared-distance test of
+:meth:`~repro.spatial.index.SpatialIndex.query_radius`.
+:attr:`FloorRegistry.version` counts record changes, and
+:meth:`FloorRegistry.changes_since` lists where each change happened, so
+that callers can tell whether an answer derived from the registry could
+have moved.  Randomized parity tests pin the scans against an exhaustive
+per-floor scan (``tests/oracles``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..geometry import Vec2
 from .floors import FloorGeometry
@@ -51,17 +53,17 @@ class FloorRegistry:
     _records: Dict[int, Dict[int, FloorRecord]] = field(default_factory=dict)
     #: Bumped each time a record is added or removed.
     version: int = field(default=0, init=False, compare=False)
-    #: ``(floor_index, record)`` in store order: floor by floor, each
-    #: floor's records in registration order.  ``_xs``/``_ys`` are the
-    #: parallel coordinate arrays; all three describe ``_store_version``.
-    _store: List[Tuple[int, FloorRecord]] = field(
+    #: ``(x, y, node_id)`` of the record added or removed by each version
+    #: bump: entry ``v`` is the change that took the version from ``v``
+    #: to ``v + 1``.
+    _journal: List[Tuple[float, float, int]] = field(
         default_factory=list, init=False, repr=False, compare=False
     )
-    _xs: np.ndarray = field(
-        default_factory=lambda: np.empty(0), init=False, repr=False, compare=False
-    )
-    _ys: np.ndarray = field(
-        default_factory=lambda: np.empty(0), init=False, repr=False, compare=False
+    #: ``(x, y, node_id, floor_index)`` in store order: floor by floor,
+    #: each floor's records in registration order; describes
+    #: ``_store_version``.
+    _store: List[Tuple[float, float, int, int]] = field(
+        default_factory=list, init=False, repr=False, compare=False
     )
     _store_version: int = field(default=-1, init=False, repr=False, compare=False)
 
@@ -81,19 +83,32 @@ class FloorRegistry:
         self._records.setdefault(floor_index, {})[node_id] = FloorRecord(
             node_id=node_id, position=position, virtual=virtual
         )
-        self.version += 1
+        self._changed(position, node_id)
         return floor_index
 
     def unregister(self, node_id: int) -> None:
         """Remove a node from whatever floor it was registered on."""
         for floor_records in self._records.values():
-            if floor_records.pop(node_id, None) is not None:
-                self.version += 1
+            record = floor_records.pop(node_id, None)
+            if record is not None:
+                self._changed(record.position, node_id)
 
     def promote_virtual(self, node_id: int, position: Vec2) -> None:
         """Replace a virtual place-holder by the real arrived sensor."""
         self.unregister(node_id)
         self.register(node_id, position, virtual=False)
+
+    def _changed(self, position: Vec2, node_id: int) -> None:
+        self._journal.append((position.x, position.y, node_id))
+        self.version += 1
+
+    def changes_since(self, version: int) -> List[Tuple[float, float, int]]:
+        """``(x, y, node_id)`` of every record added or removed since ``version``.
+
+        A re-registration appears twice: the old record's removal, then
+        the new record.
+        """
+        return self._journal[version:]
 
     # ------------------------------------------------------------------
     # Queries
@@ -116,50 +131,56 @@ class FloorRegistry:
                 return floor_index
         return None
 
-    def _hits(self, point: Vec2, radius: float) -> List[int]:
-        """Store positions (ascending) of the records within ``radius``.
+    def record(self, node_id: int) -> Optional[FloorRecord]:
+        """A node's record (``None`` when it is not registered)."""
+        for floor_records in self._records.values():
+            found = floor_records.get(node_id)
+            if found is not None:
+                return found
+        return None
 
-        One scan over all records with the squared-distance test of
-        :meth:`~repro.spatial.index.SpatialIndex.query_radius`.  The store
-        is rebuilt when the records changed; restricted to one floor, its
+    def _scan_store(self) -> List[Tuple[float, float, int, int]]:
+        """The records as ``(x, y, node_id, floor_index)``, in store order.
+
+        Rebuilt when the records changed; restricted to one floor, its
         order equals that floor's dict iteration order, so the queries
-        return records in exactly the order the exhaustive scan visits
-        them.
+        visit records in exactly the order the exhaustive scan does.
         """
         if self._store_version != self.version:
             self._store = [
-                (floor_index, record)
+                (record.position.x, record.position.y, record.node_id, floor_index)
                 for floor_index, floor_records in self._records.items()
                 for record in floor_records.values()
             ]
-            self._xs = np.array([r.position.x for _, r in self._store], dtype=float)
-            self._ys = np.array([r.position.y for _, r in self._store], dtype=float)
             self._store_version = self.version
-        dx = self._xs - float(point.x)
-        dy = self._ys - float(point.y)
-        return np.flatnonzero(dx * dx + dy * dy <= radius * radius).tolist()
+        return self._store
 
     def is_point_covered(
         self,
-        point: Vec2,
+        x: float,
+        y: float,
         sensing_range: float,
         exclude: Sequence[int] = (),
-    ) -> Tuple[bool, List[int]]:
-        """Whether ``point`` is covered by any registered node.
+    ) -> bool:
+        """Whether the point ``(x, y)`` is covered by any registered node.
 
-        Returns ``(covered, floors_queried)`` where ``floors_queried`` lists
-        the floor indices a distributed implementation would have had to ask
-        (used by the scheme to account query/response messages).  Nodes in
+        Only nodes on the floors a distributed implementation would ask
+        (:meth:`FloorGeometry.floors_possibly_covering`) count; nodes in
         ``exclude`` (typically the asking sensor itself) are ignored.
         """
-        floors_to_ask = self.floors.floors_possibly_covering(point, sensing_range)
-        askable = set(floors_to_ask)
-        for i in self._hits(point, sensing_range + 1e-9):
-            floor_index, record = self._store[i]
-            if record.node_id in exclude or floor_index not in askable:
-                continue
-            return True, floors_to_ask
-        return False, floors_to_ask
+        reach = sensing_range + 1e-9
+        reach_sq = reach * reach
+        floor_line_ys = self.floors.floor_line_ys
+        for rx, ry, node_id, floor_index in self._scan_store():
+            dx = rx - x
+            dy = ry - y
+            if (
+                dx * dx + dy * dy <= reach_sq
+                and node_id not in exclude
+                and abs(floor_line_ys[floor_index] - y) <= reach
+            ):
+                return True
+        return False
 
     def neighbors_on_floor(
         self, node_id: int, radius: float
@@ -168,12 +189,19 @@ class FloorRegistry:
         floor_index = self.floor_of(node_id)
         if floor_index is None:
             return []
-        me = self._records[floor_index][node_id]
+        floor_records = self._records[floor_index]
+        me = floor_records[node_id].position
+        mx, my = me.x, me.y
+        reach = radius + 1e-9
+        reach_sq = reach * reach
         result: List[FloorRecord] = []
-        for i in self._hits(me.position, radius + 1e-9):
-            hit_floor, record = self._store[i]
-            if hit_floor == floor_index and record.node_id != node_id:
-                result.append(record)
+        for rx, ry, other_id, hit_floor in self._scan_store():
+            if hit_floor != floor_index or other_id == node_id:
+                continue
+            dx = rx - mx
+            dy = ry - my
+            if dx * dx + dy * dy <= reach_sq:
+                result.append(floor_records[other_id])
         return result
 
     def count(self, include_virtual: bool = True) -> int:

@@ -5,7 +5,7 @@ queries the paper's sensors are allowed to make:
 
 * a sensor knows the boundary of the *field* (Section 3.1);
 * a sensor can recognise the boundary of any obstacle *within its sensing
-  range* (Section 3.1) — :meth:`Field.boundary_segments_within`;
+  range* (Section 3.1) — :meth:`Field.boundary_pieces_within`;
 * motion is blocked by obstacles and by the field boundary.
 
 The field also provides the coverage-measurement machinery used by the
@@ -21,7 +21,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..geometry import Circle, CoverageGrid, Polygon, Segment, Vec2
+from ..geometry import CoverageGrid, Polygon, Segment, Vec2, clip_segment_xy
 from .obstacles import Obstacle
 
 __all__ = ["Field"]
@@ -41,6 +41,9 @@ class Field:
         self._grid_cache: dict[float, Tuple[CoverageGrid, np.ndarray]] = {}
         # Built once: ``width`` and ``height`` are fixed for the field's life.
         self._boundary = Polygon.rectangle(0.0, 0.0, self.width, self.height)
+        #: ``(ax, ay, bx, by)`` of every field and obstacle edge, built on
+        #: first use after each obstacle mutation.
+        self._boundary_edge_data: Optional[tuple] = None
         #: Bumped on every obstacle mutation; consumers caching rasterised
         #: masks or visibility answers key their epochs on it.
         self.version: int = 0
@@ -62,6 +65,7 @@ class Field:
 
     def _invalidate_obstacle_caches(self) -> None:
         self._grid_cache.clear()
+        self._boundary_edge_data = None
         self.version += 1
 
     # ------------------------------------------------------------------
@@ -218,23 +222,34 @@ class Field:
     # ------------------------------------------------------------------
     # Sensing-range boundary queries (used by FLOOR's BLG expansion)
     # ------------------------------------------------------------------
-    def boundary_segments_within(self, circle: Circle) -> List[Segment]:
+    def boundary_pieces_within(
+        self, cx: float, cy: float, radius: float
+    ) -> List[Tuple[float, float, float, float]]:
         """Obstacle/field boundary portions inside a sensing disk.
 
         The paper assumes a sensor "can recognize the boundary of the
         obstacles within its sensing range" and knows the field boundary;
         this method returns exactly those visible boundary pieces, clipped
-        to the sensing disk.
+        to the disk of ``radius`` around ``(cx, cy)``, as
+        ``(ax, ay, bx, by)``: the field rectangle's edges first, then each
+        obstacle's in vertex order.  Pieces of length 1e-9 or less are
+        dropped.
         """
-        segments: List[Segment] = []
-        candidate_edges: List[Segment] = list(self.boundary_edges())
-        for ob in self.obstacles:
-            candidate_edges.extend(ob.boundary_edges())
-        for edge in candidate_edges:
-            clipped = circle.clip_segment(edge)
-            if clipped is not None and clipped.length() > 1e-9:
-                segments.append(clipped)
-        return segments
+        if self._boundary_edge_data is None:
+            edges = list(self.boundary_edges())
+            for ob in self.obstacles:
+                edges.extend(ob.boundary_edges())
+            self._boundary_edge_data = tuple(
+                (e.a.x, e.a.y, e.b.x, e.b.y) for e in edges
+            )
+        pieces: List[Tuple[float, float, float, float]] = []
+        for ax, ay, bx, by in self._boundary_edge_data:
+            piece = clip_segment_xy(cx, cy, radius, ax, ay, bx, by)
+            if piece is not None and (
+                math.hypot(piece[0] - piece[2], piece[1] - piece[3]) > 1e-9
+            ):
+                pieces.append(piece)
+        return pieces
 
     # ------------------------------------------------------------------
     # Coverage measurement

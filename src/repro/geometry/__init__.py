@@ -8,7 +8,13 @@ single consistent set of predicates and tolerances.
 
 from .vec import EPS, Vec2
 from .segment import Segment, on_segment, orientation
-from .circle import Circle, circle_circle_intersections, disk_overlap_area
+from .circle import (
+    Circle,
+    circle_intersections_xy,
+    clip_segment_xy,
+    disk_overlap_area,
+    segment_crossings_xy,
+)
 from .polygon import Polygon
 from .halfplane import HalfPlane, bisector_halfplane, clip_polygon, clip_polygon_to_cell
 from .grid import CoverageGrid
@@ -20,8 +26,10 @@ __all__ = [
     "on_segment",
     "orientation",
     "Circle",
-    "circle_circle_intersections",
+    "circle_intersections_xy",
+    "clip_segment_xy",
     "disk_overlap_area",
+    "segment_crossings_xy",
     "Polygon",
     "HalfPlane",
     "bisector_halfplane",

@@ -210,6 +210,33 @@ class TestFloorTelemetry:
         assert points.seconds + invitations.seconds <= rounds.seconds
         assert summary.counters["floor.expansion_reused"] > 0
 
+    def test_reused_and_recomputed_add_up_to_the_calls(self, monkeypatch):
+        """Every planner call is either reused or recomputed; the counters
+        match the planner's own totals, and only recomputations probe
+        the registry."""
+        from repro.core.expansion import ExpansionPlanner
+        from repro.obs import Telemetry
+
+        calls = []
+        original = ExpansionPlanner.expansion_points
+
+        def counted(planner, owner_id, position):
+            calls.append(owner_id)
+            return original(planner, owner_id, position)
+
+        monkeypatch.setattr(ExpansionPlanner, "expansion_points", counted)
+        world = make_scenario(SMOKE_SCALE, seed=5, layout="two-obstacle").build_world()
+        scheme = FloorScheme()
+        result = SimulationEngine(world, scheme, telemetry=Telemetry()).run()
+        planner = scheme._expansion
+        counters = result.telemetry.counters
+        reused = counters["floor.expansion_reused"]
+        recomputed = counters["floor.expansion_recomputed"]
+        assert reused + recomputed == len(calls) > 0
+        assert (reused, recomputed) == (planner.reused, planner.recomputed)
+        assert counters["floor.coverage_queries"] == planner.coverage_queries
+        assert planner.coverage_queries >= recomputed > 0
+
 
 class TestRelocationLeavesTheTree:
     def test_relocating_sensor_is_detached_from_its_former_parent(self):

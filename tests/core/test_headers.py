@@ -46,27 +46,22 @@ class TestCoverageQueries:
     def test_covered_point(self):
         registry = make_registry()
         registry.register(1, Vec2(100, 40))
-        covered, floors_asked = registry.is_point_covered(Vec2(110, 50), 40.0)
-        assert covered
-        assert 0 in floors_asked
+        assert registry.is_point_covered(110.0, 50.0, 40.0) is True
 
     def test_uncovered_point(self):
         registry = make_registry()
         registry.register(1, Vec2(100, 40))
-        covered, _ = registry.is_point_covered(Vec2(500, 500), 40.0)
-        assert not covered
+        assert registry.is_point_covered(500.0, 500.0, 40.0) is False
 
     def test_exclusion_list(self):
         registry = make_registry()
         registry.register(1, Vec2(100, 40))
-        covered, _ = registry.is_point_covered(Vec2(110, 50), 40.0, exclude=[1])
-        assert not covered
+        assert not registry.is_point_covered(110.0, 50.0, 40.0, exclude=[1])
 
     def test_virtual_nodes_count_for_coverage(self):
         registry = make_registry()
         registry.register(7, Vec2(100, 40), virtual=True)
-        covered, _ = registry.is_point_covered(Vec2(100, 40), 40.0)
-        assert covered
+        assert registry.is_point_covered(100.0, 40.0, 40.0)
 
 
 class TestNeighborsAndSummary:
@@ -117,8 +112,10 @@ class TestSpatialIndexParity:
             sensing_range = rng.uniform(5.0, 120.0)
             exclude = rng.sample(range(80), rng.randint(0, 4))
             assert indexed.is_point_covered(
-                point, sensing_range, exclude=exclude
-            ) == brute.is_point_covered(point, sensing_range, exclude=exclude)
+                point.x, point.y, sensing_range, exclude=exclude
+            ) == brute.is_point_covered(
+                point.x, point.y, sensing_range, exclude=exclude
+            )
 
     @pytest.mark.parametrize("seed", [5, 17])
     def test_neighbors_on_floor_parity(self, seed):
@@ -162,12 +159,52 @@ class TestVersion:
     def test_queries_see_changes_after_a_cached_scan(self):
         registry = make_registry()
         registry.register(1, Vec2(100, 40))
-        assert registry.is_point_covered(Vec2(110, 50), 40.0)[0]
+        assert registry.is_point_covered(110.0, 50.0, 40.0)
         registry.unregister(1)
-        assert not registry.is_point_covered(Vec2(110, 50), 40.0)[0]
+        assert not registry.is_point_covered(110.0, 50.0, 40.0)
         registry.register(2, Vec2(120, 40))
-        assert registry.is_point_covered(Vec2(110, 50), 40.0)[0]
+        assert registry.is_point_covered(110.0, 50.0, 40.0)
         assert [r.node_id for r in registry.neighbors_on_floor(2, 80.0)] == []
+
+
+class TestJournal:
+    """One ``(x, y, node_id)`` entry per version bump."""
+
+    def test_each_bump_is_journalled(self):
+        registry = make_registry()
+        registry.register(1, Vec2(100, 40))
+        registry.register(2, Vec2(300, 120), virtual=True)
+        registry.promote_virtual(2, Vec2(310, 125))
+        registry.register(1, Vec2(100, 200))
+        registry.unregister(2)
+        registry.unregister(99)  # absent: no change
+        assert registry.changes_since(0) == [
+            (100, 40, 1),
+            (300, 120, 2),
+            (300, 120, 2),
+            (310, 125, 2),
+            (100, 40, 1),
+            (100, 200, 1),
+            (310, 125, 2),
+        ]
+        assert len(registry.changes_since(0)) == registry.version
+
+    def test_changes_since_a_version(self):
+        registry = make_registry()
+        registry.register(1, Vec2(100, 40))
+        version = registry.version
+        assert registry.changes_since(version) == []
+        registry.register(2, Vec2(200, 40))
+        assert registry.changes_since(version) == [(200, 40, 2)]
+
+    def test_record_lookup(self):
+        registry = make_registry()
+        assert registry.record(1) is None
+        registry.register(1, Vec2(100, 40), virtual=True)
+        assert registry.record(1).position == Vec2(100, 40)
+        registry.promote_virtual(1, Vec2(100, 200))
+        assert registry.record(1).position == Vec2(100, 200)
+        assert not registry.record(1).virtual
 
 
 class TestScanParityEdgeCases:
@@ -224,6 +261,6 @@ class TestScanParityEdgeCases:
                 covering + [999],
                 [],
             ):
-                assert fast.is_point_covered(point, rs, exclude=exclude) == (
-                    brute.is_point_covered(point, rs, exclude=exclude)
-                )
+                assert fast.is_point_covered(
+                    point.x, point.y, rs, exclude=exclude
+                ) == brute.is_point_covered(point.x, point.y, rs, exclude=exclude)

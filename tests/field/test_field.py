@@ -1,10 +1,13 @@
 """Tests for the field model."""
 
+import random
+
 import pytest
 
 from repro.field import Field, Obstacle
-from repro.geometry import Circle, Segment, Vec2
+from repro.geometry import Circle, Polygon, Segment, Vec2
 from repro.scenarios import ScenarioValidator
+from tests.oracles import reference_boundary_segments_within
 
 
 @pytest.fixture
@@ -132,20 +135,48 @@ class TestMotionQueries:
 
 class TestBoundaryVisibility:
     def test_sees_field_boundary_near_edge(self, empty_field):
-        segments = empty_field.boundary_segments_within(Circle(Vec2(5, 50), 10))
-        assert len(segments) == 1
-        assert all(abs(s.a.x) < 1e-6 and abs(s.b.x) < 1e-6 for s in segments)
+        pieces = empty_field.boundary_pieces_within(5.0, 50.0, 10.0)
+        assert len(pieces) == 1
+        assert all(abs(ax) < 1e-6 and abs(bx) < 1e-6 for ax, _, bx, _ in pieces)
 
     def test_sees_nothing_in_the_middle(self, empty_field):
-        assert empty_field.boundary_segments_within(Circle(Vec2(50, 50), 10)) == []
+        assert empty_field.boundary_pieces_within(50.0, 50.0, 10.0) == []
 
     def test_sees_obstacle_boundary(self, field_with_block):
-        segments = field_with_block.boundary_segments_within(Circle(Vec2(35, 50), 10))
-        assert len(segments) >= 1
+        pieces = field_with_block.boundary_pieces_within(35.0, 50.0, 10.0)
+        assert len(pieces) >= 1
 
     def test_corner_sees_two_edges(self, empty_field):
-        segments = empty_field.boundary_segments_within(Circle(Vec2(3, 3), 10))
-        assert len(segments) == 2
+        pieces = empty_field.boundary_pieces_within(3.0, 3.0, 10.0)
+        assert len(pieces) == 2
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_parity_with_the_segment_reference(self, seed):
+        rng = random.Random(seed)
+        field = Field(
+            100.0,
+            100.0,
+            [
+                Obstacle.rectangle(40, 40, 60, 60),
+                Obstacle(Polygon([Vec2(10, 70), Vec2(30, 75), Vec2(20, 95)])),
+            ],
+        )
+        seen = 0
+        for _ in range(400):
+            cx, cy = rng.uniform(-10, 110), rng.uniform(-10, 110)
+            r = rng.uniform(1.0, 40.0)
+            got = field.boundary_pieces_within(cx, cy, r)
+            want = reference_boundary_segments_within(field, Circle(Vec2(cx, cy), r))
+            assert got == [(s.a.x, s.a.y, s.b.x, s.b.y) for s in want]
+            seen += len(got)
+        assert seen > 0
+
+    def test_obstacle_mutation_refreshes_the_edges(self, empty_field):
+        assert empty_field.boundary_pieces_within(50.0, 50.0, 15.0) == []
+        index = empty_field.add_obstacle(Obstacle.rectangle(40, 40, 60, 60))
+        assert len(empty_field.boundary_pieces_within(50.0, 50.0, 15.0)) == 4
+        empty_field.remove_obstacle(index)
+        assert empty_field.boundary_pieces_within(50.0, 50.0, 15.0) == []
 
 
 class TestCoverage:

@@ -8,27 +8,37 @@ functions that tests (and ``benchmarks/perfbench.py``) import:
   unit-disk model (:class:`BruteRadio`), the all-pairs union-find behind
   :func:`double_loop_components`, and a world whose queries bypass the
   neighbour cache and the incremental coverage tracker;
-* :mod:`.floor` — an exhaustive floor-registry scan;
+* :mod:`.floor` — an exhaustive floor-registry scan and the ``Vec2``
+  expansion planner with no memo (:class:`ReferenceExpansionPlanner`);
 * :mod:`.geometry` — the polygon point and segment predicates, the
   boundary distance and closest point on ``Segment`` objects without the
   bounding-box reject, the obstacle force with no cutoff, the ``Vec2``
-  free-travel bisection and the per-point grid mask
-  (:func:`predicate_mask`);
+  free-travel bisection, the ``Circle``/``Segment`` circle clips and
+  intersections with the visible-boundary query built on them, and the
+  per-point grid mask (:func:`predicate_mask`);
 * :mod:`.seed` — the paper's literal step ladder, the seed CPVF dynamics
   (:class:`SeedCPVF`) with its scalar force terms, and the seed neighbour-table / coverage
   algorithms (their timers live in ``benchmarks/perfbench.py``).
 """
 
-from .floor import ExhaustiveFloorRegistry
+from .floor import (
+    ExhaustiveFloorRegistry,
+    ReferenceExpansionPlanner,
+    reference_floor_line_segment,
+)
 from .geometry import (
     predicate_mask,
     reference_boundary_distance,
+    reference_boundary_segments_within,
+    reference_circle_circle_intersections,
+    reference_clip_segment,
     reference_closest_boundary_point,
     reference_contains,
     reference_max_free_travel,
     reference_obstacle_force,
     reference_on_boundary,
     reference_segment_crosses_interior,
+    reference_segment_intersections,
 )
 from .seed import (
     NeighborMotion,
@@ -49,14 +59,20 @@ __all__ = [
     "uncached",
     "double_loop_components",
     "ExhaustiveFloorRegistry",
+    "ReferenceExpansionPlanner",
+    "reference_floor_line_segment",
     "predicate_mask",
     "reference_boundary_distance",
+    "reference_boundary_segments_within",
+    "reference_circle_circle_intersections",
+    "reference_clip_segment",
     "reference_closest_boundary_point",
     "reference_contains",
     "reference_max_free_travel",
     "reference_obstacle_force",
     "reference_on_boundary",
     "reference_segment_crosses_interior",
+    "reference_segment_intersections",
     "NeighborMotion",
     "SeedCPVF",
     "force_direction",

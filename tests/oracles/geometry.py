@@ -10,6 +10,15 @@ bisection of ``Field.max_free_travel``
 plain floats and return early outside a polygon's padded bounding box;
 they must give the same answers bit for bit.
 
+The circle queries of FLOOR's expansion search on ``Circle``/``Segment``
+(:func:`reference_clip_segment`, :func:`reference_segment_intersections`,
+:func:`reference_circle_circle_intersections`) and the field's visible
+boundary pieces built from them
+(:func:`reference_boundary_segments_within`): the production float
+kernels (``clip_segment_xy``, ``segment_crossings_xy``,
+``circle_intersections_xy``, ``Field.boundary_pieces_within``) keep their
+operation order and must return the same coordinates.
+
 :func:`predicate_mask` classifies a coverage grid one sample point at a
 time; the field's vectorised obstacle rasterisation must match it.
 """
@@ -17,11 +26,11 @@ time; the field's vectorised obstacle rasterisation must match it.
 from __future__ import annotations
 
 import math
-from typing import Callable, List
+from typing import Callable, List, Optional
 
 import numpy as np
 
-from repro.geometry import CoverageGrid, Polygon, Segment, Vec2
+from repro.geometry import EPS, Circle, CoverageGrid, Polygon, Segment, Vec2
 
 
 def predicate_mask(
@@ -179,3 +188,86 @@ def reference_max_free_travel(
         else:
             hi = mid
     return lo
+
+
+def reference_segment_intersections(circle: Circle, seg: Segment) -> List[Vec2]:
+    """Intersection points of the circle *boundary* with a segment.
+
+    Zero, one or two points sorted along the segment direction.
+    """
+    d = seg.b - seg.a
+    f = seg.a - circle.center
+    a = d.norm_sq()
+    if a <= EPS:
+        return []
+    b = 2.0 * f.dot(d)
+    c = f.norm_sq() - circle.radius * circle.radius
+    disc = b * b - 4.0 * a * c
+    if disc < 0:
+        return []
+    sqrt_disc = math.sqrt(max(0.0, disc))
+    points: List[Vec2] = []
+    for t in ((-b - sqrt_disc) / (2.0 * a), (-b + sqrt_disc) / (2.0 * a)):
+        if -EPS <= t <= 1 + EPS:
+            p = seg.point_at(min(1.0, max(0.0, t)))
+            if not any(p.almost_equals(q) for q in points):
+                points.append(p)
+    return points
+
+
+def reference_clip_segment(circle: Circle, seg: Segment) -> Optional[Segment]:
+    """The portion of ``seg`` inside the closed disk (``None`` if none)."""
+    inside_a = circle.contains(seg.a)
+    inside_b = circle.contains(seg.b)
+    if inside_a and inside_b:
+        return seg
+    crossings = reference_segment_intersections(circle, seg)
+    if inside_a:
+        if not crossings:
+            return None
+        # The exit point is the crossing farthest from a.
+        exit_point = max(crossings, key=seg.a.distance_to)
+        return Segment(seg.a, exit_point)
+    if inside_b:
+        if not crossings:
+            return None
+        entry_point = max(crossings, key=seg.b.distance_to)
+        return Segment(entry_point, seg.b)
+    if len(crossings) >= 2:
+        crossings.sort(key=seg.a.distance_to)
+        return Segment(crossings[0], crossings[-1])
+    if len(crossings) == 1:
+        return Segment(crossings[0], crossings[0])
+    return None
+
+
+def reference_circle_circle_intersections(c1: Circle, c2: Circle) -> List[Vec2]:
+    """Intersection points of two circle boundaries (zero, one or two)."""
+    d = c1.center.distance_to(c2.center)
+    if d <= EPS:
+        return []
+    if d > c1.radius + c2.radius + EPS:
+        return []
+    if d < abs(c1.radius - c2.radius) - EPS:
+        return []
+    a = (c1.radius**2 - c2.radius**2 + d * d) / (2.0 * d)
+    h_sq = c1.radius**2 - a * a
+    h = math.sqrt(max(0.0, h_sq))
+    base = c1.center + (c2.center - c1.center) * (a / d)
+    if h <= EPS:
+        return [base]
+    offset = (c2.center - c1.center).perpendicular() * (h / d)
+    return [base + offset, base - offset]
+
+
+def reference_boundary_segments_within(field, circle: Circle) -> List[Segment]:
+    """Field and obstacle boundary pieces clipped to a sensing disk."""
+    segments: List[Segment] = []
+    candidate_edges: List[Segment] = list(field.boundary_edges())
+    for ob in field.obstacles:
+        candidate_edges.extend(ob.boundary_edges())
+    for edge in candidate_edges:
+        clipped = reference_clip_segment(circle, edge)
+        if clipped is not None and clipped.length() > 1e-9:
+            segments.append(clipped)
+    return segments
