@@ -25,7 +25,6 @@ from repro import (
     SimulationEngine,
     VorScheme,
     World,
-    explode,
     minimum_distance_matching,
     obstacle_free_field,
     positions_are_connected,
@@ -52,37 +51,28 @@ def main() -> None:
     initial_tuples = [p.as_tuple() for p in initial]
     rows = []
 
-    # --- period-based schemes: CPVF and FLOOR -------------------------
-    for scheme in (CPVFScheme(), FloorScheme()):
-        config = SimulationConfig(
-            sensor_count=args.sensors,
-            communication_range=args.rc,
-            sensing_range=args.rs,
-            duration=300.0,
-            coverage_resolution=10.0,
-            seed=args.seed,
-        )
+    # --- every simulated scheme on one engine loop ----------------------
+    # VOR and Minimax disperse the cluster first (the minimum-cost
+    # explosion), then spread their ten Voronoi rounds over the horizon.
+    config = SimulationConfig(
+        sensor_count=args.sensors,
+        communication_range=args.rc,
+        sensing_range=args.rs,
+        duration=300.0,
+        coverage_resolution=10.0,
+        seed=args.seed,
+    )
+    for scheme in (CPVFScheme(), FloorScheme(), VorScheme(), MinimaxScheme()):
         world = World.create(config, field, initial_positions=list(initial))
         result = SimulationEngine(world, scheme).run()
+        if isinstance(scheme, (VorScheme, MinimaxScheme)):
+            # The VD baselines build no tree: report whether the sensors
+            # form one network among themselves, as the figures do.
+            connected = positions_are_connected(world.positions(), args.rc)
+        else:
+            connected = result.connected
         rows.append(
-            (scheme.name, result.final_coverage, result.connected, result.average_moving_distance)
-        )
-
-    # --- round-based VD schemes: explosion + VOR / Minimax ------------
-    exploded = explode(initial, field, random.Random(args.seed))
-    for scheme in (VorScheme(field, args.rc, args.rs), MinimaxScheme(field, args.rc, args.rs)):
-        vd_result = scheme.run(exploded.positions, rounds=10)
-        per_sensor = [
-            a + b
-            for a, b in zip(exploded.per_sensor_distance, vd_result.per_sensor_distance)
-        ]
-        rows.append(
-            (
-                scheme.name,
-                scheme.coverage(vd_result.final_positions, resolution=10.0),
-                positions_are_connected(vd_result.final_positions, args.rc),
-                sum(per_sensor) / len(per_sensor),
-            )
+            (scheme.name, result.final_coverage, connected, result.average_moving_distance)
         )
 
     # --- centralised OPT pattern plus its Hungarian distance bound ----

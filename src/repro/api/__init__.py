@@ -10,9 +10,9 @@ re-exported from :mod:`repro.experiments`).  The pieces compose bottom-up:
   a :class:`~repro.sim.world.World` in one pass;
 * :mod:`repro.api.specs` — :class:`RunSpec` / :class:`SweepSpec` grids and
   the typed, JSON-serializable :class:`RunRecord`;
-* :mod:`repro.api.schemes` — adapters unifying the period-based protocols
-  (CPVF, FLOOR), the round-based VD baselines (VOR, Minimax) and the
-  analytic baselines (OPT, OPT-Hungarian) behind ``execute_run``;
+* :mod:`repro.api.schemes` — adapters unifying the schemes that run on
+  the simulation engine (CPVF, FLOOR and the VD baselines VOR, Minimax)
+  and the analytic baselines (OPT, OPT-Hungarian) behind ``execute_run``;
 * :mod:`repro.api.sweep` — :class:`SweepRunner`, the synchronous client of
   the sweep service (:mod:`repro.service`), serial or process-sharded.
 

@@ -118,7 +118,7 @@ class Registry:
         return f"Registry({self.kind}: {self.names()})"
 
 
-#: Deployment schemes (period-based, round-based and analytic alike),
+#: Deployment schemes (engine-driven and analytic alike),
 #: keyed by the name used in :class:`repro.api.specs.RunSpec`.
 scheme_registry = Registry("scheme")
 

@@ -1,44 +1,36 @@
 """Scheme adapters: one execution interface over every deployment scheme.
 
-The paper evaluates three very different kinds of scheme:
+The paper evaluates two kinds of scheme:
 
-* the **period-based** CPVF and FLOOR protocols, which run on the
-  period-synchronous :class:`~repro.sim.engine.SimulationEngine`;
-* the **round-based** VD baselines VOR and Minimax, which operate on raw
-  position lists and (from a clustered start) need the explosion dispersal
-  first;
+* the **period-based** CPVF and FLOOR protocols and the Voronoi baselines
+  VOR and Minimax (explosion dispersal, then round-based Voronoi moves),
+  which all run on the period-synchronous
+  :class:`~repro.sim.engine.SimulationEngine` — and so all get traces,
+  telemetry, convergence and lifecycle events from the same code;
 * the **analytic** OPT strip pattern and the Hungarian moving-distance
   lower bound, which need no simulation at all.
 
-Historically every experiment special-cased these three shapes.  The
-:class:`SchemeAdapter` interface hides the difference: every adapter turns a
-:class:`~repro.api.specs.RunSpec` into a :class:`~repro.api.specs.RunRecord`,
-and experiments just declare grids of run specs.  Adapters register
-themselves by name (``@register_scheme("CPVF")``), so new schemes plug in
-without touching the experiment layer.
+The :class:`SchemeAdapter` interface hides the difference: every adapter
+turns a :class:`~repro.api.specs.RunSpec` into a
+:class:`~repro.api.specs.RunRecord`, and experiments just declare grids of
+run specs.  Adapters register themselves by name
+(``@register_scheme("CPVF")``), so new schemes plug in without touching
+the experiment layer.
 """
 
 from __future__ import annotations
 
 import abc
 import dataclasses
-import random
 import time
 from typing import Dict
 
 from ..assignment import minimum_distance_matching
-from ..baselines import MinimaxScheme, OptStripPattern, VorScheme, explode
+from ..baselines import MinimaxScheme, OptStripPattern, VorScheme
 from ..core import CPVFScheme, FloorScheme
 from ..metrics import positions_are_connected
-from ..metrics.recovery import RecoveryTracker
 from ..obs import NULL_TELEMETRY, PhaseStat, Telemetry, TelemetrySummary
 from ..sim import DeploymentScheme, SimulationEngine
-from ..sim.lifecycle import (
-    build_event_obstacle,
-    draw_join_positions,
-    event_rng,
-    select_failure_victims,
-)
 from ..voronoi import diagram_is_correct
 from .registry import register_scheme, scheme_registry
 from .scenario import thaw_params
@@ -88,9 +80,9 @@ def execute_run(spec: RunSpec) -> RunRecord:
 
     With ``spec.profile`` set, the record carries a
     :class:`~repro.obs.TelemetrySummary`.  Period-based schemes collect
-    real phase spans inside the engine; schemes without an engine (the VD
-    baselines and the analytic patterns) get a minimal one-phase
-    ``run.execute`` summary so profiled sweeps render uniformly.
+    real phase spans inside the engine; the analytic schemes, which have
+    no engine, get a minimal one-phase ``run.execute`` summary so profiled
+    sweeps render uniformly.
     """
     adapter: SchemeAdapter = scheme_registry.get(spec.scheme)
     if not spec.profile:
@@ -121,7 +113,7 @@ class SchemeAdapter(abc.ABC):
 
 
 # ----------------------------------------------------------------------
-# Period-based schemes (CPVF, FLOOR) on the simulation engine
+# Period-based schemes (CPVF, FLOOR, VOR, Minimax) on the simulation engine
 # ----------------------------------------------------------------------
 class PeriodSchemeAdapter(SchemeAdapter):
     """Adapter base for schemes driven by the period-synchronous engine."""
@@ -136,15 +128,27 @@ class PeriodSchemeAdapter(SchemeAdapter):
         """
         raise NotImplementedError
 
+    def record_fields(self, world, result, params: Dict) -> Dict:
+        """The record's ``connected``, ``extras`` and ``final_positions``.
+
+        ``final_positions`` is a list of :class:`~repro.geometry.Vec2`;
+        the record keeps it only when the spec asks for positions.
+        """
+        return {
+            "connected": result.connected,
+            "extras": {"obstacle_count": len(world.field.obstacles)},
+            "final_positions": world.positions(),
+        }
+
     def execute(self, spec: RunSpec) -> RunRecord:
         scenario = spec.scenario
-        field = scenario.build_field()
-        world = scenario.build_world(field)
+        world = scenario.build_world()
         if spec.network is not None:
             # Structural specs build the shared perfect instance, so the
             # assignment is behaviour-preserving in that case.
             world.network = spec.network.build(scenario.seed)
-        scheme = self.build_scheme(scenario, thaw_params(spec.scheme_params))
+        params = thaw_params(spec.scheme_params)
+        scheme = self.build_scheme(scenario, params)
         engine = SimulationEngine(
             world,
             scheme,
@@ -156,6 +160,7 @@ class PeriodSchemeAdapter(SchemeAdapter):
             telemetry=Telemetry() if spec.profile else NULL_TELEMETRY,
         )
         result = engine.run()
+        scheme_fields = self.record_fields(world, result, params)
         return RunRecord(
             spec=spec,
             scheme=self.name,
@@ -163,10 +168,10 @@ class PeriodSchemeAdapter(SchemeAdapter):
             average_moving_distance=result.average_moving_distance,
             total_moving_distance=result.total_moving_distance,
             total_messages=result.total_messages,
-            connected=result.connected,
+            connected=scheme_fields["connected"],
             periods_executed=result.periods_executed,
             converged_at=result.converged_at,
-            extras={"obstacle_count": len(field.obstacles)},
+            extras=scheme_fields["extras"],
             trace=(
                 tuple(
                     TracePoint(
@@ -181,7 +186,7 @@ class PeriodSchemeAdapter(SchemeAdapter):
             ),
             events=tuple(result.events),
             final_positions=(
-                tuple((s.position.x, s.position.y) for s in world.sensors)
+                tuple(p.as_tuple() for p in scheme_fields["final_positions"])
                 if spec.keep_positions
                 else None
             ),
@@ -213,191 +218,38 @@ class FloorAdapter(PeriodSchemeAdapter):
         return FloorScheme(invitation_ttl=scenario.invitation_ttl, **params)
 
 
-# ----------------------------------------------------------------------
-# Round-based VD baselines (VOR, Minimax) with explosion dispersal
-# ----------------------------------------------------------------------
-def _run_vd_with_events(scenario, scheme, field, exploded, rounds):
-    """Round-segmented VD execution with the scenario's event timeline.
-
-    The VD baselines have no world, tree or messages, so events operate on
-    the raw position list: failures drop entries (their distance is
-    retired, not forgotten), joins append fresh entries, obstacle events
-    mutate the shared field.  Event periods are mapped proportionally onto
-    the round axis, so recovery metrics for VD runs are measured in
-    *rounds* (message burst is always 0 — the baselines are silent).
-
-    Returns ``(positions, total_distance, sensors_ever, rounds_executed,
-    outcomes)``.
-    """
-    max_periods = max(1, scenario.build_config().max_periods)
-    by_round = {}
-    for index, event in enumerate(scenario.events):
-        fire_round = min(
-            rounds - 1,
-            max(0, (event.at_period * rounds) // max_periods),
-        )
-        by_round.setdefault(fire_round, []).append((index, event))
-
-    positions = list(exploded.positions)
-    carried = list(exploded.per_sensor_distance)
-    retired = 0.0
-    sensors_ever = len(positions)
-    trackers = []
-    outcomes = []
-    resolution = scenario.coverage_resolution
-    rounds_executed = 0
-    max_pending = max(by_round, default=-1)
-
-    for round_index in range(rounds):
-        for index, event in by_round.get(round_index, ()):
-            pre_coverage = scheme.coverage(positions, resolution)
-            pre_distance = retired + sum(carried)
-            if event.kind == "failure":
-                rng = event_rng(scenario.seed, index, "failure")
-                victims = select_failure_victims(
-                    rng, event, list(range(len(positions)))
-                )
-                for i in reversed(victims):
-                    retired += carried.pop(i)
-                    positions.pop(i)
-            elif event.kind == "join":
-                rng = event_rng(scenario.seed, index, "join")
-                arrivals = draw_join_positions(field, event, rng)
-                positions.extend(arrivals)
-                carried.extend(0.0 for _ in arrivals)
-                sensors_ever += len(arrivals)
-            elif event.kind == "obstacle":
-                field.add_obstacle(build_event_obstacle(event))
-                for i, pos in enumerate(positions):
-                    if not field.is_free(pos):
-                        escaped = field.nearest_free(pos)
-                        carried[i] += pos.distance_to(escaped)
-                        positions[i] = escaped
-            else:  # clear-obstacle
-                obstacle_index = int(event.param("index", -1))
-                if not 0 <= obstacle_index < len(field.obstacles):
-                    raise ValueError(
-                        f"clear-obstacle index {obstacle_index} out of range"
-                    )
-                field.remove_obstacle(obstacle_index)
-            trackers.append(
-                RecoveryTracker(
-                    at_period=round_index,
-                    kind=event.kind,
-                    pre_coverage=pre_coverage,
-                    post_coverage=scheme.coverage(positions, resolution),
-                    pre_distance=pre_distance,
-                    pre_messages=0,
-                    baseline_window_messages=0,
-                    burst_window=rounds,
-                )
-            )
-
-        step = scheme.run(positions, rounds=1)
-        moved = max(step.per_sensor_distance, default=0.0)
-        positions = list(step.final_positions)
-        for i, distance in enumerate(step.per_sensor_distance):
-            carried[i] += distance
-        rounds_executed = round_index + 1
-
-        if trackers:
-            coverage = scheme.coverage(positions, resolution)
-            total_distance = retired + sum(carried)
-            still_active = []
-            for tracker in trackers:
-                tracker.observe(round_index, coverage, total_distance, 0)
-                if tracker.settled:
-                    outcomes.append(tracker.outcome())
-                else:
-                    still_active.append(tracker)
-            trackers = still_active
-        if moved <= 1e-3 and round_index >= max_pending:
-            break
-
-    outcomes.extend(tracker.outcome() for tracker in trackers)
-    outcomes.sort(key=lambda o: o.at_period)
-    return (
-        positions,
-        retired + sum(carried),
-        sensors_ever,
-        rounds_executed,
-        outcomes,
-    )
-
-class VDSchemeAdapter(SchemeAdapter):
-    """Adapter base for the round-based, connectivity-ignorant VD schemes.
-
-    From the scenario's (typically clustered) start the adapter first runs
-    the minimum-cost explosion dispersal, then the scheme's Voronoi rounds;
-    the recorded moving distance charges both stages, as in Fig 11.
+class VDSchemeAdapter(PeriodSchemeAdapter):
+    """Adapter base for the connectivity-ignorant VD schemes.
 
     Scheme parameters: ``rounds`` (default 10) and ``check_voronoi``
     (default ``False``; when set, the record's ``all_voronoi_cells_correct``
     extra reports whether every locally-constructed cell was correct).
+    The VD record's ``connected`` is whether the live sensors form one
+    radio component among themselves (there is no base station link), and
+    its ``final_positions`` are the live sensors'.
     """
 
     scheme_class = None  # type: ignore[assignment]
 
-    def execute(self, spec: RunSpec) -> RunRecord:
-        scenario = spec.scenario
-        params = thaw_params(spec.scheme_params)
+    def build_scheme(self, scenario, params: Dict) -> DeploymentScheme:
+        params = dict(params)
         rounds = int(params.pop("rounds", 10))
-        check_voronoi = bool(params.pop("check_voronoi", False))
+        params.pop("check_voronoi", None)
         _reject_unknown_params(self.name, params)
+        return self.scheme_class(rounds=rounds)
 
-        field = scenario.build_field()
-        config = scenario.build_config()
-        rng = random.Random(scenario.seed)
-        initial = scenario.placement_strategy()(config, field, rng)
-        exploded = explode(initial, field, rng)
-
-        scheme = self.scheme_class(
-            field, scenario.communication_range, scenario.sensing_range
-        )
-        if scenario.events:
-            positions, total_distance, sensors_ever, rounds_executed, outcomes = (
-                _run_vd_with_events(scenario, scheme, field, exploded, rounds)
-            )
-        else:
-            vd_result = scheme.run(exploded.positions, rounds=rounds)
-            per_sensor = [
-                explosion + rounds_distance
-                for explosion, rounds_distance in zip(
-                    exploded.per_sensor_distance, vd_result.per_sensor_distance
-                )
-            ]
-            positions = vd_result.final_positions
-            total_distance = sum(per_sensor)
-            sensors_ever = len(per_sensor)
-            rounds_executed = vd_result.rounds_executed
-            outcomes = []
+    def record_fields(self, world, result, params: Dict) -> Dict:
+        positions = [s.position for s in world.alive_sensors()]
+        rc = world.config.communication_range
         extras = {}
-        if check_voronoi:
-            vd_check = diagram_is_correct(
-                positions, scenario.communication_range, field
-            )
+        if params.get("check_voronoi"):
+            vd_check = diagram_is_correct(positions, rc, world.field)
             extras["all_voronoi_cells_correct"] = vd_check.all_correct
-        return RunRecord(
-            spec=spec,
-            scheme=self.name,
-            coverage=scheme.coverage(positions, scenario.coverage_resolution),
-            average_moving_distance=(
-                total_distance / sensors_ever if sensors_ever else 0.0
-            ),
-            total_moving_distance=total_distance,
-            total_messages=0,
-            connected=positions_are_connected(
-                positions, scenario.communication_range
-            ),
-            periods_executed=rounds_executed,
-            extras=extras,
-            events=tuple(outcomes),
-            final_positions=(
-                tuple(p.as_tuple() for p in positions)
-                if spec.keep_positions
-                else None
-            ),
-        )
+        return {
+            "connected": positions_are_connected(positions, rc),
+            "extras": extras,
+            "final_positions": positions,
+        }
 
 
 @register_scheme("VOR")

@@ -220,7 +220,7 @@ class RunRecord:
     total_messages: int
     #: Whether every sensor has a multi-hop route to the base station.
     connected: bool
-    #: Periods (or rounds, for the VD baselines) actually executed.
+    #: Engine periods actually executed (0 for the analytic schemes).
     periods_executed: int = 0
     #: Period at which the scheme reported convergence, if it did.
     converged_at: Optional[int] = None

@@ -2,13 +2,12 @@
 
 from .explosion import ExplosionResult, explode
 from .opt_pattern import OptStripPattern
-from .vd_schemes import MinimaxScheme, VDSchemeResult, VorScheme
+from .vd_schemes import MinimaxScheme, VorScheme
 
 __all__ = [
     "ExplosionResult",
     "explode",
     "OptStripPattern",
     "MinimaxScheme",
-    "VDSchemeResult",
     "VorScheme",
 ]

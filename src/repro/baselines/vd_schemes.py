@@ -12,126 +12,103 @@ incorrect cells, Fig 1/10 of the paper) and then moves:
   farthest Voronoi vertex (the centre of the minimum enclosing circle of the
   cell's vertices).
 
-The implementations operate directly on position lists (they are not
-period-based like CPVF/FLOOR); the experiment harness combines them with
-the explosion procedure of :mod:`repro.baselines.explosion` when the initial
-distribution is clustered.
+Both run on the period-synchronous
+:class:`~repro.sim.engine.SimulationEngine` like CPVF and FLOOR.  From the
+(typically clustered) start, :meth:`~_VDSchemeBase.initialize` first runs
+the minimum-cost explosion dispersal of :mod:`repro.baselines.explosion`;
+the ``rounds`` Voronoi rounds are then spread evenly over the horizon, one
+every ``max_periods // rounds`` periods.  Every move goes through the
+sensor's odometer, so the recorded moving distance charges both stages, as
+in Fig 11.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+import math
+from typing import Optional
 
-from ..field import Field
 from ..geometry import Vec2
-from ..voronoi import compute_cell
+from ..sim import DeploymentScheme, SimulationConfig, World
 from ..voronoi.local import local_cell
+from .explosion import explode
 
-__all__ = ["VDSchemeResult", "VorScheme", "MinimaxScheme"]
+__all__ = ["MOVEMENT_TOLERANCE", "VorScheme", "MinimaxScheme"]
 
-
-@dataclass
-class VDSchemeResult:
-    """Outcome of running a VD-based scheme for a number of rounds."""
-
-    final_positions: List[Vec2]
-    per_sensor_distance: List[float]
-    rounds_executed: int
-
-    @property
-    def total_distance(self) -> float:
-        """Sum of all sensors' travelled distances."""
-        return sum(self.per_sensor_distance)
-
-    @property
-    def average_distance(self) -> float:
-        """Average travelled distance per sensor."""
-        if not self.per_sensor_distance:
-            return 0.0
-        return self.total_distance / len(self.per_sensor_distance)
+#: A sensor whose target is at most this far away stays put, and a round
+#: in which no sensor moves farther has stabilised the layout.
+MOVEMENT_TOLERANCE = 1e-3
 
 
-class _VDSchemeBase:
+class _VDSchemeBase(DeploymentScheme):
     """Shared round loop of the two VD-based schemes."""
 
     name = "VD"
 
-    def __init__(
-        self,
-        field: Field,
-        communication_range: float,
-        sensing_range: float,
-        use_local_cells: bool = True,
-    ):
-        """``use_local_cells`` restricts cell construction to neighbours
-        within ``rc`` (the realistic setting); disable it to study the
-        idealised full-information variant."""
-        self._field = field
-        self._rc = communication_range
-        self._rs = sensing_range
-        self._use_local_cells = use_local_cells
+    def __init__(self, rounds: int = 10):
+        self.rounds = rounds
+        self._stride = 1
+        self._rounds_done = 0
+        self._last_moved = math.inf
 
     # ------------------------------------------------------------------
     # Per-sensor move target (scheme-specific)
     # ------------------------------------------------------------------
-    def _move_target(self, cell, position: Vec2) -> Optional[Vec2]:
+    def _move_target(
+        self, cell, position: Vec2, config: SimulationConfig
+    ) -> Optional[Vec2]:
         raise NotImplementedError
 
-    # ------------------------------------------------------------------
-    # Round loop
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        initial_positions: Sequence[Vec2],
-        rounds: int = 10,
-        movement_tolerance: float = 1e-3,
-    ) -> VDSchemeResult:
-        """Run the scheme for up to ``rounds`` rounds.
-
-        Stops early when no sensor moves more than ``movement_tolerance`` in
-        a round (the layout has stabilised).
-        """
-        positions = [self._field.nearest_free(p) for p in initial_positions]
-        distances = [0.0] * len(positions)
-        executed = 0
-        bounding = self._field.boundary_polygon()
-
-        for _ in range(rounds):
-            executed += 1
-            new_positions = list(positions)
-            moved = 0.0
-            for i, position in enumerate(positions):
-                if self._use_local_cells:
-                    cell = local_cell(i, positions, self._rc, self._field)
-                else:
-                    others = [p for j, p in enumerate(positions) if j != i]
-                    cell = compute_cell(position, others, bounding)
-                target = self._move_target(cell, position)
-                if target is None:
-                    continue
-                target = self._field.nearest_free(self._field.clamp(target))
-                step = position.distance_to(target)
-                if step <= movement_tolerance:
-                    continue
-                new_positions[i] = target
-                distances[i] += step
-                moved = max(moved, step)
-            positions = new_positions
-            if moved <= movement_tolerance:
-                break
-        return VDSchemeResult(
-            final_positions=positions,
-            per_sensor_distance=distances,
-            rounds_executed=executed,
+    def _cell(self, index: int, positions, world: World):
+        """The cell sensor ``index`` builds from the neighbours it hears."""
+        return local_cell(
+            index, positions, world.config.communication_range, world.field
         )
 
     # ------------------------------------------------------------------
-    # Evaluation helpers
+    # DeploymentScheme
     # ------------------------------------------------------------------
-    def coverage(self, positions: Sequence[Vec2], resolution: float = 10.0) -> float:
-        """Coverage fraction of a position snapshot."""
-        return self._field.coverage_fraction(positions, self._rs, resolution)
+    def initialize(self, world: World) -> None:
+        """Explosion dispersal from the start, charged to the odometers."""
+        self._stride = max(1, world.config.max_periods // max(1, self.rounds))
+        exploded = explode(world.positions(), world.field, world.rng)
+        for sensor, target in zip(world.sensors, exploded.positions):
+            sensor.motion.move_to(target)
+
+    def step(self, world: World) -> None:
+        """One Voronoi round every ``stride`` periods, until ``rounds``.
+
+        Every target is computed from the positions before the round.
+        """
+        if self._rounds_done >= self.rounds or world.period_index % self._stride:
+            return
+        self._rounds_done += 1
+        field = world.field
+        alive = world.alive_sensors()
+        positions = [s.position for s in alive]
+        moves = []
+        for i, position in enumerate(positions):
+            target = self._move_target(
+                self._cell(i, positions, world), position, world.config
+            )
+            if target is None:
+                continue
+            target = field.nearest_free(target)
+            if position.distance_to(target) > MOVEMENT_TOLERANCE:
+                moves.append((alive[i], target))
+        self._last_moved = max(
+            (sensor.motion.move_to(target) for sensor, target in moves),
+            default=0.0,
+        )
+
+    def has_converged(self, world: World) -> bool:
+        return (
+            self._rounds_done >= self.rounds
+            or self._last_moved <= MOVEMENT_TOLERANCE
+        )
+
+    def on_world_changed(self, world: World, change) -> None:
+        # The layout the last round settled is gone; wait for a new round.
+        self._last_moved = math.inf
 
 
 class VorScheme(_VDSchemeBase):
@@ -139,18 +116,21 @@ class VorScheme(_VDSchemeBase):
 
     name = "VOR"
 
-    def _move_target(self, cell, position: Vec2) -> Optional[Vec2]:
+    def _move_target(
+        self, cell, position: Vec2, config: SimulationConfig
+    ) -> Optional[Vec2]:
         farthest = cell.farthest_vertex()
         if farthest is None:
             return None
+        rs = config.sensing_range
         distance_to_vertex = position.distance_to(farthest)
-        if distance_to_vertex <= self._rs:
+        if distance_to_vertex <= rs:
             # The farthest vertex is already sensed; no move needed.
             return None
         # Move so that the sensing range just reaches the vertex, but no
         # farther than rc / 2 per round.
-        desired = distance_to_vertex - self._rs
-        step = min(desired, self._rc / 2.0)
+        desired = distance_to_vertex - rs
+        step = min(desired, config.communication_range / 2.0)
         return position + position.towards(farthest) * step
 
 
@@ -159,5 +139,7 @@ class MinimaxScheme(_VDSchemeBase):
 
     name = "Minimax"
 
-    def _move_target(self, cell, position: Vec2) -> Optional[Vec2]:
+    def _move_target(
+        self, cell, position: Vec2, config: SimulationConfig
+    ) -> Optional[Vec2]:
         return cell.minimax_point()

@@ -8,8 +8,8 @@ here):
   registered name, initial placement, ranges, kinematics, seed — and
   builds a ready-to-run world in one pass;
 * a :class:`RunSpec` pairs a scenario with a registered scheme name
-  (period-based CPVF/FLOOR, round-based VOR/Minimax and analytic
-  OPT/OPT-Hungarian all share one adapter interface);
+  (CPVF/FLOOR and VOR/Minimax on the simulation engine, analytic
+  OPT/OPT-Hungarian without one, all behind one adapter interface);
 * a :class:`SweepSpec` names a tuple of runs, and :class:`SweepRunner`
   executes it — serially or sharded over worker processes — yielding
   typed, JSON-serializable :class:`RunRecord` objects that are identical

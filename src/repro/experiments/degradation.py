@@ -110,7 +110,7 @@ def sweep_degradation(
                         RunSpec(
                             scenario=scenario,
                             scheme=scheme,
-                            trace_every=trace_every if scheme != "VOR" else None,
+                            trace_every=trace_every,
                             network=network,
                             tags={
                                 "loss": loss,

@@ -68,7 +68,7 @@ def sweep_gallery(
                 RunSpec(
                     scenario=scenario,
                     scheme=scheme,
-                    trace_every=trace_every if scheme != "VOR" else None,
+                    trace_every=trace_every,
                     tags={
                         "scenario": entry.name,
                         "layout": entry.layout,

@@ -187,7 +187,7 @@ def sweep_lifecycle(
                     RunSpec(
                         scenario=scenario,
                         scheme=scheme,
-                        trace_every=trace_every if scheme != "VOR" else None,
+                        trace_every=trace_every,
                         tags={"script": script, "rep": rep},
                     )
                 )

@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .segment import Segment
+from .segment import DEGENERATE_NORM_SQ, Segment
 from .vec import EPS, Vec2
 
 __all__ = ["Polygon"]
@@ -189,8 +189,8 @@ class Polygon:
             a, b = edge.a, edge.b
             dx, dy = b.x - a.x, b.y - a.y
             denom = dx * dx + dy * dy
-            if denom <= EPS:
-                # Near-degenerate edge: distance to the closer endpoint
+            if denom <= DEGENERATE_NORM_SQ:
+                # Degenerate edge: distance to the closer endpoint
                 # (mirrors Segment.closest_point's degenerate branch).
                 dist = np.minimum(
                     np.hypot(px - a.x, py - a.y), np.hypot(px - b.x, py - b.y)
@@ -232,8 +232,8 @@ class Polygon:
         best = math.inf
         best_x = best_y = 0.0
         for ax, ay, bx, by, dx, dy, dd in self._edge_data:
-            if dd <= EPS:
-                # Near-degenerate edge: the closer endpoint.
+            if dd <= DEGENERATE_NORM_SQ:
+                # Degenerate edge: the closer endpoint.
                 if math.hypot(px - ax, py - ay) <= math.hypot(px - bx, py - by):
                     cx, cy = ax, ay
                 else:

@@ -13,6 +13,11 @@ from .vec import EPS, Vec2
 
 __all__ = ["Segment", "orientation", "on_segment"]
 
+#: Squared length at or below which ``Segment.closest_point`` treats a
+#: segment as a point.  Such a segment is at most ``EPS`` long, so either
+#: endpoint lies within ``EPS`` of every point on it.
+DEGENERATE_NORM_SQ = EPS * EPS
+
 
 def orientation(a: Vec2, b: Vec2, c: Vec2) -> int:
     """Orientation of the ordered triple ``(a, b, c)``.
@@ -76,15 +81,17 @@ class Segment:
 
     def closest_point(self, p: Vec2) -> Vec2:
         """The point of the closed segment closest to ``p``."""
-        if (self.b - self.a).norm_sq() <= EPS:
-            # Near-degenerate segment: the projection parameter is
-            # meaningless (project_parameter returns 0), but the endpoints
-            # can still be metres apart relative to the query tolerance —
-            # return whichever is actually closer.
+        d = self.b - self.a
+        denom = d.norm_sq()
+        if denom <= DEGENERATE_NORM_SQ:
+            # Degenerate segment: return the endpoint closer to ``p``.
             if p.distance_to(self.a) <= p.distance_to(self.b):
                 return self.a
             return self.b
-        t = min(1.0, max(0.0, self.project_parameter(p)))
+        # Projected here rather than via project_parameter, whose cut-off
+        # compares the *squared* length with EPS and so would collapse
+        # segments up to ~3e-5 long onto an endpoint.
+        t = min(1.0, max(0.0, (p - self.a).dot(d) / denom))
         return self.point_at(t)
 
     def distance_to_point(self, p: Vec2) -> float:

@@ -11,9 +11,8 @@ derives the three robustness metrics the lifecycle experiments report:
 * **message burst** — transmissions in the post-event window minus the
   same-length window before the event (the steady-state baseline).
 
-Trackers consume plain scalars, so the same accounting serves both the
-period-synchronous engine (CPVF / FLOOR) and the round-based Voronoi
-baselines.
+Trackers consume plain scalars; the engine's fault injector feeds them
+once per period for every scheme.
 """
 
 from __future__ import annotations
@@ -26,7 +25,7 @@ __all__ = ["BURST_WINDOW", "EventOutcome", "RECOVERY_TARGET", "RecoveryTracker"]
 #: Fraction of the pre-event coverage that counts as recovered.
 RECOVERY_TARGET = 0.95
 #: Length, in periods, of the message-burst windows after and before an
-#: event (the VD baselines pass their round count instead).
+#: event.
 BURST_WINDOW = 25
 
 
@@ -34,7 +33,7 @@ BURST_WINDOW = 25
 class EventOutcome:
     """Measured aftermath of one lifecycle event."""
 
-    #: Period (or VD round) at which the event fired.
+    #: Period at which the event fired.
     at_period: int
     #: Event kind (``failure`` / ``join`` / ``obstacle`` / ``clear-obstacle``).
     kind: str
@@ -94,10 +93,8 @@ class RecoveryTracker:
     post_coverage: float
     pre_distance: float
     pre_messages: int
-    #: Transmissions in the ``burst_window`` periods *before* the event.
+    #: Transmissions in the :data:`BURST_WINDOW` periods *before* the event.
     baseline_window_messages: int
-    recovery_target: float = RECOVERY_TARGET
-    burst_window: int = BURST_WINDOW
 
     recovered_at: Optional[int] = field(default=None, init=False)
     best_coverage: float = field(default=0.0, init=False)
@@ -122,9 +119,9 @@ class RecoveryTracker:
         self._last_messages = messages
         if self.recovered_at is None:
             self.extra_distance = distance - self.pre_distance
-            if coverage >= self.recovery_target * self.pre_coverage - 1e-12:
+            if coverage >= RECOVERY_TARGET * self.pre_coverage - 1e-12:
                 self.recovered_at = period
-        if self._burst is None and period >= self.at_period + self.burst_window:
+        if self._burst is None and period >= self.at_period + BURST_WINDOW:
             self._burst = (
                 messages - self.pre_messages
             ) - self.baseline_window_messages
@@ -153,7 +150,7 @@ class RecoveryTracker:
             best_coverage=self.best_coverage,
             final_coverage=self.final_coverage,
             recovery_ratio=ratio,
-            recovery_target=self.recovery_target,
+            recovery_target=RECOVERY_TARGET,
             time_to_recover=(
                 None
                 if self.recovered_at is None

@@ -42,6 +42,9 @@ class MotionModel:
     odometer: float = 0.0
     _path: Optional[Bug2Path] = field(default=None, repr=False)
     _path_progress: float = field(default=0.0, repr=False)
+    #: ``_path.length()``, summed once in :meth:`follow` (a followed path
+    #: is never mutated).
+    _path_length: float = field(default=0.0, repr=False)
 
     def __setattr__(self, name: str, value) -> None:
         # Every position assignment bumps the version counter; the spatial
@@ -85,6 +88,7 @@ class MotionModel:
         """Start following a planned polyline path from its beginning."""
         self._path = path
         self._path_progress = 0.0
+        self._path_length = path.length()
         if path.waypoints and not path.waypoints[0].almost_equals(self.position):
             # The path was planned from (a projection of) the current
             # position; snap to it so arc-length progress stays consistent.
@@ -104,7 +108,7 @@ class MotionModel:
         """Arc length left on the current path (zero when idle)."""
         if self._path is None:
             return 0.0
-        return max(0.0, self._path.length() - self._path_progress)
+        return max(0.0, self._path_length - self._path_progress)
 
     def advance_along_path(self, distance: Optional[float] = None) -> float:
         """Advance along the current path by at most one step.

@@ -44,10 +44,6 @@ __all__ = [
     "sensor_join",
     "obstacle_appear",
     "obstacle_clear",
-    "event_rng",
-    "select_failure_victims",
-    "draw_join_positions",
-    "build_event_obstacle",
 ]
 
 #: Recognised event kinds.
@@ -191,26 +187,20 @@ def obstacle_clear(at_period: int, index: int) -> LifecycleEvent:
 
 
 # ----------------------------------------------------------------------
-# Shared event mechanics (used by the engine injector AND the round-based
-# VD baseline path, which has no World)
+# Event mechanics
 # ----------------------------------------------------------------------
-def event_rng(base_seed: int, event_index: int, kind: str) -> random.Random:
-    """The deterministic RNG stream of one event."""
-    return derive_rng(base_seed, event_index, kind)
-
-
-def select_failure_victims(
+def _select_failure_victims(
     rng: random.Random,
     event: LifecycleEvent,
     candidates: Sequence[int],
-    interior_candidates: Optional[Sequence[int]] = None,
+    interior_candidates: Sequence[int],
 ) -> List[int]:
     """Pick the victims of a ``failure`` event, sorted ascending.
 
     ``candidates`` must be in deterministic order.  The ``interior``
     policy draws from ``interior_candidates`` first and tops up from the
-    rest; with no interior pool (the tree-less VD baselines) it degrades
-    to random selection.
+    rest; with no interior pool (an empty tree) it degrades to random
+    selection.
     """
     candidates = list(candidates)
     count = event.param("count")
@@ -232,7 +222,7 @@ def select_failure_victims(
     return sorted(victims)
 
 
-def draw_join_positions(field, event: LifecycleEvent, rng: random.Random) -> List[Vec2]:
+def _draw_join_positions(field, event: LifecycleEvent, rng: random.Random) -> List[Vec2]:
     """Draw the arrival positions of a ``join`` event (free space only)."""
     count = max(0, int(event.param("count", 0)))
     x = event.param("x")
@@ -271,7 +261,7 @@ def draw_join_positions(field, event: LifecycleEvent, rng: random.Random) -> Lis
     return positions
 
 
-def build_event_obstacle(event: LifecycleEvent) -> Obstacle:
+def _build_event_obstacle(event: LifecycleEvent) -> Obstacle:
     """The rectangle an ``obstacle`` event materialises."""
     return Obstacle.rectangle(
         event.param("xmin"),
@@ -398,11 +388,11 @@ class FaultInjector:
 
     def _apply_failure(self, index: int, event: LifecycleEvent) -> WorldChange:
         world = self._world
-        rng = event_rng(world.config.seed, index, "failure")
+        rng = derive_rng(world.config.seed, index, "failure")
         alive_ids = sorted(
             s.sensor_id for s in world.sensors if s.is_alive()
         )
-        victims = select_failure_victims(
+        victims = _select_failure_victims(
             rng,
             event,
             alive_ids,
@@ -433,17 +423,17 @@ class FaultInjector:
 
     def _apply_join(self, index: int, event: LifecycleEvent) -> WorldChange:
         world = self._world
-        rng = event_rng(world.config.seed, index, "join")
+        rng = derive_rng(world.config.seed, index, "join")
         added = [
             world.add_sensor(pos).sensor_id
-            for pos in draw_join_positions(world.field, event, rng)
+            for pos in _draw_join_positions(world.field, event, rng)
         ]
         world.telemetry.count("lifecycle.sensors_joined", len(added))
         return WorldChange(kind="join", added_ids=tuple(added))
 
     def _apply_obstacle(self, event: LifecycleEvent) -> WorldChange:
         world = self._world
-        world.field.add_obstacle(build_event_obstacle(event))
+        world.field.add_obstacle(_build_event_obstacle(event))
         world.notify_field_changed()
         self._displace_swallowed_sensors()
         return WorldChange(kind="obstacle", obstacles_changed=True)

@@ -62,9 +62,20 @@ class TestProfiledExecution:
         profiled = execute_run(spec.replace(profile=True))
         assert _strip_telemetry(plain) == _strip_telemetry(profiled)
 
-    def test_vd_baseline_gets_execute_phase(self):
+    def test_vd_baseline_gets_engine_phases(self):
         record = execute_run(
             RunSpec(scenario=_scenario(duration=10.0), scheme="VOR", profile=True)
+        )
+        summary = record.telemetry
+        assert summary is not None
+        assert "engine.initialize" in summary.phases
+        assert "engine.scheme_step" in summary.phases
+        assert "run.execute" not in summary.phases
+        assert summary.counters["engine.periods"] == record.periods_executed
+
+    def test_analytic_scheme_gets_execute_phase(self):
+        record = execute_run(
+            RunSpec(scenario=_scenario(duration=10.0), scheme="OPT", profile=True)
         )
         assert record.telemetry is not None
         assert "run.execute" in record.telemetry.phases

@@ -187,7 +187,11 @@ class TestVDRecord:
             record.total_moving_distance / n
         )
         assert record.events == () and record.total_messages == 0
-        assert 1 <= record.periods_executed <= 4
+        # Four rounds, one every max_periods // 4 periods, the last at
+        # period 3 * stride; the run stops after the round that converged.
+        stride = scenario.build_config().max_periods // 4
+        assert 1 <= record.periods_executed <= 3 * stride + 1
+        assert record.converged_at == record.periods_executed
 
     @pytest.mark.parametrize("scheme", ["VOR", "Minimax"])
     def test_timeline_record_averages_over_every_sensor_ever(self, scheme):

@@ -18,7 +18,9 @@ functions that tests (and ``benchmarks/perfbench.py``) import:
   per-point grid mask (:func:`predicate_mask`);
 * :mod:`.seed` — the paper's literal step ladder, the seed CPVF dynamics
   (:class:`SeedCPVF`) with its scalar force terms, and the seed neighbour-table / coverage
-  algorithms (their timers live in ``benchmarks/perfbench.py``).
+  algorithms (their timers live in ``benchmarks/perfbench.py``);
+* :mod:`.vd` — VOR with full-information Voronoi cells
+  (:class:`InformedVorScheme`).
 """
 
 from .floor import (
@@ -51,6 +53,7 @@ from .seed import (
     seed_neighbor_table,
     step_is_valid,
 )
+from .vd import InformedVorScheme
 from .world import BruteRadio, UncachedWorld, double_loop_components, uncached
 
 __all__ = [
@@ -82,4 +85,5 @@ __all__ = [
     "max_valid_step_reference",
     "seed_neighbor_table",
     "seed_coverage_fraction",
+    "InformedVorScheme",
 ]
