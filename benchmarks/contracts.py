@@ -55,6 +55,9 @@ PERIOD_BUDGET_FACTOR = 3.0
 OBSTACLE_CPVF_BUDGET_FACTOR = 3.0
 #: ``perf.obstacle_floor``: the same budget for the FLOOR deployment.
 OBSTACLE_FLOOR_BUDGET_FACTOR = 3.0
+#: ``perf.lifecycle_recovery``: each fresh mass-failure run (CPVF, FLOOR)
+#: may take at most this many times its committed ``run_ms``.
+LIFECYCLE_RECOVERY_BUDGET_FACTOR = 3.0
 #: ``obs.committed_overhead``: null-sink telemetry overhead asserted when
 #: the bench file was generated; re-checked so a regenerated entry cannot
 #: silently commit a regression.
@@ -149,6 +152,15 @@ def measure_obstacle_floor(ms: Measurements) -> Dict:
     from benchmarks.perfbench import measure_obstacle_floor as measure
 
     runs = Committed("obstacle_floor", "runs").values(ms.bench)
+    return measure(runs=runs[0]) if runs else measure()
+
+
+def measure_lifecycle_recovery(ms: Measurements) -> list:
+    """The committed ``lifecycle_recovery`` rows (per scheme, the median
+    of ``runs`` mass-failure runs), measured afresh like ``obstacle_cpvf``."""
+    from benchmarks.perfbench import measure_lifecycle_recovery as measure
+
+    runs = Committed("lifecycle_recovery", "runs").values(ms.bench)
     return measure(runs=runs[0]) if runs else measure()
 
 
@@ -394,6 +406,7 @@ MEASUREMENTS: Dict[str, Callable[[Measurements], object]] = {
     "cpvf_period": measure_cpvf_period,
     "obstacle_cpvf": measure_obstacle_cpvf,
     "obstacle_floor": measure_obstacle_floor,
+    "lifecycle_recovery": measure_lifecycle_recovery,
     "profiled_run": measure_profiled_run,
     "report_cli": measure_report_cli,
     "degraded_smoke": measure_degraded_smoke,
@@ -427,22 +440,47 @@ def check_period_budget(m, committed) -> Verdict:
     )
 
 
-def _deployment_budget(scheme: str, factor: float, m, committed) -> Verdict:
-    wall_ms = committed[0]
-    budget = factor * wall_ms
+def _deployment_budget(
+    label: str, factor: float, measured_ms: float, committed_ms: float
+) -> Verdict:
+    budget = factor * committed_ms
     return (
-        m["wall_ms"] <= budget,
-        f"paper-obstacle {scheme} deployment {m['wall_ms']:.0f} ms, budget "
-        f"{budget:.0f} ms ({factor:g} x committed wall_ms {wall_ms:.0f} ms)",
+        measured_ms <= budget,
+        f"{label} {measured_ms:.0f} ms, budget {budget:.0f} ms "
+        f"({factor:g} x committed {committed_ms:.0f} ms)",
     )
 
 
 def check_obstacle_cpvf(m, committed) -> Verdict:
-    return _deployment_budget("CPVF", OBSTACLE_CPVF_BUDGET_FACTOR, m, committed)
+    return _deployment_budget(
+        "paper-obstacle CPVF deployment wall_ms", OBSTACLE_CPVF_BUDGET_FACTOR,
+        m["wall_ms"], committed[0],
+    )
 
 
 def check_obstacle_floor(m, committed) -> Verdict:
-    return _deployment_budget("FLOOR", OBSTACLE_FLOOR_BUDGET_FACTOR, m, committed)
+    return _deployment_budget(
+        "paper-obstacle FLOOR deployment wall_ms", OBSTACLE_FLOOR_BUDGET_FACTOR,
+        m["wall_ms"], committed[0],
+    )
+
+
+def check_lifecycle_recovery(m, committed) -> Verdict:
+    fresh = {row["scheme"]: row["run_ms"] for row in m}
+    budgets = {row["scheme"]: row["run_ms"] for row in committed}
+    if fresh.keys() != budgets.keys():
+        return False, (
+            f"fresh runs of {sorted(fresh)} against committed rows of "
+            f"{sorted(budgets)}"
+        )
+    verdicts = [
+        _deployment_budget(
+            f"mass-failure {scheme} run_ms", LIFECYCLE_RECOVERY_BUDGET_FACTOR,
+            fresh[scheme], run_ms,
+        )
+        for scheme, run_ms in budgets.items()
+    ]
+    return _require("; ".join(detail for _, detail in verdicts), *verdicts)
 
 
 def check_roundtrip(m) -> Verdict:
@@ -573,20 +611,22 @@ def check_gc(m) -> Verdict:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class Committed:
-    """A column of ``BENCH_perf.json`` rows (optionally the row with ``n``)."""
+    """A column of ``BENCH_perf.json`` rows (optionally the row with ``n``);
+    ``column=None`` takes the whole rows."""
 
     entry: str
-    column: str
+    column: Optional[str]
     n: Optional[int] = None
 
     def values(self, bench: Dict) -> Optional[list]:
-        rows = bench.get(self.entry) or ()
-        values = [
-            row[self.column]
-            for row in rows
-            if self.column in row and (self.n is None or row.get("n") == self.n)
+        rows = [
+            row
+            for row in bench.get(self.entry) or ()
+            if self.n is None or row.get("n") == self.n
         ]
-        return values or None
+        if self.column is not None:
+            rows = [row[self.column] for row in rows if self.column in row]
+        return rows or None
 
 
 @dataclass(frozen=True)
@@ -615,6 +655,9 @@ CONTRACTS: Tuple[Contract, ...] = (
              committed=Committed("obstacle_cpvf", "wall_ms")),
     Contract("perf.obstacle_floor", "obstacle_floor", check_obstacle_floor,
              committed=Committed("obstacle_floor", "wall_ms")),
+    Contract("perf.lifecycle_recovery", "lifecycle_recovery",
+             check_lifecycle_recovery,
+             committed=Committed("lifecycle_recovery", None)),
     Contract("obs.roundtrip", "profiled_run", check_roundtrip),
     Contract("obs.report_cli", "report_cli", check_report_cli),
     Contract("obs.committed_overhead", None, check_committed_overhead,

@@ -468,17 +468,38 @@ def measure_scenario_generation(
 # ----------------------------------------------------------------------
 # Lifecycle recovery (fault injection + tree repair)
 # ----------------------------------------------------------------------
-def measure_lifecycle_recovery(seed: int = 3) -> List[Dict[str, float]]:
+def _median_run(spec, runs: int):
+    """``(wall seconds, record)`` of the median of ``runs`` executions."""
+    samples = []
+    for _ in range(runs):
+        start = time.perf_counter()
+        record = execute_run(spec)
+        samples.append((time.perf_counter() - start, record))
+    samples.sort(key=lambda sample: sample[0])
+    return samples[len(samples) // 2]
+
+
+#: Engine phases the ``lifecycle_recovery`` rows break the wall time into:
+#: the event timeline with its per-period recovery tracking, and the
+#: scheme's own periods.
+LIFECYCLE_PHASES = ("engine.fault_injection", "engine.scheme_step")
+
+
+def measure_lifecycle_recovery(
+    seed: int = 3, runs: int = 3
+) -> List[Dict[str, float]]:
     """Cost and quality of recovering from a 20% mid-run kill.
 
     Runs the lifecycle suite's acceptance scenario (``mass-failure``: a
     fifth of the live population dies at 40% of the horizon on the open
-    field) for both connectivity-aware schemes at the bench scale, timing
-    the full run and asserting the robustness contract while measuring —
-    each scheme must climb back to at least 90% of its pre-event coverage
-    by the end of the run.
+    field) for both connectivity-aware schemes at the bench scale through
+    ``RunSpec(profile=True)``, asserting the robustness contract while
+    measuring — each scheme must climb back to at least 90% of its
+    pre-event coverage by the end of the run.  Each row holds the median
+    of ``runs`` wall times and that run's :data:`LIFECYCLE_PHASES` span
+    totals.
     """
-    from repro.api import RunSpec, execute_run
+    from repro.api import RunSpec
     from repro.experiments.common import BENCH_SCALE
     from repro.experiments.common import make_scenario as _make_scenario
     from repro.experiments.lifecycle import lifecycle_events
@@ -487,20 +508,26 @@ def measure_lifecycle_recovery(seed: int = 3) -> List[Dict[str, float]]:
     scenario = _make_scenario(BENCH_SCALE, seed=seed, events=events)
     rows: List[Dict[str, float]] = []
     for scheme in ("CPVF", "FLOOR"):
-        start = time.perf_counter()
-        record = execute_run(RunSpec(scenario=scenario, scheme=scheme))
-        elapsed = time.perf_counter() - start
+        elapsed, record = _median_run(
+            RunSpec(scenario=scenario, scheme=scheme, profile=True), runs
+        )
         outcome = record.events[0]
         if outcome.recovery_ratio < 0.9:
             raise AssertionError(
                 f"{scheme} recovered only {outcome.recovery_ratio:.1%} of its "
                 "pre-failure coverage (contract: >= 90%)"
             )
+        phases = record.telemetry.phases
         rows.append(
             {
                 "scheme": scheme,
                 "n": scenario.sensor_count,
+                "runs": runs,
                 "run_ms": elapsed * 1000.0,
+                "phases_ms": {
+                    name: phases[name].seconds * 1000.0
+                    for name in LIFECYCLE_PHASES
+                },
                 "pre_coverage": outcome.pre_coverage,
                 "post_coverage": outcome.post_coverage,
                 "recovery_ratio": outcome.recovery_ratio,
@@ -618,7 +645,7 @@ def _measure_obstacle_deployment(
     its ``phases`` span totals and, when ``counters`` names any, those
     telemetry counters.
     """
-    from repro.api import RunSpec, execute_run
+    from repro.api import RunSpec
     from repro.experiments.common import BENCH_SCALE
 
     scale = dataclasses.replace(
@@ -629,13 +656,7 @@ def _measure_obstacle_deployment(
         scheme=scheme,
         profile=True,
     )
-    samples = []
-    for _ in range(runs):
-        start = time.perf_counter()
-        record = execute_run(spec)
-        samples.append((time.perf_counter() - start, record))
-    samples.sort(key=lambda sample: sample[0])
-    wall_s, record = samples[len(samples) // 2]
+    wall_s, record = _median_run(spec, runs)
     summary = record.telemetry
     row = {
         "n": scale.sensor_count,

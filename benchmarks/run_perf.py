@@ -238,12 +238,17 @@ def _print_results(results: dict) -> None:
         )
     for row in results.get("lifecycle_recovery", ()):
         ttr = row["time_to_recover"]
+        phases = " ".join(
+            f"{name}={ms:.0f} ms" for name, ms in row.get("phases_ms", {}).items()
+        )
+        before = row.get("before_ms")
         print(
             f"lifecycle_recovery {row['scheme']} n={row['n']}: "
-            f"run={row['run_ms']:.0f} ms "
+            f"run={row['run_ms']:.0f} ms ({phases}) "
             f"recovery={row['recovery_ratio']:.1%} "
             f"t-recover={'-' if ttr is None else ttr} "
             f"extra={row['extra_distance']:.0f} m"
+            + ("" if before is None else f" before={before:.0f} ms")
         )
     for entry in ("obstacle_cpvf", "obstacle_floor"):
         for row in results.get(entry, ()):

@@ -39,12 +39,17 @@ _KILL = {"partial": 2, "store": None, "computed": 4, "store_hits": 2,
 _GC = {"entries": 6, "removed_files": 2, "kept_entries": 6, "surviving": 6}
 _OBSTACLE_CPVF = {"wall_ms": 250.0}
 _OBSTACLE_FLOOR = {"wall_ms": 500.0}
+_LIFECYCLE = [
+    {"scheme": "CPVF", "run_ms": 600.0},
+    {"scheme": "FLOOR", "run_ms": 1200.0},
+]
 
 #: A passing measurement for every measurement name.
 GOOD = {
     "cpvf_period": _PERIOD,
     "obstacle_cpvf": _OBSTACLE_CPVF,
     "obstacle_floor": _OBSTACLE_FLOOR,
+    "lifecycle_recovery": _LIFECYCLE,
     "profiled_run": _PROFILED,
     "report_cli": _REPORT,
     "degraded_smoke": _DEGRADED,
@@ -60,6 +65,10 @@ BENCH = {
     "telemetry_overhead": [{"n": 2000, "overhead_pct": 0.2}],
     "obstacle_cpvf": [{"n": 70, "wall_ms": 100.0}],
     "obstacle_floor": [{"n": 70, "wall_ms": 200.0}],
+    "lifecycle_recovery": [
+        {"scheme": "CPVF", "n": 70, "run_ms": 300.0},
+        {"scheme": "FLOOR", "n": 70, "run_ms": 500.0},
+    ],
     "degraded_coverage": [
         {"scheme": "CPVF", "coverage_ratio": 0.93},
         {"scheme": "FLOOR", "coverage_ratio": 0.97},
@@ -83,6 +92,7 @@ DOCTORED = {
     "perf.cpvf_period": ("bench", ("cpvf_period", 1, "fast_ms"), 3.0),
     "perf.obstacle_cpvf": (("obstacle_cpvf", "wall_ms"), 301.0),
     "perf.obstacle_floor": (("obstacle_floor", "wall_ms"), 601.0),
+    "perf.lifecycle_recovery": (("lifecycle_recovery", 1, "run_ms"), 1501.0),
     "obs.roundtrip": (("profiled_run", "json_roundtrip"), False),
     "obs.report_cli": (("report_cli", "returncode"), 1),
     "obs.committed_overhead": (
@@ -163,6 +173,18 @@ def test_fresh_overhead_uses_the_best_untraced_window(run):
     injected["cpvf_period"]["traced_ms"] = 31.0
     bench = {"cpvf_period": []}
     assert run("obs.fresh_overhead", bench=bench, injected=injected) == 1
+
+
+def test_lifecycle_recovery_budgets_every_scheme(run):
+    # CPVF over its own 3 x 300 ms budget fails even though FLOOR's
+    # 1500 ms budget would cover it.
+    injected = _with(GOOD, ("lifecycle_recovery", 0, "run_ms"), 901.0)
+    assert run("perf.lifecycle_recovery", injected=injected) == 1
+    injected = _with(GOOD, ("lifecycle_recovery",), _LIFECYCLE[:1])
+    assert run("perf.lifecycle_recovery", injected=injected) == 1
+    # Fresh rows pair with committed rows by scheme, not by position.
+    injected = _with(GOOD, ("lifecycle_recovery",), _LIFECYCLE[::-1])
+    assert run("perf.lifecycle_recovery", injected=injected) == 0
 
 
 def test_crash_inside_a_check_fails(run):

@@ -294,7 +294,9 @@ class OptAdapter(SchemeAdapter):
             average_moving_distance=0.0,
             total_moving_distance=0.0,
             total_messages=0,
-            connected=True,
+            connected=positions_are_connected(
+                positions, scenario.communication_range
+            ),
             final_positions=(
                 tuple(p.as_tuple() for p in positions)
                 if spec.keep_positions
@@ -325,7 +327,9 @@ class OptHungarianAdapter(SchemeAdapter):
             average_moving_distance=average,
             total_moving_distance=average * scenario.sensor_count,
             total_messages=0,
-            connected=True,
+            connected=positions_are_connected(
+                targets, scenario.communication_range
+            ),
             final_positions=(
                 tuple(p.as_tuple() for p in targets)
                 if spec.keep_positions

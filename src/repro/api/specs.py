@@ -46,8 +46,9 @@ __all__ = [
 #: results, a new record field, a serialization change.  The version is
 #: hashed into every fingerprint, so bumping it invalidates every
 #: content-addressed store entry at once (old entries simply never match
-#: again and are reclaimed by ``repro.service``'s GC).
-SPEC_SCHEMA_VERSION = 1
+#: again and are reclaimed by ``repro.service``'s GC).  Version 2: OPT and
+#: OPT-Hungarian records compute ``connected`` instead of claiming it.
+SPEC_SCHEMA_VERSION = 2
 
 
 def canonical_json(data: Any) -> str:

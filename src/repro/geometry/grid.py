@@ -16,6 +16,9 @@ import numpy as np
 
 __all__ = ["CoverageGrid"]
 
+#: Stencil cells (disks x bounding-box cells) rasterised per batch.
+_STENCIL_CELLS = 1 << 18
+
 
 @dataclass
 class CoverageGrid:
@@ -65,6 +68,11 @@ class CoverageGrid:
         """Total number of sample points."""
         return len(self._px)
 
+    @property
+    def axes(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The sample coordinates along x (``nx`` values) and y (``ny``)."""
+        return self._xs, self._ys
+
     def point_arrays(self) -> Tuple[np.ndarray, np.ndarray]:
         """The flattened x and y coordinate arrays of all sample points."""
         return self._px, self._py
@@ -72,50 +80,62 @@ class CoverageGrid:
     # ------------------------------------------------------------------
     # Masks
     # ------------------------------------------------------------------
-    def disk_block(
-        self, cx: float, cy: float, radius: float
-    ) -> "Tuple[slice, slice, np.ndarray] | None":
-        """The grid sub-block a disk touches, with its in-disk mask.
+    def disk_hits(self, cx, cy, radius: float) -> np.ndarray:
+        """Flat indices of every (disk, sample point) hit, in one batch.
 
-        Returns ``(i_slice, j_slice, hit)`` where ``hit`` is the boolean
-        mask ``dx*dx + dy*dy <= radius*radius`` over the sub-block of the
-        ``'ij'``-shaped grid inside the disk's bounding box, or ``None``
-        when the disk misses the grid entirely.  This is the single
-        rasterisation predicate every coverage path shares — the
-        incremental tracker's exact-parity contract depends on all
-        consumers using the same float ops.
+        ``cx`` and ``cy`` are equal-length arrays of disk centres sharing
+        one ``radius``.  The result holds, for each disk, the flat
+        (``'ij'``-raveled) index of every sample point with
+        ``dx*dx + dy*dy <= radius*radius``; a point inside ``k`` disks
+        appears ``k`` times, so ``np.bincount`` of the result is the
+        coverage multiplicity.  This is the single rasterisation
+        predicate every coverage path shares: each disk's bounding box
+        ``[i0, i1) x [j0, j1)`` comes from ``searchsorted`` on the sample
+        axes, and the per-point test uses the same float64 ops on the
+        same coordinates, so every consumer (the incremental tracker,
+        :meth:`coverage_mask`, the coverage report) agrees bit for bit.
         """
+        cx = np.asarray(cx, dtype=float).ravel()
+        cy = np.asarray(cy, dtype=float).ravel()
         xs, ys = self._xs, self._ys
-        i0 = int(np.searchsorted(xs, cx - radius, side="left"))
-        i1 = int(np.searchsorted(xs, cx + radius, side="right"))
-        j0 = int(np.searchsorted(ys, cy - radius, side="left"))
-        j1 = int(np.searchsorted(ys, cy + radius, side="right"))
-        if i0 >= i1 or j0 >= j1:
-            return None
-        dx = xs[i0:i1, None] - cx
-        dy = ys[None, j0:j1] - cy
-        hit = dx * dx + dy * dy <= radius * radius
-        return slice(i0, i1), slice(j0, j1), hit
+        i0 = np.searchsorted(xs, cx - radius, side="left")
+        j0 = np.searchsorted(ys, cy - radius, side="left")
+        wi = np.searchsorted(xs, cx + radius, side="right") - i0
+        wj = np.searchsorted(ys, cy + radius, side="right") - j0
+        width = int(wi.max(initial=0))
+        height = int(wj.max(initial=0))
+        if width <= 0 or height <= 0:
+            return np.empty(0, dtype=np.intp)
+        # One stencil as wide as the widest bounding box, clipped to the
+        # axes for the gather and masked to each disk's own box; disks go
+        # through in chunks so the stencil stays small at any n.
+        di = np.arange(width)
+        dj = np.arange(height)
+        chunk = max(1, _STENCIL_CELLS // (width * height))
+        parts = []
+        for lo in range(0, len(cx), chunk):
+            sl = slice(lo, lo + chunk)
+            ii = np.minimum(i0[sl, None] + di, len(xs) - 1)
+            jj = np.minimum(j0[sl, None] + dj, len(ys) - 1)
+            dx = xs[ii] - cx[sl, None]
+            dy = ys[jj] - cy[sl, None]
+            hit = (dx * dx)[:, :, None] + (dy * dy)[:, None, :] <= radius * radius
+            hit &= (di < wi[sl, None])[:, :, None]
+            hit &= (dj < wj[sl, None])[:, None, :]
+            k, a, b = np.nonzero(hit)
+            parts.append(ii[k, a] * len(ys) + jj[k, b])
+        return np.concatenate(parts)
 
     def coverage_mask(
         self, centers: Sequence[Tuple[float, float]], radius: float
     ) -> np.ndarray:
-        """Mask of sample points within ``radius`` of any of ``centers``.
-
-        Each disk only touches the sub-block of grid points inside its
-        bounding box, so the cost is proportional to the covered area
-        rather than ``len(centers) * num_points``.
-        """
-        covered = np.zeros(self.shape, dtype=bool)
-        if not centers or radius <= 0:
-            return covered.ravel()
-        for cx, cy in centers:
-            block = self.disk_block(cx, cy, radius)
-            if block is None:
-                continue
-            si, sj, hit = block
-            covered[si, sj] |= hit
-        return covered.ravel()
+        """Mask of sample points within ``radius`` of any of ``centers``."""
+        covered = np.zeros(self.num_points, dtype=bool)
+        if len(centers) == 0 or radius <= 0:
+            return covered
+        pts = np.asarray(centers, dtype=float)
+        covered[self.disk_hits(pts[:, 0], pts[:, 1], radius)] = True
+        return covered
 
     def fraction(self, mask: np.ndarray, domain: np.ndarray | None = None) -> float:
         """Fraction of (domain) points set in ``mask``.

@@ -90,46 +90,6 @@ class MessageStats:
                 counters[f"{net_prefix}{key}"] = count
         return counters
 
-    def snapshot(self) -> "MessageStats":
-        """A frozen copy of the current counters.
-
-        Window accounting for burst metrics: take a snapshot at the window
-        start and :meth:`diff` against it at the window end, leaving the
-        global (whole-run) counters untouched.
-        """
-        copy = MessageStats()
-        copy.counts = Counter(self.counts)
-        copy.net_counts = Counter(self.net_counts)
-        return copy
-
-    def diff(self, earlier: "MessageStats") -> "MessageStats":
-        """Transmissions recorded since ``earlier`` was snapshotted.
-
-        Computed per type as ``self - earlier`` (delivery-condition
-        counters included); counters are monotone, so a negative delta
-        means ``earlier`` is not actually an earlier snapshot of this
-        stream.
-        """
-        delta = MessageStats()
-        for message_type, count in self.counts.items():
-            change = count - earlier.counts.get(message_type, 0)
-            if change < 0:
-                raise ValueError(
-                    "diff against a snapshot with higher counts "
-                    f"({message_type})"
-                )
-            if change:
-                delta.counts[message_type] = change
-        for key, count in self.net_counts.items():
-            change = count - earlier.net_counts.get(key, 0)
-            if change < 0:
-                raise ValueError(
-                    f"diff against a snapshot with higher counts (net.{key})"
-                )
-            if change:
-                delta.net_counts[key] = change
-        return delta
-
     def merge(self, other: "MessageStats") -> "MessageStats":
         """A new stats object combining both operand counters."""
         merged = MessageStats()

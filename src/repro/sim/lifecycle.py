@@ -308,7 +308,7 @@ class FaultInjector:
         )
         #: Per-period transmission totals for the trailing baseline window.
         self._recent_messages: deque = deque(maxlen=BURST_WINDOW)
-        self._last_snapshot = world.stats.snapshot()
+        self._last_total = world.stats.total()
         self._active: List[RecoveryTracker] = []
         self._outcomes: List[EventOutcome] = []
 
@@ -327,9 +327,9 @@ class FaultInjector:
     def observe(self, period: int) -> None:
         """Per-period bookkeeping (call after the scheme stepped)."""
         world = self._world
-        current = world.stats.snapshot()
-        self._recent_messages.append(current.diff(self._last_snapshot).total())
-        self._last_snapshot = current
+        total = world.stats.total()
+        self._recent_messages.append(total - self._last_total)
+        self._last_total = total
         if not self._active:
             return
         coverage = world.coverage()

@@ -190,7 +190,9 @@ class World:
 
         The incremental tracker re-rasterises only the disks of sensors
         that moved since the previous call; the result is identical to the
-        brute-force ``Field.coverage_fraction`` scan.
+        brute-force ``Field.coverage_fraction`` scan.  With telemetry on,
+        ``coverage.updates`` counts the calls and ``coverage.disks`` the
+        disks they rasterised.
         """
         alive = self.alive_sensors()
         key = (self.config.sensing_range, self.config.coverage_resolution)
@@ -198,7 +200,10 @@ class World:
         if tracker is None:
             tracker = IncrementalCoverage(self.field, key[0], key[1])
             self._coverage_trackers[key] = tracker
-        tracker.update([(s.position.x, s.position.y) for s in alive])
+        disks = tracker.update([(s.position.x, s.position.y) for s in alive])
+        if self.telemetry.enabled:
+            self.telemetry.count("coverage.updates", 1)
+            self.telemetry.count("coverage.disks", disks)
         return tracker.covered_fraction()
 
     def network_is_connected(self) -> bool:

@@ -35,22 +35,28 @@ structures are returned as copies so callers may mutate them freely, which
 preserves the semantics of the pre-cache API.
 
 ``IncrementalCoverage`` — maintains the per-cell coverage *multiplicity*
-grid (how many sensing disks contain each sample point) plus a running
-count of covered free cells.  When a sensor moves, only the grid cells
-inside the bounding boxes of its old and new sensing disks are updated
-(decrement old disk, increment new disk, track 0<->1 transitions), making
-``World.coverage()`` cheap enough to trace every period.  The predicate
-per cell is the same float64 ``dx*dx + dy*dy <= r*r`` the brute-force
-:meth:`~repro.geometry.grid.CoverageGrid.coverage_mask` uses, so the
-covered-cell count — and hence the coverage fraction — matches the
-brute-force path exactly, not just to within tolerance.
+grid (how many sensing disks contain each sample point) and the count of
+covered free cells.  When sensors move, the disks of the moved sensors
+are rasterised in two batches — their old disks removed, their new disks
+added — each batch one
+:meth:`~repro.geometry.grid.CoverageGrid.disk_hits` pass (a stencil as
+wide as the widest disk bounding box, masked to each disk's own box),
+and the covered cells are recounted over the grid.  That keeps
+``World.coverage()`` cheap enough to trace every period and to track an
+event's recovery every period.  The predicate per cell is the same
+float64 ``dx*dx + dy*dy <= r*r`` the brute-force
+:meth:`~repro.geometry.grid.CoverageGrid.coverage_mask` uses on the same
+sample coordinates, so the covered-cell count — and hence the coverage
+fraction — matches the brute-force path exactly, not just to within
+tolerance.
 
 Invalidation contract: the ``NeighborCache`` epoch covers per-sensor
 position versions, the configured communication range and the world's
 population version, so movement, a mid-run range change and churn
 (failures, injections) all invalidate.  ``IncrementalCoverage`` diffs
 the packed position array itself and rebuilds from scratch when the
-sensor count changes.  The brute-force references (``BruteRadio`` and
+sensor count changes; ``World.notify_field_changed`` drops the trackers
+when the obstacle set changes.  The brute-force references (``BruteRadio`` and
 the uncached world in ``tests/oracles``, ``Field.coverage_fraction``)
 are exercised against the fast paths by randomized parity tests under
 ``tests/spatial/``.

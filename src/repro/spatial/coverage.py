@@ -1,11 +1,11 @@
 """Incremental coverage tracking over the shared coverage grid.
 
 Maintains the per-cell *multiplicity* (number of sensing disks containing
-each grid sample point) and a running count of covered free cells.  Moving
-one sensor only touches the grid cells inside the bounding boxes of its
-old and new sensing disks, so re-measuring coverage after a period in
-which ``k`` sensors moved costs ``O(k * disk_area / resolution^2)``
-instead of a full-grid scan per sensor.
+each grid sample point).  Re-measuring coverage after a period in which
+``k`` sensors moved rasterises only those ``2k`` disks (the old ones
+removed, the new ones added), each batch in one
+:meth:`~repro.geometry.grid.CoverageGrid.disk_hits` pass, and then counts
+the covered free cells over the grid.
 
 The per-cell predicate is the same float64 ``dx*dx + dy*dy <= r*r`` the
 brute-force :meth:`repro.geometry.grid.CoverageGrid.coverage_mask` uses on
@@ -31,57 +31,50 @@ class IncrementalCoverage:
         self._radius = float(sensing_range)
         grid, obstacle_mask = field.grid_and_obstacle_mask(resolution)
         self._grid = grid
-        nx, ny = grid.shape
-        self._free = (~obstacle_mask).reshape(nx, ny)
+        self._free = ~obstacle_mask
         self._free_total = int(self._free.sum())
-        self._multiplicity = np.zeros((nx, ny), dtype=np.int32)
+        self._multiplicity = np.zeros(grid.num_points, dtype=np.intp)
         self._covered_free = 0
         self._positions: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
     # Updates
     # ------------------------------------------------------------------
-    def update(self, positions) -> None:
+    def update(self, positions) -> int:
         """Bring the tracker in sync with the given ``(n, 2)`` positions.
 
         Diffs against the previously applied positions and re-rasterises
-        only the disks of sensors that actually moved.  A change in sensor
-        count triggers a full rebuild.
+        only the disks of sensors that actually moved; a change in sensor
+        count triggers a full rebuild.  Returns the number of disks
+        rasterised.
         """
-        pts = np.asarray(positions, dtype=float)
-        if pts.size == 0:
-            pts = pts.reshape(0, 2)
+        pts = np.asarray(positions, dtype=float).reshape(-1, 2)
         old = self._positions
         if old is None or len(old) != len(pts):
-            self._multiplicity[:] = 0
-            self._covered_free = 0
-            for k in range(len(pts)):
-                self._apply_disk(pts[k, 0], pts[k, 1], +1)
+            self._multiplicity = np.bincount(
+                self._hits(pts), minlength=self._grid.num_points
+            )
+            disks = len(pts)
+            recount = True
         else:
-            moved = np.flatnonzero((old[:, 0] != pts[:, 0]) | (old[:, 1] != pts[:, 1]))
-            for k in moved:
-                self._apply_disk(old[k, 0], old[k, 1], -1)
-                self._apply_disk(pts[k, 0], pts[k, 1], +1)
+            moved = (old[:, 0] != pts[:, 0]) | (old[:, 1] != pts[:, 1])
+            disks = 2 * int(np.count_nonzero(moved))
+            recount = disks > 0
+            if recount:
+                np.subtract.at(self._multiplicity, self._hits(old[moved]), 1)
+                np.add.at(self._multiplicity, self._hits(pts[moved]), 1)
+        if recount:
+            self._covered_free = int(
+                np.count_nonzero((self._multiplicity > 0) & self._free)
+            )
         self._positions = pts.copy()
+        return disks
 
-    def _apply_disk(self, x: float, y: float, delta: int) -> None:
-        """Add (+1) or remove (-1) one sensing disk from the multiplicity."""
+    def _hits(self, pts: np.ndarray) -> np.ndarray:
+        """Flat grid indices hit by the sensing disks centred at ``pts``."""
         if self._radius <= 0:
-            return
-        disk = self._grid.disk_block(x, y, self._radius)
-        if disk is None:
-            return
-        si, sj, hit = disk
-        block = self._multiplicity[si, sj]
-        free = self._free[si, sj]
-        if delta > 0:
-            newly = hit & (block == 0)
-            block += hit
-            self._covered_free += int(np.count_nonzero(newly & free))
-        else:
-            block -= hit
-            cleared = hit & (block == 0)
-            self._covered_free -= int(np.count_nonzero(cleared & free))
+            return np.empty(0, dtype=np.intp)
+        return self._grid.disk_hits(pts[:, 0], pts[:, 1], self._radius)
 
     # ------------------------------------------------------------------
     # Queries

@@ -49,11 +49,19 @@ class TestFingerprint:
             == base
         )
 
-    def test_default_fingerprint_is_pinned(self):
-        """The structural-mode identity: this digest predates the network
-        backend, and attaching no (or a structural) spec must never move
-        it — a warm run store written before the backend existed keeps
-        serving these runs."""
+    def test_default_fingerprint_is_pinned(self, monkeypatch):
+        """The structural-mode identity: the schema-1 digest predates the
+        network backend, and attaching no (or a structural) spec must
+        never move it — a warm run store written before the backend
+        existed keeps serving these runs.  Only a schema-version bump
+        moves it; the current version's digest is pinned too."""
+        import repro.api.specs as specs_module
+
+        assert (
+            small_spec().fingerprint()
+            == "151028ed21247f3a27520b7bde4233bb64a7597e"
+        )
+        monkeypatch.setattr(specs_module, "SPEC_SCHEMA_VERSION", 1)
         assert (
             small_spec().fingerprint()
             == "9acc53ff17501fb579d69ee069be0354f72b9b8e"

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from repro.geometry import CoverageGrid
-from tests.oracles import predicate_mask
+from repro.field import two_obstacle_field
+from repro.geometry import CoverageGrid, Vec2
+from tests.oracles import predicate_mask, reference_disk_block
 
 
 class TestConstruction:
@@ -75,3 +76,107 @@ class TestPredicateMask:
         grid = CoverageGrid(0, 0, 100, 100, 5)
         mask = predicate_mask(grid, lambda p: p.y > 50)
         assert grid.fraction(mask) == pytest.approx(0.5, abs=0.05)
+
+
+def reference_hits(grid, cx, cy, radius):
+    """Sorted flat indices hit by each disk, one disk block at a time."""
+    ny = grid.shape[1]
+    parts = [np.empty(0, dtype=np.intp)]
+    for x, y in zip(cx, cy):
+        block = reference_disk_block(grid, x, y, radius)
+        if block is None:
+            continue
+        si, sj, hit = block
+        ii, jj = np.nonzero(hit)
+        parts.append((ii + si.start) * ny + (jj + sj.start))
+    return np.sort(np.concatenate(parts))
+
+
+def assert_hits_match(grid, cx, cy, radius):
+    cx = np.asarray(cx, dtype=float)
+    cy = np.asarray(cy, dtype=float)
+    got = np.sort(grid.disk_hits(cx, cy, radius))
+    assert np.array_equal(got, reference_hits(grid, cx, cy, radius))
+
+
+class TestDiskHits:
+    """``disk_hits`` hits exactly what the one-disk reference block hits."""
+
+    @pytest.mark.parametrize("trial", range(40))
+    def test_random_disks_match_reference(self, trial):
+        rng = np.random.default_rng(trial)
+        grid = CoverageGrid(
+            0, 0, rng.uniform(40, 300), rng.uniform(40, 300),
+            float(rng.choice([2.5, 7.0, 10.0, 15.0])),
+        )
+        n = int(rng.integers(1, 40))
+        radius = float(rng.uniform(0.5, 70))
+        # Off-grid centres, some of them outside the field.
+        cx = rng.uniform(-90, grid.xmax + 90, n)
+        cy = rng.uniform(-90, grid.ymax + 90, n)
+        assert_hits_match(grid, cx, cy, radius)
+
+    def test_centres_on_sample_points(self):
+        grid = CoverageGrid(0, 0, 200, 150, 10)
+        xs, ys = grid.axes
+        cx, cy = np.meshgrid(xs[::3], ys[::2], indexing="ij")
+        for radius in (0.0, 10.0, 20.0, 35.0):
+            assert_hits_match(grid, cx.ravel(), cy.ravel(), radius)
+
+    def test_bounding_box_edges_on_sample_points(self):
+        # Every coordinate here is exact in binary, so cx - r, cx + r,
+        # cy - r and cy + r land exactly on sample points (and the rim
+        # points sit exactly at distance r).
+        grid = CoverageGrid(0, 0, 200, 200, 10)
+        radius = 20.0
+        cx = [25.0, 45.0, 105.0, 195.0, 5.0]
+        cy = [45.0, 25.0, 100.0, 15.0, 185.0]
+        assert_hits_match(grid, cx, cy, radius)
+        assert len(grid.disk_hits([45.0], [45.0], radius)) == 13
+
+    def test_centres_outside_the_field(self):
+        grid = CoverageGrid(0, 0, 100, 100, 5)
+        cx = [-30.0, 130.0, 50.0, 50.0, -500.0, -10.0]
+        cy = [50.0, 50.0, -30.0, 130.0, -500.0, -10.0]
+        assert_hits_match(grid, cx, cy, 20.0)
+        assert len(grid.disk_hits([-500.0], [-500.0], 20.0)) == 0
+
+    def test_zero_radius(self):
+        grid = CoverageGrid(0, 0, 100, 100, 10)
+        # Only a centre exactly on a sample point hits (distance 0 <= 0).
+        assert_hits_match(grid, [15.0, 33.0], [25.0, 41.0], 0.0)
+        assert len(grid.disk_hits([15.0, 33.0], [25.0, 41.0], 0.0)) == 1
+
+    def test_radius_larger_than_the_field(self):
+        # Enough disks that the stencil is processed in several chunks.
+        grid = CoverageGrid(0, 0, 300, 300, 3)
+        rng = np.random.default_rng(5)
+        cx = rng.uniform(-50, 350, 60)
+        cy = rng.uniform(-50, 350, 60)
+        hits = grid.disk_hits(cx, cy, 1000.0)
+        assert np.array_equal(
+            np.bincount(hits, minlength=grid.num_points),
+            np.full(grid.num_points, 60),
+        )
+        assert_hits_match(grid, cx, cy, 1000.0)
+
+    def test_no_disks(self):
+        grid = CoverageGrid(0, 0, 100, 100, 10)
+        hits = grid.disk_hits([], [], 30.0)
+        assert hits.shape == (0,)
+        assert grid.coverage_mask([], 30.0).shape == (grid.num_points,)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_obstacle_field_coverage_matches_reference(self, seed):
+        field = two_obstacle_field(300.0)
+        grid, obstacle_mask = field.grid_and_obstacle_mask(7.5)
+        free = ~obstacle_mask
+        rng = np.random.default_rng(seed)
+        pts = rng.uniform(-20, 320, size=(25, 2))
+        radius = float(rng.uniform(10, 60))
+        covered = reference_hits(grid, pts[:, 0], pts[:, 1], radius)
+        mask = np.zeros(grid.num_points, dtype=bool)
+        mask[covered] = True
+        expected = int(np.count_nonzero(mask & free)) / int(np.count_nonzero(free))
+        positions = [Vec2(x, y) for x, y in pts]
+        assert field.coverage_fraction(positions, radius, 7.5) == expected

@@ -48,24 +48,6 @@ def test_merge_carries_net_counts():
     assert merged.total() == 26
 
 
-def test_diff_carries_net_counts():
-    stats = degraded_stats()
-    snap = stats.snapshot()
-    stats.record_net("dropped", 2)
-    stats.record_net("stale_reads", 7)
-    delta = stats.diff(snap)
-    assert delta.net_counts == {"dropped": 2, "stale_reads": 7}
-    assert delta.counts == {}
-
-
-def test_diff_rejects_higher_net_snapshot():
-    stats = degraded_stats()
-    later = stats.snapshot()
-    later.record_net("dropped", 10)
-    with pytest.raises(ValueError):
-        stats.diff(later)
-
-
 def test_net_counter_keys_are_the_schema():
     assert NET_COUNTER_KEYS == (
         "dropped",

@@ -14,8 +14,9 @@ functions that tests (and ``benchmarks/perfbench.py``) import:
   boundary distance and closest point on ``Segment`` objects without the
   bounding-box reject, the obstacle force with no cutoff, the ``Vec2``
   free-travel bisection, the ``Circle``/``Segment`` circle clips and
-  intersections with the visible-boundary query built on them, and the
-  per-point grid mask (:func:`predicate_mask`);
+  intersections with the visible-boundary query built on them, the
+  per-point grid mask (:func:`predicate_mask`) and the one-disk grid
+  block (:func:`reference_disk_block`);
 * :mod:`.seed` — the paper's literal step ladder, the seed CPVF dynamics
   (:class:`SeedCPVF`) with its scalar force terms, and the seed neighbour-table / coverage
   algorithms (their timers live in ``benchmarks/perfbench.py``);
@@ -36,6 +37,7 @@ from .geometry import (
     reference_clip_segment,
     reference_closest_boundary_point,
     reference_contains,
+    reference_disk_block,
     reference_max_free_travel,
     reference_obstacle_force,
     reference_on_boundary,
@@ -71,6 +73,7 @@ __all__ = [
     "reference_clip_segment",
     "reference_closest_boundary_point",
     "reference_contains",
+    "reference_disk_block",
     "reference_max_free_travel",
     "reference_obstacle_force",
     "reference_on_boundary",

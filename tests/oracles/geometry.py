@@ -21,12 +21,15 @@ operation order and must return the same coordinates.
 
 :func:`predicate_mask` classifies a coverage grid one sample point at a
 time; the field's vectorised obstacle rasterisation must match it.
+:func:`reference_disk_block` rasterises one sensing disk over its own
+bounding box; the batched ``CoverageGrid.disk_hits`` must hit exactly the
+same sample points.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -43,6 +46,29 @@ def predicate_mask(
         dtype=bool,
         count=grid.num_points,
     )
+
+
+def reference_disk_block(
+    grid: CoverageGrid, cx: float, cy: float, radius: float
+) -> "Tuple[slice, slice, np.ndarray] | None":
+    """The grid sub-block one disk touches, with its in-disk mask.
+
+    Returns ``(i_slice, j_slice, hit)`` where ``hit`` is the boolean mask
+    ``dx*dx + dy*dy <= radius*radius`` over the sub-block of the
+    ``'ij'``-shaped grid inside the disk's bounding box, or ``None`` when
+    the disk misses the grid entirely.
+    """
+    xs, ys = grid.axes
+    i0 = int(np.searchsorted(xs, cx - radius, side="left"))
+    i1 = int(np.searchsorted(xs, cx + radius, side="right"))
+    j0 = int(np.searchsorted(ys, cy - radius, side="left"))
+    j1 = int(np.searchsorted(ys, cy + radius, side="right"))
+    if i0 >= i1 or j0 >= j1:
+        return None
+    dx = xs[i0:i1, None] - cx
+    dy = ys[None, j0:j1] - cy
+    hit = dx * dx + dy * dy <= radius * radius
+    return slice(i0, i1), slice(j0, j1), hit
 
 
 def reference_edges(polygon: Polygon) -> List[Segment]:

@@ -6,7 +6,8 @@ import pytest
 
 from repro.field import Field, Obstacle
 from repro.geometry import Vec2
-from repro.network import BASE_STATION_ID
+from repro.metrics.recovery import BURST_WINDOW
+from repro.network import BASE_STATION_ID, MessageType
 from repro.sensors import SensorState
 from repro.sim import (
     EVENT_KINDS,
@@ -256,6 +257,19 @@ class _RecordingScheme:
         self.changes.append(change)
 
 
+class _TalkingScheme(_RecordingScheme):
+    """Scheme double transmitting a scripted number of messages per period."""
+
+    def __init__(self, sends):
+        super().__init__()
+        self.sends = sends
+
+    def step(self, world):
+        world.stats.record_transmissions(
+            MessageType.TREE_REPAIR, self.sends[world.period_index]
+        )
+
+
 class TestFaultInjector:
     def test_fires_at_declared_periods_only(self):
         world = make_world()
@@ -333,3 +347,25 @@ class TestFaultInjector:
         assert [o.at_period for o in outcomes] == [1, 4]
         assert all(o.kind == "failure" for o in outcomes)
         assert all(0.0 <= o.pre_coverage <= 1.0 for o in outcomes)
+
+    @pytest.mark.parametrize("at_period", [3, BURST_WINDOW + 5])
+    def test_message_burst_is_window_sum_against_baseline(self, at_period):
+        # The baseline is the transmissions of the BURST_WINDOW periods
+        # before the event (fewer while the run is younger than that);
+        # the burst is what the event's own window sent beyond it.
+        rng = random.Random(at_period)
+        horizon = at_period + BURST_WINDOW + 1
+        sends = [rng.choice((0, 3, 11)) for _ in range(horizon)]
+        world = make_world()
+        scheme = _TalkingScheme(sends)
+        event = sensor_join(at_period=at_period, count=1, x=50.0, y=50.0)
+        injector = FaultInjector(world, scheme, [event])
+        for period in range(horizon):
+            world.period_index = period
+            injector.fire(period)
+            scheme.step(world)
+            injector.observe(period)
+        (outcome,) = injector.outcomes()
+        baseline = sum(sends[max(0, at_period - BURST_WINDOW) : at_period])
+        window = sum(sends[at_period : at_period + BURST_WINDOW + 1])
+        assert outcome.message_burst == window - baseline

@@ -17,7 +17,15 @@ import pytest
 from repro.field import Field, two_obstacle_field
 from repro.geometry import Vec2
 from repro.metrics.connectivity import connected_components, positions_are_connected
-from repro.sim import SimulationConfig, World
+from repro.sim import (
+    FaultInjector,
+    SimulationConfig,
+    World,
+    obstacle_appear,
+    obstacle_clear,
+    sensor_failure,
+    sensor_join,
+)
 from repro.spatial import IncrementalCoverage
 from tests.oracles import BruteRadio, double_loop_components, uncached
 
@@ -216,6 +224,39 @@ class TestCoverageParity:
             assert world.coverage() == brute
             scatter(world, rng, rng.randint(1, 5))
 
+    @pytest.mark.parametrize("with_obstacles", [False, True])
+    @pytest.mark.parametrize("trial", range(3))
+    def test_tracker_follows_lifecycle_churn(self, trial, with_obstacles):
+        # Failures, joins, a door slamming and doors opening, with a few
+        # sensors moving every period: the tracker must equal the brute
+        # scan over the survivors and the current obstacle set throughout.
+        world = random_world(trial, n=30, with_obstacles=with_obstacles)
+        layout = len(world.field.obstacles)
+        events = [
+            sensor_failure(at_period=2, count=4),
+            sensor_join(at_period=4, count=3),
+            obstacle_appear(at_period=6, xmin=90, ymin=90, xmax=170, ymax=150),
+            sensor_failure(at_period=8, fraction=0.2, selection="interior"),
+            sensor_join(at_period=8, count=2, x=150.0, y=150.0, radius=60.0),
+            obstacle_clear(at_period=10, index=layout),
+        ]
+        if with_obstacles:
+            events.append(obstacle_clear(at_period=12, index=0))
+        injector = FaultInjector(world, object(), events)
+        rng = random.Random(7000 + trial)
+        rs = world.config.sensing_range
+        res = world.config.coverage_resolution
+        for period in range(15):
+            world.period_index = period
+            injector.fire(period)
+            scatter(world, rng, rng.randint(0, 4))
+            injector.observe(period)
+            alive = [s.position for s in world.alive_sensors()]
+            assert world.coverage() == world.field.coverage_fraction(
+                alive, rs, res
+            )
+        assert len(world.field.obstacles) == max(0, layout - 1)
+
     def test_tracker_handles_population_change(self):
         field = Field(FIELD_SIZE, FIELD_SIZE)
         tracker = IncrementalCoverage(field, 30.0, 15.0)
@@ -231,6 +272,14 @@ class TestCoverageParity:
         assert tracker.covered_fraction() == field.coverage_fraction(
             [Vec2(x, y) for x, y in pts], 30.0, 15.0
         )
+
+    def test_rebuild_to_no_sensors_covers_nothing(self):
+        field = Field(FIELD_SIZE, FIELD_SIZE)
+        tracker = IncrementalCoverage(field, 30.0, 15.0)
+        tracker.update(np.array([[100.0, 100.0], [200.0, 150.0]]))
+        assert tracker.covered_fraction() > 0.0
+        assert tracker.update(np.empty((0, 2))) == 0
+        assert tracker.covered_fraction() == 0.0
 
     def test_zero_radius_covers_nothing(self):
         field = Field(FIELD_SIZE, FIELD_SIZE)
