@@ -47,17 +47,12 @@ BENCH_PATH = REPO_ROOT / "BENCH_perf.json"
 #: Population of the fresh CPVF period (the canonical clustered bench
 #: layout; matches the committed ``cpvf_period`` n = 500 row).
 PERIOD_N = 500
-#: ``perf.cpvf_period``: the first fresh untraced period may take at
-#: most this many times the committed ``fast_ms``.
-PERIOD_BUDGET_FACTOR = 3.0
-#: ``perf.obstacle_cpvf``: a fresh paper-obstacle CPVF deployment may
-#: take at most this many times the committed ``wall_ms``.
-OBSTACLE_CPVF_BUDGET_FACTOR = 3.0
-#: ``perf.obstacle_floor``: the same budget for the FLOOR deployment.
-OBSTACLE_FLOOR_BUDGET_FACTOR = 3.0
-#: ``perf.lifecycle_recovery``: each fresh mass-failure run (CPVF, FLOOR)
-#: may take at most this many times its committed ``run_ms``.
-LIFECYCLE_RECOVERY_BUDGET_FACTOR = 3.0
+#: ``perf.*``: a fresh timing may take at most this many times its
+#: committed value — the first untraced n = 500 CPVF period against
+#: ``cpvf_period`` ``fast_ms``, each whole deployment against its row's
+#: ``wall_ms`` (``obstacle_cpvf``, ``obstacle_floor``, ``churn_cpvf``)
+#: or ``run_ms`` (each scheme's ``lifecycle_recovery`` row).
+BUDGET_FACTOR = 3.0
 #: ``obs.committed_overhead``: null-sink telemetry overhead asserted when
 #: the bench file was generated; re-checked so a regenerated entry cannot
 #: silently commit a regression.
@@ -133,34 +128,18 @@ def measure_cpvf_period(ms: Measurements) -> Dict:
     return {"untraced_ms": untraced_ms, "traced_ms": traced_ms}
 
 
-def measure_obstacle_cpvf(ms: Measurements) -> Dict:
-    """The committed ``obstacle_cpvf`` statistic, measured afresh.
+def measure_committed_runs(ms: Measurements, entry: str):
+    """The committed ``entry`` statistic, measured afresh.
 
-    The committed ``wall_ms`` is the median of the row's ``runs`` runs in
-    one process, so the fresh value is that same median: a single cold
-    run also pays first-run import and cache costs the row never saw.
+    A whole-deployment row (``perfbench.measure_<entry>``) holds the
+    median of its ``runs`` runs in one process, so the fresh value is
+    that same median: a single cold run also pays first-run import and
+    cache costs the row never saw.
     """
-    from benchmarks.perfbench import measure_obstacle_cpvf as measure
+    from benchmarks import perfbench
 
-    runs = Committed("obstacle_cpvf", "runs").values(ms.bench)
-    return measure(runs=runs[0]) if runs else measure()
-
-
-def measure_obstacle_floor(ms: Measurements) -> Dict:
-    """The committed ``obstacle_floor`` statistic (median of ``runs``
-    FLOOR deployments), measured afresh like ``obstacle_cpvf``."""
-    from benchmarks.perfbench import measure_obstacle_floor as measure
-
-    runs = Committed("obstacle_floor", "runs").values(ms.bench)
-    return measure(runs=runs[0]) if runs else measure()
-
-
-def measure_lifecycle_recovery(ms: Measurements) -> list:
-    """The committed ``lifecycle_recovery`` rows (per scheme, the median
-    of ``runs`` mass-failure runs), measured afresh like ``obstacle_cpvf``."""
-    from benchmarks.perfbench import measure_lifecycle_recovery as measure
-
-    runs = Committed("lifecycle_recovery", "runs").values(ms.bench)
+    measure = getattr(perfbench, f"measure_{entry}")
+    runs = Committed(entry, "runs").values(ms.bench)
     return measure(runs=runs[0]) if runs else measure()
 
 
@@ -404,9 +383,12 @@ def measure_service_gc(ms: Measurements) -> Dict:
 
 MEASUREMENTS: Dict[str, Callable[[Measurements], object]] = {
     "cpvf_period": measure_cpvf_period,
-    "obstacle_cpvf": measure_obstacle_cpvf,
-    "obstacle_floor": measure_obstacle_floor,
-    "lifecycle_recovery": measure_lifecycle_recovery,
+    "obstacle_cpvf": lambda ms: measure_committed_runs(ms, "obstacle_cpvf"),
+    "obstacle_floor": lambda ms: measure_committed_runs(ms, "obstacle_floor"),
+    "churn_cpvf": lambda ms: measure_committed_runs(ms, "churn_cpvf"),
+    "lifecycle_recovery": lambda ms: measure_committed_runs(
+        ms, "lifecycle_recovery"
+    ),
     "profiled_run": measure_profiled_run,
     "report_cli": measure_report_cli,
     "degraded_smoke": measure_degraded_smoke,
@@ -432,37 +414,33 @@ def _require(detail: str, *requirements: Tuple[bool, str]) -> Verdict:
 def check_period_budget(m, committed) -> Verdict:
     fast_ms = committed[0]
     first_ms = m["untraced_ms"][0]
-    budget = PERIOD_BUDGET_FACTOR * fast_ms
+    budget = BUDGET_FACTOR * fast_ms
     return (
         first_ms <= budget,
         f"n={PERIOD_N} CPVF period {first_ms:.2f} ms, budget {budget:.2f} ms "
-        f"({PERIOD_BUDGET_FACTOR:g} x committed fast_ms {fast_ms:.2f} ms)",
+        f"({BUDGET_FACTOR:g} x committed fast_ms {fast_ms:.2f} ms)",
     )
 
 
 def _deployment_budget(
-    label: str, factor: float, measured_ms: float, committed_ms: float
+    label: str, measured_ms: float, committed_ms: float
 ) -> Verdict:
-    budget = factor * committed_ms
+    budget = BUDGET_FACTOR * committed_ms
     return (
         measured_ms <= budget,
         f"{label} {measured_ms:.0f} ms, budget {budget:.0f} ms "
-        f"({factor:g} x committed {committed_ms:.0f} ms)",
+        f"({BUDGET_FACTOR:g} x committed {committed_ms:.0f} ms)",
     )
 
 
-def check_obstacle_cpvf(m, committed) -> Verdict:
-    return _deployment_budget(
-        "paper-obstacle CPVF deployment wall_ms", OBSTACLE_CPVF_BUDGET_FACTOR,
-        m["wall_ms"], committed[0],
-    )
+def _wall_budget(label: str) -> Callable[..., Verdict]:
+    """The check of one whole-deployment row: fresh against committed
+    ``wall_ms``."""
 
+    def check(m, committed) -> Verdict:
+        return _deployment_budget(f"{label} wall_ms", m["wall_ms"], committed[0])
 
-def check_obstacle_floor(m, committed) -> Verdict:
-    return _deployment_budget(
-        "paper-obstacle FLOOR deployment wall_ms", OBSTACLE_FLOOR_BUDGET_FACTOR,
-        m["wall_ms"], committed[0],
-    )
+    return check
 
 
 def check_lifecycle_recovery(m, committed) -> Verdict:
@@ -474,10 +452,7 @@ def check_lifecycle_recovery(m, committed) -> Verdict:
             f"{sorted(budgets)}"
         )
     verdicts = [
-        _deployment_budget(
-            f"mass-failure {scheme} run_ms", LIFECYCLE_RECOVERY_BUDGET_FACTOR,
-            fresh[scheme], run_ms,
-        )
+        _deployment_budget(f"mass-failure {scheme} run_ms", fresh[scheme], run_ms)
         for scheme, run_ms in budgets.items()
     ]
     return _require("; ".join(detail for _, detail in verdicts), *verdicts)
@@ -651,10 +626,15 @@ _FAST_MS = Committed("cpvf_period", "fast_ms", n=PERIOD_N)
 CONTRACTS: Tuple[Contract, ...] = (
     Contract("perf.cpvf_period", "cpvf_period", check_period_budget,
              committed=_FAST_MS),
-    Contract("perf.obstacle_cpvf", "obstacle_cpvf", check_obstacle_cpvf,
+    Contract("perf.obstacle_cpvf", "obstacle_cpvf",
+             _wall_budget("paper-obstacle CPVF deployment"),
              committed=Committed("obstacle_cpvf", "wall_ms")),
-    Contract("perf.obstacle_floor", "obstacle_floor", check_obstacle_floor,
+    Contract("perf.obstacle_floor", "obstacle_floor",
+             _wall_budget("paper-obstacle FLOOR deployment"),
              committed=Committed("obstacle_floor", "wall_ms")),
+    Contract("perf.churn_cpvf", "churn_cpvf",
+             _wall_budget("churn-lossy CPVF deployment"),
+             committed=Committed("churn_cpvf", "wall_ms")),
     Contract("perf.lifecycle_recovery", "lifecycle_recovery",
              check_lifecycle_recovery,
              committed=Committed("lifecycle_recovery", None)),

@@ -63,6 +63,7 @@ __all__ = [
     "measure_degraded_coverage",
     "measure_obstacle_cpvf",
     "measure_obstacle_floor",
+    "measure_churn_cpvf",
     "run_perf_suite",
     "PERF_ENTRIES",
     "seed_neighbor_table_ms",
@@ -608,7 +609,7 @@ def measure_degraded_coverage(
 
 
 # ----------------------------------------------------------------------
-# CPVF and FLOOR on the paper's obstacle field
+# Whole deployments: the paper's obstacle field, churn on a lossy network
 # ----------------------------------------------------------------------
 #: Periods of the ``obstacle_cpvf`` and ``obstacle_floor`` deployments
 #: (100 of the figures' 250, like e2ebench's ``paper-obstacle`` workload).
@@ -628,41 +629,47 @@ OBSTACLE_FLOOR_COUNTERS = (
     "floor.expansion_recomputed",
     "floor.coverage_queries",
 )
+#: Lifecycle scripts of the ``churn_cpvf`` deployment: e2ebench's
+#: ``churn-lossy`` CPVF setting.
+CHURN_SCRIPTS = ("interior-cascade", "reinforcements")
+#: Phases the ``churn_cpvf`` row breaks the wall time into
+#: (``cpvf.repair`` is the parent-change share of ``cpvf.moves``).
+CHURN_CPVF_PHASES = ("cpvf.forces", "cpvf.moves", "cpvf.repair")
+#: Counters of the ``churn_cpvf`` row: parent-change attempts, the ones
+#: that found a parent, and the lock handshakes the lossy network timed
+#: out.
+CHURN_CPVF_COUNTERS = (
+    "cpvf.repair_attempts",
+    "cpvf.parent_changes",
+    "cpvf.lock_aborts",
+)
 
 
-def _measure_obstacle_deployment(
+def _measure_deployment(
+    scenario,
+    network,
     scheme: str,
     phases: Sequence[str],
-    seed: int,
     runs: int,
     counters: Sequence[str] = (),
 ) -> Dict[str, object]:
-    """Median wall time of ``runs`` paper-obstacle deployments of ``scheme``.
+    """Median wall time of ``runs`` deployments of ``scheme``.
 
-    The bench scale (500 m field, n = 70, clustered start) for
-    :data:`OBSTACLE_PERIODS` periods, run through
-    ``RunSpec(profile=True)``.  The row holds the median run's wall time,
-    its ``phases`` span totals and, when ``counters`` names any, those
-    telemetry counters.
+    Runs ``scenario`` under ``network`` (``None`` for the perfect one)
+    through ``RunSpec(profile=True)``.  The row holds the median run's
+    wall time, its ``phases`` span totals and, when ``counters`` names
+    any, those telemetry counters.
     """
     from repro.api import RunSpec
-    from repro.experiments.common import BENCH_SCALE
 
-    scale = dataclasses.replace(
-        BENCH_SCALE, duration=float(OBSTACLE_PERIODS)
-    )
-    spec = RunSpec(
-        scenario=make_scenario(scale, seed=seed, layout="two-obstacle"),
-        scheme=scheme,
-        profile=True,
-    )
+    spec = RunSpec(scenario=scenario, scheme=scheme, network=network, profile=True)
     wall_s, record = _median_run(spec, runs)
     summary = record.telemetry
     row = {
-        "n": scale.sensor_count,
-        "layout": "two-obstacle",
+        "n": scenario.sensor_count,
+        "layout": scenario.layout,
         "scheme": scheme,
-        "seed": seed,
+        "seed": scenario.seed,
         "periods": record.periods_executed,
         "runs": runs,
         "wall_ms": wall_s * 1000.0,
@@ -676,18 +683,60 @@ def _measure_obstacle_deployment(
     return row
 
 
+def _obstacle_scenario(seed: int):
+    """The bench scale (500 m field, n = 70, clustered start) on the
+    paper's two-obstacle field for :data:`OBSTACLE_PERIODS` periods."""
+    from repro.experiments.common import BENCH_SCALE
+
+    scale = dataclasses.replace(BENCH_SCALE, duration=float(OBSTACLE_PERIODS))
+    return make_scenario(scale, seed=seed, layout="two-obstacle")
+
+
 def measure_obstacle_cpvf(seed: int = 1, runs: int = 5) -> Dict[str, object]:
     """Wall time of one CPVF deployment on the paper's two-obstacle field,
     with its :data:`OBSTACLE_CPVF_PHASES` span totals."""
-    return _measure_obstacle_deployment("CPVF", OBSTACLE_CPVF_PHASES, seed, runs)
+    return _measure_deployment(
+        _obstacle_scenario(seed), None, "CPVF", OBSTACLE_CPVF_PHASES, runs
+    )
 
 
 def measure_obstacle_floor(seed: int = 1, runs: int = 5) -> Dict[str, object]:
     """Wall time of one FLOOR deployment on the paper's two-obstacle field,
     with its :data:`OBSTACLE_FLOOR_PHASES` span totals and the
     :data:`OBSTACLE_FLOOR_COUNTERS` of the expansion planner."""
-    return _measure_obstacle_deployment(
-        "FLOOR", OBSTACLE_FLOOR_PHASES, seed, runs, OBSTACLE_FLOOR_COUNTERS
+    return _measure_deployment(
+        _obstacle_scenario(seed),
+        None,
+        "FLOOR",
+        OBSTACLE_FLOOR_PHASES,
+        runs,
+        OBSTACLE_FLOOR_COUNTERS,
+    )
+
+
+def measure_churn_cpvf(seed: int = 1, runs: int = 5) -> Dict[str, object]:
+    """Wall time of one CPVF deployment under churn on a lossy network.
+
+    e2ebench's ``churn-lossy`` setting: the obstacle-free bench field
+    (500 m, n = 70, 250 s), the :data:`CHURN_SCRIPTS` lifecycle events,
+    10% per-message loss and neighbour tables up to 5 periods stale.
+    The row holds the :data:`CHURN_CPVF_PHASES` span totals and the
+    :data:`CHURN_CPVF_COUNTERS`.
+    """
+    from repro.api import NetworkSpec
+    from repro.experiments.common import BENCH_SCALE
+    from repro.experiments.lifecycle import lifecycle_events
+
+    events = ()
+    for script in CHURN_SCRIPTS:
+        events += lifecycle_events(script, BENCH_SCALE)
+    return _measure_deployment(
+        make_scenario(BENCH_SCALE, seed=seed, events=events),
+        NetworkSpec("unreliable", loss=0.1, staleness=5),
+        "CPVF",
+        CHURN_CPVF_PHASES,
+        runs,
+        CHURN_CPVF_COUNTERS,
     )
 
 
@@ -723,9 +772,10 @@ PERF_ENTRIES: Dict[str, Callable] = {
     "lifecycle_recovery": lambda ns, seed: measure_lifecycle_recovery(seed=seed),
     "degraded_coverage": lambda ns, seed: measure_degraded_coverage(seed=seed),
     # One fixed scenario each: the paper-obstacle CPVF and FLOOR
-    # deployments at seed 1.
+    # deployments and the churn-lossy CPVF deployment at seed 1.
     "obstacle_cpvf": lambda ns, seed: [measure_obstacle_cpvf()],
     "obstacle_floor": lambda ns, seed: [measure_obstacle_floor()],
+    "churn_cpvf": lambda ns, seed: [measure_churn_cpvf()],
 }
 
 

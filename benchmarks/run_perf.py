@@ -250,7 +250,7 @@ def _print_results(results: dict) -> None:
             f"extra={row['extra_distance']:.0f} m"
             + ("" if before is None else f" before={before:.0f} ms")
         )
-    for entry in ("obstacle_cpvf", "obstacle_floor"):
+    for entry in ("obstacle_cpvf", "obstacle_floor", "churn_cpvf"):
         for row in results.get(entry, ()):
             phases = " ".join(
                 f"{name}={ms:.0f} ms" for name, ms in row["phases_ms"].items()

@@ -39,6 +39,7 @@ _KILL = {"partial": 2, "store": None, "computed": 4, "store_hits": 2,
 _GC = {"entries": 6, "removed_files": 2, "kept_entries": 6, "surviving": 6}
 _OBSTACLE_CPVF = {"wall_ms": 250.0}
 _OBSTACLE_FLOOR = {"wall_ms": 500.0}
+_CHURN_CPVF = {"wall_ms": 700.0}
 _LIFECYCLE = [
     {"scheme": "CPVF", "run_ms": 600.0},
     {"scheme": "FLOOR", "run_ms": 1200.0},
@@ -49,6 +50,7 @@ GOOD = {
     "cpvf_period": _PERIOD,
     "obstacle_cpvf": _OBSTACLE_CPVF,
     "obstacle_floor": _OBSTACLE_FLOOR,
+    "churn_cpvf": _CHURN_CPVF,
     "lifecycle_recovery": _LIFECYCLE,
     "profiled_run": _PROFILED,
     "report_cli": _REPORT,
@@ -65,6 +67,7 @@ BENCH = {
     "telemetry_overhead": [{"n": 2000, "overhead_pct": 0.2}],
     "obstacle_cpvf": [{"n": 70, "wall_ms": 100.0}],
     "obstacle_floor": [{"n": 70, "wall_ms": 200.0}],
+    "churn_cpvf": [{"n": 70, "wall_ms": 300.0}],
     "lifecycle_recovery": [
         {"scheme": "CPVF", "n": 70, "run_ms": 300.0},
         {"scheme": "FLOOR", "n": 70, "run_ms": 500.0},
@@ -92,6 +95,7 @@ DOCTORED = {
     "perf.cpvf_period": ("bench", ("cpvf_period", 1, "fast_ms"), 3.0),
     "perf.obstacle_cpvf": (("obstacle_cpvf", "wall_ms"), 301.0),
     "perf.obstacle_floor": (("obstacle_floor", "wall_ms"), 601.0),
+    "perf.churn_cpvf": (("churn_cpvf", "wall_ms"), 901.0),
     "perf.lifecycle_recovery": (("lifecycle_recovery", 1, "run_ms"), 1501.0),
     "obs.roundtrip": (("profiled_run", "json_roundtrip"), False),
     "obs.report_cli": (("report_cli", "returncode"), 1),
@@ -185,6 +189,18 @@ def test_lifecycle_recovery_budgets_every_scheme(run):
     # Fresh rows pair with committed rows by scheme, not by position.
     injected = _with(GOOD, ("lifecycle_recovery",), _LIFECYCLE[::-1])
     assert run("perf.lifecycle_recovery", injected=injected) == 0
+
+
+_BUDGETED = sorted(name for name in DOCTORED if name.startswith("perf."))
+
+
+@pytest.mark.parametrize("name", _BUDGETED)
+def test_every_perf_budget_reads_the_one_factor(run, monkeypatch, name):
+    # The good inputs sit between 1x and 3x of their committed values, so
+    # they pass at the shared factor and fail once it drops to 1.
+    assert run(name) == 0
+    monkeypatch.setattr(contracts, "BUDGET_FACTOR", 1.0)
+    assert run(name) == 1
 
 
 def test_crash_inside_a_check_fails(run):

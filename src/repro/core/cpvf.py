@@ -22,14 +22,14 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..geometry import EPS, Vec2
 from ..mobility import Bug2Planner, Handedness
 from ..network import BASE_STATION_ID, LINK_EPS, MessageType
-from ..sensors import Sensor, SensorState
+from ..sensors import CONNECTED_STATES, Sensor, SensorState
 from ..sim import DeploymentScheme, World
 from .connect import attach_reachable, flood_tree
 from .connectivity import STEP_FRACTIONS, max_valid_step_points
@@ -43,13 +43,43 @@ __all__ = ["CPVFScheme"]
 _ZERO_VEC = Vec2(0.0, 0.0)
 
 
+class _PeriodSnapshot:
+    """Float positions and connectivity of the sensors in one CPVF period.
+
+    ``xs``/``ys`` hold every sensor's position in id order, ``connected``
+    the ids in a connected state and ``connected_ids`` the same ids in
+    ascending order.  The move loop writes each committed move back, so
+    the lists equal the live positions for the whole period (sensor
+    states do not change inside it).
+    """
+
+    __slots__ = ("xs", "ys", "connected", "connected_ids")
+
+    def __init__(self, world: World):
+        xs: List[float] = []
+        ys: List[float] = []
+        connected_ids: List[int] = []
+        for sensor in world.sensors:
+            position = sensor.motion.position
+            xs.append(position.x)
+            ys.append(position.y)
+            if sensor.state in CONNECTED_STATES:
+                connected_ids.append(sensor.sensor_id)
+        self.xs = xs
+        self.ys = ys
+        self.connected_ids = connected_ids
+        self.connected = set(connected_ids)
+
+
 class CPVFScheme(DeploymentScheme):
     """Connectivity-Preserved Virtual Force deployment.
 
     Each period the forces of all connected sensors are evaluated in one
     numpy batch from start-of-period positions (the paper's
     simultaneous-decision semantics); the step ladder then runs sensor by
-    sensor against live link positions.  The seed dynamics — sensors
+    sensor against live link positions.  Both read one float snapshot of
+    the period (:class:`_PeriodSnapshot`), which the move loop keeps live
+    by writing back every committed move.  The seed dynamics — sensors
     deciding one after the other, each seeing earlier movers' new
     positions — are kept as the test oracle ``tests.oracles.SeedCPVF``.
     """
@@ -83,10 +113,12 @@ class CPVFScheme(DeploymentScheme):
         self._forces: Optional[VirtualForceModel] = None
         self._lazy: Optional[LazyMovementController] = None
         self._avoidance: Optional[OscillationAvoidance] = None
-        #: Link-id structures derived from the connectivity tree, rebuilt
-        #: only when ``tree.version`` changes.
-        self._link_ids_version: Optional[int] = None
+        #: Structures derived from the connectivity tree, dropped together
+        #: whenever ``tree.version`` changes: per sensor its link ids and
+        #: its ``(subtree, lock depth)``.
+        self._tree_version: Optional[int] = None
         self._link_ids: Dict[int, tuple] = {}
+        self._subtrees: Dict[int, Tuple[FrozenSet[int], int]] = {}
         #: Lock requests in flight under network latency: sensor id ->
         #: period at which the (delayed) lock grant arrives.
         self._pending_locks: Dict[int, int] = {}
@@ -110,8 +142,9 @@ class CPVFScheme(DeploymentScheme):
         # Drop tree-derived caches from any previous world: a fresh tree
         # restarts its version counter, so stale entries could otherwise
         # collide with the new world's version values.
+        self._tree_version = None
         self._link_ids = {}
-        self._link_ids_version = None
+        self._subtrees = {}
         self._pending_locks = {}
         flood_tree(world)
         for sensor in world.sensors:
@@ -161,7 +194,10 @@ class CPVFScheme(DeploymentScheme):
 
     # -- Stage 2: virtual-force coverage maximisation -------------------
     def _force_directions(
-        self, world: World, connected: List[Sensor], table: Dict[int, List[int]]
+        self,
+        world: World,
+        snapshot: _PeriodSnapshot,
+        table: Dict[int, List[int]],
     ) -> Dict[int, Vec2]:
         """Resultant force directions for all connected sensors at once.
 
@@ -171,21 +207,19 @@ class CPVFScheme(DeploymentScheme):
         obstacles and walls.
         """
         assert self._forces is not None
-        sensors = world.sensors
-        xs = np.fromiter((s.position.x for s in sensors), float, len(sensors))
-        ys = np.fromiter((s.position.y for s in sensors), float, len(sensors))
-        neighbor_lists = [table.get(s.sensor_id, []) for s in connected]
+        xs, ys = snapshot.xs, snapshot.ys
+        connected = snapshot.connected_ids
+        neighbor_lists = [table.get(sid, []) for sid in connected]
         lengths = np.fromiter(
             (len(lst) for lst in neighbor_lists), np.intp, len(connected)
         )
-        rows = np.repeat(
-            np.fromiter((s.sensor_id for s in connected), np.intp, len(connected)),
-            lengths,
-        )
+        rows = np.repeat(np.array(connected, dtype=np.intp), lengths)
         cols = np.fromiter(
             chain.from_iterable(neighbor_lists), np.intp, int(lengths.sum())
         )
-        sum_x, sum_y = self._forces.sensor_force_sums(xs, ys, rows, cols)
+        sum_x, sum_y = self._forces.sensor_force_sums(
+            np.array(xs, dtype=float), np.array(ys, dtype=float), rows, cols
+        )
         sum_x = sum_x.tolist()
         sum_y = sum_y.tolist()
         directions: Dict[int, Vec2] = {}
@@ -194,19 +228,18 @@ class CPVFScheme(DeploymentScheme):
         width, height = field.width, field.height
         boundary_force_xy = self._forces.boundary_force_xy
         force_from_obstacles = self._forces.force_from_obstacles
-        for sensor in connected:
-            sid = sensor.sensor_id
+        for sid in connected:
             total_x, total_y = sum_x[sid], sum_y[sid]
             if has_obstacles:
-                obstacle_x, obstacle_y = force_from_obstacles(sensor.position, field)
+                obstacle_x, obstacle_y = force_from_obstacles(
+                    Vec2(xs[sid], ys[sid]), field
+                )
                 total_x += obstacle_x
                 total_y += obstacle_y
             else:
                 # force_from_obstacles with no obstacles reduces to the
                 # four wall terms.
-                wall_x, wall_y = boundary_force_xy(
-                    sensor.position.x, sensor.position.y, width, height
-                )
+                wall_x, wall_y = boundary_force_xy(xs[sid], ys[sid], width, height)
                 total_x += wall_x
                 total_y += wall_y
             norm = math.hypot(total_x, total_y)
@@ -219,79 +252,86 @@ class CPVFScheme(DeploymentScheme):
     def _apply_virtual_forces(
         self, world: World, table: Dict[int, List[int]]
     ) -> None:
-        config = world.config
-        connected = [s for s in world.sensors if s.is_connected()]
-        if not connected:
+        snapshot = _PeriodSnapshot(world)
+        if not snapshot.connected_ids:
             return
         tel = world.telemetry
         with tel.span("cpvf.forces"):
-            directions = self._force_directions(world, connected, table)
+            directions = self._force_directions(world, snapshot, table)
+        config = world.config
+        max_step = config.max_step
+        rc = config.communication_range
+        allow_parent_change = self._allow_parent_change
+        sensors = world.sensors
+        xs, ys = snapshot.xs, snapshot.ys
+        # Each required link costs one state-exchange message before the
+        # step-size decision (Section 4.2); charged once for the period.
+        link_messages = 0
         with tel.span("cpvf.moves"):
-            for sensor in connected:
-                direction = directions[sensor.sensor_id]
+            for sid in snapshot.connected_ids:
+                sensor = sensors[sid]
+                direction = directions[sid]
                 if direction.x == 0.0 and direction.y == 0.0:
-                    sensor.previous_position = sensor.position
+                    sensor.previous_position = sensor.motion.position
                     continue
-                # Read the live parent/child positions as plain floats and
-                # run the candidate ladder on them.
-                links = self._tree_link_positions(world, sensor)
-                # Each required link costs one state-exchange message
-                # before the step-size decision (Section 4.2).
-                if links:
-                    world.routing.record_one_hop(
-                        MessageType.NEIGHBOR_STATE, len(links)
-                    )
+                links = self._tree_link_positions(world, sid, snapshot)
+                link_messages += len(links)
                 step = max_valid_step_points(
-                    sensor.position.x,
-                    sensor.position.y,
-                    direction.x,
-                    direction.y,
-                    config.max_step,
-                    links,
-                    config.communication_range,
+                    xs[sid], ys[sid], direction.x, direction.y, max_step, links, rc
                 )
-                if step <= 0.0 and self._allow_parent_change:
+                if step <= 0.0 and allow_parent_change:
                     if tel.enabled:
                         tel.count("cpvf.repair_attempts", 1)
                     with tel.span("cpvf.repair"):
                         step = self._try_parent_change(
-                            world, sensor, direction, table
+                            world, sensor, direction, table, snapshot
                         )
                 if step <= 0.0:
-                    sensor.previous_position = sensor.position
+                    sensor.previous_position = sensor.motion.position
                     continue
-                self._finish_move(world, sensor, direction, step)
+                moved_to = self._finish_move(world, sensor, direction, step)
+                if moved_to is not None:
+                    xs[sid] = moved_to.x
+                    ys[sid] = moved_to.y
+        if link_messages:
+            world.routing.record_one_hop(MessageType.NEIGHBOR_STATE, link_messages)
 
     def _finish_move(
         self, world: World, sensor: Sensor, direction: Vec2, step: float
-    ) -> None:
+    ) -> Optional[Vec2]:
         """Clip a validated step to free space, apply oscillation
-        avoidance, and commit the move."""
+        avoidance, and commit the move.  Returns the new position, or
+        ``None`` when the move was cancelled."""
         assert self._avoidance is not None
         # A sensor that found a way to move no longer needs the lock grant
         # it was waiting for; drop it so a later block starts a fresh
         # handshake instead of consuming a stale grant.
         self._pending_locks.pop(sensor.sensor_id, None)
+        position = sensor.motion.position
         # Respect obstacles and the field boundary.
-        step = world.field.max_free_travel(sensor.position, direction, step)
+        step = world.field.max_free_travel(position, direction, step)
         # Inlined `position + direction.normalized() * step`.
-        dir_norm = math.hypot(direction.x, direction.y)
-        position = sensor.position
+        dir_x, dir_y = direction.x, direction.y
+        dir_norm = math.hypot(dir_x, dir_y)
         if dir_norm <= EPS:
             planned_end = position
         else:
             planned_end = Vec2(
-                position.x + (direction.x / dir_norm) * step,
-                position.y + (direction.y / dir_norm) * step,
+                position.x + (dir_x / dir_norm) * step,
+                position.y + (dir_y / dir_norm) * step,
             )
         previous = sensor.previous_position
-        if self._avoidance.should_cancel(
-            step, sensor.position, planned_end, previous
-        ):
-            sensor.previous_position = sensor.position
-            return
-        sensor.previous_position = sensor.position
+        sensor.previous_position = position
+        if self._avoidance.should_cancel(step, position, planned_end, previous):
+            return None
         sensor.motion.move_to(planned_end)
+        return planned_end
+
+    def _reset_tree_caches(self, version: int) -> None:
+        """Drop the tree-derived caches; they now describe ``version``."""
+        self._link_ids = {}
+        self._subtrees = {}
+        self._tree_version = version
 
     def _link_node_ids(self, world: World, sensor_id: int) -> tuple:
         """``(parent_id_or_None, children_tuple)`` for one sensor.
@@ -301,9 +341,8 @@ class CPVFScheme(DeploymentScheme):
         the children set for every sensor every period.
         """
         tree = world.tree
-        if self._link_ids_version != tree.version:
-            self._link_ids = {}
-            self._link_ids_version = tree.version
+        if self._tree_version != tree.version:
+            self._reset_tree_caches(tree.version)
         cached = self._link_ids.get(sensor_id)
         if cached is None:
             children = tree.children.get(sensor_id)
@@ -314,50 +353,60 @@ class CPVFScheme(DeploymentScheme):
             self._link_ids[sensor_id] = cached
         return cached
 
-    def _tree_link_positions(
-        self, world: World, sensor: Sensor
-    ) -> List[tuple]:
-        """Live ``(x, y)`` positions of the links the sensor must preserve."""
-        parent, children = self._link_node_ids(world, sensor.sensor_id)
-        links: List[tuple] = []
-        if parent is not None:
-            pos = (
-                world.base_station
-                if parent == BASE_STATION_ID
-                else world.sensor(parent).position
-            )
-            links.append((pos.x, pos.y))
-        for child in children:
-            pos = world.sensor(child).position
-            links.append((pos.x, pos.y))
-        return links
+    def _subtree(self, world: World, root: int) -> Tuple[FrozenSet[int], int]:
+        """``(subtree ids, lock depth)`` of the subtree rooted at ``root``.
 
-    def _subtree_lock_depth(self, world: World, root: int) -> int:
-        """BFS depth of the subtree rooted at ``root`` (0 for a leaf).
-
-        The LockTree wave serializes along the deepest root-to-leaf path:
-        the grant cannot be issued until the farthest descendant has
-        acknowledged, so the handshake's loss-critical transmission count
-        grows with this depth, not with the subtree size.
+        The ids include ``root``; the depth is the BFS depth (0 for a
+        leaf).  The LockTree wave serializes along the deepest
+        root-to-leaf path: the grant cannot be issued until the farthest
+        descendant has acknowledged, so the handshake's loss-critical
+        transmission count grows with this depth, not with the subtree
+        size.  Both come from one BFS, cached keyed on ``tree.version``
+        like the link ids: a blocked sensor retries its parent change
+        period after period on an unchanged tree.
         """
         tree = world.tree
-        depth = 0
-        frontier = [root]
-        seen = {root}
-        while frontier:
-            next_frontier: List[int] = []
-            for node in frontier:
-                for child in tree.children.get(node, ()):
-                    if child not in seen:
-                        seen.add(child)
-                        next_frontier.append(child)
-            if next_frontier:
-                depth += 1
-            frontier = next_frontier
-        return depth
+        if self._tree_version != tree.version:
+            self._reset_tree_caches(tree.version)
+        cached = self._subtrees.get(root)
+        if cached is None:
+            children = tree.children
+            seen = {root}
+            frontier = [root]
+            depth = 0
+            while frontier:
+                next_frontier: List[int] = []
+                for node in frontier:
+                    for child in children.get(node, ()):
+                        if child not in seen:
+                            seen.add(child)
+                            next_frontier.append(child)
+                if next_frontier:
+                    depth += 1
+                frontier = next_frontier
+            cached = (frozenset(seen), depth)
+            self._subtrees[root] = cached
+        return cached
+
+    def _tree_link_positions(
+        self, world: World, sensor_id: int, snapshot: _PeriodSnapshot
+    ) -> List[tuple]:
+        """``(x, y)`` positions of the links the sensor must preserve."""
+        parent, children = self._link_node_ids(world, sensor_id)
+        xs, ys = snapshot.xs, snapshot.ys
+        links: List[tuple] = []
+        if parent is not None:
+            if parent == BASE_STATION_ID:
+                base = world.base_station
+                links.append((base.x, base.y))
+            else:
+                links.append((xs[parent], ys[parent]))
+        for child in children:
+            links.append((xs[child], ys[child]))
+        return links
 
     def _acquire_subtree_lock(
-        self, world: World, sensor_id: int, subtree_size: int
+        self, world: World, sensor_id: int, subtree_size: int, depth: int
     ) -> bool:
         """Run the LockTree/UnLockTree handshake through the network model.
 
@@ -365,7 +414,8 @@ class CPVFScheme(DeploymentScheme):
         seed behaviour).  Under latency the request is parked and the
         grant arrives ``latency`` periods later; under loss the critical
         down-and-back wave (2 * depth + 2 transmissions) retries with
-        exponential backoff up to the delivery budget.  A timed-out
+        exponential backoff up to the delivery budget (``depth`` is the
+        subtree's lock depth, see :meth:`_subtree`).  A timed-out
         handshake aborts to the safe state — the caller keeps the current
         parent and holds position, preserving the paper's serialization
         requirement.
@@ -389,7 +439,6 @@ class CPVFScheme(DeploymentScheme):
             del self._pending_locks[sensor_id]
         delivered, attempts = True, 1
         if net.lossy:
-            depth = self._subtree_lock_depth(world, sensor_id)
             delivered, attempts = net.exchange(
                 world, ("cpvf.lock", sensor_id), 2 * depth + 2
             )
@@ -407,6 +456,7 @@ class CPVFScheme(DeploymentScheme):
         sensor: Sensor,
         direction: Vec2,
         table: Dict[int, List[int]],
+        snapshot: Optional[_PeriodSnapshot] = None,
     ) -> float:
         """Attempt to adopt a new parent that unblocks the planned move.
 
@@ -414,35 +464,40 @@ class CPVFScheme(DeploymentScheme):
         UnLockTree transmissions); candidate parents are connected
         neighbours outside the sensor's own subtree, read from the
         protocol ``table``.  That table may be stale, so the live range
-        filter runs after the lock.  Returns the step size achievable
-        under the best new parent (0 when none helps).
+        filter runs after the lock.  ``snapshot`` is the period's (live)
+        snapshot; a caller outside the move loop leaves it out and one is
+        taken from ``world``.  Returns the step size achievable under the
+        best new parent (0 when none helps).
         """
-        config = world.config
+        if snapshot is None:
+            snapshot = _PeriodSnapshot(world)
         sid = sensor.sensor_id
-        subtree = world.tree.subtree_of(sid)
+        subtree, depth = self._subtree(world, sid)
+        xs, ys = snapshot.xs, snapshot.ys
+        px, py = xs[sid], ys[sid]
+        base = world.base_station
+        rc = world.config.communication_range
         candidates: List[int] = []
-        base_dist = sensor.position.distance_to(world.base_station)
-        if base_dist <= config.communication_range:
+        if math.hypot(px - base.x, py - base.y) <= rc:
             candidates.append(BASE_STATION_ID)
-        for nb_id in table.get(sid, []):
-            if world.sensor(nb_id).is_connected() and nb_id not in subtree:
+        connected = snapshot.connected
+        for nb_id in table.get(sid, ()):
+            if nb_id in connected and nb_id not in subtree:
                 candidates.append(nb_id)
         if not candidates:
             return 0.0
-        if not self._acquire_subtree_lock(world, sid, len(subtree)):
+        if not self._acquire_subtree_lock(world, sid, len(subtree), depth):
             return 0.0
-        px, py = sensor.position.x, sensor.position.y
-        limit = config.communication_range + LINK_EPS
+        limit = rc + LINK_EPS
         live = []
         for candidate in candidates:
-            pos = (
-                world.base_station
-                if candidate == BASE_STATION_ID
-                else world.sensor(candidate).position
-            )
-            if math.hypot(px - pos.x, py - pos.y) <= limit:
-                live.append((candidate, pos.x, pos.y))
-        return self._adopt_parent(world, sensor, direction, live)
+            if candidate == BASE_STATION_ID:
+                cx, cy = base.x, base.y
+            else:
+                cx, cy = xs[candidate], ys[candidate]
+            if math.hypot(px - cx, py - cy) <= limit:
+                live.append((candidate, cx, cy))
+        return self._adopt_parent(world, sensor, direction, live, snapshot)
 
     def _adopt_parent(
         self,
@@ -450,6 +505,7 @@ class CPVFScheme(DeploymentScheme):
         sensor: Sensor,
         direction: Vec2,
         candidates: Sequence[Tuple[int, float, float]],
+        snapshot: _PeriodSnapshot,
     ) -> float:
         """The parent-change scan, run under the lock.
 
@@ -468,13 +524,12 @@ class CPVFScheme(DeploymentScheme):
         if not candidates or norm <= EPS or max_step <= 0.0:
             return 0.0
         unit_x, unit_y = direction.x / norm, direction.y / norm
-        px, py = sensor.position.x, sensor.position.y
+        sid = sensor.sensor_id
+        xs, ys = snapshot.xs, snapshot.ys
+        px, py = xs[sid], ys[sid]
         limit = config.communication_range + LINK_EPS
-        _, children = self._link_node_ids(world, sensor.sensor_id)
-        children_xy = [
-            (world.sensor(c).position.x, world.sensor(c).position.y)
-            for c in children
-        ]
+        _, children = self._link_node_ids(world, sid)
+        children_xy = [(xs[c], ys[c]) for c in children]
         # A required link that is already out of range invalidates every
         # candidate step, whatever the new parent.
         for cx, cy in children_xy:
@@ -491,7 +546,7 @@ class CPVFScheme(DeploymentScheme):
             else:
                 for candidate, cx, cy in candidates:
                     if math.hypot(qx - cx, qy - cy) <= limit:
-                        world.tree.reparent(sensor.sensor_id, candidate)
+                        world.tree.reparent(sid, candidate)
                         world.telemetry.count("cpvf.parent_changes", 1)
                         return step
         return 0.0

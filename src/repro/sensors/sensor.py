@@ -16,7 +16,7 @@ from typing import Optional, Set
 
 from ..geometry import Circle, Vec2
 from ..mobility import MotionModel
-from .states import SensorState
+from .states import CONNECTED_STATES, SensorState
 
 __all__ = ["Sensor"]
 
@@ -74,7 +74,7 @@ class Sensor:
         See :meth:`SensorState.is_connected`: a ``RELOCATING`` sensor
         counts, although it is detached from ``world.tree`` in transit.
         """
-        return self.state.is_connected()
+        return self.state in CONNECTED_STATES
 
     def is_alive(self) -> bool:
         """Whether the sensor is still operational (not FAILED)."""

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from enum import Enum
 
-__all__ = ["SensorState"]
+__all__ = ["CONNECTED_STATES", "SensorState"]
 
 
 class SensorState(Enum):
@@ -47,9 +47,15 @@ class SensorState(Enum):
         transit (its subtree is re-homed before it leaves), so this is not
         a tree-membership test; ask ``world.tree`` for that.
         """
-        return self in (
-            SensorState.CONNECTED,
-            SensorState.FIXED,
-            SensorState.MOVABLE,
-            SensorState.RELOCATING,
-        )
+        return self in CONNECTED_STATES
+
+
+#: The connected states, built once: ``is_connected`` runs for every
+#: sensor several times a period, and a tuple ``in`` test on enum members
+#: is an identity scan.
+CONNECTED_STATES = (
+    SensorState.CONNECTED,
+    SensorState.FIXED,
+    SensorState.MOVABLE,
+    SensorState.RELOCATING,
+)

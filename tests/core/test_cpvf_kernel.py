@@ -4,16 +4,19 @@ The kernel evaluates every force from start-of-period positions, where
 the seed dynamics (``tests.oracles.SeedCPVF``) let each sensor see the
 earlier movers of its period.  Pinned here: the structural
 message-accounting identity between the two, the plateau agreement at
-bench scale, the link-id cache following the tree, every tree link
+bench scale, the link-id and subtree caches following the tree, every tree link
 within rc after every period, and that the deleted ``mode`` knob is
 rejected.
 """
 
 import copy
+import random
+from types import SimpleNamespace
 
 import pytest
 
 from repro.core import CPVFScheme
+from repro.core.cpvf import _PeriodSnapshot
 from repro.core.lazy import LazyMovementController
 from repro.core.oscillation import OscillationAvoidance
 from repro.core.virtual_force import VirtualForceModel
@@ -23,9 +26,9 @@ from repro.experiments.common import (
     make_scenario,
 )
 from repro.mobility import Bug2Planner, Handedness
-from repro.network import BASE_STATION_ID
+from repro.network import BASE_STATION_ID, ConnectivityTree
 from repro.sim import SimulationEngine
-from tests.oracles import SeedCPVF
+from tests.oracles import SeedCPVF, reference_subtree_lock_depth
 
 
 def _sequential_twin(world, config):
@@ -116,8 +119,16 @@ def _assert_links_match_tree(scheme, world):
             ).as_tuple()
             for node in nodes
         )
-        got = sorted(scheme._tree_link_positions(world, world.sensor(sid)))
+        got = sorted(scheme._tree_link_positions(world, sid, _PeriodSnapshot(world)))
         assert got == expected, sid
+
+
+def _assert_subtrees_match_tree(scheme, world, nodes):
+    """Every cached ``(subtree, lock depth)`` is a fresh walk's."""
+    tree = world.tree
+    for sid in nodes:
+        expected = (tree.subtree_of(sid), reference_subtree_lock_depth(tree, sid))
+        assert scheme._subtree(world, sid) == expected, sid
 
 
 class TestTreeCaches:
@@ -128,7 +139,7 @@ class TestTreeCaches:
         members = world.tree.members()
         sid = members[0]
         # Prime the cache.
-        before = scheme._tree_link_positions(world, world.sensor(sid))
+        before = scheme._tree_link_positions(world, sid, _PeriodSnapshot(world))
         assert len(before) >= 1
         new_parent = next(
             (
@@ -143,23 +154,81 @@ class TestTreeCaches:
         if new_parent is None:
             pytest.skip("degenerate smoke tree")
         world.tree.reparent(sid, new_parent)
-        after = scheme._tree_link_positions(world, world.sensor(sid))
+        after = scheme._tree_link_positions(world, sid, _PeriodSnapshot(world))
         parent_pos = world.sensor(new_parent).position
         assert (parent_pos.x, parent_pos.y) in after
 
     def test_reusing_scheme_across_worlds_resets_tree_caches(self):
         """A fresh world restarts its tree version counter, so the
-        link-id cache of a reused scheme instance must be dropped by
-        initialize() — stale entries from the previous world would
-        collide with the new counter values."""
+        link-id and subtree caches of a reused scheme instance must be
+        dropped by initialize() — stale entries from the previous world
+        would collide with the new counter values."""
         scheme = CPVFScheme()
+        primed_version = None
         for seed in (3, 19):
             world = make_scenario(SMOKE_SCALE, seed=seed).build_world()
             scheme.initialize(world)
+            if primed_version is not None:
+                # Force the collision: the new tree's counter reads the
+                # version the previous world's entries were cached at.
+                world.tree.version = primed_version
+            ids = [s.sensor_id for s in world.sensors]
+            _assert_links_match_tree(scheme, world)
+            _assert_subtrees_match_tree(scheme, world, ids)
             for _ in range(10):
                 scheme.step(world)
             world.tree.validate()
             _assert_links_match_tree(scheme, world)
+            _assert_subtrees_match_tree(scheme, world, ids)
+            primed_version = world.tree.version
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_subtree_cache_follows_random_tree_edits(self, seed):
+        """After each random attach, reparent, detach or orphan repair,
+        the cached ``(subtree, lock depth)`` of every id equals
+        ``tree.subtree_of`` and the reference depth walk, and an
+        unchanged tree answers from the cache."""
+        rng = random.Random(seed)
+        tree = ConnectivityTree()
+        world = SimpleNamespace(tree=tree)
+        scheme = CPVFScheme()
+        next_id = 0
+        for _ in range(250):
+            members = tree.members()
+            op = rng.choice(("attach", "attach", "reparent", "detach", "orphan"))
+            if op == "attach" or not members:
+                tree.attach(next_id, rng.choice([BASE_STATION_ID] + members))
+                next_id += 1
+            elif op == "reparent":
+                # reparent refuses (and leaves the tree alone) on a loop.
+                node = rng.choice(members)
+                tree.reparent(node, rng.choice([BASE_STATION_ID] + members))
+            elif op == "detach":
+                node = rng.choice(members)
+                if rng.random() < 0.5:
+                    tree.detach(node, keep_subtree=False)
+                else:
+                    tree.detach(node, keep_subtree=True)
+                    outside = sorted(
+                        tree.subtree_of(BASE_STATION_ID) - tree.subtree_of(node)
+                    )
+                    tree.attach(node, rng.choice(outside))
+            else:
+                # A node dies; each orphaned subtree re-roots at one of its
+                # members and re-attaches to the main tree, or is dropped.
+                for root in tree.remove_node(rng.choice(members)):
+                    orphaned = sorted(tree.subtree_of(root))
+                    if rng.random() < 0.75:
+                        new_root = rng.choice(orphaned)
+                        tree.reroot_floating(root, new_root)
+                        anchored = sorted(tree.subtree_of(BASE_STATION_ID))
+                        tree.attach(new_root, rng.choice(anchored))
+                    else:
+                        tree.discard_floating(root)
+            tree.validate()
+            _assert_subtrees_match_tree(scheme, world, range(next_id))
+            some = rng.randrange(next_id)
+            assert scheme._subtree(world, some) is scheme._subtree(world, some)
 
 
 class TestTreeLinkInvariant:

@@ -18,7 +18,8 @@ functions that tests (and ``benchmarks/perfbench.py``) import:
   per-point grid mask (:func:`predicate_mask`) and the one-disk grid
   block (:func:`reference_disk_block`);
 * :mod:`.seed` — the paper's literal step ladder, the seed CPVF dynamics
-  (:class:`SeedCPVF`) with its scalar force terms, and the seed neighbour-table / coverage
+  (:class:`SeedCPVF`) with its scalar force terms, the subtree lock
+  depth walk, and the seed neighbour-table / coverage
   algorithms (their timers live in ``benchmarks/perfbench.py``);
 * :mod:`.vd` — VOR with full-information Voronoi cells
   (:class:`InformedVorScheme`).
@@ -51,6 +52,7 @@ from .seed import (
     resultant_force,
     sensor_force,
     max_valid_step_reference,
+    reference_subtree_lock_depth,
     seed_coverage_fraction,
     seed_neighbor_table,
     step_is_valid,
@@ -86,6 +88,7 @@ __all__ = [
     "sensor_force",
     "step_is_valid",
     "max_valid_step_reference",
+    "reference_subtree_lock_depth",
     "seed_neighbor_table",
     "seed_coverage_fraction",
     "InformedVorScheme",

@@ -10,7 +10,8 @@ and check each seed answer against the library before timing).
 compared against (message parity, plateau agreement, parent-change
 parity); its scalar force terms (:func:`sensor_force`,
 :func:`resultant_force`, :func:`force_direction`) are the reference for
-``VirtualForceModel``'s batched sensor term.
+``VirtualForceModel``'s batched sensor term, and
+:func:`reference_subtree_lock_depth` for the lock depth CPVF caches.
 """
 
 from __future__ import annotations
@@ -202,7 +203,7 @@ class SeedCPVF(CPVFScheme):
             required.append(NeighborMotion.stationary(world.sensor(child).position))
         return required
 
-    def _adopt_parent(self, world, sensor, direction, candidates) -> float:
+    def _adopt_parent(self, world, sensor, direction, candidates, snapshot) -> float:
         return self._best_parent_ladder(
             world, sensor, direction, [c for c, _, _ in candidates]
         )
@@ -242,6 +243,27 @@ class SeedCPVF(CPVFScheme):
             return best_step
         return 0.0
 
+
+def reference_subtree_lock_depth(tree, root: int) -> int:
+    """BFS depth of the subtree rooted at ``root`` (0 for a leaf).
+
+    The level-by-level walk ``CPVFScheme`` ran before it cached one BFS
+    per sensor and tree version; its ``_subtree`` must give this depth.
+    """
+    depth = 0
+    frontier = [root]
+    seen = {root}
+    while frontier:
+        next_frontier: List[int] = []
+        for node in frontier:
+            for child in tree.children.get(node, ()):
+                if child not in seen:
+                    seen.add(child)
+                    next_frontier.append(child)
+        if next_frontier:
+            depth += 1
+        frontier = next_frontier
+    return depth
 
 def seed_neighbor_table(sensors, communication_range) -> Dict[int, List[int]]:
     """The seed neighbour table: dense ``sqrt`` matrix, row loops."""

@@ -4,7 +4,7 @@ import pytest
 
 from repro.geometry import Vec2
 from repro.mobility import MotionModel
-from repro.sensors import Sensor, SensorState
+from repro.sensors import CONNECTED_STATES, Sensor, SensorState
 
 
 def make_sensor(rs=40.0) -> Sensor:
@@ -51,6 +51,14 @@ class TestSensorState:
     def test_disconnected_states(self):
         assert not SensorState.DISCONNECTED.is_connected()
         assert not SensorState.MOVING_TO_CONNECT.is_connected()
+
+    @pytest.mark.parametrize("state", list(SensorState), ids=lambda s: s.name)
+    def test_truth_table(self, state):
+        """Connected for exactly CONNECTED, FIXED, MOVABLE and RELOCATING
+        (by name, so the shared tuple is checked rather than restated)."""
+        expected = state.name in ("CONNECTED", "FIXED", "MOVABLE", "RELOCATING")
+        assert state.is_connected() is expected
+        assert (state in CONNECTED_STATES) is expected
 
     @pytest.mark.parametrize("state", list(SensorState), ids=lambda s: s.name)
     def test_sensor_predicate_follows_its_state(self, state):
