@@ -443,6 +443,25 @@ def _wall_budget(label: str) -> Callable[..., Verdict]:
     return check
 
 
+def check_expansion_recomputes(m, committed) -> Verdict:
+    """The FLOOR deployment is deterministic, so its planner recomputes
+    exactly as often as when the row was committed; more means the memo
+    lost precision, whatever the wall time says."""
+    fresh = m["counters"]
+    names = sorted(
+        name for name in committed[0] if name.startswith("floor.expansion_recomputed")
+    )
+    return _require(
+        ", ".join(f"{name} {fresh[name]}" for name in names)
+        + " (at most the committed counts)",
+        *(
+            (fresh[name] <= committed[0][name],
+             f"{name} {fresh[name]} > committed {committed[0][name]}")
+            for name in names
+        ),
+    )
+
+
 def check_lifecycle_recovery(m, committed) -> Verdict:
     fresh = {row["scheme"]: row["run_ms"] for row in m}
     budgets = {row["scheme"]: row["run_ms"] for row in committed}
@@ -632,6 +651,9 @@ CONTRACTS: Tuple[Contract, ...] = (
     Contract("perf.obstacle_floor", "obstacle_floor",
              _wall_budget("paper-obstacle FLOOR deployment"),
              committed=Committed("obstacle_floor", "wall_ms")),
+    Contract("floor.expansion_recomputes", "obstacle_floor",
+             check_expansion_recomputes,
+             committed=Committed("obstacle_floor", "counters")),
     Contract("perf.churn_cpvf", "churn_cpvf",
              _wall_budget("churn-lossy CPVF deployment"),
              committed=Committed("churn_cpvf", "wall_ms")),

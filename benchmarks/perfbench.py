@@ -623,10 +623,14 @@ OBSTACLE_FLOOR_PHASES = (
     "floor.relocations",
 )
 #: Counters of the ``obstacle_floor`` row: the expansion planner's
-#: answers reused and recomputed, and the registry probes it made.
+#: answers reused and recomputed, its FLG, BLG and IFLG part
+#: recomputations, and the registry probes it made.
 OBSTACLE_FLOOR_COUNTERS = (
     "floor.expansion_reused",
     "floor.expansion_recomputed",
+    "floor.expansion_recomputed.flg",
+    "floor.expansion_recomputed.blg",
+    "floor.expansion_recomputed.iflg",
     "floor.coverage_queries",
 )
 #: Lifecycle scripts of the ``churn_cpvf`` deployment: e2ebench's

@@ -38,7 +38,14 @@ _KILL = {"partial": 2, "store": None, "computed": 4, "store_hits": 2,
          "records_equal": True}
 _GC = {"entries": 6, "removed_files": 2, "kept_entries": 6, "surviving": 6}
 _OBSTACLE_CPVF = {"wall_ms": 250.0}
-_OBSTACLE_FLOOR = {"wall_ms": 500.0}
+_OBSTACLE_FLOOR = {
+    "wall_ms": 500.0,
+    "counters": {
+        "floor.expansion_recomputed": 300,
+        "floor.expansion_recomputed.iflg": 290,
+        "floor.coverage_queries": 4000,
+    },
+}
 _CHURN_CPVF = {"wall_ms": 700.0}
 _LIFECYCLE = [
     {"scheme": "CPVF", "run_ms": 600.0},
@@ -66,7 +73,15 @@ BENCH = {
     "cpvf_period": [{"n": 100, "fast_ms": 1.0}, {"n": 500, "fast_ms": 10.0}],
     "telemetry_overhead": [{"n": 2000, "overhead_pct": 0.2}],
     "obstacle_cpvf": [{"n": 70, "wall_ms": 100.0}],
-    "obstacle_floor": [{"n": 70, "wall_ms": 200.0}],
+    "obstacle_floor": [{
+        "n": 70,
+        "wall_ms": 200.0,
+        "counters": {
+            "floor.expansion_recomputed": 300,
+            "floor.expansion_recomputed.iflg": 295,
+            "floor.coverage_queries": 3000,
+        },
+    }],
     "churn_cpvf": [{"n": 70, "wall_ms": 300.0}],
     "lifecycle_recovery": [
         {"scheme": "CPVF", "n": 70, "run_ms": 300.0},
@@ -95,6 +110,9 @@ DOCTORED = {
     "perf.cpvf_period": ("bench", ("cpvf_period", 1, "fast_ms"), 3.0),
     "perf.obstacle_cpvf": (("obstacle_cpvf", "wall_ms"), 301.0),
     "perf.obstacle_floor": (("obstacle_floor", "wall_ms"), 601.0),
+    "floor.expansion_recomputes": (
+        ("obstacle_floor", "counters", "floor.expansion_recomputed"), 301,
+    ),
     "perf.churn_cpvf": (("churn_cpvf", "wall_ms"), 901.0),
     "perf.lifecycle_recovery": (("lifecycle_recovery", 1, "run_ms"), 1501.0),
     "obs.roundtrip": (("profiled_run", "json_roundtrip"), False),
@@ -201,6 +219,19 @@ def test_every_perf_budget_reads_the_one_factor(run, monkeypatch, name):
     assert run(name) == 0
     monkeypatch.setattr(contracts, "BUDGET_FACTOR", 1.0)
     assert run(name) == 1
+
+
+def test_expansion_recomputes_checks_each_committed_part(run):
+    # Any recompute counter over its committed value fails; coverage
+    # queries are not bounded.
+    injected = _with(
+        GOOD, ("obstacle_floor", "counters", "floor.expansion_recomputed.iflg"), 296
+    )
+    assert run("floor.expansion_recomputes", injected=injected) == 1
+    injected = _with(
+        GOOD, ("obstacle_floor", "counters", "floor.expansion_recomputed"), 12
+    )
+    assert run("floor.expansion_recomputes", injected=injected) == 0
 
 
 def test_crash_inside_a_check_fails(run):

@@ -58,7 +58,17 @@ class ExpansionPoint:
         return (int(self.kind), self.position.x, self.position.y)
 
 
-@dataclass
+@dataclass(slots=True)
+class _Part:
+    """One kind's last points and the coverage probes they were derived from."""
+
+    #: The kind's points, in priority order.
+    points: List[ExpansionPoint]
+    #: ``(x, y, covered)`` of every coverage probe, in the order made.
+    probes: List[Tuple[float, float, bool]]
+
+
+@dataclass(slots=True)
 class _Answer:
     """One owner's last answer and what it was derived from."""
 
@@ -67,12 +77,18 @@ class _Answer:
     field_version: int
     #: The registry version the answer is known to be valid at.
     registry_version: int
-    #: ``(xmin, ymin, xmax, ymax)`` of the coverage probes padded by the
-    #: sensing range (``None`` when nothing was probed).
-    probe_box: Optional[Tuple[float, float, float, float]]
-    #: The owner's registry record position (``None`` when unregistered).
-    record_xy: Optional[Tuple[float, float]]
+    #: ``(x, y, floor_index)`` of the owner's registry record when the
+    #: IFLG part was computed (``None`` when unregistered).
+    record: Optional[Tuple[float, float, int]]
+    #: The FLG, BLG and IFLG parts, indexed by :class:`ExpansionKind`.
+    parts: List[_Part]
+    #: The parts' points concatenated (already in priority order).
     points: List[ExpansionPoint]
+    #: Floor headers the answer's coverage-status query asks.
+    floors_asked: int
+    #: Squared distance from ``(x, y)`` beyond which no change is within
+    #: reach of any probe (``-1.0`` when nothing was probed).
+    probe_reach_sq: float
 
 
 @dataclass
@@ -86,16 +102,20 @@ class ExpansionPlanner:
     expansion_radius: float
     #: Calls answered from the memo (no registry change within reach).
     reused: int = dataclass_field(default=0, init=False, compare=False)
-    #: Calls that recomputed their answer.
+    #: Calls that recomputed at least one part of their answer.
     recomputed: int = dataclass_field(default=0, init=False, compare=False)
+    #: Part recomputations by kind (FLG, BLG, IFLG).
+    recomputed_parts: List[int] = dataclass_field(
+        default_factory=lambda: [0, 0, 0], init=False, compare=False
+    )
     #: Registry coverage probes made by those recomputations.
     coverage_queries: int = dataclass_field(default=0, init=False, compare=False)
     #: ``owner_id -> _Answer``: the owner's last answer and its inputs.
     _memo: Dict[int, _Answer] = dataclass_field(
         default_factory=dict, init=False, repr=False, compare=False
     )
-    #: Points probed by the running recomputation.
-    _probes: List[Tuple[float, float]] = dataclass_field(
+    #: Probes made by the running part search.
+    _probes: List[Tuple[float, float, bool]] = dataclass_field(
         default_factory=list, init=False, repr=False, compare=False
     )
 
@@ -107,79 +127,153 @@ class ExpansionPlanner:
     ) -> List[ExpansionPoint]:
         """All currently uncovered expansion points of one fixed sensor.
 
-        The answer depends on the owner's position, the field's obstacles
-        and three kinds of registry reads: coverage probes, each answered
-        by the records within ``rs`` of the probed point; the owner's
-        same-floor neighbours within ``2 * expansion_radius`` of its
-        record; and that record itself.  So each owner's last answer is
-        reused (as a fresh list) while the position and the field are
-        unchanged and no registry change since then lies near a probe
-        (inside the probes' bounding box padded by ``rs``), near the
-        owner's record, or is the owner's own.  A probe the last answer
-        skipped because an earlier one found its point covered could only
-        be reached after a change near that earlier probe, so the rule is
-        exact.  The caller is responsible for accounting the
+        The answer is three parts, FLG, BLG and IFLG, each searched on its
+        own and kept with the coverage probes it made.  A part reads the
+        owner's position and the field's obstacles, and the registry only
+        through its probes, each answered by the records within ``rs`` of
+        the probed point; IFLG also reads the owner's record and its
+        same-floor neighbours within ``2 * expansion_radius`` of it.  A
+        new position or ``field.version`` recomputes all three parts.
+        Otherwise a part is recomputed only when a registry change since
+        the last call could flip one of its probes: an added record
+        within reach of an uncovered probe, or a removed one within reach
+        of a covered probe (FLG and BLG probes exclude the owner, so the
+        owner's own changes cannot flip them).  IFLG is also recomputed on
+        a change of the owner's record or of a record on the same floor
+        within ``2 * expansion_radius`` of it.  With every probe answer
+        unchanged a part makes the same probes in the same order (a probe
+        it skipped can only be reached after an earlier answer flipped),
+        so the rule is exact.  :meth:`floors_asked` gives the answer's
         coverage-query message cost; the planner only asks the registry.
         """
         x, y = position.x, position.y
         registry = self.registry
         memo = self._memo.get(owner_id)
         if (
-            memo is not None
-            and memo.x == x
-            and memo.y == y
-            and memo.field_version == self.field.version
-            and not self._changed_within_reach(memo, owner_id)
+            memo is None
+            or memo.x != x
+            or memo.y != y
+            or memo.field_version != self.field.version
         ):
-            memo.registry_version = registry.version
-            self.reused += 1
-            return list(memo.points)
+            stale = [True, True, True]
+        else:
+            stale = self._stale_parts(memo, owner_id)
+            if not (stale[0] or stale[1] or stale[2]):
+                memo.registry_version = registry.version
+                self.reused += 1
+                return list(memo.points)
         self.recomputed += 1
-        probes = self._probes
-        probes.clear()
-        points: List[ExpansionPoint] = []
-        points.extend(self._flg_points(owner_id, x, y))
-        points.extend(self._blg_points(owner_id, x, y))
-        points.extend(self._iflg_points(owner_id, x, y))
-        points.sort(key=lambda ep: ep.priority_key())
-        self.coverage_queries += len(probes)
-        probe_box = None
-        if probes:
-            pad = self.sensing_range + _MEMO_SLACK
-            xs = [p[0] for p in probes]
-            ys = [p[1] for p in probes]
-            probe_box = (min(xs) - pad, min(ys) - pad, max(xs) + pad, max(ys) + pad)
-        record = registry.record(owner_id)
+        parts = [
+            self._search(kind, owner_id, x, y) if stale[kind] else memo.parts[kind]
+            for kind in ExpansionKind
+        ]
+        if stale[ExpansionKind.IFLG]:
+            found = registry.record(owner_id)
+            record = (
+                None
+                if found is None
+                else (found.position.x, found.position.y, registry.floor_of(owner_id))
+            )
+        else:
+            record = memo.record
+        points = parts[0].points + parts[1].points + parts[2].points
+        floors_asked = (
+            len(
+                self.floors.floors_possibly_covering(
+                    points[0].position, self.sensing_range
+                )
+            )
+            if points
+            else 0
+        )
         self._memo[owner_id] = _Answer(
             x=x,
             y=y,
             field_version=self.field.version,
             registry_version=registry.version,
-            probe_box=probe_box,
-            record_xy=(
-                None if record is None else (record.position.x, record.position.y)
-            ),
+            record=record,
+            parts=parts,
             points=points,
+            floors_asked=floors_asked,
+            probe_reach_sq=self._probe_reach_sq(x, y, parts),
         )
         return list(points)
 
-    def _changed_within_reach(self, memo: _Answer, owner_id: int) -> bool:
-        """Whether a registry change since ``memo`` may alter its answer."""
-        box = memo.probe_box
-        record_xy = memo.record_xy
-        reach = 2.0 * self.expansion_radius + _MEMO_SLACK
+    def floors_asked(self, owner_id: int) -> int:
+        """Floor headers asked by the coverage-status query of the owner's
+        last answer: those that could hold a sensor covering its first
+        point (zero when it has none)."""
+        return self._memo[owner_id].floors_asked
+
+    def _search(self, kind: ExpansionKind, owner_id: int, x: float, y: float) -> _Part:
+        """One kind's points, in priority order, with the probes they made."""
+        probes: List[Tuple[float, float, bool]] = []
+        self._probes = probes
+        if kind is ExpansionKind.FLG:
+            points = self._flg_points(owner_id, x, y)
+        elif kind is ExpansionKind.BLG:
+            points = self._blg_points(owner_id, x, y)
+        else:
+            points = self._iflg_points(owner_id, x, y)
+        points.sort(key=ExpansionPoint.priority_key)
+        self.recomputed_parts[kind] += 1
+        self.coverage_queries += len(probes)
+        return _Part(points, probes)
+
+    def _probe_reach_sq(self, x: float, y: float, parts: List[_Part]) -> float:
+        """:attr:`_Answer.probe_reach_sq` of probes made from ``(x, y)``."""
+        farthest = max(
+            (math.hypot(px - x, py - y) for part in parts for px, py, _ in part.probes),
+            default=None,
+        )
+        if farthest is None:
+            return -1.0
+        reach = farthest + self.sensing_range + 2.0 * _MEMO_SLACK
+        return reach * reach
+
+    def _stale_parts(self, memo: _Answer, owner_id: int) -> List[bool]:
+        """Which parts of ``memo`` a registry change since it may alter."""
+        stale = [False, False, False]
+        changes = self.registry.changes_since(memo.registry_version)
+        if not changes:
+            return stale
+        reach = self.sensing_range + _MEMO_SLACK
         reach_sq = reach * reach
-        for cx, cy, node_id in self.registry.changes_since(memo.registry_version):
-            if node_id == owner_id:
-                return True
-            if box is not None and box[0] <= cx <= box[2] and box[1] <= cy <= box[3]:
-                return True
-            if record_xy is not None:
-                dx = cx - record_xy[0]
-                dy = cy - record_xy[1]
-                if dx * dx + dy * dy <= reach_sq:
-                    return True
-        return False
+        record = memo.record
+        neighbor_reach = 2.0 * self.expansion_radius + _MEMO_SLACK
+        neighbor_reach_sq = neighbor_reach * neighbor_reach
+        floor_index = self.registry.floors.floor_index
+        iflg = ExpansionKind.IFLG
+        x, y = memo.x, memo.y
+        probe_reach_sq = memo.probe_reach_sq
+        for cx, cy, node_id, added in changes:
+            if not stale[iflg]:
+                if node_id == owner_id:
+                    stale[iflg] = True
+                elif record is not None:
+                    dx = cx - record[0]
+                    dy = cy - record[1]
+                    stale[iflg] = (
+                        dx * dx + dy * dy <= neighbor_reach_sq
+                        and floor_index(cy) == record[2]
+                    )
+            dx = cx - x
+            dy = cy - y
+            if dx * dx + dy * dy > probe_reach_sq:
+                continue
+            for kind, part in enumerate(memo.parts):
+                if stale[kind] or (node_id == owner_id and kind != iflg):
+                    continue
+                for px, py, covered in part.probes:
+                    if covered != added:
+                        dx = cx - px
+                        dy = cy - py
+                        if dx * dx + dy * dy <= reach_sq:
+                            stale[kind] = True
+                            break
+            if stale[0] and stale[1] and stale[2]:
+                break
+        return stale
 
     # ------------------------------------------------------------------
     # Shared helpers
@@ -208,10 +302,11 @@ class ExpansionPlanner:
 
     def _is_uncovered(self, x: float, y: float, exclude: Sequence[int]) -> bool:
         """Whether the registry reports ``(x, y)`` as uncovered."""
-        self._probes.append((x, y))
-        return not self.registry.is_point_covered(
+        covered = self.registry.is_point_covered(
             x, y, self.sensing_range, exclude=exclude
         )
+        self._probes.append((x, y, covered))
+        return not covered
 
     # ------------------------------------------------------------------
     # FLG expansion

@@ -68,6 +68,12 @@ _DEFAULT_TTL_FRACTION = 0.2
 #: arrival time" estimate).
 _PHASE2_DEADLINE_FRACTION = 0.25
 
+#: Telemetry counters of the expansion planner's part recomputations,
+#: indexed by :class:`ExpansionKind`.
+_RECOMPUTED_PART_COUNTERS = tuple(
+    f"floor.expansion_recomputed.{kind.name.lower()}" for kind in ExpansionKind
+)
+
 
 class FloorScheme(DeploymentScheme):
     """Floor-based deployment."""
@@ -245,8 +251,9 @@ class FloorScheme(DeploymentScheme):
         transit step — connection walks and relocations alike — exits back
         into free space.
         """
-        if not world.field.is_free(sensor.position):
-            sensor.position = world.field.nearest_free(sensor.position)
+        position = sensor.position
+        if not world.field.is_free_xy(position.x, position.y):
+            sensor.position = world.field.nearest_free(position)
 
     # -- Phase 2: identifying movable sensors ---------------------------
     def _phase2_should_start(self, world: World) -> bool:
@@ -450,10 +457,14 @@ class FloorScheme(DeploymentScheme):
         assert self._expansion is not None
         expansion = self._expansion
         before = (
-            expansion.reused, expansion.recomputed, expansion.coverage_queries
+            expansion.reused,
+            expansion.recomputed,
+            expansion.coverage_queries,
+            *expansion.recomputed_parts,
         )
         expansion_points: List[ExpansionPoint] = []
         exhausted: List[int] = []
+        floors_asked = 0
         for searcher_id in sorted(self._active_searchers):
             position = self._searcher_position(world, searcher_id)
             if position is None:
@@ -465,20 +476,15 @@ class FloorScheme(DeploymentScheme):
                 # circle, then it stops the checking process."
                 exhausted.append(searcher_id)
                 continue
-            # Coverage-status queries to the relevant floor headers: one
-            # query and one response per floor asked, routed over the tree
-            # (charged on every call, whether or not the answer was reused).
-            floors_asked = self._floors.floors_possibly_covering(
-                points[0].position, world.config.sensing_range
-            ) if self._floors is not None else []
-            if floors_asked:
-                world.routing.record_one_hop(
-                    MessageType.COVERAGE_QUERY, len(floors_asked)
-                )
-                world.routing.record_one_hop(
-                    MessageType.COVERAGE_RESPONSE, len(floors_asked)
-                )
+            floors_asked += expansion.floors_asked(searcher_id)
             expansion_points.extend(points)
+        # Coverage-status queries to the relevant floor headers: one query
+        # and one response per floor asked, routed over the tree (charged
+        # for every searcher with points, whether or not its answer was
+        # reused).
+        if floors_asked:
+            world.routing.record_one_hop(MessageType.COVERAGE_QUERY, floors_asked)
+            world.routing.record_one_hop(MessageType.COVERAGE_RESPONSE, floors_asked)
         for searcher_id in exhausted:
             self._active_searchers.discard(searcher_id)
         tel = world.telemetry
@@ -488,6 +494,10 @@ class FloorScheme(DeploymentScheme):
             tel.count(
                 "floor.coverage_queries", expansion.coverage_queries - before[2]
             )
+            for name, done, was in zip(
+                _RECOMPUTED_PART_COUNTERS, expansion.recomputed_parts, before[3:]
+            ):
+                tel.count(name, done - was)
         return expansion_points
 
     def _run_expansion_round(self, world: World) -> None:

@@ -14,12 +14,14 @@ scheme can account the query / response message costs on the tree.
 
 The coverage and same-floor-neighbour queries are the hot loop of FLOOR's
 phase-3 expansion search (every active searcher probes several candidate
-points per period), so they run as a scalar loop over a cached list of
-``(x, y, node_id, floor)`` tuples of all records, rebuilt lazily when the
-records change, with the squared-distance test of
-:meth:`~repro.spatial.index.SpatialIndex.query_radius`.
+points per period), so they run as scalar loops over cached per-floor
+lists of ``(x, y, node_id)`` tuples, rebuilt lazily when the records
+change, with the squared-distance test of
+:meth:`~repro.spatial.index.SpatialIndex.query_radius`; a coverage query
+scans only the floors its floor filter admits.
 :attr:`FloorRegistry.version` counts record changes, and
-:meth:`FloorRegistry.changes_since` lists where each change happened, so
+:meth:`FloorRegistry.changes_since` lists where each change happened and
+whether it added or removed a record, so
 that callers can tell whether an answer derived from the registry could
 have moved.  Randomized parity tests pin the scans against an exhaustive
 per-floor scan (``tests/oracles``).
@@ -53,19 +55,19 @@ class FloorRegistry:
     _records: Dict[int, Dict[int, FloorRecord]] = field(default_factory=dict)
     #: Bumped each time a record is added or removed.
     version: int = field(default=0, init=False, compare=False)
-    #: ``(x, y, node_id)`` of the record added or removed by each version
-    #: bump: entry ``v`` is the change that took the version from ``v``
-    #: to ``v + 1``.
-    _journal: List[Tuple[float, float, int]] = field(
+    #: ``(x, y, node_id, added)`` of the record added (``added`` true) or
+    #: removed by each version bump: entry ``v`` is the change that took
+    #: the version from ``v`` to ``v + 1``.
+    _journal: List[Tuple[float, float, int, bool]] = field(
         default_factory=list, init=False, repr=False, compare=False
     )
-    #: ``(x, y, node_id, floor_index)`` in store order: floor by floor,
+    #: ``floor_index -> [(x, y, node_id), ...]`` in ``_records`` order,
     #: each floor's records in registration order; describes
-    #: ``_store_version``.
-    _store: List[Tuple[float, float, int, int]] = field(
-        default_factory=list, init=False, repr=False, compare=False
+    #: ``_scan_version``.
+    _scan: Dict[int, List[Tuple[float, float, int]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
     )
-    _store_version: int = field(default=-1, init=False, repr=False, compare=False)
+    _scan_version: int = field(default=-1, init=False, repr=False, compare=False)
 
     # ------------------------------------------------------------------
     # Registration
@@ -83,7 +85,7 @@ class FloorRegistry:
         self._records.setdefault(floor_index, {})[node_id] = FloorRecord(
             node_id=node_id, position=position, virtual=virtual
         )
-        self._changed(position, node_id)
+        self._changed(position, node_id, True)
         return floor_index
 
     def unregister(self, node_id: int) -> None:
@@ -91,19 +93,20 @@ class FloorRegistry:
         for floor_records in self._records.values():
             record = floor_records.pop(node_id, None)
             if record is not None:
-                self._changed(record.position, node_id)
+                self._changed(record.position, node_id, False)
 
     def promote_virtual(self, node_id: int, position: Vec2) -> None:
         """Replace a virtual place-holder by the real arrived sensor."""
         self.unregister(node_id)
         self.register(node_id, position, virtual=False)
 
-    def _changed(self, position: Vec2, node_id: int) -> None:
-        self._journal.append((position.x, position.y, node_id))
+    def _changed(self, position: Vec2, node_id: int, added: bool) -> None:
+        self._journal.append((position.x, position.y, node_id, added))
         self.version += 1
 
-    def changes_since(self, version: int) -> List[Tuple[float, float, int]]:
-        """``(x, y, node_id)`` of every record added or removed since ``version``.
+    def changes_since(self, version: int) -> List[Tuple[float, float, int, bool]]:
+        """``(x, y, node_id, added)`` of every record added or removed since
+        ``version``, in order.
 
         A re-registration appears twice: the old record's removal, then
         the new record.
@@ -139,21 +142,23 @@ class FloorRegistry:
                 return found
         return None
 
-    def _scan_store(self) -> List[Tuple[float, float, int, int]]:
-        """The records as ``(x, y, node_id, floor_index)``, in store order.
+    def _scan_floors(self) -> Dict[int, List[Tuple[float, float, int]]]:
+        """The records as ``(x, y, node_id)`` per floor.
 
-        Rebuilt when the records changed; restricted to one floor, its
-        order equals that floor's dict iteration order, so the queries
-        visit records in exactly the order the exhaustive scan does.
+        Rebuilt when the records changed; each floor's list is in that
+        floor's dict iteration order, so the queries visit records in
+        exactly the order the exhaustive scan does.
         """
-        if self._store_version != self.version:
-            self._store = [
-                (record.position.x, record.position.y, record.node_id, floor_index)
+        if self._scan_version != self.version:
+            self._scan = {
+                floor_index: [
+                    (record.position.x, record.position.y, record.node_id)
+                    for record in floor_records.values()
+                ]
                 for floor_index, floor_records in self._records.items()
-                for record in floor_records.values()
-            ]
-            self._store_version = self.version
-        return self._store
+            }
+            self._scan_version = self.version
+        return self._scan
 
     def is_point_covered(
         self,
@@ -171,15 +176,14 @@ class FloorRegistry:
         reach = sensing_range + 1e-9
         reach_sq = reach * reach
         floor_line_ys = self.floors.floor_line_ys
-        for rx, ry, node_id, floor_index in self._scan_store():
-            dx = rx - x
-            dy = ry - y
-            if (
-                dx * dx + dy * dy <= reach_sq
-                and node_id not in exclude
-                and abs(floor_line_ys[floor_index] - y) <= reach
-            ):
-                return True
+        for floor_index, records in self._scan_floors().items():
+            if abs(floor_line_ys[floor_index] - y) > reach:
+                continue
+            for rx, ry, node_id in records:
+                dx = rx - x
+                dy = ry - y
+                if dx * dx + dy * dy <= reach_sq and node_id not in exclude:
+                    return True
         return False
 
     def neighbors_on_floor(
@@ -195,8 +199,8 @@ class FloorRegistry:
         reach = radius + 1e-9
         reach_sq = reach * reach
         result: List[FloorRecord] = []
-        for rx, ry, other_id, hit_floor in self._scan_store():
-            if hit_floor != floor_index or other_id == node_id:
+        for rx, ry, other_id in self._scan_floors()[floor_index]:
+            if other_id == node_id:
                 continue
             dx = rx - mx
             dy = ry - my

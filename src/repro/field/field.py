@@ -26,6 +26,13 @@ from .obstacles import Obstacle
 
 __all__ = ["Field"]
 
+#: ``(cos, sin)`` of the 16 directions of :meth:`Field.nearest_free`'s
+#: spiral, angle ``2 * pi * k / 16``.
+_SPIRAL_DIRECTIONS = tuple(
+    (math.cos(2.0 * math.pi * k / 16), math.sin(2.0 * math.pi * k / 16))
+    for k in range(16)
+)
+
 
 @dataclass
 class Field:
@@ -116,19 +123,28 @@ class Field:
         )
 
     def nearest_free(self, p: Vec2, step: float = 1.0, max_radius: float = 200.0) -> Vec2:
-        """A free point near ``p`` (spiral search); ``p`` itself when free."""
-        candidate = self.clamp(p)
-        if self.is_free(candidate):
-            return candidate
+        """A free point near ``p`` (spiral search); ``p`` itself when free.
+
+        Rings of 16 points at radius ``step``, ``2 * step``, ... around
+        the clamped ``p``, each point clamped into the field; the first
+        free one wins.  Runs on floats in the operation order of
+        ``clamp(candidate + Vec2.from_polar(radius, angle))``.
+        """
+        width, height = self.width, self.height
+        cx = min(width, max(0.0, p.x))
+        cy = min(height, max(0.0, p.y))
+        is_free_xy = self.is_free_xy
+        if is_free_xy(cx, cy):
+            return Vec2(cx, cy)
         radius = step
         while radius <= max_radius:
-            for k in range(16):
-                angle = 2.0 * math.pi * k / 16
-                q = self.clamp(candidate + Vec2.from_polar(radius, angle))
-                if self.is_free(q):
-                    return q
+            for cos_k, sin_k in _SPIRAL_DIRECTIONS:
+                qx = min(width, max(0.0, cx + radius * cos_k))
+                qy = min(height, max(0.0, cy + radius * sin_k))
+                if is_free_xy(qx, qy):
+                    return Vec2(qx, qy)
             radius += step
-        return candidate
+        return Vec2(cx, cy)
 
     # ------------------------------------------------------------------
     # Motion queries

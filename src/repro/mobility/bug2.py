@@ -50,18 +50,28 @@ class Handedness(Enum):
 
 @dataclass
 class Bug2Path:
-    """A planned path: a polyline of waypoints from start to target."""
+    """A planned path: a polyline of waypoints from start to target.
+
+    A path is never mutated once planned, so its segment lengths are
+    measured once, at construction.
+    """
 
     waypoints: List[Vec2]
     reached_target: bool
     encounters: int = 0
+    #: ``waypoints[i].distance_to(waypoints[i + 1])`` for every segment.
+    _lengths: List[float] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        waypoints = self.waypoints
+        self._lengths = [
+            waypoints[i].distance_to(waypoints[i + 1])
+            for i in range(len(waypoints) - 1)
+        ]
 
     def length(self) -> float:
         """Total polyline length."""
-        return sum(
-            self.waypoints[i].distance_to(self.waypoints[i + 1])
-            for i in range(len(self.waypoints) - 1)
-        )
+        return sum(self._lengths)
 
     def start(self) -> Vec2:
         """First waypoint."""
@@ -73,18 +83,17 @@ class Bug2Path:
 
     def point_at_distance(self, distance: float) -> Vec2:
         """Point at arc-length ``distance`` from the start (clamped to the end)."""
-        if distance <= 0 or len(self.waypoints) == 1:
-            return self.waypoints[0]
+        waypoints = self.waypoints
+        if distance <= 0 or len(waypoints) == 1:
+            return waypoints[0]
         remaining = distance
-        for i in range(len(self.waypoints) - 1):
-            a, b = self.waypoints[i], self.waypoints[i + 1]
-            seg_len = a.distance_to(b)
+        for i, seg_len in enumerate(self._lengths):
             if remaining <= seg_len:
                 if seg_len <= EPS:
-                    return b
-                return a.lerp(b, remaining / seg_len)
+                    return waypoints[i + 1]
+                return waypoints[i].lerp(waypoints[i + 1], remaining / seg_len)
             remaining -= seg_len
-        return self.waypoints[-1]
+        return waypoints[-1]
 
 
 class Bug2Planner:

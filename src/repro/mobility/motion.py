@@ -14,6 +14,7 @@ travelled), which is the moving-distance metric of the evaluation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 from ..geometry import Vec2
@@ -46,20 +47,13 @@ class MotionModel:
     #: is never mutated).
     _path_length: float = field(default=0.0, repr=False)
 
-    def __setattr__(self, name: str, value) -> None:
-        # Every position assignment bumps the version counter; the spatial
-        # subsystem's NeighborCache uses the tuple of versions as its epoch,
-        # so caches invalidate exactly when a sensor actually moves.
-        if name == "position":
-            object.__setattr__(
-                self, "_position_version", self.__dict__.get("_position_version", 0) + 1
-            )
-        object.__setattr__(self, name, value)
+    #: Class default of the counter behind :attr:`position_version`.
+    _position_version = 0
 
     @property
     def position_version(self) -> int:
         """Monotone counter incremented on every position assignment."""
-        return self.__dict__.get("_position_version", 0)
+        return self._position_version
 
     # ------------------------------------------------------------------
     # Direct moves
@@ -116,18 +110,19 @@ class MotionModel:
         Returns the distance moved.  The path is cleared automatically when
         its end is reached.
         """
-        if self._path is None:
+        path = self._path
+        if path is None:
             return 0.0
         limit = self.max_step if distance is None else min(distance, self.max_step)
         if limit <= 0:
             return 0.0
-        remaining = self.remaining_path_length()
-        travel = min(limit, remaining)
-        self._path_progress += travel
-        new_position = self._path.point_at_distance(self._path_progress)
+        travel = min(limit, self.remaining_path_length())
+        progress = self._path_progress + travel
+        self._path_progress = progress
+        new_position = path.point_at_distance(progress)
         self.odometer += travel
         self.position = new_position
-        if self.remaining_path_length() <= 1e-9:
+        if self._path_length - progress <= 1e-9:
             self._path = None
             self._path_progress = 0.0
         return travel
@@ -136,3 +131,19 @@ class MotionModel:
         """Abandon the current path (the sensor stays where it is)."""
         self._path = None
         self._path_progress = 0.0
+
+
+def _set_position(motion: MotionModel, value: Vec2) -> None:
+    # Every position assignment bumps the version counter; the spatial
+    # subsystem's NeighborCache uses the tuple of versions as its epoch,
+    # so caches invalidate exactly when a sensor actually moves.  Other
+    # attribute writes (odometer, path progress) are plain.
+    motion._position = value
+    motion._position_version += 1
+
+
+# Installed after the dataclass is built, so that ``position`` stays an
+# ``__init__`` field; reads go through a C-level getter.
+MotionModel.position = property(  # type: ignore[assignment]
+    attrgetter("_position"), _set_position, doc="Current location."
+)

@@ -152,11 +152,20 @@ class TestMemo:
         registry.register(1, Vec2(600, 290))
         return planner, registry, field
 
-    def _assert_recomputed(self, planner, owner_id, position):
+    def _assert_recomputed(self, planner, owner_id, position, parts=None):
+        """Recompute; ``parts`` is the expected ``(flg, blg, iflg)`` count
+        of part recomputations, when given."""
         before = planner.reused
+        parts_before = list(planner.recomputed_parts)
         points = planner.expansion_points(owner_id, position)
         assert planner.reused == before, "a changed input must force a recompute"
         assert points == self._fresh_answer(planner, owner_id, position)
+        if parts is not None:
+            done = tuple(
+                after - was
+                for after, was in zip(planner.recomputed_parts, parts_before)
+            )
+            assert done == parts
 
     def _assert_reused(self, planner, owner_id, position):
         before = planner.reused
@@ -188,11 +197,23 @@ class TestMemo:
         registry.register(2, Vec2(520, 330))
         self._assert_recomputed(planner, 0, Vec2(560, 330))
 
-    def test_unregister_forces_recompute(self):
+    def test_unregistering_a_covering_record_recomputes(self):
         planner, registry, _ = self._setup()
-        planner.expansion_points(0, Vec2(560, 330))
+        # Record 2 covers the FLG frontier at x ~ 533.5 on the floor line.
+        registry.register(2, Vec2(520, 360))
+        covered = planner.expansion_points(0, Vec2(560, 330))
+        registry.unregister(2)
+        # IFLG goes too: record 2 was a same-floor neighbour within 2R.
+        self._assert_recomputed(planner, 0, Vec2(560, 330), parts=(1, 0, 1))
+        assert planner.expansion_points(0, Vec2(560, 330)) != covered
+
+    def test_unregistering_a_record_that_covers_no_probe_reuses(self):
+        # Record 1 is on the floor below the owner's and out of every
+        # probe's reach.
+        planner, registry, _ = self._setup()
+        first = planner.expansion_points(0, Vec2(560, 330))
         registry.unregister(1)
-        self._assert_recomputed(planner, 0, Vec2(560, 330))
+        assert self._assert_reused(planner, 0, Vec2(560, 330)) == first
 
     def test_promote_virtual_forces_recompute(self):
         planner, registry, _ = self._setup()
@@ -249,54 +270,88 @@ class TestMemo:
         self._assert_reused(planner, 0, Vec2(560, 330))
         assert planner._memo[0].registry_version == registry.version
 
-    def _box(self, planner, owner_id):
-        box = planner._memo[owner_id].probe_box
-        assert box is not None, "the set-up must probe the registry"
-        return box
+    @staticmethod
+    def _probes(planner, owner_id, kind):
+        probes = planner._memo[owner_id].parts[kind].probes
+        assert probes, "the set-up must probe the registry"
+        return probes
 
-    def test_change_just_inside_the_probe_box_recomputes(self):
-        planner, registry, _ = self._setup()
-        planner.expansion_points(0, Vec2(560, 330))
-        xmin, ymin, xmax, ymax = self._box(planner, 0)
-        # The box corner farthest from the owner's record lies beyond 2R of
-        # it, so only the box rule can catch a change there.
-        corner = max(
-            (
-                Vec2(x, y)
-                for x in (xmin + 1e-3, xmax - 1e-3)
-                for y in (ymin + 1e-3, ymax - 1e-3)
-            ),
-            key=Vec2(560, 330).distance_to,
-        )
-        assert corner.distance_to(Vec2(560, 330)) > 2 * planner.expansion_radius
-        registry.register(7, corner)
-        self._assert_recomputed(planner, 0, Vec2(560, 330))
+    @staticmethod
+    def _beyond(probe, owner, distance):
+        """The point at ``distance`` from ``probe`` on the ray from the
+        owner through the probe."""
+        dx, dy = probe[0] - owner.x, probe[1] - owner.y
+        norm = (dx * dx + dy * dy) ** 0.5
+        return Vec2(probe[0] + dx / norm * distance, probe[1] + dy / norm * distance)
 
-    def test_change_just_outside_the_probe_box_reuses(self):
+    def test_change_just_inside_a_probes_reach_recomputes(self):
         planner, registry, _ = self._setup()
-        planner.expansion_points(0, Vec2(560, 330))
         owner = Vec2(560, 330)
-        xmin, ymin, xmax, ymax = self._box(planner, 0)
-        # Just outside the box, next to the corner farthest from the
-        # owner's record (beyond 2R of it).
-        outside = [
-            Vec2(x, y)
-            for x, y in (
-                (xmin - 1e-3, ymin + 1e-3),
-                (xmin + 1e-3, ymin - 1e-3),
-                (xmax + 1e-3, ymin + 1e-3),
-                (xmax - 1e-3, ymin - 1e-3),
-                (xmin - 1e-3, ymax - 1e-3),
-                (xmin + 1e-3, ymax + 1e-3),
-                (xmax + 1e-3, ymax - 1e-3),
-                (xmax - 1e-3, ymax + 1e-3),
+        planner.expansion_points(0, owner)
+        probe = self._probes(planner, 0, ExpansionKind.FLG)[-1]
+        assert not probe[2], "the probe must be uncovered"
+        point = self._beyond(probe, owner, planner.sensing_range - 1e-3)
+        registry.register(7, point)
+        # Only the FLG part probed near it; IFLG goes too, since the new
+        # record is on the owner's floor within 2R of its record.
+        self._assert_recomputed(planner, 0, owner, parts=(1, 0, 1))
+
+    def test_change_just_outside_every_probes_reach_reuses(self):
+        planner, registry, _ = self._setup()
+        owner = Vec2(560, 330)
+        planner.expansion_points(0, owner)
+        probes = self._probes(planner, 0, ExpansionKind.FLG)
+        reach = planner.sensing_range + 1e-3
+        outside = [self._beyond(probe, owner, reach) for probe in probes]
+        for point in outside:
+            assert point.distance_to(owner) > 2 * planner.expansion_radius
+            assert all(
+                point.distance_to(Vec2(px, py)) > planner.sensing_range + 1e-6
+                for px, py, _ in probes
             )
-            if Vec2(x, y).distance_to(owner) > 2 * planner.expansion_radius
-        ]
-        assert len(outside) >= 2
         for node_id, point in enumerate(outside, start=7):
             registry.register(node_id, point)
         self._assert_reused(planner, 0, owner)
+
+    def test_added_record_near_a_covered_probe_reuses(self):
+        # An added record can only cover a probe: near a probe that was
+        # already covered (and beyond 2R of the owner's record) it
+        # changes nothing.
+        planner, registry = make_planner(rc=30.0, rs=40.0)
+        registry.register(0, Vec2(30, 40))
+        registry.register(1, Vec2(75, 40))
+        first = planner.expansion_points(0, Vec2(30, 40))
+        assert (70.0, 40.0, True) in self._probes(planner, 0, ExpansionKind.FLG)
+        registry.register(2, Vec2(100, 40))
+        assert self._assert_reused(planner, 0, Vec2(30, 40)) == first
+
+    def test_removed_record_near_an_uncovered_probe_reuses(self):
+        # A removed record can only uncover a probe.  Record 7 sits on the
+        # floor above the FLG probes' floor line (y = 360), rs from a
+        # probe: within reach, but the floor filter keeps it from
+        # covering the probe.
+        planner, registry, _ = self._setup()
+        owner = Vec2(560, 330)
+        registry.register(7, Vec2(586.457513110646, 400.0))
+        first = planner.expansion_points(0, owner)
+        probe = self._probes(planner, 0, ExpansionKind.FLG)[0]
+        assert probe == (586.457513110646, 360.0, False)
+        registry.unregister(7)
+        assert self._assert_reused(planner, 0, owner) == first
+
+    def test_change_near_an_flg_probe_recomputes_flg_alone(self):
+        # Every part probes; record 2 covers only the FLG frontier at
+        # (70, 40), is beyond 2R of the owner's record and out of reach of
+        # the BLG and IFLG probes.
+        planner, registry = make_planner(rc=30.0, rs=40.0)
+        registry.register(0, Vec2(30, 40))
+        registry.register(1, Vec2(75, 40))
+        registry.register(2, Vec2(105, 40))
+        planner.expansion_points(0, Vec2(30, 40))
+        for kind in ExpansionKind:
+            self._probes(planner, 0, kind)
+        registry.unregister(2)
+        self._assert_recomputed(planner, 0, Vec2(30, 40), parts=(1, 0, 0))
 
     def test_change_within_2r_of_the_record_recomputes(self):
         # On floor 1 at rs from its floor line: the floor-line piece is a
@@ -305,12 +360,15 @@ class TestMemo:
         planner, registry = make_planner()
         registry.register(0, Vec2(500, 80))
         assert planner.expansion_points(0, Vec2(500, 80)) == []
-        assert planner._memo[0].probe_box is None
+        assert all(not part.probes for part in planner._memo[0].parts)
         two_r = 2 * planner.expansion_radius
         registry.register(1, Vec2(500 + two_r + 1e-3, 80))
         self._assert_reused(planner, 0, Vec2(500, 80))
+        # Within 2R but on the floor below: not a same-floor neighbour.
+        registry.register(3, Vec2(500, 79.9))
+        self._assert_reused(planner, 0, Vec2(500, 80))
         registry.register(2, Vec2(500 + two_r - 1e-3, 80))
-        self._assert_recomputed(planner, 0, Vec2(500, 80))
+        self._assert_recomputed(planner, 0, Vec2(500, 80), parts=(0, 0, 1))
 
     def test_reregistering_the_owner_recomputes(self):
         planner, registry, _ = self._setup()
@@ -323,7 +381,7 @@ class TestMemo:
         planner, registry = make_planner()
         registry.register(1, Vec2(900, 40))
         planner.expansion_points(0, Vec2(500, 80))
-        assert planner._memo[0].record_xy is None
+        assert planner._memo[0].record is None
         registry.register(0, Vec2(880, 40))
         self._assert_recomputed(planner, 0, Vec2(500, 80))
 
@@ -389,3 +447,80 @@ class TestMemo:
         assert planner.reused + planner.recomputed == calls
         assert planner.reused > calls // 4, "far changes must be reused"
         assert planner.recomputed > 100
+
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_random_changes_with_obstacles_match_a_fresh_planner(self, seed):
+        """150 random register/unregister/promote operations and obstacle
+        additions and removals on a clutter field, with searchers that
+        are registered, that stand away from their record and that have
+        none; after each step every searcher's answer and its
+        floors-asked count equal a fresh planner's."""
+        rng = random.Random(seed)
+        field = clutter_field(500.0, seed=seed)
+        planner, registry = make_planner(field=field)
+        floors = planner.floors
+
+        def free_point():
+            while True:
+                x, y = rng.uniform(0, 500), rng.uniform(0, 500)
+                if rng.random() < 0.5:
+                    # On a floor line, where FLG probes and records meet.
+                    y = floors.floor_line_y(floors.floor_index(y))
+                if field.is_free_xy(x, y):
+                    return Vec2(x, y)
+
+        # Searchers 0-5 are registered at their positions, 6-7 stand away
+        # from their records and 8-9 start unregistered.
+        searchers = {node_id: free_point() for node_id in range(10)}
+        for node_id in range(8):
+            registry.register(node_id, searchers[node_id])
+        for node_id in (6, 7):
+            searchers[node_id] = searchers[node_id] + Vec2(7.5, 0.0)
+        added_obstacles = []
+        virtual = set()
+        next_id = 100
+        calls = 0
+        for _ in range(150):
+            records = registry.all_records()
+            roll = rng.random()
+            if roll < 0.35:
+                node_id = rng.choice([next_id, next_id, *searchers])
+                next_id += 1
+                registry.register(node_id, free_point(), virtual=rng.random() < 0.4)
+                if registry.record(node_id).virtual:
+                    virtual.add(node_id)
+            elif roll < 0.5 and virtual:
+                node_id = rng.choice(sorted(virtual))
+                virtual.discard(node_id)
+                registry.promote_virtual(node_id, free_point())
+            elif roll < 0.7 and records:
+                node_id = rng.choice(records).node_id
+                registry.unregister(node_id)
+                virtual.discard(node_id)
+            elif roll < 0.8 and added_obstacles:
+                field.remove_obstacle(added_obstacles.pop())
+            elif roll < 0.9:
+                x, y = rng.uniform(0, 470), rng.uniform(0, 470)
+                added_obstacles.append(
+                    field.add_obstacle(Obstacle.rectangle(x, y, x + 20, y + 20))
+                )
+            else:
+                node_id = rng.choice(sorted(searchers))
+                searchers[node_id] = free_point()
+            for owner, position in sorted(searchers.items()):
+                if not field.is_free(position):
+                    continue
+                got = planner.expansion_points(owner, position)
+                calls += 1
+                assert got == self._fresh_answer(planner, owner, position)
+                asked = (
+                    len(floors.floors_possibly_covering(got[0].position, 40.0))
+                    if got
+                    else 0
+                )
+                assert planner.floors_asked(owner) == asked
+        assert planner.reused + planner.recomputed == calls
+        assert planner.reused > calls // 4
+        assert all(
+            0 < done < planner.recomputed for done in planner.recomputed_parts
+        ), "some recomputations must keep a part"

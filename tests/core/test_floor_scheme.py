@@ -211,9 +211,9 @@ class TestFloorTelemetry:
         assert summary.counters["floor.expansion_reused"] > 0
 
     def test_reused_and_recomputed_add_up_to_the_calls(self, monkeypatch):
-        """Every planner call is either reused or recomputed; the counters
-        match the planner's own totals, and only recomputations probe
-        the registry."""
+        """Every planner call is either reused or recomputed; the counters,
+        the per-part ones included, match the planner's own totals, and
+        only recomputations probe the registry."""
         from repro.core.expansion import ExpansionPlanner
         from repro.obs import Telemetry
 
@@ -236,6 +236,14 @@ class TestFloorTelemetry:
         assert (reused, recomputed) == (planner.reused, planner.recomputed)
         assert counters["floor.coverage_queries"] == planner.coverage_queries
         assert planner.coverage_queries >= recomputed > 0
+        parts = [
+            counters[f"floor.expansion_recomputed.{kind}"]
+            for kind in ("flg", "blg", "iflg")
+        ]
+        assert parts == planner.recomputed_parts
+        # Every recomputation redoes at least one part, at most all three.
+        assert recomputed <= sum(parts) <= 3 * recomputed
+        assert max(parts) <= recomputed
 
 
 class TestRelocationLeavesTheTree:

@@ -168,7 +168,7 @@ class TestVersion:
 
 
 class TestJournal:
-    """One ``(x, y, node_id)`` entry per version bump."""
+    """One ``(x, y, node_id, added)`` entry per version bump."""
 
     def test_each_bump_is_journalled(self):
         registry = make_registry()
@@ -179,13 +179,13 @@ class TestJournal:
         registry.unregister(2)
         registry.unregister(99)  # absent: no change
         assert registry.changes_since(0) == [
-            (100, 40, 1),
-            (300, 120, 2),
-            (300, 120, 2),
-            (310, 125, 2),
-            (100, 40, 1),
-            (100, 200, 1),
-            (310, 125, 2),
+            (100, 40, 1, True),
+            (300, 120, 2, True),
+            (300, 120, 2, False),
+            (310, 125, 2, True),
+            (100, 40, 1, False),
+            (100, 200, 1, True),
+            (310, 125, 2, False),
         ]
         assert len(registry.changes_since(0)) == registry.version
 
@@ -195,7 +195,9 @@ class TestJournal:
         version = registry.version
         assert registry.changes_since(version) == []
         registry.register(2, Vec2(200, 40))
-        assert registry.changes_since(version) == [(200, 40, 2)]
+        assert registry.changes_since(version) == [(200, 40, 2, True)]
+        registry.unregister(1)
+        assert registry.changes_since(version + 1) == [(100, 40, 1, False)]
 
     def test_record_lookup(self):
         registry = make_registry()

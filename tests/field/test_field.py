@@ -7,7 +7,8 @@ import pytest
 from repro.field import Field, Obstacle
 from repro.geometry import Circle, Polygon, Segment, Vec2
 from repro.scenarios import ScenarioValidator
-from tests.oracles import reference_boundary_segments_within
+from repro.scenarios import clutter_field
+from tests.oracles import reference_boundary_segments_within, reference_nearest_free
 
 
 @pytest.fixture
@@ -97,6 +98,28 @@ class TestPointQueries:
     def test_nearest_free_escapes_obstacle(self, field_with_block):
         p = field_with_block.nearest_free(Vec2(50, 50))
         assert field_with_block.is_free(p)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_nearest_free_matches_the_vec2_spiral(self, seed):
+        """The float spiral returns the ``Vec2`` search's point bit for
+        bit: free points, points deep inside obstacles, on their edges,
+        outside the field, and searches that run out of radius."""
+        rng = random.Random(seed)
+        field = clutter_field(300.0, seed=seed)
+        points = [Vec2(rng.uniform(-20, 320), rng.uniform(-20, 320)) for _ in range(300)]
+        for obstacle in field.obstacles:
+            points.extend(obstacle.polygon.vertices)
+            xs = [v.x for v in obstacle.polygon.vertices]
+            ys = [v.y for v in obstacle.polygon.vertices]
+            points.append(Vec2((min(xs) + max(xs)) / 2, (min(ys) + max(ys)) / 2))
+        inside = 0
+        for p in points:
+            inside += not field.is_free(p)
+            for step, max_radius in ((1.0, 200.0), (0.7, 3.0), (2.5, 0.5)):
+                assert field.nearest_free(p, step, max_radius) == (
+                    reference_nearest_free(field, p, step, max_radius)
+                )
+        assert inside > 20
 
 
 class TestMotionQueries:

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.field import Field, Obstacle, two_obstacle_field
 from repro.geometry import Segment, Vec2
-from repro.mobility import Bug2Planner, Handedness
+from repro.mobility import Bug2Path, Bug2Planner, Handedness
+from tests.oracles import reference_path_length, reference_point_at_distance
 
 
 def bug2_bound(field: Field, start: Vec2, target: Vec2) -> float:
@@ -129,3 +130,59 @@ class TestRandomizedCourses:
         assert path.length() <= bug2_bound(field, start, target) + 10.0
         for a, b in zip(path.waypoints, path.waypoints[1:]):
             assert not field.segment_blocked(Segment(a, b))
+
+
+class TestCachedSegmentLengths:
+    """``Bug2Path`` measures its segments once; its length and arc-length
+    points equal the per-call formulas bit for bit."""
+
+    @staticmethod
+    def _random_polyline(rng):
+        points = [Vec2(rng.uniform(0, 500), rng.uniform(0, 500))]
+        for _ in range(rng.randrange(0, 8)):
+            roll = rng.random()
+            last = points[-1]
+            if roll < 0.15:
+                points.append(last)  # zero-length segment
+            elif roll < 0.3:
+                points.append(Vec2(last.x + rng.uniform(-1e-9, 1e-9), last.y))
+            else:
+                points.append(Vec2(rng.uniform(0, 500), rng.uniform(0, 500)))
+        return points
+
+    def test_random_polylines_match_the_per_call_formulas(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            waypoints = self._random_polyline(rng)
+            path = Bug2Path(list(waypoints), True)
+            length = reference_path_length(waypoints)
+            assert path.length() == length
+            # Cumulative segment ends, the ends themselves, beyond the end
+            # and before the start.
+            distances = [0.0, -1.0, length, length + 5.0]
+            running = 0.0
+            for a, b in zip(waypoints, waypoints[1:]):
+                running += a.distance_to(b)
+                distances += [running, running - 1e-9, running + 1e-9]
+            distances += [rng.uniform(0, length) for _ in range(10)]
+            for distance in distances:
+                assert path.point_at_distance(distance) == (
+                    reference_point_at_distance(waypoints, distance)
+                )
+
+    def test_planned_paths_match_the_per_call_formulas(self):
+        rng = random.Random(4)
+        field = two_obstacle_field(500.0)
+        for handedness in Handedness:
+            planner = Bug2Planner(field, handedness)
+            for _ in range(20):
+                start = Vec2(rng.uniform(0, 500), rng.uniform(0, 500))
+                target = Vec2(rng.uniform(0, 500), rng.uniform(0, 500))
+                path = planner.plan(start, target)
+                length = reference_path_length(path.waypoints)
+                assert path.length() == length
+                for k in range(41):
+                    distance = length * k / 40
+                    assert path.point_at_distance(distance) == (
+                        reference_point_at_distance(path.waypoints, distance)
+                    )

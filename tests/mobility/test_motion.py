@@ -1,10 +1,13 @@
 """Tests for the step-based motion model."""
 
+import random
+
 import pytest
 
-from repro.field import Field
+from repro.field import Field, two_obstacle_field
 from repro.geometry import Vec2
-from repro.mobility import Bug2Planner, MotionModel
+from repro.mobility import Bug2Path, Bug2Planner, Handedness, MotionModel
+from tests.oracles import reference_path_length, reference_point_at_distance
 
 
 def make_model(x=0.0, y=0.0, speed=2.0, period=1.0) -> MotionModel:
@@ -75,3 +78,88 @@ class TestPathFollowing:
         model = make_model(0, 0)
         model.follow(self.planner.plan(Vec2(0, 0), Vec2(10, 0)))
         assert model.advance_along_path(distance=0.5) == pytest.approx(0.5)
+
+
+class TestPositionVersion:
+    """Only ``position`` assignments bump ``position_version``."""
+
+    def test_move_to_bumps_the_version_once(self):
+        model = make_model()
+        before = model.position_version
+        model.move_to(Vec2(3, 4))
+        assert model.position_version == before + 1
+
+    def test_direct_assignment_bumps_the_version(self):
+        model = make_model()
+        before = model.position_version
+        model.position = Vec2(1, 1)
+        model.position = Vec2(1, 1)
+        assert model.position_version == before + 2
+
+    def test_follow_snaps_and_bumps_only_when_off_the_path_start(self):
+        model = make_model(0, 0)
+        before = model.position_version
+        model.follow(Bug2Path([Vec2(0, 0), Vec2(10, 0)], True))
+        assert model.position_version == before
+        model.follow(Bug2Path([Vec2(5, 5), Vec2(10, 0)], True))
+        assert model.position == Vec2(5, 5)
+        assert model.position_version == before + 1
+
+    def test_advance_bumps_once_per_step(self):
+        model = make_model(0, 0)
+        model.follow(Bug2Path([Vec2(0, 0), Vec2(10, 0)], True))
+        before = model.position_version
+        model.advance_along_path()
+        assert model.position_version == before + 1
+
+    def test_odometer_and_path_writes_leave_the_version(self):
+        model = make_model()
+        before = model.position_version
+        model.odometer = 12.5
+        model.odometer += 1.0
+        model._path = Bug2Path([Vec2(0, 0), Vec2(10, 0)], True)
+        model._path_progress = 3.0
+        model._path_length = 10.0
+        model.stop()
+        assert model.position_version == before
+        assert model.position == Vec2(0, 0)
+
+    def test_fields_repr_and_equality_see_the_position(self):
+        a, b = make_model(1, 2), make_model(1, 2)
+        assert a == b and "Vec2(1" in repr(a)
+        b.position = Vec2(2, 2)
+        assert a != b
+
+
+class TestAdvanceParity:
+    """Stepping along a path equals the per-call arc-length formulas."""
+
+    def test_steps_match_the_per_call_formulas(self):
+        rng = random.Random(9)
+        field = two_obstacle_field(500.0)
+        planner = Bug2Planner(field, Handedness.LEFT)
+        for _ in range(30):
+            start = Vec2(rng.uniform(0, 500), rng.uniform(0, 500))
+            path = planner.plan(start, Vec2(rng.uniform(0, 500), rng.uniform(0, 500)))
+            model = MotionModel(
+                position=path.waypoints[0], max_speed=rng.uniform(0.5, 4.0), period=1.0
+            )
+            model.follow(path)
+            length = reference_path_length(path.waypoints)
+            progress = 0.0
+            odometer = 0.0
+            while True:
+                limit = model.max_step * rng.choice([1.0, 1.0, 0.5])
+                travel = min(limit, max(0.0, length - progress))
+                progress += travel
+                odometer += travel
+                moved = model.advance_along_path(limit)
+                assert moved == travel
+                assert model.odometer == odometer
+                assert model.position == reference_point_at_distance(
+                    path.waypoints, progress
+                )
+                if max(0.0, length - progress) <= 1e-9:
+                    assert not model.has_path
+                    break
+                assert model.remaining_path_length() == length - progress

@@ -13,10 +13,13 @@ functions that tests (and ``benchmarks/perfbench.py``) import:
 * :mod:`.geometry` — the polygon point and segment predicates, the
   boundary distance and closest point on ``Segment`` objects without the
   bounding-box reject, the obstacle force with no cutoff, the ``Vec2``
-  free-travel bisection, the ``Circle``/``Segment`` circle clips and
-  intersections with the visible-boundary query built on them, the
+  free-travel bisection and nearest-free spiral, the
+  ``Circle``/``Segment`` circle clips and intersections with the
+  visible-boundary query built on them, the
   per-point grid mask (:func:`predicate_mask`) and the one-disk grid
   block (:func:`reference_disk_block`);
+* :mod:`.mobility` — BUG2 path length and arc-length interpolation
+  re-measuring every segment on each call;
 * :mod:`.seed` — the paper's literal step ladder, the seed CPVF dynamics
   (:class:`SeedCPVF`) with its scalar force terms, the subtree lock
   depth walk, and the seed neighbour-table / coverage
@@ -40,11 +43,13 @@ from .geometry import (
     reference_contains,
     reference_disk_block,
     reference_max_free_travel,
+    reference_nearest_free,
     reference_obstacle_force,
     reference_on_boundary,
     reference_segment_crosses_interior,
     reference_segment_intersections,
 )
+from .mobility import reference_path_length, reference_point_at_distance
 from .seed import (
     NeighborMotion,
     SeedCPVF,
@@ -77,10 +82,13 @@ __all__ = [
     "reference_contains",
     "reference_disk_block",
     "reference_max_free_travel",
+    "reference_nearest_free",
     "reference_obstacle_force",
     "reference_on_boundary",
     "reference_segment_crosses_interior",
     "reference_segment_intersections",
+    "reference_path_length",
+    "reference_point_at_distance",
     "NeighborMotion",
     "SeedCPVF",
     "force_direction",

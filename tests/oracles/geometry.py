@@ -6,7 +6,8 @@ distance and the closest boundary point evaluated the long way, through
 query.  On top of them, the obstacle term of the virtual force with no
 perception cutoff (:func:`reference_obstacle_force`) and the ``Vec2``
 bisection of ``Field.max_free_travel``
-(:func:`reference_max_free_travel`).  The production queries run on
+(:func:`reference_max_free_travel`), and the ``Vec2`` spiral search of
+``Field.nearest_free`` (:func:`reference_nearest_free`).  The production queries run on
 plain floats and return early outside a polygon's padded bounding box;
 they must give the same answers bit for bit.
 
@@ -185,6 +186,25 @@ def reference_segment_blocked(field, seg: Segment) -> bool:
         reference_segment_crosses_interior(ob.polygon, seg)
         for ob in field.obstacles
     )
+
+
+def reference_nearest_free(
+    field, p: Vec2, step: float = 1.0, max_radius: float = 200.0
+) -> Vec2:
+    """``Field.nearest_free`` on ``Vec2``: the spiral search built from
+    ``clamp``, ``Vec2.from_polar`` and ``is_free``."""
+    candidate = field.clamp(p)
+    if field.is_free(candidate):
+        return candidate
+    radius = step
+    while radius <= max_radius:
+        for k in range(16):
+            angle = 2.0 * math.pi * k / 16
+            q = field.clamp(candidate + Vec2.from_polar(radius, angle))
+            if field.is_free(q):
+                return q
+        radius += step
+    return candidate
 
 
 def reference_max_free_travel(
