@@ -443,23 +443,32 @@ def _wall_budget(label: str) -> Callable[..., Verdict]:
     return check
 
 
-def check_expansion_recomputes(m, committed) -> Verdict:
-    """The FLOOR deployment is deterministic, so its planner recomputes
-    exactly as often as when the row was committed; more means the memo
-    lost precision, whatever the wall time says."""
-    fresh = m["counters"]
-    names = sorted(
-        name for name in committed[0] if name.startswith("floor.expansion_recomputed")
-    )
-    return _require(
-        ", ".join(f"{name} {fresh[name]}" for name in names)
-        + " (at most the committed counts)",
-        *(
-            (fresh[name] <= committed[0][name],
-             f"{name} {fresh[name]} > committed {committed[0][name]}")
-            for name in names
-        ),
-    )
+def _counter_bounds(prefix: str) -> Callable[..., Verdict]:
+    """The check that each committed counter named ``prefix...`` of a
+    deployment row is an upper bound on the fresh count.
+
+    The deployment is deterministic, so the count is exactly the
+    committed one unless the code changed: more expansion recomputations
+    mean the planner's memo lost precision, more neighbour-table builds
+    mean a caller went back to building every row to read a few, whatever
+    the wall time says.
+    """
+
+    def check(m, committed) -> Verdict:
+        fresh = m["counters"]
+        names = sorted(name for name in committed[0] if name.startswith(prefix))
+        return _require(
+            ", ".join(f"{name} {fresh[name]}" for name in names)
+            + " (at most the committed counts)",
+            (bool(names), f"no committed {prefix}* counter"),
+            *(
+                (fresh[name] <= committed[0][name],
+                 f"{name} {fresh[name]} > committed {committed[0][name]}")
+                for name in names
+            ),
+        )
+
+    return check
 
 
 def check_lifecycle_recovery(m, committed) -> Verdict:
@@ -652,7 +661,10 @@ CONTRACTS: Tuple[Contract, ...] = (
              _wall_budget("paper-obstacle FLOOR deployment"),
              committed=Committed("obstacle_floor", "wall_ms")),
     Contract("floor.expansion_recomputes", "obstacle_floor",
-             check_expansion_recomputes,
+             _counter_bounds("floor.expansion_recomputed"),
+             committed=Committed("obstacle_floor", "counters")),
+    Contract("neighbors.table_builds", "obstacle_floor",
+             _counter_bounds("neighbors.table_builds"),
              committed=Committed("obstacle_floor", "counters")),
     Contract("perf.churn_cpvf", "churn_cpvf",
              _wall_budget("churn-lossy CPVF deployment"),

@@ -14,7 +14,9 @@ final positions, the odometers, the per-type message (and network)
 counters and the final coverage, all exact.  A change meant to keep
 behaviour identical must leave every line unchanged: save the list at
 the parent commit and ``--check`` it after the change.  ``--check``
-prints the differing lines and exits 1 on any difference.
+prints the differing lines and exits 1 on any difference.  The seed-1
+list is committed as ``benchmarks/fingerprints_seed1.txt`` and CI checks
+against it; a change meant to alter behaviour re-pins it.
 """
 
 from __future__ import annotations

@@ -624,7 +624,8 @@ OBSTACLE_FLOOR_PHASES = (
 )
 #: Counters of the ``obstacle_floor`` row: the expansion planner's
 #: answers reused and recomputed, its FLG, BLG and IFLG part
-#: recomputations, and the registry probes it made.
+#: recomputations, the registry probes it made, and the whole neighbour
+#: tables built.
 OBSTACLE_FLOOR_COUNTERS = (
     "floor.expansion_reused",
     "floor.expansion_recomputed",
@@ -632,6 +633,7 @@ OBSTACLE_FLOOR_COUNTERS = (
     "floor.expansion_recomputed.blg",
     "floor.expansion_recomputed.iflg",
     "floor.coverage_queries",
+    "neighbors.table_builds",
 )
 #: Lifecycle scripts of the ``churn_cpvf`` deployment: e2ebench's
 #: ``churn-lossy`` CPVF setting.

@@ -44,6 +44,7 @@ _OBSTACLE_FLOOR = {
         "floor.expansion_recomputed": 300,
         "floor.expansion_recomputed.iflg": 290,
         "floor.coverage_queries": 4000,
+        "neighbors.table_builds": 2,
     },
 }
 _CHURN_CPVF = {"wall_ms": 700.0}
@@ -80,6 +81,7 @@ BENCH = {
             "floor.expansion_recomputed": 300,
             "floor.expansion_recomputed.iflg": 295,
             "floor.coverage_queries": 3000,
+            "neighbors.table_builds": 2,
         },
     }],
     "churn_cpvf": [{"n": 70, "wall_ms": 300.0}],
@@ -112,6 +114,9 @@ DOCTORED = {
     "perf.obstacle_floor": (("obstacle_floor", "wall_ms"), 601.0),
     "floor.expansion_recomputes": (
         ("obstacle_floor", "counters", "floor.expansion_recomputed"), 301,
+    ),
+    "neighbors.table_builds": (
+        ("obstacle_floor", "counters", "neighbors.table_builds"), 3,
     ),
     "perf.churn_cpvf": (("churn_cpvf", "wall_ms"), 901.0),
     "perf.lifecycle_recovery": (("lifecycle_recovery", 1, "run_ms"), 1501.0),
@@ -232,6 +237,15 @@ def test_expansion_recomputes_checks_each_committed_part(run):
         GOOD, ("obstacle_floor", "counters", "floor.expansion_recomputed"), 12
     )
     assert run("floor.expansion_recomputes", injected=injected) == 0
+
+
+def test_table_builds_fail_without_a_committed_count(run):
+    # A committed row that predates the counter cannot pass vacuously.
+    counters = dict(BENCH["obstacle_floor"][0]["counters"])
+    del counters["neighbors.table_builds"]
+    bench = _with(BENCH, ("obstacle_floor", 0, "counters"), counters)
+    assert run("neighbors.table_builds", bench=bench) == 1
+    assert run("floor.expansion_recomputes", bench=bench) == 0
 
 
 def test_crash_inside_a_check_fails(run):

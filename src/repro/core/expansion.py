@@ -199,6 +199,10 @@ class ExpansionPlanner:
         )
         return list(points)
 
+    def forget(self, owner_id: int) -> None:
+        """Drop the owner's memoised answer (it stopped searching)."""
+        self._memo.pop(owner_id, None)
+
     def floors_asked(self, owner_id: int) -> int:
         """Floor headers asked by the coverage-status query of the owner's
         last answer: those that could hold a sensor covering its first

@@ -179,10 +179,17 @@ class FloorScheme(DeploymentScheme):
     # ------------------------------------------------------------------
     def step(self, world: World) -> None:
         assert self._lazy is not None
-        # Protocol decisions read the table through the network model
+        # Protocol decisions read neighbours through the network model
         # (live pass-through by default, aged under staleness); coverage
-        # and connectivity metrics stay on live state.
-        table = world.protocol_neighbor_table()
+        # and connectivity metrics stay on live state.  One read per
+        # step: the connection walkers' rows, and on the period phase 2
+        # runs the whole table of the same snapshot.
+        neighbors = world.protocol_neighbors()
+        table = neighbors.rows(
+            s.sensor_id
+            for s in world.sensors
+            if s.is_alive() and not s.is_connected()
+        )
         config = world.config
         attach_distance = min(
             config.communication_range, 2.0 * config.sensing_range
@@ -199,7 +206,7 @@ class FloorScheme(DeploymentScheme):
         self._advance_disconnected_sensors(world, table)
 
         if self._phase == 1 and self._phase2_should_start(world):
-            self._identify_movable_sensors(world, table)
+            self._identify_movable_sensors(world, neighbors.table())
             self._phase = 3
 
         if self._phase == 3:
@@ -437,9 +444,18 @@ class FloorScheme(DeploymentScheme):
         ]
         for vid in to_remove:
             self._virtual_positions.pop(vid, None)
-            self._active_searchers.discard(vid)
+            self._drop_searcher(vid)
             assert self._registry is not None
             self._registry.unregister(vid)
+
+    def _drop_searcher(self, searcher_id: int) -> None:
+        """Take a searcher out of the active set and its last answer out
+        of the planner's memo (it is never asked again from where it is:
+        a sensor only searches again after relocating, and virtual ids
+        are not reused)."""
+        self._active_searchers.discard(searcher_id)
+        assert self._expansion is not None
+        self._expansion.forget(searcher_id)
 
     def _searcher_position(self, world: World, searcher_id: int) -> Optional[Vec2]:
         if searcher_id >= _VIRTUAL_ID_OFFSET:
@@ -486,7 +502,7 @@ class FloorScheme(DeploymentScheme):
             world.routing.record_one_hop(MessageType.COVERAGE_QUERY, floors_asked)
             world.routing.record_one_hop(MessageType.COVERAGE_RESPONSE, floors_asked)
         for searcher_id in exhausted:
-            self._active_searchers.discard(searcher_id)
+            self._drop_searcher(searcher_id)
         tel = world.telemetry
         if tel.enabled:
             tel.count("floor.expansion_reused", expansion.reused - before[0])
@@ -587,7 +603,7 @@ class FloorScheme(DeploymentScheme):
         children = list(world.tree.children_of(sensor.sensor_id))
         if not children:
             return True
-        table = world.protocol_neighbor_table()
+        table = world.protocol_neighbors().rows(children)
         for child in children:
             child_sensor = world.sensor(child)
             subtree = world.tree.subtree_of(child)
@@ -644,7 +660,7 @@ class FloorScheme(DeploymentScheme):
             sensor = world.sensor(sid)
             self._lazy.stop_waiting(sensor)
             self._registry.unregister(sid)
-            self._active_searchers.discard(sid)
+            self._drop_searcher(sid)
             self._drop_deferred_start(sid)
             ep = self._relocations.pop(sid, None)
             if ep is not None:
@@ -654,7 +670,7 @@ class FloorScheme(DeploymentScheme):
             if not sensor.is_alive() or sensor.is_connected():
                 continue
             self._registry.unregister(sid)
-            self._active_searchers.discard(sid)
+            self._drop_searcher(sid)
             self._drop_deferred_start(sid)
             ep = self._relocations.pop(sid, None)
             if ep is not None:

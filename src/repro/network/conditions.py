@@ -12,9 +12,11 @@ the existing ``network/`` interfaces:
 
 ``UnreliableNetwork``
     Applies seed-deterministic per-message loss, per-hop latency (in
-    periods) and neighbour-table staleness (tables are refreshed every
-    ``staleness`` periods instead of read live, so schemes act on aged
-    positions — the ``position_update_interval`` idiom).
+    periods) and neighbour staleness (the neighbour snapshot — the live
+    sensors' positions — is captured every ``staleness`` periods instead
+    of read live, and rows and tables are computed from it when read, so
+    schemes act on aged positions — the ``position_update_interval``
+    idiom).
 
 Determinism contract: every random draw is made on a private
 ``random.Random`` derived via blake2b from ``(seed, period, message key)``
@@ -36,9 +38,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from ..determinism import derive_rng
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
+    from ..spatial import NeighborSnapshot
 
 __all__ = [
     "NETWORK_SCHEMA_VERSION",
@@ -81,7 +86,7 @@ class NetworkModel:
     lossy: bool = False
     #: Per-hop delivery latency in whole periods (0 = instantaneous).
     latency: int = 0
-    #: Neighbour-table refresh interval in periods (<= 1 = read live).
+    #: Neighbour-snapshot refresh interval in periods (<= 1 = read live).
     staleness: int = 0
 
     # ------------------------------------------------------------------
@@ -93,8 +98,14 @@ class NetworkModel:
     # ------------------------------------------------------------------
     # Neighbour state
     # ------------------------------------------------------------------
+    def neighbors(self, world) -> "NeighborSnapshot":
+        """The neighbour snapshot as the protocol layer sees it (one
+        protocol read; its rows and table are computed when asked)."""
+        return world.neighbor_snapshot()
+
     def neighbor_table(self, world) -> Dict[int, List[int]]:
-        """The neighbour table as the protocol layer sees it."""
+        """The neighbour table as the protocol layer sees it (one
+        protocol read)."""
         return world.neighbor_table()
 
     # ------------------------------------------------------------------
@@ -142,10 +153,12 @@ class UnreliableNetwork(NetworkModel):
         Per-hop delivery delay in whole periods.  Protocol layers that
         honour latency defer their action and record ``net.delayed``.
     staleness:
-        Neighbour-table refresh interval in periods.  With ``staleness
-        <= 1`` tables are read live; otherwise the table captured at the
-        last refresh boundary is served (recording ``net.stale_reads``)
-        until the next boundary or a population change.
+        Neighbour refresh interval in periods.  With ``staleness <= 1``
+        neighbours are read live; otherwise every read is served from the
+        snapshot captured at the last refresh boundary (recording
+        ``net.stale_reads``) until the next boundary or a population
+        change.  The snapshot holds positions only: the rows or table a
+        read asks for are computed from it then.
     retry_limit:
         Extra delivery attempts after the first (budget = ``retry_limit
         + 1``).  Exhausting the budget records ``net.timeouts`` and the
@@ -176,8 +189,8 @@ class UnreliableNetwork(NetworkModel):
         self.staleness = int(staleness)
         self.retry_limit = int(retry_limit)
         self.lossy = self.loss > 0.0
-        self._table_stamp: Optional[Tuple[int, int]] = None
-        self._table: Dict[int, List[int]] = {}
+        self._stamp: Optional[Tuple[int, int]] = None
+        self._snapshot: Optional["NeighborSnapshot"] = None
 
     # ------------------------------------------------------------------
     def _rng(self, world, key: Tuple) -> random.Random:
@@ -186,27 +199,26 @@ class UnreliableNetwork(NetworkModel):
     # ------------------------------------------------------------------
     # Neighbour state (staleness)
     # ------------------------------------------------------------------
-    def _stale_table(self, world) -> Dict[int, List[int]]:
+    def neighbors(self, world) -> "NeighborSnapshot":
+        if self.staleness <= 1:
+            return world.neighbor_snapshot()
         # Refresh on the period boundary grid and on any population change
-        # (a dead sensor must not linger in the served table).
+        # (a dead sensor must not linger in the served rows).
         stamp = (
             int(world.period_index) // self.staleness,
             world.population_version,
         )
-        if stamp != self._table_stamp:
-            self._table_stamp = stamp
-            self._table = {
-                sensor_id: list(neighbors)
-                for sensor_id, neighbors in world.neighbor_table().items()
-            }
+        if stamp != self._stamp:
+            self._stamp = stamp
+            self._snapshot = world.neighbor_snapshot()
         else:
             world.stats.record_net("stale_reads")
-        return self._table
+        return self._snapshot
 
     def neighbor_table(self, world) -> Dict[int, List[int]]:
         if self.staleness <= 1:
             return world.neighbor_table()
-        return self._stale_table(world)
+        return self.neighbors(world).table()
 
     # ------------------------------------------------------------------
     # Delivery (loss / retry / timeout)

@@ -28,7 +28,7 @@ from ..network import (
 )
 from ..obs import NULL_TELEMETRY, Telemetry
 from ..sensors import Sensor, SensorState
-from ..spatial import IncrementalCoverage, NeighborCache
+from ..spatial import IncrementalCoverage, NeighborCache, NeighborSnapshot
 from .config import SimulationConfig
 
 __all__ = ["World"]
@@ -143,12 +143,16 @@ class World:
         static runs take exactly the pre-lifecycle code paths.
         """
         sensors = self.sensors
-        alive = [s for s in sensors if s.state is not SensorState.FAILED]
+        # One enum lookup, not one per sensor: this runs on every
+        # neighbour snapshot.
+        failed = SensorState.FAILED
+        alive = [s for s in sensors if s.state is not failed]
         return sensors if len(alive) == len(sensors) else alive
 
     def alive_count(self) -> int:
         """Number of operational sensors."""
-        return sum(1 for s in self.sensors if s.state is not SensorState.FAILED)
+        failed = SensorState.FAILED
+        return sum(1 for s in self.sensors if s.state is not failed)
 
     def _cache(self) -> NeighborCache:
         if self._neighbor_cache is None:
@@ -159,24 +163,35 @@ class World:
         """Current neighbour lists (ids within communication range)."""
         return self._cache().neighbor_table()
 
-    def protocol_neighbor_table(self) -> Dict[int, List[int]]:
-        """Neighbour table as the *protocol* layer sees it.
+    def neighbor_snapshot(self) -> NeighborSnapshot:
+        """The live sensors' positions now, serving rows (without
+        building the whole table) and tables."""
+        return self._cache().snapshot()
+
+    def protocol_neighbors(self) -> NeighborSnapshot:
+        """Neighbour snapshot as the *protocol* layer sees it.
 
         Routed through the network model: live under the perfect network,
         possibly aged under :class:`~repro.network.conditions
-        .UnreliableNetwork` staleness.  Physics queries (coverage,
-        connectivity, movement validation) must keep using
-        :meth:`neighbor_table`.
+        .UnreliableNetwork` staleness.  Each call is one protocol read;
+        rows and tables asked of the snapshot it returns are not.
+        Physics queries (coverage, connectivity, movement validation)
+        must keep using :meth:`neighbor_table` and
+        :meth:`neighbor_snapshot`.
         """
+        return self.network.neighbors(self)
+
+    def protocol_neighbor_table(self) -> Dict[int, List[int]]:
+        """The whole table of one :meth:`protocol_neighbors` read."""
         return self.network.neighbor_table(self)
 
     def sensors_near_base_station(self) -> List[int]:
         """Sensors within one hop of the base station."""
-        return self._cache().base_station_neighbors()
+        return self.neighbor_snapshot().base_station_neighbors()
 
     def connected_component_of(self) -> Set[int]:
         """Ids of sensors reachable from the base station via multi-hop links."""
-        return self._cache().connected_component()
+        return self.neighbor_snapshot().connected_component()
 
     def connected_sensor_ids(self) -> List[int]:
         """Sensors currently marked as connected (any connected state)."""
@@ -341,7 +356,7 @@ class World:
         tree = self.tree
         members = sorted(tree.subtree_of(root))
         member_set = set(members)
-        table = self.neighbor_table()
+        table = self.neighbor_snapshot().rows(members)
         self.stats.record_transmissions(MessageType.TREE_REPAIR, len(members))
         best: Optional[Tuple[float, int, int]] = None
         rc = self.config.communication_range

@@ -22,17 +22,19 @@ membership, so results are bit-identical to a brute-force squared-distance
 scan.
 
 ``NeighborCache`` — an epoch-based per-:class:`~repro.sim.world.World`
-cache of the neighbor table, base-station adjacency and the base
-station's connected component, all for the paper's unit disk of the
-world's single communication range (the only neighbour path in the
-library).  The epoch is the tuple of per-sensor
+holder of one ``NeighborSnapshot``: the live sensors' ids and positions,
+captured in one list pass, for the paper's unit disk of the world's
+single communication range (the only neighbour path in the library).
+A snapshot serves the rows of a few sensors by scanning the captured
+positions, and builds the whole neighbour table, the base-station
+adjacency and the base station's connected component from one shared
+spatial-index build only for callers that ask for them; both paths
+apply the same predicate, so a row is identical whichever served it.
+The epoch includes the tuple of per-sensor
 ``MotionModel.position_version`` counters, which are bumped on *every*
-position assignment; the cache therefore
-invalidates exactly when a sensor actually moves and three queries
-issued in the same period share one spatial-index build instead of
-three dense matrix rebuilds.  Cached
-structures are returned as copies so callers may mutate them freely, which
-preserves the semantics of the pre-cache API.
+position assignment, so a new snapshot is captured exactly when a
+sensor actually moves.  Answers are returned as copies so callers may
+mutate them freely.
 
 ``IncrementalCoverage`` — maintains the per-cell coverage *multiplicity*
 grid (how many sensing disks contain each sample point) and the count of
@@ -62,13 +64,13 @@ are exercised against the fast paths by randomized parity tests under
 ``tests/spatial/``.
 """
 
-from .index import SpatialIndex, pack_positions
-from .cache import NeighborCache
+from .index import SpatialIndex
+from .cache import NeighborCache, NeighborSnapshot
 from .coverage import IncrementalCoverage
 
 __all__ = [
     "SpatialIndex",
     "NeighborCache",
+    "NeighborSnapshot",
     "IncrementalCoverage",
-    "pack_positions",
 ]

@@ -1,71 +1,224 @@
-"""Epoch-based neighbor cache shared by a World's per-period queries.
+"""Per-epoch neighbour snapshots of a World's live sensors.
 
-One simulation period issues the same neighborhood computation several
-times: the scheme asks for the neighbor table, the bootstrap flood asks
-for the base station's component, the engine asks whether the network is
-connected.  The cache builds one :class:`~repro.spatial.SpatialIndex` per
-*epoch* — the tuple of per-sensor ``MotionModel.position_version``
-counters — and derives all three answers from it; the epoch changes
-exactly when some sensor's position is assigned, so an unchanged layout
-never recomputes anything.
+A :class:`NeighborSnapshot` is the live sensors' ids and positions at one
+*epoch*, captured in one list pass.  It answers neighbour queries at two
+granularities:
 
-Cached structures are handed out as copies: the pre-cache ``World`` API
-returned freshly built dicts/lists/sets that callers were free to mutate,
-and several schemes do mutate neighbor lists in place.
+* ``rows(ids)`` — the rows of a few sensors, by scanning the captured
+  positions (FLOOR's connection walkers and the children a departing
+  sensor re-homes, the members of a subtree the tree repair re-attaches);
+* ``table()`` — every row, from one ``SpatialIndex.directed_pairs`` build,
+  for callers that read all of them (CPVF's forces, the bootstrap flood,
+  FLOOR's phase 2).  The base station's one-hop neighbours and connected
+  component share that index build.
+
+Both paths apply the table's predicate to the same float64 coordinates
+(``dx*dx + dy*dy <= (rc + LINK_EPS) ** 2`` with ``dx = x_i - x_j``, rows
+in ascending id order), so a row is the same list whichever path served
+it.  The caller's choice of method decides which path runs.
+
+:class:`NeighborCache` keeps the current epoch's snapshot.  The epoch is
+the communication range, the world's population version and the tuple of
+per-sensor ``MotionModel.position_version`` counters, so it changes
+exactly when a sensor moves, fails or joins, and an unchanged layout
+never recomputes anything.  A snapshot never changes after capture: a
+network model serving aged state keeps the one captured at its refresh
+boundary and reads rows from it.
+
+Everything handed out is a copy: callers may mutate what they get, and
+several schemes do mutate neighbour lists in place.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Set
+import math
+from bisect import bisect_left
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..network import LINK_EPS
-from .index import SpatialIndex, pack_positions
+from .index import SpatialIndex
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..sim.world import World
 
-__all__ = ["NeighborCache"]
+__all__ = ["NeighborCache", "NeighborSnapshot"]
 
 #: Point queries inflate the radius before the exact range re-check so
 #: borderline float rounding between the squared and sqrt formulations
 #: can never drop a candidate.
 _QUERY_SLACK = 1e-9
 
-class NeighborCache:
-    """Per-world cache of neighbor structures, invalidated by movement.
+
+def _split_rows(
+    owners: List[int], row: np.ndarray, col: np.ndarray, id_array: np.ndarray
+) -> Dict[int, List[int]]:
+    """``{owner: neighbour ids}`` from pair indices sorted by ``row``
+    (``col`` ascending within a row): one slice of the packed neighbour
+    list per owner instead of appending pair by pair."""
+    flat = id_array[col].tolist()
+    bounds = np.cumsum(np.bincount(row, minlength=len(owners))).tolist()
+    rows: Dict[int, List[int]] = {}
+    lo = 0
+    for owner, hi in zip(owners, bounds):
+        rows[owner] = flat[lo:hi]
+        lo = hi
+    return rows
+
+
+class NeighborSnapshot:
+    """The live sensors of one epoch and the neighbour structures derived
+    from them, each built on first use.
 
     Every answer is the paper's unit disk of the world's single
     ``config.communication_range`` ``rc``: two nodes are linked when their
     squared distance is at most ``(rc + LINK_EPS) ** 2`` (base-station
     adjacency, a point query, tests the distance against
-    ``rc + LINK_EPS``).
+    ``rc + LINK_EPS``).  With telemetry on, ``neighbors.table_builds``
+    counts full-table builds and ``neighbors.rows_read`` the rows served
+    by :meth:`rows`.
     """
 
     def __init__(self, world: "World"):
+        sensors = world.alive_sensors()
         self._world = world
-        self._epoch: Optional[tuple] = None
-        self._reset()
-
-    def _reset(self) -> None:
+        self._rc = world.config.communication_range
+        #: Live sensor ids, ascending.
+        self.ids: List[int] = [s.sensor_id for s in sensors]
+        positions = [s.motion.position for s in sensors]
+        self._xs: List[float] = [p.x for p in positions]
+        self._ys: List[float] = [p.y for p in positions]
+        #: ``(x, y, ids)`` as float64 / intp arrays, on first use.
+        self._arrays: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._index: Optional[SpatialIndex] = None
         self._table: Optional[Dict[int, List[int]]] = None
         self._base_neighbors: Optional[List[int]] = None
         self._component: Optional[Set[int]] = None
-        self._alive: Optional[list] = None
-
-    def _alive_sensors(self) -> list:
-        """Live sensors for the current epoch (``world.sensors`` itself
-        while the population is intact, so static runs are untouched)."""
-        if self._alive is None:
-            self._alive = self._world.alive_sensors()
-        return self._alive
 
     # ------------------------------------------------------------------
-    # Epoch handling
+    # Rows
     # ------------------------------------------------------------------
-    def _validate(self) -> None:
+    def rows(self, sensor_ids: Iterable[int]) -> Dict[int, List[int]]:
+        """Rows of the live sensors among ``sensor_ids`` (a dead or
+        unknown id gets no row), by testing each asked sensor against
+        every captured one."""
+        ids = self.ids
+        count = len(ids)
+        slots: Dict[int, int] = {}
+        for sid in sensor_ids:
+            slot = bisect_left(ids, sid)
+            if slot < count and ids[slot] == sid:
+                slots[sid] = slot
+        tel = self._world.telemetry
+        if tel.enabled:
+            tel.count("neighbors.rows_read", len(slots))
+        if not slots:
+            return {}
+        r = self._rc + LINK_EPS
+        r2 = r * r
+        x, y, id_array = self._as_arrays()
+        own = np.fromiter(slots.values(), dtype=np.intp, count=len(slots))
+        dx = x[own][:, None] - x
+        dy = y[own][:, None] - y
+        hit = dx * dx + dy * dy <= r2
+        hit[np.arange(len(own)), own] = False
+        row, col = np.nonzero(hit)
+        return _split_rows(list(slots), row, col, id_array)
+
+    def _as_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if self._arrays is None:
+            self._arrays = (
+                np.array(self._xs, dtype=float),
+                np.array(self._ys, dtype=float),
+                np.array(self.ids, dtype=np.intp),
+            )
+        return self._arrays
+
+    # ------------------------------------------------------------------
+    # Whole-table structures
+    # ------------------------------------------------------------------
+    def _spatial_index(self) -> Optional[SpatialIndex]:
+        """The index over the captured positions (``None`` below two
+        sensors, where there is no pair to find)."""
+        if len(self.ids) < 2:
+            return None
+        if self._index is None:
+            x, y, _ = self._as_arrays()
+            self._index = SpatialIndex(max(self._rc, 1e-9) * 1.001).build(
+                np.column_stack((x, y))
+            )
+        return self._index
+
+    def table(self) -> Dict[int, List[int]]:
+        """Copy of the neighbour table (ids -> ids in range)."""
+        return {sid: list(row) for sid, row in self._raw_table().items()}
+
+    def _raw_table(self) -> Dict[int, List[int]]:
+        if self._table is None:
+            ids = self.ids
+            tel = self._world.telemetry
+            if tel.enabled:
+                tel.count("neighbors.table_builds", 1)
+            index = self._spatial_index()
+            if index is None:
+                self._table = {sid: [] for sid in ids}
+                return self._table
+            rows, cols, _ = index.directed_pairs(self._rc + LINK_EPS)
+            self._table = _split_rows(ids, rows, cols, self._as_arrays()[2])
+        return self._table
+
+    def base_station_neighbors(self) -> List[int]:
+        """Copy of the base station's one-hop neighbourhood."""
+        return list(self._raw_base_neighbors())
+
+    def _raw_base_neighbors(self) -> List[int]:
+        if self._base_neighbors is None:
+            base = self._world.base_station
+            rc = self._rc
+            index = self._spatial_index()
+            if index is None:
+                candidates = range(len(self.ids))
+            else:
+                candidates = index.query_radius(
+                    base, rc + 2.0 * _QUERY_SLACK
+                ).tolist()
+            xs, ys = self._xs, self._ys
+            self._base_neighbors = [
+                self.ids[i]
+                for i in candidates
+                if math.hypot(base.x - xs[i], base.y - ys[i]) <= rc + LINK_EPS
+            ]
+        return self._base_neighbors
+
+    def connected_component(self) -> Set[int]:
+        """Copy of the set of ids reachable from the base station
+        (breadth-first over the table from the base station's one-hop
+        neighbours)."""
+        if self._component is None:
+            table = self._raw_table()
+            frontier = list(self._raw_base_neighbors())
+            reached: Set[int] = set(frontier)
+            while frontier:
+                current = frontier.pop()
+                for nxt in table.get(current, ()):
+                    if nxt not in reached:
+                        reached.add(nxt)
+                        frontier.append(nxt)
+            self._component = reached
+        return set(self._component)
+
+
+class NeighborCache:
+    """Per-world holder of the current epoch's :class:`NeighborSnapshot`."""
+
+    def __init__(self, world: "World"):
+        self._world = world
+        self._epoch: Optional[tuple] = None
+        self._snapshot: Optional[NeighborSnapshot] = None
+
+    def snapshot(self) -> NeighborSnapshot:
+        """The snapshot of the current epoch (captured on first use)."""
         world = self._world
         # Position versions carry the per-period invalidation; the range
         # is included so a mid-run config change cannot serve a stale
@@ -80,101 +233,18 @@ class NeighborCache:
         )
         if epoch != self._epoch:
             self._epoch = epoch
-            self._reset()
+            self._snapshot = NeighborSnapshot(world)
+        return self._snapshot
 
     def invalidate(self) -> None:
-        """Drop all cached structures (next query recomputes)."""
+        """Drop the snapshot (the next query captures a new one)."""
         self._epoch = None
-        self._reset()
+        self._snapshot = None
 
-    # ------------------------------------------------------------------
-    # Shared index
-    # ------------------------------------------------------------------
-    def _spatial_index(self) -> Optional[SpatialIndex]:
-        """The shared index over the live sensors for the current epoch
-        (``None`` below two sensors, where there is no pair to find)."""
-        sensors = self._alive_sensors()
-        if len(sensors) < 2:
-            return None
-        if self._index is None:
-            rc = self._world.config.communication_range
-            self._index = SpatialIndex(max(rc, 1e-9) * 1.001).build(
-                pack_positions(sensors)
-            )
-        return self._index
-
-    # ------------------------------------------------------------------
-    # Cached queries
-    # ------------------------------------------------------------------
     def neighbor_table(self) -> Dict[int, List[int]]:
-        """Copy of the cached neighbor table (ids -> ids in range)."""
-        self._validate()
-        table = self._raw_table()
-        return {sid: list(neighbors) for sid, neighbors in table.items()}
+        """Copy of the current neighbour table (ids -> ids in range).
 
-    def _raw_table(self) -> Dict[int, List[int]]:
-        if self._table is None:
-            sensors = self._alive_sensors()
-            ids = [s.sensor_id for s in sensors]
-            index = self._spatial_index()
-            if index is None:
-                self._table = {sid: [] for sid in ids}
-                return self._table
-            rows, cols, _ = index.directed_pairs(
-                self._world.config.communication_range + LINK_EPS
-            )
-            # rows is sorted, cols ascending within each row: slice the
-            # packed neighbour list per sensor instead of appending pair
-            # by pair.
-            flat = np.asarray(ids, dtype=np.intp)[cols].tolist()
-            bounds = np.cumsum(np.bincount(rows, minlength=len(ids))).tolist()
-            table: Dict[int, List[int]] = {}
-            lo = 0
-            for sensor_id, hi in zip(ids, bounds):
-                table[sensor_id] = flat[lo:hi]
-                lo = hi
-            self._table = table
-        return self._table
-
-    def base_station_neighbors(self) -> List[int]:
-        """Copy of the cached one-hop neighborhood of the base station."""
-        self._validate()
-        return list(self._raw_base_neighbors())
-
-    def _raw_base_neighbors(self) -> List[int]:
-        if self._base_neighbors is None:
-            world = self._world
-            base = world.base_station
-            rc = world.config.communication_range
-            sensors = self._alive_sensors()
-            index = self._spatial_index()
-            if index is None:
-                candidates = range(len(sensors))
-            else:
-                candidates = index.query_radius(
-                    base, rc + 2.0 * _QUERY_SLACK
-                ).tolist()
-            self._base_neighbors = [
-                sensors[i].sensor_id
-                for i in candidates
-                if base.distance_to(sensors[i].position) <= rc + LINK_EPS
-            ]
-        return self._base_neighbors
-
-    def connected_component(self) -> Set[int]:
-        """Copy of the cached set of ids reachable from the base station
-        (breadth-first over the neighbour table from the base station's
-        one-hop neighbours)."""
-        self._validate()
-        if self._component is None:
-            table = self._raw_table()
-            frontier = list(self._raw_base_neighbors())
-            reached: Set[int] = set(frontier)
-            while frontier:
-                current = frontier.pop()
-                for nxt in table.get(current, ()):
-                    if nxt not in reached:
-                        reached.add(nxt)
-                        frontier.append(nxt)
-            self._component = reached
-        return set(self._component)
+        ``World.neighbor_table`` and the live protocol table read through
+        here, so timing this method (as ``e2ebench/tracer.py`` does)
+        attributes their builds."""
+        return self.snapshot().table()

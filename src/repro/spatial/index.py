@@ -13,26 +13,12 @@ from typing import Tuple
 
 import numpy as np
 
-__all__ = ["SpatialIndex", "pack_positions"]
+__all__ = ["SpatialIndex"]
 
 #: Relative inflation applied to the geometric candidate ring so that cell
 #: membership never excludes a pair the exact squared-distance predicate
 #: would accept (floor() bucketing at an exact cell boundary).
 _GEOM_SLACK = 1e-9
-
-
-def pack_positions(sensors) -> np.ndarray:
-    """Pack objects carrying a ``.position`` ``Vec2`` into an ``(n, 2)`` array.
-
-    The shared packing used by every consumer that builds an index over
-    sensors, so layout/dtype can never diverge between them.
-    """
-    n = len(sensors)
-    return np.fromiter(
-        (c for s in sensors for c in (s.position.x, s.position.y)),
-        dtype=float,
-        count=2 * n,
-    ).reshape(n, 2)
 
 
 def _as_xy(point) -> Tuple[float, float]:

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import FloorScheme
 from repro.experiments.common import SMOKE_SCALE, make_scenario
+from repro.obs import Telemetry
 from repro.sensors import SensorState
 from repro.sim import SimulationEngine
 
@@ -267,3 +268,44 @@ class TestRelocationLeavesTheTree:
                 assert sid not in world.tree.parent
                 assert sid not in world.tree.children_of(before[sid])
         assert seen > 0, "no sensor started a relocation in this draw"
+
+
+class TestNeighbourReads:
+    def test_steady_state_builds_no_full_table(self):
+        """Once every sensor is connected and phase 3 runs, FLOOR reads
+        neighbour rows only (children a relocating sensor re-homes): on
+        the perfect network no period builds the whole table."""
+        world = make_scenario(SMOKE_SCALE, seed=3, layout="two-obstacle").build_world()
+        scheme = FloorScheme()
+        tel = Telemetry()
+        world.telemetry = tel
+        scheme.initialize(world)
+        steady = None
+        for period in range(world.config.max_periods):
+            world.period_index = period
+            scheme.step(world)
+            if steady is None and scheme._phase == 3 and all(
+                s.is_connected() for s in world.sensors
+            ):
+                steady = (
+                    tel.counter("neighbors.table_builds"),
+                    tel.counter("neighbors.rows_read"),
+                )
+        assert steady is not None, "the run never reached a connected phase 3"
+        assert tel.counter("neighbors.table_builds") == steady[0]
+        assert tel.counter("neighbors.rows_read") > steady[1]
+
+    def test_planner_memo_holds_only_active_searchers(self):
+        """A searcher FLOOR drops (exhausted, a virtual node removed on
+        arrival, a failure) leaves the planner's memo with it."""
+        world = make_scenario(SMOKE_SCALE, seed=3, layout="two-obstacle").build_world()
+        scheme = FloorScheme()
+        scheme.initialize(world)
+        dropped = 0
+        for period in range(world.config.max_periods):
+            world.period_index = period
+            searchers = set(scheme._active_searchers)
+            scheme.step(world)
+            dropped += len(searchers - scheme._active_searchers)
+            assert set(scheme._expansion._memo) <= scheme._active_searchers
+        assert dropped > 0

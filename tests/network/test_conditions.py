@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.field import Field
+from repro.geometry import Vec2
 from repro.network import (
     MessageStats,
     NetworkSpec,
@@ -9,19 +11,35 @@ from repro.network import (
     PerfectNetwork,
     UnreliableNetwork,
 )
+from repro.sim import SimulationConfig, World
 
 
 class FakeWorld:
-    """The minimal world surface the condition models consult."""
+    """The minimal world surface the delivery hooks consult."""
 
-    def __init__(self, table=None):
+    def __init__(self):
         self.period_index = 0
         self.population_version = 0
         self.stats = MessageStats()
-        self._table = table if table is not None else {1: [2], 2: [1]}
 
-    def neighbor_table(self):
-        return {k: list(v) for k, v in self._table.items()}
+
+def line_world(*xs, rc=10.0):
+    """A world with one sensor at ``(x, 1)`` per ``xs`` and range ``rc``."""
+    config = SimulationConfig(
+        sensor_count=len(xs),
+        communication_range=rc,
+        sensing_range=5.0,
+        duration=10.0,
+        coverage_resolution=5.0,
+        seed=1,
+    )
+    return World.create(
+        config, Field(200.0, 200.0), initial_positions=[Vec2(x, 1.0) for x in xs]
+    )
+
+
+def move(world, sensor_id, x):
+    world.sensor(sensor_id).position = Vec2(x, 1.0)
 
 
 class TestNetworkSpec:
@@ -78,10 +96,12 @@ class TestNetworkSpec:
 
 class TestPerfectNetwork:
     def test_everything_is_a_pass_through(self):
-        world = FakeWorld()
+        world = line_world(0.0, 5.0, 50.0)
         net = PerfectNetwork()
         assert net.is_perfect and not net.lossy
+        assert net.neighbors(world) is world.neighbor_snapshot()
         assert net.neighbor_table(world) == world.neighbor_table()
+        assert net.neighbors(world).rows([2, 0]) == {2: [], 0: [1]}
         assert net.exchange(world, ("x",), 5) == (True, 1)
         assert net.walk_hops(world, ("w",), 7) == 7
         assert world.stats.net_counts == {}
@@ -89,10 +109,11 @@ class TestPerfectNetwork:
 
 class TestDegenerateUnreliable:
     def test_zero_knobs_behave_like_perfect(self):
-        world = FakeWorld()
+        world = line_world(0.0, 5.0, 50.0)
         net = UnreliableNetwork(seed=3)
         assert not net.lossy
         assert net.neighbor_table(world) == world.neighbor_table()
+        assert net.neighbors(world).rows([1]) == world.neighbor_snapshot().rows([1])
         assert net.exchange(world, ("x",), 5) == (True, 1)
         assert net.walk_hops(world, ("w",), 7) == 7
         assert world.stats.net_counts == {}
@@ -196,38 +217,71 @@ class TestWalkHops:
 
 class TestStaleness:
     def test_live_when_staleness_at_most_one(self):
-        world = FakeWorld()
+        world = line_world(0.0, 5.0, 50.0)
         net = UnreliableNetwork(seed=1, staleness=1)
         assert net.neighbor_table(world) == world.neighbor_table()
+        move(world, 2, 8.0)
+        assert net.neighbors(world).rows([2]) == {2: [0, 1]}
         assert world.stats.net_counts == {}
 
     def test_table_served_stale_between_refreshes(self):
-        world = FakeWorld(table={1: [2]})
+        world = line_world(0.0, 5.0, 50.0)
         net = UnreliableNetwork(seed=1, staleness=5)
-        assert net.neighbor_table(world) == {1: [2]}
+        assert net.neighbor_table(world) == {0: [1], 1: [0], 2: []}
         # The world moves on; the served table does not until the boundary.
-        world._table = {1: [2, 3]}
+        move(world, 2, 8.0)
         world.period_index = 4
-        assert net.neighbor_table(world) == {1: [2]}
+        assert net.neighbor_table(world) == {0: [1], 1: [0], 2: []}
         assert world.stats.net_counts["stale_reads"] == 1
         world.period_index = 5
-        assert net.neighbor_table(world) == {1: [2, 3]}
+        assert net.neighbor_table(world) == {0: [1, 2], 1: [0, 2], 2: [0, 1]}
+
+    def test_stale_rows_are_the_capture_time_rows(self):
+        world = line_world(0.0, 5.0, 50.0)
+        net = UnreliableNetwork(seed=1, staleness=5)
+        captured = net.neighbors(world)
+        move(world, 2, 8.0)
+        move(world, 0, 30.0)
+        world.period_index = 3
+        assert world.neighbor_snapshot().rows([2, 0]) == {2: [1], 0: []}
+        # Rows are computed when read, from the positions captured at the
+        # boundary.
+        assert net.neighbors(world).rows([2, 0]) == {2: [], 0: [1]}
+        assert net.neighbors(world) is captured
+        assert world.stats.net_counts["stale_reads"] == 2
+
+    def test_row_reads_count_stale_reads_like_table_reads(self):
+        counts = []
+        for read in (
+            lambda net, world: net.neighbor_table(world),
+            lambda net, world: net.neighbors(world).rows([0]),
+        ):
+            world = line_world(0.0, 5.0)
+            net = UnreliableNetwork(seed=1, staleness=3)
+            for period in range(7):
+                world.period_index = period
+                move(world, 1, 5.0 + period)
+                read(net, world)
+                read(net, world)
+            counts.append(world.stats.net_counts["stale_reads"])
+        # 14 reads, three of them refreshes (periods 0, 3 and 6).
+        assert counts == [11, 11]
 
     def test_population_change_forces_refresh(self):
-        world = FakeWorld(table={1: [2]})
+        world = line_world(0.0, 5.0)
         net = UnreliableNetwork(seed=1, staleness=10)
-        assert net.neighbor_table(world) == {1: [2]}
-        world._table = {1: []}
-        world.population_version += 1
-        assert net.neighbor_table(world) == {1: []}
+        assert net.neighbor_table(world) == {0: [1], 1: [0]}
+        world.remove_sensor(1)
+        assert net.neighbor_table(world) == {0: []}
+        assert net.neighbors(world).rows([0, 1]) == {0: []}
 
     def test_every_reuse_between_refreshes_counts_one_stale_read(self):
-        world = FakeWorld(table={1: [2], 2: [1]})
+        world = line_world(0.0, 12.0)
         net = UnreliableNetwork(seed=1, staleness=3)
         for period in range(7):
             world.period_index = period
-            world._table = {1: [2] * (period + 1), 2: [1]}
-            served = net.neighbor_table(world)
-            # Refreshes at periods 0, 3 and 6 read the live table.
-            assert served[1] == [2] * (3 * (period // 3) + 1)
+            # Out of range at every refresh (periods 0, 3 and 6), in range
+            # live in between: the served rows never show the link.
+            move(world, 1, 12.0 if period % 3 == 0 else 4.0)
+            assert net.neighbors(world).rows([0]) == {0: []}
         assert world.stats.net_counts["stale_reads"] == 4

@@ -99,12 +99,29 @@ class BruteRadio:
         return len(component) == len(sensors)
 
 
+class BruteSnapshot:
+    """The live sensors' neighbour rows and table from one
+    :class:`BruteRadio` scan at construction: the oracle counterpart of
+    :class:`~repro.spatial.NeighborSnapshot` (copies, like it)."""
+
+    def __init__(self, world: "UncachedWorld"):
+        self._table = world.brute.neighbor_table(world.alive_sensors())
+
+    def rows(self, sensor_ids) -> Dict[int, List[int]]:
+        table = self._table
+        return {sid: list(table[sid]) for sid in sensor_ids if sid in table}
+
+    def table(self) -> Dict[int, List[int]]:
+        return {sid: list(row) for sid, row in self._table.items()}
+
+
 class UncachedWorld(World):
     """A world whose queries recompute from scratch on every call.
 
-    Neighbour queries are :class:`BruteRadio` scans over the live sensors,
-    and coverage is the library's brute-force ``Field.coverage_fraction``
-    scan — no ``NeighborCache``, no ``IncrementalCoverage``.
+    Neighbour queries, the protocol layer's included, are
+    :class:`BruteRadio` scans over the live sensors, and coverage is the
+    library's brute-force ``Field.coverage_fraction`` scan — no
+    ``NeighborCache``, no ``IncrementalCoverage``.
     """
 
     @property
@@ -113,6 +130,9 @@ class UncachedWorld(World):
 
     def neighbor_table(self) -> Dict[int, List[int]]:
         return self.brute.neighbor_table(self.alive_sensors())
+
+    def neighbor_snapshot(self) -> BruteSnapshot:
+        return BruteSnapshot(self)
 
     def sensors_near_base_station(self) -> List[int]:
         return self.brute.neighbors_of_point(

@@ -1,9 +1,10 @@
 """The neighbour cache under drift, teleports, range changes and churn.
 
-``NeighborCache`` keeps one spatial index, neighbour table, base-station
-adjacency and component per epoch (position versions, range and
-population version).  The contract: an unchanged epoch serves the
-structures it already built, and every answer after any change —
+``NeighborCache`` keeps one ``NeighborSnapshot`` per epoch (position
+versions, range and population version), which builds its spatial index,
+neighbour table, base-station adjacency and component on first use.
+The contract: an unchanged epoch serves the snapshot and the structures
+it already built, and every answer after any change —
 per-period drift, a few teleports, a mass teleport, a range change,
 failures and joins, a CPVF run with a fault timeline — equals the
 brute-force oracle's answer over the live sensors.
@@ -45,6 +46,11 @@ def _teleport(rng, sensor):
 def _assert_matches_oracle(world):
     oracle = uncached(world)
     assert world.neighbor_table() == oracle.neighbor_table()
+    every_id = range(len(world.sensors))
+    assert (
+        world.neighbor_snapshot().rows(every_id)
+        == oracle.neighbor_snapshot().rows(every_id)
+    )
     assert world.sensors_near_base_station() == oracle.sensors_near_base_station()
     assert world.connected_component_of() == oracle.connected_component_of()
     assert world.network_is_connected() == oracle.network_is_connected()
@@ -53,28 +59,29 @@ def _assert_matches_oracle(world):
 class TestEpochs:
     def test_unchanged_layout_serves_the_cached_structures(self):
         world = _world()
-        cache = world._cache()
         world.neighbor_table()
         world.connected_component_of()
-        built = (cache._index, cache._table, cache._component)
+        snapshot = world.neighbor_snapshot()
+        built = (snapshot._index, snapshot._table, snapshot._component)
         assert all(part is not None for part in built)
         world.neighbor_table()
         world.connected_component_of()
-        assert (cache._index, cache._table, cache._component) == built
-        assert cache._index is built[0] and cache._table is built[1]
+        world.neighbor_snapshot().rows([0, 1])
+        assert world.neighbor_snapshot() is snapshot
+        assert snapshot._index is built[0] and snapshot._table is built[1]
+        assert snapshot._component is built[2]
 
     def test_one_move_rebuilds_and_copies_stay_private(self):
         world = _world()
-        cache = world._cache()
         table = world.neighbor_table()
-        first = cache._table
+        first = world.neighbor_snapshot()
         # Mutating a returned copy never reaches the cache.
         table[world.sensors[0].sensor_id].append(-99)
         assert -99 not in world.neighbor_table()[world.sensors[0].sensor_id]
-        assert cache._table is first
+        assert world.neighbor_snapshot() is first
         world.sensors[1].motion.move_to(world.sensors[1].position + Vec2(0.01, 0.0))
         world.neighbor_table()
-        assert cache._table is not first
+        assert world.neighbor_snapshot() is not first
         _assert_matches_oracle(world)
 
     def test_range_change_invalidates(self):
@@ -146,19 +153,18 @@ class TestChurn:
     def test_churn_drops_the_cached_structures(self):
         rng = random.Random(42)
         world = _world(n=40, seed=6)
-        cache = world._cache()
         world.neighbor_table()
-        before = cache._table
+        before = world.neighbor_snapshot()
         world.remove_sensor(5)
         table = world.neighbor_table()
-        assert cache._table is not before
+        assert world.neighbor_snapshot() is not before
         assert 5 not in table
-        before = cache._table
+        before = world.neighbor_snapshot()
         added = world.add_sensor(
             Vec2(rng.uniform(0, FIELD), rng.uniform(0, FIELD))
         )
         table = world.neighbor_table()
-        assert cache._table is not before
+        assert world.neighbor_snapshot() is not before
         assert added.sensor_id in table
         _assert_matches_oracle(world)
 

@@ -1,6 +1,6 @@
 """The directed pair view the neighbour table is sliced from.
 
-``NeighborCache`` builds the neighbour table from one
+``NeighborSnapshot`` builds the neighbour table from one
 ``SpatialIndex.directed_pairs`` call at ``rc + LINK_EPS``: rows sorted,
 columns ascending within each row, exact float64 squared distances.
 Pinned here: that pair view against a dense scan (bit for bit, whatever
@@ -16,7 +16,7 @@ import pytest
 from repro.experiments.common import SMOKE_SCALE, make_scenario
 from repro.geometry import Vec2
 from repro.network import LINK_EPS
-from repro.spatial import SpatialIndex, pack_positions
+from repro.spatial import SpatialIndex
 from tests.oracles import uncached
 
 FIELD = 200.0
@@ -58,7 +58,7 @@ def _assert_exact(got, expected):
 
 def _world_pairs(world, extra=0.0):
     index = SpatialIndex(world.config.communication_range * 1.001).build(
-        pack_positions(world.alive_sensors())
+        np.array([(s.position.x, s.position.y) for s in world.alive_sensors()])
     )
     return index.directed_pairs(
         world.config.communication_range + LINK_EPS + extra
