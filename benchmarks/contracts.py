@@ -53,7 +53,7 @@ PERIOD_N = 500
 #: ``wall_ms`` (``obstacle_cpvf``, ``obstacle_floor``, ``churn_cpvf``)
 #: or ``run_ms`` (each scheme's ``lifecycle_recovery`` row).
 BUDGET_FACTOR = 3.0
-#: ``obs.committed_overhead``: null-sink telemetry overhead asserted when
+#: ``obs.committed_overhead``: live-telemetry overhead asserted when
 #: the bench file was generated; re-checked so a regenerated entry cannot
 #: silently commit a regression.
 MAX_COMMITTED_OVERHEAD_PCT = 5.0
@@ -513,7 +513,7 @@ def check_committed_overhead(committed) -> Verdict:
     pct = committed[0]
     return (
         pct <= MAX_COMMITTED_OVERHEAD_PCT,
-        f"committed null-sink overhead {pct:.1f}% "
+        f"committed telemetry overhead {pct:.1f}% "
         f"(<= {MAX_COMMITTED_OVERHEAD_PCT:g}%)",
     )
 

@@ -176,11 +176,11 @@ def measure_cpvf_period(
 def measure_telemetry_overhead(
     n: int = 2000, seed: int = 3, periods: int = 6, pairs: int = 7
 ) -> Dict[str, float]:
-    """Null-sink telemetry cost on the CPVF hot path.
+    """Live-telemetry cost on the CPVF hot path.
 
     Runs ``pairs`` pairs of identical worlds in the configuration of the
     ``cpvf_period`` n = 2000 row, one untraced (``NULL_TELEMETRY``) and
-    one traced (a live ``Telemetry`` with the default null sink).  The two
+    one traced (a live ``Telemetry``).  The two
     worlds of a pair step in lockstep, alternating which goes first, so
     every timed period of the traced world has an untraced twin doing the
     same work (telemetry never perturbs the run) within a fraction of a

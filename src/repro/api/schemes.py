@@ -34,7 +34,7 @@ from ..sim import DeploymentScheme, SimulationEngine
 from ..voronoi import diagram_is_correct
 from .registry import register_scheme, scheme_registry
 from .scenario import thaw_params
-from .specs import RunRecord, RunSpec, TracePoint
+from .specs import RunRecord, RunSpec
 
 __all__ = [
     "SchemeAdapter",
@@ -172,18 +172,7 @@ class PeriodSchemeAdapter(SchemeAdapter):
             periods_executed=result.periods_executed,
             converged_at=result.converged_at,
             extras=scheme_fields["extras"],
-            trace=(
-                tuple(
-                    TracePoint(
-                        time=t.time,
-                        coverage=t.coverage,
-                        average_moving_distance=t.average_moving_distance,
-                        total_messages=t.total_messages,
-                        connected_sensors=t.connected_sensors,
-                    )
-                    for t in result.trace
-                )
-            ),
+            trace=tuple(result.trace),
             events=tuple(result.events),
             final_positions=(
                 tuple(p.as_tuple() for p in scheme_fields["final_positions"])

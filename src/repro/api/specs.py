@@ -27,7 +27,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 from ..determinism import Params, derive_seed, freeze_params
 from ..metrics.recovery import EventOutcome
 from ..network import NETWORK_SCHEMA_VERSION, NetworkSpec
-from ..obs import TelemetrySummary
+from ..obs import TelemetrySummary, TracePoint
 from .scenario import ScenarioSpec, thaw_params
 
 __all__ = [
@@ -82,24 +82,6 @@ def run_fingerprint(spec: "RunSpec") -> str:
         {"schema": SPEC_SCHEMA_VERSION, "spec": spec.canonical_dict()}
     )
     return hashlib.blake2b(payload.encode("utf-8"), digest_size=20).hexdigest()
-
-
-@dataclass(frozen=True)
-class TracePoint:
-    """Coverage/metrics snapshot at the end of one traced period."""
-
-    time: float
-    coverage: float
-    average_moving_distance: float
-    total_messages: int
-    connected_sensors: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        return dataclasses.asdict(self)
-
-    @staticmethod
-    def from_dict(data: Mapping[str, Any]) -> "TracePoint":
-        return TracePoint(**data)
 
 
 @dataclass(frozen=True)

@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..api import RunRecord, SweepRunner, SweepSpec
-from ..obs import TelemetrySummary
+from ..obs import merge_summaries
 from ..obs.report import format_summary, write_record_trace
 from .common import (
     BENCH_SCALE,
@@ -161,15 +161,6 @@ def run_experiment_records(
         if traces:
             report += "\n" + traces
     return records, report
-
-
-def profile_summary(records: Sequence[RunRecord]) -> TelemetrySummary:
-    """The merged telemetry of every profiled record in a sweep."""
-    merged = TelemetrySummary()
-    for record in records:
-        if record.telemetry is not None:
-            merged = merged.merge(record.telemetry)
-    return merged
 
 
 def _write_artifact(
@@ -308,7 +299,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             print()
             print(
                 format_summary(
-                    profile_summary(records), title=f"{name}: profile"
+                    merge_summaries(r.telemetry for r in records),
+                    title=f"{name}: profile",
                 )
             )
         if args.out is not None:

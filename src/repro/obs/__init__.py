@@ -1,21 +1,17 @@
-"""Low-overhead telemetry: spans, counters, period traces, sinks.
+"""Low-overhead telemetry: spans, counters, gauges and run-attached records.
 
 See ``docs/observability.md`` for the API and the overhead contract.
 """
 
-from .sinks import JsonlSink, MemorySink, NullSink, TelemetrySink
-from .summary import PhaseStat, TelemetrySummary
-from .telemetry import NULL_TELEMETRY, NullTelemetry, PeriodTrace, Telemetry
+from .summary import PhaseStat, TelemetrySummary, TracePoint, merge_summaries
+from .telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry
 
 __all__ = [
     "Telemetry",
     "NullTelemetry",
     "NULL_TELEMETRY",
-    "PeriodTrace",
     "PhaseStat",
     "TelemetrySummary",
-    "TelemetrySink",
-    "NullSink",
-    "MemorySink",
-    "JsonlSink",
+    "TracePoint",
+    "merge_summaries",
 ]

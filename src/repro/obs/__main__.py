@@ -1,8 +1,9 @@
 """Telemetry CLI: ``python -m repro.obs report trace.jsonl``.
 
-Renders the phase-time table and message-burst timeline for a JSONL
-trace produced by :class:`~repro.obs.sinks.JsonlSink` or exported from
-stored records by ``repro.experiments.runner --profile --out DIR``.
+Renders the merged phase-time table and one message-burst timeline per
+run for a JSONL trace exported from stored records
+(:func:`~repro.obs.report.write_record_trace`, which
+``repro.experiments.runner --profile --out DIR`` calls).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import sys
 from typing import Optional, Sequence
 
 from .report import load_trace, render_report
-from .summary import TelemetrySummary
+from .summary import merge_summaries
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -45,10 +46,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 lines = handle.read().splitlines()
         if args.json:
             summaries, _ = load_trace(lines)
-            merged = TelemetrySummary()
-            for summary in summaries:
-                merged = merged.merge(summary)
-            print(json.dumps(merged.to_dict(), indent=2))
+            print(json.dumps(merge_summaries(summaries).to_dict(), indent=2))
         else:
             print(render_report(lines, width=args.width))
         return 0

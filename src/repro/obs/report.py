@@ -1,10 +1,11 @@
 """Render telemetry traces and summaries for humans.
 
-``python -m repro.obs report trace.jsonl`` reads a JSONL trace (written
-by :class:`~repro.obs.sinks.JsonlSink` or exported from stored records
-via :func:`write_record_trace`) and prints a phase-time table plus a
-message-burst timeline built from consecutive period events' message
-deltas.  :func:`format_summary` is the same table for an in-memory
+``python -m repro.obs report trace.jsonl`` reads a JSONL trace (exported
+from stored records by :func:`write_record_trace`, or any file of the
+same line shapes) and prints a phase-time table over every run's
+summary plus one message-burst timeline per run, built from the
+message deltas between that run's consecutive trace points.
+:func:`format_summary` is the same table for an in-memory
 :class:`~repro.obs.summary.TelemetrySummary` — ``runner --profile``
 uses it directly.
 """
@@ -12,10 +13,9 @@ uses it directly.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence, TextIO, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, TextIO, Tuple
 
-from .summary import TelemetrySummary
-from .telemetry import PeriodTrace
+from .summary import TelemetrySummary, TracePoint, merge_summaries
 
 __all__ = [
     "format_summary",
@@ -60,46 +60,48 @@ def format_summary(summary: TelemetrySummary, title: Optional[str] = None) -> st
     return "\n".join(lines)
 
 
-def format_timeline(periods: Sequence[PeriodTrace], width: int = 50) -> str:
-    """ASCII message-burst timeline from consecutive period events.
+def format_timeline(runs: Mapping[str, Sequence[TracePoint]], width: int = 50) -> str:
+    """ASCII message-burst timeline, one block per run.
 
-    Each row is one traced period; the bar length is the number of
-    messages sent since the previous traced period, normalised to the
-    busiest interval, so protocol bursts (e.g. post-failure repair
+    Each row is one trace point; ``msgs+`` is the number of messages the
+    run sent since its previous point (its first point counts from the
+    run's start), and the bar is that delta normalised to the busiest
+    interval of any run, so protocol bursts (e.g. post-failure repair
     floods) stand out against steady-state chatter.
     """
-    if not periods:
-        return "(no period events)"
-    ordered = sorted(periods, key=lambda p: p.period)
-    deltas: List[Tuple[PeriodTrace, int]] = []
-    previous_total = 0
-    for trace in ordered:
-        deltas.append((trace, max(0, trace.total_messages - previous_total)))
-        previous_total = trace.total_messages
-    peak = max(delta for _, delta in deltas) or 1
-    lines = [
-        f"{'period':>7} {'time':>8} {'coverage':>9} {'msgs+':>8}  burst",
-    ]
-    for trace, delta in deltas:
-        bar = "#" * max(1 if delta else 0, round(delta / peak * width))
-        lines.append(
-            f"{trace.period:>7d} {trace.time:>8.1f} {trace.coverage:>9.4f} "
-            f"{delta:>8d}  {bar}"
-        )
+    deltas: Dict[str, List[int]] = {}
+    for run, points in runs.items():
+        totals = [point.total_messages for point in points]
+        deltas[run] = [now - before for before, now in zip([0] + totals, totals)]
+    if not any(deltas.values()):
+        return "(no trace points)"
+    peak = max(max(run_deltas) for run_deltas in deltas.values() if run_deltas) or 1
+    lines: List[str] = []
+    for run, points in runs.items():
+        if lines:
+            lines.append("")
+        lines.append(f"run {run}")
+        lines.append(f"{'time':>8} {'coverage':>9} {'msgs+':>8}  burst")
+        for point, delta in zip(points, deltas[run]):
+            bar = "#" * max(1 if delta else 0, round(delta / peak * width))
+            lines.append(
+                f"{point.time:>8.1f} {point.coverage:>9.4f} {delta:>8d}  {bar}"
+            )
     return "\n".join(lines)
 
 
 def load_trace(
     lines: Iterable[str],
-) -> Tuple[List[TelemetrySummary], List[PeriodTrace]]:
-    """Parse JSONL trace lines into (summaries, period events).
+) -> Tuple[List[TelemetrySummary], Dict[str, List[TracePoint]]]:
+    """Parse JSONL trace lines into (summaries, trace points per run).
 
-    Unknown event types are skipped, so traces written by newer code
-    still load; malformed lines raise, because a truncated trace should
-    be noticed, not silently half-read.
+    Points are grouped by their line's ``run`` label, runs and points in
+    file order.  Unknown event types are skipped, so traces written by
+    newer code still load; malformed lines raise, because a truncated
+    trace should be noticed, not silently half-read.
     """
     summaries: List[TelemetrySummary] = []
-    periods: List[PeriodTrace] = []
+    runs: Dict[str, List[TracePoint]] = {}
     for line in lines:
         line = line.strip()
         if not line:
@@ -109,56 +111,43 @@ def load_trace(
         if kind == "summary":
             summaries.append(TelemetrySummary.from_dict(payload))
         elif kind == "period":
-            periods.append(PeriodTrace.from_dict(payload))
-    return summaries, periods
+            runs.setdefault(payload.get("run", ""), []).append(
+                TracePoint.from_dict(payload)
+            )
+    return summaries, runs
 
 
 def render_report(lines: Iterable[str], width: int = 50) -> str:
-    """Full text report (phase table + timeline) for a JSONL trace."""
-    summaries, periods = load_trace(lines)
-    merged = TelemetrySummary()
-    for summary in summaries:
-        merged = merged.merge(summary)
-    sections = [format_summary(merged, title="phase breakdown")]
+    """Full text report (merged phase table + per-run timelines)."""
+    summaries, runs = load_trace(lines)
+    sections = [format_summary(merge_summaries(summaries), title="phase breakdown")]
     sections.append("")
     sections.append("message-burst timeline")
     sections.append("----------------------")
-    sections.append(format_timeline(periods, width=width))
+    sections.append(format_timeline(runs, width=width))
     return "\n".join(sections)
 
 
 def write_record_trace(out: TextIO, records: Iterable[Any]) -> int:
-    """Export stored run records' telemetry as JSONL trace lines.
+    """Export stored run records' trace points and telemetry as JSONL.
 
-    Sweeps execute in worker processes where live sinks cannot stream
-    back, so profiled sweeps carry telemetry *on the records* and this
-    function rebuilds the JSONL trace after the fact: one ``period`` line
-    per stored trace point and one ``summary`` line per record carrying a
-    :class:`TelemetrySummary`.  Returns the number of lines written.
+    Sweeps execute in worker processes, so profiled sweeps carry their
+    telemetry *on the records* and this function writes the trace after
+    the fact: one ``period`` line per :class:`TracePoint` and one
+    ``summary`` line per record carrying a :class:`TelemetrySummary`.
+    Every line names its record with a ``run`` label,
+    ``<index>/<scheme>/<fingerprint prefix>``: the record's position
+    keeps the label unique within the file even when two records share
+    a spec.  Returns the number of lines written.
     """
     written = 0
-    for record in records:
-        spec = getattr(record, "spec", None)
-        label = spec.fingerprint() if spec is not None else None
-        for index, point in enumerate(getattr(record, "trace", ()) or ()):
-            payload: Dict[str, Any] = {
-                "type": "period",
-                "period": index,
-                "time": point.time,
-                "coverage": point.coverage,
-                "average_moving_distance": point.average_moving_distance,
-                "total_messages": point.total_messages,
-                "connected_sensors": point.connected_sensors,
-            }
-            if label:
-                payload["run"] = label
+    for index, record in enumerate(records):
+        run = f"{index}/{record.scheme}/{record.spec.fingerprint()[:12]}"
+        payloads = [{"type": "period", **point.to_dict()} for point in record.trace]
+        if record.telemetry is not None:
+            payloads.append({"type": "summary", **record.telemetry.to_dict()})
+        for payload in payloads:
+            payload["run"] = run
             out.write(json.dumps(payload, separators=(",", ":")) + "\n")
-            written += 1
-        summary = getattr(record, "telemetry", None)
-        if summary is not None:
-            payload = {"type": "summary", **summary.to_dict()}
-            if label:
-                payload["run"] = label
-            out.write(json.dumps(payload, separators=(",", ":")) + "\n")
-            written += 1
+        written += len(payloads)
     return written

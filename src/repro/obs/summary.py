@@ -1,11 +1,13 @@
-"""Compact, JSON-round-trippable telemetry summaries.
+"""The run-attached records: per-period trace points and the summary.
 
-A :class:`TelemetrySummary` is the run-attached form of telemetry: the
+A :class:`TracePoint` is the metrics snapshot the engine takes at the
+end of one traced period (every ``trace_every`` periods).  A
+:class:`TelemetrySummary` is the run-attached form of telemetry: the
 phase-time breakdown (total seconds + call count per span name) and the
-final counter/gauge values.  It travels on
+final counter/gauge values.  Both travel on
 :class:`~repro.sim.engine.SimulationResult` and
-:class:`~repro.api.specs.RunRecord`, so a stored run explains where its
-time went without re-running anything.
+:class:`~repro.api.specs.RunRecord`, so a stored run explains what it
+did and where its time went without re-running anything.
 
 Counters are deterministic quantities (candidate pairs, repair attempts,
 messages by type) and are identical no matter how a sweep was sharded;
@@ -16,10 +18,35 @@ ignores :attr:`TelemetrySummary.phases`.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Dict, Iterable, Mapping, Optional
 
-__all__ = ["PhaseStat", "TelemetrySummary"]
+__all__ = ["TracePoint", "PhaseStat", "TelemetrySummary", "merge_summaries"]
+
+
+@dataclass(frozen=True)
+class TracePoint:
+    """Coverage/metrics snapshot at the end of one traced period."""
+
+    #: Simulated seconds at the end of the period.
+    time: float
+    coverage: float
+    average_moving_distance: float
+    #: Protocol transmissions since the run started (cumulative).
+    total_messages: int
+    connected_sensors: int
+
+    def to_dict(self) -> Dict[str, Any]:
+        return dataclasses.asdict(self)
+
+    @staticmethod
+    def from_dict(data: Mapping[str, Any]) -> "TracePoint":
+        """Rebuild a point from its fields; other keys (a trace line's
+        ``type`` and ``run``) are ignored."""
+        return TracePoint(
+            **{name: data[name] for name in TracePoint.__dataclass_fields__}
+        )
 
 
 @dataclass(frozen=True)
@@ -94,3 +121,15 @@ class TelemetrySummary:
                 name: float(value) for name, value in data.get("gauges", {}).items()
             },
         )
+
+
+def merge_summaries(
+    summaries: Iterable[Optional[TelemetrySummary]],
+) -> TelemetrySummary:
+    """Fold summaries with :meth:`TelemetrySummary.merge`; ``None``
+    entries (unprofiled records) are skipped."""
+    merged = TelemetrySummary()
+    for summary in summaries:
+        if summary is not None:
+            merged = merged.merge(summary)
+    return merged

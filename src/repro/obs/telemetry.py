@@ -1,4 +1,4 @@
-"""The telemetry front end: span timers, counters, gauges, period events.
+"""The telemetry front end: span timers, counters and gauges.
 
 Instrumented code holds one :class:`Telemetry` and calls::
 
@@ -6,12 +6,13 @@ Instrumented code holds one :class:`Telemetry` and calls::
         ...                       # timed phase
     tel.count("cpvf.repair_attempts", 1)
     tel.gauge("floor.relocations_in_flight", len(active))
-    tel.record_period(PeriodTrace(...))
+
+and the run's owner reads the aggregates back with :meth:`Telemetry.summary`.
 
 The overhead contract: the default is :data:`NULL_TELEMETRY`, whose
 ``span`` returns a shared no-op context manager and whose ``count`` /
-``gauge`` / ``record_period`` are empty methods — uninstrumented-speed
-minus one attribute lookup and a call.  Hot loops that would pay even
+``gauge`` are empty methods — uninstrumented-speed minus one attribute
+lookup and a call.  Hot loops that would pay even
 that (e.g. per-pair work) guard with ``if tel.enabled:``.  The
 ``telemetry_overhead`` entry in ``BENCH_perf.json`` pins the measured
 cost on the CPVF kernel at <= a few percent.
@@ -25,51 +26,11 @@ the :class:`~repro.obs.summary.TelemetrySummary` ``phases`` side.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping
 
-from .sinks import NullSink, TelemetrySink
 from .summary import PhaseStat, TelemetrySummary
 
-__all__ = ["PeriodTrace", "Telemetry", "NullTelemetry", "NULL_TELEMETRY"]
-
-
-@dataclass(frozen=True)
-class PeriodTrace:
-    """Structured per-period event: the metrics snapshot of one period.
-
-    The engine builds one object per traced period and hands the same
-    object to the telemetry sink and to ``SimulationResult.trace``, so
-    ``trace_every`` and telemetry are a single mechanism.
-    """
-
-    period: int
-    time: float
-    coverage: float
-    average_moving_distance: float
-    total_messages: int
-    connected_sensors: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "period": self.period,
-            "time": self.time,
-            "coverage": self.coverage,
-            "average_moving_distance": self.average_moving_distance,
-            "total_messages": self.total_messages,
-            "connected_sensors": self.connected_sensors,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PeriodTrace":
-        return cls(
-            period=int(data["period"]),
-            time=float(data["time"]),
-            coverage=float(data["coverage"]),
-            average_moving_distance=float(data["average_moving_distance"]),
-            total_messages=int(data["total_messages"]),
-            connected_sensors=int(data["connected_sensors"]),
-        )
+__all__ = ["Telemetry", "NullTelemetry", "NULL_TELEMETRY"]
 
 
 class _Span:
@@ -109,13 +70,12 @@ _NULL_SPAN = _NullSpan()
 
 
 class Telemetry:
-    """Aggregating telemetry collector with a pluggable sink."""
+    """Aggregating telemetry collector: span totals, counters, gauges."""
 
     #: Hot-loop guard: ``if tel.enabled:`` skips per-item accounting work.
     enabled: bool = True
 
-    def __init__(self, sink: Optional[TelemetrySink] = None):
-        self.sink: TelemetrySink = sink if sink is not None else NullSink()
+    def __init__(self) -> None:
         # name -> [total_seconds, calls]; a mutable cell keeps the hot
         # span-close path to one dict lookup + two in-place adds.
         self._spans: Dict[str, List[float]] = {}
@@ -133,7 +93,6 @@ class Telemetry:
         else:
             cell[0] += seconds
             cell[1] += 1
-        self.sink.on_span(name, seconds)
 
     def count(self, name: str, value: int = 1) -> None:
         """Add ``value`` to the named monotone counter."""
@@ -147,10 +106,6 @@ class Telemetry:
         """Fold an external counter mapping (e.g. message stats) in."""
         for name, value in counters.items():
             self._counters[name] = self._counters.get(name, 0) + value
-
-    def record_period(self, trace: PeriodTrace) -> None:
-        """Forward one per-period structured event to the sink."""
-        self.sink.on_period(trace)
 
     def counter(self, name: str) -> int:
         """Current value of the named counter (0 when never counted)."""
@@ -167,13 +122,6 @@ class Telemetry:
             gauges=dict(self._gauges),
         )
 
-    def close(self) -> TelemetrySummary:
-        """Emit the final summary to the sink and release it."""
-        summary = self.summary()
-        self.sink.on_summary(summary)
-        self.sink.close()
-        return summary
-
 
 class NullTelemetry(Telemetry):
     """Disabled telemetry: every operation is a no-op.
@@ -185,9 +133,6 @@ class NullTelemetry(Telemetry):
     """
 
     enabled = False
-
-    def __init__(self):
-        super().__init__(NullSink())
 
     def span(self, name: str) -> Any:
         return _NULL_SPAN
@@ -201,13 +146,7 @@ class NullTelemetry(Telemetry):
     def merge_counters(self, counters: Mapping[str, int]) -> None:
         pass
 
-    def record_period(self, trace: PeriodTrace) -> None:
-        pass
-
     def summary(self) -> TelemetrySummary:
-        return TelemetrySummary()
-
-    def close(self) -> TelemetrySummary:
         return TelemetrySummary()
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence
 
 from ..metrics.recovery import EventOutcome
-from ..obs import NULL_TELEMETRY, PeriodTrace, Telemetry, TelemetrySummary
+from ..obs import NULL_TELEMETRY, Telemetry, TelemetrySummary, TracePoint
 from .lifecycle import FaultInjector, LifecycleEvent, WorldChange
 from .world import World
 
@@ -66,8 +66,8 @@ class SimulationResult:
     connected: bool
     periods_executed: int
     converged_at: Optional[int]
-    #: The traced periods, the same objects the telemetry sink receives.
-    trace: List[PeriodTrace] = field(default_factory=list)
+    #: One snapshot per traced period (``trace_every``), oldest first.
+    trace: List[TracePoint] = field(default_factory=list)
     #: Recovery metrics, one entry per fired lifecycle event.
     events: List[EventOutcome] = field(default_factory=list)
     world: Optional[World] = None
@@ -109,7 +109,7 @@ class SimulationEngine:
         with tel.span("engine.initialize"):
             scheme.initialize(world)
 
-        trace: List[PeriodTrace] = []
+        trace: List[TracePoint] = []
         converged_at: Optional[int] = None
         max_periods = world.config.max_periods
         # No timeline, no injector: static runs take the exact pre-lifecycle
@@ -141,18 +141,15 @@ class SimulationEngine:
                 (period + 1) % trace_every == 0 or period == max_periods - 1
             ):
                 with tel.span("engine.trace"):
-                    period_trace = PeriodTrace(
-                        period=period,
-                        time=world.time,
-                        coverage=world.coverage(),
-                        average_moving_distance=world.average_moving_distance(),
-                        total_messages=world.stats.total(),
-                        connected_sensors=len(world.connected_sensor_ids()),
+                    trace.append(
+                        TracePoint(
+                            time=world.time,
+                            coverage=world.coverage(),
+                            average_moving_distance=world.average_moving_distance(),
+                            total_messages=world.stats.total(),
+                            connected_sensors=len(world.connected_sensor_ids()),
+                        )
                     )
-                # One mechanism: the same per-period event feeds both the
-                # result trace and the telemetry sink.
-                tel.record_period(period_trace)
-                trace.append(period_trace)
 
             if scheme.has_converged(world):
                 if converged_at is None:
@@ -167,11 +164,6 @@ class SimulationEngine:
         else:
             with tel.span("engine.trace"):
                 final_coverage = world.coverage()
-        summary: Optional[TelemetrySummary] = None
-        if tel.enabled:
-            tel.count("engine.periods", world.period_index + 1)
-            tel.merge_counters(world.stats.to_counters())
-            summary = tel.summary()
         result = SimulationResult(
             scheme_name=scheme.name,
             final_coverage=final_coverage,
@@ -184,6 +176,11 @@ class SimulationEngine:
             trace=trace,
             events=injector.outcomes() if injector is not None else [],
             world=world,
-            telemetry=summary,
         )
+        # The summary is taken last, so the profile covers the work behind
+        # every result field (the connectivity check builds a table).
+        if tel.enabled:
+            tel.count("engine.periods", result.periods_executed)
+            tel.merge_counters(world.stats.to_counters())
+            result.telemetry = tel.summary()
         return result

@@ -2,13 +2,7 @@
 
 import pytest
 
-from repro.obs import (
-    NULL_TELEMETRY,
-    MemorySink,
-    NullTelemetry,
-    PeriodTrace,
-    Telemetry,
-)
+from repro.obs import NULL_TELEMETRY, NullTelemetry, Telemetry, TracePoint
 
 
 class TestSpans:
@@ -62,33 +56,29 @@ class TestCountersAndGauges:
         assert tel.summary().gauges == {"inflight": 2.0}
 
 
-class TestPeriodEvents:
-    def test_record_period_reaches_sink(self):
-        sink = MemorySink()
-        tel = Telemetry(sink=sink)
-        trace = PeriodTrace(
-            period=3,
-            time=30.0,
-            coverage=0.5,
-            average_moving_distance=1.0,
-            total_messages=12,
-            connected_sensors=10,
-        )
-        tel.record_period(trace)
-        events = sink.of_type("period")
-        assert len(events) == 1
-        assert events[0]["period"] == 3
-
-    def test_period_trace_roundtrip(self):
-        trace = PeriodTrace(
-            period=7,
+class TestTracePoint:
+    def test_trace_point_roundtrip(self):
+        point = TracePoint(
             time=70.0,
             coverage=0.25,
             average_moving_distance=2.5,
             total_messages=99,
             connected_sensors=40,
         )
-        assert PeriodTrace.from_dict(trace.to_dict()) == trace
+        assert TracePoint.from_dict(point.to_dict()) == point
+
+    def test_from_dict_ignores_trace_line_keys(self):
+        line = {"type": "period", "run": "0/CPVF/abc", "time": 5.0,
+                "coverage": 0.5, "average_moving_distance": 1.0,
+                "total_messages": 3, "connected_sensors": 2}
+        assert TracePoint.from_dict(line) == TracePoint(5.0, 0.5, 1.0, 3, 2)
+
+    def test_api_and_experiments_reexport_the_one_record(self):
+        import repro.api
+        import repro.experiments
+
+        assert repro.api.TracePoint is TracePoint
+        assert repro.experiments.TracePoint is TracePoint
 
 
 class TestNullTelemetry:
@@ -106,13 +96,3 @@ class TestNullTelemetry:
     def test_span_object_is_shared(self):
         # The hot-path contract: no allocation per span when disabled.
         assert NULL_TELEMETRY.span("a") is NULL_TELEMETRY.span("b")
-
-
-class TestClose:
-    def test_close_emits_summary_to_sink(self):
-        sink = MemorySink()
-        tel = Telemetry(sink=sink)
-        tel.count("done", 1)
-        summary = tel.close()
-        assert summary.counters == {"done": 1}
-        assert len(sink.of_type("summary")) == 1

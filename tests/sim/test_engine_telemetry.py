@@ -1,7 +1,9 @@
 """Engine telemetry threading and the trace_every=None contract."""
 
+from repro.core import CPVFScheme, FloorScheme
 from repro.field import obstacle_free_field
-from repro.obs import MemorySink, Telemetry, TelemetrySink
+from repro.obs import Telemetry
+from repro.spatial.cache import NeighborSnapshot
 from repro.sim import SimulationConfig, SimulationEngine, World
 
 
@@ -13,8 +15,6 @@ def _world(duration=20.0, seed=1):
 
 
 def _scheme():
-    from repro.core import CPVFScheme
-
     return CPVFScheme()
 
 
@@ -31,31 +31,33 @@ class TestEngineTelemetry:
         assert summary.counters["engine.periods"] == result.periods_executed
         assert summary.phases["engine.scheme_step"].calls == result.periods_executed
 
-    def test_period_events_mirror_trace_records(self):
-        sink = MemorySink()
-        result = SimulationEngine(
-            _world(), _scheme(), trace_every=5, telemetry=Telemetry(sink=sink)
-        ).run()
-        events = sink.of_type("period")
-        assert len(events) == len(result.trace)
-        for event, record in zip(events, result.trace):
-            assert event["coverage"] == record.coverage
-            assert event["total_messages"] == record.total_messages
+    def test_trace_points_are_taken_every_trace_every_periods(self):
+        result = SimulationEngine(_world(), _scheme(), trace_every=5).run()
+        assert [point.time for point in result.trace] == [5.0, 10.0, 15.0, 20.0]
+        assert result.trace[-1].coverage == result.final_coverage
+        assert result.trace[-1].total_messages == result.total_messages
 
-    def test_trace_holds_the_objects_the_sink_receives(self):
-        class PeriodCollector(TelemetrySink):
-            def __init__(self):
-                self.periods = []
+    def test_profile_counts_every_table_build_of_the_run(self, monkeypatch):
+        # The end-of-run connectivity check builds a table too; the
+        # summary must be taken after it.
+        builds = []
+        raw_table = NeighborSnapshot._raw_table
 
-            def on_period(self, trace):
-                self.periods.append(trace)
+        def counting(snapshot):
+            if snapshot._table is None:
+                builds.append(1)
+            return raw_table(snapshot)
 
-        sink = PeriodCollector()
-        result = SimulationEngine(
-            _world(), _scheme(), trace_every=5, telemetry=Telemetry(sink=sink)
-        ).run()
-        assert len(result.trace) == len(sink.periods) == 4
-        assert all(a is b for a, b in zip(result.trace, sink.periods))
+        monkeypatch.setattr(NeighborSnapshot, "_raw_table", counting)
+        for scheme in (_scheme(), FloorScheme()):
+            builds.clear()
+            result = SimulationEngine(
+                _world(), scheme, trace_every=None, telemetry=Telemetry()
+            ).run()
+            assert builds
+            assert result.telemetry.counters["neighbors.table_builds"] == len(
+                builds
+            ), scheme.name
 
     def test_counters_are_deterministic(self):
         def counters():
