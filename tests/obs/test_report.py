@@ -2,10 +2,12 @@
 
 import io
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.obs import Telemetry, TracePoint, merge_summaries
+from repro.obs.__main__ import main
 from repro.obs.report import (
     format_summary,
     format_timeline,
@@ -24,6 +26,17 @@ def _point(time, messages=0):
         total_messages=messages,
         connected_sensors=8,
     )
+
+
+def _summary_line(run, **counters):
+    tel = Telemetry()
+    for name, value in counters.items():
+        tel.count(name, value)
+    return json.dumps({"type": "summary", "run": run, **tel.summary().to_dict()})
+
+
+def _period_line(run, time, messages=0):
+    return json.dumps({"type": "period", "run": run, **_point(time, messages).to_dict()})
 
 
 def _timeline_rows(report):
@@ -71,6 +84,19 @@ class TestWriteRecordTrace:
         assert len(set(labels)) == 2
         _, runs = load_trace(buffer.getvalue().splitlines())
         assert [tuple(points) for points in runs.values()] == [record.trace] * 2
+
+    def test_unprofiled_record_writes_no_summary_line(self):
+        spec = SimpleNamespace(fingerprint=lambda: "f" * 64)
+        record = SimpleNamespace(
+            scheme="CPVF", spec=spec, trace=(_point(20), _point(40)), telemetry=None
+        )
+        buffer = io.StringIO()
+        assert write_record_trace(buffer, [record]) == 2
+        kinds = [json.loads(line)["type"] for line in buffer.getvalue().splitlines()]
+        assert kinds == ["period", "period"]
+        assert load_trace(buffer.getvalue().splitlines()) == (
+            [], {"0/CPVF/ffffffffffff": list(record.trace)}
+        )
 
 
 class TestPerRunTimeline:
@@ -135,3 +161,50 @@ class TestReport:
     def test_load_trace_skips_unknown_types(self):
         lines = [json.dumps({"type": "future-thing", "x": 1})]
         assert load_trace(lines) == ([], {})
+
+    def test_load_trace_rejects_malformed_lines(self):
+        lines = [_period_line("a", 20), '{"type": "period", "run"']
+        with pytest.raises(json.JSONDecodeError):
+            load_trace(lines)
+
+    def test_load_trace_groups_interleaved_runs_in_file_order(self):
+        lines = [
+            _period_line("b", 20, 3),
+            _period_line("a", 20, 1),
+            "",
+            _period_line("b", 40, 5),
+            _period_line("a", 40, 2),
+        ]
+        _, runs = load_trace(lines)
+        assert list(runs) == ["b", "a"]
+        assert [p.total_messages for p in runs["b"]] == [3, 5]
+        assert [p.total_messages for p in runs["a"]] == [1, 2]
+
+    def test_render_report_merges_multiple_summaries(self):
+        lines = [_summary_line("r0", runs=1), _summary_line("r1", runs=1)]
+        report = render_report(lines)
+        (row,) = [line for line in report.splitlines() if line.split()[:1] == ["runs"]]
+        assert row.split() == ["runs", "2"]
+
+
+class TestCli:
+    def test_report_json_is_the_merged_summary(self, tmp_path, capsys):
+        path = tmp_path / "trace.jsonl"
+        path.write_text("\n".join([
+            _summary_line("r0", k=2),
+            _period_line("r0", 20, 4),
+            _summary_line("r1", k=3),
+        ]) + "\n")
+        assert main(["report", str(path), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out) == {
+            "phases": {}, "counters": {"k": 5}, "gauges": {},
+        }
+
+    def test_report_reads_stdin(self, monkeypatch, capsys):
+        lines = [_period_line("r0", 20, 4), _period_line("r0", 40, 10)]
+        monkeypatch.setattr("sys.stdin", io.StringIO("\n".join(lines)))
+        assert main(["report", "-", "--width", "6"]) == 0
+        out = capsys.readouterr().out
+        assert "run r0" in out
+        rows = _timeline_rows(out)["r0"]
+        assert rows == [(20.0, 4), (40.0, 6)]
