@@ -24,7 +24,6 @@ Exit codes: 0 when every entry passes or skips, 1 when any entry fails
 from __future__ import annotations
 
 import argparse
-import asyncio
 import io
 import json
 import os
@@ -62,8 +61,9 @@ MAX_COMMITTED_OVERHEAD_PCT = 5.0
 FRESH_OVERHEAD_FACTOR = 3.0
 #: ``network.*``: coverage retained under 10 % per-message loss.
 MIN_RETAINED_COVERAGE = 0.85
-#: ``service.dedup``: of the two overlapping two-cell sweeps, three cells
-#: are computed and the shared one rides the in-flight dedup.
+#: ``service.dedup``: of the two overlapping two-cell sweeps, run as one
+#: four-cell sweep, three cells are computed and the second copy of the
+#: shared one is served from the first (an in-flight hit).
 DEDUP_COMPUTED = 3
 DEDUP_INFLIGHT_HITS = 1
 #: ``service.gc``: the stale-version entry and the orphaned ``.tmp``.
@@ -268,9 +268,8 @@ def measure_churn_smoke(ms: Measurements) -> Dict:
 
 
 def measure_service_dedup(ms: Measurements) -> Dict:
-    """Two overlapping sweeps submitted concurrently to one service."""
-    from repro.api import SweepSpec, execute_run
-    from repro.service import SweepService
+    """Two overlapping two-cell sweeps run as one sweep (shared cell twice)."""
+    from repro.api import SweepRunner, SweepSpec, execute_run
 
     scenario = _small_scenario(duration=20.0)
     sweeps = [
@@ -280,30 +279,20 @@ def measure_service_dedup(ms: Measurements) -> Dict:
         )
         for name, ranges in (("smoke-a", [40.0, 50.0]), ("smoke-b", [50.0, 60.0]))
     ]
-    reference = [[execute_run(spec) for spec in s.runs] for s in sweeps]
-
-    async def drive():
-        service = SweepService()
-        try:
-            jobs = [service.submit(s) for s in sweeps]
-            records = await asyncio.gather(*(j.result() for j in jobs))
-            await service.drain()
-            return records, service.metrics
-        finally:
-            service.close()
-
-    records, metrics = asyncio.run(drive())
+    runs = [spec for sweep in sweeps for spec in sweep.runs]
+    runner = SweepRunner()
+    records = runner.run(runs)
     return {
-        "computed": metrics.computed,
-        "inflight_hits": metrics.inflight_hits,
-        "records_equal": records == reference,
+        "computed": runner.metrics.computed,
+        "inflight_hits": runner.metrics.inflight_hits,
+        "records_equal": records == [execute_run(spec) for spec in runs],
     }
 
 
 def measure_service_kill_resume(ms: Measurements) -> Dict:
     """SIGKILL a ``repro.service submit`` mid-sweep, then resume it."""
-    from repro.api import SweepSpec, execute_run
-    from repro.service import RunStore, SweepService
+    from repro.api import SweepRunner, SweepSpec, execute_run
+    from repro.service import RunStore
 
     sweep = SweepSpec.grid(
         "smoke-kill", _small_scenario(duration=60.0), schemes=("CPVF",),
@@ -342,16 +331,9 @@ def measure_service_kill_resume(ms: Measurements) -> Dict:
     if not 1 <= partial < KILL_SWEEP_CELLS:
         return result
 
-    async def resume():
-        service = SweepService(store=store)
-        try:
-            records = await service.run(sweep)
-            await service.drain()
-            return records, service.metrics
-        finally:
-            service.close()
-
-    records, metrics = asyncio.run(resume())
+    runner = SweepRunner(store=store)
+    records = runner.run(sweep)
+    metrics = runner.metrics
     result.update(
         computed=metrics.computed,
         store_hits=metrics.store_hits,

@@ -333,28 +333,27 @@ def measure_sweep_throughput(
 
 
 # ----------------------------------------------------------------------
-# Sweep service (concurrent clients over a shared run store)
+# Sweep service (many clients over a shared run store)
 # ----------------------------------------------------------------------
 def measure_sweep_service(clients: int = 4, seed: int = 3) -> Dict[str, float]:
-    """Sustained throughput of the async sweep service under many clients.
+    """Sustained throughput of the sweep executor under many clients.
 
     A synthetic many-client workload: ``clients`` overlapping mini-sweeps
-    (adjacent clients share half their cells) are submitted concurrently
-    to one :class:`~repro.service.SweepService` over a fresh store, then
-    resubmitted against the warm store by a second service.  The service
+    (adjacent clients share half their cells) run one after another
+    through one :class:`~repro.api.SweepRunner` over a fresh store, then
+    again against the warm store through a second runner.  The
     determinism contract is asserted while timing — the cold pass computes
-    exactly the unique cells (shared cells ride the in-flight dedup) and
-    every client's records equal a plain ``execute_run`` loop; the
-    warm pass computes nothing.  Reported throughput is cells served per
-    second, cache hits included — the number a dashboard of this service
-    would call "sustained runs/s".
+    exactly the unique cells (a client's shared cells are store hits,
+    written through by the client before it) and every client's records
+    equal a plain ``execute_run`` loop; the warm pass computes nothing.
+    Reported throughput is cells served per second, cache hits included
+    — the number a dashboard of this service would call "sustained
+    runs/s".
     """
-    import asyncio
     import tempfile
 
     from repro.api import SweepSpec
     from repro.api.scenario import ScenarioSpec
-    from repro.service import SweepService
 
     scenario = ScenarioSpec(
         field_size=300.0,
@@ -383,21 +382,15 @@ def measure_sweep_service(clients: int = 4, seed: int = 3) -> Dict[str, float]:
     )
     reference = [[execute_run(spec) for spec in sweep.runs] for sweep in sweeps]
 
-    async def drive(store_root: str):
-        service = SweepService(store=store_root)
-        try:
-            start = time.perf_counter()
-            jobs = [service.submit(sweep) for sweep in sweeps]
-            results = await asyncio.gather(*(job.result() for job in jobs))
-            elapsed = time.perf_counter() - start
-            await service.drain()
-            return results, service.metrics, elapsed
-        finally:
-            service.close()
+    def drive(store_root: str):
+        runner = SweepRunner(store=store_root)
+        start = time.perf_counter()
+        results = [runner.run(sweep) for sweep in sweeps]
+        return results, runner.metrics, time.perf_counter() - start
 
     with tempfile.TemporaryDirectory(prefix="svc-bench-") as store_root:
-        cold_records, cold, cold_s = asyncio.run(drive(store_root))
-        warm_records, warm, warm_s = asyncio.run(drive(store_root))
+        cold_records, cold, cold_s = drive(store_root)
+        warm_records, warm, warm_s = drive(store_root)
 
     if cold.computed != unique_cells:
         raise AssertionError(

@@ -13,8 +13,9 @@ re-exported from :mod:`repro.experiments`).  The pieces compose bottom-up:
 * :mod:`repro.api.schemes` — adapters unifying the schemes that run on
   the simulation engine (CPVF, FLOOR and the VD baselines VOR, Minimax)
   and the analytic baselines (OPT, OPT-Hungarian) behind ``execute_run``;
-* :mod:`repro.api.sweep` — :class:`SweepRunner`, the synchronous client of
-  the sweep service (:mod:`repro.service`), serial or process-sharded.
+* :mod:`repro.api.sweep` — :class:`SweepRunner`, the one sweep executor:
+  run-store lookup (:mod:`repro.service`), in-sweep dedup, serial or
+  process-sharded.
 
 Quick start::
 

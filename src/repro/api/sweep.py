@@ -1,27 +1,33 @@
-"""The synchronous sweep client.
+"""The sweep executor.
 
 Every run in a sweep is independent — the paper's figures are grids of
 runs differing only in scheme, ranges, population or seed — so sweeps
-parallelise trivially across processes.  :class:`SweepRunner` executes a
-:class:`~repro.api.specs.SweepSpec` through the one sweep executor, the
-async :class:`~repro.service.service.SweepService`, and blocks until the
-records are back.  ``jobs=1`` computes in this process; ``jobs=N`` shards
-the cells over ``N`` worker processes.  Records come back in spec order
+parallelise trivially across processes.  :meth:`SweepRunner.run` is the
+one sweep executor, a plain synchronous loop:
+
+1. every spec is fingerprinted (:meth:`~repro.api.specs.RunSpec.fingerprint`);
+2. with ``reuse=True`` the first occurrence of each fingerprint is served
+   from the bound :class:`~repro.service.store.RunStore` when it holds the
+   record;
+3. later occurrences of a fingerprint within the same sweep are served
+   from the first one (the *in-flight* hits: computed once, rebound to
+   each copy's spec);
+4. the remaining misses run in this process when ``min(jobs, misses) ==
+   1`` and otherwise on one ``ProcessPoolExecutor`` of that many
+   workers; the parent writes each record through to the store the
+   moment it completes, which makes a killed sweep resumable.
+
+A failing cell does not stop the others: once every cell has settled the
+first failure in spec order is raised.  Records come back in spec order
 regardless of worker scheduling, and every per-run random stream is fixed
 by the spec itself (seeds are part of the frozen specs, derived at
-expansion time), so ``jobs=1`` and ``jobs=8`` produce identical record
-lists — and both equal ``[execute_run(s) for s in sweep.runs]``.
+expansion time), so ``jobs=1`` and ``jobs=8``, cold or warm store, produce
+identical record lists — and all equal ``[execute_run(s) for s in
+sweep.runs]``.  Store hits are rebound to the requesting spec, so a hit
+is indistinguishable from a fresh run.
 
-A runner may also be bound to a content-addressed
-:class:`~repro.service.store.RunStore`.  The service writes each completed
-cell through to the store the moment it finishes, which makes a killed
-sweep resumable; with ``reuse=True`` cells already in the store are served
-without recompute, so only the missing cells of a resumed — or merely
-overlapping — sweep are paid for.  Cache hits are rebound to the
-requesting spec, so the record list is identical to a cold run either way.
-
-The service (and with it ``asyncio``) is imported on the first
-:meth:`SweepRunner.run`, never by ``import repro``.
+``concurrent.futures`` (and the store) are imported on the first
+:meth:`SweepRunner.run` that needs them, never by ``import repro``.
 
 Example::
 
@@ -33,18 +39,39 @@ Example::
         schemes=("CPVF", "FLOOR"),
         axes={"sensor_count": [16, 24, 32]},
     )
-    records = SweepRunner(jobs=4, store="runs/", reuse=True).run(sweep)
+    records = SweepRunner(jobs=4, store="runs/", reuse=True).run(
+        sweep, on_cell=lambda index, spec, record, source: print(index, source)
+    )
 """
 
 from __future__ import annotations
 
 import os
+import time
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
+from .schemes import execute_run
 from .specs import RunRecord, RunSpec, SweepSpec
 
-__all__ = ["SweepRunner", "default_job_count"]
+__all__ = ["ServiceMetrics", "SweepRunner", "default_job_count"]
+
+#: ``on_cell(index, spec, record, source)``: called once per cell as it
+#: settles.  ``source`` is ``"store"``, ``"inflight"`` (a copy of an
+#: earlier cell of the same sweep), ``"computed"`` or ``"failed"`` (then
+#: ``record`` is ``None``).
+CellCallback = Callable[[int, RunSpec, Optional[RunRecord], str], None]
 
 
 def default_job_count() -> int:
@@ -52,8 +79,68 @@ def default_job_count() -> int:
     return max(1, os.cpu_count() or 1)
 
 
+@dataclass
+class ServiceMetrics:
+    """Sweep counters of one :class:`SweepRunner`, summed over its runs."""
+
+    jobs_submitted: int = 0
+    cells_submitted: int = 0
+    store_hits: int = 0
+    #: Cells served from an earlier cell of the same sweep with the same
+    #: fingerprint (computed once, rebound to each copy's spec).
+    inflight_hits: int = 0
+    computed: int = 0
+    failed: int = 0
+    #: Total worker seconds spent on computed cells.
+    compute_seconds: float = 0.0
+
+    def cache_hit_rate(self) -> float:
+        """Fraction of settled cells served without new computation."""
+        served = self.store_hits + self.inflight_hits + self.computed
+        if not served:
+            return 0.0
+        return (self.store_hits + self.inflight_hits) / served
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {
+            "jobs_submitted": self.jobs_submitted,
+            "cells_submitted": self.cells_submitted,
+            "store_hits": self.store_hits,
+            "inflight_hits": self.inflight_hits,
+            "computed": self.computed,
+            "failed": self.failed,
+            "compute_seconds": self.compute_seconds,
+            "cache_hit_rate": self.cache_hit_rate(),
+        }
+
+    def to_counters(self, prefix: str = "service.") -> Dict[str, int]:
+        """The monotone counters in the shared telemetry schema.
+
+        ``service.*`` keys with integer values — the same dotted schema
+        :class:`repro.obs.Telemetry` counters and
+        ``MessageStats.to_counters`` use, so sweep counters merge into a
+        :class:`~repro.obs.TelemetrySummary` (timings and derived rates
+        stay in :meth:`to_dict`).
+        """
+        return {
+            f"{prefix}jobs_submitted": self.jobs_submitted,
+            f"{prefix}cells_submitted": self.cells_submitted,
+            f"{prefix}store_hits": self.store_hits,
+            f"{prefix}inflight_hits": self.inflight_hits,
+            f"{prefix}computed": self.computed,
+            f"{prefix}failed": self.failed,
+        }
+
+
+def _timed_run(spec: RunSpec) -> Tuple[RunRecord, float]:
+    """``execute_run`` plus its wall seconds (runs in a worker process)."""
+    started = time.perf_counter()
+    record = execute_run(spec)
+    return record, time.perf_counter() - started
+
+
 class SweepRunner:
-    """Runs a sweep to completion on the sweep service and returns records."""
+    """Runs a sweep to completion and returns its records in spec order."""
 
     def __init__(
         self,
@@ -68,7 +155,7 @@ class SweepRunner:
 
         ``store`` binds the runner to a content-addressed run store (a
         :class:`~repro.service.store.RunStore` or a filesystem path);
-        completed cells are written through as they finish.  ``reuse``
+        computed cells are written through as they finish.  ``reuse``
         controls the read side: ``True`` serves stored cells without
         recompute (resume/cache semantics), ``False`` keeps the store
         write-through only (refresh semantics).
@@ -82,33 +169,112 @@ class SweepRunner:
             store = RunStore(store)
         self.store = store
         self.reuse = bool(reuse)
+        #: Counters summed over every :meth:`run` of this runner.
+        self.metrics = ServiceMetrics()
         #: ``{"cells", "hits", "computed"}`` of the most recent :meth:`run`.
         self.last_cache: Optional[Dict[str, int]] = None
 
     def run(
-        self, sweep: Union[SweepSpec, Sequence[RunSpec], Iterable[RunSpec]]
+        self,
+        sweep: Union[SweepSpec, Sequence[RunSpec], Iterable[RunSpec]],
+        on_cell: Optional[CellCallback] = None,
     ) -> List[RunRecord]:
-        """Execute every run and return records in spec order."""
-        import asyncio
+        """Execute every run and return records in spec order.
 
-        from ..service.service import SweepService
-        from ..service.workers import worker_pool
-
+        ``on_cell`` (see :data:`CellCallback`) sees every cell exactly
+        once, in the order the cells settle.
+        """
         runs = list(sweep.runs) if isinstance(sweep, SweepSpec) else list(sweep)
-        if not runs:
-            self.last_cache = {"cells": 0, "hits": 0, "computed": 0}
-            return []
-        service = SweepService(
-            self.store, worker_pool(self.jobs, len(runs)), self.reuse
-        )
-        try:
-            records = asyncio.run(service.run(runs))
-        finally:
-            service.close()
-            metrics = service.metrics
-            self.last_cache = {
-                "cells": len(runs),
-                "hits": metrics.store_hits + metrics.inflight_hits,
-                "computed": metrics.computed,
-            }
+        metrics = self.metrics
+        hits_before = metrics.store_hits + metrics.inflight_hits
+        computed_before = metrics.computed
+        metrics.jobs_submitted += 1
+        metrics.cells_submitted += len(runs)
+        records: List[Optional[RunRecord]] = [None] * len(runs)
+        errors: Dict[int, Exception] = {}
+
+        # First occurrence of each fingerprint -> the later copies it serves.
+        fingerprints = [spec.fingerprint() for spec in runs]
+        first: Dict[str, int] = {}
+        copies: Dict[int, List[int]] = {}
+        for index, fingerprint in enumerate(fingerprints):
+            if fingerprint in first:
+                copies[first[fingerprint]].append(index)
+            else:
+                first[fingerprint] = index
+                copies[index] = []
+
+        def settle(index: int, outcome: Union[RunRecord, Exception], source: str):
+            """Settle a first occurrence, then every copy of it."""
+            for cell in [index] + copies[index]:
+                record = None
+                if isinstance(outcome, Exception):
+                    metrics.failed += 1
+                    errors[cell] = outcome
+                    source = "failed"
+                elif cell == index:
+                    record = outcome
+                else:
+                    metrics.inflight_hits += 1
+                    record = outcome.rebind(runs[cell])
+                    source = "inflight"
+                records[cell] = record
+                if on_cell is not None:
+                    on_cell(cell, runs[cell], record, source)
+
+        def computed(index: int, record: RunRecord, seconds: float) -> None:
+            metrics.computed += 1
+            metrics.compute_seconds += seconds
+            if self.store is not None:
+                # Write-through: a killed sweep leaves every finished
+                # cell behind, so a resume recomputes only the rest.
+                self.store.put(record, fingerprints[index])
+            settle(index, record, "computed")
+
+        misses: List[int] = []
+        for index in copies:
+            cached = None
+            if self.reuse and self.store is not None:
+                cached = self.store.load(fingerprints[index])
+            if cached is None:
+                misses.append(index)
+            else:
+                metrics.store_hits += 1
+                settle(index, cached.rebind(runs[index]), "store")
+
+        workers = min(self.jobs, len(misses))
+        if workers == 1:
+            for index in misses:
+                try:
+                    outcome = _timed_run(runs[index])
+                except Exception as exc:
+                    settle(index, exc, "failed")
+                else:
+                    computed(index, *outcome)
+        elif workers > 1:
+            from concurrent.futures import ProcessPoolExecutor, as_completed
+
+            pool = ProcessPoolExecutor(max_workers=workers)
+            try:
+                futures = {
+                    pool.submit(_timed_run, runs[index]): index
+                    for index in misses
+                }
+                for future in as_completed(futures):
+                    try:
+                        outcome = future.result()
+                    except Exception as exc:
+                        settle(futures[future], exc, "failed")
+                    else:
+                        computed(futures[future], *outcome)
+            finally:
+                pool.shutdown(wait=True, cancel_futures=True)
+
+        self.last_cache = {
+            "cells": len(runs),
+            "hits": metrics.store_hits + metrics.inflight_hits - hits_before,
+            "computed": metrics.computed - computed_before,
+        }
+        if errors:
+            raise errors[min(errors)]
         return records

@@ -46,16 +46,13 @@ def flood_tree(world: World) -> None:
         for nb in table.get(current, []):
             if nb in attached or nb not in component:
                 continue
-            if net.lossy:
-                # Each flood edge retransmits with backoff up to the
-                # delivery budget; a node the flood never reaches stays
-                # disconnected and joins through attach_reachable later.
-                delivered, attempts = net.exchange(
-                    world, ("flood", current, nb), 1
-                )
-                retransmissions += attempts - 1
-                if not delivered:
-                    continue
+            # Each flood edge retransmits with backoff up to the delivery
+            # budget; a node the flood never reaches stays disconnected
+            # and joins through attach_reachable later.
+            delivered, attempts = net.exchange(world, ("flood", current, nb), 1)
+            retransmissions += attempts - 1
+            if not delivered:
+                continue
             world.attach_to_tree(nb, current)
             attached.add(nb)
             frontier.append(nb)

@@ -410,22 +410,17 @@ class CPVFScheme(DeploymentScheme):
     ) -> bool:
         """Run the LockTree/UnLockTree handshake through the network model.
 
-        Perfect network: charge the handshake and grant immediately (the
-        seed behaviour).  Under latency the request is parked and the
-        grant arrives ``latency`` periods later; under loss the critical
-        down-and-back wave (2 * depth + 2 transmissions) retries with
-        exponential backoff up to the delivery budget (``depth`` is the
-        subtree's lock depth, see :meth:`_subtree`).  A timed-out
-        handshake aborts to the safe state — the caller keeps the current
-        parent and holds position, preserving the paper's serialization
-        requirement.
+        A network that drops nothing charges the handshake once and
+        grants immediately (the seed behaviour).  Under latency the
+        request is parked and the grant arrives ``latency`` periods
+        later; under loss the critical down-and-back wave (2 * depth + 2
+        transmissions) retries with exponential backoff up to the
+        delivery budget (``depth`` is the subtree's lock depth, see
+        :meth:`_subtree`).  A timed-out handshake aborts to the safe
+        state — the caller keeps the current parent and holds position,
+        preserving the paper's serialization requirement.
         """
         net = world.network
-        if net.is_perfect:
-            world.routing.record_subtree_lock(
-                world.tree, sensor_id, subtree_size=subtree_size
-            )
-            return True
         if net.latency > 0:
             due = self._pending_locks.get(sensor_id)
             if due is None:
@@ -437,11 +432,9 @@ class CPVFScheme(DeploymentScheme):
             if world.period_index < due:
                 return False
             del self._pending_locks[sensor_id]
-        delivered, attempts = True, 1
-        if net.lossy:
-            delivered, attempts = net.exchange(
-                world, ("cpvf.lock", sensor_id), 2 * depth + 2
-            )
+        delivered, attempts = net.exchange(
+            world, ("cpvf.lock", sensor_id), 2 * depth + 2
+        )
         # Every attempt re-runs the whole lock/unlock wave on the air.
         world.routing.record_subtree_lock(
             world.tree, sensor_id, subtree_size=subtree_size, attempts=attempts

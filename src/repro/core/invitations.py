@@ -25,7 +25,12 @@ import random
 from dataclasses import dataclass
 from typing import Dict, List, Sequence, Tuple
 
-from ..network import ConnectivityTree, MessageType, RoutingCostModel
+from ..network import (
+    PERFECT_NETWORK,
+    ConnectivityTree,
+    MessageType,
+    RoutingCostModel,
+)
 from ..sensors import Sensor
 from .expansion import ExpansionPoint
 
@@ -72,35 +77,28 @@ class InvitationProtocol:
         lost after its retry budget (the sensor simply tries again next
         round), and an ``Acknowledge`` can time out — the assignment is
         then cancelled before any relocation or registry slot is created.
-        Without a world, or under the perfect network, the code path is
-        the seed's, draw for draw.
+        Without a world the perfect network applies.  A network that drops
+        nothing makes no draws of its own, so the round is the seed's,
+        draw for draw.
         """
         if not expansion_points:
             return []
 
-        net = world.network if world is not None else None
-        lossy = net is not None and net.lossy
+        net = world.network if world is not None else PERFECT_NETWORK
 
         # 1. Every advertised EP pays for its TTL-bounded random walk.  A
         #    lossy walk stops at its first dropped hop (the lost
         #    transmission itself is still charged); the surviving hop
         #    count shrinks that EP's advertisement reach below.
-        if lossy:
-            walk_hops: List[int] = []
-            for index, ep in enumerate(expansion_points):
-                hops = net.walk_hops(
-                    world, ("floor.walk", index, ep.owner_id), self.ttl
-                )
-                walk_hops.append(hops)
-                self.routing.record_random_walk(
-                    min(self.ttl, hops + 1), MessageType.INVITATION
-                )
-        else:
-            walk_hops = [self.ttl] * len(expansion_points)
-            for _ in expansion_points:
-                self.routing.record_random_walk(
-                    self.ttl, MessageType.INVITATION
-                )
+        walk_hops: List[int] = []
+        for index, ep in enumerate(expansion_points):
+            hops = net.walk_hops(
+                world, ("floor.walk", index, ep.owner_id), self.ttl
+            )
+            walk_hops.append(hops)
+            self.routing.record_random_walk(
+                min(self.ttl, hops + 1), MessageType.INVITATION
+            )
 
         if not movable_sensors or connected_count <= 0:
             return []
@@ -128,13 +126,9 @@ class InvitationProtocol:
             # AcceptInvitation travels back to the inviter over the tree;
             # every retry re-sends the whole route.
             hops = self.routing.tree_route_hops(tree, movable_id, best.owner_id)
-            attempts, delivered = 1, True
-            if lossy:
-                delivered, attempts = net.exchange(
-                    world,
-                    ("floor.accept", movable_id, best.owner_id),
-                    max(1, hops),
-                )
+            delivered, attempts = net.exchange(
+                world, ("floor.accept", movable_id, best.owner_id), max(1, hops)
+            )
             self.routing.record_tree_unicast(
                 tree, movable_id, best.owner_id,
                 MessageType.ACCEPT_INVITATION, attempts=attempts, hops=hops,
@@ -156,13 +150,9 @@ class InvitationProtocol:
             # The acknowledgement retraces the acceptance route in the
             # opposite direction; tree routes are symmetric and the tree
             # is unchanged since step 3, so the hop count carries over.
-            attempts, delivered = 1, True
-            if lossy:
-                delivered, attempts = net.exchange(
-                    world,
-                    ("floor.ack", movable_id, ep.owner_id),
-                    max(1, hops),
-                )
+            delivered, attempts = net.exchange(
+                world, ("floor.ack", movable_id, ep.owner_id), max(1, hops)
+            )
             self.routing.record_tree_unicast(
                 tree, ep.owner_id, movable_id,
                 MessageType.ACKNOWLEDGE, attempts=attempts, hops=hops,

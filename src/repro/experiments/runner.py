@@ -2,8 +2,7 @@
 
 This module is the command-line face of the reproduction.  Every
 experiment is a declarative :class:`~repro.api.specs.SweepSpec` executed
-by the sweep service through its synchronous client,
-:class:`~repro.api.sweep.SweepRunner`::
+by the one sweep executor, :class:`~repro.api.sweep.SweepRunner`::
 
     python -m repro.experiments.runner --list
     python -m repro.experiments.runner --scale bench --jobs 8

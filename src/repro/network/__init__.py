@@ -17,7 +17,7 @@ from .conditions import (
     PerfectNetwork,
     UnreliableNetwork,
 )
-from .messages import Message, MessageType, NET_COUNTER_KEYS
+from .messages import MessageType, NET_COUNTER_KEYS
 from .routing import RoutingCostModel
 from .stats import MessageStats
 from .tree import BASE_STATION_ID, ConnectivityTree
@@ -31,7 +31,6 @@ from .tree import BASE_STATION_ID, ConnectivityTree
 LINK_EPS = 1e-9
 
 __all__ = [
-    "Message",
     "MessageType",
     "NET_COUNTER_KEYS",
     "NETWORK_SCHEMA_VERSION",

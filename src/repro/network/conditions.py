@@ -80,10 +80,6 @@ class NetworkModel:
     callers then abort to their safe state.
     """
 
-    #: True only for the structural pass-through model.
-    is_perfect: bool = True
-    #: Whether messages can be dropped (gates the hardened code paths).
-    lossy: bool = False
     #: Per-hop delivery latency in whole periods (0 = instantaneous).
     latency: int = 0
     #: Neighbour-snapshot refresh interval in periods (<= 1 = read live).
@@ -164,8 +160,6 @@ class UnreliableNetwork(NetworkModel):
         + 1``).  Exhausting the budget records ``net.timeouts`` and the
         exchange reports non-delivery.
     """
-
-    is_perfect = False
 
     def __init__(
         self,

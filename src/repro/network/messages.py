@@ -1,22 +1,18 @@
-"""Protocol message types and records.
+"""Protocol message types.
 
 The schemes exchange short control messages: connectivity floods, lazy-
 movement ``PathParentInquiry`` probes, CPVF's ``LockTree`` / ``UnLockTree``
 tree-locking handshake, FLOOR's ``Invitation`` random walks and the
 coverage-status queries answered by floor-header nodes.  Table 1 of the
 paper reports the *number* of such messages, so the network layer models
-them as counted records rather than payload-carrying packets.
+them as counted transmissions rather than payload-carrying packets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
 
-from ..geometry import Vec2
-
-__all__ = ["MessageType", "Message", "NET_COUNTER_KEYS"]
+__all__ = ["MessageType", "NET_COUNTER_KEYS"]
 
 #: Delivery-condition counter keys recorded by :mod:`repro.network.conditions`
 #: and carried by :class:`repro.network.stats.MessageStats` alongside the
@@ -55,19 +51,3 @@ class MessageType(Enum):
     LOCATION_UPDATE = "location_update"
     #: Lifecycle: orphan-subtree probe / re-attach traffic after a node dies.
     TREE_REPAIR = "tree_repair"
-
-
-@dataclass
-class Message:
-    """A single protocol message (used mainly for accounting and tracing)."""
-
-    message_type: MessageType
-    source: int
-    destination: Optional[int] = None
-    hops: int = 1
-    payload_location: Optional[Vec2] = None
-    ttl: Optional[int] = None
-
-    def cost(self) -> int:
-        """Number of point-to-point transmissions this message required."""
-        return max(1, self.hops)

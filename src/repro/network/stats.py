@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict
 
-from .messages import Message, MessageType, NET_COUNTER_KEYS
+from .messages import MessageType, NET_COUNTER_KEYS
 
 __all__ = ["MessageStats"]
 
@@ -31,10 +31,6 @@ class MessageStats:
 
     counts: Counter = field(default_factory=Counter)
     net_counts: Counter = field(default_factory=Counter)
-
-    def record(self, message: Message) -> None:
-        """Record one message (its cost is its hop count)."""
-        self.counts[message.message_type] += message.cost()
 
     def record_transmissions(self, message_type: MessageType, count: int) -> None:
         """Record ``count`` point-to-point transmissions of a given type."""
@@ -89,10 +85,3 @@ class MessageStats:
             if count:
                 counters[f"{net_prefix}{key}"] = count
         return counters
-
-    def merge(self, other: "MessageStats") -> "MessageStats":
-        """A new stats object combining both operand counters."""
-        merged = MessageStats()
-        merged.counts = self.counts + other.counts
-        merged.net_counts = self.net_counts + other.net_counts
-        return merged

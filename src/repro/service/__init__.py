@@ -1,27 +1,22 @@
-"""Deployment-as-a-service: the async sweep fabric and run store.
+"""Deployment-as-a-service: the run store and the sweep command line.
 
 This package is the serving layer grown over the declarative experiment
-API (:mod:`repro.api`).  The pieces compose bottom-up:
+API (:mod:`repro.api`).  The sweep executor itself is
+:class:`repro.api.sweep.SweepRunner`; this package adds:
 
 * :mod:`repro.service.store` — the content-addressed
   :class:`RunStore`: records keyed by the canonical fingerprint of their
   spec (:func:`repro.api.specs.run_fingerprint`), filesystem backend,
   atomic writes, schema-versioned invalidation and GC;
-* :mod:`repro.service.workers` — the :class:`WorkerPool` backends (one
-  in-process thread, or a process pool) and :func:`worker_pool`, which
-  picks one from the job count;
-* :mod:`repro.service.service` — the :class:`SweepService`: an asyncio
-  job queue that deduplicates identical cells across overlapping
-  submissions, serves warm cells from the store, streams per-cell
-  progress to each subscriber and keeps live metrics;
 * :mod:`repro.service.cli` — ``python -m repro.service``
-  (``submit`` / ``status`` / ``gc`` / ``stats``).
+  (``submit`` / ``status`` / ``gc`` / ``stats``), which drives
+  ``SweepRunner`` against a store and accumulates its
+  :class:`ServiceMetrics` counters in the store's sidecar.
 
 Quick start::
 
-    import asyncio
-    from repro.api import ScenarioSpec, SweepSpec
-    from repro.service import ProcessWorkerPool, RunStore, SweepService
+    from repro.api import ScenarioSpec, SweepRunner, SweepSpec
+    from repro.service import RunStore
 
     sweep = SweepSpec.grid(
         "demo",
@@ -30,33 +25,23 @@ Quick start::
         axes={"communication_range": [30.0, 60.0]},
     )
 
-    async def main():
-        service = SweepService(store=RunStore("runs/"), pool=ProcessWorkerPool(4))
-        job = service.submit(sweep)
-        async for event in job.events():
-            print(event.status, event.index, event.source)
-        return await job.result()
+    runner = SweepRunner(jobs=4, store=RunStore("runs/"))
+    records = runner.run(
+        sweep,
+        on_cell=lambda index, spec, record, source: print(index, source),
+    )
+    print(runner.metrics.to_counters())
 
-    records = asyncio.run(main())
-
-See ``docs/service.md`` for the architecture, the store layout, the
+See ``docs/service.md`` for the executor, the store layout, the
 fingerprint contract and resume semantics.
 """
 
-from .service import CellEvent, ServiceMetrics, SweepJob, SweepService
+from ..api.sweep import ServiceMetrics
 from .store import GCReport, RunStore, StoreStats
-from .workers import InlineWorkerPool, ProcessWorkerPool, WorkerPool, worker_pool
 
 __all__ = [
-    "CellEvent",
     "ServiceMetrics",
-    "SweepJob",
-    "SweepService",
     "RunStore",
     "StoreStats",
     "GCReport",
-    "WorkerPool",
-    "InlineWorkerPool",
-    "ProcessWorkerPool",
-    "worker_pool",
 ]

@@ -8,9 +8,11 @@
     python -m repro.service stats --store runs/
     python -m repro.service gc --store runs/ [--dry-run]
 
-``submit`` executes a sweep through the async service — cells already in
-the store are served without recompute, the rest stream per-cell progress
-lines as they finish — and can persist the records (``--out``).
+``submit`` executes a sweep through :class:`~repro.api.sweep.SweepRunner`
+— cells already in the store are served without recompute, a cell
+repeated within the sweep is computed once ("coalesced"), and every cell
+prints a progress line as it settles — and can persist the records
+(``--out``).
 ``status`` previews a resume: which cells of a sweep are already cached.
 ``stats`` and ``gc`` report on and reclaim the store.  Sweeps are given
 either as a JSON file (the ``SweepSpec.to_dict`` shape, also accepted
@@ -20,16 +22,15 @@ inside a ``{"sweep": ...}`` wrapper) or by registered experiment name.
 from __future__ import annotations
 
 import argparse
-import asyncio
 import json
 import sys
+import time
 from pathlib import Path
 from typing import Optional, Sequence
 
 from ..api.specs import SweepSpec
-from .service import SweepService
+from ..api.sweep import SweepRunner
 from .store import RunStore
-from .workers import worker_pool
 
 __all__ = ["main"]
 
@@ -66,35 +67,21 @@ def _store_for(args: argparse.Namespace, required: bool = True) -> Optional[RunS
 def _cmd_submit(args: argparse.Namespace) -> int:
     sweep = _load_sweep(args)
     store = _store_for(args, required=False)
-    service = SweepService(
-        store=store,
-        pool=worker_pool(args.jobs, len(sweep.runs)),
-        reuse=not args.refresh,
-    )
+    runner = SweepRunner(jobs=args.jobs, store=store, reuse=not args.refresh)
+    cells = len(sweep.runs)
+    started = time.perf_counter()
 
-    async def drive():
-        job = service.submit(sweep)
-        async for event in job.events():
-            if args.quiet:
-                continue
-            if event.status == "done":
-                print(
-                    f"[{job.id}] cell {event.index + 1}/{len(sweep.runs)} "
-                    f"{event.scheme:<8s} {event.source:<8s} "
-                    f"{event.elapsed:6.2f}s {event.fingerprint[:12]}"
-                )
-            elif event.status == "failed":
-                print(
-                    f"[{job.id}] cell {event.index + 1} FAILED: {event.error}",
-                    file=sys.stderr,
-                )
-        return await job.result()
+    def progress(index, spec, record, source):
+        if record is None:
+            print(f"cell {index + 1}/{cells} {spec.scheme} FAILED", file=sys.stderr)
+            return
+        print(
+            f"cell {index + 1}/{cells} {spec.scheme:<8s} {source:<8s} "
+            f"{time.perf_counter() - started:6.2f}s {spec.fingerprint()[:12]}"
+        )
 
-    try:
-        records = asyncio.run(drive())
-    finally:
-        service.close()
-    metrics = service.metrics
+    records = runner.run(sweep, on_cell=None if args.quiet else progress)
+    metrics = runner.metrics
     if store is not None:
         # Accumulate into the store's sidecar so a later
         # ``stats --json`` reports service totals in the shared schema.
@@ -192,7 +179,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     commands = parser.add_subparsers(dest="command", required=True)
 
     submit = commands.add_parser(
-        "submit", help="execute a sweep through the async service"
+        "submit", help="execute a sweep (store hits, dedup, worker processes)"
     )
     _add_sweep_arguments(submit)
     submit.add_argument("--store", default=None, metavar="DIR")

@@ -98,7 +98,6 @@ class TestPerfectNetwork:
     def test_everything_is_a_pass_through(self):
         world = line_world(0.0, 5.0, 50.0)
         net = PerfectNetwork()
-        assert net.is_perfect and not net.lossy
         assert net.neighbors(world) is world.neighbor_snapshot()
         assert net.neighbor_table(world) == world.neighbor_table()
         assert net.neighbors(world).rows([2, 0]) == {2: [], 0: [1]}
@@ -106,12 +105,18 @@ class TestPerfectNetwork:
         assert net.walk_hops(world, ("w",), 7) == 7
         assert world.stats.net_counts == {}
 
+    def test_delivery_needs_no_world(self):
+        # InvitationProtocol.run_round falls back to PERFECT_NETWORK when
+        # it is given no world, and calls both hooks with world=None.
+        assert PERFECT_NETWORK.exchange(None, ("x",), 3) == (True, 1)
+        assert PERFECT_NETWORK.walk_hops(None, ("w",), 4) == 4
+        assert PERFECT_NETWORK.walk_hops(None, ("w",), 0) == 0
+
 
 class TestDegenerateUnreliable:
     def test_zero_knobs_behave_like_perfect(self):
         world = line_world(0.0, 5.0, 50.0)
         net = UnreliableNetwork(seed=3)
-        assert not net.lossy
         assert net.neighbor_table(world) == world.neighbor_table()
         assert net.neighbors(world).rows([1]) == world.neighbor_snapshot().rows([1])
         assert net.exchange(world, ("x",), 5) == (True, 1)

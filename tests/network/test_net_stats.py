@@ -41,13 +41,6 @@ def test_perfect_counters_unchanged():
     assert list(stats.to_counters()) == ["messages.invitation", "messages.total"]
 
 
-def test_merge_carries_net_counts():
-    merged = degraded_stats().merge(degraded_stats())
-    assert merged.net_counts["dropped"] == 6
-    assert merged.net_counts["retries"] == 4
-    assert merged.total() == 26
-
-
 def test_net_counter_keys_are_the_schema():
     assert NET_COUNTER_KEYS == (
         "dropped",

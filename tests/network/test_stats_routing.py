@@ -5,7 +5,6 @@ import pytest
 from repro.network import (
     BASE_STATION_ID,
     ConnectivityTree,
-    Message,
     MessageStats,
     MessageType,
     RoutingCostModel,
@@ -21,12 +20,6 @@ def chain_tree(depth: int) -> ConnectivityTree:
 
 
 class TestMessageStats:
-    def test_record_message_cost(self):
-        stats = MessageStats()
-        stats.record(Message(MessageType.INVITATION, source=1, hops=5))
-        assert stats.total() == 5
-        assert stats.counts[MessageType.INVITATION] == 5
-
     def test_record_transmissions(self):
         stats = MessageStats()
         stats.record_transmissions(MessageType.COVERAGE_QUERY, 7)
@@ -36,13 +29,6 @@ class TestMessageStats:
         stats = MessageStats()
         with pytest.raises(ValueError):
             stats.record_transmissions(MessageType.COVERAGE_QUERY, -1)
-
-    def test_merge(self):
-        a, b = MessageStats(), MessageStats()
-        a.record_transmissions(MessageType.INVITATION, 3)
-        b.record_transmissions(MessageType.INVITATION, 4)
-        merged = a.merge(b)
-        assert merged.total() == 7
 
     def test_by_type_breakdown(self):
         stats = MessageStats()

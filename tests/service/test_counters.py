@@ -5,7 +5,7 @@ import json
 from repro.network.messages import MessageType
 from repro.network.stats import MessageStats
 from repro.service import RunStore
-from repro.service.service import ServiceMetrics
+from repro.service import ServiceMetrics
 from repro.service.store import SERVICE_COUNTERS_FILENAME
 
 
