@@ -5,9 +5,11 @@ so that a run is a pure function of its spec:
 
 * :func:`derive_seed` / :func:`spawn_seeds` give sweeps one independent
   seed per repetition (Fig 13's 300 random-obstacle deployments, for
-  instance), and :func:`derive_rng` gives the fault injector and the
-  unreliable network model one private stream per event or message.  The
-  derivation is a blake2b hash of the base seed and the child's key
+  instance), :func:`derive_rng` gives the fault injector one private
+  stream per event (it draws many values from each), and
+  :func:`derive_uniform` gives the unreliable network model the one
+  uniform number each delivery needs, with no generator to seed.  All
+  three read the same blake2b hash of the base seed and the child's key
   tuple, stable across processes, platforms and ``PYTHONHASHSEED``
   settings, so a run sharded over worker processes produces records
   identical to the serial run.
@@ -24,7 +26,14 @@ import hashlib
 import random
 from typing import Any, List, Mapping, Sequence, Tuple, Union
 
-__all__ = ["Params", "derive_seed", "derive_rng", "spawn_seeds", "freeze_params"]
+__all__ = [
+    "Params",
+    "derive_seed",
+    "derive_rng",
+    "derive_uniform",
+    "spawn_seeds",
+    "freeze_params",
+]
 
 #: Frozen parameter mapping: a sorted tuple of ``(key, value)`` pairs with
 #: JSON-primitive values, hashable and order-independent.
@@ -38,15 +47,33 @@ def derive_seed(base_seed: int, *keys) -> int:
     (a repetition index, an axis label, ...).  Distinct key tuples yield
     independent-looking seeds; the same tuple always yields the same seed.
     """
-    digest = hashlib.blake2b(
-        repr((int(base_seed),) + tuple(keys)).encode("utf-8"), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big") >> 33
+    return _digest(base_seed, keys) >> 33
 
 
 def derive_rng(base_seed: int, *keys) -> random.Random:
     """The private random stream seeded by :func:`derive_seed`."""
     return random.Random(derive_seed(base_seed, *keys))
+
+
+def derive_uniform(base_seed: int, *keys) -> float:
+    """A uniform float in ``[0, 1)`` derived from ``base_seed`` and ``keys``.
+
+    The top 53 bits of the :func:`derive_seed` digest, scaled like
+    ``random.random()``: one hash per number, for callers that need a
+    single draw per key.
+    """
+    return (_digest(base_seed, keys) >> 11) * _TWO_TO_MINUS_53
+
+
+_TWO_TO_MINUS_53 = 2.0 ** -53
+
+
+def _digest(base_seed: int, keys: tuple) -> int:
+    """The 64-bit blake2b digest of ``(base_seed, *keys)``'s repr."""
+    digest = hashlib.blake2b(
+        repr((int(base_seed),) + keys).encode("utf-8"), digest_size=8
+    ).digest()
+    return int.from_bytes(digest, "big")
 
 
 def spawn_seeds(base_seed: int, count: int) -> List[int]:

@@ -18,16 +18,20 @@ the existing ``network/`` interfaces:
     schemes act on aged positions — the ``position_update_interval``
     idiom).
 
-Determinism contract: every random draw is made on a private
-``random.Random`` derived via blake2b from ``(seed, period, message key)``
-(:func:`repro.determinism.derive_rng`, which also seeds the fault
-injector's per-event streams) — never
-from a shared stream.  Two consequences:
+Determinism contract: every delivery takes exactly one uniform draw,
+the blake2b hash of ``(seed, period, "exchange" | "walk", message key)``
+read as a float (:func:`repro.determinism.derive_uniform`) — never a
+value from a shared stream.  ``exchange`` reads its number of failed
+attempts, and ``walk_hops`` its number of surviving hops, off the
+geometric distribution by inverting its tail: ``int(log1p(-u) /
+log1p(-p))`` counts the leading events of probability ``p``.  Two
+consequences:
 
 * the world RNG (``world.rng``) is never touched, so enabling the
   unreliable model does not perturb scheme-side draws, and
-* outcomes are independent of evaluation order, so sweeps parallelised
-  over jobs produce identical results to serial runs.
+* each outcome is a pure function of its key, independent of evaluation
+  order, so sweeps parallelised over jobs produce identical results to
+  serial runs.
 
 Condition events are recorded through ``MessageStats.record_net`` under
 the dotted keys in :data:`~repro.network.messages.NET_COUNTER_KEYS` and
@@ -36,11 +40,11 @@ surface as ``net.*`` telemetry counters.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from math import inf, log1p
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..determinism import derive_rng
+from ..determinism import derive_uniform
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..spatial import NeighborSnapshot
@@ -57,7 +61,9 @@ __all__ = [
 #: Version of the serialized :class:`NetworkSpec` payload.  Hashed into the
 #: run fingerprint whenever a non-structural spec is attached (structural
 #: specs are omitted entirely so default fingerprints never move).
-NETWORK_SCHEMA_VERSION = 1
+#: Version 2: one geometric draw per delivery (version 1 records drew
+#: per attempt and per hop from a seeded ``random.Random``).
+NETWORK_SCHEMA_VERSION = 2
 
 _MODELS = ("perfect", "unreliable")
 
@@ -73,11 +79,9 @@ class NetworkModel:
 
     ``exchange`` is the timeout/retry primitive: one call models a
     round-trip whose ``critical_transmissions`` sends must *all* arrive
-    for the round-trip to count as delivered.  Retries retransmit (the
-    optional ``retry_charge`` callback lets the caller charge the repeat
-    cost to :class:`~repro.network.stats.MessageStats`), back off
-    exponentially, and give up after the delivery budget is exhausted —
-    callers then abort to their safe state.
+    for the round-trip to count as delivered.  Retries retransmit, back
+    off exponentially, and give up after the delivery budget is
+    exhausted — callers then abort to their safe state.
     """
 
     #: Per-hop delivery latency in whole periods (0 = instantaneous).
@@ -108,11 +112,7 @@ class NetworkModel:
     # Delivery
     # ------------------------------------------------------------------
     def exchange(
-        self,
-        world,
-        key: Tuple,
-        critical_transmissions: int = 1,
-        retry_charge: Optional[Callable[[], None]] = None,
+        self, world, key: Tuple, critical_transmissions: int = 1
     ) -> Tuple[bool, int]:
         """Attempt a protocol round-trip; returns ``(delivered, attempts)``.
 
@@ -139,7 +139,7 @@ class UnreliableNetwork(NetworkModel):
     Parameters
     ----------
     seed:
-        Base seed for the per-message blake2b streams (normally the
+        Base seed for the per-delivery blake2b draws (normally the
         scenario seed, threaded through ``NetworkSpec.build``).
     loss:
         Per-transmission drop probability in ``[0, 1)``.  An exchange
@@ -187,10 +187,6 @@ class UnreliableNetwork(NetworkModel):
         self._snapshot: Optional["NeighborSnapshot"] = None
 
     # ------------------------------------------------------------------
-    def _rng(self, world, key: Tuple) -> random.Random:
-        return derive_rng(self.seed, int(world.period_index), *key)
-
-    # ------------------------------------------------------------------
     # Neighbour state (staleness)
     # ------------------------------------------------------------------
     def neighbors(self, world) -> "NeighborSnapshot":
@@ -218,47 +214,44 @@ class UnreliableNetwork(NetworkModel):
     # Delivery (loss / retry / timeout)
     # ------------------------------------------------------------------
     def exchange(
-        self,
-        world,
-        key: Tuple,
-        critical_transmissions: int = 1,
-        retry_charge: Optional[Callable[[], None]] = None,
+        self, world, key: Tuple, critical_transmissions: int = 1
     ) -> Tuple[bool, int]:
         if not self.lossy:
             return True, 1
-        rng = self._rng(world, ("exchange",) + tuple(key))
-        success_probability = (1.0 - self.loss) ** max(
-            1, int(critical_transmissions)
-        )
         budget = self.retry_limit + 1
-        backoff = 1
-        for attempt in range(1, budget + 1):
-            if attempt > 1 and retry_charge is not None:
-                retry_charge()
-            if rng.random() < success_probability:
-                if attempt > 1:
-                    world.stats.record_net("retries", attempt - 1)
-                return True, attempt
-            world.stats.record_net("dropped")
-            if attempt < budget:
-                # Exponential backoff before the retransmission; recorded
-                # in periods of accumulated delay.
-                world.stats.record_net("delayed", backoff)
-                backoff *= 2
-        world.stats.record_net("retries", budget - 1)
-        world.stats.record_net("timeouts")
-        return False, budget
+        success = (1.0 - self.loss) ** max(1, int(critical_transmissions))
+        if 0.0 < success < 1.0:
+            u = derive_uniform(
+                self.seed, int(world.period_index), "exchange", *key
+            )
+            failures = log1p(-u) / log1p(-success)
+        else:
+            # Underflow to 0.0 never gets through; a loss below float
+            # precision (success rounds to 1.0) never drops.
+            failures = 0.0 if success else inf
+        timed_out = failures >= budget
+        attempts = budget if timed_out else int(failures) + 1
+        # Each failed attempt is one drop; each resend waits an
+        # exponential backoff of 1, 2, 4, ... periods first.
+        world.stats.record_net("dropped", budget if timed_out else attempts - 1)
+        world.stats.record_net("delayed", (1 << (attempts - 1)) - 1)
+        world.stats.record_net("retries", attempts - 1)
+        if timed_out:
+            world.stats.record_net("timeouts")
+            return False, budget
+        return True, attempts
 
     def walk_hops(self, world, key: Tuple, ttl: int) -> int:
         ttl = max(0, int(ttl))
         if not self.lossy or ttl == 0:
             return ttl
-        rng = self._rng(world, ("walk",) + tuple(key))
-        for hop in range(ttl):
-            if rng.random() < self.loss:
-                world.stats.record_net("dropped")
-                return hop
-        return ttl
+        u = derive_uniform(self.seed, int(world.period_index), "walk", *key)
+        hops = log1p(-u) / log1p(-self.loss)
+        if hops >= ttl:
+            return ttl
+        # The walk stops at its first dropped hop.
+        world.stats.record_net("dropped")
+        return int(hops)
 
 
 @dataclass(frozen=True)

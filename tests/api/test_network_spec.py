@@ -78,6 +78,27 @@ class TestFingerprint:
             != degraded
         )
 
+    def test_network_schema_version_moves_only_degraded_fingerprints(
+        self, monkeypatch
+    ):
+        """A lossy record drawn under another network schema is another
+        cell; structural specs carry no network section, so the pinned
+        default digest stays put."""
+        import repro.api.specs as specs_module
+
+        degraded = small_spec(network=DEGRADED).fingerprint()
+        monkeypatch.setattr(
+            specs_module,
+            "NETWORK_SCHEMA_VERSION",
+            specs_module.NETWORK_SCHEMA_VERSION - 1,
+        )
+        assert small_spec(network=DEGRADED).fingerprint() != degraded
+        assert (
+            small_spec().fingerprint()
+            == small_spec(network=NetworkSpec()).fingerprint()
+            == "151028ed21247f3a27520b7bde4233bb64a7597e"
+        )
+
     def test_retry_limit_is_identity_when_degraded(self):
         a = small_spec(
             network=NetworkSpec(model="unreliable", loss=0.1, retry_limit=1)

@@ -47,12 +47,12 @@ GOLDEN = {
         "4d76d752daf82826e721c93e6526693e"
     ),
     ("CPVF", "churn-lossy"): (
-        "bfc8ce2fea10810b3dcf0dac9454a671"
-        "9bbc36dc0f57d4d8cb91bf02903855bf"
+        "ca70f5d95c341985efcff698bcbb0666"
+        "374e8ff14533403ca782aa4a07748742"
     ),
     ("FLOOR", "churn-lossy"): (
-        "64578fca17b4bf831ee940c6a3551f5f"
-        "6a822dc818c3a250b421078ceca55add"
+        "57000cae6994a24ac2172437d66acc25"
+        "8e2bed50be14e4734fcab1c90f6226ad"
     ),
 }
 

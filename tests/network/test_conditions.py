@@ -1,7 +1,11 @@
 """Tests for the pluggable network-condition models."""
 
+from collections import Counter
+
 import pytest
 
+import repro.network.conditions as conditions
+from repro.api import RunSpec, ScenarioSpec, execute_run
 from repro.field import Field
 from repro.geometry import Vec2
 from repro.network import (
@@ -177,20 +181,6 @@ class TestExchange:
         else:
             pytest.fail("no retried success observed at 60% loss")
 
-    def test_retry_charge_called_once_per_retry(self):
-        net = UnreliableNetwork(seed=5, loss=0.6, retry_limit=3)
-        for i in range(200):
-            world = FakeWorld()
-            charges = []
-            delivered, attempts = net.exchange(
-                world, ("m", i), retry_charge=lambda: charges.append(1)
-            )
-            if attempts > 1:
-                assert len(charges) == attempts - 1
-                break
-        else:
-            pytest.fail("no retry observed at 60% loss")
-
     def test_wider_critical_path_fails_more(self):
         net = UnreliableNetwork(seed=2, loss=0.2, retry_limit=0)
         narrow = sum(
@@ -218,6 +208,118 @@ class TestWalkHops:
         hops = net.walk_hops(world, ("walk", 0), 8)
         if hops < 8:
             assert world.stats.net_counts["dropped"] == 1
+
+
+class TestGeometricDraw:
+    """One draw per delivery, read off the geometric distribution."""
+
+    KEYS = 20_000
+
+    def test_exchange_outcomes_match_the_geometric_law(self):
+        loss, critical, retry_limit = 0.3, 2, 3
+        net = UnreliableNetwork(seed=4, loss=loss, retry_limit=retry_limit)
+        world = FakeWorld()
+        outcomes = Counter(
+            net.exchange(world, ("m", i), critical) for i in range(self.KEYS)
+        )
+        success = (1.0 - loss) ** critical
+        budget = retry_limit + 1
+        expected = {
+            (True, a): (1.0 - success) ** (a - 1) * success
+            for a in range(1, budget + 1)
+        }
+        expected[False, budget] = (1.0 - success) ** budget
+        assert set(outcomes) <= set(expected)
+        for outcome, probability in expected.items():
+            assert abs(outcomes[outcome] / self.KEYS - probability) < 0.01
+        # The per-attempt accounting: every failed attempt is a drop, every
+        # resend a retry after a backoff of 1, 2, 4, ... periods.
+        counts = world.stats.net_counts
+        timeouts = outcomes[False, budget]
+        assert counts["timeouts"] == timeouts
+        assert counts["dropped"] == timeouts * budget + sum(
+            n * (a - 1) for (ok, a), n in outcomes.items() if ok
+        )
+        assert counts["retries"] == sum(n * (a - 1) for (_, a), n in outcomes.items())
+        assert counts["delayed"] == sum(
+            n * (2 ** (a - 1) - 1) for (_, a), n in outcomes.items()
+        )
+
+    def test_walk_hops_match_the_geometric_law(self):
+        loss, ttl = 0.2, 6
+        net = UnreliableNetwork(seed=4, loss=loss)
+        world = FakeWorld()
+        hops = Counter(
+            net.walk_hops(world, ("walk", i), ttl) for i in range(self.KEYS)
+        )
+        expected = {h: (1.0 - loss) ** h * loss for h in range(ttl)}
+        expected[ttl] = (1.0 - loss) ** ttl
+        assert set(hops) <= set(expected)
+        for h, probability in expected.items():
+            assert abs(hops[h] / self.KEYS - probability) < 0.01
+        # Only a truncated walk records its one dropped hop.
+        assert world.stats.net_counts["dropped"] == self.KEYS - hops[ttl]
+
+    def test_underflowing_success_times_out(self):
+        net = UnreliableNetwork(seed=1, loss=0.9, retry_limit=2)
+        assert (1.0 - 0.9) ** 400 == 0.0
+        world = FakeWorld()
+        assert net.exchange(world, ("m",), 400) == (False, 3)
+        assert world.stats.net_counts["timeouts"] == 1
+        assert world.stats.net_counts["dropped"] == 3
+
+    def test_one_draw_per_delivery(self, monkeypatch):
+        keys = []
+
+        def counting(seed, *key):
+            keys.append(key)
+            return 0.5
+
+        monkeypatch.setattr(conditions, "derive_uniform", counting)
+        net = UnreliableNetwork(seed=1, loss=0.5, retry_limit=5)
+        world = FakeWorld()
+        world.period_index = 7
+        net.exchange(world, ("m", 1), 3)
+        net.walk_hops(world, ("w", 2), 9)
+        assert keys == [(7, "exchange", "m", 1), (7, "walk", "w", 2)]
+
+
+def _small_run(scheme, network):
+    scenario = ScenarioSpec(
+        field_size=300.0,
+        sensor_count=12,
+        duration=20.0,
+        coverage_resolution=15.0,
+        seed=2,
+    )
+    return execute_run(RunSpec(scenario, scheme, network=network, profile=True))
+
+
+@pytest.mark.parametrize("scheme", ["CPVF", "FLOOR"])
+@pytest.mark.parametrize(
+    "network",
+    [None, NetworkSpec("unreliable", latency=1, staleness=5)],
+    ids=["perfect", "loss-free-unreliable"],
+)
+def test_loss_free_runs_never_draw(monkeypatch, scheme, network):
+    def no_draw(*args):
+        raise AssertionError("a loss-free delivery drew a number")
+
+    monkeypatch.setattr(conditions, "derive_uniform", no_draw)
+    _small_run(scheme, network)
+
+
+@pytest.mark.parametrize("scheme", ["CPVF", "FLOOR"])
+def test_lossy_runs_draw(monkeypatch, scheme):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return 0.5
+
+    monkeypatch.setattr(conditions, "derive_uniform", counting)
+    _small_run(scheme, NetworkSpec("unreliable", loss=0.1))
+    assert calls
 
 
 class TestStaleness:
