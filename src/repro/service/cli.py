@@ -80,12 +80,15 @@ def _cmd_submit(args: argparse.Namespace) -> int:
             f"{time.perf_counter() - started:6.2f}s {spec.fingerprint()[:12]}"
         )
 
-    records = runner.run(sweep, on_cell=None if args.quiet else progress)
+    try:
+        records = runner.run(sweep, on_cell=None if args.quiet else progress)
+    finally:
+        if store is not None:
+            # Accumulate into the store's sidecar so a later ``stats
+            # --json`` reports service totals in the shared schema, the
+            # cells of a sweep that raised (computed and failed) included.
+            store.merge_service_counters(runner.metrics.to_counters())
     metrics = runner.metrics
-    if store is not None:
-        # Accumulate into the store's sidecar so a later
-        # ``stats --json`` reports service totals in the shared schema.
-        store.merge_service_counters(metrics.to_counters())
     print(
         f"{sweep.name}: {len(records)} records — "
         f"{metrics.store_hits} store hits, "

@@ -1,10 +1,14 @@
 """``python -m repro.service`` submit / status / stats / gc."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from repro.api import ScenarioSpec, SweepSpec, execute_run
+from repro.api import RunSpec, ScenarioSpec, SweepSpec, execute_run
 from repro.service import RunStore
 from repro.service.cli import main
 
@@ -129,6 +133,31 @@ class TestMaintenance:
         stats = json.loads(capsys.readouterr().out)
         assert stats["entries"] == 2
         assert stats["stale_entries"] == 0
+
+    def test_failing_submit_still_records_its_counters(self, tmp_path, capsys):
+        good = tiny_sweep().runs[0]
+        bad = RunSpec(good.scenario, "VOR", scheme_params={"bogus": 1})
+        sweep_path = tmp_path / "mixed.json"
+        sweep_path.write_text(
+            json.dumps(SweepSpec("mixed", (good, bad)).to_dict())
+        )
+        store_dir = tmp_path / "store"
+        src = Path(__file__).resolve().parents[2] / "src"
+        submit = subprocess.run(
+            [sys.executable, "-m", "repro.service", "submit",
+             str(sweep_path), "--store", str(store_dir), "--quiet"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert submit.returncode != 0
+        assert "unknown VOR scheme parameters" in submit.stderr
+        assert main(["stats", "--store", str(store_dir), "--json"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats["entries"] == 1
+        assert stats["counters"]["service.computed"] == 1
+        assert stats["counters"]["service.failed"] == 1
 
     def test_gc_dry_run_then_real(self, tmp_path, sweep_file, capsys):
         store_dir = tmp_path / "store"
