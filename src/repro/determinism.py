@@ -62,10 +62,7 @@ def derive_uniform(base_seed: int, *keys) -> float:
     ``random.random()``: one hash per number, for callers that need a
     single draw per key.
     """
-    return (_digest(base_seed, keys) >> 11) * _TWO_TO_MINUS_53
-
-
-_TWO_TO_MINUS_53 = 2.0 ** -53
+    return (_digest(base_seed, keys) >> 11) * 2.0 ** -53
 
 
 def _digest(base_seed: int, keys: tuple) -> int:

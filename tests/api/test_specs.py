@@ -155,6 +155,16 @@ class TestSeedDerivation:
         assert derive_seed(1, 0) != derive_seed(2, 0)
         assert derive_seed(1, 0, "obstacles") != derive_seed(1, 0)
 
+    def test_derive_uniform_reads_the_derive_seed_digest(self):
+        from repro.determinism import derive_uniform
+
+        for keys in [(0,), (3, "exchange", "cpvf.lock", 17), ("walk", 2)]:
+            u = derive_uniform(5, *keys)
+            assert 0.0 <= u < 1.0
+            # The seed is the digest's top 31 bits, the float its top 53.
+            assert int(u * 2**31) == derive_seed(5, *keys)
+        assert derive_uniform(5, 0) != derive_uniform(5, 1)
+
     def test_spawn_seeds(self):
         seeds = spawn_seeds(7, 100)
         assert len(seeds) == 100

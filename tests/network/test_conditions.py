@@ -268,6 +268,13 @@ class TestGeometricDraw:
         assert world.stats.net_counts["timeouts"] == 1
         assert world.stats.net_counts["dropped"] == 3
 
+    def test_loss_below_float_precision_always_delivers(self):
+        net = UnreliableNetwork(seed=1, loss=1e-17)
+        assert (1.0 - 1e-17) == 1.0
+        world = FakeWorld()
+        assert net.exchange(world, ("m",), 3) == (True, 1)
+        assert world.stats.net_counts == {}
+
     def test_one_draw_per_delivery(self, monkeypatch):
         keys = []
 
