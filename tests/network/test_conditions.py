@@ -299,7 +299,7 @@ def _small_run(scheme, network):
         coverage_resolution=15.0,
         seed=2,
     )
-    return execute_run(RunSpec(scenario, scheme, network=network, profile=True))
+    return execute_run(RunSpec(scenario, scheme, network=network))
 
 
 @pytest.mark.parametrize("scheme", ["CPVF", "FLOOR"])
