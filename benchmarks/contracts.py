@@ -432,8 +432,9 @@ def _counter_bounds(prefix: str) -> Callable[..., Verdict]:
     The deployment is deterministic, so the count is exactly the
     committed one unless the code changed: more expansion recomputations
     mean the planner's memo lost precision, more neighbour-table builds
-    mean a caller went back to building every row to read a few, whatever
-    the wall time says.
+    mean a caller went back to building every row to read a few (FLOOR)
+    or built a table more than once per layout (CPVF), whatever the wall
+    time says.
     """
 
     def check(m, committed) -> Verdict:
@@ -648,6 +649,9 @@ CONTRACTS: Tuple[Contract, ...] = (
     Contract("neighbors.table_builds", "obstacle_floor",
              _counter_bounds("neighbors.table_builds"),
              committed=Committed("obstacle_floor", "counters")),
+    Contract("neighbors.cpvf_table_builds", "obstacle_cpvf",
+             _counter_bounds("neighbors.table_builds"),
+             committed=Committed("obstacle_cpvf", "counters")),
     Contract("perf.churn_cpvf", "churn_cpvf",
              _wall_budget("churn-lossy CPVF deployment"),
              committed=Committed("churn_cpvf", "wall_ms")),

@@ -15,8 +15,9 @@ counters and the final coverage, all exact.  A change meant to keep
 behaviour identical must leave every line unchanged: save the list at
 the parent commit and ``--check`` it after the change.  ``--check``
 prints the differing lines and exits 1 on any difference.  The seed-1
-list is committed as ``benchmarks/fingerprints_seed1.txt`` and CI checks
-against it; a change meant to alter behaviour re-pins it.
+and seed-2 lists are committed as ``benchmarks/fingerprints_seed1.txt``
+and ``benchmarks/fingerprints_seed2.txt`` and CI checks against both; a
+change meant to alter behaviour re-pins them.
 """
 
 from __future__ import annotations

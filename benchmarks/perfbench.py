@@ -608,7 +608,10 @@ def measure_degraded_coverage(
 #: (100 of the figures' 250, like e2ebench's ``paper-obstacle`` workload).
 OBSTACLE_PERIODS = 100
 #: Phases the ``obstacle_cpvf`` row breaks the wall time into.
-OBSTACLE_CPVF_PHASES = ("cpvf.forces", "cpvf.moves")
+OBSTACLE_CPVF_PHASES = ("cpvf.table", "cpvf.forces", "cpvf.moves")
+#: Counters of the ``obstacle_cpvf`` row: the whole neighbour tables
+#: built (one per period whose layout changed).
+OBSTACLE_CPVF_COUNTERS = ("neighbors.table_builds",)
 #: Phases the ``obstacle_floor`` row breaks the wall time into.
 OBSTACLE_FLOOR_PHASES = (
     "floor.expansion_points",
@@ -633,7 +636,7 @@ OBSTACLE_FLOOR_COUNTERS = (
 CHURN_SCRIPTS = ("interior-cascade", "reinforcements")
 #: Phases the ``churn_cpvf`` row breaks the wall time into
 #: (``cpvf.repair`` is the parent-change share of ``cpvf.moves``).
-CHURN_CPVF_PHASES = ("cpvf.forces", "cpvf.moves", "cpvf.repair")
+CHURN_CPVF_PHASES = ("cpvf.table", "cpvf.forces", "cpvf.moves", "cpvf.repair")
 #: Counters of the ``churn_cpvf`` row: parent-change attempts, the ones
 #: that found a parent, and the lock handshakes the lossy network timed
 #: out.
@@ -693,9 +696,15 @@ def _obstacle_scenario(seed: int):
 
 def measure_obstacle_cpvf(seed: int = 1, runs: int = 5) -> Dict[str, object]:
     """Wall time of one CPVF deployment on the paper's two-obstacle field,
-    with its :data:`OBSTACLE_CPVF_PHASES` span totals."""
+    with its :data:`OBSTACLE_CPVF_PHASES` span totals and
+    :data:`OBSTACLE_CPVF_COUNTERS`."""
     return _measure_deployment(
-        _obstacle_scenario(seed), None, "CPVF", OBSTACLE_CPVF_PHASES, runs
+        _obstacle_scenario(seed),
+        None,
+        "CPVF",
+        OBSTACLE_CPVF_PHASES,
+        runs,
+        OBSTACLE_CPVF_COUNTERS,
     )
 
 

@@ -37,7 +37,7 @@ _DEDUP = {"computed": 3, "inflight_hits": 1, "records_equal": True}
 _KILL = {"partial": 2, "store": None, "computed": 4, "store_hits": 2,
          "records_equal": True}
 _GC = {"entries": 6, "removed_files": 2, "kept_entries": 6, "surviving": 6}
-_OBSTACLE_CPVF = {"wall_ms": 250.0}
+_OBSTACLE_CPVF = {"wall_ms": 250.0, "counters": {"neighbors.table_builds": 90}}
 _OBSTACLE_FLOOR = {
     "wall_ms": 500.0,
     "counters": {
@@ -73,7 +73,11 @@ GOOD = {
 BENCH = {
     "cpvf_period": [{"n": 100, "fast_ms": 1.0}, {"n": 500, "fast_ms": 10.0}],
     "telemetry_overhead": [{"n": 2000, "overhead_pct": 0.2}],
-    "obstacle_cpvf": [{"n": 70, "wall_ms": 100.0}],
+    "obstacle_cpvf": [{
+        "n": 70,
+        "wall_ms": 100.0,
+        "counters": {"neighbors.table_builds": 90},
+    }],
     "obstacle_floor": [{
         "n": 70,
         "wall_ms": 200.0,
@@ -117,6 +121,9 @@ DOCTORED = {
     ),
     "neighbors.table_builds": (
         ("obstacle_floor", "counters", "neighbors.table_builds"), 3,
+    ),
+    "neighbors.cpvf_table_builds": (
+        ("obstacle_cpvf", "counters", "neighbors.table_builds"), 91,
     ),
     "perf.churn_cpvf": (("churn_cpvf", "wall_ms"), 901.0),
     "perf.lifecycle_recovery": (("lifecycle_recovery", 1, "run_ms"), 1501.0),
@@ -246,6 +253,23 @@ def test_table_builds_fail_without_a_committed_count(run):
     bench = _with(BENCH, ("obstacle_floor", 0, "counters"), counters)
     assert run("neighbors.table_builds", bench=bench) == 1
     assert run("floor.expansion_recomputes", bench=bench) == 0
+
+
+def test_cpvf_table_builds_fail_without_a_committed_count(run):
+    # A committed obstacle_cpvf row with no counters (the row predating
+    # them) fails instead of passing vacuously, and only this contract.
+    row = dict(BENCH["obstacle_cpvf"][0])
+    row["counters"] = {}
+    bench = _with(BENCH, ("obstacle_cpvf", 0), row)
+    assert run("neighbors.cpvf_table_builds", bench=bench) == 1
+    assert run("perf.obstacle_cpvf", bench=bench) == 0
+
+
+def test_cpvf_table_builds_read_the_cpvf_row(run):
+    # The CPVF bound is the obstacle_cpvf row's count, not FLOOR's.
+    injected = _with(GOOD, ("obstacle_floor", "counters", "neighbors.table_builds"), 50)
+    assert run("neighbors.cpvf_table_builds", injected=injected) == 0
+    assert run("neighbors.table_builds", injected=injected) == 1
 
 
 def test_crash_inside_a_check_fails(run):

@@ -39,9 +39,6 @@ from .virtual_force import VirtualForceModel
 
 __all__ = ["CPVFScheme"]
 
-#: Shared zero direction (Vec2 is immutable, so one instance is safe).
-_ZERO_VEC = Vec2(0.0, 0.0)
-
 
 class _PeriodSnapshot:
     """Float positions and connectivity of the sensors in one CPVF period.
@@ -163,7 +160,8 @@ class CPVFScheme(DeploymentScheme):
         # live pass-through by default, aged under staleness); physics —
         # coverage, connectivity, the step ladder's link positions — stays
         # live.
-        table = world.protocol_neighbor_table()
+        with world.telemetry.span("cpvf.table"):
+            table = world.protocol_neighbor_table()
         attach_reachable(
             world, table, world.config.communication_range, self._lazy
         )
@@ -198,8 +196,9 @@ class CPVFScheme(DeploymentScheme):
         world: World,
         snapshot: _PeriodSnapshot,
         table: Dict[int, List[int]],
-    ) -> Dict[int, Vec2]:
-        """Resultant force directions for all connected sensors at once.
+    ) -> Dict[int, Tuple[float, float]]:
+        """Resultant force directions ``(x, y)`` for all connected
+        sensors at once: a unit vector, or ``(0.0, 0.0)`` at equilibrium.
 
         Pairwise sensor repulsion is evaluated in one numpy batch over the
         packed neighbour lists; the (cheap, per-sensor) obstacle and
@@ -222,7 +221,7 @@ class CPVFScheme(DeploymentScheme):
         )
         sum_x = sum_x.tolist()
         sum_y = sum_y.tolist()
-        directions: Dict[int, Vec2] = {}
+        directions: Dict[int, Tuple[float, float]] = {}
         field = world.field
         has_obstacles = bool(field.obstacles)
         width, height = field.width, field.height
@@ -232,7 +231,7 @@ class CPVFScheme(DeploymentScheme):
             total_x, total_y = sum_x[sid], sum_y[sid]
             if has_obstacles:
                 obstacle_x, obstacle_y = force_from_obstacles(
-                    Vec2(xs[sid], ys[sid]), field
+                    xs[sid], ys[sid], field
                 )
                 total_x += obstacle_x
                 total_y += obstacle_y
@@ -244,14 +243,22 @@ class CPVFScheme(DeploymentScheme):
                 total_y += wall_y
             norm = math.hypot(total_x, total_y)
             if norm <= EPS:
-                directions[sid] = _ZERO_VEC
+                directions[sid] = (0.0, 0.0)
             else:
-                directions[sid] = Vec2(total_x / norm, total_y / norm)
+                directions[sid] = (total_x / norm, total_y / norm)
         return directions
 
     def _apply_virtual_forces(
         self, world: World, table: Dict[int, List[int]]
     ) -> None:
+        """One force-directed move per connected sensor.
+
+        Per sensor: the step ladder against its live tree links, a parent
+        change when the ladder is blocked, the step clipped to free
+        space, then oscillation avoidance; a move that survives is
+        committed (one ``Vec2``) and written back to the snapshot.
+        """
+        assert self._avoidance is not None
         snapshot = _PeriodSnapshot(world)
         if not snapshot.connected_ids:
             return
@@ -262,7 +269,11 @@ class CPVFScheme(DeploymentScheme):
         max_step = config.max_step
         rc = config.communication_range
         allow_parent_change = self._allow_parent_change
+        should_cancel = self._avoidance.should_cancel
+        pending_locks = self._pending_locks
         sensors = world.sensors
+        field = world.field
+        base = world.base_station
         xs, ys = snapshot.xs, snapshot.ys
         # Each required link costs one state-exchange message before the
         # step-size decision (Section 4.2); charged once for the period.
@@ -270,62 +281,53 @@ class CPVFScheme(DeploymentScheme):
         with tel.span("cpvf.moves"):
             for sid in snapshot.connected_ids:
                 sensor = sensors[sid]
-                direction = directions[sid]
-                if direction.x == 0.0 and direction.y == 0.0:
+                dir_x, dir_y = directions[sid]
+                if dir_x == 0.0 and dir_y == 0.0:
                     sensor.previous_position = sensor.motion.position
                     continue
-                links = self._tree_link_positions(world, sid, snapshot)
+                parent, children = self._link_node_ids(world, sid)
+                links = [(xs[child], ys[child]) for child in children]
+                if parent == BASE_STATION_ID:
+                    links.insert(0, (base.x, base.y))
+                elif parent is not None:
+                    links.insert(0, (xs[parent], ys[parent]))
                 link_messages += len(links)
+                px, py = xs[sid], ys[sid]
                 step = max_valid_step_points(
-                    xs[sid], ys[sid], direction.x, direction.y, max_step, links, rc
+                    px, py, dir_x, dir_y, max_step, links, rc
                 )
                 if step <= 0.0 and allow_parent_change:
                     if tel.enabled:
                         tel.count("cpvf.repair_attempts", 1)
                     with tel.span("cpvf.repair"):
                         step = self._try_parent_change(
-                            world, sensor, direction, table, snapshot
+                            world, sensor, dir_x, dir_y, table, snapshot
                         )
                 if step <= 0.0:
                     sensor.previous_position = sensor.motion.position
                     continue
-                moved_to = self._finish_move(world, sensor, direction, step)
-                if moved_to is not None:
-                    xs[sid] = moved_to.x
-                    ys[sid] = moved_to.y
+                # A sensor that found a way to move no longer needs the
+                # lock grant it was waiting for; drop it so a later block
+                # starts a fresh handshake instead of consuming a stale
+                # grant.
+                pending_locks.pop(sid, None)
+                # Respect obstacles and the field boundary.
+                step = field.max_free_travel(px, py, dir_x, dir_y, step)
+                # `position + direction.normalized() * step` on floats.
+                dir_norm = math.hypot(dir_x, dir_y)
+                end = Vec2(
+                    px + (dir_x / dir_norm) * step, py + (dir_y / dir_norm) * step
+                )
+                position = sensor.motion.position
+                previous = sensor.previous_position
+                sensor.previous_position = position
+                if should_cancel(step, position, end, previous):
+                    continue
+                sensor.motion.move_to(end)
+                xs[sid] = end.x
+                ys[sid] = end.y
         if link_messages:
             world.routing.record_one_hop(MessageType.NEIGHBOR_STATE, link_messages)
-
-    def _finish_move(
-        self, world: World, sensor: Sensor, direction: Vec2, step: float
-    ) -> Optional[Vec2]:
-        """Clip a validated step to free space, apply oscillation
-        avoidance, and commit the move.  Returns the new position, or
-        ``None`` when the move was cancelled."""
-        assert self._avoidance is not None
-        # A sensor that found a way to move no longer needs the lock grant
-        # it was waiting for; drop it so a later block starts a fresh
-        # handshake instead of consuming a stale grant.
-        self._pending_locks.pop(sensor.sensor_id, None)
-        position = sensor.motion.position
-        # Respect obstacles and the field boundary.
-        step = world.field.max_free_travel(position, direction, step)
-        # Inlined `position + direction.normalized() * step`.
-        dir_x, dir_y = direction.x, direction.y
-        dir_norm = math.hypot(dir_x, dir_y)
-        if dir_norm <= EPS:
-            planned_end = position
-        else:
-            planned_end = Vec2(
-                position.x + (dir_x / dir_norm) * step,
-                position.y + (dir_y / dir_norm) * step,
-            )
-        previous = sensor.previous_position
-        sensor.previous_position = position
-        if self._avoidance.should_cancel(step, position, planned_end, previous):
-            return None
-        sensor.motion.move_to(planned_end)
-        return planned_end
 
     def _reset_tree_caches(self, version: int) -> None:
         """Drop the tree-derived caches; they now describe ``version``."""
@@ -388,23 +390,6 @@ class CPVFScheme(DeploymentScheme):
             self._subtrees[root] = cached
         return cached
 
-    def _tree_link_positions(
-        self, world: World, sensor_id: int, snapshot: _PeriodSnapshot
-    ) -> List[tuple]:
-        """``(x, y)`` positions of the links the sensor must preserve."""
-        parent, children = self._link_node_ids(world, sensor_id)
-        xs, ys = snapshot.xs, snapshot.ys
-        links: List[tuple] = []
-        if parent is not None:
-            if parent == BASE_STATION_ID:
-                base = world.base_station
-                links.append((base.x, base.y))
-            else:
-                links.append((xs[parent], ys[parent]))
-        for child in children:
-            links.append((xs[child], ys[child]))
-        return links
-
     def _acquire_subtree_lock(
         self, world: World, sensor_id: int, subtree_size: int, depth: int
     ) -> bool:
@@ -447,11 +432,13 @@ class CPVFScheme(DeploymentScheme):
         self,
         world: World,
         sensor: Sensor,
-        direction: Vec2,
+        dir_x: float,
+        dir_y: float,
         table: Dict[int, List[int]],
         snapshot: Optional[_PeriodSnapshot] = None,
     ) -> float:
-        """Attempt to adopt a new parent that unblocks the planned move.
+        """Attempt to adopt a new parent that unblocks the planned move
+        along ``(dir_x, dir_y)``.
 
         The sensor must lock its subtree first (accounted as LockTree /
         UnLockTree transmissions); candidate parents are connected
@@ -490,13 +477,14 @@ class CPVFScheme(DeploymentScheme):
                 cx, cy = xs[candidate], ys[candidate]
             if math.hypot(px - cx, py - cy) <= limit:
                 live.append((candidate, cx, cy))
-        return self._adopt_parent(world, sensor, direction, live, snapshot)
+        return self._adopt_parent(world, sensor, dir_x, dir_y, live, snapshot)
 
     def _adopt_parent(
         self,
         world: World,
         sensor: Sensor,
-        direction: Vec2,
+        dir_x: float,
+        dir_y: float,
         candidates: Sequence[Tuple[int, float, float]],
         snapshot: _PeriodSnapshot,
     ) -> float:
@@ -513,10 +501,10 @@ class CPVFScheme(DeploymentScheme):
         """
         config = world.config
         max_step = config.max_step
-        norm = math.hypot(direction.x, direction.y)
+        norm = math.hypot(dir_x, dir_y)
         if not candidates or norm <= EPS or max_step <= 0.0:
             return 0.0
-        unit_x, unit_y = direction.x / norm, direction.y / norm
+        unit_x, unit_y = dir_x / norm, dir_y / norm
         sid = sensor.sensor_id
         xs, ys = snapshot.xs, snapshot.ys
         px, py = xs[sid], ys[sid]

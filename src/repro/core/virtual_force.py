@@ -16,7 +16,7 @@ from typing import Tuple
 import numpy as np
 
 from ..field import Field
-from ..geometry import EPS, Vec2
+from ..geometry import EPS
 
 __all__ = ["VirtualForceModel"]
 
@@ -59,16 +59,16 @@ class VirtualForceModel:
     # Obstacle and boundary terms
     # ------------------------------------------------------------------
     def force_from_obstacles(
-        self, position: Vec2, field: Field
+        self, px: float, py: float, field: Field
     ) -> Tuple[float, float]:
-        """Repulsive force ``(fx, fy)`` from obstacles and the field boundary.
+        """Repulsive force ``(fx, fy)`` on a sensor at ``(px, py)`` from
+        obstacles and the field boundary.
 
         An obstacle is skipped when the position lies at least
         ``obstacle_distance`` outside its padded reject box on either axis:
         the position is then not inside it, and its boundary distance is
         never smaller than that axis gap, so it exerts no force.
         """
-        px, py = position.x, position.y
         reach = self.obstacle_distance
         gain = self.obstacle_gain
         force_x = force_y = 0.0

@@ -191,49 +191,54 @@ class Field:
                 best_dist = dist
         return best
 
-    def max_free_travel(self, start: Vec2, direction: Vec2, distance: float) -> float:
+    def max_free_travel(
+        self, x: float, y: float, dir_x: float, dir_y: float, distance: float
+    ) -> float:
         """Longest prefix of a straight move that stays in free space.
 
-        Returns a travel distance ``d <= distance`` such that
-        ``start + direction * d`` is free and the path to it does not cross
-        an obstacle.  Used by the virtual-force integrator to avoid stepping
-        into obstacles or out of the field.
+        Returns a travel distance ``d <= distance`` such that the point
+        ``d`` along ``(dir_x, dir_y)`` from ``(x, y)`` is free and the
+        path to it does not cross an obstacle: the whole ``distance`` when
+        that is admissible, else the result of a 24-step bisection.  Used
+        by the virtual-force integrator to avoid stepping into obstacles
+        or out of the field.
         """
         if distance <= 0:
             return 0.0
-        norm = math.hypot(direction.x, direction.y)
+        norm = math.hypot(dir_x, dir_y)
         if norm <= 1e-9:
             return 0.0
-        unit_x, unit_y = direction.x / norm, direction.y / norm
-        sx, sy = start.x, start.y
-        width, height = self.width, self.height
-        if not (0.0 <= sx <= width and 0.0 <= sy <= height):
+        unit_x, unit_y = dir_x / norm, dir_y / norm
+        if not (0.0 <= x <= self.width and 0.0 <= y <= self.height):
             # Every path from an out-of-bounds start is blocked.
             return 0.0
-        if self.obstacles:
-            is_free_xy = self.is_free_xy
-            segment_blocked_xy = self.segment_blocked_xy
-
-            def admissible(x: float, y: float) -> bool:
-                return is_free_xy(x, y) and not segment_blocked_xy(sx, sy, x, y)
-
-        else:
-            # A straight move in the open (convex) rectangle is admissible
-            # exactly when its endpoint stays inside.
-            def admissible(x: float, y: float) -> bool:
-                return 0.0 <= x <= width and 0.0 <= y <= height
-
-        if admissible(sx + unit_x * distance, sy + unit_y * distance):
+        admissible = self._admissible_move
+        if admissible(x, y, x + unit_x * distance, y + unit_y * distance):
             return distance
-        # Binary search for the largest admissible travel distance.
         lo, hi = 0.0, distance
         for _ in range(24):
             mid = (lo + hi) / 2.0
-            if admissible(sx + unit_x * mid, sy + unit_y * mid):
+            if admissible(x, y, x + unit_x * mid, y + unit_y * mid):
                 lo = mid
             else:
                 hi = mid
         return lo
+
+    def _admissible_move(self, x: float, y: float, ex: float, ey: float) -> bool:
+        """Whether the straight move from the in-bounds ``(x, y)`` to
+        ``(ex, ey)`` ends in free space and crosses no obstacle: the
+        answer of ``is_free_xy(ex, ey) and not segment_blocked_xy(x, y,
+        ex, ey)``.  The field rectangle is convex, so an in-bounds end
+        keeps the whole move inside it."""
+        if not (0.0 <= ex <= self.width and 0.0 <= ey <= self.height):
+            return False
+        for ob in self.obstacles:
+            polygon = ob.polygon
+            if polygon.contains_xy(
+                ex, ey, include_boundary=False
+            ) or polygon.crosses_interior_xy(x, y, ex, ey):
+                return False
+        return True
 
     # ------------------------------------------------------------------
     # Sensing-range boundary queries (used by FLOOR's BLG expansion)

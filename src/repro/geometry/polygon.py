@@ -155,17 +155,43 @@ class Polygon:
     def contains_xy(
         self, px: float, py: float, include_boundary: bool = True
     ) -> bool:
-        """:meth:`contains` for the point ``(px, py)``."""
+        """:meth:`contains` for the point ``(px, py)``.
+
+        The answer is ``include_boundary`` within :data:`_BOUNDARY_EPS`
+        of the boundary and the ray-cast parity elsewhere, so the
+        boundary test runs only when the two disagree.  It stops at the
+        first edge within the eps, each edge measured with the float
+        operations of :meth:`nearest_boundary_xy`, so it agrees with
+        that method's minimum compared against the eps.
+        """
         xmin, ymin, xmax, ymax = self._reject_box
         if px < xmin or px > xmax or py < ymin or py > ymax:
             return False
-        if self.nearest_boundary_xy(px, py)[0] <= _BOUNDARY_EPS:
-            return include_boundary
+        edge_data = self._edge_data
         inside = False
-        for ax, ay, bx, by, dx, dy, _ in self._edge_data:
+        for ax, ay, bx, by, dx, dy, _ in edge_data:
             if (ay > py) != (by > py):
                 if px < ax + (py - ay) * dx / dy:
                     inside = not inside
+        if inside == include_boundary:
+            return inside
+        # nearest_boundary_xy's per-edge operations, inlined: this loop
+        # runs for every probe inside an obstacle (``is_free``).
+        for ax, ay, bx, by, dx, dy, dd in edge_data:
+            if dd <= DEGENERATE_NORM_SQ:
+                if math.hypot(px - ax, py - ay) <= math.hypot(px - bx, py - by):
+                    cx, cy = ax, ay
+                else:
+                    cx, cy = bx, by
+            else:
+                t = ((px - ax) * dx + (py - ay) * dy) / dd
+                if not t > 0.0:
+                    t = 0.0
+                elif not t < 1.0:
+                    t = 1.0
+                cx, cy = ax + dx * t, ay + dy * t
+            if math.hypot(px - cx, py - cy) <= _BOUNDARY_EPS:
+                return include_boundary
         return inside
 
     def contains_points(

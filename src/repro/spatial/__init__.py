@@ -27,9 +27,11 @@ captured in one list pass, for the paper's unit disk of the world's
 single communication range (the only neighbour path in the library).
 A snapshot serves the rows of a few sensors by scanning the captured
 positions, and builds the whole neighbour table, the base-station
-adjacency and the base station's connected component from one shared
-spatial-index build only for callers that ask for them; both paths
-apply the same predicate, so a row is identical whichever served it.
+adjacency and the base station's connected component only for callers
+that ask for them: up to ``DENSE_TABLE_MAX`` live sensors with the rows
+scan over all of them, above from one shared spatial-index build.  Every
+path applies the same predicate, so a row is identical whichever served
+it.
 The epoch includes the tuple of per-sensor
 ``MotionModel.position_version`` counters, which are bumped on *every*
 position assignment, so a new snapshot is captured exactly when a

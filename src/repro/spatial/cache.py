@@ -7,15 +7,17 @@ granularities:
 * ``rows(ids)`` — the rows of a few sensors, by scanning the captured
   positions (FLOOR's connection walkers and the children a departing
   sensor re-homes, the members of a subtree the tree repair re-attaches);
-* ``table()`` — every row, from one ``SpatialIndex.directed_pairs`` build,
-  for callers that read all of them (CPVF's forces, the bootstrap flood,
-  FLOOR's phase 2).  The base station's one-hop neighbours and connected
-  component share that index build.
+* ``table()`` — every row, for callers that read all of them (CPVF's
+  forces, the bootstrap flood, FLOOR's phase 2).  Up to
+  :data:`DENSE_TABLE_MAX` live sensors it is the ``rows`` scan over all
+  of them, one dense block; above, one ``SpatialIndex.directed_pairs``
+  build, whose index the base station's one-hop neighbours share.
 
-Both paths apply the table's predicate to the same float64 coordinates
+Every path applies the table's predicate to the same float64 coordinates
 (``dx*dx + dy*dy <= (rc + LINK_EPS) ** 2`` with ``dx = x_i - x_j``, rows
 in ascending id order), so a row is the same list whichever path served
-it.  The caller's choice of method decides which path runs.
+it.  The caller's choice of method and the population decide which path
+runs.
 
 :class:`NeighborCache` keeps the current epoch's snapshot.  The epoch is
 the communication range, the world's population version and the tuple of
@@ -44,6 +46,16 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..sim.world import World
 
 __all__ = ["NeighborCache", "NeighborSnapshot"]
+
+#: Largest live population whose whole table is one dense block; up to
+#: it, ``table()`` and the base station's neighbours skip the index.  Set
+#: at the measured crossover (``NeighborCache(world).neighbor_table()``
+#: on ``perfbench.perf_world``, 1000 m field, rc 60, best of 5 rounds of
+#: 20 calls, 2-CPU x86_64, three repetitions; dense vs index): uniform
+#: 0.16-0.18 vs 0.34-0.40 ms at n = 70, 0.45-0.59 vs 0.56-0.65 ms at
+#: n = 150, 1.42-1.48 vs 0.84-0.96 ms at n = 240; clustered layouts
+#: cross later (0.49-0.65 vs 0.71-0.97 ms at n = 170).
+DENSE_TABLE_MAX = 150
 
 #: Point queries inflate the radius before the exact range re-check so
 #: borderline float rounding between the squared and sqrt formulations
@@ -115,16 +127,28 @@ class NeighborSnapshot:
             tel.count("neighbors.rows_read", len(slots))
         if not slots:
             return {}
+        own = np.fromiter(slots.values(), dtype=np.intp, count=len(slots))
+        return self._dense_rows(list(slots), own)
+
+    def _dense_rows(
+        self, owners: List[int], own: np.ndarray
+    ) -> Dict[int, List[int]]:
+        """Rows of ``owners`` (captured at slots ``own``), each owner
+        tested against every captured sensor: the table's predicate on
+        one ``len(own) x n`` block."""
         r = self._rc + LINK_EPS
         r2 = r * r
         x, y, id_array = self._as_arrays()
-        own = np.fromiter(slots.values(), dtype=np.intp, count=len(slots))
         dx = x[own][:, None] - x
         dy = y[own][:, None] - y
-        hit = dx * dx + dy * dy <= r2
+        # dx*dx + dy*dy in place: fewer block-sized temporaries.
+        dx *= dx
+        dy *= dy
+        dx += dy
+        hit = dx <= r2
         hit[np.arange(len(own)), own] = False
         row, col = np.nonzero(hit)
-        return _split_rows(list(slots), row, col, id_array)
+        return _split_rows(owners, row, col, id_array)
 
     def _as_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self._arrays is None:
@@ -139,9 +163,10 @@ class NeighborSnapshot:
     # Whole-table structures
     # ------------------------------------------------------------------
     def _spatial_index(self) -> Optional[SpatialIndex]:
-        """The index over the captured positions (``None`` below two
-        sensors, where there is no pair to find)."""
-        if len(self.ids) < 2:
+        """The index over the captured positions (``None`` up to
+        :data:`DENSE_TABLE_MAX` live sensors, where one dense block is
+        cheaper than building it)."""
+        if len(self.ids) <= DENSE_TABLE_MAX:
             return None
         if self._index is None:
             x, y, _ = self._as_arrays()
@@ -162,10 +187,10 @@ class NeighborSnapshot:
                 tel.count("neighbors.table_builds", 1)
             index = self._spatial_index()
             if index is None:
-                self._table = {sid: [] for sid in ids}
-                return self._table
-            rows, cols, _ = index.directed_pairs(self._rc + LINK_EPS)
-            self._table = _split_rows(ids, rows, cols, self._as_arrays()[2])
+                self._table = self._dense_rows(ids, np.arange(len(ids)))
+            else:
+                rows, cols, _ = index.directed_pairs(self._rc + LINK_EPS)
+                self._table = _split_rows(ids, rows, cols, self._as_arrays()[2])
         return self._table
 
     def base_station_neighbors(self) -> List[int]:

@@ -16,7 +16,6 @@ from types import SimpleNamespace
 import pytest
 
 from repro.core import CPVFScheme
-from repro.core.cpvf import _PeriodSnapshot
 from repro.core.lazy import LazyMovementController
 from repro.core.oscillation import OscillationAvoidance
 from repro.core.virtual_force import VirtualForceModel
@@ -28,7 +27,11 @@ from repro.experiments.common import (
 from repro.mobility import Bug2Planner, Handedness
 from repro.network import BASE_STATION_ID, ConnectivityTree
 from repro.sim import SimulationEngine
-from tests.oracles import SeedCPVF, reference_subtree_lock_depth
+from tests.oracles import (
+    SeedCPVF,
+    reference_subtree_lock_depth,
+    tree_link_positions,
+)
 
 
 def _sequential_twin(world, config):
@@ -119,7 +122,7 @@ def _assert_links_match_tree(scheme, world):
             ).as_tuple()
             for node in nodes
         )
-        got = sorted(scheme._tree_link_positions(world, sid, _PeriodSnapshot(world)))
+        got = sorted(tree_link_positions(scheme, world, sid))
         assert got == expected, sid
 
 
@@ -139,7 +142,7 @@ class TestTreeCaches:
         members = world.tree.members()
         sid = members[0]
         # Prime the cache.
-        before = scheme._tree_link_positions(world, sid, _PeriodSnapshot(world))
+        before = tree_link_positions(scheme, world, sid)
         assert len(before) >= 1
         new_parent = next(
             (
@@ -154,7 +157,7 @@ class TestTreeCaches:
         if new_parent is None:
             pytest.skip("degenerate smoke tree")
         world.tree.reparent(sid, new_parent)
-        after = scheme._tree_link_positions(world, sid, _PeriodSnapshot(world))
+        after = tree_link_positions(scheme, world, sid)
         parent_pos = world.sensor(new_parent).position
         assert (parent_pos.x, parent_pos.y) in after
 

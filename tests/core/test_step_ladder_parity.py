@@ -115,7 +115,7 @@ class TestParentChangeParity:
 
             fast_world = copy.deepcopy(world)
             fast_step = CPVFScheme()._try_parent_change(
-                fast_world, fast_world.sensor(sid), direction, table
+                fast_world, fast_world.sensor(sid), direction.x, direction.y, table
             )
 
             assert fast_step == seed_step

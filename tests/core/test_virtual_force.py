@@ -43,26 +43,26 @@ class TestObstacleForces:
     def test_obstacle_repels_nearby_sensor(self):
         field = Field(200, 200, [Obstacle.rectangle(80, 80, 120, 120)])
         model = make_model(obstacle=40.0)
-        force_x, _ = model.force_from_obstacles(Vec2(70, 100), field)
+        force_x, _ = model.force_from_obstacles(70.0, 100.0, field)
         assert force_x < 0  # pushed away from the obstacle (toward -x)
 
     def test_far_obstacle_is_ignored(self):
         field = Field(400, 400, [Obstacle.rectangle(300, 300, 350, 350)])
         model = make_model(obstacle=40.0)
-        force = model.force_from_obstacles(Vec2(200, 200), field)
+        force = model.force_from_obstacles(200.0, 200.0, field)
         assert force == (0.0, 0.0)
 
     def test_field_boundary_pushes_inward(self):
         field = Field(200, 200)
         model = make_model(obstacle=40.0)
-        force_x, _ = model.force_from_obstacles(Vec2(5, 100), field)
+        force_x, _ = model.force_from_obstacles(5.0, 100.0, field)
         assert force_x > 0
-        _, force_top_y = model.force_from_obstacles(Vec2(100, 195), field)
+        _, force_top_y = model.force_from_obstacles(100.0, 195.0, field)
         assert force_top_y < 0
 
     def test_center_of_empty_field_is_force_free(self):
         field = Field(200, 200)
-        force = make_model(obstacle=40.0).force_from_obstacles(Vec2(100, 100), field)
+        force = make_model(obstacle=40.0).force_from_obstacles(100.0, 100.0, field)
         assert force == (0.0, 0.0)
 
     def test_obstacle_beyond_perception_range_is_not_measured(self, monkeypatch):
@@ -76,13 +76,13 @@ class TestObstacleForces:
         # 40 m left of the padded box on the x axis, level with it on y.
         xmin = field.obstacles[0].polygon.reject_box()[0]
         force = make_model(obstacle=40.0).force_from_obstacles(
-            Vec2(xmin - 40.0, 320), field
+            xmin - 40.0, 320.0, field
         )
         assert force == (0.0, 0.0)
 
     def test_sensor_inside_obstacle_is_pushed_out(self):
         field = Field(200, 200, [Obstacle.rectangle(80, 80, 120, 120)])
-        force = make_model().force_from_obstacles(Vec2(100, 100), field)
+        force = make_model().force_from_obstacles(100.0, 100.0, field)
         assert Vec2(*force).norm() > 0
 
 

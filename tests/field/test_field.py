@@ -142,17 +142,17 @@ class TestMotionQueries:
         assert field_with_block.first_obstacle_hit(Segment(Vec2(0, 0), Vec2(10, 0))) is None
 
     def test_max_free_travel_unblocked(self, empty_field):
-        travelled = empty_field.max_free_travel(Vec2(10, 10), Vec2(1, 0), 20.0)
+        travelled = empty_field.max_free_travel(10.0, 10.0, 1.0, 0.0, 20.0)
         assert travelled == pytest.approx(20.0)
 
     def test_max_free_travel_stops_before_obstacle(self, field_with_block):
-        travelled = field_with_block.max_free_travel(Vec2(10, 50), Vec2(1, 0), 80.0)
+        travelled = field_with_block.max_free_travel(10.0, 50.0, 1.0, 0.0, 80.0)
         assert travelled <= 30.0 + 1.0
         end = Vec2(10, 50) + Vec2(1, 0) * travelled
         assert field_with_block.is_free(end)
 
     def test_max_free_travel_stops_at_field_edge(self, empty_field):
-        travelled = empty_field.max_free_travel(Vec2(90, 50), Vec2(1, 0), 50.0)
+        travelled = empty_field.max_free_travel(90.0, 50.0, 1.0, 0.0, 50.0)
         assert travelled <= 10.0 + 1e-6
 
 

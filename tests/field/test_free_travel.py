@@ -88,7 +88,9 @@ def test_rays_stop_at_the_last_admissible_point(name, seed):
         start = Vec2(float(px[i]), float(py[i]))
         direction = Vec2(float(dx[i]), float(dy[i]))
         distance = float(dist[i])
-        travel = field.max_free_travel(start, direction, distance)
+        travel = field.max_free_travel(
+            start.x, start.y, direction.x, direction.y, distance
+        )
         assert 0.0 <= travel <= distance
         if distance == 0.0 or (dx[i] == 0.0 and dy[i] == 0.0):
             assert travel == 0.0
@@ -146,13 +148,18 @@ def test_float_bisection_matches_the_vec2_reference(name, seed):
     angles = rng.uniform(0, 2 * math.pi, len(starts))
     dist = rng.uniform(0.0, 50.0, len(starts))
     dist[::13] = 0.0
+    # Unit, long and sub-cutoff (norm <= 1e-9) directions.
+    scales = (1.0, 1.0, 3.7, 0.25, 2e-9, 5e-10)
     for i, start in enumerate(starts):
-        direction = Vec2(float(math.cos(angles[i])), float(math.sin(angles[i])))
+        scale = scales[i % len(scales)]
+        direction = Vec2(
+            float(math.cos(angles[i])) * scale, float(math.sin(angles[i])) * scale
+        )
         if i % 17 == 0:
             direction = Vec2(0.0, 0.0)
         distance = float(dist[i])
         assert field.max_free_travel(
-            start, direction, distance
+            start.x, start.y, direction.x, direction.y, distance
         ) == reference_max_free_travel(field, start, direction, distance), (
             f"ray {i} from {start!r}"
         )
@@ -165,4 +172,7 @@ def test_obstacle_force_matches_the_uncut_reference(name, seed):
     model = VirtualForceModel(repulsion_distance=80.0, obstacle_distance=40.0)
     for p in _probe_points(field, np.random.default_rng(seed), 100):
         expected = reference_obstacle_force(model, p, field)
-        assert model.force_from_obstacles(p, field) == (expected.x, expected.y), p
+        assert model.force_from_obstacles(p.x, p.y, field) == (
+            expected.x,
+            expected.y,
+        ), p

@@ -404,7 +404,7 @@ class TestBBoxRejectParity:
             )
             for p in points:
                 expected = reference_obstacle_force(model, p, field)
-                assert model.force_from_obstacles(p, field) == (
+                assert model.force_from_obstacles(p.x, p.y, field) == (
                     expected.x,
                     expected.y,
                 ), (polygon.vertices, reach, p)
@@ -436,3 +436,94 @@ class TestCachedGeometry:
         assert poly.contains(Vec2(-1e-7, 5))  # on the boundary within eps
         assert not poly.contains(Vec2(-1e-6, 5))
         assert not poly.segment_crosses_interior(Segment(Vec2(-1, -1), Vec2(-1, 20)))
+
+
+# Parity-first ``contains_xy`` against the boundary-first reference
+# ----------------------------------------------------------------------
+def _contains_probe_polygons():
+    """A rectangle, a non-convex L and star, a polygon with a zero-length
+    edge and one with an edge shorter than the degenerate cut-off."""
+    l_shape = Polygon(
+        [Vec2(0, 0), Vec2(30, 0), Vec2(30, 8), Vec2(8, 8), Vec2(8, 30), Vec2(0, 30)]
+    )
+    star = Polygon(
+        [
+            Vec2(50, 50) + Vec2.from_polar(20.0 if k % 2 == 0 else 6.0, math.pi * k / 5)
+            for k in range(10)
+        ]
+    )
+    repeated = Polygon(
+        [Vec2(0, 0), Vec2(20, 0), Vec2(20, 0), Vec2(20, 15), Vec2(0, 15)]
+    )
+    near_repeated = Polygon(
+        [Vec2(0, 0), Vec2(20, 0), Vec2(20, 1e-12), Vec2(20, 15), Vec2(0, 15)]
+    )
+    return {
+        "rectangle": Polygon.rectangle(-5, 2, 25, 12),
+        "l-shape": l_shape,
+        "star": star,
+        "repeated-vertex": repeated,
+        "near-repeated-vertex": near_repeated,
+    }
+
+
+def _contains_probes(polygon, rng):
+    """Vertices, points on edges, points within and just past 1e-7 of an
+    edge on both sides, points near every vertex, random points, NaN."""
+    points = list(polygon.vertices)
+    for edge in reference_edges(polygon):
+        length = edge.a.distance_to(edge.b)
+        normal = (
+            edge.a.towards(edge.b).perpendicular() if length > 0 else Vec2(0.0, 1.0)
+        )
+        for t in (0.0, 0.25, 0.5, 1.0, rng.random()):
+            on_edge = edge.point_at(t)
+            points.append(on_edge)
+            for offset in (0.5e-7, 0.999e-7, 1e-7, 1.001e-7, 1.5e-7, 1e-6):
+                points.append(on_edge + normal * offset)
+                points.append(on_edge - normal * offset)
+        for offset in (1e-7, 1.2e-7):
+            points += [edge.a + Vec2(offset, offset), edge.a - Vec2(offset, 0.0)]
+    xmin, ymin, xmax, ymax = polygon.bounding_box()
+    for _ in range(60):
+        points.append(
+            Vec2(rng.uniform(xmin - 5, xmax + 5), rng.uniform(ymin - 5, ymax + 5))
+        )
+    mid_x, mid_y = (xmin + xmax) / 2, (ymin + ymax) / 2
+    nan = math.nan
+    points += [Vec2(nan, mid_y), Vec2(mid_x, nan), Vec2(nan, nan)]
+    return points
+
+
+class TestParityFirstContains:
+    """``contains_xy`` runs the ray-cast parity first and the boundary
+    test only when the parity differs from ``include_boundary``; its
+    answers are the boundary-first reference's, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(_contains_probe_polygons()))
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_matches_the_reference(self, name, reverse):
+        polygon = _contains_probe_polygons()[name]
+        if reverse:
+            polygon = Polygon(tuple(reversed(polygon.vertices)))
+        rng = random.Random(f"{name}-{reverse}")
+        for p in _contains_probes(polygon, rng):
+            for include_boundary in (True, False):
+                assert polygon.contains_xy(
+                    p.x, p.y, include_boundary
+                ) == reference_contains(polygon, p, include_boundary), (
+                    name,
+                    p,
+                    include_boundary,
+                )
+
+    def test_boundary_band_and_nan(self):
+        square = Polygon.rectangle(0, 0, 10, 10)
+        for include_boundary in (True, False):
+            assert square.contains_xy(5.0, 1e-7, include_boundary) is include_boundary
+            assert square.contains_xy(5.0, -1e-7, include_boundary) is include_boundary
+            assert square.contains_xy(0.0, 0.0, include_boundary) is include_boundary
+            assert square.contains_xy(5.0, 2e-7, include_boundary) is True
+            assert square.contains_xy(5.0, -2e-7, include_boundary) is False
+            for x, y in ((math.nan, 5.0), (5.0, math.nan), (math.nan, math.nan)):
+                assert square.contains_xy(x, y, include_boundary) is False

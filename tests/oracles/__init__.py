@@ -21,8 +21,9 @@ functions that tests (and ``benchmarks/perfbench.py``) import:
 * :mod:`.mobility` — BUG2 path length and arc-length interpolation
   re-measuring every segment on each call;
 * :mod:`.seed` — the paper's literal step ladder, the seed CPVF dynamics
-  (:class:`SeedCPVF`) with its scalar force terms, the subtree lock
-  depth walk, and the seed neighbour-table / coverage
+  (:class:`SeedCPVF`) with its scalar force terms and ``Vec2`` move
+  tail, the tree links a sensor must preserve, the subtree lock depth
+  walk, and the seed neighbour-table / coverage
   algorithms (their timers live in ``benchmarks/perfbench.py``);
 * :mod:`.vd` — VOR with full-information Voronoi cells
   (:class:`InformedVorScheme`).
@@ -61,6 +62,7 @@ from .seed import (
     seed_coverage_fraction,
     seed_neighbor_table,
     step_is_valid,
+    tree_link_positions,
 )
 from .vd import InformedVorScheme
 from .world import BruteRadio, UncachedWorld, double_loop_components, uncached
@@ -97,6 +99,7 @@ __all__ = [
     "step_is_valid",
     "max_valid_step_reference",
     "reference_subtree_lock_depth",
+    "tree_link_positions",
     "seed_neighbor_table",
     "seed_coverage_fraction",
     "InformedVorScheme",

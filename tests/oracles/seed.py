@@ -10,8 +10,10 @@ and check each seed answer against the library before timing).
 compared against (message parity, plateau agreement, parent-change
 parity); its scalar force terms (:func:`sensor_force`,
 :func:`resultant_force`, :func:`force_direction`) are the reference for
-``VirtualForceModel``'s batched sensor term, and
-:func:`reference_subtree_lock_depth` for the lock depth CPVF caches.
+``VirtualForceModel``'s batched sensor term,
+:func:`tree_link_positions` for the links CPVF's move loop reads from its
+cached link ids, and :func:`reference_subtree_lock_depth` for the lock
+depth CPVF caches.
 """
 
 from __future__ import annotations
@@ -135,7 +137,9 @@ def resultant_force(
     for other in neighbor_positions:
         total = total + sensor_force(model, position, other)
     if field is not None:
-        total = total + Vec2(*model.force_from_obstacles(position, field))
+        total = total + Vec2(
+            *model.force_from_obstacles(position.x, position.y, field)
+        )
     return total
 
 
@@ -156,8 +160,9 @@ class SeedCPVF(CPVFScheme):
     direction from live positions (seeing earlier movers' new positions),
     runs the literal step ladder against its parent and children, and,
     when blocked, runs one full ladder per parent candidate.  Connectivity
-    stage, lock handshake, message accounting and the move tail are the
-    library's.
+    stage, lock handshake and message accounting are the library's; the
+    move tail (:meth:`_finish_move`) is the ``Vec2`` form of the one in
+    the library's move loop.
     """
 
     def _apply_virtual_forces(self, world, table: Dict[int, List[int]]) -> None:
@@ -185,11 +190,29 @@ class SeedCPVF(CPVFScheme):
                 config.communication_range,
             )
             if step <= 0.0 and self._allow_parent_change:
-                step = self._try_parent_change(world, sensor, direction, table)
+                step = self._try_parent_change(
+                    world, sensor, direction.x, direction.y, table
+                )
             if step <= 0.0:
                 sensor.previous_position = sensor.position
                 continue
             self._finish_move(world, sensor, direction, step)
+
+    def _finish_move(self, world, sensor, direction: Vec2, step: float) -> None:
+        """Clip a validated step to free space, apply oscillation
+        avoidance, and commit the move."""
+        self._pending_locks.pop(sensor.sensor_id, None)
+        position = sensor.motion.position
+        step = world.field.max_free_travel(
+            position.x, position.y, direction.x, direction.y, step
+        )
+        planned_end = position + direction.normalized() * step
+        previous = sensor.previous_position
+        sensor.previous_position = position
+        if not self._avoidance.should_cancel(
+            step, position, planned_end, previous
+        ):
+            sensor.motion.move_to(planned_end)
 
     def _required_neighbors(self, world, sensor) -> List[NeighborMotion]:
         """Connections the sensor must preserve: its parent and children."""
@@ -203,9 +226,11 @@ class SeedCPVF(CPVFScheme):
             required.append(NeighborMotion.stationary(world.sensor(child).position))
         return required
 
-    def _adopt_parent(self, world, sensor, direction, candidates, snapshot) -> float:
+    def _adopt_parent(
+        self, world, sensor, dir_x, dir_y, candidates, snapshot
+    ) -> float:
         return self._best_parent_ladder(
-            world, sensor, direction, [c for c, _, _ in candidates]
+            world, sensor, Vec2(dir_x, dir_y), [c for c, _, _ in candidates]
         )
 
     def _best_parent_ladder(
@@ -242,6 +267,22 @@ class SeedCPVF(CPVFScheme):
             world.telemetry.count("cpvf.parent_changes", 1)
             return best_step
         return 0.0
+
+
+def tree_link_positions(scheme, world, sensor_id: int) -> List[tuple]:
+    """``(x, y)`` of the tree links ``sensor_id`` must preserve (parent
+    first, then children), read through ``scheme``'s cached link ids the
+    way CPVF's move loop reads them."""
+    parent, children = scheme._link_node_ids(world, sensor_id)
+    nodes = ([] if parent is None else [parent]) + list(children)
+    return [
+        (
+            world.base_station
+            if node == BASE_STATION_ID
+            else world.sensor(node).position
+        ).as_tuple()
+        for node in nodes
+    ]
 
 
 def reference_subtree_lock_depth(tree, root: int) -> int:

@@ -1,8 +1,9 @@
 """The neighbour cache under drift, teleports, range changes and churn.
 
 ``NeighborCache`` keeps one ``NeighborSnapshot`` per epoch (position
-versions, range and population version), which builds its spatial index,
-neighbour table, base-station adjacency and component on first use.
+versions, range and population version), which builds its neighbour
+table (through a spatial index above ``DENSE_TABLE_MAX`` live sensors),
+base-station adjacency and component on first use.
 The contract: an unchanged epoch serves the snapshot and the structures
 it already built, and every answer after any change —
 per-period drift, a few teleports, a mass teleport, a range change,
@@ -19,6 +20,7 @@ from repro.core import CPVFScheme
 from repro.experiments.common import SMOKE_SCALE, make_scenario
 from repro.geometry import Vec2
 from repro.sim.lifecycle import FaultInjector, sensor_failure, sensor_join
+from repro.spatial.cache import DENSE_TABLE_MAX
 from tests.oracles import uncached
 
 FIELD = 200.0
@@ -58,18 +60,28 @@ def _assert_matches_oracle(world):
 
 class TestEpochs:
     def test_unchanged_layout_serves_the_cached_structures(self):
-        world = _world()
-        world.neighbor_table()
-        world.connected_component_of()
-        snapshot = world.neighbor_snapshot()
-        built = (snapshot._index, snapshot._table, snapshot._component)
-        assert all(part is not None for part in built)
-        world.neighbor_table()
-        world.connected_component_of()
-        world.neighbor_snapshot().rows([0, 1])
-        assert world.neighbor_snapshot() is snapshot
-        assert snapshot._index is built[0] and snapshot._table is built[1]
-        assert snapshot._component is built[2]
+        def built(snapshot):
+            return (
+                snapshot._index,
+                snapshot._table,
+                snapshot._base_neighbors,
+                snapshot._component,
+            )
+
+        # On both sides of the dense-table cut: no index up to it.
+        for n in (60, DENSE_TABLE_MAX + 40):
+            world = _world(n)
+            world.neighbor_table()
+            world.connected_component_of()
+            snapshot = world.neighbor_snapshot()
+            first = built(snapshot)
+            assert (first[0] is None) == (n <= DENSE_TABLE_MAX), n
+            assert all(part is not None for part in first[1:]), n
+            world.neighbor_table()
+            world.connected_component_of()
+            world.neighbor_snapshot().rows([0, 1])
+            assert world.neighbor_snapshot() is snapshot
+            assert all(a is b for a, b in zip(built(snapshot), first)), n
 
     def test_one_move_rebuilds_and_copies_stay_private(self):
         world = _world()
