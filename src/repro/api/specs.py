@@ -105,9 +105,9 @@ class RunSpec:
     #: not change the computation, so profiled and unprofiled sweeps
     #: share cache cells.
     profile: bool = False
-    #: Network delivery conditions (loss / latency / staleness).  ``None``
-    #: — and any *structural* spec (perfect model or all-degenerate
-    #: knobs) — means the pinned perfect network: such specs are omitted
+    #: Network delivery conditions (loss / staleness).  ``None`` — and
+    #: any *structural* spec (perfect model or all-degenerate knobs) —
+    #: means the pinned perfect network: such specs are omitted
     #: from the fingerprint payload entirely, so pre-existing fingerprints
     #: and store entries never move.  Non-structural specs are hashed in
     #: (with :data:`~repro.network.NETWORK_SCHEMA_VERSION`), giving

@@ -116,9 +116,6 @@ class CPVFScheme(DeploymentScheme):
         self._tree_version: Optional[int] = None
         self._link_ids: Dict[int, tuple] = {}
         self._subtrees: Dict[int, Tuple[FrozenSet[int], int]] = {}
-        #: Lock requests in flight under network latency: sensor id ->
-        #: period at which the (delayed) lock grant arrives.
-        self._pending_locks: Dict[int, int] = {}
 
     # ------------------------------------------------------------------
     # Initialisation
@@ -142,7 +139,6 @@ class CPVFScheme(DeploymentScheme):
         self._tree_version = None
         self._link_ids = {}
         self._subtrees = {}
-        self._pending_locks = {}
         flood_tree(world)
         for sensor in world.sensors:
             if sensor.state is SensorState.DISCONNECTED:
@@ -270,7 +266,6 @@ class CPVFScheme(DeploymentScheme):
         rc = config.communication_range
         allow_parent_change = self._allow_parent_change
         should_cancel = self._avoidance.should_cancel
-        pending_locks = self._pending_locks
         sensors = world.sensors
         field = world.field
         base = world.base_station
@@ -306,11 +301,6 @@ class CPVFScheme(DeploymentScheme):
                 if step <= 0.0:
                     sensor.previous_position = sensor.motion.position
                     continue
-                # A sensor that found a way to move no longer needs the
-                # lock grant it was waiting for; drop it so a later block
-                # starts a fresh handshake instead of consuming a stale
-                # grant.
-                pending_locks.pop(sid, None)
                 # Respect obstacles and the field boundary.
                 step = field.max_free_travel(px, py, dir_x, dir_y, step)
                 # `position + direction.normalized() * step` on floats.
@@ -396,28 +386,15 @@ class CPVFScheme(DeploymentScheme):
         """Run the LockTree/UnLockTree handshake through the network model.
 
         A network that drops nothing charges the handshake once and
-        grants immediately (the seed behaviour).  Under latency the
-        request is parked and the grant arrives ``latency`` periods
-        later; under loss the critical down-and-back wave (2 * depth + 2
-        transmissions) retries with exponential backoff up to the
-        delivery budget (``depth`` is the subtree's lock depth, see
-        :meth:`_subtree`).  A timed-out handshake aborts to the safe
-        state — the caller keeps the current parent and holds position,
-        preserving the paper's serialization requirement.
+        grants immediately (the seed behaviour).  Under loss the critical
+        down-and-back wave (2 * depth + 2 transmissions) retries with
+        exponential backoff up to the delivery budget (``depth`` is the
+        subtree's lock depth, see :meth:`_subtree`).  A timed-out
+        handshake aborts to the safe state — the caller keeps the
+        current parent and holds position, preserving the paper's
+        serialization requirement.
         """
-        net = world.network
-        if net.latency > 0:
-            due = self._pending_locks.get(sensor_id)
-            if due is None:
-                self._pending_locks[sensor_id] = (
-                    world.period_index + net.latency
-                )
-                world.stats.record_net("delayed", net.latency)
-                return False
-            if world.period_index < due:
-                return False
-            del self._pending_locks[sensor_id]
-        delivered, attempts = net.exchange(
+        delivered, attempts = world.network.exchange(
             world, ("cpvf.lock", sensor_id), 2 * depth + 2
         )
         # Every attempt re-runs the whole lock/unlock wave on the air.
@@ -555,10 +532,8 @@ class CPVFScheme(DeploymentScheme):
                     sensor.motion.stop()
         for sid in change.failed_ids:
             self._lazy.stop_waiting(world.sensor(sid))
-            self._pending_locks.pop(sid, None)
         for sid in chain(change.disconnected_ids, change.added_ids):
             sensor = world.sensor(sid)
-            self._pending_locks.pop(sid, None)
             if not sensor.is_alive() or sensor.is_connected():
                 continue
             sensor.state = SensorState.MOVING_TO_CONNECT

@@ -104,12 +104,6 @@ class FloorScheme(DeploymentScheme):
         #: Relocating sensors: sensor id -> (target EP, inviter id).
         self._relocations: Dict[int, ExpansionPoint] = {}
         self._virtual_counter: int = 0
-        #: Relocations granted but not yet started under network latency:
-        #: ``(due_period, movable_id, ep)`` entries drained each period.
-        self._deferred_starts: List[tuple] = []
-        #: Movable sensors with a deferred start in flight (excluded from
-        #: new invitation rounds until the start fires or is cancelled).
-        self._pending_movables: Set[int] = set()
 
     # ------------------------------------------------------------------
     # Initialisation
@@ -142,8 +136,6 @@ class FloorScheme(DeploymentScheme):
         self._active_searchers.clear()
         self._virtual_positions.clear()
         self._relocations.clear()
-        self._deferred_starts.clear()
-        self._pending_movables.clear()
 
         flood_tree(world)
         for sensor in world.sensors:
@@ -216,7 +208,6 @@ class FloorScheme(DeploymentScheme):
                 if sensor.state is SensorState.CONNECTED:
                     sensor.state = SensorState.MOVABLE
             tel = world.telemetry
-            self._start_due_relocations(world)
             with tel.span("floor.relocations"):
                 self._advance_relocations(world)
             with tel.span("floor.expansion_round"):
@@ -377,34 +368,6 @@ class FloorScheme(DeploymentScheme):
         return (exclusive / samples) < _MOVABLE_EXCLUSIVE_THRESHOLD
 
     # -- Phase 3: expanding coverage ------------------------------------
-    def _start_due_relocations(self, world: World) -> None:
-        """Fire deferred relocation starts whose latency has elapsed.
-
-        Under network latency an acknowledged invitation does not reach
-        the movable sensor instantly; the start is parked and fires here
-        once its due period arrives.  A sensor that lost its movable
-        status in the meantime (failed, re-dispatched by churn) simply
-        drops the grant.
-        """
-        if not self._deferred_starts:
-            return
-        period = world.period_index
-        due = [entry for entry in self._deferred_starts if entry[0] <= period]
-        if not due:
-            return
-        self._deferred_starts = [
-            entry for entry in self._deferred_starts if entry[0] > period
-        ]
-        for _, movable_id, ep in due:
-            self._pending_movables.discard(movable_id)
-            sensor = world.sensor(movable_id)
-            if (
-                sensor.is_alive()
-                and sensor.state is SensorState.MOVABLE
-                and movable_id not in self._relocations
-            ):
-                self._start_relocation(world, movable_id, ep)
-
     def _advance_relocations(self, world: World) -> None:
         assert self._registry is not None
         arrived: List[int] = []
@@ -546,7 +509,6 @@ class FloorScheme(DeploymentScheme):
                 for s in world.sensors
                 if s.state is SensorState.MOVABLE
                 and s.sensor_id not in self._relocations
-                and s.sensor_id not in self._pending_movables
             ]
             connected_count = len(world.connected_sensor_ids())
             if tel.enabled:
@@ -558,22 +520,11 @@ class FloorScheme(DeploymentScheme):
             )
         tel.count("floor.relocations_started", len(assignments))
 
-        # 3. Accepted movable sensors start relocating — immediately on
-        #    the perfect network, after ``latency`` periods otherwise.
-        net = world.network
+        # 3. Accepted movable sensors start relocating.
         for assignment in assignments:
-            if net.latency > 0:
-                world.stats.record_net("delayed", net.latency)
-                self._deferred_starts.append((
-                    world.period_index + net.latency,
-                    assignment.movable_id,
-                    assignment.expansion_point,
-                ))
-                self._pending_movables.add(assignment.movable_id)
-            else:
-                self._start_relocation(
-                    world, assignment.movable_id, assignment.expansion_point
-                )
+            self._start_relocation(
+                world, assignment.movable_id, assignment.expansion_point
+            )
 
     def _start_relocation(
         self, world: World, movable_id: int, ep: ExpansionPoint
@@ -661,7 +612,6 @@ class FloorScheme(DeploymentScheme):
             self._lazy.stop_waiting(sensor)
             self._registry.unregister(sid)
             self._drop_searcher(sid)
-            self._drop_deferred_start(sid)
             ep = self._relocations.pop(sid, None)
             if ep is not None:
                 self._remove_virtual_for(ep)
@@ -671,7 +621,6 @@ class FloorScheme(DeploymentScheme):
                 continue
             self._registry.unregister(sid)
             self._drop_searcher(sid)
-            self._drop_deferred_start(sid)
             ep = self._relocations.pop(sid, None)
             if ep is not None:
                 self._remove_virtual_for(ep)
@@ -692,15 +641,6 @@ class FloorScheme(DeploymentScheme):
                     # Connection walks re-plan lazily on the next period.
                     sensor.motion.stop()
 
-    def _drop_deferred_start(self, sensor_id: int) -> None:
-        """Cancel any latency-deferred relocation start for a sensor."""
-        if sensor_id in self._pending_movables:
-            self._pending_movables.discard(sensor_id)
-            self._deferred_starts = [
-                entry for entry in self._deferred_starts
-                if entry[1] != sensor_id
-            ]
-
     # ------------------------------------------------------------------
     # Convergence
     # ------------------------------------------------------------------
@@ -708,7 +648,7 @@ class FloorScheme(DeploymentScheme):
         """FLOOR converges once nothing is moving and nothing is searching."""
         if self._phase != 3:
             return False
-        if self._relocations or self._deferred_starts:
+        if self._relocations:
             return False
         if any(
             not s.is_connected() for s in world.sensors if s.is_alive()

@@ -10,10 +10,10 @@ traffic) and convergence.  The perfect cell (loss 0, staleness 0) runs
 with no :class:`~repro.network.NetworkSpec` at all, so its records are
 byte-identical to the structural reproduction.
 
-Loss/latency draws come from per-``(seed, period, message)`` derived
-streams inside :class:`~repro.network.UnreliableNetwork`, never from the
-world's RNG, so the sweep's records are identical whether it runs
-serially or sharded over worker processes.
+Loss draws are per-``(seed, period, message)`` derived uniforms inside
+:class:`~repro.network.NetworkModel`, never from the world's RNG, so the
+sweep's records are identical whether it runs serially or sharded over
+worker processes.
 """
 
 from __future__ import annotations

@@ -175,22 +175,6 @@ class Field:
                 return True
         return False
 
-    def first_obstacle_hit(
-        self, seg: Segment
-    ) -> Optional[Tuple[Obstacle, Vec2]]:
-        """First obstacle the directed segment runs into, with the hit point."""
-        best: Optional[Tuple[Obstacle, Vec2]] = None
-        best_dist = math.inf
-        for ob in self.obstacles:
-            hit = ob.first_hit(seg)
-            if hit is None:
-                continue
-            dist = seg.a.distance_to(hit)
-            if dist < best_dist:
-                best = (ob, hit)
-                best_dist = dist
-        return best
-
     def max_free_travel(
         self, x: float, y: float, dir_x: float, dir_y: float, distance: float
     ) -> float:

@@ -14,8 +14,7 @@ from .conditions import (
     NetworkModel,
     NetworkSpec,
     PERFECT_NETWORK,
-    PerfectNetwork,
-    UnreliableNetwork,
+    RETRY_LIMIT,
 )
 from .messages import MessageType, NET_COUNTER_KEYS
 from .routing import RoutingCostModel
@@ -37,8 +36,7 @@ __all__ = [
     "NetworkModel",
     "NetworkSpec",
     "PERFECT_NETWORK",
-    "PerfectNetwork",
-    "UnreliableNetwork",
+    "RETRY_LIMIT",
     "LINK_EPS",
     "RoutingCostModel",
     "MessageStats",

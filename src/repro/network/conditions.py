@@ -1,22 +1,22 @@
-"""Pluggable network-condition models: perfect vs unreliable delivery.
+"""The network-condition model: seed-deterministic loss and staleness.
 
 The seed repository counts messages *structurally*: delivery is instant and
-lossless, and neighbour tables are read straight from the world.  This
-module makes delivery conditions a first-class, configurable axis behind
-the existing ``network/`` interfaces:
+lossless, and neighbour tables are read straight from the world.  One
+:class:`NetworkModel` widens that along the two axes the degradation
+experiment varies, behind the existing ``network/`` interfaces:
 
-``PerfectNetwork``
-    The pinned default.  Every call is a pass-through to the structural
-    path, so runs without a :class:`NetworkSpec` (or with a structural
-    one) stay byte-identical to the seed behaviour.
+* **loss** — each transmission is dropped with this probability; a
+  protocol round-trip retries up to :data:`RETRY_LIMIT` times before it
+  times out, and
+* **staleness** — the neighbour snapshot (the live sensors' positions) is
+  captured every ``staleness`` periods instead of read live, and rows and
+  tables are computed from it when read, so schemes act on aged positions
+  (the ``position_update_interval`` idiom).
 
-``UnreliableNetwork``
-    Applies seed-deterministic per-message loss, per-hop latency (in
-    periods) and neighbour staleness (the neighbour snapshot — the live
-    sensors' positions — is captured every ``staleness`` periods instead
-    of read live, and rows and tables are computed from it when read, so
-    schemes act on aged positions — the ``position_update_interval``
-    idiom).
+With ``loss == 0`` and ``staleness <= 1`` every hook passes straight
+through to the structural path; :data:`PERFECT_NETWORK` is that model, the
+pinned default, so runs without a :class:`NetworkSpec` (or with a
+structural one) stay byte-identical to the seed behaviour.
 
 Determinism contract: every delivery takes exactly one uniform draw,
 the blake2b hash of ``(seed, period, "exchange" | "walk", message key)``
@@ -27,8 +27,8 @@ geometric distribution by inverting its tail: ``int(log1p(-u) /
 log1p(-p))`` counts the leading events of probability ``p``.  Two
 consequences:
 
-* the world RNG (``world.rng``) is never touched, so enabling the
-  unreliable model does not perturb scheme-side draws, and
+* the world RNG (``world.rng``) is never touched, so a lossy model does
+  not perturb scheme-side draws, and
 * each outcome is a pure function of its key, independent of evaluation
   order, so sweeps parallelised over jobs produce identical results to
   serial runs.
@@ -53,9 +53,8 @@ __all__ = [
     "NETWORK_SCHEMA_VERSION",
     "NetworkModel",
     "NetworkSpec",
-    "PerfectNetwork",
     "PERFECT_NETWORK",
-    "UnreliableNetwork",
+    "RETRY_LIMIT",
 ]
 
 #: Version of the serialized :class:`NetworkSpec` payload.  Hashed into the
@@ -65,76 +64,26 @@ __all__ = [
 #: per attempt and per hop from a seeded ``random.Random``).
 NETWORK_SCHEMA_VERSION = 2
 
+#: Extra delivery attempts after the first: an exchange's budget is
+#: ``RETRY_LIMIT + 1`` attempts before it times out.
+RETRY_LIMIT = 3
+
 _MODELS = ("perfect", "unreliable")
 
 
+def _check_knobs(loss: float, staleness: int) -> None:
+    if not 0.0 <= loss < 1.0:
+        raise ValueError("loss probability must be in [0, 1)")
+    if staleness < 0 or staleness != int(staleness):
+        raise ValueError("staleness must be a whole number of periods >= 0")
+
+
 class NetworkModel:
-    """Delivery-condition strategy consulted by the protocol layers.
+    """Delivery conditions consulted by the protocol layers.
 
-    The base class *is* the perfect network: every hook is a structural
-    pass-through.  Subclasses override the hooks they degrade.  Models are
-    consulted only at protocol decision points; physics (movement,
-    sensing/coverage, the unit-disk link predicate itself) always reads
-    live state.
-
-    ``exchange`` is the timeout/retry primitive: one call models a
-    round-trip whose ``critical_transmissions`` sends must *all* arrive
-    for the round-trip to count as delivered.  Retries retransmit, back
-    off exponentially, and give up after the delivery budget is
-    exhausted — callers then abort to their safe state.
-    """
-
-    #: Per-hop delivery latency in whole periods (0 = instantaneous).
-    latency: int = 0
-    #: Neighbour-snapshot refresh interval in periods (<= 1 = read live).
-    staleness: int = 0
-
-    # ------------------------------------------------------------------
-    # Time
-    # ------------------------------------------------------------------
-    def on_period(self, world) -> None:
-        """Hook invoked by the engine at the start of every period."""
-
-    # ------------------------------------------------------------------
-    # Neighbour state
-    # ------------------------------------------------------------------
-    def neighbors(self, world) -> "NeighborSnapshot":
-        """The neighbour snapshot as the protocol layer sees it (one
-        protocol read; its rows and table are computed when asked)."""
-        return world.neighbor_snapshot()
-
-    def neighbor_table(self, world) -> Dict[int, List[int]]:
-        """The neighbour table as the protocol layer sees it (one
-        protocol read)."""
-        return world.neighbor_table()
-
-    # ------------------------------------------------------------------
-    # Delivery
-    # ------------------------------------------------------------------
-    def exchange(
-        self, world, key: Tuple, critical_transmissions: int = 1
-    ) -> Tuple[bool, int]:
-        """Attempt a protocol round-trip; returns ``(delivered, attempts)``.
-
-        The perfect network always delivers on the first attempt.
-        """
-        return True, 1
-
-    def walk_hops(self, world, key: Tuple, ttl: int) -> int:
-        """How many hops of a TTL-bounded random walk actually complete."""
-        return max(0, int(ttl))
-
-
-class PerfectNetwork(NetworkModel):
-    """The structural default: lossless, instantaneous, live state."""
-
-
-#: Shared stateless instance used as the default ``World.network``.
-PERFECT_NETWORK = PerfectNetwork()
-
-
-class UnreliableNetwork(NetworkModel):
-    """Seed-deterministic loss, latency and staleness degradation.
+    Models are consulted only at protocol decision points; physics
+    (movement, sensing/coverage, the unit-disk link predicate itself)
+    always reads live state.
 
     Parameters
     ----------
@@ -145,9 +94,6 @@ class UnreliableNetwork(NetworkModel):
         Per-transmission drop probability in ``[0, 1)``.  An exchange
         whose critical path needs ``k`` transmissions succeeds per
         attempt with probability ``(1 - loss) ** k``.
-    latency:
-        Per-hop delivery delay in whole periods.  Protocol layers that
-        honour latency defer their action and record ``net.delayed``.
     staleness:
         Neighbour refresh interval in periods.  With ``staleness <= 1``
         neighbours are read live; otherwise every read is served from the
@@ -155,33 +101,15 @@ class UnreliableNetwork(NetworkModel):
         ``net.stale_reads``) until the next boundary or a population
         change.  The snapshot holds positions only: the rows or table a
         read asks for are computed from it then.
-    retry_limit:
-        Extra delivery attempts after the first (budget = ``retry_limit
-        + 1``).  Exhausting the budget records ``net.timeouts`` and the
-        exchange reports non-delivery.
     """
 
     def __init__(
-        self,
-        seed: int,
-        loss: float = 0.0,
-        latency: int = 0,
-        staleness: int = 0,
-        retry_limit: int = 3,
+        self, seed: int = 0, loss: float = 0.0, staleness: int = 0
     ) -> None:
-        if not 0.0 <= loss < 1.0:
-            raise ValueError("loss probability must be in [0, 1)")
-        if latency < 0:
-            raise ValueError("latency cannot be negative")
-        if staleness < 0:
-            raise ValueError("staleness cannot be negative")
-        if retry_limit < 0:
-            raise ValueError("retry limit cannot be negative")
+        _check_knobs(loss, staleness)
         self.seed = int(seed)
         self.loss = float(loss)
-        self.latency = int(latency)
         self.staleness = int(staleness)
-        self.retry_limit = int(retry_limit)
         self.lossy = self.loss > 0.0
         self._stamp: Optional[Tuple[int, int]] = None
         self._snapshot: Optional["NeighborSnapshot"] = None
@@ -190,6 +118,8 @@ class UnreliableNetwork(NetworkModel):
     # Neighbour state (staleness)
     # ------------------------------------------------------------------
     def neighbors(self, world) -> "NeighborSnapshot":
+        """The neighbour snapshot as the protocol layer sees it (one
+        protocol read; its rows and table are computed when asked)."""
         if self.staleness <= 1:
             return world.neighbor_snapshot()
         # Refresh on the period boundary grid and on any population change
@@ -206,6 +136,8 @@ class UnreliableNetwork(NetworkModel):
         return self._snapshot
 
     def neighbor_table(self, world) -> Dict[int, List[int]]:
+        """The neighbour table as the protocol layer sees it (one
+        protocol read)."""
         if self.staleness <= 1:
             return world.neighbor_table()
         return self.neighbors(world).table()
@@ -216,9 +148,17 @@ class UnreliableNetwork(NetworkModel):
     def exchange(
         self, world, key: Tuple, critical_transmissions: int = 1
     ) -> Tuple[bool, int]:
+        """Attempt a protocol round-trip; returns ``(delivered, attempts)``.
+
+        The round-trip's ``critical_transmissions`` sends must *all*
+        arrive for an attempt to count.  Retries retransmit, back off
+        exponentially, and give up after ``RETRY_LIMIT + 1`` attempts —
+        callers then abort to their safe state.  Without loss every
+        exchange delivers on the first attempt.
+        """
         if not self.lossy:
             return True, 1
-        budget = self.retry_limit + 1
+        budget = RETRY_LIMIT + 1
         success = (1.0 - self.loss) ** max(1, int(critical_transmissions))
         if 0.0 < success < 1.0:
             u = derive_uniform(
@@ -242,6 +182,7 @@ class UnreliableNetwork(NetworkModel):
         return True, attempts
 
     def walk_hops(self, world, key: Tuple, ttl: int) -> int:
+        """How many hops of a TTL-bounded random walk actually complete."""
         ttl = max(0, int(ttl))
         if not self.lossy or ttl == 0:
             return ttl
@@ -254,22 +195,26 @@ class UnreliableNetwork(NetworkModel):
         return int(hops)
 
 
+#: Shared instance used as the default ``World.network``: it degrades
+#: nothing, so it never touches its staleness state and can be shared.
+PERFECT_NETWORK = NetworkModel()
+
+
 @dataclass(frozen=True)
 class NetworkSpec:
     """Serializable description of the network conditions for a run.
 
-    ``model`` selects the backend (``"perfect"`` or ``"unreliable"``); the
-    remaining knobs mirror :class:`UnreliableNetwork`.  A *structural*
-    spec — the perfect model, or an unreliable model whose knobs are all
-    degenerate — builds the shared :data:`PERFECT_NETWORK` and is omitted
-    from the run fingerprint, so attaching it never moves cache keys.
+    ``model`` names the conditions (``"perfect"`` or ``"unreliable"``);
+    ``loss`` and ``staleness`` are :class:`NetworkModel`'s knobs, which
+    the perfect model leaves at their defaults.  A *structural* spec —
+    one whose knobs degrade nothing — builds the shared
+    :data:`PERFECT_NETWORK` and is omitted from the run fingerprint, so
+    attaching it never moves cache keys.
     """
 
     model: str = "perfect"
     loss: float = 0.0
-    latency: int = 0
     staleness: int = 0
-    retry_limit: int = 3
 
     def __post_init__(self) -> None:
         if self.model not in _MODELS:
@@ -277,14 +222,11 @@ class NetworkSpec:
                 f"unknown network model {self.model!r}; expected one of "
                 f"{_MODELS}"
             )
-        if not 0.0 <= self.loss < 1.0:
-            raise ValueError("loss probability must be in [0, 1)")
-        if self.latency < 0:
-            raise ValueError("latency cannot be negative")
-        if self.staleness < 0:
-            raise ValueError("staleness cannot be negative")
-        if self.retry_limit < 0:
-            raise ValueError("retry limit cannot be negative")
+        _check_knobs(self.loss, self.staleness)
+        # A JSON payload may spell 0.0 as 0 or 5 as 5.0; normalise so that
+        # one run has one fingerprint.
+        object.__setattr__(self, "loss", float(self.loss))
+        object.__setattr__(self, "staleness", int(self.staleness))
         if self.model == "perfect" and not self.is_structural():
             raise ValueError(
                 "the perfect model takes no degradation parameters"
@@ -292,35 +234,24 @@ class NetworkSpec:
 
     def is_structural(self) -> bool:
         """Whether this spec degrades nothing (behaves like the seed)."""
-        return self.loss == 0.0 and self.latency == 0 and self.staleness <= 1
+        return self.loss == 0.0 and self.staleness <= 1
 
     def to_dict(self) -> Dict[str, object]:
         return {
             "model": self.model,
             "loss": self.loss,
-            "latency": self.latency,
             "staleness": self.staleness,
-            "retry_limit": self.retry_limit,
         }
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "NetworkSpec":
-        return cls(
-            model=str(data.get("model", "perfect")),
-            loss=float(data.get("loss", 0.0)),
-            latency=int(data.get("latency", 0)),
-            staleness=int(data.get("staleness", 0)),
-            retry_limit=int(data.get("retry_limit", 3)),
-        )
+        """The spec a :meth:`to_dict` payload describes.  An unknown key
+        raises ``TypeError``, so a payload never runs without a knob it
+        asks for."""
+        return cls(**data)
 
     def build(self, seed: int) -> NetworkModel:
         """Instantiate the model for a run with the given scenario seed."""
         if self.is_structural():
             return PERFECT_NETWORK
-        return UnreliableNetwork(
-            seed=seed,
-            loss=self.loss,
-            latency=self.latency,
-            staleness=self.staleness,
-            retry_limit=self.retry_limit,
-        )
+        return NetworkModel(seed=seed, loss=self.loss, staleness=self.staleness)

@@ -1,14 +1,13 @@
 """Routing cost models: flooding, tree routing and random walks.
 
 Message *content* is handled directly by the scheme implementations (the
-simulator is period-synchronous and, under the default perfect network,
-latency is assumed negligible compared with the period length, as in the
-paper).  What this module provides is the *transmission accounting* — how
+simulator is period-synchronous and delivery is assumed to take
+negligible time compared with the period length, as in the paper).  What this module provides is the *transmission accounting* — how
 many point-to-point sends each communication pattern costs — which feeds
 the Table 1 message-overhead reproduction.
 
-Under :class:`~repro.network.conditions.UnreliableNetwork` a pattern may
-be retransmitted: the ``attempts`` parameter on the tree-routing and lock
+Under a lossy :class:`~repro.network.conditions.NetworkModel` a pattern
+may be retransmitted: the ``attempts`` parameter on the tree-routing and lock
 recorders multiplies the charge so retries show up in the overhead totals
 exactly as they would on the air.
 """

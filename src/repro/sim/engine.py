@@ -121,9 +121,6 @@ class SimulationEngine:
         trace_every = self._trace_every
         for period in range(max_periods):
             world.period_index = period
-            # Let the network model observe the clock (staleness refresh,
-            # latency bookkeeping).  A no-op for the perfect network.
-            world.network.on_period(world)
             if injector is not None:
                 with tel.span("engine.fault_injection"):
                     fired = injector.fire(period)

@@ -61,7 +61,8 @@ class World:
     #: Delivery-condition model consulted at protocol decision points.
     #: The shared perfect instance is a pass-through, so the default is
     #: byte-identical to the pre-conditions behaviour; the run layer
-    #: installs an ``UnreliableNetwork`` when the spec asks for one.
+    #: installs a lossy or stale ``NetworkModel`` when the spec asks for
+    #: one.
     network: NetworkModel = field(
         default=PERFECT_NETWORK, repr=False, compare=False
     )
@@ -172,8 +173,8 @@ class World:
         """Neighbour snapshot as the *protocol* layer sees it.
 
         Routed through the network model: live under the perfect network,
-        possibly aged under :class:`~repro.network.conditions
-        .UnreliableNetwork` staleness.  Each call is one protocol read;
+        possibly aged under a :class:`~repro.network.conditions
+        .NetworkModel` with staleness.  Each call is one protocol read;
         rows and tables asked of the snapshot it returns are not.
         Physics queries (coverage, connectivity, movement validation)
         must keep using :meth:`neighbor_table` and

@@ -99,15 +99,6 @@ class TestFingerprint:
             == "151028ed21247f3a27520b7bde4233bb64a7597e"
         )
 
-    def test_retry_limit_is_identity_when_degraded(self):
-        a = small_spec(
-            network=NetworkSpec(model="unreliable", loss=0.1, retry_limit=1)
-        )
-        b = small_spec(
-            network=NetworkSpec(model="unreliable", loss=0.1, retry_limit=5)
-        )
-        assert a.fingerprint() != b.fingerprint()
-
     def test_degraded_fingerprint_round_trips(self):
         spec = small_spec(network=DEGRADED)
         reparsed = RunSpec.from_dict(json.loads(json.dumps(spec.to_dict())))

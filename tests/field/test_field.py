@@ -132,15 +132,6 @@ class TestMotionQueries:
     def test_segment_blocked_when_leaving_field(self, empty_field):
         assert empty_field.segment_blocked(Segment(Vec2(50, 50), Vec2(150, 50)))
 
-    def test_first_obstacle_hit(self, field_with_block):
-        hit = field_with_block.first_obstacle_hit(Segment(Vec2(10, 50), Vec2(90, 50)))
-        assert hit is not None
-        obstacle, point = hit
-        assert point.almost_equals(Vec2(40, 50))
-
-    def test_first_obstacle_hit_none(self, field_with_block):
-        assert field_with_block.first_obstacle_hit(Segment(Vec2(0, 0), Vec2(10, 0))) is None
-
     def test_max_free_travel_unblocked(self, empty_field):
         travelled = empty_field.max_free_travel(10.0, 10.0, 1.0, 0.0, 20.0)
         assert travelled == pytest.approx(20.0)

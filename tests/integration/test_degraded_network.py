@@ -1,11 +1,11 @@
-"""End-to-end contracts of the unreliable-network backend.
+"""End-to-end contracts of the degraded network model.
 
 Three layers of protection:
 
 * the **structural-mode identity** — runs without a network spec pin the
   exact coverage and message counts the seed produced, so the hardening
   hooks provably compile down to the old code path by default;
-* the **degenerate parity** — an ``UnreliableNetwork`` with all knobs at
+* the **degenerate parity** — an ``"unreliable"`` spec with all knobs at
   zero must trace identically to the perfect network, draw for draw;
 * the **degradation acceptance** — at 10% loss both paper schemes retain
   at least 85% of their perfect-network coverage and surface the
@@ -56,9 +56,7 @@ class TestDegenerateParity:
                 scenario=scenario,
                 scheme=scheme,
                 trace_every=5,
-                network=NetworkSpec(
-                    model="unreliable", loss=0.0, latency=0, staleness=0
-                ),
+                network=NetworkSpec(model="unreliable", loss=0.0, staleness=0),
             )
         )
         assert trajectory(degenerate) == trajectory(base)
@@ -96,16 +94,3 @@ class TestDegradationAcceptance:
             network=NetworkSpec(model="unreliable", loss=0.1, staleness=5),
         )
         assert execute_run(spec) == execute_run(spec)
-
-    def test_latency_defers_but_does_not_wedge(self):
-        scenario = make_scenario(SMOKE_SCALE, seed=3)
-        record = execute_run(
-            RunSpec(
-                scenario=scenario,
-                scheme="FLOOR",
-                network=NetworkSpec(model="unreliable", latency=2),
-                profile=True,
-            )
-        )
-        assert record.coverage > 0.0
-        assert record.telemetry.counters["net.delayed"] > 0

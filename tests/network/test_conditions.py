@@ -1,19 +1,19 @@
-"""Tests for the pluggable network-condition models."""
+"""Tests for the network-condition model."""
 
 from collections import Counter
 
 import pytest
 
 import repro.network.conditions as conditions
-from repro.api import RunSpec, ScenarioSpec, execute_run
+from repro.api import RunSpec, ScenarioSpec, canonical_json, execute_run
 from repro.field import Field
 from repro.geometry import Vec2
 from repro.network import (
     MessageStats,
     NetworkSpec,
+    NetworkModel,
     PERFECT_NETWORK,
-    PerfectNetwork,
-    UnreliableNetwork,
+    RETRY_LIMIT,
 )
 from repro.sim import SimulationConfig, World
 
@@ -61,7 +61,7 @@ class TestNetworkSpec:
         spec = NetworkSpec(model="unreliable", loss=0.1, staleness=5)
         assert not spec.is_structural()
         net = spec.build(seed=9)
-        assert isinstance(net, UnreliableNetwork)
+        assert net is not PERFECT_NETWORK
         assert net.seed == 9
         assert net.loss == 0.1
         assert net.staleness == 5
@@ -70,9 +70,7 @@ class TestNetworkSpec:
         assert NetworkSpec(model="unreliable", staleness=1).is_structural()
 
     def test_round_trip(self):
-        spec = NetworkSpec(
-            model="unreliable", loss=0.05, latency=2, staleness=4, retry_limit=1
-        )
+        spec = NetworkSpec(model="unreliable", loss=0.05, staleness=4)
         assert NetworkSpec.from_dict(spec.to_dict()) == spec
 
     def test_from_dict_applies_defaults(self):
@@ -81,15 +79,29 @@ class TestNetworkSpec:
             NetworkSpec(model="unreliable", loss=0.2)
         )
 
+    def test_from_dict_normalises_number_spellings(self):
+        spec = NetworkSpec.from_dict(
+            {"model": "unreliable", "loss": 0, "staleness": 5.0}
+        )
+        assert canonical_json(spec.to_dict()) == canonical_json(
+            NetworkSpec(model="unreliable", loss=0.0, staleness=5).to_dict()
+        )
+
+    @pytest.mark.parametrize("key", ["latency", "retry_limit", "lossy"])
+    def test_from_dict_rejects_unknown_keys(self, key):
+        # A payload asking for a knob the model does not have must not
+        # quietly run without it.
+        with pytest.raises(TypeError, match=key):
+            NetworkSpec.from_dict({"model": "unreliable", "loss": 0.1, key: 2})
+
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"model": "carrier-pigeon"},
             {"model": "unreliable", "loss": 1.0},
             {"model": "unreliable", "loss": -0.1},
-            {"model": "unreliable", "latency": -1},
             {"model": "unreliable", "staleness": -1},
-            {"model": "unreliable", "retry_limit": -1},
+            {"model": "unreliable", "staleness": 2.5},
             {"model": "perfect", "loss": 0.1},
         ],
     )
@@ -97,11 +109,18 @@ class TestNetworkSpec:
         with pytest.raises(ValueError):
             NetworkSpec(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs", [{"loss": 1.0}, {"loss": -0.1}, {"staleness": -1}]
+    )
+    def test_invalid_models_rejected(self, kwargs):
+        with pytest.raises(ValueError):
+            NetworkModel(seed=1, **kwargs)
+
 
 class TestPerfectNetwork:
     def test_everything_is_a_pass_through(self):
         world = line_world(0.0, 5.0, 50.0)
-        net = PerfectNetwork()
+        net = NetworkModel()
         assert net.neighbors(world) is world.neighbor_snapshot()
         assert net.neighbor_table(world) == world.neighbor_table()
         assert net.neighbors(world).rows([2, 0]) == {2: [], 0: [1]}
@@ -120,7 +139,7 @@ class TestPerfectNetwork:
 class TestDegenerateUnreliable:
     def test_zero_knobs_behave_like_perfect(self):
         world = line_world(0.0, 5.0, 50.0)
-        net = UnreliableNetwork(seed=3)
+        net = NetworkModel(seed=3)
         assert net.neighbor_table(world) == world.neighbor_table()
         assert net.neighbors(world).rows([1]) == world.neighbor_snapshot().rows([1])
         assert net.exchange(world, ("x",), 5) == (True, 1)
@@ -133,7 +152,7 @@ class TestExchange:
         outcomes = []
         for _ in range(2):
             world = FakeWorld()
-            net = UnreliableNetwork(seed=11, loss=0.3)
+            net = NetworkModel(seed=11, loss=0.3)
             outcomes.append(
                 [net.exchange(world, ("msg", i), 2) for i in range(50)]
             )
@@ -141,7 +160,7 @@ class TestExchange:
 
     def test_distinct_keys_and_periods_draw_independently(self):
         world = FakeWorld()
-        net = UnreliableNetwork(seed=11, loss=0.5)
+        net = NetworkModel(seed=11, loss=0.5)
         by_key = [net.exchange(world, ("msg", i))[1] for i in range(40)]
         world.period_index = 1
         by_period = [net.exchange(world, ("msg", i))[1] for i in range(40)]
@@ -150,26 +169,27 @@ class TestExchange:
 
     def test_timeout_exhausts_budget_and_counts(self):
         world = FakeWorld()
-        net = UnreliableNetwork(seed=1, loss=0.95, retry_limit=2)
+        net = NetworkModel(seed=1, loss=0.95)
         # With 95% loss some key times out quickly; find one and check the
         # accounting of a full exhaustion.
         for i in range(100):
             probe = FakeWorld()
             delivered, attempts = net.exchange(probe, ("m", i), 3)
             if not delivered:
-                assert attempts == 3  # retry_limit + 1
-                assert probe.stats.net_counts["dropped"] == 3
+                assert RETRY_LIMIT == 3
+                assert attempts == 4  # RETRY_LIMIT + 1
+                assert probe.stats.net_counts["dropped"] == 4
                 assert probe.stats.net_counts["timeouts"] == 1
-                assert probe.stats.net_counts["retries"] == 2
-                # Exponential backoff: 1 + 2 periods of accumulated delay.
-                assert probe.stats.net_counts["delayed"] == 3
+                assert probe.stats.net_counts["retries"] == 3
+                # Exponential backoff: 1 + 2 + 4 periods of accumulated delay.
+                assert probe.stats.net_counts["delayed"] == 7
                 break
         else:
             pytest.fail("no timeout observed at 95% loss")
         assert world.stats.net_counts == {}
 
     def test_success_after_retry_counts_retries_not_timeouts(self):
-        net = UnreliableNetwork(seed=5, loss=0.6, retry_limit=3)
+        net = NetworkModel(seed=5, loss=0.6)
         for i in range(200):
             world = FakeWorld()
             delivered, attempts = net.exchange(world, ("m", i))
@@ -182,7 +202,7 @@ class TestExchange:
             pytest.fail("no retried success observed at 60% loss")
 
     def test_wider_critical_path_fails_more(self):
-        net = UnreliableNetwork(seed=2, loss=0.2, retry_limit=0)
+        net = NetworkModel(seed=2, loss=0.2)
         narrow = sum(
             net.exchange(FakeWorld(), ("n", i), 1)[0] for i in range(300)
         )
@@ -194,7 +214,7 @@ class TestExchange:
 
 class TestWalkHops:
     def test_deterministic_and_bounded(self):
-        net = UnreliableNetwork(seed=7, loss=0.3)
+        net = NetworkModel(seed=7, loss=0.3)
         world = FakeWorld()
         hops = [net.walk_hops(world, ("walk", i), 8) for i in range(50)]
         world2 = FakeWorld()
@@ -203,7 +223,7 @@ class TestWalkHops:
         assert any(h < 8 for h in hops)
 
     def test_truncated_walk_records_one_drop(self):
-        net = UnreliableNetwork(seed=7, loss=0.9)
+        net = NetworkModel(seed=7, loss=0.9)
         world = FakeWorld()
         hops = net.walk_hops(world, ("walk", 0), 8)
         if hops < 8:
@@ -216,14 +236,14 @@ class TestGeometricDraw:
     KEYS = 20_000
 
     def test_exchange_outcomes_match_the_geometric_law(self):
-        loss, critical, retry_limit = 0.3, 2, 3
-        net = UnreliableNetwork(seed=4, loss=loss, retry_limit=retry_limit)
+        loss, critical = 0.3, 2
+        net = NetworkModel(seed=4, loss=loss)
         world = FakeWorld()
         outcomes = Counter(
             net.exchange(world, ("m", i), critical) for i in range(self.KEYS)
         )
         success = (1.0 - loss) ** critical
-        budget = retry_limit + 1
+        budget = RETRY_LIMIT + 1
         expected = {
             (True, a): (1.0 - success) ** (a - 1) * success
             for a in range(1, budget + 1)
@@ -247,7 +267,7 @@ class TestGeometricDraw:
 
     def test_walk_hops_match_the_geometric_law(self):
         loss, ttl = 0.2, 6
-        net = UnreliableNetwork(seed=4, loss=loss)
+        net = NetworkModel(seed=4, loss=loss)
         world = FakeWorld()
         hops = Counter(
             net.walk_hops(world, ("walk", i), ttl) for i in range(self.KEYS)
@@ -261,15 +281,15 @@ class TestGeometricDraw:
         assert world.stats.net_counts["dropped"] == self.KEYS - hops[ttl]
 
     def test_underflowing_success_times_out(self):
-        net = UnreliableNetwork(seed=1, loss=0.9, retry_limit=2)
+        net = NetworkModel(seed=1, loss=0.9)
         assert (1.0 - 0.9) ** 400 == 0.0
         world = FakeWorld()
-        assert net.exchange(world, ("m",), 400) == (False, 3)
+        assert net.exchange(world, ("m",), 400) == (False, RETRY_LIMIT + 1)
         assert world.stats.net_counts["timeouts"] == 1
-        assert world.stats.net_counts["dropped"] == 3
+        assert world.stats.net_counts["dropped"] == RETRY_LIMIT + 1
 
     def test_loss_below_float_precision_always_delivers(self):
-        net = UnreliableNetwork(seed=1, loss=1e-17)
+        net = NetworkModel(seed=1, loss=1e-17)
         assert (1.0 - 1e-17) == 1.0
         world = FakeWorld()
         assert net.exchange(world, ("m",), 3) == (True, 1)
@@ -283,7 +303,7 @@ class TestGeometricDraw:
             return 0.5
 
         monkeypatch.setattr(conditions, "derive_uniform", counting)
-        net = UnreliableNetwork(seed=1, loss=0.5, retry_limit=5)
+        net = NetworkModel(seed=1, loss=0.5)
         world = FakeWorld()
         world.period_index = 7
         net.exchange(world, ("m", 1), 3)
@@ -305,7 +325,7 @@ def _small_run(scheme, network):
 @pytest.mark.parametrize("scheme", ["CPVF", "FLOOR"])
 @pytest.mark.parametrize(
     "network",
-    [None, NetworkSpec("unreliable", latency=1, staleness=5)],
+    [None, NetworkSpec("unreliable", staleness=5)],
     ids=["perfect", "loss-free-unreliable"],
 )
 def test_loss_free_runs_never_draw(monkeypatch, scheme, network):
@@ -332,7 +352,7 @@ def test_lossy_runs_draw(monkeypatch, scheme):
 class TestStaleness:
     def test_live_when_staleness_at_most_one(self):
         world = line_world(0.0, 5.0, 50.0)
-        net = UnreliableNetwork(seed=1, staleness=1)
+        net = NetworkModel(seed=1, staleness=1)
         assert net.neighbor_table(world) == world.neighbor_table()
         move(world, 2, 8.0)
         assert net.neighbors(world).rows([2]) == {2: [0, 1]}
@@ -340,7 +360,7 @@ class TestStaleness:
 
     def test_table_served_stale_between_refreshes(self):
         world = line_world(0.0, 5.0, 50.0)
-        net = UnreliableNetwork(seed=1, staleness=5)
+        net = NetworkModel(seed=1, staleness=5)
         assert net.neighbor_table(world) == {0: [1], 1: [0], 2: []}
         # The world moves on; the served table does not until the boundary.
         move(world, 2, 8.0)
@@ -352,7 +372,7 @@ class TestStaleness:
 
     def test_stale_rows_are_the_capture_time_rows(self):
         world = line_world(0.0, 5.0, 50.0)
-        net = UnreliableNetwork(seed=1, staleness=5)
+        net = NetworkModel(seed=1, staleness=5)
         captured = net.neighbors(world)
         move(world, 2, 8.0)
         move(world, 0, 30.0)
@@ -371,7 +391,7 @@ class TestStaleness:
             lambda net, world: net.neighbors(world).rows([0]),
         ):
             world = line_world(0.0, 5.0)
-            net = UnreliableNetwork(seed=1, staleness=3)
+            net = NetworkModel(seed=1, staleness=3)
             for period in range(7):
                 world.period_index = period
                 move(world, 1, 5.0 + period)
@@ -383,7 +403,7 @@ class TestStaleness:
 
     def test_population_change_forces_refresh(self):
         world = line_world(0.0, 5.0)
-        net = UnreliableNetwork(seed=1, staleness=10)
+        net = NetworkModel(seed=1, staleness=10)
         assert net.neighbor_table(world) == {0: [1], 1: [0]}
         world.remove_sensor(1)
         assert net.neighbor_table(world) == {0: []}
@@ -391,7 +411,7 @@ class TestStaleness:
 
     def test_every_reuse_between_refreshes_counts_one_stale_read(self):
         world = line_world(0.0, 12.0)
-        net = UnreliableNetwork(seed=1, staleness=3)
+        net = NetworkModel(seed=1, staleness=3)
         for period in range(7):
             world.period_index = period
             # Out of range at every refresh (periods 0, 3 and 6), in range

@@ -201,7 +201,6 @@ class SeedCPVF(CPVFScheme):
     def _finish_move(self, world, sensor, direction: Vec2, step: float) -> None:
         """Clip a validated step to free space, apply oscillation
         avoidance, and commit the move."""
-        self._pending_locks.pop(sensor.sensor_id, None)
         position = sensor.motion.position
         step = world.field.max_free_travel(
             position.x, position.y, direction.x, direction.y, step

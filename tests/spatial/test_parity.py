@@ -27,14 +27,28 @@ from repro.sim import (
     sensor_join,
 )
 from repro.spatial import IncrementalCoverage
+from repro.spatial.cache import DENSE_TABLE_MAX
 from tests.oracles import BruteRadio, double_loop_components, uncached
 
 FIELD_SIZE = 300.0
 
+#: Trials past the random ones, with their populations: both above
+#: ``DENSE_TABLE_MAX``, so the table is built through the ``SpatialIndex``.
+#: The churn tests fail a quarter of the sensors, which takes 151 back to
+#: the dense block and leaves 240 on the index.
+LARGE_TRIALS = {8: 151, 9: 240}
+assert min(LARGE_TRIALS.values()) > DENSE_TABLE_MAX
+#: Trials 0-7 draw 2-60 sensors; the large trials follow.
+TRIALS = [
+    *range(8),
+    *(pytest.param(trial, id=f"n{n}") for trial, n in LARGE_TRIALS.items()),
+]
+
 
 def random_world(trial, n=None, with_obstacles=False):
     rng = random.Random(trial)
-    n = n if n is not None else rng.randint(2, 60)
+    if n is None:
+        n = LARGE_TRIALS.get(trial) or rng.randint(2, 60)
     field = (
         two_obstacle_field(FIELD_SIZE)
         if with_obstacles
@@ -90,7 +104,7 @@ def scatter(world, rng, count):
 
 class TestNeighborTableParity:
     @pytest.mark.parametrize("with_obstacles", [False, True])
-    @pytest.mark.parametrize("trial", range(8))
+    @pytest.mark.parametrize("trial", TRIALS)
     def test_indexed_table_matches_bruteforce(self, trial, with_obstacles):
         world = random_world(trial, with_obstacles=with_obstacles)
         # The world-level (cached) path agrees — including list order.
@@ -99,7 +113,7 @@ class TestNeighborTableParity:
         )
 
     @pytest.mark.parametrize("with_obstacles", [False, True])
-    @pytest.mark.parametrize("trial", range(8))
+    @pytest.mark.parametrize("trial", TRIALS)
     def test_churned_table_matches_bruteforce(self, trial, with_obstacles):
         world = random_world(trial, with_obstacles=with_obstacles)
         world.neighbor_table()  # warm the cache before the churn
@@ -114,7 +128,7 @@ class TestNeighborTableParity:
 
 class TestBaseStationAndConnectivityParity:
     @pytest.mark.parametrize("with_obstacles", [False, True])
-    @pytest.mark.parametrize("trial", range(8))
+    @pytest.mark.parametrize("trial", TRIALS)
     def test_cached_queries_match_brute(self, trial, with_obstacles):
         world = random_world(trial, with_obstacles=with_obstacles)
         radio = brute(world)
@@ -130,7 +144,7 @@ class TestBaseStationAndConnectivityParity:
         )
 
     @pytest.mark.parametrize("with_obstacles", [False, True])
-    @pytest.mark.parametrize("trial", range(8))
+    @pytest.mark.parametrize("trial", TRIALS)
     def test_churned_queries_match_brute(self, trial, with_obstacles):
         world = random_world(trial, with_obstacles=with_obstacles)
         world.connected_component_of()  # warm the cache before the churn
