@@ -431,7 +431,9 @@ def _counter_bounds(prefix: str) -> Callable[..., Verdict]:
 
     The deployment is deterministic, so the count is exactly the
     committed one unless the code changed: more expansion recomputations
-    mean the planner's memo lost precision, more neighbour-table builds
+    mean the planner's memo lost precision, more coverage queries mean
+    IFLG searched neighbours again that it could have reused (or another
+    part probed more), more neighbour-table builds
     mean a caller went back to building every row to read a few (FLOOR)
     or built a table more than once per layout (CPVF), whatever the wall
     time says.
@@ -645,6 +647,9 @@ CONTRACTS: Tuple[Contract, ...] = (
              committed=Committed("obstacle_floor", "wall_ms")),
     Contract("floor.expansion_recomputes", "obstacle_floor",
              _counter_bounds("floor.expansion_recomputed"),
+             committed=Committed("obstacle_floor", "counters")),
+    Contract("floor.coverage_queries", "obstacle_floor",
+             _counter_bounds("floor.coverage_queries"),
              committed=Committed("obstacle_floor", "counters")),
     Contract("neighbors.table_builds", "obstacle_floor",
              _counter_bounds("neighbors.table_builds"),

@@ -616,18 +616,21 @@ OBSTACLE_CPVF_COUNTERS = ("neighbors.table_builds",)
 OBSTACLE_FLOOR_PHASES = (
     "floor.expansion_points",
     "floor.invitations",
+    "floor.relocation_starts",
     "floor.relocations",
 )
 #: Counters of the ``obstacle_floor`` row: the expansion planner's
 #: answers reused and recomputed, its FLG, BLG and IFLG part
-#: recomputations, the registry probes it made, and the whole neighbour
-#: tables built.
+#: recomputations, the IFLG neighbours those reused and searched again,
+#: the registry probes it made, and the whole neighbour tables built.
 OBSTACLE_FLOOR_COUNTERS = (
     "floor.expansion_reused",
     "floor.expansion_recomputed",
     "floor.expansion_recomputed.flg",
     "floor.expansion_recomputed.blg",
     "floor.expansion_recomputed.iflg",
+    "floor.iflg_neighbors_reused",
+    "floor.iflg_neighbors_computed",
     "floor.coverage_queries",
     "neighbors.table_builds",
 )

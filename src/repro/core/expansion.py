@@ -37,6 +37,24 @@ __all__ = ["ExpansionKind", "ExpansionPoint", "ExpansionPlanner"]
 _MEMO_SLACK = 1e-6
 
 
+def _flips(
+    probes: List[Tuple[float, float, bool]],
+    changes: List[Tuple[float, float, int, bool]],
+    reach_sq: float,
+) -> bool:
+    """Whether one of the registry ``changes`` could flip one of the
+    coverage ``probes``: an added record within reach of an uncovered
+    probe, or a removed one within reach of a covered probe."""
+    for cx, cy, _, added in changes:
+        for px, py, covered in probes:
+            if covered != added:
+                dx = cx - px
+                dy = cy - py
+                if dx * dx + dy * dy <= reach_sq:
+                    return True
+    return False
+
+
 class ExpansionKind(IntEnum):
     """Expansion types, ordered so that a smaller value means higher priority."""
 
@@ -60,9 +78,10 @@ class ExpansionPoint:
 
 @dataclass(slots=True)
 class _Part:
-    """One kind's last points and the coverage probes they were derived from."""
+    """Points and the coverage probes they were derived from: one kind's
+    (in priority order) or one IFLG neighbour's."""
 
-    #: The kind's points, in priority order.
+    #: The points (a kind's in priority order).
     points: List[ExpansionPoint]
     #: ``(x, y, covered)`` of every coverage probe, in the order made.
     probes: List[Tuple[float, float, bool]]
@@ -82,6 +101,9 @@ class _Answer:
     record: Optional[Tuple[float, float, int]]
     #: The FLG, BLG and IFLG parts, indexed by :class:`ExpansionKind`.
     parts: List[_Part]
+    #: The IFLG part per same-floor neighbour, keyed by its
+    #: ``(node_id, x, y)``; the part is their concatenation.
+    neighbors: Dict[Tuple[int, float, float], _Part]
     #: The parts' points concatenated (already in priority order).
     points: List[ExpansionPoint]
     #: Floor headers the answer's coverage-status query asks.
@@ -108,8 +130,15 @@ class ExpansionPlanner:
     recomputed_parts: List[int] = dataclass_field(
         default_factory=lambda: [0, 0, 0], init=False, compare=False
     )
-    #: Registry coverage probes made by those recomputations.
+    #: Registry coverage probes made (reused IFLG neighbours make none).
     coverage_queries: int = dataclass_field(default=0, init=False, compare=False)
+    #: IFLG neighbours whose points and probes were taken from the memo.
+    iflg_neighbors_reused: int = dataclass_field(default=0, init=False, compare=False)
+    #: IFLG neighbours searched (new, moved, or with a probe a change
+    #: could flip).
+    iflg_neighbors_computed: int = dataclass_field(
+        default=0, init=False, compare=False
+    )
     #: ``owner_id -> _Answer``: the owner's last answer and its inputs.
     _memo: Dict[int, _Answer] = dataclass_field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -140,11 +169,14 @@ class ExpansionPlanner:
         of a covered probe (FLG and BLG probes exclude the owner, so the
         owner's own changes cannot flip them).  IFLG is also recomputed on
         a change of the owner's record or of a record on the same floor
-        within ``2 * expansion_radius`` of it.  With every probe answer
-        unchanged a part makes the same probes in the same order (a probe
-        it skipped can only be reached after an earlier answer flipped),
-        so the rule is exact.  :meth:`floors_asked` gives the answer's
-        coverage-query message cost; the planner only asks the registry.
+        within ``2 * expansion_radius`` of it; it then searches again only
+        the neighbours that are new, moved, or have a probe such a change
+        could flip, and reuses the others' points and probes.  With every
+        probe answer unchanged a search makes the same probes in the same
+        order (a probe it skipped can only be reached after an earlier
+        answer flipped), so the rule is exact.  :meth:`floors_asked` gives
+        the answer's coverage-query message cost; the planner only asks
+        the registry.
         """
         x, y = position.x, position.y
         registry = self.registry
@@ -156,17 +188,20 @@ class ExpansionPlanner:
             or memo.field_version != self.field.version
         ):
             stale = [True, True, True]
+            known: Dict[Tuple[int, float, float], _Part] = {}
+            near: List[Tuple[float, float, int, bool]] = []
         else:
-            stale = self._stale_parts(memo, owner_id)
+            if memo.registry_version == registry.version:
+                # No registry change since: nothing can be stale.
+                self.reused += 1
+                return list(memo.points)
+            stale, near = self._stale_parts(memo, owner_id)
             if not (stale[0] or stale[1] or stale[2]):
                 memo.registry_version = registry.version
                 self.reused += 1
                 return list(memo.points)
+            known = memo.neighbors
         self.recomputed += 1
-        parts = [
-            self._search(kind, owner_id, x, y) if stale[kind] else memo.parts[kind]
-            for kind in ExpansionKind
-        ]
         if stale[ExpansionKind.IFLG]:
             found = registry.record(owner_id)
             record = (
@@ -174,8 +209,26 @@ class ExpansionPlanner:
                 if found is None
                 else (found.position.x, found.position.y, registry.floor_of(owner_id))
             )
+            neighbors: Dict[Tuple[int, float, float], _Part] = {}
         else:
             record = memo.record
+            neighbors = memo.neighbors
+        parts: List[_Part] = []
+        for kind in ExpansionKind:
+            if not stale[kind]:
+                parts.append(memo.parts[kind])
+                continue
+            probes: List[Tuple[float, float, bool]] = []
+            self._probes = probes
+            if kind is ExpansionKind.FLG:
+                found_points = self._flg_points(owner_id, x, y)
+            elif kind is ExpansionKind.BLG:
+                found_points = self._blg_points(owner_id, x, y)
+            else:
+                found_points = self._iflg_points(owner_id, x, y, known, near, neighbors)
+            found_points.sort(key=ExpansionPoint.priority_key)
+            self.recomputed_parts[kind] += 1
+            parts.append(_Part(found_points, probes))
         points = parts[0].points + parts[1].points + parts[2].points
         floors_asked = (
             len(
@@ -193,6 +246,7 @@ class ExpansionPlanner:
             registry_version=registry.version,
             record=record,
             parts=parts,
+            neighbors=neighbors,
             points=points,
             floors_asked=floors_asked,
             probe_reach_sq=self._probe_reach_sq(x, y, parts),
@@ -209,21 +263,6 @@ class ExpansionPlanner:
         point (zero when it has none)."""
         return self._memo[owner_id].floors_asked
 
-    def _search(self, kind: ExpansionKind, owner_id: int, x: float, y: float) -> _Part:
-        """One kind's points, in priority order, with the probes they made."""
-        probes: List[Tuple[float, float, bool]] = []
-        self._probes = probes
-        if kind is ExpansionKind.FLG:
-            points = self._flg_points(owner_id, x, y)
-        elif kind is ExpansionKind.BLG:
-            points = self._blg_points(owner_id, x, y)
-        else:
-            points = self._iflg_points(owner_id, x, y)
-        points.sort(key=ExpansionPoint.priority_key)
-        self.recomputed_parts[kind] += 1
-        self.coverage_queries += len(probes)
-        return _Part(points, probes)
-
     def _probe_reach_sq(self, x: float, y: float, parts: List[_Part]) -> float:
         """:attr:`_Answer.probe_reach_sq` of probes made from ``(x, y)``."""
         farthest = max(
@@ -235,49 +274,47 @@ class ExpansionPlanner:
         reach = farthest + self.sensing_range + 2.0 * _MEMO_SLACK
         return reach * reach
 
-    def _stale_parts(self, memo: _Answer, owner_id: int) -> List[bool]:
-        """Which parts of ``memo`` a registry change since it may alter."""
-        stale = [False, False, False]
-        changes = self.registry.changes_since(memo.registry_version)
-        if not changes:
-            return stale
-        reach = self.sensing_range + _MEMO_SLACK
-        reach_sq = reach * reach
+    def _stale_parts(
+        self, memo: _Answer, owner_id: int
+    ) -> Tuple[List[bool], List[Tuple[float, float, int, bool]]]:
+        """Which parts of ``memo`` a registry change since it may alter,
+        and the changes within reach of one of its probes."""
+        x, y = memo.x, memo.y
+        probe_reach_sq = memo.probe_reach_sq
         record = memo.record
         neighbor_reach = 2.0 * self.expansion_radius + _MEMO_SLACK
         neighbor_reach_sq = neighbor_reach * neighbor_reach
         floor_index = self.registry.floors.floor_index
-        iflg = ExpansionKind.IFLG
-        x, y = memo.x, memo.y
-        probe_reach_sq = memo.probe_reach_sq
-        for cx, cy, node_id, added in changes:
-            if not stale[iflg]:
+        iflg_stale = False
+        near = []
+        for change in self.registry.changes_since(memo.registry_version):
+            cx, cy, node_id, _ = change
+            if not iflg_stale:
                 if node_id == owner_id:
-                    stale[iflg] = True
+                    iflg_stale = True
                 elif record is not None:
                     dx = cx - record[0]
                     dy = cy - record[1]
-                    stale[iflg] = (
+                    iflg_stale = (
                         dx * dx + dy * dy <= neighbor_reach_sq
                         and floor_index(cy) == record[2]
                     )
             dx = cx - x
             dy = cy - y
-            if dx * dx + dy * dy > probe_reach_sq:
-                continue
-            for kind, part in enumerate(memo.parts):
-                if stale[kind] or (node_id == owner_id and kind != iflg):
-                    continue
-                for px, py, covered in part.probes:
-                    if covered != added:
-                        dx = cx - px
-                        dy = cy - py
-                        if dx * dx + dy * dy <= reach_sq:
-                            stale[kind] = True
-                            break
-            if stale[0] and stale[1] and stale[2]:
-                break
-        return stale
+            if dx * dx + dy * dy <= probe_reach_sq:
+                near.append(change)
+        if not near:
+            return [False, False, iflg_stale], near
+        # FLG and BLG probes exclude the owner.
+        others = [change for change in near if change[2] != owner_id]
+        reach = self.sensing_range + _MEMO_SLACK
+        reach_sq = reach * reach
+        flg, blg, iflg = memo.parts
+        return [
+            _flips(flg.probes, others, reach_sq),
+            _flips(blg.probes, others, reach_sq),
+            iflg_stale or _flips(iflg.probes, near, reach_sq),
+        ], near
 
     # ------------------------------------------------------------------
     # Shared helpers
@@ -310,6 +347,7 @@ class ExpansionPlanner:
             x, y, self.sensing_range, exclude=exclude
         )
         self._probes.append((x, y, covered))
+        self.coverage_queries += 1
         return not covered
 
     # ------------------------------------------------------------------
@@ -373,7 +411,22 @@ class ExpansionPlanner:
     # ------------------------------------------------------------------
     # IFLG expansion
     # ------------------------------------------------------------------
-    def _iflg_points(self, owner_id: int, px: float, py: float) -> List[ExpansionPoint]:
+    def _iflg_points(
+        self,
+        owner_id: int,
+        px: float,
+        py: float,
+        known: Dict[Tuple[int, float, float], _Part],
+        changes: List[Tuple[float, float, int, bool]],
+        entries: Dict[Tuple[int, float, float], _Part],
+    ) -> List[ExpansionPoint]:
+        """IFLG points, searched per same-floor neighbour.
+
+        A neighbour found in ``known`` (the last answer's, from the same
+        position and field) under its ``(node_id, x, y)`` is reused when
+        none of the registry ``changes`` since could flip one of its
+        probes; every neighbour's part goes into ``entries``.
+        """
         radius = self.expansion_radius
         neighbors = self.registry.neighbors_on_floor(owner_id, 2.0 * radius)
         if not neighbors:
@@ -389,36 +442,52 @@ class ExpansionPlanner:
         ]
         if not inter_lines:
             return []
+        reach = self.sensing_range + _MEMO_SLACK
+        reach_sq = reach * reach
         is_free_xy = self.field.is_free_xy
+        probes = self._probes
         points: List[ExpansionPoint] = []
         for record in neighbors:
             qx, qy = record.position.x, record.position.y
-            crossings = circle_intersections_xy(px, py, radius, qx, qy, radius)
-            midpoint_x = (px + qx) / 2.0
-            for cx, cy in crossings:
-                # Keep only the intersection lying toward an inter-floor line
-                # (the side where a hole between the two sensors and that
-                # line could exist).
-                hole_lines = [
-                    line
-                    for line in inter_lines
-                    if abs(cy - py) > 1e-9 and (cy - py) * (line - py) > 0
-                ]
-                if not hole_lines:
-                    continue
-                if not is_free_xy(cx, cy):
-                    continue
-                # There is a hole only if the point of the inter-floor line
-                # midway between the two sensors is not covered by anyone.
-                hole_y = hole_lines[0]
-                if not is_free_xy(midpoint_x, hole_y):
-                    continue
-                if not self._is_uncovered(midpoint_x, hole_y, ()):
-                    continue
-                # The EP itself must not already host (or be promised to)
-                # another node.
-                if self._is_uncovered(cx, cy, (owner_id, record.node_id)):
-                    points.append(
-                        ExpansionPoint(Vec2(cx, cy), ExpansionKind.IFLG, owner_id)
-                    )
+            key = (record.node_id, qx, qy)
+            entry = known.get(key)
+            if entry is not None and not _flips(entry.probes, changes, reach_sq):
+                self.iflg_neighbors_reused += 1
+            else:
+                self.iflg_neighbors_computed += 1
+                entry = _Part([], [])
+                self._probes = entry.probes
+                crossings = circle_intersections_xy(px, py, radius, qx, qy, radius)
+                midpoint_x = (px + qx) / 2.0
+                for cx, cy in crossings:
+                    # Keep only the intersection lying toward an inter-floor
+                    # line (the side where a hole between the two sensors
+                    # and that line could exist).
+                    hole_lines = [
+                        line
+                        for line in inter_lines
+                        if abs(cy - py) > 1e-9 and (cy - py) * (line - py) > 0
+                    ]
+                    if not hole_lines:
+                        continue
+                    if not is_free_xy(cx, cy):
+                        continue
+                    # There is a hole only if the point of the inter-floor
+                    # line midway between the two sensors is not covered by
+                    # anyone.
+                    hole_y = hole_lines[0]
+                    if not is_free_xy(midpoint_x, hole_y):
+                        continue
+                    if not self._is_uncovered(midpoint_x, hole_y, ()):
+                        continue
+                    # The EP itself must not already host (or be promised
+                    # to) another node.
+                    if self._is_uncovered(cx, cy, (owner_id, record.node_id)):
+                        entry.points.append(
+                            ExpansionPoint(Vec2(cx, cy), ExpansionKind.IFLG, owner_id)
+                        )
+            entries[key] = entry
+            points.extend(entry.points)
+            probes.extend(entry.probes)
+        self._probes = probes
         return points

@@ -68,10 +68,16 @@ _DEFAULT_TTL_FRACTION = 0.2
 #: arrival time" estimate).
 _PHASE2_DEADLINE_FRACTION = 0.25
 
-#: Telemetry counters of the expansion planner's part recomputations,
-#: indexed by :class:`ExpansionKind`.
-_RECOMPUTED_PART_COUNTERS = tuple(
-    f"floor.expansion_recomputed.{kind.name.lower()}" for kind in ExpansionKind
+#: Telemetry counters of the expansion planner's totals, in the order of
+#: :meth:`FloorScheme._planner_counts` (the part recomputations indexed
+#: by :class:`ExpansionKind` last).
+_PLANNER_COUNTERS = (
+    "floor.expansion_reused",
+    "floor.expansion_recomputed",
+    "floor.coverage_queries",
+    "floor.iflg_neighbors_reused",
+    "floor.iflg_neighbors_computed",
+    *(f"floor.expansion_recomputed.{kind.name.lower()}" for kind in ExpansionKind),
 )
 
 
@@ -177,25 +183,29 @@ class FloorScheme(DeploymentScheme):
         # step: the connection walkers' rows, and on the period phase 2
         # runs the whole table of the same snapshot.
         neighbors = world.protocol_neighbors()
-        table = neighbors.rows(
+        walkers = [
             s.sensor_id
             for s in world.sensors
             if s.is_alive() and not s.is_connected()
-        )
-        config = world.config
-        attach_distance = min(
-            config.communication_range, 2.0 * config.sensing_range
-        )
-        for sensor_id in attach_reachable(world, table, attach_distance, self._lazy):
-            # Arrival report up the tree and the ancestor-list response
-            # back down (Section 5.3).
-            world.routing.record_to_base_station(
-                world.tree, sensor_id, MessageType.ARRIVAL_REPORT
+        ]
+        table = neighbors.rows(walkers)
+        if walkers:
+            config = world.config
+            attach_distance = min(
+                config.communication_range, 2.0 * config.sensing_range
             )
-            world.routing.record_from_base_station(
-                world.tree, sensor_id, MessageType.ANCESTOR_RESPONSE
-            )
-        self._advance_disconnected_sensors(world, table)
+            for sensor_id in attach_reachable(
+                world, table, attach_distance, self._lazy
+            ):
+                # Arrival report up the tree and the ancestor-list response
+                # back down (Section 5.3).
+                world.routing.record_to_base_station(
+                    world.tree, sensor_id, MessageType.ARRIVAL_REPORT
+                )
+                world.routing.record_from_base_station(
+                    world.tree, sensor_id, MessageType.ANCESTOR_RESPONSE
+                )
+            self._advance_disconnected_sensors(world, table)
 
         if self._phase == 1 and self._phase2_should_start(world):
             self._identify_movable_sensors(world, neighbors.table())
@@ -344,11 +354,14 @@ class FloorScheme(DeploymentScheme):
         self, world: World, sensor: Sensor, table: Dict[int, List[int]]
     ) -> bool:
         """Estimate the exclusively covered fraction of the sensing disk."""
-        neighbors = [
-            world.sensor(nid)
-            for nid in table.get(sensor.sensor_id, [])
-            if world.sensor(nid).is_connected()
+        # ``Sensor.covers`` of each connected neighbour, on floats.
+        disks = [
+            (nb.position.x, nb.position.y, nb.sensing_range + 1e-9)
+            for nb in map(world.sensor, table.get(sensor.sensor_id, []))
+            if nb.is_connected()
         ]
+        position = sensor.position
+        is_free_xy = world.field.is_free_xy
         rs = sensor.sensing_range
         exclusive = 0
         samples = 0
@@ -357,11 +370,12 @@ class FloorScheme(DeploymentScheme):
             fraction = (k + 0.5) / _EXCLUSIVE_COVERAGE_SAMPLES
             radius = rs * math.sqrt(fraction)
             angle = 2.0 * math.pi * (k * 0.61803398875 % 1.0)
-            point = sensor.position + Vec2.from_polar(radius, angle)
-            if not world.field.is_free(point):
+            x = position.x + radius * math.cos(angle)
+            y = position.y + radius * math.sin(angle)
+            if not is_free_xy(x, y):
                 continue
             samples += 1
-            if not any(nb.covers(point) for nb in neighbors):
+            if not any(math.hypot(nx - x, ny - y) <= reach for nx, ny, reach in disks):
                 exclusive += 1
         if samples == 0:
             return True
@@ -370,14 +384,26 @@ class FloorScheme(DeploymentScheme):
     # -- Phase 3: expanding coverage ------------------------------------
     def _advance_relocations(self, world: World) -> None:
         assert self._registry is not None
+        field = world.field
+        is_free_xy = field.is_free_xy
         arrived: List[int] = []
+        # One step per relocating sensor on floats: the obstacle-exit
+        # correction (:meth:`_exit_obstacle`) and the arrival test read
+        # the point reached, and each position committed is one ``Vec2``.
         for sensor_id, ep in self._relocations.items():
-            sensor = world.sensor(sensor_id)
-            sensor.motion.advance_along_path()
-            self._exit_obstacle(world, sensor)
-            if not sensor.motion.has_path or sensor.position.distance_to(
-                ep.position
-            ) <= 1e-6:
+            motion = world.sensors[sensor_id].motion
+            step = motion.path_step()
+            if step is None:
+                position = motion.position
+                x, y = position.x, position.y
+            else:
+                x, y, _ = step
+                position = motion.position = Vec2(x, y)
+            if not is_free_xy(x, y):
+                position = motion.position = field.nearest_free(position)
+                x, y = position.x, position.y
+            target = ep.position
+            if motion.path is None or math.hypot(x - target.x, y - target.y) <= 1e-6:
                 arrived.append(sensor_id)
         for sensor_id in arrived:
             ep = self._relocations.pop(sensor_id)
@@ -428,6 +454,19 @@ class FloorScheme(DeploymentScheme):
             return None
         return sensor.position
 
+    def _planner_counts(self) -> List[int]:
+        """The expansion planner's totals behind :data:`_PLANNER_COUNTERS`."""
+        planner = self._expansion
+        assert planner is not None
+        return [
+            planner.reused,
+            planner.recomputed,
+            planner.coverage_queries,
+            planner.iflg_neighbors_reused,
+            planner.iflg_neighbors_computed,
+            *planner.recomputed_parts,
+        ]
+
     def _collect_expansion_points(self, world: World) -> List[ExpansionPoint]:
         """Step 1 of a round: fixed (and virtual) searchers look for EPs.
 
@@ -435,12 +474,7 @@ class FloorScheme(DeploymentScheme):
         """
         assert self._expansion is not None
         expansion = self._expansion
-        before = (
-            expansion.reused,
-            expansion.recomputed,
-            expansion.coverage_queries,
-            *expansion.recomputed_parts,
-        )
+        before = self._planner_counts()
         expansion_points: List[ExpansionPoint] = []
         exhausted: List[int] = []
         floors_asked = 0
@@ -468,13 +502,8 @@ class FloorScheme(DeploymentScheme):
             self._drop_searcher(searcher_id)
         tel = world.telemetry
         if tel.enabled:
-            tel.count("floor.expansion_reused", expansion.reused - before[0])
-            tel.count("floor.expansion_recomputed", expansion.recomputed - before[1])
-            tel.count(
-                "floor.coverage_queries", expansion.coverage_queries - before[2]
-            )
             for name, done, was in zip(
-                _RECOMPUTED_PART_COUNTERS, expansion.recomputed_parts, before[3:]
+                _PLANNER_COUNTERS, self._planner_counts(), before
             ):
                 tel.count(name, done - was)
         return expansion_points
@@ -521,10 +550,11 @@ class FloorScheme(DeploymentScheme):
         tel.count("floor.relocations_started", len(assignments))
 
         # 3. Accepted movable sensors start relocating.
-        for assignment in assignments:
-            self._start_relocation(
-                world, assignment.movable_id, assignment.expansion_point
-            )
+        with tel.span("floor.relocation_starts"):
+            for assignment in assignments:
+                self._start_relocation(
+                    world, assignment.movable_id, assignment.expansion_point
+                )
 
     def _start_relocation(
         self, world: World, movable_id: int, ep: ExpansionPoint
@@ -550,42 +580,41 @@ class FloorScheme(DeploymentScheme):
         self._active_searchers.add(virtual_id)
 
     def _rehome_children(self, world: World, sensor: Sensor) -> bool:
-        """Give every child of a departing movable sensor a new parent."""
-        children = list(world.tree.children_of(sensor.sensor_id))
+        """Give every child of a departing movable sensor a new parent.
+
+        Each child takes the first that accepts it of the base station
+        (when within rc) and its connected tree neighbours outside its
+        own subtree, in row order.  A child with none fails the re-home;
+        the children re-homed before it keep their new parents.
+        """
+        tree = world.tree
+        children = list(tree.children_of(sensor.sensor_id))
         if not children:
             return True
         table = world.protocol_neighbors().rows(children)
+        rc = world.config.communication_range
+        rc_limit = rc + LINK_EPS
         for child in children:
-            child_sensor = world.sensor(child)
-            subtree = world.tree.subtree_of(child)
-            rc_limit = world.config.communication_range + LINK_EPS
-            candidates: List[int] = []
-            if (
-                child_sensor.position.distance_to(world.base_station)
-                <= world.config.communication_range
+            position = world.sensor(child).position
+            if position.distance_to(world.base_station) <= rc and tree.reparent(
+                child, BASE_STATION_ID
             ):
-                candidates.append(BASE_STATION_ID)
+                continue
+            subtree = tree.subtree_of(child)
             for candidate in table.get(child, []):
                 if candidate == sensor.sensor_id or candidate in subtree:
                     continue
                 candidate_sensor = world.sensor(candidate)
-                if not candidate_sensor.is_connected() or candidate not in world.tree:
+                if not candidate_sensor.is_connected() or candidate not in tree:
                     continue
                 # Live-range revalidation: a stale table entry may have
                 # drifted out of range; adopting it would put a broken
                 # link into the tree (no-op when the table is live).
-                if (
-                    child_sensor.position.distance_to(candidate_sensor.position)
-                    > rc_limit
-                ):
+                if position.distance_to(candidate_sensor.position) > rc_limit:
                     continue
-                candidates.append(candidate)
-            reparented = False
-            for candidate in candidates:
-                if world.tree.reparent(child, candidate):
-                    reparented = True
+                if tree.reparent(child, candidate):
                     break
-            if not reparented:
+            else:
                 return False
         return True
 

@@ -22,6 +22,9 @@ _BOUNDARY_EPS = 1e-7
 #: magnitude (and at least absolute): a point or segment this far outside
 #: the eps-padded bbox gets the same answer from the full test.
 _BBOX_SLACK = 1e-9
+#: Depth inside a rectangle beyond which a point is inside without the
+#: edge tests: far above the boundary eps and the coordinates' rounding.
+_INNER_MARGIN = 1e-6
 #: ``segment_crosses_interior`` tests the segment at ``t = i / 8`` for
 #: ``i = 1..7``.
 _CROSSING_SAMPLES = 8
@@ -70,6 +73,26 @@ class Polygon:
             self,
             "_reject_box",
             (bbox[0] - pad, bbox[1] - pad, bbox[2] + pad, bbox[3] + pad),
+        )
+        # An axis-aligned rectangle (its four bbox corners, joined by
+        # axis-aligned edges) holds every point deeper than _INNER_MARGIN
+        # inside its bbox, at more than the boundary eps from each edge:
+        # the ray-cast parity of its two vertical edges is exact there, so
+        # contains_xy answers True without the edge loops.
+        xmin, ymin, xmax, ymax = bbox
+        rectangle = (
+            n == 4
+            and set(zip(xs, ys))
+            == {(xmin, ymin), (xmax, ymin), (xmax, ymax), (xmin, ymax)}
+            and all(dx == 0.0 or dy == 0.0 for _, _, _, _, dx, dy, _ in edge_data)
+        )
+        m = _INNER_MARGIN
+        object.__setattr__(
+            self,
+            "_inner_box",
+            (xmin + m, ymin + m, xmax - m, ymax - m)
+            if rectangle
+            else (math.inf, math.inf, -math.inf, -math.inf),
         )
 
     # ------------------------------------------------------------------
@@ -167,6 +190,9 @@ class Polygon:
         xmin, ymin, xmax, ymax = self._reject_box
         if px < xmin or px > xmax or py < ymin or py > ymax:
             return False
+        xmin, ymin, xmax, ymax = self._inner_box
+        if xmin < px < xmax and ymin < py < ymax:
+            return True
         edge_data = self._edge_data
         inside = False
         for ax, ay, bx, by, dx, dy, _ in edge_data:

@@ -81,19 +81,25 @@ class Bug2Path:
         """Last waypoint."""
         return self.waypoints[-1]
 
-    def point_at_distance(self, distance: float) -> Vec2:
-        """Point at arc-length ``distance`` from the start (clamped to the end)."""
+    def point_xy_at_distance(self, distance: float) -> Tuple[float, float]:
+        """``(x, y)`` of the point at arc-length ``distance`` from the start
+        (clamped to the end), interpolated as :meth:`Vec2.lerp` does."""
         waypoints = self.waypoints
         if distance <= 0 or len(waypoints) == 1:
-            return waypoints[0]
+            point = waypoints[0]
+            return point.x, point.y
         remaining = distance
         for i, seg_len in enumerate(self._lengths):
             if remaining <= seg_len:
+                b = waypoints[i + 1]
                 if seg_len <= EPS:
-                    return waypoints[i + 1]
-                return waypoints[i].lerp(waypoints[i + 1], remaining / seg_len)
+                    return b.x, b.y
+                a = waypoints[i]
+                t = remaining / seg_len
+                return a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t
             remaining -= seg_len
-        return waypoints[-1]
+        point = waypoints[-1]
+        return point.x, point.y
 
 
 class Bug2Planner:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Optional
+from typing import Optional, Tuple
 
 from ..geometry import Vec2
 from .bug2 import Bug2Path
@@ -110,22 +110,39 @@ class MotionModel:
         Returns the distance moved.  The path is cleared automatically when
         its end is reached.
         """
+        step = self.path_step(distance)
+        if step is None:
+            return 0.0
+        x, y, travel = step
+        self.position = Vec2(x, y)
+        return travel
+
+    def path_step(
+        self, distance: Optional[float] = None
+    ) -> Optional[Tuple[float, float, float]]:
+        """:meth:`advance_along_path` on floats, short of moving.
+
+        Charges the path progress and the odometer and clears a finished
+        path, then returns ``(x, y, travel)``: the point reached, which
+        the caller commits to :attr:`position`, and the distance moved.
+        ``None`` when nothing moves.
+        """
         path = self._path
         if path is None:
-            return 0.0
-        limit = self.max_step if distance is None else min(distance, self.max_step)
+            return None
+        max_step = self.max_speed * self.period
+        limit = max_step if distance is None else min(distance, max_step)
         if limit <= 0:
-            return 0.0
-        travel = min(limit, self.remaining_path_length())
+            return None
+        travel = min(limit, max(0.0, self._path_length - self._path_progress))
         progress = self._path_progress + travel
         self._path_progress = progress
-        new_position = path.point_at_distance(progress)
+        x, y = path.point_xy_at_distance(progress)
         self.odometer += travel
-        self.position = new_position
         if self._path_length - progress <= 1e-9:
             self._path = None
             self._path_progress = 0.0
-        return travel
+        return x, y, travel
 
     def stop(self) -> None:
         """Abandon the current path (the sensor stays where it is)."""

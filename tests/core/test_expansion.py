@@ -447,6 +447,7 @@ class TestMemo:
         assert planner.reused + planner.recomputed == calls
         assert planner.reused > calls // 4, "far changes must be reused"
         assert planner.recomputed > 100
+        assert planner.iflg_neighbors_reused > 0 < planner.iflg_neighbors_computed
 
     @pytest.mark.parametrize("seed", [3, 8])
     def test_random_changes_with_obstacles_match_a_fresh_planner(self, seed):
@@ -524,3 +525,99 @@ class TestMemo:
         assert all(
             0 < done < planner.recomputed for done in planner.recomputed_parts
         ), "some recomputations must keep a part"
+
+
+class TestIFLGNeighborMemo:
+    """A recomputed IFLG part searches again only the neighbours a change
+    touched: new or moved ones, and those with a probe it could flip."""
+
+    OWNER = Vec2(500, 40)
+
+    def _setup(self):
+        # Neighbours 1 and 2 each give one IFLG point toward the
+        # inter-floor line y = 80; neighbour 3 crosses the owner's circle
+        # below it (no inter-floor line there), so it probes nothing.
+        planner, registry = make_planner()
+        registry.register(0, self.OWNER)
+        registry.register(1, Vec2(560, 40))
+        registry.register(2, Vec2(440, 40))
+        registry.register(3, Vec2(500, 0))
+        reference = ReferenceExpansionPlanner(
+            field=planner.field,
+            floors=planner.floors,
+            registry=registry,
+            sensing_range=planner.sensing_range,
+            expansion_radius=planner.expansion_radius,
+        )
+        points = self._check(planner, reference, (0, 3))
+        assert [p.kind for p in points] == [ExpansionKind.IFLG] * 2
+        return planner, registry, reference
+
+    def _check(self, planner, reference, counts):
+        """Ask the owner; its points equal the reference's and ``counts``
+        is the ``(reused, computed)`` neighbour evaluations it made."""
+        before = (planner.iflg_neighbors_reused, planner.iflg_neighbors_computed)
+        points = planner.expansion_points(0, self.OWNER)
+        assert points == reference.expansion_points(0, self.OWNER)
+        assert (
+            planner.iflg_neighbors_reused - before[0],
+            planner.iflg_neighbors_computed - before[1],
+        ) == counts
+        return points
+
+    def test_a_moved_neighbour_is_searched_again_alone(self):
+        planner, registry, reference = self._setup()
+        registry.register(1, Vec2(561, 40))
+        self._check(planner, reference, (2, 1))
+
+    def test_a_removed_neighbour_leaves_the_others_reused(self):
+        planner, registry, reference = self._setup()
+        registry.unregister(2)
+        self._check(planner, reference, (2, 0))
+        registry.register(2, Vec2(440, 40))
+        self._check(planner, reference, (2, 1))
+
+    def test_a_neighbour_readded_at_the_same_point(self):
+        # Its removal and re-registration land within reach of its own EP
+        # probe (on its expansion circle), so it alone is searched again.
+        planner, registry, reference = self._setup()
+        registry.unregister(2)
+        registry.register(2, Vec2(440, 40))
+        self._check(planner, reference, (2, 1))
+
+    @staticmethod
+    def _beyond_hole_probe(planner, offset):
+        """A point ``rs + offset`` beyond neighbour 1's uncovered hole
+        probe (530, 80), on the ray from the owner: on the floor above,
+        out of reach of every other probe."""
+        probe = planner._memo[0].neighbors[(1, 560, 40)].probes[0]
+        assert probe == (530.0, 80.0, False)
+        distance = planner.sensing_range + offset
+        return Vec2(530.0 + 0.6 * distance, 80.0 + 0.8 * distance)
+
+    def test_an_addition_just_inside_one_probes_reach(self):
+        planner, registry, reference = self._setup()
+        registry.register(9, self._beyond_hole_probe(planner, -1e-3))
+        points = self._check(planner, reference, (2, 1))
+        assert len(points) == 1, "the new record covers neighbour 1's hole"
+
+    def test_an_addition_just_outside_every_probes_reach(self):
+        planner, registry, reference = self._setup()
+        registry.register(9, self._beyond_hole_probe(planner, 1e-3))
+        reused = planner.reused
+        assert len(self._check(planner, reference, (0, 0))) == 2
+        assert planner.reused == reused + 1
+
+    def test_an_owner_record_change_searches_every_probing_neighbour(self):
+        # The owner's record is the centre of its expansion circle, so it
+        # lies within rs of every EP probe on that circle: the reach test
+        # cannot rule out a flip, and only neighbour 3, which probed
+        # nothing, is reused.
+        planner, registry, reference = self._setup()
+        registry.register(0, self.OWNER)
+        self._check(planner, reference, (1, 2))
+
+    def test_a_field_change_searches_every_neighbour(self):
+        planner, _, reference = self._setup()
+        planner.field.add_obstacle(Obstacle.rectangle(900, 900, 950, 950))
+        self._check(planner, reference, (0, 3))

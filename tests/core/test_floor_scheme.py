@@ -237,6 +237,15 @@ class TestFloorTelemetry:
         assert (reused, recomputed) == (planner.reused, planner.recomputed)
         assert counters["floor.coverage_queries"] == planner.coverage_queries
         assert planner.coverage_queries >= recomputed > 0
+        neighbors = (
+            counters["floor.iflg_neighbors_reused"],
+            counters["floor.iflg_neighbors_computed"],
+        )
+        assert neighbors == (
+            planner.iflg_neighbors_reused,
+            planner.iflg_neighbors_computed,
+        )
+        assert min(neighbors) > 0
         parts = [
             counters[f"floor.expansion_recomputed.{kind}"]
             for kind in ("flg", "blg", "iflg")

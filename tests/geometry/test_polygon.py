@@ -469,7 +469,8 @@ def _contains_probe_polygons():
 
 def _contains_probes(polygon, rng):
     """Vertices, points on edges, points within and just past 1e-7 of an
-    edge on both sides, points near every vertex, random points, NaN."""
+    edge on both sides and around 1e-6 inside (a rectangle's inner box),
+    points near every vertex, random points, NaN."""
     points = list(polygon.vertices)
     for edge in reference_edges(polygon):
         length = edge.a.distance_to(edge.b)
@@ -479,7 +480,7 @@ def _contains_probes(polygon, rng):
         for t in (0.0, 0.25, 0.5, 1.0, rng.random()):
             on_edge = edge.point_at(t)
             points.append(on_edge)
-            for offset in (0.5e-7, 0.999e-7, 1e-7, 1.001e-7, 1.5e-7, 1e-6):
+            for offset in (0.5e-7, 0.999e-7, 1e-7, 1.001e-7, 1.5e-7, 1e-6, 1.001e-6):
                 points.append(on_edge + normal * offset)
                 points.append(on_edge - normal * offset)
         for offset in (1e-7, 1.2e-7):
@@ -527,3 +528,21 @@ class TestParityFirstContains:
             assert square.contains_xy(5.0, -2e-7, include_boundary) is False
             for x, y in ((math.nan, 5.0), (5.0, math.nan), (math.nan, math.nan)):
                 assert square.contains_xy(x, y, include_boundary) is False
+
+
+
+def test_only_rectangles_take_the_inner_box():
+    """The inner-box shortcut of ``contains_xy`` is for axis-aligned
+    rectangles alone."""
+    # Four axis-aligned edges that do not go round their bbox: the
+    # vertical edge at x = 1 is traversed twice, so the parity says
+    # outside everywhere.
+    folded = Polygon([Vec2(0, 0), Vec2(1, 0), Vec2(1, 1), Vec2(1, 0)])
+    rotated = Polygon([Vec2(1, 0), Vec2(2, 1), Vec2(1, 2), Vec2(0, 1)])
+    assert folded.contains_xy(0.5, 0.5) is reference_contains(folded, Vec2(0.5, 0.5))
+    assert folded.contains_xy(0.5, 0.5) is False
+    assert rotated.contains_xy(1.0, 1.0) is True
+    for polygon in (folded, rotated):
+        xmin, ymin, xmax, ymax = polygon._inner_box
+        assert xmin > xmax and ymin > ymax
+    assert Polygon.rectangle(0, 0, 2, 3)._inner_box == (1e-6, 1e-6, 2 - 1e-6, 3 - 1e-6)

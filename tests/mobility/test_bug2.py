@@ -52,9 +52,9 @@ class TestStraightLine:
     def test_path_point_at_distance(self, empty_field):
         planner = Bug2Planner(empty_field)
         path = planner.plan(Vec2(0, 0), Vec2(100, 0))
-        assert path.point_at_distance(25).almost_equals(Vec2(25, 0))
-        assert path.point_at_distance(1e9).almost_equals(Vec2(100, 0))
-        assert path.point_at_distance(-5).almost_equals(Vec2(0, 0))
+        assert Vec2(*path.point_xy_at_distance(25)).almost_equals(Vec2(25, 0))
+        assert Vec2(*path.point_xy_at_distance(1e9)).almost_equals(Vec2(100, 0))
+        assert Vec2(*path.point_xy_at_distance(-5)).almost_equals(Vec2(0, 0))
 
 
 class TestObstacleAvoidance:
@@ -166,7 +166,7 @@ class TestCachedSegmentLengths:
                 distances += [running, running - 1e-9, running + 1e-9]
             distances += [rng.uniform(0, length) for _ in range(10)]
             for distance in distances:
-                assert path.point_at_distance(distance) == (
+                assert Vec2(*path.point_xy_at_distance(distance)) == (
                     reference_point_at_distance(waypoints, distance)
                 )
 
@@ -183,6 +183,6 @@ class TestCachedSegmentLengths:
                 assert path.length() == length
                 for k in range(41):
                     distance = length * k / 40
-                    assert path.point_at_distance(distance) == (
+                    assert Vec2(*path.point_xy_at_distance(distance)) == (
                         reference_point_at_distance(path.waypoints, distance)
                     )

@@ -163,3 +163,51 @@ class TestAdvanceParity:
                     assert not model.has_path
                     break
                 assert model.remaining_path_length() == length - progress
+
+
+class TestFloatPathStep:
+    """``path_step`` with one committed ``Vec2`` per step is bit for bit
+    ``advance_along_path`` and the per-call arc-length formula on BUG2
+    paths that round obstacle corners."""
+
+    def test_steps_match_advance_and_the_reference(self):
+        rng = random.Random(11)
+        field = two_obstacle_field(500.0)
+        paths = []
+        while len(paths) < 20:
+            planner = Bug2Planner(field, rng.choice(list(Handedness)))
+            start = Vec2(rng.uniform(0, 500), rng.uniform(0, 500))
+            path = planner.plan(start, Vec2(rng.uniform(0, 500), rng.uniform(0, 500)))
+            if path.encounters:
+                paths.append(path)
+        for path in paths:
+            speed = rng.uniform(0.5, 4.0)
+            stepped, advanced = (
+                MotionModel(position=path.waypoints[0], max_speed=speed, period=1.0)
+                for _ in range(2)
+            )
+            stepped.follow(path)
+            advanced.follow(path)
+            length = reference_path_length(path.waypoints)
+            progress = 0.0
+            odometer = 0.0
+            while stepped.has_path:
+                version = stepped.position_version
+                limit = rng.choice([None, speed, 0.5 * speed])
+                x, y, travel = stepped.path_step(limit)
+                stepped.position = Vec2(x, y)
+                cap = speed if limit is None else limit
+                expected = min(cap, max(0.0, length - progress))
+                progress += expected
+                odometer += expected
+                assert advanced.advance_along_path(limit) == travel == expected
+                point = reference_point_at_distance(path.waypoints, progress)
+                assert stepped.position == advanced.position == point
+                assert stepped.odometer == advanced.odometer == odometer
+                assert (
+                    stepped.position_version
+                    == advanced.position_version
+                    == version + 1
+                )
+            assert not advanced.has_path
+            assert stepped.path_step() is None

@@ -1,7 +1,7 @@
 """Path references: BUG2 polyline arc length measured on every call.
 
 ``Bug2Path`` measures its segment lengths once, at construction, and
-``length``/``point_at_distance`` reuse them.  These are the formulas that
+``length``/``point_xy_at_distance`` reuse them.  These are the formulas that
 re-measure every segment on each call; the cached path must give the
 same floats (same segment lengths, same summation and subtraction
 order).
