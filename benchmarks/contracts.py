@@ -435,8 +435,10 @@ def _counter_bounds(prefix: str) -> Callable[..., Verdict]:
     IFLG searched neighbours again that it could have reused (or another
     part probed more), more neighbour-table builds
     mean a caller went back to building every row to read a few (FLOOR)
-    or built a table more than once per layout (CPVF), whatever the wall
-    time says.
+    or built a table more than once per layout (CPVF), more polygon
+    tests mean a field query went back to testing obstacles out of its
+    reach, and more neighbour snapshots mean the cache recaptured a
+    layout that had not changed, whatever the wall time says.
     """
 
     def check(m, committed) -> Verdict:
@@ -657,6 +659,18 @@ CONTRACTS: Tuple[Contract, ...] = (
     Contract("neighbors.cpvf_table_builds", "obstacle_cpvf",
              _counter_bounds("neighbors.table_builds"),
              committed=Committed("obstacle_cpvf", "counters")),
+    Contract("geometry.cpvf_polygon_tests", "obstacle_cpvf",
+             _counter_bounds("geometry.polygon_tests"),
+             committed=Committed("obstacle_cpvf", "counters")),
+    Contract("geometry.floor_polygon_tests", "obstacle_floor",
+             _counter_bounds("geometry.polygon_tests"),
+             committed=Committed("obstacle_floor", "counters")),
+    Contract("neighbors.cpvf_snapshots", "obstacle_cpvf",
+             _counter_bounds("neighbors.snapshots"),
+             committed=Committed("obstacle_cpvf", "counters")),
+    Contract("neighbors.floor_snapshots", "obstacle_floor",
+             _counter_bounds("neighbors.snapshots"),
+             committed=Committed("obstacle_floor", "counters")),
     Contract("perf.churn_cpvf", "churn_cpvf",
              _wall_budget("churn-lossy CPVF deployment"),
              committed=Committed("churn_cpvf", "wall_ms")),

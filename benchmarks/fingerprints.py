@@ -8,7 +8,9 @@ Usage (from the repo root)::
 
 Runs every deployment of the ``e2ebench`` workloads
 (``e2ebench/workloads.py``, read as is) for ``--seed``, CPVF and FLOOR
-alike.  It prints one line per run,
+alike, then one CPVF and one FLOOR deployment at smoke scale on each
+generated obstacle layout (:data:`LAYOUTS`: polygons, overlapping
+rectangles, touching walls).  It prints one line per run,
 ``<workload> <index> <scheme> <sha256>``, where the digest covers the
 final positions, the odometers, the per-type message (and network)
 counters and the final coverage, all exact.  A change meant to keep
@@ -31,6 +33,17 @@ from typing import Dict, Iterator, List, Optional
 
 REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(REPO_ROOT / "src"))
+
+#: ``(layout, layout_params)`` of the smoke-scale layout deployments;
+#: ``random-obstacles`` draws four rectangles, which overlap.
+LAYOUTS = (
+    ("corridor", {}),
+    ("random-obstacles", {"min_obstacles": 4}),
+    ("clutter", {}),
+    ("maze", {}),
+    ("rooms", {}),
+    ("spiral", {}),
+)
 
 def world_digest(world, coverage: float) -> str:
     """sha256 of a finished world's positions, odometers, counters, coverage."""
@@ -74,6 +87,15 @@ def fingerprints(seed: int) -> Iterator[str]:
         ):
             digest = run_digest(scenario, scheme, {}, network)
             yield f"{name} {index} {scheme} {digest}"
+    from repro.experiments.common import SMOKE_SCALE, make_scenario
+
+    for layout, params in LAYOUTS:
+        scenario = make_scenario(
+            SMOKE_SCALE, seed=seed, layout=layout, layout_params=params
+        )
+        for scheme in ("CPVF", "FLOOR"):
+            digest = run_digest(scenario, scheme, {})
+            yield f"smoke-{layout} 0 {scheme} {digest}"
 
 
 def main(argv: Optional[List[str]] = None) -> int:

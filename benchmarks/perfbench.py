@@ -64,6 +64,7 @@ __all__ = [
     "measure_obstacle_cpvf",
     "measure_obstacle_floor",
     "measure_churn_cpvf",
+    "count_queries",
     "run_perf_suite",
     "PERF_ENTRIES",
     "seed_neighbor_table_ms",
@@ -634,6 +635,26 @@ OBSTACLE_FLOOR_COUNTERS = (
     "floor.coverage_queries",
     "neighbors.table_builds",
 )
+#: Counts of the ``obstacle_cpvf`` and ``obstacle_floor`` rows taken
+#: by :func:`count_queries` in an untimed pass: the polygon predicate
+#: calls (``Polygon.contains_xy`` and ``crosses_interior_xy``, the
+#: latter's own point tests included), the neighbour snapshots captured
+#: and the field queries behind them (``field.*``, calls of each).
+QUERY_COUNTERS = {
+    "geometry.polygon_tests": (
+        "repro.geometry.polygon:Polygon.contains_xy",
+        "repro.geometry.polygon:Polygon.crosses_interior_xy",
+    ),
+    "neighbors.snapshots": ("repro.spatial.cache:NeighborSnapshot.__init__",),
+    "field.is_free": ("repro.field.field:Field.is_free_xy",),
+    "field.segment_blocked": ("repro.field.field:Field.segment_blocked_xy",),
+    "field.max_free_travel": ("repro.field.field:Field.max_free_travel",),
+    "field.nearest_free": ("repro.field.field:Field.nearest_free",),
+    "field.boundary_pieces": ("repro.field.field:Field.boundary_pieces_within",),
+    "field.obstacle_force": (
+        "repro.core.virtual_force:VirtualForceModel.force_from_obstacles",
+    ),
+}
 #: Lifecycle scripts of the ``churn_cpvf`` deployment: e2ebench's
 #: ``churn-lossy`` CPVF setting.
 CHURN_SCRIPTS = ("interior-cascade", "reinforcements")
@@ -650,6 +671,41 @@ CHURN_CPVF_COUNTERS = (
 )
 
 
+def count_queries(spec) -> Dict[str, int]:
+    """Calls of each :data:`QUERY_COUNTERS` group in one run of ``spec``.
+
+    The methods are wrapped with counters for this run only and restored
+    afterwards, so no counter sits on a production path; the run is
+    deterministic, so the counts are host-independent.
+    """
+    import importlib
+
+    counts = dict.fromkeys(QUERY_COUNTERS, 0)
+    patched = []
+
+    def counting(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+
+        return wrapper
+
+    for name, targets in QUERY_COUNTERS.items():
+        for target in targets:
+            module_name, qualified = target.split(":")
+            class_name, attr = qualified.split(".")
+            cls = getattr(importlib.import_module(module_name), class_name)
+            original = cls.__dict__[attr]
+            patched.append((cls, attr, original))
+            setattr(cls, attr, counting(name, original))
+    try:
+        execute_run(spec)
+    finally:
+        for cls, attr, original in reversed(patched):
+            setattr(cls, attr, original)
+    return counts
+
+
 def _measure_deployment(
     scenario,
     network,
@@ -657,13 +713,15 @@ def _measure_deployment(
     phases: Sequence[str],
     runs: int,
     counters: Sequence[str] = (),
+    query_counts: bool = False,
 ) -> Dict[str, object]:
     """Median wall time of ``runs`` deployments of ``scheme``.
 
     Runs ``scenario`` under ``network`` (``None`` for the perfect one)
     through ``RunSpec(profile=True)``.  The row holds the median run's
     wall time, its ``phases`` span totals and, when ``counters`` names
-    any, those telemetry counters.
+    any, those telemetry counters; with ``query_counts`` the counters
+    also hold :func:`count_queries` of one more, untimed run.
     """
     from repro.api import RunSpec
 
@@ -685,6 +743,8 @@ def _measure_deployment(
     }
     if counters:
         row["counters"] = {name: summary.counters.get(name, 0) for name in counters}
+    if query_counts:
+        row.setdefault("counters", {}).update(count_queries(spec))
     return row
 
 
@@ -700,7 +760,7 @@ def _obstacle_scenario(seed: int):
 def measure_obstacle_cpvf(seed: int = 1, runs: int = 5) -> Dict[str, object]:
     """Wall time of one CPVF deployment on the paper's two-obstacle field,
     with its :data:`OBSTACLE_CPVF_PHASES` span totals and
-    :data:`OBSTACLE_CPVF_COUNTERS`."""
+    :data:`OBSTACLE_CPVF_COUNTERS`, plus the :data:`QUERY_COUNTERS`."""
     return _measure_deployment(
         _obstacle_scenario(seed),
         None,
@@ -708,13 +768,15 @@ def measure_obstacle_cpvf(seed: int = 1, runs: int = 5) -> Dict[str, object]:
         OBSTACLE_CPVF_PHASES,
         runs,
         OBSTACLE_CPVF_COUNTERS,
+        query_counts=True,
     )
 
 
 def measure_obstacle_floor(seed: int = 1, runs: int = 5) -> Dict[str, object]:
     """Wall time of one FLOOR deployment on the paper's two-obstacle field,
     with its :data:`OBSTACLE_FLOOR_PHASES` span totals and the
-    :data:`OBSTACLE_FLOOR_COUNTERS` of the expansion planner."""
+    :data:`OBSTACLE_FLOOR_COUNTERS` of the expansion planner, plus the
+    :data:`QUERY_COUNTERS`."""
     return _measure_deployment(
         _obstacle_scenario(seed),
         None,
@@ -722,6 +784,7 @@ def measure_obstacle_floor(seed: int = 1, runs: int = 5) -> Dict[str, object]:
         OBSTACLE_FLOOR_PHASES,
         runs,
         OBSTACLE_FLOOR_COUNTERS,
+        query_counts=True,
     )
 
 

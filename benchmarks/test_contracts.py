@@ -37,7 +37,14 @@ _DEDUP = {"computed": 3, "inflight_hits": 1, "records_equal": True}
 _KILL = {"partial": 2, "store": None, "computed": 4, "store_hits": 2,
          "records_equal": True}
 _GC = {"entries": 6, "removed_files": 2, "kept_entries": 6, "surviving": 6}
-_OBSTACLE_CPVF = {"wall_ms": 250.0, "counters": {"neighbors.table_builds": 90}}
+_OBSTACLE_CPVF = {
+    "wall_ms": 250.0,
+    "counters": {
+        "neighbors.table_builds": 90,
+        "geometry.polygon_tests": 9000,
+        "neighbors.snapshots": 100,
+    },
+}
 _OBSTACLE_FLOOR = {
     "wall_ms": 500.0,
     "counters": {
@@ -45,6 +52,8 @@ _OBSTACLE_FLOOR = {
         "floor.expansion_recomputed.iflg": 290,
         "floor.coverage_queries": 2900,
         "neighbors.table_builds": 2,
+        "geometry.polygon_tests": 2500,
+        "neighbors.snapshots": 100,
     },
 }
 _CHURN_CPVF = {"wall_ms": 700.0}
@@ -76,7 +85,11 @@ BENCH = {
     "obstacle_cpvf": [{
         "n": 70,
         "wall_ms": 100.0,
-        "counters": {"neighbors.table_builds": 90},
+        "counters": {
+            "neighbors.table_builds": 90,
+            "geometry.polygon_tests": 9000,
+            "neighbors.snapshots": 101,
+        },
     }],
     "obstacle_floor": [{
         "n": 70,
@@ -86,6 +99,8 @@ BENCH = {
             "floor.expansion_recomputed.iflg": 295,
             "floor.coverage_queries": 3000,
             "neighbors.table_builds": 2,
+            "geometry.polygon_tests": 2600,
+            "neighbors.snapshots": 100,
         },
     }],
     "churn_cpvf": [{"n": 70, "wall_ms": 300.0}],
@@ -127,6 +142,18 @@ DOCTORED = {
     ),
     "neighbors.cpvf_table_builds": (
         ("obstacle_cpvf", "counters", "neighbors.table_builds"), 91,
+    ),
+    "geometry.cpvf_polygon_tests": (
+        ("obstacle_cpvf", "counters", "geometry.polygon_tests"), 9001,
+    ),
+    "geometry.floor_polygon_tests": (
+        ("obstacle_floor", "counters", "geometry.polygon_tests"), 2601,
+    ),
+    "neighbors.cpvf_snapshots": (
+        ("obstacle_cpvf", "counters", "neighbors.snapshots"), 102,
+    ),
+    "neighbors.floor_snapshots": (
+        ("obstacle_floor", "counters", "neighbors.snapshots"), 101,
     ),
     "perf.churn_cpvf": (("churn_cpvf", "wall_ms"), 901.0),
     "perf.lifecycle_recovery": (("lifecycle_recovery", 1, "run_ms"), 1501.0),

@@ -31,6 +31,7 @@ from ..mobility import Bug2Planner, Handedness
 from ..network import BASE_STATION_ID, LINK_EPS, MessageType
 from ..sensors import CONNECTED_STATES, Sensor, SensorState
 from ..sim import DeploymentScheme, World
+from ..spatial import NeighborSnapshot
 from .connect import attach_reachable, flood_tree
 from .connectivity import STEP_FRACTIONS, max_valid_step_points
 from .lazy import LazyMovementController
@@ -153,16 +154,18 @@ class CPVFScheme(DeploymentScheme):
         assert self._planner is not None and self._forces is not None
         assert self._lazy is not None and self._avoidance is not None
         # Protocol decisions read the table through the network model (a
-        # live pass-through by default, aged under staleness); physics —
-        # coverage, connectivity, the step ladder's link positions — stays
-        # live.
+        # live pass-through by default, aged under staleness): one read
+        # per period, whose snapshot also gives the forces their pairs.
+        # Physics — coverage, connectivity, the step ladder's link
+        # positions — stays live.
         with world.telemetry.span("cpvf.table"):
-            table = world.protocol_neighbor_table()
+            neighbors = world.protocol_neighbors()
+            table = neighbors.table()
         attach_reachable(
             world, table, world.config.communication_range, self._lazy
         )
         self._advance_disconnected_sensors(world, table)
-        self._apply_virtual_forces(world, table)
+        self._apply_virtual_forces(world, table, neighbors)
 
     # -- Stage 1: establishing connectivity ----------------------------
     def _advance_disconnected_sensors(
@@ -191,27 +194,25 @@ class CPVFScheme(DeploymentScheme):
         self,
         world: World,
         snapshot: _PeriodSnapshot,
-        table: Dict[int, List[int]],
+        neighbors: NeighborSnapshot,
     ) -> Dict[int, Tuple[float, float]]:
         """Resultant force directions ``(x, y)`` for all connected
         sensors at once: a unit vector, or ``(0.0, 0.0)`` at equilibrium.
 
         Pairwise sensor repulsion is evaluated in one numpy batch over the
-        packed neighbour lists; the (cheap, per-sensor) obstacle and
-        boundary terms are added scalar-wise: sensor terms first, then
-        obstacles and walls.
+        period's neighbour pairs whose row is connected (the table's rows
+        of the connected sensors, in id order); the (cheap, per-sensor)
+        obstacle and boundary terms are added scalar-wise: sensor terms
+        first, then obstacles and walls.
         """
         assert self._forces is not None
         xs, ys = snapshot.xs, snapshot.ys
         connected = snapshot.connected_ids
-        neighbor_lists = [table.get(sid, []) for sid in connected]
-        lengths = np.fromiter(
-            (len(lst) for lst in neighbor_lists), np.intp, len(connected)
-        )
-        rows = np.repeat(np.array(connected, dtype=np.intp), lengths)
-        cols = np.fromiter(
-            chain.from_iterable(neighbor_lists), np.intp, int(lengths.sum())
-        )
+        rows, cols = neighbors.pair_ids()
+        is_connected = np.zeros(len(xs), dtype=bool)
+        is_connected[connected] = True
+        keep = is_connected[rows]
+        rows, cols = rows[keep], cols[keep]
         sum_x, sum_y = self._forces.sensor_force_sums(
             np.array(xs, dtype=float), np.array(ys, dtype=float), rows, cols
         )
@@ -245,7 +246,10 @@ class CPVFScheme(DeploymentScheme):
         return directions
 
     def _apply_virtual_forces(
-        self, world: World, table: Dict[int, List[int]]
+        self,
+        world: World,
+        table: Dict[int, List[int]],
+        neighbors: NeighborSnapshot,
     ) -> None:
         """One force-directed move per connected sensor.
 
@@ -260,7 +264,7 @@ class CPVFScheme(DeploymentScheme):
             return
         tel = world.telemetry
         with tel.span("cpvf.forces"):
-            directions = self._force_directions(world, snapshot, table)
+            directions = self._force_directions(world, snapshot, neighbors)
         config = world.config
         max_step = config.max_step
         rc = config.communication_range

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Set
 from ..geometry import Vec2
 from ..mobility import Bug2Path, Bug2Planner, Handedness
 from ..network import BASE_STATION_ID, LINK_EPS, MessageType
-from ..sensors import Sensor, SensorState
+from ..sensors import CONNECTED_STATES, Sensor, SensorState
 from ..sim import DeploymentScheme, World
 from .expansion import ExpansionKind, ExpansionPlanner, ExpansionPoint
 from .floors import FloorGeometry
@@ -183,10 +183,12 @@ class FloorScheme(DeploymentScheme):
         # step: the connection walkers' rows, and on the period phase 2
         # runs the whole table of the same snapshot.
         neighbors = world.protocol_neighbors()
+        # ``is_alive() and not is_connected()``, one state read a sensor.
+        failed = SensorState.FAILED
         walkers = [
             s.sensor_id
             for s in world.sensors
-            if s.is_alive() and not s.is_connected()
+            if s.state is not failed and s.state not in CONNECTED_STATES
         ]
         table = neighbors.rows(walkers)
         if walkers:

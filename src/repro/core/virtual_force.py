@@ -74,9 +74,7 @@ class VirtualForceModel:
         force_x = force_y = 0.0
         # Obstacle repulsion: away from the nearest boundary point of each
         # obstacle that is within perception range.
-        for obstacle in field.obstacles:
-            polygon = obstacle.polygon
-            xmin, ymin, xmax, ymax = polygon.reject_box()
+        for xmin, ymin, xmax, ymax, polygon in field.obstacle_table():
             if (
                 xmin - px >= reach
                 or px - xmax >= reach

@@ -32,6 +32,13 @@ _SPIRAL_DIRECTIONS = tuple(
     (math.cos(2.0 * math.pi * k / 16), math.sin(2.0 * math.pi * k / 16))
     for k in range(16)
 )
+#: :meth:`Field.boundary_pieces_within` skips an obstacle whose reject
+#: box lies more than ``radius + _PIECE_SLACK`` from the disk centre on
+#: either axis.  A clipped piece lies on an edge within the disk's
+#: ``EPS`` (1e-9) tolerance, or at an edge end where a crossing up to
+#: ``EPS`` of the edge's length beyond it is clamped; the slack is far
+#: above both and the crossing's float rounding.
+_PIECE_SLACK = 1e-3
 
 
 @dataclass
@@ -48,9 +55,15 @@ class Field:
         self._grid_cache: dict[float, Tuple[CoverageGrid, np.ndarray]] = {}
         # Built once: ``width`` and ``height`` are fixed for the field's life.
         self._boundary = Polygon.rectangle(0.0, 0.0, self.width, self.height)
-        #: ``(ax, ay, bx, by)`` of every field and obstacle edge, built on
-        #: first use after each obstacle mutation.
-        self._boundary_edge_data: Optional[tuple] = None
+        #: ``(ax, ay, bx, by)`` of the field rectangle's edges.
+        self._wall_edges = tuple(
+            (e.a.x, e.a.y, e.b.x, e.b.y) for e in self._boundary.edges()
+        )
+        #: :meth:`obstacle_table`, and per obstacle its reject box and
+        #: edges' ``(ax, ay, bx, by)``: both built on first use after each
+        #: obstacle mutation.
+        self._obstacle_table: Optional[tuple] = None
+        self._obstacle_edges: Optional[tuple] = None
         #: Bumped on every obstacle mutation; consumers caching rasterised
         #: masks or visibility answers key their epochs on it.
         self.version: int = 0
@@ -72,8 +85,26 @@ class Field:
 
     def _invalidate_obstacle_caches(self) -> None:
         self._grid_cache.clear()
-        self._boundary_edge_data = None
+        self._obstacle_table = None
+        self._obstacle_edges = None
         self.version += 1
+
+    def obstacle_table(self) -> Tuple[Tuple[float, float, float, float, Polygon], ...]:
+        """``(xmin, ymin, xmax, ymax, polygon)`` per obstacle, in list
+        order: the polygon's reject box (no point outside it is inside
+        the polygon or on its boundary) and the polygon.
+
+        Built once per :attr:`version`.  The point, move and force
+        queries test the boxes inline and call a polygon predicate only
+        for an obstacle whose box the query reaches: any other obstacle
+        answers from its predicate's own reject.
+        """
+        table = self._obstacle_table
+        if table is None:
+            table = self._obstacle_table = tuple(
+                (*ob.polygon.reject_box(), ob.polygon) for ob in self.obstacles
+            )
+        return table
 
     # ------------------------------------------------------------------
     # Basic geometry
@@ -110,8 +141,15 @@ class Field:
         """:meth:`is_free` for the point ``(x, y)``."""
         if not (0.0 <= x <= self.width and 0.0 <= y <= self.height):
             return False
-        for ob in self.obstacles:
-            if ob.polygon.contains_xy(x, y, include_boundary=False):
+        table = self._obstacle_table
+        if table is None:
+            table = self.obstacle_table()
+        for xmin, ymin, xmax, ymax, polygon in table:
+            if (
+                xmin <= x <= xmax
+                and ymin <= y <= ymax
+                and polygon.contains_xy(x, y, False)
+            ):
                 return False
         return True
 
@@ -128,20 +166,29 @@ class Field:
         Rings of 16 points at radius ``step``, ``2 * step``, ... around
         the clamped ``p``, each point clamped into the field; the first
         free one wins.  Runs on floats in the operation order of
-        ``clamp(candidate + Vec2.from_polar(radius, angle))``.
+        ``clamp(candidate + Vec2.from_polar(radius, angle))``.  A clamped
+        point is in the field, so each probe is :meth:`is_free_xy`'s
+        obstacle loop alone.
         """
         width, height = self.width, self.height
         cx = min(width, max(0.0, p.x))
         cy = min(height, max(0.0, p.y))
-        is_free_xy = self.is_free_xy
-        if is_free_xy(cx, cy):
+        if self.is_free_xy(cx, cy):
             return Vec2(cx, cy)
+        table = self.obstacle_table()
         radius = step
         while radius <= max_radius:
             for cos_k, sin_k in _SPIRAL_DIRECTIONS:
                 qx = min(width, max(0.0, cx + radius * cos_k))
                 qy = min(height, max(0.0, cy + radius * sin_k))
-                if is_free_xy(qx, qy):
+                for xmin, ymin, xmax, ymax, polygon in table:
+                    if (
+                        xmin <= qx <= xmax
+                        and ymin <= qy <= ymax
+                        and polygon.contains_xy(qx, qy, False)
+                    ):
+                        break
+                else:
                     return Vec2(qx, qy)
             radius += step
         return Vec2(cx, cy)
@@ -170,8 +217,19 @@ class Field:
             return True
         # Both endpoints being inside the convex rectangle already
         # guarantees the whole segment is, so only obstacles remain.
-        for ob in self.obstacles:
-            if ob.polygon.crosses_interior_xy(ax, ay, bx, by):
+        table = self._obstacle_table
+        if table is None:
+            table = self.obstacle_table()
+        lox, hix = (ax, bx) if ax <= bx else (bx, ax)
+        loy, hiy = (ay, by) if ay <= by else (by, ay)
+        for xmin, ymin, xmax, ymax, polygon in table:
+            if (
+                hix >= xmin
+                and lox <= xmax
+                and hiy >= ymin
+                and loy <= ymax
+                and polygon.crosses_interior_xy(ax, ay, bx, by)
+            ):
                 return True
         return False
 
@@ -186,6 +244,11 @@ class Field:
         that is admissible, else the result of a 24-step bisection.  Used
         by the virtual-force integrator to avoid stepping into obstacles
         or out of the field.
+
+        Every probe ends on the move and crosses a prefix of it, so only
+        an obstacle whose reject box meets the whole move's box can stop
+        one; those are picked once per call.  With none, only the field
+        wall can stop a probe, and each probe is a bounds check.
         """
         if distance <= 0:
             return 0.0
@@ -193,36 +256,70 @@ class Field:
         if norm <= 1e-9:
             return 0.0
         unit_x, unit_y = dir_x / norm, dir_y / norm
-        if not (0.0 <= x <= self.width and 0.0 <= y <= self.height):
+        width, height = self.width, self.height
+        if not (0.0 <= x <= width and 0.0 <= y <= height):
             # Every path from an out-of-bounds start is blocked.
             return 0.0
-        admissible = self._admissible_move
-        if admissible(x, y, x + unit_x * distance, y + unit_y * distance):
+        ex, ey = x + unit_x * distance, y + unit_y * distance
+        if self.obstacles:
+            lox, hix = (x, ex) if x <= ex else (ex, x)
+            loy, hiy = (y, ey) if y <= ey else (ey, y)
+            near = [
+                polygon
+                for xmin, ymin, xmax, ymax, polygon in self.obstacle_table()
+                if hix >= xmin and lox <= xmax and hiy >= ymin and loy <= ymax
+            ]
+            if near:
+                return self._travel_past(near, x, y, unit_x, unit_y, distance)
+        if 0.0 <= ex <= width and 0.0 <= ey <= height:
             return distance
         lo, hi = 0.0, distance
         for _ in range(24):
             mid = (lo + hi) / 2.0
-            if admissible(x, y, x + unit_x * mid, y + unit_y * mid):
+            mx, my = x + unit_x * mid, y + unit_y * mid
+            if 0.0 <= mx <= width and 0.0 <= my <= height:
                 lo = mid
             else:
                 hi = mid
         return lo
 
-    def _admissible_move(self, x: float, y: float, ex: float, ey: float) -> bool:
-        """Whether the straight move from the in-bounds ``(x, y)`` to
-        ``(ex, ey)`` ends in free space and crosses no obstacle: the
-        answer of ``is_free_xy(ex, ey) and not segment_blocked_xy(x, y,
-        ex, ey)``.  The field rectangle is convex, so an in-bounds end
-        keeps the whole move inside it."""
-        if not (0.0 <= ex <= self.width and 0.0 <= ey <= self.height):
-            return False
-        for ob in self.obstacles:
-            polygon = ob.polygon
-            if polygon.contains_xy(
-                ex, ey, include_boundary=False
-            ) or polygon.crosses_interior_xy(x, y, ex, ey):
+    def _travel_past(
+        self,
+        near: List[Polygon],
+        x: float,
+        y: float,
+        unit_x: float,
+        unit_y: float,
+        distance: float,
+    ) -> float:
+        """:meth:`max_free_travel` against the polygons ``near`` the move
+        from the in-bounds ``(x, y)``.  A probe is admissible when it
+        ends in the field (the rectangle is convex, so the whole probe is
+        in it), not inside a polygon, and crosses no polygon's
+        interior."""
+        width, height = self.width, self.height
+
+        def admissible(travel: float) -> bool:
+            ex, ey = x + unit_x * travel, y + unit_y * travel
+            if not (0.0 <= ex <= width and 0.0 <= ey <= height):
                 return False
-        return True
+            for polygon in near:
+                if polygon.contains_xy(
+                    ex, ey, False
+                ) or polygon.crosses_interior_xy(x, y, ex, ey):
+                    return False
+            return True
+
+        if admissible(distance):
+            return distance
+        lo, hi = 0.0, distance
+        for _ in range(24):
+            mid = (lo + hi) / 2.0
+            if admissible(mid):
+                lo = mid
+            else:
+                hi = mid
+        return lo
 
     # ------------------------------------------------------------------
     # Sensing-range boundary queries (used by FLOOR's BLG expansion)
@@ -238,22 +335,29 @@ class Field:
         to the disk of ``radius`` around ``(cx, cy)``, as
         ``(ax, ay, bx, by)``: the field rectangle's edges first, then each
         obstacle's in vertex order.  Pieces of length 1e-9 or less are
-        dropped.
+        dropped.  An obstacle whose reject box the disk does not reach
+        (within :data:`_PIECE_SLACK`) has no piece and is skipped.
         """
-        if self._boundary_edge_data is None:
-            edges = list(self.boundary_edges())
-            for ob in self.obstacles:
-                edges.extend(ob.boundary_edges())
-            self._boundary_edge_data = tuple(
-                (e.a.x, e.a.y, e.b.x, e.b.y) for e in edges
+        obstacle_edges = self._obstacle_edges
+        if obstacle_edges is None:
+            obstacle_edges = self._obstacle_edges = tuple(
+                (
+                    *ob.polygon.reject_box(),
+                    tuple((e.a.x, e.a.y, e.b.x, e.b.y) for e in ob.boundary_edges()),
+                )
+                for ob in self.obstacles
             )
         pieces: List[Tuple[float, float, float, float]] = []
-        for ax, ay, bx, by in self._boundary_edge_data:
-            piece = clip_segment_xy(cx, cy, radius, ax, ay, bx, by)
-            if piece is not None and (
-                math.hypot(piece[0] - piece[2], piece[1] - piece[3]) > 1e-9
+        _clip_into(pieces, cx, cy, radius, self._wall_edges)
+        reach = radius + _PIECE_SLACK
+        for xmin, ymin, xmax, ymax, edges in obstacle_edges:
+            if (
+                xmin - cx <= reach
+                and cx - xmax <= reach
+                and ymin - cy <= reach
+                and cy - ymax <= reach
             ):
-                pieces.append(piece)
+                _clip_into(pieces, cx, cy, radius, edges)
         return pieces
 
     # ------------------------------------------------------------------
@@ -341,3 +445,20 @@ class Field:
             f"Field({self.width:g} x {self.height:g}, "
             f"{len(self.obstacles)} obstacles)"
         )
+
+
+def _clip_into(
+    pieces: List[Tuple[float, float, float, float]],
+    cx: float,
+    cy: float,
+    radius: float,
+    edges: Tuple[Tuple[float, float, float, float], ...],
+) -> None:
+    """Append the part of each edge inside the disk that is longer than
+    1e-9 to ``pieces``, in edge order."""
+    for ax, ay, bx, by in edges:
+        piece = clip_segment_xy(cx, cy, radius, ax, ay, bx, by)
+        if piece is not None and (
+            math.hypot(piece[0] - piece[2], piece[1] - piece[3]) > 1e-9
+        ):
+            pieces.append(piece)

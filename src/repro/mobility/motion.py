@@ -20,7 +20,25 @@ from typing import Optional, Tuple
 from ..geometry import Vec2
 from .bug2 import Bug2Path
 
-__all__ = ["MotionModel"]
+__all__ = ["MotionModel", "PositionClock"]
+
+
+class PositionClock:
+    """Counts the position writes of the motion models that share it.
+
+    A :class:`~repro.sim.world.World` gives its sensors one clock, so a
+    cache keyed on :attr:`writes` is stale exactly when some sensor's
+    position was assigned since (a write of the same position included).
+    """
+
+    __slots__ = ("writes",)
+
+    def __init__(self) -> None:
+        self.writes = 0
+
+
+#: The clock of a motion model that no world has claimed.
+_UNSHARED_CLOCK = PositionClock()
 
 
 @dataclass
@@ -47,13 +65,9 @@ class MotionModel:
     #: is never mutated).
     _path_length: float = field(default=0.0, repr=False)
 
-    #: Class default of the counter behind :attr:`position_version`.
-    _position_version = 0
-
-    @property
-    def position_version(self) -> int:
-        """Monotone counter incremented on every position assignment."""
-        return self._position_version
+    #: The clock every position assignment bumps; a world replaces it
+    #: with the one its sensors share.
+    clock = _UNSHARED_CLOCK
 
     # ------------------------------------------------------------------
     # Direct moves
@@ -151,12 +165,12 @@ class MotionModel:
 
 
 def _set_position(motion: MotionModel, value: Vec2) -> None:
-    # Every position assignment bumps the version counter; the spatial
-    # subsystem's NeighborCache uses the tuple of versions as its epoch,
-    # so caches invalidate exactly when a sensor actually moves.  Other
-    # attribute writes (odometer, path progress) are plain.
+    # Every position assignment bumps the clock; the spatial subsystem's
+    # NeighborCache keys its epoch on the world's clock, so it recaptures
+    # exactly when a sensor was moved.  Other attribute writes (odometer,
+    # path progress) are plain.
     motion._position = value
-    motion._position_version += 1
+    motion.clock.writes += 1
 
 
 # Installed after the dataclass is built, so that ``position`` stays an

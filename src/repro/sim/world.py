@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from ..field import Field, clustered_placement
 from ..geometry import Vec2
-from ..mobility import MotionModel
+from ..mobility import MotionModel, PositionClock
 from ..network import (
     BASE_STATION_ID,
     ConnectivityTree,
@@ -27,7 +27,7 @@ from ..network import (
     RoutingCostModel,
 )
 from ..obs import NULL_TELEMETRY, Telemetry
-from ..sensors import Sensor, SensorState
+from ..sensors import CONNECTED_STATES, Sensor, SensorState
 from ..spatial import IncrementalCoverage, NeighborCache, NeighborSnapshot
 from .config import SimulationConfig
 
@@ -69,9 +69,28 @@ class World:
     _neighbor_cache: Optional[NeighborCache] = field(
         default=None, init=False, repr=False, compare=False
     )
-    _coverage_trackers: Dict[Tuple[float, float], IncrementalCoverage] = field(
-        default_factory=dict, init=False, repr=False, compare=False
+    #: ``(field.version, tracker)`` per ``(sensing range, resolution)``.
+    _coverage_trackers: Dict[
+        Tuple[float, float], Tuple[int, IncrementalCoverage]
+    ] = field(default_factory=dict, init=False, repr=False, compare=False)
+    #: The clock the sensors' position setters bump (see
+    #: :meth:`__post_init__`).
+    position_clock: PositionClock = field(
+        init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        # The sensors share one position clock.  Sensors that already
+        # share one (another world over the same sensors, such as a test
+        # oracle's) keep it, so each world sees every write.
+        motions = [s.motion for s in self.sensors]
+        clock = motions[0].clock if motions else PositionClock()
+        unshared = clock is MotionModel.clock
+        if unshared or any(m.clock is not clock for m in motions):
+            clock = PositionClock()
+            for motion in motions:
+                motion.clock = clock
+        self.position_clock = clock
 
     # ------------------------------------------------------------------
     # Construction
@@ -182,10 +201,6 @@ class World:
         """
         return self.network.neighbors(self)
 
-    def protocol_neighbor_table(self) -> Dict[int, List[int]]:
-        """The whole table of one :meth:`protocol_neighbors` read."""
-        return self.network.neighbor_table(self)
-
     def sensors_near_base_station(self) -> List[int]:
         """Sensors within one hop of the base station."""
         return self.neighbor_snapshot().base_station_neighbors()
@@ -196,7 +211,7 @@ class World:
 
     def connected_sensor_ids(self) -> List[int]:
         """Sensors currently marked as connected (any connected state)."""
-        return [s.sensor_id for s in self.sensors if s.is_connected()]
+        return [s.sensor_id for s in self.sensors if s.state in CONNECTED_STATES]
 
     # ------------------------------------------------------------------
     # Global metrics
@@ -212,10 +227,14 @@ class World:
         """
         alive = self.alive_sensors()
         key = (self.config.sensing_range, self.config.coverage_resolution)
-        tracker = self._coverage_trackers.get(key)
-        if tracker is None:
+        version = self.field.version
+        entry = self._coverage_trackers.get(key)
+        if entry is None or entry[0] != version:
+            # A new obstacle set needs a tracker on its own mask.
             tracker = IncrementalCoverage(self.field, key[0], key[1])
-            self._coverage_trackers[key] = tracker
+            self._coverage_trackers[key] = (version, tracker)
+        else:
+            tracker = entry[1]
         disks = tracker.update([(s.position.x, s.position.y) for s in alive])
         if self.telemetry.enabled:
             self.telemetry.count("coverage.updates", 1)
@@ -257,13 +276,13 @@ class World:
         is clamped to the field and pushed out of obstacles.
         """
         pos = self.field.nearest_free(self.field.clamp(position))
+        motion = MotionModel(
+            position=pos, max_speed=self.config.max_speed, period=self.config.period
+        )
+        motion.clock = self.position_clock
         sensor = Sensor(
             sensor_id=len(self.sensors),
-            motion=MotionModel(
-                position=pos,
-                max_speed=self.config.max_speed,
-                period=self.config.period,
-            ),
+            motion=motion,
             sensing_range=self.config.sensing_range,
         )
         self.sensors.append(sensor)
@@ -298,16 +317,6 @@ class World:
             self.telemetry.count("tree.repairs", 1)
             self.telemetry.count("tree.repair_dropped", len(disconnected))
         return disconnected
-
-    def notify_field_changed(self) -> None:
-        """Invalidate structures derived from the field's obstacle set.
-
-        Call after mutating ``field.obstacles`` (lifecycle obstacle
-        events): coverage trackers rasterised the old obstacle mask.  The
-        neighbour cache does not depend on obstacles (the radio model
-        has no shadowing), so it is left alone.
-        """
-        self._coverage_trackers.clear()
 
     def _repair_tree_after_failure(self, sensor_id: int) -> List[int]:
         """Re-attach (or drop) the subtrees orphaned by a node death."""

@@ -22,21 +22,23 @@ membership, so results are bit-identical to a brute-force squared-distance
 scan.
 
 ``NeighborCache`` — an epoch-based per-:class:`~repro.sim.world.World`
-holder of one ``NeighborSnapshot``: the live sensors' ids and positions,
-captured in one list pass, for the paper's unit disk of the world's
-single communication range (the only neighbour path in the library).
-A snapshot serves the rows of a few sensors by scanning the captured
-positions, and builds the whole neighbour table, the base-station
-adjacency and the base station's connected component only for callers
-that ask for them: up to ``DENSE_TABLE_MAX`` live sensors with the rows
-scan over all of them, above from one shared spatial-index build.  Every
-path applies the same predicate, so a row is identical whichever served
-it.
-The epoch includes the tuple of per-sensor
-``MotionModel.position_version`` counters, which are bumped on *every*
-position assignment, so a new snapshot is captured exactly when a
-sensor actually moves.  Answers are returned as copies so callers may
-mutate them freely.
+holder of one ``NeighborSnapshot``: the live sensors' ids and (frozen
+``Vec2``) positions, captured in one list pass each, for the paper's
+unit disk of the world's single communication range (the only
+neighbour path in the library).  A snapshot serves the rows of a few
+sensors by scanning the captured positions (a scalar loop for a few
+owners, one NumPy block for more), and builds the whole neighbour
+table (also as id pair arrays), the base-station adjacency and the base
+station's connected component only for callers that ask for them: up to
+``DENSE_TABLE_MAX`` live sensors as one dense block, above from one
+shared spatial-index build.  Every path applies the same predicate, so a
+row is identical whichever served it.
+The epoch includes the world's position clock
+(``World.position_clock``), which every sensor's position setter bumps
+on *every* assignment, so a new snapshot is captured exactly when a
+sensor was moved, and checking the epoch costs the same at any
+population.  Answers are returned as copies so callers may mutate them
+freely.
 
 ``IncrementalCoverage`` — maintains the per-cell coverage *multiplicity*
 grid (how many sensing disks contain each sample point) and the count of
@@ -54,14 +56,15 @@ sample coordinates, so the covered-cell count — and hence the coverage
 fraction — matches the brute-force path exactly, not just to within
 tolerance.
 
-Invalidation contract: the ``NeighborCache`` epoch covers per-sensor
-position versions, the configured communication range and the world's
+Invalidation contract: the ``NeighborCache`` epoch covers the world's
+position clock, the configured communication range and the world's
 population version, so movement, a mid-run range change and churn
 (failures, injections) all invalidate.  ``IncrementalCoverage`` diffs
 the packed position array itself and rebuilds from scratch when the
-sensor count changes; ``World.notify_field_changed`` drops the trackers
-when the obstacle set changes.  The brute-force references (``BruteRadio`` and
-the uncached world in ``tests/oracles``, ``Field.coverage_fraction``)
+sensor count changes; ``World.coverage`` keys its trackers on
+``field.version`` too, so an obstacle change starts a new one.  The
+brute-force references (``BruteRadio`` and the uncached world in
+``tests/oracles``, ``Field.coverage_fraction``)
 are exercised against the fast paths by randomized parity tests under
 ``tests/spatial/``.
 """

@@ -1,17 +1,20 @@
 """Per-epoch neighbour snapshots of a World's live sensors.
 
 A :class:`NeighborSnapshot` is the live sensors' ids and positions at one
-*epoch*, captured in one list pass.  It answers neighbour queries at two
-granularities:
+*epoch*: the ids and the (frozen) ``Vec2`` positions, captured in one
+list pass each; the float coordinates are derived on the first query.
+It answers neighbour queries at two granularities:
 
 * ``rows(ids)`` — the rows of a few sensors, by scanning the captured
   positions (FLOOR's connection walkers and the children a departing
-  sensor re-homes, the members of a subtree the tree repair re-attaches);
+  sensor re-homes, the members of a subtree the tree repair re-attaches):
+  a scalar loop for a few owners, one dense block for more;
 * ``table()`` — every row, for callers that read all of them (CPVF's
-  forces, the bootstrap flood, FLOOR's phase 2).  Up to
-  :data:`DENSE_TABLE_MAX` live sensors it is the ``rows`` scan over all
-  of them, one dense block; above, one ``SpatialIndex.directed_pairs``
-  build, whose index the base station's one-hop neighbours share.
+  forces, the bootstrap flood, FLOOR's phase 2), and ``pair_ids()``, the
+  same rows as two arrays.  Up to :data:`DENSE_TABLE_MAX` live sensors it
+  is the dense ``rows`` block over all of them; above, one
+  ``SpatialIndex.directed_pairs`` build, whose index the base station's
+  one-hop neighbours share.
 
 Every path applies the table's predicate to the same float64 coordinates
 (``dx*dx + dy*dy <= (rc + LINK_EPS) ** 2`` with ``dx = x_i - x_j``, rows
@@ -20,12 +23,13 @@ it.  The caller's choice of method and the population decide which path
 runs.
 
 :class:`NeighborCache` keeps the current epoch's snapshot.  The epoch is
-the communication range, the world's population version and the tuple of
-per-sensor ``MotionModel.position_version`` counters, so it changes
-exactly when a sensor moves, fails or joins, and an unchanged layout
-never recomputes anything.  A snapshot never changes after capture: a
-network model serving aged state keeps the one captured at its refresh
-boundary and reads rows from it.
+the communication range, the world's population version and its
+position clock (``World.position_clock``, which every sensor's position
+setter bumps), so it changes exactly when a sensor is moved, fails or
+joins, and an unchanged layout never recomputes anything.  Checking it
+is O(1), not a pass over the sensors.  A snapshot never changes after
+capture: a network model serving aged state keeps the one captured at
+its refresh boundary and reads rows from it.
 
 Everything handed out is a copy: callers may mutate what they get, and
 several schemes do mutate neighbour lists in place.
@@ -56,6 +60,16 @@ __all__ = ["NeighborCache", "NeighborSnapshot"]
 #: n = 150, 1.42-1.48 vs 0.84-0.96 ms at n = 240; clustered layouts
 #: cross later (0.49-0.65 vs 0.71-0.97 ms at n = 170).
 DENSE_TABLE_MAX = 150
+
+#: ``rows`` scans the captured floats in Python while it asks at most
+#: this many pair tests (owners x live sensors); a larger ask is one
+#: NumPy block.  Set at the measured crossover (``rows`` on
+#: ``perfbench.perf_world``, uniform, best of 5 rounds of 200 calls,
+#: 2-CPU x86_64; scalar vs block): on a fresh snapshot 19 vs 34 us for
+#: 1 of 70 sensors, 29 vs 37 us for 2, 38 vs 36 us for 3, 40 vs 53 us
+#: for 1 of 150 and 52 vs 53 us for 2; on a snapshot whose arrays exist
+#: 14 vs 15 us for 2 of 70.
+SCALAR_ROWS_MAX_TESTS = 200
 
 #: Point queries inflate the radius before the exact range re-check so
 #: borderline float rounding between the squared and sqrt formulations
@@ -98,12 +112,16 @@ class NeighborSnapshot:
         self._rc = world.config.communication_range
         #: Live sensor ids, ascending.
         self.ids: List[int] = [s.sensor_id for s in sensors]
-        positions = [s.motion.position for s in sensors]
-        self._xs: List[float] = [p.x for p in positions]
-        self._ys: List[float] = [p.y for p in positions]
+        #: Their positions: ``Vec2`` is frozen, so the references are a
+        #: snapshot however the sensors move afterwards.
+        self._positions = [s.motion.position for s in sensors]
+        #: The positions' ``x`` and ``y`` lists, on first use.
+        self._coordinates: Optional[Tuple[List[float], List[float]]] = None
         #: ``(x, y, ids)`` as float64 / intp arrays, on first use.
         self._arrays: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
         self._index: Optional[SpatialIndex] = None
+        #: Slot pairs ``(rows, cols)`` of the whole table, on first use.
+        self._pairs: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._table: Optional[Dict[int, List[int]]] = None
         self._base_neighbors: Optional[List[int]] = None
         self._component: Optional[Set[int]] = None
@@ -114,7 +132,8 @@ class NeighborSnapshot:
     def rows(self, sensor_ids: Iterable[int]) -> Dict[int, List[int]]:
         """Rows of the live sensors among ``sensor_ids`` (a dead or
         unknown id gets no row), by testing each asked sensor against
-        every captured one."""
+        every captured one: in a scalar loop up to
+        :data:`SCALAR_ROWS_MAX_TESTS` pair tests, else in one block."""
         ids = self.ids
         count = len(ids)
         slots: Dict[int, int] = {}
@@ -127,18 +146,38 @@ class NeighborSnapshot:
             tel.count("neighbors.rows_read", len(slots))
         if not slots:
             return {}
+        if len(slots) * count <= SCALAR_ROWS_MAX_TESTS:
+            return self._scalar_rows(slots)
         own = np.fromiter(slots.values(), dtype=np.intp, count=len(slots))
-        return self._dense_rows(list(slots), own)
+        row, col = self._dense_pairs(own)
+        return _split_rows(list(slots), row, col, self._as_arrays()[2])
 
-    def _dense_rows(
-        self, owners: List[int], own: np.ndarray
-    ) -> Dict[int, List[int]]:
-        """Rows of ``owners`` (captured at slots ``own``), each owner
-        tested against every captured sensor: the table's predicate on
-        one ``len(own) x n`` block."""
+    def _scalar_rows(self, slots: Dict[int, int]) -> Dict[int, List[int]]:
+        """Rows of the owners ``{id: slot}``, the table's predicate on
+        the captured floats one pair at a time."""
         r = self._rc + LINK_EPS
         r2 = r * r
-        x, y, id_array = self._as_arrays()
+        ids = self.ids
+        xs, ys = self._xy()
+        rows: Dict[int, List[int]] = {}
+        for sid, slot in slots.items():
+            x, y = xs[slot], ys[slot]
+            rows[sid] = [
+                other
+                for other, ox, oy in zip(ids, xs, ys)
+                if (dx := x - ox) * dx + (dy := y - oy) * dy <= r2
+                and other != sid
+            ]
+        return rows
+
+    def _dense_pairs(self, own: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Pairs ``(row, col)`` of the owners captured at slots ``own``
+        (``row`` indexes ``own``, ``col`` a slot), each owner tested
+        against every captured sensor: the table's predicate on one
+        ``len(own) x n`` block."""
+        r = self._rc + LINK_EPS
+        r2 = r * r
+        x, y, _ = self._as_arrays()
         dx = x[own][:, None] - x
         dy = y[own][:, None] - y
         # dx*dx + dy*dy in place: fewer block-sized temporaries.
@@ -147,14 +186,23 @@ class NeighborSnapshot:
         dx += dy
         hit = dx <= r2
         hit[np.arange(len(own)), own] = False
-        row, col = np.nonzero(hit)
-        return _split_rows(owners, row, col, id_array)
+        return np.nonzero(hit)
+
+    def _xy(self) -> Tuple[List[float], List[float]]:
+        if self._coordinates is None:
+            positions = self._positions
+            self._coordinates = (
+                [p.x for p in positions],
+                [p.y for p in positions],
+            )
+        return self._coordinates
 
     def _as_arrays(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         if self._arrays is None:
+            xs, ys = self._xy()
             self._arrays = (
-                np.array(self._xs, dtype=float),
-                np.array(self._ys, dtype=float),
+                np.array(xs, dtype=float),
+                np.array(ys, dtype=float),
                 np.array(self.ids, dtype=np.intp),
             )
         return self._arrays
@@ -179,18 +227,33 @@ class NeighborSnapshot:
         """Copy of the neighbour table (ids -> ids in range)."""
         return {sid: list(row) for sid, row in self._raw_table().items()}
 
+    def pair_ids(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The table as two id arrays ``(rows, cols)``: one entry per
+        directed neighbour pair, sorted by row, then by column (the
+        table's rows, concatenated in ascending id order)."""
+        rows, cols = self._slot_pairs()
+        id_array = self._as_arrays()[2]
+        return id_array[rows], id_array[cols]
+
+    def _slot_pairs(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Every directed pair of captured slots, sorted by row then
+        column."""
+        if self._pairs is None:
+            index = self._spatial_index()
+            if index is None:
+                self._pairs = self._dense_pairs(np.arange(len(self.ids)))
+            else:
+                rows, cols, _ = index.directed_pairs(self._rc + LINK_EPS)
+                self._pairs = (rows, cols)
+        return self._pairs
+
     def _raw_table(self) -> Dict[int, List[int]]:
         if self._table is None:
-            ids = self.ids
             tel = self._world.telemetry
             if tel.enabled:
                 tel.count("neighbors.table_builds", 1)
-            index = self._spatial_index()
-            if index is None:
-                self._table = self._dense_rows(ids, np.arange(len(ids)))
-            else:
-                rows, cols, _ = index.directed_pairs(self._rc + LINK_EPS)
-                self._table = _split_rows(ids, rows, cols, self._as_arrays()[2])
+            rows, cols = self._slot_pairs()
+            self._table = _split_rows(self.ids, rows, cols, self._as_arrays()[2])
         return self._table
 
     def base_station_neighbors(self) -> List[int]:
@@ -208,7 +271,7 @@ class NeighborSnapshot:
                 candidates = index.query_radius(
                     base, rc + 2.0 * _QUERY_SLACK
                 ).tolist()
-            xs, ys = self._xs, self._ys
+            xs, ys = self._xy()
             self._base_neighbors = [
                 self.ids[i]
                 for i in candidates
@@ -239,22 +302,21 @@ class NeighborCache:
 
     def __init__(self, world: "World"):
         self._world = world
+        self._clock = world.position_clock
         self._epoch: Optional[tuple] = None
         self._snapshot: Optional[NeighborSnapshot] = None
 
     def snapshot(self) -> NeighborSnapshot:
         """The snapshot of the current epoch (captured on first use)."""
         world = self._world
-        # Position versions carry the per-period invalidation; the range
-        # is included so a mid-run config change cannot serve a stale
-        # table.  population_version covers churn (a failure flips
-        # aliveness without touching any position_version; an injection
-        # changes the tuple length too, but only the version captures
-        # removal).
+        # The position clock carries the per-period invalidation; the
+        # range is included so a mid-run config change cannot serve a
+        # stale table.  population_version covers churn (a failure flips
+        # aliveness without writing any position).
         epoch = (
             world.config.communication_range,
             world.population_version,
-            tuple(s.motion.position_version for s in world.sensors),
+            self._clock.writes,
         )
         if epoch != self._epoch:
             self._epoch = epoch

@@ -6,12 +6,25 @@ import pytest
 
 from repro.field import Field, two_obstacle_field
 from repro.geometry import Vec2
-from repro.mobility import Bug2Path, Bug2Planner, Handedness, MotionModel
+from repro.mobility import (
+    Bug2Path,
+    Bug2Planner,
+    Handedness,
+    MotionModel,
+    PositionClock,
+)
 from tests.oracles import reference_path_length, reference_point_at_distance
 
 
 def make_model(x=0.0, y=0.0, speed=2.0, period=1.0) -> MotionModel:
     return MotionModel(position=Vec2(x, y), max_speed=speed, period=period)
+
+
+def clocked_model(x=0.0, y=0.0) -> MotionModel:
+    """A model with a clock of its own, started after construction."""
+    model = make_model(x, y)
+    model.clock = PositionClock()
+    return model
 
 
 class TestDirectMoves:
@@ -80,48 +93,43 @@ class TestPathFollowing:
         assert model.advance_along_path(distance=0.5) == pytest.approx(0.5)
 
 
-class TestPositionVersion:
-    """Only ``position`` assignments bump ``position_version``."""
+class TestPositionClock:
+    """Only ``position`` assignments bump the motion model's clock."""
 
-    def test_move_to_bumps_the_version_once(self):
-        model = make_model()
-        before = model.position_version
+    def test_move_to_bumps_the_clock_once(self):
+        model = clocked_model()
         model.move_to(Vec2(3, 4))
-        assert model.position_version == before + 1
+        assert model.clock.writes == 1
 
-    def test_direct_assignment_bumps_the_version(self):
-        model = make_model()
-        before = model.position_version
+    def test_direct_assignment_bumps_the_clock(self):
+        model = clocked_model()
         model.position = Vec2(1, 1)
         model.position = Vec2(1, 1)
-        assert model.position_version == before + 2
+        assert model.clock.writes == 2
 
     def test_follow_snaps_and_bumps_only_when_off_the_path_start(self):
-        model = make_model(0, 0)
-        before = model.position_version
+        model = clocked_model(0, 0)
         model.follow(Bug2Path([Vec2(0, 0), Vec2(10, 0)], True))
-        assert model.position_version == before
+        assert model.clock.writes == 0
         model.follow(Bug2Path([Vec2(5, 5), Vec2(10, 0)], True))
         assert model.position == Vec2(5, 5)
-        assert model.position_version == before + 1
+        assert model.clock.writes == 1
 
     def test_advance_bumps_once_per_step(self):
-        model = make_model(0, 0)
+        model = clocked_model(0, 0)
         model.follow(Bug2Path([Vec2(0, 0), Vec2(10, 0)], True))
-        before = model.position_version
         model.advance_along_path()
-        assert model.position_version == before + 1
+        assert model.clock.writes == 1
 
-    def test_odometer_and_path_writes_leave_the_version(self):
-        model = make_model()
-        before = model.position_version
+    def test_odometer_and_path_writes_leave_the_clock(self):
+        model = clocked_model()
         model.odometer = 12.5
         model.odometer += 1.0
         model._path = Bug2Path([Vec2(0, 0), Vec2(10, 0)], True)
         model._path_progress = 3.0
         model._path_length = 10.0
         model.stop()
-        assert model.position_version == before
+        assert model.clock.writes == 0
         assert model.position == Vec2(0, 0)
 
     def test_fields_repr_and_equality_see_the_position(self):
@@ -186,13 +194,14 @@ class TestFloatPathStep:
                 MotionModel(position=path.waypoints[0], max_speed=speed, period=1.0)
                 for _ in range(2)
             )
+            stepped.clock, advanced.clock = PositionClock(), PositionClock()
             stepped.follow(path)
             advanced.follow(path)
             length = reference_path_length(path.waypoints)
             progress = 0.0
             odometer = 0.0
             while stepped.has_path:
-                version = stepped.position_version
+                writes = stepped.clock.writes
                 limit = rng.choice([None, speed, 0.5 * speed])
                 x, y, travel = stepped.path_step(limit)
                 stepped.position = Vec2(x, y)
@@ -204,10 +213,6 @@ class TestFloatPathStep:
                 point = reference_point_at_distance(path.waypoints, progress)
                 assert stepped.position == advanced.position == point
                 assert stepped.odometer == advanced.odometer == odometer
-                assert (
-                    stepped.position_version
-                    == advanced.position_version
-                    == version + 1
-                )
+                assert stepped.clock.writes == advanced.clock.writes == writes + 1
             assert not advanced.has_path
             assert stepped.path_step() is None

@@ -8,6 +8,10 @@ functions that tests (and ``benchmarks/perfbench.py``) import:
   unit-disk model (:class:`BruteRadio`), the all-pairs union-find behind
   :func:`double_loop_components`, and a world whose queries bypass the
   neighbour cache and the incremental coverage tracker;
+* :mod:`.field` — the float field queries (free point, blocked and
+  free-travel moves, nearest-free spiral, visible boundary pieces,
+  obstacle force) walking every obstacle on every probe, with no
+  obstacle table or per-move prefilter;
 * :mod:`.floor` — an exhaustive floor-registry scan and the ``Vec2``
   expansion planner with no memo (:class:`ReferenceExpansionPlanner`);
 * :mod:`.geometry` — the polygon point and segment predicates, the
@@ -29,6 +33,14 @@ functions that tests (and ``benchmarks/perfbench.py``) import:
   (:class:`InformedVorScheme`).
 """
 
+from .field import (
+    all_obstacle_boundary_pieces,
+    all_obstacle_force,
+    all_obstacle_is_free,
+    all_obstacle_max_free_travel,
+    all_obstacle_nearest_free,
+    all_obstacle_segment_blocked,
+)
 from .floor import (
     ExhaustiveFloorRegistry,
     ReferenceExpansionPlanner,
@@ -68,6 +80,12 @@ from .vd import InformedVorScheme
 from .world import BruteRadio, UncachedWorld, double_loop_components, uncached
 
 __all__ = [
+    "all_obstacle_boundary_pieces",
+    "all_obstacle_force",
+    "all_obstacle_is_free",
+    "all_obstacle_max_free_travel",
+    "all_obstacle_nearest_free",
+    "all_obstacle_segment_blocked",
     "BruteRadio",
     "UncachedWorld",
     "uncached",

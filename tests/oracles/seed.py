@@ -165,7 +165,9 @@ class SeedCPVF(CPVFScheme):
     the library's move loop.
     """
 
-    def _apply_virtual_forces(self, world, table: Dict[int, List[int]]) -> None:
+    def _apply_virtual_forces(
+        self, world, table: Dict[int, List[int]], neighbors
+    ) -> None:
         config = world.config
         for sensor in [s for s in world.sensors if s.is_connected()]:
             direction = force_direction(

@@ -4,7 +4,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Dict, List, Set
+from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
@@ -113,6 +113,11 @@ class BruteSnapshot:
 
     def table(self) -> Dict[int, List[int]]:
         return {sid: list(row) for sid, row in self._table.items()}
+
+    def pair_ids(self) -> Tuple[np.ndarray, np.ndarray]:
+        rows = [sid for sid in sorted(self._table) for _ in self._table[sid]]
+        cols = [nb for sid in sorted(self._table) for nb in self._table[sid]]
+        return np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp)
 
 
 class UncachedWorld(World):

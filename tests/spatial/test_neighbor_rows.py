@@ -4,8 +4,9 @@
 own predicate, so every row must equal (``==``) the full table's row for
 the same sensor — at random layouts, at pairs exactly ``rc + LINK_EPS``
 apart, with dead and injected sensors, and at n = 0, 1 and 2 — and must
-stay equal to the brute-force oracle's.  Rows are copies, and reading
-them never builds the table.
+stay equal to the brute-force oracle's.  The scalar loop that serves a
+few owners and the block that serves more agree there too.  Rows are
+copies, and reading them never builds the table.
 """
 
 import math
@@ -17,6 +18,7 @@ from repro.field import Field
 from repro.geometry import Vec2
 from repro.network import LINK_EPS
 from repro.sim import SimulationConfig, World
+from repro.spatial import cache
 from tests.oracles import BruteRadio, uncached
 
 FIELD = 300.0
@@ -124,3 +126,67 @@ def test_snapshot_keeps_its_capture_time_positions():
     assert snapshot.rows([2]) == {2: []}
     assert world.neighbor_snapshot().rows([2]) == {2: [0, 1]}
     assert world.neighbor_snapshot() is not snapshot
+
+
+def _rows_with_cut(snapshot, asked, max_tests):
+    saved = cache.SCALAR_ROWS_MAX_TESTS
+    cache.SCALAR_ROWS_MAX_TESTS = max_tests
+    try:
+        return snapshot.rows(asked)
+    finally:
+        cache.SCALAR_ROWS_MAX_TESTS = saved
+
+
+@pytest.mark.parametrize("trial", range(6))
+def test_scalar_and_block_rows_agree(trial):
+    # Pairs exactly ``rc + LINK_EPS`` apart (and one ulp further), at and
+    # away from the origin, among random sensors.
+    limit = RC + LINK_EPS
+    beyond = math.nextafter(limit, math.inf)
+    rng = random.Random(9000 + trial)
+    positions = [
+        Vec2(0.0, 0.0),
+        Vec2(limit, 0.0),
+        Vec2(0.0, beyond),
+        Vec2(100.0, 100.0),
+        Vec2(100.0 + limit, 100.0),
+        Vec2(100.0 + beyond, 100.0 + beyond),
+    ] + random_positions(rng, rng.randint(0, 60))
+    world = build_world(positions)
+    world.remove_sensor(rng.randrange(len(positions)))
+    snapshot = world.neighbor_snapshot()
+    table = world.neighbor_table()
+    for k in (1, 2, 3, len(positions)):
+        asked = rng.sample(range(len(positions) + 1), min(k, len(positions)))
+        scalar = _rows_with_cut(snapshot, asked, 10**9)
+        block = _rows_with_cut(snapshot, asked, -1)
+        assert scalar == block
+        assert list(scalar) == list(block)
+        assert scalar == {sid: table[sid] for sid in asked if sid in table}
+
+
+def test_rows_switch_paths_at_the_cut():
+    rng = random.Random(12)
+    world = build_world(random_positions(rng, 40))
+    snapshot = world.neighbor_snapshot()
+    count = len(snapshot.ids)
+    owners = cache.SCALAR_ROWS_MAX_TESTS // count
+    asked = list(range(owners + 1))
+    table = world.neighbor_table()
+    # The largest scalar ask reads no arrays; one more owner is a block.
+    fresh = world.neighbor_snapshot()
+    fresh._arrays = None
+    assert fresh.rows(asked[:owners]) == {sid: table[sid] for sid in asked[:owners]}
+    assert fresh._arrays is None
+    assert fresh.rows(asked) == {sid: table[sid] for sid in asked}
+    assert fresh._arrays is not None
+
+
+def test_pair_ids_are_the_table_rows_in_id_order():
+    rng = random.Random(13)
+    world = build_world(random_positions(rng, 50))
+    world.remove_sensor(7)
+    table = world.neighbor_table()
+    rows, cols = world.neighbor_snapshot().pair_ids()
+    assert rows.tolist() == [sid for sid in sorted(table) for _ in table[sid]]
+    assert cols.tolist() == [nb for sid in sorted(table) for nb in table[sid]]

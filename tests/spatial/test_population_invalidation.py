@@ -2,10 +2,10 @@
 
 The neighbor cache's epoch includes the world's population version, so
 killing or injecting sensors must drop every derived structure (and a
-field change must drop the coverage trackers).  Parity is checked the strong way: after a
-random churn sequence, every cached query must equal the same query on a
-freshly built world holding only the surviving sensors at their current
-positions.
+change of ``field.version`` must start new coverage trackers).  Parity
+is checked the strong way: after a random churn sequence, every cached
+query must equal the same query on a freshly built world holding only
+the surviving sensors at their current positions.
 """
 
 import random
@@ -135,13 +135,28 @@ def test_field_change_invalidates_coverage():
     index = world.field.add_obstacle(
         Obstacle.rectangle(20.0, 20.0, 180.0, 180.0)
     )
-    world.notify_field_changed()
     after = world.coverage()
     assert after != before
 
     world.field.remove_obstacle(index)
-    world.notify_field_changed()
     assert world.coverage() == pytest.approx(before, abs=1e-12)
+
+
+def test_obstacle_added_mid_run_reaches_coverage():
+    """The bench-scale open field at seed 3: an obstacle added straight
+    through ``Field.add_obstacle`` (no call on the world) moves coverage
+    from 0.2869 to the brute-force scan of the new mask."""
+    from repro.experiments import make_scenario
+    from repro.experiments.common import BENCH_SCALE
+
+    scenario = make_scenario(BENCH_SCALE, seed=3)
+    world = scenario.build_world(scenario.build_field())
+    assert len(world.sensors) == 70
+    assert world.coverage() == 0.286875
+    world.field.add_obstacle(Obstacle.rectangle(100, 100, 300, 300))
+    rs, resolution = world.config.sensing_range, world.config.coverage_resolution
+    expected = world.field.coverage_fraction(world.positions(), rs, resolution)
+    assert world.coverage() == expected == 0.20163690476190477
 
 
 def test_epoch_bumps_without_explicit_invalidation():
