@@ -437,8 +437,10 @@ def _counter_bounds(prefix: str) -> Callable[..., Verdict]:
     mean a caller went back to building every row to read a few (FLOOR)
     or built a table more than once per layout (CPVF), more polygon
     tests mean a field query went back to testing obstacles out of its
-    reach, and more neighbour snapshots mean the cache recaptured a
-    layout that had not changed, whatever the wall time says.
+    reach, more neighbour snapshots mean the cache recaptured a layout
+    that had not changed, and more subtree walks mean CPVF's retry cache
+    dropped entries that its own parent changes left as they were,
+    whatever the wall time says.
     """
 
     def check(m, committed) -> Verdict:
@@ -674,6 +676,9 @@ CONTRACTS: Tuple[Contract, ...] = (
     Contract("perf.churn_cpvf", "churn_cpvf",
              _wall_budget("churn-lossy CPVF deployment"),
              committed=Committed("churn_cpvf", "wall_ms")),
+    Contract("cpvf.subtree_walks", "churn_cpvf",
+             _counter_bounds("cpvf.subtree_walks"),
+             committed=Committed("churn_cpvf", "counters")),
     Contract("perf.lifecycle_recovery", "lifecycle_recovery",
              check_lifecycle_recovery,
              committed=Committed("lifecycle_recovery", None)),

@@ -662,12 +662,13 @@ CHURN_SCRIPTS = ("interior-cascade", "reinforcements")
 #: (``cpvf.repair`` is the parent-change share of ``cpvf.moves``).
 CHURN_CPVF_PHASES = ("cpvf.table", "cpvf.forces", "cpvf.moves", "cpvf.repair")
 #: Counters of the ``churn_cpvf`` row: parent-change attempts, the ones
-#: that found a parent, and the lock handshakes the lossy network timed
-#: out.
+#: that found a parent, the lock handshakes the lossy network timed out,
+#: and the subtree walks (the retry cache's misses) behind the attempts.
 CHURN_CPVF_COUNTERS = (
     "cpvf.repair_attempts",
     "cpvf.parent_changes",
     "cpvf.lock_aborts",
+    "cpvf.subtree_walks",
 )
 
 

@@ -56,7 +56,7 @@ _OBSTACLE_FLOOR = {
         "neighbors.snapshots": 100,
     },
 }
-_CHURN_CPVF = {"wall_ms": 700.0}
+_CHURN_CPVF = {"wall_ms": 700.0, "counters": {"cpvf.subtree_walks": 2000}}
 _LIFECYCLE = [
     {"scheme": "CPVF", "run_ms": 600.0},
     {"scheme": "FLOOR", "run_ms": 1200.0},
@@ -103,7 +103,11 @@ BENCH = {
             "neighbors.snapshots": 100,
         },
     }],
-    "churn_cpvf": [{"n": 70, "wall_ms": 300.0}],
+    "churn_cpvf": [{
+        "n": 70,
+        "wall_ms": 300.0,
+        "counters": {"cpvf.subtree_walks": 2000},
+    }],
     "lifecycle_recovery": [
         {"scheme": "CPVF", "n": 70, "run_ms": 300.0},
         {"scheme": "FLOOR", "n": 70, "run_ms": 500.0},
@@ -156,6 +160,9 @@ DOCTORED = {
         ("obstacle_floor", "counters", "neighbors.snapshots"), 101,
     ),
     "perf.churn_cpvf": (("churn_cpvf", "wall_ms"), 901.0),
+    "cpvf.subtree_walks": (
+        ("churn_cpvf", "counters", "cpvf.subtree_walks"), 2001,
+    ),
     "perf.lifecycle_recovery": (("lifecycle_recovery", 1, "run_ms"), 1501.0),
     "obs.roundtrip": (("profiled_run", "json_roundtrip"), False),
     "obs.report_cli": (("report_cli", "returncode"), 1),

@@ -111,11 +111,10 @@ class CPVFScheme(DeploymentScheme):
         self._forces: Optional[VirtualForceModel] = None
         self._lazy: Optional[LazyMovementController] = None
         self._avoidance: Optional[OscillationAvoidance] = None
-        #: Structures derived from the connectivity tree, dropped together
-        #: whenever ``tree.version`` changes: per sensor its link ids and
-        #: its ``(subtree, lock depth)``.
+        #: Per sensor its ``(subtree, lock depth)``, valid for the tree at
+        #: ``_tree_version``: a tree change from elsewhere drops them all,
+        #: CPVF's own parent change only the entries it alters.
         self._tree_version: Optional[int] = None
-        self._link_ids: Dict[int, tuple] = {}
         self._subtrees: Dict[int, Tuple[FrozenSet[int], int]] = {}
 
     # ------------------------------------------------------------------
@@ -134,11 +133,10 @@ class CPVFScheme(DeploymentScheme):
             delta=self._oscillation_delta,
             mode=self._oscillation_mode,
         )
-        # Drop tree-derived caches from any previous world: a fresh tree
+        # Drop the subtree cache of any previous world: a fresh tree
         # restarts its version counter, so stale entries could otherwise
         # collide with the new world's version values.
         self._tree_version = None
-        self._link_ids = {}
         self._subtrees = {}
         flood_tree(world)
         for sensor in world.sensors:
@@ -256,7 +254,8 @@ class CPVFScheme(DeploymentScheme):
         Per sensor: the step ladder against its live tree links, a parent
         change when the ladder is blocked, the step clipped to free
         space, then oscillation avoidance; a move that survives is
-        committed (one ``Vec2``) and written back to the snapshot.
+        committed (one ``Vec2``, the odometer charged as ``move_to``
+        charges it) and written back to the snapshot.
         """
         assert self._avoidance is not None
         snapshot = _PeriodSnapshot(world)
@@ -269,10 +268,17 @@ class CPVFScheme(DeploymentScheme):
         max_step = config.max_step
         rc = config.communication_range
         allow_parent_change = self._allow_parent_change
-        should_cancel = self._avoidance.should_cancel
+        # The rule never cancels with a threshold of zero.
+        should_cancel = (
+            self._avoidance.should_cancel
+            if self._avoidance.threshold() > 0.0
+            else None
+        )
         sensors = world.sensors
         field = world.field
         base = world.base_station
+        tree_parent = world.tree.parent
+        tree_children = world.tree.children
         xs, ys = snapshot.xs, snapshot.ys
         # Each required link costs one state-exchange message before the
         # step-size decision (Section 4.2); charged once for the period.
@@ -284,8 +290,8 @@ class CPVFScheme(DeploymentScheme):
                 if dir_x == 0.0 and dir_y == 0.0:
                     sensor.previous_position = sensor.motion.position
                     continue
-                parent, children = self._link_node_ids(world, sid)
-                links = [(xs[child], ys[child]) for child in children]
+                parent = tree_parent.get(sid)
+                links = [(xs[child], ys[child]) for child in tree_children.get(sid, ())]
                 if parent == BASE_STATION_ID:
                     links.insert(0, (base.x, base.y))
                 elif parent is not None:
@@ -309,45 +315,24 @@ class CPVFScheme(DeploymentScheme):
                 step = field.max_free_travel(px, py, dir_x, dir_y, step)
                 # `position + direction.normalized() * step` on floats.
                 dir_norm = math.hypot(dir_x, dir_y)
-                end = Vec2(
-                    px + (dir_x / dir_norm) * step, py + (dir_y / dir_norm) * step
-                )
-                position = sensor.motion.position
+                end_x = px + (dir_x / dir_norm) * step
+                end_y = py + (dir_y / dir_norm) * step
+                end = Vec2(end_x, end_y)
+                motion = sensor.motion
+                position = motion.position
                 previous = sensor.previous_position
                 sensor.previous_position = position
-                if should_cancel(step, position, end, previous):
+                if should_cancel is not None and should_cancel(
+                    step, position, end, previous
+                ):
                     continue
-                sensor.motion.move_to(end)
-                xs[sid] = end.x
-                ys[sid] = end.y
+                # `motion.move_to(end)`, its distance measured the same way.
+                motion.odometer += math.hypot(position.x - end_x, position.y - end_y)
+                motion.position = end
+                xs[sid] = end_x
+                ys[sid] = end_y
         if link_messages:
             world.routing.record_one_hop(MessageType.NEIGHBOR_STATE, link_messages)
-
-    def _reset_tree_caches(self, version: int) -> None:
-        """Drop the tree-derived caches; they now describe ``version``."""
-        self._link_ids = {}
-        self._subtrees = {}
-        self._tree_version = version
-
-    def _link_node_ids(self, world: World, sensor_id: int) -> tuple:
-        """``(parent_id_or_None, children_tuple)`` for one sensor.
-
-        Derived lazily from the tree and cached keyed on
-        ``tree.version``, so the per-period scalar paths stop re-copying
-        the children set for every sensor every period.
-        """
-        tree = world.tree
-        if self._tree_version != tree.version:
-            self._reset_tree_caches(tree.version)
-        cached = self._link_ids.get(sensor_id)
-        if cached is None:
-            children = tree.children.get(sensor_id)
-            cached = (
-                tree.parent.get(sensor_id),
-                tuple(children) if children else (),
-            )
-            self._link_ids[sensor_id] = cached
-        return cached
 
     def _subtree(self, world: World, root: int) -> Tuple[FrozenSet[int], int]:
         """``(subtree ids, lock depth)`` of the subtree rooted at ``root``.
@@ -357,15 +342,19 @@ class CPVFScheme(DeploymentScheme):
         root-to-leaf path: the grant cannot be issued until the farthest
         descendant has acknowledged, so the handshake's loss-critical
         transmission count grows with this depth, not with the subtree
-        size.  Both come from one BFS, cached keyed on ``tree.version``
-        like the link ids: a blocked sensor retries its parent change
-        period after period on an unchanged tree.
+        size.  Both come from one BFS, cached for the tree at
+        ``_tree_version``: a blocked sensor retries its parent change
+        period after period, and CPVF's own parent changes keep the
+        entries they do not alter (:meth:`_reparent`).
         """
         tree = world.tree
         if self._tree_version != tree.version:
-            self._reset_tree_caches(tree.version)
+            self._subtrees = {}
+            self._tree_version = tree.version
         cached = self._subtrees.get(root)
         if cached is None:
+            if world.telemetry.enabled:
+                world.telemetry.count("cpvf.subtree_walks", 1)
             children = tree.children
             seen = {root}
             frontier = [root]
@@ -490,8 +479,7 @@ class CPVFScheme(DeploymentScheme):
         xs, ys = snapshot.xs, snapshot.ys
         px, py = xs[sid], ys[sid]
         limit = config.communication_range + LINK_EPS
-        _, children = self._link_node_ids(world, sid)
-        children_xy = [(xs[c], ys[c]) for c in children]
+        children_xy = [(xs[c], ys[c]) for c in world.tree.children.get(sid, ())]
         # A required link that is already out of range invalidates every
         # candidate step, whatever the new parent.
         for cx, cy in children_xy:
@@ -508,10 +496,33 @@ class CPVFScheme(DeploymentScheme):
             else:
                 for candidate, cx, cy in candidates:
                     if math.hypot(qx - cx, qy - cy) <= limit:
-                        world.tree.reparent(sid, candidate)
+                        self._reparent(world, sid, candidate)
                         world.telemetry.count("cpvf.parent_changes", 1)
                         return step
         return 0.0
+
+    def _reparent(self, world: World, sensor_id: int, new_parent: int) -> None:
+        """Move ``sensor_id`` under ``new_parent``, keeping the subtree
+        cache current.
+
+        A subtree changes exactly when its root is an ancestor (or
+        itself) of the old or the new parent, that is when its member set
+        holds one of them; the two parents' own ancestor chains lie
+        outside the moved subtree, so they are the same before and after
+        the move.  Only those entries are dropped.  A cache that was
+        already stale stays stale and is dropped whole on its next read.
+        """
+        tree = world.tree
+        current = self._tree_version == tree.version
+        old_parent = tree.parent.get(sensor_id)
+        if not tree.reparent(sensor_id, new_parent) or not current:
+            return
+        self._subtrees = {
+            root: entry
+            for root, entry in self._subtrees.items()
+            if old_parent not in entry[0] and new_parent not in entry[0]
+        }
+        self._tree_version = tree.version
 
     # ------------------------------------------------------------------
     # Lifecycle churn

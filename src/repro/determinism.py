@@ -13,6 +13,10 @@ so that a run is a pure function of its spec:
   tuple, stable across processes, platforms and ``PYTHONHASHSEED``
   settings, so a run sharded over worker processes produces records
   identical to the serial run.
+* :class:`UniformPrefix` is :func:`derive_uniform` for many keys that
+  share their leading parts (one period's deliveries of one kind): the
+  hash state of the shared part is computed once and copied per draw,
+  which hashes the same bytes, so every draw is the same number.
 * :func:`freeze_params` normalises a parameter mapping into the sorted
   ``(key, value)`` tuple that frozen specs and events store and hash.
 
@@ -31,6 +35,7 @@ __all__ = [
     "derive_seed",
     "derive_rng",
     "derive_uniform",
+    "UniformPrefix",
     "spawn_seeds",
     "freeze_params",
 ]
@@ -63,6 +68,42 @@ def derive_uniform(base_seed: int, *keys) -> float:
     single draw per key.
     """
     return (_digest(base_seed, keys) >> 11) * 2.0 ** -53
+
+
+class UniformPrefix:
+    """:func:`derive_uniform` with its leading keys hashed once.
+
+    ``UniformPrefix(base_seed, *prefix).draw(*keys)`` equals
+    ``derive_uniform(base_seed, *prefix, *keys)`` for every non-empty
+    ``keys``.  The digest input is the repr of the whole key tuple,
+    ``"(seed, p1, ..., pk, " + "k1, ..., km)"``: the blake2b state after
+    the first part is kept, and each draw copies it and feeds only the
+    second, so the bytes hashed, and the number drawn, are unchanged.
+    """
+
+    __slots__ = ("_base_seed", "_prefix", "_state")
+
+    def __init__(self, base_seed: int, *prefix) -> None:
+        self._base_seed = int(base_seed)
+        self._prefix = prefix
+        head = "(" + ", ".join(map(repr, (self._base_seed,) + prefix)) + ", "
+        self._state = hashlib.blake2b(head.encode("utf-8"), digest_size=8)
+
+    def __reduce__(self):
+        # A hash state does not pickle; the seed and prefix rebuild it.
+        return (UniformPrefix, (self._base_seed, *self._prefix))
+
+    def draw(self, *keys) -> float:
+        """``derive_uniform(base_seed, *prefix, *keys)``."""
+        if not keys:
+            return derive_uniform(self._base_seed, *self._prefix)
+        # The tail of the whole tuple's repr: "(k1,)" -> "k1)", and
+        # "(k1, k2)" -> "k1, k2)".
+        tail = repr(keys)
+        tail = tail[1:-2] + ")" if len(keys) == 1 else tail[1:]
+        state = self._state.copy()
+        state.update(tail.encode("utf-8"))
+        return (int.from_bytes(state.digest(), "big") >> 11) * 2.0 ** -53
 
 
 def _digest(base_seed: int, keys: tuple) -> int:

@@ -95,6 +95,19 @@ class CoverageGrid:
         same coordinates, so every consumer (the incremental tracker,
         :meth:`coverage_mask`, the coverage report) agrees bit for bit.
         """
+        return self.disk_hits_split(cx, cy, radius, 0)[0]
+
+    def disk_hits_split(
+        self, cx, cy, radius: float, first: int
+    ) -> Tuple[np.ndarray, int]:
+        """:meth:`disk_hits`, and how many of its hits the first ``first``
+        disks make.
+
+        The hits come out disk by disk in input order, so those of the
+        first ``first`` disks are the leading ``split`` entries of the
+        array: one pass rasterises two batches of disks and still tells
+        their hits apart.
+        """
         cx = np.asarray(cx, dtype=float).ravel()
         cy = np.asarray(cy, dtype=float).ravel()
         xs, ys = self._xs, self._ys
@@ -105,7 +118,7 @@ class CoverageGrid:
         width = int(wi.max(initial=0))
         height = int(wj.max(initial=0))
         if width <= 0 or height <= 0:
-            return np.empty(0, dtype=np.intp)
+            return np.empty(0, dtype=np.intp), 0
         # One stencil as wide as the widest bounding box, clipped to the
         # axes for the gather and masked to each disk's own box; disks go
         # through in chunks so the stencil stays small at any n.
@@ -113,6 +126,7 @@ class CoverageGrid:
         dj = np.arange(height)
         chunk = max(1, _STENCIL_CELLS // (width * height))
         parts = []
+        split = 0
         for lo in range(0, len(cx), chunk):
             sl = slice(lo, lo + chunk)
             ii = np.minimum(i0[sl, None] + di, len(xs) - 1)
@@ -123,8 +137,11 @@ class CoverageGrid:
             hit &= (di < wi[sl, None])[:, :, None]
             hit &= (dj < wj[sl, None])[:, None, :]
             k, a, b = np.nonzero(hit)
+            if lo < first:
+                # ``k`` ascends: the chunk's hits of disks before ``first``.
+                split += int(np.searchsorted(k, first - lo))
             parts.append(ii[k, a] * len(ys) + jj[k, b])
-        return np.concatenate(parts)
+        return np.concatenate(parts), split
 
     def coverage_mask(
         self, centers: Sequence[Tuple[float, float]], radius: float

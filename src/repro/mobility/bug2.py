@@ -17,10 +17,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..field import Field, Obstacle
 from ..geometry import EPS, Segment, Vec2
+from ..geometry.segment import DEGENERATE_NORM_SQ
 
 __all__ = ["Handedness", "Bug2Path", "Bug2Planner"]
 
@@ -163,10 +164,23 @@ class Bug2Planner:
     def _first_blocking_obstacle(
         self, leg: Segment
     ) -> Optional[Tuple[Obstacle, Vec2]]:
-        """First obstacle whose interior the leg would cross, with hit point."""
+        """First obstacle whose interior the leg would cross, with hit point.
+
+        An obstacle whose reject box (``Field.obstacle_table``) misses the
+        leg's bounding box cannot be crossed, as ``blocks_segment``'s own
+        reject would answer; only the others are tested.
+        """
         best: Optional[Tuple[Obstacle, Vec2]] = None
         best_dist = math.inf
-        for ob in self._field.obstacles:
+        field = self._field
+        ax, ay, bx, by = leg.a.x, leg.a.y, leg.b.x, leg.b.y
+        lo_x, hi_x = min(ax, bx), max(ax, bx)
+        lo_y, hi_y = min(ay, by), max(ay, by)
+        for ob, (xmin, ymin, xmax, ymax, _) in zip(
+            field.obstacles, field.obstacle_table()
+        ):
+            if hi_x < xmin or lo_x > xmax or hi_y < ymin or lo_y > ymax:
+                continue
             if not ob.blocks_segment(leg):
                 continue
             hit = ob.first_hit(leg)
@@ -224,15 +238,8 @@ class Bug2Planner:
         polygon = obstacle.polygon.counter_clockwise()
         vertices = list(polygon.vertices)
         n = len(vertices)
-        edges = polygon.edges()
-
-        def edge_index_of(p: Vec2) -> int:
-            return min(
-                range(n), key=lambda i: edges[i].distance_to_point(p)
-            )
-
-        start_edge = edge_index_of(start_point)
-        leave_edge = edge_index_of(leave_point)
+        start_edge = _nearest_edge(polygon.edges(), start_point)
+        leave_edge = _nearest_edge(polygon.edges(), leave_point)
 
         waypoints: List[Vec2] = []
         if self._handedness is Handedness.LEFT:
@@ -240,7 +247,7 @@ class Bug2Planner:
             idx = (start_edge + 1) % n
             guard = 0
             while guard <= n:
-                if edge_index_of(leave_point) == (idx - 1) % n and guard > 0:
+                if leave_edge == (idx - 1) % n and guard > 0:
                     break
                 waypoints.append(self._push_out(vertices[idx % n], obstacle))
                 if (idx - 1) % n == leave_edge:
@@ -287,3 +294,33 @@ class Bug2Planner:
             if not pruned or not pruned[-1].almost_equals(leave_point):
                 pruned.append(leave_point)
         return pruned
+
+
+def _nearest_edge(edges: Sequence[Segment], p: Vec2) -> int:
+    """Index of the edge nearest ``p``, the first one on a tie.
+
+    ``min(range(len(edges)), key=lambda i: edges[i].distance_to_point(p))``
+    on floats: the same projection, clamp and ``hypot`` as
+    :meth:`Segment.closest_point` and :meth:`Vec2.distance_to`.
+    """
+    px, py = p.x, p.y
+    best = 0
+    best_dist = math.inf
+    for index, edge in enumerate(edges):
+        a, b = edge.a, edge.b
+        ax, ay = a.x, a.y
+        dx, dy = b.x - ax, b.y - ay
+        denom = dx * dx + dy * dy
+        if denom <= DEGENERATE_NORM_SQ:
+            # The endpoint nearer ``p``, ``a`` on a tie.
+            dist = math.hypot(px - ax, py - ay)
+            dist_b = math.hypot(px - b.x, py - b.y)
+            if dist_b < dist:
+                dist = dist_b
+        else:
+            t = min(1.0, max(0.0, ((px - ax) * dx + (py - ay) * dy) / denom))
+            dist = math.hypot(px - (ax + (b.x - ax) * t), py - (ay + (b.y - ay) * t))
+        if dist < best_dist:
+            best = index
+            best_dist = dist
+    return best

@@ -21,7 +21,10 @@ structural one) stay byte-identical to the seed behaviour.
 Determinism contract: every delivery takes exactly one uniform draw,
 the blake2b hash of ``(seed, period, "exchange" | "walk", message key)``
 read as a float (:func:`repro.determinism.derive_uniform`) — never a
-value from a shared stream.  ``exchange`` reads its number of failed
+value from a shared stream.  The model hashes the ``(seed, period,
+kind)`` part once per period and kind and draws each key from that
+state (:class:`repro.determinism.UniformPrefix`), which hashes the same
+bytes.  ``exchange`` reads its number of failed
 attempts, and ``walk_hops`` its number of surviving hops, off the
 geometric distribution by inverting its tail: ``int(log1p(-u) /
 log1p(-p))`` counts the leading events of probability ``p``.  Two
@@ -33,7 +36,8 @@ consequences:
   order, so sweeps parallelised over jobs produce identical results to
   serial runs.
 
-Condition events are recorded through ``MessageStats.record_net`` under
+Condition events are recorded through ``MessageStats.record_net`` (an
+exchange's four counts through ``MessageStats.record_delivery``) under
 the dotted keys in :data:`~repro.network.messages.NET_COUNTER_KEYS` and
 surface as ``net.*`` telemetry counters.
 """
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 from math import inf, log1p
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from ..determinism import derive_uniform
+from ..determinism import UniformPrefix
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
     from ..spatial import NeighborSnapshot
@@ -113,6 +117,15 @@ class NetworkModel:
         self.lossy = self.loss > 0.0
         self._stamp: Optional[Tuple[int, int]] = None
         self._snapshot: Optional["NeighborSnapshot"] = None
+        #: The period whose draw prefixes ``_prefixes`` holds, per kind.
+        self._prefix_period: Optional[int] = None
+        self._prefixes: Dict[str, UniformPrefix] = {}
+        #: Per critical-transmission count: ``log1p(-success)`` (negative),
+        #: or, when ``success`` rounds to 1.0 or underflows to 0.0, the
+        #: failure count itself (0.0 or ``inf``), which needs no draw.
+        self._attempt_laws: Dict[int, float] = {}
+        #: ``log1p(-loss)``, the denominator of every walk's draw.
+        self._log_hop = log1p(-self.loss)
 
     # ------------------------------------------------------------------
     # Neighbour state (staleness)
@@ -159,35 +172,61 @@ class NetworkModel:
         if not self.lossy:
             return True, 1
         budget = RETRY_LIMIT + 1
-        success = (1.0 - self.loss) ** max(1, int(critical_transmissions))
-        if 0.0 < success < 1.0:
-            u = derive_uniform(
-                self.seed, int(world.period_index), "exchange", *key
-            )
-            failures = log1p(-u) / log1p(-success)
+        law = self._attempt_laws.get(critical_transmissions)
+        if law is None:
+            law = self._attempt_law(critical_transmissions)
+        if law < 0.0:
+            u = self._draws(world, "exchange").draw(*key)
+            failures = log1p(-u) / law
         else:
-            # Underflow to 0.0 never gets through; a loss below float
-            # precision (success rounds to 1.0) never drops.
-            failures = 0.0 if success else inf
+            failures = law
         timed_out = failures >= budget
         attempts = budget if timed_out else int(failures) + 1
         # Each failed attempt is one drop; each resend waits an
         # exponential backoff of 1, 2, 4, ... periods first.
-        world.stats.record_net("dropped", budget if timed_out else attempts - 1)
-        world.stats.record_net("delayed", (1 << (attempts - 1)) - 1)
-        world.stats.record_net("retries", attempts - 1)
+        world.stats.record_delivery(
+            budget if timed_out else attempts - 1,
+            (1 << (attempts - 1)) - 1,
+            attempts - 1,
+            1 if timed_out else 0,
+        )
         if timed_out:
-            world.stats.record_net("timeouts")
             return False, budget
         return True, attempts
+
+    def _attempt_law(self, critical_transmissions: int) -> float:
+        """``log1p(-success)`` of an attempt that needs
+        ``critical_transmissions`` sends, kept per count (see
+        ``_attempt_laws``)."""
+        success = (1.0 - self.loss) ** max(1, int(critical_transmissions))
+        if 0.0 < success < 1.0:
+            law = log1p(-success)
+        else:
+            # Underflow to 0.0 never gets through; a loss below float
+            # precision (success rounds to 1.0) never drops.
+            law = 0.0 if success else inf
+        self._attempt_laws[critical_transmissions] = law
+        return law
+
+    def _draws(self, world, kind: str) -> UniformPrefix:
+        """The draw prefix ``(seed, period, kind)`` of the world's period,
+        hashed once per period and kind."""
+        period = int(world.period_index)
+        if period != self._prefix_period:
+            self._prefix_period = period
+            self._prefixes = {}
+        prefix = self._prefixes.get(kind)
+        if prefix is None:
+            prefix = self._prefixes[kind] = UniformPrefix(self.seed, period, kind)
+        return prefix
 
     def walk_hops(self, world, key: Tuple, ttl: int) -> int:
         """How many hops of a TTL-bounded random walk actually complete."""
         ttl = max(0, int(ttl))
         if not self.lossy or ttl == 0:
             return ttl
-        u = derive_uniform(self.seed, int(world.period_index), "walk", *key)
-        hops = log1p(-u) / log1p(-self.loss)
+        u = self._draws(world, "walk").draw(*key)
+        hops = log1p(-u) / self._log_hop
         if hops >= ttl:
             return ttl
         # The walk stops at its first dropped hop.

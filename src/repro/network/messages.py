@@ -51,3 +51,8 @@ class MessageType(Enum):
     LOCATION_UPDATE = "location_update"
     #: Lifecycle: orphan-subtree probe / re-attach traffic after a node dies.
     TREE_REPAIR = "tree_repair"
+
+    # Members compare by identity, so the identity hash is consistent
+    # with equality; it runs in C, where Enum's own hashes the name in
+    # Python on every counter update.
+    __hash__ = object.__hash__

@@ -140,6 +140,8 @@ class RoutingCostModel:
             cost = 2 * max(0, subtree_size - 1)
         cost *= max(1, attempts)
         half = cost // 2
-        self.stats.record_transmissions(MessageType.LOCK_TREE, half)
-        self.stats.record_transmissions(MessageType.UNLOCK_TREE, cost - half)
+        # Both halves at once; ``cost`` is never negative.
+        counts = self.stats.counts
+        counts[MessageType.LOCK_TREE] += half
+        counts[MessageType.UNLOCK_TREE] += cost - half
         return cost

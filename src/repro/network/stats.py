@@ -50,6 +50,25 @@ class MessageStats:
         if count:
             self.net_counts[key] += count
 
+    def record_delivery(
+        self, dropped: int, delayed: int, retries: int, timeouts: int
+    ) -> None:
+        """One exchange's delivery-condition counts, in one call.
+
+        The network model's own path: the keys are fixed and the counts
+        never negative, so nothing is validated; a zero count is not
+        recorded, as with :meth:`record_net`.
+        """
+        net_counts = self.net_counts
+        if dropped:
+            net_counts["dropped"] += dropped
+        if delayed:
+            net_counts["delayed"] += delayed
+        if retries:
+            net_counts["retries"] += retries
+        if timeouts:
+            net_counts["timeouts"] += timeouts
+
     def total(self) -> int:
         """Total number of transmissions across all message types."""
         return sum(self.counts.values())

@@ -43,11 +43,12 @@ freely.
 ``IncrementalCoverage`` — maintains the per-cell coverage *multiplicity*
 grid (how many sensing disks contain each sample point) and the count of
 covered free cells.  When sensors move, the disks of the moved sensors
-are rasterised in two batches — their old disks removed, their new disks
-added — each batch one
-:meth:`~repro.geometry.grid.CoverageGrid.disk_hits` pass (a stencil as
-wide as the widest disk bounding box, masked to each disk's own box),
-and the covered cells are recounted over the grid.  That keeps
+are rasterised in one
+:meth:`~repro.geometry.grid.CoverageGrid.disk_hits_split` pass (a
+stencil as wide as the widest disk bounding box, masked to each disk's
+own box) — their old disks removed, their new disks added, as the
+difference of two ``bincount`` arrays — and the covered cells are recounted
+over the grid.  That keeps
 ``World.coverage()`` cheap enough to trace every period and to track an
 event's recovery every period.  The predicate per cell is the same
 float64 ``dx*dx + dy*dy <= r*r`` the brute-force

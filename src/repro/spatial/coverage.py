@@ -3,9 +3,10 @@
 Maintains the per-cell *multiplicity* (number of sensing disks containing
 each grid sample point).  Re-measuring coverage after a period in which
 ``k`` sensors moved rasterises only those ``2k`` disks (the old ones
-removed, the new ones added), each batch in one
-:meth:`~repro.geometry.grid.CoverageGrid.disk_hits` pass, and then counts
-the covered free cells over the grid.
+removed, the new ones added) in one
+:meth:`~repro.geometry.grid.CoverageGrid.disk_hits_split` pass, applies
+the difference of the two batches' ``bincount`` arrays, and then counts the
+covered free cells over the grid.
 
 The per-cell predicate is the same float64 ``dx*dx + dy*dy <= r*r`` the
 brute-force :meth:`repro.geometry.grid.CoverageGrid.coverage_mask` uses on
@@ -15,7 +16,7 @@ fraction — is bit-identical to the brute-force path.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -50,19 +51,26 @@ class IncrementalCoverage:
         """
         pts = np.asarray(positions, dtype=float).reshape(-1, 2)
         old = self._positions
+        num_points = self._grid.num_points
         if old is None or len(old) != len(pts):
             self._multiplicity = np.bincount(
-                self._hits(pts), minlength=self._grid.num_points
+                self._hits(pts, 0)[0], minlength=num_points
             )
             disks = len(pts)
             recount = True
         else:
             moved = (old[:, 0] != pts[:, 0]) | (old[:, 1] != pts[:, 1])
-            disks = 2 * int(np.count_nonzero(moved))
+            count = int(np.count_nonzero(moved))
+            disks = 2 * count
             recount = disks > 0
             if recount:
-                np.subtract.at(self._multiplicity, self._hits(old[moved]), 1)
-                np.add.at(self._multiplicity, self._hits(pts[moved]), 1)
+                # The old disks first, then the new ones, in one pass.
+                hits, split = self._hits(
+                    np.concatenate((old[moved], pts[moved])), count
+                )
+                self._multiplicity += np.bincount(
+                    hits[split:], minlength=num_points
+                ) - np.bincount(hits[:split], minlength=num_points)
         if recount:
             self._covered_free = int(
                 np.count_nonzero((self._multiplicity > 0) & self._free)
@@ -70,11 +78,14 @@ class IncrementalCoverage:
         self._positions = pts.copy()
         return disks
 
-    def _hits(self, pts: np.ndarray) -> np.ndarray:
-        """Flat grid indices hit by the sensing disks centred at ``pts``."""
+    def _hits(self, pts: np.ndarray, first: int) -> Tuple[np.ndarray, int]:
+        """Flat grid indices hit by the sensing disks centred at ``pts``,
+        and how many of them the first ``first`` disks make."""
         if self._radius <= 0:
-            return np.empty(0, dtype=np.intp)
-        return self._grid.disk_hits(pts[:, 0], pts[:, 1], self._radius)
+            return np.empty(0, dtype=np.intp), 0
+        return self._grid.disk_hits_split(
+            pts[:, 0], pts[:, 1], self._radius, first
+        )
 
     # ------------------------------------------------------------------
     # Queries

@@ -165,6 +165,34 @@ class TestSeedDerivation:
             assert int(u * 2**31) == derive_seed(5, *keys)
         assert derive_uniform(5, 0) != derive_uniform(5, 1)
 
+    @pytest.mark.parametrize("trial", range(20))
+    def test_prefix_draw_equals_derive_uniform(self, trial):
+        """``UniformPrefix(seed, period, kind).draw(*key)`` is
+        ``derive_uniform(seed, period, kind, *key)`` for one to three key
+        parts, negative ids and strings included."""
+        import random
+
+        from repro.determinism import UniformPrefix, derive_uniform
+
+        rng = random.Random(trial)
+        words = ("cpvf.lock", "flood", "floor.accept", "tree.repair", "é-ü", "")
+        for _ in range(25):
+            seed = rng.choice([0, 1, -7, rng.randrange(-2**40, 2**40)])
+            period = rng.randrange(-3, 10_000)
+            kind = rng.choice(("exchange", "walk", "x y"))
+            prefix = UniformPrefix(seed, period, kind)
+            for _ in range(8):
+                key = tuple(
+                    rng.choice(words)
+                    if rng.random() < 0.3
+                    else rng.randrange(-5, 500)
+                    for _ in range(rng.randint(1, 3))
+                )
+                assert prefix.draw(*key) == derive_uniform(
+                    seed, period, kind, *key
+                ), (seed, period, kind, key)
+            assert prefix.draw() == derive_uniform(seed, period, kind)
+
     def test_spawn_seeds(self):
         seeds = spawn_seeds(7, 100)
         assert len(seeds) == 100

@@ -4,9 +4,9 @@ The kernel evaluates every force from start-of-period positions, where
 the seed dynamics (``tests.oracles.SeedCPVF``) let each sensor see the
 earlier movers of its period.  Pinned here: the structural
 message-accounting identity between the two, the plateau agreement at
-bench scale, the link-id and subtree caches following the tree, every tree link
-within rc after every period, and that the deleted ``mode`` knob is
-rejected.
+bench scale, the subtree cache following the tree (CPVF's own parent
+changes included, in lossy churn runs), every tree link within rc after
+every period, and that the deleted ``mode`` knob is rejected.
 """
 
 import copy
@@ -15,6 +15,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from repro.api import NetworkSpec, RunSpec, execute_run
 from repro.core import CPVFScheme
 from repro.core.lazy import LazyMovementController
 from repro.core.oscillation import OscillationAvoidance
@@ -24,14 +25,12 @@ from repro.experiments.common import (
     SMOKE_SCALE,
     make_scenario,
 )
+from repro.experiments.lifecycle import lifecycle_events
 from repro.mobility import Bug2Planner, Handedness
 from repro.network import BASE_STATION_ID, ConnectivityTree
+from repro.obs import NULL_TELEMETRY
 from repro.sim import SimulationEngine
-from tests.oracles import (
-    SeedCPVF,
-    reference_subtree_lock_depth,
-    tree_link_positions,
-)
+from tests.oracles import SeedCPVF, reference_subtree_lock_depth
 
 
 def _sequential_twin(world, config):
@@ -110,22 +109,6 @@ class TestPlateauParity:
         assert coverages["sequential"] > 0.5
 
 
-def _assert_links_match_tree(scheme, world):
-    """Every member's cached link positions are its live tree links."""
-    for sid in world.tree.members():
-        nodes = [world.tree.parent[sid], *world.tree.children_of(sid)]
-        expected = sorted(
-            (
-                world.base_station
-                if node == BASE_STATION_ID
-                else world.sensor(node).position
-            ).as_tuple()
-            for node in nodes
-        )
-        got = sorted(tree_link_positions(scheme, world, sid))
-        assert got == expected, sid
-
-
 def _assert_subtrees_match_tree(scheme, world, nodes):
     """Every cached ``(subtree, lock depth)`` is a fresh walk's."""
     tree = world.tree
@@ -134,32 +117,55 @@ def _assert_subtrees_match_tree(scheme, world, nodes):
         assert scheme._subtree(world, sid) == expected, sid
 
 
+def _assert_cached_subtrees_fresh(scheme, world):
+    """Every entry the cache holds now is a fresh walk's, read without
+    walking again."""
+    tree = world.tree
+    assert scheme._tree_version == tree.version
+    for root, entry in scheme._subtrees.items():
+        expected = (tree.subtree_of(root), reference_subtree_lock_depth(tree, root))
+        assert entry == expected, root
+
+
 class TestTreeCaches:
-    def test_link_cache_tracks_reparents(self):
+    def test_own_reparent_keeps_the_unaltered_entries(self):
+        """CPVF's parent change drops exactly the cached subtrees that
+        hold the old or the new parent; the rest stay, still exact."""
         world = make_scenario(SMOKE_SCALE, seed=5).build_world()
         scheme = CPVFScheme()
         scheme.initialize(world)
-        members = world.tree.members()
-        sid = members[0]
-        # Prime the cache.
-        before = tree_link_positions(scheme, world, sid)
-        assert len(before) >= 1
+        tree = world.tree
+        members = tree.members()
+        for sid in members:
+            scheme._subtree(world, sid)
+        sid = next(m for m in members if tree.parent_of(m) != BASE_STATION_ID)
+        old_parent = tree.parent_of(sid)
         new_parent = next(
             (
                 m
                 for m in members
-                if m != sid
-                and m != world.tree.parent_of(sid)
-                and m not in world.tree.subtree_of(sid)
+                if m != old_parent and m not in tree.subtree_of(sid)
             ),
             None,
         )
         if new_parent is None:
             pytest.skip("degenerate smoke tree")
-        world.tree.reparent(sid, new_parent)
-        after = tree_link_positions(scheme, world, sid)
-        parent_pos = world.sensor(new_parent).position
-        assert (parent_pos.x, parent_pos.y) in after
+        before = dict(scheme._subtrees)
+        scheme._reparent(world, sid, new_parent)
+        assert tree.parent_of(sid) == new_parent
+        _assert_cached_subtrees_fresh(scheme, world)
+        dropped = {
+            root
+            for root, (members_of, _) in before.items()
+            if old_parent in members_of or new_parent in members_of
+        }
+        assert old_parent in dropped and new_parent in dropped
+        assert set(scheme._subtrees) == set(before) - dropped
+        assert sid in scheme._subtrees
+        # A change from elsewhere still drops the whole cache.
+        tree.reparent(sid, old_parent)
+        scheme._subtree(world, sid)
+        assert set(scheme._subtrees) == {sid}
 
     def test_reusing_scheme_across_worlds_resets_tree_caches(self):
         """A fresh world restarts its tree version counter, so the
@@ -176,12 +182,10 @@ class TestTreeCaches:
                 # version the previous world's entries were cached at.
                 world.tree.version = primed_version
             ids = [s.sensor_id for s in world.sensors]
-            _assert_links_match_tree(scheme, world)
             _assert_subtrees_match_tree(scheme, world, ids)
             for _ in range(10):
                 scheme.step(world)
             world.tree.validate()
-            _assert_links_match_tree(scheme, world)
             _assert_subtrees_match_tree(scheme, world, ids)
             primed_version = world.tree.version
 
@@ -193,7 +197,7 @@ class TestTreeCaches:
         unchanged tree answers from the cache."""
         rng = random.Random(seed)
         tree = ConnectivityTree()
-        world = SimpleNamespace(tree=tree)
+        world = SimpleNamespace(tree=tree, telemetry=NULL_TELEMETRY)
         scheme = CPVFScheme()
         next_id = 0
         for _ in range(250):
@@ -232,6 +236,32 @@ class TestTreeCaches:
             _assert_subtrees_match_tree(scheme, world, range(next_id))
             some = rng.randrange(next_id)
             assert scheme._subtree(world, some) is scheme._subtree(world, some)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cache_is_exact_after_every_parent_change_under_lossy_churn(
+        self, seed, monkeypatch
+    ):
+        """In lossy churn runs, after every parent change CPVF makes,
+        each cached ``(subtree, lock depth)`` equals a fresh walk."""
+        changes = []
+        reparent = CPVFScheme._reparent
+
+        def checked(scheme, world, sensor_id, new_parent):
+            reparent(scheme, world, sensor_id, new_parent)
+            if scheme._tree_version == world.tree.version:
+                _assert_cached_subtrees_fresh(scheme, world)
+            changes.append(len(scheme._subtrees))
+
+        monkeypatch.setattr(CPVFScheme, "_reparent", checked)
+        events = ()
+        for script in ("interior-cascade", "reinforcements"):
+            events += lifecycle_events(script, SMOKE_SCALE)
+        scenario = make_scenario(SMOKE_SCALE, seed=seed, events=events)
+        network = NetworkSpec("unreliable", loss=0.1 + 0.1 * seed, staleness=5)
+        execute_run(RunSpec(scenario, "CPVF", network=network))
+        assert changes
+        # The cache kept entries across some of those changes.
+        assert any(changes)
 
 
 class TestTreeLinkInvariant:

@@ -160,6 +160,24 @@ class TestDiskHits:
         )
         assert_hits_match(grid, cx, cy, 1000.0)
 
+    @pytest.mark.parametrize("trial", range(12))
+    def test_split_pass_equals_two_passes(self, trial):
+        """One ``disk_hits_split`` pass over two batches of disks is the
+        two batches' ``disk_hits`` back to back, split where the first
+        ends (chunked, clipped and empty batches included)."""
+        rng = np.random.default_rng(100 + trial)
+        grid = CoverageGrid(0, 0, 200, 160, float(rng.choice([2.0, 5.0, 10.0])))
+        n = int(rng.integers(0, 70))
+        first = int(rng.integers(0, n + 1))
+        radius = float(rng.uniform(0.0, 60.0))
+        cx = rng.uniform(-40, 240, n)
+        cy = rng.uniform(-40, 200, n)
+        hits, split = grid.disk_hits_split(cx, cy, radius, first)
+        head = grid.disk_hits(cx[:first], cy[:first], radius)
+        tail = grid.disk_hits(cx[first:], cy[first:], radius)
+        assert split == len(head)
+        assert np.array_equal(hits, np.concatenate((head, tail)))
+
     def test_no_disks(self):
         grid = CoverageGrid(0, 0, 100, 100, 10)
         hits = grid.disk_hits([], [], 30.0)

@@ -6,8 +6,14 @@ deployment, exactly.  A behaviour-preserving refactor must leave every
 digest unchanged; a change meant to alter behaviour updates them and
 says so.  The two settings cover the paper's obstacle field on the
 perfect network, and churn (failures, joins and, for FLOOR, an
-appearing wall) under a lossy, stale network.
+appearing wall) under a lossy, stale network.  The last test checks
+the whole committed seed-1 fingerprint list: every e2ebench deployment
+of both workloads and the smoke-scale layout deployments.
 """
+
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -65,3 +71,25 @@ def test_run_matches_golden_digest(scheme, setting):
         scenario = _scenario("obstacle-free", _churn_scripts(scheme))
         network = NetworkSpec("unreliable", loss=0.1, staleness=5)
     assert run_digest(scenario, scheme, {}, network) == GOLDEN[scheme, setting]
+
+
+def test_seed1_fingerprints_match_the_committed_list():
+    """``benchmarks/fingerprints.py --seed 1 --check`` passes: every
+    seed-1 deployment is byte-identical to ``fingerprints_seed1.txt``.
+
+    Run in its own interpreter, as the command is run, so the e2ebench
+    workload module it imports stays out of this process.  CI checks
+    seed 2 against ``fingerprints_seed2.txt`` as well.
+    """
+    root = Path(__file__).resolve().parents[2]
+    done = subprocess.run(
+        [
+            sys.executable,
+            str(root / "benchmarks" / "fingerprints.py"),
+            "--seed", "1",
+            "--check", str(root / "benchmarks" / "fingerprints_seed1.txt"),
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr

@@ -8,7 +8,14 @@ from hypothesis import given, settings, strategies as st
 from repro.field import Field, Obstacle, two_obstacle_field
 from repro.geometry import Segment, Vec2
 from repro.mobility import Bug2Path, Bug2Planner, Handedness
-from tests.oracles import reference_path_length, reference_point_at_distance
+from repro.mobility.bug2 import _nearest_edge
+from repro.experiments.common import SMOKE_SCALE, make_scenario
+from tests.oracles import (
+    AllObstacleBug2Planner,
+    reference_nearest_edge,
+    reference_path_length,
+    reference_point_at_distance,
+)
 
 
 def bug2_bound(field: Field, start: Vec2, target: Vec2) -> float:
@@ -185,4 +192,48 @@ class TestCachedSegmentLengths:
                     distance = length * k / 40
                     assert Vec2(*path.point_xy_at_distance(distance)) == (
                         reference_point_at_distance(path.waypoints, distance)
+                    )
+
+
+class TestObstacleScans:
+    """The planner's box-filtered leg scan and float nearest-edge search
+    answer exactly what the all-obstacle and ``Segment`` forms answer."""
+
+    def test_nearest_edge_matches_segment_distances(self):
+        rng = random.Random(3)
+        for _ in range(400):
+            points = [
+                Vec2(rng.choice([0.0, 10.0, rng.uniform(0, 50)]), rng.uniform(0, 50))
+                for _ in range(rng.randint(2, 7))
+            ]
+            if rng.random() < 0.3:
+                points.insert(rng.randrange(len(points)), points[0])  # zero-length
+            edges = [
+                Segment(a, b) for a, b in zip(points, points[1:] + points[:1])
+            ]
+            probes = points + [
+                Vec2(rng.uniform(-10, 60), rng.uniform(-10, 60)) for _ in range(5)
+            ]
+            for p in probes:
+                assert _nearest_edge(edges, p) == reference_nearest_edge(edges, p)
+
+    @pytest.mark.parametrize(
+        "layout", ["random-obstacles", "clutter", "maze", "rooms", "spiral"]
+    )
+    def test_plans_match_the_all_obstacle_planner(self, layout):
+        rng = random.Random(layout)
+        params = {"min_obstacles": 4} if layout == "random-obstacles" else {}
+        for seed in range(3):
+            field = make_scenario(
+                SMOKE_SCALE, seed=seed, layout=layout, layout_params=params
+            ).build_field()
+            size = field.width
+            for handedness in Handedness:
+                planner = Bug2Planner(field, handedness)
+                reference = AllObstacleBug2Planner(field, handedness)
+                for _ in range(15):
+                    start = Vec2(rng.uniform(0, size), rng.uniform(0, size))
+                    target = Vec2(rng.uniform(0, size), rng.uniform(0, size))
+                    assert planner.plan(start, target) == reference.plan(
+                        start, target
                     )

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+import repro.determinism as determinism
 import repro.network.conditions as conditions
 from repro.api import RunSpec, ScenarioSpec, canonical_json, execute_run
 from repro.field import Field
@@ -25,6 +26,22 @@ class FakeWorld:
         self.period_index = 0
         self.population_version = 0
         self.stats = MessageStats()
+
+
+def patch_draws(monkeypatch, draw):
+    """Send every draw the network model can make to ``draw(seed, *keys)``:
+    the one-shot :func:`derive_uniform` and the per-period prefix form
+    :class:`UniformPrefix` the model draws through."""
+
+    class Prefix:
+        def __init__(self, seed, *prefix):
+            self.head = (seed, *prefix)
+
+        def draw(self, *keys):
+            return draw(*self.head, *keys)
+
+    monkeypatch.setattr(determinism, "derive_uniform", draw)
+    monkeypatch.setattr(conditions, "UniformPrefix", Prefix)
 
 
 def line_world(*xs, rc=10.0):
@@ -201,6 +218,26 @@ class TestExchange:
         else:
             pytest.fail("no retried success observed at 60% loss")
 
+    def test_a_model_that_drew_copies_and_pickles(self):
+        """The per-period draw prefixes rebuild their hash state, so a
+        lossy model copies (a world snapshot) and pickles mid-run, and the
+        copies draw what the original draws."""
+        import copy
+        import pickle
+
+        net = NetworkModel(seed=3, loss=0.4)
+        world = FakeWorld()
+        world.period_index = 9
+        net.exchange(world, ("m", 0), 2)
+        net.walk_hops(world, ("w", 0), 5)
+        clones = [copy.deepcopy(net), pickle.loads(pickle.dumps(net))]
+        for i in range(1, 30):
+            expected = net.exchange(FakeWorld(), ("m", i), 2)
+            hops = net.walk_hops(world, ("w", i), 5)
+            for clone in clones:
+                assert clone.exchange(FakeWorld(), ("m", i), 2) == expected
+                assert clone.walk_hops(world, ("w", i), 5) == hops
+
     def test_wider_critical_path_fails_more(self):
         net = NetworkModel(seed=2, loss=0.2)
         narrow = sum(
@@ -302,7 +339,7 @@ class TestGeometricDraw:
             keys.append(key)
             return 0.5
 
-        monkeypatch.setattr(conditions, "derive_uniform", counting)
+        patch_draws(monkeypatch, counting)
         net = NetworkModel(seed=1, loss=0.5)
         world = FakeWorld()
         world.period_index = 7
@@ -332,7 +369,7 @@ def test_loss_free_runs_never_draw(monkeypatch, scheme, network):
     def no_draw(*args):
         raise AssertionError("a loss-free delivery drew a number")
 
-    monkeypatch.setattr(conditions, "derive_uniform", no_draw)
+    patch_draws(monkeypatch, no_draw)
     _small_run(scheme, network)
 
 
@@ -344,7 +381,7 @@ def test_lossy_runs_draw(monkeypatch, scheme):
         calls.append(args)
         return 0.5
 
-    monkeypatch.setattr(conditions, "derive_uniform", counting)
+    patch_draws(monkeypatch, counting)
     _small_run(scheme, NetworkSpec("unreliable", loss=0.1))
     assert calls
 

@@ -23,11 +23,12 @@ functions that tests (and ``benchmarks/perfbench.py``) import:
   per-point grid mask (:func:`predicate_mask`) and the one-disk grid
   block (:func:`reference_disk_block`);
 * :mod:`.mobility` — BUG2 path length and arc-length interpolation
-  re-measuring every segment on each call;
+  re-measuring every segment on each call, the all-obstacle leg scan
+  (:class:`AllObstacleBug2Planner`) and the ``Segment`` nearest-edge
+  search;
 * :mod:`.seed` — the paper's literal step ladder, the seed CPVF dynamics
   (:class:`SeedCPVF`) with its scalar force terms and ``Vec2`` move
-  tail, the tree links a sensor must preserve, the subtree lock depth
-  walk, and the seed neighbour-table / coverage
+  tail, the subtree lock depth walk, and the seed neighbour-table / coverage
   algorithms (their timers live in ``benchmarks/perfbench.py``);
 * :mod:`.vd` — VOR with full-information Voronoi cells
   (:class:`InformedVorScheme`).
@@ -62,7 +63,12 @@ from .geometry import (
     reference_segment_crosses_interior,
     reference_segment_intersections,
 )
-from .mobility import reference_path_length, reference_point_at_distance
+from .mobility import (
+    AllObstacleBug2Planner,
+    reference_nearest_edge,
+    reference_path_length,
+    reference_point_at_distance,
+)
 from .seed import (
     NeighborMotion,
     SeedCPVF,
@@ -74,7 +80,6 @@ from .seed import (
     seed_coverage_fraction,
     seed_neighbor_table,
     step_is_valid,
-    tree_link_positions,
 )
 from .vd import InformedVorScheme
 from .world import BruteRadio, UncachedWorld, double_loop_components, uncached
@@ -107,6 +112,8 @@ __all__ = [
     "reference_on_boundary",
     "reference_segment_crosses_interior",
     "reference_segment_intersections",
+    "AllObstacleBug2Planner",
+    "reference_nearest_edge",
     "reference_path_length",
     "reference_point_at_distance",
     "NeighborMotion",
@@ -117,7 +124,6 @@ __all__ = [
     "step_is_valid",
     "max_valid_step_reference",
     "reference_subtree_lock_depth",
-    "tree_link_positions",
     "seed_neighbor_table",
     "seed_coverage_fraction",
     "InformedVorScheme",

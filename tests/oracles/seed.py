@@ -11,9 +11,7 @@ compared against (message parity, plateau agreement, parent-change
 parity); its scalar force terms (:func:`sensor_force`,
 :func:`resultant_force`, :func:`force_direction`) are the reference for
 ``VirtualForceModel``'s batched sensor term,
-:func:`tree_link_positions` for the links CPVF's move loop reads from its
-cached link ids, and :func:`reference_subtree_lock_depth` for the lock
-depth CPVF caches.
+:func:`reference_subtree_lock_depth` for the lock depth CPVF caches.
 """
 
 from __future__ import annotations
@@ -217,7 +215,9 @@ class SeedCPVF(CPVFScheme):
 
     def _required_neighbors(self, world, sensor) -> List[NeighborMotion]:
         """Connections the sensor must preserve: its parent and children."""
-        parent, children = self._link_node_ids(world, sensor.sensor_id)
+        tree = world.tree
+        parent = tree.parent.get(sensor.sensor_id)
+        children = tree.children.get(sensor.sensor_id, ())
         required: List[NeighborMotion] = []
         if parent == BASE_STATION_ID:
             required.append(NeighborMotion.stationary(world.base_station))
@@ -268,22 +268,6 @@ class SeedCPVF(CPVFScheme):
             world.telemetry.count("cpvf.parent_changes", 1)
             return best_step
         return 0.0
-
-
-def tree_link_positions(scheme, world, sensor_id: int) -> List[tuple]:
-    """``(x, y)`` of the tree links ``sensor_id`` must preserve (parent
-    first, then children), read through ``scheme``'s cached link ids the
-    way CPVF's move loop reads them."""
-    parent, children = scheme._link_node_ids(world, sensor_id)
-    nodes = ([] if parent is None else [parent]) + list(children)
-    return [
-        (
-            world.base_station
-            if node == BASE_STATION_ID
-            else world.sensor(node).position
-        ).as_tuple()
-        for node in nodes
-    ]
 
 
 def reference_subtree_lock_depth(tree, root: int) -> int:

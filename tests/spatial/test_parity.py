@@ -271,6 +271,48 @@ class TestCoverageParity:
             )
         assert len(world.field.obstacles) == max(0, layout - 1)
 
+    @pytest.mark.parametrize("with_obstacles", [False, True])
+    @pytest.mark.parametrize("trial", range(6))
+    def test_tracker_equals_brute_force_after_random_updates(
+        self, trial, with_obstacles
+    ):
+        """Random moves, updates that move nothing, joins and failures:
+        after each the tracker's fraction is the brute-force scan's,
+        with disks clipped at the grid edges and at an obstacle mask."""
+        field = (
+            two_obstacle_field(FIELD_SIZE)
+            if with_obstacles
+            else Field(FIELD_SIZE, FIELD_SIZE)
+        )
+        rng = np.random.default_rng(500 + trial)
+        radius = float(rng.uniform(10.0, 60.0))
+        resolution = float(rng.choice([7.5, 10.0, 15.0]))
+        tracker = IncrementalCoverage(field, radius, resolution)
+        # Centres a little past the edges, so some disks are clipped.
+        pts = rng.uniform(-20.0, FIELD_SIZE + 20.0, size=(20, 2))
+        assert tracker.update(pts) == len(pts)
+        for _ in range(12):
+            op = rng.choice(["move", "move", "still", "join", "fail"])
+            if op == "move":
+                moved = rng.random(len(pts)) < 0.3
+                pts = pts.copy()
+                pts[moved] = rng.uniform(
+                    -20.0, FIELD_SIZE + 20.0, size=(int(moved.sum()), 2)
+                )
+                disks = tracker.update(pts)
+                assert disks == 2 * int(moved.sum())
+            elif op == "still":
+                assert tracker.update(pts.copy()) == 0
+            elif op == "join":
+                pts = np.vstack((pts, rng.uniform(0.0, FIELD_SIZE, size=(3, 2))))
+                assert tracker.update(pts) == len(pts)
+            elif len(pts) > 2:
+                pts = np.delete(pts, rng.integers(0, len(pts)), axis=0)
+                assert tracker.update(pts) == len(pts)
+            assert tracker.covered_fraction() == field.coverage_fraction(
+                [Vec2(x, y) for x, y in pts], radius, resolution
+            )
+
     def test_tracker_handles_population_change(self):
         field = Field(FIELD_SIZE, FIELD_SIZE)
         tracker = IncrementalCoverage(field, 30.0, 15.0)
