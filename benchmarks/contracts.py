@@ -49,8 +49,9 @@ PERIOD_N = 500
 #: ``perf.*``: a fresh timing may take at most this many times its
 #: committed value — the first untraced n = 500 CPVF period against
 #: ``cpvf_period`` ``fast_ms``, each whole deployment against its row's
-#: ``wall_ms`` (``obstacle_cpvf``, ``obstacle_floor``, ``churn_cpvf``)
-#: or ``run_ms`` (each scheme's ``lifecycle_recovery`` row).
+#: ``wall_ms`` (``obstacle_cpvf``, ``obstacle_floor``, ``churn_cpvf``,
+#: ``churn_floor``) or ``run_ms`` (each scheme's ``lifecycle_recovery``
+#: row).
 BUDGET_FACTOR = 3.0
 #: ``obs.committed_overhead``: live-telemetry overhead asserted when
 #: the bench file was generated; re-checked so a regenerated entry cannot
@@ -368,6 +369,7 @@ MEASUREMENTS: Dict[str, Callable[[Measurements], object]] = {
     "obstacle_cpvf": lambda ms: measure_committed_runs(ms, "obstacle_cpvf"),
     "obstacle_floor": lambda ms: measure_committed_runs(ms, "obstacle_floor"),
     "churn_cpvf": lambda ms: measure_committed_runs(ms, "churn_cpvf"),
+    "churn_floor": lambda ms: measure_committed_runs(ms, "churn_floor"),
     "lifecycle_recovery": lambda ms: measure_committed_runs(
         ms, "lifecycle_recovery"
     ),
@@ -438,9 +440,12 @@ def _counter_bounds(prefix: str) -> Callable[..., Verdict]:
     or built a table more than once per layout (CPVF), more polygon
     tests mean a field query went back to testing obstacles out of its
     reach, more neighbour snapshots mean the cache recaptured a layout
-    that had not changed, and more subtree walks mean CPVF's retry cache
-    dropped entries that its own parent changes left as they were,
-    whatever the wall time says.
+    that had not changed, more subtree walks mean CPVF's retry cache
+    dropped entries that its own parent changes left as they were, more
+    FLOOR recomputations under churn mean an obstacle change recomputed
+    parts out of its reach, and more searched rounds mean FLOOR searched
+    again a round whose inputs had not changed, whatever the wall time
+    says.
     """
 
     def check(m, committed) -> Verdict:
@@ -679,6 +684,15 @@ CONTRACTS: Tuple[Contract, ...] = (
     Contract("cpvf.subtree_walks", "churn_cpvf",
              _counter_bounds("cpvf.subtree_walks"),
              committed=Committed("churn_cpvf", "counters")),
+    Contract("perf.churn_floor", "churn_floor",
+             _wall_budget("churn-lossy FLOOR deployment"),
+             committed=Committed("churn_floor", "wall_ms")),
+    Contract("floor.churn_recomputes", "churn_floor",
+             _counter_bounds("floor.expansion_recomputed"),
+             committed=Committed("churn_floor", "counters")),
+    Contract("floor.rounds_searched", "churn_floor",
+             _counter_bounds("floor.rounds_searched"),
+             committed=Committed("churn_floor", "counters")),
     Contract("perf.lifecycle_recovery", "lifecycle_recovery",
              check_lifecycle_recovery,
              committed=Committed("lifecycle_recovery", None)),

@@ -658,6 +658,9 @@ QUERY_COUNTERS = {
 #: Lifecycle scripts of the ``churn_cpvf`` deployment: e2ebench's
 #: ``churn-lossy`` CPVF setting.
 CHURN_SCRIPTS = ("interior-cascade", "reinforcements")
+#: Lifecycle scripts of the ``churn_floor`` deployment: e2ebench's
+#: ``churn-lossy`` FLOOR setting (the door-slam wall appears and clears).
+CHURN_FLOOR_SCRIPTS = ("door-slam",) + CHURN_SCRIPTS
 #: Phases the ``churn_cpvf`` row breaks the wall time into
 #: (``cpvf.repair`` is the parent-change share of ``cpvf.moves``).
 CHURN_CPVF_PHASES = ("cpvf.table", "cpvf.forces", "cpvf.moves", "cpvf.repair")
@@ -669,6 +672,29 @@ CHURN_CPVF_COUNTERS = (
     "cpvf.parent_changes",
     "cpvf.lock_aborts",
     "cpvf.subtree_walks",
+)
+
+
+#: Phases the ``churn_floor`` row breaks the wall time into.
+CHURN_FLOOR_PHASES = (
+    "floor.expansion_points",
+    "floor.invitations",
+    "floor.relocations",
+    "floor.relocation_starts",
+    "engine.fault_injection",
+)
+#: Counters of the ``churn_floor`` row: the expansion planner's
+#: recomputations (in all, by part, and the parts an obstacle change
+#: reached) and the expansion rounds that searched instead of reusing the
+#: last round's points.
+CHURN_FLOOR_COUNTERS = (
+    "floor.expansion_recomputed",
+    "floor.expansion_recomputed.flg",
+    "floor.expansion_recomputed.blg",
+    "floor.expansion_recomputed.iflg",
+    "floor.expansion_recomputed.field",
+    "floor.rounds_searched",
+    "floor.rounds_reused",
 )
 
 
@@ -789,29 +815,57 @@ def measure_obstacle_floor(seed: int = 1, runs: int = 5) -> Dict[str, object]:
     )
 
 
-def measure_churn_cpvf(seed: int = 1, runs: int = 5) -> Dict[str, object]:
-    """Wall time of one CPVF deployment under churn on a lossy network.
-
-    e2ebench's ``churn-lossy`` setting: the obstacle-free bench field
-    (500 m, n = 70, 250 s), the :data:`CHURN_SCRIPTS` lifecycle events,
-    10% per-message loss and neighbour tables up to 5 periods stale.
-    The row holds the :data:`CHURN_CPVF_PHASES` span totals and the
-    :data:`CHURN_CPVF_COUNTERS`.
-    """
+def _churn_deployment(
+    scheme: str,
+    scripts: Sequence[str],
+    phases: Sequence[str],
+    counters: Sequence[str],
+    seed: int,
+    runs: int,
+) -> Dict[str, object]:
+    """:func:`_measure_deployment` of ``scheme`` in e2ebench's
+    ``churn-lossy`` setting: the obstacle-free bench field (500 m,
+    n = 70, 250 s), the ``scripts``' lifecycle events, 10% per-message
+    loss and neighbour tables up to 5 periods stale."""
     from repro.api import NetworkSpec
     from repro.experiments.common import BENCH_SCALE
     from repro.experiments.lifecycle import lifecycle_events
 
     events = ()
-    for script in CHURN_SCRIPTS:
+    for script in scripts:
         events += lifecycle_events(script, BENCH_SCALE)
     return _measure_deployment(
         make_scenario(BENCH_SCALE, seed=seed, events=events),
         NetworkSpec("unreliable", loss=0.1, staleness=5),
-        "CPVF",
-        CHURN_CPVF_PHASES,
+        scheme,
+        phases,
         runs,
-        CHURN_CPVF_COUNTERS,
+        counters,
+    )
+
+
+def measure_churn_cpvf(seed: int = 1, runs: int = 5) -> Dict[str, object]:
+    """Wall time of one CPVF deployment under churn on a lossy network
+    (the :data:`CHURN_SCRIPTS` events), with its
+    :data:`CHURN_CPVF_PHASES` span totals and the
+    :data:`CHURN_CPVF_COUNTERS`."""
+    return _churn_deployment(
+        "CPVF", CHURN_SCRIPTS, CHURN_CPVF_PHASES, CHURN_CPVF_COUNTERS, seed, runs
+    )
+
+
+def measure_churn_floor(seed: int = 1, runs: int = 5) -> Dict[str, object]:
+    """Wall time of one FLOOR deployment under churn on a lossy network
+    (the :data:`CHURN_FLOOR_SCRIPTS` events), with its
+    :data:`CHURN_FLOOR_PHASES` span totals and the
+    :data:`CHURN_FLOOR_COUNTERS`."""
+    return _churn_deployment(
+        "FLOOR",
+        CHURN_FLOOR_SCRIPTS,
+        CHURN_FLOOR_PHASES,
+        CHURN_FLOOR_COUNTERS,
+        seed,
+        runs,
     )
 
 
@@ -847,10 +901,11 @@ PERF_ENTRIES: Dict[str, Callable] = {
     "lifecycle_recovery": lambda ns, seed: measure_lifecycle_recovery(seed=seed),
     "degraded_coverage": lambda ns, seed: measure_degraded_coverage(seed=seed),
     # One fixed scenario each: the paper-obstacle CPVF and FLOOR
-    # deployments and the churn-lossy CPVF deployment at seed 1.
+    # deployments and the churn-lossy CPVF and FLOOR deployments at seed 1.
     "obstacle_cpvf": lambda ns, seed: [measure_obstacle_cpvf()],
     "obstacle_floor": lambda ns, seed: [measure_obstacle_floor()],
     "churn_cpvf": lambda ns, seed: [measure_churn_cpvf()],
+    "churn_floor": lambda ns, seed: [measure_churn_floor()],
 }
 
 

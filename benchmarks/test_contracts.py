@@ -57,6 +57,15 @@ _OBSTACLE_FLOOR = {
     },
 }
 _CHURN_CPVF = {"wall_ms": 700.0, "counters": {"cpvf.subtree_walks": 2000}}
+_CHURN_FLOOR = {
+    "wall_ms": 400.0,
+    "counters": {
+        "floor.expansion_recomputed": 500,
+        "floor.expansion_recomputed.field": 30,
+        "floor.rounds_searched": 120,
+        "floor.rounds_reused": 130,
+    },
+}
 _LIFECYCLE = [
     {"scheme": "CPVF", "run_ms": 600.0},
     {"scheme": "FLOOR", "run_ms": 1200.0},
@@ -68,6 +77,7 @@ GOOD = {
     "obstacle_cpvf": _OBSTACLE_CPVF,
     "obstacle_floor": _OBSTACLE_FLOOR,
     "churn_cpvf": _CHURN_CPVF,
+    "churn_floor": _CHURN_FLOOR,
     "lifecycle_recovery": _LIFECYCLE,
     "profiled_run": _PROFILED,
     "report_cli": _REPORT,
@@ -107,6 +117,16 @@ BENCH = {
         "n": 70,
         "wall_ms": 300.0,
         "counters": {"cpvf.subtree_walks": 2000},
+    }],
+    "churn_floor": [{
+        "n": 70,
+        "wall_ms": 200.0,
+        "counters": {
+            "floor.expansion_recomputed": 500,
+            "floor.expansion_recomputed.field": 30,
+            "floor.rounds_searched": 120,
+            "floor.rounds_reused": 130,
+        },
     }],
     "lifecycle_recovery": [
         {"scheme": "CPVF", "n": 70, "run_ms": 300.0},
@@ -162,6 +182,13 @@ DOCTORED = {
     "perf.churn_cpvf": (("churn_cpvf", "wall_ms"), 901.0),
     "cpvf.subtree_walks": (
         ("churn_cpvf", "counters", "cpvf.subtree_walks"), 2001,
+    ),
+    "perf.churn_floor": (("churn_floor", "wall_ms"), 601.0),
+    "floor.churn_recomputes": (
+        ("churn_floor", "counters", "floor.expansion_recomputed.field"), 31,
+    ),
+    "floor.rounds_searched": (
+        ("churn_floor", "counters", "floor.rounds_searched"), 121,
     ),
     "perf.lifecycle_recovery": (("lifecycle_recovery", 1, "run_ms"), 1501.0),
     "obs.roundtrip": (("profiled_run", "json_roundtrip"), False),
@@ -281,6 +308,21 @@ def test_expansion_recomputes_checks_each_committed_part(run):
         GOOD, ("obstacle_floor", "counters", "floor.expansion_recomputed"), 12
     )
     assert run("floor.expansion_recomputes", injected=injected) == 0
+
+
+def test_churn_floor_counter_gates_are_separate(run):
+    # More searched rounds fail only the round gate; more recomputations
+    # fail only the recompute gate; reused rounds are not bounded.
+    more_rounds = _with(GOOD, ("churn_floor", "counters", "floor.rounds_searched"), 250)
+    assert run("floor.rounds_searched", injected=more_rounds) == 1
+    assert run("floor.churn_recomputes", injected=more_rounds) == 0
+    more_parts = _with(
+        GOOD, ("churn_floor", "counters", "floor.expansion_recomputed"), 900
+    )
+    assert run("floor.churn_recomputes", injected=more_parts) == 1
+    assert run("floor.rounds_searched", injected=more_parts) == 0
+    fewer_reused = _with(GOOD, ("churn_floor", "counters", "floor.rounds_reused"), 0)
+    assert run("floor.rounds_searched", injected=fewer_reused) == 0
 
 
 def test_table_builds_fail_without_a_committed_count(run):

@@ -16,11 +16,11 @@ import math
 from typing import Dict, List, Optional
 
 from ..network import BASE_STATION_ID, LINK_EPS
-from ..sensors import Sensor
+from ..sensors import CONNECTED_STATES, Sensor, SensorState
 from ..sim import World
 from .lazy import LazyMovementController
 
-__all__ = ["attach_reachable", "flood_tree"]
+__all__ = ["attach_reachable", "flood_tree", "walkers"]
 
 
 def flood_tree(world: World) -> None:
@@ -59,33 +59,46 @@ def flood_tree(world: World) -> None:
     world.routing.record_flood(len(attached) + retransmissions)
 
 
+def walkers(world: World) -> List[Sensor]:
+    """The live sensors not connected, in id order: one state read a
+    sensor, for the period's attach sweeps and walks."""
+    failed = SensorState.FAILED
+    return [
+        s
+        for s in world.sensors
+        if s.state is not failed and s.state not in CONNECTED_STATES
+    ]
+
+
 def attach_reachable(
     world: World,
+    unconnected: List[Sensor],
     table: Dict[int, List[int]],
     attach_distance: float,
     lazy: LazyMovementController,
 ) -> List[int]:
     """Disconnected sensors next to the tree join it and stop.
 
-    Sweeps the sensors until a sweep attaches nobody, so a sensor that
-    joins can serve as the parent of one later in the same period.
-    Returns the attached sensor ids in attach order.
+    Sweeps the ``unconnected`` sensors (:func:`walkers`) until a sweep
+    attaches nobody, so a sensor that joins can serve as the parent of
+    one later in the same period; the attached ones leave
+    ``unconnected``.  Returns the attached sensor ids in attach order.
     """
     attached: List[int] = []
-    newly_connected = True
-    while newly_connected:
-        newly_connected = False
-        for sensor in world.sensors:
-            if sensor.is_connected() or not sensor.is_alive():
-                continue
+    while unconnected:
+        remaining: List[Sensor] = []
+        for sensor in unconnected:
             parent_id = _nearest_tree_node(world, sensor, table, attach_distance)
             if parent_id is None:
+                remaining.append(sensor)
                 continue
             sensor.motion.stop()
             lazy.stop_waiting(sensor)
             world.attach_to_tree(sensor.sensor_id, parent_id)
             attached.append(sensor.sensor_id)
-            newly_connected = True
+        if len(remaining) == len(unconnected):
+            break
+        unconnected[:] = remaining
     return attached
 
 
@@ -104,11 +117,12 @@ def _nearest_tree_node(
     if base_dist <= attach_distance:
         best, best_dist = BASE_STATION_ID, base_dist
     limit = attach_distance + LINK_EPS
+    sensors = world.sensors
     for nb_id in table.get(sensor.sensor_id, []):
-        nb = world.sensor(nb_id)
+        nb = sensors[nb_id]
         # A connected sensor outside the tree (a FLOOR sensor relocating)
         # cannot serve as a parent.
-        if not nb.is_connected() or nb_id not in world.tree:
+        if nb.state not in CONNECTED_STATES or nb_id not in world.tree:
             continue
         # The live distance also drops stale table entries that moved out
         # of range since the last refresh.

@@ -32,7 +32,7 @@ from ..network import BASE_STATION_ID, LINK_EPS, MessageType
 from ..sensors import CONNECTED_STATES, Sensor, SensorState
 from ..sim import DeploymentScheme, World
 from ..spatial import NeighborSnapshot
-from .connect import attach_reachable, flood_tree
+from .connect import attach_reachable, flood_tree, walkers
 from .connectivity import STEP_FRACTIONS, max_valid_step_points
 from .lazy import LazyMovementController
 from .oscillation import OscillationAvoidance, OscillationMode
@@ -159,25 +159,27 @@ class CPVFScheme(DeploymentScheme):
         with world.telemetry.span("cpvf.table"):
             neighbors = world.protocol_neighbors()
             table = neighbors.table()
+        # Each sensor's state read once: the walkers the attach sweeps
+        # leave unattached are the ones that walk.
+        unconnected = walkers(world)
         attach_reachable(
-            world, table, world.config.communication_range, self._lazy
+            world, unconnected, table, world.config.communication_range, self._lazy
         )
-        self._advance_disconnected_sensors(world, table)
+        self._advance_disconnected_sensors(world, unconnected, table)
         self._apply_virtual_forces(world, table, neighbors)
 
     # -- Stage 1: establishing connectivity ----------------------------
     def _advance_disconnected_sensors(
-        self, world: World, table: Dict[int, List[int]]
+        self, world: World, unconnected: List[Sensor], table: Dict[int, List[int]]
     ) -> None:
-        """Disconnected sensors walk toward the base station (lazily)."""
+        """The ``unconnected`` sensors walk toward the base station (lazily)."""
         assert self._lazy is not None and self._planner is not None
-        for sensor in world.sensors:
-            if sensor.is_connected() or not sensor.is_alive():
-                continue
+        sensors = world.sensors
+        for sensor in unconnected:
             neighbors = [
-                world.sensor(n)
+                sensors[n]
                 for n in table.get(sensor.sensor_id, [])
-                if not world.sensor(n).is_connected()
+                if sensors[n].state not in CONNECTED_STATES
             ]
             planner = self._planner
             self._lazy.advance_toward_connection(

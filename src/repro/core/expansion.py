@@ -55,6 +55,56 @@ def _flips(
     return False
 
 
+def _net(
+    changes: List[Tuple[float, float, int, bool]]
+) -> List[Tuple[float, float, int, bool]]:
+    """``changes`` less those that cancel at their point: per point, the
+    records added and removed there are kept only on the side that
+    outnumbers the other.  The count of records at each point then moves
+    as the kept changes say, so a probe whose query excludes none of
+    their ids answers after them as after the kept ones alone (a record
+    replaced by another at the same point leaves it as it was)."""
+    if len(changes) < 2:
+        return changes
+    balance: Dict[Tuple[float, float], int] = {}
+    for cx, cy, _, added in changes:
+        key = (cx, cy)
+        balance[key] = balance.get(key, 0) + (1 if added else -1)
+    kept = []
+    for change in changes:
+        net = balance[change[0], change[1]]
+        if net > 0 if change[3] else net < 0:
+            kept.append(change)
+    return kept
+
+
+def _touches(
+    reach: Optional[List[float]],
+    changes: List[Tuple[float, float, float, float, bool]],
+    box: Optional[Tuple[float, float, float, float]] = None,
+) -> bool:
+    """Whether one of the field ``changes`` (the boxes of obstacles added
+    or removed, see :meth:`Field.changes_since`) meets a search's field
+    reach: a point of ``reach`` (flat ``x, y`` pairs; ``None``:
+    unbounded) or ``box``, within :data:`_MEMO_SLACK`."""
+    if reach is None:
+        return bool(changes)
+    for xmin, ymin, xmax, ymax, _ in changes:
+        xmin -= _MEMO_SLACK
+        ymin -= _MEMO_SLACK
+        xmax += _MEMO_SLACK
+        ymax += _MEMO_SLACK
+        if box is not None and (
+            xmin <= box[2] and box[0] <= xmax and ymin <= box[3] and box[1] <= ymax
+        ):
+            return True
+        points = iter(reach)
+        for x, y in zip(points, points):
+            if xmin <= x <= xmax and ymin <= y <= ymax:
+                return True
+    return False
+
+
 class ExpansionKind(IntEnum):
     """Expansion types, ordered so that a smaller value means higher priority."""
 
@@ -78,13 +128,20 @@ class ExpansionPoint:
 
 @dataclass(slots=True)
 class _Part:
-    """Points and the coverage probes they were derived from: one kind's
-    (in priority order) or one IFLG neighbour's."""
+    """Points and the coverage probes and field reach they were derived
+    from: one kind's (in priority order) or one IFLG neighbour's."""
 
     #: The points (a kind's in priority order).
     points: List[ExpansionPoint]
     #: ``(x, y, covered)`` of every coverage probe, in the order made.
     probes: List[Tuple[float, float, bool]]
+    #: ``x, y`` of every point the search tested for obstacles, flat.
+    #: With BLG's boundary-piece query (:meth:`Field.boundary_pieces_reach`
+    #: around the owner) they are all the field reads of the search, so
+    #: an obstacle change whose box misses them leaves every read as it
+    #: was.  ``None`` once a ``nearest_free`` spiral read the field
+    #: beyond them.
+    reach: Optional[List[float]]
 
 
 @dataclass(slots=True)
@@ -111,6 +168,9 @@ class _Answer:
     #: Squared distance from ``(x, y)`` beyond which no change is within
     #: reach of any probe (``-1.0`` when nothing was probed).
     probe_reach_sq: float
+    #: Owners the answer was handed over from (see
+    #: :meth:`ExpansionPlanner.hand_over`) since ``registry_version``.
+    former: Tuple[int, ...] = ()
 
 
 @dataclass
@@ -130,6 +190,9 @@ class ExpansionPlanner:
     recomputed_parts: List[int] = dataclass_field(
         default_factory=lambda: [0, 0, 0], init=False, compare=False
     )
+    #: Memoised parts whose field reach an obstacle change since met
+    #: (each is recomputed).
+    recomputed_field: int = dataclass_field(default=0, init=False, compare=False)
     #: Registry coverage probes made (reused IFLG neighbours make none).
     coverage_queries: int = dataclass_field(default=0, init=False, compare=False)
     #: IFLG neighbours whose points and probes were taken from the memo.
@@ -147,6 +210,10 @@ class ExpansionPlanner:
     _probes: List[Tuple[float, float, bool]] = dataclass_field(
         default_factory=list, init=False, repr=False, compare=False
     )
+    #: Field reach of the running part search (see :attr:`_Part.reach`).
+    _reach: Optional[List[float]] = dataclass_field(
+        default_factory=list, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # Public entry point
@@ -157,47 +224,64 @@ class ExpansionPlanner:
         """All currently uncovered expansion points of one fixed sensor.
 
         The answer is three parts, FLG, BLG and IFLG, each searched on its
-        own and kept with the coverage probes it made.  A part reads the
-        owner's position and the field's obstacles, and the registry only
-        through its probes, each answered by the records within ``rs`` of
-        the probed point; IFLG also reads the owner's record and its
-        same-floor neighbours within ``2 * expansion_radius`` of it.  A
-        new position or ``field.version`` recomputes all three parts.
-        Otherwise a part is recomputed only when a registry change since
-        the last call could flip one of its probes: an added record
-        within reach of an uncovered probe, or a removed one within reach
-        of a covered probe (FLG and BLG probes exclude the owner, so the
-        owner's own changes cannot flip them).  IFLG is also recomputed on
+        own and kept with the coverage probes it made and its field reach
+        (:attr:`_Part.reach`).  A part reads the owner's position and the
+        field's obstacles, and the registry only through its probes, each
+        answered by the records within ``rs`` of the probed point; IFLG
+        also reads the owner's record and its same-floor neighbours within
+        ``2 * expansion_radius`` of it.  A new position recomputes all
+        three parts.  Otherwise a part is recomputed only when a change
+        since the last call could alter what it read: an obstacle added
+        or removed whose box meets the part's field reach, or a registry
+        change that could flip one of its probes, an added record within
+        reach of an uncovered probe or a removed one within reach of a
+        covered probe.  FLG and BLG probes exclude the owner alone, so the
+        owner's own changes cannot flip them, and a record added and one
+        removed at the same point cancel for them; for IFLG probes, which
+        exclude at most the owner and a neighbour, the owner's own changes
+        cancel so.  IFLG is also recomputed on
         a change of the owner's record or of a record on the same floor
         within ``2 * expansion_radius`` of it; it then searches again only
-        the neighbours that are new, moved, or have a probe such a change
-        could flip, and reuses the others' points and probes.  With every
-        probe answer unchanged a search makes the same probes in the same
-        order (a probe it skipped can only be reached after an earlier
-        answer flipped), so the rule is exact.  :meth:`floors_asked` gives
-        the answer's coverage-query message cost; the planner only asks
-        the registry.
+        the neighbours that are new, moved, have a probe such a change
+        could flip or a field reach an obstacle change met, and reuses the
+        others' points, probes and reach.  With every field read and
+        probe answer unchanged a search makes the same reads and probes in
+        the same order (one it skipped can only be reached after an
+        earlier answer changed), so the rule is exact.  :meth:`floors_asked`
+        gives the answer's coverage-query message cost; the planner only
+        asks the registry.
         """
         x, y = position.x, position.y
         registry = self.registry
+        field = self.field
         memo = self._memo.get(owner_id)
-        if (
-            memo is None
-            or memo.x != x
-            or memo.y != y
-            or memo.field_version != self.field.version
-        ):
+        if memo is None or memo.x != x or memo.y != y:
             stale = [True, True, True]
             known: Dict[Tuple[int, float, float], _Part] = {}
             near: List[Tuple[float, float, int, bool]] = []
+            moved: List[Tuple[float, float, float, float, bool]] = []
         else:
+            same_field = memo.field_version == field.version
             if memo.registry_version == registry.version:
-                # No registry change since: nothing can be stale.
-                self.reused += 1
-                return list(memo.points)
-            stale, near = self._stale_parts(memo, owner_id)
+                if same_field:
+                    # Nothing changed since: nothing can be stale.
+                    self.reused += 1
+                    return list(memo.points)
+                stale, near = [False, False, False], []
+            else:
+                stale, near = self._stale_parts(memo, owner_id)
+            moved = [] if same_field else field.changes_since(memo.field_version)
+            if moved:
+                pieces = field.boundary_pieces_reach(x, y, self.sensing_range)
+                for kind, part in zip(ExpansionKind, memo.parts):
+                    box = pieces if kind is ExpansionKind.BLG else None
+                    if _touches(part.reach, moved, box):
+                        stale[kind] = True
+                        self.recomputed_field += 1
             if not (stale[0] or stale[1] or stale[2]):
                 memo.registry_version = registry.version
+                memo.field_version = field.version
+                memo.former = ()
                 self.reused += 1
                 return list(memo.points)
             known = memo.neighbors
@@ -220,15 +304,18 @@ class ExpansionPlanner:
                 continue
             probes: List[Tuple[float, float, bool]] = []
             self._probes = probes
+            self._reach = []
             if kind is ExpansionKind.FLG:
                 found_points = self._flg_points(owner_id, x, y)
             elif kind is ExpansionKind.BLG:
                 found_points = self._blg_points(owner_id, x, y)
             else:
-                found_points = self._iflg_points(owner_id, x, y, known, near, neighbors)
+                found_points = self._iflg_points(
+                    owner_id, x, y, known, near, moved, neighbors
+                )
             found_points.sort(key=ExpansionPoint.priority_key)
             self.recomputed_parts[kind] += 1
-            parts.append(_Part(found_points, probes))
+            parts.append(_Part(found_points, probes, self._reach))
         points = parts[0].points + parts[1].points + parts[2].points
         floors_asked = (
             len(
@@ -242,7 +329,7 @@ class ExpansionPlanner:
         self._memo[owner_id] = _Answer(
             x=x,
             y=y,
-            field_version=self.field.version,
+            field_version=field.version,
             registry_version=registry.version,
             record=record,
             parts=parts,
@@ -256,6 +343,37 @@ class ExpansionPlanner:
     def forget(self, owner_id: int) -> None:
         """Drop the owner's memoised answer (it stopped searching)."""
         self._memo.pop(owner_id, None)
+
+    def hand_over(self, owner_id: int, successor_id: int) -> None:
+        """Give the owner's memoised answer to ``successor_id``, which now
+        stands where the owner stood and is registered there in its place
+        (a sensor arriving at its virtual place-holder's point).
+
+        Every probe excluded the owner and will exclude the successor, so
+        for FLG and BLG the changes of both are out of sight, and for
+        IFLG they cancel at the point, as the owner's own changes do.
+        That holds only if the successor was not registered when the
+        answer was made: otherwise the answer is dropped.
+        """
+        memo = self._memo.pop(owner_id, None)
+        if memo is None or any(
+            node_id == successor_id and not added
+            for _, _, node_id, added in self.registry.changes_since(
+                memo.registry_version
+            )
+        ):
+            return
+
+        def owned(points: List[ExpansionPoint]) -> List[ExpansionPoint]:
+            return [ExpansionPoint(p.position, p.kind, successor_id) for p in points]
+
+        for part in memo.parts:
+            part.points = owned(part.points)
+        for entry in memo.neighbors.values():
+            entry.points = owned(entry.points)
+        memo.points = [point for part in memo.parts for point in part.points]
+        memo.former = (*memo.former, owner_id)
+        self._memo[successor_id] = memo
 
     def floors_asked(self, owner_id: int) -> int:
         """Floor headers asked by the coverage-status query of the owner's
@@ -305,8 +423,17 @@ class ExpansionPlanner:
                 near.append(change)
         if not near:
             return [False, False, iflg_stale], near
-        # FLG and BLG probes exclude the owner.
-        others = [change for change in near if change[2] != owner_id]
+        # FLG and BLG probes exclude the owner alone; IFLG probes exclude
+        # nothing or the owner and a neighbour, so the owner's changes
+        # cancel at their points, as do those of the owners the answer
+        # was handed over from.
+        owners = (owner_id, *memo.former)
+        own = [change for change in near if change[2] in owners]
+        others = _net([change for change in near if change[2] not in owners])
+        if own:
+            near = _net(own) + [
+                change for change in near if change[2] not in owners
+            ]
         reach = self.sensing_range + _MEMO_SLACK
         reach_sq = reach * reach
         flg, blg, iflg = memo.parts
@@ -319,6 +446,22 @@ class ExpansionPlanner:
     # ------------------------------------------------------------------
     # Shared helpers
     # ------------------------------------------------------------------
+    def _free(self, x: float, y: float) -> bool:
+        """``field.is_free_xy``, the point added to the running search's
+        field reach."""
+        reach = self._reach
+        if reach is not None:
+            reach.append(x)
+            reach.append(y)
+        return self.field.is_free_xy(x, y)
+
+    def _nearest_free(self, x: float, y: float) -> Tuple[float, float]:
+        """``field.nearest_free`` of ``(x, y)``, known to be blocked: its
+        spiral leaves the running search's field reach unbounded."""
+        self._reach = None
+        free = self.field.nearest_free(Vec2(x, y))
+        return free.x, free.y
+
     def _ep_toward(
         self, px: float, py: float, fx: float, fy: float
     ) -> Optional[Tuple[float, float]]:
@@ -334,9 +477,8 @@ class ExpansionPlanner:
         field = self.field
         cx = min(field.width, max(0.0, cx))
         cy = min(field.height, max(0.0, cy))
-        if not field.is_free_xy(cx, cy):
-            free = field.nearest_free(Vec2(cx, cy))
-            cx, cy = free.x, free.y
+        if not self._free(cx, cy):
+            cx, cy = self._nearest_free(cx, cy)
         if math.hypot(cx - px, cy - py) < 1e-6:
             return None
         return cx, cy
@@ -374,7 +516,7 @@ class ExpansionPlanner:
         exclude = (owner_id,)
         points: List[ExpansionPoint] = []
         for fx, fy in endpoints:
-            if not self.field.is_free_xy(fx, fy):
+            if not self._free(fx, fy):
                 continue
             if not self._is_uncovered(fx, fy, exclude):
                 continue
@@ -396,9 +538,8 @@ class ExpansionPlanner:
             # both are frontier candidates (the uncovered one(s) become
             # frontiers).
             for fx, fy in ((ax, ay), (bx, by)):
-                if not field.is_free_xy(fx, fy):
-                    free = field.nearest_free(Vec2(fx, fy))
-                    fx, fy = free.x, free.y
+                if not self._free(fx, fy):
+                    fx, fy = self._nearest_free(fx, fy)
                 if not self._is_uncovered(fx, fy, exclude):
                     continue
                 ep = self._ep_toward(px, py, fx, fy)
@@ -418,14 +559,16 @@ class ExpansionPlanner:
         py: float,
         known: Dict[Tuple[int, float, float], _Part],
         changes: List[Tuple[float, float, int, bool]],
+        moved: List[Tuple[float, float, float, float, bool]],
         entries: Dict[Tuple[int, float, float], _Part],
     ) -> List[ExpansionPoint]:
         """IFLG points, searched per same-floor neighbour.
 
         A neighbour found in ``known`` (the last answer's, from the same
-        position and field) under its ``(node_id, x, y)`` is reused when
-        none of the registry ``changes`` since could flip one of its
-        probes; every neighbour's part goes into ``entries``.
+        position) under its ``(node_id, x, y)`` is reused when none of the
+        registry ``changes`` since could flip one of its probes and none
+        of the obstacle changes ``moved`` meets its field reach; every
+        neighbour's part goes into ``entries``.
         """
         radius = self.expansion_radius
         neighbors = self.registry.neighbors_on_floor(owner_id, 2.0 * radius)
@@ -444,19 +587,25 @@ class ExpansionPlanner:
             return []
         reach = self.sensing_range + _MEMO_SLACK
         reach_sq = reach * reach
-        is_free_xy = self.field.is_free_xy
+        is_free_xy = self._free
         probes = self._probes
+        part_reach = self._reach
         points: List[ExpansionPoint] = []
         for record in neighbors:
             qx, qy = record.position.x, record.position.y
             key = (record.node_id, qx, qy)
             entry = known.get(key)
-            if entry is not None and not _flips(entry.probes, changes, reach_sq):
+            if (
+                entry is not None
+                and not _flips(entry.probes, changes, reach_sq)
+                and not _touches(entry.reach, moved)
+            ):
                 self.iflg_neighbors_reused += 1
             else:
                 self.iflg_neighbors_computed += 1
-                entry = _Part([], [])
+                entry = _Part([], [], [])
                 self._probes = entry.probes
+                self._reach = entry.reach
                 crossings = circle_intersections_xy(px, py, radius, qx, qy, radius)
                 midpoint_x = (px + qx) / 2.0
                 for cx, cy in crossings:
@@ -489,5 +638,8 @@ class ExpansionPlanner:
             entries[key] = entry
             points.extend(entry.points)
             probes.extend(entry.probes)
+            # IFLG reads the field at points only: every reach is bounded.
+            part_reach.extend(entry.reach)
         self._probes = probes
+        self._reach = part_reach
         return points

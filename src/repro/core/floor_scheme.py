@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, NamedTuple, Optional, Set, Tuple
 
 from ..geometry import Vec2
 from ..mobility import Bug2Path, Bug2Planner, Handedness
@@ -43,7 +43,7 @@ from ..sensors import CONNECTED_STATES, Sensor, SensorState
 from ..sim import DeploymentScheme, World
 from .expansion import ExpansionKind, ExpansionPlanner, ExpansionPoint
 from .floors import FloorGeometry
-from .connect import attach_reachable, flood_tree
+from .connect import attach_reachable, flood_tree, walkers
 from .headers import FloorRegistry
 from .invitations import InvitationProtocol
 from .lazy import LazyMovementController
@@ -70,7 +70,7 @@ _PHASE2_DEADLINE_FRACTION = 0.25
 
 #: Telemetry counters of the expansion planner's totals, in the order of
 #: :meth:`FloorScheme._planner_counts` (the part recomputations indexed
-#: by :class:`ExpansionKind` last).
+#: by :class:`ExpansionKind`, then the parts an obstacle change reached).
 _PLANNER_COUNTERS = (
     "floor.expansion_reused",
     "floor.expansion_recomputed",
@@ -78,7 +78,21 @@ _PLANNER_COUNTERS = (
     "floor.iflg_neighbors_reused",
     "floor.iflg_neighbors_computed",
     *(f"floor.expansion_recomputed.{kind.name.lower()}" for kind in ExpansionKind),
+    "floor.expansion_recomputed.field",
 )
+
+
+class _Round(NamedTuple):
+    """What an expansion round read and what it found."""
+
+    #: The registry and field versions.
+    versions: Tuple[int, int]
+    #: The searchers left active, in id order, and their positions.
+    ids: List[int]
+    positions: List[Optional[Vec2]]
+    points: List[ExpansionPoint]
+    #: Floor headers the points' coverage-status queries asked.
+    floors_asked: int
 
 
 class FloorScheme(DeploymentScheme):
@@ -110,6 +124,8 @@ class FloorScheme(DeploymentScheme):
         #: Relocating sensors: sensor id -> (target EP, inviter id).
         self._relocations: Dict[int, ExpansionPoint] = {}
         self._virtual_counter: int = 0
+        #: What the last expansion round left behind.
+        self._last_round: Optional[_Round] = None
 
     # ------------------------------------------------------------------
     # Initialisation
@@ -142,6 +158,7 @@ class FloorScheme(DeploymentScheme):
         self._active_searchers.clear()
         self._virtual_positions.clear()
         self._relocations.clear()
+        self._last_round = None
 
         flood_tree(world)
         for sensor in world.sensors:
@@ -183,21 +200,17 @@ class FloorScheme(DeploymentScheme):
         # step: the connection walkers' rows, and on the period phase 2
         # runs the whole table of the same snapshot.
         neighbors = world.protocol_neighbors()
-        # ``is_alive() and not is_connected()``, one state read a sensor.
-        failed = SensorState.FAILED
-        walkers = [
-            s.sensor_id
-            for s in world.sensors
-            if s.state is not failed and s.state not in CONNECTED_STATES
-        ]
-        table = neighbors.rows(walkers)
-        if walkers:
+        # Each sensor's state read once: the walkers the attach sweeps
+        # leave unattached are the ones that walk.
+        unconnected = walkers(world)
+        if unconnected:
+            table = neighbors.rows([s.sensor_id for s in unconnected])
             config = world.config
             attach_distance = min(
                 config.communication_range, 2.0 * config.sensing_range
             )
             for sensor_id in attach_reachable(
-                world, table, attach_distance, self._lazy
+                world, unconnected, table, attach_distance, self._lazy
             ):
                 # Arrival report up the tree and the ancestor-list response
                 # back down (Section 5.3).
@@ -207,7 +220,7 @@ class FloorScheme(DeploymentScheme):
                 world.routing.record_from_base_station(
                     world.tree, sensor_id, MessageType.ANCESTOR_RESPONSE
                 )
-            self._advance_disconnected_sensors(world, table)
+            self._advance_disconnected_sensors(world, unconnected, table)
 
         if self._phase == 1 and self._phase2_should_start(world):
             self._identify_movable_sensors(world, neighbors.table())
@@ -231,16 +244,15 @@ class FloorScheme(DeploymentScheme):
 
     # -- Phase 1: achieving connectivity --------------------------------
     def _advance_disconnected_sensors(
-        self, world: World, table: Dict[int, List[int]]
+        self, world: World, unconnected: List[Sensor], table: Dict[int, List[int]]
     ) -> None:
         assert self._lazy is not None
-        for sensor in world.sensors:
-            if sensor.is_connected() or not sensor.is_alive():
-                continue
+        sensors = world.sensors
+        for sensor in unconnected:
             neighbors = [
-                world.sensor(n)
+                sensors[n]
                 for n in table.get(sensor.sensor_id, [])
-                if not world.sensor(n).is_connected()
+                if sensors[n].state not in CONNECTED_STATES
             ]
             self._lazy.advance_toward_connection(
                 sensor,
@@ -424,19 +436,31 @@ class FloorScheme(DeploymentScheme):
             world.attach_to_tree(sensor_id, parent)
             self._active_searchers.add(sensor_id)
             # Remove the corresponding virtual searcher, if any.
-            self._remove_virtual_for(ep)
+            self._remove_virtual_for(ep, sensor)
 
-    def _remove_virtual_for(self, ep: ExpansionPoint) -> None:
-        """Drop the virtual searcher standing in for an arrived sensor."""
+    def _remove_virtual_for(
+        self, ep: ExpansionPoint, arrived: Optional[Sensor] = None
+    ) -> None:
+        """Drop the virtual searcher standing in for an arrived sensor.
+
+        The ``arrived`` sensor takes over the planner's answer of a
+        virtual searcher standing exactly where it stands: it searches
+        from the same point with the same records around it.
+        """
+        assert self._registry is not None and self._expansion is not None
         to_remove = [
             vid
             for vid, pos in self._virtual_positions.items()
             if pos.distance_to(ep.position) <= 1e-6
         ]
         for vid in to_remove:
-            self._virtual_positions.pop(vid, None)
-            self._drop_searcher(vid)
-            assert self._registry is not None
+            position = self._virtual_positions.pop(vid)
+            if arrived is not None and position == arrived.position:
+                self._active_searchers.discard(vid)
+                self._expansion.hand_over(vid, arrived.sensor_id)
+                arrived = None
+            else:
+                self._drop_searcher(vid)
             self._registry.unregister(vid)
 
     def _drop_searcher(self, searcher_id: int) -> None:
@@ -449,6 +473,7 @@ class FloorScheme(DeploymentScheme):
         self._expansion.forget(searcher_id)
 
     def _searcher_position(self, world: World, searcher_id: int) -> Optional[Vec2]:
+        """Where a searcher stands, ``None`` for a sensor no longer FIXED."""
         if searcher_id >= _VIRTUAL_ID_OFFSET:
             return self._virtual_positions.get(searcher_id)
         sensor = world.sensor(searcher_id)
@@ -467,32 +492,64 @@ class FloorScheme(DeploymentScheme):
             planner.iflg_neighbors_reused,
             planner.iflg_neighbors_computed,
             *planner.recomputed_parts,
+            planner.recomputed_field,
         ]
 
     def _collect_expansion_points(self, world: World) -> List[ExpansionPoint]:
         """Step 1 of a round: fixed (and virtual) searchers look for EPs.
 
-        Searchers that find none (or are gone) leave the active set.
+        Searchers that find none (or are gone) leave the active set.  A
+        round whose inputs (the registry and field versions, and each
+        active searcher's id and position, ``None`` when not ``FIXED``)
+        are those the last round left behind serves that round's points:
+        every searcher would take its memo-hit path and answer as it
+        did, and none would be exhausted.  It charges the same messages
+        and counts every searcher as reused, as the memo hits would.
         """
-        assert self._expansion is not None
+        assert self._expansion is not None and self._registry is not None
         expansion = self._expansion
         before = self._planner_counts()
-        expansion_points: List[ExpansionPoint] = []
-        exhausted: List[int] = []
-        floors_asked = 0
-        for searcher_id in sorted(self._active_searchers):
-            position = self._searcher_position(world, searcher_id)
-            if position is None:
-                exhausted.append(searcher_id)
-                continue
-            points = expansion.expansion_points(searcher_id, position)
-            if not points:
-                # "If a sensor finds no expansion points on its expansion
-                # circle, then it stops the checking process."
-                exhausted.append(searcher_id)
-                continue
-            floors_asked += expansion.floors_asked(searcher_id)
-            expansion_points.extend(points)
+        versions = (self._registry.version, world.field.version)
+        ids = sorted(self._active_searchers)
+        searcher_position = self._searcher_position
+        positions = [searcher_position(world, searcher_id) for searcher_id in ids]
+        last = self._last_round
+        # The positions compare by identity first: cheap when unmoved.
+        reused = (
+            last is not None
+            and last.versions == versions
+            and last.ids == ids
+            and last.positions == positions
+        )
+        if reused:
+            expansion_points, floors_asked = list(last.points), last.floors_asked
+            expansion.reused += len(ids)
+        else:
+            expansion_points = []
+            exhausted: Set[int] = set()
+            floors_asked = 0
+            for searcher_id, position in zip(ids, positions):
+                if position is None:
+                    exhausted.add(searcher_id)
+                    continue
+                points = expansion.expansion_points(searcher_id, position)
+                if not points:
+                    # "If a sensor finds no expansion points on its
+                    # expansion circle, then it stops the checking process."
+                    exhausted.add(searcher_id)
+                    continue
+                floors_asked += expansion.floors_asked(searcher_id)
+                expansion_points.extend(points)
+            for searcher_id in exhausted:
+                self._drop_searcher(searcher_id)
+            kept = [k for k, sid in enumerate(ids) if sid not in exhausted]
+            self._last_round = _Round(
+                versions,
+                [ids[k] for k in kept],
+                [positions[k] for k in kept],
+                list(expansion_points),
+                floors_asked,
+            )
         # Coverage-status queries to the relevant floor headers: one query
         # and one response per floor asked, routed over the tree (charged
         # for every searcher with points, whether or not its answer was
@@ -500,10 +557,9 @@ class FloorScheme(DeploymentScheme):
         if floors_asked:
             world.routing.record_one_hop(MessageType.COVERAGE_QUERY, floors_asked)
             world.routing.record_one_hop(MessageType.COVERAGE_RESPONSE, floors_asked)
-        for searcher_id in exhausted:
-            self._drop_searcher(searcher_id)
         tel = world.telemetry
         if tel.enabled:
+            tel.count("floor.rounds_reused" if reused else "floor.rounds_searched", 1)
             for name, done, was in zip(
                 _PLANNER_COUNTERS, self._planner_counts(), before
             ):
@@ -535,13 +591,21 @@ class FloorScheme(DeploymentScheme):
 
         # 2. One invitation round matches EPs with movable sensors.
         with tel.span("floor.invitations"):
-            movable = [
-                s
-                for s in world.sensors
-                if s.state is SensorState.MOVABLE
-                and s.sensor_id not in self._relocations
-            ]
-            connected_count = len(world.connected_sensor_ids())
+            # One state read a sensor for both the movable sensors and the
+            # connected count.
+            movable = []
+            connected_count = 0
+            movable_state = SensorState.MOVABLE
+            relocations = self._relocations
+            for sensor in world.sensors:
+                state = sensor.state
+                if state in CONNECTED_STATES:
+                    connected_count += 1
+                    if (
+                        state is movable_state
+                        and sensor.sensor_id not in relocations
+                    ):
+                        movable.append(sensor)
             if tel.enabled:
                 # One invitation walk starts per advertised expansion point.
                 tel.count("floor.invitations_issued", len(expansion_points))

@@ -68,6 +68,17 @@ class FloorRegistry:
         default_factory=dict, init=False, repr=False, compare=False
     )
     _scan_version: int = field(default=-1, init=False, repr=False, compare=False)
+    #: ``node_id -> floor_index`` of every record: a node is on one floor.
+    _floor_of: Dict[int, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+
+    def __post_init__(self) -> None:
+        self._floor_of = {
+            node_id: floor_index
+            for floor_index, floor_records in self._records.items()
+            for node_id in floor_records
+        }
 
     # ------------------------------------------------------------------
     # Registration
@@ -85,15 +96,16 @@ class FloorRegistry:
         self._records.setdefault(floor_index, {})[node_id] = FloorRecord(
             node_id=node_id, position=position, virtual=virtual
         )
+        self._floor_of[node_id] = floor_index
         self._changed(position, node_id, True)
         return floor_index
 
     def unregister(self, node_id: int) -> None:
         """Remove a node from whatever floor it was registered on."""
-        for floor_records in self._records.values():
-            record = floor_records.pop(node_id, None)
-            if record is not None:
-                self._changed(record.position, node_id, False)
+        floor_index = self._floor_of.pop(node_id, None)
+        if floor_index is not None:
+            record = self._records[floor_index].pop(node_id)
+            self._changed(record.position, node_id, False)
 
     def promote_virtual(self, node_id: int, position: Vec2) -> None:
         """Replace a virtual place-holder by the real arrived sensor."""
@@ -129,18 +141,14 @@ class FloorRegistry:
 
     def floor_of(self, node_id: int) -> Optional[int]:
         """Floor index a node is registered on (``None`` when absent)."""
-        for floor_index, floor_records in self._records.items():
-            if node_id in floor_records:
-                return floor_index
-        return None
+        return self._floor_of.get(node_id)
 
     def record(self, node_id: int) -> Optional[FloorRecord]:
         """A node's record (``None`` when it is not registered)."""
-        for floor_records in self._records.values():
-            found = floor_records.get(node_id)
-            if found is not None:
-                return found
-        return None
+        floor_index = self._floor_of.get(node_id)
+        if floor_index is None:
+            return None
+        return self._records[floor_index][node_id]
 
     def _scan_floors(self) -> Dict[int, List[Tuple[float, float, int]]]:
         """The records as ``(x, y, node_id)`` per floor.

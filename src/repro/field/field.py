@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -32,9 +33,9 @@ _SPIRAL_DIRECTIONS = tuple(
     (math.cos(2.0 * math.pi * k / 16), math.sin(2.0 * math.pi * k / 16))
     for k in range(16)
 )
-#: :meth:`Field.boundary_pieces_within` skips an obstacle whose reject
-#: box lies more than ``radius + _PIECE_SLACK`` from the disk centre on
-#: either axis.  A clipped piece lies on an edge within the disk's
+#: :meth:`Field.boundary_pieces_within` skips a wall edge or an obstacle
+#: whose box lies more than ``radius + _PIECE_SLACK`` from the disk centre
+#: on either axis.  A clipped piece lies on an edge within the disk's
 #: ``EPS`` (1e-9) tolerance, or at an edge end where a crossing up to
 #: ``EPS`` of the edge's length beyond it is clamped; the slack is far
 #: above both and the crossing's float rounding.
@@ -55,9 +56,18 @@ class Field:
         self._grid_cache: dict[float, Tuple[CoverageGrid, np.ndarray]] = {}
         # Built once: ``width`` and ``height`` are fixed for the field's life.
         self._boundary = Polygon.rectangle(0.0, 0.0, self.width, self.height)
-        #: ``(ax, ay, bx, by)`` of the field rectangle's edges.
+        #: Per edge of the field rectangle, its box and itself as
+        #: ``(xmin, ymin, xmax, ymax, ((ax, ay, bx, by),))``: the shape of
+        #: the obstacles' entries in :meth:`boundary_pieces_within`.
         self._wall_edges = tuple(
-            (e.a.x, e.a.y, e.b.x, e.b.y) for e in self._boundary.edges()
+            (
+                min(e.a.x, e.b.x),
+                min(e.a.y, e.b.y),
+                max(e.a.x, e.b.x),
+                max(e.a.y, e.b.y),
+                ((e.a.x, e.a.y, e.b.x, e.b.y),),
+            )
+            for e in self._boundary.edges()
         )
         #: :meth:`obstacle_table`, and per obstacle its reject box and
         #: edges' ``(ax, ay, bx, by)``: both built on first use after each
@@ -67,6 +77,11 @@ class Field:
         #: Bumped on every obstacle mutation; consumers caching rasterised
         #: masks or visibility answers key their epochs on it.
         self.version: int = 0
+        #: ``(xmin, ymin, xmax, ymax, added)`` of the obstacle each version
+        #: bump added (``added`` true) or removed: its polygon's reject
+        #: box.  Entry ``v`` is the change that took the version from
+        #: ``v`` to ``v + 1``.
+        self._journal: List[Tuple[float, float, float, float, bool]] = []
 
     # ------------------------------------------------------------------
     # Obstacle mutation (lifecycle events)
@@ -74,20 +89,33 @@ class Field:
     def add_obstacle(self, obstacle: Obstacle) -> int:
         """Append an obstacle mid-run (e.g. a door closing); returns its index."""
         self.obstacles.append(obstacle)
-        self._invalidate_obstacle_caches()
+        self._changed(obstacle, True)
         return len(self.obstacles) - 1
 
     def remove_obstacle(self, index: int) -> Obstacle:
         """Remove the obstacle at ``index`` (e.g. a door re-opening)."""
         removed = self.obstacles.pop(index)
-        self._invalidate_obstacle_caches()
+        self._changed(removed, False)
         return removed
 
-    def _invalidate_obstacle_caches(self) -> None:
+    def _changed(self, obstacle: Obstacle, added: bool) -> None:
+        self._journal.append((*obstacle.polygon.reject_box(), added))
         self._grid_cache.clear()
         self._obstacle_table = None
         self._obstacle_edges = None
         self.version += 1
+
+    def changes_since(
+        self, version: int
+    ) -> List[Tuple[float, float, float, float, bool]]:
+        """``(xmin, ymin, xmax, ymax, added)`` of every obstacle added or
+        removed since ``version``, in order: the reject box of its
+        polygon (see :meth:`obstacle_table`).
+
+        A point query outside every box listed answers as it did at
+        ``version``.
+        """
+        return self._journal[version:]
 
     def obstacle_table(self) -> Tuple[Tuple[float, float, float, float, Polygon], ...]:
         """``(xmin, ymin, xmax, ymax, polygon)`` per obstacle, in list
@@ -335,8 +363,9 @@ class Field:
         to the disk of ``radius`` around ``(cx, cy)``, as
         ``(ax, ay, bx, by)``: the field rectangle's edges first, then each
         obstacle's in vertex order.  Pieces of length 1e-9 or less are
-        dropped.  An obstacle whose reject box the disk does not reach
-        (within :data:`_PIECE_SLACK`) has no piece and is skipped.
+        dropped.  A wall edge or an obstacle whose box (an obstacle's
+        reject box) the disk does not reach (within :data:`_PIECE_SLACK`)
+        has no piece and is skipped.
         """
         obstacle_edges = self._obstacle_edges
         if obstacle_edges is None:
@@ -348,9 +377,8 @@ class Field:
                 for ob in self.obstacles
             )
         pieces: List[Tuple[float, float, float, float]] = []
-        _clip_into(pieces, cx, cy, radius, self._wall_edges)
         reach = radius + _PIECE_SLACK
-        for xmin, ymin, xmax, ymax, edges in obstacle_edges:
+        for xmin, ymin, xmax, ymax, edges in chain(self._wall_edges, obstacle_edges):
             if (
                 xmin - cx <= reach
                 and cx - xmax <= reach
@@ -359,6 +387,16 @@ class Field:
             ):
                 _clip_into(pieces, cx, cy, radius, edges)
         return pieces
+
+    def boundary_pieces_reach(
+        self, cx: float, cy: float, radius: float
+    ) -> Tuple[float, float, float, float]:
+        """``(xmin, ymin, xmax, ymax)`` of the box that every obstacle
+        with a piece in :meth:`boundary_pieces_within` of the same disk
+        reaches: adding or removing an obstacle whose reject box misses
+        it (by more than float rounding) leaves the pieces as they are."""
+        reach = radius + _PIECE_SLACK
+        return (cx - reach, cy - reach, cx + reach, cy + reach)
 
     # ------------------------------------------------------------------
     # Coverage measurement

@@ -121,7 +121,10 @@ class CoverageGrid:
             return np.empty(0, dtype=np.intp), 0
         # One stencil as wide as the widest bounding box, clipped to the
         # axes for the gather and masked to each disk's own box; disks go
-        # through in chunks so the stencil stays small at any n.
+        # through in chunks so the stencil stays small at any n.  A
+        # boolean gather of the stencil's flat indices yields the hits in
+        # C order, disk by disk, as ``nonzero`` would.
+        ny = len(ys)
         di = np.arange(width)
         dj = np.arange(height)
         chunk = max(1, _STENCIL_CELLS // (width * height))
@@ -130,17 +133,18 @@ class CoverageGrid:
         for lo in range(0, len(cx), chunk):
             sl = slice(lo, lo + chunk)
             ii = np.minimum(i0[sl, None] + di, len(xs) - 1)
-            jj = np.minimum(j0[sl, None] + dj, len(ys) - 1)
+            jj = np.minimum(j0[sl, None] + dj, ny - 1)
             dx = xs[ii] - cx[sl, None]
             dy = ys[jj] - cy[sl, None]
-            hit = (dx * dx)[:, :, None] + (dy * dy)[:, None, :] <= radius * radius
-            hit &= (di < wi[sl, None])[:, :, None]
-            hit &= (dj < wj[sl, None])[:, None, :]
-            k, a, b = np.nonzero(hit)
+            # A sample outside the disk's own box gets an infinite square,
+            # which no sum brings within the radius.
+            dx2 = np.where(di < wi[sl, None], dx * dx, np.inf)
+            dy2 = np.where(dj < wj[sl, None], dy * dy, np.inf)
+            hit = dx2[:, :, None] + dy2[:, None, :] <= radius * radius
             if lo < first:
-                # ``k`` ascends: the chunk's hits of disks before ``first``.
-                split += int(np.searchsorted(k, first - lo))
-            parts.append(ii[k, a] * len(ys) + jj[k, b])
+                # The chunk's hits of disks before ``first``.
+                split += int(np.count_nonzero(hit[: first - lo]))
+            parts.append(((ii * ny)[:, :, None] + jj[:, None, :])[hit])
         return np.concatenate(parts), split
 
     def coverage_mask(

@@ -142,6 +142,7 @@ class RoutingCostModel:
         half = cost // 2
         # Both halves at once; ``cost`` is never negative.
         counts = self.stats.counts
-        counts[MessageType.LOCK_TREE] += half
-        counts[MessageType.UNLOCK_TREE] += cost - half
+        lock, unlock = MessageType.LOCK_TREE, MessageType.UNLOCK_TREE
+        counts[lock] = counts.get(lock, 0) + half
+        counts[unlock] = counts.get(unlock, 0) + cost - half
         return cost

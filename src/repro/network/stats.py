@@ -8,7 +8,6 @@ single sink all protocol layers report their transmissions to.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict
 
@@ -29,14 +28,17 @@ class MessageStats:
     unchanged.
     """
 
-    counts: Counter = field(default_factory=Counter)
-    net_counts: Counter = field(default_factory=Counter)
+    #: Plain dicts, not ``Counter``s: an increment is a third of the
+    #: cost.  A key appears on its first recorded count.
+    counts: Dict[MessageType, int] = field(default_factory=dict)
+    net_counts: Dict[str, int] = field(default_factory=dict)
 
     def record_transmissions(self, message_type: MessageType, count: int) -> None:
         """Record ``count`` point-to-point transmissions of a given type."""
         if count < 0:
             raise ValueError("transmission count cannot be negative")
-        self.counts[message_type] += count
+        counts = self.counts
+        counts[message_type] = counts.get(message_type, 0) + count
 
     def record_net(self, key: str, count: int = 1) -> None:
         """Record a delivery-condition event (``net.<key>`` telemetry)."""
@@ -48,7 +50,8 @@ class MessageStats:
         if count < 0:
             raise ValueError("net counter increment cannot be negative")
         if count:
-            self.net_counts[key] += count
+            net_counts = self.net_counts
+            net_counts[key] = net_counts.get(key, 0) + count
 
     def record_delivery(
         self, dropped: int, delayed: int, retries: int, timeouts: int
@@ -61,13 +64,13 @@ class MessageStats:
         """
         net_counts = self.net_counts
         if dropped:
-            net_counts["dropped"] += dropped
+            net_counts["dropped"] = net_counts.get("dropped", 0) + dropped
         if delayed:
-            net_counts["delayed"] += delayed
+            net_counts["delayed"] = net_counts.get("delayed", 0) + delayed
         if retries:
-            net_counts["retries"] += retries
+            net_counts["retries"] = net_counts.get("retries", 0) + retries
         if timeouts:
-            net_counts["timeouts"] += timeouts
+            net_counts["timeouts"] = net_counts.get("timeouts", 0) + timeouts
 
     def total(self) -> int:
         """Total number of transmissions across all message types."""

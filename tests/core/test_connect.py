@@ -7,7 +7,7 @@ at min(rc, 2 * rs).
 import pytest
 
 from repro.core import CPVFScheme, FloorScheme, LazyMovementController
-from repro.core.connect import attach_reachable
+from repro.core.connect import attach_reachable, walkers
 from repro.field import obstacle_free_field
 from repro.geometry import Vec2
 from repro.network import BASE_STATION_ID, LINK_EPS
@@ -50,7 +50,8 @@ def test_connected_sensor_outside_the_tree_is_skipped():
     world.attach_to_tree(0, BASE_STATION_ID)
     world.sensor(1).state = SensorState.RELOCATING
     lazy = LazyMovementController(world.routing)
-    assert attach_reachable(world, world.neighbor_table(), RC, lazy) == []
+    table = world.neighbor_table()
+    assert attach_reachable(world, walkers(world), table, RC, lazy) == []
     assert 2 not in world.tree
     assert not world.sensor(2).is_connected()
 
@@ -61,7 +62,8 @@ def test_attach_order_and_chained_attachments():
     world = make_world([Vec2(30.0, 0.0), Vec2(140.0, 0.0), Vec2(85.0, 0.0)])
     world.attach_to_tree(0, BASE_STATION_ID)
     lazy = LazyMovementController(world.routing)
-    assert attach_reachable(world, world.neighbor_table(), RC, lazy) == [2, 1]
+    table = world.neighbor_table()
+    assert attach_reachable(world, walkers(world), table, RC, lazy) == [2, 1]
     assert world.tree.parent_of(2) == 0
     assert world.tree.parent_of(1) == 2
 
@@ -72,5 +74,6 @@ def test_base_station_competes_by_distance():
     world = make_world([Vec2(10.0, 0.0), Vec2(50.0, 0.0)])
     world.attach_to_tree(0, BASE_STATION_ID)
     lazy = LazyMovementController(world.routing)
-    assert attach_reachable(world, world.neighbor_table(), RC, lazy) == [1]
+    table = world.neighbor_table()
+    assert attach_reachable(world, walkers(world), table, RC, lazy) == [1]
     assert world.tree.parent_of(1) == 0

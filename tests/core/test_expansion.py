@@ -231,6 +231,27 @@ class TestMemo:
         self._assert_recomputed(planner, 0, Vec2(560, 330))
         assert planner.expansion_points(0, Vec2(560, 330)) == before
 
+    def test_a_spiralled_search_is_recomputed_on_any_obstacle_change(self):
+        # The first obstacle's left edge runs inside the second, so a BLG
+        # frontier lies in an obstacle and ``nearest_free`` spirals: the
+        # search's reads are unbounded, and even a far obstacle change
+        # recomputes BLG, and only BLG.
+        field = Field(
+            1000.0,
+            1000.0,
+            [
+                Obstacle.rectangle(600, 300, 700, 400),
+                Obstacle.rectangle(570, 330, 640, 390),
+            ],
+        )
+        planner, registry = make_planner(field=field)
+        owner = Vec2(564, 340)
+        registry.register(0, owner)
+        planner.expansion_points(0, owner)
+        assert planner._memo[0].parts[ExpansionKind.BLG].reach is None
+        field.add_obstacle(Obstacle.rectangle(900, 900, 950, 950))
+        self._assert_recomputed(planner, 0, owner, parts=(0, 1, 0))
+
     def test_position_change_forces_recompute(self):
         planner, _, _ = self._setup()
         planner.expansion_points(0, Vec2(560, 330))
@@ -608,16 +629,33 @@ class TestIFLGNeighborMemo:
         assert len(self._check(planner, reference, (0, 0))) == 2
         assert planner.reused == reused + 1
 
-    def test_an_owner_record_change_searches_every_probing_neighbour(self):
-        # The owner's record is the centre of its expansion circle, so it
-        # lies within rs of every EP probe on that circle: the reach test
-        # cannot rule out a flip, and only neighbour 3, which probed
+    def test_an_owner_record_move_searches_every_probing_neighbour(self):
+        # The owner's record is (near) the centre of its expansion circle,
+        # so it lies within rs of every EP probe on that circle: the reach
+        # test cannot rule out a flip, and only neighbour 3, which probed
         # nothing, is reused.
         planner, registry, reference = self._setup()
-        registry.register(0, self.OWNER)
+        registry.register(0, self.OWNER + Vec2(0.0, 0.5))
         self._check(planner, reference, (1, 2))
 
-    def test_a_field_change_searches_every_neighbour(self):
+    def test_an_owner_reregistered_at_its_point_reuses_every_neighbour(self):
+        # The removal and the new record cancel at the point: a probe
+        # either sees both or, excluding the owner, neither.
+        planner, registry, reference = self._setup()
+        registry.register(0, self.OWNER)
+        self._check(planner, reference, (3, 0))
+
+    def test_a_far_field_change_searches_no_neighbour(self):
         planner, _, reference = self._setup()
+        reused = planner.reused
         planner.field.add_obstacle(Obstacle.rectangle(900, 900, 950, 950))
-        self._check(planner, reference, (0, 3))
+        self._check(planner, reference, (0, 0))
+        assert planner.reused == reused + 1
+
+    def test_a_field_change_searches_the_neighbours_it_reaches(self):
+        # The obstacle blocks neighbour 1's hole probe (530, 80) alone.
+        planner, _, reference = self._setup()
+        index = planner.field.add_obstacle(Obstacle.rectangle(529, 79, 531, 81))
+        assert len(self._check(planner, reference, (2, 1))) == 1
+        planner.field.remove_obstacle(index)
+        assert len(self._check(planner, reference, (2, 1))) == 2

@@ -1,0 +1,198 @@
+"""FLOOR's churn period searches again only what changed, exactly.
+
+The production scheme reuses whole expansion rounds, recomputes only the
+planner parts an obstacle or registry change can reach, and hands a
+virtual searcher's answer to the sensor that arrives in its place.
+:class:`~tests.oracles.ReferenceFloorScheme` searches every part of every
+searcher in every round on the ``Vec2`` reference planner.  On obstacle
+timelines, under the perfect and a lossy network, both must advertise the
+same expansion points and send the same messages in every period.  The
+round-key tests change one input of a round at a time.
+"""
+
+import pytest
+
+from repro.api import NetworkSpec
+from repro.core import FloorScheme
+from repro.experiments.common import SMOKE_SCALE, make_scenario
+from repro.experiments.lifecycle import lifecycle_events
+from repro.field import Obstacle
+from repro.geometry import Vec2
+from repro.obs import Telemetry
+from repro.sensors import SensorState
+from repro.sim import SimulationEngine, obstacle_appear, obstacle_clear
+from tests.oracles import ReferenceFloorScheme
+
+
+class _Logged:
+    """Logs each round's expansion points and the message counters."""
+
+    def initialize(self, world):
+        super().initialize(world)
+        self.log = []
+
+    def _collect_expansion_points(self, world):
+        points = super()._collect_expansion_points(world)
+        self.log.append(
+            (world.period_index, list(points), world.stats.to_counters())
+        )
+        return points
+
+
+class LoggedFloor(_Logged, FloorScheme):
+    pass
+
+
+class LoggedReference(_Logged, ReferenceFloorScheme):
+    pass
+
+
+def _obstacle_timeline(layout, seed):
+    """Mid-run obstacle changes on a layout: a block appears, one of the
+    layout's own obstacles goes, then the block goes too."""
+    scenario = make_scenario(SMOKE_SCALE, seed=seed, layout=layout)
+    own = len(scenario.build_field().obstacles)
+    size = SMOKE_SCALE.field_size
+    events = (
+        obstacle_appear(28, 0.45 * size, 0.1 * size, 0.52 * size, 0.7 * size),
+        obstacle_clear(40, 0),
+        obstacle_clear(55, own - 1),
+    )
+    return make_scenario(SMOKE_SCALE, seed=seed, layout=layout, events=events)
+
+
+def _script_timeline(scripts, seed):
+    events = ()
+    for script in scripts:
+        events += lifecycle_events(script, SMOKE_SCALE)
+    return make_scenario(SMOKE_SCALE, seed=seed, events=events)
+
+
+SCENARIOS = {
+    "door-slam": lambda: _script_timeline(("door-slam",), 3),
+    "lifecycle": lambda: _script_timeline(
+        ("door-slam", "interior-cascade", "reinforcements"), 4
+    ),
+    "rooms": lambda: _obstacle_timeline("rooms", 5),
+    "clutter": lambda: _obstacle_timeline("clutter", 6),
+}
+NETWORKS = {
+    "perfect": None,
+    "lossy": NetworkSpec("unreliable", loss=0.1, staleness=5),
+}
+
+
+def _run(scheme, scenario, network, telemetry=None):
+    world = scenario.build_world()
+    if network is not None:
+        world.network = network.build(scenario.seed)
+    engine = SimulationEngine(
+        world, scheme, trace_every=None, events=scenario.events,
+        telemetry=telemetry,
+    )
+    engine.run()
+    return world
+
+
+@pytest.mark.parametrize("network", sorted(NETWORKS))
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_every_round_equals_a_full_search(name, network):
+    scenario = SCENARIOS[name]()
+    production = LoggedFloor()
+    telemetry = Telemetry()
+    world = _run(production, scenario, NETWORKS[network], telemetry)
+    reference = LoggedReference()
+    reference_world = _run(reference, scenario, NETWORKS[network])
+    assert len(production.log) == len(reference.log) > 20
+    for got, want in zip(production.log, reference.log):
+        assert got == want
+    assert world.stats.to_counters() == reference_world.stats.to_counters()
+    assert [s.position for s in world.sensors] == [
+        s.position for s in reference_world.sensors
+    ]
+    counters = telemetry.summary().counters
+    # The shortcuts were taken.
+    assert counters["floor.rounds_reused"] > 0
+    assert counters["floor.expansion_reused"] > 0
+    if name != "lifecycle" or network == "perfect":
+        assert counters["floor.expansion_recomputed.field"] > 0
+
+
+# ----------------------------------------------------------------------
+# The round key: each input alone makes the next round search
+# ----------------------------------------------------------------------
+class TestRoundKey:
+    def _setup(self):
+        """A FLOOR world in phase 3 with searchers, one round just run."""
+        scenario = make_scenario(SMOKE_SCALE, seed=2)
+        world = scenario.build_world()
+        scheme = FloorScheme()
+        scheme.initialize(world)
+        for period in range(40):
+            world.period_index = period
+            scheme.step(world)
+            if scheme._phase == 3 and len(scheme._active_searchers) >= 3:
+                break
+        assert scheme._phase == 3 and scheme._active_searchers
+        world.telemetry = Telemetry()
+        scheme._collect_expansion_points(world)
+        return world, scheme
+
+    @staticmethod
+    def _searched(world, scheme):
+        """Whether the next round searches; its points equal a fresh
+        round's either way."""
+        tel = world.telemetry
+        before = tel.counter("floor.rounds_searched")
+        points = scheme._collect_expansion_points(world)
+        searched = tel.counter("floor.rounds_searched") != before
+        scheme._last_round = None
+        scheme._expansion._memo.clear()
+        assert points == scheme._collect_expansion_points(world)
+        return searched
+
+    @staticmethod
+    def _fixed_searcher(world, scheme):
+        return next(
+            sid
+            for sid in sorted(scheme._active_searchers)
+            if sid < 1_000_000 and world.sensor(sid).state is SensorState.FIXED
+        )
+
+    def test_nothing_changed_reuses_the_round(self):
+        world, scheme = self._setup()
+        assert not self._searched(world, scheme)
+
+    def test_a_registry_change_searches(self):
+        world, scheme = self._setup()
+        scheme._registry.register(999_999, Vec2(5.0, 5.0), virtual=True)
+        assert self._searched(world, scheme)
+
+    def test_a_field_change_searches(self):
+        world, scheme = self._setup()
+        world.field.add_obstacle(Obstacle.rectangle(280, 280, 290, 290))
+        assert self._searched(world, scheme)
+
+    def test_a_new_searcher_searches(self):
+        world, scheme = self._setup()
+        newcomer = next(
+            s.sensor_id
+            for s in world.sensors
+            if s.sensor_id not in scheme._active_searchers
+        )
+        world.sensor(newcomer).state = SensorState.FIXED
+        scheme._active_searchers.add(newcomer)
+        assert self._searched(world, scheme)
+
+    def test_a_moved_searcher_searches(self):
+        world, scheme = self._setup()
+        sensor = world.sensor(self._fixed_searcher(world, scheme))
+        sensor.position = sensor.position + Vec2(0.5, 0.0)
+        assert self._searched(world, scheme)
+
+    def test_a_searcher_no_longer_fixed_searches(self):
+        world, scheme = self._setup()
+        searcher = self._fixed_searcher(world, scheme)
+        world.sensor(searcher).state = SensorState.MOVABLE
+        assert self._searched(world, scheme)
+        assert searcher not in scheme._active_searchers

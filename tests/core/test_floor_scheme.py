@@ -212,20 +212,35 @@ class TestFloorTelemetry:
         assert summary.counters["floor.expansion_reused"] > 0
 
     def test_reused_and_recomputed_add_up_to_the_calls(self, monkeypatch):
-        """Every planner call is either reused or recomputed; the counters,
-        the per-part ones included, match the planner's own totals, and
-        only recomputations probe the registry."""
+        """Every searcher a round asks is either reused or recomputed: a
+        searched round asks the planner, a reused round counts each of its
+        searchers as reused.  The counters, the per-part ones included,
+        match the planner's own totals, and only recomputations probe the
+        registry."""
         from repro.core.expansion import ExpansionPlanner
         from repro.obs import Telemetry
 
         calls = []
+        served = []
+        rounds = []
         original = ExpansionPlanner.expansion_points
+        collect = FloorScheme._collect_expansion_points
 
         def counted(planner, owner_id, position):
             calls.append(owner_id)
             return original(planner, owner_id, position)
 
+        def round_counted(scheme, world):
+            active = len(scheme._active_searchers)
+            was = world.telemetry.counter("floor.rounds_reused")
+            points = collect(scheme, world)
+            rounds.append(active)
+            if world.telemetry.counter("floor.rounds_reused") != was:
+                served.append(active)
+            return points
+
         monkeypatch.setattr(ExpansionPlanner, "expansion_points", counted)
+        monkeypatch.setattr(FloorScheme, "_collect_expansion_points", round_counted)
         world = make_scenario(SMOKE_SCALE, seed=5, layout="two-obstacle").build_world()
         scheme = FloorScheme()
         result = SimulationEngine(world, scheme, telemetry=Telemetry()).run()
@@ -233,7 +248,12 @@ class TestFloorTelemetry:
         counters = result.telemetry.counters
         reused = counters["floor.expansion_reused"]
         recomputed = counters["floor.expansion_recomputed"]
-        assert reused + recomputed == len(calls) > 0
+        assert reused + recomputed == len(calls) + sum(served) > 0
+        assert len(served) == counters["floor.rounds_reused"] > 0
+        assert (
+            counters["floor.rounds_searched"] + counters["floor.rounds_reused"]
+            == len(rounds)
+        )
         assert (reused, recomputed) == (planner.reused, planner.recomputed)
         assert counters["floor.coverage_queries"] == planner.coverage_queries
         assert planner.coverage_queries >= recomputed > 0
@@ -251,6 +271,10 @@ class TestFloorTelemetry:
             for kind in ("flg", "blg", "iflg")
         ]
         assert parts == planner.recomputed_parts
+        assert (
+            counters.get("floor.expansion_recomputed.field", 0)
+            == planner.recomputed_field
+        )
         # Every recomputation redoes at least one part, at most all three.
         assert recomputed <= sum(parts) <= 3 * recomputed
         assert max(parts) <= recomputed

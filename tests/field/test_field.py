@@ -193,6 +193,67 @@ class TestBoundaryVisibility:
         assert empty_field.boundary_pieces_within(50.0, 50.0, 15.0) == []
 
 
+class TestChangeJournal:
+    """``Field.changes_since``: the obstacles each version added or removed."""
+
+    def test_each_version_lists_its_obstacle_box(self, empty_field):
+        assert empty_field.version == 0
+        assert empty_field.changes_since(0) == []
+        wall = Obstacle.rectangle(40, 10, 45, 90)
+        block = Obstacle.rectangle(60, 60, 70, 70)
+        empty_field.add_obstacle(wall)
+        empty_field.add_obstacle(block)
+        removed = empty_field.remove_obstacle(0)
+        assert removed is wall
+        assert empty_field.version == 3
+        assert empty_field.changes_since(0) == [
+            (*wall.polygon.reject_box(), True),
+            (*block.polygon.reject_box(), True),
+            (*wall.polygon.reject_box(), False),
+        ]
+        assert empty_field.changes_since(2) == [(*wall.polygon.reject_box(), False)]
+        assert empty_field.changes_since(3) == []
+
+    def test_a_box_holds_every_point_the_change_flips(self, empty_field):
+        # A point query outside the listed box answers as before.
+        rng = random.Random(4)
+        before = {}
+        points = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(400)]
+        for x, y in points:
+            before[x, y] = empty_field.is_free_xy(x, y)
+        empty_field.add_obstacle(
+            Obstacle(Polygon([Vec2(20, 20), Vec2(70, 35), Vec2(40, 80)]))
+        )
+        (xmin, ymin, xmax, ymax, added), = empty_field.changes_since(0)
+        assert added
+        flipped = [
+            (x, y) for x, y in points if empty_field.is_free_xy(x, y) != before[x, y]
+        ]
+        assert flipped
+        assert all(xmin <= x <= xmax and ymin <= y <= ymax for x, y in flipped)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_obstacles_out_of_the_pieces_reach_leave_the_pieces(self, seed):
+        rng = random.Random(seed)
+        field = Field(100.0, 100.0, [Obstacle.rectangle(40, 40, 60, 60)])
+        checked = 0
+        for _ in range(300):
+            cx, cy = rng.uniform(-10, 110), rng.uniform(-10, 110)
+            r = rng.uniform(1.0, 30.0)
+            x, y = rng.uniform(0, 95), rng.uniform(0, 95)
+            obstacle = Obstacle.rectangle(x, y, x + rng.uniform(1, 5), y + 3)
+            rx0, ry0, rx1, ry1 = field.boundary_pieces_reach(cx, cy, r)
+            ox0, oy0, ox1, oy1 = obstacle.polygon.reject_box()
+            if ox0 <= rx1 and rx0 <= ox1 and oy0 <= ry1 and ry0 <= oy1:
+                continue
+            before = field.boundary_pieces_within(cx, cy, r)
+            index = field.add_obstacle(obstacle)
+            assert field.boundary_pieces_within(cx, cy, r) == before
+            field.remove_obstacle(index)
+            checked += 1
+        assert checked > 100
+
+
 class TestCoverage:
     def test_full_coverage(self, empty_field):
         assert empty_field.coverage_fraction([Vec2(50, 50)], 200.0, 5.0) == pytest.approx(1.0)

@@ -178,6 +178,71 @@ class TestDiskHits:
         assert split == len(head)
         assert np.array_equal(hits, np.concatenate((head, tail)))
 
+    @staticmethod
+    def _ordered_reference(grid, cx, cy, radius, first):
+        """Each disk's hits in C order over its own block, disk by disk,
+        and how many the first ``first`` disks make."""
+        ny = grid.shape[1]
+        parts = [np.empty(0, dtype=np.intp)]
+        split = 0
+        for k, (x, y) in enumerate(zip(cx, cy)):
+            block = reference_disk_block(grid, x, y, radius)
+            if block is None:
+                continue
+            si, sj, hit = block
+            ii, jj = np.nonzero(hit)
+            parts.append((ii + si.start) * ny + (jj + sj.start))
+            if k < first:
+                split += len(ii)
+        return np.concatenate(parts), split
+
+    @pytest.mark.parametrize("trial", range(30))
+    def test_split_hits_match_the_predicate_in_order(self, trial):
+        """``disk_hits_split`` against the brute-force predicate: the same
+        hits in the same order and the same split, with centres on sample
+        points, on the grid's own coordinates and off the field, and
+        ``first`` at the start, inside and at the end of the batch."""
+        rng = np.random.default_rng(500 + trial)
+        grid = CoverageGrid(
+            0, 0, rng.uniform(40, 250), rng.uniform(40, 250),
+            float(rng.choice([2.5, 5.0, 10.0, 12.5])),
+        )
+        xs, ys = grid.axes
+        n = int(rng.integers(1, 60))
+        cx = rng.uniform(-80, grid.xmax + 80, n)
+        cy = rng.uniform(-80, grid.ymax + 80, n)
+        aligned = rng.random(n) < 0.4
+        cx[aligned] = rng.choice(xs, int(aligned.sum()))
+        cy[aligned] = rng.choice(ys, int(aligned.sum()))
+        radius = float(rng.choice([0.0, grid.resolution, rng.uniform(0.5, 70)]))
+        for first in (0, int(rng.integers(0, n + 1)), n):
+            hits, split = grid.disk_hits_split(cx, cy, radius, first)
+            expected, expected_split = self._ordered_reference(
+                grid, cx, cy, radius, first
+            )
+            assert np.array_equal(hits, expected)
+            assert split == expected_split
+
+    def test_split_hits_over_several_stencil_chunks(self):
+        # More stencil cells than one chunk holds: the disks go through
+        # in several chunks, and ``first`` falls inside a later one.
+        from repro.geometry.grid import _STENCIL_CELLS
+
+        grid = CoverageGrid(0, 0, 400, 400, 2.0)
+        rng = np.random.default_rng(9)
+        radius = 30.0
+        cells = (2 * radius / grid.resolution + 1) ** 2
+        n = int(1.5 * _STENCIL_CELLS / cells) + 1
+        cx = rng.uniform(-20, 420, n)
+        cy = rng.uniform(-20, 420, n)
+        for first in (0, n // 2, n - 1, n):
+            hits, split = grid.disk_hits_split(cx, cy, radius, first)
+            expected, expected_split = self._ordered_reference(
+                grid, cx, cy, radius, first
+            )
+            assert np.array_equal(hits, expected)
+            assert split == expected_split
+
     def test_no_disks(self):
         grid = CoverageGrid(0, 0, 100, 100, 10)
         hits = grid.disk_hits([], [], 30.0)

@@ -12,8 +12,9 @@ functions that tests (and ``benchmarks/perfbench.py``) import:
   free-travel moves, nearest-free spiral, visible boundary pieces,
   obstacle force) walking every obstacle on every probe, with no
   obstacle table or per-move prefilter;
-* :mod:`.floor` — an exhaustive floor-registry scan and the ``Vec2``
-  expansion planner with no memo (:class:`ReferenceExpansionPlanner`);
+* :mod:`.floor` — an exhaustive floor-registry scan, the ``Vec2``
+  expansion planner with no memo (:class:`ReferenceExpansionPlanner`)
+  and FLOOR on it with no round reuse (:class:`ReferenceFloorScheme`);
 * :mod:`.geometry` — the polygon point and segment predicates, the
   boundary distance and closest point on ``Segment`` objects without the
   bounding-box reject, the obstacle force with no cutoff, the ``Vec2``
@@ -45,6 +46,8 @@ from .field import (
 from .floor import (
     ExhaustiveFloorRegistry,
     ReferenceExpansionPlanner,
+    ReferenceFloorScheme,
+    RoundPlanner,
     reference_floor_line_segment,
 )
 from .geometry import (
@@ -97,6 +100,8 @@ __all__ = [
     "double_loop_components",
     "ExhaustiveFloorRegistry",
     "ReferenceExpansionPlanner",
+    "ReferenceFloorScheme",
+    "RoundPlanner",
     "reference_floor_line_segment",
     "predicate_mask",
     "reference_boundary_distance",

@@ -1,4 +1,5 @@
-"""FLOOR references: an exhaustive floor-registry scan and the ``Vec2`` planner.
+"""FLOOR references: an exhaustive floor-registry scan, the ``Vec2`` planner
+and a FLOOR scheme that searches every round in full.
 
 :class:`ExhaustiveFloorRegistry` answers the registry queries by scanning
 every record of the floors a distributed implementation would ask.
@@ -6,7 +7,10 @@ every record of the floors a distributed implementation would ask.
 ``Segment`` and ``Circle`` objects through the circle references of
 :mod:`.geometry`, with no memo: every call recomputes.  The production
 ``ExpansionPlanner`` (float kernel plus dependency-scoped memo) must
-return ``==`` answers.
+return ``==`` answers.  :class:`ReferenceFloorScheme` runs FLOOR on that
+planner and never reuses an expansion round, so every period searches
+every part of every searcher; the production scheme must advertise the
+same points and send the same messages in every period.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
+from repro.core import FloorScheme
 from repro.core.expansion import ExpansionKind, ExpansionPoint
 from repro.core.floors import FloorGeometry
 from repro.core.headers import FloorRecord, FloorRegistry
@@ -195,3 +200,61 @@ class ReferenceExpansionPlanner:
                         ExpansionPoint(crossing, ExpansionKind.IFLG, owner_id)
                     )
         return points
+
+
+@dataclass
+class RoundPlanner(ReferenceExpansionPlanner):
+    """:class:`ReferenceExpansionPlanner` behind the interface the FLOOR
+    scheme asks of its planner: every answer is searched in full, and
+    nothing is remembered, forgotten or handed over."""
+
+    reused: int = 0
+    recomputed: int = 0
+    coverage_queries: int = 0
+    iflg_neighbors_reused: int = 0
+    iflg_neighbors_computed: int = 0
+    recomputed_field: int = 0
+
+    def __post_init__(self) -> None:
+        self.recomputed_parts = [0, 0, 0]
+
+    def expansion_points(self, owner_id: int, position: Vec2):
+        points = super().expansion_points(owner_id, position)
+        self._asked = (
+            len(
+                self.floors.floors_possibly_covering(
+                    points[0].position, self.sensing_range
+                )
+            )
+            if points
+            else 0
+        )
+        return points
+
+    def floors_asked(self, owner_id: int) -> int:
+        return self._asked
+
+    def forget(self, owner_id: int) -> None:
+        pass
+
+    def hand_over(self, owner_id: int, successor_id: int) -> None:
+        pass
+
+
+class ReferenceFloorScheme(FloorScheme):
+    """FLOOR on :class:`RoundPlanner` that never reuses an expansion round."""
+
+    def initialize(self, world) -> None:
+        super().initialize(world)
+        planner = self._expansion
+        self._expansion = RoundPlanner(
+            field=planner.field,
+            floors=planner.floors,
+            registry=planner.registry,
+            sensing_range=planner.sensing_range,
+            expansion_radius=planner.expansion_radius,
+        )
+
+    def _collect_expansion_points(self, world):
+        self._last_round = None
+        return super()._collect_expansion_points(world)
