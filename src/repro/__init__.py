@@ -6,7 +6,7 @@ The package is organised bottom-up:
 * :mod:`repro.geometry`, :mod:`repro.field`, :mod:`repro.voronoi`,
   :mod:`repro.mobility`, :mod:`repro.network`, :mod:`repro.sensors`,
   :mod:`repro.sim` — the substrates (geometry, field/obstacle model,
-  Voronoi diagrams, BUG2 path planning, unit-disk radio and connectivity
+  Voronoi cells, BUG2 path planning, unit-disk radio and connectivity
   tree, period-synchronous simulation engine);
 * :mod:`repro.core` — the paper's contribution: the CPVF and FLOOR
   deployment schemes and their building blocks;
@@ -29,7 +29,7 @@ world; the engine drives a scheme over it::
     print(f"coverage: {result.final_coverage:.1%}")
 """
 
-from .geometry import Circle, Polygon, Segment, Vec2
+from .geometry import Polygon, Segment, Vec2
 from .field import (
     Field,
     Obstacle,
@@ -58,13 +58,11 @@ from .baselines import MinimaxScheme, OptStripPattern, VorScheme, explode
 from .assignment import hungarian, minimum_distance_matching
 from .metrics import (
     EmpiricalCDF,
-    coverage_fraction,
-    coverage_report,
     positions_are_connected,
     summarize_sensor_distances,
 )
 from .spatial import IncrementalCoverage, NeighborCache, SpatialIndex
-from .voronoi import VoronoiDiagram, diagram_is_correct
+from .voronoi import diagram_is_correct
 from .api import (
     RunRecord,
     RunSpec,
@@ -86,7 +84,6 @@ from .scenarios import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "Circle",
     "Polygon",
     "Segment",
     "Vec2",
@@ -121,14 +118,11 @@ __all__ = [
     "hungarian",
     "minimum_distance_matching",
     "EmpiricalCDF",
-    "coverage_fraction",
-    "coverage_report",
     "positions_are_connected",
     "summarize_sensor_distances",
     "IncrementalCoverage",
     "NeighborCache",
     "SpatialIndex",
-    "VoronoiDiagram",
     "diagram_is_correct",
     "ScenarioSpec",
     "RunSpec",

@@ -31,7 +31,7 @@ Quick start::
               f"{record.coverage:.1%}")
 """
 
-from ..determinism import derive_seed, freeze_params, spawn_seeds
+from ..determinism import derive_seed, freeze_params
 from ..network import NetworkSpec
 from ..obs import TelemetrySummary
 from .registry import (
@@ -79,7 +79,6 @@ __all__ = [
     "execute_run",
     "hungarian_bound",
     "derive_seed",
-    "spawn_seeds",
     "SPEC_SCHEMA_VERSION",
     "canonical_json",
     "run_fingerprint",

@@ -12,7 +12,7 @@ which gives VOR and Minimax a best-case moving-distance baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 from ..assignment import minimum_distance_matching
 from ..field import Field, uniform_initial_positions
@@ -27,18 +27,6 @@ class ExplosionResult:
 
     positions: List[Vec2]
     per_sensor_distance: List[float]
-
-    @property
-    def total_distance(self) -> float:
-        """Total distance travelled during the explosion."""
-        return sum(self.per_sensor_distance)
-
-    @property
-    def average_distance(self) -> float:
-        """Average distance travelled per sensor."""
-        if not self.per_sensor_distance:
-            return 0.0
-        return self.total_distance / len(self.per_sensor_distance)
 
 
 def explode(

@@ -368,7 +368,8 @@ class FloorScheme(DeploymentScheme):
         self, world: World, sensor: Sensor, table: Dict[int, List[int]]
     ) -> bool:
         """Estimate the exclusively covered fraction of the sensing disk."""
-        # ``Sensor.covers`` of each connected neighbour, on floats.
+        # The closed sensing disk (radius rs + 1e-9) of each connected
+        # neighbour, on floats.
         disks = [
             (nb.position.x, nb.position.y, nb.sensing_range + 1e-9)
             for nb in map(world.sensor, table.get(sensor.sensor_id, []))

@@ -128,10 +128,6 @@ class FloorRegistry:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def records_on_floor(self, floor_index: int) -> List[FloorRecord]:
-        """All records registered on a floor."""
-        return list(self._records.get(floor_index, {}).values())
-
     def all_records(self) -> List[FloorRecord]:
         """All records across all floors."""
         result: List[FloorRecord] = []

@@ -3,7 +3,7 @@
 Every layer that needs randomness or hashable settings derives them here,
 so that a run is a pure function of its spec:
 
-* :func:`derive_seed` / :func:`spawn_seeds` give sweeps one independent
+* :func:`derive_seed` gives sweeps one independent
   seed per repetition (Fig 13's 300 random-obstacle deployments, for
   instance), :func:`derive_rng` gives the fault injector one private
   stream per event (it draws many values from each), and
@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Any, List, Mapping, Sequence, Tuple, Union
+from typing import Any, Mapping, Sequence, Tuple, Union
 
 __all__ = [
     "Params",
@@ -36,7 +36,6 @@ __all__ = [
     "derive_rng",
     "derive_uniform",
     "UniformPrefix",
-    "spawn_seeds",
     "freeze_params",
 ]
 
@@ -114,9 +113,6 @@ def _digest(base_seed: int, keys: tuple) -> int:
     return int.from_bytes(digest, "big")
 
 
-def spawn_seeds(base_seed: int, count: int) -> List[int]:
-    """``count`` child seeds spawned from ``base_seed`` (one per repetition)."""
-    return [derive_seed(base_seed, index) for index in range(count)]
 
 
 def freeze_params(params: Union[Mapping[str, Any], Sequence, None]) -> Params:

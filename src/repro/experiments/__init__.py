@@ -78,7 +78,6 @@ from ..api import (
     register_placement,
     register_scheme,
     scheme_registry,
-    spawn_seeds,
 )
 from .common import (
     BENCH_SCALE,
@@ -131,7 +130,6 @@ __all__ = [
     "TracePoint",
     "execute_run",
     "derive_seed",
-    "spawn_seeds",
     "scheme_registry",
     "layout_registry",
     "placement_registry",

@@ -23,9 +23,10 @@ them back with :meth:`repro.api.RunRecord.from_dict`::
     payload = json.load(open("results/fig3.json"))
     records = [RunRecord.from_dict(r) for r in payload["records"]]
 
-At full scale a complete sweep takes hours; the default ``bench`` scale
-keeps the sweep's shape (relative ordering of schemes, crossover points)
-while finishing on a laptop.
+At full scale the whole suite took about 1,120 s at ``--jobs 2`` on a
+2-CPU host, Fig 13 about three quarters of it; the default ``bench``
+scale keeps the sweep's shape (relative ordering of schemes, crossover
+points) in a fraction of that.
 """
 
 from __future__ import annotations

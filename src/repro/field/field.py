@@ -137,18 +137,9 @@ class Field:
     # ------------------------------------------------------------------
     # Basic geometry
     # ------------------------------------------------------------------
-    @property
-    def bounds(self) -> Tuple[float, float, float, float]:
-        """``(xmin, ymin, xmax, ymax)`` of the field rectangle."""
-        return (0.0, 0.0, self.width, self.height)
-
     def boundary_polygon(self) -> Polygon:
         """The field rectangle as a polygon."""
         return self._boundary
-
-    def boundary_edges(self) -> Tuple[Segment, ...]:
-        """The four edges of the field rectangle."""
-        return self._boundary.edges()
 
     def area(self) -> float:
         """Total rectangle area (including obstacle area)."""

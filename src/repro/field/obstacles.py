@@ -109,15 +109,3 @@ class Obstacle:
         if not hits:
             return None
         return hits[0]
-
-    def overlaps(self, other: "Obstacle") -> bool:
-        """Whether two obstacles overlap (allowed by the Fig 13 generator)."""
-        if any(other.polygon.contains(v) for v in self.polygon.vertices):
-            return True
-        if any(self.polygon.contains(v) for v in other.polygon.vertices):
-            return True
-        return any(
-            e1.intersects(e2)
-            for e1 in self.boundary_edges()
-            for e2 in other.boundary_edges()
-        )

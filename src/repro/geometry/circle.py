@@ -9,37 +9,15 @@ obstacle boundaries to locate expansion points.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from .vec import EPS, Vec2
+from .vec import EPS
 
 __all__ = [
-    "Circle",
     "circle_intersections_xy",
     "clip_segment_xy",
-    "disk_overlap_area",
     "segment_crossings_xy",
 ]
-
-
-@dataclass(frozen=True)
-class Circle:
-    """A circle (and, when used as a range, the closed disk it bounds)."""
-
-    center: Vec2
-    radius: float
-
-    # ------------------------------------------------------------------
-    # Containment
-    # ------------------------------------------------------------------
-    def contains(self, p: Vec2, eps: float = EPS) -> bool:
-        """Return ``True`` when ``p`` lies inside or on the circle."""
-        return self.center.distance_sq_to(p) <= (self.radius + eps) ** 2
-
-    def area(self) -> float:
-        """Area of the disk."""
-        return math.pi * self.radius * self.radius
 
 
 def segment_crossings_xy(
@@ -145,25 +123,3 @@ def circle_intersections_xy(
     off_y = ex * scale
     return [(base_x + off_x, base_y + off_y), (base_x - off_x, base_y - off_y)]
 
-
-def disk_overlap_area(c1: Circle, c2: Circle) -> float:
-    """Area of the intersection of two disks (lens area).
-
-    Used to estimate how much of a sensor's coverage is redundant with a
-    neighbour's when deciding whether it is *movable* in the FLOOR scheme.
-    """
-    d = c1.center.distance_to(c2.center)
-    r1, r2 = c1.radius, c2.radius
-    if d >= r1 + r2:
-        return 0.0
-    # Containment, or centres so close (a subnormal d) that the lens
-    # formula's denominators underflow to zero: the smaller disk.
-    if d <= abs(r1 - r2) or d * min(r1, r2) == 0.0:
-        smaller = min(r1, r2)
-        return math.pi * smaller * smaller
-    alpha = math.acos(min(1.0, max(-1.0, (d * d + r1 * r1 - r2 * r2) / (2.0 * d * r1))))
-    beta = math.acos(min(1.0, max(-1.0, (d * d + r2 * r2 - r1 * r1) / (2.0 * d * r2))))
-    return (
-        r1 * r1 * (alpha - math.sin(2.0 * alpha) / 2.0)
-        + r2 * r2 * (beta - math.sin(2.0 * beta) / 2.0)
-    )

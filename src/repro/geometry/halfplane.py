@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from .polygon import Polygon
 from .vec import EPS, Vec2
 
 __all__ = ["HalfPlane", "clip_polygon", "bisector_halfplane"]
@@ -99,23 +98,3 @@ def clip_polygon(polygon: Sequence[Vec2], half_plane: HalfPlane) -> List[Vec2]:
         deduped.pop()
     return deduped
 
-
-def clip_polygon_to_cell(
-    bounding: Polygon, site: Vec2, others: Sequence[Vec2]
-) -> Optional[Polygon]:
-    """Voronoi cell of ``site`` restricted to ``bounding``.
-
-    ``others`` is the set of competing sites; pass only the sites within
-    communication range to obtain the *local* (possibly incorrect) cell that
-    a real sensor with limited range would compute.
-    """
-    vertices: List[Vec2] = list(bounding.counter_clockwise().vertices)
-    for other in others:
-        if other.almost_equals(site):
-            continue
-        vertices = clip_polygon(vertices, bisector_halfplane(site, other))
-        if len(vertices) < 3:
-            return None
-    if len(vertices) < 3:
-        return None
-    return Polygon(vertices)

@@ -36,7 +36,8 @@ class Polygon:
 
     The edges, their float records and the bounding box are computed once
     at construction.  The point and segment queries run on plain floats,
-    with the operations of ``Segment.closest_point``, ``Vec2.lerp`` and
+    with the operations of the closest-point projection
+    (``tests.oracles.segment_closest_point``), ``Vec2.lerp`` and
     ``Vec2.distance_to`` in the same order, so they answer bit for bit
     what the ``Vec2``/``Segment`` evaluation would.  They first reject
     anything outside the bbox padded by the boundary eps (plus a rounding
@@ -243,7 +244,7 @@ class Polygon:
             denom = dx * dx + dy * dy
             if denom <= DEGENERATE_NORM_SQ:
                 # Degenerate edge: distance to the closer endpoint
-                # (mirrors Segment.closest_point's degenerate branch).
+                # (mirrors segment_closest_point's degenerate branch).
                 dist = np.minimum(
                     np.hypot(px - a.x, py - a.y), np.hypot(px - b.x, py - b.y)
                 )
@@ -276,7 +277,7 @@ class Polygon:
     ) -> Tuple[float, float, float]:
         """``(distance, x, y)`` of the boundary point closest to ``(px, py)``.
 
-        Per edge, the operations of ``Segment.closest_point`` (the
+        Per edge, the operations of ``segment_closest_point`` (the
         parameter clamped like ``min(1.0, max(0.0, t))``, NaN included)
         and of ``Vec2.distance_to``; the first edge at the smallest
         distance wins.

@@ -1,4 +1,4 @@
-"""Line-segment primitives: intersection tests, distances and projections.
+"""Line-segment primitives: points along a segment and intersections.
 
 Segments are used for obstacle edges, floor lines clipped to the field,
 BUG2 reference lines and Voronoi cell boundaries.
@@ -11,26 +11,13 @@ from typing import List, Optional
 
 from .vec import EPS, Vec2
 
-__all__ = ["Segment", "orientation", "on_segment"]
+__all__ = ["Segment", "on_segment"]
 
-#: Squared length at or below which ``Segment.closest_point`` treats a
-#: segment as a point.  Such a segment is at most ``EPS`` long, so either
-#: endpoint lies within ``EPS`` of every point on it.
+#: Squared length at or below which the closest-point projections (of
+#: ``Polygon`` and the BUG2 edge search) treat a segment as a point.  Such
+#: a segment is at most ``EPS`` long, so either endpoint lies within
+#: ``EPS`` of every point on it.
 DEGENERATE_NORM_SQ = EPS * EPS
-
-
-def orientation(a: Vec2, b: Vec2, c: Vec2) -> int:
-    """Orientation of the ordered triple ``(a, b, c)``.
-
-    Returns ``1`` for counter-clockwise, ``-1`` for clockwise and ``0`` for
-    collinear points (within :data:`~repro.geometry.vec.EPS`).
-    """
-    cross = (b - a).cross(c - a)
-    if cross > EPS:
-        return 1
-    if cross < -EPS:
-        return -1
-    return 0
 
 
 def on_segment(p: Vec2, a: Vec2, b: Vec2, eps: float = EPS) -> bool:
@@ -57,69 +44,13 @@ class Segment:
         """Euclidean length of the segment."""
         return self.a.distance_to(self.b)
 
-    def midpoint(self) -> Vec2:
-        """The midpoint of the segment."""
-        return self.a.lerp(self.b, 0.5)
-
     def point_at(self, t: float) -> Vec2:
         """Point at parameter ``t`` where ``t=0`` is ``a`` and ``t=1`` is ``b``."""
         return self.a.lerp(self.b, t)
 
     # ------------------------------------------------------------------
-    # Distances and projections
-    # ------------------------------------------------------------------
-    def project_parameter(self, p: Vec2) -> float:
-        """Parameter ``t`` of the orthogonal projection of ``p`` onto the line.
-
-        The result is *not* clamped to ``[0, 1]``.
-        """
-        d = self.b - self.a
-        denom = d.norm_sq()
-        if denom <= EPS:
-            return 0.0
-        return (p - self.a).dot(d) / denom
-
-    def closest_point(self, p: Vec2) -> Vec2:
-        """The point of the closed segment closest to ``p``."""
-        d = self.b - self.a
-        denom = d.norm_sq()
-        if denom <= DEGENERATE_NORM_SQ:
-            # Degenerate segment: return the endpoint closer to ``p``.
-            if p.distance_to(self.a) <= p.distance_to(self.b):
-                return self.a
-            return self.b
-        # Projected here rather than via project_parameter, whose cut-off
-        # compares the *squared* length with EPS and so would collapse
-        # segments up to ~3e-5 long onto an endpoint.
-        t = min(1.0, max(0.0, (p - self.a).dot(d) / denom))
-        return self.point_at(t)
-
-    def distance_to_point(self, p: Vec2) -> float:
-        """Distance from ``p`` to the closed segment."""
-        return p.distance_to(self.closest_point(p))
-
-    # ------------------------------------------------------------------
     # Intersections
     # ------------------------------------------------------------------
-    def intersects(self, other: "Segment") -> bool:
-        """Whether the two closed segments share at least one point."""
-        o1 = orientation(self.a, self.b, other.a)
-        o2 = orientation(self.a, self.b, other.b)
-        o3 = orientation(other.a, other.b, self.a)
-        o4 = orientation(other.a, other.b, self.b)
-
-        if o1 != o2 and o3 != o4:
-            return True
-        if o1 == 0 and on_segment(other.a, self.a, self.b):
-            return True
-        if o2 == 0 and on_segment(other.b, self.a, self.b):
-            return True
-        if o3 == 0 and on_segment(self.a, other.a, other.b):
-            return True
-        if o4 == 0 and on_segment(self.b, other.a, other.b):
-            return True
-        return False
-
     def intersection(self, other: "Segment") -> Optional[Vec2]:
         """Single intersection point of two segments, if one exists.
 
@@ -157,13 +88,3 @@ class Segment:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Segment({self.a!r} -> {self.b!r})"
 
-
-def _self_test() -> None:  # pragma: no cover - manual sanity helper
-    s1 = Segment(Vec2(0, 0), Vec2(10, 0))
-    s2 = Segment(Vec2(5, -5), Vec2(5, 5))
-    assert s1.intersects(s2)
-    assert s1.intersection(s2).almost_equals(Vec2(5, 0))
-
-
-if __name__ == "__main__":  # pragma: no cover
-    _self_test()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Tuple
+from typing import Iterator, Tuple
 
 __all__ = ["Vec2", "EPS"]
 
@@ -42,12 +42,6 @@ class Vec2:
     def from_polar(radius: float, angle: float) -> "Vec2":
         """Build a vector from polar coordinates (``angle`` in radians)."""
         return Vec2(radius * math.cos(angle), radius * math.sin(angle))
-
-    @staticmethod
-    def from_iterable(values: Iterable[float]) -> "Vec2":
-        """Build a vector from any two-element iterable."""
-        x, y = values
-        return Vec2(float(x), float(y))
 
     # ------------------------------------------------------------------
     # Arithmetic
@@ -95,12 +89,6 @@ class Vec2:
     def distance_to(self, other: "Vec2") -> float:
         """Euclidean distance to ``other``."""
         return math.hypot(self.x - other.x, self.y - other.y)
-
-    def distance_sq_to(self, other: "Vec2") -> float:
-        """Squared Euclidean distance to ``other``."""
-        dx = self.x - other.x
-        dy = self.y - other.y
-        return dx * dx + dy * dy
 
     # ------------------------------------------------------------------
     # Directional helpers

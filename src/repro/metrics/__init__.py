@@ -1,12 +1,13 @@
-"""Evaluation metrics: coverage, moving distance, connectivity, CDFs."""
+"""Evaluation metrics: moving distance, connectivity, recovery, CDFs.
+
+Coverage, the paper's main metric, is measured by the field itself
+(:meth:`repro.field.Field.coverage_fraction`) and, along a run, by the
+world's incremental tracker (:class:`repro.spatial.IncrementalCoverage`
+behind ``World.coverage()``).
+"""
 
 from .cdf import EmpiricalCDF
-from .connectivity import (
-    connected_components,
-    largest_component_fraction,
-    positions_are_connected,
-)
-from .coverage import CoverageReport, coverage_fraction, coverage_report
+from .connectivity import connected_components, positions_are_connected
 from .distance import DistanceSummary, summarize_distances, summarize_sensor_distances
 from .recovery import EventOutcome, RecoveryTracker
 
@@ -15,11 +16,7 @@ __all__ = [
     "RecoveryTracker",
     "EmpiricalCDF",
     "connected_components",
-    "largest_component_fraction",
     "positions_are_connected",
-    "CoverageReport",
-    "coverage_fraction",
-    "coverage_report",
     "DistanceSummary",
     "summarize_distances",
     "summarize_sensor_distances",

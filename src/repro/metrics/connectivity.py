@@ -17,7 +17,7 @@ from ..geometry import Vec2
 from ..network import LINK_EPS
 from ..spatial import SpatialIndex
 
-__all__ = ["positions_are_connected", "connected_components", "largest_component_fraction"]
+__all__ = ["positions_are_connected", "connected_components"]
 
 
 class _UnionFind:
@@ -83,13 +83,3 @@ def positions_are_connected(
         nodes = nodes + [base_station]
     components = connected_components(nodes, communication_range)
     return len(components) == 1
-
-
-def largest_component_fraction(
-    positions: Sequence[Vec2], communication_range: float
-) -> float:
-    """Fraction of sensors in the largest connected component."""
-    if not positions:
-        return 1.0
-    components = connected_components(positions, communication_range)
-    return max(len(c) for c in components) / len(positions)

@@ -74,10 +74,6 @@ class Bug2Path:
         """Total polyline length."""
         return sum(self._lengths)
 
-    def start(self) -> Vec2:
-        """First waypoint."""
-        return self.waypoints[0]
-
     def end(self) -> Vec2:
         """Last waypoint."""
         return self.waypoints[-1]
@@ -299,9 +295,10 @@ class Bug2Planner:
 def _nearest_edge(edges: Sequence[Segment], p: Vec2) -> int:
     """Index of the edge nearest ``p``, the first one on a tie.
 
-    ``min(range(len(edges)), key=lambda i: edges[i].distance_to_point(p))``
-    on floats: the same projection, clamp and ``hypot`` as
-    :meth:`Segment.closest_point` and :meth:`Vec2.distance_to`.
+    The closest-point projection of each edge on floats: clamp the
+    projection parameter to the segment (an endpoint for a degenerate
+    one), then ``hypot``, as ``Vec2.distance_to`` does.  The ``Segment``
+    form is ``tests.oracles.reference_nearest_edge``.
     """
     px, py = p.x, p.y
     best = 0

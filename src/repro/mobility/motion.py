@@ -112,12 +112,6 @@ class MotionModel:
         """The path being followed, if any."""
         return self._path
 
-    def remaining_path_length(self) -> float:
-        """Arc length left on the current path (zero when idle)."""
-        if self._path is None:
-            return 0.0
-        return max(0.0, self._path_length - self._path_progress)
-
     def advance_along_path(self, distance: Optional[float] = None) -> float:
         """Advance along the current path by at most one step.
 

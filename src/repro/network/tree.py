@@ -17,7 +17,7 @@ The base station is represented by the pseudo-identifier
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, List, Optional, Set
 
 __all__ = ["BASE_STATION_ID", "ConnectivityTree"]
 
@@ -85,12 +85,6 @@ class ConnectivityTree:
                     result.add(child)
                     frontier.append(child)
         return result
-
-    def is_descendant(self, node_id: int, potential_ancestor: int) -> bool:
-        """Whether ``node_id`` lies in the subtree of ``potential_ancestor``."""
-        if potential_ancestor == BASE_STATION_ID:
-            return node_id in self
-        return node_id in self.subtree_of(potential_ancestor)
 
     # ------------------------------------------------------------------
     # Mutation

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Set
 
-from ..geometry import Circle, Vec2
+from ..geometry import Vec2
 from ..mobility import MotionModel
 from .states import CONNECTED_STATES, SensorState
 
@@ -56,14 +56,6 @@ class Sensor:
     def moving_distance(self) -> float:
         """Total distance moved so far (the paper's energy proxy)."""
         return self.motion.odometer
-
-    def sensing_disk(self) -> Circle:
-        """The sensor's sensing disk."""
-        return Circle(self.position, self.sensing_range)
-
-    def covers(self, point: Vec2) -> bool:
-        """Whether ``point`` is inside this sensor's sensing disk."""
-        return self.position.distance_to(point) <= self.sensing_range + 1e-9
 
     # ------------------------------------------------------------------
     # State predicates

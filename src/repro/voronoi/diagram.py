@@ -12,12 +12,11 @@ no external computational-geometry dependency.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from ..geometry import Polygon, Vec2, bisector_halfplane, clip_polygon
-from ..field import Field
 
-__all__ = ["VoronoiCell", "VoronoiDiagram", "compute_cell"]
+__all__ = ["VoronoiCell", "compute_cell", "minimum_enclosing_circle"]
 
 
 @dataclass(frozen=True)
@@ -132,27 +131,4 @@ def compute_cell(
     if len(vertices) < 3:
         return VoronoiCell(site, None)
     return VoronoiCell(site, Polygon(vertices))
-
-
-class VoronoiDiagram:
-    """The bounded Voronoi diagram of a set of sites within a field."""
-
-    def __init__(self, sites: Sequence[Vec2], field: Field):
-        self._sites = list(sites)
-        self._field = field
-        self._bounding = field.boundary_polygon()
-        self._cells: Dict[int, VoronoiCell] = {}
-
-    @property
-    def sites(self) -> List[Vec2]:
-        """The site positions, in input order."""
-        return list(self._sites)
-
-    def cell(self, index: int) -> VoronoiCell:
-        """The (cached) cell of the ``index``-th site against *all* others."""
-        if index not in self._cells:
-            site = self._sites[index]
-            others = [p for i, p in enumerate(self._sites) if i != index]
-            self._cells[index] = compute_cell(site, others, self._bounding)
-        return self._cells[index]
 

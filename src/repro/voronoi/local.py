@@ -17,7 +17,7 @@ from ..field import Field
 from ..geometry import Vec2
 from .diagram import VoronoiCell, compute_cell
 
-__all__ = ["LocalVoronoiResult", "local_cell", "local_cells", "diagram_is_correct"]
+__all__ = ["LocalVoronoiResult", "local_cell", "diagram_is_correct"]
 
 
 @dataclass
@@ -47,18 +47,6 @@ def local_cell(
         if i != index and site.distance_to(p) <= communication_range
     ]
     return compute_cell(site, neighbours, field.boundary_polygon())
-
-
-def local_cells(
-    positions: Sequence[Vec2],
-    communication_range: float,
-    field: Field,
-) -> List[VoronoiCell]:
-    """Local cells of every sensor."""
-    return [
-        local_cell(i, positions, communication_range, field)
-        for i in range(len(positions))
-    ]
 
 
 def _cells_match(local: VoronoiCell, true: VoronoiCell, area_tolerance: float) -> bool:

@@ -11,7 +11,6 @@ from repro.api import (
     SweepSpec,
     TracePoint,
     derive_seed,
-    spawn_seeds,
 )
 
 
@@ -193,8 +192,8 @@ class TestSeedDerivation:
                 ), (seed, period, kind, key)
             assert prefix.draw() == derive_uniform(seed, period, kind)
 
-    def test_spawn_seeds(self):
-        seeds = spawn_seeds(7, 100)
+    def test_child_seeds_are_distinct_and_in_range(self):
+        seeds = [derive_seed(7, index) for index in range(100)]
         assert len(seeds) == 100
         assert len(set(seeds)) == 100
         assert all(0 <= s < 2**31 for s in seeds)

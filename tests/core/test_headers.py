@@ -18,7 +18,7 @@ class TestRegistration:
         floor = registry.register(1, Vec2(100, 40))
         assert floor == 0
         assert registry.floor_of(1) == 0
-        assert len(registry.records_on_floor(0)) == 1
+        assert [r.node_id for r in registry.all_records()] == [1]
 
     def test_unregister(self):
         registry = make_registry()

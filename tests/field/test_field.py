@@ -5,10 +5,14 @@ import random
 import pytest
 
 from repro.field import Field, Obstacle
-from repro.geometry import Circle, Polygon, Segment, Vec2
+from repro.geometry import Polygon, Segment, Vec2
 from repro.scenarios import ScenarioValidator
 from repro.scenarios import clutter_field
-from tests.oracles import reference_boundary_segments_within, reference_nearest_free
+from tests.oracles import (
+    Circle,
+    reference_boundary_segments_within,
+    reference_nearest_free,
+)
 
 
 @pytest.fixture
@@ -26,12 +30,12 @@ class TestBasics:
         with pytest.raises(ValueError):
             Field(-1.0, 10.0)
 
-    def test_bounds_and_area(self, empty_field):
-        assert empty_field.bounds == (0.0, 0.0, 100.0, 100.0)
+    def test_dimensions_and_area(self, empty_field):
+        assert (empty_field.width, empty_field.height) == (100.0, 100.0)
         assert empty_field.area() == pytest.approx(10000.0)
 
     def test_boundary_edges(self, empty_field):
-        assert len(empty_field.boundary_edges()) == 4
+        assert len(empty_field.boundary_polygon().edges()) == 4
 
     def test_with_obstacles_copy(self, empty_field):
         modified = empty_field.with_obstacles([Obstacle.rectangle(0, 0, 10, 10)])
@@ -55,13 +59,12 @@ class TestBoundaryRectangle:
             Vec2(0, height),
         }
         assert polygon.area() == pytest.approx(width * height)
-        assert polygon.bounding_box() == field.bounds
+        assert polygon.bounding_box() == (0.0, 0.0, width, height)
 
     def test_same_polygon_and_edges_on_every_call(self, empty_field):
         polygon = empty_field.boundary_polygon()
         assert empty_field.boundary_polygon() is polygon
-        assert empty_field.boundary_edges() == polygon.edges()
-        assert empty_field.boundary_edges() is empty_field.boundary_edges()
+        assert empty_field.boundary_polygon().edges() is polygon.edges()
 
     def test_obstacle_changes_leave_the_boundary(self, empty_field):
         polygon = empty_field.boundary_polygon()
@@ -69,12 +72,11 @@ class TestBoundaryRectangle:
         assert empty_field.boundary_polygon() is polygon
         empty_field.remove_obstacle(index)
         assert empty_field.boundary_polygon() is polygon
-        assert len(empty_field.boundary_edges()) == 4
+        assert len(polygon.edges()) == 4
 
     def test_with_obstacles_has_an_equal_rectangle(self, empty_field):
         modified = empty_field.with_obstacles([Obstacle.rectangle(0, 0, 10, 10)])
         assert modified.boundary_polygon() == empty_field.boundary_polygon()
-        assert modified.boundary_edges() == empty_field.boundary_edges()
 
 
 class TestPointQueries:

@@ -57,25 +57,6 @@ class TestRectangleObstacle:
         assert self.ob.name == "block"
 
 
-class TestOverlap:
-    def test_overlapping_rectangles(self):
-        a = Obstacle.rectangle(0, 0, 10, 10)
-        b = Obstacle.rectangle(5, 5, 15, 15)
-        assert a.overlaps(b)
-        assert b.overlaps(a)
-
-    def test_disjoint_rectangles(self):
-        a = Obstacle.rectangle(0, 0, 10, 10)
-        b = Obstacle.rectangle(20, 20, 30, 30)
-        assert not a.overlaps(b)
-
-    def test_contained_rectangle(self):
-        outer = Obstacle.rectangle(0, 0, 100, 100)
-        inner = Obstacle.rectangle(40, 40, 60, 60)
-        assert outer.overlaps(inner)
-        assert inner.overlaps(outer)
-
-
 class TestPolygonalObstacle:
     def test_triangle_obstacle(self):
         tri = Obstacle(Polygon([Vec2(0, 0), Vec2(10, 0), Vec2(5, 10)]), name="tri")

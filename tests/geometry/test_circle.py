@@ -1,4 +1,4 @@
-"""Unit and property tests for circles and disks."""
+"""Unit and property tests for the circle kernels and the ``Circle`` oracle."""
 
 import math
 import random
@@ -7,15 +7,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.geometry import (
-    Circle,
     Segment,
     Vec2,
     circle_intersections_xy,
     clip_segment_xy,
-    disk_overlap_area,
     segment_crossings_xy,
 )
 from tests.oracles import (
+    Circle,
     reference_circle_circle_intersections,
     reference_clip_segment,
     reference_segment_intersections,
@@ -38,6 +37,12 @@ class TestContainment:
     def test_area(self):
         c = Circle(Vec2(0, 0), 2)
         assert c.area() == pytest.approx(4 * math.pi)
+
+    @given(coord, radius)
+    def test_boundary_points_are_contained(self, angle_seed, r):
+        c = Circle(Vec2(0, 0), r)
+        p = c.center + Vec2.from_polar(r, angle_seed)
+        assert c.contains(p)
 
 
 class TestSegmentIntersection:
@@ -220,41 +225,3 @@ class TestFloatParity:
                 counts.add(len(self._check_circles(c1, r1, c2, r2)))
                 counts.add(len(self._check_circles(c1, r1, c1, r1)))
         assert counts == {0, 1, 2}
-
-
-class TestOverlapArea:
-    def test_disjoint_disks(self):
-        assert disk_overlap_area(Circle(Vec2(0, 0), 5), Circle(Vec2(20, 0), 5)) == 0.0
-
-    def test_identical_disks(self):
-        a = disk_overlap_area(Circle(Vec2(0, 0), 5), Circle(Vec2(0, 0), 5))
-        assert a == pytest.approx(math.pi * 25)
-
-    def test_contained_disk(self):
-        a = disk_overlap_area(Circle(Vec2(0, 0), 10), Circle(Vec2(1, 0), 2))
-        assert a == pytest.approx(math.pi * 4)
-
-    def test_half_overlap_is_symmetric(self):
-        a = disk_overlap_area(Circle(Vec2(0, 0), 5), Circle(Vec2(4, 0), 5))
-        b = disk_overlap_area(Circle(Vec2(4, 0), 5), Circle(Vec2(0, 0), 5))
-        assert a == pytest.approx(b)
-        assert 0 < a < math.pi * 25
-
-    def test_subnormal_centre_distance_is_full_overlap(self):
-        # 2 * d * r underflows to zero; the lens formula would divide by it.
-        a = disk_overlap_area(
-            Circle(Vec2(0, 0), 0.25), Circle(Vec2(0.0, 5e-324), 0.25)
-        )
-        assert a == pytest.approx(math.pi * 0.0625)
-
-    @given(st.builds(Vec2, coord, coord), st.builds(Vec2, coord, coord), radius, radius)
-    def test_overlap_bounded_by_smaller_disk(self, c1, c2, r1, r2):
-        overlap = disk_overlap_area(Circle(c1, r1), Circle(c2, r2))
-        smaller = math.pi * min(r1, r2) ** 2
-        assert -1e-6 <= overlap <= smaller + 1e-6
-
-    @given(coord, radius)
-    def test_boundary_points_are_contained(self, angle_seed, r):
-        c = Circle(Vec2(0, 0), r)
-        p = c.center + Vec2.from_polar(r, angle_seed)
-        assert c.contains(p)

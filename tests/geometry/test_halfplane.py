@@ -3,14 +3,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.geometry import (
-    HalfPlane,
-    Polygon,
-    Vec2,
-    bisector_halfplane,
-    clip_polygon,
-    clip_polygon_to_cell,
-)
+from repro.geometry import HalfPlane, Polygon, Vec2, bisector_halfplane, clip_polygon
+from repro.voronoi import compute_cell
 
 
 class TestHalfPlane:
@@ -86,18 +80,15 @@ class TestClipping:
 
 
 class TestCellConstruction:
+    """Voronoi cells are bisector half-planes clipped onto the field."""
+
     def test_two_sites_split_field(self):
         bounding = Polygon.rectangle(0, 0, 100, 100)
-        cell = clip_polygon_to_cell(bounding, Vec2(25, 50), [Vec2(75, 50)])
+        cell = compute_cell(Vec2(25, 50), [Vec2(75, 50)], bounding).polygon
         assert cell is not None
         assert cell.area() == pytest.approx(5000.0, rel=1e-6)
         assert cell.contains(Vec2(10, 50))
         assert not cell.contains(Vec2(90, 50))
-
-    def test_single_site_gets_whole_field(self):
-        bounding = Polygon.rectangle(0, 0, 100, 100)
-        cell = clip_polygon_to_cell(bounding, Vec2(10, 10), [])
-        assert cell.area() == pytest.approx(10000.0)
 
     def test_four_symmetric_sites(self):
         bounding = Polygon.rectangle(0, 0, 100, 100)
@@ -105,11 +96,10 @@ class TestCellConstruction:
         areas = []
         for i, site in enumerate(sites):
             others = [s for j, s in enumerate(sites) if j != i]
-            cell = clip_polygon_to_cell(bounding, site, others)
-            areas.append(cell.area())
+            areas.append(compute_cell(site, others, bounding).polygon.area())
         assert all(a == pytest.approx(2500.0, rel=1e-6) for a in areas)
 
     def test_coincident_other_site_is_ignored(self):
         bounding = Polygon.rectangle(0, 0, 100, 100)
-        cell = clip_polygon_to_cell(bounding, Vec2(50, 50), [Vec2(50, 50)])
-        assert cell.area() == pytest.approx(10000.0)
+        cell = compute_cell(Vec2(50, 50), [Vec2(50, 50)], bounding)
+        assert cell.polygon.area() == pytest.approx(10000.0)

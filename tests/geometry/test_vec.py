@@ -52,7 +52,6 @@ class TestProducts:
 
     def test_distance(self):
         assert Vec2(0, 0).distance_to(Vec2(3, 4)) == pytest.approx(5.0)
-        assert Vec2(0, 0).distance_sq_to(Vec2(3, 4)) == pytest.approx(25.0)
 
 
 class TestDirections:

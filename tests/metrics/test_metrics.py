@@ -10,9 +10,6 @@ from repro.metrics import (
     DistanceSummary,
     EmpiricalCDF,
     connected_components,
-    coverage_fraction,
-    coverage_report,
-    largest_component_fraction,
     positions_are_connected,
     summarize_distances,
     summarize_sensor_distances,
@@ -22,36 +19,31 @@ from repro.sensors import Sensor
 
 
 class TestCoverage:
-    def test_coverage_fraction_matches_field_method(self):
+    """The paper's coverage metric, ``Field.coverage_fraction``."""
+
+    def test_two_disjoint_disks(self):
         field = obstacle_free_field(200.0)
         positions = [Vec2(50, 50), Vec2(150, 150)]
-        assert coverage_fraction(field, positions, 40.0, 10.0) == pytest.approx(
-            field.coverage_fraction(positions, 40.0, 10.0)
+        expected = 2 * math.pi * 1600 / 40000
+        assert field.coverage_fraction(positions, 40.0, 10.0) == pytest.approx(
+            expected, abs=0.02
         )
 
-    def test_report_single_disk(self):
+    def test_single_disk(self):
         field = obstacle_free_field(200.0)
-        report = coverage_report(field, [Vec2(100, 100)], 50.0, 5.0)
         expected = math.pi * 2500 / 40000
-        assert report.covered_fraction == pytest.approx(expected, abs=0.02)
-        assert report.doubly_covered_fraction == 0.0
-        assert report.mean_multiplicity == pytest.approx(1.0)
+        assert field.coverage_fraction([Vec2(100, 100)], 50.0, 5.0) == pytest.approx(
+            expected, abs=0.02
+        )
 
-    def test_report_overlapping_disks(self):
+    def test_empty_layout(self):
         field = obstacle_free_field(200.0)
-        report = coverage_report(field, [Vec2(100, 100), Vec2(110, 100)], 50.0, 5.0)
-        assert report.doubly_covered_fraction > 0.0
-        assert report.mean_multiplicity > 1.0
-
-    def test_report_empty_layout(self):
-        field = obstacle_free_field(200.0)
-        report = coverage_report(field, [], 50.0, 10.0)
-        assert report.covered_fraction == 0.0
+        assert field.coverage_fraction([], 50.0, 10.0) == 0.0
 
     def test_obstacles_excluded_from_denominator(self):
         field = Field(100.0, 100.0, [Obstacle.rectangle(0, 0, 50, 100)])
         # A sensor covering only the free half yields full coverage.
-        assert coverage_fraction(field, [Vec2(75, 50)], 60.0, 2.0) >= 0.95
+        assert field.coverage_fraction([Vec2(75, 50)], 60.0, 2.0) >= 0.95
 
 
 class TestDistanceSummary:
@@ -130,11 +122,6 @@ class TestConnectivityMetrics:
         components = connected_components(positions, 30.0)
         sizes = sorted(len(c) for c in components)
         assert sizes == [1, 2]
-
-    def test_largest_component_fraction(self):
-        positions = [Vec2(0, 0), Vec2(10, 0), Vec2(500, 500)]
-        assert largest_component_fraction(positions, 30.0) == pytest.approx(2 / 3)
-        assert largest_component_fraction([], 30.0) == 1.0
 
     def test_empty_is_connected(self):
         assert positions_are_connected([], 30.0)

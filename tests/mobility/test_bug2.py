@@ -114,7 +114,7 @@ class TestObstacleAvoidance:
     def test_start_inside_obstacle_is_projected_out(self, field_with_block):
         planner = Bug2Planner(field_with_block)
         path = planner.plan(Vec2(500, 500), Vec2(100, 100))
-        assert field_with_block.is_free(path.start())
+        assert field_with_block.is_free(path.waypoints[0])
         assert path.reached_target
 
 

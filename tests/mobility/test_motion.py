@@ -61,13 +61,6 @@ class TestPathFollowing:
         model = make_model()
         assert model.advance_along_path() == 0.0
 
-    def test_remaining_path_length_decreases(self):
-        model = make_model(0, 0)
-        model.follow(self.planner.plan(Vec2(0, 0), Vec2(20, 0)))
-        before = model.remaining_path_length()
-        model.advance_along_path()
-        assert model.remaining_path_length() == pytest.approx(before - 2.0)
-
     def test_stop_abandons_path(self):
         model = make_model(0, 0)
         model.follow(self.planner.plan(Vec2(0, 0), Vec2(20, 0)))
@@ -170,7 +163,6 @@ class TestAdvanceParity:
                 if max(0.0, length - progress) <= 1e-9:
                     assert not model.has_path
                     break
-                assert model.remaining_path_length() == length - progress
 
 
 class TestFloatPathStep:

@@ -45,12 +45,6 @@ class TestStructure:
         assert tree.subtree_of(0) == {0, 1, 2, 3}
         assert tree.subtree_of(1) == {1, 3}
 
-    def test_is_descendant(self):
-        tree = build_sample_tree()
-        assert tree.is_descendant(3, 0)
-        assert not tree.is_descendant(2, 1)
-        assert tree.is_descendant(3, BASE_STATION_ID)
-
     def test_validate_passes_for_consistent_tree(self):
         build_sample_tree().validate()
 

@@ -23,11 +23,12 @@ def test_random_attach_reparent_sequences_keep_tree_consistent(seed, node_count)
     for _ in range(2 * node_count):
         node = rng.choice(members)
         new_parent = rng.choice(members + [BASE_STATION_ID])
+        # A move under the node itself or one of its descendants would
+        # close a loop and must be refused; an accepted one is validated
+        # below anyway.
+        loops = new_parent in tree.subtree_of(node)
         moved = tree.reparent(node, new_parent)
-        if new_parent == node or tree.is_descendant(new_parent, node):
-            # A refused move must leave everything intact; an accepted one is
-            # validated below anyway.
-            pass
+        assert not (loops and moved)
         if moved:
             assert tree.parent_of(node) == new_parent
 

@@ -19,8 +19,11 @@ functions that tests (and ``benchmarks/perfbench.py``) import:
   boundary distance and closest point on ``Segment`` objects without the
   bounding-box reject, the obstacle force with no cutoff, the ``Vec2``
   free-travel bisection and nearest-free spiral, the
-  ``Circle``/``Segment`` circle clips and intersections with the
-  visible-boundary query built on them, the
+  :class:`Circle` (production keeps circles as floats) with the
+  ``Circle``/``Segment`` circle clips and intersections and the
+  visible-boundary query built on them, the ``Segment`` closest point,
+  distance and intersection predicate (with its :func:`orientation`
+  test), the
   per-point grid mask (:func:`predicate_mask`) and the one-disk grid
   block (:func:`reference_disk_block`);
 * :mod:`.mobility` — BUG2 path length and arc-length interpolation
@@ -51,6 +54,9 @@ from .floor import (
     reference_floor_line_segment,
 )
 from .geometry import (
+    Circle,
+    midpoint,
+    orientation,
     predicate_mask,
     reference_boundary_distance,
     reference_boundary_segments_within,
@@ -65,6 +71,9 @@ from .geometry import (
     reference_on_boundary,
     reference_segment_crosses_interior,
     reference_segment_intersections,
+    segment_closest_point,
+    segment_distance_to_point,
+    segments_intersect,
 )
 from .mobility import (
     AllObstacleBug2Planner,
@@ -103,6 +112,12 @@ __all__ = [
     "ReferenceFloorScheme",
     "RoundPlanner",
     "reference_floor_line_segment",
+    "Circle",
+    "midpoint",
+    "orientation",
+    "segments_intersect",
+    "segment_closest_point",
+    "segment_distance_to_point",
     "predicate_mask",
     "reference_boundary_distance",
     "reference_boundary_segments_within",

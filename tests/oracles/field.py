@@ -110,7 +110,7 @@ def all_obstacle_boundary_pieces(
     field, cx: float, cy: float, radius: float
 ) -> List[Tuple[float, float, float, float]]:
     """Every field and obstacle edge clipped to the disk, in order."""
-    edges = list(field.boundary_edges())
+    edges = list(field.boundary_polygon().edges())
     for ob in field.obstacles:
         edges.extend(ob.boundary_edges())
     pieces = []

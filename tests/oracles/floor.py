@@ -23,9 +23,10 @@ from repro.core.expansion import ExpansionKind, ExpansionPoint
 from repro.core.floors import FloorGeometry
 from repro.core.headers import FloorRecord, FloorRegistry
 from repro.field import Field
-from repro.geometry import Circle, Segment, Vec2
+from repro.geometry import Segment, Vec2
 
 from .geometry import (
+    Circle,
     reference_boundary_segments_within,
     reference_circle_circle_intersections,
     reference_clip_segment,
@@ -34,6 +35,10 @@ from .geometry import (
 
 class ExhaustiveFloorRegistry(FloorRegistry):
     """A floor registry that answers its queries by scanning every record."""
+
+    def records_on_floor(self, floor_index: int) -> List[FloorRecord]:
+        """All records registered on a floor."""
+        return list(self._records.get(floor_index, {}).values())
 
     def is_point_covered(
         self,

@@ -11,7 +11,7 @@ bisection of ``Field.max_free_travel``
 plain floats and return early outside a polygon's padded bounding box;
 they must give the same answers bit for bit.
 
-The circle queries of FLOOR's expansion search on ``Circle``/``Segment``
+The circle queries of FLOOR's expansion search on :class:`Circle`/``Segment``
 (:func:`reference_clip_segment`, :func:`reference_segment_intersections`,
 :func:`reference_circle_circle_intersections`) and the field's visible
 boundary pieces built from them
@@ -30,11 +30,92 @@ same sample points.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from repro.geometry import EPS, Circle, CoverageGrid, Polygon, Segment, Vec2
+from repro.geometry import EPS, CoverageGrid, Polygon, Segment, Vec2, on_segment
+from repro.geometry.segment import DEGENERATE_NORM_SQ
+
+
+@dataclass(frozen=True)
+class Circle:
+    """A circle (and, when used as a range, the closed disk it bounds).
+
+    Production works on ``(cx, cy, r)`` floats (``repro.geometry.circle``);
+    the circle references below take this object instead.
+    """
+
+    center: Vec2
+    radius: float
+
+    def contains(self, p: Vec2, eps: float = EPS) -> bool:
+        """Return ``True`` when ``p`` lies inside or on the circle."""
+        dx = self.center.x - p.x
+        dy = self.center.y - p.y
+        return dx * dx + dy * dy <= (self.radius + eps) ** 2
+
+    def area(self) -> float:
+        """Area of the disk."""
+        return math.pi * self.radius * self.radius
+
+
+def orientation(a: Vec2, b: Vec2, c: Vec2) -> int:
+    """Orientation of the ordered triple ``(a, b, c)``.
+
+    Returns ``1`` for counter-clockwise, ``-1`` for clockwise and ``0`` for
+    collinear points (within ``EPS``).
+    """
+    cross = (b - a).cross(c - a)
+    if cross > EPS:
+        return 1
+    if cross < -EPS:
+        return -1
+    return 0
+
+
+def segments_intersect(s: Segment, t: Segment) -> bool:
+    """Whether two closed segments share at least one point."""
+    o1 = orientation(s.a, s.b, t.a)
+    o2 = orientation(s.a, s.b, t.b)
+    o3 = orientation(t.a, t.b, s.a)
+    o4 = orientation(t.a, t.b, s.b)
+
+    if o1 != o2 and o3 != o4:
+        return True
+    if o1 == 0 and on_segment(t.a, s.a, s.b):
+        return True
+    if o2 == 0 and on_segment(t.b, s.a, s.b):
+        return True
+    if o3 == 0 and on_segment(s.a, t.a, t.b):
+        return True
+    if o4 == 0 and on_segment(s.b, t.a, t.b):
+        return True
+    return False
+
+
+def midpoint(seg: Segment) -> Vec2:
+    """The midpoint of a segment."""
+    return seg.a.lerp(seg.b, 0.5)
+
+
+def segment_closest_point(seg: Segment, p: Vec2) -> Vec2:
+    """The point of the closed segment closest to ``p``."""
+    d = seg.b - seg.a
+    denom = d.norm_sq()
+    if denom <= DEGENERATE_NORM_SQ:
+        # Degenerate segment: return the endpoint closer to ``p``.
+        if p.distance_to(seg.a) <= p.distance_to(seg.b):
+            return seg.a
+        return seg.b
+    t = min(1.0, max(0.0, (p - seg.a).dot(d) / denom))
+    return seg.point_at(t)
+
+
+def segment_distance_to_point(seg: Segment, p: Vec2) -> float:
+    """Distance from ``p`` to the closed segment."""
+    return p.distance_to(segment_closest_point(seg, p))
 
 
 def predicate_mask(
@@ -80,7 +161,9 @@ def reference_edges(polygon: Polygon) -> List[Segment]:
 
 
 def reference_on_boundary(polygon: Polygon, p: Vec2, eps: float = 1e-7) -> bool:
-    return any(edge.distance_to_point(p) <= eps for edge in reference_edges(polygon))
+    return any(
+        segment_distance_to_point(edge, p) <= eps for edge in reference_edges(polygon)
+    )
 
 
 def reference_contains(
@@ -110,16 +193,18 @@ def reference_segment_crosses_interior(
         p = seg.point_at(i / samples)
         if reference_contains(polygon, p, include_boundary=False):
             return True
-    crossings = [edge for edge in reference_edges(polygon) if edge.intersects(seg)]
+    crossings = [
+        edge for edge in reference_edges(polygon) if segments_intersect(edge, seg)
+    ]
     if len(crossings) >= 2:
-        if reference_contains(polygon, seg.midpoint(), include_boundary=False):
+        if reference_contains(polygon, midpoint(seg), include_boundary=False):
             return True
     return False
 
 
 def reference_boundary_distance(polygon: Polygon, p: Vec2) -> float:
     """Distance from ``p`` to the boundary, one ``Segment`` per edge."""
-    return min(edge.distance_to_point(p) for edge in reference_edges(polygon))
+    return min(segment_distance_to_point(edge, p) for edge in reference_edges(polygon))
 
 
 def reference_closest_boundary_point(polygon: Polygon, p: Vec2) -> Vec2:
@@ -127,7 +212,7 @@ def reference_closest_boundary_point(polygon: Polygon, p: Vec2) -> Vec2:
     best = None
     best_dist = math.inf
     for edge in reference_edges(polygon):
-        candidate = edge.closest_point(p)
+        candidate = segment_closest_point(edge, p)
         dist = candidate.distance_to(p)
         if dist < best_dist:
             best = candidate
@@ -309,7 +394,7 @@ def reference_circle_circle_intersections(c1: Circle, c2: Circle) -> List[Vec2]:
 def reference_boundary_segments_within(field, circle: Circle) -> List[Segment]:
     """Field and obstacle boundary pieces clipped to a sensing disk."""
     segments: List[Segment] = []
-    candidate_edges: List[Segment] = list(field.boundary_edges())
+    candidate_edges: List[Segment] = list(field.boundary_polygon().edges())
     for ob in field.obstacles:
         candidate_edges.extend(ob.boundary_edges())
     for edge in candidate_edges:

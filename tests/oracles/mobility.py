@@ -7,7 +7,8 @@ re-measure every segment on each call; the cached path must give the
 same floats (same segment lengths, same summation and subtraction
 order).  :class:`AllObstacleBug2Planner` asks every obstacle whether it
 blocks a leg, and :func:`reference_nearest_edge` measures edges through
-``Segment.distance_to_point``; the planner must plan the same paths.
+:func:`~.geometry.segment_distance_to_point`; the planner must plan the
+same paths.
 """
 
 from __future__ import annotations
@@ -17,6 +18,8 @@ from typing import Sequence
 
 from repro.geometry import EPS, Segment, Vec2
 from repro.mobility import Bug2Planner
+
+from .geometry import segment_distance_to_point
 
 
 def reference_path_length(waypoints: Sequence[Vec2]) -> float:
@@ -45,7 +48,9 @@ def reference_point_at_distance(waypoints: Sequence[Vec2], distance: float) -> V
 
 def reference_nearest_edge(edges: Sequence[Segment], p: Vec2) -> int:
     """Index of the edge nearest ``p``; ``min`` keeps the first on a tie."""
-    return min(range(len(edges)), key=lambda i: edges[i].distance_to_point(p))
+    return min(
+        range(len(edges)), key=lambda i: segment_distance_to_point(edges[i], p)
+    )
 
 
 class AllObstacleBug2Planner(Bug2Planner):

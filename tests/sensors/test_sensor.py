@@ -31,15 +31,6 @@ class TestSensor:
         sensor.motion.move_to(Vec2(13, 24))
         assert sensor.moving_distance == pytest.approx(5.0)
 
-    def test_disks(self):
-        sensor = make_sensor(rs=30)
-        assert sensor.sensing_disk().radius == 30
-
-    def test_covers(self):
-        sensor = make_sensor(rs=40)
-        assert sensor.covers(Vec2(10, 59))
-        assert not sensor.covers(Vec2(10, 61))
-
 
 class TestSensorState:
     def test_connected_states(self):

@@ -6,7 +6,7 @@ import pytest
 
 from repro.field import obstacle_free_field
 from repro.geometry import Vec2
-from repro.voronoi import diagram_is_correct, local_cell, local_cells
+from repro.voronoi import diagram_is_correct, local_cell
 
 
 class TestLocalCells:
@@ -37,8 +37,8 @@ class TestLocalCells:
     def test_local_cells_returns_one_per_sensor(self):
         field = obstacle_free_field(100.0)
         positions = [Vec2(20, 20), Vec2(40, 60), Vec2(80, 30)]
-        cells = local_cells(positions, 30.0, field)
-        assert len(cells) == 3
+        cells = diagram_is_correct(positions, 30.0, field).cells
+        assert cells == [local_cell(i, positions, 30.0, field) for i in range(3)]
 
     def test_incorrect_count_decreases_with_range(self):
         field = obstacle_free_field(200.0)
