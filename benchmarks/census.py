@@ -13,8 +13,15 @@ no code outside ``tests/`` refers to.  The referencing code is
 reference is a bare name or an attribute of the same spelling anywhere
 in that code, or a string constant that is a name or a dotted/colon path
 of names (``getattr`` targets, ``e2ebench/tracer.py``'s
-``"module:Class.attr"``).  Matching is by name alone, so a method counts
-as used when any object's attribute of that name is read.
+``"module:Class.attr"``).  References are resolved where the code says
+what they reach: a bare name reaches the module-level definitions (and,
+inside a class body, that class's methods); ``self.name`` and
+``cls.name`` reach only the enclosing class, its bases and its
+subclasses (an override is called through the base's ``self``); and
+``Class.name`` only ``Class`` and its bases, the hierarchy read from the
+class statements of that same code.  Any other ``obj.name``, and every
+string, matches by name alone, so such a method counts as used when any
+object's attribute of that name is read.
 
 These do not count as a reference: a name in ``__all__``, an import
 line, a docstring, and a reference from inside the definition itself or
@@ -37,7 +44,7 @@ import pathlib
 import re
 import sys
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 THIS_FILE = pathlib.Path(__file__).resolve()
 REPO_ROOT = THIS_FILE.parents[1]
@@ -45,9 +52,9 @@ REFERENCING = ("src", "examples", "benchmarks", "e2ebench")
 
 #: Definitions with no caller outside ``tests/`` that stay on purpose:
 #: state readers and checks that many tests use to inspect a world.
-#: Rewriting those call sites would remove no concept.  Matching by name
-#: already counts some of them as used (``angle`` is a common name); they
-#: are listed so that the choice is written down either way.
+#: Rewriting those call sites would remove no concept.  An unresolved
+#: ``obj.name`` of the same spelling may count some of them as used; they
+#: are listed all the same, so that the choice is written down either way.
 ALLOWLIST = frozenset(
     {
         # Parent of a sensor in the routing tree (about 25 test call sites).
@@ -91,6 +98,52 @@ class Definition:
 
     def encloses(self, path: pathlib.Path, line: int) -> bool:
         return path == self.path and self.start <= line <= self.end
+
+    @property
+    def owner(self) -> Optional[str]:
+        """The class of a method, ``None`` for a module-level definition."""
+        return self.qualname.split(".")[0] if "." in self.qualname else None
+
+
+#: The classes a resolved reference can reach (``None`` in the set is
+#: module level); a reach of ``None`` is by name alone.
+Reach = Optional[FrozenSet[Optional[str]]]
+
+
+class Hierarchy:
+    """Base-class links between the classes of the referencing code, by
+    name (a base written ``module.Class`` is ``Class``)."""
+
+    def __init__(self) -> None:
+        self.bases: Dict[str, Set[str]] = {}
+
+    def add(self, tree: ast.Module) -> None:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                self.bases.setdefault(node.name, set()).update(
+                    _decorator_name(base) for base in node.bases
+                )
+
+    def _closure(self, name: str, step) -> Set[str]:
+        seen = {name}
+        todo = [name]
+        while todo:
+            for other in step(todo.pop()):
+                if other not in seen:
+                    seen.add(other)
+                    todo.append(other)
+        return seen
+
+    def up(self, name: str) -> FrozenSet[str]:
+        """``name`` and its bases."""
+        return frozenset(self._closure(name, lambda c: self.bases.get(c, ())))
+
+    def lineage(self, name: str) -> FrozenSet[str]:
+        """``name``, its bases and its subclasses."""
+        down = self._closure(
+            name, lambda c: [sub for sub, bases in self.bases.items() if c in bases]
+        )
+        return self.up(name) | down
 
 
 def _decorator_name(node: ast.expr) -> str:
@@ -162,14 +215,42 @@ def _all_nodes(tree: ast.Module) -> Set[int]:
     return ids
 
 
-def references(tree: ast.Module) -> Iterable[Tuple[str, int]]:
-    """``(name, line)`` of every name, attribute and name-like string."""
+def _enclosing_class(spans: List[Tuple[int, int, str]], line: int) -> Optional[str]:
+    inside = [(start, name) for start, end, name in spans if start <= line <= end]
+    return max(inside)[1] if inside else None
+
+
+def _reach(node: ast.Attribute, spans, hierarchy: Hierarchy) -> Reach:
+    receiver = node.value
+    if not isinstance(receiver, ast.Name):
+        return None
+    if receiver.id in ("self", "cls"):
+        owner = _enclosing_class(spans, node.lineno)
+        return hierarchy.lineage(owner) if owner is not None else None
+    if receiver.id in hierarchy.bases:
+        return hierarchy.up(receiver.id)
+    return None
+
+
+def references(
+    tree: ast.Module, hierarchy: Hierarchy
+) -> Iterable[Tuple[str, int, Reach]]:
+    """``(name, line, reach)`` of every name, attribute and name-like
+    string; ``reach`` is ``None`` unless the receiver resolves."""
     skip = _docstring_nodes(tree) | _all_nodes(tree)
+    spans = [
+        (node.lineno, node.end_lineno, node.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    ]
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            yield node.id, node.lineno
+            # A bare name reaches the module-level definitions, and the
+            # methods of a class from inside its body.
+            owner = _enclosing_class(spans, node.lineno)
+            yield node.id, node.lineno, frozenset({None, owner})
         elif isinstance(node, ast.Attribute):
-            yield node.attr, node.lineno
+            yield node.attr, node.lineno, _reach(node, spans, hierarchy)
         elif (
             isinstance(node, ast.Constant)
             and isinstance(node.value, str)
@@ -177,24 +258,32 @@ def references(tree: ast.Module) -> Iterable[Tuple[str, int]]:
             and _PATH_RE.fullmatch(node.value)
         ):
             for part in re.split(r"[.:]", node.value):
-                yield part, node.lineno
+                yield part, node.lineno, None
 
 
-def census() -> Tuple[List[Definition], List[Definition]]:
-    """``(definitions, findings)``: every ``src/repro`` definition, and
-    those with no reference outside ``tests/`` (repeated to a fixpoint)."""
-    src = REPO_ROOT / "src" / "repro"
-    defs: List[Definition] = []
-    refs: Dict[str, List[Tuple[pathlib.Path, int]]] = {}
+def census(
+    root: pathlib.Path = REPO_ROOT,
+) -> Tuple[List[Definition], List[Definition]]:
+    """``(definitions, findings)``: every ``root/src/repro`` definition,
+    and those with no reference outside ``tests/`` (repeated to a
+    fixpoint)."""
+    src = root / "src" / "repro"
+    trees: Dict[pathlib.Path, ast.Module] = {}
+    hierarchy = Hierarchy()
     for top in REFERENCING:
-        for path in sorted((REPO_ROOT / top).rglob("*.py")):
+        for path in sorted((root / top).rglob("*.py")):
             if path == THIS_FILE:
                 continue  # the allowlist's strings are not uses
             tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-            if src in path.parents:
-                defs.extend(definitions(path, tree))
-            for name, line in references(tree):
-                refs.setdefault(name, []).append((path, line))
+            trees[path] = tree
+            hierarchy.add(tree)
+    defs: List[Definition] = []
+    refs: Dict[str, List[Tuple[pathlib.Path, int, Reach]]] = {}
+    for path, tree in trees.items():
+        if src in path.parents:
+            defs.extend(definitions(path, tree))
+        for name, line, reach in references(tree, hierarchy):
+            refs.setdefault(name, []).append((path, line, reach))
 
     dead: List[Definition] = []
     while True:
@@ -204,8 +293,9 @@ def census() -> Tuple[List[Definition], List[Definition]]:
             if d not in dead
             and not d.registered
             and all(
-                any(owner.encloses(path, line) for owner in (d, *dead))
-                for path, line in refs.get(d.name, ())
+                (reach is not None and d.owner not in reach)
+                or any(owner.encloses(path, line) for owner in (d, *dead))
+                for path, line, reach in refs.get(d.name, ())
             )
         ]
         if not found:

@@ -256,7 +256,7 @@ class CPVFScheme(DeploymentScheme):
         Per sensor: the step ladder against its live tree links, a parent
         change when the ladder is blocked, the step clipped to free
         space, then oscillation avoidance; a move that survives is
-        committed (one ``Vec2``, the odometer charged as ``move_to``
+        committed by ``MotionModel.move_to_xy`` (charged as ``move_to``
         charges it) and written back to the snapshot.
         """
         assert self._avoidance is not None
@@ -319,18 +319,15 @@ class CPVFScheme(DeploymentScheme):
                 dir_norm = math.hypot(dir_x, dir_y)
                 end_x = px + (dir_x / dir_norm) * step
                 end_y = py + (dir_y / dir_norm) * step
-                end = Vec2(end_x, end_y)
                 motion = sensor.motion
                 position = motion.position
                 previous = sensor.previous_position
                 sensor.previous_position = position
                 if should_cancel is not None and should_cancel(
-                    step, position, end, previous
+                    step, position, Vec2(end_x, end_y), previous
                 ):
                     continue
-                # `motion.move_to(end)`, its distance measured the same way.
-                motion.odometer += math.hypot(position.x - end_x, position.y - end_y)
-                motion.position = end
+                motion.move_to_xy(end_x, end_y)
                 xs[sid] = end_x
                 ys[sid] = end_y
         if link_messages:

@@ -275,7 +275,9 @@ class FloorScheme(DeploymentScheme):
         """
         position = sensor.position
         if not world.field.is_free_xy(position.x, position.y):
-            sensor.position = world.field.nearest_free(position)
+            sensor.motion.relocate(
+                world.field.nearest_free(position), "obstacle_exit"
+            )
 
     # -- Phase 2: identifying movable sensors ---------------------------
     def _phase2_should_start(self, world: World) -> bool:
@@ -402,20 +404,20 @@ class FloorScheme(DeploymentScheme):
         field = world.field
         is_free_xy = field.is_free_xy
         arrived: List[int] = []
-        # One step per relocating sensor on floats: the obstacle-exit
-        # correction (:meth:`_exit_obstacle`) and the arrival test read
-        # the point reached, and each position committed is one ``Vec2``.
+        # One step per relocating sensor: the obstacle-exit correction
+        # (:meth:`_exit_obstacle`) and the arrival test read the point
+        # reached on floats.
         for sensor_id, ep in self._relocations.items():
             motion = world.sensors[sensor_id].motion
-            step = motion.path_step()
+            step = motion.advance_along_path()
             if step is None:
                 position = motion.position
                 x, y = position.x, position.y
             else:
                 x, y, _ = step
-                position = motion.position = Vec2(x, y)
             if not is_free_xy(x, y):
-                position = motion.position = field.nearest_free(position)
+                position = field.nearest_free(motion.position)
+                motion.relocate(position, "relocation_step")
                 x, y = position.x, position.y
             target = ep.position
             if motion.path is None or math.hypot(x - target.x, y - target.y) <= 1e-6:
@@ -426,7 +428,7 @@ class FloorScheme(DeploymentScheme):
             # Obstacle-exit correction on arrival: the expansion point was
             # checked to be free when discovered, but nearest_free guards
             # against a stale EP (e.g. clamped onto an obstacle boundary).
-            sensor.position = world.field.nearest_free(ep.position)
+            sensor.motion.relocate(world.field.nearest_free(ep.position), "arrival")
             sensor.state = SensorState.FIXED
             self._registry.promote_virtual(sensor_id, sensor.position)
             # Re-attach to the tree under the inviter (or the base station

@@ -1,11 +1,12 @@
 """The mobile sensor node.
 
 A :class:`Sensor` bundles identity, the sensing range ``rs``, the
-kinematic state (a :class:`~repro.mobility.MotionModel`) and the protocol
-state used by the deployment schemes (connectivity state, lazy-movement
-history, oscillation history).  The connectivity tree itself lives in
-``world.tree`` (:class:`~repro.network.ConnectivityTree`).  The communication
-range is not per sensor: the paper's unit disk is the world's single
+kinematic state (a :class:`~repro.mobility.MotionModel`, the only writer
+of its position) and the protocol state used by the deployment schemes
+(connectivity state, lazy-movement history, oscillation history).  The
+connectivity tree itself lives in ``world.tree``
+(:class:`~repro.network.ConnectivityTree`).  The communication range is
+not per sensor: the paper's unit disk is the world's single
 ``config.communication_range`` (see :mod:`repro.network`).
 """
 
@@ -45,12 +46,9 @@ class Sensor:
     # ------------------------------------------------------------------
     @property
     def position(self) -> Vec2:
-        """Current position (delegates to the motion model)."""
+        """Current position (delegates to the motion model, its only
+        writer)."""
         return self.motion.position
-
-    @position.setter
-    def position(self, value: Vec2) -> None:
-        self.motion.position = value
 
     @property
     def moving_distance(self) -> float:

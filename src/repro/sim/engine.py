@@ -179,5 +179,10 @@ class SimulationEngine:
         if tel.enabled:
             tel.count("engine.periods", result.periods_executed)
             tel.merge_counters(world.stats.to_counters())
+            # The uncharged-correction ledger (`MotionModel.relocate`).
+            for cause, calls in world.position_clock.corrections.items():
+                tel.count(f"motion.corrections.{cause}", calls)
+            uncharged = sum(s.motion.uncharged for s in world.sensors)
+            tel.count("motion.uncharged_mm", round(1000.0 * uncharged))
             result.telemetry = tel.summary()
         return result

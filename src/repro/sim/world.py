@@ -73,7 +73,7 @@ class World:
     _coverage_trackers: Dict[
         Tuple[float, float], Tuple[int, IncrementalCoverage]
     ] = field(default_factory=dict, init=False, repr=False, compare=False)
-    #: The clock the sensors' position setters bump (see
+    #: The clock the sensors' position writes bump (see
     #: :meth:`__post_init__`).
     position_clock: PositionClock = field(
         init=False, repr=False, compare=False

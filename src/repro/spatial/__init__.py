@@ -34,10 +34,10 @@ station's connected component only for callers that ask for them: up to
 shared spatial-index build.  Every path applies the same predicate, so a
 row is identical whichever served it.
 The epoch includes the world's position clock
-(``World.position_clock``), which every sensor's position setter bumps
-on *every* assignment, so a new snapshot is captured exactly when a
-sensor was moved, and checking the epoch costs the same at any
-population.  Answers are returned as copies so callers may mutate them
+(``World.position_clock``), which *every* position write of a sensor
+bumps (a write of the same position included), so a new snapshot is
+captured exactly when a sensor was moved, and checking the epoch costs
+the same at any population.  Answers are returned as copies so callers may mutate them
 freely.
 
 ``IncrementalCoverage`` — maintains the per-cell coverage *multiplicity*

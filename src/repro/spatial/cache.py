@@ -24,10 +24,10 @@ runs.
 
 :class:`NeighborCache` keeps the current epoch's snapshot.  The epoch is
 the communication range, the world's population version and its
-position clock (``World.position_clock``, which every sensor's position
-setter bumps), so it changes exactly when a sensor is moved, fails or
-joins, and an unchanged layout never recomputes anything.  Checking it
-is O(1), not a pass over the sensors.  A snapshot never changes after
+position clock (``World.position_clock``, which every position write
+of a sensor's ``MotionModel`` bumps), so it changes exactly when a
+sensor is moved, fails or joins, and an unchanged layout never
+recomputes anything.  Checking it is O(1), not a pass over the sensors.  A snapshot never changes after
 capture: a network model serving aged state keeps the one captured at
 its refresh boundary and reads rows from it.
 

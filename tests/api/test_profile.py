@@ -10,6 +10,7 @@ from repro.api import (
     TelemetrySummary,
     execute_run,
 )
+from repro.experiments.common import SMOKE_SCALE
 
 
 def _scenario(seed=5, duration=20.0):
@@ -79,6 +80,32 @@ class TestProfiledExecution:
         )
         assert record.telemetry is not None
         assert "run.execute" in record.telemetry.phases
+
+
+class TestMotionLedger:
+    def test_floor_reports_its_uncharged_corrections(self):
+        """FLOOR's obstacle-exit corrections on the golden two-obstacle
+        smoke setting reach the profile, the same in every run."""
+        scenario = ScenarioSpec(
+            field_size=SMOKE_SCALE.field_size,
+            layout="two-obstacle",
+            sensor_count=SMOKE_SCALE.sensor_count,
+            duration=SMOKE_SCALE.duration,
+            coverage_resolution=SMOKE_SCALE.coverage_resolution,
+            seed=1,
+        )
+        spec = RunSpec(scenario=scenario, scheme="FLOOR", profile=True)
+        ledgers = [
+            {
+                name: value
+                for name, value in execute_run(spec).telemetry.counters.items()
+                if name.startswith("motion.")
+            }
+            for _ in range(2)
+        ]
+        assert ledgers[0]["motion.corrections.arrival"] > 0
+        assert ledgers[0]["motion.uncharged_mm"] > 0
+        assert ledgers[0] == ledgers[1]
 
 
 class TestCounterDeterminism:

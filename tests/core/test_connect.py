@@ -37,7 +37,9 @@ def test_tree_neighbour_just_past_attach_distance_is_accepted(scheme_cls):
     scheme.initialize(world)
     assert world.tree.members() == [0]
     # Inside the radio's LINK_EPS slack, outside the bare attach distance.
-    world.sensor(1).position = Vec2(30.0 + RC + LINK_EPS / 2, 0.0)
+    world.sensor(1).motion.relocate(
+        Vec2(30.0 + RC + LINK_EPS / 2, 0.0), "test"
+    )
     scheme.step(world)
     assert world.tree.parent_of(1) == 0
     assert world.sensor(1).is_connected()

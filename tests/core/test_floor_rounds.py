@@ -187,7 +187,9 @@ class TestRoundKey:
     def test_a_moved_searcher_searches(self):
         world, scheme = self._setup()
         sensor = world.sensor(self._fixed_searcher(world, scheme))
-        sensor.position = sensor.position + Vec2(0.5, 0.0)
+        sensor.motion.relocate(
+            sensor.position + Vec2(0.5, 0.0), "test"
+        )
         assert self._searched(world, scheme)
 
     def test_a_searcher_no_longer_fixed_searches(self):

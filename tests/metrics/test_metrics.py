@@ -63,7 +63,7 @@ class TestDistanceSummary:
         sensors = []
         for i, d in enumerate([5.0, 15.0]):
             motion = MotionModel(position=Vec2(0, 0), max_speed=2.0, period=1.0)
-            motion.odometer = d
+            motion.move_to(Vec2(d, 0))
             sensors.append(Sensor(i, motion, 60.0, 40.0))
         summary = summarize_sensor_distances(sensors)
         assert summary.total == pytest.approx(20.0)

@@ -60,7 +60,7 @@ def line_world(*xs, rc=10.0):
 
 
 def move(world, sensor_id, x):
-    world.sensor(sensor_id).position = Vec2(x, 1.0)
+    world.sensor(sensor_id).motion.relocate(Vec2(x, 1.0), "test")
 
 
 class TestNetworkSpec:

@@ -23,8 +23,10 @@ class TestSensor:
     def test_position_delegates_to_motion(self):
         sensor = make_sensor()
         assert sensor.position == Vec2(10, 20)
-        sensor.position = Vec2(0, 0)
-        assert sensor.motion.position == Vec2(0, 0)
+        sensor.motion.relocate(Vec2(0, 0), "test")
+        assert sensor.position == Vec2(0, 0)
+        with pytest.raises(AttributeError):
+            sensor.position = Vec2(1, 1)
 
     def test_moving_distance_tracks_odometer(self):
         sensor = make_sensor()

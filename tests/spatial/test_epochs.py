@@ -1,7 +1,7 @@
 """The neighbour cache's epoch: the world's position clock.
 
-Every sensor of a world shares one ``PositionClock``, which the
-position setter bumps on every assignment; ``NeighborCache`` keys its
+Every sensor of a world shares one ``PositionClock``, which each
+position write of a ``MotionModel`` bumps; ``NeighborCache`` keys its
 epoch on the clock, the communication range and the population version.
 A write of the same position still starts a new epoch, joins and
 failures do too, a stale network model keeps serving the snapshot it
@@ -26,7 +26,7 @@ def test_sensors_share_the_world_clock():
     joined = world.add_sensor(Vec2(50.0, 50.0))
     assert joined.motion.clock is clock
     before = clock.writes
-    joined.position = Vec2(60.0, 50.0)
+    joined.motion.relocate(Vec2(60.0, 50.0), "test")
     assert clock.writes == before + 1
 
 
@@ -35,7 +35,7 @@ def test_a_write_of_the_same_position_starts_a_new_epoch():
     first = world.neighbor_snapshot()
     assert world.neighbor_snapshot() is first
     sensor = world.sensors[3]
-    sensor.position = sensor.position
+    sensor.motion.relocate(sensor.position, "test")
     second = world.neighbor_snapshot()
     assert second is not first
     assert second.table() == first.table()
@@ -44,7 +44,7 @@ def test_a_write_of_the_same_position_starts_a_new_epoch():
 def test_reads_without_writes_keep_the_snapshot():
     world = _world()
     first = world.neighbor_snapshot()
-    world.sensors[0].motion.odometer += 5.0
+    world.sensors[0].motion.stop()
     world.neighbor_table()
     world.connected_component_of()
     assert world.neighbor_snapshot() is first
@@ -70,7 +70,9 @@ def test_a_stale_network_keeps_serving_its_captured_snapshot():
     captured = world.protocol_neighbors()
     table = captured.table()
     mover = world.sensors[0]
-    mover.position = Vec2(mover.position.x + 40.0, mover.position.y + 40.0)
+    mover.motion.relocate(
+        Vec2(mover.position.x + 40.0, mover.position.y + 40.0), "test"
+    )
     assert world.protocol_neighbors() is captured
     assert world.protocol_neighbors().table() == table
     assert world.neighbor_snapshot() is not captured
@@ -82,7 +84,9 @@ def test_two_worlds_keep_their_own_clocks():
     assert a.position_clock is not b.position_clock
     snapshot_b = b.neighbor_snapshot()
     for sensor in a.sensors:
-        sensor.position = Vec2(sensor.position.x + 1.0, sensor.position.y)
+        sensor.motion.relocate(
+            Vec2(sensor.position.x + 1.0, sensor.position.y), "test"
+        )
     assert b.neighbor_snapshot() is snapshot_b
     assert a.neighbor_table() == uncached(a).neighbor_table()
     assert b.neighbor_table() == uncached(b).neighbor_table()
@@ -93,6 +97,6 @@ def test_a_world_over_the_same_sensors_shares_their_clock():
     oracle = uncached(world)
     assert oracle.position_clock is world.position_clock
     first = world.neighbor_snapshot()
-    world.sensors[1].position = Vec2(5.0, 5.0)
+    world.sensors[1].motion.relocate(Vec2(5.0, 5.0), "test")
     assert world.neighbor_snapshot() is not first
     assert world.neighbor_table() == oracle.neighbor_table()

@@ -122,7 +122,7 @@ def test_returned_rows_are_private_copies():
 def test_snapshot_keeps_its_capture_time_positions():
     world = build_world([Vec2(0.0, 0.0), Vec2(5.0, 0.0), Vec2(100.0, 0.0)])
     snapshot = world.neighbor_snapshot()
-    world.sensor(2).position = Vec2(9.0, 0.0)
+    world.sensor(2).motion.relocate(Vec2(9.0, 0.0), "test")
     assert snapshot.rows([2]) == {2: []}
     assert world.neighbor_snapshot().rows([2]) == {2: [0, 1]}
     assert world.neighbor_snapshot() is not snapshot

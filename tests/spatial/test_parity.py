@@ -98,7 +98,7 @@ def scatter(world, rng, count):
                 rng.uniform(0, FIELD_SIZE), rng.uniform(0, FIELD_SIZE)
             )
             if world.field.is_free(p):
-                sensor.position = p
+                sensor.motion.relocate(p, "test")
                 break
 
 
@@ -181,7 +181,7 @@ class TestBaseStationAndConnectivityParity:
                         rng.uniform(0, FIELD_SIZE), rng.uniform(0, FIELD_SIZE)
                     )
                     if world.field.is_free(p):
-                        sensor.position = p
+                        sensor.motion.relocate(p, "test")
                         break
             oracle = uncached(world)
             assert world.neighbor_table() == oracle.neighbor_table()
