@@ -186,7 +186,7 @@ class TestFloorTelemetry:
         planner's memo hits as ``floor.expansion_reused``; telemetry
         observes, never perturbs: the untraced run ends in the same
         state."""
-        from benchmarks.fingerprints import world_digest
+        from benchmarks.pins import world_digest
         from repro.obs import Telemetry
 
         def run(telemetry):
