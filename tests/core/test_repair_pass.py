@@ -8,10 +8,9 @@ the per-period lock traffic (golden traces), balanced lock/unlock waves,
 connectivity never lost, and the repair's telemetry.
 """
 
-import hashlib
-
 import pytest
 
+from benchmarks.pins import world_digest
 from repro.core import CPVFScheme
 from repro.experiments.common import SMOKE_SCALE, make_scenario
 from repro.network import MessageType
@@ -28,16 +27,7 @@ def _cpvf_world(seed, **params):
 
 
 def _fingerprint(world):
-    """Digest of every sensor position (exact float repr) and every
-    message-type count, plus the coverage and per-type counts."""
-    positions = ";".join(
-        f"{s.position.x!r},{s.position.y!r}" for s in world.sensors
-    )
-    counts = sorted(
-        (mt.name, c) for mt, c in world.routing.stats.counts.items()
-    )
-    digest = hashlib.sha256((positions + repr(counts)).encode()).hexdigest()
-    return digest[:16], world.coverage(), dict(counts)
+    return world_digest(world, world.coverage())
 
 
 class TestTrajectorySnapshot:
@@ -47,9 +37,9 @@ class TestTrajectorySnapshot:
     @pytest.mark.parametrize(
         "seed, golden",
         [
-            (1, ("0c83fa381218a78c", 0.3625, 344)),
-            (3, ("24f99356e5ff52ca", 0.37, 360)),
-            (7, ("840b043a8d574992", 0.3325, 344)),
+            (1, "488907a9bbe73ad1d98208d6b38e77e5e3a76ae7b0de0dba0cc6d31afc6107f2"),
+            (3, "25b84d9f46ae72cc4383a443eab7217d4fb67f8654e84179fb472591fe1090d2"),
+            (7, "468fbe797d8af48f271aed8cf7ff85357b393e5fabde494f5f74d3b5a640757e"),
         ],
     )
     def test_bit_identical_without_parent_changes(self, seed, golden):
@@ -58,15 +48,14 @@ class TestTrajectorySnapshot:
         world, scheme = _cpvf_world(seed, allow_parent_change=False)
         for _ in range(8):
             scheme.step(world)
-        digest, coverage, counts = _fingerprint(world)
-        assert (digest, coverage, counts["NEIGHBOR_STATE"]) == golden
-        assert "LOCK_TREE" not in counts
+        assert _fingerprint(world) == golden
+        assert MessageType.LOCK_TREE not in world.routing.stats.counts
 
     @pytest.mark.parametrize(
         "seed, golden",
         [
-            (3, ("6409dffcecb219f5", 0.3975, 65)),
-            (5, ("8b363c1df222a091", 0.4325, 25)),
+            (3, "54ac2f1982ab92f2de02bbeee8fcd8df5a7eaf422bb0964a80d3939fa506eb66"),
+            (5, "2c666e9b9c4a823870b0336a50aa930b46cf8d13bc3f13048e155e0d646b32c6"),
         ],
     )
     def test_bit_identical_with_parent_changes(self, seed, golden):
@@ -75,9 +64,9 @@ class TestTrajectorySnapshot:
         world, scheme = _cpvf_world(seed)
         for _ in range(12):
             scheme.step(world)
-        digest, coverage, counts = _fingerprint(world)
-        assert (digest, coverage, counts["LOCK_TREE"]) == golden
-        assert counts["UNLOCK_TREE"] == counts["LOCK_TREE"]
+        assert _fingerprint(world) == golden
+        counts = world.routing.stats.counts
+        assert counts[MessageType.UNLOCK_TREE] == counts[MessageType.LOCK_TREE]
 
 
 class TestLockHandshakeSnapshot:
