@@ -171,7 +171,11 @@ class PeriodSchemeAdapter(SchemeAdapter):
             connected=scheme_fields["connected"],
             periods_executed=result.periods_executed,
             converged_at=result.converged_at,
-            extras=scheme_fields["extras"],
+            extras={
+                **scheme_fields["extras"],
+                # The uncharged-correction ledger (`MotionModel.relocate`).
+                "uncharged_m": sum(s.motion.uncharged for s in world.sensors),
+            },
             trace=tuple(result.trace),
             events=tuple(result.events),
             final_positions=(

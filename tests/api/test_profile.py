@@ -10,7 +10,7 @@ from repro.api import (
     TelemetrySummary,
     execute_run,
 )
-from repro.experiments.common import SMOKE_SCALE
+from repro.experiments.common import SMOKE_SCALE, make_scenario
 
 
 def _scenario(seed=5, duration=20.0):
@@ -83,22 +83,20 @@ class TestProfiledExecution:
 
 
 class TestMotionLedger:
+    #: FLOOR on the pinned two-obstacle smoke setting, profiled.
+    SPEC = RunSpec(
+        scenario=make_scenario(SMOKE_SCALE, seed=1, layout="two-obstacle"),
+        scheme="FLOOR",
+        profile=True,
+    )
+
     def test_floor_reports_its_uncharged_corrections(self):
         """FLOOR's obstacle-exit corrections on the golden two-obstacle
         smoke setting reach the profile, the same in every run."""
-        scenario = ScenarioSpec(
-            field_size=SMOKE_SCALE.field_size,
-            layout="two-obstacle",
-            sensor_count=SMOKE_SCALE.sensor_count,
-            duration=SMOKE_SCALE.duration,
-            coverage_resolution=SMOKE_SCALE.coverage_resolution,
-            seed=1,
-        )
-        spec = RunSpec(scenario=scenario, scheme="FLOOR", profile=True)
         ledgers = [
             {
                 name: value
-                for name, value in execute_run(spec).telemetry.counters.items()
+                for name, value in execute_run(self.SPEC).telemetry.counters.items()
                 if name.startswith("motion.")
             }
             for _ in range(2)
@@ -106,6 +104,16 @@ class TestMotionLedger:
         assert ledgers[0]["motion.corrections.arrival"] > 0
         assert ledgers[0]["motion.uncharged_mm"] > 0
         assert ledgers[0] == ledgers[1]
+
+    def test_record_carries_the_uncharged_distance(self):
+        """The record's ``uncharged_m`` extra is the profile's
+        ``motion.uncharged_mm``, to the millimetre."""
+        record = execute_run(self.SPEC)
+        uncharged = record.extra("uncharged_m", 0.0)
+        assert uncharged > 0
+        assert round(1000.0 * uncharged) == (
+            record.telemetry.counters["motion.uncharged_mm"]
+        )
 
 
 class TestCounterDeterminism:
