@@ -41,6 +41,8 @@ class Fig13Run:
     obstacle_count: int
     coverage: float
     average_moving_distance: float
+    #: Uncharged correction distance summed over the run's sensors.
+    uncharged: float
 
 
 @dataclass
@@ -68,6 +70,11 @@ class Fig13Summary:
     def mean_distance(self, scheme: str) -> float:
         """Mean moving distance of one scheme over all runs."""
         values = self._values(scheme, "average_moving_distance")
+        return sum(values) / len(values) if values else 0.0
+
+    def mean_uncharged(self, scheme: str) -> float:
+        """Mean uncharged correction distance of one scheme per run."""
+        values = self._values(scheme, "uncharged")
         return sum(values) / len(values) if values else 0.0
 
 
@@ -125,6 +132,7 @@ def summary_fig13(records: Sequence[RunRecord]) -> Fig13Summary:
                 obstacle_count=record.extra("obstacle_count", 0),
                 coverage=record.coverage,
                 average_moving_distance=record.average_moving_distance,
+                uncharged=record.extra("uncharged_m", 0.0),
             )
             for record in records
         ]
@@ -137,7 +145,8 @@ def format_fig13(summary: Fig13Summary, cdf_points: int = 6) -> str:
     for scheme in ("CPVF", "FLOOR"):
         lines.append(
             f"{scheme}: mean coverage = {100 * summary.mean_coverage(scheme):.1f}%, "
-            f"mean avg distance = {summary.mean_distance(scheme):.1f} m"
+            f"mean avg distance = {summary.mean_distance(scheme):.1f} m, "
+            f"mean uncharged = {summary.mean_uncharged(scheme):.1f} m/run"
         )
     for label, cdf_getter in (
         ("coverage CDF", Fig13Summary.coverage_cdf),

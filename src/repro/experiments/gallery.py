@@ -44,6 +44,8 @@ class GalleryRow:
     average_moving_distance: float
     total_messages: int
     connected: bool
+    #: Uncharged correction distance summed over the run's sensors.
+    uncharged: float
 
 
 def sweep_gallery(
@@ -91,6 +93,7 @@ def rows_gallery(records: Sequence[RunRecord]) -> List[GalleryRow]:
             average_moving_distance=record.average_moving_distance,
             total_messages=record.total_messages,
             connected=record.connected,
+            uncharged=record.extra("uncharged_m", 0.0),
         )
         for record in records
     ]
@@ -112,12 +115,13 @@ def format_gallery(rows: List[GalleryRow]) -> str:
         lines.append(f"{name} ({first.layout} + {first.placement})")
         lines.append(
             f"  {'scheme':<8s} {'coverage':>9s} {'avg dist':>9s} "
-            f"{'messages':>9s} {'connected':>9s}"
+            f"{'messages':>9s} {'connected':>9s} {'uncharged':>10s}"
         )
         for row in subset:
             lines.append(
                 f"  {row.scheme:<8s} {100 * row.coverage:>8.1f}% "
                 f"{row.average_moving_distance:>8.1f}m "
-                f"{row.total_messages:>9d} {'yes' if row.connected else 'no':>9s}"
+                f"{row.total_messages:>9d} {'yes' if row.connected else 'no':>9s} "
+                f"{row.uncharged:>9.1f}m"
             )
     return "\n".join(lines)
