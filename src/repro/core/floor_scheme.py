@@ -631,6 +631,7 @@ class FloorScheme(DeploymentScheme):
         assert self._planner_disperse is not None and self._registry is not None
         sensor = world.sensor(movable_id)
         if not self._rehome_children(world, sensor):
+            world.telemetry.count("floor.rehome_failures", 1)
             return
         # Leave the tree while in transit; the subtree has been re-homed.
         world.tree.detach(movable_id, keep_subtree=True)

@@ -279,6 +279,32 @@ class TestFloorTelemetry:
         assert recomputed <= sum(parts) <= 3 * recomputed
         assert max(parts) <= recomputed
 
+    def test_rehome_failures_count_the_refused_starts(self, monkeypatch):
+        """``floor.rehome_failures`` counts each relocation start that
+        ``_rehome_children`` refuses, on the e2ebench paper-obstacle
+        setting: bench scale, two obstacles, clustered start, 100 s."""
+        from repro.experiments.common import BENCH_SCALE
+
+        refused = []
+        rehome = FloorScheme._rehome_children
+
+        def watched(scheme, world, sensor):
+            done = rehome(scheme, world, sensor)
+            if not done:
+                refused.append(sensor.sensor_id)
+            return done
+
+        monkeypatch.setattr(FloorScheme, "_rehome_children", watched)
+        scenario = make_scenario(
+            BENCH_SCALE, layout="two-obstacle", placement="clustered"
+        ).replace(duration=100.0)
+        result = SimulationEngine(
+            scenario.build_world(), FloorScheme(), telemetry=Telemetry()
+        ).run()
+        counters = result.telemetry.counters
+        assert counters["floor.rehome_failures"] == len(refused) > 0
+        assert len(refused) < counters["floor.relocations_started"]
+
 
 class TestRelocationLeavesTheTree:
     def test_relocating_sensor_is_detached_from_its_former_parent(self):
