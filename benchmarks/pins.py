@@ -145,18 +145,9 @@ def smoke_report() -> str:
 
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        assert runner_main(REPORT_ARGS) == 0
+        if runner_main(REPORT_ARGS) != 0:
+            raise RuntimeError(f"runner {' '.join(REPORT_ARGS)} failed")
     return out.getvalue()
-
-
-def _read_runs() -> Dict[str, str]:
-    digests = {}
-    if RUNS.exists():
-        for line in RUNS.read_text().splitlines():
-            if line.strip():
-                run, digest = line.rsplit(" ", 1)
-                digests[run] = digest
-    return digests
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -171,8 +162,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         for run, scheme, scenario, network in pinned_runs()
     }
     report = smoke_report()
-    pinned = _read_runs()
-    pinned_report = REPORT.read_text() if REPORT.exists() else ""
+    pinned = dict(line.rsplit(" ", 1) for line in RUNS.read_text().splitlines())
+    pinned_report = REPORT.read_text()
     moved = [
         f"{run}: {pinned.get(run, '(none)')} → {runs.get(run, '(none)')}"
         for run in {**pinned, **runs}
