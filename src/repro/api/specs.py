@@ -48,7 +48,8 @@ __all__ = [
 #: content-addressed store entry at once (old entries simply never match
 #: again and are reclaimed by ``repro.service``'s GC).  Version 2: OPT and
 #: OPT-Hungarian records compute ``connected`` instead of claiming it.
-SPEC_SCHEMA_VERSION = 2
+#: Version 3: engine records carry ``extras["uncharged_m"]``.
+SPEC_SCHEMA_VERSION = 3
 
 
 def canonical_json(data: Any) -> str:

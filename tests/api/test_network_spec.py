@@ -59,7 +59,7 @@ class TestFingerprint:
 
         assert (
             small_spec().fingerprint()
-            == "151028ed21247f3a27520b7bde4233bb64a7597e"
+            == "b5e3753e797125a348b2ecd3e49f8685b554838d"
         )
         monkeypatch.setattr(specs_module, "SPEC_SCHEMA_VERSION", 1)
         assert (
@@ -96,7 +96,7 @@ class TestFingerprint:
         assert (
             small_spec().fingerprint()
             == small_spec(network=NetworkSpec()).fingerprint()
-            == "151028ed21247f3a27520b7bde4233bb64a7597e"
+            == "b5e3753e797125a348b2ecd3e49f8685b554838d"
         )
 
     def test_degraded_fingerprint_round_trips(self):
