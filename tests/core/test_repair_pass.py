@@ -41,6 +41,7 @@ class TestTrajectorySnapshot:
             (3, "25b84d9f46ae72cc4383a443eab7217d4fb67f8654e84179fb472591fe1090d2"),
             (7, "468fbe797d8af48f271aed8cf7ff85357b393e5fabde494f5f74d3b5a640757e"),
         ],
+        ids=["1-golden0", "3-golden1", "7-golden2"],
     )
     def test_bit_identical_without_parent_changes(self, seed, golden):
         """Re-parenting disabled, 8 periods: the end state is
@@ -57,6 +58,7 @@ class TestTrajectorySnapshot:
             (3, "54ac2f1982ab92f2de02bbeee8fcd8df5a7eaf422bb0964a80d3939fa506eb66"),
             (5, "2c666e9b9c4a823870b0336a50aa930b46cf8d13bc3f13048e155e0d646b32c6"),
         ],
+        ids=["3-golden0", "5-golden1"],
     )
     def test_bit_identical_with_parent_changes(self, seed, golden):
         """Full dynamics, 12 periods: moves and parent-change handshakes
