@@ -257,17 +257,18 @@ class Field:
     ) -> float:
         """Longest prefix of a straight move that stays in free space.
 
-        Returns a travel distance ``d <= distance`` such that the point
-        ``d`` along ``(dir_x, dir_y)`` from ``(x, y)`` is free and the
-        path to it does not cross an obstacle: the whole ``distance`` when
-        that is admissible, else the result of a 24-step bisection.  Used
-        by the virtual-force integrator to avoid stepping into obstacles
-        or out of the field.
+        Returns the travel ``d <= distance`` along ``(dir_x, dir_y)`` from
+        ``(x, y)`` at which the move first leaves the field rectangle
+        (a slab clip) or enters an obstacle's interior
+        (:meth:`Polygon.first_entry_xy`), or the whole ``distance``.  The
+        end point, ``x + dir_x / hypot(dir_x, dir_y) * d`` and likewise
+        for ``y``, is free and the segment to it crosses no interior:
+        where rounding puts it past a wall or into an interior, ``d``
+        moves back until it does not.  Used by the virtual-force
+        integrator to avoid stepping into obstacles or out of the field.
 
-        Every probe ends on the move and crosses a prefix of it, so only
-        an obstacle whose reject box meets the whole move's box can stop
-        one; those are picked once per call.  With none, only the field
-        wall can stop a probe, and each probe is a bounds check.
+        Only an obstacle whose reject box meets the whole move's box can
+        stop the move; those are picked once per call.
         """
         if distance <= 0:
             return 0.0
@@ -279,8 +280,18 @@ class Field:
         if not (0.0 <= x <= width and 0.0 <= y <= height):
             # Every path from an out-of-bounds start is blocked.
             return 0.0
-        ex, ey = x + unit_x * distance, y + unit_y * distance
+        travel = distance
+        if unit_x:
+            wall = ((width if unit_x > 0.0 else 0.0) - x) / unit_x
+            if wall < travel:
+                travel = wall
+        if unit_y:
+            wall = ((height if unit_y > 0.0 else 0.0) - y) / unit_y
+            if wall < travel:
+                travel = wall
+        near: List[Polygon] = []
         if self.obstacles:
+            ex, ey = x + unit_x * distance, y + unit_y * distance
             lox, hix = (x, ex) if x <= ex else (ex, x)
             loy, hiy = (y, ey) if y <= ey else (ey, y)
             near = [
@@ -288,57 +299,34 @@ class Field:
                 for xmin, ymin, xmax, ymax, polygon in self.obstacle_table()
                 if hix >= xmin and lox <= xmax and hiy >= ymin and loy <= ymax
             ]
-            if near:
-                return self._travel_past(near, x, y, unit_x, unit_y, distance)
-        if 0.0 <= ex <= width and 0.0 <= ey <= height:
-            return distance
-        lo, hi = 0.0, distance
-        for _ in range(24):
-            mid = (lo + hi) / 2.0
-            mx, my = x + unit_x * mid, y + unit_y * mid
-            if 0.0 <= mx <= width and 0.0 <= my <= height:
-                lo = mid
-            else:
-                hi = mid
-        return lo
-
-    def _travel_past(
-        self,
-        near: List[Polygon],
-        x: float,
-        y: float,
-        unit_x: float,
-        unit_y: float,
-        distance: float,
-    ) -> float:
-        """:meth:`max_free_travel` against the polygons ``near`` the move
-        from the in-bounds ``(x, y)``.  A probe is admissible when it
-        ends in the field (the rectangle is convex, so the whole probe is
-        in it), not inside a polygon, and crosses no polygon's
-        interior."""
-        width, height = self.width, self.height
-
-        def admissible(travel: float) -> bool:
-            ex, ey = x + unit_x * travel, y + unit_y * travel
-            if not (0.0 <= ex <= width and 0.0 <= ey <= height):
-                return False
             for polygon in near:
-                if polygon.contains_xy(
-                    ex, ey, False
-                ) or polygon.crosses_interior_xy(x, y, ex, ey):
-                    return False
-            return True
-
-        if admissible(distance):
-            return distance
-        lo, hi = 0.0, distance
-        for _ in range(24):
-            mid = (lo + hi) / 2.0
-            if admissible(mid):
-                lo = mid
-            else:
-                hi = mid
-        return lo
+                t = polygon.first_entry_xy(x, y, ex, ey)
+                if t is not None and t * distance < travel:
+                    travel = t * distance
+        # A few units in the last place of the coordinates: the first
+        # step back undoes the end point's rounding.
+        back = (abs(x) + abs(y) + travel) * 2.0**-44
+        while travel > 0.0:
+            fx, fy = x + unit_x * travel, y + unit_y * travel
+            if (
+                0.0 <= fx <= width
+                and 0.0 <= fy <= height
+                and not (
+                    near
+                    and any(
+                        polygon.contains_xy(fx, fy, False)
+                        or (
+                            travel < distance
+                            and polygon.first_entry_xy(x, y, fx, fy) is not None
+                        )
+                        for polygon in near
+                    )
+                )
+            ):
+                return travel
+            travel -= back
+            back *= 2.0
+        return 0.0
 
     # ------------------------------------------------------------------
     # Sensing-range boundary queries (used by FLOOR's BLG expansion)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .segment import DEGENERATE_NORM_SQ, Segment
 from .vec import EPS, Vec2
@@ -95,6 +95,9 @@ class Polygon:
             if rectangle
             else (math.inf, math.inf, -math.inf, -math.inf),
         )
+        # Its interior is then the open box shrunk by the boundary eps,
+        # which first_entry_xy clips a segment against.
+        object.__setattr__(self, "_slab", bbox if rectangle else None)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -336,6 +339,76 @@ class Polygon:
                 return True
         return False
 
+    def first_entry_xy(
+        self, ax: float, ay: float, bx: float, by: float
+    ) -> Optional[float]:
+        """The parameter ``t`` in ``[0, 1)`` at which the segment
+        ``(ax, ay) + t * (bx - ax, by - ay)`` enters the interior (the
+        points :meth:`contains_xy` holds with ``include_boundary=False``),
+        or ``None`` when no point of it is interior.
+
+        A rectangle's interior is its box shrunk by :data:`_BOUNDARY_EPS`,
+        so a slab clip gives the entry.  Any other polygon cuts the
+        segment where it runs within the eps of an edge; the first gap
+        between those cuts that lies inside enters at its start.
+        """
+        xmin, ymin, xmax, ymax = self._reject_box
+        if (
+            max(ax, bx) < xmin
+            or min(ax, bx) > xmax
+            or max(ay, by) < ymin
+            or min(ay, by) > ymax
+        ):
+            return None
+        dx, dy = bx - ax, by - ay
+        slab = self._slab
+        if slab is not None:
+            xmin, ymin, xmax, ymax = slab
+            e = _BOUNDARY_EPS
+            # The open interval (t0, t1) of the line inside the box; a
+            # constant coordinate is measured as contains_xy measures it.
+            t0, t1 = -math.inf, math.inf
+            if dx > 0.0:
+                t0, t1 = (xmin + e - ax) / dx, (xmax - e - ax) / dx
+            elif dx < 0.0:
+                t0, t1 = (xmax - e - ax) / dx, (xmin + e - ax) / dx
+            elif not (ax - xmin > e and xmax - ax > e):
+                return None
+            if dy > 0.0:
+                t0, t1 = max(t0, (ymin + e - ay) / dy), min(t1, (ymax - e - ay) / dy)
+            elif dy < 0.0:
+                t0, t1 = max(t0, (ymax - e - ay) / dy), min(t1, (ymin + e - ay) / dy)
+            elif not (ay - ymin > e and ymax - ay > e):
+                return None
+            if t0 < t1 and t0 < 1.0 and t1 > 0.0:
+                return max(t0, 0.0)
+            return None
+        # Within the eps of an edge the line runs for one interval (it
+        # meets the edge's eps-capsule, a convex set).  Between those
+        # intervals it crosses no edge, so the ray-cast parity of one
+        # point per gap tells inside from outside.
+        edge_data = self._edge_data
+        spans = sorted(
+            span
+            for edge in edge_data
+            if (span := _capsule_span(ax, ay, dx, dy, edge)) is not None
+        )
+        start = 0.0
+        for t0, t1 in spans + [(1.0, 1.0)]:
+            if t0 > start:
+                t = (start + min(t0, 1.0)) / 2.0
+                px, py = ax + dx * t, ay + dy * t
+                inside = False
+                for x0, y0, _, y1, fx, fy, _ in edge_data:
+                    if (y0 > py) != (y1 > py) and px < x0 + (py - y0) * fx / fy:
+                        inside = not inside
+                if inside:
+                    return start
+            start = max(start, t1)
+            if start >= 1.0:
+                return None
+        return None
+
     def segment_intersections(self, seg: Segment) -> List[Vec2]:
         """All boundary intersection points with a segment, ordered along it."""
         points: List[Vec2] = []
@@ -348,3 +421,39 @@ class Polygon:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"Polygon({len(self.vertices)} vertices, area={self.area():.3g})"
+
+
+def _linear_span(c0: float, c1: float, lo: float, hi: float):
+    """``(t0, t1)`` where ``lo <= c0 + c1 * t <= hi``, or ``None``."""
+    if c1 == 0.0:
+        return (-math.inf, math.inf) if lo <= c0 <= hi else None
+    t0, t1 = (lo - c0) / c1, (hi - c0) / c1
+    return (t0, t1) if t0 <= t1 else (t1, t0)
+
+
+def _capsule_span(ax, ay, dx, dy, edge):
+    """``(t0, t1)``: where the line ``(ax, ay) + t * (dx, dy)`` is within
+    :data:`_BOUNDARY_EPS` of the edge record ``edge``, or ``None``.
+
+    The union of the band beside the edge and the disks at its ends.
+    """
+    ex, ey, bx, by, fx, fy, ff = edge
+    e = _BOUNDARY_EPS
+    lo, hi = math.inf, -math.inf
+    if ff > 0.0:
+        wx, wy = ax - ex, ay - ey
+        n = math.sqrt(ff)
+        side = _linear_span(fx * wy - fy * wx, fx * dy - fy * dx, -e * n, e * n)
+        along = _linear_span(fx * wx + fy * wy, fx * dx + fy * dy, 0.0, ff)
+        if side is not None and along is not None:
+            lo, hi = max(side[0], along[0]), min(side[1], along[1])
+            if lo > hi:
+                lo, hi = math.inf, -math.inf
+    dd = dx * dx + dy * dy
+    for cx, cy in ((ex, ey), (bx, by)):
+        t = 0.0 if dd == 0.0 else ((cx - ax) * dx + (cy - ay) * dy) / dd
+        h = math.hypot(ax + dx * t - cx, ay + dy * t - cy)
+        if h <= e:
+            w = math.inf if dd == 0.0 else math.sqrt(e * e - h * h) / math.sqrt(dd)
+            lo, hi = min(lo, t - w), max(hi, t + w)
+    return (lo, hi) if lo <= hi else None

@@ -37,9 +37,9 @@ class TestTrajectorySnapshot:
     @pytest.mark.parametrize(
         "seed, golden",
         [
-            (1, "488907a9bbe73ad1d98208d6b38e77e5e3a76ae7b0de0dba0cc6d31afc6107f2"),
-            (3, "25b84d9f46ae72cc4383a443eab7217d4fb67f8654e84179fb472591fe1090d2"),
-            (7, "468fbe797d8af48f271aed8cf7ff85357b393e5fabde494f5f74d3b5a640757e"),
+            (1, "1135ea80d2514b56692f80b1b5c276a9ebc93c098fc5b944993f67573f2cf387"),
+            (3, "0b1630badd517c42ef7c465bb5ae300e7de3279c985ff396dca8a5e5c94ae5e4"),
+            (7, "7fa01d48684a7112dd9c6e7b3e43744fbf388f217707d2aba48588152a372aec"),
         ],
         ids=["1-golden0", "3-golden1", "7-golden2"],
     )
@@ -55,8 +55,8 @@ class TestTrajectorySnapshot:
     @pytest.mark.parametrize(
         "seed, golden",
         [
-            (3, "54ac2f1982ab92f2de02bbeee8fcd8df5a7eaf422bb0964a80d3939fa506eb66"),
-            (5, "2c666e9b9c4a823870b0336a50aa930b46cf8d13bc3f13048e155e0d646b32c6"),
+            (3, "8adbc414db11b6b5da88c472d1fb3bc2d2e31f72f41fd039bb66311093dacffc"),
+            (5, "2e1f01db6b767d3d1f48de8c768506e73835a4a0e72f0ccf3f073251b2da93ae"),
         ],
         ids=["3-golden0", "5-golden1"],
     )

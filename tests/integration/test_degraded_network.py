@@ -35,7 +35,7 @@ class TestStructuralIdentity:
 
     @pytest.mark.parametrize(
         "scheme,coverage,total_messages",
-        [("CPVF", 0.81, 7136), ("FLOOR", 0.49, 4807)],
+        [("CPVF", 0.8, 7064), ("FLOOR", 0.49, 4807)],
     )
     def test_pinned_snapshot(self, scheme, coverage, total_messages):
         scenario = make_scenario(SMOKE_SCALE, seed=1)

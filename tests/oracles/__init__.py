@@ -8,6 +8,10 @@ functions that tests (and ``benchmarks/perfbench.py``) import:
   unit-disk model (:class:`BruteRadio`), the all-pairs union-find behind
   :func:`double_loop_components`, and a world whose queries bypass the
   neighbour cache and the incremental coverage tracker;
+* :mod:`.entry` — the straight-move kernel judged in ``Fraction``
+  arithmetic: a slab clip for rectangles, exact edge crossings with a
+  dense scan for other polygons; ``Polygon.first_entry_xy`` and
+  ``Field.max_free_travel`` must agree to within 1e-9 m;
 * :mod:`.field` — the float field queries (free point, blocked and
   free-travel moves, nearest-free spiral, visible boundary pieces,
   obstacle force) walking every obstacle on every probe, with no
@@ -18,7 +22,7 @@ functions that tests (and ``benchmarks/perfbench.py``) import:
 * :mod:`.geometry` — the polygon point and segment predicates, the
   boundary distance and closest point on ``Segment`` objects without the
   bounding-box reject, the obstacle force with no cutoff, the ``Vec2``
-  free-travel bisection and nearest-free spiral, the
+  nearest-free spiral, the
   :class:`Circle` (production keeps circles as floats) with the
   ``Circle``/``Segment`` circle clips and intersections and the
   visible-boundary query built on them, the ``Segment`` closest point,
@@ -38,6 +42,13 @@ functions that tests (and ``benchmarks/perfbench.py``) import:
   (:class:`InformedVorScheme`).
 """
 
+from .entry import (
+    DEPTH_SLACK,
+    entry_error,
+    free_travel_error,
+    is_axis_aligned_rectangle,
+    segment_entry_error,
+)
 from .field import (
     all_obstacle_boundary_pieces,
     all_obstacle_force,
@@ -65,7 +76,6 @@ from .geometry import (
     reference_closest_boundary_point,
     reference_contains,
     reference_disk_block,
-    reference_max_free_travel,
     reference_nearest_free,
     reference_obstacle_force,
     reference_on_boundary,
@@ -97,6 +107,11 @@ from .vd import InformedVorScheme
 from .world import BruteRadio, UncachedWorld, double_loop_components, uncached
 
 __all__ = [
+    "DEPTH_SLACK",
+    "entry_error",
+    "free_travel_error",
+    "is_axis_aligned_rectangle",
+    "segment_entry_error",
     "all_obstacle_boundary_pieces",
     "all_obstacle_force",
     "all_obstacle_is_free",
@@ -126,7 +141,6 @@ __all__ = [
     "reference_closest_boundary_point",
     "reference_contains",
     "reference_disk_block",
-    "reference_max_free_travel",
     "reference_nearest_free",
     "reference_obstacle_force",
     "reference_on_boundary",

@@ -55,34 +55,42 @@ def all_obstacle_segment_blocked(
     )
 
 
-def _admissible_move(field, x: float, y: float, ex: float, ey: float) -> bool:
-    return all_obstacle_is_free(field, ex, ey) and not any(
-        ob.polygon.crosses_interior_xy(x, y, ex, ey) for ob in field.obstacles
-    )
-
-
 def all_obstacle_max_free_travel(
     field, x: float, y: float, dir_x: float, dir_y: float, distance: float
 ) -> float:
-    """The float bisection with every probe against every obstacle."""
+    """The wall slab and every obstacle's ``first_entry_xy``, then the
+    back-off, each check against every obstacle."""
     if distance <= 0:
         return 0.0
     norm = math.hypot(dir_x, dir_y)
     if norm <= 1e-9:
         return 0.0
     unit_x, unit_y = dir_x / norm, dir_y / norm
-    if not (0.0 <= x <= field.width and 0.0 <= y <= field.height):
+    width, height = field.width, field.height
+    if not (0.0 <= x <= width and 0.0 <= y <= height):
         return 0.0
-    if _admissible_move(field, x, y, x + unit_x * distance, y + unit_y * distance):
-        return distance
-    lo, hi = 0.0, distance
-    for _ in range(24):
-        mid = (lo + hi) / 2.0
-        if _admissible_move(field, x, y, x + unit_x * mid, y + unit_y * mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    travel = distance
+    if unit_x:
+        travel = min(travel, ((width if unit_x > 0.0 else 0.0) - x) / unit_x)
+    if unit_y:
+        travel = min(travel, ((height if unit_y > 0.0 else 0.0) - y) / unit_y)
+    ex, ey = x + unit_x * distance, y + unit_y * distance
+    polygons = [ob.polygon for ob in field.obstacles]
+    for polygon in polygons:
+        t = polygon.first_entry_xy(x, y, ex, ey)
+        if t is not None and t * distance < travel:
+            travel = t * distance
+    back = (abs(x) + abs(y) + travel) * 2.0**-44
+    while travel > 0.0:
+        fx, fy = x + unit_x * travel, y + unit_y * travel
+        if all_obstacle_is_free(field, fx, fy) and not (
+            travel < distance
+            and any(p.first_entry_xy(x, y, fx, fy) is not None for p in polygons)
+        ):
+            return travel
+        travel -= back
+        back *= 2.0
+    return 0.0
 
 
 def all_obstacle_nearest_free(

@@ -5,9 +5,7 @@ distance and the closest boundary point evaluated the long way, through
 ``Segment`` objects, every edge and every sample visited for every
 query.  On top of them, the obstacle term of the virtual force with no
 perception cutoff (:func:`reference_obstacle_force`) and the ``Vec2``
-bisection of ``Field.max_free_travel``
-(:func:`reference_max_free_travel`), and the ``Vec2`` spiral search of
-``Field.nearest_free`` (:func:`reference_nearest_free`).  The production queries run on
+spiral search of ``Field.nearest_free`` (:func:`reference_nearest_free`).  The production queries run on
 plain floats and return early outside a polygon's padded bounding box;
 they must give the same answers bit for bit.
 
@@ -250,29 +248,6 @@ def reference_obstacle_force(model, position: Vec2, field) -> Vec2:
     )
 
 
-def _in_rectangle(field, p: Vec2) -> bool:
-    """Whether ``p`` lies in the closed field rectangle."""
-    return 0.0 <= p.x <= field.width and 0.0 <= p.y <= field.height
-
-
-def reference_is_free(field, p: Vec2) -> bool:
-    """In the field rectangle and not inside any obstacle."""
-    return _in_rectangle(field, p) and not any(
-        reference_contains(ob.polygon, p, include_boundary=False)
-        for ob in field.obstacles
-    )
-
-
-def reference_segment_blocked(field, seg: Segment) -> bool:
-    """Leaves the rectangle or crosses an obstacle's interior."""
-    if not _in_rectangle(field, seg.a) or not _in_rectangle(field, seg.b):
-        return True
-    return any(
-        reference_segment_crosses_interior(ob.polygon, seg)
-        for ob in field.obstacles
-    )
-
-
 def reference_nearest_free(
     field, p: Vec2, step: float = 1.0, max_radius: float = 200.0
 ) -> Vec2:
@@ -290,35 +265,6 @@ def reference_nearest_free(
                 return q
         radius += step
     return candidate
-
-
-def reference_max_free_travel(
-    field, start: Vec2, direction: Vec2, distance: float
-) -> float:
-    """``Field.max_free_travel`` as a ``Vec2`` bisection on the references."""
-    if distance <= 0:
-        return 0.0
-    norm = math.hypot(direction.x, direction.y)
-    if norm <= 1e-9:
-        return 0.0
-    unit = Vec2(direction.x / norm, direction.y / norm)
-    lo, hi = 0.0, distance
-    target = start + unit * distance
-    if reference_is_free(field, target) and not reference_segment_blocked(
-        field, Segment(start, target)
-    ):
-        return distance
-    # Binary search for the largest admissible travel distance.
-    for _ in range(24):
-        mid = (lo + hi) / 2.0
-        candidate = start + unit * mid
-        if reference_is_free(field, candidate) and not reference_segment_blocked(
-            field, Segment(start, candidate)
-        ):
-            lo = mid
-        else:
-            hi = mid
-    return lo
 
 
 def reference_segment_intersections(circle: Circle, seg: Segment) -> List[Vec2]:
