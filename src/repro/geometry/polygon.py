@@ -25,9 +25,6 @@ _BBOX_SLACK = 1e-9
 #: Depth inside a rectangle beyond which a point is inside without the
 #: edge tests: far above the boundary eps and the coordinates' rounding.
 _INNER_MARGIN = 1e-6
-#: ``segment_crosses_interior`` tests the segment at ``t = i / 8`` for
-#: ``i = 1..7``.
-_CROSSING_SAMPLES = 8
 
 
 @dataclass(frozen=True)
@@ -310,13 +307,9 @@ class Polygon:
     # Segment queries
     # ------------------------------------------------------------------
     def segment_crosses_interior(self, seg: Segment) -> bool:
-        """Whether the open segment passes through the polygon's interior.
-
-        Boundary grazing does not count.  Implemented by testing the
-        :data:`_CROSSING_SAMPLES` - 1 evenly spaced interior points of the
-        segment (its midpoint among them), which is robust enough for the
-        rectangular and mildly irregular obstacles used in the experiments.
-        """
+        """Whether the closed segment has a point in the polygon's
+        interior (:meth:`first_entry_xy`); running along the boundary,
+        within the eps, does not count."""
         a, b = seg.a, seg.b
         return self.crosses_interior_xy(a.x, a.y, b.x, b.y)
 
@@ -324,20 +317,7 @@ class Polygon:
         self, ax: float, ay: float, bx: float, by: float
     ) -> bool:
         """:meth:`segment_crosses_interior` for ``(ax, ay)``-``(bx, by)``."""
-        xmin, ymin, xmax, ymax = self._reject_box
-        if (
-            max(ax, bx) < xmin
-            or min(ax, bx) > xmax
-            or max(ay, by) < ymin
-            or min(ay, by) > ymax
-        ):
-            return False
-        dx, dy = bx - ax, by - ay
-        for i in range(1, _CROSSING_SAMPLES):
-            t = i / _CROSSING_SAMPLES
-            if self.contains_xy(ax + dx * t, ay + dy * t, include_boundary=False):
-                return True
-        return False
+        return self.first_entry_xy(ax, ay, bx, by) is not None
 
     def first_entry_xy(
         self, ax: float, ay: float, bx: float, by: float

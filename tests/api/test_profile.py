@@ -83,15 +83,22 @@ class TestProfiledExecution:
 
 
 class TestMotionLedger:
-    #: FLOOR on the pinned two-obstacle smoke setting, profiled.
+    #: FLOOR on the smoke random-obstacles setting (four rectangles that
+    #: overlap), profiled.  Its relocation steps still run through an
+    #: obstacle where one rectangle's BUG2 walk crosses its neighbour.
     SPEC = RunSpec(
-        scenario=make_scenario(SMOKE_SCALE, seed=1, layout="two-obstacle"),
+        scenario=make_scenario(
+            SMOKE_SCALE,
+            seed=1,
+            layout="random-obstacles",
+            layout_params={"min_obstacles": 4},
+        ),
         scheme="FLOOR",
         profile=True,
     )
 
     def test_floor_reports_its_uncharged_corrections(self):
-        """FLOOR's obstacle-exit corrections on the golden two-obstacle
+        """FLOOR's relocation-step corrections on the random-obstacles
         smoke setting reach the profile, the same in every run."""
         ledgers = [
             {
@@ -101,7 +108,7 @@ class TestMotionLedger:
             }
             for _ in range(2)
         ]
-        assert ledgers[0]["motion.corrections.arrival"] > 0
+        assert ledgers[0]["motion.corrections.relocation_step"] > 0
         assert ledgers[0]["motion.uncharged_mm"] > 0
         assert ledgers[0] == ledgers[1]
 

@@ -15,7 +15,7 @@ from tests.oracles import (
     reference_contains,
     reference_obstacle_force,
     reference_on_boundary,
-    reference_segment_crosses_interior,
+    segment_entry_error,
 )
 from tests.oracles.geometry import reference_edges
 
@@ -143,6 +143,18 @@ CROSSING_CASES = {
 }
 
 
+def assert_crossing_matches_the_oracle(polygon, seg):
+    """The crossing answer is the kernel's, and the kernel's entry agrees
+    with the exact reference (``tests/oracles/entry.py``) to 1e-9 m."""
+    a, b = seg.a, seg.b
+    t = polygon.first_entry_xy(a.x, a.y, b.x, b.y)
+    assert polygon.segment_crosses_interior(seg) is (t is not None)
+    assert segment_entry_error(polygon, a.x, a.y, b.x, b.y, t) is None, (
+        polygon.vertices,
+        seg,
+    )
+
+
 class TestCrossingCases:
     """Fixed crossings, each against its known answer and the full oracle."""
 
@@ -153,7 +165,7 @@ class TestCrossingCases:
         seg = Segment(Vec2(*a), Vec2(*b))
         assert polygon.segment_crosses_interior(seg) is expected
         assert polygon.segment_crosses_interior(Segment(seg.b, seg.a)) is expected
-        assert reference_segment_crosses_interior(polygon, seg) is expected
+        assert_crossing_matches_the_oracle(polygon, seg)
 
 
 class TestProperties:
@@ -362,12 +374,7 @@ class TestBBoxRejectParity:
         for _ in range(2):
             polygon = POLYGON_MAKERS[kind](rng)
             for seg in _segments(rng, polygon, 60):
-                assert polygon.segment_crosses_interior(
-                    seg
-                ) == reference_segment_crosses_interior(polygon, seg), (
-                    polygon.vertices,
-                    seg,
-                )
+                assert_crossing_matches_the_oracle(polygon, seg)
 
 
     def test_nearest_boundary_parity(self, kind, seed):

@@ -79,7 +79,6 @@ from .geometry import (
     reference_nearest_free,
     reference_obstacle_force,
     reference_on_boundary,
-    reference_segment_crosses_interior,
     reference_segment_intersections,
     segment_closest_point,
     segment_distance_to_point,
@@ -144,7 +143,6 @@ __all__ = [
     "reference_nearest_free",
     "reference_obstacle_force",
     "reference_on_boundary",
-    "reference_segment_crosses_interior",
     "reference_segment_intersections",
     "AllObstacleBug2Planner",
     "reference_nearest_edge",

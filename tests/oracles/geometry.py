@@ -1,9 +1,8 @@
 """Geometry references: polygon and field queries on ``Vec2``/``Segment``.
 
-``Polygon.contains``, ``Polygon.segment_crosses_interior``, the boundary
-distance and the closest boundary point evaluated the long way, through
-``Segment`` objects, every edge and every sample visited for every
-query.  On top of them, the obstacle term of the virtual force with no
+``Polygon.contains``, the boundary distance and the closest boundary
+point evaluated the long way, through ``Segment`` objects, every edge
+visited for every query.  On top of them, the obstacle term of the virtual force with no
 perception cutoff (:func:`reference_obstacle_force`) and the ``Vec2``
 spiral search of ``Field.nearest_free`` (:func:`reference_nearest_free`).  The production queries run on
 plain floats and return early outside a polygon's padded bounding box;
@@ -181,23 +180,6 @@ def reference_contains(
             if p.x < x_cross:
                 inside = not inside
     return inside
-
-
-def reference_segment_crosses_interior(
-    polygon: Polygon, seg: Segment, samples: int = 8
-) -> bool:
-    """Sampled interior-crossing test, every sample and edge visited."""
-    for i in range(1, samples):
-        p = seg.point_at(i / samples)
-        if reference_contains(polygon, p, include_boundary=False):
-            return True
-    crossings = [
-        edge for edge in reference_edges(polygon) if segments_intersect(edge, seg)
-    ]
-    if len(crossings) >= 2:
-        if reference_contains(polygon, midpoint(seg), include_boundary=False):
-            return True
-    return False
 
 
 def reference_boundary_distance(polygon: Polygon, p: Vec2) -> float:
