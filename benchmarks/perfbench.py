@@ -637,13 +637,16 @@ OBSTACLE_FLOOR_COUNTERS = (
 )
 #: Counts of the ``obstacle_cpvf`` and ``obstacle_floor`` rows taken
 #: by :func:`count_queries` in an untimed pass: the polygon predicate
-#: calls (``Polygon.contains_xy`` and ``crosses_interior_xy``, the
-#: latter's own point tests included), the neighbour snapshots captured
-#: and the field queries behind them (``field.*``, calls of each).
+#: calls (``Polygon.contains_xy``, ``crosses_interior_xy`` and the
+#: straight-move kernel ``first_entry_xy``, a crossing test's own kernel
+#: call and a move clip's end-point tests included), the neighbour
+#: snapshots captured and the field queries behind them (``field.*``,
+#: calls of each).
 QUERY_COUNTERS = {
     "geometry.polygon_tests": (
         "repro.geometry.polygon:Polygon.contains_xy",
         "repro.geometry.polygon:Polygon.crosses_interior_xy",
+        "repro.geometry.polygon:Polygon.first_entry_xy",
     ),
     "neighbors.snapshots": ("repro.spatial.cache:NeighborSnapshot.__init__",),
     "field.is_free": ("repro.field.field:Field.is_free_xy",),

@@ -43,12 +43,11 @@ def max_valid_step_points(
     max_step: float,
     links: Sequence[tuple],
     communication_range: float,
-    fractions: Sequence[float] = STEP_FRACTIONS,
 ) -> float:
     """Largest admissible step size along ``(dir_x, dir_y)`` from ``(px, py)``.
 
     ``links`` are the ``(x, y)`` positions of the stationary links the
-    sensor must preserve.  Tries the candidate fractions of ``max_step``
+    sensor must preserve.  Tries the :data:`STEP_FRACTIONS` of ``max_step``
     from largest to smallest and returns the first one that keeps every
     link within range; returns ``0`` if even the smallest non-zero
     candidate is invalid.
@@ -68,7 +67,7 @@ def max_valid_step_points(
         # candidate step (including zero) can restore it.
         if math.hypot(px - lx, py - ly) > limit:
             return 0.0
-    for fraction in fractions:
+    for fraction in STEP_FRACTIONS:
         step = fraction * max_step
         if step <= 0.0:
             return 0.0
