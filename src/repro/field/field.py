@@ -311,16 +311,13 @@ class Field:
             if (
                 0.0 <= fx <= width
                 and 0.0 <= fy <= height
-                and not (
-                    near
-                    and any(
-                        polygon.contains_xy(fx, fy, False)
-                        or (
-                            travel < distance
-                            and polygon.first_entry_xy(x, y, fx, fy) is not None
-                        )
-                        for polygon in near
+                and not any(
+                    polygon.contains_xy(fx, fy, False)
+                    or (
+                        travel < distance
+                        and polygon.first_entry_xy(x, y, fx, fy) is not None
                     )
+                    for polygon in near
                 )
             ):
                 return travel
@@ -406,17 +403,15 @@ class Field:
         rasterised with four vectorised comparisons: a grid point is
         interior exactly when it clears all four edges by more than the
         polygon's boundary epsilon, the same classification
-        ``Obstacle.contains`` makes point by point.  Arbitrary polygons go
-        through the vectorised ray-cast (``Obstacle.contains_points``),
-        restricted to the points inside the polygon's bounding box; parity
-        with the per-point predicate scan is pinned by
-        ``tests/field/test_rasterize_parity.py``.
+        ``Obstacle.contains`` makes point by point.  Any other polygon
+        classifies the points inside its bounding box one by one.
         """
         px, py = grid.point_arrays()
         mask = np.zeros(grid.num_points, dtype=bool)
         eps = 1e-7  # Polygon._BOUNDARY_EPS: the boundary is not interior
         for ob in self.obstacles:
-            box = ob.axis_aligned_box()
+            polygon = ob.polygon
+            box = polygon.axis_aligned_box()
             if box is not None:
                 xmin, ymin, xmax, ymax = box
                 mask |= (
@@ -426,15 +421,16 @@ class Field:
                     & (ymax - py > eps)
                 )
                 continue
-            xmin, ymin, xmax, ymax = ob.bounding_box()
-            near = (
+            xmin, ymin, xmax, ymax = polygon.bounding_box()
+            near = np.flatnonzero(
                 (px >= xmin - eps)
                 & (px <= xmax + eps)
                 & (py >= ymin - eps)
                 & (py <= ymax + eps)
             )
-            if near.any():
-                mask[near] |= ob.contains_points(px[near], py[near])
+            for i in near:
+                if polygon.contains_xy(float(px[i]), float(py[i]), False):
+                    mask[i] = True
         return mask
 
     def coverage_fraction(

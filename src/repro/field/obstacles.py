@@ -44,17 +44,6 @@ class Obstacle:
         """
         return self.polygon.contains(p, include_boundary=include_boundary)
 
-    def contains_points(self, px, py, include_boundary: bool = False):
-        """Vectorised :meth:`contains` over coordinate arrays.
-
-        Same classification as the scalar predicate (boundary excluded by
-        default), evaluated for a whole batch of points at once; the
-        rasteriser uses it for non-axis-aligned polygons.
-        """
-        return self.polygon.contains_points(
-            px, py, include_boundary=include_boundary
-        )
-
     def blocks_segment(self, seg: Segment) -> bool:
         """Whether a straight move along ``seg`` would enter the obstacle."""
         return self.polygon.segment_crosses_interior(seg)
@@ -70,27 +59,6 @@ class Obstacle:
     def bounding_box(self) -> Tuple[float, float, float, float]:
         """Axis-aligned bounding box of the obstacle."""
         return self.polygon.bounding_box()
-
-    def axis_aligned_box(self) -> Optional[Tuple[float, float, float, float]]:
-        """``(xmin, ymin, xmax, ymax)`` when the obstacle *is* an
-        axis-aligned rectangle, else ``None``.
-
-        Rectangles are what every generator and canonical layout emits;
-        recognising them lets the field rasterise the obstacle mask with
-        four vectorised comparisons instead of a per-point polygon test.
-        """
-        vertices = self.polygon.vertices
-        if len(vertices) != 4:
-            return None
-        xs = sorted({v.x for v in vertices})
-        ys = sorted({v.y for v in vertices})
-        if len(xs) != 2 or len(ys) != 2:
-            return None
-        corners = {(v.x, v.y) for v in vertices}
-        expected = {(x, y) for x in xs for y in ys}
-        if corners != expected:
-            return None
-        return (xs[0], ys[0], xs[1], ys[1])
 
     def distance_to(self, p: Vec2) -> float:
         """Distance from ``p`` to the obstacle (zero when inside)."""

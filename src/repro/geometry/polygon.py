@@ -152,6 +152,11 @@ class Polygon:
         """``(xmin, ymin, xmax, ymax)`` of the polygon."""
         return self._bbox
 
+    def axis_aligned_box(self) -> Optional[Tuple[float, float, float, float]]:
+        """:meth:`bounding_box` when the polygon is an axis-aligned
+        rectangle (every generated and canonical obstacle), else ``None``."""
+        return self._slab
+
     def reject_box(self) -> Tuple[float, float, float, float]:
         """The bounding box padded by the boundary eps and rounding slack.
 
@@ -182,11 +187,9 @@ class Polygon:
         """:meth:`contains` for the point ``(px, py)``.
 
         The answer is ``include_boundary`` within :data:`_BOUNDARY_EPS`
-        of the boundary and the ray-cast parity elsewhere, so the
-        boundary test runs only when the two disagree.  It stops at the
-        first edge within the eps, each edge measured with the float
-        operations of :meth:`nearest_boundary_xy`, so it agrees with
-        that method's minimum compared against the eps.
+        of the boundary (:meth:`nearest_boundary_xy`) and the ray-cast
+        parity elsewhere, so the boundary test runs only when the two
+        disagree.
         """
         xmin, ymin, xmax, ymax = self._reject_box
         if px < xmin or px > xmax or py < ymin or py > ymax:
@@ -194,72 +197,16 @@ class Polygon:
         xmin, ymin, xmax, ymax = self._inner_box
         if xmin < px < xmax and ymin < py < ymax:
             return True
-        edge_data = self._edge_data
         inside = False
-        for ax, ay, bx, by, dx, dy, _ in edge_data:
+        for ax, ay, bx, by, dx, dy, _ in self._edge_data:
             if (ay > py) != (by > py):
                 if px < ax + (py - ay) * dx / dy:
                     inside = not inside
         if inside == include_boundary:
             return inside
-        # nearest_boundary_xy's per-edge operations, inlined: this loop
-        # runs for every probe inside an obstacle (``is_free``).
-        for ax, ay, bx, by, dx, dy, dd in edge_data:
-            if dd <= DEGENERATE_NORM_SQ:
-                if math.hypot(px - ax, py - ay) <= math.hypot(px - bx, py - by):
-                    cx, cy = ax, ay
-                else:
-                    cx, cy = bx, by
-            else:
-                t = ((px - ax) * dx + (py - ay) * dy) / dd
-                if not t > 0.0:
-                    t = 0.0
-                elif not t < 1.0:
-                    t = 1.0
-                cx, cy = ax + dx * t, ay + dy * t
-            if math.hypot(px - cx, py - cy) <= _BOUNDARY_EPS:
-                return include_boundary
+        if self.nearest_boundary_xy(px, py)[0] <= _BOUNDARY_EPS:
+            return include_boundary
         return inside
-
-    def contains_points(
-        self, px, py, include_boundary: bool = True, eps: float = _BOUNDARY_EPS
-    ):
-        """Vectorised :meth:`contains` over arrays of point coordinates.
-
-        Returns a boolean array of the same shape as ``px``/``py``.  The
-        arithmetic mirrors the scalar test operation by operation — the
-        same ray-casting parity and the same clamped-projection boundary
-        distance — so rasterising a polygon over a grid produces the same
-        mask as calling :meth:`contains` per point.
-        """
-        import numpy as np
-
-        px = np.asarray(px, dtype=float)
-        py = np.asarray(py, dtype=float)
-        inside = np.zeros(px.shape, dtype=bool)
-        boundary = np.zeros(px.shape, dtype=bool)
-        for edge in self._edges:
-            a, b = edge.a, edge.b
-            dx, dy = b.x - a.x, b.y - a.y
-            denom = dx * dx + dy * dy
-            if denom <= DEGENERATE_NORM_SQ:
-                # Degenerate edge: distance to the closer endpoint
-                # (mirrors segment_closest_point's degenerate branch).
-                dist = np.minimum(
-                    np.hypot(px - a.x, py - a.y), np.hypot(px - b.x, py - b.y)
-                )
-            else:
-                t = ((px - a.x) * dx + (py - a.y) * dy) / denom
-                t = np.minimum(1.0, np.maximum(0.0, t))
-                dist = np.hypot(px - (a.x + dx * t), py - (a.y + dy * t))
-            boundary |= dist <= eps
-            if a.y != b.y:
-                crosses = (a.y > py) != (b.y > py)
-                x_cross = a.x + (py - a.y) * (b.x - a.x) / (b.y - a.y)
-                inside ^= crosses & (px < x_cross)
-        if include_boundary:
-            return inside | boundary
-        return inside & ~boundary
 
     def distance_to_point(self, p: Vec2) -> float:
         """Distance from ``p`` to the polygon (zero when inside)."""

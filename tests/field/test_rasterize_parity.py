@@ -1,7 +1,7 @@
-"""Parity of the vectorised obstacle rasterisation against its scalar
-reference: ``Field._rasterize_obstacles`` classifies arbitrary polygons
-with the vectorised ray-cast of ``Polygon.contains_points``, pinned here
-against the per-point predicate scan.
+"""Parity of the obstacle rasterisation against its scalar reference:
+``Field._rasterize_obstacles`` masks rectangles with four vectorised
+comparisons and classifies the points near any other polygon one by
+one, pinned here against the per-point predicate scan.
 """
 
 import math
@@ -79,13 +79,3 @@ class TestPolygonRasterizationParity:
         )
         assert np.array_equal(mask, reference)
 
-    def test_contains_points_matches_scalar_randomized(self):
-        rng = np.random.default_rng(11)
-        for _, obstacle in _polygon_cases():
-            px = rng.uniform(0, 120, 400)
-            py = rng.uniform(0, 120, 400)
-            batch = obstacle.contains_points(px, py)
-            scalar = np.array(
-                [obstacle.contains(Vec2(x, y)) for x, y in zip(px, py)]
-            )
-            assert np.array_equal(batch, scalar)
