@@ -333,7 +333,7 @@ class Polygon:
                     return start
             start = max(start, t1)
             if start >= 1.0:
-                return None
+                break
         return None
 
     def segment_intersections(self, seg: Segment) -> List[Vec2]:
