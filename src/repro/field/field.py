@@ -308,19 +308,15 @@ class Field:
         back = (abs(x) + abs(y) + travel) * 2.0**-44
         while travel > 0.0:
             fx, fy = x + unit_x * travel, y + unit_y * travel
-            if (
-                0.0 <= fx <= width
-                and 0.0 <= fy <= height
-                and not any(
-                    polygon.contains_xy(fx, fy, False)
-                    or (
+            if 0.0 <= fx <= width and 0.0 <= fy <= height:
+                for polygon in near:
+                    if polygon.contains_xy(fx, fy, False) or (
                         travel < distance
                         and polygon.first_entry_xy(x, y, fx, fy) is not None
-                    )
-                    for polygon in near
-                )
-            ):
-                return travel
+                    ):
+                        break
+                else:
+                    return travel
             travel -= back
             back *= 2.0
         return 0.0
