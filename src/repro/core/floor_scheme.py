@@ -699,7 +699,9 @@ class FloorScheme(DeploymentScheme):
         disk as covered), its searcher slot, any in-flight relocation (plus
         the virtual place-holder standing at the target EP) and any lazy
         path-parent state.  Sensors the tree repair dropped — and freshly
-        injected ones — restart phase 1 as connection walkers.  Obstacle
+        injected ones — restart phase 1 as connection walkers.  A fixed
+        sensor a new obstacle pushed out re-registers where it now stands
+        and sends its floor header a location update up the tree.  Obstacle
         changes re-plan in-flight relocations against the new field right
         away, because ``_advance_relocations`` reads an empty path as
         "arrived at the expansion point".
@@ -726,6 +728,15 @@ class FloorScheme(DeploymentScheme):
             sensor.state = SensorState.MOVING_TO_CONNECT
             self._lazy.stop_waiting(sensor)
             sensor.motion.stop()
+        for sid in change.displaced_ids:
+            record = self._registry.record(sid)
+            if record is None:
+                continue
+            self._registry.register(sid, world.sensor(sid).position, record.virtual)
+            if sid in world.tree:
+                world.routing.record_to_base_station(
+                    world.tree, sid, MessageType.LOCATION_UPDATE
+                )
         if change.obstacles_changed:
             assert self._planner_disperse is not None
             for sensor in world.sensors:

@@ -286,6 +286,9 @@ class WorldChange:
     #: subtree could not be re-attached (now DISCONNECTED).
     disconnected_ids: Tuple[int, ...] = ()
     obstacles_changed: bool = False
+    #: Live sensors a new obstacle swallowed and pushed out to the
+    #: nearest free point, in id order.
+    displaced_ids: Tuple[int, ...] = ()
 
 
 class FaultInjector:
@@ -434,8 +437,11 @@ class FaultInjector:
     def _apply_obstacle(self, event: LifecycleEvent) -> WorldChange:
         world = self._world
         world.field.add_obstacle(_build_event_obstacle(event))
-        self._displace_swallowed_sensors()
-        return WorldChange(kind="obstacle", obstacles_changed=True)
+        return WorldChange(
+            kind="obstacle",
+            obstacles_changed=True,
+            displaced_ids=self._displace_swallowed_sensors(),
+        )
 
     def _apply_clear_obstacle(self, event: LifecycleEvent) -> WorldChange:
         world = self._world
@@ -448,14 +454,16 @@ class FaultInjector:
         world.field.remove_obstacle(index)
         return WorldChange(kind="clear-obstacle", obstacles_changed=True)
 
-    def _displace_swallowed_sensors(self) -> None:
-        """Push live sensors out of a newly materialised obstacle.
+    def _displace_swallowed_sensors(self) -> Tuple[int, ...]:
+        """Push live sensors out of a newly materialised obstacle; returns
+        the ids of those it moved.
 
         The escape walk is charged to the odometer — it is real movement
         the event forced.
         """
         world = self._world
         field_ = world.field
+        displaced: List[int] = []
         for sensor in world.sensors:
             if not sensor.is_alive():
                 continue
@@ -465,3 +473,5 @@ class FaultInjector:
             target = field_.nearest_free(pos)
             sensor.motion.stop()
             sensor.motion.move_to(target)
+            displaced.append(sensor.sensor_id)
+        return tuple(displaced)

@@ -368,3 +368,57 @@ class TestNeighbourReads:
             dropped += len(searchers - scheme._active_searchers)
             assert set(scheme._expansion._memo) <= scheme._active_searchers
         assert dropped > 0
+
+
+class TestDisplacedFixedSensors:
+    def test_a_fixed_sensor_pushed_out_by_a_new_obstacle_reregisters(self):
+        """The door-slam wall swallows fixed sensor 4 (bench scale, seed
+        2); the injector pushes it out, and FLOOR moves its registry
+        record with it and sends one location update up the tree."""
+        from repro.experiments.common import BENCH_SCALE
+        from repro.experiments.lifecycle import lifecycle_events
+        from repro.network import MessageType
+
+        def updates(world):
+            return world.stats.by_type().get(MessageType.LOCATION_UPDATE, 0)
+
+        class Probe(FloorScheme):
+            def on_world_changed(self, world, change):
+                before = updates(world)
+                super().on_world_changed(world, change)
+                if not change.obstacles_changed:
+                    return
+                fixed = [
+                    s.sensor_id
+                    for s in world.sensors
+                    if s.state is SensorState.FIXED
+                ]
+                records = {
+                    r.node_id: r.position
+                    for r in self._registry.all_records()
+                    if not r.virtual
+                }
+                self.checks.append(
+                    (
+                        change.kind,
+                        change.displaced_ids,
+                        {sid: records.get(sid) for sid in fixed},
+                        {sid: world.sensor(sid).position for sid in fixed},
+                        updates(world) - before,
+                        world.tree.depth_of(4) if 4 in world.tree else None,
+                    )
+                )
+
+        scenario = make_scenario(
+            BENCH_SCALE, seed=2, events=lifecycle_events("door-slam", BENCH_SCALE)
+        )
+        world = scenario.build_world()
+        scheme = Probe()
+        scheme.checks = []
+        SimulationEngine(world, scheme, trace_every=None, events=scenario.events).run()
+        (kind, displaced, records, positions, sent, depth), cleared = scheme.checks
+        assert kind == "obstacle" and 4 in displaced
+        assert records == positions
+        assert all(world.field.is_free(p) for p in positions.values())
+        assert sent == depth > 0
+        assert cleared[0] == "clear-obstacle" and cleared[1] == ()

@@ -223,10 +223,17 @@ class TestFieldEvents:
         field = Field(FIELD_SIZE, FIELD_SIZE)
         world = make_world(n=8, field=field)
         event = obstacle_appear(at_period=0, xmin=0, ymin=0, xmax=150, ymax=150)
-        injector = FaultInjector(world, _RecordingScheme(), [event])
+        scheme = _RecordingScheme()
+        injector = FaultInjector(world, scheme, [event])
+        before = [s.position for s in world.sensors]
         injector.fire(0)
         for sensor in world.alive_sensors():
             assert field.is_free(sensor.position)
+        moved = tuple(
+            s.sensor_id for s in world.sensors if s.position != before[s.sensor_id]
+        )
+        (change,) = scheme.changes
+        assert moved and change.displaced_ids == moved
 
     def test_clear_obstacle_index_out_of_range_raises(self):
         world = make_world()
