@@ -29,8 +29,8 @@ class _NoPriorityFloor(FloorScheme):
 
         expansion_points = []
         exhausted = []
-        for searcher_id in sorted(self._active_searchers):
-            position = self._searcher_position(world, searcher_id)
+        ids = sorted(self._active_searchers)
+        for searcher_id, position in zip(ids, self._searcher_positions(world, ids)):
             if position is None:
                 exhausted.append(searcher_id)
                 continue

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field as dataclass_field
 from enum import IntEnum
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..field import Field
 from ..geometry import EPS, Vec2, circle_intersections_xy, clip_segment_xy
@@ -78,6 +78,14 @@ def _net(
     return kept
 
 
+def _farthest(probes: List[Tuple[float, float, bool]], x: float, y: float) -> float:
+    """Distance from ``(x, y)`` to the farthest of ``probes`` (``-1.0``:
+    none)."""
+    if not probes:
+        return -1.0
+    return max(math.hypot(px - x, py - y) for px, py, _ in probes)
+
+
 def _touches(
     reach: Optional[List[float]],
     changes: List[Tuple[float, float, float, float, bool]],
@@ -113,6 +121,10 @@ class ExpansionKind(IntEnum):
     IFLG = 2
 
 
+#: The kinds as plain indices into an answer's parts.
+_FLG, _BLG, _IFLG = (int(kind) for kind in ExpansionKind)
+
+
 @dataclass(frozen=True)
 class ExpansionPoint:
     """A candidate location for a movable sensor, owned by a fixed sensor."""
@@ -124,6 +136,12 @@ class ExpansionPoint:
     def priority_key(self) -> tuple:
         """Sort key: priority first, then x (frontier-most last to break ties)."""
         return (int(self.kind), self.position.x, self.position.y)
+
+
+def _xy(point: ExpansionPoint) -> Tuple[float, float]:
+    """Sort key of the points of one kind in priority order."""
+    position = point.position
+    return position.x, position.y
 
 
 @dataclass(slots=True)
@@ -142,16 +160,21 @@ class _Part:
     #: was.  ``None`` once a ``nearest_free`` spiral read the field
     #: beyond them.
     reach: Optional[List[float]]
+    #: Distance from the owner to the farthest probe (``-1.0``: none).
+    farthest: float = -1.0
+    #: Floor headers the coverage-status query of the first point asks
+    #: (``-1``: not counted yet).
+    asked: int = -1
 
 
 @dataclass(slots=True)
 class _Answer:
-    """One owner's last answer and what it was derived from."""
+    """One owner's last answer, what it was derived from, and the changes
+    routed to it since it was made or last asked."""
 
     x: float
     y: float
-    field_version: int
-    #: The registry version the answer is known to be valid at.
+    #: The registry version when the answer was made or last asked.
     registry_version: int
     #: ``(x, y, floor_index)`` of the owner's registry record when the
     #: IFLG part was computed (``None`` when unregistered).
@@ -168,9 +191,34 @@ class _Answer:
     #: Squared distance from ``(x, y)`` beyond which no change is within
     #: reach of any probe (``-1.0`` when nothing was probed).
     probe_reach_sq: float
+    #: ``(ix0, iy0, ix1, iy1)``: the grid cells the answer is filed under.
+    cells: Tuple[int, int, int, int] = (0, 0, -1, -1)
     #: Owners the answer was handed over from (see
-    #: :meth:`ExpansionPlanner.hand_over`) since ``registry_version``.
+    #: :meth:`ExpansionPlanner.hand_over`) since it was last asked.
     former: Tuple[int, ...] = ()
+    #: The neighbour entries were made for a former owner: IFLG reads
+    #: the same-floor neighbours from the registry again.
+    rescan: bool = False
+    #: Routed since: an owner change or a same-floor record within
+    #: ``2 * expansion_radius`` of :attr:`record` (IFLG is stale).
+    iflg_stale: bool = False
+    #: Routed since: the registry changes within reach of a probe ...
+    near: List[Tuple[float, float, int, bool]] = dataclass_field(
+        default_factory=list
+    )
+    #: ... the same-floor ones within ``2 * expansion_radius`` of
+    #: :attr:`record` ...
+    neighbor_changes: List[Tuple[float, float, int, bool]] = dataclass_field(
+        default_factory=list
+    )
+    #: ... and the obstacle changes since, when one of them meets the
+    #: field reach of a part.
+    moved: List[Tuple[float, float, float, float, bool]] = dataclass_field(
+        default_factory=list
+    )
+
+
+_NO_OWNERS: Tuple[int, ...] = ()
 
 
 @dataclass
@@ -202,10 +250,23 @@ class ExpansionPlanner:
     iflg_neighbors_computed: int = dataclass_field(
         default=0, init=False, compare=False
     )
+    #: Memo entries the routing of registry and obstacle changes examined.
+    checked: int = dataclass_field(default=0, init=False, compare=False)
     #: ``owner_id -> _Answer``: the owner's last answer and its inputs.
     _memo: Dict[int, _Answer] = dataclass_field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    #: ``(ix, iy) -> owners`` whose reach box meets the cell.
+    _grid: Dict[Tuple[int, int], Set[int]] = dataclass_field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
+    #: Owners routed a change since their answer was made or last asked.
+    _reached: Set[int] = dataclass_field(
+        default_factory=set, init=False, repr=False, compare=False
+    )
+    #: The registry and field versions routed so far.
+    _registry_seen: int = dataclass_field(default=0, init=False, repr=False, compare=False)
+    _field_seen: int = dataclass_field(default=0, init=False, repr=False, compare=False)
     #: Probes made by the running part search.
     _probes: List[Tuple[float, float, bool]] = dataclass_field(
         default_factory=list, init=False, repr=False, compare=False
@@ -214,6 +275,15 @@ class ExpansionPlanner:
     _reach: Optional[List[float]] = dataclass_field(
         default_factory=list, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        # Nothing is memoised yet: every earlier change is out of sight.
+        self._registry_seen = self.registry.version
+        self._field_seen = self.field.version
+        #: Side of a grid cell: about one answer's probe reach.
+        self._cell = 2.0 * self.sensing_range
+        #: Reach of the same-floor neighbour test around a record.
+        self._neighbor_reach = 2.0 * self.expansion_radius + _MEMO_SLACK
 
     # ------------------------------------------------------------------
     # Public entry point
@@ -241,108 +311,145 @@ class ExpansionPlanner:
         exclude at most the owner and a neighbour, the owner's own changes
         cancel so.  IFLG is also recomputed on
         a change of the owner's record or of a record on the same floor
-        within ``2 * expansion_radius`` of it; it then searches again only
-        the neighbours that are new, moved, have a probe such a change
+        within ``2 * expansion_radius`` of it; it then applies those
+        changes to its neighbour entries (re-reading the neighbours only
+        when the owner's record moved), and searches again only the
+        neighbours that are new, moved, have a probe such a change
         could flip or a field reach an obstacle change met, and reuses the
         others' points, probes and reach.  With every field read and
         probe answer unchanged a search makes the same reads and probes in
         the same order (one it skipped can only be reached after an
-        earlier answer changed), so the rule is exact.  :meth:`floors_asked`
-        gives the answer's coverage-query message cost; the planner only
-        asks the registry.
+        earlier answer changed), so the rule is exact.
+
+        The changes are pushed, not pulled: :meth:`reached` routes each
+        one once, through a grid of the answers' reach boxes, to the
+        answers it may alter, so an answer no change reached is served
+        without looking at any.  :meth:`floors_asked` gives the answer's
+        coverage-query message cost; the planner only asks the registry.
         """
+        reached = self.reached()
         x, y = position.x, position.y
         registry = self.registry
-        field = self.field
         memo = self._memo.get(owner_id)
-        if memo is None or memo.x != x or memo.y != y:
-            stale = [True, True, True]
-            known: Dict[Tuple[int, float, float], _Part] = {}
-            near: List[Tuple[float, float, int, bool]] = []
-            moved: List[Tuple[float, float, float, float, bool]] = []
-        else:
-            same_field = memo.field_version == field.version
-            if memo.registry_version == registry.version:
-                if same_field:
-                    # Nothing changed since: nothing can be stale.
-                    self.reused += 1
-                    return list(memo.points)
-                stale, near = [False, False, False], []
-            else:
-                stale, near = self._stale_parts(memo, owner_id)
-            moved = [] if same_field else field.changes_since(memo.field_version)
+        if memo is not None and memo.x == x and memo.y == y:
+            if owner_id not in reached:
+                # No change since reached it: nothing can be stale.
+                self.reused += 1
+                memo.registry_version = registry.version
+                return list(memo.points)
+            reached.discard(owner_id)
+            stale, near = self._stale_parts(memo, owner_id)
+            moved = memo.moved
             if moved:
-                pieces = field.boundary_pieces_reach(x, y, self.sensing_range)
-                for kind, part in zip(ExpansionKind, memo.parts):
-                    box = pieces if kind is ExpansionKind.BLG else None
+                pieces = self.field.boundary_pieces_reach(x, y, self.sensing_range)
+                for kind, part in enumerate(memo.parts):
+                    box = pieces if kind == _BLG else None
                     if _touches(part.reach, moved, box):
                         stale[kind] = True
                         self.recomputed_field += 1
+            updates: Optional[List[Tuple[float, float, int, bool]]] = (
+                memo.neighbor_changes
+            )
+            memo.registry_version = registry.version
+            memo.iflg_stale = False
+            memo.near, memo.neighbor_changes, memo.moved = [], [], []
             if not (stale[0] or stale[1] or stale[2]):
-                memo.registry_version = registry.version
-                memo.field_version = field.version
                 memo.former = ()
                 self.reused += 1
                 return list(memo.points)
             known = memo.neighbors
+        else:
+            stale = [True, True, True]
+            known = {}
+            near = []
+            moved = []
+            updates = None
         self.recomputed += 1
-        if stale[ExpansionKind.IFLG]:
+        if stale[_IFLG]:
             found = registry.record(owner_id)
             record = (
                 None
                 if found is None
                 else (found.position.x, found.position.y, registry.floor_of(owner_id))
             )
+            if updates is not None and (memo.rescan or record != memo.record):
+                updates = None
             neighbors: Dict[Tuple[int, float, float], _Part] = {}
         else:
             record = memo.record
             neighbors = memo.neighbors
         parts: List[_Part] = []
-        for kind in ExpansionKind:
+        recomputed_parts = self.recomputed_parts
+        for kind in (_FLG, _BLG, _IFLG):
             if not stale[kind]:
                 parts.append(memo.parts[kind])
                 continue
             probes: List[Tuple[float, float, bool]] = []
             self._probes = probes
             self._reach = []
-            if kind is ExpansionKind.FLG:
+            if kind == _FLG:
                 found_points = self._flg_points(owner_id, x, y)
-            elif kind is ExpansionKind.BLG:
+                farthest = _farthest(probes, x, y)
+            elif kind == _BLG:
                 found_points = self._blg_points(owner_id, x, y)
+                farthest = _farthest(probes, x, y)
             else:
                 found_points = self._iflg_points(
-                    owner_id, x, y, known, near, moved, neighbors
+                    owner_id, x, y, record, known, updates, near, moved, neighbors
                 )
-            found_points.sort(key=ExpansionPoint.priority_key)
-            self.recomputed_parts[kind] += 1
-            parts.append(_Part(found_points, probes, self._reach))
+                farthest = max(
+                    (entry.farthest for entry in neighbors.values()), default=-1.0
+                )
+            # A part's points are all of its kind: its priority order is
+            # their (x, y) order.
+            if len(found_points) > 1:
+                found_points.sort(key=_xy)
+            recomputed_parts[kind] += 1
+            parts.append(_Part(found_points, probes, self._reach, farthest))
         points = parts[0].points + parts[1].points + parts[2].points
-        floors_asked = (
-            len(
-                self.floors.floors_possibly_covering(
-                    points[0].position, self.sensing_range
-                )
-            )
-            if points
-            else 0
-        )
-        self._memo[owner_id] = _Answer(
+        farthest = max(part.farthest for part in parts)
+        if farthest < 0.0:
+            probe_reach_sq = -1.0
+        else:
+            reach = farthest + self.sensing_range + 2.0 * _MEMO_SLACK
+            probe_reach_sq = reach * reach
+        answer = _Answer(
             x=x,
             y=y,
-            field_version=field.version,
             registry_version=registry.version,
             record=record,
             parts=parts,
             neighbors=neighbors,
             points=points,
-            floors_asked=floors_asked,
-            probe_reach_sq=self._probe_reach_sq(x, y, parts),
+            floors_asked=self._floors_asked(parts),
+            probe_reach_sq=probe_reach_sq,
         )
+        self._file(owner_id, answer)
         return list(points)
+
+    def reached(self) -> Set[int]:
+        """The owners whose answer a registry or obstacle change may have
+        altered since it was made or last asked, after routing every
+        change made since the last call (the set is the planner's own)."""
+        registry = self.registry
+        if self._registry_seen != registry.version:
+            changes = registry.changes_since(self._registry_seen)
+            self._registry_seen = registry.version
+            if self._memo:
+                self._route_records(changes)
+        field = self.field
+        if self._field_seen != field.version:
+            changes = field.changes_since(self._field_seen)
+            self._field_seen = field.version
+            if self._memo:
+                self._route_obstacles(changes)
+        return self._reached
 
     def forget(self, owner_id: int) -> None:
         """Drop the owner's memoised answer (it stopped searching)."""
-        self._memo.pop(owner_id, None)
+        memo = self._memo.pop(owner_id, None)
+        if memo is not None:
+            self._unfile(owner_id, memo)
 
     def hand_over(self, owner_id: int, successor_id: int) -> None:
         """Give the owner's memoised answer to ``successor_id``, which now
@@ -353,15 +460,17 @@ class ExpansionPlanner:
         for FLG and BLG the changes of both are out of sight, and for
         IFLG they cancel at the point, as the owner's own changes do.
         That holds only if the successor was not registered when the
-        answer was made: otherwise the answer is dropped.
+        answer was made: otherwise the answer is dropped.  A change of
+        the successor's record since makes IFLG stale, as the owner's own
+        would, and IFLG reads its neighbours again (they excluded the
+        owner, not the successor).
         """
         memo = self._memo.pop(owner_id, None)
-        if memo is None or any(
-            node_id == successor_id and not added
-            for _, _, node_id, added in self.registry.changes_since(
-                memo.registry_version
-            )
-        ):
+        if memo is None:
+            return
+        self._unfile(owner_id, memo)
+        added, removed = self.registry.last_changes(successor_id)
+        if removed >= memo.registry_version:
             return
 
         def owned(points: List[ExpansionPoint]) -> List[ExpansionPoint]:
@@ -373,7 +482,13 @@ class ExpansionPlanner:
             entry.points = owned(entry.points)
         memo.points = [point for part in memo.parts for point in part.points]
         memo.former = (*memo.former, owner_id)
-        self._memo[successor_id] = memo
+        memo.rescan = True
+        if added >= memo.registry_version:
+            memo.iflg_stale = True
+        self.forget(successor_id)
+        self._file(successor_id, memo)
+        if memo.iflg_stale or memo.near or memo.moved:
+            self._reached.add(successor_id)
 
     def floors_asked(self, owner_id: int) -> int:
         """Floor headers asked by the coverage-status query of the owner's
@@ -381,46 +496,159 @@ class ExpansionPlanner:
         point (zero when it has none)."""
         return self._memo[owner_id].floors_asked
 
-    def _probe_reach_sq(self, x: float, y: float, parts: List[_Part]) -> float:
-        """:attr:`_Answer.probe_reach_sq` of probes made from ``(x, y)``."""
-        farthest = max(
-            (math.hypot(px - x, py - y) for part in parts for px, py, _ in part.probes),
-            default=None,
-        )
-        if farthest is None:
-            return -1.0
-        reach = farthest + self.sensing_range + 2.0 * _MEMO_SLACK
-        return reach * reach
+    # ------------------------------------------------------------------
+    # The memo: filing answers and routing changes to them
+    # ------------------------------------------------------------------
+    def _floors_asked(self, parts: List[_Part]) -> int:
+        """Floor headers the coverage-status query of the first point of
+        ``parts`` asks (zero without points), counted once per part."""
+        for part in parts:
+            if part.points:
+                if part.asked < 0:
+                    part.asked = len(
+                        self.floors.floors_possibly_covering(
+                            part.points[0].position, self.sensing_range
+                        )
+                    )
+                return part.asked
+        return 0
+
+    def _file(self, owner_id: int, answer: _Answer) -> None:
+        """Make ``answer`` the owner's and file it under the grid cells
+        its reach box meets: its probes' reach and its record's
+        neighbour reach."""
+        old = self._memo.get(owner_id)
+        self._memo[owner_id] = answer
+        self._reached.discard(owner_id)
+        xmin = ymin = math.inf
+        xmax = ymax = -math.inf
+        if answer.probe_reach_sq >= 0.0:
+            reach = math.sqrt(answer.probe_reach_sq)
+            xmin = answer.x - reach
+            ymin = answer.y - reach
+            xmax = answer.x + reach
+            ymax = answer.y + reach
+        record = answer.record
+        if record is not None:
+            reach = self._neighbor_reach
+            xmin = min(xmin, record[0] - reach)
+            ymin = min(ymin, record[1] - reach)
+            xmax = max(xmax, record[0] + reach)
+            ymax = max(ymax, record[1] + reach)
+        if xmin <= xmax:
+            cell = self._cell
+            answer.cells = (
+                math.floor(xmin / cell),
+                math.floor(ymin / cell),
+                math.floor(xmax / cell),
+                math.floor(ymax / cell),
+            )
+        if old is not None:
+            # Cells that cover more than the reach box only route more
+            # changes to the exact tests: keep the old ones if they do.
+            ix0, iy0, ix1, iy1 = old.cells
+            jx0, jy0, jx1, jy1 = answer.cells
+            if ix0 <= jx0 and iy0 <= jy0 and jx1 <= ix1 and jy1 <= iy1:
+                answer.cells = old.cells
+                return
+            self._unfile_cells(owner_id, old.cells)
+        grid = self._grid
+        ix0, iy0, ix1, iy1 = answer.cells
+        for ix in range(ix0, ix1 + 1):
+            for iy in range(iy0, iy1 + 1):
+                owners = grid.get((ix, iy))
+                if owners is None:
+                    grid[ix, iy] = {owner_id}
+                else:
+                    owners.add(owner_id)
+
+    def _unfile(self, owner_id: int, answer: _Answer) -> None:
+        """Take the owner's ``answer`` (no longer in the memo) off the grid."""
+        self._unfile_cells(owner_id, answer.cells)
+        self._reached.discard(owner_id)
+
+    def _unfile_cells(self, owner_id: int, cells: Tuple[int, int, int, int]) -> None:
+        grid = self._grid
+        ix0, iy0, ix1, iy1 = cells
+        for ix in range(ix0, ix1 + 1):
+            for iy in range(iy0, iy1 + 1):
+                owners = grid[ix, iy]
+                owners.discard(owner_id)
+                if not owners:
+                    del grid[ix, iy]
+
+    def _route_records(self, changes: List[Tuple[float, float, int, bool]]) -> None:
+        """Route each registry change to the answers it may alter: the
+        owner's own, and those filed under its cell whose record it is a
+        same-floor neighbour of or whose probes it is within reach of."""
+        memo = self._memo
+        grid = self._grid
+        reached = self._reached
+        cell = self._cell
+        neighbor_reach_sq = self._neighbor_reach * self._neighbor_reach
+        floor_index = self.floors.floor_index
+        floor = math.floor
+        checked = 0
+        for change in changes:
+            cx, cy, node_id, _ = change
+            owners = grid.get((floor(cx / cell), floor(cy / cell)), _NO_OWNERS)
+            if node_id in memo and node_id not in owners:
+                owners = (*owners, node_id)
+            checked += len(owners)
+            change_floor = None
+            for owner_id in owners:
+                answer = memo[owner_id]
+                dx = cx - answer.x
+                dy = cy - answer.y
+                if dx * dx + dy * dy <= answer.probe_reach_sq:
+                    answer.near.append(change)
+                    reached.add(owner_id)
+                if node_id == owner_id:
+                    answer.iflg_stale = True
+                    reached.add(owner_id)
+                    continue
+                record = answer.record
+                if record is None:
+                    continue
+                dx = cx - record[0]
+                dy = cy - record[1]
+                if dx * dx + dy * dy <= neighbor_reach_sq:
+                    if change_floor is None:
+                        change_floor = floor_index(cy)
+                    if change_floor == record[2]:
+                        answer.iflg_stale = True
+                        answer.neighbor_changes.append(change)
+                        reached.add(owner_id)
+        self.checked += checked
+
+    def _route_obstacles(
+        self, changes: List[Tuple[float, float, float, float, bool]]
+    ) -> None:
+        """Route the obstacle changes to the answers one of them may
+        alter: those with a part whose field reach one meets.  Obstacle
+        changes are lifecycle events, a few a run, so every answer is
+        examined."""
+        reached = self._reached
+        pieces_reach = self.field.boundary_pieces_reach
+        rs = self.sensing_range
+        self.checked += len(self._memo)
+        for owner_id, answer in self._memo.items():
+            flg, blg, iflg = answer.parts
+            if (
+                _touches(flg.reach, changes)
+                or _touches(blg.reach, changes, pieces_reach(answer.x, answer.y, rs))
+                or _touches(iflg.reach, changes)
+            ):
+                answer.moved.extend(changes)
+                reached.add(owner_id)
 
     def _stale_parts(
         self, memo: _Answer, owner_id: int
     ) -> Tuple[List[bool], List[Tuple[float, float, int, bool]]]:
-        """Which parts of ``memo`` a registry change since it may alter,
-        and the changes within reach of one of its probes."""
-        x, y = memo.x, memo.y
-        probe_reach_sq = memo.probe_reach_sq
-        record = memo.record
-        neighbor_reach = 2.0 * self.expansion_radius + _MEMO_SLACK
-        neighbor_reach_sq = neighbor_reach * neighbor_reach
-        floor_index = self.registry.floors.floor_index
-        iflg_stale = False
-        near = []
-        for change in self.registry.changes_since(memo.registry_version):
-            cx, cy, node_id, _ = change
-            if not iflg_stale:
-                if node_id == owner_id:
-                    iflg_stale = True
-                elif record is not None:
-                    dx = cx - record[0]
-                    dy = cy - record[1]
-                    iflg_stale = (
-                        dx * dx + dy * dy <= neighbor_reach_sq
-                        and floor_index(cy) == record[2]
-                    )
-            dx = cx - x
-            dy = cy - y
-            if dx * dx + dy * dy <= probe_reach_sq:
-                near.append(change)
+        """Which parts of ``memo`` the registry changes routed to it may
+        alter, and those within reach of one of its probes."""
+        near = memo.near
+        iflg_stale = memo.iflg_stale
         if not near:
             return [False, False, iflg_stale], near
         # FLG and BLG probes exclude the owner alone; IFLG probes exclude
@@ -557,22 +785,26 @@ class ExpansionPlanner:
         owner_id: int,
         px: float,
         py: float,
+        record: Optional[Tuple[float, float, int]],
         known: Dict[Tuple[int, float, float], _Part],
+        updates: Optional[List[Tuple[float, float, int, bool]]],
         changes: List[Tuple[float, float, int, bool]],
         moved: List[Tuple[float, float, float, float, bool]],
         entries: Dict[Tuple[int, float, float], _Part],
     ) -> List[ExpansionPoint]:
-        """IFLG points, searched per same-floor neighbour.
+        """IFLG points, searched per same-floor neighbour of ``record``.
 
-        A neighbour found in ``known`` (the last answer's, from the same
-        position) under its ``(node_id, x, y)`` is reused when none of the
-        registry ``changes`` since could flip one of its probes and none
-        of the obstacle changes ``moved`` meets its field reach; every
-        neighbour's part goes into ``entries``.
+        ``known`` holds the last answer's neighbour entries (from the same
+        position) under their ``(node_id, x, y)``.  With ``updates`` (the
+        registry changes routed to the answer as same-floor neighbours
+        of the same record since) the neighbours are ``known``'s keys
+        with those changes applied in order; otherwise they are read from
+        the registry.  A neighbour found in ``known`` is reused when none
+        of the registry ``changes`` since could flip one of its probes
+        and none of the obstacle changes ``moved`` meets its field reach;
+        every neighbour's part goes into ``entries``.
         """
-        radius = self.expansion_radius
-        neighbors = self.registry.neighbors_on_floor(owner_id, 2.0 * radius)
-        if not neighbors:
+        if record is None:
             return []
         floor_index = self.floors.floor_index(py)
         inter_lines = [
@@ -585,24 +817,50 @@ class ExpansionPlanner:
         ]
         if not inter_lines:
             return []
+        radius = self.expansion_radius
+        if updates is None:
+            neighbors: Dict[Tuple[int, float, float], Optional[_Part]] = {
+                (other.node_id, other.position.x, other.position.y): known.get(
+                    (other.node_id, other.position.x, other.position.y)
+                )
+                for other in self.registry.neighbors_on_floor(owner_id, 2.0 * radius)
+            }
+        else:
+            # The registry's neighbour test, on the changes alone.
+            neighbors = dict(known)
+            dropped: Dict[Tuple[int, float, float], _Part] = {}
+            reach = 2.0 * radius + 1e-9
+            reach_sq = reach * reach
+            mx, my, _ = record
+            for cx, cy, node_id, added in updates:
+                dx = cx - mx
+                dy = cy - my
+                if node_id == owner_id or dx * dx + dy * dy > reach_sq:
+                    continue
+                key = (node_id, cx, cy)
+                if added:
+                    neighbors[key] = dropped.pop(key, None)
+                else:
+                    entry = neighbors.pop(key, None)
+                    if entry is not None:
+                        dropped[key] = entry
         reach = self.sensing_range + _MEMO_SLACK
         reach_sq = reach * reach
         is_free_xy = self._free
         probes = self._probes
         part_reach = self._reach
         points: List[ExpansionPoint] = []
-        for record in neighbors:
-            qx, qy = record.position.x, record.position.y
-            key = (record.node_id, qx, qy)
-            entry = known.get(key)
+        reused = 0
+        for key, entry in neighbors.items():
             if (
                 entry is not None
-                and not _flips(entry.probes, changes, reach_sq)
-                and not _touches(entry.reach, moved)
+                and not (changes and entry.probes and _flips(entry.probes, changes, reach_sq))
+                and not (moved and _touches(entry.reach, moved))
             ):
-                self.iflg_neighbors_reused += 1
+                reused += 1
             else:
                 self.iflg_neighbors_computed += 1
+                node_id, qx, qy = key
                 entry = _Part([], [], [])
                 self._probes = entry.probes
                 self._reach = entry.reach
@@ -631,15 +889,17 @@ class ExpansionPlanner:
                         continue
                     # The EP itself must not already host (or be promised
                     # to) another node.
-                    if self._is_uncovered(cx, cy, (owner_id, record.node_id)):
+                    if self._is_uncovered(cx, cy, (owner_id, node_id)):
                         entry.points.append(
                             ExpansionPoint(Vec2(cx, cy), ExpansionKind.IFLG, owner_id)
                         )
+                entry.farthest = _farthest(entry.probes, px, py)
             entries[key] = entry
             points.extend(entry.points)
             probes.extend(entry.probes)
             # IFLG reads the field at points only: every reach is bounded.
             part_reach.extend(entry.reach)
+        self.iflg_neighbors_reused += reused
         self._probes = probes
         self._reach = part_reach
         return points

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 from itertools import chain
-from typing import Dict, List, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..geometry import Vec2
 from ..mobility import Bug2Path, Bug2Planner, Handedness
@@ -70,7 +70,8 @@ _PHASE2_DEADLINE_FRACTION = 0.25
 
 #: Telemetry counters of the expansion planner's totals, in the order of
 #: :meth:`FloorScheme._planner_counts` (the part recomputations indexed
-#: by :class:`ExpansionKind`, then the parts an obstacle change reached).
+#: by :class:`ExpansionKind`, then the parts an obstacle change reached,
+#: then the memo entries the change routing examined).
 _PLANNER_COUNTERS = (
     "floor.expansion_reused",
     "floor.expansion_recomputed",
@@ -79,20 +80,8 @@ _PLANNER_COUNTERS = (
     "floor.iflg_neighbors_computed",
     *(f"floor.expansion_recomputed.{kind.name.lower()}" for kind in ExpansionKind),
     "floor.expansion_recomputed.field",
+    "floor.expansion_checked",
 )
-
-
-class _Round(NamedTuple):
-    """What an expansion round read and what it found."""
-
-    #: The registry and field versions.
-    versions: Tuple[int, int]
-    #: The searchers left active, in id order, and their positions.
-    ids: List[int]
-    positions: List[Optional[Vec2]]
-    points: List[ExpansionPoint]
-    #: Floor headers the points' coverage-status queries asked.
-    floors_asked: int
 
 
 class FloorScheme(DeploymentScheme):
@@ -124,8 +113,14 @@ class FloorScheme(DeploymentScheme):
         #: Relocating sensors: sensor id -> (target EP, inviter id).
         self._relocations: Dict[int, ExpansionPoint] = {}
         self._virtual_counter: int = 0
-        #: What the last expansion round left behind.
-        self._last_round: Optional[_Round] = None
+        #: Active searcher id -> (position, points, floors asked) of its
+        #: last answer.
+        self._answers: Dict[int, Tuple[Vec2, List[ExpansionPoint], int]] = {}
+        #: The last round's searchers left active, their positions, its
+        #: points and the floor headers their queries asked.
+        self._last_round: Optional[
+            Tuple[List[int], List[Optional[Vec2]], List[ExpansionPoint], int]
+        ] = None
 
     # ------------------------------------------------------------------
     # Initialisation
@@ -158,6 +153,7 @@ class FloorScheme(DeploymentScheme):
         self._active_searchers.clear()
         self._virtual_positions.clear()
         self._relocations.clear()
+        self._answers.clear()
         self._last_round = None
 
         flood_tree(world)
@@ -460,6 +456,7 @@ class FloorScheme(DeploymentScheme):
             position = self._virtual_positions.pop(vid)
             if arrived is not None and position == arrived.position:
                 self._active_searchers.discard(vid)
+                self._answers.pop(vid, None)
                 self._expansion.hand_over(vid, arrived.sensor_id)
                 arrived = None
             else:
@@ -472,17 +469,24 @@ class FloorScheme(DeploymentScheme):
         a sensor only searches again after relocating, and virtual ids
         are not reused)."""
         self._active_searchers.discard(searcher_id)
+        self._answers.pop(searcher_id, None)
         assert self._expansion is not None
         self._expansion.forget(searcher_id)
 
-    def _searcher_position(self, world: World, searcher_id: int) -> Optional[Vec2]:
-        """Where a searcher stands, ``None`` for a sensor no longer FIXED."""
-        if searcher_id >= _VIRTUAL_ID_OFFSET:
-            return self._virtual_positions.get(searcher_id)
-        sensor = world.sensor(searcher_id)
-        if sensor.state is not SensorState.FIXED:
-            return None
-        return sensor.position
+    def _searcher_positions(
+        self, world: World, ids: List[int]
+    ) -> List[Optional[Vec2]]:
+        """Where each searcher stands, ``None`` for a sensor no longer
+        FIXED."""
+        sensors = world.sensors
+        virtual_positions = self._virtual_positions
+        fixed = SensorState.FIXED
+        return [
+            virtual_positions.get(searcher_id)
+            if searcher_id >= _VIRTUAL_ID_OFFSET
+            else (sensor.position if (sensor := sensors[searcher_id]).state is fixed else None)
+            for searcher_id in ids
+        ]
 
     def _planner_counts(self) -> List[int]:
         """The expansion planner's totals behind :data:`_PLANNER_COUNTERS`."""
@@ -496,63 +500,77 @@ class FloorScheme(DeploymentScheme):
             planner.iflg_neighbors_computed,
             *planner.recomputed_parts,
             planner.recomputed_field,
+            planner.checked,
         ]
 
     def _collect_expansion_points(self, world: World) -> List[ExpansionPoint]:
         """Step 1 of a round: fixed (and virtual) searchers look for EPs.
 
-        Searchers that find none (or are gone) leave the active set.  A
-        round whose inputs (the registry and field versions, and each
-        active searcher's id and position, ``None`` when not ``FIXED``)
-        are those the last round left behind serves that round's points:
-        every searcher would take its memo-hit path and answer as it
-        did, and none would be exhausted.  It charges the same messages
-        and counts every searcher as reused, as the memo hits would.
+        Searchers that find none (or are no longer ``FIXED``) leave the
+        active set.  A searcher that stands where it stood for its last
+        answer, and that no registry or obstacle change since reached
+        (:meth:`ExpansionPlanner.reached`), serves that answer again:
+        the planner would take its memo-hit path, so it is counted as
+        reused.  Only new, moved or reached searchers ask the planner.
+        A round whose searchers and positions are the last round's and
+        that no change reached serves the last round's points whole.
         """
-        assert self._expansion is not None and self._registry is not None
+        assert self._expansion is not None
         expansion = self._expansion
-        before = self._planner_counts()
-        versions = (self._registry.version, world.field.version)
+        tel = world.telemetry
+        before = self._planner_counts() if tel.enabled else None
+        reached = expansion.reached()
         ids = sorted(self._active_searchers)
-        searcher_position = self._searcher_position
-        positions = [searcher_position(world, searcher_id) for searcher_id in ids]
-        last = self._last_round
-        # The positions compare by identity first: cheap when unmoved.
-        reused = (
-            last is not None
-            and last.versions == versions
-            and last.ids == ids
-            and last.positions == positions
+        positions = self._searcher_positions(world, ids)
+        last_round = self._last_round
+        searched = not (
+            not reached
+            and last_round is not None
+            and last_round[0] == ids
+            and last_round[1] == positions
         )
-        if reused:
-            expansion_points, floors_asked = list(last.points), last.floors_asked
-            expansion.reused += len(ids)
-        else:
-            expansion_points = []
-            exhausted: Set[int] = set()
+        if searched:
+            answers = self._answers
+            expansion_points: List[ExpansionPoint] = []
+            exhausted: List[int] = []
             floors_asked = 0
+            reused = 0
             for searcher_id, position in zip(ids, positions):
                 if position is None:
-                    exhausted.add(searcher_id)
+                    exhausted.append(searcher_id)
                     continue
-                points = expansion.expansion_points(searcher_id, position)
-                if not points:
-                    # "If a sensor finds no expansion points on its
-                    # expansion circle, then it stops the checking process."
-                    exhausted.add(searcher_id)
-                    continue
-                floors_asked += expansion.floors_asked(searcher_id)
-                expansion_points.extend(points)
+                last = answers.get(searcher_id)
+                if (
+                    last is not None
+                    and searcher_id not in reached
+                    and (last[0] is position or last[0] == position)
+                ):
+                    points = last[1]
+                    reused += 1
+                else:
+                    points = expansion.expansion_points(searcher_id, position)
+                    if not points:
+                        # "If a sensor finds no expansion points on its
+                        # expansion circle, then it stops the checking
+                        # process."
+                        exhausted.append(searcher_id)
+                        continue
+                    last = (position, points, expansion.floors_asked(searcher_id))
+                    answers[searcher_id] = last
+                floors_asked += last[2]
+                expansion_points += points
+            expansion.reused += reused
             for searcher_id in exhausted:
                 self._drop_searcher(searcher_id)
-            kept = [k for k, sid in enumerate(ids) if sid not in exhausted]
-            self._last_round = _Round(
-                versions,
-                [ids[k] for k in kept],
-                [positions[k] for k in kept],
-                list(expansion_points),
-                floors_asked,
-            )
+            if exhausted:
+                kept = [k for k, sid in enumerate(ids) if sid not in exhausted]
+                ids = [ids[k] for k in kept]
+                positions = [positions[k] for k in kept]
+            self._last_round = (ids, positions, expansion_points, floors_asked)
+            expansion_points = list(expansion_points)
+        else:
+            expansion_points, floors_asked = list(last_round[2]), last_round[3]
+            expansion.reused += len(ids)
         # Coverage-status queries to the relevant floor headers: one query
         # and one response per floor asked, routed over the tree (charged
         # for every searcher with points, whether or not its answer was
@@ -560,9 +578,8 @@ class FloorScheme(DeploymentScheme):
         if floors_asked:
             world.routing.record_one_hop(MessageType.COVERAGE_QUERY, floors_asked)
             world.routing.record_one_hop(MessageType.COVERAGE_RESPONSE, floors_asked)
-        tel = world.telemetry
-        if tel.enabled:
-            tel.count("floor.rounds_reused" if reused else "floor.rounds_searched", 1)
+        if before is not None:
+            tel.count("floor.rounds_searched" if searched else "floor.rounds_reused", 1)
             for name, done, was in zip(
                 _PLANNER_COUNTERS, self._planner_counts(), before
             ):

@@ -23,7 +23,8 @@ scans only the floors its floor filter admits.
 :meth:`FloorRegistry.changes_since` lists where each change happened and
 whether it added or removed a record, so
 that callers can tell whether an answer derived from the registry could
-have moved.  Randomized parity tests pin the scans against an exhaustive
+have moved (the expansion planner routes each change once to the answers
+it can reach).  Randomized parity tests pin the scans against an exhaustive
 per-floor scan (``tests/oracles``).
 """
 
@@ -68,6 +69,11 @@ class FloorRegistry:
         default_factory=dict, init=False, repr=False, compare=False
     )
     _scan_version: int = field(default=-1, init=False, repr=False, compare=False)
+    #: ``node_id -> [added, removed]``: the journal index of the node's
+    #: last record addition and removal (``-1``: none).
+    _last_changes: Dict[int, List[int]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
     #: ``node_id -> floor_index`` of every record: a node is on one floor.
     _floor_of: Dict[int, int] = field(
         default_factory=dict, init=False, repr=False, compare=False
@@ -114,6 +120,10 @@ class FloorRegistry:
 
     def _changed(self, position: Vec2, node_id: int, added: bool) -> None:
         self._journal.append((position.x, position.y, node_id, added))
+        last = self._last_changes.get(node_id)
+        if last is None:
+            last = self._last_changes[node_id] = [-1, -1]
+        last[0 if added else 1] = self.version
         self.version += 1
 
     def changes_since(self, version: int) -> List[Tuple[float, float, int, bool]]:
@@ -124,6 +134,13 @@ class FloorRegistry:
         the new record.
         """
         return self._journal[version:]
+
+    def last_changes(self, node_id: int) -> Tuple[int, int]:
+        """The versions at which a record of ``node_id`` was last added
+        and last removed (``-1`` when never): a change is among
+        :meth:`changes_since` ``(v)`` when its version is at least ``v``."""
+        added, removed = self._last_changes.get(node_id, (-1, -1))
+        return added, removed
 
     # ------------------------------------------------------------------
     # Queries

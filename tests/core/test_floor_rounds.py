@@ -20,7 +20,7 @@ from repro.field import Obstacle
 from repro.geometry import Vec2
 from repro.obs import Telemetry
 from repro.sensors import SensorState
-from repro.sim import SimulationEngine, obstacle_appear, obstacle_clear
+from repro.sim import FaultInjector, SimulationEngine, obstacle_appear, obstacle_clear
 from tests.oracles import ReferenceFloorScheme
 
 
@@ -146,8 +146,10 @@ class TestRoundKey:
         before = tel.counter("floor.rounds_searched")
         points = scheme._collect_expansion_points(world)
         searched = tel.counter("floor.rounds_searched") != before
+        scheme._answers.clear()
         scheme._last_round = None
-        scheme._expansion._memo.clear()
+        for searcher_id in list(scheme._expansion._memo):
+            scheme._expansion.forget(searcher_id)
         assert points == scheme._collect_expansion_points(world)
         return searched
 
@@ -163,15 +165,32 @@ class TestRoundKey:
         world, scheme = self._setup()
         assert not self._searched(world, scheme)
 
-    def test_a_registry_change_searches(self):
+    def test_a_registry_change_within_a_searchers_reach_searches(self):
         world, scheme = self._setup()
-        scheme._registry.register(999_999, Vec2(5.0, 5.0), virtual=True)
+        near = world.sensor(self._fixed_searcher(world, scheme)).position
+        scheme._registry.register(999_999, near + Vec2(1.0, 0.0), virtual=True)
         assert self._searched(world, scheme)
 
-    def test_a_field_change_searches(self):
+    def test_a_registry_change_out_of_every_reach_reuses_the_round(self):
+        world, scheme = self._setup()
+        size = world.field.width
+        scheme._registry.register(999_999, Vec2(size, size), virtual=True)
+        assert not scheme._expansion.reached()
+        assert not self._searched(world, scheme)
+
+    def test_a_field_change_within_a_searchers_reach_searches(self):
+        world, scheme = self._setup()
+        at = world.sensor(self._fixed_searcher(world, scheme)).position
+        world.field.add_obstacle(
+            Obstacle.rectangle(at.x + 5.0, at.y + 5.0, at.x + 8.0, at.y + 8.0)
+        )
+        assert self._searched(world, scheme)
+
+    def test_a_field_change_out_of_every_reach_reuses_the_round(self):
         world, scheme = self._setup()
         world.field.add_obstacle(Obstacle.rectangle(280, 280, 290, 290))
-        assert self._searched(world, scheme)
+        assert not scheme._expansion.reached()
+        assert not self._searched(world, scheme)
 
     def test_a_new_searcher_searches(self):
         world, scheme = self._setup()
@@ -190,6 +209,24 @@ class TestRoundKey:
         sensor.motion.relocate(
             sensor.position + Vec2(0.5, 0.0), "test"
         )
+        assert self._searched(world, scheme)
+
+    def test_a_searcher_the_lifecycle_displaces_searches(self):
+        # A wall appears over a fixed searcher: the injector pushes it
+        # out, FLOOR re-registers it, and the next round asks it again.
+        world, scheme = self._setup()
+        searcher = self._fixed_searcher(world, scheme)
+        at = world.sensor(searcher).position
+        injector = FaultInjector(
+            world,
+            scheme,
+            [obstacle_appear(0, at.x - 2.0, at.y - 2.0, at.x + 3.0, at.y + 3.0)],
+        )
+        injector.fire(0)
+        moved = world.sensor(searcher).position
+        assert moved != at and world.field.is_free(moved)
+        assert scheme._registry.record(searcher).position == moved
+        assert searcher in scheme._expansion.reached()
         assert self._searched(world, scheme)
 
     def test_a_searcher_no_longer_fixed_searches(self):

@@ -213,16 +213,16 @@ class TestFloorTelemetry:
 
     def test_reused_and_recomputed_add_up_to_the_calls(self, monkeypatch):
         """Every searcher a round asks is either reused or recomputed: a
-        searched round asks the planner, a reused round counts each of its
-        searchers as reused.  The counters, the per-part ones included,
-        match the planner's own totals, and only recomputations probe the
-        registry."""
+        searcher no change reached serves its last answer without asking
+        the planner, and a reused round asks it for none.  The counters,
+        the per-part ones included, match the planner's own totals, and
+        only recomputations probe the registry."""
         from repro.core.expansion import ExpansionPlanner
         from repro.obs import Telemetry
 
         calls = []
-        served = []
-        rounds = []
+        asked = []
+        reused_rounds = []
         original = ExpansionPlanner.expansion_points
         collect = FloorScheme._collect_expansion_points
 
@@ -231,12 +231,17 @@ class TestFloorTelemetry:
             return original(planner, owner_id, position)
 
         def round_counted(scheme, world):
-            active = len(scheme._active_searchers)
-            was = world.telemetry.counter("floor.rounds_reused")
+            with_position = sum(
+                position is not None
+                for position in scheme._searcher_positions(
+                    world, sorted(scheme._active_searchers)
+                )
+            )
+            was = (len(calls), world.telemetry.counter("floor.rounds_reused"))
             points = collect(scheme, world)
-            rounds.append(active)
-            if world.telemetry.counter("floor.rounds_reused") != was:
-                served.append(active)
+            asked.append(with_position)
+            if world.telemetry.counter("floor.rounds_reused") != was[1]:
+                reused_rounds.append(len(calls) - was[0])
             return points
 
         monkeypatch.setattr(ExpansionPlanner, "expansion_points", counted)
@@ -248,12 +253,14 @@ class TestFloorTelemetry:
         counters = result.telemetry.counters
         reused = counters["floor.expansion_reused"]
         recomputed = counters["floor.expansion_recomputed"]
-        assert reused + recomputed == len(calls) + sum(served) > 0
-        assert len(served) == counters["floor.rounds_reused"] > 0
+        assert reused + recomputed == sum(asked) > len(calls) > recomputed
+        assert len(reused_rounds) == counters["floor.rounds_reused"] > 0
+        assert not any(reused_rounds), "a reused round asks the planner nothing"
         assert (
             counters["floor.rounds_searched"] + counters["floor.rounds_reused"]
-            == len(rounds)
+            == len(asked)
         )
+        assert counters["floor.expansion_checked"] == planner.checked > 0
         assert (reused, recomputed) == (planner.reused, planner.recomputed)
         assert counters["floor.coverage_queries"] == planner.coverage_queries
         assert planner.coverage_queries >= recomputed > 0

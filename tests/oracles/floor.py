@@ -219,6 +219,7 @@ class RoundPlanner(ReferenceExpansionPlanner):
     iflg_neighbors_reused: int = 0
     iflg_neighbors_computed: int = 0
     recomputed_field: int = 0
+    checked: int = 0
 
     def __post_init__(self) -> None:
         self.recomputed_parts = [0, 0, 0]
@@ -239,6 +240,9 @@ class RoundPlanner(ReferenceExpansionPlanner):
     def floors_asked(self, owner_id: int) -> int:
         return self._asked
 
+    def reached(self):
+        return set()
+
     def forget(self, owner_id: int) -> None:
         pass
 
@@ -247,7 +251,8 @@ class RoundPlanner(ReferenceExpansionPlanner):
 
 
 class ReferenceFloorScheme(FloorScheme):
-    """FLOOR on :class:`RoundPlanner` that never reuses an expansion round."""
+    """FLOOR on :class:`RoundPlanner` that asks every searcher in every
+    round."""
 
     def initialize(self, world) -> None:
         super().initialize(world)
@@ -261,5 +266,6 @@ class ReferenceFloorScheme(FloorScheme):
         )
 
     def _collect_expansion_points(self, world):
+        self._answers.clear()
         self._last_round = None
         return super()._collect_expansion_points(world)
