@@ -81,9 +81,12 @@ def _net(
 def _farthest(probes: List[Tuple[float, float, bool]], x: float, y: float) -> float:
     """Distance from ``(x, y)`` to the farthest of ``probes`` (``-1.0``:
     none)."""
-    if not probes:
-        return -1.0
-    return max(math.hypot(px - x, py - y) for px, py, _ in probes)
+    farthest = -1.0
+    for px, py, _ in probes:
+        distance = math.hypot(px - x, py - y)
+        if distance > farthest:
+            farthest = distance
+    return farthest
 
 
 def _touches(
@@ -123,6 +126,8 @@ class ExpansionKind(IntEnum):
 
 #: The kinds as plain indices into an answer's parts.
 _FLG, _BLG, _IFLG = (int(kind) for kind in ExpansionKind)
+#: ``stale`` of a search from a new point: every part.
+_ALL_STALE = (True, True, True)
 
 
 @dataclass(frozen=True)
@@ -284,6 +289,8 @@ class ExpansionPlanner:
         self._cell = 2.0 * self.sensing_range
         #: Reach of the same-floor neighbour test around a record.
         self._neighbor_reach = 2.0 * self.expansion_radius + _MEMO_SLACK
+        #: ``floor_index -> [inter-floor lines above and below]``.
+        self._inter_lines: Dict[int, List[float]] = {}
 
     # ------------------------------------------------------------------
     # Public entry point
@@ -359,7 +366,7 @@ class ExpansionPlanner:
                 return list(memo.points)
             known = memo.neighbors
         else:
-            stale = [True, True, True]
+            stale = _ALL_STALE
             known = {}
             near = []
             moved = []
@@ -397,9 +404,10 @@ class ExpansionPlanner:
                 found_points = self._iflg_points(
                     owner_id, x, y, record, known, updates, near, moved, neighbors
                 )
-                farthest = max(
-                    (entry.farthest for entry in neighbors.values()), default=-1.0
-                )
+                farthest = -1.0
+                for entry in neighbors.values():
+                    if entry.farthest > farthest:
+                        farthest = entry.farthest
             # A part's points are all of its kind: its priority order is
             # their (x, y) order.
             if len(found_points) > 1:
@@ -407,24 +415,36 @@ class ExpansionPlanner:
             recomputed_parts[kind] += 1
             parts.append(_Part(found_points, probes, self._reach, farthest))
         points = parts[0].points + parts[1].points + parts[2].points
-        farthest = max(part.farthest for part in parts)
+        farthest = max(parts[0].farthest, parts[1].farthest, parts[2].farthest)
         if farthest < 0.0:
             probe_reach_sq = -1.0
         else:
             reach = farthest + self.sensing_range + 2.0 * _MEMO_SLACK
             probe_reach_sq = reach * reach
-        answer = _Answer(
-            x=x,
-            y=y,
-            registry_version=registry.version,
-            record=record,
-            parts=parts,
-            neighbors=neighbors,
-            points=points,
-            floors_asked=self._floors_asked(parts),
-            probe_reach_sq=probe_reach_sq,
-        )
-        self._file(owner_id, answer)
+        if memo is None or stale is _ALL_STALE:
+            memo = _Answer(
+                x=x,
+                y=y,
+                registry_version=registry.version,
+                record=record,
+                parts=parts,
+                neighbors=neighbors,
+                points=points,
+                floors_asked=self._floors_asked(parts),
+                probe_reach_sq=probe_reach_sq,
+            )
+        else:
+            # The same owner at the same point: the answer is updated in
+            # place (its pending changes were taken above).
+            memo.record = record
+            memo.parts = parts
+            memo.neighbors = neighbors
+            memo.points = points
+            memo.floors_asked = self._floors_asked(parts)
+            memo.probe_reach_sq = probe_reach_sq
+            memo.former = ()
+            memo.rescan = False
+        self._file(owner_id, memo)
         return list(points)
 
     def reached(self) -> Set[int]:
@@ -518,6 +538,7 @@ class ExpansionPlanner:
         its reach box meets: its probes' reach and its record's
         neighbour reach."""
         old = self._memo.get(owner_id)
+        old_cells = None if old is None else old.cells
         self._memo[owner_id] = answer
         self._reached.discard(owner_id)
         xmin = ymin = math.inf
@@ -543,15 +564,15 @@ class ExpansionPlanner:
                 math.floor(xmax / cell),
                 math.floor(ymax / cell),
             )
-        if old is not None:
+        if old_cells is not None:
             # Cells that cover more than the reach box only route more
             # changes to the exact tests: keep the old ones if they do.
-            ix0, iy0, ix1, iy1 = old.cells
+            ix0, iy0, ix1, iy1 = old_cells
             jx0, jy0, jx1, jy1 = answer.cells
             if ix0 <= jx0 and iy0 <= jy0 and jx1 <= ix1 and jy1 <= iy1:
-                answer.cells = old.cells
+                answer.cells = old_cells
                 return
-            self._unfile_cells(owner_id, old.cells)
+            self._unfile_cells(owner_id, old_cells)
         grid = self._grid
         ix0, iy0, ix1, iy1 = answer.cells
         for ix in range(ix0, ix1 + 1):
@@ -807,14 +828,16 @@ class ExpansionPlanner:
         if record is None:
             return []
         floor_index = self.floors.floor_index(py)
-        inter_lines = [
-            line
-            for line in (
-                self.floors.inter_floor_line_above(floor_index),
-                self.floors.inter_floor_line_below(floor_index),
-            )
-            if line is not None
-        ]
+        inter_lines = self._inter_lines.get(floor_index)
+        if inter_lines is None:
+            inter_lines = self._inter_lines[floor_index] = [
+                line
+                for line in (
+                    self.floors.inter_floor_line_above(floor_index),
+                    self.floors.inter_floor_line_below(floor_index),
+                )
+                if line is not None
+            ]
         if not inter_lines:
             return []
         radius = self.expansion_radius

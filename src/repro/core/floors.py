@@ -81,8 +81,8 @@ class FloorGeometry:
     def floor_index(self, y: float) -> int:
         """Index of the floor containing the y coordinate."""
         clamped = min(max(y, 0.0), self.field_height)
-        idx = int(clamped // self.floor_height)
-        return min(idx, self.floor_count - 1)
+        idx = int(clamped // (2.0 * self.sensing_range))
+        return min(idx, len(self.floor_line_ys) - 1)
 
     def nearest_floor_line(self, y: float) -> float:
         """``FloorLine(y)``: the y coordinate of the nearest floor line.

@@ -14,11 +14,13 @@ scheme can account the query / response message costs on the tree.
 
 The coverage and same-floor-neighbour queries are the hot loop of FLOOR's
 phase-3 expansion search (every active searcher probes several candidate
-points per period), so they run as scalar loops over cached per-floor
-lists of ``(x, y, node_id)`` tuples, rebuilt lazily when the records
-change, with the squared-distance test of
-:meth:`~repro.spatial.index.SpatialIndex.query_radius`; a coverage query
-scans only the floors its floor filter admits.
+points per period), so they run as scalar loops over per-floor lists of
+``(x, y, node_id)`` tuples with the squared-distance test of
+:meth:`~repro.spatial.index.SpatialIndex.query_radius`: a coverage query
+scans only the floors its floor filter admits, and on each only the rows
+within reach in x of an x-sorted list kept up to date on every change;
+the neighbour query scans a per-floor list in registration order,
+rebuilt lazily when the records change.
 :attr:`FloorRegistry.version` counts record changes, and
 :meth:`FloorRegistry.changes_since` lists where each change happened and
 whether it added or removed a record, so
@@ -30,6 +32,7 @@ per-floor scan (``tests/oracles``).
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -78,6 +81,11 @@ class FloorRegistry:
     _floor_of: Dict[int, int] = field(
         default_factory=dict, init=False, repr=False, compare=False
     )
+    #: ``floor_index -> (xs, rows)``: each floor's ``(x, y, node_id)``
+    #: rows sorted by x, and their x, kept up to date on every change.
+    _by_x: Dict[int, Tuple[List[float], List[Tuple[float, float, int]]]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         self._floor_of = {
@@ -85,6 +93,9 @@ class FloorRegistry:
             for floor_index, floor_records in self._records.items()
             for node_id in floor_records
         }
+        for floor_index, floor_records in self._records.items():
+            for record in floor_records.values():
+                self._insert_row(floor_index, record)
 
     # ------------------------------------------------------------------
     # Registration
@@ -99,10 +110,10 @@ class FloorRegistry:
         """
         self.unregister(node_id)
         floor_index = self.floors.floor_index(position.y)
-        self._records.setdefault(floor_index, {})[node_id] = FloorRecord(
-            node_id=node_id, position=position, virtual=virtual
-        )
+        record = FloorRecord(node_id=node_id, position=position, virtual=virtual)
+        self._records.setdefault(floor_index, {})[node_id] = record
         self._floor_of[node_id] = floor_index
+        self._insert_row(floor_index, record)
         self._changed(position, node_id, True)
         return floor_index
 
@@ -111,7 +122,19 @@ class FloorRegistry:
         floor_index = self._floor_of.pop(node_id, None)
         if floor_index is not None:
             record = self._records[floor_index].pop(node_id)
+            xs, rows = self._by_x[floor_index]
+            k = bisect_left(xs, record.position.x)
+            while rows[k][2] != node_id:
+                k += 1
+            del xs[k], rows[k]
             self._changed(record.position, node_id, False)
+
+    def _insert_row(self, floor_index: int, record: FloorRecord) -> None:
+        x = record.position.x
+        xs, rows = self._by_x.setdefault(floor_index, ([], []))
+        k = bisect_right(xs, x)
+        xs.insert(k, x)
+        rows.insert(k, (x, record.position.y, record.node_id))
 
     def promote_virtual(self, node_id: int, position: Vec2) -> None:
         """Replace a virtual place-holder by the real arrived sensor."""
@@ -196,11 +219,16 @@ class FloorRegistry:
         """
         reach = sensing_range + 1e-9
         reach_sq = reach * reach
+        # Rows beyond ``reach`` in x fail the distance test; the window
+        # is wider by far more than rounding.
+        low = x - reach - 1e-6
+        high = x + reach + 1e-6
         floor_line_ys = self.floors.floor_line_ys
-        for floor_index, records in self._scan_floors().items():
+        for floor_index, (xs, rows) in self._by_x.items():
             if abs(floor_line_ys[floor_index] - y) > reach:
                 continue
-            for rx, ry, node_id in records:
+            for k in range(bisect_left(xs, low), bisect_right(xs, high)):
+                rx, ry, node_id = rows[k]
                 dx = rx - x
                 dy = ry - y
                 if dx * dx + dy * dy <= reach_sq and node_id not in exclude:
