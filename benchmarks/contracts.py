@@ -443,8 +443,11 @@ def _counter_bounds(prefix: str) -> Callable[..., Verdict]:
     that had not changed, more subtree walks mean CPVF's retry cache
     dropped entries that its own parent changes left as they were, more
     FLOOR recomputations under churn mean an obstacle change recomputed
-    parts out of its reach, and more searched rounds mean FLOOR searched
-    again a round whose inputs had not changed, whatever the wall time
+    parts out of its reach, more searched rounds mean FLOOR searched
+    again a round whose inputs had not changed, more memo entries
+    examined mean the expansion planner routed changes to answers out
+    of their reach, and more sensing disks rasterised mean the coverage
+    diff re-rasterised disks that did not move, whatever the wall time
     says.
     """
 
@@ -660,6 +663,9 @@ CONTRACTS: Tuple[Contract, ...] = (
     Contract("floor.coverage_queries", "obstacle_floor",
              _counter_bounds("floor.coverage_queries"),
              committed=Committed("obstacle_floor", "counters")),
+    Contract("floor.expansion_checked", "obstacle_floor",
+             _counter_bounds("floor.expansion_checked"),
+             committed=Committed("obstacle_floor", "counters")),
     Contract("neighbors.table_builds", "obstacle_floor",
              _counter_bounds("neighbors.table_builds"),
              committed=Committed("obstacle_floor", "counters")),
@@ -684,6 +690,9 @@ CONTRACTS: Tuple[Contract, ...] = (
     Contract("cpvf.subtree_walks", "churn_cpvf",
              _counter_bounds("cpvf.subtree_walks"),
              committed=Committed("churn_cpvf", "counters")),
+    Contract("coverage.cpvf_churn_disks", "churn_cpvf",
+             _counter_bounds("coverage.disks"),
+             committed=Committed("churn_cpvf", "counters")),
     Contract("perf.churn_floor", "churn_floor",
              _wall_budget("churn-lossy FLOOR deployment"),
              committed=Committed("churn_floor", "wall_ms")),
@@ -692,6 +701,12 @@ CONTRACTS: Tuple[Contract, ...] = (
              committed=Committed("churn_floor", "counters")),
     Contract("floor.rounds_searched", "churn_floor",
              _counter_bounds("floor.rounds_searched"),
+             committed=Committed("churn_floor", "counters")),
+    Contract("floor.churn_expansion_checked", "churn_floor",
+             _counter_bounds("floor.expansion_checked"),
+             committed=Committed("churn_floor", "counters")),
+    Contract("coverage.floor_churn_disks", "churn_floor",
+             _counter_bounds("coverage.disks"),
              committed=Committed("churn_floor", "counters")),
     Contract("perf.lifecycle_recovery", "lifecycle_recovery",
              check_lifecycle_recovery,

@@ -623,7 +623,8 @@ OBSTACLE_FLOOR_PHASES = (
 #: Counters of the ``obstacle_floor`` row: the expansion planner's
 #: answers reused and recomputed, its FLG, BLG and IFLG part
 #: recomputations, the IFLG neighbours those reused and searched again,
-#: the registry probes it made, and the whole neighbour tables built.
+#: the registry probes it made, the memo entries its change routing
+#: examined, and the whole neighbour tables built.
 OBSTACLE_FLOOR_COUNTERS = (
     "floor.expansion_reused",
     "floor.expansion_recomputed",
@@ -633,6 +634,7 @@ OBSTACLE_FLOOR_COUNTERS = (
     "floor.iflg_neighbors_reused",
     "floor.iflg_neighbors_computed",
     "floor.coverage_queries",
+    "floor.expansion_checked",
     "neighbors.table_builds",
 )
 #: Counts of the ``obstacle_cpvf`` and ``obstacle_floor`` rows taken
@@ -669,12 +671,14 @@ CHURN_FLOOR_SCRIPTS = ("door-slam",) + CHURN_SCRIPTS
 CHURN_CPVF_PHASES = ("cpvf.table", "cpvf.forces", "cpvf.moves", "cpvf.repair")
 #: Counters of the ``churn_cpvf`` row: parent-change attempts, the ones
 #: that found a parent, the lock handshakes the lossy network timed out,
-#: and the subtree walks (the retry cache's misses) behind the attempts.
+#: the subtree walks (the retry cache's misses) behind the attempts, and
+#: the sensing disks the coverage diff rasterised.
 CHURN_CPVF_COUNTERS = (
     "cpvf.repair_attempts",
     "cpvf.parent_changes",
     "cpvf.lock_aborts",
     "cpvf.subtree_walks",
+    "coverage.disks",
 )
 
 
@@ -688,8 +692,9 @@ CHURN_FLOOR_PHASES = (
 )
 #: Counters of the ``churn_floor`` row: the expansion planner's
 #: recomputations (in all, by part, and the parts an obstacle change
-#: reached) and the expansion rounds that searched instead of reusing the
-#: last round's points.
+#: reached), the expansion rounds that searched instead of reusing the
+#: last round's points, the memo entries the change routing examined,
+#: and the sensing disks the coverage diff rasterised.
 CHURN_FLOOR_COUNTERS = (
     "floor.expansion_recomputed",
     "floor.expansion_recomputed.flg",
@@ -698,6 +703,8 @@ CHURN_FLOOR_COUNTERS = (
     "floor.expansion_recomputed.field",
     "floor.rounds_searched",
     "floor.rounds_reused",
+    "floor.expansion_checked",
+    "coverage.disks",
 )
 
 

@@ -51,12 +51,16 @@ _OBSTACLE_FLOOR = {
         "floor.expansion_recomputed": 300,
         "floor.expansion_recomputed.iflg": 290,
         "floor.coverage_queries": 2900,
+        "floor.expansion_checked": 1200,
         "neighbors.table_builds": 2,
         "geometry.polygon_tests": 2500,
         "neighbors.snapshots": 100,
     },
 }
-_CHURN_CPVF = {"wall_ms": 700.0, "counters": {"cpvf.subtree_walks": 2000}}
+_CHURN_CPVF = {
+    "wall_ms": 700.0,
+    "counters": {"cpvf.subtree_walks": 2000, "coverage.disks": 4000},
+}
 _CHURN_FLOOR = {
     "wall_ms": 400.0,
     "counters": {
@@ -64,6 +68,8 @@ _CHURN_FLOOR = {
         "floor.expansion_recomputed.field": 30,
         "floor.rounds_searched": 120,
         "floor.rounds_reused": 130,
+        "floor.expansion_checked": 1500,
+        "coverage.disks": 3000,
     },
 }
 _LIFECYCLE = [
@@ -108,6 +114,7 @@ BENCH = {
             "floor.expansion_recomputed": 300,
             "floor.expansion_recomputed.iflg": 295,
             "floor.coverage_queries": 3000,
+            "floor.expansion_checked": 1200,
             "neighbors.table_builds": 2,
             "geometry.polygon_tests": 2600,
             "neighbors.snapshots": 100,
@@ -116,7 +123,7 @@ BENCH = {
     "churn_cpvf": [{
         "n": 70,
         "wall_ms": 300.0,
-        "counters": {"cpvf.subtree_walks": 2000},
+        "counters": {"cpvf.subtree_walks": 2000, "coverage.disks": 4000},
     }],
     "churn_floor": [{
         "n": 70,
@@ -126,6 +133,8 @@ BENCH = {
             "floor.expansion_recomputed.field": 30,
             "floor.rounds_searched": 120,
             "floor.rounds_reused": 130,
+            "floor.expansion_checked": 1500,
+            "coverage.disks": 3000,
         },
     }],
     "lifecycle_recovery": [
@@ -161,6 +170,9 @@ DOCTORED = {
     "floor.coverage_queries": (
         ("obstacle_floor", "counters", "floor.coverage_queries"), 3001,
     ),
+    "floor.expansion_checked": (
+        ("obstacle_floor", "counters", "floor.expansion_checked"), 1201,
+    ),
     "neighbors.table_builds": (
         ("obstacle_floor", "counters", "neighbors.table_builds"), 3,
     ),
@@ -183,12 +195,21 @@ DOCTORED = {
     "cpvf.subtree_walks": (
         ("churn_cpvf", "counters", "cpvf.subtree_walks"), 2001,
     ),
+    "coverage.cpvf_churn_disks": (
+        ("churn_cpvf", "counters", "coverage.disks"), 4001,
+    ),
     "perf.churn_floor": (("churn_floor", "wall_ms"), 601.0),
     "floor.churn_recomputes": (
         ("churn_floor", "counters", "floor.expansion_recomputed.field"), 31,
     ),
     "floor.rounds_searched": (
         ("churn_floor", "counters", "floor.rounds_searched"), 121,
+    ),
+    "floor.churn_expansion_checked": (
+        ("churn_floor", "counters", "floor.expansion_checked"), 1501,
+    ),
+    "coverage.floor_churn_disks": (
+        ("churn_floor", "counters", "coverage.disks"), 3001,
     ),
     "perf.lifecycle_recovery": (("lifecycle_recovery", 1, "run_ms"), 1501.0),
     "obs.roundtrip": (("profiled_run", "json_roundtrip"), False),

@@ -201,9 +201,6 @@ class _Answer:
     #: Owners the answer was handed over from (see
     #: :meth:`ExpansionPlanner.hand_over`) since it was last asked.
     former: Tuple[int, ...] = ()
-    #: The neighbour entries were made for a former owner: IFLG reads
-    #: the same-floor neighbours from the registry again.
-    rescan: bool = False
     #: Routed since: an owner change or a same-floor record within
     #: ``2 * expansion_radius`` of :attr:`record` (IFLG is stale).
     iflg_stale: bool = False
@@ -379,7 +376,7 @@ class ExpansionPlanner:
                 if found is None
                 else (found.position.x, found.position.y, registry.floor_of(owner_id))
             )
-            if updates is not None and (memo.rescan or record != memo.record):
+            if updates is not None and record != memo.record:
                 updates = None
             neighbors: Dict[Tuple[int, float, float], _Part] = {}
         else:
@@ -443,7 +440,6 @@ class ExpansionPlanner:
             memo.floors_asked = self._floors_asked(parts)
             memo.probe_reach_sq = probe_reach_sq
             memo.former = ()
-            memo.rescan = False
         self._file(owner_id, memo)
         return list(points)
 
@@ -482,8 +478,9 @@ class ExpansionPlanner:
         That holds only if the successor was not registered when the
         answer was made: otherwise the answer is dropped.  A change of
         the successor's record since makes IFLG stale, as the owner's own
-        would, and IFLG reads its neighbours again (they excluded the
-        owner, not the successor).
+        would.  The IFLG neighbour entries carry over: the successor's
+        record replaces the owner's at the same point, and neither is
+        among them.
         """
         memo = self._memo.pop(owner_id, None)
         if memo is None:
@@ -502,7 +499,6 @@ class ExpansionPlanner:
             entry.points = owned(entry.points)
         memo.points = [point for part in memo.parts for point in part.points]
         memo.former = (*memo.former, owner_id)
-        memo.rescan = True
         if added >= memo.registry_version:
             memo.iflg_stale = True
         self.forget(successor_id)

@@ -1,8 +1,10 @@
 """Tests for FLG / BLG / IFLG expansion-point discovery."""
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import ExpansionKind, ExpansionPlanner, FloorGeometry, FloorRegistry
 from repro.field import Field, Obstacle
@@ -659,3 +661,146 @@ class TestIFLGNeighborMemo:
         assert len(self._check(planner, reference, (2, 1))) == 1
         planner.field.remove_obstacle(index)
         assert len(self._check(planner, reference, (2, 1))) == 2
+
+
+class TestPushedInvalidation:
+    """Random register, unregister, ``promote_virtual``, ``hand_over``
+    and obstacle changes on a small field with several owners: after
+    every step, every owner's answer equals the memo-free reference's,
+    whether the change was routed to it or not, and whether or not it
+    was asked since its last answer."""
+
+    #: Owners 0-2 on the first floor line, 3-5 (virtual place-holders)
+    #: on the second: each has same-floor neighbours within 2R.
+    OWNERS = {
+        0: Vec2(40.0, 40.0),
+        1: Vec2(95.0, 40.0),
+        2: Vec2(150.0, 40.0),
+        3: Vec2(60.0, 120.0),
+        4: Vec2(115.0, 120.0),
+        5: Vec2(230.0, 120.0),
+    }
+
+    @staticmethod
+    def _near_a_probe(planner, owners, data):
+        """A point just inside or just outside ``rs`` of one of an owner's
+        coverage probes (in any direction, or straight out from the owner,
+        which puts it at the edge of the answer's probe reach when the
+        probe is the farthest), or anywhere on the field."""
+        probes = [
+            (owners[owner], probe)
+            for owner in sorted(owners)
+            if owner in planner._memo
+            for part in planner._memo[owner].parts
+            for probe in part.probes
+        ]
+        if not probes or data.draw(st.booleans()):
+            return Vec2(
+                data.draw(st.floats(0.0, 300.0)), data.draw(st.floats(0.0, 300.0))
+            )
+        owner, (px, py, _) = data.draw(st.sampled_from(probes))
+        if data.draw(st.booleans()) and (px, py) != (owner.x, owner.y):
+            angle = math.atan2(py - owner.y, px - owner.x)
+        else:
+            angle = data.draw(st.floats(0.0, 2.0 * math.pi))
+        distance = planner.sensing_range + data.draw(st.sampled_from([-1e-3, 1e-3]))
+        return Vec2(px + distance * math.cos(angle), py + distance * math.sin(angle))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_every_answer_equals_the_reference_after_every_change(self, data):
+        field = Field(300.0, 300.0, [Obstacle.rectangle(190.0, 150.0, 230.0, 190.0)])
+        planner, registry = make_planner(field=field)
+        reference = ReferenceExpansionPlanner(
+            field=field,
+            floors=planner.floors,
+            registry=registry,
+            sensing_range=planner.sensing_range,
+            expansion_radius=planner.expansion_radius,
+        )
+        owners = dict(self.OWNERS)
+        for owner, position in owners.items():
+            registry.register(owner, position, virtual=owner >= 3)
+        others = set()
+        added = []
+        next_id = 100
+
+        def check(asked):
+            for owner in asked:
+                position = owners[owner]
+                if field.is_free(position):
+                    got = planner.expansion_points(owner, position)
+                    assert got == reference.expansion_points(owner, position)
+
+        check(sorted(owners))
+        for _ in range(data.draw(st.integers(1, 15))):
+            op = data.draw(
+                st.sampled_from(
+                    ["register", "reregister", "unregister", "promote",
+                     "hand_over", "add_obstacle", "remove_obstacle", "move"]
+                )
+            )
+            if op == "register" or (op in ("reregister", "unregister") and not others):
+                registry.register(
+                    next_id,
+                    self._near_a_probe(planner, owners, data),
+                    virtual=data.draw(st.booleans()),
+                )
+                others.add(next_id)
+                next_id += 1
+            elif op == "reregister":
+                node_id = data.draw(st.sampled_from(sorted(others)))
+                registry.register(node_id, self._near_a_probe(planner, owners, data))
+            elif op == "unregister":
+                node_id = data.draw(st.sampled_from(sorted(others | set(owners))))
+                registry.unregister(node_id)
+                others.discard(node_id)
+            elif op == "promote":
+                virtual = sorted(
+                    r.node_id for r in registry.all_records() if r.virtual
+                )
+                if virtual:
+                    node_id = data.draw(st.sampled_from(virtual))
+                    point = (
+                        owners[node_id]
+                        if node_id in owners
+                        else self._near_a_probe(planner, owners, data)
+                    )
+                    registry.promote_virtual(node_id, point)
+            elif op == "hand_over":
+                # A sensor arrives at a virtual owner's point: it is
+                # registered there, takes over the answer, and the
+                # place-holder goes.
+                virtual = sorted(
+                    owner
+                    for owner in owners
+                    if (record := registry.record(owner)) is not None
+                    and record.virtual
+                    and record.position == owners[owner]
+                )
+                if virtual:
+                    owner = data.draw(st.sampled_from(virtual))
+                    successor = next_id
+                    next_id += 1
+                    registry.register(successor, owners[owner])
+                    planner.hand_over(owner, successor)
+                    registry.unregister(owner)
+                    owners[successor] = owners.pop(owner)
+            elif op == "add_obstacle":
+                corner = self._near_a_probe(planner, owners, data)
+                size = data.draw(st.floats(2.0, 30.0))
+                x = min(max(corner.x, 0.0), 300.0 - size)
+                y = min(max(corner.y, 0.0), 300.0 - size)
+                added.append(
+                    field.add_obstacle(Obstacle.rectangle(x, y, x + size, y + size))
+                )
+            elif op == "remove_obstacle" and added:
+                field.remove_obstacle(added.pop())
+            elif op == "move":
+                owner = data.draw(st.sampled_from(sorted(owners)))
+                owners[owner] = self._near_a_probe(planner, owners, data)
+                registry.register(owner, owners[owner])
+            # Some owners are asked after each step, the others only
+            # later, with the changes routed to them meanwhile.
+            check(data.draw(st.lists(st.sampled_from(sorted(owners)), unique=True)))
+        check(sorted(owners))
