@@ -432,7 +432,9 @@ class ExpansionPlanner:
             )
         else:
             # The same owner at the same point: the answer is updated in
-            # place (its pending changes were taken above).
+            # place (its pending changes were taken above), and filed
+            # again only if its reach box may have grown.
+            grown = probe_reach_sq > memo.probe_reach_sq or record != memo.record
             memo.record = record
             memo.parts = parts
             memo.neighbors = neighbors
@@ -440,6 +442,8 @@ class ExpansionPlanner:
             memo.floors_asked = self._floors_asked(parts)
             memo.probe_reach_sq = probe_reach_sq
             memo.former = ()
+            if not grown:
+                return list(points)
         self._file(owner_id, memo)
         return list(points)
 
@@ -730,9 +734,7 @@ class ExpansionPlanner:
 
     def _is_uncovered(self, x: float, y: float, exclude: Sequence[int]) -> bool:
         """Whether the registry reports ``(x, y)`` as uncovered."""
-        covered = self.registry.is_point_covered(
-            x, y, self.sensing_range, exclude=exclude
-        )
+        covered = self.registry.is_point_covered(x, y, self.sensing_range, exclude)
         self._probes.append((x, y, covered))
         self.coverage_queries += 1
         return not covered
@@ -863,13 +865,16 @@ class ExpansionPlanner:
                     entry = neighbors.pop(key, None)
                     if entry is not None:
                         dropped[key] = entry
-        reach = self.sensing_range + _MEMO_SLACK
+        rs = self.sensing_range
+        reach = rs + _MEMO_SLACK
         reach_sq = reach * reach
-        is_free_xy = self._free
+        is_free_xy = self.field.is_free_xy
+        is_point_covered = self.registry.is_point_covered
         probes = self._probes
         part_reach = self._reach
         points: List[ExpansionPoint] = []
         reused = 0
+        queries = 0
         for key, entry in neighbors.items():
             if (
                 entry is not None
@@ -880,45 +885,54 @@ class ExpansionPlanner:
             else:
                 self.iflg_neighbors_computed += 1
                 node_id, qx, qy = key
-                entry = _Part([], [], [])
-                self._probes = entry.probes
-                self._reach = entry.reach
+                # :meth:`_free` and :meth:`_is_uncovered`, inline.
+                entry_probes: List[Tuple[float, float, bool]] = []
+                entry_reach: List[float] = []
+                entry = _Part([], entry_probes, entry_reach)
                 crossings = circle_intersections_xy(px, py, radius, qx, qy, radius)
                 midpoint_x = (px + qx) / 2.0
                 for cx, cy in crossings:
                     # Keep only the intersection lying toward an inter-floor
                     # line (the side where a hole between the two sensors
-                    # and that line could exist).
-                    hole_lines = [
-                        line
-                        for line in inter_lines
-                        if abs(cy - py) > 1e-9 and (cy - py) * (line - py) > 0
-                    ]
-                    if not hole_lines:
+                    # and that line could exist); the first such line is
+                    # the hole's.
+                    rise = cy - py
+                    if abs(rise) <= 1e-9:
                         continue
+                    for hole_y in inter_lines:
+                        if rise * (hole_y - py) > 0:
+                            break
+                    else:
+                        continue
+                    entry_reach += (cx, cy)
                     if not is_free_xy(cx, cy):
                         continue
                     # There is a hole only if the point of the inter-floor
                     # line midway between the two sensors is not covered by
                     # anyone.
-                    hole_y = hole_lines[0]
+                    entry_reach += (midpoint_x, hole_y)
                     if not is_free_xy(midpoint_x, hole_y):
                         continue
-                    if not self._is_uncovered(midpoint_x, hole_y, ()):
+                    covered = is_point_covered(midpoint_x, hole_y, rs, ())
+                    entry_probes.append((midpoint_x, hole_y, covered))
+                    queries += 1
+                    if covered:
                         continue
                     # The EP itself must not already host (or be promised
                     # to) another node.
-                    if self._is_uncovered(cx, cy, (owner_id, node_id)):
+                    covered = is_point_covered(cx, cy, rs, (owner_id, node_id))
+                    entry_probes.append((cx, cy, covered))
+                    queries += 1
+                    if not covered:
                         entry.points.append(
                             ExpansionPoint(Vec2(cx, cy), ExpansionKind.IFLG, owner_id)
                         )
-                entry.farthest = _farthest(entry.probes, px, py)
+                entry.farthest = _farthest(entry_probes, px, py)
             entries[key] = entry
             points.extend(entry.points)
             probes.extend(entry.probes)
             # IFLG reads the field at points only: every reach is bounded.
             part_reach.extend(entry.reach)
         self.iflg_neighbors_reused += reused
-        self._probes = probes
-        self._reach = part_reach
+        self.coverage_queries += queries
         return points
