@@ -33,6 +33,7 @@ affects how early invitations for the next hop can be issued.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from itertools import chain
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -84,6 +85,29 @@ _PLANNER_COUNTERS = (
 )
 
 
+@lru_cache(maxsize=None)
+def _disk_samples(rs: float) -> Tuple[Tuple[float, float], ...]:
+    """Offsets of the deterministic low-discrepancy samples of a sensing
+    disk of radius ``rs``: a spiral inside the disk."""
+    samples = []
+    for k in range(_EXCLUSIVE_COVERAGE_SAMPLES):
+        fraction = (k + 0.5) / _EXCLUSIVE_COVERAGE_SAMPLES
+        radius = rs * math.sqrt(fraction)
+        angle = 2.0 * math.pi * (k * 0.61803398875 % 1.0)
+        samples.append((radius * math.cos(angle), radius * math.sin(angle)))
+    return tuple(samples)
+
+
+def _leading_kind(points: List[ExpansionPoint]) -> Tuple[int, List[ExpansionPoint]]:
+    """The kind of the first of ``points`` (in priority order) and the
+    points of that kind, which lead the list."""
+    kind = points[0].kind
+    count = 1
+    while count < len(points) and points[count].kind is kind:
+        count += 1
+    return int(kind), points if count == len(points) else points[:count]
+
+
 class FloorScheme(DeploymentScheme):
     """Floor-based deployment."""
 
@@ -113,11 +137,14 @@ class FloorScheme(DeploymentScheme):
         #: Relocating sensors: sensor id -> (target EP, inviter id).
         self._relocations: Dict[int, ExpansionPoint] = {}
         self._virtual_counter: int = 0
-        #: Active searcher id -> (position, points, floors asked) of its
-        #: last answer.
-        self._answers: Dict[int, Tuple[Vec2, List[ExpansionPoint], int]] = {}
+        #: Active searcher id -> (position, points, floors asked, kind of
+        #: the first point, the leading points of that kind) of its last
+        #: answer.
+        self._answers: Dict[
+            int, Tuple[Vec2, List[ExpansionPoint], int, int, List[ExpansionPoint]]
+        ] = {}
         #: The last round's searchers left active, their positions, its
-        #: points and the floor headers their queries asked.
+        #: advertised points and the floor headers their queries asked.
         self._last_round: Optional[
             Tuple[List[int], List[Optional[Vec2]], List[ExpansionPoint], int]
         ] = None
@@ -225,9 +252,10 @@ class FloorScheme(DeploymentScheme):
         if self._phase == 3:
             # Sensors that only managed to connect after phase 2 ran are
             # classified on arrival: they volunteer as movable sensors.
+            connected, movable = SensorState.CONNECTED, SensorState.MOVABLE
             for sensor in world.sensors:
-                if sensor.state is SensorState.CONNECTED:
-                    sensor.state = SensorState.MOVABLE
+                if sensor.state is connected:
+                    sensor.state = movable
             tel = world.telemetry
             with tel.span("floor.relocations"):
                 self._advance_relocations(world)
@@ -373,22 +401,21 @@ class FloorScheme(DeploymentScheme):
             for nb in map(world.sensor, table.get(sensor.sensor_id, []))
             if nb.is_connected()
         ]
-        position = sensor.position
+        px, py = sensor.position.x, sensor.position.y
         is_free_xy = world.field.is_free_xy
-        rs = sensor.sensing_range
+        hypot = math.hypot
         exclusive = 0
         samples = 0
-        for k in range(_EXCLUSIVE_COVERAGE_SAMPLES):
-            # Deterministic low-discrepancy samples: spiral inside the disk.
-            fraction = (k + 0.5) / _EXCLUSIVE_COVERAGE_SAMPLES
-            radius = rs * math.sqrt(fraction)
-            angle = 2.0 * math.pi * (k * 0.61803398875 % 1.0)
-            x = position.x + radius * math.cos(angle)
-            y = position.y + radius * math.sin(angle)
+        for dx, dy in _disk_samples(sensor.sensing_range):
+            x = px + dx
+            y = py + dy
             if not is_free_xy(x, y):
                 continue
             samples += 1
-            if not any(math.hypot(nx - x, ny - y) <= reach for nx, ny, reach in disks):
+            for nx, ny, reach in disks:
+                if hypot(nx - x, ny - y) <= reach:
+                    break
+            else:
                 exclusive += 1
         if samples == 0:
             return True
@@ -399,12 +426,14 @@ class FloorScheme(DeploymentScheme):
         assert self._registry is not None
         field = world.field
         is_free_xy = field.is_free_xy
+        sensors = world.sensors
+        hypot = math.hypot
         arrived: List[int] = []
         # One step per relocating sensor: the obstacle-exit correction
         # (:meth:`_exit_obstacle`) and the arrival test read the point
         # reached on floats.
         for sensor_id, ep in self._relocations.items():
-            motion = world.sensors[sensor_id].motion
+            motion = sensors[sensor_id].motion
             step = motion.advance_along_path()
             if step is None:
                 position = motion.position
@@ -416,7 +445,7 @@ class FloorScheme(DeploymentScheme):
                 motion.relocate(position, "relocation_step")
                 x, y = position.x, position.y
             target = ep.position
-            if motion.path is None or math.hypot(x - target.x, y - target.y) <= 1e-6:
+            if motion.path is None or hypot(x - target.x, y - target.y) <= 1e-6:
                 arrived.append(sensor_id)
         for sensor_id in arrived:
             ep = self._relocations.pop(sensor_id)
@@ -504,7 +533,18 @@ class FloorScheme(DeploymentScheme):
         ]
 
     def _collect_expansion_points(self, world: World) -> List[ExpansionPoint]:
-        """Step 1 of a round: fixed (and virtual) searchers look for EPs.
+        """Step 1 of a round: fixed (and virtual) searchers look for EPs,
+        and the round advertises those of the highest-priority kind found.
+
+        Expansion priorities (Section 5.5.1): FLG gives the largest
+        coverage gain per relocation, BLG comes second (it is what
+        introduces sensors to new floors along boundaries) and IFLG infill
+        comes last.  Advertising only the highest-priority kind available
+        in a round keeps movable sensors from being spent on boundary or
+        infill points while floor-line frontiers are still open.  Every
+        answer lists its points in priority order, so the round's points
+        are the leading points of that kind of each searcher whose answer
+        starts with it, in searcher order.
 
         Searchers that find none (or are no longer ``FIXED``) leave the
         active set.  A searcher that stands where it stood for its last
@@ -531,7 +571,8 @@ class FloorScheme(DeploymentScheme):
         )
         if searched:
             answers = self._answers
-            expansion_points: List[ExpansionPoint] = []
+            best = len(ExpansionKind)
+            heads: List[List[ExpansionPoint]] = []
             exhausted: List[int] = []
             floors_asked = 0
             reused = 0
@@ -545,7 +586,6 @@ class FloorScheme(DeploymentScheme):
                     and searcher_id not in reached
                     and (last[0] is position or last[0] == position)
                 ):
-                    points = last[1]
                     reused += 1
                 else:
                     points = expansion.expansion_points(searcher_id, position)
@@ -555,10 +595,20 @@ class FloorScheme(DeploymentScheme):
                         # process."
                         exhausted.append(searcher_id)
                         continue
-                    last = (position, points, expansion.floors_asked(searcher_id))
+                    last = (
+                        position,
+                        points,
+                        expansion.floors_asked(searcher_id),
+                        *_leading_kind(points),
+                    )
                     answers[searcher_id] = last
                 floors_asked += last[2]
-                expansion_points += points
+                kind = last[3]
+                if kind < best:
+                    best = kind
+                    heads = [last[4]]
+                elif kind == best:
+                    heads.append(last[4])
             expansion.reused += reused
             for searcher_id in exhausted:
                 self._drop_searcher(searcher_id)
@@ -566,6 +616,7 @@ class FloorScheme(DeploymentScheme):
                 kept = [k for k, sid in enumerate(ids) if sid not in exhausted]
                 ids = [ids[k] for k in kept]
                 positions = [positions[k] for k in kept]
+            expansion_points = [point for head in heads for point in head]
             self._last_round = (ids, positions, expansion_points, floors_asked)
             expansion_points = list(expansion_points)
         else:
@@ -587,7 +638,6 @@ class FloorScheme(DeploymentScheme):
         return expansion_points
 
     def _run_expansion_round(self, world: World) -> None:
-        assert self._expansion is not None and self._registry is not None
         assert self._invitations is not None
 
         # 1. Fixed (and virtual) searchers look for expansion points.
@@ -596,18 +646,6 @@ class FloorScheme(DeploymentScheme):
             expansion_points = self._collect_expansion_points(world)
         if not expansion_points:
             return
-
-        # Expansion priorities (Section 5.5.1): FLG gives the largest coverage
-        # gain per relocation, BLG comes second (it is what introduces
-        # sensors to new floors along boundaries) and IFLG infill comes last.
-        # Advertising only the highest-priority kind available in a round
-        # keeps movable sensors from being spent on boundary or infill
-        # points while floor-line frontiers are still open.
-        for kind in (ExpansionKind.FLG, ExpansionKind.BLG, ExpansionKind.IFLG):
-            of_kind = [ep for ep in expansion_points if ep.kind is kind]
-            if of_kind:
-                expansion_points = of_kind
-                break
 
         # 2. One invitation round matches EPs with movable sensors.
         with tel.span("floor.invitations"):

@@ -105,24 +105,30 @@ class InvitationProtocol:
 
         # 2. Determine which movable sensors each invitation reached.
         received: Dict[int, List[ExpansionPoint]] = {}
+        draw = self.rng.random
+        ids = [sensor.sensor_id for sensor in movable_sensors]
         for ep, hops in zip(expansion_points, walk_hops):
             reach_probability = min(1.0, hops / max(1, connected_count))
-            for sensor in movable_sensors:
-                if self.rng.random() <= reach_probability:
-                    received.setdefault(sensor.sensor_id, []).append(ep)
+            # One draw per movable sensor, in order.
+            for sensor_id in [i for i in ids if draw() <= reach_probability]:
+                offers = received.get(sensor_id)
+                if offers is None:
+                    received[sensor_id] = [ep]
+                else:
+                    offers.append(ep)
 
         # 3. Each movable sensor picks its best offer and tries to accept it.
         movable_by_id = {s.sensor_id: s for s in movable_sensors}
         acceptances: List[Tuple[int, ExpansionPoint, int]] = []
         for movable_id, offers in received.items():
-            sensor = movable_by_id[movable_id]
-            best = min(
-                offers,
-                key=lambda ep: (
-                    int(ep.kind),
-                    sensor.position.distance_to(ep.position),
-                ),
-            )
+            if len(offers) == 1:
+                best = offers[0]
+            else:
+                position = movable_by_id[movable_id].position
+                best = min(
+                    offers,
+                    key=lambda ep: (int(ep.kind), position.distance_to(ep.position)),
+                )
             # AcceptInvitation travels back to the inviter over the tree;
             # every retry re-sends the whole route.
             hops = self.routing.tree_route_hops(tree, movable_id, best.owner_id)
@@ -145,8 +151,15 @@ class InvitationProtocol:
         acceptances.sort(
             key=lambda item: (item[1].priority_key(), item[0])
         )
+        # One key per advertised point, however many accepted it.
+        ep_keys: Dict[int, Tuple[int, float, float]] = {}
         for movable_id, ep, hops in acceptances:
-            ep_key = (ep.owner_id, round(ep.position.x, 6), round(ep.position.y, 6))
+            ep_key = ep_keys.get(id(ep))
+            if ep_key is None:
+                position = ep.position
+                ep_key = ep_keys[id(ep)] = (
+                    ep.owner_id, round(position.x, 6), round(position.y, 6)
+                )
             # The acknowledgement retraces the acceptance route in the
             # opposite direction; tree routes are symmetric and the tree
             # is unchanged since step 3, so the hop count carries over.

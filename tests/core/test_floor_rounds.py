@@ -25,7 +25,8 @@ from tests.oracles import ReferenceFloorScheme
 
 
 class _Logged:
-    """Logs each round's expansion points and the message counters."""
+    """Logs each round's advertised expansion points, every searcher's
+    whole answer and the message counters."""
 
     def initialize(self, world):
         super().initialize(world)
@@ -33,8 +34,9 @@ class _Logged:
 
     def _collect_expansion_points(self, world):
         points = super()._collect_expansion_points(world)
+        answers = {sid: answer[1] for sid, answer in self._answers.items()}
         self.log.append(
-            (world.period_index, list(points), world.stats.to_counters())
+            (world.period_index, list(points), answers, world.stats.to_counters())
         )
         return points
 
