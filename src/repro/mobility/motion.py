@@ -179,10 +179,12 @@ class MotionModel:
         if path is None:
             return None
         max_step = self.max_speed * self.period
-        limit = max_step if distance is None else min(distance, max_step)
+        limit = max_step if distance is None or max_step < distance else distance
         if limit <= 0:
             return None
-        travel = min(limit, max(0.0, self._path_length - self._path_progress))
+        # ``min(limit, max(0.0, left))`` without the builtins' calls.
+        left = self._path_length - self._path_progress
+        travel = limit if limit <= left else left if left > 0.0 else 0.0
         progress = self._path_progress + travel
         self._path_progress = progress
         x, y = path.point_xy_at_distance(progress)

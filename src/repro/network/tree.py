@@ -57,14 +57,15 @@ class ConnectivityTree:
     def ancestors_of(self, node_id: int) -> List[int]:
         """Ancestor chain from the parent of ``node_id`` up to the root."""
         chain: List[int] = []
-        current = self.parent.get(node_id)
-        seen: Set[int] = set()
+        parent = self.parent
+        # A chain of distinct members is at most as long as the tree.
+        limit = len(parent)
+        current = parent.get(node_id)
         while current is not None and current != BASE_STATION_ID:
-            if current in seen:
+            if len(chain) == limit:
                 raise RuntimeError("cycle detected in connectivity tree")
-            seen.add(current)
             chain.append(current)
-            current = self.parent.get(current)
+            current = parent.get(current)
         chain.append(BASE_STATION_ID)
         return chain
 
