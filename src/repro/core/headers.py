@@ -18,9 +18,8 @@ points per period), so they run as scalar loops over per-floor lists of
 ``(x, y, node_id)`` tuples with the squared-distance test of
 :meth:`~repro.spatial.index.SpatialIndex.query_radius`: a coverage query
 scans only the floors its floor filter admits, and on each only the rows
-within reach in x of an x-sorted list kept up to date on every change;
-the neighbour query scans a per-floor list in registration order,
-rebuilt lazily when the records change.
+within reach in x of an x-sorted list kept up to date on every change,
+and the neighbour query scans the same list on its own floor.
 :attr:`FloorRegistry.version` counts record changes, and
 :meth:`FloorRegistry.changes_since` lists where each change happened and
 whether it added or removed a record, so
@@ -65,13 +64,6 @@ class FloorRegistry:
     _journal: List[Tuple[float, float, int, bool]] = field(
         default_factory=list, init=False, repr=False, compare=False
     )
-    #: ``floor_index -> [(x, y, node_id), ...]`` in ``_records`` order,
-    #: each floor's records in registration order; describes
-    #: ``_scan_version``.
-    _scan: Dict[int, List[Tuple[float, float, int]]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-    _scan_version: int = field(default=-1, init=False, repr=False, compare=False)
     #: ``node_id -> [added, removed]``: the journal index of the node's
     #: last record addition and removal (``-1``: none).
     _last_changes: Dict[int, List[int]] = field(
@@ -186,24 +178,6 @@ class FloorRegistry:
             return None
         return self._records[floor_index][node_id]
 
-    def _scan_floors(self) -> Dict[int, List[Tuple[float, float, int]]]:
-        """The records as ``(x, y, node_id)`` per floor.
-
-        Rebuilt when the records changed; each floor's list is in that
-        floor's dict iteration order, so the queries visit records in
-        exactly the order the exhaustive scan does.
-        """
-        if self._scan_version != self.version:
-            self._scan = {
-                floor_index: [
-                    (record.position.x, record.position.y, record.node_id)
-                    for record in floor_records.values()
-                ]
-                for floor_index, floor_records in self._records.items()
-            }
-            self._scan_version = self.version
-        return self._scan
-
     def is_point_covered(
         self,
         x: float,
@@ -238,7 +212,8 @@ class FloorRegistry:
     def neighbors_on_floor(
         self, node_id: int, radius: float
     ) -> List[FloorRecord]:
-        """Registered nodes on the same floor within ``radius`` of a node."""
+        """Registered nodes on the same floor within ``radius`` of a node,
+        in ascending x."""
         floor_index = self.floor_of(node_id)
         if floor_index is None:
             return []
@@ -247,8 +222,14 @@ class FloorRegistry:
         mx, my = me.x, me.y
         reach = radius + 1e-9
         reach_sq = reach * reach
+        xs, rows = self._by_x[floor_index]
+        # As in :meth:`is_point_covered`: rows beyond ``reach`` in x fail
+        # the distance test.
+        low = bisect_left(xs, mx - reach - 1e-6)
+        high = bisect_right(xs, mx + reach + 1e-6)
         result: List[FloorRecord] = []
-        for rx, ry, other_id in self._scan_floors()[floor_index]:
+        for k in range(low, high):
+            rx, ry, other_id = rows[k]
             if other_id == node_id:
                 continue
             dx = rx - mx
