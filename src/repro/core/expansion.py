@@ -673,16 +673,16 @@ class ExpansionPlanner:
         if not near:
             return [False, False, iflg_stale], near
         # FLG and BLG probes exclude the owner alone; IFLG probes exclude
-        # nothing or the owner and a neighbour, so the owner's changes
-        # cancel at their points, as do those of the owners the answer
-        # was handed over from.
+        # nothing or the owner and a neighbour.  The owner's changes
+        # cancel at their points among themselves, as do those of the
+        # owners the answer was handed over from, and so do the others'
+        # among themselves: a neighbour whose record changed is dropped,
+        # searched again or, replaced by another record at its point,
+        # excludes that record instead (:meth:`_iflg_points`).
         owners = (owner_id, *memo.former)
         own = [change for change in near if change[2] in owners]
         others = _net([change for change in near if change[2] not in owners])
-        if own:
-            near = _net(own) + [
-                change for change in near if change[2] not in owners
-            ]
+        near = _net(own) + others if own else others
         reach = self.sensing_range + _MEMO_SLACK
         reach_sq = reach * reach
         flg, blg, iflg = memo.parts
@@ -865,6 +865,16 @@ class ExpansionPlanner:
                     entry = neighbors.pop(key, None)
                     if entry is not None:
                         dropped[key] = entry
+            if dropped:
+                # A new neighbour at a dropped one's point (a sensor that
+                # arrived at its place-holder's) takes over its entry:
+                # the search reads the neighbour's point only, and its
+                # probes exclude the new record where they excluded the
+                # old one, which is gone.
+                at = {(key[1], key[2]): entry for key, entry in dropped.items()}
+                for key, entry in neighbors.items():
+                    if entry is None:
+                        neighbors[key] = at.pop((key[1], key[2]), None)
         rs = self.sensing_range
         reach = rs + _MEMO_SLACK
         reach_sq = reach * reach
@@ -878,7 +888,9 @@ class ExpansionPlanner:
         for key, entry in neighbors.items():
             if (
                 entry is not None
-                and not (changes and entry.probes and _flips(entry.probes, changes, reach_sq))
+                and not (
+                    changes and entry.probes and _flips(entry.probes, changes, reach_sq)
+                )
                 and not (moved and _touches(entry.reach, moved))
             ):
                 reused += 1

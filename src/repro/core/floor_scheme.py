@@ -513,7 +513,11 @@ class FloorScheme(DeploymentScheme):
         return [
             virtual_positions.get(searcher_id)
             if searcher_id >= _VIRTUAL_ID_OFFSET
-            else (sensor.position if (sensor := sensors[searcher_id]).state is fixed else None)
+            else (
+                sensor.position
+                if (sensor := sensors[searcher_id]).state is fixed
+                else None
+            )
             for searcher_id in ids
         ]
 

@@ -602,10 +602,35 @@ class TestIFLGNeighborMemo:
 
     def test_a_neighbour_readded_at_the_same_point(self):
         # Its removal and re-registration land within reach of its own EP
-        # probe (on its expansion circle), so it alone is searched again.
+        # probe (on its expansion circle) but cancel at their point: its
+        # entry comes back and nothing is searched again.
         planner, registry, reference = self._setup()
         registry.unregister(2)
         registry.register(2, Vec2(440, 40))
+        self._check(planner, reference, (3, 0))
+
+    @pytest.mark.parametrize("added_first", [True, False])
+    def test_a_neighbour_replaced_at_its_point_keeps_its_entry(self, added_first):
+        # A sensor arriving at its place-holder's point: another record
+        # takes the neighbour's place, before or after it goes.
+        planner, registry, reference = self._setup()
+        if added_first:
+            registry.register(7, Vec2(440, 40))
+            registry.unregister(2)
+        else:
+            registry.unregister(2)
+            registry.register(7, Vec2(440, 40))
+        self._check(planner, reference, (3, 0))
+
+    def test_a_replacement_that_moved_from_a_probe_searches_again(self):
+        # The replacing record stood within reach of neighbour 1's covered
+        # hole probe: its move uncovers the probe, so neighbour 1 is
+        # searched again while the replaced entry is kept.
+        planner, registry, reference = self._setup()
+        registry.register(7, Vec2(530, 100))
+        self._check(planner, reference, (2, 1))
+        registry.register(7, Vec2(440, 40))
+        registry.unregister(2)
         self._check(planner, reference, (2, 1))
 
     @staticmethod
@@ -736,11 +761,13 @@ class TestPushedInvalidation:
         for _ in range(data.draw(st.integers(1, 15))):
             op = data.draw(
                 st.sampled_from(
-                    ["register", "reregister", "unregister", "promote",
+                    ["register", "reregister", "unregister", "replace", "promote",
                      "hand_over", "add_obstacle", "remove_obstacle", "move"]
                 )
             )
-            if op == "register" or (op in ("reregister", "unregister") and not others):
+            if op == "register" or (
+                op in ("reregister", "unregister", "replace") and not others
+            ):
                 registry.register(
                     next_id,
                     self._near_a_probe(planner, owners, data),
@@ -754,6 +781,25 @@ class TestPushedInvalidation:
             elif op == "unregister":
                 node_id = data.draw(st.sampled_from(sorted(others | set(owners))))
                 registry.unregister(node_id)
+                others.discard(node_id)
+            elif op == "replace":
+                # Another record takes a record's point, before or after it
+                # goes: a new id, or one that stood elsewhere.
+                node_id = data.draw(st.sampled_from(sorted(others)))
+                point = registry.record(node_id).position
+                movers = sorted(others - {node_id})
+                if movers and data.draw(st.booleans()):
+                    successor = data.draw(st.sampled_from(movers))
+                else:
+                    successor = next_id
+                    next_id += 1
+                    others.add(successor)
+                if data.draw(st.booleans()):
+                    registry.register(successor, point)
+                    registry.unregister(node_id)
+                else:
+                    registry.unregister(node_id)
+                    registry.register(successor, point)
                 others.discard(node_id)
             elif op == "promote":
                 virtual = sorted(
