@@ -112,14 +112,19 @@ class Polygon:
     # Basic measures
     # ------------------------------------------------------------------
     def signed_area(self) -> float:
-        """Signed area (positive for counter-clockwise winding)."""
-        total = 0.0
-        n = len(self.vertices)
-        for i in range(n):
-            a = self.vertices[i]
-            b = self.vertices[(i + 1) % n]
-            total += a.cross(b)
-        return total / 2.0
+        """Signed area (positive for counter-clockwise winding), computed
+        on first use."""
+        area = self.__dict__.get("_signed_area")
+        if area is None:
+            total = 0.0
+            n = len(self.vertices)
+            for i in range(n):
+                a = self.vertices[i]
+                b = self.vertices[(i + 1) % n]
+                total += a.cross(b)
+            area = total / 2.0
+            object.__setattr__(self, "_signed_area", area)
+        return area
 
     def area(self) -> float:
         """Absolute area."""
@@ -130,7 +135,15 @@ class Polygon:
         return sum(edge.length() for edge in self._edges)
 
     def centroid(self) -> Vec2:
-        """Area centroid of the polygon."""
+        """Area centroid of the polygon, computed on first use (BUG2
+        pushes every boundary point away from it)."""
+        centroid = self.__dict__.get("_centroid")
+        if centroid is None:
+            centroid = self._area_centroid()
+            object.__setattr__(self, "_centroid", centroid)
+        return centroid
+
+    def _area_centroid(self) -> Vec2:
         signed = self.signed_area()
         if abs(signed) <= EPS:
             # Degenerate polygon: fall back to the vertex mean.
@@ -337,13 +350,35 @@ class Polygon:
         return None
 
     def segment_intersections(self, seg: Segment) -> List[Vec2]:
-        """All boundary intersection points with a segment, ordered along it."""
+        """All boundary intersection points with a segment, ordered along it.
+
+        Each edge meets the segment where :meth:`Segment.intersection`
+        finds, computed on the edge records' floats in its operation
+        order; an edge parallel to the segment takes that method itself
+        (the all-``Segment`` form is
+        ``tests.oracles.reference_polygon_intersections``).
+        """
+        start = seg.a
+        sx, sy = start.x, start.y
+        ex, ey = seg.b.x - sx, seg.b.y - sy
         points: List[Vec2] = []
-        for edge in self._edges:
-            p = edge.intersection(seg)
-            if p is not None and not any(p.almost_equals(q) for q in points):
+        for edge, (ax, ay, _, _, dx, dy, _) in zip(self._edges, self._edge_data):
+            denom = dx * ey - dy * ex
+            if abs(denom) <= EPS:
+                p = edge.intersection(seg)
+                if p is None:
+                    continue
+            else:
+                wx, wy = sx - ax, sy - ay
+                t = (wx * ey - wy * ex) / denom
+                u = (wx * dy - wy * dx) / denom
+                if not (-EPS <= t <= 1 + EPS and -EPS <= u <= 1 + EPS):
+                    continue
+                t = min(1.0, max(0.0, t))
+                p = Vec2(ax + dx * t, ay + dy * t)
+            if not any(p.almost_equals(q) for q in points):
                 points.append(p)
-        points.sort(key=seg.a.distance_to)
+        points.sort(key=start.distance_to)
         return points
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -15,6 +15,7 @@ from tests.oracles import (
     reference_contains,
     reference_obstacle_force,
     reference_on_boundary,
+    reference_polygon_intersections,
     segment_entry_error,
 )
 from tests.oracles.geometry import reference_edges
@@ -376,6 +377,20 @@ class TestBBoxRejectParity:
             for seg in _segments(rng, polygon, 60):
                 assert_crossing_matches_the_oracle(polygon, seg)
 
+
+    def test_segment_intersections_parity(self, kind, seed):
+        # Edge by edge on floats, or through Segment.intersection for an
+        # edge parallel to the segment: the same points in the same order.
+        rng = random.Random(f"intersections-{kind}-{seed}")
+        for _ in range(2):
+            polygon = POLYGON_MAKERS[kind](rng)
+            for seg in _segments(rng, polygon, 60):
+                assert polygon.segment_intersections(
+                    seg
+                ) == reference_polygon_intersections(polygon, seg), (
+                    polygon.vertices,
+                    seg,
+                )
 
     def test_nearest_boundary_parity(self, kind, seed):
         rng = random.Random(f"nearest-{kind}-{seed}")

@@ -79,6 +79,7 @@ from .geometry import (
     reference_nearest_free,
     reference_obstacle_force,
     reference_on_boundary,
+    reference_polygon_intersections,
     reference_segment_intersections,
     segment_closest_point,
     segment_distance_to_point,
@@ -143,6 +144,7 @@ __all__ = [
     "reference_nearest_free",
     "reference_obstacle_force",
     "reference_on_boundary",
+    "reference_polygon_intersections",
     "reference_segment_intersections",
     "AllObstacleBug2Planner",
     "reference_nearest_edge",

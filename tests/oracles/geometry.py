@@ -157,6 +157,18 @@ def reference_edges(polygon: Polygon) -> List[Segment]:
     return [Segment(vertices[i], vertices[(i + 1) % n]) for i in range(n)]
 
 
+def reference_polygon_intersections(polygon: Polygon, seg: Segment) -> List[Vec2]:
+    """``Polygon.segment_intersections`` with ``Segment.intersection`` on
+    every edge."""
+    points: List[Vec2] = []
+    for edge in reference_edges(polygon):
+        p = edge.intersection(seg)
+        if p is not None and not any(p.almost_equals(q) for q in points):
+            points.append(p)
+    points.sort(key=seg.a.distance_to)
+    return points
+
+
 def reference_on_boundary(polygon: Polygon, p: Vec2, eps: float = 1e-7) -> bool:
     return any(
         segment_distance_to_point(edge, p) <= eps for edge in reference_edges(polygon)
