@@ -53,26 +53,29 @@ class Handedness(Enum):
 class Bug2Path:
     """A planned path: a polyline of waypoints from start to target.
 
-    A path is never mutated once planned, so its segment lengths are
-    measured once, at construction.
+    A path is never mutated once planned, so its segments are measured
+    once, at construction.
     """
 
     waypoints: List[Vec2]
     reached_target: bool
     encounters: int = 0
-    #: ``waypoints[i].distance_to(waypoints[i + 1])`` for every segment.
-    _lengths: List[float] = field(init=False, repr=False, compare=False)
+    #: Per segment ``a -> b``: ``(a.distance_to(b), a.x, a.y, b.x - a.x,
+    #: b.y - a.y, b.x, b.y)``.
+    _segments: List[Tuple[float, float, float, float, float, float, float]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         waypoints = self.waypoints
-        self._lengths = [
-            waypoints[i].distance_to(waypoints[i + 1])
-            for i in range(len(waypoints) - 1)
+        self._segments = [
+            (a.distance_to(b), a.x, a.y, b.x - a.x, b.y - a.y, b.x, b.y)
+            for a, b in zip(waypoints, waypoints[1:])
         ]
 
     def length(self) -> float:
         """Total polyline length."""
-        return sum(self._lengths)
+        return sum(segment[0] for segment in self._segments)
 
     def end(self) -> Vec2:
         """Last waypoint."""
@@ -86,14 +89,12 @@ class Bug2Path:
             point = waypoints[0]
             return point.x, point.y
         remaining = distance
-        for i, seg_len in enumerate(self._lengths):
+        for seg_len, ax, ay, dx, dy, bx, by in self._segments:
             if remaining <= seg_len:
-                b = waypoints[i + 1]
                 if seg_len <= EPS:
-                    return b.x, b.y
-                a = waypoints[i]
+                    return bx, by
                 t = remaining / seg_len
-                return a.x + (b.x - a.x) * t, a.y + (b.y - a.y) * t
+                return ax + dx * t, ay + dy * t
             remaining -= seg_len
         point = waypoints[-1]
         return point.x, point.y
