@@ -311,9 +311,12 @@ class ExpansionPlanner:
         reach of an uncovered probe or a removed one within reach of a
         covered probe.  FLG and BLG probes exclude the owner alone, so the
         owner's own changes cannot flip them, and a record added and one
-        removed at the same point cancel for them; for IFLG probes, which
-        exclude at most the owner and a neighbour, the owner's own changes
-        cancel so.  IFLG is also recomputed on
+        removed at the same point cancel for them.  IFLG probes exclude at
+        most the owner and a neighbour: the owner's own changes cancel so
+        among themselves, and the others' among themselves too, because a
+        neighbour whose record changed is dropped, searched again or, when
+        another record takes its point, kept with that record excluded
+        instead.  IFLG is also recomputed on
         a change of the owner's record or of a record on the same floor
         within ``2 * expansion_radius`` of it; it then applies those
         changes to its neighbour entries (re-reading the neighbours only
