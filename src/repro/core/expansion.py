@@ -126,6 +126,8 @@ class ExpansionKind(IntEnum):
 
 #: The kinds as plain indices into an answer's parts.
 _FLG, _BLG, _IFLG = (int(kind) for kind in ExpansionKind)
+#: :attr:`_Answer.lead` of an answer with no points.
+_NO_LEAD = len(ExpansionKind)
 #: ``stale`` of a search from a new point: every part.
 _ALL_STALE = (True, True, True)
 
@@ -191,6 +193,9 @@ class _Answer:
     neighbors: Dict[Tuple[int, float, float], _Part]
     #: The parts' points concatenated (already in priority order).
     points: List[ExpansionPoint]
+    #: The kind of the first part with points, which lead the answer
+    #: (:data:`_NO_LEAD`: none).
+    lead: int
     #: Floor headers the answer's coverage-status query asks.
     floors_asked: int
     #: Squared distance from ``(x, y)`` beyond which no change is within
@@ -232,7 +237,8 @@ class ExpansionPlanner:
     registry: FloorRegistry
     sensing_range: float
     expansion_radius: float
-    #: Calls answered from the memo (no registry change within reach).
+    #: Answers served from the memo: by :meth:`advertise` to a searcher
+    #: no change reached, or by a call no change since could alter.
     reused: int = dataclass_field(default=0, init=False, compare=False)
     #: Calls that recomputed at least one part of their answer.
     recomputed: int = dataclass_field(default=0, init=False, compare=False)
@@ -330,20 +336,16 @@ class ExpansionPlanner:
 
         The changes are pushed, not pulled: :meth:`reached` routes each
         one once, through a grid of the answers' reach boxes, to the
-        answers it may alter, so an answer no change reached is served
-        without looking at any.  :meth:`floors_asked` gives the answer's
-        coverage-query message cost; the planner only asks the registry.
+        answers it may alter, so an answer no change reached has no stale
+        part, and :meth:`advertise` serves it without a call.  The planner
+        only asks the registry; :meth:`advertise` returns the message cost
+        of the coverage-status queries for the scheme to charge.
         """
         reached = self.reached()
         x, y = position.x, position.y
         registry = self.registry
         memo = self._memo.get(owner_id)
         if memo is not None and memo.x == x and memo.y == y:
-            if owner_id not in reached:
-                # No change since reached it: nothing can be stale.
-                self.reused += 1
-                memo.registry_version = registry.version
-                return list(memo.points)
             reached.discard(owner_id)
             stale, near = self._stale_parts(memo, owner_id)
             moved = memo.moved
@@ -421,6 +423,7 @@ class ExpansionPlanner:
         else:
             reach = farthest + self.sensing_range + 2.0 * _MEMO_SLACK
             probe_reach_sq = reach * reach
+        lead, floors_asked = self._lead(parts)
         if memo is None or stale is _ALL_STALE:
             memo = _Answer(
                 x=x,
@@ -430,7 +433,8 @@ class ExpansionPlanner:
                 parts=parts,
                 neighbors=neighbors,
                 points=points,
-                floors_asked=self._floors_asked(parts),
+                lead=lead,
+                floors_asked=floors_asked,
                 probe_reach_sq=probe_reach_sq,
             )
         else:
@@ -442,13 +446,69 @@ class ExpansionPlanner:
             memo.parts = parts
             memo.neighbors = neighbors
             memo.points = points
-            memo.floors_asked = self._floors_asked(parts)
+            memo.lead = lead
+            memo.floors_asked = floors_asked
             memo.probe_reach_sq = probe_reach_sq
             memo.former = ()
             if not grown:
                 return list(points)
         self._file(owner_id, memo)
         return list(points)
+
+    def advertise(
+        self, ids: Sequence[int], positions: Sequence[Optional[Vec2]]
+    ) -> Tuple[List[ExpansionPoint], int, List[int], bool]:
+        """One expansion round of the searchers ``ids`` standing at
+        ``positions`` (``None``: one that no longer searches).
+
+        A searcher whose memoised answer is from the point it stands at,
+        and that no change reached since (:meth:`reached`), is served that
+        answer; the others, new, moved or reached, are asked through
+        :meth:`expansion_points`.  Returns the points of the
+        highest-priority kind found, in searcher order: the leading points
+        of each answer that starts with that kind (an answer lists its
+        points in priority order).  Then the floor headers asked by the
+        coverage-status queries of every searcher with points, the
+        searchers with no position or no points, and whether any searcher
+        was asked.
+        """
+        reached = self.reached()
+        memo = self._memo
+        best = _NO_LEAD
+        heads: List[List[ExpansionPoint]] = []
+        exhausted: List[int] = []
+        floors_asked = 0
+        served = 0
+        searched = False
+        for owner_id, position in zip(ids, positions):
+            if position is None:
+                exhausted.append(owner_id)
+                continue
+            answer = memo.get(owner_id)
+            if (
+                answer is not None
+                and owner_id not in reached
+                and answer.x == position.x
+                and answer.y == position.y
+            ):
+                served += 1
+            else:
+                searched = True
+                self.expansion_points(owner_id, position)
+                answer = memo[owner_id]
+            kind = answer.lead
+            if kind == _NO_LEAD:
+                exhausted.append(owner_id)
+                continue
+            floors_asked += answer.floors_asked
+            if kind < best:
+                best = kind
+                heads = [answer.parts[kind].points]
+            elif kind == best:
+                heads.append(answer.parts[kind].points)
+        self.reused += served
+        points = [point for head in heads for point in head]
+        return points, floors_asked, exhausted, searched
 
     def reached(self) -> Set[int]:
         """The owners whose answer a registry or obstacle change may have
@@ -513,19 +573,15 @@ class ExpansionPlanner:
         if memo.iflg_stale or memo.near or memo.moved:
             self._reached.add(successor_id)
 
-    def floors_asked(self, owner_id: int) -> int:
-        """Floor headers asked by the coverage-status query of the owner's
-        last answer: those that could hold a sensor covering its first
-        point (zero when it has none)."""
-        return self._memo[owner_id].floors_asked
-
     # ------------------------------------------------------------------
     # The memo: filing answers and routing changes to them
     # ------------------------------------------------------------------
-    def _floors_asked(self, parts: List[_Part]) -> int:
-        """Floor headers the coverage-status query of the first point of
-        ``parts`` asks (zero without points), counted once per part."""
-        for part in parts:
+    def _lead(self, parts: List[_Part]) -> Tuple[int, int]:
+        """The kind of the first of ``parts`` with points (:data:`_NO_LEAD`:
+        none), and the floor headers the coverage-status query of its first
+        point asks: those that could hold a sensor covering it (zero
+        without points), counted once per part."""
+        for kind, part in enumerate(parts):
             if part.points:
                 if part.asked < 0:
                     part.asked = len(
@@ -533,8 +589,8 @@ class ExpansionPlanner:
                             part.points[0].position, self.sensing_range
                         )
                     )
-                return part.asked
-        return 0
+                return kind, part.asked
+        return _NO_LEAD, 0
 
     def _file(self, owner_id: int, answer: _Answer) -> None:
         """Make ``answer`` the owner's and file it under the grid cells

@@ -98,16 +98,6 @@ def _disk_samples(rs: float) -> Tuple[Tuple[float, float], ...]:
     return tuple(samples)
 
 
-def _leading_kind(points: List[ExpansionPoint]) -> Tuple[int, List[ExpansionPoint]]:
-    """The kind of the first of ``points`` (in priority order) and the
-    points of that kind, which lead the list."""
-    kind = points[0].kind
-    count = 1
-    while count < len(points) and points[count].kind is kind:
-        count += 1
-    return int(kind), points if count == len(points) else points[:count]
-
-
 class FloorScheme(DeploymentScheme):
     """Floor-based deployment."""
 
@@ -138,17 +128,6 @@ class FloorScheme(DeploymentScheme):
         #: place-holder standing there).
         self._relocations: Dict[int, Tuple[ExpansionPoint, int]] = {}
         self._virtual_counter: int = 0
-        #: Active searcher id -> (position, points, floors asked, kind of
-        #: the first point, the leading points of that kind) of its last
-        #: answer.
-        self._answers: Dict[
-            int, Tuple[Vec2, List[ExpansionPoint], int, int, List[ExpansionPoint]]
-        ] = {}
-        #: The last round's searchers left active, their positions, its
-        #: advertised points and the floor headers their queries asked.
-        self._last_round: Optional[
-            Tuple[List[int], List[Optional[Vec2]], List[ExpansionPoint], int]
-        ] = None
 
     # ------------------------------------------------------------------
     # Initialisation
@@ -181,8 +160,6 @@ class FloorScheme(DeploymentScheme):
         self._active_searchers.clear()
         self._virtual_positions.clear()
         self._relocations.clear()
-        self._answers.clear()
-        self._last_round = None
 
         flood_tree(world)
         for sensor in world.sensors:
@@ -479,7 +456,6 @@ class FloorScheme(DeploymentScheme):
         position = self._virtual_positions.pop(virtual_id)
         if arrived is not None and position == arrived.position:
             self._active_searchers.discard(virtual_id)
-            self._answers.pop(virtual_id, None)
             self._expansion.hand_over(virtual_id, arrived.sensor_id)
         else:
             self._drop_searcher(virtual_id)
@@ -491,7 +467,6 @@ class FloorScheme(DeploymentScheme):
         a sensor only searches again after relocating, and virtual ids
         are not reused)."""
         self._active_searchers.discard(searcher_id)
-        self._answers.pop(searcher_id, None)
         assert self._expansion is not None
         self._expansion.forget(searcher_id)
 
@@ -538,87 +513,25 @@ class FloorScheme(DeploymentScheme):
         introduces sensors to new floors along boundaries) and IFLG infill
         comes last.  Advertising only the highest-priority kind available
         in a round keeps movable sensors from being spent on boundary or
-        infill points while floor-line frontiers are still open.  Every
-        answer lists its points in priority order, so the round's points
-        are the leading points of that kind of each searcher whose answer
-        starts with it, in searcher order.
+        infill points while floor-line frontiers are still open.
 
+        The planner serves the round (:meth:`ExpansionPlanner.advertise`):
+        only new, moved or reached searchers are searched again.
         Searchers that find none (or are no longer ``FIXED``) leave the
-        active set.  A searcher that stands where it stood for its last
-        answer, and that no registry or obstacle change since reached
-        (:meth:`ExpansionPlanner.reached`), serves that answer again:
-        the planner would take its memo-hit path, so it is counted as
-        reused.  Only new, moved or reached searchers ask the planner.
-        A round whose searchers and positions are the last round's and
-        that no change reached serves the last round's points whole.
+        active set.
         """
-        assert self._expansion is not None
         expansion = self._expansion
+        assert expansion is not None
         tel = world.telemetry
         before = self._planner_counts() if tel.enabled else None
-        reached = expansion.reached()
         ids = sorted(self._active_searchers)
-        positions = self._searcher_positions(world, ids)
-        last_round = self._last_round
-        searched = not (
-            not reached
-            and last_round is not None
-            and last_round[0] == ids
-            and last_round[1] == positions
+        expansion_points, floors_asked, exhausted, searched = expansion.advertise(
+            ids, self._searcher_positions(world, ids)
         )
-        if searched:
-            answers = self._answers
-            best = len(ExpansionKind)
-            heads: List[List[ExpansionPoint]] = []
-            exhausted: List[int] = []
-            floors_asked = 0
-            reused = 0
-            for searcher_id, position in zip(ids, positions):
-                if position is None:
-                    exhausted.append(searcher_id)
-                    continue
-                last = answers.get(searcher_id)
-                if (
-                    last is not None
-                    and searcher_id not in reached
-                    and (last[0] is position or last[0] == position)
-                ):
-                    reused += 1
-                else:
-                    points = expansion.expansion_points(searcher_id, position)
-                    if not points:
-                        # "If a sensor finds no expansion points on its
-                        # expansion circle, then it stops the checking
-                        # process."
-                        exhausted.append(searcher_id)
-                        continue
-                    last = (
-                        position,
-                        points,
-                        expansion.floors_asked(searcher_id),
-                        *_leading_kind(points),
-                    )
-                    answers[searcher_id] = last
-                floors_asked += last[2]
-                kind = last[3]
-                if kind < best:
-                    best = kind
-                    heads = [last[4]]
-                elif kind == best:
-                    heads.append(last[4])
-            expansion.reused += reused
-            for searcher_id in exhausted:
-                self._drop_searcher(searcher_id)
-            if exhausted:
-                kept = [k for k, sid in enumerate(ids) if sid not in exhausted]
-                ids = [ids[k] for k in kept]
-                positions = [positions[k] for k in kept]
-            expansion_points = [point for head in heads for point in head]
-            self._last_round = (ids, positions, expansion_points, floors_asked)
-            expansion_points = list(expansion_points)
-        else:
-            expansion_points, floors_asked = list(last_round[2]), last_round[3]
-            expansion.reused += len(ids)
+        # "If a sensor finds no expansion points on its expansion circle,
+        # then it stops the checking process."
+        for searcher_id in exhausted:
+            self._drop_searcher(searcher_id)
         # Coverage-status queries to the relevant floor headers: one query
         # and one response per floor asked, routed over the tree (charged
         # for every searcher with points, whether or not its answer was

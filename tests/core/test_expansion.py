@@ -10,7 +10,7 @@ from repro.core import ExpansionKind, ExpansionPlanner, FloorGeometry, FloorRegi
 from repro.field import Field, Obstacle
 from repro.geometry import Vec2
 from repro.scenarios import clutter_field
-from tests.oracles import ReferenceExpansionPlanner
+from tests.oracles import ReferenceExpansionPlanner, RoundPlanner
 
 
 def make_planner(field=None, rc=60.0, rs=40.0):
@@ -542,7 +542,7 @@ class TestMemo:
                     if got
                     else 0
                 )
-                assert planner.floors_asked(owner) == asked
+                assert planner._memo[owner].floors_asked == asked
         assert planner.reused + planner.recomputed == calls
         assert planner.reused > calls // 4
         assert all(
@@ -690,10 +690,12 @@ class TestIFLGNeighborMemo:
 
 class TestPushedInvalidation:
     """Random register, unregister, ``promote_virtual``, ``hand_over``
-    and obstacle changes on a small field with several owners: after
-    every step, every owner's answer equals the memo-free reference's,
-    whether the change was routed to it or not, and whether or not it
-    was asked since its last answer."""
+    and obstacle changes, and owners that move or sit a round out, on a
+    small field with several owners: after every step, every owner's
+    answer equals the memo-free reference's, whether the change was
+    routed to it or not, and whether or not it was asked since its last
+    answer, and so does a round of every owner
+    (:meth:`ExpansionPlanner.advertise` against :class:`RoundPlanner`)."""
 
     #: Owners 0-2 on the first floor line, 3-5 (virtual place-holders)
     #: on the second: each has same-floor neighbours within 2R.
@@ -743,6 +745,13 @@ class TestPushedInvalidation:
             sensing_range=planner.sensing_range,
             expansion_radius=planner.expansion_radius,
         )
+        round_reference = RoundPlanner(
+            field=field,
+            floors=planner.floors,
+            registry=registry,
+            sensing_range=planner.sensing_range,
+            expansion_radius=planner.expansion_radius,
+        )
         owners = dict(self.OWNERS)
         for owner, position in owners.items():
             registry.register(owner, position, virtual=owner >= 3)
@@ -757,12 +766,29 @@ class TestPushedInvalidation:
                     got = planner.expansion_points(owner, position)
                     assert got == reference.expansion_points(owner, position)
 
+        def check_round(absent=None):
+            """A round of every owner, ``absent`` (and any owner standing
+            in an obstacle) with no position: its points, floors asked and
+            exhausted owners."""
+            ids = sorted(owners)
+            positions = [
+                None
+                if owner == absent or not field.is_free(owners[owner])
+                else owners[owner]
+                for owner in ids
+            ]
+            got = planner.advertise(ids, positions)
+            assert got[:3] == round_reference.advertise(ids, positions)[:3]
+
         check(sorted(owners))
+        check_round()
         for _ in range(data.draw(st.integers(1, 15))):
+            absent = None
             op = data.draw(
                 st.sampled_from(
                     ["register", "reregister", "unregister", "replace", "promote",
-                     "hand_over", "add_obstacle", "remove_obstacle", "move"]
+                     "hand_over", "add_obstacle", "remove_obstacle", "move",
+                     "step", "absent"]
                 )
             )
             if op == "register" or (
@@ -846,7 +872,17 @@ class TestPushedInvalidation:
                 owner = data.draw(st.sampled_from(sorted(owners)))
                 owners[owner] = self._near_a_probe(planner, owners, data)
                 registry.register(owner, owners[owner])
+            elif op == "step":
+                # The owner stands away from its record (or has none).
+                owner = data.draw(st.sampled_from(sorted(owners)))
+                owners[owner] = owners[owner] + Vec2(
+                    data.draw(st.sampled_from([-7.5, 0.5, 20.0])), 0.0
+                )
+            elif op == "absent":
+                absent = data.draw(st.sampled_from(sorted(owners)))
             # Some owners are asked after each step, the others only
             # later, with the changes routed to them meanwhile.
             check(data.draw(st.lists(st.sampled_from(sorted(owners)), unique=True)))
+            check_round(absent)
         check(sorted(owners))
+        check_round()

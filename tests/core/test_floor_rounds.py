@@ -1,8 +1,9 @@
 """FLOOR's churn period searches again only what changed, exactly.
 
-The production scheme reuses whole expansion rounds, recomputes only the
-planner parts an obstacle or registry change can reach, and hands a
-virtual searcher's answer to the sensor that arrives in its place.
+The production planner serves each searcher no change reached from its
+memo, recomputes only the parts an obstacle or registry change can
+reach, and hands a virtual searcher's answer to the sensor that arrives
+in its place.
 :class:`~tests.oracles.ReferenceFloorScheme` searches every part of every
 searcher in every round on the ``Vec2`` reference planner.  On obstacle
 timelines, under the perfect and a lossy network, both must advertise the
@@ -34,19 +35,27 @@ class _Logged:
 
     def _collect_expansion_points(self, world):
         points = super()._collect_expansion_points(world)
-        answers = {sid: answer[1] for sid, answer in self._answers.items()}
         self.log.append(
-            (world.period_index, list(points), answers, world.stats.to_counters())
+            (
+                world.period_index,
+                list(points),
+                self._whole_answers(),
+                world.stats.to_counters(),
+            )
         )
         return points
 
 
 class LoggedFloor(_Logged, FloorScheme):
-    pass
+    def _whole_answers(self):
+        return {
+            sid: list(answer.points) for sid, answer in self._expansion._memo.items()
+        }
 
 
 class LoggedReference(_Logged, ReferenceFloorScheme):
-    pass
+    def _whole_answers(self):
+        return dict(self._expansion.answers)
 
 
 def _obstacle_timeline(layout, seed):
@@ -148,8 +157,6 @@ class TestRoundKey:
         before = tel.counter("floor.rounds_searched")
         points = scheme._collect_expansion_points(world)
         searched = tel.counter("floor.rounds_searched") != before
-        scheme._answers.clear()
-        scheme._last_round = None
         for searcher_id in list(scheme._expansion._memo):
             scheme._expansion.forget(searcher_id)
         assert points == scheme._collect_expansion_points(world)
@@ -231,9 +238,9 @@ class TestRoundKey:
         assert searcher in scheme._expansion.reached()
         assert self._searched(world, scheme)
 
-    def test_a_searcher_no_longer_fixed_searches(self):
+    def test_a_searcher_no_longer_fixed_leaves_without_a_search(self):
         world, scheme = self._setup()
         searcher = self._fixed_searcher(world, scheme)
         world.sensor(searcher).state = SensorState.MOVABLE
-        assert self._searched(world, scheme)
+        assert not self._searched(world, scheme)
         assert searcher not in scheme._active_searchers

@@ -16,7 +16,7 @@ same points and send the same messages in every period.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core import FloorScheme
 from repro.core.expansion import ExpansionKind, ExpansionPoint
@@ -210,8 +210,9 @@ class ReferenceExpansionPlanner:
 @dataclass
 class RoundPlanner(ReferenceExpansionPlanner):
     """:class:`ReferenceExpansionPlanner` behind the interface the FLOOR
-    scheme asks of its planner: every answer is searched in full, and
-    nothing is remembered, forgotten or handed over."""
+    scheme asks of its planner: every searcher is searched in full in
+    every round, and nothing is remembered, forgotten or handed over.
+    :attr:`answers` holds the last round's answers that have points."""
 
     reused: int = 0
     recomputed: int = 0
@@ -223,25 +224,44 @@ class RoundPlanner(ReferenceExpansionPlanner):
 
     def __post_init__(self) -> None:
         self.recomputed_parts = [0, 0, 0]
+        self.answers: Dict[int, List[ExpansionPoint]] = {}
 
-    def expansion_points(self, owner_id: int, position: Vec2):
-        points = super().expansion_points(owner_id, position)
-        self._asked = (
+    def advertise(
+        self, ids: Sequence[int], positions: Sequence[Optional[Vec2]]
+    ) -> Tuple[List[ExpansionPoint], int, List[int], bool]:
+        """The round: the points of the highest-priority kind found, the
+        floor headers the coverage-status query of each answer's first
+        point asks, the searchers with no position or no points, and
+        whether any searcher was searched."""
+        self.answers = {}
+        exhausted = []
+        for owner_id, position in zip(ids, positions):
+            points = (
+                [] if position is None else self.expansion_points(owner_id, position)
+            )
+            if points:
+                self.answers[owner_id] = points
+            else:
+                exhausted.append(owner_id)
+        answers = self.answers.values()
+        best = min((points[0].kind for points in answers), default=None)
+        advertised = [
+            point
+            for points in answers
+            if points[0].kind is best
+            for point in points
+            if point.kind is best
+        ]
+        floors_asked = sum(
             len(
                 self.floors.floors_possibly_covering(
                     points[0].position, self.sensing_range
                 )
             )
-            if points
-            else 0
+            for points in answers
         )
-        return points
-
-    def floors_asked(self, owner_id: int) -> int:
-        return self._asked
-
-    def reached(self):
-        return set()
+        searched = any(position is not None for position in positions)
+        return advertised, floors_asked, exhausted, searched
 
     def forget(self, owner_id: int) -> None:
         pass
@@ -264,8 +284,3 @@ class ReferenceFloorScheme(FloorScheme):
             sensing_range=planner.sensing_range,
             expansion_radius=planner.expansion_radius,
         )
-
-    def _collect_expansion_points(self, world):
-        self._answers.clear()
-        self._last_round = None
-        return super()._collect_expansion_points(world)
