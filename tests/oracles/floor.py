@@ -211,7 +211,7 @@ class ReferenceExpansionPlanner:
 class RoundPlanner(ReferenceExpansionPlanner):
     """:class:`ReferenceExpansionPlanner` behind the interface the FLOOR
     scheme asks of its planner: every searcher is searched in full in
-    every round, and nothing is remembered, forgotten or handed over.
+    every round, and nothing is reused, forgotten or handed over.
     :attr:`answers` holds the last round's answers that have points."""
 
     reused: int = 0
