@@ -124,9 +124,8 @@ class FloorScheme(DeploymentScheme):
         self._active_searchers: Set[int] = set()
         #: Positions of virtual searcher nodes keyed by their registry id.
         self._virtual_positions: Dict[int, Vec2] = {}
-        #: Relocating sensors: sensor id -> (target EP, id of the virtual
-        #: place-holder standing there).
-        self._relocations: Dict[int, Tuple[ExpansionPoint, int]] = {}
+        #: Relocating sensors: sensor id -> (target EP, inviter id).
+        self._relocations: Dict[int, ExpansionPoint] = {}
         self._virtual_counter: int = 0
 
     # ------------------------------------------------------------------
@@ -410,7 +409,7 @@ class FloorScheme(DeploymentScheme):
         # One step per relocating sensor: the obstacle-exit correction
         # (:meth:`_exit_obstacle`) and the arrival test read the point
         # reached on floats.
-        for sensor_id, (ep, _) in self._relocations.items():
+        for sensor_id, ep in self._relocations.items():
             motion = sensors[sensor_id].motion
             step = motion.advance_along_path()
             if step is None:
@@ -426,7 +425,7 @@ class FloorScheme(DeploymentScheme):
             if motion.path is None or hypot(x - target.x, y - target.y) <= 1e-6:
                 arrived.append(sensor_id)
         for sensor_id in arrived:
-            ep, virtual_id = self._relocations.pop(sensor_id)
+            ep = self._relocations.pop(sensor_id)
             sensor = world.sensor(sensor_id)
             # Obstacle-exit correction on arrival: the expansion point was
             # checked to be free when discovered, but nearest_free guards
@@ -441,25 +440,33 @@ class FloorScheme(DeploymentScheme):
                 parent = BASE_STATION_ID
             world.attach_to_tree(sensor_id, parent)
             self._active_searchers.add(sensor_id)
-            self._remove_virtual(virtual_id, sensor)
+            # Remove the corresponding virtual searcher, if any.
+            self._remove_virtual_for(ep, sensor)
 
-    def _remove_virtual(
-        self, virtual_id: int, arrived: Optional[Sensor] = None
+    def _remove_virtual_for(
+        self, ep: ExpansionPoint, arrived: Optional[Sensor] = None
     ) -> None:
-        """Drop the virtual searcher that held a relocation's target.
+        """Drop the virtual searcher standing in for an arrived sensor.
 
-        The ``arrived`` sensor takes over the planner's answer of the
-        virtual searcher when it stands exactly where the virtual stood:
-        it searches from the same point with the same records around it.
+        The ``arrived`` sensor takes over the planner's answer of a
+        virtual searcher standing exactly where it stands: it searches
+        from the same point with the same records around it.
         """
         assert self._registry is not None and self._expansion is not None
-        position = self._virtual_positions.pop(virtual_id)
-        if arrived is not None and position == arrived.position:
-            self._active_searchers.discard(virtual_id)
-            self._expansion.hand_over(virtual_id, arrived.sensor_id)
-        else:
-            self._drop_searcher(virtual_id)
-        self._registry.unregister(virtual_id)
+        to_remove = [
+            vid
+            for vid, pos in self._virtual_positions.items()
+            if pos.distance_to(ep.position) <= 1e-6
+        ]
+        for vid in to_remove:
+            position = self._virtual_positions.pop(vid)
+            if arrived is not None and position == arrived.position:
+                self._active_searchers.discard(vid)
+                self._expansion.hand_over(vid, arrived.sensor_id)
+                arrived = None
+            else:
+                self._drop_searcher(vid)
+            self._registry.unregister(vid)
 
     def _drop_searcher(self, searcher_id: int) -> None:
         """Take a searcher out of the active set and its last answer out
@@ -603,11 +610,11 @@ class FloorScheme(DeploymentScheme):
         sensor.state = SensorState.RELOCATING
         path = self._planner_disperse.plan(sensor.position, ep.position)
         sensor.motion.follow(path)
+        self._relocations[movable_id] = ep
 
         # Install the virtual place-holding fixed node at the EP.
         self._virtual_counter += 1
         virtual_id = _VIRTUAL_ID_OFFSET + self._virtual_counter
-        self._relocations[movable_id] = (ep, virtual_id)
         self._registry.register(virtual_id, ep.position, virtual=True)
         # It searches for expansion points while the sensor is in transit
         # (see the module docstring).
@@ -678,18 +685,18 @@ class FloorScheme(DeploymentScheme):
             self._lazy.stop_waiting(sensor)
             self._registry.unregister(sid)
             self._drop_searcher(sid)
-            relocation = self._relocations.pop(sid, None)
-            if relocation is not None:
-                self._remove_virtual(relocation[1])
+            ep = self._relocations.pop(sid, None)
+            if ep is not None:
+                self._remove_virtual_for(ep)
         for sid in chain(change.disconnected_ids, change.added_ids):
             sensor = world.sensor(sid)
             if not sensor.is_alive() or sensor.is_connected():
                 continue
             self._registry.unregister(sid)
             self._drop_searcher(sid)
-            relocation = self._relocations.pop(sid, None)
-            if relocation is not None:
-                self._remove_virtual(relocation[1])
+            ep = self._relocations.pop(sid, None)
+            if ep is not None:
+                self._remove_virtual_for(ep)
             sensor.state = SensorState.MOVING_TO_CONNECT
             self._lazy.stop_waiting(sensor)
             sensor.motion.stop()
@@ -707,12 +714,10 @@ class FloorScheme(DeploymentScheme):
             for sensor in world.sensors:
                 if not sensor.is_alive():
                     continue
-                relocation = self._relocations.get(sensor.sensor_id)
-                if relocation is not None:
+                ep = self._relocations.get(sensor.sensor_id)
+                if ep is not None:
                     sensor.motion.follow(
-                        self._planner_disperse.plan(
-                            sensor.position, relocation[0].position
-                        )
+                        self._planner_disperse.plan(sensor.position, ep.position)
                     )
                 elif sensor.motion.has_path:
                     # Connection walks re-plan lazily on the next period.
