@@ -126,8 +126,6 @@ class ExpansionKind(IntEnum):
 
 #: The kinds as plain indices into an answer's parts.
 _FLG, _BLG, _IFLG = (int(kind) for kind in ExpansionKind)
-#: :attr:`_Answer.lead` of an answer with no points.
-_NO_LEAD = len(ExpansionKind)
 #: ``stale`` of a search from a new point: every part.
 _ALL_STALE = (True, True, True)
 
@@ -193,9 +191,6 @@ class _Answer:
     neighbors: Dict[Tuple[int, float, float], _Part]
     #: The parts' points concatenated (already in priority order).
     points: List[ExpansionPoint]
-    #: The kind of the first part with points, which lead the answer
-    #: (:data:`_NO_LEAD`: none).
-    lead: int
     #: Floor headers the answer's coverage-status query asks.
     floors_asked: int
     #: Squared distance from ``(x, y)`` beyond which no change is within
@@ -423,7 +418,6 @@ class ExpansionPlanner:
         else:
             reach = farthest + self.sensing_range + 2.0 * _MEMO_SLACK
             probe_reach_sq = reach * reach
-        lead, floors_asked = self._lead(parts)
         if memo is None or stale is _ALL_STALE:
             memo = _Answer(
                 x=x,
@@ -433,8 +427,7 @@ class ExpansionPlanner:
                 parts=parts,
                 neighbors=neighbors,
                 points=points,
-                lead=lead,
-                floors_asked=floors_asked,
+                floors_asked=self._floors_asked(parts),
                 probe_reach_sq=probe_reach_sq,
             )
         else:
@@ -446,8 +439,7 @@ class ExpansionPlanner:
             memo.parts = parts
             memo.neighbors = neighbors
             memo.points = points
-            memo.lead = lead
-            memo.floors_asked = floors_asked
+            memo.floors_asked = self._floors_asked(parts)
             memo.probe_reach_sq = probe_reach_sq
             memo.former = ()
             if not grown:
@@ -474,7 +466,7 @@ class ExpansionPlanner:
         """
         reached = self.reached()
         memo = self._memo
-        best = _NO_LEAD
+        best = len(ExpansionKind)
         heads: List[List[ExpansionPoint]] = []
         exhausted: List[int] = []
         floors_asked = 0
@@ -496,10 +488,10 @@ class ExpansionPlanner:
                 searched = True
                 self.expansion_points(owner_id, position)
                 answer = memo[owner_id]
-            kind = answer.lead
-            if kind == _NO_LEAD:
+            if not answer.points:
                 exhausted.append(owner_id)
                 continue
+            kind = int(answer.points[0].kind)
             floors_asked += answer.floors_asked
             if kind < best:
                 best = kind
@@ -576,12 +568,10 @@ class ExpansionPlanner:
     # ------------------------------------------------------------------
     # The memo: filing answers and routing changes to them
     # ------------------------------------------------------------------
-    def _lead(self, parts: List[_Part]) -> Tuple[int, int]:
-        """The kind of the first of ``parts`` with points (:data:`_NO_LEAD`:
-        none), and the floor headers the coverage-status query of its first
-        point asks: those that could hold a sensor covering it (zero
-        without points), counted once per part."""
-        for kind, part in enumerate(parts):
+    def _floors_asked(self, parts: List[_Part]) -> int:
+        """Floor headers the coverage-status query of the first point of
+        ``parts`` asks (zero without points), counted once per part."""
+        for part in parts:
             if part.points:
                 if part.asked < 0:
                     part.asked = len(
@@ -589,8 +579,8 @@ class ExpansionPlanner:
                             part.points[0].position, self.sensing_range
                         )
                     )
-                return kind, part.asked
-        return _NO_LEAD, 0
+                return part.asked
+        return 0
 
     def _file(self, owner_id: int, answer: _Answer) -> None:
         """Make ``answer`` the owner's and file it under the grid cells
